@@ -87,6 +87,7 @@ mod tests {
 
     #[test]
     fn install_wires_hooks_and_arms_parsers() {
+        let _switch = parser::lock_arm_switch_for_test();
         let nic = Arc::new(VirtualNic::new(&DeviceConfig {
             num_queues: 2,
             ..Default::default()

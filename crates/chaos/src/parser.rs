@@ -35,6 +35,17 @@ pub fn disarm_parser_panics() {
     PANIC_MODULUS.store(0, Ordering::SeqCst);
 }
 
+/// Serialises the unit tests that flip the process-global arm switch
+/// (the default test harness runs them on parallel threads): each holds
+/// the returned guard for its whole body.
+#[cfg(test)]
+pub(crate) fn lock_arm_switch_for_test() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding the lock must not fail the other.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Currently armed modulus, if any.
 pub fn armed_modulus() -> Option<u64> {
     match PANIC_MODULUS.load(Ordering::SeqCst) {
@@ -113,6 +124,7 @@ mod tests {
     // race each other under the parallel test harness.
     #[test]
     fn arming_switch_controls_panics() {
+        let _switch = lock_arm_switch_for_test();
         disarm_parser_panics();
         let mut p = ChaosParser;
         assert_eq!(

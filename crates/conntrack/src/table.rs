@@ -176,6 +176,22 @@ impl<V> ConnTable<V> {
         self.bytes_high_water
     }
 
+    /// Length of the longest index bucket: connections sharing one RSS
+    /// hash are found by a linear scan, so this is the table's worst-case
+    /// probe length. It stays in single digits when callers pass the
+    /// NIC's hash; one long chain means they pass a constant.
+    pub fn longest_chain(&self) -> usize {
+        self.shards
+            .iter()
+            .flat_map(HashMap::values)
+            .map(|bucket| match bucket {
+                Bucket::One(_) => 1,
+                Bucket::Many(chain) => chain.len(),
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Finds the handle for `key` under `hash`, verifying the full key
     /// against the arena (RSS collisions are expected; see module docs).
     fn find(&self, hash: u32, key: &ConnKey) -> Option<ConnHandle> {

@@ -54,6 +54,7 @@ use crate::reconfig::{StepSwap, SwapError, SwapSpec};
 use crate::runtime::{MultiRuntime, RunReport, SubReport};
 use crate::subscription::Level;
 use crate::tracker::{ConnTracker, SubTally};
+use crate::util::rdtsc;
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -173,6 +174,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             self.config.parsers.clone(),
         );
         let shed = self.shed_state();
+        let profile = self.config.profile_stages;
         // Same fixed symmetric key the virtual NIC installs: stepped
         // mbufs carry the hash a threaded ingest would have stamped.
         let hasher = RssHasher::symmetric();
@@ -273,6 +275,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                 let i: usize = $idx;
                 let tid: u64 = $tid;
                 let out: ErasedOutput = $out;
+                let tc = profile.then(rdtsc);
                 tracker.stats.callbacks.runs += 1;
                 if dispatched[i] {
                     if queues[i].len() < caps[i] {
@@ -343,6 +346,12 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                             t.emit(t.rx_lane(0), tid, TraceKind::CallbackEnd, i as u16, 0, 0);
                         }
                     }
+                }
+                if let Some(t) = tc {
+                    tracker
+                        .stats
+                        .callbacks
+                        .record_cycles(rdtsc().wrapping_sub(t));
                 }
             }};
         }
@@ -525,8 +534,15 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                                     }
                                     None => 0,
                                 };
+                                let tf = profile.then(rdtsc);
                                 let verdict = filter.packet_filter_set(&pkt);
                                 tracker.stats.packet_filter.runs += 1;
+                                if let Some(t) = tf {
+                                    tracker
+                                        .stats
+                                        .packet_filter
+                                        .record_cycles(rdtsc().wrapping_sub(t));
+                                }
                                 if tid != 0 {
                                     if let Some(t) = &tracer {
                                         t.emit(
@@ -554,15 +570,46 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                                 }
                                 let bypass = verdict.matched & packet_mask;
                                 for i in bypass.iter() {
-                                    // NullSink's packet fast path is a
-                                    // no-op: spec-only bypass delivers
-                                    // (and counts) nothing.
-                                    if !subs[i].has_callback() {
+                                    if dispatched[i] {
+                                        // Crosses to a worker: the datum
+                                        // must be boxed for the queue.
+                                        if let Some(out) = subs[i].output_from_mbuf(&mbuf) {
+                                            tracker.sub_tallies[i].delivered += 1;
+                                            route!(i, tid, out);
+                                        }
                                         continue;
                                     }
-                                    if let Some(out) = subs[i].output_from_mbuf(&mbuf) {
+                                    // Inline: built and delivered on the
+                                    // spot, exactly as the threaded
+                                    // worker does — no box, no downcast.
+                                    // (A spec-only sink delivers, and
+                                    // counts, nothing.)
+                                    let tc = profile.then(rdtsc);
+                                    if sinks[i].deliver_from_mbuf(&mbuf, tid) {
+                                        tracker.stats.callbacks.runs += 1;
                                         tracker.sub_tallies[i].delivered += 1;
-                                        route!(i, tid, out);
+                                        stats[i].note_inline();
+                                        // Start/end together, after the
+                                        // fact: whether the frame yields
+                                        // a datum is only known once the
+                                        // fast path ran (InlineSink's
+                                        // order).
+                                        if tid != 0 {
+                                            if let Some(t) = &tracer {
+                                                for kind in [
+                                                    TraceKind::CallbackStart,
+                                                    TraceKind::CallbackEnd,
+                                                ] {
+                                                    t.emit(t.rx_lane(0), tid, kind, i as u16, 0, 0);
+                                                }
+                                            }
+                                        }
+                                        if let Some(t) = tc {
+                                            tracker
+                                                .stats
+                                                .callbacks
+                                                .record_cycles(rdtsc().wrapping_sub(t));
+                                        }
                                     }
                                 }
                                 let verdict = PacketVerdict {

@@ -658,6 +658,12 @@ impl<F: FilterFns> ConnTracker<F> {
         self.table.len()
     }
 
+    /// Worst-case probe length of the connection table (see
+    /// [`ConnTable::longest_chain`]).
+    pub fn longest_chain(&self) -> usize {
+        self.table.longest_chain()
+    }
+
     /// Takes the subscription data produced since the last call, each
     /// tagged with its subscription index and the originating flow's
     /// trace id (0 = unsampled).

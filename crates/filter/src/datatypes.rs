@@ -284,6 +284,13 @@ impl Frontiers {
         if self.iter().any(|n| n == node) {
             return;
         }
+        self.push_distinct(node);
+    }
+
+    /// Adds a frontier the caller knows is not in the set yet (the flat
+    /// program visits each trie node at most once per packet).
+    #[inline]
+    pub(crate) fn push_distinct(&mut self, node: u32) {
         if (self.len as usize) < Self::INLINE {
             self.inline[self.len as usize] = node;
             self.len += 1;

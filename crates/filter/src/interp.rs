@@ -1,30 +1,28 @@
 //! Runtime (interpreted) filter execution.
 //!
 //! [`CompiledFilter`] is the product of filter compilation: the predicate
-//! trie plus pre-computed dispatch tables and a regex cache. Its three
-//! engines — [`PacketFilter`], [`ConnFilter`], [`SessionFilter`] — walk
-//! the trie at runtime. This is the strategy Appendix B calls
-//! "interpreted"; the `retina-filtergen` proc-macro generates equivalent
-//! static code (the paper's default), and Figure 12's bench compares the
-//! two.
+//! trie plus the flat op program lowered from it ([`crate::program`]).
+//! Its three engines — [`PacketFilter`], [`ConnFilter`],
+//! [`SessionFilter`] — run that program. This is the strategy Appendix B
+//! calls "interpreted": the filter is data decided at run time, which is
+//! what lets `RuntimeBuilder` and every hot swap accept filter text. The
+//! `retina-filtergen` proc-macro generates equivalent static code (the
+//! paper's default), and Figure 12's bench compares the two.
 
-// Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
+// Narrowing casts in this file are intentional: trie node ids narrow to the compact u32 frontier values by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use retina_nic::DeviceCaps;
 use retina_nic::FlowRule;
-use retina_support::rematch::Regex;
 use retina_wire::ParsedPacket;
 
-use crate::ast::{Predicate, Value};
 use crate::datatypes::{
     ConnVerdict, FilterError, FilterResult, Frontiers, PacketVerdict, SessionData, SubscriptionSet,
 };
-use crate::registry::{FilterLayer, ProtocolRegistry};
-use crate::subfilters::{eval_packet_pred, eval_session_pred};
+use crate::program::Program;
+use crate::registry::ProtocolRegistry;
 use crate::trie::PredicateTrie;
 
 /// The filter functions every execution strategy provides.
@@ -181,20 +179,18 @@ pub trait FilterFns: Send + Sync {
     }
 }
 
-/// A fully compiled filter: trie + dispatch tables + regex cache.
+/// A fully compiled filter: the predicate trie (the IR hardware-rule
+/// synthesis, analysis and code generation work from) plus the flat
+/// [`crate::program`] lowered from it, which is what executes.
 ///
 /// Compiles one source ([`CompiledFilter::build`]) or the merged trie of
 /// N subscription sources ([`CompiledFilter::build_union`]); in the
 /// latter case the `*_set` methods natively evaluate every subscription
-/// in one trie walk.
+/// in one pass over the program.
 #[derive(Debug, Clone)]
 pub struct CompiledFilter {
     trie: Arc<PredicateTrie>,
-    regexes: Arc<HashMap<String, Regex>>,
-    /// pkt frontier node → connection-layer candidate nodes.
-    conn_cands: Arc<BTreeMap<usize, Vec<usize>>>,
-    /// pkt frontier node → subscriptions still live through it.
-    frontier_live: Arc<BTreeMap<usize, SubscriptionSet>>,
+    program: Arc<Program>,
 }
 
 impl CompiledFilter {
@@ -211,41 +207,12 @@ impl CompiledFilter {
         Self::from_trie(trie)
     }
 
-    /// Builds the dispatch tables for an existing trie.
+    /// Lowers an existing trie to its program.
     pub fn from_trie(trie: PredicateTrie) -> Result<Self, FilterError> {
-        // Pre-compile every regex exactly once (§4.1: "all regular
-        // expressions in the filter are compiled only once").
-        let mut regexes = HashMap::new();
-        for id in trie.reachable() {
-            if let Some(Predicate::Binary {
-                op: crate::ast::Op::Matches,
-                value: Value::Str(pattern),
-                ..
-            }) = &trie.node(id).pred
-            {
-                if !regexes.contains_key(pattern) {
-                    let re =
-                        Regex::new(pattern).map_err(|e| FilterError::BadRegex(e.to_string()))?;
-                    regexes.insert(pattern.clone(), re);
-                }
-            }
-        }
-        let mut conn_cands = BTreeMap::new();
-        let mut frontier_live = BTreeMap::new();
-        for frontier in trie.packet_frontiers() {
-            let cands = trie.conn_candidates(frontier);
-            let mut live = SubscriptionSet::empty();
-            for &c in &cands {
-                live |= trie.node(c).subtree_subs;
-            }
-            conn_cands.insert(frontier, cands);
-            frontier_live.insert(frontier, live);
-        }
+        let program = Program::lower(&trie)?;
         Ok(CompiledFilter {
             trie: Arc::new(trie),
-            regexes: Arc::new(regexes),
-            conn_cands: Arc::new(conn_cands),
-            frontier_live: Arc::new(frontier_live),
+            program: Arc::new(program),
         })
     }
 
@@ -253,74 +220,11 @@ impl CompiledFilter {
     pub fn trie(&self) -> &PredicateTrie {
         &self.trie
     }
-
-    /// Walks every satisfied packet-layer branch, collecting terminal
-    /// subscription sets and frontier handoffs. Unlike the
-    /// single-subscription walk this never early-returns: divergent
-    /// branches can decide different subscriptions.
-    fn walk_packet_collect(&self, id: usize, pkt: &ParsedPacket, v: &mut PacketVerdict) {
-        let node = self.trie.node(id);
-        v.matched |= node.subs;
-        if let Some(&live) = self.frontier_live.get(&id) {
-            v.frontiers.push(id as u32);
-            v.live |= live;
-        }
-        for &c in &node.children {
-            let child = self.trie.node(c);
-            if child.layer != FilterLayer::Packet {
-                continue;
-            }
-            let pred = child.pred.as_ref().expect("non-root has predicate");
-            if eval_packet_pred(pred, pkt) {
-                self.walk_packet_collect(c, pkt, v);
-            }
-        }
-    }
-
-    fn walk_packet(
-        &self,
-        id: usize,
-        depth: usize,
-        pkt: &ParsedPacket,
-        best_frontier: &mut Option<(usize, usize)>,
-    ) -> Option<usize> {
-        let node = self.trie.node(id);
-        if node.pattern_end {
-            return Some(id);
-        }
-        if self.conn_cands.contains_key(&id) {
-            // This node can hand off to the connection filter; remember the
-            // deepest such node reached.
-            if best_frontier.is_none_or(|(d, _)| depth > d) {
-                *best_frontier = Some((depth, id));
-            }
-        }
-        for &c in &node.children {
-            let child = self.trie.node(c);
-            if child.layer != FilterLayer::Packet {
-                continue;
-            }
-            let pred = child.pred.as_ref().expect("non-root has predicate");
-            if eval_packet_pred(pred, pkt) {
-                if let Some(term) = self.walk_packet(c, depth + 1, pkt, best_frontier) {
-                    return Some(term);
-                }
-            }
-        }
-        None
-    }
 }
 
 impl FilterFns for CompiledFilter {
     fn packet_filter(&self, pkt: &ParsedPacket) -> FilterResult {
-        let mut best_frontier = None;
-        match self.walk_packet(0, 0, pkt, &mut best_frontier) {
-            Some(terminal) => FilterResult::MatchTerminal(terminal),
-            None => match best_frontier {
-                Some((_, id)) => FilterResult::MatchNonTerminal(id),
-                None => FilterResult::NoMatch,
-            },
-        }
+        self.program.packet_filter(pkt)
     }
 
     fn conn_filter(&self, service: Option<&str>, pkt_term_node: usize) -> FilterResult {
@@ -328,51 +232,12 @@ impl FilterFns for CompiledFilter {
             // The filter was already fully satisfied at the packet layer.
             return FilterResult::MatchTerminal(pkt_term_node);
         }
-        let Some(cands) = self.conn_cands.get(&pkt_term_node) else {
-            return FilterResult::NoMatch;
-        };
-        let mut non_terminal = None;
-        for &c in cands {
-            let node = self.trie.node(c);
-            let proto = node.pred.as_ref().expect("conn node has pred").protocol();
-            if Some(proto) == service {
-                if node.pattern_end {
-                    return FilterResult::MatchTerminal(c);
-                }
-                if non_terminal.is_none() {
-                    non_terminal = Some(c);
-                }
-            }
-        }
-        match non_terminal {
-            Some(c) => FilterResult::MatchNonTerminal(c),
-            None => FilterResult::NoMatch,
-        }
+        self.program.conn_filter(service, pkt_term_node)
     }
 
     fn session_filter(&self, session: &dyn SessionData, pkt_term_node: usize) -> bool {
-        if self.trie.node(pkt_term_node).pattern_end {
-            return true;
-        }
-        let Some(cands) = self.conn_cands.get(&pkt_term_node) else {
-            return false;
-        };
-        for &c in cands {
-            let node = self.trie.node(c);
-            let proto = node.pred.as_ref().expect("conn node has pred").protocol();
-            if proto != session.protocol() {
-                continue;
-            }
-            if node.pattern_end {
-                // Connection-terminal pattern: the session filter defaults
-                // to a match (Figure 4a).
-                return true;
-            }
-            if self.walk_session(c, session) {
-                return true;
-            }
-        }
-        false
+        self.trie.node(pkt_term_node).pattern_end
+            || self.program.session_filter(session, pkt_term_node)
     }
 
     fn conn_protocols(&self) -> Vec<String> {
@@ -395,13 +260,9 @@ impl FilterFns for CompiledFilter {
         self.trie.num_subscriptions()
     }
 
+    #[inline]
     fn packet_filter_set(&self, pkt: &ParsedPacket) -> PacketVerdict {
-        let mut v = PacketVerdict::default();
-        self.walk_packet_collect(0, pkt, &mut v);
-        // A terminal disjunct subsumes the same subscription's deeper
-        // branches: matched wins over live.
-        v.live -= v.matched;
-        v
+        self.program.packet_filter_set(pkt)
     }
 
     fn conn_filter_set(
@@ -410,26 +271,7 @@ impl FilterFns for CompiledFilter {
         frontiers: &Frontiers,
         live: SubscriptionSet,
     ) -> ConnVerdict {
-        let mut v = ConnVerdict::default();
-        let Some(service) = service else {
-            // No protocol identified: no conn-layer predicate can pass.
-            return v;
-        };
-        for f in frontiers.iter() {
-            let Some(cands) = self.conn_cands.get(&(f as usize)) else {
-                continue;
-            };
-            for &c in cands {
-                let node = self.trie.node(c);
-                let proto = node.pred.as_ref().expect("conn node has pred").protocol();
-                if proto == service {
-                    v.matched |= node.subs & live;
-                    v.live |= (node.subtree_subs - node.subs) & live;
-                }
-            }
-        }
-        v.live -= v.matched;
-        v
+        self.program.conn_filter_set(service, frontiers, live)
     }
 
     fn session_filter_set(
@@ -438,23 +280,7 @@ impl FilterFns for CompiledFilter {
         frontiers: &Frontiers,
         live: SubscriptionSet,
     ) -> SubscriptionSet {
-        let mut pass = SubscriptionSet::empty();
-        for f in frontiers.iter() {
-            let Some(cands) = self.conn_cands.get(&(f as usize)) else {
-                continue;
-            };
-            for &c in cands {
-                let node = self.trie.node(c);
-                let proto = node.pred.as_ref().expect("conn node has pred").protocol();
-                if proto != session.protocol() {
-                    continue;
-                }
-                // Conn-terminal patterns default-pass (Figure 4a).
-                pass |= node.subs & live;
-                self.walk_session_collect(c, session, live, &mut pass);
-            }
-        }
-        pass & live
+        self.program.session_filter_set(session, frontiers, live)
     }
 
     fn conn_protocols_for(&self, sub: usize) -> Vec<String> {
@@ -476,44 +302,6 @@ impl FilterFns for CompiledFilter {
     ) -> Result<Vec<FlowRule>, FilterError> {
         // The trie is already built: no re-compilation.
         Ok(crate::hw::synthesize(&self.trie, caps))
-    }
-}
-
-impl CompiledFilter {
-    fn walk_session_collect(
-        &self,
-        id: usize,
-        session: &dyn SessionData,
-        live: SubscriptionSet,
-        pass: &mut SubscriptionSet,
-    ) {
-        for &c in &self.trie.node(id).children {
-            let child = self.trie.node(c);
-            if child.layer != FilterLayer::Session {
-                continue;
-            }
-            let pred = child.pred.as_ref().expect("session node has pred");
-            if eval_session_pred(pred, session, &self.regexes) {
-                *pass |= child.subs & live;
-                self.walk_session_collect(c, session, live, pass);
-            }
-        }
-    }
-
-    fn walk_session(&self, id: usize, session: &dyn SessionData) -> bool {
-        for &c in &self.trie.node(id).children {
-            let child = self.trie.node(c);
-            if child.layer != FilterLayer::Session {
-                continue;
-            }
-            let pred = child.pred.as_ref().expect("session node has pred");
-            if eval_session_pred(pred, session, &self.regexes)
-                && (child.pattern_end || self.walk_session(c, session))
-            {
-                return true;
-            }
-        }
-        false
     }
 }
 

@@ -34,7 +34,9 @@
 //! [`dnf`], [`trie`], [`subfilters`], [`hw`]. Execution is provided two
 //! ways, matching Appendix B's ablation:
 //!
-//! - [`interp`] — a runtime trie-walker (the "interpreted" baseline);
+//! - [`interp`] — the runtime engine: the trie lowered once to a flat op
+//!   [`program`] and evaluated in a single forward loop (the "interpreted"
+//!   strategy; what `RuntimeBuilder` and hot swaps run);
 //! - [`codegen`] — a Rust source generator used by the `retina-filtergen`
 //!   proc-macro to bake the filter into the binary as a static sequence of
 //!   conditionals (the paper's approach, Figure 3).
@@ -54,6 +56,7 @@ pub mod hw;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+pub mod program;
 pub mod registry;
 pub mod subfilters;
 pub mod trie;

@@ -1,12 +1,14 @@
-//! Predicate evaluation semantics shared by the interpreted engine and the
-//! statically generated code.
+//! Predicate evaluation semantics: the definition both execution
+//! strategies are held to.
 //!
 //! The functions here define exactly what each predicate means against a
-//! parsed packet or session. The interpreter calls them through
-//! [`eval_packet_pred`] / [`eval_session_pred`]; the code generator emits
-//! calls to the small monomorphic helpers (`v4_in`, `cmp_int`, …) so both
-//! execution strategies share one semantics and can be differentially
-//! tested against each other.
+//! parsed packet or session. [`eval_packet_pred`] / [`eval_session_pred`]
+//! evaluate a predicate as written — protocol and field by name, operand
+//! by type — and are the oracle: the runtime engine resolves the same
+//! meaning into typed ops once at build ([`crate::program`]) and
+//! `tests/tests/oracle.rs` checks it against a trie walk built on these
+//! two. The code generator emits calls to the small monomorphic helpers
+//! (`v4_in`, `cmp_int`, …), so static code shares the semantics too.
 
 use std::net::IpAddr;
 

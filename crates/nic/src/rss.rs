@@ -7,6 +7,7 @@
 //! of Woo & Park — `0x6d5a` repeated — which guarantees
 //! `hash(src, dst) == hash(dst, src)`.
 
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 use retina_wire::ParsedPacket;
@@ -27,10 +28,51 @@ pub const SYMMETRIC_KEY: [u8; KEY_LEN] = {
     key
 };
 
-/// Toeplitz hasher over a configurable key.
+/// Longest hashable input: every input byte selects 32-bit key windows,
+/// so the last one starts 4 bytes before the key's end.
+const MAX_INPUT: usize = KEY_LEN - 4;
+
+/// The Toeplitz contribution of every value of one input byte: entry `b`
+/// is the XOR of the key windows selected by `b`'s set bits.
+type ByteTable = [u32; 256];
+
+/// The [`ByteTable`] of the input byte at offset `pos` under `key`.
+const fn byte_table(key: &[u8; KEY_LEN], pos: usize) -> ByteTable {
+    // The 40 key bits the byte's eight windows are cut from.
+    let mut bits = 0u64;
+    let mut j = 0;
+    while j < 5 {
+        bits = (bits << 8) | key[pos + j] as u64;
+        j += 1;
+    }
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if b & (0x80 >> bit) != 0 {
+                // The low 32 bits are the key window starting at `bit`.
+                table[b] ^= ((bits >> (8 - bit)) & 0xffff_ffff) as u32;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// Tables of the symmetric key. The key repeats every two bytes, so the
+/// tables do too: one for even input offsets, one for odd. Evaluated at
+/// compile time — constructing the symmetric hasher allocates nothing.
+static SYMMETRIC_TABLES: [ByteTable; 2] =
+    [byte_table(&SYMMETRIC_KEY, 0), byte_table(&SYMMETRIC_KEY, 1)];
+
+/// Toeplitz hasher over a configurable key, table-driven: one lookup per
+/// input byte instead of eight shift-and-test steps.
 #[derive(Debug, Clone)]
 pub struct RssHasher {
-    key: [u8; KEY_LEN],
+    /// One table per input offset, repeating with the key's period.
+    tables: Cow<'static, [ByteTable]>,
 }
 
 impl Default for RssHasher {
@@ -42,40 +84,33 @@ impl Default for RssHasher {
 impl RssHasher {
     /// A hasher using the symmetric key (the configuration Retina installs).
     pub fn symmetric() -> Self {
-        RssHasher { key: SYMMETRIC_KEY }
+        RssHasher {
+            tables: Cow::Borrowed(&SYMMETRIC_TABLES),
+        }
     }
 
     /// A hasher with a caller-provided key (e.g. Microsoft's reference key,
     /// which is *not* symmetric — used in tests to show why symmetry
     /// matters).
     pub fn with_key(key: [u8; KEY_LEN]) -> Self {
-        RssHasher { key }
+        RssHasher {
+            tables: (0..MAX_INPUT).map(|pos| byte_table(&key, pos)).collect(),
+        }
     }
 
     /// The raw Toeplitz hash of `input`.
     ///
     /// Each input bit selects a 32-bit window of the key; set bits XOR
     /// their window into the result.
+    ///
+    /// # Panics
+    /// When `input` is longer than the key covers (48 bytes).
     pub fn toeplitz(&self, input: &[u8]) -> u32 {
-        debug_assert!(input.len() + 4 <= KEY_LEN, "input too long for key");
-        let mut result = 0u32;
-        // The sliding 32-bit window of key bits, advanced one bit per input
-        // bit. Seed with the first 32 key bits.
-        let mut window = u32::from_be_bytes([self.key[0], self.key[1], self.key[2], self.key[3]]);
-        for (i, byte) in input.iter().enumerate() {
-            let mut b = *byte;
-            for bit in 0..8 {
-                if b & 0x80 != 0 {
-                    result ^= window;
-                }
-                b <<= 1;
-                // Shift in the next key bit.
-                let next_bit_index = (i * 8) + bit + 32;
-                let next_bit = (self.key[next_bit_index / 8] >> (7 - (next_bit_index % 8))) & 1;
-                window = (window << 1) | u32::from(next_bit);
-            }
-        }
-        result
+        assert!(input.len() <= MAX_INPUT, "input too long for key");
+        input
+            .iter()
+            .zip(self.tables.iter().cycle())
+            .fold(0, |hash, (&byte, table)| hash ^ table[usize::from(byte)])
     }
 
     /// Hashes an IP 4-tuple (addresses + ports).
@@ -142,6 +177,96 @@ mod tests {
         }
         key
     };
+
+    /// The textbook bit-serial Toeplitz hash — the oracle the table-driven
+    /// [`RssHasher::toeplitz`] is checked against: slide a 32-bit window
+    /// along the key one bit per input bit, XOR it in on set bits.
+    fn toeplitz_bit_serial(key: &[u8; KEY_LEN], input: &[u8]) -> u32 {
+        let mut result = 0u32;
+        let mut window = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        for (i, byte) in input.iter().enumerate() {
+            for bit in 0..8 {
+                if byte & (0x80 >> bit) != 0 {
+                    result ^= window;
+                }
+                let next = (i * 8) + bit + 32;
+                let next_bit = (key[next / 8] >> (7 - (next % 8))) & 1;
+                window = (window << 1) | u32::from(next_bit);
+            }
+        }
+        result
+    }
+
+    #[test]
+    fn tables_agree_with_bit_serial_oracle() {
+        use retina_support::rand::{RngExt, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0x7e5);
+        let mut random_key = [0u8; KEY_LEN];
+        rng.fill(&mut random_key);
+        for key in [SYMMETRIC_KEY, MS_KEY, random_key] {
+            let table_driven = if key == SYMMETRIC_KEY {
+                RssHasher::symmetric()
+            } else {
+                RssHasher::with_key(key)
+            };
+            for round in 0..2000 {
+                // v4 (12-byte) and v6 (36-byte) tuples, then every other
+                // length the key covers.
+                let len = match round % 4 {
+                    0 => 12,
+                    1 => 36,
+                    _ => rng.random_range(0..MAX_INPUT + 1),
+                };
+                let mut input = [0u8; MAX_INPUT];
+                rng.fill(&mut input[..len]);
+                assert_eq!(
+                    table_driven.toeplitz(&input[..len]),
+                    toeplitz_bit_serial(&key, &input[..len]),
+                    "key {:02x?}.. input {:02x?}",
+                    &key[..4],
+                    &input[..len]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hash_tuple_agrees_with_oracle_on_both_families() {
+        let (s4, d4) = (v4("10.1.2.3"), v4("93.184.216.34"));
+        let (s6, d6) = (v6("2001:db8::1"), v6("2607:f8b0::2"));
+        let mut in4 = [0u8; 12];
+        in4[..4].copy_from_slice(&[10, 1, 2, 3]);
+        in4[4..8].copy_from_slice(&[93, 184, 216, 34]);
+        in4[8..10].copy_from_slice(&50123u16.to_be_bytes());
+        in4[10..].copy_from_slice(&443u16.to_be_bytes());
+        let mut in6 = [0u8; 36];
+        let (IpAddr::V6(a), IpAddr::V6(b)) = (s6, d6) else {
+            unreachable!()
+        };
+        in6[..16].copy_from_slice(&a.octets());
+        in6[16..32].copy_from_slice(&b.octets());
+        in6[32..34].copy_from_slice(&50123u16.to_be_bytes());
+        in6[34..].copy_from_slice(&443u16.to_be_bytes());
+        for (hasher, key) in [
+            (RssHasher::symmetric(), SYMMETRIC_KEY),
+            (RssHasher::with_key(MS_KEY), MS_KEY),
+        ] {
+            assert_eq!(
+                hasher.hash_tuple(&s4, &d4, 50123, 443),
+                toeplitz_bit_serial(&key, &in4)
+            );
+            assert_eq!(
+                hasher.hash_tuple(&s6, &d6, 50123, 443),
+                toeplitz_bit_serial(&key, &in6)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input too long")]
+    fn over_long_input_is_rejected() {
+        RssHasher::symmetric().toeplitz(&[0u8; MAX_INPUT + 1]);
+    }
 
     #[test]
     fn microsoft_vector_ipv4_with_ports() {

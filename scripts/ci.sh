@@ -32,10 +32,13 @@
 #                 with zero loss, merging its pass/fail keys into
 #                 results/BENCH_ci.json
 #   bench-gate    scripts/bench_gate.sh vs results/BENCH_baseline.json
+#   benchmark     benchmark/run.sh --self-test: the repo benchmark's own
+#                 unit tests (every contract metric emitted once per
+#                 workload at reduced traffic, BENCHMARK.json == spec.rs)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig bench-gate)
+ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig bench-gate benchmark)
 if [ "$#" -gt 0 ]; then STAGES=("$@"); else STAGES=("${ALL_STAGES[@]}"); fi
 
 FAILED=()
@@ -142,6 +145,12 @@ stage_reconfig() {
 
 stage_bench_gate() { scripts/bench_gate.sh; }
 
+# The repo benchmark (BENCHMARK.json, benchmark/) is a package of its
+# own outside the workspace, so `cargo test` above never builds it: this
+# stage keeps it compiling against the crates and its contract checks
+# green. It measures nothing — timing runs stay a deliberate act.
+stage_benchmark() { bash benchmark/run.sh --self-test; }
+
 for stage in "${STAGES[@]}"; do
     case "$stage" in
     fmt) run_stage fmt stage_fmt ;;
@@ -157,6 +166,7 @@ for stage in "${STAGES[@]}"; do
     churn) run_stage churn stage_churn ;;
     reconfig) run_stage reconfig stage_reconfig ;;
     bench-gate) run_stage bench-gate stage_bench_gate ;;
+    benchmark) run_stage benchmark stage_benchmark ;;
     *)
         echo "unknown CI stage: ${stage} (known: ${ALL_STAGES[*]})" >&2
         FAILED+=("$stage")

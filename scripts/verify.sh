@@ -91,3 +91,10 @@ cargo run --release --offline -q -p retina-bench --bin churn_storm
 # and one epoch pickup per core per swap. Exits non-zero on any
 # violation. (The quick CI variant lives in the `reconfig` stage.)
 cargo run --release --offline -q -p retina-bench --bin reconfig_storm
+
+# Repo benchmark self-test: benchmark/ is a package outside the
+# workspace, so nothing above builds it. Its unit tests run every
+# workload at reduced traffic, check that each contract metric is
+# emitted exactly once, and hold BENCHMARK.json equal to spec.rs.
+# (~1 s after the build; it times nothing.)
+bash benchmark/run.sh --self-test

@@ -19,13 +19,26 @@
 //! though each conjunct is individually unknown. The oracle shares no
 //! code with the DNF/trie pipeline.
 
-use retina_filter::ast::Expr;
+// Narrowing casts in this file are intentional: the test generators narrow seeded draws and node ids to compact fields.
+#![allow(clippy::cast_possible_truncation)]
+
+use std::collections::HashMap;
+
+use retina_filter::ast::{Expr, Op, Predicate, Value};
+use retina_filter::dnf::FlatPattern;
+use retina_filter::regex::Regex;
 use retina_filter::registry::{FilterLayer, ProtocolRegistry};
-use retina_filter::subfilters::{eval_packet_pred, eval_packet_unary};
-use retina_filter::{CompiledFilter, FilterFns, FilterResult};
+use retina_filter::subfilters::{eval_packet_pred, eval_packet_unary, eval_session_pred};
+use retina_filter::{
+    CompiledFilter, ConnVerdict, FieldValue, FilterFns, FilterResult, Frontiers, PacketVerdict,
+    PredicateTrie, SessionData, SubscriptionSet,
+};
+use retina_support::bytes::Bytes;
 use retina_support::proptest::prelude::*;
+use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_trafficgen::campus::{generate, CampusConfig};
-use retina_wire::ParsedPacket;
+use retina_wire::build::{build_icmpv4_echo, build_tcp, build_udp, TcpSpec, UdpSpec};
+use retina_wire::{ParsedPacket, TcpFlags};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tri {
@@ -143,7 +156,7 @@ fn expected(result: FilterResult) -> Tri {
     }
 }
 
-fn check_filter_against_oracle(src: &str, packets: &[(retina_support::bytes::Bytes, u64)]) {
+fn check_filter_against_oracle(src: &str, packets: &[(Bytes, u64)]) {
     let registry = ProtocolRegistry::default();
     let Ok(filter) = CompiledFilter::build(src, &registry) else {
         return; // unsatisfiable or invalid — out of oracle scope
@@ -165,7 +178,7 @@ fn check_filter_against_oracle(src: &str, packets: &[(retina_support::bytes::Byt
     }
 }
 
-fn sample_packets() -> Vec<(retina_support::bytes::Bytes, u64)> {
+fn sample_packets() -> Vec<(Bytes, u64)> {
     let mut packets = generate(&CampusConfig::small(0x0AC1E));
     packets.truncate(6_000);
     packets
@@ -291,4 +304,651 @@ fn regression_session_and_mixed_disjunction() {
     let mut packets = generate(&CampusConfig::small(0x9A9A));
     packets.truncate(800);
     check_filter_against_oracle(src, &packets);
+}
+
+// ======================================================================
+// The flat op program against a recursive walk of the trie
+// ======================================================================
+//
+// `CompiledFilter` executes a flat program lowered from the predicate
+// trie (`retina_filter::program`). `TrieWalk` below is the definition it
+// must agree with: a plain recursive descent over the same trie that
+// evaluates every node's predicate *text* through `eval_packet_pred` /
+// `eval_session_pred`. The two share the trie and nothing else — no
+// lowering, no interning, no typed tests. Agreement is exact: matched
+// and live sets, the frontiers and their order, both stateful layers,
+// and the single-subscription (Figure 3) view.
+
+struct TrieWalk<'a> {
+    trie: &'a PredicateTrie,
+    regexes: HashMap<String, Regex>,
+}
+
+impl<'a> TrieWalk<'a> {
+    fn new(trie: &'a PredicateTrie) -> Self {
+        let mut regexes = HashMap::new();
+        for id in trie.reachable() {
+            if let Some(Predicate::Binary {
+                op: Op::Matches,
+                value: Value::Str(pattern),
+                ..
+            }) = &trie.node(id).pred
+            {
+                regexes.insert(pattern.clone(), Regex::new(pattern).unwrap());
+            }
+        }
+        TrieWalk { trie, regexes }
+    }
+
+    fn is_frontier(&self, id: usize) -> bool {
+        self.trie
+            .node(id)
+            .children
+            .iter()
+            .any(|&c| self.trie.node(c).layer != FilterLayer::Packet)
+    }
+
+    fn packet_children(&self, id: usize, pkt: &ParsedPacket) -> Vec<usize> {
+        self.trie
+            .node(id)
+            .children
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let child = self.trie.node(c);
+                child.layer == FilterLayer::Packet
+                    && eval_packet_pred(child.pred.as_ref().unwrap(), pkt)
+            })
+            .collect()
+    }
+
+    fn packet_set(&self, pkt: &ParsedPacket) -> PacketVerdict {
+        fn visit(w: &TrieWalk<'_>, id: usize, pkt: &ParsedPacket, v: &mut PacketVerdict) {
+            v.matched |= w.trie.node(id).subs;
+            if w.is_frontier(id) {
+                v.frontiers.push(id as u32);
+                for c in w.trie.conn_candidates(id) {
+                    v.live |= w.trie.node(c).subtree_subs;
+                }
+            }
+            for c in w.packet_children(id, pkt) {
+                visit(w, c, pkt, v);
+            }
+        }
+        let mut v = PacketVerdict::default();
+        visit(self, 0, pkt, &mut v);
+        v.live -= v.matched;
+        v
+    }
+
+    /// Figure 3: the first pattern end in depth-first order, else the
+    /// deepest frontier reached (the first of equally deep ones).
+    fn packet(&self, pkt: &ParsedPacket) -> FilterResult {
+        fn visit(
+            w: &TrieWalk<'_>,
+            id: usize,
+            depth: usize,
+            pkt: &ParsedPacket,
+            best: &mut Option<(usize, usize)>,
+        ) -> Option<usize> {
+            if w.trie.node(id).pattern_end {
+                return Some(id);
+            }
+            if w.is_frontier(id) && best.is_none_or(|(d, _)| depth > d) {
+                *best = Some((depth, id));
+            }
+            w.packet_children(id, pkt)
+                .into_iter()
+                .find_map(|c| visit(w, c, depth + 1, pkt, best))
+        }
+        let mut best = None;
+        match visit(self, 0, 0, pkt, &mut best) {
+            Some(end) => FilterResult::MatchTerminal(end),
+            None => best.map_or(FilterResult::NoMatch, |(_, id)| {
+                FilterResult::MatchNonTerminal(id)
+            }),
+        }
+    }
+
+    /// The connection-layer candidates of `frontier` that test for
+    /// `service` (none for a node that is not a frontier).
+    fn candidates(&self, frontier: usize, service: &str) -> Vec<usize> {
+        if frontier >= self.trie.len() || !self.is_frontier(frontier) {
+            return Vec::new();
+        }
+        self.trie
+            .conn_candidates(frontier)
+            .into_iter()
+            .filter(|&c| self.trie.node(c).pred.as_ref().unwrap().protocol() == service)
+            .collect()
+    }
+
+    fn conn_set(
+        &self,
+        service: Option<&str>,
+        frontiers: &Frontiers,
+        live: SubscriptionSet,
+    ) -> ConnVerdict {
+        let mut v = ConnVerdict::default();
+        let Some(service) = service else { return v };
+        for f in frontiers.iter() {
+            for c in self.candidates(f as usize, service) {
+                let node = self.trie.node(c);
+                v.matched |= node.subs & live;
+                v.live |= (node.subtree_subs - node.subs) & live;
+            }
+        }
+        v.live -= v.matched;
+        v
+    }
+
+    fn conn(&self, service: Option<&str>, node: usize) -> FilterResult {
+        if self.trie.node(node).pattern_end {
+            return FilterResult::MatchTerminal(node);
+        }
+        let cands = service.map_or(Vec::new(), |s| self.candidates(node, s));
+        if let Some(&end) = cands.iter().find(|&&c| self.trie.node(c).pattern_end) {
+            FilterResult::MatchTerminal(end)
+        } else {
+            cands.first().map_or(FilterResult::NoMatch, |&c| {
+                FilterResult::MatchNonTerminal(c)
+            })
+        }
+    }
+
+    fn session_children(&self, id: usize, session: &dyn SessionData) -> Vec<usize> {
+        self.trie
+            .node(id)
+            .children
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let child = self.trie.node(c);
+                child.layer == FilterLayer::Session
+                    && eval_session_pred(child.pred.as_ref().unwrap(), session, &self.regexes)
+            })
+            .collect()
+    }
+
+    fn session_set(
+        &self,
+        session: &dyn SessionData,
+        frontiers: &Frontiers,
+        live: SubscriptionSet,
+    ) -> SubscriptionSet {
+        fn visit(
+            w: &TrieWalk<'_>,
+            id: usize,
+            session: &dyn SessionData,
+            pass: &mut SubscriptionSet,
+        ) {
+            *pass |= w.trie.node(id).subs;
+            for c in w.session_children(id, session) {
+                visit(w, c, session, pass);
+            }
+        }
+        let mut pass = SubscriptionSet::empty();
+        for f in frontiers.iter() {
+            for c in self.candidates(f as usize, session.protocol()) {
+                visit(self, c, session, &mut pass);
+            }
+        }
+        pass & live
+    }
+
+    fn session(&self, session: &dyn SessionData, node: usize) -> bool {
+        fn reaches_end(w: &TrieWalk<'_>, id: usize, session: &dyn SessionData) -> bool {
+            w.trie.node(id).pattern_end
+                || w.session_children(id, session)
+                    .into_iter()
+                    .any(|c| reaches_end(w, c, session))
+        }
+        self.trie.node(node).pattern_end
+            || self
+                .candidates(node, session.protocol())
+                .into_iter()
+                .any(|c| reaches_end(self, c, session))
+    }
+}
+
+/// A session with one field of every [`FieldValue`] type.
+struct Sess {
+    protocol: &'static str,
+    text: &'static str,
+    number: u64,
+    addr: std::net::IpAddr,
+}
+
+impl SessionData for Sess {
+    fn protocol(&self) -> &str {
+        self.protocol
+    }
+    fn field(&self, name: &str) -> Option<FieldValue<'_>> {
+        match name {
+            "sni" | "user_agent" | "query_name" => Some(FieldValue::Str(self.text)),
+            "version" | "status" | "query_type" => Some(FieldValue::Int(self.number)),
+            "peer" => Some(FieldValue::Ip(self.addr)),
+            _ => None,
+        }
+    }
+}
+
+fn sessions() -> Vec<Sess> {
+    let mut out = Vec::new();
+    for protocol in ["tls", "http", "dns", "ssh"] {
+        for (text, number, addr) in [
+            ("video.netflix.com", 771, "10.1.2.3"),
+            ("example.org", 772, "2001:db8::7"),
+            ("", 0, "192.168.0.1"),
+            ("x", u64::MAX, "::"),
+        ] {
+            out.push(Sess {
+                protocol,
+                text,
+                number,
+                addr: addr.parse().unwrap(),
+            });
+        }
+    }
+    out
+}
+
+const SERVICES: [Option<&str>; 6] = [
+    Some("tls"),
+    Some("http"),
+    Some("dns"),
+    Some("ssh"),
+    Some("smtp"),
+    None,
+];
+
+/// Asserts `filter` and the recursive walk of its trie agree on every
+/// frame, at every layer, in both the set and the scalar view.
+fn assert_program_matches_walk(filter: &CompiledFilter, frames: &[Bytes], what: &str) {
+    let walk = TrieWalk::new(filter.trie());
+    let sessions = sessions();
+    for frame in frames {
+        let pkt = ParsedPacket::parse(frame).expect("generated frames parse");
+        let want = walk.packet_set(&pkt);
+        let got = filter.packet_filter_set(&pkt);
+        // PacketVerdict equality covers matched, live, and the frontiers
+        // in push order.
+        assert_eq!(got, want, "{what}: packet_filter_set on {pkt:?}");
+        let scalar = filter.packet_filter(&pkt);
+        assert_eq!(
+            scalar,
+            walk.packet(&pkt),
+            "{what}: packet_filter on {pkt:?}"
+        );
+
+        // Hand back subsets of `live` too: the runtime narrows it as
+        // subscriptions are decided.
+        let half = SubscriptionSet::first_n(filter.num_subscriptions().div_ceil(2));
+        for live in [got.live, got.live & half, SubscriptionSet::first_n(64)] {
+            for service in SERVICES {
+                assert_eq!(
+                    filter.conn_filter_set(service, &got.frontiers, live),
+                    walk.conn_set(service, &got.frontiers, live),
+                    "{what}: conn_filter_set({service:?}) after {pkt:?}"
+                );
+            }
+            for s in &sessions {
+                assert_eq!(
+                    filter.session_filter_set(s, &got.frontiers, live),
+                    walk.session_set(s, &got.frontiers, live),
+                    "{what}: session_filter_set({} '{}') after {pkt:?}",
+                    s.protocol,
+                    s.text
+                );
+            }
+        }
+        if let Some(node) = scalar.node() {
+            for service in SERVICES {
+                assert_eq!(
+                    filter.conn_filter(service, node),
+                    walk.conn(service, node),
+                    "{what}: conn_filter({service:?}, {node})"
+                );
+            }
+            for s in &sessions {
+                assert_eq!(
+                    filter.session_filter(s, node),
+                    walk.session(s, node),
+                    "{what}: session_filter({} '{}', {node})",
+                    s.protocol,
+                    s.text
+                );
+            }
+        }
+    }
+}
+
+// ------------------------------------------------ boundary-biased inputs
+
+/// The integer constants the generators share: filter atoms compare
+/// against them and frames carry them, one below and one above — so
+/// every `<`, `<=`, `=`, range end and `!=` is probed at its edge.
+const EDGES: [u16; 8] = [0, 1, 53, 64, 443, 1024, 40_000, u16::MAX];
+
+fn near_edge(rng: &mut SmallRng) -> u16 {
+    let edge = EDGES[rng.random_range(0..EDGES.len())];
+    match rng.random_range(0..4u32) {
+        0 => edge.wrapping_sub(1),
+        1 => edge.wrapping_add(1),
+        _ => edge,
+    }
+}
+
+/// IPv4 nets (and one address just outside each) the atoms test.
+const NETS4: [(&str, u8, &str, &str); 4] = [
+    ("171.64.0.0", 14, "171.67.255.255", "171.68.0.0"),
+    ("10.0.0.0", 8, "10.0.0.0", "11.0.0.0"),
+    ("192.168.1.7", 32, "192.168.1.7", "192.168.1.6"),
+    ("0.0.0.0", 0, "255.255.255.255", "0.0.0.0"),
+];
+const NETS6: [(&str, u8, &str, &str); 3] = [
+    ("2001:db8::", 32, "2001:db8:ffff::1", "2001:db9::"),
+    ("2607:f8b0::99", 128, "2607:f8b0::99", "2607:f8b0::98"),
+    ("::", 0, "ffff::1", "::"),
+];
+
+fn random_ip(rng: &mut SmallRng, v6: bool) -> std::net::IpAddr {
+    let pick = rng.random_range(0..2usize);
+    let text = if v6 {
+        let n = NETS6[rng.random_range(0..NETS6.len())];
+        [n.2, n.3][pick]
+    } else {
+        let n = NETS4[rng.random_range(0..NETS4.len())];
+        [n.2, n.3][pick]
+    };
+    text.parse().unwrap()
+}
+
+/// TCP, UDP and ICMP frames over IPv4 and IPv6 whose ports, TTLs,
+/// windows and addresses sit on and around the atoms' constants.
+fn boundary_frames(rng: &mut SmallRng, n: usize) -> Vec<Bytes> {
+    (0..n)
+        .map(|_| {
+            let v6 = rng.random_range(0..3u32) == 0;
+            let (src, dst) = (random_ip(rng, v6), random_ip(rng, v6));
+            let ttl = near_edge(rng) as u8;
+            let frame = match rng.random_range(0..5u32) {
+                0 if !v6 => {
+                    let (std::net::IpAddr::V4(s), std::net::IpAddr::V4(d)) = (src, dst) else {
+                        unreachable!()
+                    };
+                    build_icmpv4_echo(s, d, near_edge(rng), near_edge(rng))
+                }
+                0 | 1 => build_udp(&UdpSpec {
+                    src: (src, near_edge(rng)).into(),
+                    dst: (dst, near_edge(rng)).into(),
+                    ttl,
+                    payload: &b"payload"[..rng.random_range(0..8usize)],
+                }),
+                _ => build_tcp(&TcpSpec {
+                    src: (src, near_edge(rng)).into(),
+                    dst: (dst, near_edge(rng)).into(),
+                    seq: 1,
+                    ack: 0,
+                    flags: TcpFlags::SYN,
+                    window: near_edge(rng),
+                    ttl,
+                    payload: &b"payload"[..rng.random_range(0..8usize)],
+                }),
+            };
+            Bytes::from(frame)
+        })
+        .collect()
+}
+
+fn random_atom(rng: &mut SmallRng) -> String {
+    const CMP: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
+    let cmp = CMP[rng.random_range(0..CMP.len())];
+    let edge = near_edge(rng);
+    let net4 = NETS4[rng.random_range(0..NETS4.len())];
+    let net6 = NETS6[rng.random_range(0..NETS6.len())];
+    let ip_op = ["=", "!=", "in"][rng.random_range(0..3usize)];
+    let side = ["addr", "src_addr", "dst_addr"][rng.random_range(0..3usize)];
+    let port = ["port", "src_port", "dst_port"][rng.random_range(0..3usize)];
+    match rng.random_range(0..22u32) {
+        0 => "ipv4".into(),
+        1 => "ipv6".into(),
+        2 => "tcp".into(),
+        3 => "udp".into(),
+        4 => "icmp".into(),
+        5 => format!("tcp.{port} {cmp} {edge}"),
+        6 => format!("udp.{port} {cmp} {edge}"),
+        7 => format!(
+            "tcp.{port} in {}..{}",
+            edge,
+            edge.saturating_add(rng.random_range(0..3u16))
+        ),
+        8 => format!("ipv4.ttl {cmp} {}", edge as u8),
+        9 => format!("ipv6.hop_limit {cmp} {}", edge as u8),
+        10 => format!("tcp.window {cmp} {edge}"),
+        11 => format!("ipv4.total_len {cmp} {}", 40 + edge % 8),
+        12 => format!("icmp.type {cmp} {}", edge % 10),
+        13 => format!("ipv4.{side} {ip_op} {}/{}", net4.0, net4.1),
+        14 => format!("ipv6.{side} {ip_op} {}/{}", net6.0, net6.1),
+        15 => "tls".into(),
+        16 => "http".into(),
+        17 => "dns".into(),
+        18 => [
+            "tls.sni ~ 'netflix'",
+            "tls.sni ~ '^example'",
+            "tls.sni = 'x'",
+        ][rng.random_range(0..3usize)]
+        .into(),
+        19 => format!("tls.version {cmp} {}", 770 + edge % 4),
+        20 => [
+            "http.user_agent != 'x'",
+            "http.status = 771",
+            "http.status in 0..771",
+        ][rng.random_range(0..3usize)]
+        .into(),
+        _ => ["dns.query_name ~ 'org$'", "dns.query_type != 0", "ssh"][rng.random_range(0..3usize)]
+            .into(),
+    }
+}
+
+/// 1–3 disjuncts of 1–3 atoms; many are partly unsatisfiable, which the
+/// analyzer prunes before the trie is built.
+fn random_source(rng: &mut SmallRng) -> String {
+    (0..rng.random_range(1..4usize))
+        .map(|_| {
+            let conj: Vec<String> = (0..rng.random_range(1..4usize))
+                .map(|_| random_atom(rng))
+                .collect();
+            format!("({})", conj.join(" and "))
+        })
+        .collect::<Vec<_>>()
+        .join(" or ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random single filters: the program equals the recursive walk.
+    #[test]
+    fn program_matches_trie_walk_single(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let src = random_source(&mut rng);
+        // Wholly unsatisfiable sources are rejected at build: no program.
+        if let Ok(filter) = CompiledFilter::build(&src, &ProtocolRegistry::default()) {
+            assert_program_matches_walk(&filter, &boundary_frames(&mut rng, 40), &src);
+        }
+    }
+
+    /// Random unions of 2–32 subscriptions sharing one merged trie.
+    #[test]
+    fn program_matches_trie_walk_union(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let registry = ProtocolRegistry::default();
+        let wanted = rng.random_range(2..33usize);
+        let mut srcs = Vec::new();
+        while srcs.len() < wanted {
+            let src = random_source(&mut rng);
+            if CompiledFilter::build(&src, &registry).is_ok() {
+                srcs.push(src);
+            }
+        }
+        let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        let filter = CompiledFilter::build_union(&refs, &registry).expect("each source builds");
+        assert_program_matches_walk(&filter, &boundary_frames(&mut rng, 24), &srcs.join(" | "));
+    }
+}
+
+/// Every operator against every kind of operand, on every kind of field
+/// — including the pairings the type checker rejects in filter text and
+/// that therefore only reach the engine through hand-built tries. The
+/// predicate evaluators answer `false` for all of those (a string
+/// operand on an integer field, `<` on an address, an empty range,
+/// `< 0`, `> u64::MAX`), with one exception the program must also
+/// reproduce: `!=` against a net of the other address family is `true`.
+#[test]
+fn program_matches_trie_walk_on_every_operator_operand_pairing() {
+    const OPS: [Op; 8] = [
+        Op::Eq,
+        Op::Ne,
+        Op::Lt,
+        Op::Le,
+        Op::Gt,
+        Op::Ge,
+        Op::In,
+        Op::Matches,
+    ];
+    let values = [
+        Value::Int(0),
+        Value::Int(64),
+        Value::Int(443),
+        Value::Int(771),
+        Value::Int(u64::MAX),
+        Value::IntRange(0, u64::MAX),
+        Value::IntRange(64, 64),
+        Value::IntRange(53, 1024),
+        Value::IntRange(1024, 53), // empty
+        Value::Str("x".into()),
+        Value::Str("netflix".into()),
+        Value::Ipv4Net("10.0.0.0".parse().unwrap(), 8),
+        Value::Ipv4Net("192.168.1.7".parse().unwrap(), 32),
+        Value::Ipv4Net("1.2.3.4".parse().unwrap(), 0),
+        Value::Ipv4Net("10.0.0.0".parse().unwrap(), 40), // over-long prefix
+        Value::Ipv6Net("2001:db8::".parse().unwrap(), 32),
+        Value::Ipv6Net("2607:f8b0::99".parse().unwrap(), 128),
+        Value::Ipv6Net("::1".parse().unwrap(), 0),
+        Value::Ipv6Net("2001:db8::".parse().unwrap(), 200),
+    ];
+    // (protocol, field, patterns to nest the predicate under). The bare
+    // placement (`&[]`) puts e.g. `tcp.port` directly under the root,
+    // where nothing has established that the packet is TCP.
+    let unary = |p: &str| Predicate::Unary { protocol: p.into() };
+    let fields: [(&str, &str, Vec<Vec<Predicate>>); 16] = [
+        ("ipv4", "ttl", vec![vec![], vec![unary("ipv4")]]),
+        ("ipv4", "total_len", vec![vec![unary("ipv4")]]),
+        ("ipv4", "addr", vec![vec![], vec![unary("ipv4")]]),
+        ("ipv4", "src_addr", vec![vec![unary("ipv4")]]),
+        ("ipv6", "dst_addr", vec![vec![], vec![unary("ipv6")]]),
+        ("ipv6", "addr", vec![vec![unary("ipv6")]]),
+        ("ipv6", "hop_limit", vec![vec![unary("ipv6")]]),
+        (
+            "tcp",
+            "port",
+            vec![vec![], vec![unary("ipv4"), unary("tcp")]],
+        ),
+        ("tcp", "src_port", vec![vec![unary("ipv6"), unary("tcp")]]),
+        (
+            "tcp",
+            "window",
+            vec![vec![], vec![unary("ipv4"), unary("tcp")]],
+        ),
+        (
+            "udp",
+            "dst_port",
+            vec![vec![], vec![unary("ipv4"), unary("udp")]],
+        ),
+        (
+            "icmp",
+            "type",
+            vec![vec![], vec![unary("ipv4"), unary("icmp")]],
+        ),
+        ("icmp", "code", vec![vec![unary("ipv4"), unary("icmp")]]),
+        (
+            "tcp",
+            "no_such_field",
+            vec![vec![unary("ipv4"), unary("tcp")]],
+        ),
+        ("gre", "key", vec![vec![]]),
+        // Session layer: one field of each runtime type, and one the
+        // sessions do not have.
+        (
+            "tls",
+            "",
+            vec![vec![unary("ipv4"), unary("tcp"), unary("tls")]],
+        ),
+    ];
+    let registry = ProtocolRegistry::default();
+    let mut rng = SmallRng::seed_from_u64(0x0b5e55ed);
+    let frames = boundary_frames(&mut rng, 160);
+    let mut tries = 0;
+    for (protocol, field, prefixes) in &fields {
+        let field_names: &[&str] = if field.is_empty() {
+            &["sni", "version", "peer", "absent"]
+        } else {
+            std::slice::from_ref(field)
+        };
+        for field in field_names {
+            for op in OPS {
+                for value in &values {
+                    let pred = Predicate::Binary {
+                        protocol: (*protocol).into(),
+                        field: (*field).into(),
+                        op,
+                        value: value.clone(),
+                    };
+                    for prefix in prefixes {
+                        let mut predicates = prefix.clone();
+                        predicates.push(pred.clone());
+                        let what = format!("{prefix:?} / {pred}");
+                        let trie =
+                            PredicateTrie::build(&[FlatPattern { predicates }], &registry, &what);
+                        let filter = CompiledFilter::from_trie(trie).expect("regexes compile");
+                        assert_program_matches_walk(&filter, &frames, &what);
+                        tries += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(tries > 3000, "matrix shrank to {tries} tries");
+}
+
+/// The one pairing the matrix above exists to pin by name.
+#[test]
+fn not_equal_to_a_net_of_the_other_family_holds() {
+    let registry = ProtocolRegistry::default();
+    let pattern = |op| FlatPattern {
+        predicates: vec![
+            Predicate::Unary {
+                protocol: "ipv4".into(),
+            },
+            Predicate::Binary {
+                protocol: "ipv4".into(),
+                field: "src_addr".into(),
+                op,
+                value: Value::Ipv6Net("2001:db8::".parse().unwrap(), 32),
+            },
+        ],
+    };
+    let frame = build_udp(&UdpSpec {
+        src: "10.0.0.1:53".parse().unwrap(),
+        dst: "10.0.0.2:53".parse().unwrap(),
+        ttl: 64,
+        payload: b"x",
+    });
+    let pkt = ParsedPacket::parse(&frame).unwrap();
+    for (op, holds) in [(Op::Ne, true), (Op::Eq, false), (Op::In, false)] {
+        let trie = PredicateTrie::build(&[pattern(op)], &registry, "hand-built");
+        let filter = CompiledFilter::from_trie(trie).unwrap();
+        assert_eq!(filter.packet_filter(&pkt).is_terminal(), holds, "{op}");
+    }
 }
