@@ -2,7 +2,7 @@
 //! schemes — Retina's default (5 s establish + 5 min inactivity), a
 //! single 5-minute inactivity timeout, and no timeouts.
 //!
-//! Drives the connection tracker directly over a long simulated capture
+//! Drives the per-core pipeline directly over a long simulated capture
 //! (scan-heavy arrivals, per Table 2's 65% single-SYN rate) and samples
 //! the number of resident connections and estimated state bytes each
 //! simulated 10 seconds.
@@ -11,12 +11,11 @@ use std::sync::Arc;
 
 use retina_bench::{bench_args, rule};
 use retina_conntrack::TimeoutConfig;
+use retina_core::offline::Direct;
 use retina_core::subscribables::ConnRecord;
-use retina_core::tracker::ConnTracker;
-use retina_core::{compile, CompiledFilter, FilterFns};
+use retina_core::{compile, CorePipeline, ErasedSubscription, RuntimeConfig, TypedSubscription};
 use retina_telemetry::LogHistogram;
 use retina_trafficgen::campus::{generate, CampusConfig};
-use retina_wire::ParsedPacket;
 
 const SAMPLE_EVERY_NS: u64 = 10_000_000_000; // 10 simulated seconds
 
@@ -49,9 +48,14 @@ fn main() {
     let mut series: Vec<(&str, Vec<SamplePoint>)> = Vec::new();
     let mut peaks: Vec<(&str, usize, LogHistogram)> = Vec::new();
     for (name, timeouts) in schemes {
-        let filter = Arc::new(compile("").unwrap());
-        let mut tracker: ConnTracker<CompiledFilter> =
-            ConnTracker::single::<ConnRecord>(Arc::clone(&filter), timeouts, 500, false);
+        let config = RuntimeConfig {
+            timeouts,
+            ..RuntimeConfig::default()
+        };
+        let sub: Arc<dyn ErasedSubscription> =
+            Arc::new(TypedSubscription::<ConnRecord>::spec_only("conns"));
+        let mut pipeline = CorePipeline::new(Arc::new(compile("").unwrap()), &[sub], &config, None);
+        let mut discard = Direct::new(|_: ConnRecord| {});
         let mut samples = Vec::new();
         let mut next_sample = SAMPLE_EVERY_NS;
         // Per-packet peak: sampling every 10 sim-seconds can miss a
@@ -60,23 +64,17 @@ fn main() {
         let mut peak_conns = 0usize;
         let mut state_hist = LogHistogram::new();
         for (frame, ts) in &packets {
-            let Ok(pkt) = ParsedPacket::parse(frame) else {
+            let Some((mbuf, pkt)) = pipeline.ingest_frame(frame.clone(), *ts) else {
                 continue;
             };
-            let mut mbuf = retina_nic::Mbuf::from_bytes(frame.clone());
-            mbuf.timestamp_ns = *ts;
-            let verdict = filter.packet_filter_set(&pkt);
-            if !verdict.is_no_match() {
-                tracker.process(&mbuf, &pkt, verdict);
-            }
-            let _ = tracker.take_outputs();
-            peak_conns = peak_conns.max(tracker.connections());
+            pipeline.on_packet(&mbuf, &pkt, &mut discard);
+            peak_conns = peak_conns.max(pipeline.tracker().connections());
             if *ts >= next_sample {
-                tracker.advance(*ts);
-                let _ = tracker.take_outputs();
-                let state = tracker.state_bytes();
+                pipeline.advance(&mut discard);
+                let conns = pipeline.tracker().connections();
+                let state = pipeline.tracker().state_bytes();
                 state_hist.record(state as u64);
-                samples.push((*ts / 1_000_000_000, tracker.connections(), state));
+                samples.push((*ts / 1_000_000_000, conns, state));
                 next_sample += SAMPLE_EVERY_NS;
             }
         }

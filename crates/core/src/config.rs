@@ -4,8 +4,6 @@ use retina_conntrack::TimeoutConfig;
 use retina_nic::DeviceConfig;
 use retina_protocols::ParserRegistry;
 
-use crate::executor::CallbackMode;
-
 /// Configuration for a [`crate::Runtime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -31,10 +29,6 @@ pub struct RuntimeConfig {
     /// Collect per-stage cycle accounting (Figure 7). Adds a few rdtsc
     /// reads per packet, so it is off by default.
     pub profile_stages: bool,
-    /// Callback execution model (§5.3; default inline). Applied to
-    /// every subscription that has no explicit per-subscription
-    /// [`crate::DispatchMode`].
-    pub callback_mode: CallbackMode,
     /// Worker threads in the shared callback pool (subscriptions with
     /// [`crate::DispatchMode::Shared`]; default 1).
     pub shared_workers: usize,
@@ -45,9 +39,6 @@ pub struct RuntimeConfig {
     /// synthesis (§3.3: register custom protocols' filterable fields
     /// here).
     pub filter_registry: retina_filter::ProtocolRegistry,
-    /// Cap on reconstructed byte-stream bytes retained per direction by
-    /// byte-stream subscriptions.
-    pub stream_capture_limit: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -64,11 +55,9 @@ impl Default for RuntimeConfig {
             hw_filtering: true,
             paced_ingest: true,
             profile_stages: false,
-            callback_mode: CallbackMode::Inline,
             shared_workers: 1,
             parsers: ParserRegistry::default(),
             filter_registry: retina_filter::ProtocolRegistry::default(),
-            stream_capture_limit: 1 << 20,
         }
     }
 }

@@ -30,6 +30,7 @@
 //! order is promised, same as inline (workers race on shared state
 //! either way).
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,22 +40,6 @@ use retina_telemetry::{
 };
 
 use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
-
-/// How user callbacks are executed (legacy two-state knob, kept for
-/// configs that predate per-subscription [`DispatchMode`]s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CallbackMode {
-    /// Run the callback on the worker core, inline with packet
-    /// processing (the paper's model; the default).
-    #[default]
-    Inline,
-    /// Ship subscription data to a dedicated executor thread over a
-    /// bounded channel of this depth.
-    Queued {
-        /// Channel capacity (subscription data items in flight).
-        depth: usize,
-    },
-}
 
 /// What happens when a subscription's dispatch ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,17 +114,6 @@ impl DispatchMode {
         }
     }
 
-    /// Maps the legacy runtime-wide [`CallbackMode`] onto the dispatch
-    /// model it historically meant: `Queued` was one executor thread
-    /// per subscription, i.e. a dedicated lossless worker.
-    #[must_use]
-    pub fn from_callback_mode(mode: CallbackMode) -> Self {
-        match mode {
-            CallbackMode::Inline => DispatchMode::Inline,
-            CallbackMode::Queued { depth } => DispatchMode::dedicated(depth),
-        }
-    }
-
     /// Per-(core, subscription) ring depth (0 for inline).
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -168,6 +142,17 @@ impl DispatchMode {
     }
 }
 
+/// Total dispatch-ring capacity of one subscription over `cores` RX
+/// cores (0 = runs inline: an inline mode, or a spec-only subscription
+/// with nothing to run on a worker).
+pub(crate) fn ring_capacity(sub: &dyn ErasedSubscription, mode: DispatchMode, cores: usize) -> u64 {
+    if sub.has_callback() {
+        (mode.depth() * cores) as u64
+    } else {
+        0
+    }
+}
+
 /// Per-item callback delay injector `(subscription, item seq) ->
 /// optional sleep`, the chaos hook for stalling one worker mid-run.
 pub type CallbackDelayFn = Arc<dyn Fn(u16, u64) -> Option<Duration> + Send + Sync>;
@@ -187,15 +172,19 @@ const WORKER_BURST: usize = 256;
 /// spec-only subscriptions), and every handoff is counted so the
 /// `delivered == executed + dropped` identity holds uniformly across
 /// execution models.
-struct InlineSink {
-    inner: Box<dyn ErasedSink>,
-    stats: Arc<DispatchStats>,
-    tracer: Option<Arc<Tracer>>,
-    lane: usize,
-    sub_idx: u16,
+///
+/// Generic over how the counters are held: the threaded fabric shares
+/// them with the run's [`DispatchHub`] (`Arc<DispatchStats>`), the
+/// stepped harness owns them in place.
+pub(crate) struct InlineSink<D> {
+    pub(crate) inner: Box<dyn ErasedSink>,
+    pub(crate) stats: D,
+    pub(crate) tracer: Option<Arc<Tracer>>,
+    pub(crate) lane: usize,
+    pub(crate) sub_idx: u16,
 }
 
-impl InlineSink {
+impl<D> InlineSink<D> {
     fn emit(&self, trace_id: u64, kind: TraceKind) {
         if trace_id != 0 {
             if let Some(t) = &self.tracer {
@@ -205,18 +194,18 @@ impl InlineSink {
     }
 }
 
-impl ErasedSink for InlineSink {
+impl<D: Borrow<DispatchStats> + Send> ErasedSink for InlineSink<D> {
     fn deliver(&self, out: ErasedOutput, trace_id: u64) {
         self.emit(trace_id, TraceKind::CallbackStart);
         self.inner.deliver(out, trace_id);
-        self.stats.note_inline();
+        self.stats.borrow().note_inline();
         self.emit(trace_id, TraceKind::CallbackEnd);
     }
 
     fn deliver_from_mbuf(&self, mbuf: &retina_nic::Mbuf, trace_id: u64) -> bool {
         let produced = self.inner.deliver_from_mbuf(mbuf, trace_id);
         if produced {
-            self.stats.note_inline();
+            self.stats.borrow().note_inline();
             // Start/end are emitted together after the fact: whether the
             // frame yields a datum is only known once the fast path ran.
             self.emit(trace_id, TraceKind::CallbackStart);
@@ -570,15 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_mapping_and_accessors() {
-        assert_eq!(
-            DispatchMode::from_callback_mode(CallbackMode::Inline),
-            DispatchMode::Inline
-        );
-        assert_eq!(
-            DispatchMode::from_callback_mode(CallbackMode::Queued { depth: 7 }),
-            DispatchMode::dedicated(7)
-        );
+    fn mode_accessors() {
         let m = DispatchMode::shared(4).shedding();
         assert_eq!(m.depth(), 4);
         assert_eq!(m.policy(), QueuePolicy::Shed);

@@ -62,6 +62,7 @@ pub mod executor;
 pub mod governor;
 pub mod monitor;
 pub mod offline;
+pub mod pipeline;
 pub mod reconfig;
 pub mod runtime;
 pub mod stats;
@@ -73,10 +74,11 @@ pub mod util;
 
 pub use config::RuntimeConfig;
 pub use erased::{ErasedOutput, ErasedSink, ErasedSubscription, ErasedTracked, TypedSubscription};
-pub use executor::{CallbackMode, DispatchMode, Dispatcher, QueuePolicy};
+pub use executor::{DispatchMode, Dispatcher, QueuePolicy};
 pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};
 pub use monitor::{Monitor, MonitorSample};
 pub use offline::run_offline;
+pub use pipeline::{CorePipeline, Transport};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
 pub use runtime::{
     MultiRuntime, RunReport, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, SubReport,

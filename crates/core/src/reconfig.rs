@@ -57,9 +57,11 @@ use retina_telemetry::{DispatchHub, DispatchStats, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSink, ErasedSubscription, TypedSubscription};
-use crate::executor::{channel_dispatcher, CallbackDelayFn, DispatchMode, Dispatcher};
-use crate::runtime::{RuntimeGauges, TraceHandle};
-use crate::subscription::{Level, Subscribable};
+use crate::executor::{
+    channel_dispatcher, ring_capacity, CallbackDelayFn, DispatchMode, Dispatcher,
+};
+use crate::runtime::{compile_union, RuntimeGauges, TraceHandle};
+use crate::subscription::Subscribable;
 
 /// Ack-slot sentinel: the worker has exited (end of run). A grace
 /// period treats an exited worker as having acknowledged every
@@ -195,6 +197,15 @@ pub(crate) struct PreparedSwap<F> {
     pub(crate) warnings: Vec<String>,
 }
 
+impl<F> PreparedSwap<F> {
+    /// The old index new subscription `j` survives from (`None` =
+    /// added by this swap). Survivors keep their dispatch counters, so
+    /// per-name accounting spans the whole run.
+    pub(crate) fn survivor(&self, j: usize) -> Option<usize> {
+        self.remap.iter().position(|m| *m == Some(j))
+    }
+}
+
 /// Validates and compiles a [`SwapSpec`] against the running
 /// configuration: analyzer first (E-codes reject, W-codes surface),
 /// then the union trie, then the name-based survivor remap.
@@ -225,27 +236,7 @@ pub(crate) fn prepare(
         }
     }
     let srcs: Vec<&str> = spec.sources.iter().map(String::as_str).collect();
-    let mut warnings = Vec::new();
-    // Lex/parse errors fall through to build_union below, which reports
-    // them with the subscription's source text.
-    if let Ok(analysis) =
-        retina_filter::analyze_union(&srcs, &config.filter_registry, Some(&config.device.caps))
-    {
-        if analysis.has_errors() {
-            let msg = analysis
-                .errors()
-                .map(retina_filter::Diagnostic::summary)
-                .collect::<Vec<_>>()
-                .join("; ");
-            return Err(SwapError::Filter(msg));
-        }
-        warnings = analysis
-            .warnings()
-            .map(retina_filter::Diagnostic::summary)
-            .collect();
-    }
-    let filter = CompiledFilter::build_union(&srcs, &config.filter_registry)
-        .map_err(|e| SwapError::Filter(e.to_string()))?;
+    let (filter, warnings) = compile_union(&srcs, config).map_err(SwapError::Filter)?;
     if filter.num_subscriptions() != spec.subs.len() {
         return Err(SwapError::Spec(format!(
             "{} subscriptions registered but the filter decides {}",
@@ -257,12 +248,7 @@ pub(crate) fn prepare(
         .iter()
         .map(|old| spec.subs.iter().position(|new| new.name() == old.name()))
         .collect();
-    let default_mode = DispatchMode::from_callback_mode(config.callback_mode);
-    let modes = spec
-        .modes
-        .iter()
-        .map(|m| m.unwrap_or(default_mode))
-        .collect();
+    let modes = spec.modes.iter().map(|m| m.unwrap_or_default()).collect();
     Ok(PreparedSwap {
         filter: Arc::new(filter),
         subs: spec.subs.clone(),
@@ -286,9 +272,6 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// a run's first epoch). Valid because grace-period serialization
     /// guarantees no worker ever skips a generation.
     pub(crate) remap: Vec<Option<usize>>,
-    /// Packet-level subscriptions (callback straight off the packet
-    /// filter).
-    pub(crate) packet_mask: SubscriptionSet,
     /// Per-core sink sets, each claimed (taken) exactly once by its
     /// worker. Sets left unclaimed when the epoch retires are dropped
     /// by the retirer so the dispatch rings disconnect.
@@ -299,6 +282,21 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     pub(crate) hub: Arc<DispatchHub>,
     /// The epoch's dispatch worker threads, joined at retirement.
     pub(crate) dispatcher: Mutex<Option<Dispatcher>>,
+}
+
+impl<F: FilterFns + 'static> ConfigEpoch<F> {
+    /// Shuts the epoch's dispatch fabric down once no worker will claim
+    /// from it any more: drops the unclaimed sink sets (they keep SPSC
+    /// producers alive), then joins the worker threads, which exit when
+    /// their rings disconnect and drain.
+    pub(crate) fn retire_fabric(&self) {
+        for sinks in self.sinks.lock().unwrap().iter_mut() {
+            sinks.take();
+        }
+        if let Some(d) = self.dispatcher.lock().unwrap().take() {
+            let _ = d.join();
+        }
+    }
 }
 
 /// Shared swap state between a [`MultiRuntime`](crate::MultiRuntime),
@@ -463,21 +461,15 @@ impl SwapController {
         // DispatchStats (per-name delivery accounting spans the swap);
         // added subscriptions get fresh counters.
         let cores = self.epochs.acks.len();
-        let mut stats: Vec<Arc<DispatchStats>> = Vec::with_capacity(prepared.subs.len());
-        for (j, (sub, mode)) in prepared.subs.iter().zip(&prepared.modes).enumerate() {
-            let survivor = prepared.remap.iter().position(|m| *m == Some(j));
-            match survivor {
-                Some(i) => stats.push(old.hub.get(i)),
+        let stats: Vec<Arc<DispatchStats>> = (0..prepared.subs.len())
+            .map(|j| match prepared.survivor(j) {
+                Some(i) => old.hub.get(i),
                 None => {
-                    let cap = if sub.has_callback() {
-                        (mode.depth() * cores) as u64
-                    } else {
-                        0
-                    };
-                    stats.push(Arc::new(DispatchStats::with_capacity(cap)));
+                    let cap = ring_capacity(&*prepared.subs[j], prepared.modes[j], cores);
+                    Arc::new(DispatchStats::with_capacity(cap))
                 }
-            }
-        }
+            })
+            .collect();
         let hub = Arc::new(DispatchHub::from_stats(stats));
         let delay: CallbackDelayFn = {
             let nic = Arc::clone(&self.nic);
@@ -495,32 +487,22 @@ impl SwapController {
             &delay,
             None,
         );
-        let mut packet_mask = SubscriptionSet::empty();
-        for (j, sub) in prepared.subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(j);
-            }
-        }
         let generation = old.generation + 1;
+        let added = (0..prepared.subs.len())
+            .filter(|&j| prepared.survivor(j).is_none())
+            .map(|j| prepared.subs[j].name().to_string())
+            .collect();
         let epoch = Arc::new(ConfigEpoch {
             generation,
             filter: prepared.filter,
             subs: prepared.subs,
-            remap: prepared.remap.clone(),
-            packet_mask,
+            remap: prepared.remap,
             sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
             hub,
             dispatcher: Mutex::new(Some(dispatcher)),
         });
 
-        let added = epoch
-            .subs
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !prepared.remap.contains(&Some(*j)))
-            .map(|(_, s)| s.name().to_string())
-            .collect();
-        let removed: Vec<String> = prepared
+        let removed: Vec<String> = epoch
             .remap
             .iter()
             .enumerate()
@@ -573,19 +555,9 @@ impl SwapController {
             }
         }
 
-        // Retire: drop unclaimed sink sets (they keep SPSC producers
-        // alive), join the old dispatch fabric, bank removed
+        // Retire: shut the old dispatch fabric down, bank removed
         // subscriptions' counters.
-        {
-            let mut sinks = old.sinks.lock().unwrap();
-            for s in sinks.iter_mut() {
-                s.take();
-            }
-        }
-        let old_dispatcher = old.dispatcher.lock().unwrap().take();
-        if let Some(d) = old_dispatcher {
-            let _ = d.join();
-        }
+        old.retire_fabric();
         {
             let mut retired = self.epochs.retired.lock().unwrap();
             for (i, m) in epoch.remap.iter().enumerate() {
@@ -616,10 +588,7 @@ impl SwapController {
 /// A swap scheduled inside a deterministic stepped run (see
 /// [`MultiRuntime::run_stepped_with_swap`](crate::MultiRuntime::run_stepped_with_swap)):
 /// the prepared configuration plus the packet index to apply it at.
-pub(crate) struct StepSwap<F: FilterFns + 'static> {
+pub(crate) struct StepSwap<F> {
     pub(crate) at_packet: u64,
-    pub(crate) filter: Arc<F>,
-    pub(crate) subs: Vec<Arc<dyn ErasedSubscription>>,
-    pub(crate) modes: Vec<DispatchMode>,
-    pub(crate) remap: Vec<Option<usize>>,
+    pub(crate) prepared: PreparedSwap<F>,
 }

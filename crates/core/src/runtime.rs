@@ -36,29 +36,27 @@
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use retina_filter::{CompiledFilter, FilterFns, PacketVerdict, SubscriptionSet};
+use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::{PortStatsSnapshot, VirtualNic};
 use retina_support::bytes::Bytes;
 use retina_telemetry::{
-    CounterId, DispatchHub, DropBreakdown, DropReason, GaugeId, GaugeMerge, Registry, StageSummary,
-    TelemetrySnapshot, TraceConfig, TraceKind, TraceReport, Tracer, TriggerReason,
+    CounterId, DispatchHub, DispatchSnapshot, DropBreakdown, DropReason, GaugeId, GaugeMerge,
+    Registry, StageSummary, TelemetrySnapshot, TraceConfig, TraceReport, Tracer, TriggerReason,
 };
-use retina_wire::ParsedPacket;
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::{channel_dispatcher, CallbackDelayFn, DispatchMode};
+use crate::executor::{channel_dispatcher, ring_capacity, CallbackDelayFn, DispatchMode};
 use crate::governor::{Governor, GovernorConfig, ShedState};
+use crate::pipeline::CorePipeline;
 use crate::reconfig::{ConfigEpoch, EpochState, SwapController, EXITED};
 use crate::stats::CoreStats;
-use crate::subscription::{Level, Subscribable};
-use crate::tracker::{ConnTracker, SubTally};
-use crate::util::rdtsc;
+use crate::subscription::Subscribable;
+use crate::tracker::SubTally;
 
 /// Shared slot holding the in-flight run's tracer.
 ///
@@ -271,6 +269,63 @@ pub struct SubReport {
     pub queue_depth_peak: u64,
     /// Total dispatch-ring capacity (0 = inline execution).
     pub queue_capacity: u64,
+}
+
+/// Assembles a run's per-subscription rows: the final table in
+/// registration order, then the subscriptions a swap removed and never
+/// re-added, sorted by name. `tallies` are every core's `(name, tally)`
+/// pairs, merged here by name; `retired` are the dispatch counters
+/// banked when a swap removed a subscription, folded back in by name (a
+/// name removed and re-added reports one whole-run row).
+pub(crate) fn sub_reports(
+    final_subs: &[Arc<dyn ErasedSubscription>],
+    dispatch: &[DispatchSnapshot],
+    mut tallies: Vec<(String, SubTally)>,
+    retired: &[(String, DispatchSnapshot)],
+) -> Vec<SubReport> {
+    tallies.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    tallies.dedup_by(|dup, kept| {
+        dup.0 == kept.0 && {
+            kept.1.merge(&dup.1);
+            true
+        }
+    });
+    let row = |name: String, t: SubTally, d: DispatchSnapshot, removed: bool| {
+        let mut report = SubReport {
+            name,
+            delivered: t.delivered,
+            discarded: t.discarded,
+            cb_executed: d.executed,
+            cb_dropped_full: d.dropped_full,
+            cb_dropped_disconnected: d.dropped_disconnected,
+            queue_depth_peak: d.depth_peak,
+            queue_capacity: d.capacity,
+        };
+        for (_, rs) in retired.iter().filter(|(rname, _)| *rname == report.name) {
+            report.cb_executed += rs.executed;
+            report.cb_dropped_full += rs.dropped_full;
+            report.cb_dropped_disconnected += rs.dropped_disconnected;
+            report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
+            if removed {
+                report.queue_capacity = report.queue_capacity.max(rs.capacity);
+            }
+        }
+        report
+    };
+    let mut rows: Vec<SubReport> = Vec::with_capacity(final_subs.len());
+    for (sub, d) in final_subs.iter().zip(dispatch) {
+        let (name, t) = match tallies.binary_search_by(|(n, _)| n.as_str().cmp(sub.name())) {
+            Ok(i) => tallies.remove(i),
+            Err(_) => (sub.name().to_string(), SubTally::default()),
+        };
+        rows.push(row(name, t, *d, false));
+    }
+    rows.extend(
+        tallies
+            .into_iter()
+            .map(|(name, t)| row(name, t, DispatchSnapshot::default(), true)),
+    );
+    rows
 }
 
 /// Result of a completed run.
@@ -583,6 +638,37 @@ impl RunReport {
     }
 }
 
+/// Compiles a subscription table's filter sources into one union
+/// filter, analyzer first: any E-code diagnostic rejects the table with
+/// the message `retina-flint` and the `filter!` macro report; W-code
+/// summaries are returned alongside the compiled filter.
+pub(crate) fn compile_union(
+    srcs: &[&str],
+    config: &RuntimeConfig,
+) -> Result<(CompiledFilter, Vec<String>), String> {
+    let mut warnings = Vec::new();
+    // Lex/parse errors fall through to build_union below, which reports
+    // them with the subscription's source text.
+    if let Ok(analysis) =
+        retina_filter::analyze_union(srcs, &config.filter_registry, Some(&config.device.caps))
+    {
+        if analysis.has_errors() {
+            return Err(analysis
+                .errors()
+                .map(retina_filter::Diagnostic::summary)
+                .collect::<Vec<_>>()
+                .join("; "));
+        }
+        warnings = analysis
+            .warnings()
+            .map(retina_filter::Diagnostic::summary)
+            .collect();
+    }
+    let filter =
+        CompiledFilter::build_union(srcs, &config.filter_registry).map_err(|e| e.to_string())?;
+    Ok((filter, warnings))
+}
+
 /// Builds a [`MultiRuntime`]: register any number of typed subscriptions,
 /// each with its own filter and callback, then [`RuntimeBuilder::build`]
 /// merges the filters into a single [`CompiledFilter`] trie so the whole
@@ -687,34 +773,9 @@ impl RuntimeBuilder {
                 "no subscriptions registered".to_string(),
             ));
         }
-        let srcs: Vec<&str> = self
-            .sources
-            .iter()
-            .map(std::string::String::as_str)
-            .collect();
-        let mut warnings = Vec::new();
-        // Lex/parse errors fall through to build_union below, which
-        // reports them with the subscription's source text.
-        if let Ok(analysis) = retina_filter::analyze_union(
-            &srcs,
-            &self.config.filter_registry,
-            Some(&self.config.device.caps),
-        ) {
-            if analysis.has_errors() {
-                let msg = analysis
-                    .errors()
-                    .map(retina_filter::Diagnostic::summary)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(RuntimeError::Filter(msg));
-            }
-            warnings = analysis
-                .warnings()
-                .map(retina_filter::Diagnostic::summary)
-                .collect();
-        }
-        let filter = CompiledFilter::build_union(&srcs, &self.config.filter_registry)
-            .map_err(|e| RuntimeError::Filter(e.to_string()))?;
+        let srcs: Vec<&str> = self.sources.iter().map(String::as_str).collect();
+        let (filter, warnings) =
+            compile_union(&srcs, &self.config).map_err(RuntimeError::Filter)?;
         let mut rt = MultiRuntime::new(self.config, filter, self.subs)?;
         rt.filter_warnings = warnings;
         for (i, mode) in self.modes.into_iter().enumerate() {
@@ -789,7 +850,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             }
         }
         let gauges = Arc::new(RuntimeGauges::new(config.cores as usize));
-        let modes = vec![DispatchMode::from_callback_mode(config.callback_mode); subs.len()];
+        let modes = vec![DispatchMode::Inline; subs.len()];
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
         let epochs = Arc::new(EpochState::new(config.cores.max(1) as usize));
         Ok(MultiRuntime {
@@ -944,16 +1005,10 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // worker, each fed over per-(core, subscription) SPSC rings.
         let cores = self.config.cores.max(1) as usize;
         let capacities: Vec<u64> = self
-            .modes
+            .subs
             .iter()
-            .zip(&self.subs)
-            .map(|(m, sub)| {
-                if sub.has_callback() {
-                    (m.depth() * cores) as u64
-                } else {
-                    0
-                }
-            })
+            .zip(&self.modes)
+            .map(|(sub, mode)| ring_capacity(&**sub, *mode, cores))
             .collect();
         self.hub.configure(&capacities);
         let delay: CallbackDelayFn = {
@@ -970,15 +1025,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             tracer.as_ref(),
         );
 
-        // Which subscriptions take the packet-level fast path (callback
-        // straight off the packet filter, no connection state).
-        let mut packet_mask = SubscriptionSet::empty();
-        for (i, sub) in self.subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(i);
-            }
-        }
-
         // Epoch 0: bundle this run's initial configuration and publish
         // it, so workers and any SwapController share one view. The
         // generation counter persists across runs (and swaps), so a
@@ -989,7 +1035,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             filter: Arc::clone(&self.filter),
             subs: self.subs.clone(),
             remap: Vec::new(),
-            packet_mask,
             sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
             hub: Arc::clone(&self.hub),
             dispatcher: Mutex::new(Some(dispatcher)),
@@ -1034,13 +1079,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
         let mut cores = CoreStats::default();
-        let mut tally_map: BTreeMap<String, SubTally> = BTreeMap::new();
+        let mut tallies: Vec<(String, SubTally)> = Vec::new();
         for w in workers {
             let (stats, named) = w.join().expect("worker thread panicked");
             cores.merge(&stats);
-            for (name, t) in named {
-                tally_map.entry(name).or_default().merge(&t);
-            }
+            tallies.extend(named);
         }
         // Take the final epoch (whatever generation was current when
         // the run drained) under the swap lock, so a racing swap either
@@ -1050,23 +1093,14 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             self.epochs.current.write().unwrap().take()
         }
         .expect("epoch 0 was published at run start");
-        // Unclaimed sink sets keep SPSC producers alive: drop them, then
-        // join the final dispatch fabric (workers dropped their claimed
-        // sinks on exit, disconnecting the remaining rings).
-        {
-            let mut sinks = final_epoch.sinks.lock().unwrap();
-            for s in sinks.iter_mut() {
-                s.take();
-            }
-        }
-        if let Some(d) = final_epoch.dispatcher.lock().unwrap().take() {
-            let _ = d.join();
-        }
+        // Workers dropped their claimed sinks on exit, disconnecting
+        // those rings; retiring the epoch drops the rest and joins.
+        final_epoch.retire_fabric();
         let dispatch = final_epoch.hub.snapshots();
         // Dispatch counters of subscriptions removed by swaps, folded
         // back in by name (a name removed and re-added reports one
         // whole-run row).
-        let retired: Vec<(String, retina_telemetry::DispatchSnapshot)> = self
+        let retired: Vec<(String, DispatchSnapshot)> = self
             .epochs
             .retired
             .lock()
@@ -1074,56 +1108,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .drain(..)
             .map(|(name, stats)| (name, stats.snapshot()))
             .collect();
-        let mut subs: Vec<SubReport> = Vec::with_capacity(final_epoch.subs.len());
-        for (i, sub) in final_epoch.subs.iter().enumerate() {
-            let name = sub.name().to_string();
-            let t = tally_map.remove(&name).unwrap_or_default();
-            let d = &dispatch[i];
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: d.executed,
-                cb_dropped_full: d.dropped_full,
-                cb_dropped_disconnected: d.dropped_disconnected,
-                queue_depth_peak: d.depth_peak,
-                queue_capacity: d.capacity,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                }
-            }
-            subs.push(report);
-        }
-        // Subscriptions removed by a swap and never re-added: report
-        // their tallies plus banked dispatch counters (sorted by name —
-        // BTreeMap iteration order).
-        for (name, t) in tally_map {
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: 0,
-                cb_dropped_full: 0,
-                cb_dropped_disconnected: 0,
-                queue_depth_peak: 0,
-                queue_capacity: 0,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                    report.queue_capacity = report.queue_capacity.max(rs.capacity);
-                }
-            }
-            subs.push(report);
-        }
+        let subs = sub_reports(&final_epoch.subs, &dispatch, tallies, &retired);
         let mbuf_high_water = self.nic.mempool().high_water();
         self.gauges.note_mbuf_high_water(mbuf_high_water);
         let mut report = RunReport {
@@ -1230,6 +1215,12 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
     }
 }
 
+/// RX bursts between connection-timeout sweeps (and gauge flushes).
+const ADVANCE_EVERY_BURSTS: usize = 64;
+
+/// One RX core: the threaded driver of [`CorePipeline`]. Mbufs come
+/// from NIC bursts, data leaves through the core's sink set, and the
+/// configuration epoch is picked up between bursts.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<F: FilterFns>(
     core: u16,
@@ -1251,86 +1242,62 @@ fn worker_loop<F: FilterFns>(
         .unwrap()
         .clone()
         .expect("run() publishes epoch 0 before spawning workers");
-    let mut cur_gen = epoch.generation;
-    let mut sinks = epoch.sinks.lock().unwrap()[core as usize]
-        .take()
-        .expect("each worker claims its sink set exactly once");
-    let mut filter = Arc::clone(&epoch.filter);
-    let mut packet_mask = epoch.packet_mask;
-    // (name, tally) pairs of subscriptions removed by swaps this worker
-    // observed, reported alongside the final epoch's tallies.
-    let mut removed_tallies: Vec<(String, SubTally)> = Vec::new();
-    let mut tracker: ConnTracker<F> = ConnTracker::with_registry(
-        Arc::clone(&filter),
+    let claim_sinks = |epoch: &ConfigEpoch<F>| {
+        epoch.sinks.lock().unwrap()[core as usize]
+            .take()
+            .expect("each worker claims its sink set exactly once")
+    };
+    let mut sinks = claim_sinks(&epoch);
+    let mut pipeline = CorePipeline::new(
+        Arc::clone(&epoch.filter),
         &epoch.subs,
-        config.timeouts,
-        config.ooo_capacity,
-        config.profile_stages,
-        config.parsers.clone(),
+        config,
+        trace.cloned(),
     );
-    if let Some((t, lane)) = trace {
-        tracker.set_tracer(Arc::clone(t), *lane);
-    }
-    epochs.acks[core as usize].store(cur_gen, Ordering::Release);
+    epochs.acks[core as usize].store(epoch.generation, Ordering::Release);
     let mut burst = Vec::with_capacity(config.burst);
-    let mut max_ts = 0u64;
     let mut since_advance = 0usize;
-    let profile = config.profile_stages;
-
-    // Shared per-delivery bookkeeping: count the callback and time it.
-    macro_rules! deliver {
-        ($idx:expr, $tid:expr, $out:expr) => {{
-            let tc = profile.then(rdtsc);
-            tracker.stats.callbacks.runs += 1;
-            sinks[$idx].deliver($out, $tid);
-            if let Some(t) = tc {
-                tracker
-                    .stats
-                    .callbacks
-                    .record_cycles(rdtsc().wrapping_sub(t));
-            }
-        }};
-    }
+    let update_gauges = |pipeline: &CorePipeline<F>, connections, state_bytes| {
+        let tracker = pipeline.tracker();
+        gauges.worker_update(
+            core as usize,
+            &tracker.stats,
+            connections,
+            state_bytes,
+            tracker.arena_bytes(),
+            pipeline.max_ts(),
+        );
+    };
 
     loop {
         // Epoch pickup: one Acquire load per burst. On a generation
         // change, adopt the new configuration at this safe point —
-        // drain removed subscriptions (their data still routes through
-        // the OLD sinks), rebind surviving per-connection state, claim
-        // the new sink set, then acknowledge so the publisher's grace
-        // period can end. Swaps are serialized and each waits out its
-        // grace period, so the generation is never more than one ahead.
-        let published = epochs.generation.load(Ordering::Acquire);
-        if published != cur_gen {
+        // removed subscriptions drain through the OLD sinks, surviving
+        // per-connection state is rebound, the new sink set is claimed,
+        // then the acknowledgment lets the publisher's grace period
+        // end. Swaps are serialized and each waits out its grace
+        // period, so the generation is never more than one ahead.
+        if epochs.generation.load(Ordering::Acquire) != epoch.generation {
             if let Some(delay) = nic.fault_swap_pickup_delay(core) {
                 std::thread::sleep(delay);
             }
-            let new_epoch = epochs
+            epoch = epochs
                 .current
                 .read()
                 .unwrap()
                 .clone()
                 .expect("a published generation always has an epoch");
-            let banked = tracker.rebind(
-                Arc::clone(&new_epoch.filter),
-                &new_epoch.subs,
-                &new_epoch.remap,
+            pipeline.adopt(
+                Arc::clone(&epoch.filter),
+                &epoch.subs,
+                &epoch.remap,
+                &mut sinks,
             );
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
-            }
-            removed_tallies.extend(banked);
-            epoch = new_epoch;
-            sinks = epoch.sinks.lock().unwrap()[core as usize]
-                .take()
-                .expect("each worker claims its sink set exactly once");
-            filter = Arc::clone(&epoch.filter);
-            packet_mask = epoch.packet_mask;
-            cur_gen = epoch.generation;
-            if let Some(us) = epochs.note_pickup(core as usize, cur_gen) {
+            sinks = claim_sinks(&epoch);
+            if let Some(us) = epochs.note_pickup(core as usize, epoch.generation) {
                 gauges.note_swap_pickup_lag(core as usize, us);
             }
-            epochs.acks[core as usize].store(cur_gen, Ordering::Release);
+            epochs.acks[core as usize].store(epoch.generation, Ordering::Release);
         }
         // Injected worker-core slowdown (fault layer): stall before
         // polling, as a scheduling hiccup would.
@@ -1338,148 +1305,46 @@ fn worker_loop<F: FilterFns>(
             std::thread::sleep(delay);
         }
         burst.clear();
-        let n = nic.rx_burst(core, &mut burst, config.burst);
-        if n == 0 {
-            if ingest_done.load(Ordering::Acquire) {
-                // Final drain. A single extra poll is not enough: an
-                // injected RX-ring stall makes rx_burst return 0 while
-                // descriptors still sit in the ring, and a fault layer
-                // may hold frames in flight for later redelivery. Exit
-                // only once the ring is truly empty and no injected
-                // fault still holds frames; until then keep polling.
-                if nic.ring_depth(core) == 0 && nic.faults_in_flight() == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            } else {
-                // On busy hosts (or single-CPU machines) yielding lets the
-                // ingest thread and sibling workers make progress.
-                std::thread::yield_now();
-                continue;
+        if nic.rx_burst(core, &mut burst, config.burst) == 0 {
+            // Final drain. A single extra poll is not enough: an
+            // injected RX-ring stall makes rx_burst return 0 while
+            // descriptors still sit in the ring, and a fault layer may
+            // hold frames in flight for later redelivery. Exit only
+            // once ingest is done, the ring is truly empty and no
+            // injected fault still holds frames; until then keep
+            // polling, yielding so that on busy (or single-CPU) hosts
+            // the ingest thread and sibling workers make progress.
+            if ingest_done.load(Ordering::Acquire)
+                && nic.ring_depth(core) == 0
+                && nic.faults_in_flight() == 0
+            {
+                break;
             }
+            std::thread::yield_now();
+            continue;
         }
         // Pick up governor decisions once per burst: a relaxed load,
         // so shedding costs nothing on the per-packet path.
-        tracker.set_shed_parsing(shed.parsing_shed());
+        pipeline.set_shed_parsing(shed.parsing_shed());
         for mbuf in burst.drain(..) {
-            tracker.stats.rx_packets += 1;
-            tracker.stats.rx_bytes += mbuf.len() as u64;
-            max_ts = max_ts.max(mbuf.timestamp_ns);
-
-            let Ok(pkt) = ParsedPacket::parse(mbuf.data()) else {
-                tracker.stats.parse_failures += 1;
-                continue;
-            };
-
-            // Software packet filter (§4.1) — one walk decides every
-            // subscription.
-            let tf = profile.then(rdtsc);
-            let verdict = filter.packet_filter_set(&pkt);
-            tracker.stats.packet_filter.runs += 1;
-            if let Some(t) = tf {
-                tracker
-                    .stats
-                    .packet_filter
-                    .record_cycles(rdtsc().wrapping_sub(t));
-            }
-            let tid = match trace {
-                Some((t, lane)) => {
-                    // The NIC stamped the symmetric RSS hash on the
-                    // mbuf; the sampling decision is one finalizer.
-                    let tid = t.sample_flow(mbuf.rss_hash);
-                    if tid != 0 {
-                        t.emit(
-                            *lane,
-                            tid,
-                            TraceKind::PacketVerdict,
-                            0,
-                            verdict.matched.bits(),
-                            verdict.live.bits(),
-                        );
-                        for f in verdict.frontiers.iter() {
-                            t.emit(*lane, tid, TraceKind::FilterNode, 0, u64::from(f), 0);
-                        }
-                    }
-                    tid
-                }
-                None => 0,
-            };
-            if verdict.is_no_match() {
-                continue;
-            }
-
-            // Bypass: packet-level subscriptions whose filter matched
-            // terminally get their callback straight off the packet
-            // filter, no connection state.
-            let bypass = verdict.matched & packet_mask;
-            for i in bypass.iter() {
-                let tc = profile.then(rdtsc);
-                if sinks[i].deliver_from_mbuf(&mbuf, tid) {
-                    tracker.stats.callbacks.runs += 1;
-                    tracker.sub_tallies[i].delivered += 1;
-                    if let Some(t) = tc {
-                        tracker
-                            .stats
-                            .callbacks
-                            .record_cycles(rdtsc().wrapping_sub(t));
-                    }
-                }
-            }
-
-            let verdict = PacketVerdict {
-                matched: verdict.matched - packet_mask,
-                live: verdict.live,
-                frontiers: verdict.frontiers,
-            };
-            if verdict.is_no_match() {
-                continue;
-            }
-            tracker.process(&mbuf, &pkt, verdict);
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
+            if let Some(pkt) = pipeline.parse(&mbuf) {
+                pipeline.on_packet(&mbuf, &pkt, &mut sinks);
             }
         }
         since_advance += 1;
-        if since_advance >= 64 {
+        if since_advance >= ADVANCE_EVERY_BURSTS {
             since_advance = 0;
-            tracker.advance(max_ts);
-            for (idx, tid, out) in tracker.take_outputs() {
-                deliver!(idx as usize, tid, out);
-            }
-            gauges.worker_update(
-                core as usize,
-                &tracker.stats,
-                tracker.connections(),
-                tracker.state_bytes(),
-                tracker.arena_bytes(),
-                max_ts,
-            );
+            pipeline.advance(&mut sinks);
+            let tracker = pipeline.tracker();
+            update_gauges(&pipeline, tracker.connections(), tracker.state_bytes());
         }
     }
 
     // Drain still-open connections at end of input.
-    tracker.drain();
-    for (idx, tid, out) in tracker.take_outputs() {
-        deliver!(idx as usize, tid, out);
-    }
-    gauges.worker_update(
-        core as usize,
-        &tracker.stats,
-        0,
-        0,
-        tracker.arena_bytes(),
-        max_ts,
-    );
+    pipeline.drain(&mut sinks);
+    update_gauges(&pipeline, 0, 0);
     // Exited: any in-flight (or future) grace period treats this core
     // as having acknowledged every generation.
     epochs.acks[core as usize].store(EXITED, Ordering::Release);
-    let mut named: Vec<(String, SubTally)> = epoch
-        .subs
-        .iter()
-        .zip(&tracker.sub_tallies)
-        .map(|(s, t)| (s.name().to_string(), *t))
-        .collect();
-    named.extend(removed_tallies);
-    (tracker.stats, named)
+    pipeline.finish()
 }

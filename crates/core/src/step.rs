@@ -4,12 +4,14 @@
 //! itself — thread scheduling hides interleavings, and a test that
 //! passes under one kernel scheduler may never exercise the full-ring
 //! or worker-starved paths at all. [`MultiRuntime::run_stepped`] removes
-//! the scheduler from the picture: it executes the *same* pipeline
-//! logic (same packet filter, same tracker, same per-subscription
-//! dispatch modes and queue policies) on one thread, interleaving an RX
-//! actor and one virtual worker per dispatched subscription under a
-//! seeded schedule. Every interleaving is a pure function of
-//! [`StepConfig::seed`], so a failing schedule replays bit for bit.
+//! the scheduler from the picture: it drives the *same*
+//! [`CorePipeline`] a threaded RX core runs (and, for inline
+//! subscriptions, the same counting sink) on one thread, interleaving
+//! an RX actor and one virtual worker per dispatched subscription under
+//! a seeded schedule. The one thing it models rather than runs is the
+//! dispatch rings: bounded queues and parked sends in virtual time.
+//! Every interleaving is a pure function of [`StepConfig::seed`], so a
+//! failing schedule replays bit for bit.
 //!
 //! What the harness lets tests prove (and the e2e suite does prove):
 //!
@@ -36,25 +38,22 @@
 // subscription indices narrow to compact counter fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use retina_filter::{CompiledFilter, FilterFns, PacketVerdict, SubscriptionSet};
-use retina_nic::{Mbuf, PortStatsSnapshot, RssHasher};
+use retina_filter::{CompiledFilter, FilterFns};
+use retina_nic::{Mbuf, PortStatsSnapshot};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_telemetry::trace::{TraceDropCode, TraceHwAction};
 use retina_telemetry::{DispatchSnapshot, DispatchStats, TraceKind, Tracer, TriggerReason};
-use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedOutput, ErasedSink};
-use crate::executor::QueuePolicy;
-use crate::reconfig::{StepSwap, SwapError, SwapSpec};
-use crate::runtime::{MultiRuntime, RunReport, SubReport};
-use crate::subscription::Level;
-use crate::tracker::{ConnTracker, SubTally};
-use crate::util::rdtsc;
+use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
+use crate::executor::{ring_capacity, DispatchMode, InlineSink, QueuePolicy};
+use crate::pipeline::{CorePipeline, Transport};
+use crate::reconfig::{PreparedSwap, StepSwap, SwapError, SwapSpec};
+use crate::runtime::{sub_reports, MultiRuntime, RunReport};
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -93,9 +92,9 @@ pub struct StepConfig {
     pub rx_batch: usize,
     /// Items a virtual worker pops per step it is scheduled.
     pub worker_batch: usize,
-    /// RX steps between connection-timeout sweeps
-    /// ([`ConnTracker::advance`] cadence, mirroring the threaded
-    /// worker's every-64-bursts maintenance block).
+    /// RX steps between connection-timeout sweeps (the
+    /// [`CorePipeline::advance`] cadence; the threaded worker sweeps
+    /// every 64 bursts).
     pub advance_every: usize,
     /// Optional worker freeze for isolation/backpressure tests.
     pub stall: Option<WorkerStall>,
@@ -135,6 +134,297 @@ fn stall_blocks(stall: Option<&WorkerStall>, sub: usize, step: u64) -> bool {
     stall.is_some_and(|s| s.blocks(sub, step))
 }
 
+/// One subscription's lane through the virtual dispatch fabric.
+enum Lane {
+    /// Runs on the RX actor, through the threaded fabric's own
+    /// [`InlineSink`]: same accounting, same tracepoint order. Spec-only
+    /// subscriptions stay here in every mode (exactly as
+    /// `channel_dispatcher` forces them).
+    Inline(InlineSink<DispatchStats>),
+    /// Crosses a bounded queue to the subscription's virtual worker.
+    Queued {
+        queue: VecDeque<(u64, ErasedOutput)>,
+        cap: usize,
+        policy: QueuePolicy,
+        stats: DispatchStats,
+    },
+}
+
+impl Lane {
+    fn stats(&self) -> &DispatchStats {
+        match self {
+            Lane::Inline(sink) => &sink.stats,
+            Lane::Queued { stats, .. } => stats,
+        }
+    }
+
+    fn into_stats(self) -> DispatchStats {
+        match self {
+            Lane::Inline(sink) => sink.stats,
+            Lane::Queued { stats, .. } => stats,
+        }
+    }
+}
+
+/// The stepped [`Transport`]: the dispatch fabric in virtual time.
+/// Rings are plain bounded queues, and a blocked SPSC `send` is a
+/// holding buffer the RX actor must flush — in FIFO order — before it
+/// reads the next frame.
+struct StepFabric {
+    subs: Vec<Arc<dyn ErasedSubscription>>,
+    lanes: Vec<Lane>,
+    /// The blocked-RX holding buffer: results a real RX core would be
+    /// spinning on in a blocking SPSC send.
+    pending: VecDeque<(usize, u64, ErasedOutput)>,
+    /// Queued subscriptions, one virtual worker each (actor `k + 1`
+    /// runs `workers[k]`, on worker lane `k`).
+    workers: Vec<usize>,
+    tracer: Option<Arc<Tracer>>,
+}
+
+/// An RX-lane tracepoint of the virtual fabric (sampled flows only).
+fn emit_rx(tracer: Option<&Arc<Tracer>>, tid: u64, kind: TraceKind, sub: usize, b: u64) {
+    if tid != 0 {
+        if let Some(t) = tracer {
+            t.emit(t.rx_lane(0), tid, kind, sub as u16, 0, b);
+        }
+    }
+}
+
+impl StepFabric {
+    /// Builds the fabric for one subscription table. `stats_for(j, cap)`
+    /// supplies subscription `j`'s dispatch counters (fresh ones, or a
+    /// swap survivor's).
+    fn new(
+        subs: &[Arc<dyn ErasedSubscription>],
+        modes: &[DispatchMode],
+        tracer: Option<&Arc<Tracer>>,
+        mut stats_for: impl FnMut(usize, u64) -> DispatchStats,
+    ) -> Self {
+        let lanes: Vec<Lane> = subs
+            .iter()
+            .zip(modes)
+            .enumerate()
+            .map(|(j, (sub, mode))| {
+                let cap = ring_capacity(&**sub, *mode, 1);
+                let stats = stats_for(j, cap);
+                if cap == 0 {
+                    Lane::Inline(InlineSink {
+                        inner: sub.inline_sink(),
+                        stats,
+                        tracer: tracer.cloned(),
+                        lane: tracer.map_or(0, |t| t.rx_lane(0)),
+                        sub_idx: j as u16,
+                    })
+                } else {
+                    Lane::Queued {
+                        queue: VecDeque::with_capacity(cap as usize),
+                        cap: cap as usize,
+                        policy: mode.policy(),
+                        stats,
+                    }
+                }
+            })
+            .collect();
+        let workers = (0..lanes.len())
+            .filter(|&j| matches!(lanes[j], Lane::Queued { .. }))
+            .collect();
+        StepFabric {
+            subs: subs.to_vec(),
+            lanes,
+            pending: VecDeque::new(),
+            workers,
+            tracer: tracer.cloned(),
+        }
+    }
+
+    /// Nothing parked and nothing queued.
+    fn idle(&self) -> bool {
+        self.pending.is_empty()
+            && self.lanes.iter().all(|l| match l {
+                Lane::Inline(_) => true,
+                Lane::Queued { queue, .. } => queue.is_empty(),
+            })
+    }
+
+    /// Moves parked sends into their queues, in park order, until the
+    /// head's queue is full. Returns whether anything moved.
+    fn flush_pending(&mut self) -> bool {
+        let mut moved = false;
+        while let Some(&(i, _, _)) = self.pending.front() {
+            let Lane::Queued {
+                queue, cap, stats, ..
+            } = &mut self.lanes[i]
+            else {
+                unreachable!("only queued lanes park sends");
+            };
+            if queue.len() >= *cap {
+                break;
+            }
+            let (_, tid, out) = self.pending.pop_front().expect("front checked above");
+            queue.push_back((tid, out));
+            // No tracepoint here: the enqueue was already recorded when
+            // the send parked (see `enqueue`), in the same order a
+            // blocking threaded send commits.
+            stats.note_enqueued();
+            moved = true;
+        }
+        moved
+    }
+
+    /// One send on queued lane `i`: enqueue, or — on a full queue —
+    /// shed with accounting or park, per the lane's policy (`QueuedSink`
+    /// in virtual time, tracepoint order included).
+    fn enqueue(&mut self, i: usize, tid: u64, out: ErasedOutput) {
+        let tracer = self.tracer.as_ref();
+        let Lane::Queued {
+            queue,
+            cap,
+            policy,
+            stats,
+        } = &mut self.lanes[i]
+        else {
+            unreachable!("inline lanes deliver on the spot");
+        };
+        if queue.len() < *cap {
+            queue.push_back((tid, out));
+            stats.note_enqueued();
+            emit_rx(tracer, tid, TraceKind::DispatchEnqueue, i, stats.depth());
+            return;
+        }
+        match policy {
+            QueuePolicy::Shed => {
+                stats.note_dropped_full();
+                if let Some(t) = tracer {
+                    let code = TraceDropCode::DispatchShed as u64;
+                    t.emit(t.rx_lane(0), tid, TraceKind::Drop, i as u16, code, 0);
+                    t.trigger(TriggerReason::DispatchShed, i as u64);
+                }
+            }
+            QueuePolicy::Block => {
+                stats.note_blocked();
+                // Emit the enqueue tracepoint now, not at flush: a
+                // threaded RX core blocks inside the send, so its
+                // enqueue events land in send order — the parked send's
+                // order — never in flush order.
+                emit_rx(tracer, tid, TraceKind::DispatchEnqueue, i, stats.depth());
+                self.pending.push_back((i, tid, out));
+            }
+        }
+    }
+
+    /// Swap-time quiescence: runs every virtual worker to empty and
+    /// flushes every parked send — the virtual-time form of the threaded
+    /// grace period (every core acknowledges the new generation before
+    /// the old epoch retires). Terminates because each pass first frees
+    /// queue slots, which lets `flush_pending` move parked sends.
+    fn quiesce(&mut self) {
+        loop {
+            self.flush_pending();
+            for (lane, sub) in self.lanes.iter_mut().zip(&self.subs) {
+                if let Lane::Queued { queue, stats, .. } = lane {
+                    while let Some((_tid, out)) = queue.pop_front() {
+                        sub.invoke(out);
+                        stats.note_executed();
+                    }
+                }
+            }
+            if self.idle() {
+                break;
+            }
+        }
+    }
+
+    /// One scheduling of virtual worker `w`: pops up to `batch` items,
+    /// then lets parked sends take the freed slots. Returns whether it
+    /// made progress.
+    fn run_worker(&mut self, w: usize, batch: usize) -> bool {
+        let i = self.workers[w];
+        let Lane::Queued { queue, stats, .. } = &mut self.lanes[i] else {
+            unreachable!("workers are queued lanes");
+        };
+        let emit = |tid: u64, kind: TraceKind, b: u64| {
+            if tid != 0 {
+                if let Some(t) = &self.tracer {
+                    t.emit(t.worker_lane(w), tid, kind, i as u16, 0, b);
+                }
+            }
+        };
+        let mut popped = false;
+        for _ in 0..batch {
+            let Some((tid, out)) = queue.pop_front() else {
+                break;
+            };
+            emit(tid, TraceKind::DispatchDequeue, stats.depth());
+            emit(tid, TraceKind::CallbackStart, 0);
+            self.subs[i].invoke(out);
+            emit(tid, TraceKind::CallbackEnd, 0);
+            stats.note_executed();
+            popped = true;
+        }
+        popped && {
+            self.flush_pending();
+            true
+        }
+    }
+
+    /// The fabric for the table a swap installs, built once the old one
+    /// is quiesced. Removed subscriptions' counters are banked in
+    /// `retired` by name; survivors carry theirs across (exactly as the
+    /// threaded hub shares them), so per-name counters span the run.
+    fn rebuilt<F>(
+        self,
+        prepared: &PreparedSwap<F>,
+        retired: &mut Vec<(String, DispatchSnapshot)>,
+    ) -> Self {
+        for (i, m) in prepared.remap.iter().enumerate() {
+            if m.is_none() {
+                let snapshot = self.lanes[i].stats().snapshot();
+                retired.push((self.subs[i].name().to_string(), snapshot));
+            }
+        }
+        let mut carried: Vec<Option<DispatchStats>> = self
+            .lanes
+            .into_iter()
+            .map(|l| Some(l.into_stats()))
+            .collect();
+        StepFabric::new(
+            &prepared.subs,
+            &prepared.modes,
+            self.tracer.as_ref(),
+            |j, cap| {
+                let survivor = prepared.survivor(j).and_then(|i| carried[i].take());
+                survivor.unwrap_or_else(|| DispatchStats::with_capacity(cap))
+            },
+        )
+    }
+}
+
+impl Transport for StepFabric {
+    #[inline]
+    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
+        match &self.lanes[sub] {
+            Lane::Inline(sink) => sink.deliver(out, trace_id),
+            Lane::Queued { .. } => self.enqueue(sub, trace_id, out),
+        }
+    }
+
+    #[inline]
+    fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
+        match &self.lanes[sub] {
+            Lane::Inline(sink) => sink.deliver_from_mbuf(mbuf, trace_id),
+            // Crosses to a worker: the datum must be boxed for the queue.
+            Lane::Queued { .. } => match self.subs[sub].output_from_mbuf(mbuf) {
+                Some(out) => {
+                    self.enqueue(sub, trace_id, out);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+}
+
 impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// Runs the pipeline over `packets` on the current thread under a
     /// seeded virtual-time schedule (see the module docs). Frames are
@@ -154,248 +444,67 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.run_stepped_inner(packets, cfg, None)
     }
 
-    #[allow(clippy::too_many_lines)]
     pub(crate) fn run_stepped_inner(
         &self,
         packets: &[(Bytes, u64)],
         cfg: &StepConfig,
         mut swap: Option<StepSwap<F>>,
     ) -> RunReport {
-        let mut subs: Vec<_> = self.subs.clone();
-        let mut modes = self.modes.clone();
-        let mut filter = Arc::clone(&self.filter);
-        let mut n = subs.len();
-        let mut tracker: ConnTracker<F> = ConnTracker::with_registry(
-            Arc::clone(&filter),
-            &subs,
-            self.config.timeouts,
-            self.config.ooo_capacity,
-            self.config.profile_stages,
-            self.config.parsers.clone(),
-        );
-        let shed = self.shed_state();
-        let profile = self.config.profile_stages;
-        // Same fixed symmetric key the virtual NIC installs: stepped
-        // mbufs carry the hash a threaded ingest would have stamped.
-        let hasher = RssHasher::symmetric();
-
-        let mut packet_mask = SubscriptionSet::empty();
-        for (i, sub) in subs.iter().enumerate() {
-            if sub.level() == Level::Packet {
-                packet_mask.insert(i);
-            }
-        }
-
-        // Spec-only subscriptions stay inline in every mode (exactly as
-        // channel_dispatcher forces them), so stepped accounting matches
-        // the threaded runtime's.
-        let mut dispatched: Vec<bool> = (0..n)
-            .map(|i| modes[i].is_dispatched() && subs[i].has_callback())
-            .collect();
-        let mut caps: Vec<usize> = (0..n)
-            .map(|i| if dispatched[i] { modes[i].depth() } else { 0 })
-            .collect();
-        let mut stats: Vec<DispatchStats> = caps
-            .iter()
-            .map(|&c| DispatchStats::with_capacity(c as u64))
-            .collect();
-        let mut sinks: Vec<Box<dyn ErasedSink>> = subs.iter().map(|s| s.inline_sink()).collect();
-        let mut queues: Vec<VecDeque<(u64, ErasedOutput)>> =
-            caps.iter().map(|&c| VecDeque::with_capacity(c)).collect();
-        // The blocked-RX holding buffer: results a real RX core would be
-        // spinning on in a blocking SPSC send. FIFO flush order is the
-        // blocked-send order; while non-empty the RX actor reads nothing.
-        let mut pending: VecDeque<(usize, u64, ErasedOutput)> = VecDeque::new();
-
-        let mut worker_subs: Vec<usize> = (0..n).filter(|&i| dispatched[i]).collect();
-        let mut n_actors = 1 + worker_subs.len();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-        // Tallies and dispatch counters of subscriptions removed by a
-        // mid-run swap, banked at the swap point and folded back into
-        // the final report by name (same assembly as the threaded run).
-        let mut banked: Vec<(String, SubTally)> = Vec::new();
-        let mut retired: Vec<(String, DispatchSnapshot)> = Vec::new();
-
-        // Virtual-clock tracer: lane layout mirrors the threaded run
+        // Virtual-clock tracer: lane layout as in the threaded run
         // (ingest, one RX core, one lane per virtual worker), timestamps
         // are the step counter, so a (frames, config) pair fully
         // determines every recorded event. Lane count covers the larger
         // of the pre- and post-swap worker sets so a swap that adds
         // dispatched subscriptions never runs out of lanes.
-        let max_workers = {
-            let post = swap.as_ref().map_or(0, |sw| {
-                (0..sw.subs.len())
-                    .filter(|&j| sw.modes[j].is_dispatched() && sw.subs[j].has_callback())
-                    .count()
-            });
-            worker_subs.len().max(post).max(1)
+        let queued = |subs: &[Arc<dyn ErasedSubscription>], modes: &[DispatchMode]| {
+            let caps = subs
+                .iter()
+                .zip(modes)
+                .map(|(s, m)| ring_capacity(&**s, *m, 1));
+            caps.filter(|&cap| cap > 0).count()
         };
+        let max_workers = queued(&self.subs, &self.modes)
+            .max(
+                swap.as_ref()
+                    .map_or(0, |sw| queued(&sw.prepared.subs, &sw.prepared.modes)),
+            )
+            .max(1);
         let tracer = self
             .trace_config
             .clone()
             .map(|tc| Arc::new(Tracer::new_virtual(tc, 1, max_workers)));
-        if let Some(t) = &tracer {
-            tracker.set_tracer(Arc::clone(t), t.rx_lane(0));
-        }
+
+        let mut fabric = StepFabric::new(&self.subs, &self.modes, tracer.as_ref(), |_, cap| {
+            DispatchStats::with_capacity(cap)
+        });
+        let mut pipeline = CorePipeline::new(
+            Arc::clone(&self.filter),
+            &self.subs,
+            &self.config,
+            tracer.as_ref().map(|t| (Arc::clone(t), t.rx_lane(0))),
+        );
+        let shed = self.shed_state();
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        // Dispatch counters of subscriptions removed by a mid-run swap,
+        // banked at the swap point and folded back into the final
+        // report by name.
+        let mut retired: Vec<(String, DispatchSnapshot)> = Vec::new();
         let mut chaos_fired = false;
 
         let mut next_pkt = 0usize;
         let mut drained = false;
         let mut step = 0u64;
         let mut since_advance = 0usize;
-        let mut max_ts = 0u64;
 
-        macro_rules! flush_pending {
-            () => {{
-                let mut moved = false;
-                while let Some(&(i, _, _)) = pending.front() {
-                    if queues[i].len() >= caps[i] {
-                        break;
-                    }
-                    let (_, tid, out) = pending.pop_front().expect("front checked above");
-                    queues[i].push_back((tid, out));
-                    stats[i].note_enqueued();
-                    // No tracepoint here: the enqueue was already
-                    // recorded when the send parked (see `route!`), in
-                    // the same order a blocking threaded send commits.
-                    let _ = tid;
-                    moved = true;
-                }
-                moved
-            }};
-        }
-
-        // One handoff to the delivery layer: count the callback stage,
-        // then run inline / enqueue / park / shed per the sub's mode —
-        // the single-threaded mirror of InlineSink/QueuedSink (tracepoint
-        // order included).
-        macro_rules! route {
-            ($idx:expr, $tid:expr, $out:expr) => {{
-                let i: usize = $idx;
-                let tid: u64 = $tid;
-                let out: ErasedOutput = $out;
-                let tc = profile.then(rdtsc);
-                tracker.stats.callbacks.runs += 1;
-                if dispatched[i] {
-                    if queues[i].len() < caps[i] {
-                        queues[i].push_back((tid, out));
-                        stats[i].note_enqueued();
-                        if tid != 0 {
-                            if let Some(t) = &tracer {
-                                t.emit(
-                                    t.rx_lane(0),
-                                    tid,
-                                    TraceKind::DispatchEnqueue,
-                                    i as u16,
-                                    0,
-                                    stats[i].depth(),
-                                );
-                            }
-                        }
-                    } else {
-                        match modes[i].policy() {
-                            QueuePolicy::Shed => {
-                                stats[i].note_dropped_full();
-                                if let Some(t) = &tracer {
-                                    t.emit(
-                                        t.rx_lane(0),
-                                        tid,
-                                        TraceKind::Drop,
-                                        i as u16,
-                                        TraceDropCode::DispatchShed as u64,
-                                        0,
-                                    );
-                                    t.trigger(TriggerReason::DispatchShed, i as u64);
-                                }
-                            }
-                            QueuePolicy::Block => {
-                                stats[i].note_blocked();
-                                // Emit the enqueue tracepoint now, not
-                                // at flush: a threaded RX core blocks
-                                // inside the send, so its enqueue
-                                // events land in route order — the
-                                // parked send's order — never in
-                                // flush order.
-                                if tid != 0 {
-                                    if let Some(t) = &tracer {
-                                        t.emit(
-                                            t.rx_lane(0),
-                                            tid,
-                                            TraceKind::DispatchEnqueue,
-                                            i as u16,
-                                            0,
-                                            stats[i].depth(),
-                                        );
-                                    }
-                                }
-                                pending.push_back((i, tid, out));
-                            }
-                        }
-                    }
-                } else {
-                    if tid != 0 {
-                        if let Some(t) = &tracer {
-                            t.emit(t.rx_lane(0), tid, TraceKind::CallbackStart, i as u16, 0, 0);
-                        }
-                    }
-                    sinks[i].deliver(out, tid);
-                    stats[i].note_inline();
-                    if tid != 0 {
-                        if let Some(t) = &tracer {
-                            t.emit(t.rx_lane(0), tid, TraceKind::CallbackEnd, i as u16, 0, 0);
-                        }
-                    }
-                }
-                if let Some(t) = tc {
-                    tracker
-                        .stats
-                        .callbacks
-                        .record_cycles(rdtsc().wrapping_sub(t));
-                }
-            }};
-        }
-
-        // Swap-time quiescence: run every virtual worker to empty and
-        // flush every parked send before the configuration changes —
-        // the single-threaded mirror of the threaded runtime's grace
-        // period (every core acknowledges the new generation before the
-        // old epoch retires). Terminates because each pass first frees
-        // queue slots, which lets flush_pending! move parked sends.
-        macro_rules! drain_all {
-            () => {{
-                loop {
-                    flush_pending!();
-                    for i in 0..n {
-                        while let Some((_tid, out)) = queues[i].pop_front() {
-                            subs[i].invoke(out);
-                            stats[i].note_executed();
-                        }
-                    }
-                    if pending.is_empty() && queues.iter().all(VecDeque::is_empty) {
-                        break;
-                    }
-                }
-            }};
-        }
-
-        loop {
-            if next_pkt >= packets.len()
-                && drained
-                && pending.is_empty()
-                && queues.iter().all(VecDeque::is_empty)
-            {
-                break;
-            }
+        while !(next_pkt >= packets.len() && drained && fabric.idle()) {
             step += 1;
             if let Some(t) = &tracer {
                 t.set_virtual_time(step);
             }
             // Snapshot the actor count: a swap inside the RX actor may
-            // rebuild the worker set (and `n_actors`), but it always
-            // reports progress, breaking this sweep before the stale
-            // bound could be used.
-            let actors = n_actors;
+            // rebuild the worker set, but it always reports progress,
+            // breaking this sweep before the stale bound could be used.
+            let actors = 1 + fabric.workers.len();
             let choice = rng.random_range(0..actors);
             let mut progressed = false;
             // Try the scheduled actor first; fall back through the rest
@@ -407,306 +516,89 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                     // RX actor: flush parked sends, then read frames only
                     // if nothing is parked (a blocked send stalls the
                     // whole RX core, exactly like the threaded runtime).
-                    let mut p = flush_pending!();
+                    let mut p = fabric.flush_pending();
                     // A scheduled swap fires once the RX cursor reaches
                     // its packet index (clamped so a swap "after the
                     // last packet" still lands before the final drain),
                     // but never while a parked send is outstanding: a
                     // blocked RX core cannot pick up a new epoch
                     // mid-send in the threaded runtime either.
-                    if pending.is_empty()
+                    if fabric.pending.is_empty()
                         && swap.as_ref().is_some_and(|sw| {
                             next_pkt as u64 >= sw.at_packet.min(packets.len() as u64)
                         })
                     {
-                        let StepSwap {
-                            at_packet: _,
-                            filter: new_filter,
-                            subs: new_subs,
-                            modes: new_modes,
-                            remap,
-                        } = swap.take().expect("checked above");
+                        let prepared = swap.take().expect("checked above").prepared;
                         // Quiesce the old configuration: every queued
                         // result executes under the epoch that produced
-                        // it before the table changes.
-                        drain_all!();
-                        // Rebind live connection state under the new
-                        // trie. Drains of removed subscriptions route
-                        // through the OLD arrays — their sinks, their
-                        // queues, their counters — then quiesce again.
-                        let banked_now = tracker.rebind(Arc::clone(&new_filter), &new_subs, &remap);
-                        for (idx, tid, out) in tracker.take_outputs() {
-                            route!(idx as usize, tid, out);
-                        }
-                        drain_all!();
-                        // Bank removed subscriptions' counters by name.
-                        for (i, m) in remap.iter().enumerate() {
-                            if m.is_none() {
-                                retired.push((subs[i].name().to_string(), stats[i].snapshot()));
-                            }
-                        }
-                        banked.extend(banked_now);
-                        // Rebuild the per-subscription arrays under the
-                        // new table. Survivors carry their DispatchStats
-                        // across the swap (exactly as the threaded hub
-                        // shares them), so per-name counters span the
-                        // whole run.
-                        let mut carried: Vec<Option<DispatchStats>> =
-                            std::mem::take(&mut stats).into_iter().map(Some).collect();
-                        subs = new_subs;
-                        modes = new_modes;
-                        filter = new_filter;
-                        n = subs.len();
-                        packet_mask = SubscriptionSet::empty();
-                        for (j, sub) in subs.iter().enumerate() {
-                            if sub.level() == Level::Packet {
-                                packet_mask.insert(j);
-                            }
-                        }
-                        dispatched = (0..n)
-                            .map(|j| modes[j].is_dispatched() && subs[j].has_callback())
-                            .collect();
-                        caps = (0..n)
-                            .map(|j| if dispatched[j] { modes[j].depth() } else { 0 })
-                            .collect();
-                        stats = (0..n)
-                            .map(|j| {
-                                remap
-                                    .iter()
-                                    .position(|m| *m == Some(j))
-                                    .and_then(|i| carried[i].take())
-                                    .unwrap_or_else(|| DispatchStats::with_capacity(caps[j] as u64))
-                            })
-                            .collect();
-                        sinks = subs.iter().map(|s| s.inline_sink()).collect();
-                        queues = caps.iter().map(|&c| VecDeque::with_capacity(c)).collect();
-                        worker_subs = (0..n).filter(|&i| dispatched[i]).collect();
-                        n_actors = 1 + worker_subs.len();
+                        // it before the table changes. Drains of removed
+                        // subscriptions then route through the OLD
+                        // fabric — their sinks, their queues, their
+                        // counters — and quiesce again.
+                        fabric.quiesce();
+                        pipeline.adopt(
+                            Arc::clone(&prepared.filter),
+                            &prepared.subs,
+                            &prepared.remap,
+                            &mut fabric,
+                        );
+                        fabric.quiesce();
+                        fabric = fabric.rebuilt(&prepared, &mut retired);
                         p = true;
                     }
-                    if pending.is_empty() {
-                        if next_pkt < packets.len() {
-                            tracker.set_shed_parsing(shed.parsing_shed());
-                            let end = (next_pkt + cfg.rx_batch.max(1)).min(packets.len());
-                            for (off, (frame, ts)) in packets[next_pkt..end].iter().enumerate() {
-                                let seq = (next_pkt + off) as u64;
-                                let mut mbuf = Mbuf::from_bytes(frame.clone());
-                                mbuf.timestamp_ns = *ts;
-                                tracker.stats.rx_packets += 1;
-                                tracker.stats.rx_bytes += mbuf.len() as u64;
-                                max_ts = max_ts.max(mbuf.timestamp_ns);
-                                let Ok(pkt) = ParsedPacket::parse(mbuf.data()) else {
-                                    tracker.stats.parse_failures += 1;
-                                    continue;
-                                };
-                                // Stamp the same symmetric RSS hash the
-                                // virtual NIC would have: flow sampling
-                                // derives trace ids from it, so stepped
-                                // runs must sample the exact flows a
-                                // threaded run samples.
-                                mbuf.rss_hash = hasher.hash_packet(&pkt);
-                                // Ingest-lane mirror of the virtual NIC:
-                                // one Rx and one HwVerdict (RSS, queue 0
-                                // — a stepped run has a single RX core
-                                // and no hardware rules in front of it).
-                                let tid = match &tracer {
-                                    Some(t) => {
-                                        let tid = t.sample_flow(mbuf.rss_hash);
-                                        if tid != 0 {
-                                            t.emit(
-                                                t.ingest_lane(),
-                                                tid,
-                                                TraceKind::Rx,
-                                                0,
-                                                mbuf.len() as u64,
-                                                seq,
-                                            );
-                                            t.emit(
-                                                t.ingest_lane(),
-                                                tid,
-                                                TraceKind::HwVerdict,
-                                                0,
-                                                TraceHwAction::Rss as u64,
-                                                0,
-                                            );
-                                        }
-                                        tid
-                                    }
-                                    None => 0,
-                                };
-                                let tf = profile.then(rdtsc);
-                                let verdict = filter.packet_filter_set(&pkt);
-                                tracker.stats.packet_filter.runs += 1;
-                                if let Some(t) = tf {
-                                    tracker
-                                        .stats
-                                        .packet_filter
-                                        .record_cycles(rdtsc().wrapping_sub(t));
-                                }
+                    if !fabric.pending.is_empty() {
+                        // Blocked in a send: reads nothing.
+                    } else if next_pkt < packets.len() {
+                        pipeline.set_shed_parsing(shed.parsing_shed());
+                        let end = (next_pkt + cfg.rx_batch.max(1)).min(packets.len());
+                        for (seq, (frame, ts)) in (next_pkt..end).zip(&packets[next_pkt..end]) {
+                            let Some((mbuf, pkt)) = pipeline.ingest_frame(frame.clone(), *ts)
+                            else {
+                                continue;
+                            };
+                            if let Some(t) = &tracer {
+                                // Ingest lane, as the virtual NIC
+                                // records it: one Rx and one HwVerdict
+                                // (RSS, queue 0 — a stepped run has a
+                                // single RX core and no hardware rules
+                                // in front of it).
+                                let tid = t.sample_flow(mbuf.rss_hash);
                                 if tid != 0 {
-                                    if let Some(t) = &tracer {
-                                        t.emit(
-                                            t.rx_lane(0),
-                                            tid,
-                                            TraceKind::PacketVerdict,
-                                            0,
-                                            verdict.matched.bits(),
-                                            verdict.live.bits(),
-                                        );
-                                        for f in verdict.frontiers.iter() {
-                                            t.emit(
-                                                t.rx_lane(0),
-                                                tid,
-                                                TraceKind::FilterNode,
-                                                0,
-                                                u64::from(f),
-                                                0,
-                                            );
-                                        }
-                                    }
-                                }
-                                if verdict.is_no_match() {
-                                    continue;
-                                }
-                                let bypass = verdict.matched & packet_mask;
-                                for i in bypass.iter() {
-                                    if dispatched[i] {
-                                        // Crosses to a worker: the datum
-                                        // must be boxed for the queue.
-                                        if let Some(out) = subs[i].output_from_mbuf(&mbuf) {
-                                            tracker.sub_tallies[i].delivered += 1;
-                                            route!(i, tid, out);
-                                        }
-                                        continue;
-                                    }
-                                    // Inline: built and delivered on the
-                                    // spot, exactly as the threaded
-                                    // worker does — no box, no downcast.
-                                    // (A spec-only sink delivers, and
-                                    // counts, nothing.)
-                                    let tc = profile.then(rdtsc);
-                                    if sinks[i].deliver_from_mbuf(&mbuf, tid) {
-                                        tracker.stats.callbacks.runs += 1;
-                                        tracker.sub_tallies[i].delivered += 1;
-                                        stats[i].note_inline();
-                                        // Start/end together, after the
-                                        // fact: whether the frame yields
-                                        // a datum is only known once the
-                                        // fast path ran (InlineSink's
-                                        // order).
-                                        if tid != 0 {
-                                            if let Some(t) = &tracer {
-                                                for kind in [
-                                                    TraceKind::CallbackStart,
-                                                    TraceKind::CallbackEnd,
-                                                ] {
-                                                    t.emit(t.rx_lane(0), tid, kind, i as u16, 0, 0);
-                                                }
-                                            }
-                                        }
-                                        if let Some(t) = tc {
-                                            tracker
-                                                .stats
-                                                .callbacks
-                                                .record_cycles(rdtsc().wrapping_sub(t));
-                                        }
-                                    }
-                                }
-                                let verdict = PacketVerdict {
-                                    matched: verdict.matched - packet_mask,
-                                    live: verdict.live,
-                                    frontiers: verdict.frontiers,
-                                };
-                                if verdict.is_no_match() {
-                                    continue;
-                                }
-                                tracker.process(&mbuf, &pkt, verdict);
-                                for (idx, tid, out) in tracker.take_outputs() {
-                                    route!(idx as usize, tid, out);
+                                    let lane = t.ingest_lane();
+                                    let len = mbuf.len() as u64;
+                                    t.emit(lane, tid, TraceKind::Rx, 0, len, seq as u64);
+                                    let rss = TraceHwAction::Rss as u64;
+                                    t.emit(lane, tid, TraceKind::HwVerdict, 0, rss, 0);
                                 }
                             }
-                            next_pkt = end;
-                            since_advance += 1;
-                            if since_advance >= cfg.advance_every.max(1) {
-                                since_advance = 0;
-                                tracker.advance(max_ts);
-                                for (idx, tid, out) in tracker.take_outputs() {
-                                    route!(idx as usize, tid, out);
-                                }
-                            }
-                            p = true;
-                        } else if !drained {
-                            tracker.drain();
-                            for (idx, tid, out) in tracker.take_outputs() {
-                                route!(idx as usize, tid, out);
-                            }
-                            drained = true;
-                            p = true;
+                            pipeline.on_packet(&mbuf, &pkt, &mut fabric);
                         }
+                        next_pkt = end;
+                        since_advance += 1;
+                        if since_advance >= cfg.advance_every.max(1) {
+                            since_advance = 0;
+                            pipeline.advance(&mut fabric);
+                        }
+                        p = true;
+                    } else if !drained {
+                        pipeline.drain(&mut fabric);
+                        drained = true;
+                        p = true;
                     }
                     p
-                } else {
-                    // Virtual worker for one dispatched subscription.
-                    let i = worker_subs[actor - 1];
-                    if stall_blocks(cfg.stall.as_ref(), i, step) {
-                        // First activation of the fault window freezes
-                        // the flight recorder, exactly as the chaos
-                        // layer's fault hook does in a threaded run.
-                        if !chaos_fired {
-                            chaos_fired = true;
-                            if let Some(t) = &tracer {
-                                t.trigger(TriggerReason::ChaosFault, i as u64);
-                            }
+                } else if stall_blocks(cfg.stall.as_ref(), fabric.workers[actor - 1], step) {
+                    // First activation of the fault window freezes the
+                    // flight recorder, exactly as the chaos layer's
+                    // fault hook does in a threaded run.
+                    if !chaos_fired {
+                        chaos_fired = true;
+                        if let Some(t) = &tracer {
+                            t.trigger(TriggerReason::ChaosFault, fabric.workers[actor - 1] as u64);
                         }
-                        false
-                    } else {
-                        let lane = tracer.as_ref().map(|t| t.worker_lane(actor - 1));
-                        let mut popped = false;
-                        for _ in 0..cfg.worker_batch.max(1) {
-                            match queues[i].pop_front() {
-                                Some((tid, out)) => {
-                                    if tid != 0 {
-                                        if let (Some(t), Some(lane)) = (&tracer, lane) {
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::DispatchDequeue,
-                                                i as u16,
-                                                0,
-                                                stats[i].depth(),
-                                            );
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::CallbackStart,
-                                                i as u16,
-                                                0,
-                                                0,
-                                            );
-                                        }
-                                    }
-                                    subs[i].invoke(out);
-                                    if tid != 0 {
-                                        if let (Some(t), Some(lane)) = (&tracer, lane) {
-                                            t.emit(
-                                                lane,
-                                                tid,
-                                                TraceKind::CallbackEnd,
-                                                i as u16,
-                                                0,
-                                                0,
-                                            );
-                                        }
-                                    }
-                                    stats[i].note_executed();
-                                    popped = true;
-                                }
-                                None => break,
-                            }
-                        }
-                        let flushed = popped && flush_pending!();
-                        popped || flushed
                     }
+                    false
+                } else {
+                    fabric.run_worker(actor - 1, cfg.worker_batch.max(1))
                 };
                 if p {
                     progressed = true;
@@ -727,9 +619,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             }
         }
 
-        let arena_bytes = tracker.arena_bytes();
+        let arena_bytes = pipeline.tracker().arena_bytes();
+        let max_ts = pipeline.max_ts();
+        let (cores, tallies) = pipeline.finish();
         self.gauges()
-            .worker_update(0, &tracker.stats, 0, 0, arena_bytes, max_ts);
+            .worker_update(0, &cores, 0, 0, arena_bytes, max_ts);
         let total_bytes: u64 = packets.iter().map(|(f, _)| f.len() as u64).sum();
         let nic = PortStatsSnapshot {
             rx_offered: packets.len() as u64,
@@ -737,68 +631,14 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             rx_bytes: total_bytes,
             ..PortStatsSnapshot::default()
         };
-        let dispatch: Vec<DispatchSnapshot> = stats.iter().map(DispatchStats::snapshot).collect();
-        // Same assembly as the threaded run: final-configuration rows in
-        // registration order (folding in same-name counters banked at
-        // the swap point), then never-re-added removed names sorted.
-        let mut tally_map: BTreeMap<String, SubTally> = BTreeMap::new();
-        for (name, t) in banked {
-            tally_map.entry(name).or_default().merge(&t);
-        }
-        let mut sub_reports: Vec<SubReport> = Vec::with_capacity(n);
-        for ((sub, t), d) in subs.iter().zip(&tracker.sub_tallies).zip(&dispatch) {
-            let mut report = SubReport {
-                name: sub.name().to_string(),
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: d.executed,
-                cb_dropped_full: d.dropped_full,
-                cb_dropped_disconnected: d.dropped_disconnected,
-                queue_depth_peak: d.depth_peak,
-                queue_capacity: d.capacity,
-            };
-            if let Some(bt) = tally_map.remove(&report.name) {
-                report.delivered += bt.delivered;
-                report.discarded += bt.discarded;
-            }
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                }
-            }
-            sub_reports.push(report);
-        }
-        for (name, t) in tally_map {
-            let mut report = SubReport {
-                name,
-                delivered: t.delivered,
-                discarded: t.discarded,
-                cb_executed: 0,
-                cb_dropped_full: 0,
-                cb_dropped_disconnected: 0,
-                queue_depth_peak: 0,
-                queue_capacity: 0,
-            };
-            for (rname, rs) in &retired {
-                if *rname == report.name {
-                    report.cb_executed += rs.executed;
-                    report.cb_dropped_full += rs.dropped_full;
-                    report.cb_dropped_disconnected += rs.dropped_disconnected;
-                    report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-                    report.queue_capacity = report.queue_capacity.max(rs.capacity);
-                }
-            }
-            sub_reports.push(report);
-        }
+        let dispatch: Vec<DispatchSnapshot> =
+            fabric.lanes.iter().map(|l| l.stats().snapshot()).collect();
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.
             elapsed: Duration::ZERO,
             nic,
-            cores: tracker.stats,
-            subs: sub_reports,
+            cores,
+            subs: sub_reports(&fabric.subs, &dispatch, tallies, &retired),
             sim_duration_ns: max_ts,
             mbuf_high_water: 0,
             conn_arena_bytes: arena_bytes,
@@ -822,7 +662,7 @@ impl MultiRuntime<CompiledFilter> {
     /// drain), the old configuration is quiesced, connection state is
     /// rebound under `spec`'s freshly compiled filter, and the run
     /// continues under the new subscription table — the deterministic
-    /// mirror of [`crate::SwapController::swap`] on a threaded run.
+    /// form of [`crate::SwapController::swap`] on a threaded run.
     ///
     /// Validation is identical to the threaded path: `spec` compiles
     /// through the filter analyzer (E-codes reject the swap before
@@ -846,14 +686,11 @@ impl MultiRuntime<CompiledFilter> {
         at_packet: u64,
         spec: &SwapSpec,
     ) -> Result<RunReport, SwapError> {
-        let prepared = crate::reconfig::prepare(spec, &self.subs, &self.config)?;
-        let warnings = prepared.warnings;
+        let mut prepared = crate::reconfig::prepare(spec, &self.subs, &self.config)?;
+        let warnings = std::mem::take(&mut prepared.warnings);
         let sw = StepSwap {
             at_packet,
-            filter: prepared.filter,
-            subs: prepared.subs,
-            modes: prepared.modes,
-            remap: prepared.remap,
+            prepared,
         };
         let mut report = self.run_stepped_inner(packets, cfg, Some(sw));
         report.filter_warnings.extend(warnings);

@@ -44,9 +44,9 @@ use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedOutput, ErasedSubscription, ErasedTracked, TypedSubscription};
+use crate::erased::{ErasedOutput, ErasedSubscription, ErasedTracked};
 use crate::stats::CoreStats;
-use crate::subscription::{Level, Subscribable};
+use crate::subscription::Level;
 use crate::util::rdtsc;
 
 /// Cap on bytes buffered per direction while probing for the protocol.
@@ -159,6 +159,46 @@ struct SubSpec {
     /// Protocols that can resolve this subscription's filter at the
     /// connection layer, plus the parsers its subscribable type needs.
     probe_protos: Vec<String>,
+}
+
+/// Resolves a subscription table against the merged `filter`: the
+/// per-subscription specs plus the session-level, stream-needing and
+/// post-match-packet masks.
+fn resolve_subs<F: FilterFns>(
+    filter: &F,
+    subs: &[Arc<dyn ErasedSubscription>],
+) -> (
+    Vec<SubSpec>,
+    SubscriptionSet,
+    SubscriptionSet,
+    SubscriptionSet,
+) {
+    let mut session_mask = SubscriptionSet::empty();
+    let mut stream_mask = SubscriptionSet::empty();
+    let mut post_mask = SubscriptionSet::empty();
+    let mut specs = Vec::with_capacity(subs.len());
+    for (i, sub) in subs.iter().enumerate() {
+        if sub.level() == Level::Session {
+            session_mask.insert(i);
+        }
+        if sub.needs_stream() {
+            stream_mask.insert(i);
+        }
+        if sub.needs_packets_post_match() {
+            post_mask.insert(i);
+        }
+        let mut probe_protos = filter.conn_protocols_for(i);
+        for p in sub.parsers() {
+            if !probe_protos.iter().any(|x| x == p) {
+                probe_protos.push(p.to_string());
+            }
+        }
+        specs.push(SubSpec {
+            erased: Arc::clone(sub),
+            probe_protos,
+        });
+    }
+    (specs, session_mask, stream_mask, post_mask)
 }
 
 /// Disjoint borrows of the tracker shared by the stream-processing
@@ -545,48 +585,6 @@ pub struct ConnTracker<F: FilterFns> {
 const TIME_WAIT_NS: u64 = 10_000_000_000;
 
 impl<F: FilterFns> ConnTracker<F> {
-    /// Creates a tracker for one core with the default protocol modules.
-    pub fn new(
-        filter: Arc<F>,
-        subs: &[Arc<dyn ErasedSubscription>],
-        timeouts: TimeoutConfig,
-        ooo_capacity: usize,
-        profile: bool,
-    ) -> Self {
-        Self::with_registry(
-            filter,
-            subs,
-            timeouts,
-            ooo_capacity,
-            profile,
-            ParserRegistry::default(),
-        )
-    }
-
-    /// Creates a single-subscription tracker for subscribable type `S`
-    /// (outputs are drained through [`ConnTracker::take_outputs`]).
-    pub fn single<S: Subscribable>(
-        filter: Arc<F>,
-        timeouts: TimeoutConfig,
-        ooo_capacity: usize,
-        profile: bool,
-    ) -> Self {
-        let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
-        Self::new(filter, &[sub], timeouts, ooo_capacity, profile)
-    }
-
-    /// [`ConnTracker::single`] with a custom parser registry.
-    pub fn single_with_registry<S: Subscribable>(
-        filter: Arc<F>,
-        timeouts: TimeoutConfig,
-        ooo_capacity: usize,
-        profile: bool,
-        registry: ParserRegistry,
-    ) -> Self {
-        let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
-        Self::with_registry(filter, &[sub], timeouts, ooo_capacity, profile, registry)
-    }
-
     /// Creates a tracker with a custom parser registry (§3.3).
     pub fn with_registry(
         filter: Arc<F>,
@@ -601,31 +599,7 @@ impl<F: FilterFns> ConnTracker<F> {
             "at most {} subscriptions per tracker",
             SubscriptionSet::MAX
         );
-        let mut session_mask = SubscriptionSet::empty();
-        let mut stream_mask = SubscriptionSet::empty();
-        let mut post_mask = SubscriptionSet::empty();
-        let mut specs = Vec::with_capacity(subs.len());
-        for (i, sub) in subs.iter().enumerate() {
-            if sub.level() == Level::Session {
-                session_mask.insert(i);
-            }
-            if sub.needs_stream() {
-                stream_mask.insert(i);
-            }
-            if sub.needs_packets_post_match() {
-                post_mask.insert(i);
-            }
-            let mut probe_protos = filter.conn_protocols_for(i);
-            for p in sub.parsers() {
-                if !probe_protos.iter().any(|x| x == p) {
-                    probe_protos.push(p.to_string());
-                }
-            }
-            specs.push(SubSpec {
-                erased: Arc::clone(sub),
-                probe_protos,
-            });
-        }
+        let (specs, session_mask, stream_mask, post_mask) = resolve_subs(&*filter, subs);
         ConnTracker {
             table: ConnTable::new(timeouts),
             filter,
@@ -662,6 +636,13 @@ impl<F: FilterFns> ConnTracker<F> {
     /// [`ConnTable::longest_chain`]).
     pub fn longest_chain(&self) -> usize {
         self.table.longest_chain()
+    }
+
+    /// `(name, tally)` of every subscription in the current table, in
+    /// registration order.
+    pub(crate) fn named_tallies(&self) -> Vec<(String, SubTally)> {
+        let names = self.subs.iter().map(|s| s.erased.name().to_string());
+        names.zip(self.sub_tallies.iter().copied()).collect()
     }
 
     /// Takes the subscription data produced since the last call, each
@@ -1144,31 +1125,7 @@ impl<F: FilterFns> ConnTracker<F> {
         assert_eq!(remap.len(), self.subs.len(), "remap covers the old table");
         let new_len = subs.len();
         let new_all = SubscriptionSet::first_n(new_len);
-        let mut session_mask = SubscriptionSet::empty();
-        let mut stream_mask = SubscriptionSet::empty();
-        let mut post_mask = SubscriptionSet::empty();
-        let mut specs = Vec::with_capacity(new_len);
-        for (j, sub) in subs.iter().enumerate() {
-            if sub.level() == Level::Session {
-                session_mask.insert(j);
-            }
-            if sub.needs_stream() {
-                stream_mask.insert(j);
-            }
-            if sub.needs_packets_post_match() {
-                post_mask.insert(j);
-            }
-            let mut probe_protos = filter.conn_protocols_for(j);
-            for p in sub.parsers() {
-                if !probe_protos.iter().any(|x| x == p) {
-                    probe_protos.push(p.to_string());
-                }
-            }
-            specs.push(SubSpec {
-                erased: Arc::clone(sub),
-                probe_protos,
-            });
-        }
+        let (specs, session_mask, stream_mask, post_mask) = resolve_subs(&*filter, subs);
 
         // Survivors carry their tallies to their new index; removed
         // subscriptions keep accumulating on the old vector until it is

@@ -577,16 +577,16 @@ fn queued_callback_mode_equals_inline() {
             )
         })
         .collect();
-    let run = |mode: retina_core::CallbackMode| {
+    let run = |mode: retina_core::DispatchMode| {
         let hits = Arc::new(Mutex::new(Vec::new()));
         let h2 = Arc::clone(&hits);
-        let mut config = RuntimeConfig::with_cores(2);
-        config.callback_mode = mode;
+        let config = RuntimeConfig::with_cores(2);
         let filter = retina_core::compile("tls").unwrap();
         let mut rt = Runtime::<TlsHandshakeData, _>::new(config, filter, move |hs| {
             h2.lock().unwrap().push(hs.tls.sni().to_string());
         })
         .unwrap();
+        rt.set_dispatch_mode(mode);
         struct Src(Vec<(Bytes, u64)>);
         impl TrafficSource for Src {
             fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
@@ -603,8 +603,8 @@ fn queued_callback_mode_equals_inline() {
         got.sort();
         got
     };
-    let inline = run(retina_core::CallbackMode::Inline);
-    let queued = run(retina_core::CallbackMode::Queued { depth: 4 });
+    let inline = run(retina_core::DispatchMode::Inline);
+    let queued = run(retina_core::DispatchMode::dedicated(4));
     assert_eq!(inline.len(), 30);
     assert_eq!(inline, queued);
 }

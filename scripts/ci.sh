@@ -11,6 +11,9 @@
 #   clippy        cargo clippy --offline --all-targets -- -D warnings
 #   pedantic      curated clippy::pedantic subset, denied (see below)
 #   safety        every unsafe site carries a // SAFETY: comment
+#   one-loop      the packet filter and the conn tracker are called from
+#                 crates/core/src/pipeline.rs only (no second copy of the
+#                 per-packet loop in core or in a figure binary)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -38,7 +41,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy pedantic safety lint-filters build doc test smoke trace-overhead churn reconfig bench-gate benchmark)
+ALL_STAGES=(fmt clippy pedantic safety one-loop lint-filters build doc test smoke trace-overhead churn reconfig bench-gate benchmark)
 if [ "$#" -gt 0 ]; then STAGES=("$@"); else STAGES=("${ALL_STAGES[@]}"); fi
 
 FAILED=()
@@ -82,6 +85,8 @@ stage_pedantic() {
 }
 
 stage_safety() { scripts/check_safety_comments.sh; }
+
+stage_one_loop() { scripts/check_one_loop.sh; }
 
 # Lint the filter corpus (every filter the benches, figure binaries and
 # examples use) with the semantic analyzer. retina-flint exits non-zero
@@ -157,6 +162,7 @@ for stage in "${STAGES[@]}"; do
     clippy) run_stage clippy stage_clippy ;;
     pedantic) run_stage pedantic stage_pedantic ;;
     safety) run_stage safety stage_safety ;;
+    one-loop) run_stage one-loop stage_one_loop ;;
     lint-filters) run_stage lint-filters stage_lint_filters ;;
     build) run_stage build stage_build ;;
     doc) run_stage doc stage_doc ;;

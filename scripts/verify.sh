@@ -37,6 +37,10 @@ if [ "$FAST" = 1 ]; then
     exit 0
 fi
 
+# One per-packet loop: the packet filter and the conn tracker are called
+# from crates/core/src/pipeline.rs only (a source scan; see the script).
+scripts/check_one_loop.sh
+
 cargo build --release --offline
 # All bench/figure binaries must keep building, not just the libraries.
 cargo build --release --offline --bins

@@ -344,6 +344,118 @@ fn dispatched_union_is_byte_identical_to_inline_across_schedules() {
     }
 }
 
+/// One subscription over the same frames through all three drivers of
+/// the per-core pipeline: threaded `run` (1 core, paced ingest, hardware
+/// filtering off so the NIC delivers every frame), `run_stepped`, and
+/// `run_offline`. `value` reduces a delivered datum to a number that
+/// does not depend on receive metadata.
+fn three_drivers_agree<S: retina_core::Subscribable + 'static>(
+    src: &str,
+    packets: &[(retina_support::bytes::Bytes, u64)],
+    value: fn(&S) -> u64,
+) {
+    use retina_core::{CompiledFilter, RuntimeBuilder, StepConfig};
+
+    let config = RuntimeConfig {
+        hw_filtering: false,
+        ..RuntimeConfig::default()
+    };
+    // (deliveries, order-insensitive content checksum) seen by a callback.
+    let seen = || Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let note = |s: &(AtomicU64, AtomicU64), v: u64| {
+        s.0.fetch_add(1, Ordering::Relaxed);
+        s.1.fetch_add(v, Ordering::Relaxed);
+    };
+    let read =
+        |s: &(AtomicU64, AtomicU64)| (s.0.load(Ordering::Relaxed), s.1.load(Ordering::Relaxed));
+    let build = |sink: &Arc<(AtomicU64, AtomicU64)>| {
+        let sink = Arc::clone(sink);
+        RuntimeBuilder::new(config.clone())
+            .subscribe::<S>(src, move |d| note(&sink, value(&d)))
+            .build()
+            .unwrap()
+    };
+
+    let threaded_seen = seen();
+    let threaded = build(&threaded_seen).run(PreloadedSource::new(packets.to_vec()));
+    threaded.check_accounting().expect("threaded accounting");
+    assert!(threaded.zero_loss());
+
+    let stepped_seen = seen();
+    let stepped = build(&stepped_seen).run_stepped(packets, &StepConfig::seeded(3));
+    stepped.check_accounting().expect("stepped accounting");
+    assert!(stepped.delivered() > 0, "{src:?} delivered nothing");
+    assert_eq!(
+        threaded.deterministic_digest(),
+        stepped.deterministic_digest(),
+        "{src:?}: threaded != stepped"
+    );
+    assert_eq!(read(&threaded_seen), read(&stepped_seen), "{src:?}");
+
+    let offline_seen = seen();
+    let filter = Arc::new(CompiledFilter::build(src, &config.filter_registry).unwrap());
+    let offline = run_offline::<S, _>(&filter, &config, packets.iter().cloned(), |d| {
+        note(&offline_seen, value(&d));
+    });
+    offline.check_conn_accounting().expect("offline accounting");
+    let counters = |c: &retina_core::CoreStats| {
+        [
+            c.rx_packets,
+            c.parse_failures,
+            c.packet_filter.runs,
+            c.conns_created,
+            c.conns_discarded,
+            c.conns_terminated,
+            c.conns_expired + c.conns_drained,
+            c.callbacks.runs,
+        ]
+    };
+    assert_eq!(
+        counters(&offline),
+        counters(&stepped.cores),
+        "{src:?}: offline != stepped"
+    );
+    assert_eq!(read(&offline_seen), read(&stepped_seen), "{src:?}");
+}
+
+#[test]
+fn threaded_stepped_and_offline_drivers_agree() {
+    use retina_core::subscribables::ZcFrame;
+
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    let packets = generate(&CampusConfig::small(0x3D21));
+    // Packet-level: served straight off the packet filter (the bypass).
+    three_drivers_agree::<ZcFrame>("ipv4 and udp", &packets, |f| {
+        f.data().iter().map(|&b| u64::from(b)).sum()
+    });
+    three_drivers_agree::<ConnRecord>("ipv4 and tcp", &packets, |c| fnv(&format!("{c:?}")));
+    three_drivers_agree::<TlsHandshakeData>("tls", &packets, |hs| fnv(&format!("{hs:?}")));
+}
+
+#[test]
+fn offline_profiles_every_stage_it_runs() {
+    // `profile_stages` must time the packet filter and the callbacks in
+    // offline mode exactly as it does behind a NIC.
+    let packets = generate(&CampusConfig::small(0x3D21));
+    let config = RuntimeConfig {
+        profile_stages: true,
+        ..RuntimeConfig::default()
+    };
+    let filter = Arc::new(compile("tls").unwrap());
+    let stats = run_offline::<TlsHandshakeData, _>(&filter, &config, packets, |_| {});
+    assert!(stats.callbacks.runs > 0);
+    for (name, stage) in [
+        ("packet_filter", &stats.packet_filter),
+        ("callbacks", &stats.callbacks),
+    ] {
+        assert!(stage.cycles > 0, "{name}: {} runs, 0 cycles", stage.runs);
+    }
+}
+
 #[test]
 fn merged_runtime_equals_independent_runtimes() {
     // The tentpole invariant of the multi-subscription runtime: one
