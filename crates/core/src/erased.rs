@@ -8,16 +8,16 @@
 //! behind object-safe traits:
 //!
 //! * [`ErasedSubscription`] — the subscription *spec*: level, parsers,
-//!   lazy-reconstruction needs, plus factories for per-connection state
-//!   and per-run delivery sinks.
+//!   lazy-reconstruction needs, a factory for per-connection state, and
+//!   the way back to the typed user callback ([`ErasedSubscription::invoke`]
+//!   downcasts a boxed output; the delivery fabric in [`crate::executor`]
+//!   calls it inline or on a dispatch worker).
 //! * [`ErasedTracked`] — per-connection state, with outputs boxed as
-//!   [`ErasedOutput`].
-//! * [`ErasedSink`] — delivery: downcasts a boxed output back to the
-//!   concrete type and hands it to the user callback (inline or queued).
+//!   [`ErasedOutput`] and handed to the tracker through an [`Emitter`].
 //!
 //! The connection tracker tags every output with its subscription index,
-//! so data always reaches the sink that knows its type; the downcast is
-//! an internal invariant, not a user-visible fallibility.
+//! so data always reaches the subscription that knows its type; the
+//! downcast is an internal invariant, not a user-visible fallibility.
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -30,7 +30,7 @@ use retina_wire::ParsedPacket;
 
 use crate::subscription::{Level, Subscribable, Tracked};
 
-/// A boxed subscription datum in flight between tracker and sink.
+/// A boxed subscription datum in flight between tracker and callback.
 pub type ErasedOutput = Box<dyn Any + Send>;
 
 /// Object-safe view of a subscription: everything the shared pipeline
@@ -51,16 +51,54 @@ pub trait ErasedSubscription: Send + Sync {
     /// Whether a user callback is attached (false = spec-only).
     fn has_callback(&self) -> bool;
     /// Downcasts one boxed output and invokes the user callback on it
-    /// (a no-op for spec-only subscriptions). This is what dispatch
-    /// workers call on their side of the ring.
+    /// (a no-op for spec-only subscriptions): the one way from the
+    /// delivery fabric back to the typed callback, on whichever thread
+    /// the subscription's dispatch mode puts it.
     fn invoke(&self, out: ErasedOutput);
-    /// Packet-level fast path: builds the boxed datum straight from the
-    /// frame, bypassing the tracker (`None` when the frame does not
+    /// Packet-level fast path, inline: builds the datum straight from
+    /// the frame and invokes the user callback on it, boxing nothing.
+    /// Returns whether a datum was produced — always `false` for a
+    /// spec-only subscription, which builds none.
+    fn invoke_from_mbuf(&self, mbuf: &Mbuf) -> bool;
+    /// Packet-level fast path, dispatched: the same datum boxed, so it
+    /// can cross a ring to a worker (`None` when the frame does not
     /// yield one).
     fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput>;
-    /// An inline delivery sink: the typed user callback, or a null sink
-    /// for spec-only subscriptions.
-    fn inline_sink(&self) -> Box<dyn ErasedSink>;
+}
+
+/// Where [`ErasedTracked`] methods put the data they produce: the
+/// tracker's reused output buffer. Every datum is tagged with its
+/// subscription index and the connection's flow trace id, and counted
+/// as delivered, in this one place.
+pub struct Emitter<'a> {
+    outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
+    delivered: &'a mut u64,
+    sub: u32,
+    trace_id: u64,
+}
+
+impl<'a> Emitter<'a> {
+    /// An emitter for subscription `sub` on the connection whose flow
+    /// trace id is `trace_id` (0 = unsampled), counting into `delivered`.
+    pub(crate) fn new(
+        outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
+        delivered: &'a mut u64,
+        sub: u32,
+        trace_id: u64,
+    ) -> Self {
+        Emitter {
+            outputs,
+            delivered,
+            sub,
+            trace_id,
+        }
+    }
+
+    /// Queues one datum for delivery.
+    pub fn emit(&mut self, out: ErasedOutput) {
+        self.outputs.push((self.sub, self.trace_id, out));
+        *self.delivered += 1;
+    }
 }
 
 /// Object-safe per-connection tracked state (`Tracked` with outputs
@@ -76,44 +114,26 @@ pub trait ErasedTracked: Send {
         service: Option<&str>,
         session: Option<&Session>,
         flow: &TcpFlow,
-        out: &mut Vec<ErasedOutput>,
+        out: &mut Emitter<'_>,
     );
     /// Packet seen after a full match.
-    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Vec<ErasedOutput>);
+    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>);
     /// The connection ended after a full match.
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Vec<ErasedOutput>);
-}
-
-/// Object-safe delivery handle: routes boxed outputs to the typed user
-/// callback.
-pub trait ErasedSink: Send {
-    /// Delivers one boxed datum (must be the sink's concrete type).
-    /// `trace_id` is the originating flow's trace id (0 when the flow
-    /// is unsampled); queued sinks carry it across the dispatch ring so
-    /// worker-side tracepoints stay attributable to the flow.
-    fn deliver(&self, out: ErasedOutput, trace_id: u64);
-    /// Packet-level fast path: builds the datum straight from the frame
-    /// and delivers it, bypassing the tracker. Returns whether a datum
-    /// was produced.
-    fn deliver_from_mbuf(&self, mbuf: &Mbuf, trace_id: u64) -> bool;
+    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Emitter<'_>);
 }
 
 /// Wraps a concrete `Tracked` implementation behind [`ErasedTracked`],
 /// boxing outputs as they are produced.
-struct TypedTracked<T: Tracked> {
-    inner: T,
-    scratch: Vec<T::Out>,
-}
+struct TypedTracked<T: Tracked>(T);
 
-impl<T> TypedTracked<T>
-where
-    T: Tracked,
-    T::Out: Send + 'static,
-{
-    fn flush(&mut self, out: &mut Vec<ErasedOutput>) {
-        for item in self.scratch.drain(..) {
-            out.push(Box::new(item));
-        }
+/// Runs one `Tracked` hook against a call-local typed vector (the public
+/// `Tracked::on_*` signatures take one) and boxes what it produced into
+/// the tracker's buffer. The vector allocates only if the hook emits.
+fn emit_typed<O: Send + 'static>(out: &mut Emitter<'_>, hook: impl FnOnce(&mut Vec<O>)) {
+    let mut items = Vec::new();
+    hook(&mut items);
+    for item in items {
+        out.emit(Box::new(item));
     }
 }
 
@@ -123,11 +143,11 @@ where
     T::Out: Send + 'static,
 {
     fn pre_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket) {
-        self.inner.pre_match(mbuf, pkt);
+        self.0.pre_match(mbuf, pkt);
     }
 
     fn on_stream(&mut self, dir: Dir, data: &[u8]) {
-        self.inner.on_stream(dir, data);
+        self.0.on_stream(dir, data);
     }
 
     fn on_match(
@@ -135,21 +155,17 @@ where
         service: Option<&str>,
         session: Option<&Session>,
         flow: &TcpFlow,
-        out: &mut Vec<ErasedOutput>,
+        out: &mut Emitter<'_>,
     ) {
-        self.inner
-            .on_match(service, session, flow, &mut self.scratch);
-        self.flush(out);
+        emit_typed(out, |items| self.0.on_match(service, session, flow, items));
     }
 
-    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Vec<ErasedOutput>) {
-        self.inner.post_match(mbuf, pkt, &mut self.scratch);
-        self.flush(out);
+    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
+        emit_typed(out, |items| self.0.post_match(mbuf, pkt, items));
     }
 
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Vec<ErasedOutput>) {
-        self.inner.on_terminate(flow, &mut self.scratch);
-        self.flush(out);
+    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Emitter<'_>) {
+        emit_typed(out, |items| self.0.on_terminate(flow, items));
     }
 }
 
@@ -175,7 +191,7 @@ impl<S: Subscribable> TypedSubscription<S> {
         }
     }
 
-    /// A spec-only subscription: tracked state and outputs, no sink.
+    /// A spec-only subscription: tracked state and outputs, no callback.
     pub fn spec_only(name: impl Into<String>) -> Self {
         TypedSubscription {
             name: name.into(),
@@ -207,10 +223,7 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
     }
 
     fn new_tracked(&self, tuple: &FiveTuple, first_ts_ns: u64) -> Box<dyn ErasedTracked> {
-        Box::new(TypedTracked::<S::Tracked> {
-            inner: S::Tracked::new(tuple, first_ts_ns),
-            scratch: Vec::new(),
-        })
+        Box::new(TypedTracked(S::Tracked::new(tuple, first_ts_ns)))
     }
 
     fn has_callback(&self) -> bool {
@@ -220,59 +233,27 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
     fn invoke(&self, out: ErasedOutput) {
         let data = out
             .downcast::<S>()
-            .expect("subscription output routed to a worker of another type");
+            .expect("subscription output routed to a subscription of another type");
         if let Some(callback) = &self.callback {
             callback(*data);
         }
     }
 
-    fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput> {
-        S::from_mbuf(mbuf).map(|data| Box::new(data) as ErasedOutput)
-    }
-
-    fn inline_sink(&self) -> Box<dyn ErasedSink> {
-        match &self.callback {
-            Some(callback) => Box::new(TypedSink::<S> {
-                callback: Arc::clone(callback),
-            }),
-            None => Box::new(NullSink),
-        }
-    }
-}
-
-/// Delivery sink for one concrete subscribable type: downcasts and
-/// calls the user callback on the delivering thread.
-struct TypedSink<S: Subscribable> {
-    callback: Arc<dyn Fn(S) + Send + Sync>,
-}
-
-impl<S: Subscribable> ErasedSink for TypedSink<S> {
-    fn deliver(&self, out: ErasedOutput, _trace_id: u64) {
-        let data = out
-            .downcast::<S>()
-            .expect("subscription output routed to a sink of another type");
-        (self.callback)(*data);
-    }
-
-    fn deliver_from_mbuf(&self, mbuf: &Mbuf, _trace_id: u64) -> bool {
+    fn invoke_from_mbuf(&self, mbuf: &Mbuf) -> bool {
+        let Some(callback) = &self.callback else {
+            return false;
+        };
         match S::from_mbuf(mbuf) {
             Some(data) => {
-                (self.callback)(data);
+                callback(data);
                 true
             }
             None => false,
         }
     }
-}
 
-/// Sink for spec-only subscriptions: drops everything.
-struct NullSink;
-
-impl ErasedSink for NullSink {
-    fn deliver(&self, _out: ErasedOutput, _trace_id: u64) {}
-
-    fn deliver_from_mbuf(&self, _mbuf: &Mbuf, _trace_id: u64) -> bool {
-        false
+    fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput> {
+        S::from_mbuf(mbuf).map(|data| Box::new(data) as ErasedOutput)
     }
 }
 
@@ -297,22 +278,24 @@ mod tests {
         assert_eq!(sub.level(), Level::Connection);
         assert!(!sub.needs_stream());
         assert!(!sub.has_callback());
-        let sink = sub.inline_sink();
-        // Spec-only sinks (and invoke) swallow outputs without panicking.
         let t = tuple();
         let mut tracked = sub.new_tracked(&t, 0);
         let flow = TcpFlow::new(0, 16);
-        let mut out = Vec::new();
+        let (mut outputs, mut delivered) = (Vec::new(), 0);
+        let mut out = Emitter::new(&mut outputs, &mut delivered, 3, 9);
         tracked.on_match(None, None, &flow, &mut out);
         tracked.on_terminate(&flow, &mut out);
-        sub.invoke(out.pop().unwrap());
-        for o in out {
-            sink.deliver(o, 0);
+        // Tagged and counted by the emitter.
+        assert_eq!(delivered, outputs.len() as u64);
+        assert!(outputs.iter().all(|(sub, tid, _)| (*sub, *tid) == (3, 9)));
+        // A spec-only `invoke` swallows outputs without panicking.
+        for (_, _, o) in outputs {
+            sub.invoke(o);
         }
     }
 
     #[test]
-    fn typed_sink_downcasts_and_delivers() {
+    fn invoke_downcasts_and_delivers() {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         let sub = TypedSubscription::<ConnRecord>::new("conns", move |_r: ConnRecord| {
@@ -321,14 +304,11 @@ mod tests {
         assert!(sub.has_callback());
         let t = tuple();
         let flow = TcpFlow::new(0, 16);
-        let mut out = Vec::new();
-        // One tracked connection per delivery path: inline sink and the
-        // worker path (`invoke`) must reach the same callback.
+        let (mut outputs, mut delivered) = (Vec::new(), 0);
+        let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
         sub.new_tracked(&t, 0).on_terminate(&flow, &mut out);
-        sub.new_tracked(&t, 0).on_terminate(&flow, &mut out);
-        assert_eq!(out.len(), 2);
-        sub.inline_sink().deliver(out.pop().unwrap(), 0);
-        sub.invoke(out.pop().unwrap());
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(outputs.len(), 1);
+        sub.invoke(outputs.pop().unwrap().2);
+        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 }

@@ -31,15 +31,16 @@
 //! either way).
 
 use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use retina_support::sync::spsc;
-use retina_telemetry::{
-    trace::TraceDropCode, DispatchHub, DispatchStats, TraceKind, Tracer, TriggerReason,
-};
+use retina_nic::Mbuf;
+use retina_support::sync::spsc::{self, TryRecvError, TrySendError};
+use retina_telemetry::{trace::TraceDropCode, DispatchStats, TraceKind, Tracer, TriggerReason};
 
-use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
+use crate::erased::{ErasedOutput, ErasedSubscription};
+use crate::pipeline::Transport;
 
 /// What happens when a subscription's dispatch ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,100 +156,90 @@ pub(crate) fn ring_capacity(sub: &dyn ErasedSubscription, mode: DispatchMode, co
 
 /// Per-item callback delay injector `(subscription, item seq) ->
 /// optional sleep`, the chaos hook for stalling one worker mid-run.
-pub type CallbackDelayFn = Arc<dyn Fn(u16, u64) -> Option<Duration> + Send + Sync>;
-
-/// A delay function that never delays (the non-chaos default).
-#[must_use]
-pub fn no_delay() -> CallbackDelayFn {
-    Arc::new(|_, _| None)
-}
+pub(crate) type CallbackDelayFn = Arc<dyn Fn(u16, u64) -> Option<Duration> + Send + Sync>;
 
 /// Items a worker pops from one ring before moving to the next, so a
 /// deep backlog on one ring cannot monopolize a shared worker.
 const WORKER_BURST: usize = 256;
 
-/// An inline delivery sink that also keeps the dispatch accounting: the
-/// wrapped sink is the typed user callback (or the null sink for
-/// spec-only subscriptions), and every handoff is counted so the
-/// `delivered == executed + dropped` identity holds uniformly across
-/// execution models.
-///
-/// Generic over how the counters are held: the threaded fabric shares
-/// them with the run's [`DispatchHub`] (`Arc<DispatchStats>`), the
-/// stepped harness owns them in place.
-pub(crate) struct InlineSink<D> {
-    pub(crate) inner: Box<dyn ErasedSink>,
+/// One datum crossing a dispatch ring, tagged with its flow trace id so
+/// worker-side tracepoints reconstruct the cross-thread causal chain.
+pub(crate) type Item = (u64, ErasedOutput);
+
+/// The run's tracer and the lane the calling thread writes on (`None` =
+/// tracing off): the writer's, so every protocol step takes it as an
+/// argument.
+pub(crate) type TraceLane<'a> = Option<(&'a Tracer, usize)>;
+
+/// Borrows an owned `(tracer, lane)` pair as a [`TraceLane`].
+pub(crate) fn trace_lane(owned: &Option<(Arc<Tracer>, usize)>) -> TraceLane<'_> {
+    owned.as_ref().map(|(t, lane)| (&**t, *lane))
+}
+
+/// The producer end of a dispatch ring, as the lane protocol sees it:
+/// the real SPSC producer of a threaded run, or the stepped harness's
+/// bounded queue in virtual time.
+pub(crate) trait RingTx {
+    /// Enqueues without blocking; failure hands the item back.
+    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>>;
+}
+
+/// The consumer end of a dispatch ring.
+pub(crate) trait RingRx {
+    /// Dequeues without blocking; `Disconnected` only once the producer
+    /// is gone *and* the ring is drained.
+    fn try_pop(&mut self) -> Result<Item, TryRecvError>;
+}
+
+impl RingTx for spsc::Producer<Item> {
+    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+        self.try_send(item)
+    }
+}
+
+impl RingRx for spsc::Consumer<Item> {
+    fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+        self.try_recv()
+    }
+}
+
+/// One subscription's lane through a dispatch fabric: whose callback
+/// runs and where every hand-off is counted. Its methods are the *lane
+/// protocol* — accounting, drop codes, shed trigger and tracepoint order
+/// of inline execution, a producer's send and a worker's drain — written
+/// here and nowhere else, so the threaded runtime and the stepped
+/// harness execute the same one. Generic over how the counters are
+/// held: shared with the runtime's hub (`Arc<DispatchStats>`, threaded)
+/// or owned in place (stepped).
+pub(crate) struct Lane<D> {
+    pub(crate) sub: Arc<dyn ErasedSubscription>,
     pub(crate) stats: D,
-    pub(crate) tracer: Option<Arc<Tracer>>,
-    pub(crate) lane: usize,
     pub(crate) sub_idx: u16,
 }
 
-impl<D> InlineSink<D> {
-    fn emit(&self, trace_id: u64, kind: TraceKind) {
+impl<D: Borrow<DispatchStats>> Lane<D> {
+    /// A tracepoint of a sampled flow on the caller's lane.
+    fn emit(&self, trace: TraceLane<'_>, trace_id: u64, kind: TraceKind, b: u64) {
         if trace_id != 0 {
-            if let Some(t) = &self.tracer {
-                t.emit(self.lane, trace_id, kind, self.sub_idx, 0, 0);
-            }
-        }
-    }
-}
-
-impl<D: Borrow<DispatchStats> + Send> ErasedSink for InlineSink<D> {
-    fn deliver(&self, out: ErasedOutput, trace_id: u64) {
-        self.emit(trace_id, TraceKind::CallbackStart);
-        self.inner.deliver(out, trace_id);
-        self.stats.borrow().note_inline();
-        self.emit(trace_id, TraceKind::CallbackEnd);
-    }
-
-    fn deliver_from_mbuf(&self, mbuf: &retina_nic::Mbuf, trace_id: u64) -> bool {
-        let produced = self.inner.deliver_from_mbuf(mbuf, trace_id);
-        if produced {
-            self.stats.borrow().note_inline();
-            // Start/end are emitted together after the fact: whether the
-            // frame yields a datum is only known once the fast path ran.
-            self.emit(trace_id, TraceKind::CallbackStart);
-            self.emit(trace_id, TraceKind::CallbackEnd);
-        }
-        produced
-    }
-}
-
-/// The producer half of one (core, subscription) ring. Every item
-/// crosses the ring tagged with its flow trace id, so worker-side
-/// tracepoints reconstruct the cross-thread causal chain.
-struct QueuedSink {
-    tx: spsc::Producer<(u64, ErasedOutput)>,
-    stats: Arc<DispatchStats>,
-    policy: QueuePolicy,
-    sub: Arc<dyn ErasedSubscription>,
-    tracer: Option<Arc<Tracer>>,
-    lane: usize,
-    sub_idx: u16,
-}
-
-impl QueuedSink {
-    fn note_enqueued(&self, trace_id: u64) {
-        self.stats.note_enqueued();
-        if trace_id != 0 {
-            if let Some(t) = &self.tracer {
-                t.emit(
-                    self.lane,
-                    trace_id,
-                    TraceKind::DispatchEnqueue,
-                    self.sub_idx,
-                    0,
-                    self.stats.depth(),
-                );
+            if let Some((t, lane)) = trace {
+                t.emit(lane, trace_id, kind, self.sub_idx, 0, b);
             }
         }
     }
 
-    fn note_drop(&self, trace_id: u64, code: TraceDropCode) {
-        if let Some(t) = &self.tracer {
+    /// A result that will never run: counted by reason, recorded for
+    /// every flow (the flight recorder wants drops of unsampled flows
+    /// too), and a shed fires the anomaly trigger.
+    fn drop_result(&self, trace: TraceLane<'_>, trace_id: u64, code: TraceDropCode) {
+        let stats = self.stats.borrow();
+        if code == TraceDropCode::DispatchShed {
+            stats.note_dropped_full();
+        } else {
+            stats.note_dropped_disconnected();
+        }
+        if let Some((t, lane)) = trace {
             t.emit(
-                self.lane,
+                lane,
                 trace_id,
                 TraceKind::Drop,
                 self.sub_idx,
@@ -261,80 +252,249 @@ impl QueuedSink {
         }
     }
 
-    fn push(&self, out: ErasedOutput, trace_id: u64) {
-        match self.policy {
-            QueuePolicy::Block => match self.tx.try_send((trace_id, out)) {
-                Ok(()) => self.note_enqueued(trace_id),
-                Err(spsc::TrySendError::Disconnected(_)) => {
-                    self.stats.note_dropped_disconnected();
-                    self.note_drop(trace_id, TraceDropCode::WorkerDisconnected);
-                }
-                Err(spsc::TrySendError::Full(out)) => {
-                    self.stats.note_blocked();
-                    match self.tx.send(out) {
-                        Ok(()) => self.note_enqueued(trace_id),
-                        Err(spsc::SendError(_)) => {
-                            self.stats.note_dropped_disconnected();
-                            self.note_drop(trace_id, TraceDropCode::WorkerDisconnected);
-                        }
-                    }
-                }
-            },
-            QueuePolicy::Shed => match self.tx.try_send((trace_id, out)) {
-                Ok(()) => self.note_enqueued(trace_id),
-                Err(spsc::TrySendError::Full(_)) => {
-                    self.stats.note_dropped_full();
-                    self.note_drop(trace_id, TraceDropCode::DispatchShed);
-                }
-                Err(spsc::TrySendError::Disconnected(_)) => {
-                    self.stats.note_dropped_disconnected();
-                    self.note_drop(trace_id, TraceDropCode::WorkerDisconnected);
-                }
-            },
+    /// Inline execution: the callback runs on the delivering core, and
+    /// the hand-off is counted so `delivered == executed + dropped`
+    /// holds uniformly across execution models.
+    pub(crate) fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, out: ErasedOutput) {
+        self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
+        self.sub.invoke(out);
+        self.stats.borrow().note_inline();
+        self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
+    }
+
+    /// Inline execution of the packet-level fast path: the datum is
+    /// built from the frame and run unboxed. Returns whether the frame
+    /// yielded one.
+    pub(crate) fn run_inline_from_mbuf(
+        &self,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> bool {
+        let produced = self.sub.invoke_from_mbuf(mbuf);
+        if produced {
+            self.stats.borrow().note_inline();
+            // Start/end are emitted together after the fact: whether the
+            // frame yields a datum is only known once the fast path ran.
+            self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
+            self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
         }
-    }
-}
-
-impl ErasedSink for QueuedSink {
-    fn deliver(&self, out: ErasedOutput, trace_id: u64) {
-        self.push(out, trace_id);
+        produced
     }
 
-    fn deliver_from_mbuf(&self, mbuf: &retina_nic::Mbuf, trace_id: u64) -> bool {
-        match self.sub.output_from_mbuf(mbuf) {
-            Some(out) => {
-                self.push(out, trace_id);
-                true
+    /// The producer side of one send: try-push, then enqueued, dropped
+    /// with accounting (worker gone, or ring full under `Shed`), or —
+    /// ring full under `Block` — blocked, which hands the item back: the
+    /// caller waits the way its ring allows (a real ring spins, a
+    /// virtual one parks the send) and settles with [`Lane::unblocked`].
+    /// A blocked send's enqueue tracepoint is recorded here, when it
+    /// blocks, so enqueue events land in send order however it waits.
+    pub(crate) fn offer<R: RingTx>(
+        &self,
+        trace: TraceLane<'_>,
+        ring: &mut R,
+        policy: QueuePolicy,
+        trace_id: u64,
+        out: ErasedOutput,
+    ) -> Option<Item> {
+        let stats = self.stats.borrow();
+        match ring.try_push((trace_id, out)) {
+            Ok(()) => {
+                stats.note_enqueued();
+                self.emit(trace, trace_id, TraceKind::DispatchEnqueue, stats.depth());
+                None
             }
-            None => false,
+            Err(TrySendError::Disconnected(_)) => {
+                self.drop_result(trace, trace_id, TraceDropCode::WorkerDisconnected);
+                None
+            }
+            Err(TrySendError::Full(item)) => match policy {
+                QueuePolicy::Shed => {
+                    self.drop_result(trace, trace_id, TraceDropCode::DispatchShed);
+                    None
+                }
+                QueuePolicy::Block => {
+                    stats.note_blocked();
+                    self.emit(trace, trace_id, TraceKind::DispatchEnqueue, stats.depth());
+                    Some(item)
+                }
+            },
+        }
+    }
+
+    /// Settles a send [`Lane::offer`] handed back: the ring took it
+    /// (`pushed`), or its worker is gone and the result is lost.
+    pub(crate) fn unblocked(&self, trace: TraceLane<'_>, trace_id: u64, pushed: bool) {
+        if pushed {
+            self.stats.borrow().note_enqueued();
+        } else {
+            self.drop_result(trace, trace_id, TraceDropCode::WorkerDisconnected);
+        }
+    }
+
+    /// The worker side: pops up to `budget` items off `ring` and runs
+    /// each (`before_callback` is where the chaos layer stalls a
+    /// worker). Returns how many ran and whether the ring is
+    /// disconnected (producer gone, ring drained).
+    pub(crate) fn drain<R: RingRx>(
+        &self,
+        trace: TraceLane<'_>,
+        ring: &mut R,
+        budget: usize,
+        mut before_callback: impl FnMut(),
+    ) -> (usize, bool) {
+        let stats = self.stats.borrow();
+        for ran in 0..budget {
+            match ring.try_pop() {
+                Ok((trace_id, out)) => {
+                    self.emit(trace, trace_id, TraceKind::DispatchDequeue, stats.depth());
+                    before_callback();
+                    self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
+                    self.sub.invoke(out);
+                    self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
+                    stats.note_executed();
+                }
+                Err(TryRecvError::Empty) => return (ran, false),
+                Err(TryRecvError::Disconnected) => return (ran, true),
+            }
+        }
+        (budget, false)
+    }
+}
+
+/// One subscription's delivery sink on one RX core, over either ring.
+pub(crate) enum Sink<R, D> {
+    /// Runs the callback on the delivering core. Spec-only
+    /// subscriptions stay here in every mode: they have nothing to run
+    /// on a worker.
+    Inline(Lane<D>),
+    /// Crosses a ring to a worker. Boxed: most of a table is inline
+    /// lanes, which should not each carry a ring's worth of space.
+    Queued(Box<QueuedLane<R, D>>),
+}
+
+/// A lane whose results cross `ring` to a worker.
+pub(crate) struct QueuedLane<R, D> {
+    pub(crate) lane: Lane<D>,
+    pub(crate) ring: R,
+    pub(crate) policy: QueuePolicy,
+}
+
+impl<R: RingTx, D: Borrow<DispatchStats>> Sink<R, D> {
+    /// A sink for `lane` under `mode`: queued over `ring(depth)` when
+    /// the subscription has ring capacity (see [`ring_capacity`]),
+    /// inline otherwise.
+    pub(crate) fn new(lane: Lane<D>, mode: DispatchMode, ring: impl FnOnce(usize) -> R) -> Self {
+        if ring_capacity(&*lane.sub, mode, 1) > 0 {
+            Sink::Queued(Box::new(QueuedLane {
+                ring: ring(mode.depth()),
+                policy: mode.policy(),
+                lane,
+            }))
+        } else {
+            Sink::Inline(lane)
+        }
+    }
+
+    /// The sink's lane (subscription, counters).
+    pub(crate) fn lane(&self) -> &Lane<D> {
+        match self {
+            Sink::Inline(lane) => lane,
+            Sink::Queued(q) => &q.lane,
+        }
+    }
+
+    /// Hands one boxed datum to the lane. Returns it when the send
+    /// blocked (see [`Lane::offer`]).
+    #[inline]
+    pub(crate) fn deliver(
+        &mut self,
+        trace: TraceLane<'_>,
+        trace_id: u64,
+        out: ErasedOutput,
+    ) -> Option<Item> {
+        match self {
+            Sink::Inline(lane) => {
+                lane.run_inline(trace, trace_id, out);
+                None
+            }
+            Sink::Queued(q) => q.lane.offer(trace, &mut q.ring, q.policy, trace_id, out),
+        }
+    }
+
+    /// Packet-level fast path: whether the frame yielded a datum, and
+    /// the datum back if its send blocked. Only a queued lane boxes.
+    #[inline]
+    pub(crate) fn deliver_from_mbuf(
+        &mut self,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> (bool, Option<Item>) {
+        match self {
+            Sink::Inline(lane) => (lane.run_inline_from_mbuf(trace, mbuf, trace_id), None),
+            Sink::Queued(q) => match q.lane.sub.output_from_mbuf(mbuf) {
+                Some(out) => (true, self.deliver(trace, trace_id, out)),
+                None => (false, None),
+            },
         }
     }
 }
 
-/// The consumer half of one (core, subscription) ring, tagged with the
-/// subscription it belongs to.
+/// The threaded [`Transport`]: one RX core's sinks, indexed by
+/// subscription, over real SPSC rings.
+pub(crate) struct CoreSinks {
+    sinks: Vec<Sink<spsc::Producer<Item>, Arc<DispatchStats>>>,
+    /// The run's tracer and this core's RX lane.
+    trace: Option<(Arc<Tracer>, usize)>,
+}
+
+impl CoreSinks {
+    /// A blocked send on a real ring: spins until the worker frees a
+    /// slot (or is gone), as [`QueuePolicy::Block`] promises.
+    fn wait(&self, sub: usize, blocked: Option<Item>) {
+        let Some(item) = blocked else { return };
+        let Sink::Queued(q) = &self.sinks[sub] else {
+            unreachable!("only queued lanes hand a send back");
+        };
+        let trace_id = item.0;
+        let pushed = q.ring.send(item).is_ok();
+        q.lane.unblocked(trace_lane(&self.trace), trace_id, pushed);
+    }
+}
+
+impl Transport for CoreSinks {
+    #[inline]
+    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
+        let blocked = self.sinks[sub].deliver(trace_lane(&self.trace), trace_id, out);
+        self.wait(sub, blocked);
+    }
+
+    #[inline]
+    fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
+        let (produced, blocked) =
+            self.sinks[sub].deliver_from_mbuf(trace_lane(&self.trace), mbuf, trace_id);
+        self.wait(sub, blocked);
+        produced
+    }
+}
+
+/// The consumer half of one (core, subscription) ring.
 struct WorkerRing {
-    sub: usize,
-    rx: spsc::Consumer<(u64, ErasedOutput)>,
+    lane: Lane<Arc<DispatchStats>>,
+    rx: spsc::Consumer<Item>,
 }
 
 /// Handle over the dispatch worker threads; joins once every producer
 /// sink has been dropped and every ring drained.
-pub struct Dispatcher {
+pub(crate) struct Dispatcher {
     handles: Vec<std::thread::JoinHandle<u64>>,
 }
 
 impl Dispatcher {
-    /// Number of worker threads (0 when every subscription is inline).
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Waits for every worker to drain its rings and exit; returns the
     /// total number of callbacks executed on workers.
-    #[must_use]
-    pub fn join(self) -> u64 {
+    pub(crate) fn join(self) -> u64 {
         self.handles
             .into_iter()
             .map(|h| h.join().expect("dispatch worker panicked"))
@@ -342,94 +502,84 @@ impl Dispatcher {
     }
 }
 
-/// Builds the full dispatch fabric for one run: per-core sink vectors
-/// (outer index = RX core, inner index = subscription) plus the
-/// [`Dispatcher`] owning the worker threads.
+/// Builds the full dispatch fabric for one configuration epoch: one
+/// [`CoreSinks`] per RX core plus the [`Dispatcher`] owning the worker
+/// threads. `stats[i]` are subscription `i`'s counters.
 ///
-/// Inline subscriptions get a counting wrapper around their typed sink;
-/// dispatched subscriptions get one SPSC ring per RX core, with
-/// dedicated subscriptions draining on their own thread and shared
-/// subscriptions' rings spread round-robin over `shared_workers`
-/// threads. Dropping the returned sinks disconnects the rings, which is
-/// how workers learn the run is over.
+/// Inline subscriptions run on the RX core; dispatched subscriptions
+/// get one SPSC ring per RX core, with dedicated subscriptions draining
+/// on their own thread and shared subscriptions' rings spread
+/// round-robin over `shared_workers` threads. Dropping the returned
+/// sinks disconnects the rings, which is how workers learn the epoch is
+/// over.
 ///
 /// # Panics
-/// Panics if `modes.len() != subs.len()` or a worker thread cannot be
-/// spawned.
-#[must_use]
-pub fn channel_dispatcher(
+/// Panics if `modes` or `stats` do not line up with `subs`, or a worker
+/// thread cannot be spawned.
+pub(crate) fn channel_dispatcher(
     subs: &[Arc<dyn ErasedSubscription>],
     modes: &[DispatchMode],
+    stats: &[Arc<DispatchStats>],
     cores: usize,
     shared_workers: usize,
-    hub: &DispatchHub,
     delay: &CallbackDelayFn,
     tracer: Option<&Arc<Tracer>>,
-) -> (Vec<Vec<Box<dyn ErasedSink>>>, Dispatcher) {
+) -> (Vec<CoreSinks>, Dispatcher) {
     assert_eq!(
         subs.len(),
         modes.len(),
         "one dispatch mode per subscription"
     );
-    let mut per_core: Vec<Vec<Box<dyn ErasedSink>>> = (0..cores.max(1))
-        .map(|_| Vec::with_capacity(subs.len()))
+    assert_eq!(subs.len(), stats.len(), "one stats block per subscription");
+    let mut per_core: Vec<CoreSinks> = (0..cores.max(1))
+        .map(|core| CoreSinks {
+            sinks: Vec::with_capacity(subs.len()),
+            trace: tracer.map(|t| (Arc::clone(t), t.rx_lane(core))),
+        })
         .collect();
     let mut dedicated: Vec<(usize, Vec<WorkerRing>)> = Vec::new();
     let mut shared: Vec<WorkerRing> = Vec::new();
 
     for (i, sub) in subs.iter().enumerate() {
-        let stats = hub.get(i);
-        let mode = modes[i];
-        let sub_idx = u16::try_from(i).unwrap_or(u16::MAX);
-        // Spec-only subscriptions have nothing to run on a worker;
-        // keep them inline so delivery accounting is identical across
-        // modes (their packet fast path must stay a no-op).
-        if !mode.is_dispatched() || !sub.has_callback() {
-            for (core, sinks) in per_core.iter_mut().enumerate() {
-                sinks.push(Box::new(InlineSink {
-                    inner: sub.inline_sink(),
-                    stats: Arc::clone(&stats),
-                    tracer: tracer.map(Arc::clone),
-                    lane: tracer.map_or(0, |t| t.rx_lane(core)),
-                    sub_idx,
-                }));
-            }
-            continue;
-        }
-        let mut rings = Vec::with_capacity(per_core.len());
-        for (core, sinks) in per_core.iter_mut().enumerate() {
-            let (tx, rx) = spsc::ring::<(u64, ErasedOutput)>(mode.depth());
-            sinks.push(Box::new(QueuedSink {
-                tx,
-                stats: Arc::clone(&stats),
-                policy: mode.policy(),
-                sub: Arc::clone(sub),
-                tracer: tracer.map(Arc::clone),
-                lane: tracer.map_or(0, |t| t.rx_lane(core)),
-                sub_idx,
+        let lane = || Lane {
+            sub: Arc::clone(sub),
+            stats: Arc::clone(&stats[i]),
+            sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
+        };
+        let mut rings = Vec::new();
+        for core in &mut per_core {
+            core.sinks.push(Sink::new(lane(), modes[i], |depth| {
+                let (tx, rx) = spsc::ring::<Item>(depth);
+                rings.push(WorkerRing { lane: lane(), rx });
+                tx
             }));
-            rings.push(WorkerRing { sub: i, rx });
         }
-        match mode {
-            DispatchMode::Dedicated { .. } => dedicated.push((i, rings)),
+        match modes[i] {
+            DispatchMode::Dedicated { .. } if !rings.is_empty() => dedicated.push((i, rings)),
             _ => shared.extend(rings),
         }
     }
 
     // Worker lanes are assigned in spawn order: dedicated workers in
-    // subscription order, then the shared pool.
-    let mut worker_idx = 0usize;
+    // subscription order, then the shared pool. A fabric staged by a
+    // mid-run swap may need more workers than the run's tracer was
+    // sized for; its extra workers wrap onto the existing worker lanes
+    // (events stay attributed by trace id and subscription).
+    let worker_trace = |worker_idx: usize| {
+        tracer.map(|t| {
+            let lanes = (t.lane_count() - t.worker_lane(0)).max(1);
+            (Arc::clone(t), t.worker_lane(worker_idx % lanes))
+        })
+    };
     let mut handles = Vec::new();
     for (i, rings) in dedicated {
+        let name = format!("retina-cb-{}", subs[i].name());
         handles.push(spawn_worker(
-            format!("retina-cb-{}", subs[i].name()),
+            name,
             rings,
-            subs,
-            hub,
             delay,
-            tracer.map(|t| (Arc::clone(t), t.worker_lane(worker_idx))),
+            worker_trace(handles.len()),
         ));
-        worker_idx += 1;
     }
     if !shared.is_empty() {
         let workers = shared_workers.max(1).min(shared.len());
@@ -438,15 +588,13 @@ pub fn channel_dispatcher(
             assignments[n % workers].push(ring);
         }
         for (w, rings) in assignments.into_iter().enumerate() {
+            let name = format!("retina-cb-pool-{w}");
             handles.push(spawn_worker(
-                format!("retina-cb-pool-{w}"),
+                name,
                 rings,
-                subs,
-                hub,
                 delay,
-                tracer.map(|t| (Arc::clone(t), t.worker_lane(worker_idx))),
+                worker_trace(handles.len()),
             ));
-            worker_idx += 1;
         }
     }
     (per_core, Dispatcher { handles })
@@ -456,15 +604,10 @@ pub fn channel_dispatcher(
 /// gone and every ring empty. Returns the executed-callback count.
 fn spawn_worker(
     name: String,
-    rings: Vec<WorkerRing>,
-    subs: &[Arc<dyn ErasedSubscription>],
-    hub: &DispatchHub,
+    mut rings: Vec<WorkerRing>,
     delay: &CallbackDelayFn,
-    tracer: Option<(Arc<Tracer>, usize)>,
+    trace: Option<(Arc<Tracer>, usize)>,
 ) -> std::thread::JoinHandle<u64> {
-    let subs: Vec<Arc<dyn ErasedSubscription>> =
-        rings.iter().map(|r| Arc::clone(&subs[r.sub])).collect();
-    let stats: Vec<Arc<DispatchStats>> = rings.iter().map(|r| hub.get(r.sub)).collect();
     let delay = Arc::clone(delay);
     std::thread::Builder::new()
         .name(name)
@@ -473,54 +616,24 @@ fn spawn_worker(
             // Per-subscription item sequence, fed to the delay hook. A
             // dedicated subscription's items all pass through this one
             // thread, so its sequence is the subscription-global order.
-            let mut seqs: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-            let mut done = vec![false; rings.len()];
-            let emit = |trace_id: u64, kind: TraceKind, sub: u16, b: u64| {
-                if trace_id != 0 {
-                    if let Some((t, lane)) = &tracer {
-                        t.emit(*lane, trace_id, kind, sub, 0, b);
-                    }
-                }
-            };
-            loop {
+            let mut seqs: HashMap<u16, u64> = HashMap::new();
+            while !rings.is_empty() {
                 let mut progress = false;
-                for (ri, ring) in rings.iter().enumerate() {
-                    if done[ri] {
-                        continue;
-                    }
-                    for _ in 0..WORKER_BURST {
-                        match ring.rx.try_recv() {
-                            Ok((trace_id, out)) => {
-                                let seq = seqs.entry(ring.sub).or_insert(0);
-                                let sub16 = u16::try_from(ring.sub).unwrap_or(u16::MAX);
-                                emit(
-                                    trace_id,
-                                    TraceKind::DispatchDequeue,
-                                    sub16,
-                                    stats[ri].depth(),
-                                );
-                                if let Some(d) = delay(sub16, *seq) {
+                rings.retain_mut(|ring| {
+                    let sub = ring.lane.sub_idx;
+                    let (ran, disconnected) =
+                        ring.lane
+                            .drain(trace_lane(&trace), &mut ring.rx, WORKER_BURST, || {
+                                let seq = seqs.entry(sub).or_insert(0);
+                                if let Some(d) = delay(sub, *seq) {
                                     std::thread::sleep(d);
                                 }
                                 *seq += 1;
-                                emit(trace_id, TraceKind::CallbackStart, sub16, 0);
-                                subs[ri].invoke(out);
-                                emit(trace_id, TraceKind::CallbackEnd, sub16, 0);
-                                stats[ri].note_executed();
-                                executed += 1;
-                                progress = true;
-                            }
-                            Err(spsc::TryRecvError::Empty) => break,
-                            Err(spsc::TryRecvError::Disconnected) => {
-                                done[ri] = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if done.iter().all(|&d| d) {
-                    break;
-                }
+                            });
+                    executed += ran as u64;
+                    progress |= ran > 0;
+                    !disconnected
+                });
                 if !progress {
                     std::thread::yield_now();
                 }
@@ -533,10 +646,16 @@ fn spawn_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::erased::TypedSubscription;
+    use crate::erased::{Emitter, TypedSubscription};
+    use crate::step::VirtualRing;
     use crate::subscribables::ConnRecord;
     use retina_conntrack::{FiveTuple, TcpFlow};
+    use retina_telemetry::{DispatchSnapshot, TraceConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn no_delay() -> CallbackDelayFn {
+        Arc::new(|_, _| None)
+    }
 
     fn counted_sub(count: &Arc<AtomicU64>) -> Arc<dyn ErasedSubscription> {
         let c = Arc::clone(count);
@@ -553,9 +672,27 @@ mod tests {
         };
         let mut tracked = sub.new_tracked(&tuple, 0);
         let flow = TcpFlow::new(0, 16);
-        let mut out = Vec::new();
-        tracked.on_terminate(&flow, &mut out);
-        out.pop().expect("ConnRecord emits on terminate")
+        let (mut outputs, mut delivered) = (Vec::new(), 0);
+        tracked.on_terminate(&flow, &mut Emitter::new(&mut outputs, &mut delivered, 0, 0));
+        outputs.pop().expect("ConnRecord emits on terminate").2
+    }
+
+    /// A fabric over `subs`, with fresh counters sized to the rings.
+    fn fabric(
+        subs: &[Arc<dyn ErasedSubscription>],
+        modes: &[DispatchMode],
+        cores: usize,
+        shared_workers: usize,
+        delay: &CallbackDelayFn,
+    ) -> (Vec<CoreSinks>, Dispatcher, Vec<Arc<DispatchStats>>) {
+        let stats: Vec<Arc<DispatchStats>> = subs
+            .iter()
+            .zip(modes)
+            .map(|(s, m)| Arc::new(DispatchStats::with_capacity(ring_capacity(&**s, *m, cores))))
+            .collect();
+        let (sinks, dispatcher) =
+            channel_dispatcher(subs, modes, &stats, cores, shared_workers, delay, None);
+        (sinks, dispatcher, stats)
     }
 
     #[test]
@@ -573,26 +710,18 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
-        let hub = DispatchHub::new(&[8]);
-        let (mut sinks, dispatcher) = channel_dispatcher(
-            &subs,
-            &[DispatchMode::dedicated(4)],
-            2,
-            1,
-            &hub,
-            &no_delay(),
-            None,
-        );
-        assert_eq!(dispatcher.worker_count(), 1);
-        for core_sinks in &sinks {
+        let (mut sinks, dispatcher, stats) =
+            fabric(&subs, &[DispatchMode::dedicated(4)], 2, 1, &no_delay());
+        assert_eq!(dispatcher.handles.len(), 1);
+        for core_sinks in &mut sinks {
             for _ in 0..50 {
-                core_sinks[0].deliver(one_output(&sub), 0);
+                core_sinks.deliver(0, 0, one_output(&sub));
             }
         }
         sinks.clear(); // disconnect the rings
         assert_eq!(dispatcher.join(), 100);
         assert_eq!(count.load(Ordering::Relaxed), 100);
-        hub.snapshots()[0].check(100).unwrap();
+        stats[0].snapshot().check(100).unwrap();
     }
 
     #[test]
@@ -601,26 +730,18 @@ mod tests {
         let a = counted_sub(&count);
         let b = counted_sub(&count);
         let subs = vec![Arc::clone(&a), Arc::clone(&b)];
-        let hub = DispatchHub::new(&[4, 4]);
-        let (mut sinks, dispatcher) = channel_dispatcher(
-            &subs,
-            &[DispatchMode::shared(4), DispatchMode::shared(4)],
-            1,
-            2,
-            &hub,
-            &no_delay(),
-            None,
-        );
-        assert_eq!(dispatcher.worker_count(), 2);
+        let modes = [DispatchMode::shared(4), DispatchMode::shared(4)];
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 2, &no_delay());
+        assert_eq!(dispatcher.handles.len(), 2);
         for _ in 0..30 {
-            sinks[0][0].deliver(one_output(&a), 0);
-            sinks[0][1].deliver(one_output(&b), 0);
+            sinks[0].deliver(0, 0, one_output(&a));
+            sinks[0].deliver(1, 0, one_output(&b));
         }
         sinks.clear();
         assert_eq!(dispatcher.join(), 60);
         assert_eq!(count.load(Ordering::Relaxed), 60);
-        for snap in hub.snapshots() {
-            snap.check(30).unwrap();
+        for s in &stats {
+            s.snapshot().check(30).unwrap();
         }
     }
 
@@ -629,25 +750,17 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
-        let hub = DispatchHub::new(&[2]);
         // Stall the worker long enough for the 2-deep ring to fill.
         let delay: CallbackDelayFn =
             Arc::new(|_, seq| (seq == 0).then(|| Duration::from_millis(50)));
-        let (mut sinks, dispatcher) = channel_dispatcher(
-            &subs,
-            &[DispatchMode::dedicated(2).shedding()],
-            1,
-            1,
-            &hub,
-            &delay,
-            None,
-        );
+        let modes = [DispatchMode::dedicated(2).shedding()];
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 1, &delay);
         for _ in 0..40 {
-            sinks[0][0].deliver(one_output(&sub), 0);
+            sinks[0].deliver(0, 0, one_output(&sub));
         }
         sinks.clear();
         let executed = dispatcher.join();
-        let snap = hub.snapshots()[0];
+        let snap = stats[0].snapshot();
         assert_eq!(snap.executed, executed);
         assert!(snap.dropped_full > 0, "2-deep ring under stall must shed");
         snap.check(40).unwrap();
@@ -658,20 +771,143 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
-        let hub = DispatchHub::new(&[0]);
-        let (sinks, dispatcher) = channel_dispatcher(
-            &subs,
-            &[DispatchMode::Inline],
-            1,
-            1,
-            &hub,
-            &no_delay(),
-            None,
-        );
-        assert_eq!(dispatcher.worker_count(), 0);
-        sinks[0][0].deliver(one_output(&sub), 0);
+        let (mut sinks, dispatcher, stats) =
+            fabric(&subs, &[DispatchMode::Inline], 1, 1, &no_delay());
+        assert_eq!(dispatcher.handles.len(), 0);
+        sinks[0].deliver(0, 0, one_output(&sub));
         assert_eq!(count.load(Ordering::Relaxed), 1);
         assert_eq!(dispatcher.join(), 0);
-        hub.snapshots()[0].check(1).unwrap();
+        stats[0].snapshot().check(1).unwrap();
+    }
+
+    /// Both ends of one ring in one place, so a script can play
+    /// producer and worker in turn; `sever` makes the next send find the
+    /// worker gone.
+    trait TestRing: RingTx + RingRx {
+        fn sever(&mut self);
+    }
+
+    /// A real SPSC ring; severing drops its consumer.
+    struct RealRing(spsc::Producer<Item>, Option<spsc::Consumer<Item>>);
+
+    impl RingTx for RealRing {
+        fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+            self.0.try_push(item)
+        }
+    }
+
+    impl RingRx for RealRing {
+        fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+            self.1.as_mut().expect("consumer alive").try_pop()
+        }
+    }
+
+    impl TestRing for RealRing {
+        fn sever(&mut self) {
+            self.1 = None;
+        }
+    }
+
+    /// The stepped ring, which no stepped run ever disconnects; the
+    /// flag stands in for a dead worker so the script can reach the
+    /// protocol's disconnect branch over it too.
+    struct SeverableVirtual(VirtualRing, bool);
+
+    impl RingTx for SeverableVirtual {
+        fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+            if self.1 {
+                return Err(TrySendError::Disconnected(item));
+            }
+            self.0.try_push(item)
+        }
+    }
+
+    impl RingRx for SeverableVirtual {
+        fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+            self.0.try_pop()
+        }
+    }
+
+    impl TestRing for SeverableVirtual {
+        fn sever(&mut self) {
+            self.1 = true;
+        }
+    }
+
+    /// Drives the lane protocol through one scripted life of a 2-deep
+    /// ring — fill, overflow under `Shed`, overflow under `Block` then
+    /// drain, disconnect — and returns what it counted and traced.
+    fn lane_script(mut ring: impl TestRing) -> (DispatchSnapshot, Vec<(TraceKind, u16, u64)>, u64) {
+        const TID: u64 = 7;
+        const RX: usize = 1;
+        const WORKER: usize = 2;
+        let count = Arc::new(AtomicU64::new(0));
+        let sub = counted_sub(&count);
+        let lane = Lane {
+            sub: Arc::clone(&sub),
+            stats: DispatchStats::with_capacity(2),
+            sub_idx: 5,
+        };
+        let tracer = Tracer::new_virtual(TraceConfig::default(), 1, 1);
+        let rx: TraceLane<'_> = Some((&tracer, RX));
+        let worker: TraceLane<'_> = Some((&tracer, WORKER));
+        let offer = |ring: &mut _, policy| lane.offer(rx, ring, policy, TID, one_output(&sub));
+
+        // Fill.
+        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
+        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
+        // Overflow under Shed: dropped with accounting, nothing handed back.
+        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
+        // Overflow under Block: handed back; the worker frees a slot,
+        // the send goes through and is settled.
+        let blocked = offer(&mut ring, QueuePolicy::Block).expect("full ring blocks the send");
+        assert_eq!(lane.drain(worker, &mut ring, 1, || {}), (1, false));
+        ring.try_push(blocked).expect("a slot was freed");
+        lane.unblocked(rx, TID, true);
+        // Drain everything.
+        assert_eq!(lane.drain(worker, &mut ring, usize::MAX, || {}), (2, false));
+        // Disconnect: the next send finds its worker gone.
+        ring.sever();
+        assert!(offer(&mut ring, QueuePolicy::Block).is_none());
+
+        let events = tracer
+            .session()
+            .lanes
+            .into_iter()
+            .flat_map(|(_, events)| events)
+            .map(|e| (e.kind, e.sub, e.a))
+            .collect();
+        (lane.stats.snapshot(), events, count.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn lane_protocol_is_one_over_both_rings() {
+        let (tx, rx) = spsc::ring::<Item>(2);
+        let real = lane_script(RealRing(tx, Some(rx)));
+        let stepped = lane_script(SeverableVirtual(VirtualRing::new(2), false));
+        assert_eq!(real, stepped);
+
+        let (snap, events, executed) = real;
+        assert_eq!((snap.executed, executed), (3, 3));
+        assert_eq!((snap.dropped_full, snap.dropped_disconnected), (1, 1));
+        assert_eq!((snap.blocked_sends, snap.depth_peak), (1, 2));
+        snap.check(5).unwrap();
+        let shed = TraceDropCode::DispatchShed as u64;
+        let gone = TraceDropCode::WorkerDisconnected as u64;
+        use TraceKind::{CallbackEnd, CallbackStart, DispatchDequeue, DispatchEnqueue, Drop};
+        let rx_lane = [
+            (DispatchEnqueue, 0),
+            (DispatchEnqueue, 0),
+            (Drop, shed),
+            (DispatchEnqueue, 0),
+            (Drop, gone),
+        ];
+        let item = [(DispatchDequeue, 0), (CallbackStart, 0), (CallbackEnd, 0)];
+        let expected: Vec<(TraceKind, u16, u64)> = rx_lane
+            .iter()
+            .chain(item.iter().cycle().take(9))
+            .map(|&(kind, a)| (kind, 5, a))
+            .collect();
+        assert_eq!(events, expected);
     }
 }

@@ -73,8 +73,8 @@ pub mod tracker;
 pub mod util;
 
 pub use config::RuntimeConfig;
-pub use erased::{ErasedOutput, ErasedSink, ErasedSubscription, ErasedTracked, TypedSubscription};
-pub use executor::{DispatchMode, Dispatcher, QueuePolicy};
+pub use erased::{Emitter, ErasedOutput, ErasedSubscription, ErasedTracked, TypedSubscription};
+pub use executor::{DispatchMode, QueuePolicy};
 pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};
 pub use monitor::{Monitor, MonitorSample};
 pub use offline::run_offline;

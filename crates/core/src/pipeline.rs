@@ -21,7 +21,7 @@ use retina_telemetry::{TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
 use crate::config::RuntimeConfig;
-use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
+use crate::erased::{ErasedOutput, ErasedSubscription};
 use crate::stats::CoreStats;
 use crate::subscription::Level;
 use crate::tracker::{ConnTracker, SubTally};
@@ -29,8 +29,11 @@ use crate::util::rdtsc;
 
 /// Where subscription data goes once the pipeline has produced it. One
 /// implementation per driver, always statically dispatched: the
-/// threaded runtime's per-core sink set, the stepped harness's virtual
-/// dispatch fabric, and the offline mode's direct callback.
+/// threaded runtime's per-core sink set (`executor::CoreSinks`), the
+/// stepped harness's virtual dispatch fabric, and the offline mode's
+/// direct callback ([`crate::offline::Direct`]). The first two are the
+/// same sinks and the same lane protocol over two kinds of ring (see
+/// [`crate::executor`]).
 pub trait Transport {
     /// Hands one boxed datum of subscription `sub` to the delivery
     /// layer. `trace_id` is the originating flow's trace id (0 =
@@ -40,20 +43,6 @@ pub trait Transport {
     /// straight from the frame and hands it on. Returns whether the
     /// frame yielded one.
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool;
-}
-
-/// The threaded transport: one RX core's sink set from
-/// [`crate::executor::channel_dispatcher`], indexed by subscription.
-impl Transport for Vec<Box<dyn ErasedSink>> {
-    #[inline]
-    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
-        self[sub].deliver(out, trace_id);
-    }
-
-    #[inline]
-    fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        self[sub].deliver_from_mbuf(mbuf, trace_id)
-    }
 }
 
 /// The packet-level subscriptions of a table: the ones served straight
@@ -169,29 +158,19 @@ impl<F: FilterFns> CorePipeline<F> {
         Some((mbuf, pkt))
     }
 
-    /// One callback-stage handoff: counted, and timed under
-    /// `profile_stages`.
-    fn deliver<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        sub: usize,
-        tid: u64,
-        out: ErasedOutput,
-    ) {
-        let tc = self.profile.then(rdtsc);
-        self.tracker.stats.callbacks.runs += 1;
-        transport.deliver(sub, tid, out);
-        if let Some(t) = tc {
-            let cycles = rdtsc().wrapping_sub(t);
-            self.tracker.stats.callbacks.record_cycles(cycles);
-        }
-    }
-
     /// Hands everything the tracker produced since the last flush to
-    /// the transport.
+    /// the transport, draining the tracker's buffer in place. Each
+    /// hand-off is one callback-stage run: counted, and timed under
+    /// `profile_stages`.
     fn flush<T: Transport>(&mut self, transport: &mut T) {
-        for (sub, tid, out) in self.tracker.take_outputs() {
-            self.deliver(transport, sub as usize, tid, out);
+        let (outputs, stats) = self.tracker.pending_outputs();
+        for (sub, tid, out) in outputs.drain(..) {
+            let tc = self.profile.then(rdtsc);
+            stats.callbacks.runs += 1;
+            transport.deliver(sub as usize, tid, out);
+            if let Some(t) = tc {
+                stats.callbacks.record_cycles(rdtsc().wrapping_sub(t));
+            }
         }
     }
 

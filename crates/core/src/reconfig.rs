@@ -24,7 +24,10 @@
 //!    table means "deliver everything via RSS").
 //! 3. **Publish** — the epoch (filter, subscriptions, fresh sink sets,
 //!    a new dispatch fabric that shares surviving subscriptions'
-//!    counters) is installed and the generation counter bumped.
+//!    counters), staged by the same `stage_epoch` that builds a run's
+//!    first epoch, is installed, the runtime's one
+//!    [`DispatchHub`] takes the new
+//!    table's membership, and the generation counter is bumped.
 //! 4. **Grace** — the publisher spins until every worker has stored the
 //!    new generation into its ack slot (or exited). Because the swap
 //!    lock serializes publishes *and* each publish waits out its grace
@@ -53,12 +56,12 @@ use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::VirtualNic;
-use retina_telemetry::{DispatchHub, DispatchStats, TriggerReason};
+use retina_telemetry::{DispatchHub, DispatchStats, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
-use crate::erased::{ErasedSink, ErasedSubscription, TypedSubscription};
+use crate::erased::{ErasedSubscription, TypedSubscription};
 use crate::executor::{
-    channel_dispatcher, ring_capacity, CallbackDelayFn, DispatchMode, Dispatcher,
+    channel_dispatcher, ring_capacity, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
 };
 use crate::runtime::{compile_union, RuntimeGauges, TraceHandle};
 use crate::subscription::Subscribable;
@@ -258,10 +261,6 @@ pub(crate) fn prepare(
     })
 }
 
-/// Per-core staged inline sink sets: slot `core` holds `Some` until
-/// that worker claims (takes) it.
-pub(crate) type StagedSinks = Vec<Option<Vec<Box<dyn ErasedSink>>>>;
-
 /// One immutable configuration generation: everything a worker needs to
 /// process a burst, bundled so adoption is a single `Arc` swap.
 pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
@@ -272,14 +271,15 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// a run's first epoch). Valid because grace-period serialization
     /// guarantees no worker ever skips a generation.
     pub(crate) remap: Vec<Option<usize>>,
-    /// Per-core sink sets, each claimed (taken) exactly once by its
-    /// worker. Sets left unclaimed when the epoch retires are dropped
-    /// by the retirer so the dispatch rings disconnect.
-    pub(crate) sinks: Mutex<StagedSinks>,
+    /// Per-core sink sets: slot `core` holds `Some` until that worker
+    /// claims (takes) it, exactly once. Sets left unclaimed when the
+    /// epoch retires are dropped by the retirer so the dispatch rings
+    /// disconnect.
+    pub(crate) sinks: Mutex<Vec<Option<CoreSinks>>>,
     /// Dispatch counters, one per subscription; survivors share their
     /// `DispatchStats` with the previous epoch so per-name accounting
     /// spans the whole run.
-    pub(crate) hub: Arc<DispatchHub>,
+    pub(crate) stats: Vec<Arc<DispatchStats>>,
     /// The epoch's dispatch worker threads, joined at retirement.
     pub(crate) dispatcher: Mutex<Option<Dispatcher>>,
 }
@@ -299,6 +299,54 @@ impl<F: FilterFns + 'static> ConfigEpoch<F> {
     }
 }
 
+/// Stages one configuration generation — the one place an epoch's
+/// delivery fabric is built, for a run's first epoch and for every live
+/// swap alike. Subscriptions surviving from `old` (matched through
+/// `table.remap`) keep its `DispatchStats`; the rest get fresh counters
+/// sized to their rings. The fabric's workers stall where the NIC's
+/// fault layer says so and trace into `tracer`, the run's own.
+pub(crate) fn stage_epoch<F: FilterFns + 'static>(
+    generation: u64,
+    table: PreparedSwap<F>,
+    old: Option<&ConfigEpoch<F>>,
+    nic: &Arc<VirtualNic>,
+    config: &RuntimeConfig,
+    tracer: Option<&Arc<Tracer>>,
+) -> Arc<ConfigEpoch<F>> {
+    let cores = config.cores.max(1) as usize;
+    let stats: Vec<Arc<DispatchStats>> = (0..table.subs.len())
+        .map(|j| match (old, table.survivor(j)) {
+            (Some(old), Some(i)) => Arc::clone(&old.stats[i]),
+            _ => {
+                let cap = ring_capacity(&*table.subs[j], table.modes[j], cores);
+                Arc::new(DispatchStats::with_capacity(cap))
+            }
+        })
+        .collect();
+    let delay: CallbackDelayFn = {
+        let nic = Arc::clone(nic);
+        Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq))
+    };
+    let (per_core_sinks, dispatcher) = channel_dispatcher(
+        &table.subs,
+        &table.modes,
+        &stats,
+        cores,
+        config.shared_workers,
+        &delay,
+        tracer,
+    );
+    Arc::new(ConfigEpoch {
+        generation,
+        filter: table.filter,
+        subs: table.subs,
+        remap: table.remap,
+        sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
+        stats,
+        dispatcher: Mutex::new(Some(dispatcher)),
+    })
+}
+
 /// Shared swap state between a [`MultiRuntime`](crate::MultiRuntime),
 /// its workers, and any [`SwapController`].
 pub(crate) struct EpochState<F: FilterFns + 'static> {
@@ -306,6 +354,9 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
     pub(crate) generation: AtomicU64,
     /// The current epoch (`None` between runs).
     pub(crate) current: RwLock<Option<Arc<ConfigEpoch<F>>>>,
+    /// The runtime's one dispatch hub: its membership is the current
+    /// epoch's stats, replaced at every publish.
+    pub(crate) hub: Arc<DispatchHub>,
     /// Per-core acknowledgment: the highest generation each worker has
     /// adopted, or [`EXITED`].
     pub(crate) acks: Vec<AtomicU64>,
@@ -321,16 +372,26 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
 }
 
 impl<F: FilterFns + 'static> EpochState<F> {
-    pub(crate) fn new(cores: usize) -> Self {
+    pub(crate) fn new(cores: usize, hub: Arc<DispatchHub>) -> Self {
         EpochState {
             generation: AtomicU64::new(0),
             current: RwLock::new(None),
+            hub,
             acks: (0..cores.max(1)).map(|_| AtomicU64::new(EXITED)).collect(),
             events: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
             base: Instant::now(),
             swap_lock: Mutex::new(()),
         }
+    }
+
+    /// Makes `epoch` the current configuration: workers see it at their
+    /// next generation check, and the hub's membership follows the new
+    /// table. (Bumping the generation counter is the caller's: a run's
+    /// first epoch keeps the counter, a swap advances it.)
+    pub(crate) fn publish(&self, epoch: Arc<ConfigEpoch<F>>) {
+        self.hub.replace(epoch.stats.clone());
+        *self.current.write().unwrap() = Some(epoch);
     }
 
     /// Records one core's adoption of `generation` into the matching
@@ -418,7 +479,7 @@ impl SwapController {
             return Err(SwapError::NotRunning);
         }
 
-        let prepared = match prepare(spec, &old.subs, &self.config) {
+        let mut prepared = match prepare(spec, &old.subs, &self.config) {
             Ok(p) => p,
             Err(e) => {
                 self.fire_failed(old.generation);
@@ -457,58 +518,30 @@ impl SwapController {
         }
         let staged_at = self.epochs.base.elapsed();
 
-        // Build the new dispatch fabric. Survivors keep their
-        // DispatchStats (per-name delivery accounting spans the swap);
-        // added subscriptions get fresh counters.
         let cores = self.epochs.acks.len();
-        let stats: Vec<Arc<DispatchStats>> = (0..prepared.subs.len())
-            .map(|j| match prepared.survivor(j) {
-                Some(i) => old.hub.get(i),
-                None => {
-                    let cap = ring_capacity(&*prepared.subs[j], prepared.modes[j], cores);
-                    Arc::new(DispatchStats::with_capacity(cap))
-                }
-            })
-            .collect();
-        let hub = Arc::new(DispatchHub::from_stats(stats));
-        let delay: CallbackDelayFn = {
-            let nic = Arc::clone(&self.nic);
-            Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq))
-        };
-        // Known limitation: dispatch fabrics built mid-run do not carry
-        // the run's tracer (its lanes were sized for the initial
-        // subscription count); RX-side tracing is unaffected.
-        let (per_core_sinks, dispatcher) = channel_dispatcher(
-            &prepared.subs,
-            &prepared.modes,
-            cores,
-            self.config.shared_workers,
-            &hub,
-            &delay,
-            None,
-        );
         let generation = old.generation + 1;
         let added = (0..prepared.subs.len())
             .filter(|&j| prepared.survivor(j).is_none())
             .map(|j| prepared.subs[j].name().to_string())
             .collect();
-        let epoch = Arc::new(ConfigEpoch {
-            generation,
-            filter: prepared.filter,
-            subs: prepared.subs,
-            remap: prepared.remap,
-            sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
-            hub,
-            dispatcher: Mutex::new(Some(dispatcher)),
-        });
-
-        let removed: Vec<String> = epoch
+        let removed: Vec<String> = prepared
             .remap
             .iter()
             .enumerate()
             .filter(|(_, m)| m.is_none())
             .map(|(i, _)| old.subs[i].name().to_string())
             .collect();
+        let warnings = std::mem::take(&mut prepared.warnings);
+        // The new fabric traces into the run's own tracer, like epoch 0.
+        let tracer = self.trace.read().ok().and_then(|guard| guard.clone());
+        let epoch = stage_epoch(
+            generation,
+            prepared,
+            Some(&old),
+            &self.nic,
+            &self.config,
+            tracer.as_ref(),
+        );
         // Push the event skeleton before publishing so workers can
         // record their pickup lag against it.
         self.epochs.events.lock().unwrap().push(SwapEvent {
@@ -522,12 +555,12 @@ impl SwapController {
             removed,
             rules_added,
             rules_removed,
-            warnings: prepared.warnings,
+            warnings,
         });
 
         // Publish.
         let weak_old = Arc::downgrade(&old);
-        *self.epochs.current.write().unwrap() = Some(Arc::clone(&epoch));
+        self.epochs.publish(Arc::clone(&epoch));
         let published_at = self.epochs.base.elapsed();
         if let Some(ev) = self
             .epochs
@@ -562,7 +595,7 @@ impl SwapController {
             let mut retired = self.epochs.retired.lock().unwrap();
             for (i, m) in epoch.remap.iter().enumerate() {
                 if m.is_none() {
-                    retired.push((old.subs[i].name().to_string(), old.hub.get(i)));
+                    retired.push((old.subs[i].name().to_string(), Arc::clone(&old.stats[i])));
                 }
             }
         }

@@ -37,7 +37,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
@@ -50,10 +50,10 @@ use retina_telemetry::{
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::{channel_dispatcher, ring_capacity, CallbackDelayFn, DispatchMode};
+use crate::executor::DispatchMode;
 use crate::governor::{Governor, GovernorConfig, ShedState};
 use crate::pipeline::CorePipeline;
-use crate::reconfig::{ConfigEpoch, EpochState, SwapController, EXITED};
+use crate::reconfig::{stage_epoch, ConfigEpoch, EpochState, PreparedSwap, SwapController, EXITED};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 use crate::tracker::SubTally;
@@ -271,15 +271,15 @@ pub struct SubReport {
     pub queue_capacity: u64,
 }
 
-/// Assembles a run's per-subscription rows: the final table in
-/// registration order, then the subscriptions a swap removed and never
-/// re-added, sorted by name. `tallies` are every core's `(name, tally)`
-/// pairs, merged here by name; `retired` are the dispatch counters
-/// banked when a swap removed a subscription, folded back in by name (a
-/// name removed and re-added reports one whole-run row).
+/// Assembles a run's per-subscription rows: the final table (`(name,
+/// dispatch counters)` in registration order), then the subscriptions a
+/// swap removed and never re-added, sorted by name. `tallies` are every
+/// core's `(name, tally)` pairs, merged here by name; `retired` are the
+/// dispatch counters banked when a swap removed a subscription, folded
+/// back in by name (a name removed and re-added reports one whole-run
+/// row).
 pub(crate) fn sub_reports(
-    final_subs: &[Arc<dyn ErasedSubscription>],
-    dispatch: &[DispatchSnapshot],
+    final_table: &[(&str, DispatchSnapshot)],
     mut tallies: Vec<(String, SubTally)>,
     retired: &[(String, DispatchSnapshot)],
 ) -> Vec<SubReport> {
@@ -312,13 +312,13 @@ pub(crate) fn sub_reports(
         }
         report
     };
-    let mut rows: Vec<SubReport> = Vec::with_capacity(final_subs.len());
-    for (sub, d) in final_subs.iter().zip(dispatch) {
-        let (name, t) = match tallies.binary_search_by(|(n, _)| n.as_str().cmp(sub.name())) {
+    let mut rows: Vec<SubReport> = Vec::with_capacity(final_table.len());
+    for &(sub, d) in final_table {
+        let (name, t) = match tallies.binary_search_by(|(n, _)| n.as_str().cmp(sub)) {
             Ok(i) => tallies.remove(i),
-            Err(_) => (sub.name().to_string(), SubTally::default()),
+            Err(_) => (sub.to_string(), SubTally::default()),
         };
-        rows.push(row(name, t, *d, false));
+        rows.push(row(name, t, d, false));
     }
     rows.extend(
         tallies
@@ -800,7 +800,6 @@ pub struct MultiRuntime<F: FilterFns + 'static> {
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
     shed: Arc<ShedState>,
-    hub: Arc<DispatchHub>,
     epochs: Arc<EpochState<F>>,
     filter_warnings: Vec<String>,
     pub(crate) trace_config: Option<TraceConfig>,
@@ -852,7 +851,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let gauges = Arc::new(RuntimeGauges::new(config.cores as usize));
         let modes = vec![DispatchMode::Inline; subs.len()];
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
-        let epochs = Arc::new(EpochState::new(config.cores.max(1) as usize));
+        let epochs = Arc::new(EpochState::new(config.cores.max(1) as usize, hub));
         Ok(MultiRuntime {
             config,
             filter: Arc::new(filter),
@@ -861,7 +860,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             nic,
             gauges,
             shed: Arc::new(ShedState::new()),
-            hub,
             epochs,
             filter_warnings: Vec::new(),
             trace_config: None,
@@ -905,10 +903,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         &self.modes
     }
 
-    /// Live per-subscription dispatch stats (queue depth, drops); the
+    /// Live per-subscription dispatch stats (queue depth, drops) of the
+    /// table that is running — membership follows every live swap; the
     /// governor samples this as its queue-pressure input.
     pub fn dispatch_hub(&self) -> Arc<DispatchHub> {
-        Arc::clone(&self.hub)
+        Arc::clone(&self.epochs.hub)
     }
 
     /// Filter-analyzer warnings recorded at build time (also copied into
@@ -942,7 +941,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             Arc::clone(&self.nic),
             Arc::clone(&self.gauges),
             Arc::clone(&self.shed),
-            Some(Arc::clone(&self.hub)),
+            Some(self.dispatch_hub()),
             config,
             Arc::clone(&self.trace_handle),
         )
@@ -1000,48 +999,28 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             })
         };
 
-        // Callback execution model (§5.3): per-subscription dispatch —
-        // inline on the RX core, a shared worker pool, or a dedicated
-        // worker, each fed over per-(core, subscription) SPSC rings.
+        // Epoch 0: stage this run's initial configuration — callback
+        // execution model (§5.3) included: per-subscription dispatch
+        // inline on the RX core, to a shared worker pool, or to a
+        // dedicated worker, each fed over per-(core, subscription) SPSC
+        // rings — and publish it, so workers and any SwapController
+        // share one view. The generation counter persists across runs
+        // (and swaps), so a second run continues where the last one
+        // left off.
         let cores = self.config.cores.max(1) as usize;
-        let capacities: Vec<u64> = self
-            .subs
-            .iter()
-            .zip(&self.modes)
-            .map(|(sub, mode)| ring_capacity(&**sub, *mode, cores))
-            .collect();
-        self.hub.configure(&capacities);
-        let delay: CallbackDelayFn = {
-            let nic = Arc::clone(&self.nic);
-            Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq))
-        };
-        let (per_core_sinks, dispatcher) = channel_dispatcher(
-            &self.subs,
-            &self.modes,
-            cores,
-            self.config.shared_workers,
-            &self.hub,
-            &delay,
-            tracer.as_ref(),
-        );
-
-        // Epoch 0: bundle this run's initial configuration and publish
-        // it, so workers and any SwapController share one view. The
-        // generation counter persists across runs (and swaps), so a
-        // second run continues where the last one left off.
         let gen0 = self.epochs.generation.load(Ordering::Acquire);
-        let epoch0: Arc<ConfigEpoch<F>> = Arc::new(ConfigEpoch {
-            generation: gen0,
+        let table = PreparedSwap {
             filter: Arc::clone(&self.filter),
             subs: self.subs.clone(),
+            modes: self.modes.clone(),
             remap: Vec::new(),
-            sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
-            hub: Arc::clone(&self.hub),
-            dispatcher: Mutex::new(Some(dispatcher)),
-        });
+            warnings: Vec::new(),
+        };
+        let epoch0: Arc<ConfigEpoch<F>> =
+            stage_epoch(gen0, table, None, &self.nic, &self.config, tracer.as_ref());
         {
             let _serial = self.epochs.swap_lock.lock().unwrap();
-            *self.epochs.current.write().unwrap() = Some(epoch0);
+            self.epochs.publish(epoch0);
             // Ack slots start at gen0 (not EXITED) so a swap issued
             // before a worker's first poll still waits for it.
             for ack in &self.epochs.acks {
@@ -1096,7 +1075,12 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // Workers dropped their claimed sinks on exit, disconnecting
         // those rings; retiring the epoch drops the rest and joins.
         final_epoch.retire_fabric();
-        let dispatch = final_epoch.hub.snapshots();
+        let final_table: Vec<(&str, DispatchSnapshot)> = final_epoch
+            .subs
+            .iter()
+            .zip(&final_epoch.stats)
+            .map(|(sub, stats)| (sub.name(), stats.snapshot()))
+            .collect();
         // Dispatch counters of subscriptions removed by swaps, folded
         // back in by name (a name removed and re-added reports one
         // whole-run row).
@@ -1108,7 +1092,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .drain(..)
             .map(|(name, stats)| (name, stats.snapshot()))
             .collect();
-        let subs = sub_reports(&final_epoch.subs, &dispatch, tallies, &retired);
+        let subs = sub_reports(&final_table, tallies, &retired);
         let mbuf_high_water = self.nic.mempool().high_water();
         self.gauges.note_mbuf_high_water(mbuf_high_water);
         let mut report = RunReport {
@@ -1215,8 +1199,10 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
     }
 }
 
-/// RX bursts between connection-timeout sweeps (and gauge flushes).
-const ADVANCE_EVERY_BURSTS: usize = 64;
+/// RX bursts between connection-timeout sweeps (and gauge flushes): the
+/// one sweep cadence, for the threaded worker's bursts and the stepped
+/// RX actor's steps alike.
+pub(crate) const ADVANCE_EVERY_BURSTS: usize = 64;
 
 /// One RX core: the threaded driver of [`CorePipeline`]. Mbufs come
 /// from NIC bursts, data leaves through the core's sink set, and the

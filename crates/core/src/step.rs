@@ -5,13 +5,15 @@
 //! passes under one kernel scheduler may never exercise the full-ring
 //! or worker-starved paths at all. [`MultiRuntime::run_stepped`] removes
 //! the scheduler from the picture: it drives the *same*
-//! [`CorePipeline`] a threaded RX core runs (and, for inline
-//! subscriptions, the same counting sink) on one thread, interleaving
-//! an RX actor and one virtual worker per dispatched subscription under
-//! a seeded schedule. The one thing it models rather than runs is the
-//! dispatch rings: bounded queues and parked sends in virtual time.
-//! Every interleaving is a pure function of [`StepConfig::seed`], so a
-//! failing schedule replays bit for bit.
+//! [`CorePipeline`] a threaded RX core runs, and the *same* lane
+//! protocol ([`crate::executor`]'s sinks and worker drain: accounting,
+//! drop codes, tracepoint order), on one thread, interleaving an RX
+//! actor and one virtual worker per dispatched subscription under a
+//! seeded schedule. What it models rather than runs is only what a
+//! kernel scheduler would decide: the rings are bounded queues in
+//! virtual time, a blocked send is parked, and who runs next is drawn
+//! from [`StepConfig::seed`] — so every interleaving is a pure function
+//! of the seed and a failing schedule replays bit for bit.
 //!
 //! What the harness lets tests prove (and the e2e suite does prove):
 //!
@@ -46,18 +48,19 @@ use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::{Mbuf, PortStatsSnapshot};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
-use retina_telemetry::trace::{TraceDropCode, TraceHwAction};
+use retina_support::sync::spsc::{TryRecvError, TrySendError};
+use retina_telemetry::trace::TraceHwAction;
 use retina_telemetry::{DispatchSnapshot, DispatchStats, TraceKind, Tracer, TriggerReason};
 
-use crate::erased::{ErasedOutput, ErasedSink, ErasedSubscription};
-use crate::executor::{ring_capacity, DispatchMode, InlineSink, QueuePolicy};
+use crate::erased::{ErasedOutput, ErasedSubscription};
+use crate::executor::{ring_capacity, DispatchMode, Item, Lane, RingRx, RingTx, Sink, TraceLane};
 use crate::pipeline::{CorePipeline, Transport};
 use crate::reconfig::{PreparedSwap, StepSwap, SwapError, SwapSpec};
-use crate::runtime::{sub_reports, MultiRuntime, RunReport};
+use crate::runtime::{sub_reports, MultiRuntime, RunReport, ADVANCE_EVERY_BURSTS};
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
-/// nothing, its queue backs up, and (under [`QueuePolicy::Block`]) the
+/// nothing, its queue backs up, and (under [`crate::QueuePolicy::Block`]) the
 /// RX actor parks results destined for it. The global step counter
 /// advances every iteration — including iterations where *nothing*
 /// could run — so every stall window expires deterministically.
@@ -92,10 +95,6 @@ pub struct StepConfig {
     pub rx_batch: usize,
     /// Items a virtual worker pops per step it is scheduled.
     pub worker_batch: usize,
-    /// RX steps between connection-timeout sweeps (the
-    /// [`CorePipeline::advance`] cadence; the threaded worker sweeps
-    /// every 64 bursts).
-    pub advance_every: usize,
     /// Optional worker freeze for isolation/backpressure tests.
     pub stall: Option<WorkerStall>,
 }
@@ -106,7 +105,6 @@ impl Default for StepConfig {
             seed: 0,
             rx_batch: 4,
             worker_batch: 4,
-            advance_every: 64,
             stall: None,
         }
     }
@@ -134,103 +132,90 @@ fn stall_blocks(stall: Option<&WorkerStall>, sub: usize, step: u64) -> bool {
     stall.is_some_and(|s| s.blocks(sub, step))
 }
 
-/// One subscription's lane through the virtual dispatch fabric.
-enum Lane {
-    /// Runs on the RX actor, through the threaded fabric's own
-    /// [`InlineSink`]: same accounting, same tracepoint order. Spec-only
-    /// subscriptions stay here in every mode (exactly as
-    /// `channel_dispatcher` forces them).
-    Inline(InlineSink<DispatchStats>),
-    /// Crosses a bounded queue to the subscription's virtual worker.
-    Queued {
-        queue: VecDeque<(u64, ErasedOutput)>,
-        cap: usize,
-        policy: QueuePolicy,
-        stats: DispatchStats,
-    },
+/// A dispatch ring in virtual time: a bounded FIFO whose two ends both
+/// live on the stepping thread. It is never disconnected — virtual
+/// workers outlive every send.
+pub(crate) struct VirtualRing {
+    queue: VecDeque<Item>,
+    cap: usize,
 }
 
-impl Lane {
-    fn stats(&self) -> &DispatchStats {
-        match self {
-            Lane::Inline(sink) => &sink.stats,
-            Lane::Queued { stats, .. } => stats,
-        }
-    }
-
-    fn into_stats(self) -> DispatchStats {
-        match self {
-            Lane::Inline(sink) => sink.stats,
-            Lane::Queued { stats, .. } => stats,
+impl VirtualRing {
+    pub(crate) fn new(cap: usize) -> Self {
+        VirtualRing {
+            queue: VecDeque::with_capacity(cap),
+            cap,
         }
     }
 }
 
-/// The stepped [`Transport`]: the dispatch fabric in virtual time.
-/// Rings are plain bounded queues, and a blocked SPSC `send` is a
-/// holding buffer the RX actor must flush — in FIFO order — before it
-/// reads the next frame.
+impl RingTx for VirtualRing {
+    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+        if self.queue.len() >= self.cap {
+            return Err(TrySendError::Full(item));
+        }
+        self.queue.push_back(item);
+        Ok(())
+    }
+}
+
+impl RingRx for VirtualRing {
+    fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+        self.queue.pop_front().ok_or(TryRecvError::Empty)
+    }
+}
+
+/// One subscription's sink in the virtual fabric: the threaded fabric's
+/// own [`Sink`], over a [`VirtualRing`] and with its counters in place.
+type StepSink = Sink<VirtualRing, DispatchStats>;
+
+/// The stepped [`Transport`]: the dispatch fabric in virtual time. A
+/// blocked SPSC `send` is a holding buffer the RX actor must flush — in
+/// FIFO order — before it reads the next frame.
 struct StepFabric {
-    subs: Vec<Arc<dyn ErasedSubscription>>,
-    lanes: Vec<Lane>,
-    /// The blocked-RX holding buffer: results a real RX core would be
-    /// spinning on in a blocking SPSC send.
-    pending: VecDeque<(usize, u64, ErasedOutput)>,
+    lanes: Vec<StepSink>,
+    /// The blocked-RX holding buffer: sends a real RX core would be
+    /// spinning on, as `(subscription, item)` in park order.
+    pending: VecDeque<(usize, Item)>,
     /// Queued subscriptions, one virtual worker each (actor `k + 1`
     /// runs `workers[k]`, on worker lane `k`).
     workers: Vec<usize>,
     tracer: Option<Arc<Tracer>>,
 }
 
-/// An RX-lane tracepoint of the virtual fabric (sampled flows only).
-fn emit_rx(tracer: Option<&Arc<Tracer>>, tid: u64, kind: TraceKind, sub: usize, b: u64) {
-    if tid != 0 {
-        if let Some(t) = tracer {
-            t.emit(t.rx_lane(0), tid, kind, sub as u16, 0, b);
-        }
-    }
+/// The RX actor's tracepoint lane (a stepped run has one RX core).
+fn rx_trace(tracer: &Option<Arc<Tracer>>) -> TraceLane<'_> {
+    tracer.as_deref().map(|t| (t, t.rx_lane(0)))
 }
 
 impl StepFabric {
-    /// Builds the fabric for one subscription table. `stats_for(j, cap)`
-    /// supplies subscription `j`'s dispatch counters (fresh ones, or a
-    /// swap survivor's).
+    /// Builds the fabric for one subscription table. `carried(j)` is
+    /// subscription `j`'s dispatch counters when it survives a swap;
+    /// the rest get fresh ones sized to their ring.
     fn new(
         subs: &[Arc<dyn ErasedSubscription>],
         modes: &[DispatchMode],
         tracer: Option<&Arc<Tracer>>,
-        mut stats_for: impl FnMut(usize, u64) -> DispatchStats,
+        mut carried: impl FnMut(usize) -> Option<DispatchStats>,
     ) -> Self {
-        let lanes: Vec<Lane> = subs
+        let lanes: Vec<StepSink> = subs
             .iter()
             .zip(modes)
             .enumerate()
             .map(|(j, (sub, mode))| {
-                let cap = ring_capacity(&**sub, *mode, 1);
-                let stats = stats_for(j, cap);
-                if cap == 0 {
-                    Lane::Inline(InlineSink {
-                        inner: sub.inline_sink(),
-                        stats,
-                        tracer: tracer.cloned(),
-                        lane: tracer.map_or(0, |t| t.rx_lane(0)),
-                        sub_idx: j as u16,
-                    })
-                } else {
-                    Lane::Queued {
-                        queue: VecDeque::with_capacity(cap as usize),
-                        cap: cap as usize,
-                        policy: mode.policy(),
-                        stats,
-                    }
-                }
+                let fresh = || DispatchStats::with_capacity(ring_capacity(&**sub, *mode, 1));
+                let lane = Lane {
+                    sub: Arc::clone(sub),
+                    stats: carried(j).unwrap_or_else(fresh),
+                    sub_idx: j as u16,
+                };
+                Sink::new(lane, *mode, VirtualRing::new)
             })
             .collect();
         let workers = (0..lanes.len())
-            .filter(|&j| matches!(lanes[j], Lane::Queued { .. }))
+            .filter(|&j| matches!(lanes[j], Sink::Queued(_)))
             .collect();
         StepFabric {
-            subs: subs.to_vec(),
             lanes,
             pending: VecDeque::new(),
             workers,
@@ -242,127 +227,65 @@ impl StepFabric {
     fn idle(&self) -> bool {
         self.pending.is_empty()
             && self.lanes.iter().all(|l| match l {
-                Lane::Inline(_) => true,
-                Lane::Queued { queue, .. } => queue.is_empty(),
+                Sink::Inline(_) => true,
+                Sink::Queued(q) => q.ring.queue.is_empty(),
             })
     }
 
-    /// Moves parked sends into their queues, in park order, until the
-    /// head's queue is full. Returns whether anything moved.
+    /// Parks a send its lane handed back (ring full under `Block`).
+    fn park(&mut self, sub: usize, blocked: Option<Item>) {
+        if let Some(item) = blocked {
+            self.pending.push_back((sub, item));
+        }
+    }
+
+    /// Moves parked sends into their rings, in park order, until the
+    /// head's ring is full. Returns whether anything moved.
     fn flush_pending(&mut self) -> bool {
         let mut moved = false;
-        while let Some(&(i, _, _)) = self.pending.front() {
-            let Lane::Queued {
-                queue, cap, stats, ..
-            } = &mut self.lanes[i]
-            else {
+        while let Some((i, item)) = self.pending.pop_front() {
+            let Sink::Queued(q) = &mut self.lanes[i] else {
                 unreachable!("only queued lanes park sends");
             };
-            if queue.len() >= *cap {
-                break;
+            let trace_id = item.0;
+            match q.ring.try_push(item) {
+                // No tracepoint lane: the enqueue was recorded when the
+                // send parked, in send order.
+                Ok(()) => q.lane.unblocked(None, trace_id, true),
+                Err(TrySendError::Full(item) | TrySendError::Disconnected(item)) => {
+                    self.pending.push_front((i, item));
+                    break;
+                }
             }
-            let (_, tid, out) = self.pending.pop_front().expect("front checked above");
-            queue.push_back((tid, out));
-            // No tracepoint here: the enqueue was already recorded when
-            // the send parked (see `enqueue`), in the same order a
-            // blocking threaded send commits.
-            stats.note_enqueued();
             moved = true;
         }
         moved
-    }
-
-    /// One send on queued lane `i`: enqueue, or — on a full queue —
-    /// shed with accounting or park, per the lane's policy (`QueuedSink`
-    /// in virtual time, tracepoint order included).
-    fn enqueue(&mut self, i: usize, tid: u64, out: ErasedOutput) {
-        let tracer = self.tracer.as_ref();
-        let Lane::Queued {
-            queue,
-            cap,
-            policy,
-            stats,
-        } = &mut self.lanes[i]
-        else {
-            unreachable!("inline lanes deliver on the spot");
-        };
-        if queue.len() < *cap {
-            queue.push_back((tid, out));
-            stats.note_enqueued();
-            emit_rx(tracer, tid, TraceKind::DispatchEnqueue, i, stats.depth());
-            return;
-        }
-        match policy {
-            QueuePolicy::Shed => {
-                stats.note_dropped_full();
-                if let Some(t) = tracer {
-                    let code = TraceDropCode::DispatchShed as u64;
-                    t.emit(t.rx_lane(0), tid, TraceKind::Drop, i as u16, code, 0);
-                    t.trigger(TriggerReason::DispatchShed, i as u64);
-                }
-            }
-            QueuePolicy::Block => {
-                stats.note_blocked();
-                // Emit the enqueue tracepoint now, not at flush: a
-                // threaded RX core blocks inside the send, so its
-                // enqueue events land in send order — the parked send's
-                // order — never in flush order.
-                emit_rx(tracer, tid, TraceKind::DispatchEnqueue, i, stats.depth());
-                self.pending.push_back((i, tid, out));
-            }
-        }
     }
 
     /// Swap-time quiescence: runs every virtual worker to empty and
     /// flushes every parked send — the virtual-time form of the threaded
     /// grace period (every core acknowledges the new generation before
     /// the old epoch retires). Terminates because each pass first frees
-    /// queue slots, which lets `flush_pending` move parked sends.
+    /// ring slots, which lets `flush_pending` move parked sends.
     fn quiesce(&mut self) {
-        loop {
+        while !self.idle() {
             self.flush_pending();
-            for (lane, sub) in self.lanes.iter_mut().zip(&self.subs) {
-                if let Lane::Queued { queue, stats, .. } = lane {
-                    while let Some((_tid, out)) = queue.pop_front() {
-                        sub.invoke(out);
-                        stats.note_executed();
-                    }
-                }
-            }
-            if self.idle() {
-                break;
+            for w in 0..self.workers.len() {
+                self.run_worker(w, usize::MAX);
             }
         }
     }
 
-    /// One scheduling of virtual worker `w`: pops up to `batch` items,
+    /// One scheduling of virtual worker `w`: drains up to `batch` items,
     /// then lets parked sends take the freed slots. Returns whether it
     /// made progress.
     fn run_worker(&mut self, w: usize, batch: usize) -> bool {
-        let i = self.workers[w];
-        let Lane::Queued { queue, stats, .. } = &mut self.lanes[i] else {
+        let Sink::Queued(q) = &mut self.lanes[self.workers[w]] else {
             unreachable!("workers are queued lanes");
         };
-        let emit = |tid: u64, kind: TraceKind, b: u64| {
-            if tid != 0 {
-                if let Some(t) = &self.tracer {
-                    t.emit(t.worker_lane(w), tid, kind, i as u16, 0, b);
-                }
-            }
-        };
-        let mut popped = false;
-        for _ in 0..batch {
-            let Some((tid, out)) = queue.pop_front() else {
-                break;
-            };
-            emit(tid, TraceKind::DispatchDequeue, stats.depth());
-            emit(tid, TraceKind::CallbackStart, 0);
-            self.subs[i].invoke(out);
-            emit(tid, TraceKind::CallbackEnd, 0);
-            stats.note_executed();
-            popped = true;
-        }
-        popped && {
+        let trace = self.tracer.as_deref().map(|t| (t, t.worker_lane(w)));
+        let (ran, _) = q.lane.drain(trace, &mut q.ring, batch, || {});
+        ran > 0 && {
             self.flush_pending();
             true
         }
@@ -371,31 +294,29 @@ impl StepFabric {
     /// The fabric for the table a swap installs, built once the old one
     /// is quiesced. Removed subscriptions' counters are banked in
     /// `retired` by name; survivors carry theirs across (exactly as the
-    /// threaded hub shares them), so per-name counters span the run.
+    /// threaded epochs share them), so per-name counters span the run.
     fn rebuilt<F>(
         self,
         prepared: &PreparedSwap<F>,
         retired: &mut Vec<(String, DispatchSnapshot)>,
     ) -> Self {
-        for (i, m) in prepared.remap.iter().enumerate() {
+        let mut carried: Vec<Option<DispatchStats>> = Vec::with_capacity(self.lanes.len());
+        for (sink, m) in self.lanes.into_iter().zip(&prepared.remap) {
+            let lane = match sink {
+                Sink::Inline(lane) => lane,
+                Sink::Queued(q) => q.lane,
+            };
             if m.is_none() {
-                let snapshot = self.lanes[i].stats().snapshot();
-                retired.push((self.subs[i].name().to_string(), snapshot));
+                retired.push((lane.sub.name().to_string(), lane.stats.snapshot()));
             }
+            carried.push(Some(lane.stats));
         }
-        let mut carried: Vec<Option<DispatchStats>> = self
-            .lanes
-            .into_iter()
-            .map(|l| Some(l.into_stats()))
-            .collect();
+        let survivor = |j| prepared.survivor(j).and_then(|i| carried[i].take());
         StepFabric::new(
             &prepared.subs,
             &prepared.modes,
             self.tracer.as_ref(),
-            |j, cap| {
-                let survivor = prepared.survivor(j).and_then(|i| carried[i].take());
-                survivor.unwrap_or_else(|| DispatchStats::with_capacity(cap))
-            },
+            survivor,
         )
     }
 }
@@ -403,25 +324,16 @@ impl StepFabric {
 impl Transport for StepFabric {
     #[inline]
     fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
-        match &self.lanes[sub] {
-            Lane::Inline(sink) => sink.deliver(out, trace_id),
-            Lane::Queued { .. } => self.enqueue(sub, trace_id, out),
-        }
+        let blocked = self.lanes[sub].deliver(rx_trace(&self.tracer), trace_id, out);
+        self.park(sub, blocked);
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        match &self.lanes[sub] {
-            Lane::Inline(sink) => sink.deliver_from_mbuf(mbuf, trace_id),
-            // Crosses to a worker: the datum must be boxed for the queue.
-            Lane::Queued { .. } => match self.subs[sub].output_from_mbuf(mbuf) {
-                Some(out) => {
-                    self.enqueue(sub, trace_id, out);
-                    true
-                }
-                None => false,
-            },
-        }
+        let (produced, blocked) =
+            self.lanes[sub].deliver_from_mbuf(rx_trace(&self.tracer), mbuf, trace_id);
+        self.park(sub, blocked);
+        produced
     }
 }
 
@@ -432,7 +344,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// [`crate::TrafficSource`] batch yields.
     ///
     /// The run honours each subscription's [`crate::DispatchMode`] and
-    /// [`QueuePolicy`] semantically — bounded queues, parked sends,
+    /// [`crate::QueuePolicy`] semantically — bounded queues, parked sends,
     /// counted sheds — without spawning a single thread, and fabricates
     /// a loss-free NIC snapshot (no device sits in front of a stepped
     /// run), so [`RunReport::check_accounting`] applies unchanged.
@@ -474,9 +386,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .clone()
             .map(|tc| Arc::new(Tracer::new_virtual(tc, 1, max_workers)));
 
-        let mut fabric = StepFabric::new(&self.subs, &self.modes, tracer.as_ref(), |_, cap| {
-            DispatchStats::with_capacity(cap)
-        });
+        let mut fabric = StepFabric::new(&self.subs, &self.modes, tracer.as_ref(), |_| None);
         let mut pipeline = CorePipeline::new(
             Arc::clone(&self.filter),
             &self.subs,
@@ -575,7 +485,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                         }
                         next_pkt = end;
                         since_advance += 1;
-                        if since_advance >= cfg.advance_every.max(1) {
+                        if since_advance >= ADVANCE_EVERY_BURSTS {
                             since_advance = 0;
                             pipeline.advance(&mut fabric);
                         }
@@ -631,14 +541,17 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             rx_bytes: total_bytes,
             ..PortStatsSnapshot::default()
         };
-        let dispatch: Vec<DispatchSnapshot> =
-            fabric.lanes.iter().map(|l| l.stats().snapshot()).collect();
+        let dispatch: Vec<(&str, DispatchSnapshot)> = fabric
+            .lanes
+            .iter()
+            .map(|l| (l.lane().sub.name(), l.lane().stats.snapshot()))
+            .collect();
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.
             elapsed: Duration::ZERO,
             nic,
             cores,
-            subs: sub_reports(&fabric.subs, &dispatch, tallies, &retired),
+            subs: sub_reports(&dispatch, tallies, &retired),
             sim_duration_ns: max_ts,
             mbuf_high_water: 0,
             conn_arena_bytes: arena_bytes,

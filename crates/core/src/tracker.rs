@@ -44,7 +44,7 @@ use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedOutput, ErasedSubscription, ErasedTracked};
+use crate::erased::{Emitter, ErasedOutput, ErasedSubscription, ErasedTracked};
 use crate::stats::CoreStats;
 use crate::subscription::Level;
 use crate::util::rdtsc;
@@ -107,6 +107,24 @@ struct Conn {
 impl Conn {
     fn active(&self) -> SubscriptionSet {
         self.matched | self.live
+    }
+
+    /// The one emit path: runs `hook` on subscription `i`'s tracked
+    /// state (if it still holds any) with an emitter that tags what the
+    /// hook produces `(i, trace_id)` into `outputs` and counts it in
+    /// `tallies[i]`.
+    fn emit(
+        &mut self,
+        i: usize,
+        outputs: &mut Vec<(u32, u64, ErasedOutput)>,
+        tallies: &mut [SubTally],
+        hook: impl FnOnce(&mut dyn ErasedTracked, &TcpFlow, &mut Emitter<'_>),
+    ) {
+        if let Some(t) = self.tracked[i].as_mut() {
+            let delivered = &mut tallies[i].delivered;
+            let mut out = Emitter::new(outputs, delivered, i as u32, self.trace_id);
+            hook(&mut **t, &self.flow, &mut out);
+        }
     }
 }
 
@@ -235,14 +253,9 @@ impl<F: FilterFns> Ctx<'_, F> {
         service: Option<&str>,
         session: Option<&retina_protocols::Session>,
     ) {
-        let mut tmp = Vec::new();
-        if let Some(t) = conn.tracked[i].as_mut() {
-            t.on_match(service, session, &conn.flow, &mut tmp);
-        }
-        for o in tmp {
-            self.outputs.push((i as u32, conn.trace_id, o));
-            self.tallies[i].delivered += 1;
-        }
+        conn.emit(i, self.outputs, self.tallies, |t, flow, out| {
+            t.on_match(service, session, flow, out);
+        });
     }
 
     /// Drops subscription `i` from the connection after a filter
@@ -645,11 +658,13 @@ impl<F: FilterFns> ConnTracker<F> {
         names.zip(self.sub_tallies.iter().copied()).collect()
     }
 
-    /// Takes the subscription data produced since the last call, each
+    /// The subscription data produced since the last drain, each datum
     /// tagged with its subscription index and the originating flow's
-    /// trace id (0 = unsampled).
-    pub fn take_outputs(&mut self) -> Vec<(u32, u64, ErasedOutput)> {
-        std::mem::take(&mut self.outputs)
+    /// trace id (0 = unsampled), for the caller to drain in place (the
+    /// buffer keeps its capacity from flush to flush) — alongside the
+    /// core's statistics, which the flush loop updates as it delivers.
+    pub fn pending_outputs(&mut self) -> (&mut Vec<(u32, u64, ErasedOutput)>, &mut CoreStats) {
+        (&mut self.outputs, &mut self.stats)
     }
 
     /// Sets the parsing-shed flag (governor overload response, tier 1).
@@ -828,14 +843,12 @@ impl<F: FilterFns> ConnTracker<F> {
             // subscriptions: emit whatever they have ready (Figure 4a's
             // "run callback"). Session-level ones wait for sessions.
             for i in (matched - self.session_mask).iter() {
-                let mut tmp = Vec::new();
-                if let Some(t) = conn.tracked[i].as_mut() {
-                    t.on_match(None, None, &conn.flow, &mut tmp);
-                }
-                for o in tmp {
-                    self.outputs.push((i as u32, trace_id, o));
-                    self.sub_tallies[i].delivered += 1;
-                }
+                conn.emit(
+                    i,
+                    &mut self.outputs,
+                    &mut self.sub_tallies,
+                    |t, flow, out| t.on_match(None, None, flow, out),
+                );
             }
             self.table
                 .get_or_insert_with(hash, key, now, || (tuple, conn));
@@ -886,14 +899,9 @@ impl<F: FilterFns> ConnTracker<F> {
         for i in conn.active().iter() {
             if conn.matched.contains(i) {
                 if ctx.post_mask.contains(i) {
-                    let mut tmp = Vec::new();
-                    if let Some(t) = conn.tracked[i].as_mut() {
-                        t.post_match(mbuf, pkt, &mut tmp);
-                    }
-                    for o in tmp {
-                        ctx.outputs.push((i as u32, conn.trace_id, o));
-                        ctx.tallies[i].delivered += 1;
-                    }
+                    conn.emit(i, ctx.outputs, ctx.tallies, |t, _flow, out| {
+                        t.post_match(mbuf, pkt, out);
+                    });
                 }
             } else if let Some(t) = conn.tracked[i].as_mut() {
                 t.pre_match(mbuf, pkt);
@@ -1011,26 +1019,28 @@ impl<F: FilterFns> ConnTracker<F> {
                         );
                     }
                 }
+                // Matched session-level subscriptions first, then the
+                // still-live ones this session just matched.
                 let sess_matched = conn.matched & self.session_mask;
-                for i in sess_matched.iter() {
-                    self.deliver_match(&mut conn, i, service, session);
-                }
-                for i in hits.iter() {
-                    conn.live.remove(i);
-                    conn.matched.insert(i);
-                    self.deliver_match(&mut conn, i, service, session);
+                conn.live -= hits;
+                conn.matched |= hits;
+                for i in sess_matched.iter().chain(hits.iter()) {
+                    conn.emit(
+                        i,
+                        &mut self.outputs,
+                        &mut self.sub_tallies,
+                        |t, flow, out| t.on_match(Some(service), Some(session), flow, out),
+                    );
                 }
             }
         }
         for i in conn.matched.iter() {
-            let mut tmp = Vec::new();
-            if let Some(t) = conn.tracked[i].as_mut() {
-                t.on_terminate(&conn.flow, &mut tmp);
-            }
-            for o in tmp {
-                self.outputs.push((i as u32, conn.trace_id, o));
-                self.sub_tallies[i].delivered += 1;
-            }
+            conn.emit(
+                i,
+                &mut self.outputs,
+                &mut self.sub_tallies,
+                |t, flow, out| t.on_terminate(flow, out),
+            );
         }
         if !was_discarded {
             match reason {
@@ -1053,23 +1063,6 @@ impl<F: FilterFns> ConnTracker<F> {
                 end as u64,
                 0,
             );
-        }
-    }
-
-    fn deliver_match(
-        &mut self,
-        conn: &mut Conn,
-        i: usize,
-        service: &'static str,
-        session: &retina_protocols::Session,
-    ) {
-        let mut tmp = Vec::new();
-        if let Some(t) = conn.tracked[i].as_mut() {
-            t.on_match(Some(service), Some(session), &conn.flow, &mut tmp);
-        }
-        for o in tmp {
-            self.outputs.push((i as u32, conn.trace_id, o));
-            self.sub_tallies[i].delivered += 1;
         }
     }
 
@@ -1164,14 +1157,9 @@ impl<F: FilterFns> ConnTracker<F> {
                             continue;
                         }
                         if conn.matched.contains(i) {
-                            let mut tmp = Vec::new();
-                            if let Some(t) = conn.tracked[i].as_mut() {
-                                t.on_terminate(&conn.flow, &mut tmp);
-                            }
-                            for o in tmp {
-                                outputs.push((i as u32, conn.trace_id, o));
-                                old_tallies[i].delivered += 1;
-                            }
+                            conn.emit(i, outputs, old_tallies, |t, flow, out| {
+                                t.on_terminate(flow, out);
+                            });
                             conn.tracked[i] = None;
                         } else if conn.live.contains(i) && conn.tracked[i].take().is_some() {
                             old_tallies[i].discarded += 1;
@@ -1218,14 +1206,14 @@ impl<F: FilterFns> ConnTracker<F> {
                                     for j in promoted.iter() {
                                         conn.matched.insert(j);
                                         if !session_mask.contains(j) {
-                                            let mut tmp = Vec::new();
-                                            if let Some(t) = conn.tracked[j].as_mut() {
-                                                t.on_match(None, None, &conn.flow, &mut tmp);
-                                            }
-                                            for o in tmp {
-                                                outputs.push((j as u32, conn.trace_id, o));
-                                                new_tallies[j].delivered += 1;
-                                            }
+                                            conn.emit(
+                                                j,
+                                                outputs,
+                                                &mut new_tallies,
+                                                |t, flow, out| {
+                                                    t.on_match(None, None, flow, out);
+                                                },
+                                            );
                                         }
                                     }
                                     conn.live = still_live;

@@ -10,7 +10,7 @@
 //! governor's queue-pressure shed input.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Live dispatch counters for one subscription (shared between its
 /// producer sinks, its worker, and the governor's sampling thread).
@@ -104,20 +104,6 @@ impl DispatchStats {
         occ.min(1.0)
     }
 
-    /// Zeroes every counter and re-arms the capacity for a new run (the
-    /// stats block itself stays shared, so a governor holding the hub
-    /// keeps reading live values across runs).
-    pub fn reset(&self, capacity: u64) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        self.enqueued.store(0, Ordering::Relaxed);
-        self.executed.store(0, Ordering::Relaxed);
-        self.dropped_full.store(0, Ordering::Relaxed);
-        self.dropped_disconnected.store(0, Ordering::Relaxed);
-        self.depth.store(0, Ordering::Relaxed);
-        self.depth_peak.store(0, Ordering::Relaxed);
-        self.blocked_sends.store(0, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of every counter.
     #[must_use]
     pub fn snapshot(&self) -> DispatchSnapshot {
@@ -188,11 +174,19 @@ impl DispatchSnapshot {
     }
 }
 
-/// All subscriptions' dispatch stats, indexed by subscription order —
-/// the runtime owns one and shares it with the governor.
+/// The live subscription table's dispatch stats, indexed by
+/// subscription order — the runtime owns one for its whole life and
+/// shares it with the governor and the monitor.
+///
+/// Membership follows the configuration: every published epoch (a run's
+/// first, and each live swap's) [`DispatchHub::replace`]s it, so a
+/// long-lived observer always samples the table that is running.
+/// Surviving subscriptions keep the *same* `Arc<DispatchStats>` across a
+/// swap (so `delivered == executed + dropped` stays a single whole-run
+/// identity per subscription name); added ones arrive with fresh blocks.
 #[derive(Debug, Default)]
 pub struct DispatchHub {
-    subs: Vec<Arc<DispatchStats>>,
+    subs: RwLock<Vec<Arc<DispatchStats>>>,
 }
 
 impl DispatchHub {
@@ -200,73 +194,71 @@ impl DispatchHub {
     /// subscription i's total ring capacity (0 = inline).
     #[must_use]
     pub fn new(capacities: &[u64]) -> Self {
+        let subs = capacities
+            .iter()
+            .map(|&c| Arc::new(DispatchStats::with_capacity(c)))
+            .collect();
         Self {
-            subs: capacities
-                .iter()
-                .map(|&c| Arc::new(DispatchStats::with_capacity(c)))
-                .collect(),
+            subs: RwLock::new(subs),
         }
     }
 
-    /// A hub wrapping pre-existing stats blocks. A live
-    /// reconfiguration builds each epoch's hub this way: surviving
-    /// subscriptions keep the *same* `Arc<DispatchStats>` across the
-    /// swap (so `delivered == executed + dropped` stays a single
-    /// whole-run identity per subscription name), while added
-    /// subscriptions get fresh blocks.
-    #[must_use]
-    pub fn from_stats(subs: Vec<Arc<DispatchStats>>) -> Self {
-        Self { subs }
+    fn subs(&self) -> RwLockReadGuard<'_, Vec<Arc<DispatchStats>>> {
+        // A poisoned lock still guards a valid table: `replace` swaps
+        // the whole vector in one assignment.
+        self.subs
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Replaces the membership with a newly published configuration's
+    /// stats blocks, in its subscription order.
+    pub fn replace(&self, subs: Vec<Arc<DispatchStats>>) {
+        *self
+            .subs
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = subs;
     }
 
     /// Number of subscriptions tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.subs.len()
+        self.subs().len()
     }
 
     /// True when no subscriptions are tracked.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
+        self.subs().is_empty()
     }
 
     /// Shared handle to subscription `i`'s stats.
     #[must_use]
     pub fn get(&self, i: usize) -> Arc<DispatchStats> {
-        Arc::clone(&self.subs[i])
+        Arc::clone(&self.subs()[i])
     }
 
     /// The worst queue occupancy across all subscriptions — the
     /// governor's queue-pressure signal.
     #[must_use]
     pub fn max_occupancy(&self) -> f64 {
-        self.subs.iter().map(|s| s.occupancy()).fold(0.0, f64::max)
+        self.subs()
+            .iter()
+            .map(|s| s.occupancy())
+            .fold(0.0, f64::max)
     }
 
     /// Total items currently queued across every subscription's rings —
     /// the monitor's periodic queue-depth sample.
     #[must_use]
     pub fn total_depth(&self) -> u64 {
-        self.subs.iter().map(|s| s.depth()).sum()
+        self.subs().iter().map(|s| s.depth()).sum()
     }
 
     /// Per-subscription snapshots, in subscription order.
     #[must_use]
     pub fn snapshots(&self) -> Vec<DispatchSnapshot> {
-        self.subs.iter().map(|s| s.snapshot()).collect()
-    }
-
-    /// Zeroes every subscription's counters and re-arms capacities for
-    /// a new run.
-    ///
-    /// # Panics
-    /// Panics if `capacities.len()` differs from the hub's size.
-    pub fn configure(&self, capacities: &[u64]) {
-        assert_eq!(capacities.len(), self.subs.len());
-        for (stats, &capacity) in self.subs.iter().zip(capacities) {
-            stats.reset(capacity);
-        }
+        self.subs().iter().map(|s| s.snapshot()).collect()
     }
 }
 
@@ -314,5 +306,20 @@ mod tests {
         assert_eq!(snaps[0].enqueued, 0);
         assert_eq!(snaps[1].depth, 1);
         assert!(snaps[2].check(1).is_err(), "in-flight result must fail");
+    }
+
+    #[test]
+    fn hub_membership_follows_replace() {
+        let hub = DispatchHub::new(&[0, 4]);
+        let survivor = hub.get(1);
+        survivor.note_enqueued();
+        hub.replace(vec![
+            Arc::new(DispatchStats::with_capacity(8)),
+            Arc::clone(&survivor),
+            Arc::new(DispatchStats::with_capacity(2)),
+        ]);
+        assert_eq!(hub.len(), 3);
+        assert_eq!(hub.total_depth(), 1, "the survivor kept its counters");
+        assert_eq!(hub.snapshots()[0].capacity, 8);
     }
 }

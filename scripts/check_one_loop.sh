@@ -11,6 +11,17 @@
 # replays a synthetic first packet through the new filter once per live
 # connection per swap — not a per-packet path.
 #
+# The delivery fabric behind the pipeline's `Transport` lives in one
+# place too, and the same scan guards it:
+#
+#   * the lane protocol's accounting — every `DispatchStats::note_*`
+#     call — is in crates/core/src/executor.rs only (the stepped
+#     harness calls executor's code, it does not re-type it);
+#   * the fabric is built by one staging function: `channel_dispatcher(`
+#     has exactly one non-test call site;
+#   * outputs are downcast back to their type in erased.rs
+#     (`TypedSubscription::invoke`) and offline.rs (`Direct`) only.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line; comment lines are ignored. Run as the `one-loop`
 # stage of scripts/ci.sh.
@@ -42,8 +53,41 @@ for file in $(find crates/core/src crates/bench/src/bin -name '*.rs' | sort); do
     fi
 done
 
+note_calls='note_(enqueued|executed|inline|blocked|dropped_full|dropped_disconnected)\('
+dispatcher_calls=0
+for file in $(find crates/core/src -name '*.rs' | sort); do
+    lines=$(code_lines "$file")
+    if [ "$file" != crates/core/src/executor.rs ]; then
+        hits=$(printf '%s\n' "$lines" | grep -E "$note_calls" || true)
+        if [ -n "$hits" ]; then
+            echo "dispatch accounting outside crates/core/src/executor.rs:" >&2
+            printf '%s\n' "$hits" >&2
+            fail=1
+        fi
+    fi
+    case "$file" in
+    crates/core/src/erased.rs | crates/core/src/offline.rs) ;;
+    *)
+        hits=$(printf '%s\n' "$lines" | grep -F '.downcast::<' || true)
+        if [ -n "$hits" ]; then
+            echo "output downcast outside erased.rs / offline.rs:" >&2
+            printf '%s\n' "$hits" >&2
+            fail=1
+        fi
+        ;;
+    esac
+    n=$(printf '%s\n' "$lines" | grep -v 'fn channel_dispatcher(' |
+        grep -c 'channel_dispatcher(' || true)
+    dispatcher_calls=$((dispatcher_calls + n))
+done
+if [ "$dispatcher_calls" -ne 1 ]; then
+    echo "channel_dispatcher( has $dispatcher_calls non-test call sites (want 1: the staging function)" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "one-loop guard FAILED: drive CorePipeline instead of re-writing its loop" >&2
+    echo "one-loop guard FAILED: drive CorePipeline and executor's lane protocol instead of re-writing them" >&2
     exit 1
 fi
-echo "one-loop guard OK: packet filter and tracker are called from pipeline.rs only"
+echo "one-loop guard OK: packet filter and tracker are called from pipeline.rs only;"
+echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites"

@@ -13,7 +13,10 @@
 #   safety        every unsafe site carries a // SAFETY: comment
 #   one-loop      the packet filter and the conn tracker are called from
 #                 crates/core/src/pipeline.rs only (no second copy of the
-#                 per-packet loop in core or in a figure binary)
+#                 per-packet loop in core or in a figure binary), and the
+#                 delivery fabric behind it stays one: dispatch accounting
+#                 in executor.rs only, one channel_dispatcher call site,
+#                 downcasts in erased.rs / offline.rs only
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

@@ -37,8 +37,10 @@ if [ "$FAST" = 1 ]; then
     exit 0
 fi
 
-# One per-packet loop: the packet filter and the conn tracker are called
-# from crates/core/src/pipeline.rs only (a source scan; see the script).
+# One per-packet loop, one delivery fabric: the packet filter and the
+# conn tracker are called from crates/core/src/pipeline.rs only, dispatch
+# accounting lives in executor.rs only, the fabric is staged at one site
+# (a source scan; see the script).
 scripts/check_one_loop.sh
 
 cargo build --release --offline

@@ -142,8 +142,18 @@ fn threaded_swap_run(
     plan: Option<&FaultPlan>,
     counter: &Arc<AtomicU64>,
 ) -> (RunReport, retina_core::SwapEvent) {
+    threaded_swap_run_on(build_runtime(counter), packets, spec, plan)
+}
+
+/// [`threaded_swap_run`] on a runtime the caller built (and may hold
+/// handles into).
+fn threaded_swap_run_on(
+    mut rt: MultiRuntime<CompiledFilter>,
+    packets: Vec<(Bytes, u64)>,
+    spec: &SwapSpec,
+    plan: Option<&FaultPlan>,
+) -> (RunReport, retina_core::SwapEvent) {
     let mid = packets.len() / 2;
-    let mut rt = build_runtime(counter);
     let controller = rt.swap_controller();
     let nic = Arc::clone(rt.nic());
     let plan = plan.cloned();
@@ -352,6 +362,40 @@ fn threaded_swap_zero_loss_and_untouched_digest() {
         control_hits.load(Ordering::Relaxed)
     );
     assert!(sub(&report, "udp-conns").delivered > 0, "added sub silent");
+}
+
+/// Regression: the runtime has one dispatch hub and its membership
+/// follows the live table. A swap used to build a second hub for the new
+/// epoch while `dispatch_hub()` — the governor's dispatch-occupancy input
+/// and the monitor's queue-depth sample — kept the epoch-0 one, so a
+/// subscription a swap added was never seen.
+#[test]
+fn dispatch_hub_follows_a_threaded_swap() {
+    let hits = Arc::new(AtomicU64::new(0));
+    let rt = build_runtime(&hits);
+    let hub = rt.dispatch_hub();
+    assert_eq!(hub.len(), 2);
+    // Keep both running subscriptions and add a dispatched one.
+    let spec = SwapSpec::new()
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+        .subscribe_named::<ConnRecord>("tls443", "ipv4 and tcp.port = 443", |_| {})
+        .subscribe_dispatched::<ConnRecord>(
+            "udp-conns",
+            "udp",
+            DispatchMode::dedicated(64),
+            |_| {},
+        );
+    let (report, event) = threaded_swap_run_on(rt, workload(), &spec, None);
+    report
+        .check_accounting()
+        .expect("accounting exact across swap");
+    assert_eq!(event.added, vec!["udp-conns".to_string()]);
+
+    assert_eq!(hub.len(), spec.names().len(), "hub kept the old table");
+    let added = hub.snapshots()[2];
+    assert_eq!(added.capacity, 2 * 64, "one 64-deep ring per RX core");
+    assert!(added.executed > 0, "hub never saw the added subscription");
+    assert_eq!(added.executed, sub(&report, "udp-conns").cb_executed);
 }
 
 #[test]
