@@ -100,10 +100,12 @@ fn bench_conn_table(c: &mut Criterion) {
         })
         .collect();
 
-    // Stand-in for the NIC-stamped symmetric RSS hash: any well-mixed
-    // 32-bit value per flow exercises the sharded index the same way.
-    let hashes: Vec<u32> = (0..4096u64)
-        .map(|i| retina_support::hash::splitmix64(i) as u32)
+    // The hash the NIC model stamps: symmetric Toeplitz, 16 bits of
+    // entropy — what the index actually has to cope with.
+    let rss = RssHasher::symmetric();
+    let hashes: Vec<u32> = tuples
+        .iter()
+        .map(|t| rss.hash_tuple(&t.orig.ip(), &t.resp.ip(), t.orig.port(), t.resp.port()))
         .collect();
 
     c.bench_function("conntrack/insert_4096", |b| {

@@ -19,14 +19,17 @@
 //!    `created == discarded + terminated + expired + drained`.
 //! 2. **Threaded run** (record-only): wall-clock conns/sec of setup +
 //!    teardown through the real multi-core runtime.
-//! 3. **Lookup micro-bench** (record-only): rdtsc cycles per
-//!    `ConnTable::get_mut` hit at scale, p50/p99.
+//! 3. **Lookup micro-bench**: rdtsc cycles per `ConnTable::get_mut` hit
+//!    at scale, p50/p99 (record-only), over a table keyed with the
+//!    hashes the system ships with — `RssHasher::symmetric()`, 16 bits of
+//!    entropy — whose longest index chain must not exceed 2 (gated: an
+//!    index that goes back to relying on the RSS hash fails here).
 //!
 //! Full mode must sustain >= 1M concurrent flows; `--quick` runs the
 //! same shape at CI size. Exits non-zero on any violation.
 
-// Bench-harness narrowing: synthetic addresses and stand-in RSS hashes
-// are built from loop counters that fit their compact fields.
+// Bench-harness narrowing: synthetic addresses are built from loop
+// counters that fit their compact fields.
 #![allow(clippy::cast_possible_truncation)]
 
 use std::process::exit;
@@ -36,7 +39,7 @@ use retina_conntrack::{ConnKey, ConnTable, FiveTuple, TimeoutConfig};
 use retina_core::subscribables::ConnRecord;
 use retina_core::util::rdtsc;
 use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
-use retina_support::hash::splitmix64;
+use retina_nic::rss::RssHasher;
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_trafficgen::PreloadedSource;
 
@@ -71,9 +74,12 @@ fn build_runtime(cores: u16) -> retina_core::MultiRuntime<retina_filter::Compile
         .expect("runtime builds")
 }
 
-/// rdtsc cycles per `get_mut` hit over a table of `n` live connections,
-/// visiting keys in a strided (cache-hostile) order.
-fn lookup_cycles(n: usize) -> (f64, f64) {
+/// rdtsc cycles per `get_mut` hit (p50, p99) over a table of `n` live
+/// connections keyed with their real symmetric RSS hashes, visiting keys
+/// in a strided (cache-hostile) order; plus the table's longest index
+/// chain at that size.
+fn lookup_cycles(n: usize) -> (f64, f64, usize) {
+    let rss = RssHasher::symmetric();
     let mut table: ConnTable<u64> = ConnTable::new(TimeoutConfig::retina_default());
     let mut keys = Vec::with_capacity(n);
     let mut hashes = Vec::with_capacity(n);
@@ -84,8 +90,7 @@ fn lookup_cycles(n: usize) -> (f64, f64) {
         );
         let resp: std::net::SocketAddr = "1.1.1.1:443".parse().unwrap();
         let key = ConnKey::new(orig, resp, 6);
-        // Stand-in for the NIC's symmetric RSS hash: well-mixed per flow.
-        let hash = splitmix64(i as u64) as u32;
+        let hash = rss.hash_tuple(&orig.ip(), &resp.ip(), orig.port(), resp.port());
         let tuple = FiveTuple {
             orig,
             resp,
@@ -106,7 +111,7 @@ fn lookup_cycles(n: usize) -> (f64, f64) {
         samples.push(t1.wrapping_sub(t0) as f64);
     }
     let pts = percentiles(samples, &[50.0, 99.0]);
-    (pts[0].1, pts[1].1)
+    (pts[0].1, pts[1].1, table.longest_chain())
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -177,8 +182,17 @@ fn main() {
 
     // 3. Lookup micro-bench at scale.
     let lookup_n = if args.quick { 50_000 } else { 200_000 };
-    let (p50, p99) = lookup_cycles(lookup_n);
-    println!("  lookup over {lookup_n} live conns: p50 {p50:.0} cycles, p99 {p99:.0} cycles");
+    let (p50, p99, longest_chain) = lookup_cycles(lookup_n);
+    println!(
+        "  lookup over {lookup_n} live conns (real RSS hashes): p50 {p50:.0} cycles, \
+         p99 {p99:.0} cycles, longest index chain {longest_chain}"
+    );
+    if longest_chain > 2 {
+        fail(&format!(
+            "index chains up to {longest_chain} long at {lookup_n} connections: \
+             the index key must not rely on the 16-bit symmetric RSS hash"
+        ));
+    }
 
     println!(
         "churn storm OK: accounting exact, peak {peak} concurrent, \
@@ -197,6 +211,10 @@ fn main() {
             ("conns_peak", peak as f64),
             ("arena_high_water_bytes", arena_bytes as f64),
             ("accounting_ok", 1.0),
+            (
+                "longest_chain_le_2",
+                f64::from(u8::from(longest_chain <= 2)),
+            ),
             ("_conns_per_sec", conns_per_sec),
             ("_lookup_p50_cycles", p50),
             ("_lookup_p99_cycles", p99),

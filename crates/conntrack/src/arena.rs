@@ -16,16 +16,22 @@
 //! generation check and reads as vacant, which is exactly the tombstone
 //! semantics the wheel's lazy revalidation expects.
 //!
-//! Each slot stores the canonical [`ConnKey`] (so RSS-hash collisions
-//! are verified without a second map) and the 32-bit RSS hash itself
-//! (so expiry can unlink the shard-index bucket without re-running
-//! Toeplitz over the tuple).
+//! A slot holds the connection's identity **once**: the oriented
+//! [`FiveTuple`] in the entry. The canonical [`crate::ConnKey`] is not
+//! stored beside it — the index verifies a hit with
+//! [`crate::ConnKey::is_key_of`] against the tuple, and whoever needs the
+//! key of a removed entry derives it (`entry.tuple.key()`). What *is*
+//! stored beside the entry is what expiry needs to unlink it from the
+//! index without re-deriving anything from the tuple: the 32-bit RSS
+//! hash (which picks the index shard) and the owner's 64-bit index key.
+//! Every 8 bytes here are a megabyte at a 131,072-slot arena:
+//! [`ConnArena::SLOT_OVERHEAD`] is asserted in the tests.
 //!
 //! Capacity only grows, so `allocated_bytes()` is simultaneously the
 //! current footprint and the high-water mark — the quantity the
 //! arena-bytes gauge (and the churn bench's memory gate) reports.
 
-use crate::tuple::{ConnKey, FiveTuple};
+use crate::tuple::FiveTuple;
 
 /// Compact generation-checked reference to an arena slot.
 ///
@@ -85,20 +91,16 @@ pub struct ConnEntry<V> {
     pub value: V,
 }
 
-/// Occupied-slot payload: identity (canonical key + RSS hash) plus the
-/// tracked entry.
-#[derive(Debug)]
-struct Occupied<V> {
-    key: ConnKey,
-    hash: u32,
-    entry: ConnEntry<V>,
-}
-
-/// One arena slot: a generation counter plus the occupied payload.
+/// One arena slot: a generation counter, the occupant's RSS hash and
+/// index key (opaque here: whatever the owner looks the entry up by),
+/// and the occupant (vacancy costs no extra byte: it lives in the
+/// entry's `bool`).
 #[derive(Debug)]
 struct Slot<V> {
     gen: u32,
-    data: Option<Occupied<V>>,
+    hash: u32,
+    index_key: u64,
+    entry: Option<ConnEntry<V>>,
 }
 
 /// Dense slab of connection entries with generation-checked handles.
@@ -117,6 +119,13 @@ impl<V> Default for ConnArena<V> {
 }
 
 impl<V> ConnArena<V> {
+    /// Bytes one slot occupies.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<V>>();
+
+    /// Bytes a slot spends on everything but the caller's `V`: identity,
+    /// stamps, generation, hash, index key.
+    pub const SLOT_OVERHEAD: usize = Self::SLOT_BYTES - std::mem::size_of::<V>();
+
     /// An empty arena.
     #[must_use]
     pub fn new() -> Self {
@@ -151,19 +160,19 @@ impl<V> ConnArena<V> {
     /// also the memory high-water mark.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<V>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        self.slots.capacity() * Self::SLOT_BYTES + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Inserts an entry, reusing a freed slot when one exists.
-    pub fn insert(&mut self, key: ConnKey, hash: u32, entry: ConnEntry<V>) -> ConnHandle {
+    pub fn insert(&mut self, hash: u32, index_key: u64, entry: ConnEntry<V>) -> ConnHandle {
         self.live += 1;
         self.live_high_water = self.live_high_water.max(self.live);
-        let data = Occupied { key, hash, entry };
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
-            debug_assert!(slot.data.is_none(), "free-listed slot occupied");
-            slot.data = Some(data);
+            debug_assert!(slot.entry.is_none(), "free-listed slot occupied");
+            slot.hash = hash;
+            slot.index_key = index_key;
+            slot.entry = Some(entry);
             ConnHandle {
                 index,
                 gen: slot.gen,
@@ -172,22 +181,22 @@ impl<V> ConnArena<V> {
             let index = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
             self.slots.push(Slot {
                 gen: 0,
-                data: Some(data),
+                hash,
+                index_key,
+                entry: Some(entry),
             });
             ConnHandle { index, gen: 0 }
         }
     }
 
-    /// The key stored at `handle`, if the handle is current.
-    #[must_use]
-    pub fn key(&self, handle: ConnHandle) -> Option<&ConnKey> {
-        self.slot(handle).map(|o| &o.key)
-    }
-
     /// The entry at `handle`, if the handle is current.
     #[must_use]
     pub fn get(&self, handle: ConnHandle) -> Option<&ConnEntry<V>> {
-        self.slot(handle).map(|o| &o.entry)
+        let slot = self.slots.get(handle.index as usize)?;
+        if slot.gen != handle.gen {
+            return None;
+        }
+        slot.entry.as_ref()
     }
 
     /// Mutable access to the entry at `handle`, if current.
@@ -196,80 +205,55 @@ impl<V> ConnArena<V> {
         if slot.gen != handle.gen {
             return None;
         }
-        slot.data.as_mut().map(|o| &mut o.entry)
+        slot.entry.as_mut()
     }
 
     /// Removes the entry at `handle`, bumping the slot generation so
     /// any outstanding handle (e.g. a wheel token) becomes stale.
-    /// Returns `(key, rss_hash, entry)`.
-    pub fn remove(&mut self, handle: ConnHandle) -> Option<(ConnKey, u32, ConnEntry<V>)> {
+    /// Returns `(rss_hash, index_key, entry)`.
+    pub fn remove(&mut self, handle: ConnHandle) -> Option<(u32, u64, ConnEntry<V>)> {
         let slot = self.slots.get_mut(handle.index as usize)?;
         if slot.gen != handle.gen {
             return None;
         }
-        let data = slot.data.take()?;
+        let entry = slot.entry.take()?;
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(handle.index);
         self.live -= 1;
-        Some((data.key, data.hash, data.entry))
+        Some((slot.hash, slot.index_key, entry))
     }
 
     /// Iterates live entries in slot order — deterministic, unlike a
     /// randomly-seeded hash map.
-    pub fn iter(&self) -> impl Iterator<Item = (&ConnKey, &ConnEntry<V>)> {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.data.as_ref().map(|o| (&o.key, &o.entry)))
+    pub fn iter(&self) -> impl Iterator<Item = &ConnEntry<V>> {
+        self.slots.iter().filter_map(|slot| slot.entry.as_ref())
     }
 
     /// Mutably visits every live entry in slot order; entries for which
     /// `f` returns `false` are removed (generation bumped, slot freed)
-    /// and handed to `on_remove` with their key and RSS hash. Used by
-    /// the live-reconfiguration rebind, which must rewrite or evict
-    /// every tracked connection in one deterministic pass.
+    /// and handed to `on_remove` with their RSS hash and index key. Used by the
+    /// live-reconfiguration rebind, which must rewrite or evict every
+    /// tracked connection in one deterministic pass, and — with an `f`
+    /// that keeps nothing — to drain the arena in place.
     pub fn retain_mut(
         &mut self,
-        mut f: impl FnMut(&ConnKey, &mut ConnEntry<V>) -> bool,
-        mut on_remove: impl FnMut(ConnKey, u32, ConnEntry<V>),
+        mut f: impl FnMut(&mut ConnEntry<V>) -> bool,
+        mut on_remove: impl FnMut(u32, u64, ConnEntry<V>),
     ) {
         for (index, slot) in self.slots.iter_mut().enumerate() {
-            let keep = match slot.data.as_mut() {
-                Some(o) => f(&o.key, &mut o.entry),
+            let keep = match slot.entry.as_mut() {
+                Some(entry) => f(entry),
                 None => continue,
             };
             if !keep {
-                let data = slot.data.take().expect("checked occupied above");
+                let entry = slot.entry.take().expect("checked occupied above");
                 slot.gen = slot.gen.wrapping_add(1);
                 self.free
                     .push(u32::try_from(index).expect("arena exceeds u32 slots"));
                 self.live -= 1;
-                on_remove(data.key, data.hash, data.entry);
+                on_remove(slot.hash, slot.index_key, entry);
             }
         }
-    }
-
-    /// Drains every live entry in slot order, leaving the arena empty
-    /// (capacity retained).
-    pub fn drain_all(&mut self) -> Vec<(ConnKey, ConnEntry<V>)> {
-        let mut out = Vec::with_capacity(self.live);
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(data) = slot.data.take() {
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free
-                    .push(u32::try_from(index).expect("arena exceeds u32 slots"));
-                out.push((data.key, data.entry));
-            }
-        }
-        self.live = 0;
-        out
-    }
-
-    fn slot(&self, handle: ConnHandle) -> Option<&Occupied<V>> {
-        let slot = self.slots.get(handle.index as usize)?;
-        if slot.gen != handle.gen {
-            return None;
-        }
-        slot.data.as_ref()
     }
 }
 
@@ -278,38 +262,31 @@ mod tests {
     use super::*;
     use std::net::SocketAddr;
 
-    fn key_entry(n: u16) -> (ConnKey, ConnEntry<u32>) {
+    fn entry(n: u16) -> ConnEntry<u32> {
         let orig: SocketAddr = format!("10.0.0.1:{n}").parse().unwrap();
         let resp: SocketAddr = "1.1.1.1:443".parse().unwrap();
-        let tuple = FiveTuple {
-            orig,
-            resp,
-            proto: 6,
-        };
-        let key = tuple.key();
-        (
-            key,
-            ConnEntry {
-                tuple,
-                created_ns: 0,
-                last_seen_ns: 0,
-                established: false,
-                value: u32::from(n),
+        ConnEntry {
+            tuple: FiveTuple {
+                orig,
+                resp,
+                proto: 6,
             },
-        )
+            created_ns: 0,
+            last_seen_ns: 0,
+            established: false,
+            value: u32::from(n),
+        }
     }
 
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut arena = ConnArena::new();
-        let (key, entry) = key_entry(1);
-        let h = arena.insert(key, 0xabcd, entry);
+        let h = arena.insert(0xabcd, 77, entry(1));
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.get(h).unwrap().value, 1);
-        assert_eq!(arena.key(h), Some(&key));
-        let (k2, hash, e2) = arena.remove(h).unwrap();
-        assert_eq!(k2, key);
-        assert_eq!(hash, 0xabcd);
+        assert_eq!(arena.get(h).unwrap().tuple, entry(1).tuple);
+        let (hash, index_key, e2) = arena.remove(h).unwrap();
+        assert_eq!((hash, index_key), (0xabcd, 77));
         assert_eq!(e2.value, 1);
         assert!(arena.is_empty());
     }
@@ -317,11 +294,9 @@ mod tests {
     #[test]
     fn stale_handle_after_reuse_is_vacant() {
         let mut arena = ConnArena::new();
-        let (k1, e1) = key_entry(1);
-        let h1 = arena.insert(k1, 1, e1);
+        let h1 = arena.insert(1, 10, entry(1));
         arena.remove(h1).unwrap();
-        let (k2, e2) = key_entry(2);
-        let h2 = arena.insert(k2, 2, e2);
+        let h2 = arena.insert(2, 20, entry(2));
         // Slot reused, generation bumped: the old handle must not alias
         // the new occupant.
         assert_eq!(h1.index(), h2.index());
@@ -329,6 +304,9 @@ mod tests {
         assert!(arena.get(h1).is_none());
         assert!(arena.remove(h1).is_none());
         assert_eq!(arena.get(h2).unwrap().value, 2);
+        // The reused slot reports its new occupant's hash and index key.
+        let (hash, index_key, _) = arena.remove(h2).unwrap();
+        assert_eq!((hash, index_key), (2, 20));
     }
 
     #[test]
@@ -346,8 +324,7 @@ mod tests {
         let mut handles = Vec::new();
         for round in 0..10 {
             for n in 0..1000u16 {
-                let (k, e) = key_entry(n);
-                handles.push(arena.insert(k, u32::from(n), e));
+                handles.push(arena.insert(u32::from(n), u64::from(n), entry(n)));
             }
             assert_eq!(arena.len(), 1000);
             let bytes = arena.allocated_bytes();
@@ -370,12 +347,15 @@ mod tests {
     fn drain_all_in_slot_order() {
         let mut arena = ConnArena::new();
         for n in 0..5u16 {
-            let (k, e) = key_entry(n);
-            arena.insert(k, u32::from(n), e);
+            arena.insert(u32::from(n), u64::from(n), entry(n));
         }
-        let drained = arena.drain_all();
-        let values: Vec<u32> = drained.iter().map(|(_, e)| e.value).collect();
-        assert_eq!(values, vec![0, 1, 2, 3, 4], "slot order is deterministic");
+        let mut values = Vec::new();
+        arena.retain_mut(|_| false, |hash, _, e| values.push((hash, e.value)));
+        assert_eq!(
+            values,
+            vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
+            "slot order is deterministic"
+        );
         assert!(arena.is_empty());
         // Post-drain handles are all stale.
         assert!(arena.get(ConnHandle { index: 0, gen: 0 }).is_none());
@@ -384,13 +364,16 @@ mod tests {
     #[test]
     fn high_water_is_monotonic() {
         let mut arena = ConnArena::new();
-        let (k, e) = key_entry(1);
-        let h = arena.insert(k, 1, e);
-        let (k2, e2) = key_entry(2);
-        let h2 = arena.insert(k2, 2, e2);
+        let h = arena.insert(1, 10, entry(1));
+        let h2 = arena.insert(2, 20, entry(2));
         assert_eq!(arena.live_high_water(), 2);
         arena.remove(h).unwrap();
         arena.remove(h2).unwrap();
         assert_eq!(arena.live_high_water(), 2, "high water never drops");
     }
+
+    // Identity (68 B tuple), two stamps, the established flag,
+    // generation, hash and index key: 101 B of content. Growth here is a megabyte
+    // per 8 bytes at a 131,072-slot arena.
+    const _: () = assert!(ConnArena::<[u64; 50]>::SLOT_OVERHEAD <= 104);
 }

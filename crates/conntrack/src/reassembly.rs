@@ -150,23 +150,35 @@ impl StreamReassembler {
     /// Releases every buffered segment that is now in order. Call after
     /// an [`Reassembled::InOrder`] result.
     pub fn flush(&mut self) -> Vec<Mbuf> {
-        let mut out = Vec::new();
         let Some(mut next) = self.next_seq else {
-            return out;
+            return Vec::new();
         };
-        while let Some(&(seq, consumed, _)) = self.ooo.first() {
-            if seq_lt(seq, next) {
-                // Hole was covered by a retransmission; discard.
-                self.ooo.remove(0);
-                continue;
-            }
-            if seq != next {
-                break;
-            }
-            let (_, _, mbuf) = self.ooo.remove(0);
-            next = next.wrapping_add(consumed);
-            out.push(mbuf);
-        }
+        // The prefix of the buffer the stream has reached: segments now
+        // in order, and ones a retransmission already covered. Measured
+        // first and drained once — popping the front one segment at a
+        // time is quadratic in a buffer of up to `capacity` segments.
+        let mut reach = next;
+        let reached = self
+            .ooo
+            .iter()
+            .take_while(|&&(seq, consumed, _)| {
+                if seq == reach {
+                    reach = reach.wrapping_add(consumed);
+                }
+                !seq_lt(reach, seq)
+            })
+            .count();
+        let out = self
+            .ooo
+            .drain(..reached)
+            .filter_map(|(seq, consumed, mbuf)| {
+                // Covered segments (seq behind the stream) are discarded.
+                (seq == next).then(|| {
+                    next = next.wrapping_add(consumed);
+                    mbuf
+                })
+            })
+            .collect();
         self.next_seq = Some(next);
         out
     }

@@ -4,21 +4,34 @@
 //! only ever sees its own connections, so no synchronization is needed.
 //! Within a core the table is built for million-flow scan churn:
 //!
-//! - **RSS-hash keyed, sharded index.** Lookups key on the 32-bit
-//!   symmetric Toeplitz hash the NIC already computed (`mbuf.rss_hash`)
-//!   instead of re-hashing the 5-tuple with SipHash. The index is split
-//!   into [`SHARDS`] sub-maps selected by a mix of the hash, bounding
-//!   the size of any single rehash pause as the table grows to millions
-//!   of entries. Map hashing uses the seeded in-tree
-//!   [`retina_support::hash::FlowHasher`] — deterministic layout,
-//!   one multiply-mix per probe.
-//! - **Collision chains with full-key verification.** The symmetric RSS
-//!   key trades entropy for symmetry, so distinct connections sharing a
-//!   32-bit hash are expected at scale. A bucket is one arena handle or
-//!   a small chain of them; every hit verifies the full [`ConnKey`]
-//!   against the arena slot, so collisions (including `rss_hash == 0`
-//!   from unstamped mbufs) degrade to a short scan, never to
-//!   misattribution.
+//! - **Sharded index keyed on 64 bits of `(rss_hash, fingerprint)`.**
+//!   The NIC's symmetric Toeplitz hash (`mbuf.rss_hash`) picks one of
+//!   [`SHARDS`] sub-maps, bounding the size of any single rehash pause as
+//!   the table grows to millions of entries — but it cannot be the map
+//!   key. The symmetric key is `0x6d5a` repeated, so an input bit's
+//!   contribution depends only on its position mod 16 and the "32-bit"
+//!   hash takes at most 65,536 values on any traffic (pinned by a test in
+//!   `retina_nic::rss`). Keyed on it alone, 100,000 live scan connections
+//!   sat in 51,154 buckets with chains up to 9 long, 78 % of them in a
+//!   chain, and the mean chain grew linearly with the table. The map key
+//!   is therefore [`ConnKey::fingerprint`] — two multiplies over the
+//!   canonical endpoints — with the RSS hash folded into its high half.
+//!   Map hashing uses the seeded in-tree
+//!   [`retina_support::hash::FlowHasher`]: deterministic layout, one
+//!   multiply-mix per probe.
+//! - **Full-key verification, chains as the fallback.** An index entry
+//!   is one arena handle (16 bytes with its key); every hit is verified
+//!   against the identity in the arena slot, so two connections whose
+//!   64-bit index keys collide (forgeable, since nothing here is secret;
+//!   otherwise ~never) degrade to a short scan of a side chain, never to
+//!   misattribution. At 100,000 live scan connections under the real
+//!   hash no chain is longer than 2 ([`ConnTable::longest_chain`], gated
+//!   by `churn_storm`).
+//! - **One probe per packet.** [`ConnTable::lookup`] resolves a
+//!   [`ConnHandle`] once; [`ConnTable::entry_mut`] and
+//!   [`ConnTable::remove_handle`] then address the entry without touching
+//!   the index again. The key-based verbs (`get_mut`,
+//!   `get_or_insert_with`, `remove`) are those two steps in one call.
 //! - **Arena entry storage.** Entries live in a dense, slot-reusing
 //!   [`ConnArena`] addressed by compact generation-checked `u32`
 //!   handles; steady-state churn allocates nothing and the arena
@@ -31,6 +44,7 @@
 //!   whole wheel buckets; per-packet work is one `last_seen` stamp.
 //!   Figure 8 reproduces the memory effect of these choices.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use retina_support::hash::{splitmix64, FlowHashState};
@@ -86,26 +100,21 @@ impl TimeoutConfig {
     }
 }
 
-/// One index bucket: connections sharing a 32-bit RSS hash. The
-/// overwhelmingly common case is a single handle; chains stay inline
-/// until a collision actually occurs.
-#[derive(Debug)]
-enum Bucket {
-    One(ConnHandle),
-    Many(Vec<ConnHandle>),
-}
-
-/// Per-core connection table: sharded RSS-hash index over an entry
-/// arena, with lazy hierarchical-timer-wheel expiration.
+/// Per-core connection table: sharded index over an entry arena, with
+/// lazy hierarchical-timer-wheel expiration.
 #[derive(Debug)]
 pub struct ConnTable<V> {
-    /// `shards[i]` maps rss_hash → bucket for hashes mixing to `i`.
-    shards: Vec<HashMap<u32, Bucket, FlowHashState>>,
+    /// `shards[i]` maps index key → the connection that holds it, for
+    /// RSS hashes mixing to `i`.
+    shards: Vec<HashMap<u64, ConnHandle, FlowHashState>>,
+    /// The correctness fallback for a full 64-bit collision: index key →
+    /// the connections that found it already held by another one. Empty
+    /// unless someone forges keys; every path checks that first.
+    collided: HashMap<u64, Vec<ConnHandle>, FlowHashState>,
     arena: ConnArena<V>,
     wheel: TimerWheel,
     config: TimeoutConfig,
     scratch: Vec<(u64, u64)>,
-    bytes_high_water: usize,
 }
 
 /// The shard an RSS hash lives in. Mixed through splitmix64 first: the
@@ -115,6 +124,13 @@ pub struct ConnTable<V> {
 #[allow(clippy::cast_possible_truncation)] // only the low log2(SHARDS) bits survive the mask
 fn shard_of(hash: u32) -> usize {
     (splitmix64(u64::from(hash)) as usize) & (SHARDS - 1)
+}
+
+/// The shard-map key of a connection: its fingerprint, with the RSS
+/// hash folded into the high half.
+#[inline]
+fn index_key(hash: u32, key: &ConnKey) -> u64 {
+    key.fingerprint() ^ (u64::from(hash) << 32)
 }
 
 impl<V> ConnTable<V> {
@@ -129,11 +145,11 @@ impl<V> ConnTable<V> {
             shards: (0..SHARDS)
                 .map(|i| HashMap::with_hasher(FlowHashState::with_seed(splitmix64(i as u64))))
                 .collect(),
+            collided: HashMap::default(),
             arena: ConnArena::new(),
             wheel: TimerWheel::new(100_000_000, 256),
             config,
             scratch: Vec::new(),
-            bytes_high_water: 0,
         }
     }
 
@@ -159,91 +175,140 @@ impl<V> ConnTable<V> {
 
     /// Bytes held by the arena and the shard indexes (approximate for
     /// the hash maps: capacity × entry footprint). Capacity never
-    /// shrinks, so this tracks the memory high-water mark.
+    /// shrinks — removal and [`ConnTable::drain_all`] keep it — so this
+    /// is also the memory high-water mark.
     pub fn allocated_bytes(&self) -> usize {
-        let bucket_footprint = std::mem::size_of::<(u32, Bucket)>() + 1;
+        let entry_footprint = std::mem::size_of::<(u64, ConnHandle)>() + 1;
         let index: usize = self
             .shards
             .iter()
-            .map(|s| s.capacity() * bucket_footprint)
+            .map(|s| s.capacity() * entry_footprint)
             .sum();
         self.arena.allocated_bytes() + index
     }
 
-    /// High-water mark of [`ConnTable::allocated_bytes`], sampled on
-    /// insertion (the only operation that grows storage).
-    pub fn bytes_high_water(&self) -> usize {
-        self.bytes_high_water
-    }
-
-    /// Length of the longest index bucket: connections sharing one RSS
-    /// hash are found by a linear scan, so this is the table's worst-case
-    /// probe length. It stays in single digits when callers pass the
-    /// NIC's hash; one long chain means they pass a constant.
+    /// The most connections sharing one index key: they are told apart
+    /// by a linear scan, so this is the table's worst-case probe length.
+    /// It is 1 or, rarely, 2 at any size when callers pass the NIC's
+    /// hash and real keys.
     pub fn longest_chain(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(HashMap::values)
-            .map(|bucket| match bucket {
-                Bucket::One(_) => 1,
-                Bucket::Many(chain) => chain.len(),
-            })
-            .max()
-            .unwrap_or(0)
+        let collided = self.collided.values().map(Vec::len).max().unwrap_or(0);
+        usize::from(!self.is_empty()) + collided
     }
 
-    /// Finds the handle for `key` under `hash`, verifying the full key
-    /// against the arena (RSS collisions are expected; see module docs).
-    fn find(&self, hash: u32, key: &ConnKey) -> Option<ConnHandle> {
-        match self.shards[shard_of(hash)].get(&hash)? {
-            Bucket::One(h) => (self.arena.key(*h) == Some(key)).then_some(*h),
-            Bucket::Many(chain) => chain
-                .iter()
-                .copied()
-                .find(|h| self.arena.key(*h) == Some(key)),
+    /// Number of distinct index keys in use (== [`ConnTable::len`] when
+    /// no two connections share one).
+    #[cfg(test)]
+    fn bucket_count(&self) -> usize {
+        self.shards.iter().map(HashMap::len).sum()
+    }
+
+    /// Whether `handle` is the live entry of the connection `key` names.
+    #[inline]
+    fn holds(&self, handle: ConnHandle, key: &ConnKey) -> bool {
+        self.arena
+            .get(handle)
+            .is_some_and(|entry| key.is_key_of(&entry.tuple))
+    }
+
+    /// Resolves `key` (with the RSS hash of its packets) to the handle
+    /// of its entry: the one keyed index probe a packet needs. Every hit
+    /// is verified against the identity in the arena slot.
+    #[inline]
+    pub fn lookup(&self, hash: u32, key: &ConnKey) -> Option<ConnHandle> {
+        let ikey = index_key(hash, key);
+        let first = *self.shards[shard_of(hash)].get(&ikey)?;
+        if self.holds(first, key) {
+            return Some(first);
         }
+        let later = self.collided.get(&ikey)?;
+        later.iter().copied().find(|h| self.holds(*h, key))
     }
 
-    /// Links `handle` into the index under `hash`.
-    fn link(&mut self, hash: u32, handle: ConnHandle) {
-        match self.shards[shard_of(hash)].entry(hash) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Bucket::One(handle));
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => match o.get_mut() {
-                Bucket::One(first) => {
-                    let chain = vec![*first, handle];
-                    *o.get_mut() = Bucket::Many(chain);
-                }
-                Bucket::Many(chain) => chain.push(handle),
+    /// The entry behind a handle [`ConnTable::lookup`] or
+    /// [`ConnTable::insert`] returned (`None` once it was removed).
+    #[inline]
+    pub fn entry_mut(&mut self, handle: ConnHandle) -> Option<&mut ConnEntry<V>> {
+        self.arena.get_mut(handle)
+    }
+
+    /// Inserts a connection [`ConnTable::lookup`] just missed and
+    /// schedules it on the wheel. `key` must be `tuple`'s key and must
+    /// not be in the table.
+    pub fn insert(
+        &mut self,
+        hash: u32,
+        key: &ConnKey,
+        now_ns: u64,
+        tuple: FiveTuple,
+        value: V,
+    ) -> ConnHandle {
+        debug_assert!(key.is_key_of(&tuple), "key of another tuple");
+        debug_assert!(self.lookup(hash, key).is_none(), "key already tracked");
+        let ikey = index_key(hash, key);
+        let handle = self.arena.insert(
+            hash,
+            ikey,
+            ConnEntry {
+                tuple,
+                created_ns: now_ns,
+                last_seen_ns: now_ns,
+                established: false,
+                value,
             },
+        );
+        match self.shards[shard_of(hash)].entry(ikey) {
+            Entry::Vacant(v) => {
+                v.insert(handle);
+            }
+            Entry::Occupied(_) => self.collided.entry(ikey).or_default().push(handle),
         }
+        if let Some(deadline) = initial_deadline(&self.config, now_ns) {
+            self.wheel.schedule(handle.to_token(), deadline);
+        }
+        handle
     }
 
-    /// Unlinks `handle` from the index under `hash`.
-    fn unlink(&mut self, hash: u32, handle: ConnHandle) {
+    /// Removes the entry behind `handle` (e.g. on natural termination or
+    /// an early filter discard). Any wheel entry becomes a harmless
+    /// tombstone: the arena generation bump makes the token stale.
+    pub fn remove_handle(&mut self, handle: ConnHandle) -> Option<ConnEntry<V>> {
+        let (hash, ikey, entry) = self.arena.remove(handle)?;
+        self.unlink(hash, ikey);
+        Some(entry)
+    }
+
+    /// Brings the index entry of `ikey` back in line with the arena
+    /// after a removal: a holder whose slot no longer resolves is
+    /// dropped, and a collided connection (if any) takes its place.
+    fn unlink(&mut self, hash: u32, ikey: u64) {
         let shard = &mut self.shards[shard_of(hash)];
-        let std::collections::hash_map::Entry::Occupied(mut o) = shard.entry(hash) else {
-            debug_assert!(false, "unlink of unindexed hash");
+        if self.collided.is_empty() {
+            // No key is shared: the removed connection was its holder.
+            shard.remove(&ikey);
             return;
+        }
+        let Entry::Occupied(mut first) = shard.entry(ikey) else {
+            return; // an earlier unlink of this key already dropped every dead holder
         };
-        match o.get_mut() {
-            Bucket::One(h) => {
-                debug_assert_eq!(*h, handle, "unlink of foreign handle");
-                o.remove();
+        let arena = &self.arena;
+        let mut later = self.collided.remove(&ikey).unwrap_or_default();
+        later.retain(|h| arena.get(*h).is_some());
+        if arena.get(*first.get()).is_none() {
+            if later.is_empty() {
+                first.remove();
+            } else {
+                *first.get_mut() = later.remove(0);
             }
-            Bucket::Many(chain) => {
-                chain.retain(|h| *h != handle);
-                if let [only] = chain.as_slice() {
-                    *o.get_mut() = Bucket::One(*only);
-                }
-            }
+        }
+        if !later.is_empty() {
+            self.collided.insert(ikey, later);
         }
     }
 
     /// Looks up a connection by RSS hash + canonical key.
     pub fn get_mut(&mut self, hash: u32, key: &ConnKey) -> Option<&mut ConnEntry<V>> {
-        let handle = self.find(hash, key)?;
+        let handle = self.lookup(hash, key)?;
         self.arena.get_mut(handle)
     }
 
@@ -257,38 +322,17 @@ impl<V> ConnTable<V> {
         now_ns: u64,
         init: impl FnOnce() -> (FiveTuple, V),
     ) -> &mut ConnEntry<V> {
-        if let Some(handle) = self.find(hash, &key) {
-            return self.arena.get_mut(handle).expect("indexed handle is live");
-        }
-        let (tuple, value) = init();
-        let handle = self.arena.insert(
-            key,
-            hash,
-            ConnEntry {
-                tuple,
-                created_ns: now_ns,
-                last_seen_ns: now_ns,
-                established: false,
-                value,
-            },
-        );
-        self.link(hash, handle);
-        if let Some(deadline) = initial_deadline(&self.config, now_ns) {
-            self.wheel.schedule(handle.to_token(), deadline);
-        }
-        self.bytes_high_water = self.bytes_high_water.max(self.allocated_bytes());
-        self.arena.get_mut(handle).expect("just inserted")
+        let handle = self.lookup(hash, &key).unwrap_or_else(|| {
+            let (tuple, value) = init();
+            self.insert(hash, &key, now_ns, tuple, value)
+        });
+        self.arena.get_mut(handle).expect("indexed handle is live")
     }
 
-    /// Removes a connection (e.g. on natural termination or an early
-    /// filter discard). Any wheel entry becomes a harmless tombstone:
-    /// the arena generation bump makes the token stale.
+    /// Removes a connection by RSS hash + canonical key.
     pub fn remove(&mut self, hash: u32, key: &ConnKey) -> Option<ConnEntry<V>> {
-        let handle = self.find(hash, key)?;
-        let (_, stored_hash, entry) = self.arena.remove(handle).expect("indexed handle is live");
-        debug_assert_eq!(stored_hash, hash, "index/arena hash mismatch");
-        self.unlink(hash, handle);
-        Some(entry)
+        let handle = self.lookup(hash, key)?;
+        self.remove_handle(handle)
     }
 
     /// Advances time, expiring connections whose applicable timeout has
@@ -300,18 +344,17 @@ impl<V> ConnTable<V> {
     /// touching the wheel — are rescheduled.
     pub fn advance(&mut self, now_ns: u64, mut on_expire: impl FnMut(ConnKey, ConnEntry<V>)) {
         let mut candidates = std::mem::take(&mut self.scratch);
-        candidates.clear();
         self.wheel.advance(now_ns, &mut candidates);
         for (token, _) in candidates.drain(..) {
             let handle = ConnHandle::from_token(token);
             let Some(entry) = self.arena.get(handle) else {
                 continue; // generation mismatch: tombstone
             };
-            match actual_deadline(&self.config, entry, now_ns) {
+            match actual_deadline(&self.config, entry) {
                 Some(deadline) if deadline <= now_ns => {
-                    let (key, hash, entry) = self.arena.remove(handle).expect("checked above");
-                    self.unlink(hash, handle);
-                    on_expire(key, entry);
+                    let (hash, ikey, entry) = self.arena.remove(handle).expect("checked above");
+                    self.unlink(hash, ikey);
+                    on_expire(entry.tuple.key(), entry);
                 }
                 Some(deadline) => self.wheel.schedule(token, deadline),
                 None => {
@@ -323,9 +366,9 @@ impl<V> ConnTable<V> {
         self.scratch = candidates;
     }
 
-    /// Iterates over all tracked entries (diagnostics / drain at exit)
-    /// in deterministic arena-slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ConnKey, &ConnEntry<V>)> {
+    /// Iterates over all tracked entries (diagnostics) in deterministic
+    /// arena-slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &ConnEntry<V>> {
         self.arena.iter()
     }
 
@@ -338,52 +381,33 @@ impl<V> ConnTable<V> {
     /// no longer watches.
     pub fn retain_mut(
         &mut self,
-        f: impl FnMut(&ConnKey, &mut ConnEntry<V>) -> bool,
-        mut on_remove: impl FnMut(ConnKey, ConnEntry<V>),
+        f: impl FnMut(&mut ConnEntry<V>) -> bool,
+        mut on_remove: impl FnMut(ConnEntry<V>),
     ) {
-        let mut unlinks: Vec<u32> = Vec::new();
-        self.arena.retain_mut(f, |key, hash, entry| {
-            unlinks.push(hash);
-            on_remove(key, entry);
+        let mut unlinks: Vec<(u32, u64)> = Vec::new();
+        self.arena.retain_mut(f, |hash, ikey, entry| {
+            unlinks.push((hash, ikey));
+            on_remove(entry);
         });
-        // Unlink after the arena pass: the shard maps need `&mut self`
-        // while the arena borrow is held above. Liveness (not handle
-        // identity) decides what stays, so only the hash is needed.
-        for hash in unlinks {
-            let shard = &mut self.shards[shard_of(hash)];
-            if let std::collections::hash_map::Entry::Occupied(mut o) = shard.entry(hash) {
-                // The removed handles' generations are gone; drop every
-                // bucket member whose arena slot no longer resolves to a
-                // live key. (Checking liveness — rather than removing
-                // blindly — keeps colliding same-hash survivors linked.)
-                match o.get_mut() {
-                    Bucket::One(h) => {
-                        if self.arena.key(*h).is_none() {
-                            o.remove();
-                        }
-                    }
-                    Bucket::Many(chain) => {
-                        chain.retain(|h| self.arena.key(*h).is_some());
-                        if let [only] = chain.as_slice() {
-                            *o.get_mut() = Bucket::One(*only);
-                        } else if chain.is_empty() {
-                            o.remove();
-                        }
-                    }
-                }
-            }
+        // Unlink after the arena pass: the index needs `&mut self` while
+        // the arena borrow is held above.
+        for (hash, ikey) in unlinks {
+            self.unlink(hash, ikey);
         }
     }
 
     /// Drains every tracked connection (used at shutdown to flush
-    /// partial sessions) in deterministic arena-slot order.
-    pub fn drain_all(&mut self) -> Vec<(ConnKey, ConnEntry<V>)> {
+    /// partial sessions) into `on_drain`, in deterministic arena-slot
+    /// order and in place: nothing is copied out first.
+    pub fn drain_all(&mut self, mut on_drain: impl FnMut(ConnEntry<V>)) {
         for shard in &mut self.shards {
             shard.clear();
         }
+        self.collided.clear();
         // Wheel tokens all go stale via the arena generation bump; they
         // drain as tombstones on later advances.
-        self.arena.drain_all()
+        self.arena
+            .retain_mut(|_| false, |_, _, entry| on_drain(entry));
     }
 }
 
@@ -395,7 +419,7 @@ fn initial_deadline(config: &TimeoutConfig, now_ns: u64) -> Option<u64> {
     }
 }
 
-fn actual_deadline<V>(config: &TimeoutConfig, entry: &ConnEntry<V>, _now: u64) -> Option<u64> {
+fn actual_deadline<V>(config: &TimeoutConfig, entry: &ConnEntry<V>) -> Option<u64> {
     if entry.established {
         config.inactivity_ns.map(|i| entry.last_seen_ns + i)
     } else {
@@ -425,8 +449,9 @@ mod tests {
         (tuple.key(), tuple)
     }
 
-    /// Stand-in for the NIC's symmetric RSS hash in tests: any
-    /// deterministic function of the connection works.
+    /// Stand-in for the NIC's symmetric RSS hash in the timeout tests:
+    /// any deterministic function of the connection works there. The
+    /// index-shape tests below use the real `RssHasher::symmetric()`.
     #[allow(clippy::cast_possible_truncation)] // keeping the low 32 of a mixed 64-bit draw
     fn rss(n: u16) -> u32 {
         splitmix64(u64::from(n)) as u32
@@ -606,10 +631,10 @@ mod tests {
 
     #[test]
     fn colliding_rss_hashes_stay_distinct() {
-        // The symmetric Toeplitz key has limited entropy: distinct
-        // connections sharing a 32-bit hash are a fact of life at
-        // million-flow scale. They must chain, resolve by full key, and
-        // remove independently.
+        // The symmetric Toeplitz key has 16 bits of entropy: distinct
+        // connections sharing a 32-bit hash are the norm past 65,536
+        // flows. The fingerprint half of the index key separates them;
+        // they resolve by full key and remove independently.
         let mut table = ConnTable::new(TimeoutConfig::retina_default());
         const HASH: u32 = 0xdead_beef; // same hash for all three
         let mut keys = Vec::new();
@@ -623,6 +648,11 @@ mod tests {
             let value = u32::try_from(i).unwrap() + 1;
             assert_eq!(table.get_mut(HASH, key).unwrap().value, value);
         }
+        assert_eq!(
+            table.longest_chain(),
+            1,
+            "a shared RSS hash alone chains nothing"
+        );
         // A fourth key under the same hash misses (verified, not aliased).
         let (other, _) = key_tuple(99);
         assert!(table.get_mut(HASH, &other).is_none());
@@ -640,8 +670,8 @@ mod tests {
 
     #[test]
     fn zero_hash_degrades_gracefully() {
-        // Unstamped mbufs leave rss_hash == 0: everything chains into
-        // one bucket but stays correct.
+        // Unstamped mbufs leave rss_hash == 0: everything lands in one
+        // shard, still one bucket per connection.
         let mut table = ConnTable::new(TimeoutConfig::retina_default());
         let mut keys = Vec::new();
         for n in 1..=50u16 {
@@ -661,8 +691,9 @@ mod tests {
         let mut table = ConnTable::new(TimeoutConfig::retina_default());
         insert(&mut table, 1, 0);
         insert(&mut table, 2, 0);
-        let drained = table.drain_all();
-        assert_eq!(drained.len(), 2);
+        let mut drained = Vec::new();
+        table.drain_all(|e| drained.push(e.tuple.orig.port()));
+        assert_eq!(drained, vec![1, 2], "arena-slot order");
         assert!(table.is_empty());
         // Index is cleared too: re-inserting works and old keys miss.
         let (key, _) = key_tuple(1);
@@ -680,15 +711,120 @@ mod tests {
         }
         let full = table.allocated_bytes();
         assert!(full > empty, "1000 conns must show up in the footprint");
-        assert_eq!(table.bytes_high_water(), full);
         let mut expired = 0;
         table.advance(10 * SEC, |_, _| expired += 1);
         assert_eq!(expired, 1000);
-        assert_eq!(
-            table.bytes_high_water(),
-            full,
-            "high water survives mass expiry"
+        assert!(
+            table.allocated_bytes() >= full,
+            "capacity (the high-water mark) survives mass expiry"
         );
+    }
+
+    /// `n` scan-shaped connections — one source, sequential destinations
+    /// and ports — keyed with the hash the NIC model stamps.
+    fn scan(n: u32) -> impl Iterator<Item = (u32, ConnKey, FiveTuple)> {
+        let rss = retina_nic::rss::RssHasher::symmetric();
+        let orig: SocketAddr = "203.0.113.7:54321".parse().unwrap();
+        (0..n).map(move |i| {
+            #[allow(clippy::cast_possible_truncation)] // ports cycle
+            let port = 1 + (i % 60_000) as u16;
+            let resp = SocketAddr::new(std::net::Ipv4Addr::from(0x0a00_0000 + i).into(), port);
+            let tuple = FiveTuple {
+                orig,
+                resp,
+                proto: 6,
+            };
+            let hash = rss.hash_tuple(&orig.ip(), &resp.ip(), orig.port(), resp.port());
+            (hash, tuple.key(), tuple)
+        })
+    }
+
+    #[test]
+    fn scan_under_the_real_rss_hash_does_not_chain() {
+        // Keyed on the RSS hash alone this table had ~51 k buckets and
+        // chains up to 9 long: the symmetric key yields 16 bits.
+        let mut table: ConnTable<u32> = ConnTable::new(TimeoutConfig::none());
+        let mut hashes = std::collections::HashSet::new();
+        for (hash, key, tuple) in scan(100_000) {
+            hashes.insert(hash);
+            table.get_or_insert_with(hash, key, 0, || (tuple, 0));
+        }
+        assert_eq!(table.len(), 100_000);
+        assert!(hashes.len() <= 65_536, "{} RSS hashes", hashes.len());
+        assert!(
+            table.longest_chain() <= 2,
+            "chain {}",
+            table.longest_chain()
+        );
+        assert!(
+            table.bucket_count() >= 99_900,
+            "{} buckets",
+            table.bucket_count()
+        );
+        for (hash, key, _) in scan(100_000).step_by(997) {
+            assert!(table.get_mut(hash, &key).is_some());
+        }
+    }
+
+    #[test]
+    fn forged_index_collision_falls_back_to_the_chain() {
+        // Two different keys with the same fingerprint, offered under the
+        // same RSS hash: equal index keys. Lookup, insert, remove and
+        // expiry must each find the right one by its full key.
+        const HASH: u32 = 0x6d5a_6d5a;
+        let (key, tuple) = key_tuple(1);
+        let twin = key.forged_twin();
+        assert_eq!(index_key(HASH, &key), index_key(HASH, &twin));
+        let (orig, resp) = twin.endpoints();
+        let twin_tuple = FiveTuple {
+            orig,
+            resp,
+            proto: twin.proto(),
+        };
+        assert_eq!(twin_tuple.key(), twin);
+
+        let mut table: ConnTable<u32> = ConnTable::new(TimeoutConfig::retina_default());
+        let a = table.insert(HASH, &key, 0, tuple, 1);
+        assert!(table.lookup(HASH, &twin).is_none(), "verified, not aliased");
+        let b = table.insert(HASH, &twin, 0, twin_tuple, 2);
+        assert_eq!(
+            (table.len(), table.bucket_count(), table.longest_chain()),
+            (2, 1, 2)
+        );
+        assert_eq!(table.lookup(HASH, &key), Some(a));
+        assert_eq!(table.lookup(HASH, &twin), Some(b));
+        assert_eq!(table.get_mut(HASH, &twin).unwrap().value, 2);
+        assert_eq!(
+            table
+                .get_or_insert_with(HASH, key, 9, || unreachable!())
+                .value,
+            1
+        );
+
+        // Remove the first; the twin stays reachable and is alone again.
+        assert_eq!(table.remove(HASH, &key).unwrap().value, 1);
+        assert!(table.lookup(HASH, &key).is_none());
+        assert_eq!(table.lookup(HASH, &twin), Some(b));
+        assert_eq!(table.longest_chain(), 1);
+
+        // Re-insert, keep the twin alive, and let only the first expire.
+        let a = table.insert(HASH, &key, SEC, tuple, 3);
+        table.entry_mut(b).unwrap().established = true;
+        table.entry_mut(b).unwrap().last_seen_ns = 6 * SEC;
+        let mut expired = Vec::new();
+        table.advance(7 * SEC, |k, e| expired.push((k, e.value)));
+        assert_eq!(expired, vec![(key, 3)]);
+        assert!(table.entry_mut(a).is_none());
+        assert_eq!(table.lookup(HASH, &twin), Some(b));
+
+        // A rebind-style pass that evicts one chain member keeps the other.
+        table.insert(HASH, &key, 8 * SEC, tuple, 4);
+        let mut evicted = Vec::new();
+        table.retain_mut(|e| e.value != 2, |e| evicted.push(e.value));
+        assert_eq!(evicted, vec![2]);
+        assert!(table.lookup(HASH, &twin).is_none());
+        assert_eq!(table.get_mut(HASH, &key).unwrap().value, 4);
+        assert_eq!((table.len(), table.bucket_count()), (1, 1));
     }
 }
 
@@ -704,8 +840,9 @@ mod proptests {
         /// Random interleavings of inserts, touches, removals, and time
         /// advances never lose a connection (expired + removed + resident
         /// always equals inserted) and never expire a recently-active
-        /// established connection. Hashes are squeezed into 4 bits to
-        /// force constant RSS collisions across the 64 possible conns.
+        /// established connection. Hashes are squeezed into 4 bits:
+        /// constant RSS collisions across the 64 possible conns, which
+        /// the fingerprint half of the index key must keep apart.
         #[test]
         fn conservation_and_no_premature_expiry(
             ops in collection::vec((0u8..4, 0u16..64, 0u64..200), 1..400)

@@ -53,6 +53,9 @@ pub struct TimerWheel {
     /// The tick index up to which the wheel has been advanced.
     current_tick: u64,
     len: usize,
+    /// The slot being drained by [`TimerWheel::advance`]; kept between
+    /// calls so advancing allocates nothing.
+    scratch: Vec<(u64, u64)>,
 }
 
 impl TimerWheel {
@@ -82,6 +85,7 @@ impl TimerWheel {
                 .collect(),
             current_tick: 0,
             len: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -142,7 +146,7 @@ impl TimerWheel {
     pub fn advance(&mut self, now_ns: u64, expired: &mut Vec<(u64, u64)>) {
         let target_tick = now_ns / self.tick_ns;
         let mask = self.slots_per_level - 1;
-        let mut scratch: Vec<(u64, u64)> = Vec::new();
+        let mut scratch = std::mem::take(&mut self.scratch);
         while self.current_tick < target_tick {
             if self.len == 0 {
                 // Nothing scheduled anywhere: fast-forward. Bounds the
@@ -178,6 +182,7 @@ impl TimerWheel {
                 }
             }
         }
+        self.scratch = scratch;
     }
 }
 

@@ -75,11 +75,24 @@ impl std::fmt::Display for FiveTuple {
 
 /// Canonical connection key: the endpoint pair ordered so both directions
 /// of a connection hash identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ConnKey {
     lo: SocketAddr,
     hi: SocketAddr,
     proto: u8,
+}
+
+/// Seed and the two odd multipliers of [`ConnKey::fingerprint`]. Fixed,
+/// as [`retina_support::hash::DEFAULT_SEED`] is: index layout is the
+/// same run to run.
+const FP_SEED: u64 = retina_support::hash::DEFAULT_SEED;
+const FP_K1: u64 = 0x517c_c1b7_2722_0a95;
+const FP_K2: u64 = 0xbf58_476d_1ce4_e5b9;
+
+/// One step of [`ConnKey::fingerprint`]: rotate, fold a word in, multiply.
+#[inline]
+fn fp_mix(h: u64, word: u64, k: u64) -> u64 {
+    (h.rotate_left(29) ^ word).wrapping_mul(k)
 }
 
 impl ConnKey {
@@ -106,18 +119,113 @@ impl ConnKey {
     pub fn proto(&self) -> u8 {
         self.proto
     }
+
+    /// A 64-bit fingerprint of the key: for IPv4 two multiply-mixes over
+    /// the canonical endpoints (both addresses in one word, ports and
+    /// protocol in the other; an IPv6 address takes two words of its
+    /// own), with no `derive(Hash)` walk over the `SocketAddr` enums.
+    /// The connection index keys on it — the symmetric RSS hash alone
+    /// carries 16 bits — and it is the one word [`Hash`] feeds a hasher.
+    #[inline]
+    #[must_use]
+    #[allow(clippy::cast_possible_truncation)] // splitting a u128 into its two u64 halves
+    pub fn fingerprint(&self) -> u64 {
+        let h = match (self.lo.ip(), self.hi.ip()) {
+            (IpAddr::V4(lo), IpAddr::V4(hi)) => {
+                let addrs = (u64::from(u32::from(lo)) << 32) | u64::from(u32::from(hi));
+                fp_mix(FP_SEED, addrs, FP_K1)
+            }
+            (lo, hi) => [lo, hi].iter().fold(FP_SEED, |h, ip| match ip {
+                IpAddr::V4(v4) => fp_mix(h, u64::from(u32::from(*v4)), FP_K1),
+                IpAddr::V6(v6) => {
+                    let x = u128::from(*v6);
+                    fp_mix(fp_mix(h, (x >> 64) as u64, FP_K1), x as u64, FP_K1)
+                }
+            }),
+        };
+        let rest = (u64::from(self.lo.port()) << 32)
+            | (u64::from(self.hi.port()) << 16)
+            | u64::from(self.proto);
+        let h = fp_mix(h, rest, FP_K2);
+        h ^ (h >> 32)
+    }
+
+    /// Whether this is the key of the connection `tuple` describes,
+    /// in either orientation.
+    #[inline]
+    #[must_use]
+    pub fn is_key_of(&self, tuple: &FiveTuple) -> bool {
+        self.proto == tuple.proto
+            && ((self.lo == tuple.orig && self.hi == tuple.resp)
+                || (self.lo == tuple.resp && self.hi == tuple.orig))
+    }
 }
 
-fn cmp_addr(a: &SocketAddr, b: &SocketAddr) -> std::cmp::Ordering {
-    fn ip_key(ip: &IpAddr) -> (u8, u128) {
-        match ip {
-            IpAddr::V4(v4) => (4, u128::from(u32::from(*v4))),
-            IpAddr::V6(v6) => (6, u128::from(*v6)),
-        }
+/// One `write_u64` of the fingerprint: equal keys have equal
+/// fingerprints, so this agrees with `Eq`, and a map keyed by `ConnKey`
+/// hashes one word instead of two `SocketAddr`s.
+impl std::hash::Hash for ConnKey {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint());
     }
-    ip_key(&a.ip())
-        .cmp(&ip_key(&b.ip()))
-        .then(a.port().cmp(&b.port()))
+}
+
+#[cfg(test)]
+impl ConnKey {
+    /// The canonical endpoint pair.
+    pub(crate) fn endpoints(&self) -> (SocketAddr, SocketAddr) {
+        (self.lo, self.hi)
+    }
+
+    /// A *different* IPv4 key with the same [`ConnKey::fingerprint`],
+    /// forged by running the mix backwards: every step is a bijection of
+    /// the word it folds in, so for any other ports word there is exactly
+    /// one addresses word that lands on the same fingerprint. (Tests of
+    /// the index's full-key verification need such a pair.)
+    pub(crate) fn forged_twin(&self) -> ConnKey {
+        fn inverse(k: u64) -> u64 {
+            // Newton's iteration for the inverse of an odd k mod 2^64.
+            (0..6).fold(k, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(k.wrapping_mul(x)))
+            })
+        }
+        let fp = self.fingerprint();
+        let mixed = fp ^ (fp >> 32); // the final xor-shift is an involution
+        for hi_port in 1..=u16::MAX {
+            let rest = (u64::from(self.lo.port()) << 32)
+                | (u64::from(hi_port) << 16)
+                | u64::from(self.proto);
+            let h = (mixed.wrapping_mul(inverse(FP_K2)) ^ rest).rotate_right(29);
+            let addrs = h.wrapping_mul(inverse(FP_K1)) ^ FP_SEED.rotate_left(29);
+            #[allow(clippy::cast_possible_truncation)] // splitting the word into its two addresses
+            let (lo_ip, hi_ip) = ((addrs >> 32) as u32, addrs as u32);
+            let lo = SocketAddr::new(IpAddr::V4(lo_ip.into()), self.lo.port());
+            let hi = SocketAddr::new(IpAddr::V4(hi_ip.into()), hi_port);
+            let twin = ConnKey::new(lo, hi, self.proto);
+            // Canonical order may swap the endpoints; keep looking then.
+            if twin.lo == lo && twin != *self && twin.fingerprint() == fp {
+                return twin;
+            }
+        }
+        unreachable!("half of all ports words give canonically ordered addresses")
+    }
+}
+
+/// Orders endpoints: IPv4 before IPv6, then by address, then by port.
+#[inline]
+fn cmp_addr(a: &SocketAddr, b: &SocketAddr) -> std::cmp::Ordering {
+    match (a, b) {
+        // The per-packet case: two integer compares, no `u128`s.
+        (SocketAddr::V4(a), SocketAddr::V4(b)) => {
+            (u32::from(*a.ip()), a.port()).cmp(&(u32::from(*b.ip()), b.port()))
+        }
+        (SocketAddr::V6(a), SocketAddr::V6(b)) => {
+            (u128::from(*a.ip()), a.port()).cmp(&(u128::from(*b.ip()), b.port()))
+        }
+        (SocketAddr::V4(_), SocketAddr::V6(_)) => std::cmp::Ordering::Less,
+        (SocketAddr::V6(_), SocketAddr::V4(_)) => std::cmp::Ordering::Greater,
+    }
 }
 
 /// A placeholder address for empty slots (used by tests).
@@ -180,6 +288,55 @@ mod tests {
         let v4 = ConnKey::from_packet(&pkt("10.0.0.1:5000", "1.1.1.1:443"));
         let v6 = ConnKey::from_packet(&pkt("[2001:db8::1]:5000", "[2001:db8::2]:443"));
         assert_ne!(v4, v6);
+    }
+
+    #[test]
+    fn fingerprint_separates_a_scan() {
+        // One source sweeping sequential destinations and ports: the
+        // shape on which the symmetric RSS hash repeats every 65,536.
+        let src: SocketAddr = "203.0.113.7:40000".parse().unwrap();
+        let mut seen = std::collections::HashSet::new();
+        for n in 0..100_000u32 {
+            #[allow(clippy::cast_possible_truncation)] // ports cycle
+            let dst = SocketAddr::new(
+                IpAddr::V4((0x0a00_0000 + n).into()),
+                1 + (n % 60_000) as u16,
+            );
+            assert!(seen.insert(ConnKey::new(src, dst, 6).fingerprint()));
+        }
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = ConnKey::from_packet(&pkt("10.0.0.1:5000", "1.1.1.1:443"));
+        for other in [
+            ConnKey::from_packet(&pkt("10.0.0.2:5000", "1.1.1.1:443")),
+            ConnKey::from_packet(&pkt("10.0.0.1:5001", "1.1.1.1:443")),
+            ConnKey::from_packet(&pkt("10.0.0.1:5000", "1.1.1.2:443")),
+            ConnKey::from_packet(&pkt("10.0.0.1:5000", "1.1.1.1:444")),
+            ConnKey::new(base.lo, base.hi, 17),
+            ConnKey::from_packet(&pkt("[2001:db8::1]:5000", "[2001:db8::2]:443")),
+            ConnKey::from_packet(&pkt("[2001:db8::1]:5000", "[2001:db9::2]:443")),
+        ] {
+            assert_ne!(base.fingerprint(), other.fingerprint(), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn forged_twin_collides_on_the_fingerprint_only() {
+        let key = ConnKey::from_packet(&pkt("10.0.0.1:5000", "1.1.1.1:443"));
+        let twin = key.forged_twin();
+        assert_ne!(key, twin);
+        assert_eq!(key.fingerprint(), twin.fingerprint());
+    }
+
+    #[test]
+    fn key_matches_its_tuple_in_both_orientations() {
+        let fwd = FiveTuple::from_packet(&pkt("10.0.0.1:5000", "1.1.1.1:443"));
+        let rev = FiveTuple::from_packet(&pkt("1.1.1.1:443", "10.0.0.1:5000"));
+        let other = FiveTuple::from_packet(&pkt("10.0.0.1:5001", "1.1.1.1:443"));
+        assert!(fwd.key().is_key_of(&fwd) && fwd.key().is_key_of(&rev));
+        assert!(!fwd.key().is_key_of(&other));
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //! behind object-safe traits:
 //!
 //! * [`ErasedSubscription`] — the subscription *spec*: level, parsers,
-//!   lazy-reconstruction needs, a factory for per-connection state, and
-//!   the way back to the typed user callback ([`ErasedSubscription::invoke`]
-//!   downcasts a boxed output; the delivery fabric in [`crate::executor`]
-//!   calls it inline or on a dispatch worker).
-//! * [`ErasedTracked`] — per-connection state, with outputs boxed as
-//!   [`ErasedOutput`] and handed to the tracker through an [`Emitter`].
+//!   lazy-reconstruction needs, a factory for a core's store of
+//!   per-connection state, and the way back to the typed user callback
+//!   ([`ErasedSubscription::invoke`] downcasts a boxed output; the
+//!   delivery fabric in [`crate::executor`] calls it inline or on a
+//!   dispatch worker).
+//! * [`TrackedSlab`] — one core's per-connection state for one
+//!   subscription: a typed slab (`Vec<Option<T>>` + free list, the
+//!   `ConnArena` pattern) the tracker addresses by slot id. A new
+//!   connection takes a slot; nothing is boxed per connection. Outputs
+//!   are boxed as [`ErasedOutput`] — the one allocation type erasure
+//!   needs — straight into the tracker's buffer through an [`Emitter`],
+//!   whose typed front ([`TypedEmitter`]) is what `Tracked` hooks see.
 //!
 //! The connection tracker tags every output with its subscription index,
 //! so data always reaches the subscription that knows its type; the
@@ -46,8 +52,8 @@ pub trait ErasedSubscription: Send + Sync {
     fn needs_stream(&self) -> bool;
     /// Whether the tracked state wants per-packet delivery after a match.
     fn needs_packets_post_match(&self) -> bool;
-    /// Creates per-connection tracked state.
-    fn new_tracked(&self, tuple: &FiveTuple, first_ts_ns: u64) -> Box<dyn ErasedTracked>;
+    /// Creates one core's (empty) store of per-connection tracked state.
+    fn new_slab(&self) -> Box<dyn TrackedSlab>;
     /// Whether a user callback is attached (false = spec-only).
     fn has_callback(&self) -> bool;
     /// Downcasts one boxed output and invokes the user callback on it
@@ -66,10 +72,10 @@ pub trait ErasedSubscription: Send + Sync {
     fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput>;
 }
 
-/// Where [`ErasedTracked`] methods put the data they produce: the
-/// tracker's reused output buffer. Every datum is tagged with its
-/// subscription index and the connection's flow trace id, and counted
-/// as delivered, in this one place.
+/// Where [`TrackedSlab`] hooks put the data they produce: the tracker's
+/// reused output buffer. Every datum is tagged with its subscription
+/// index and the connection's flow trace id, and counted as delivered,
+/// in this one place.
 pub struct Emitter<'a> {
     outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
     delivered: &'a mut u64,
@@ -99,73 +105,123 @@ impl<'a> Emitter<'a> {
         self.outputs.push((self.sub, self.trace_id, out));
         *self.delivered += 1;
     }
+
+    /// The typed front a `Tracked` hook producing `O`s writes to.
+    pub fn typed<O: Send + 'static>(&mut self) -> TypedEmitter<'_, O> {
+        let inner = Emitter::new(self.outputs, self.delivered, self.sub, self.trace_id);
+        TypedEmitter(inner, PhantomData)
+    }
 }
 
-/// Object-safe per-connection tracked state (`Tracked` with outputs
-/// boxed).
-pub trait ErasedTracked: Send {
+/// The typed front of an [`Emitter`], handed to
+/// [`Tracked::on_match`], [`Tracked::post_match`] and
+/// [`Tracked::on_terminate`]: `out.push(datum)` boxes the datum straight
+/// into the tracker's output buffer — no intermediate vector.
+pub struct TypedEmitter<'a, O>(Emitter<'a>, PhantomData<fn(O)>);
+
+impl<O: Send + 'static> TypedEmitter<'_, O> {
+    /// Queues one datum for delivery.
+    pub fn push(&mut self, datum: O) {
+        self.0.emit(Box::new(datum));
+    }
+}
+
+/// One core's per-connection tracked state for one subscription, behind
+/// an object-safe face: the tracker keeps a slot id per engaged
+/// connection and drives the `Tracked` lifecycle through it.
+pub trait TrackedSlab: Send {
+    /// Creates state for a new connection; returns its slot id.
+    fn insert(&mut self, tuple: &FiveTuple, first_ts_ns: u64) -> u32;
+    /// Drops the state in `slot` and recycles the slot.
+    fn release(&mut self, slot: u32);
+    /// Number of occupied slots.
+    fn live(&self) -> usize;
     /// Packet seen before the subscription's filter fully matched.
-    fn pre_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket);
+    fn pre_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket);
     /// In-order payload bytes (only for matched, stream-needing subs).
-    fn on_stream(&mut self, dir: Dir, data: &[u8]);
+    fn on_stream(&mut self, slot: u32, dir: Dir, data: &[u8]);
     /// The subscription's filter fully matched.
     fn on_match(
         &mut self,
+        slot: u32,
         service: Option<&str>,
         session: Option<&Session>,
         flow: &TcpFlow,
         out: &mut Emitter<'_>,
     );
     /// Packet seen after a full match.
-    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>);
+    fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>);
     /// The connection ended after a full match.
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Emitter<'_>);
+    fn on_terminate(&mut self, slot: u32, flow: &TcpFlow, out: &mut Emitter<'_>);
 }
 
-/// Wraps a concrete `Tracked` implementation behind [`ErasedTracked`],
-/// boxing outputs as they are produced.
-struct TypedTracked<T: Tracked>(T);
+/// The slab of a concrete `Tracked` type: dense slots, recycled through
+/// a free list, so steady-state connection churn allocates nothing here.
+struct TypedSlab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
 
-/// Runs one `Tracked` hook against a call-local typed vector (the public
-/// `Tracked::on_*` signatures take one) and boxes what it produced into
-/// the tracker's buffer. The vector allocates only if the hook emits.
-fn emit_typed<O: Send + 'static>(out: &mut Emitter<'_>, hook: impl FnOnce(&mut Vec<O>)) {
-    let mut items = Vec::new();
-    hook(&mut items);
-    for item in items {
-        out.emit(Box::new(item));
+impl<T> TypedSlab<T> {
+    fn state(&mut self, slot: u32) -> &mut T {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("slot id of a released tracked state")
     }
 }
 
-impl<T> ErasedTracked for TypedTracked<T>
+impl<T> TrackedSlab for TypedSlab<T>
 where
     T: Tracked,
     T::Out: Send + 'static,
 {
-    fn pre_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket) {
-        self.0.pre_match(mbuf, pkt);
+    fn insert(&mut self, tuple: &FiveTuple, first_ts_ns: u64) -> u32 {
+        let state = Some(T::new(tuple, first_ts_ns));
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = state;
+            slot
+        } else {
+            self.slots.push(state);
+            u32::try_from(self.slots.len() - 1).expect("slab exceeds u32 slots")
+        }
     }
 
-    fn on_stream(&mut self, dir: Dir, data: &[u8]) {
-        self.0.on_stream(dir, data);
+    fn release(&mut self, slot: u32) {
+        let state = self.slots[slot as usize].take();
+        debug_assert!(state.is_some(), "double release of slot {slot}");
+        self.free.push(slot);
+    }
+
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn pre_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket) {
+        self.state(slot).pre_match(mbuf, pkt);
+    }
+
+    fn on_stream(&mut self, slot: u32, dir: Dir, data: &[u8]) {
+        self.state(slot).on_stream(dir, data);
     }
 
     fn on_match(
         &mut self,
+        slot: u32,
         service: Option<&str>,
         session: Option<&Session>,
         flow: &TcpFlow,
         out: &mut Emitter<'_>,
     ) {
-        emit_typed(out, |items| self.0.on_match(service, session, flow, items));
+        self.state(slot)
+            .on_match(service, session, flow, &mut out.typed());
     }
 
-    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
-        emit_typed(out, |items| self.0.post_match(mbuf, pkt, items));
+    fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
+        self.state(slot).post_match(mbuf, pkt, &mut out.typed());
     }
 
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Emitter<'_>) {
-        emit_typed(out, |items| self.0.on_terminate(flow, items));
+    fn on_terminate(&mut self, slot: u32, flow: &TcpFlow, out: &mut Emitter<'_>) {
+        self.state(slot).on_terminate(flow, &mut out.typed());
     }
 }
 
@@ -222,8 +278,11 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
         S::Tracked::needs_packets_post_match()
     }
 
-    fn new_tracked(&self, tuple: &FiveTuple, first_ts_ns: u64) -> Box<dyn ErasedTracked> {
-        Box::new(TypedTracked(S::Tracked::new(tuple, first_ts_ns)))
+    fn new_slab(&self) -> Box<dyn TrackedSlab> {
+        Box::new(TypedSlab::<S::Tracked> {
+            slots: Vec::new(),
+            free: Vec::new(),
+        })
     }
 
     fn has_callback(&self) -> bool {
@@ -278,13 +337,13 @@ mod tests {
         assert_eq!(sub.level(), Level::Connection);
         assert!(!sub.needs_stream());
         assert!(!sub.has_callback());
-        let t = tuple();
-        let mut tracked = sub.new_tracked(&t, 0);
+        let mut slab = sub.new_slab();
+        let slot = slab.insert(&tuple(), 0);
         let flow = TcpFlow::new(0, 16);
         let (mut outputs, mut delivered) = (Vec::new(), 0);
         let mut out = Emitter::new(&mut outputs, &mut delivered, 3, 9);
-        tracked.on_match(None, None, &flow, &mut out);
-        tracked.on_terminate(&flow, &mut out);
+        slab.on_match(slot, None, None, &flow, &mut out);
+        slab.on_terminate(slot, &flow, &mut out);
         // Tagged and counted by the emitter.
         assert_eq!(delivered, outputs.len() as u64);
         assert!(outputs.iter().all(|(sub, tid, _)| (*sub, *tid) == (3, 9)));
@@ -302,13 +361,30 @@ mod tests {
             h.fetch_add(1, Ordering::Relaxed);
         });
         assert!(sub.has_callback());
-        let t = tuple();
         let flow = TcpFlow::new(0, 16);
         let (mut outputs, mut delivered) = (Vec::new(), 0);
         let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
-        sub.new_tracked(&t, 0).on_terminate(&flow, &mut out);
+        let mut slab = sub.new_slab();
+        let slot = slab.insert(&tuple(), 0);
+        slab.on_terminate(slot, &flow, &mut out);
         assert_eq!(outputs.len(), 1);
         sub.invoke(outputs.pop().unwrap().2);
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn slab_recycles_released_slots() {
+        let mut slab = TypedSubscription::<ConnRecord>::spec_only("conns").new_slab();
+        let (a, b, c) = (
+            slab.insert(&tuple(), 0),
+            slab.insert(&tuple(), 1),
+            slab.insert(&tuple(), 2),
+        );
+        assert_eq!((a, b, c, slab.live()), (0, 1, 2, 3));
+        slab.release(b);
+        assert_eq!(slab.live(), 2);
+        assert_eq!(slab.insert(&tuple(), 3), b, "freed slot reused first");
+        assert_eq!(slab.insert(&tuple(), 4), 3, "then the slab grows");
+        assert_eq!(slab.live(), 4);
     }
 }

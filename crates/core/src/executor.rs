@@ -670,10 +670,12 @@ mod tests {
             resp: "5.6.7.8:443".parse().unwrap(),
             proto: 6,
         };
-        let mut tracked = sub.new_tracked(&tuple, 0);
+        let mut slab = sub.new_slab();
+        let slot = slab.insert(&tuple, 0);
         let flow = TcpFlow::new(0, 16);
         let (mut outputs, mut delivered) = (Vec::new(), 0);
-        tracked.on_terminate(&flow, &mut Emitter::new(&mut outputs, &mut delivered, 0, 0));
+        let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
+        slab.on_terminate(slot, &flow, &mut out);
         outputs.pop().expect("ConnRecord emits on terminate").2
     }
 

@@ -73,7 +73,9 @@ pub mod tracker;
 pub mod util;
 
 pub use config::RuntimeConfig;
-pub use erased::{Emitter, ErasedOutput, ErasedSubscription, ErasedTracked, TypedSubscription};
+pub use erased::{
+    Emitter, ErasedOutput, ErasedSubscription, TrackedSlab, TypedEmitter, TypedSubscription,
+};
 pub use executor::{DispatchMode, QueuePolicy};
 pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};
 pub use monitor::{Monitor, MonitorSample};

@@ -10,6 +10,7 @@ use retina_protocols::tls::TlsHandshake;
 use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
+use crate::erased::TypedEmitter;
 use crate::subscription::{Level, Subscribable, Tracked};
 
 /// Cap on packets buffered per connection before the filter resolves
@@ -81,18 +82,23 @@ impl Tracked for ZcFrameTracker {
         _service: Option<&str>,
         _session: Option<&Session>,
         _flow: &TcpFlow,
-        out: &mut Vec<ZcFrame>,
+        out: &mut TypedEmitter<'_, ZcFrame>,
     ) {
         for mbuf in self.buffered.drain(..) {
             out.push(ZcFrame { mbuf });
         }
     }
 
-    fn post_match(&mut self, mbuf: &Mbuf, _pkt: &ParsedPacket, out: &mut Vec<ZcFrame>) {
+    fn post_match(
+        &mut self,
+        mbuf: &Mbuf,
+        _pkt: &ParsedPacket,
+        out: &mut TypedEmitter<'_, ZcFrame>,
+    ) {
         out.push(ZcFrame { mbuf: mbuf.clone() });
     }
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut Vec<ZcFrame>) {}
+    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut TypedEmitter<'_, ZcFrame>) {}
 
     fn needs_packets_post_match() -> bool {
         true
@@ -182,16 +188,22 @@ impl Tracked for ConnRecordTracker {
         service: Option<&str>,
         _session: Option<&Session>,
         _flow: &TcpFlow,
-        _out: &mut Vec<ConnRecord>,
+        _out: &mut TypedEmitter<'_, ConnRecord>,
     ) {
         if let Some(s) = service {
             self.service = Some(s.to_string());
         }
     }
 
-    fn post_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket, _out: &mut Vec<ConnRecord>) {}
+    fn post_match(
+        &mut self,
+        _mbuf: &Mbuf,
+        _pkt: &ParsedPacket,
+        _out: &mut TypedEmitter<'_, ConnRecord>,
+    ) {
+    }
 
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Vec<ConnRecord>) {
+    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut TypedEmitter<'_, ConnRecord>) {
         out.push(ConnRecord {
             tuple: self.tuple,
             first_seen_ns: flow.first_seen_ns,
@@ -442,7 +454,7 @@ impl<S: FromSession + Send + 'static> Tracked for SessionLevelTracker<S> {
         _service: Option<&str>,
         session: Option<&Session>,
         _flow: &TcpFlow,
-        out: &mut Vec<S>,
+        out: &mut TypedEmitter<'_, S>,
     ) {
         if let Some(session) = session {
             if let Some(data) = S::from_session(&self.tuple, session, self.last_ts) {
@@ -451,9 +463,9 @@ impl<S: FromSession + Send + 'static> Tracked for SessionLevelTracker<S> {
         }
     }
 
-    fn post_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket, _out: &mut Vec<S>) {}
+    fn post_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket, _out: &mut TypedEmitter<'_, S>) {}
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut Vec<S>) {}
+    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut TypedEmitter<'_, S>) {}
 }
 
 // ------------------------------------------------------------ ConnBytes
@@ -550,7 +562,7 @@ impl Tracked for ConnBytesTracker {
         _service: Option<&str>,
         _session: Option<&Session>,
         _flow: &TcpFlow,
-        _out: &mut Vec<ConnBytes>,
+        _out: &mut TypedEmitter<'_, ConnBytes>,
     ) {
         self.matched = true;
         // Reconstruct the held packets in sequence order, per direction.
@@ -590,9 +602,15 @@ impl Tracked for ConnBytesTracker {
         }
     }
 
-    fn post_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket, _out: &mut Vec<ConnBytes>) {}
+    fn post_match(
+        &mut self,
+        _mbuf: &Mbuf,
+        _pkt: &ParsedPacket,
+        _out: &mut TypedEmitter<'_, ConnBytes>,
+    ) {
+    }
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, out: &mut Vec<ConnBytes>) {
+    fn on_terminate(&mut self, _flow: &TcpFlow, out: &mut TypedEmitter<'_, ConnBytes>) {
         out.push(ConnBytes {
             tuple: self.tuple,
             client_stream: std::mem::take(&mut self.client_stream),

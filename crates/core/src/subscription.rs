@@ -11,11 +11,17 @@
 //!     → post_match*       (emit / accumulate for the rest of the conn)
 //!     → on_terminate      (emit end-of-connection data)
 //! ```
+//!
+//! The emitting hooks write to a [`TypedEmitter`]: `out.push(datum)`
+//! hands one datum to the runtime, boxed once on its way to the
+//! callback and never staged in a vector of the hook's own.
 
 use retina_conntrack::{FiveTuple, TcpFlow};
 use retina_nic::Mbuf;
 use retina_protocols::Session;
 use retina_wire::ParsedPacket;
+
+use crate::erased::TypedEmitter;
 
 /// The data abstraction level of a subscription (§3.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,15 +89,20 @@ pub trait Tracked: Send {
         service: Option<&str>,
         session: Option<&Session>,
         flow: &TcpFlow,
-        out: &mut Vec<Self::Out>,
+        out: &mut TypedEmitter<'_, Self::Out>,
     );
 
     /// A packet arrived after a full match.
-    fn post_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Vec<Self::Out>);
+    fn post_match(
+        &mut self,
+        mbuf: &Mbuf,
+        pkt: &ParsedPacket,
+        out: &mut TypedEmitter<'_, Self::Out>,
+    );
 
     /// The connection ended (naturally or by timeout) after a full
     /// match. Emit end-of-connection data.
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut Vec<Self::Out>);
+    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut TypedEmitter<'_, Self::Out>);
 
     /// Whether the tracker still needs per-packet delivery after a full
     /// match. Returning `false` lets the tracker skip `post_match`

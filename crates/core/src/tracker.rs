@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use retina_conntrack::{
-    ConnEntry, ConnKey, ConnTable, Dir, FiveTuple, Reassembled, TcpFlow, TimeoutConfig,
+    ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FiveTuple, Reassembled, TcpFlow, TimeoutConfig,
 };
 use retina_filter::{FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
@@ -44,7 +44,7 @@ use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
-use crate::erased::{Emitter, ErasedOutput, ErasedSubscription, ErasedTracked};
+use crate::erased::{Emitter, ErasedOutput, ErasedSubscription, TrackedSlab};
 use crate::stats::CoreStats;
 use crate::subscription::Level;
 use crate::util::rdtsc;
@@ -64,7 +64,9 @@ struct ProbeState {
 /// per connection no matter how many subscriptions consume it.
 enum Phase {
     /// Probing the stream prefix for the application-layer protocol.
-    Probing(ProbeState),
+    /// Boxed: a single-SYN connection never gets here, and the state
+    /// allocates its parsers anyway.
+    Probing(Box<ProbeState>),
     /// Parsing the identified protocol.
     Parsing {
         parser: Box<dyn ConnParser>,
@@ -77,12 +79,89 @@ enum Phase {
     Dropped,
 }
 
+/// Slot ids a connection keeps inline before spilling to the heap.
+const INLINE_REFS: usize = 4;
+
+/// The slot ids of [`TrackedRefs`], in ascending subscription order.
+enum SlotIds {
+    Inline([u32; INLINE_REFS]),
+    Spilled(Vec<u32>),
+}
+
+/// Where a connection's per-subscription reconstruction state lives:
+/// for every subscription still holding state on the connection, its
+/// slot id in that subscription's [`TrackedSlab`]. A fixed inline
+/// record — a new connection allocates nothing for it unless more than
+/// [`INLINE_REFS`] subscriptions engage at once.
+struct TrackedRefs {
+    /// Subscriptions holding a slot (released eagerly when they fall
+    /// off the connection).
+    held: SubscriptionSet,
+    /// One id per member of `held`, at the member's rank in the set.
+    slots: SlotIds,
+}
+
+impl TrackedRefs {
+    fn none() -> Self {
+        TrackedRefs {
+            held: SubscriptionSet::empty(),
+            slots: SlotIds::Inline([0; INLINE_REFS]),
+        }
+    }
+
+    /// Position of subscription `i`'s id among the held ones.
+    fn rank(&self, i: usize) -> usize {
+        (self.held & SubscriptionSet::first_n(i)).len()
+    }
+
+    /// Subscription `i`'s slot id, if it holds state here.
+    fn slot(&self, i: usize) -> Option<u32> {
+        let ids: &[u32] = match &self.slots {
+            SlotIds::Inline(ids) => ids,
+            SlotIds::Spilled(ids) => ids,
+        };
+        self.held.contains(i).then(|| ids[self.rank(i)])
+    }
+
+    /// Records `slot` for subscription `i`, which must be above every
+    /// subscription already held (engagement runs in ascending order).
+    fn push(&mut self, i: usize, slot: u32) {
+        debug_assert_eq!(self.rank(i), self.held.len(), "push out of order");
+        let n = self.held.len();
+        self.held.insert(i);
+        match &mut self.slots {
+            SlotIds::Inline(ids) if n < INLINE_REFS => ids[n] = slot,
+            SlotIds::Inline(ids) => {
+                let mut spilled = ids.to_vec();
+                spilled.push(slot);
+                self.slots = SlotIds::Spilled(spilled);
+            }
+            SlotIds::Spilled(ids) => ids.push(slot),
+        }
+    }
+
+    /// Forgets subscription `i`'s slot id and returns it for release.
+    fn take(&mut self, i: usize) -> Option<u32> {
+        let slot = self.slot(i)?;
+        let (r, n) = (self.rank(i), self.held.len());
+        match &mut self.slots {
+            SlotIds::Inline(ids) => ids.copy_within(r + 1..n.min(INLINE_REFS), r),
+            SlotIds::Spilled(ids) => {
+                ids.remove(r);
+            }
+        }
+        self.held.remove(i);
+        Some(slot)
+    }
+}
+
 /// Per-connection tracker state.
 struct Conn {
     flow: TcpFlow,
-    /// Per-subscription reconstruction state; `None` once the
-    /// subscription fell off the connection (state dropped eagerly).
-    tracked: Vec<Option<Box<dyn ErasedTracked>>>,
+    /// Per-subscription reconstruction state, by reference into the
+    /// tracker's slabs; a subscription's slot is released as soon as it
+    /// falls off the connection.
+    tracked: TrackedRefs,
     phase: Phase,
     /// Packet-filter frontiers (opaque resume points for the conn and
     /// session sub-filters).
@@ -104,27 +183,44 @@ struct Conn {
     trace_id: u64,
 }
 
+// Size budget, checked at build time: every 8 bytes of `Conn` are a
+// megabyte at scan's 131,072-slot arena (416 and 584 before the slot
+// diet).
+const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
+const _: () = assert!(std::mem::size_of::<Conn>() <= 400);
+const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 504);
+
 impl Conn {
     fn active(&self) -> SubscriptionSet {
         self.matched | self.live
     }
 
     /// The one emit path: runs `hook` on subscription `i`'s tracked
-    /// state (if it still holds any) with an emitter that tags what the
-    /// hook produces `(i, trace_id)` into `outputs` and counts it in
-    /// `tallies[i]`.
+    /// state in `slab` (if it still holds any) with an emitter that tags
+    /// what the hook produces `(i, trace_id)` into `outputs` and counts
+    /// it in `tallies[i]`.
     fn emit(
-        &mut self,
+        &self,
         i: usize,
+        slab: &mut dyn TrackedSlab,
         outputs: &mut Vec<(u32, u64, ErasedOutput)>,
         tallies: &mut [SubTally],
-        hook: impl FnOnce(&mut dyn ErasedTracked, &TcpFlow, &mut Emitter<'_>),
+        hook: impl FnOnce(&mut dyn TrackedSlab, u32, &TcpFlow, &mut Emitter<'_>),
     ) {
-        if let Some(t) = self.tracked[i].as_mut() {
+        if let Some(slot) = self.tracked.slot(i) {
             let delivered = &mut tallies[i].delivered;
             let mut out = Emitter::new(outputs, delivered, i as u32, self.trace_id);
-            hook(&mut **t, &self.flow, &mut out);
+            hook(slab, slot, &self.flow, &mut out);
         }
+    }
+
+    /// Releases subscription `i`'s tracked state, if it holds any;
+    /// returns whether it did.
+    fn release(&mut self, i: usize, slab: &mut dyn TrackedSlab) -> bool {
+        self.tracked
+            .take(i)
+            .map(|slot| slab.release(slot))
+            .is_some()
     }
 }
 
@@ -227,6 +323,7 @@ struct Ctx<'a, F: FilterFns> {
     stats: &'a mut CoreStats,
     tallies: &'a mut [SubTally],
     outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
+    slabs: &'a mut [Box<dyn TrackedSlab>],
     session_mask: SubscriptionSet,
     stream_mask: SubscriptionSet,
     post_mask: SubscriptionSet,
@@ -248,20 +345,21 @@ impl<F: FilterFns> Ctx<'_, F> {
     /// Delivers `on_match` for subscription `i` and tags its outputs.
     fn emit_match(
         &mut self,
-        conn: &mut Conn,
+        conn: &Conn,
         i: usize,
         service: Option<&str>,
         session: Option<&retina_protocols::Session>,
     ) {
-        conn.emit(i, self.outputs, self.tallies, |t, flow, out| {
-            t.on_match(service, session, flow, out);
+        let slab = &mut *self.slabs[i];
+        conn.emit(i, slab, self.outputs, self.tallies, |t, slot, flow, out| {
+            t.on_match(slot, service, session, flow, out);
         });
     }
 
     /// Drops subscription `i` from the connection after a filter
     /// rejection: state released, tally charged.
     fn kill_sub(&mut self, conn: &mut Conn, i: usize) {
-        if conn.tracked[i].take().is_some() {
+        if conn.release(i, &mut *self.slabs[i]) {
             self.tallies[i].discarded += 1;
         }
         conn.live.remove(i);
@@ -272,7 +370,7 @@ impl<F: FilterFns> Ctx<'_, F> {
     /// Retires subscription `i` because it is fully served (e.g. its TLS
     /// handshake was delivered and it needs nothing further).
     fn finish_sub(&mut self, conn: &mut Conn, i: usize) {
-        conn.tracked[i] = None;
+        conn.release(i, &mut *self.slabs[i]);
         conn.matched.remove(i);
         conn.want_parse.remove(i);
         conn.done_any = true;
@@ -352,8 +450,8 @@ impl<F: FilterFns> Ctx<'_, F> {
     ) -> Disposition {
         let stream_subs = conn.matched & self.stream_mask;
         for i in stream_subs.iter() {
-            if let Some(t) = conn.tracked[i].as_mut() {
-                t.on_stream(dir, data);
+            if let Some(slot) = conn.tracked.slot(i) {
+                self.slabs[i].on_stream(slot, dir, data);
             }
         }
         // Shed tier 1: the stream hooks above still run (packet
@@ -553,6 +651,76 @@ impl<F: FilterFns> Ctx<'_, F> {
             ParseResult::Error => self.conn_layer_failed(conn),
         }
     }
+
+    /// Finalizes a connection that terminated, expired, or was drained.
+    ///
+    /// Discarded tombstones (`Phase::Dropped`) were already attributed
+    /// at discard time; counting them again here would double-book the
+    /// connection and break the exclusive-outcome invariant.
+    fn finalize(&mut self, entry: ConnEntry<Conn>, reason: FinalizeReason) {
+        let mut conn = entry.value;
+        let was_discarded = matches!(conn.phase, Phase::Dropped);
+        // Drain partial sessions (e.g. an unanswered DNS query).
+        let drained = if let Phase::Parsing { parser, service } = &mut conn.phase {
+            Some((*service, parser.drain_sessions()))
+        } else {
+            None
+        };
+        if let Some((service, sessions)) = drained {
+            for session in &sessions {
+                self.stats.session_filter.runs += 1;
+                let hits = self
+                    .filter
+                    .session_filter_set(session, &conn.frontiers, conn.live);
+                self.trace(
+                    &conn,
+                    TraceKind::SessionVerdict,
+                    hits.bits(),
+                    conn.live.bits(),
+                );
+                // Matched session-level subscriptions first, then the
+                // still-live ones this session just matched.
+                let sess_matched = conn.matched & self.session_mask;
+                conn.live -= hits;
+                conn.matched |= hits;
+                for i in sess_matched.iter().chain(hits.iter()) {
+                    self.emit_match(&conn, i, Some(service), Some(session));
+                }
+            }
+        }
+        for i in conn.matched.iter() {
+            let slab = &mut *self.slabs[i];
+            conn.emit(i, slab, self.outputs, self.tallies, |t, slot, flow, out| {
+                t.on_terminate(slot, flow, out);
+            });
+        }
+        // The connection is leaving the table: its slab slots go back.
+        for i in conn.tracked.held.iter() {
+            conn.release(i, &mut *self.slabs[i]);
+        }
+        if !was_discarded {
+            match reason {
+                FinalizeReason::Terminated => self.stats.conns_terminated += 1,
+                FinalizeReason::Expired => self.stats.conns_expired += 1,
+                FinalizeReason::Drained => self.stats.conns_drained += 1,
+            }
+        }
+        if let Some((t, lane)) = self.tracer {
+            let end = match reason {
+                FinalizeReason::Terminated => TraceConnEnd::Terminated,
+                FinalizeReason::Expired => TraceConnEnd::Expired,
+                FinalizeReason::Drained => TraceConnEnd::Drained,
+            };
+            t.emit(
+                *lane,
+                conn.trace_id,
+                TraceKind::ConnExpire,
+                0,
+                end as u64,
+                0,
+            );
+        }
+    }
 }
 
 /// The per-core connection tracker, serving N subscriptions in one pass.
@@ -561,6 +729,11 @@ pub struct ConnTracker<F: FilterFns> {
     filter: Arc<F>,
     registry: ParserRegistry,
     subs: Vec<SubSpec>,
+    /// This core's per-connection tracked state, one slab per
+    /// subscription (parallel to `subs`). Built when the first
+    /// connection is tracked: a pipeline whose packets never reach the
+    /// tracker (packet-level subscriptions) builds none.
+    slabs: Vec<Box<dyn TrackedSlab>>,
     /// All subscription indices (guards against verdicts wider than the
     /// subscription table).
     all_mask: SubscriptionSet,
@@ -614,6 +787,7 @@ impl<F: FilterFns> ConnTracker<F> {
         );
         let (specs, session_mask, stream_mask, post_mask) = resolve_subs(&*filter, subs);
         ConnTracker {
+            slabs: Vec::new(),
             table: ConnTable::new(timeouts),
             filter,
             registry,
@@ -687,7 +861,7 @@ impl<F: FilterFns> ConnTracker<F> {
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
         let mut total = self.table.len() * per_conn;
-        for (_, entry) in self.table.iter() {
+        for entry in self.table.iter() {
             if let Phase::Probing(ps) = &entry.value.phase {
                 total += ps.buf_ts.capacity() + ps.buf_tc.capacity();
             }
@@ -699,7 +873,7 @@ impl<F: FilterFns> ConnTracker<F> {
     /// indexes. Capacity never shrinks, so this is the memory
     /// high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
-        self.table.bytes_high_water()
+        self.table.allocated_bytes()
     }
 
     /// The probe-candidate union for a want-parse set: each
@@ -740,141 +914,23 @@ impl<F: FilterFns> ConnTracker<F> {
         }
     }
 
-    fn process_inner(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, verdict: PacketVerdict) {
-        let now = mbuf.timestamp_ns;
-        let key = ConnKey::from_packet(pkt);
-        // The table is keyed by the NIC's symmetric RSS hash (both
-        // directions stamp the same value), so the lookup re-hashes a
-        // u32 instead of SipHashing the 5-tuple; `key` disambiguates
-        // hash collisions inside the table.
-        let hash = mbuf.rss_hash;
-
-        if self.table.get_mut(hash, &key).is_none() {
-            match self.closed.get(&key) {
-                Some(&closed_at) if now < closed_at.saturating_add(TIME_WAIT_NS) => {
-                    return; // trailing packet of a closed connection
-                }
-                Some(_) => {
-                    self.closed.remove(&key);
-                }
-                None => {}
-            }
-            self.stats.conns_created += 1;
-            let tuple = FiveTuple::from_packet(pkt);
-            let matched = verdict.matched & self.all_mask;
-            let mut live = verdict.live & self.all_mask;
-            // Parsing is needed by undecided subscriptions and by
-            // matched session-level ones (they consume every session).
-            let mut want_parse = live | (matched & self.session_mask);
-            let engaged = matched | live;
-            let mut tracked: Vec<Option<Box<dyn ErasedTracked>>> = Vec::new();
-            for i in 0..self.subs.len() {
-                tracked.push(
-                    engaged
-                        .contains(i)
-                        .then(|| self.subs[i].erased.new_tracked(&tuple, now)),
-                );
-            }
-            let phase;
-            if want_parse.is_empty() {
-                phase = if matched.is_empty() {
-                    Phase::Dropped
-                } else {
-                    Phase::Tracking
-                };
-            } else {
-                let protos = self.probe_protos_for(want_parse);
-                if protos.is_empty() {
-                    // Degraded path: no parser can ever resolve the
-                    // still-live filters, so those subscriptions are
-                    // born dead; matched ones carry the connection.
-                    for i in live.iter() {
-                        if tracked[i].take().is_some() {
-                            self.sub_tallies[i].discarded += 1;
-                        }
-                    }
-                    live = SubscriptionSet::empty();
-                    want_parse = SubscriptionSet::empty();
-                    phase = if matched.is_empty() {
-                        Phase::Dropped
-                    } else {
-                        Phase::Tracking
-                    };
-                } else {
-                    phase = Phase::Probing(ProbeState {
-                        parsers: self.registry.new_parsers(&protos),
-                        buf_ts: Vec::new(),
-                        buf_tc: Vec::new(),
-                    });
-                }
-            }
-            if matches!(phase, Phase::Dropped) {
-                // The filter can never match this connection for anyone:
-                // born a tombstone. Attribute it now — finalize() skips
-                // dropped connections.
-                self.stats.conns_discarded += 1;
-                self.stats.discard_conn_filter += 1;
-            }
-            // The flow trace id is fixed at insert: derived from the
-            // symmetric RSS hash on the mbuf, so both directions (and
-            // every execution mode) derive the same id.
-            let trace_id = self
-                .tracer
-                .as_ref()
-                .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
-            if let Some((t, lane)) = &self.tracer {
-                // Lifecycle events are recorded for every flow (the
-                // flight recorder wants them), not just sampled ones.
-                t.emit(*lane, trace_id, TraceKind::ConnInsert, 0, 0, 0);
-            }
-            let mut conn = Conn {
-                flow: TcpFlow::new(now, self.ooo_capacity),
-                tracked,
-                phase,
-                frontiers: verdict.frontiers,
-                matched,
-                live,
-                want_parse,
-                done_any: false,
-                service: None,
-                trace_id,
-            };
-            // Filter fully decided at the packet layer for these
-            // subscriptions: emit whatever they have ready (Figure 4a's
-            // "run callback"). Session-level ones wait for sessions.
-            for i in (matched - self.session_mask).iter() {
-                conn.emit(
-                    i,
-                    &mut self.outputs,
-                    &mut self.sub_tallies,
-                    |t, flow, out| t.on_match(None, None, flow, out),
-                );
-            }
-            self.table
-                .get_or_insert_with(hash, key, now, || (tuple, conn));
-            self.stats.conns_peak = self.stats.conns_peak.max(self.table.len() as u64);
-        }
-
-        let entry = self.table.get_mut(hash, &key).expect("just inserted");
-        let Some(dir) = entry.tuple.dir_of(pkt) else {
-            return; // key collision across address families: ignore
-        };
-        entry.last_seen_ns = now;
-        let conn = &mut entry.value;
-        if conn.trace_id != 0 {
-            if let Some((t, lane)) = &self.tracer {
-                let d = match dir {
-                    Dir::OrigToResp => 0,
-                    Dir::RespToOrig => 1,
-                };
-                t.emit(*lane, conn.trace_id, TraceKind::ConnUpdate, 0, d, 0);
-            }
-        }
-        let mut ctx = Ctx {
+    /// Splits the tracker into the table, the closed set and everything
+    /// the per-connection helpers mutate beside them, so an entry
+    /// borrowed from the table and tracker-level state can be worked on
+    /// together (also from inside the table's expiry and drain passes).
+    fn parts(
+        &mut self,
+    ) -> (
+        &mut ConnTable<Conn>,
+        &mut HashMap<ConnKey, u64, FlowHashState>,
+        Ctx<'_, F>,
+    ) {
+        let ctx = Ctx {
             filter: &self.filter,
             stats: &mut self.stats,
             tallies: &mut self.sub_tallies,
             outputs: &mut self.outputs,
+            slabs: &mut self.slabs,
             session_mask: self.session_mask,
             stream_mask: self.stream_mask,
             post_mask: self.post_mask,
@@ -882,6 +938,154 @@ impl<F: FilterFns> ConnTracker<F> {
             shed_parsing: self.shed_parsing,
             tracer: self.tracer.as_ref(),
         };
+        (&mut self.table, &mut self.closed, ctx)
+    }
+
+    /// The miss path: starts tracking the connection `pkt` opens, unless
+    /// it is a trailing packet of a recently closed one.
+    fn insert_conn(
+        &mut self,
+        mbuf: &Mbuf,
+        pkt: &ParsedPacket,
+        verdict: PacketVerdict,
+        key: &ConnKey,
+    ) -> Option<ConnHandle> {
+        let now = mbuf.timestamp_ns;
+        match self.closed.get(key) {
+            Some(&closed_at) if now < closed_at.saturating_add(TIME_WAIT_NS) => {
+                return None; // trailing packet of a closed connection
+            }
+            Some(_) => {
+                self.closed.remove(key);
+            }
+            None => {}
+        }
+        self.stats.conns_created += 1;
+        let tuple = FiveTuple::from_packet(pkt);
+        let matched = verdict.matched & self.all_mask;
+        let mut live = verdict.live & self.all_mask;
+        // Parsing is needed by undecided subscriptions and by
+        // matched session-level ones (they consume every session).
+        let mut want_parse = live | (matched & self.session_mask);
+        if self.slabs.is_empty() {
+            self.slabs = self.subs.iter().map(|s| s.erased.new_slab()).collect();
+        }
+        let mut tracked = TrackedRefs::none();
+        for i in (matched | live).iter() {
+            tracked.push(i, self.slabs[i].insert(&tuple, now));
+        }
+        let phase;
+        if want_parse.is_empty() {
+            phase = if matched.is_empty() {
+                Phase::Dropped
+            } else {
+                Phase::Tracking
+            };
+        } else {
+            let protos = self.probe_protos_for(want_parse);
+            if protos.is_empty() {
+                // Degraded path: no parser can ever resolve the
+                // still-live filters, so those subscriptions are
+                // born dead; matched ones carry the connection.
+                for i in live.iter() {
+                    if let Some(slot) = tracked.take(i) {
+                        self.slabs[i].release(slot);
+                        self.sub_tallies[i].discarded += 1;
+                    }
+                }
+                live = SubscriptionSet::empty();
+                want_parse = SubscriptionSet::empty();
+                phase = if matched.is_empty() {
+                    Phase::Dropped
+                } else {
+                    Phase::Tracking
+                };
+            } else {
+                phase = Phase::Probing(Box::new(ProbeState {
+                    parsers: self.registry.new_parsers(&protos),
+                    buf_ts: Vec::new(),
+                    buf_tc: Vec::new(),
+                }));
+            }
+        }
+        if matches!(phase, Phase::Dropped) {
+            // The filter can never match this connection for anyone:
+            // born a tombstone. Attribute it now — finalize() skips
+            // dropped connections.
+            self.stats.conns_discarded += 1;
+            self.stats.discard_conn_filter += 1;
+        }
+        // The flow trace id is fixed at insert: derived from the
+        // symmetric RSS hash on the mbuf, so both directions (and
+        // every execution mode) derive the same id.
+        let trace_id = self
+            .tracer
+            .as_ref()
+            .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
+        if let Some((t, lane)) = &self.tracer {
+            // Lifecycle events are recorded for every flow (the
+            // flight recorder wants them), not just sampled ones.
+            t.emit(*lane, trace_id, TraceKind::ConnInsert, 0, 0, 0);
+        }
+        let conn = Conn {
+            flow: TcpFlow::new(now, self.ooo_capacity),
+            tracked,
+            phase,
+            frontiers: verdict.frontiers,
+            matched,
+            live,
+            want_parse,
+            done_any: false,
+            service: None,
+            trace_id,
+        };
+        // Filter fully decided at the packet layer for these
+        // subscriptions: emit whatever they have ready (Figure 4a's
+        // "run callback"). Session-level ones wait for sessions.
+        for i in (matched - self.session_mask).iter() {
+            conn.emit(
+                i,
+                &mut *self.slabs[i],
+                &mut self.outputs,
+                &mut self.sub_tallies,
+                |t, slot, flow, out| t.on_match(slot, None, None, flow, out),
+            );
+        }
+        let handle = self.table.insert(mbuf.rss_hash, key, now, tuple, conn);
+        self.stats.conns_peak = self.stats.conns_peak.max(self.table.len() as u64);
+        Some(handle)
+    }
+
+    fn process_inner(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, verdict: PacketVerdict) {
+        let now = mbuf.timestamp_ns;
+        let key = ConnKey::from_packet(pkt);
+        // The one keyed index probe this packet gets: the NIC's
+        // symmetric RSS hash (both directions stamp the same value)
+        // picks the shard, the key's fingerprint the bucket, and the
+        // full key is verified against the entry. From here on the
+        // entry is addressed by handle.
+        let handle = match self.table.lookup(mbuf.rss_hash, &key) {
+            Some(handle) => handle,
+            None => match self.insert_conn(mbuf, pkt, verdict, &key) {
+                Some(handle) => handle,
+                None => return,
+            },
+        };
+
+        let (table, closed, mut ctx) = self.parts();
+        let entry = table.entry_mut(handle).expect("handle resolved above");
+        let Some(dir) = entry.tuple.dir_of(pkt) else {
+            return; // key collision across address families: ignore
+        };
+        entry.last_seen_ns = now;
+        let conn = &mut entry.value;
+        if conn.trace_id != 0 {
+            let d = match dir {
+                Dir::OrigToResp => 0,
+                Dir::RespToOrig => 1,
+            };
+            ctx.trace(conn, TraceKind::ConnUpdate, d, 0);
+        }
         // Decide whether reconstructed bytes are still needed *before*
         // updating the flow: Track/Dropped connections get counting-only
         // sequence tracking, never buffering (§5.2), unless an active
@@ -899,12 +1103,13 @@ impl<F: FilterFns> ConnTracker<F> {
         for i in conn.active().iter() {
             if conn.matched.contains(i) {
                 if ctx.post_mask.contains(i) {
-                    conn.emit(i, ctx.outputs, ctx.tallies, |t, _flow, out| {
-                        t.post_match(mbuf, pkt, out);
+                    let slab = &mut *ctx.slabs[i];
+                    conn.emit(i, slab, ctx.outputs, ctx.tallies, |t, slot, _flow, out| {
+                        t.post_match(slot, mbuf, pkt, out);
                     });
                 }
-            } else if let Some(t) = conn.tracked[i].as_mut() {
-                t.pre_match(mbuf, pkt);
+            } else if let Some(slot) = conn.tracked.slot(i) {
+                ctx.slabs[i].pre_match(slot, mbuf, pkt);
             }
         }
 
@@ -958,14 +1163,16 @@ impl<F: FilterFns> ConnTracker<F> {
             ctx.stats.ooo_buffered += 1;
         }
 
-        let terminated = update.terminated;
         if disposition == Disposition::RemoveDone {
             // Every subscription is finished with this connection (e.g.
             // TLS handshake delivered): remove mid-stream (§5.2).
             // Counted within conns_discarded (early removal) but
             // attributed separately — this is a win, not a rejection.
-            if let Some(removed) = self.table.remove(hash, &key) {
-                if let Some((t, lane)) = &self.tracer {
+            if let Some(removed) = table.remove_handle(handle) {
+                // Finished and rejected subscriptions released their
+                // state as they fell off; none is left active.
+                debug_assert!(removed.value.tracked.held.is_empty());
+                if let Some((t, lane)) = ctx.tracer {
                     t.emit(
                         *lane,
                         removed.value.trace_id,
@@ -976,113 +1183,33 @@ impl<F: FilterFns> ConnTracker<F> {
                     );
                 }
             }
-            self.closed.insert(key, now);
-            self.stats.conns_discarded += 1;
-            self.stats.conns_completed_early += 1;
-        } else if terminated {
-            if let Some(entry) = self.table.remove(hash, &key) {
-                self.closed.insert(key, now);
-                self.finalize(entry, FinalizeReason::Terminated);
+            closed.insert(key, now);
+            ctx.stats.conns_discarded += 1;
+            ctx.stats.conns_completed_early += 1;
+        } else if update.terminated {
+            if let Some(entry) = table.remove_handle(handle) {
+                closed.insert(key, now);
+                ctx.finalize(entry, FinalizeReason::Terminated);
             }
         }
     }
 
-    /// Finalizes a connection that terminated, expired, or was drained.
-    ///
-    /// Discarded tombstones (`Phase::Dropped`) were already attributed
-    /// at discard time; counting them again here would double-book the
-    /// connection and break the exclusive-outcome invariant.
-    fn finalize(&mut self, entry: ConnEntry<Conn>, reason: FinalizeReason) {
-        let mut conn = entry.value;
-        let was_discarded = matches!(conn.phase, Phase::Dropped);
-        // Drain partial sessions (e.g. an unanswered DNS query).
-        let drained = if let Phase::Parsing { parser, service } = &mut conn.phase {
-            Some((*service, parser.drain_sessions()))
-        } else {
-            None
-        };
-        if let Some((service, sessions)) = drained {
-            for session in &sessions {
-                self.stats.session_filter.runs += 1;
-                let hits = self
-                    .filter
-                    .session_filter_set(session, &conn.frontiers, conn.live);
-                if conn.trace_id != 0 {
-                    if let Some((t, lane)) = &self.tracer {
-                        t.emit(
-                            *lane,
-                            conn.trace_id,
-                            TraceKind::SessionVerdict,
-                            0,
-                            hits.bits(),
-                            conn.live.bits(),
-                        );
-                    }
-                }
-                // Matched session-level subscriptions first, then the
-                // still-live ones this session just matched.
-                let sess_matched = conn.matched & self.session_mask;
-                conn.live -= hits;
-                conn.matched |= hits;
-                for i in sess_matched.iter().chain(hits.iter()) {
-                    conn.emit(
-                        i,
-                        &mut self.outputs,
-                        &mut self.sub_tallies,
-                        |t, flow, out| t.on_match(Some(service), Some(session), flow, out),
-                    );
-                }
-            }
-        }
-        for i in conn.matched.iter() {
-            conn.emit(
-                i,
-                &mut self.outputs,
-                &mut self.sub_tallies,
-                |t, flow, out| t.on_terminate(flow, out),
-            );
-        }
-        if !was_discarded {
-            match reason {
-                FinalizeReason::Terminated => self.stats.conns_terminated += 1,
-                FinalizeReason::Expired => self.stats.conns_expired += 1,
-                FinalizeReason::Drained => self.stats.conns_drained += 1,
-            }
-        }
-        if let Some((t, lane)) = &self.tracer {
-            let end = match reason {
-                FinalizeReason::Terminated => TraceConnEnd::Terminated,
-                FinalizeReason::Expired => TraceConnEnd::Expired,
-                FinalizeReason::Drained => TraceConnEnd::Drained,
-            };
-            t.emit(
-                *lane,
-                conn.trace_id,
-                TraceKind::ConnExpire,
-                0,
-                end as u64,
-                0,
-            );
-        }
-    }
-
-    /// Advances simulated time: expires idle connections (§5.2).
+    /// Advances simulated time: expires idle connections (§5.2),
+    /// finalizing each from the table's expiry pass — no entry is moved
+    /// to a side buffer first.
     pub fn advance(&mut self, now_ns: u64) {
-        let mut expired = Vec::new();
-        self.table.advance(now_ns, |_k, entry| expired.push(entry));
-        for entry in expired {
-            self.finalize(entry, FinalizeReason::Expired);
-        }
-        self.closed
-            .retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
+        let (table, closed, mut ctx) = self.parts();
+        table.advance(now_ns, |_key, entry| {
+            ctx.finalize(entry, FinalizeReason::Expired);
+        });
+        closed.retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
     }
 
     /// Flushes every remaining connection (end of a run): delivers
     /// connection-level data for matched connections.
     pub fn drain(&mut self) {
-        for (_key, entry) in self.table.drain_all() {
-            self.finalize(entry, FinalizeReason::Drained);
-        }
+        let (table, _, mut ctx) = self.parts();
+        table.drain_all(|entry| ctx.finalize(entry, FinalizeReason::Drained));
     }
 
     /// Rebinds the tracker to a new configuration epoch at a live-swap
@@ -1096,7 +1223,8 @@ impl<F: FilterFns> ConnTracker<F> {
     ///   `on_terminate` data (queued in the output buffer, indexed by
     ///   the **old** subscription index so the caller routes it through
     ///   the old sinks), undecided ones are charged a discard;
-    /// * surviving state is re-indexed to the new subscription order;
+    /// * surviving state is re-indexed to the new subscription order
+    ///   (slot ids stay valid: a survivor's slab moves with it);
     /// * still-undecided survivors get their packet-filter frontiers
     ///   recomputed under the new trie by replaying a synthetic first
     ///   packet of the connection's five-tuple (survivors the new
@@ -1122,11 +1250,13 @@ impl<F: FilterFns> ConnTracker<F> {
 
         // Survivors carry their tallies to their new index; removed
         // subscriptions keep accumulating on the old vector until it is
-        // banked below.
+        // banked below. `old_of` is `remap` inverted.
         let mut new_tallies = vec![SubTally::default(); new_len];
+        let mut old_of: Vec<Option<usize>> = vec![None; new_len];
         for (i, m) in remap.iter().enumerate() {
             if let Some(j) = *m {
                 new_tallies[j] = self.sub_tallies[i];
+                old_of[j] = Some(i);
             }
         }
 
@@ -1136,49 +1266,53 @@ impl<F: FilterFns> ConnTracker<F> {
             let outputs = &mut self.outputs;
             let old_tallies = &mut self.sub_tallies;
             let closed = &mut self.closed;
-            let old_len = remap.len();
+            // Still in the old order during the pass: subscription `j`
+            // of the new table finds its state in `slabs[old_of[j]]`.
+            let slabs = &mut self.slabs;
             table.retain_mut(
-                |_key, entry| {
+                |entry| {
                     let conn = &mut entry.value;
                     if matches!(conn.phase, Phase::Dropped) {
-                        // Tombstones keep suppressing trailing packets;
-                        // just resize their (empty) per-sub state.
+                        // Tombstones keep suppressing trailing packets
+                        // and hold no per-subscription state.
+                        debug_assert!(conn.tracked.held.is_empty());
                         conn.matched = SubscriptionSet::empty();
                         conn.live = SubscriptionSet::empty();
                         conn.want_parse = SubscriptionSet::empty();
-                        conn.tracked = (0..new_len).map(|_| None).collect();
                         return true;
                     }
                     // Removed subscriptions drain: matched ones deliver
                     // their connection-level data (old index — routed
                     // through the old sinks), live ones are discarded.
-                    for i in 0..old_len {
-                        if remap[i].is_some() {
+                    for (i, m) in remap.iter().enumerate() {
+                        if m.is_some() {
                             continue;
                         }
+                        let slab = &mut *slabs[i];
                         if conn.matched.contains(i) {
-                            conn.emit(i, outputs, old_tallies, |t, flow, out| {
-                                t.on_terminate(flow, out);
+                            conn.emit(i, slab, outputs, old_tallies, |t, slot, flow, out| {
+                                t.on_terminate(slot, flow, out);
                             });
-                            conn.tracked[i] = None;
-                        } else if conn.live.contains(i) && conn.tracked[i].take().is_some() {
+                            conn.release(i, slab);
+                        } else if conn.live.contains(i) && conn.release(i, slab) {
                             old_tallies[i].discarded += 1;
                         }
                     }
                     // Re-index surviving per-subscription state.
-                    let mut new_tracked: Vec<Option<Box<dyn ErasedTracked>>> =
-                        (0..new_len).map(|_| None).collect();
+                    let mut new_tracked = TrackedRefs::none();
                     let mut new_matched = SubscriptionSet::empty();
                     let mut new_live = SubscriptionSet::empty();
-                    for (i, m) in remap.iter().enumerate() {
-                        let Some(j) = *m else { continue };
+                    for (j, i) in old_of.iter().enumerate() {
+                        let Some(i) = *i else { continue };
                         if conn.matched.contains(i) {
                             new_matched.insert(j);
                         }
                         if conn.live.contains(i) {
                             new_live.insert(j);
                         }
-                        new_tracked[j] = conn.tracked[i].take();
+                        if let Some(slot) = conn.tracked.slot(i) {
+                            new_tracked.push(j, slot);
+                        }
                     }
                     conn.tracked = new_tracked;
                     conn.matched = new_matched;
@@ -1186,59 +1320,46 @@ impl<F: FilterFns> ConnTracker<F> {
                     // Still-undecided survivors hold frontiers minted by
                     // the old trie; replay a synthetic first packet of
                     // this five-tuple through the new one to re-derive
-                    // them (and the packet-layer verdict).
+                    // them (and the packet-layer verdict). Without a
+                    // replay (non-TCP/UDP flow, unparseable frame) the
+                    // frontiers cannot be re-derived: conservatively
+                    // drop the undecided survivors.
                     if !conn.live.is_empty() {
-                        match synth_first_packet(&entry.tuple) {
-                            Some(frame) => match ParsedPacket::parse(&frame) {
-                                Ok(pkt) => {
-                                    let verdict = filter.packet_filter_set(&pkt);
-                                    conn.frontiers = verdict.frontiers;
-                                    let vm = verdict.matched & new_all;
-                                    let vl = verdict.live & new_all;
-                                    let still_live = conn.live & vl;
-                                    let promoted = (conn.live - vl) & vm;
-                                    let dead = conn.live - vl - vm;
-                                    for j in dead.iter() {
-                                        if conn.tracked[j].take().is_some() {
-                                            new_tallies[j].discarded += 1;
-                                        }
-                                    }
-                                    for j in promoted.iter() {
-                                        conn.matched.insert(j);
-                                        if !session_mask.contains(j) {
-                                            conn.emit(
-                                                j,
-                                                outputs,
-                                                &mut new_tallies,
-                                                |t, flow, out| {
-                                                    t.on_match(None, None, flow, out);
-                                                },
-                                            );
-                                        }
-                                    }
-                                    conn.live = still_live;
-                                }
-                                Err(_) => {
-                                    for j in conn.live.iter() {
-                                        if conn.tracked[j].take().is_some() {
-                                            new_tallies[j].discarded += 1;
-                                        }
-                                    }
-                                    conn.live = SubscriptionSet::empty();
-                                }
-                            },
-                            None => {
-                                // Non-TCP/UDP flow: no synthetic replay;
-                                // conservatively drop undecided survivors
-                                // (their frontiers cannot be re-derived).
-                                for j in conn.live.iter() {
-                                    if conn.tracked[j].take().is_some() {
-                                        new_tallies[j].discarded += 1;
-                                    }
-                                }
-                                conn.live = SubscriptionSet::empty();
+                        let verdict = synth_first_packet(&entry.tuple)
+                            .and_then(|frame| ParsedPacket::parse(&frame).ok())
+                            .map(|pkt| filter.packet_filter_set(&pkt));
+                        let (vm, vl) = match verdict {
+                            Some(verdict) => {
+                                conn.frontiers = verdict.frontiers;
+                                (verdict.matched & new_all, verdict.live & new_all)
+                            }
+                            None => (SubscriptionSet::empty(), SubscriptionSet::empty()),
+                        };
+                        let still_live = conn.live & vl;
+                        let promoted = (conn.live - vl) & vm;
+                        let dead = conn.live - vl - vm;
+                        // Undecided subscriptions are survivors.
+                        let old = |j: usize| old_of[j].expect("live subscription survived");
+                        for j in dead.iter() {
+                            if conn.release(j, &mut *slabs[old(j)]) {
+                                new_tallies[j].discarded += 1;
                             }
                         }
+                        for j in promoted.iter() {
+                            conn.matched.insert(j);
+                            if !session_mask.contains(j) {
+                                conn.emit(
+                                    j,
+                                    &mut *slabs[old(j)],
+                                    outputs,
+                                    &mut new_tallies,
+                                    |t, slot, flow, out| {
+                                        t.on_match(slot, None, None, flow, out);
+                                    },
+                                );
+                            }
+                        }
+                        conn.live = still_live;
                     }
                     conn.want_parse = conn.live | (conn.matched & session_mask);
                     if conn.want_parse.is_empty()
@@ -1251,11 +1372,12 @@ impl<F: FilterFns> ConnTracker<F> {
                     }
                     !conn.active().is_empty()
                 },
-                |key, entry| {
+                |entry| {
                     // No surviving subscription watches this connection:
                     // a swap-time eviction, attributed `conns_swapped`.
+                    debug_assert!(entry.value.tracked.held.is_empty());
                     swapped += 1;
-                    closed.insert(key, entry.last_seen_ns);
+                    closed.insert(entry.tuple.key(), entry.last_seen_ns);
                 },
             );
         }
@@ -1266,6 +1388,20 @@ impl<F: FilterFns> ConnTracker<F> {
             if m.is_none() {
                 banked.push((self.subs[i].erased.name().to_string(), self.sub_tallies[i]));
             }
+        }
+        // Survivors' slabs move to their new index; added subscriptions
+        // start empty ones; removed ones' (emptied above) are dropped.
+        // (No slabs yet: nothing was ever tracked, nothing to move.)
+        if !self.slabs.is_empty() {
+            let mut old_slabs: Vec<_> = self.slabs.drain(..).map(Some).collect();
+            self.slabs = old_of
+                .iter()
+                .zip(subs)
+                .map(|(i, sub)| match i {
+                    Some(i) => old_slabs[*i].take().expect("remap is injective"),
+                    None => sub.new_slab(),
+                })
+                .collect();
         }
         self.subs = specs;
         self.all_mask = new_all;
@@ -1309,5 +1445,309 @@ fn synth_first_packet(tuple: &FiveTuple) -> Option<Vec<u8>> {
             },
         )),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::erased::TypedSubscription;
+    use crate::subscribables::{
+        ConnRecord, DnsTransactionData, HttpTransactionData, TlsHandshakeData,
+    };
+    use retina_filter::{CompiledFilter, ProtocolRegistry};
+    use retina_nic::rss::RssHasher;
+    use retina_protocols::http;
+    use retina_protocols::tls::build::{
+        ccs_record, client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
+    };
+    use retina_support::bytes::Bytes;
+    use retina_wire::build::{build_tcp, TcpSpec};
+    use retina_wire::TcpFlags;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn tracked_refs_keep_rank_order_across_the_spill() {
+        let mut refs = TrackedRefs::none();
+        assert_eq!(refs.slot(3), None);
+        // Six subscriptions engage (two past the inline record).
+        for (n, i) in [1usize, 3, 4, 9, 20, 63].into_iter().enumerate() {
+            refs.push(i, 100 + n as u32);
+        }
+        assert!(matches!(refs.slots, SlotIds::Spilled(_)));
+        assert_eq!(refs.slot(1), Some(100));
+        assert_eq!(refs.slot(63), Some(105));
+        assert_eq!(refs.slot(2), None);
+        // Releasing from the middle shifts the later ids down a rank.
+        assert_eq!(refs.take(4), Some(102));
+        assert_eq!(refs.take(4), None);
+        assert_eq!(refs.slot(9), Some(103));
+        assert_eq!(refs.slot(63), Some(105));
+
+        // The same within the inline record.
+        let mut refs = TrackedRefs::none();
+        for i in [0usize, 2, 5] {
+            refs.push(i, i as u32 * 10);
+        }
+        assert!(matches!(refs.slots, SlotIds::Inline(_)));
+        assert_eq!(refs.take(0), Some(0));
+        assert_eq!((refs.slot(2), refs.slot(5)), (Some(20), Some(50)));
+        assert_eq!(refs.take(5), Some(50));
+        assert_eq!(refs.take(2), Some(20));
+        assert!(refs.held.is_empty());
+    }
+
+    /// One side of a hand-built TCP conversation, 1 ms between packets.
+    struct Conv {
+        client: SocketAddr,
+        server: SocketAddr,
+        cseq: u32,
+        sseq: u32,
+        ts: u64,
+        out: Vec<(Bytes, u64)>,
+    }
+
+    impl Conv {
+        fn open(client: &str, server: &str, ts: u64) -> Conv {
+            let mut c = Conv {
+                client: client.parse().unwrap(),
+                server: server.parse().unwrap(),
+                cseq: 1000,
+                sseq: 5000,
+                ts,
+                out: Vec::new(),
+            };
+            c.push(true, TcpFlags::SYN, &[]);
+            c.push(false, TcpFlags::SYN | TcpFlags::ACK, &[]);
+            c.push(true, TcpFlags::ACK, &[]);
+            c
+        }
+
+        fn push(&mut self, from_client: bool, flags: u8, payload: &[u8]) {
+            let (src, dst, seq, ack) = if from_client {
+                (self.client, self.server, self.cseq, self.sseq)
+            } else {
+                (self.server, self.client, self.sseq, self.cseq)
+            };
+            self.ts += 1_000_000;
+            let frame = build_tcp(&TcpSpec {
+                src,
+                dst,
+                seq,
+                ack,
+                flags,
+                window: 65535,
+                ttl: 64,
+                payload,
+            });
+            self.out.push((Bytes::from(frame), self.ts));
+            let consumed =
+                payload.len() as u32 + u32::from(flags & (TcpFlags::SYN | TcpFlags::FIN) != 0);
+            if from_client {
+                self.cseq = self.cseq.wrapping_add(consumed);
+            } else {
+                self.sseq = self.sseq.wrapping_add(consumed);
+            }
+        }
+
+        fn data(&mut self, from_client: bool, payload: &[u8]) {
+            self.push(from_client, TcpFlags::ACK | TcpFlags::PSH, payload);
+        }
+
+        fn close(mut self) -> Vec<(Bytes, u64)> {
+            self.push(true, TcpFlags::FIN | TcpFlags::ACK, &[]);
+            self.push(false, TcpFlags::FIN | TcpFlags::ACK, &[]);
+            self.push(true, TcpFlags::ACK, &[]);
+            self.out
+        }
+    }
+
+    fn tls(client: &str, sni: &str, ts: u64) -> Conv {
+        let mut c = Conv::open(client, "198.38.96.1:443", ts);
+        c.data(
+            true,
+            &client_hello_record(&ClientHelloSpec {
+                sni: Some(sni.to_string()),
+                ciphers: vec![0x1301],
+                random: [0x42; 32],
+                version: 0x0303,
+                alpn: None,
+            }),
+        );
+        c.data(
+            false,
+            &server_hello_record(&ServerHelloSpec {
+                cipher: 0x1301,
+                random: [0x99; 32],
+                version: 0x0303,
+                supported_version: Some(0x0304),
+                alpn: None,
+            }),
+        );
+        c.data(false, &ccs_record());
+        c
+    }
+
+    fn http_conv(client: &str, ts: u64) -> Conv {
+        let mut c = Conv::open(client, "93.184.216.34:80", ts);
+        c.data(true, &http::build_request("GET", "/", "example.com", "t/1"));
+        c.data(false, &http::build_response(200, 32));
+        c
+    }
+
+    fn syn(n: u32, ts: u64) -> (Bytes, u64) {
+        let frame = build_tcp(&TcpSpec {
+            src: SocketAddr::new(std::net::Ipv4Addr::from(0xcb00_7100 + n).into(), 40_000),
+            dst: "10.1.2.3:9999".parse().unwrap(),
+            seq: 1,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+            ttl: 64,
+            payload: &[],
+        });
+        (Bytes::from(frame), ts)
+    }
+
+    type Subs = Vec<Arc<dyn ErasedSubscription>>;
+
+    fn tracker(srcs: &[&str], subs: &Subs) -> ConnTracker<CompiledFilter> {
+        let filter = CompiledFilter::build_union(srcs, &ProtocolRegistry::default()).unwrap();
+        ConnTracker::with_registry(
+            Arc::new(filter),
+            subs,
+            TimeoutConfig::retina_default(),
+            500,
+            false,
+            ParserRegistry::default(),
+        )
+    }
+
+    fn feed(t: &mut ConnTracker<CompiledFilter>, packets: &[(Bytes, u64)]) {
+        for (frame, ts) in packets {
+            let mut mbuf = Mbuf::from_bytes(frame.clone());
+            mbuf.timestamp_ns = *ts;
+            let pkt = ParsedPacket::parse(mbuf.data()).unwrap();
+            mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
+            let verdict = t.filter.packet_filter_set(&pkt);
+            if !verdict.is_no_match() {
+                t.process(&mbuf, &pkt, verdict);
+            }
+        }
+    }
+
+    /// Every slab holds exactly the states the table's connections
+    /// reference: nothing leaked, nothing dangling. Returns the live
+    /// count per subscription.
+    fn slab_balance(t: &ConnTracker<CompiledFilter>) -> Vec<usize> {
+        let live: Vec<usize> = t.slabs.iter().map(|s| s.live()).collect();
+        for (i, live) in live.iter().enumerate() {
+            let held = t
+                .table
+                .iter()
+                .filter(|e| e.value.tracked.held.contains(i))
+                .count();
+            assert_eq!(*live, held, "subscription {i}: slab live vs held bits");
+        }
+        live
+    }
+
+    #[test]
+    fn slab_slots_are_recycled_and_never_leak() {
+        const MS: u64 = 1_000_000;
+        let subs: Subs = vec![
+            Arc::new(TypedSubscription::<ConnRecord>::spec_only("conns")),
+            Arc::new(TypedSubscription::<TlsHandshakeData>::spec_only("netflix")),
+            Arc::new(TypedSubscription::<HttpTransactionData>::spec_only("http")),
+        ];
+        let mut t = tracker(&["tcp", "tls.sni ~ 'netflix'", "http"], &subs);
+        assert!(t.slabs.is_empty(), "no connection, no slabs");
+
+        // 50 bare SYNs: one slot each in `conns`, one each (undecided)
+        // in the two session-level subscriptions.
+        let syns: Vec<_> = (0..50).map(|n| syn(n, u64::from(n) * MS)).collect();
+        feed(&mut t, &syns);
+        assert_eq!(slab_balance(&t), vec![50, 50, 50]);
+
+        // finish_sub: the netflix handshake is delivered and the
+        // subscription retires from its connection. kill_sub: the same
+        // subscription is rejected by the session filter (other SNI) and
+        // by the connection filter (HTTP); `http` dies on the TLS ones.
+        let mut netflix = tls("10.0.0.1:40001", "a.nflxvideo.netflix.com", 60 * MS);
+        let mut other = tls("10.0.0.2:40002", "www.example.com", 70 * MS);
+        let mut web = http_conv("10.0.0.3:40003", 80 * MS);
+        feed(&mut t, &netflix.out);
+        feed(&mut t, &other.out);
+        feed(&mut t, &web.out);
+        assert_eq!(t.sub_tallies[1].delivered, 1);
+        assert_eq!(t.sub_tallies[2].delivered, 1);
+        assert_eq!(slab_balance(&t), vec![53, 50, 51]);
+        assert!(t.sub_tallies[1].discarded >= 2 && t.sub_tallies[2].discarded >= 2);
+
+        // finalize, by termination: the three conversations close.
+        netflix.out.clear();
+        other.out.clear();
+        web.out.clear();
+        for conv in [netflix, other, web] {
+            feed(&mut t, &conv.close());
+        }
+        assert_eq!(slab_balance(&t), vec![50, 50, 50]);
+
+        // finalize, by expiry: the SYNs time out; every slab empties.
+        t.advance(10_000 * MS);
+        assert_eq!(t.connections(), 0);
+        assert_eq!(slab_balance(&t), vec![0, 0, 0]);
+        assert_eq!(t.sub_tallies[0].delivered, 53);
+
+        // The freed slots are recycled: 40 new connections fit in the
+        // slots the first 53 used.
+        let syns: Vec<_> = (100..140).map(|n| syn(n, 11_000 * MS)).collect();
+        feed(&mut t, &syns);
+        assert_eq!(slab_balance(&t), vec![40, 40, 40]);
+        for entry in t.table.iter() {
+            for i in 0..3 {
+                assert!(entry.value.tracked.slot(i).unwrap() < 53, "a slab grew");
+            }
+        }
+        let mut web = http_conv("10.0.0.4:40004", 11_001 * MS);
+        feed(&mut t, &web.out);
+        assert_eq!(slab_balance(&t), vec![41, 40, 41]);
+
+        // A swap that removes `netflix`, keeps the other two in the
+        // opposite order and adds `dns`: survivors' slabs move with
+        // them, the removed one's state is released, nothing leaks.
+        let new_subs: Subs = vec![
+            Arc::clone(&subs[2]),
+            Arc::clone(&subs[0]),
+            Arc::new(TypedSubscription::<DnsTransactionData>::spec_only("dns")),
+        ];
+        let new_filter =
+            CompiledFilter::build_union(&["http", "tcp", "dns"], &ProtocolRegistry::default())
+                .unwrap();
+        let banked = t.rebind(Arc::new(new_filter), &new_subs, &[Some(1), None, Some(0)]);
+        assert_eq!(banked.len(), 1);
+        assert_eq!(banked[0].0, "netflix");
+        assert_eq!(
+            banked[0].1.discarded,
+            3 + 40,
+            "rejected three times, undecided on 40 at the swap"
+        );
+        assert_eq!(t.slabs.len(), 3);
+        assert_eq!(slab_balance(&t), vec![41, 41, 0]);
+
+        // Survivors' state still works under the new indices: a second
+        // transaction on the open HTTP connection is delivered to `http`
+        // (now subscription 0), and the record (now 1) at the drain.
+        web.out.clear();
+        web.data(
+            true,
+            &http::build_request("GET", "/2", "example.com", "t/1"),
+        );
+        web.data(false, &http::build_response(200, 32));
+        feed(&mut t, &web.out);
+        assert_eq!(t.sub_tallies[0].delivered, 3);
+        t.drain();
+        assert_eq!(slab_balance(&t), vec![0, 0, 0]);
+        assert_eq!(t.sub_tallies[1].delivered, 53 + 41);
     }
 }

@@ -357,6 +357,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn symmetric_key_yields_at_most_16_bits() {
+        // The key is `0x6d5a` repeated, so every 32-bit window of it is
+        // one of 16 rotations of the same word pair and an input bit's
+        // contribution depends only on its position mod 16: the hash of
+        // any input is `(x << 16 | x) ^ (y << 16 | y)`-shaped, 65,536
+        // values at most. This is why nothing downstream may use
+        // `rss_hash` as an identity (the conn index keys on a
+        // fingerprint of the tuple; the hash only picks queue and shard).
+        use retina_support::rand::{RngExt, SeedableRng, SmallRng};
+        let hasher = RssHasher::symmetric();
+        let mut rng = SmallRng::seed_from_u64(0x16b175);
+        let mut seen = std::collections::HashSet::new();
+        for round in 0..1_000_000u32 {
+            let (sp, dp): (u16, u16) = (rng.random(), rng.random());
+            let hash = if round % 4 == 0 {
+                let (s, d): (u128, u128) = (rng.random(), rng.random());
+                hasher.hash_tuple(&IpAddr::V6(s.into()), &IpAddr::V6(d.into()), sp, dp)
+            } else {
+                let (s, d): (u32, u32) = (rng.random(), rng.random());
+                hasher.hash_tuple(&IpAddr::V4(s.into()), &IpAddr::V4(d.into()), sp, dp)
+            };
+            seen.insert(hash);
+        }
+        assert!(seen.len() <= 65_536, "{} distinct hashes", seen.len());
+        assert!(seen.len() > 60_000, "and it does use them: {}", seen.len());
+    }
+
     retina_support::proptest! {
         #[test]
         fn symmetry_holds_for_all_v4_tuples(

@@ -5,13 +5,18 @@
 //! attacker-controlled data, but it is wrong for Retina's conn-table
 //! shards twice over:
 //!
-//! 1. **Cost** — the NIC already computed a symmetric Toeplitz RSS hash
-//!    per packet (`mbuf.rss_hash`); re-running SipHash over the 5-tuple
-//!    on every lookup throws that work away. The shard maps key on the
-//!    32-bit RSS hash directly, so the map hasher only needs to *spread*
-//!    an already-mixed integer, not provide keyed collision resistance
-//!    (flood resistance comes from full-`ConnKey` verification in the
-//!    arena, and the Toeplitz key is public anyway).
+//! 1. **Cost** — re-running SipHash over the 5-tuple's two `SocketAddr`s
+//!    on every lookup is the most expensive way to key the index. The
+//!    shard maps key on one 64-bit word instead — the connection key's
+//!    hand-rolled fingerprint with the NIC's RSS hash folded in — so the
+//!    map hasher only needs to *spread* an integer, not provide keyed
+//!    collision resistance (flood resistance comes from full-key
+//!    verification in the arena, and the Toeplitz key is public
+//!    anyway). The RSS hash alone is **not** such an integer: under the
+//!    symmetric key (`0x6d5a` repeated) a bit's contribution depends
+//!    only on its position mod 16, so the "32-bit" hash takes at most
+//!    65,536 values on any traffic. It picks the queue and the shard;
+//!    the fingerprint picks the bucket.
 //! 2. **Determinism** — a random seed makes iteration/drain order differ
 //!    run to run, which would leak into drain-time accounting order.
 //!    Everything here is seeded explicitly, so identical inputs produce
@@ -19,8 +24,8 @@
 //!    threaded/`run_stepped` execution modes.
 //!
 //! [`FlowHasher`] is a multiply-xor (wyhash/fx-style) mixer: a handful
-//! of cycles per `write_u32`, far cheaper than SipHash, with avalanche
-//! good enough to spread Toeplitz outputs across buckets. [`splitmix64`]
+//! of cycles per `write_u64`, far cheaper than SipHash, with avalanche
+//! good enough to spread structured integers across buckets. [`splitmix64`]
 //! is the standalone finalizer used wherever a one-shot integer mix is
 //! needed (trace sampling, shard seeds).
 
@@ -93,13 +98,14 @@ impl std::hash::Hasher for FlowHasher {
 
     #[inline]
     fn write_u32(&mut self, i: u32) {
-        // The conn-table fast path: one mix of the RSS hash, no
-        // length framing needed for a fixed-width write.
+        // One mix, no length framing needed for a fixed-width write.
         self.mix(u64::from(i));
     }
 
     #[inline]
     fn write_u64(&mut self, i: u64) {
+        // The conn-table fast path: one mix of the index key (and of a
+        // `ConnKey`, whose `Hash` is one `write_u64` of its fingerprint).
         self.mix(i);
     }
 
@@ -221,8 +227,9 @@ mod tests {
 
     #[test]
     fn low_entropy_u32s_spread() {
-        // Symmetric Toeplitz output has limited entropy; sequential or
-        // low-bit-varying inputs must still spread across 256 buckets.
+        // Structured keys (the symmetric Toeplitz output is the extreme
+        // case: 16 bits of entropy) must still spread across 256
+        // buckets when sequential or varying only in a few bits.
         let s = FlowHashState::default();
         let mut counts = [0usize; 256];
         for i in 0..4096u32 {

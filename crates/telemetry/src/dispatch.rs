@@ -49,7 +49,10 @@ impl DispatchStats {
     /// Records a successful enqueue onto a ring.
     pub fn note_enqueued(&self) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        // Wrapping: after a blocked send the worker can dequeue and
+        // `note_executed` before the producer gets here, so the previous
+        // depth is momentarily "-1" (the counter itself wraps back).
+        let depth = self.depth.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
         self.depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
 

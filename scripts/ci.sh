@@ -21,7 +21,10 @@
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
 #   doc           cargo doc --offline --no-deps with warnings denied
-#   test          cargo test -q --offline (whole workspace)
+#   test          cargo test -q --offline (whole workspace; includes
+#                 tests/tests/alloc_per_conn.rs, which counts heap
+#                 allocations per single-SYN connection under its own
+#                 global allocator — an allocation regression fails here)
 #   smoke         telemetry_smoke + governor_storm + fig_multi +
 #                 dispatch_storm + fig9 (--quick), emitting
 #                 results/BENCH_ci.json
@@ -30,8 +33,10 @@
 #                 telemetry-smoke workload, merging trace_off_overhead
 #                 and trace_sampled_overhead into results/BENCH_ci.json
 #   churn         churn_storm (--quick): scan-heavy conn-table churn
-#                 with exact accounting, merging conns_peak and the
-#                 arena memory high-water into results/BENCH_ci.json
+#                 with exact accounting, merging conns_peak, the arena
+#                 memory high-water and longest_chain_le_2 (index chains
+#                 under the real symmetric RSS hash) into
+#                 results/BENCH_ci.json
 #   reconfig      reconfig_storm (--quick): live hot-swap storm — stepped
 #                 survivor-digest equivalence, conns_swapped orphan
 #                 drain, and a threaded back-and-forth swap sequence

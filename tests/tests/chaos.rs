@@ -208,6 +208,11 @@ fn different_seeds_diverge() {
 /// once its ring is empty and no fault holds frames in flight.
 #[test]
 fn ring_stall_at_shutdown_strands_nothing() {
+    // `chaos_run` ends by disarming the process-wide parser-panic switch:
+    // it must not overlap a test that armed it.
+    let _guard = ARM_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Stall queue 0 for far more polls than ingest needs to complete,
     // so the stall is guaranteed active when `ingest_done` flips. The
     // drain loop then has to wait the window out and empty the ring.
@@ -230,6 +235,10 @@ fn ring_stall_at_shutdown_strands_nothing() {
 /// spawn phantom connections.
 #[test]
 fn conntrack_survives_duplication_and_reordering() {
+    // As above: `chaos_run` touches the process-wide arm switch.
+    let _guard = ARM_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let clean = chaos_run(&FaultPlan::new(11), None);
     clean.check_accounting().unwrap();
 
