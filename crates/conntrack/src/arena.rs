@@ -30,6 +30,17 @@
 //! Capacity only grows, so `allocated_bytes()` is simultaneously the
 //! current footprint and the high-water mark — the quantity the
 //! arena-bytes gauge (and the churn bench's memory gate) reports.
+//!
+//! [`ConnArena::prefetch`] is the hint verb: it asks the CPU to start
+//! fetching the slot a handle *points at*, so a burst's slot misses
+//! overlap. Its contract is **no dereference** — the address is computed
+//! from the handle's index and the slot storage's base, nothing behind
+//! it is read, the generation is not checked (that would be a read of
+//! the very line being fetched). A stale handle therefore warms a slot
+//! someone else now owns, an out-of-range one warms nothing, and neither
+//! can be told apart from a useful hint by anything but time.
+
+use retina_support::prefetch::{prefetch_lines, LINE};
 
 use crate::tuple::FiveTuple;
 
@@ -197,6 +208,29 @@ impl<V> ConnArena<V> {
             return None;
         }
         slot.entry.as_ref()
+    }
+
+    /// Cache lines of a slot [`ConnArena::prefetch`] asks for: the whole
+    /// slot, up to half a kilobyte.
+    const PREFETCH_LINES: usize = {
+        let lines = Self::SLOT_BYTES.div_ceil(LINE);
+        if lines < 8 {
+            lines
+        } else {
+            8
+        }
+    };
+
+    /// Hints the CPU to fetch the slot `handle` points at (see the
+    /// module docs): no dereference, no generation check. A handle whose
+    /// index is past the slot storage is ignored.
+    #[inline]
+    pub fn prefetch(&self, handle: ConnHandle) {
+        let index = handle.index as usize;
+        if index < self.slots.len() {
+            let slot = self.slots.as_ptr().wrapping_add(index);
+            prefetch_lines(slot.cast::<u8>(), Self::PREFETCH_LINES);
+        }
     }
 
     /// Mutable access to the entry at `handle`, if current.
@@ -370,6 +404,28 @@ mod tests {
         arena.remove(h).unwrap();
         arena.remove(h2).unwrap();
         assert_eq!(arena.live_high_water(), 2, "high water never drops");
+    }
+
+    #[test]
+    fn prefetch_is_a_hint_not_an_access() {
+        // Empty arena, out-of-range index, stale generation, vacant
+        // slot: every one is a no-op that changes and reads nothing.
+        let mut arena: ConnArena<u32> = ConnArena::new();
+        arena.prefetch(ConnHandle { index: 0, gen: 0 });
+        arena.prefetch(ConnHandle {
+            index: u32::MAX,
+            gen: 7,
+        });
+        let h = arena.insert(1, 10, entry(1));
+        arena.prefetch(h);
+        arena.remove(h).unwrap();
+        arena.prefetch(h); // vacant slot, stale generation
+        let h2 = arena.insert(2, 20, entry(2));
+        arena.prefetch(h); // stale generation, slot reused
+        arena.prefetch(ConnHandle { index: 1, gen: 0 }); // one past the last slot
+        assert!(arena.get(h).is_none(), "a hint revives nothing");
+        assert_eq!(arena.get(h2).unwrap().value, 2);
+        assert_eq!((arena.len(), arena.live_high_water()), (1, 1));
     }
 
     // Identity (68 B tuple), two stamps, the established flag,

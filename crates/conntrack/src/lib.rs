@@ -35,6 +35,6 @@ pub mod tuple;
 pub use arena::{ConnArena, ConnEntry, ConnHandle};
 pub use conn::TcpFlow;
 pub use reassembly::{Reassembled, StreamReassembler};
-pub use table::{ConnTable, TimeoutConfig};
+pub use table::{index_key, ConnTable, TimeoutConfig};
 pub use timerwheel::TimerWheel;
 pub use tuple::{ConnKey, Dir, FiveTuple};

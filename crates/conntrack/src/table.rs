@@ -27,11 +27,24 @@
 //!   misattribution. At 100,000 live scan connections under the real
 //!   hash no chain is longer than 2 ([`ConnTable::longest_chain`], gated
 //!   by `churn_storm`).
-//! - **One probe per packet.** [`ConnTable::lookup`] resolves a
-//!   [`ConnHandle`] once; [`ConnTable::entry_mut`] and
-//!   [`ConnTable::remove_handle`] then address the entry without touching
-//!   the index again. The key-based verbs (`get_mut`,
-//!   `get_or_insert_with`, `remove`) are those two steps in one call.
+//! - **One probe per packet, one fingerprint per packet.**
+//!   [`ConnTable::lookup`] resolves a [`ConnHandle`] once;
+//!   [`ConnTable::entry_mut`] and [`ConnTable::remove_handle`] then
+//!   address the entry without touching the index again. The handle
+//!   verbs (`prefetch`, `lookup`, `insert`) take the 64-bit index key
+//!   the caller computed — once — with [`index_key`]; the key-based
+//!   verbs (`get_mut`, `get_or_insert_with`, `remove`) compute it and
+//!   are those steps in one call.
+//! - **A hint verb for bursts.** [`ConnTable::prefetch`] probes the
+//!   shard index *unverified* and asks the CPU to fetch the arena slot
+//!   behind whatever it finds ([`ConnArena::prefetch`]), so the slot
+//!   misses of a burst of packets overlap instead of queueing. Its
+//!   contract is **no dereference of a slot**: the handle it returns may
+//!   be stale by the time it is used, or belong to a connection whose
+//!   index key merely collides — which is why [`ConnTable::lookup`]
+//!   verifies a hinted handle against the full key (generation, then
+//!   identity) before trusting it, and probes the index itself when the
+//!   hint fails.
 //! - **Arena entry storage.** Entries live in a dense, slot-reusing
 //!   [`ConnArena`] addressed by compact generation-checked `u32`
 //!   handles; steady-state churn allocates nothing and the arena
@@ -127,9 +140,12 @@ fn shard_of(hash: u32) -> usize {
 }
 
 /// The shard-map key of a connection: its fingerprint, with the RSS
-/// hash folded into the high half.
+/// hash folded into the high half. The one place a packet's
+/// [`ConnKey::fingerprint`] is computed: the handle verbs of
+/// [`ConnTable`] take the result.
 #[inline]
-fn index_key(hash: u32, key: &ConnKey) -> u64 {
+#[must_use]
+pub fn index_key(hash: u32, key: &ConnKey) -> u64 {
     key.fingerprint() ^ (u64::from(hash) << 32)
 }
 
@@ -211,12 +227,34 @@ impl<V> ConnTable<V> {
             .is_some_and(|entry| key.is_key_of(&entry.tuple))
     }
 
-    /// Resolves `key` (with the RSS hash of its packets) to the handle
-    /// of its entry: the one keyed index probe a packet needs. Every hit
-    /// is verified against the identity in the arena slot.
+    /// The hint verb (see the module docs): probes the index for `ikey`
+    /// without verifying what it finds, asks the CPU to fetch the slot
+    /// behind it, and returns the handle for [`ConnTable::lookup`] to
+    /// verify later. Dereferences no slot.
     #[inline]
-    pub fn lookup(&self, hash: u32, key: &ConnKey) -> Option<ConnHandle> {
-        let ikey = index_key(hash, key);
+    pub fn prefetch(&self, hash: u32, ikey: u64) -> Option<ConnHandle> {
+        let first = *self.shards[shard_of(hash)].get(&ikey)?;
+        self.arena.prefetch(first);
+        Some(first)
+    }
+
+    /// Resolves `key` — with the RSS hash of its packets and their
+    /// [`index_key`] — to the handle of its entry. A `hint` from
+    /// [`ConnTable::prefetch`] that still verifies (current generation,
+    /// this key's identity in the slot) is the answer without an index
+    /// probe; otherwise this is the one keyed probe a packet needs.
+    /// Every hit is verified against the identity in the arena slot.
+    #[inline]
+    pub fn lookup(
+        &self,
+        hash: u32,
+        ikey: u64,
+        key: &ConnKey,
+        hint: Option<ConnHandle>,
+    ) -> Option<ConnHandle> {
+        if let Some(hinted) = hint.filter(|h| self.holds(*h, key)) {
+            return Some(hinted);
+        }
         let first = *self.shards[shard_of(hash)].get(&ikey)?;
         if self.holds(first, key) {
             return Some(first);
@@ -233,19 +271,24 @@ impl<V> ConnTable<V> {
     }
 
     /// Inserts a connection [`ConnTable::lookup`] just missed and
-    /// schedules it on the wheel. `key` must be `tuple`'s key and must
-    /// not be in the table.
+    /// schedules it on the wheel. `key` must be `tuple`'s key, `ikey`
+    /// its [`index_key`] under `hash`, and the key must not be in the
+    /// table.
     pub fn insert(
         &mut self,
         hash: u32,
+        ikey: u64,
         key: &ConnKey,
         now_ns: u64,
         tuple: FiveTuple,
         value: V,
     ) -> ConnHandle {
         debug_assert!(key.is_key_of(&tuple), "key of another tuple");
-        debug_assert!(self.lookup(hash, key).is_none(), "key already tracked");
-        let ikey = index_key(hash, key);
+        debug_assert_eq!(ikey, index_key(hash, key), "index key of another key");
+        debug_assert!(
+            self.lookup(hash, ikey, key, None).is_none(),
+            "key already tracked"
+        );
         let handle = self.arena.insert(
             hash,
             ikey,
@@ -308,7 +351,7 @@ impl<V> ConnTable<V> {
 
     /// Looks up a connection by RSS hash + canonical key.
     pub fn get_mut(&mut self, hash: u32, key: &ConnKey) -> Option<&mut ConnEntry<V>> {
-        let handle = self.lookup(hash, key)?;
+        let handle = self.lookup(hash, index_key(hash, key), key, None)?;
         self.arena.get_mut(handle)
     }
 
@@ -322,16 +365,17 @@ impl<V> ConnTable<V> {
         now_ns: u64,
         init: impl FnOnce() -> (FiveTuple, V),
     ) -> &mut ConnEntry<V> {
-        let handle = self.lookup(hash, &key).unwrap_or_else(|| {
+        let ikey = index_key(hash, &key);
+        let handle = self.lookup(hash, ikey, &key, None).unwrap_or_else(|| {
             let (tuple, value) = init();
-            self.insert(hash, &key, now_ns, tuple, value)
+            self.insert(hash, ikey, &key, now_ns, tuple, value)
         });
         self.arena.get_mut(handle).expect("indexed handle is live")
     }
 
     /// Removes a connection by RSS hash + canonical key.
     pub fn remove(&mut self, hash: u32, key: &ConnKey) -> Option<ConnEntry<V>> {
-        let handle = self.lookup(hash, key)?;
+        let handle = self.lookup(hash, index_key(hash, key), key, None)?;
         self.remove_handle(handle)
     }
 
@@ -375,19 +419,19 @@ impl<V> ConnTable<V> {
     /// Mutably visits every tracked connection in deterministic
     /// arena-slot order; entries for which `f` returns `false` are
     /// removed from the table (index unlinked, wheel token tombstoned
-    /// via the generation bump) and handed to `on_remove`. This is the
-    /// swap-time rebind primitive: one pass rewrites surviving
-    /// connections in place and evicts the ones the new configuration
-    /// no longer watches.
+    /// via the generation bump) and handed to `on_remove` with their
+    /// index key. This is the swap-time rebind primitive: one pass
+    /// rewrites surviving connections in place and evicts the ones the
+    /// new configuration no longer watches.
     pub fn retain_mut(
         &mut self,
         f: impl FnMut(&mut ConnEntry<V>) -> bool,
-        mut on_remove: impl FnMut(ConnEntry<V>),
+        mut on_remove: impl FnMut(u64, ConnEntry<V>),
     ) {
         let mut unlinks: Vec<(u32, u64)> = Vec::new();
         self.arena.retain_mut(f, |hash, ikey, entry| {
             unlinks.push((hash, ikey));
-            on_remove(entry);
+            on_remove(ikey, entry);
         });
         // Unlink after the arena pass: the index needs `&mut self` while
         // the arena borrow is held above.
@@ -767,6 +811,38 @@ mod tests {
     }
 
     #[test]
+    fn hints_are_verified_and_never_trusted() {
+        let mut table: ConnTable<u32> = ConnTable::new(TimeoutConfig::retina_default());
+        let (key, tuple) = key_tuple(1);
+        let ikey = index_key(rss(1), &key);
+        // Empty table: nothing to hint at.
+        assert_eq!(table.prefetch(rss(1), ikey), None);
+        assert_eq!(table.lookup(rss(1), ikey, &key, None), None);
+
+        let a = table.insert(rss(1), ikey, &key, 0, tuple, 1);
+        assert_eq!(table.prefetch(rss(1), ikey), Some(a));
+        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), Some(a));
+
+        // The connection closes and another one reuses its slot before
+        // the hint is spent: the stale generation fails verification, and
+        // so does the hint's slot for a key that never owned it.
+        table.remove_handle(a).unwrap();
+        assert_eq!(table.prefetch(rss(1), ikey), None, "unlinked");
+        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), None);
+        let (key2, tuple2) = key_tuple(2);
+        let ikey2 = index_key(rss(2), &key2);
+        let b = table.insert(rss(2), ikey2, &key2, 0, tuple2, 2);
+        assert_eq!(b.index(), a.index(), "slot reused");
+        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), None);
+        assert_eq!(table.lookup(rss(1), ikey, &key, Some(b)), None);
+        assert_eq!(table.lookup(rss(2), ikey2, &key2, Some(a)), Some(b));
+        // A handle pointing nowhere is ignored, not followed.
+        let nowhere = ConnHandle::from_token(u64::MAX);
+        assert_eq!(table.lookup(rss(2), ikey2, &key2, Some(nowhere)), Some(b));
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
     fn forged_index_collision_falls_back_to_the_chain() {
         // Two different keys with the same fingerprint, offered under the
         // same RSS hash: equal index keys. Lookup, insert, remove and
@@ -784,15 +860,22 @@ mod tests {
         assert_eq!(twin_tuple.key(), twin);
 
         let mut table: ConnTable<u32> = ConnTable::new(TimeoutConfig::retina_default());
-        let a = table.insert(HASH, &key, 0, tuple, 1);
-        assert!(table.lookup(HASH, &twin).is_none(), "verified, not aliased");
-        let b = table.insert(HASH, &twin, 0, twin_tuple, 2);
+        let ikey = index_key(HASH, &key);
+        let lookup = |table: &ConnTable<u32>, key: &ConnKey| table.lookup(HASH, ikey, key, None);
+        let a = table.insert(HASH, ikey, &key, 0, tuple, 1);
+        assert!(lookup(&table, &twin).is_none(), "verified, not aliased");
+        let b = table.insert(HASH, ikey, &twin, 0, twin_tuple, 2);
         assert_eq!(
             (table.len(), table.bucket_count(), table.longest_chain()),
             (2, 1, 2)
         );
-        assert_eq!(table.lookup(HASH, &key), Some(a));
-        assert_eq!(table.lookup(HASH, &twin), Some(b));
+        assert_eq!(lookup(&table, &key), Some(a));
+        assert_eq!(lookup(&table, &twin), Some(b));
+        // The hint is the key's holder — right for one twin, a verified
+        // miss (then the chain) for the other.
+        assert_eq!(table.prefetch(HASH, ikey), Some(a));
+        assert_eq!(table.lookup(HASH, ikey, &key, Some(a)), Some(a));
+        assert_eq!(table.lookup(HASH, ikey, &twin, Some(a)), Some(b));
         assert_eq!(table.get_mut(HASH, &twin).unwrap().value, 2);
         assert_eq!(
             table
@@ -803,26 +886,26 @@ mod tests {
 
         // Remove the first; the twin stays reachable and is alone again.
         assert_eq!(table.remove(HASH, &key).unwrap().value, 1);
-        assert!(table.lookup(HASH, &key).is_none());
-        assert_eq!(table.lookup(HASH, &twin), Some(b));
+        assert!(lookup(&table, &key).is_none());
+        assert_eq!(lookup(&table, &twin), Some(b));
         assert_eq!(table.longest_chain(), 1);
 
         // Re-insert, keep the twin alive, and let only the first expire.
-        let a = table.insert(HASH, &key, SEC, tuple, 3);
+        let a = table.insert(HASH, ikey, &key, SEC, tuple, 3);
         table.entry_mut(b).unwrap().established = true;
         table.entry_mut(b).unwrap().last_seen_ns = 6 * SEC;
         let mut expired = Vec::new();
         table.advance(7 * SEC, |k, e| expired.push((k, e.value)));
         assert_eq!(expired, vec![(key, 3)]);
         assert!(table.entry_mut(a).is_none());
-        assert_eq!(table.lookup(HASH, &twin), Some(b));
+        assert_eq!(lookup(&table, &twin), Some(b));
 
         // A rebind-style pass that evicts one chain member keeps the other.
-        table.insert(HASH, &key, 8 * SEC, tuple, 4);
+        table.insert(HASH, ikey, &key, 8 * SEC, tuple, 4);
         let mut evicted = Vec::new();
-        table.retain_mut(|e| e.value != 2, |e| evicted.push(e.value));
-        assert_eq!(evicted, vec![2]);
-        assert!(table.lookup(HASH, &twin).is_none());
+        table.retain_mut(|e| e.value != 2, |k, e| evicted.push((k, e.value)));
+        assert_eq!(evicted, vec![(ikey, 2)]);
+        assert!(lookup(&table, &twin).is_none());
         assert_eq!(table.get_mut(HASH, &key).unwrap().value, 4);
         assert_eq!((table.len(), table.bucket_count()), (1, 1));
     }

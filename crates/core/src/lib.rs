@@ -80,7 +80,7 @@ pub use executor::{DispatchMode, QueuePolicy};
 pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};
 pub use monitor::{Monitor, MonitorSample};
 pub use offline::run_offline;
-pub use pipeline::{CorePipeline, Transport};
+pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
 pub use runtime::{
     MultiRuntime, RunReport, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, SubReport,

@@ -16,11 +16,11 @@ use retina_support::bytes::Bytes;
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedOutput, ErasedSubscription, TypedSubscription};
-use crate::pipeline::{CorePipeline, Transport};
+use crate::pipeline::{CorePipeline, Transport, BURST_MAX};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 
-/// Packets between connection-timeout sweeps.
+/// Parsed packets between connection-timeout sweeps.
 const ADVANCE_EVERY: usize = 1024;
 
 /// The offline transport: subscription data goes straight to one typed
@@ -92,14 +92,16 @@ where
 {
     let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
     let mut pipeline = CorePipeline::new(Arc::clone(filter), &[sub], config, None);
-    let mut count = 0usize;
-    for (frame, ts) in packets {
-        let Some((mbuf, pkt)) = pipeline.ingest_frame(frame, ts) else {
-            continue;
-        };
-        pipeline.on_packet(&mbuf, &pkt, transport);
-        count += 1;
-        if count.is_multiple_of(ADVANCE_EVERY) {
+    let mut packets = packets.into_iter().peekable();
+    let mut since_advance = 0usize;
+    while packets.peek().is_some() {
+        // A burst never holds more frames than the sweep has packets
+        // left, so the sweep still fires right after the packet that
+        // completes it, wherever parse failures fall.
+        let room = BURST_MAX.min(ADVANCE_EVERY - since_advance);
+        since_advance += pipeline.on_burst(packets.by_ref().take(room), [], transport);
+        if since_advance == ADVANCE_EVERY {
+            since_advance = 0;
             pipeline.advance(transport);
         }
     }

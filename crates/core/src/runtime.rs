@@ -1312,11 +1312,9 @@ fn worker_loop<F: FilterFns>(
         // Pick up governor decisions once per burst: a relaxed load,
         // so shedding costs nothing on the per-packet path.
         pipeline.set_shed_parsing(shed.parsing_shed());
-        for mbuf in burst.drain(..) {
-            if let Some(pkt) = pipeline.parse(&mbuf) {
-                pipeline.on_packet(&mbuf, &pkt, &mut sinks);
-            }
-        }
+        // The whole RX burst: nothing beyond it can be named as
+        // look-ahead, and the burst is staged (and prefetched) at once.
+        pipeline.on_burst(burst.drain(..), [], &mut sinks);
         since_advance += 1;
         if since_advance >= ADVANCE_EVERY_BURSTS {
             since_advance = 0;

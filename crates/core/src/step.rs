@@ -49,8 +49,7 @@ use retina_nic::{Mbuf, PortStatsSnapshot};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_support::sync::spsc::{TryRecvError, TrySendError};
-use retina_telemetry::trace::TraceHwAction;
-use retina_telemetry::{DispatchSnapshot, DispatchStats, TraceKind, Tracer, TriggerReason};
+use retina_telemetry::{DispatchSnapshot, DispatchStats, Tracer, TriggerReason};
 
 use crate::erased::{ErasedOutput, ErasedSubscription};
 use crate::executor::{ring_capacity, DispatchMode, Item, Lane, RingRx, RingTx, Sink, TraceLane};
@@ -460,29 +459,18 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                         // Blocked in a send: reads nothing.
                     } else if next_pkt < packets.len() {
                         pipeline.set_shed_parsing(shed.parsing_shed());
-                        let end = (next_pkt + cfg.rx_batch.max(1)).min(packets.len());
-                        for (seq, (frame, ts)) in (next_pkt..end).zip(&packets[next_pkt..end]) {
-                            let Some((mbuf, pkt)) = pipeline.ingest_frame(frame.clone(), *ts)
-                            else {
-                                continue;
-                            };
-                            if let Some(t) = &tracer {
-                                // Ingest lane, as the virtual NIC
-                                // records it: one Rx and one HwVerdict
-                                // (RSS, queue 0 — a stepped run has a
-                                // single RX core and no hardware rules
-                                // in front of it).
-                                let tid = t.sample_flow(mbuf.rss_hash);
-                                if tid != 0 {
-                                    let lane = t.ingest_lane();
-                                    let len = mbuf.len() as u64;
-                                    t.emit(lane, tid, TraceKind::Rx, 0, len, seq as u64);
-                                    let rss = TraceHwAction::Rss as u64;
-                                    t.emit(lane, tid, TraceKind::HwVerdict, 0, rss, 0);
-                                }
-                            }
-                            pipeline.on_packet(&mbuf, &pkt, &mut fabric);
-                        }
+                        // One RX step is one burst; the step after it
+                        // is the look-ahead. (No NIC in front: the
+                        // pipeline records the ingest lane's Rx and
+                        // HwVerdict itself, labelled by arrival index.)
+                        let batch = cfg.rx_batch.max(1);
+                        let end = (next_pkt + batch).min(packets.len());
+                        let ahead = &packets[end..(end + batch).min(packets.len())];
+                        pipeline.on_burst(
+                            &packets[next_pkt..end],
+                            ahead.iter().map(|(frame, _)| frame),
+                            &mut fabric,
+                        );
                         next_pkt = end;
                         since_advance += 1;
                         if since_advance >= ADVANCE_EVERY_BURSTS {

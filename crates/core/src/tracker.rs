@@ -33,7 +33,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use retina_conntrack::{
-    ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FiveTuple, Reassembled, TcpFlow, TimeoutConfig,
+    index_key, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FiveTuple, Reassembled, TcpFlow,
+    TimeoutConfig,
 };
 use retina_filter::{FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
@@ -52,11 +53,55 @@ use crate::util::rdtsc;
 /// Cap on bytes buffered per direction while probing for the protocol.
 const PROBE_BUFFER_CAP: usize = 8 * 1024;
 
-/// Probing state: accumulated stream prefixes plus live parser candidates.
+/// Most probe candidates one connection can hold: its alive mask is one
+/// word. (The built-in registry has five protocols.)
+const MAX_CANDIDATES: usize = u64::BITS as usize;
+
+/// One probe-candidate set, shared by every connection that probes for
+/// the same protocols: [`ConnParser::probe`] takes `&self` and reads no
+/// per-connection state, so one never-fed prototype per protocol serves
+/// them all, and a connection instantiates only the parser that wins.
+struct ProbeSet {
+    /// The protocol names probed for, in candidate order (at most
+    /// [`MAX_CANDIDATES`]).
+    protos: Vec<String>,
+    /// `protos[i]`'s prototype; `None` for a name the registry does not
+    /// know (never a candidate).
+    prototypes: Vec<Option<Box<dyn ConnParser>>>,
+    /// The alive mask a connection starts probing with: one bit per
+    /// prototype.
+    all_alive: u64,
+}
+
+impl ProbeSet {
+    fn new(protos: Vec<String>, registry: &ParserRegistry) -> Self {
+        let prototypes: Vec<_> = protos.iter().map(|p| registry.new_parser(p)).collect();
+        let known = prototypes.iter().enumerate();
+        let all_alive = known.fold(0, |m, (i, p)| m | (u64::from(p.is_some()) << i));
+        ProbeSet {
+            protos,
+            prototypes,
+            all_alive,
+        }
+    }
+}
+
+/// Probing state: accumulated stream prefixes plus which candidates of
+/// the connection's [`ProbeSet`] are still in the running.
 struct ProbeState {
-    parsers: Vec<Box<dyn ConnParser>>,
+    /// Index of the candidate set in the tracker's `probe_sets`.
+    set: u32,
+    /// Bit `i` set: candidate `i` of the set has not been eliminated.
+    alive: u64,
     buf_ts: Vec<u8>,
     buf_tc: Vec<u8>,
+}
+
+impl ProbeState {
+    /// Bytes the two prefix buffers hold on the heap.
+    fn buffered(&self) -> usize {
+        self.buf_ts.capacity() + self.buf_tc.capacity()
+    }
 }
 
 /// Connection processing phase (Figure 4 states), shared by all
@@ -64,8 +109,7 @@ struct ProbeState {
 /// per connection no matter how many subscriptions consume it.
 enum Phase {
     /// Probing the stream prefix for the application-layer protocol.
-    /// Boxed: a single-SYN connection never gets here, and the state
-    /// allocates its parsers anyway.
+    /// Boxed to keep [`Conn`] inside its size budget.
     Probing(Box<ProbeState>),
     /// Parsing the identified protocol.
     Parsing {
@@ -324,6 +368,9 @@ struct Ctx<'a, F: FilterFns> {
     tallies: &'a mut [SubTally],
     outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
     slabs: &'a mut [Box<dyn TrackedSlab>],
+    registry: &'a ParserRegistry,
+    probe_sets: &'a [ProbeSet],
+    probe_bytes: &'a mut usize,
     session_mask: SubscriptionSet,
     stream_mask: SubscriptionSet,
     post_mask: SubscriptionSet,
@@ -332,7 +379,22 @@ struct Ctx<'a, F: FilterFns> {
     tracer: Option<&'a (Arc<Tracer>, usize)>,
 }
 
+/// The one place probe-buffer bytes leave the tracker's running count:
+/// called with the phase a connection is leaving, whether for another
+/// phase or with the connection itself.
+fn release_probe(phase: &Phase, probe_bytes: &mut usize) {
+    if let Phase::Probing(ps) = phase {
+        *probe_bytes -= ps.buffered();
+    }
+}
+
 impl<F: FilterFns> Ctx<'_, F> {
+    /// Moves the connection to `next`, returning the phase it left.
+    fn set_phase(&mut self, conn: &mut Conn, next: Phase) -> Phase {
+        release_probe(&conn.phase, self.probe_bytes);
+        std::mem::replace(&mut conn.phase, next)
+    }
+
     /// Records a tracepoint for a sampled connection (no-op otherwise).
     fn trace(&self, conn: &Conn, kind: TraceKind, a: u64, b: u64) {
         if conn.trace_id != 0 {
@@ -383,7 +445,7 @@ impl<F: FilterFns> Ctx<'_, F> {
     fn settle(&mut self, conn: &mut Conn, cause: DiscardCause) -> Disposition {
         if !conn.active().is_empty() {
             if conn.want_parse.is_empty() && !matches!(conn.phase, Phase::Dropped) {
-                conn.phase = Phase::Tracking;
+                self.set_phase(conn, Phase::Tracking);
             }
             Disposition::Keep
         } else if conn.done_any {
@@ -394,7 +456,7 @@ impl<F: FilterFns> Ctx<'_, F> {
                 DiscardCause::ConnFilter => self.stats.discard_conn_filter += 1,
                 DiscardCause::SessionFilter => self.stats.discard_session_filter += 1,
             }
-            conn.phase = Phase::Dropped;
+            self.set_phase(conn, Phase::Dropped);
             Disposition::Keep
         }
     }
@@ -472,12 +534,23 @@ impl<F: FilterFns> Ctx<'_, F> {
                 if buf.len() + data.len() > PROBE_BUFFER_CAP {
                     return self.conn_layer_failed(conn);
                 }
+                let held = buf.capacity();
                 buf.extend_from_slice(data);
+                *self.probe_bytes += buf.capacity() - held;
 
-                // Evaluate candidates against both accumulated prefixes.
+                // Evaluate the surviving candidates, in set order,
+                // against both accumulated prefixes.
+                let sets = self.probe_sets;
+                let set = &sets[ps.set as usize];
                 let mut selected = None;
-                let mut alive = vec![true; ps.parsers.len()];
-                for (i, parser) in ps.parsers.iter().enumerate() {
+                let mut alive = ps.alive;
+                let mut candidates = ps.alive;
+                while candidates != 0 {
+                    let i = candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
+                    let parser = set.prototypes[i]
+                        .as_deref()
+                        .expect("alive candidates have prototypes");
                     let mut not_for_us = 0;
                     let mut nonempty = 0;
                     for (buf, d) in [
@@ -510,14 +583,20 @@ impl<F: FilterFns> Ctx<'_, F> {
                         break;
                     }
                     if nonempty > 0 && not_for_us == nonempty {
-                        alive[i] = false;
+                        alive &= !(1 << i);
                     }
                 }
                 if let Some(i) = selected {
-                    let parser = ps.parsers.swap_remove(i);
+                    // Only the winner is ever instantiated.
+                    let parser = self
+                        .registry
+                        .new_parser(&set.protos[i])
+                        .expect("the prototype came from this registry");
                     let service = parser.name();
-                    let buf_ts = std::mem::take(&mut ps.buf_ts);
-                    let buf_tc = std::mem::take(&mut ps.buf_tc);
+                    let Phase::Probing(ps) = self.set_phase(conn, Phase::Tracking) else {
+                        unreachable!("matched on Phase::Probing above");
+                    };
+                    let ProbeState { buf_ts, buf_tc, .. } = *ps;
                     conn.service = Some(service);
 
                     // Connection filter (Figure 4's first pseudostate)
@@ -528,7 +607,7 @@ impl<F: FilterFns> Ctx<'_, F> {
                         // tombstone depending on what is left.
                         return self.settle(conn, DiscardCause::ConnFilter);
                     }
-                    conn.phase = Phase::Parsing { parser, service };
+                    self.set_phase(conn, Phase::Parsing { parser, service });
                     // Replay the buffered prefixes through the parser.
                     for (buf, d) in [(buf_ts, Direction::ToServer), (buf_tc, Direction::ToClient)] {
                         if buf.is_empty() {
@@ -542,9 +621,8 @@ impl<F: FilterFns> Ctx<'_, F> {
                     Disposition::Keep
                 } else {
                     // Drop eliminated candidates; fail when none remain.
-                    let mut keep_iter = alive.into_iter();
-                    ps.parsers.retain(|_| keep_iter.next().unwrap_or(false));
-                    if ps.parsers.is_empty() {
+                    ps.alive = alive;
+                    if alive == 0 {
                         return self.conn_layer_failed(conn);
                     }
                     Disposition::Keep
@@ -659,6 +737,7 @@ impl<F: FilterFns> Ctx<'_, F> {
     /// connection and break the exclusive-outcome invariant.
     fn finalize(&mut self, entry: ConnEntry<Conn>, reason: FinalizeReason) {
         let mut conn = entry.value;
+        release_probe(&conn.phase, self.probe_bytes);
         let was_discarded = matches!(conn.phase, Phase::Dropped);
         // Drain partial sessions (e.g. an unanswered DNS query).
         let drained = if let Phase::Parsing { parser, service } = &mut conn.phase {
@@ -743,8 +822,17 @@ pub struct ConnTracker<F: FilterFns> {
     stream_mask: SubscriptionSet,
     /// Subscriptions wanting per-packet delivery after a match.
     post_mask: SubscriptionSet,
-    /// Memoized probe-candidate unions, keyed by want-parse bitmap.
-    probe_cache: HashMap<u64, Arc<Vec<String>>>,
+    /// Memoized probe-candidate unions: want-parse bitmap → index into
+    /// `probe_sets` (`None`: the union names no protocol at all).
+    probe_cache: HashMap<u64, Option<u32>>,
+    /// The candidate sets connections probe against, one per distinct
+    /// protocol list. Append-only: probing connections hold indices into
+    /// it across a rebind, which only forgets the bitmap memo.
+    probe_sets: Vec<ProbeSet>,
+    /// Heap bytes held by the prefix buffers of every probing
+    /// connection: grown where a buffer grows, released by
+    /// [`release_probe`].
+    probe_bytes: usize,
     ooo_capacity: usize,
     profile: bool,
     /// Load-shedding flag mirrored from the governor: while set, probe
@@ -764,11 +852,61 @@ pub struct ConnTracker<F: FilterFns> {
     /// state. Seeded in-tree hasher: probed once per packet on the miss
     /// path, and deterministic layout keeps retain order identical
     /// across runs.
-    closed: HashMap<ConnKey, u64, FlowHashState>,
+    closed: HashMap<ClosedKey, u64, FlowHashState>,
 }
 
 /// How long a removed connection's key stays in the closed set.
 const TIME_WAIT_NS: u64 = 10_000_000_000;
+
+/// A closed-set key: the connection key, hashed by the low half of the
+/// index key its packet already carries — the fingerprint is computed
+/// once per packet, in the burst's hint pass, not again per map probe.
+/// Equality is the full key's. Half the word, because the other half
+/// would grow every entry by eight bytes.
+#[derive(Clone, Copy)]
+struct ClosedKey {
+    key: ConnKey,
+    ikey_lo: u32,
+}
+
+impl ClosedKey {
+    fn new(key: ConnKey, ikey: u64) -> Self {
+        ClosedKey {
+            key,
+            ikey_lo: ikey as u32,
+        }
+    }
+}
+
+impl PartialEq for ClosedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for ClosedKey {}
+
+impl std::hash::Hash for ClosedKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u32(self.ikey_lo);
+    }
+}
+
+const _: () = assert!(
+    std::mem::size_of::<(ClosedKey, u64)>() == std::mem::size_of::<(ConnKey, u64)>(),
+    "a closed-set entry costs what it did keyed by the bare ConnKey"
+);
+
+/// What the burst's hint pass staged for one packet, for
+/// [`ConnTracker::process`] to consume: the connection key and index key
+/// — computed once per packet — and the unverified handle the index held
+/// for that key when the burst was staged.
+#[derive(Debug, Clone, Copy)]
+pub struct ConnHint {
+    key: ConnKey,
+    ikey: u64,
+    handle: Option<ConnHandle>,
+}
 
 impl<F: FilterFns> ConnTracker<F> {
     /// Creates a tracker with a custom parser registry (§3.3).
@@ -796,6 +934,8 @@ impl<F: FilterFns> ConnTracker<F> {
             stream_mask,
             post_mask,
             probe_cache: HashMap::new(),
+            probe_sets: Vec::new(),
+            probe_bytes: 0,
             ooo_capacity,
             profile,
             shed_parsing: false,
@@ -857,16 +997,12 @@ impl<F: FilterFns> ConnTracker<F> {
     /// Estimated bytes of connection state in memory (live table
     /// entries plus probe buffers), for the Figure 8 memory series.
     /// This is the *live* series; the retained arena footprint is
-    /// [`ConnTracker::arena_bytes`].
+    /// [`ConnTracker::arena_bytes`]. O(1): the probe-buffer bytes are a
+    /// running count, so the threaded worker's maintenance path can ask
+    /// at a 100 k-connection working set.
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
-        let mut total = self.table.len() * per_conn;
-        for entry in self.table.iter() {
-            if let Phase::Probing(ps) = &entry.value.phase {
-                total += ps.buf_ts.capacity() + ps.buf_tc.capacity();
-            }
-        }
-        total
+        self.table.len() * per_conn + self.probe_bytes
     }
 
     /// Bytes retained by the connection table's arena and shard
@@ -876,37 +1012,69 @@ impl<F: FilterFns> ConnTracker<F> {
         self.table.allocated_bytes()
     }
 
-    /// The probe-candidate union for a want-parse set: each
+    /// The probe-candidate set for a want-parse set: each
     /// subscription's conn-layer filter protocols plus its subscribable
-    /// type's parsers, deduplicated in subscription order. Memoized —
-    /// distinct want-parse sets are few (bounded by packet-filter
-    /// outcomes), connections are many.
-    fn probe_protos_for(&mut self, want: SubscriptionSet) -> Arc<Vec<String>> {
+    /// type's parsers, deduplicated in subscription order. `None` when
+    /// that union names no protocol. Memoized — distinct want-parse sets
+    /// are few (bounded by packet-filter outcomes), connections are many
+    /// — and sets are shared between bitmaps (and across rebinds) that
+    /// come to the same protocol list.
+    fn probe_set_for(&mut self, want: SubscriptionSet) -> Option<u32> {
         if let Some(cached) = self.probe_cache.get(&want.bits()) {
-            return Arc::clone(cached);
+            return *cached;
         }
         let mut protos: Vec<String> = Vec::new();
         for i in want.iter() {
             for p in &self.subs[i].probe_protos {
-                if !protos.contains(p) {
+                if !protos.contains(p) && protos.len() < MAX_CANDIDATES {
                     protos.push(p.clone());
                 }
             }
         }
-        let protos = Arc::new(protos);
-        self.probe_cache.insert(want.bits(), Arc::clone(&protos));
-        protos
+        let set = (!protos.is_empty()).then(|| {
+            let known = self.probe_sets.iter().position(|s| s.protos == protos);
+            known.unwrap_or_else(|| {
+                self.probe_sets.push(ProbeSet::new(protos, &self.registry));
+                self.probe_sets.len() - 1
+            }) as u32
+        });
+        self.probe_cache.insert(want.bits(), set);
+        set
+    }
+
+    /// The burst's hint pass for one packet the packet filter kept: its
+    /// connection key and index key, computed here and nowhere else, and
+    /// whatever handle the index holds for them right now — unverified,
+    /// with the slot behind it on its way into the cache
+    /// ([`ConnTable::prefetch`]).
+    #[inline]
+    pub fn hint(&self, mbuf: &Mbuf, pkt: &ParsedPacket) -> ConnHint {
+        let key = ConnKey::from_packet(pkt);
+        let ikey = index_key(mbuf.rss_hash, &key);
+        ConnHint {
+            key,
+            ikey,
+            handle: self.table.prefetch(mbuf.rss_hash, ikey),
+        }
     }
 
     /// Processes one packet that the software packet filter matched for
-    /// at least one subscription.
-    pub fn process(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, verdict: PacketVerdict) {
+    /// at least one subscription. `hint` is what [`ConnTracker::hint`]
+    /// staged for this packet; packets of the same burst may have been
+    /// processed since, so its handle is verified, never trusted.
+    pub fn process(
+        &mut self,
+        mbuf: &Mbuf,
+        pkt: &ParsedPacket,
+        verdict: PacketVerdict,
+        hint: &ConnHint,
+    ) {
         // Time the whole tracker pass here (not in the body) so early
         // exits — TIME_WAIT trailing packets, key collisions — still
         // land in the stage histogram.
         let t0 = self.profile.then(rdtsc);
         self.stats.conn_tracking.runs += 1;
-        self.process_inner(mbuf, pkt, verdict);
+        self.process_inner(mbuf, pkt, verdict, hint);
         if let Some(t) = t0 {
             self.stats
                 .conn_tracking
@@ -922,7 +1090,7 @@ impl<F: FilterFns> ConnTracker<F> {
         &mut self,
     ) -> (
         &mut ConnTable<Conn>,
-        &mut HashMap<ConnKey, u64, FlowHashState>,
+        &mut HashMap<ClosedKey, u64, FlowHashState>,
         Ctx<'_, F>,
     ) {
         let ctx = Ctx {
@@ -931,6 +1099,9 @@ impl<F: FilterFns> ConnTracker<F> {
             tallies: &mut self.sub_tallies,
             outputs: &mut self.outputs,
             slabs: &mut self.slabs,
+            registry: &self.registry,
+            probe_sets: &self.probe_sets,
+            probe_bytes: &mut self.probe_bytes,
             session_mask: self.session_mask,
             stream_mask: self.stream_mask,
             post_mask: self.post_mask,
@@ -948,15 +1119,16 @@ impl<F: FilterFns> ConnTracker<F> {
         mbuf: &Mbuf,
         pkt: &ParsedPacket,
         verdict: PacketVerdict,
-        key: &ConnKey,
+        hint: &ConnHint,
     ) -> Option<ConnHandle> {
         let now = mbuf.timestamp_ns;
-        match self.closed.get(key) {
+        let closed_key = ClosedKey::new(hint.key, hint.ikey);
+        match self.closed.get(&closed_key) {
             Some(&closed_at) if now < closed_at.saturating_add(TIME_WAIT_NS) => {
                 return None; // trailing packet of a closed connection
             }
             Some(_) => {
-                self.closed.remove(key);
+                self.closed.remove(&closed_key);
             }
             None => {}
         }
@@ -981,32 +1153,30 @@ impl<F: FilterFns> ConnTracker<F> {
             } else {
                 Phase::Tracking
             };
+        } else if let Some(set) = self.probe_set_for(want_parse) {
+            phase = Phase::Probing(Box::new(ProbeState {
+                set,
+                alive: self.probe_sets[set as usize].all_alive,
+                buf_ts: Vec::new(),
+                buf_tc: Vec::new(),
+            }));
         } else {
-            let protos = self.probe_protos_for(want_parse);
-            if protos.is_empty() {
-                // Degraded path: no parser can ever resolve the
-                // still-live filters, so those subscriptions are
-                // born dead; matched ones carry the connection.
-                for i in live.iter() {
-                    if let Some(slot) = tracked.take(i) {
-                        self.slabs[i].release(slot);
-                        self.sub_tallies[i].discarded += 1;
-                    }
+            // Degraded path: no parser can ever resolve the
+            // still-live filters, so those subscriptions are
+            // born dead; matched ones carry the connection.
+            for i in live.iter() {
+                if let Some(slot) = tracked.take(i) {
+                    self.slabs[i].release(slot);
+                    self.sub_tallies[i].discarded += 1;
                 }
-                live = SubscriptionSet::empty();
-                want_parse = SubscriptionSet::empty();
-                phase = if matched.is_empty() {
-                    Phase::Dropped
-                } else {
-                    Phase::Tracking
-                };
-            } else {
-                phase = Phase::Probing(Box::new(ProbeState {
-                    parsers: self.registry.new_parsers(&protos),
-                    buf_ts: Vec::new(),
-                    buf_tc: Vec::new(),
-                }));
             }
+            live = SubscriptionSet::empty();
+            want_parse = SubscriptionSet::empty();
+            phase = if matched.is_empty() {
+                Phase::Dropped
+            } else {
+                Phase::Tracking
+            };
         }
         if matches!(phase, Phase::Dropped) {
             // The filter can never match this connection for anyone:
@@ -1051,22 +1221,35 @@ impl<F: FilterFns> ConnTracker<F> {
                 |t, slot, flow, out| t.on_match(slot, None, None, flow, out),
             );
         }
-        let handle = self.table.insert(mbuf.rss_hash, key, now, tuple, conn);
+        let handle = self
+            .table
+            .insert(mbuf.rss_hash, hint.ikey, &hint.key, now, tuple, conn);
         self.stats.conns_peak = self.stats.conns_peak.max(self.table.len() as u64);
         Some(handle)
     }
 
-    fn process_inner(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket, verdict: PacketVerdict) {
+    fn process_inner(
+        &mut self,
+        mbuf: &Mbuf,
+        pkt: &ParsedPacket,
+        verdict: PacketVerdict,
+        hint: &ConnHint,
+    ) {
         let now = mbuf.timestamp_ns;
-        let key = ConnKey::from_packet(pkt);
-        // The one keyed index probe this packet gets: the NIC's
-        // symmetric RSS hash (both directions stamp the same value)
-        // picks the shard, the key's fingerprint the bucket, and the
-        // full key is verified against the entry. From here on the
-        // entry is addressed by handle.
-        let handle = match self.table.lookup(mbuf.rss_hash, &key) {
+        // The one verified resolution this packet gets. The hinted
+        // handle, when it still holds this key's connection, is the
+        // answer with no index probe at all; otherwise (a new
+        // connection, or one a packet earlier in the burst opened or
+        // closed) the NIC's symmetric RSS hash — both directions stamp
+        // the same value — picks the shard, the staged index key the
+        // bucket, and the full key is verified against the entry. From
+        // here on the entry is addressed by handle.
+        let found = self
+            .table
+            .lookup(mbuf.rss_hash, hint.ikey, &hint.key, hint.handle);
+        let handle = match found {
             Some(handle) => handle,
-            None => match self.insert_conn(mbuf, pkt, verdict, &key) {
+            None => match self.insert_conn(mbuf, pkt, verdict, hint) {
                 Some(handle) => handle,
                 None => return,
             },
@@ -1172,6 +1355,7 @@ impl<F: FilterFns> ConnTracker<F> {
                 // Finished and rejected subscriptions released their
                 // state as they fell off; none is left active.
                 debug_assert!(removed.value.tracked.held.is_empty());
+                release_probe(&removed.value.phase, ctx.probe_bytes);
                 if let Some((t, lane)) = ctx.tracer {
                     t.emit(
                         *lane,
@@ -1183,12 +1367,12 @@ impl<F: FilterFns> ConnTracker<F> {
                     );
                 }
             }
-            closed.insert(key, now);
+            closed.insert(ClosedKey::new(hint.key, hint.ikey), now);
             ctx.stats.conns_discarded += 1;
             ctx.stats.conns_completed_early += 1;
         } else if update.terminated {
             if let Some(entry) = table.remove_handle(handle) {
-                closed.insert(key, now);
+                closed.insert(ClosedKey::new(hint.key, hint.ikey), now);
                 ctx.finalize(entry, FinalizeReason::Terminated);
             }
         }
@@ -1266,6 +1450,7 @@ impl<F: FilterFns> ConnTracker<F> {
             let outputs = &mut self.outputs;
             let old_tallies = &mut self.sub_tallies;
             let closed = &mut self.closed;
+            let probe_bytes = &mut self.probe_bytes;
             // Still in the old order during the pass: subscription `j`
             // of the new table finds its state in `slabs[old_of[j]]`.
             let slabs = &mut self.slabs;
@@ -1368,16 +1553,19 @@ impl<F: FilterFns> ConnTracker<F> {
                         // Nobody needs sessions anymore. (A kept probe
                         // state would only hold a superset of parser
                         // candidates — harmless, but pointless work.)
+                        release_probe(&conn.phase, probe_bytes);
                         conn.phase = Phase::Tracking;
                     }
                     !conn.active().is_empty()
                 },
-                |entry| {
+                |ikey, entry| {
                     // No surviving subscription watches this connection:
                     // a swap-time eviction, attributed `conns_swapped`.
                     debug_assert!(entry.value.tracked.held.is_empty());
+                    debug_assert!(!matches!(entry.value.phase, Phase::Probing(_)));
                     swapped += 1;
-                    closed.insert(entry.tuple.key(), entry.last_seen_ns);
+                    let key = ClosedKey::new(entry.tuple.key(), ikey);
+                    closed.insert(key, entry.last_seen_ns);
                 },
             );
         }
@@ -1411,7 +1599,8 @@ impl<F: FilterFns> ConnTracker<F> {
         self.filter = filter;
         self.sub_tallies = new_tallies;
         // Memoized probe unions are keyed by want-parse bitmaps of the
-        // old subscription order: all stale now.
+        // old subscription order: all stale now. The sets themselves
+        // stay: probing connections that survived hold indices into them.
         self.probe_cache.clear();
         banked
     }
@@ -1631,15 +1820,33 @@ mod tests {
             mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
             let verdict = t.filter.packet_filter_set(&pkt);
             if !verdict.is_no_match() {
-                t.process(&mbuf, &pkt, verdict);
+                let hint = t.hint(&mbuf, &pkt);
+                t.process(&mbuf, &pkt, verdict, &hint);
             }
         }
+    }
+
+    /// `state_bytes()` the slow way: a walk over every table entry
+    /// summing probe-buffer capacities. The running count must equal it
+    /// at every point.
+    fn state_bytes_walk(t: &ConnTracker<CompiledFilter>) -> usize {
+        let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
+        let probing = t.table.iter().filter_map(|e| match &e.value.phase {
+            Phase::Probing(ps) => Some(ps.buffered()),
+            _ => None,
+        });
+        t.table.len() * per_conn + probing.sum::<usize>()
     }
 
     /// Every slab holds exactly the states the table's connections
     /// reference: nothing leaked, nothing dangling. Returns the live
     /// count per subscription.
     fn slab_balance(t: &ConnTracker<CompiledFilter>) -> Vec<usize> {
+        assert_eq!(
+            t.state_bytes(),
+            state_bytes_walk(t),
+            "probe-byte count drifted"
+        );
         let live: Vec<usize> = t.slabs.iter().map(|s| s.live()).collect();
         for (i, live) in live.iter().enumerate() {
             let held = t
@@ -1749,5 +1956,80 @@ mod tests {
         t.drain();
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
         assert_eq!(t.sub_tallies[1].delivered, 53 + 41);
+    }
+
+    /// The running probe-buffer byte count behind the O(1)
+    /// `state_bytes()` equals the walk over every entry, through every
+    /// way a connection leaves `Phase::Probing`: a winner is selected,
+    /// every candidate is eliminated, the prefix overflows, the
+    /// connection terminates or expires mid-probe, a rebind demotes it,
+    /// the table is drained.
+    #[test]
+    fn state_bytes_is_a_running_count_equal_to_the_walk() {
+        const MS: u64 = 1_000_000;
+        let subs: Subs = vec![
+            Arc::new(TypedSubscription::<TlsHandshakeData>::spec_only("tls")),
+            Arc::new(TypedSubscription::<HttpTransactionData>::spec_only("http")),
+        ];
+        let mut t = tracker(&["tls", "http"], &subs);
+        let check = |t: &ConnTracker<CompiledFilter>| {
+            assert_eq!(t.state_bytes(), state_bytes_walk(t));
+            t.probe_bytes
+        };
+        assert_eq!(check(&t), 0);
+
+        // Eight connections park a one-byte, still-ambiguous prefix.
+        let request = http::build_request("GET", "/", "example.com", "t/1");
+        let mut convs: Vec<Conv> = (0..8)
+            .map(|n| {
+                let mut c = Conv::open(&format!("10.0.1.{n}:4000{n}"), "93.184.216.34:80", n * MS);
+                c.data(true, &request[..1]);
+                c
+            })
+            .collect();
+        for c in &mut convs {
+            feed(&mut t, &c.out);
+            c.out.clear();
+        }
+        let parked = check(&t);
+        assert!(parked >= 8, "eight prefix buffers are held: {parked}");
+
+        // 0: HTTP wins. 1: garbage eliminates every candidate. 2: the
+        // prefix overflows the probe cap. 3: closes mid-probe.
+        convs[0].data(true, &request[1..]);
+        convs[1].data(true, b"\x00\x01\x02 not a protocol");
+        for _ in 0..9 {
+            convs[2].data(true, &[b'G'; 1000]);
+        }
+        let closing = convs.remove(3);
+        for c in &mut convs[..3] {
+            feed(&mut t, &c.out);
+            c.out.clear();
+        }
+        feed(&mut t, &closing.close());
+        let after_four = check(&t);
+        assert!(after_four < parked, "{after_four} vs {parked}");
+
+        // A rebind that drops `http` and keeps `tls`: the four still
+        // probing (G can never be TLS, but nobody has told them) stay in
+        // the table under the survivor or leave it; either way the count
+        // follows.
+        let new_subs: Subs = vec![Arc::clone(&subs[0])];
+        let new_filter =
+            CompiledFilter::build_union(&["tls"], &ProtocolRegistry::default()).unwrap();
+        t.rebind(Arc::new(new_filter), &new_subs, &[Some(0), None]);
+        check(&t);
+
+        // Expiry (idle past the inactivity timeout) and the final drain
+        // release whatever is left.
+        t.advance(400_000 * MS);
+        check(&t);
+        let mut late = Conv::open("10.0.2.1:40100", "93.184.216.34:80", 500_000 * MS);
+        late.data(true, &[0x16]);
+        feed(&mut t, &late.out);
+        assert!(check(&t) > 0);
+        t.drain();
+        assert_eq!(check(&t), 0);
+        assert_eq!(t.connections(), 0);
     }
 }

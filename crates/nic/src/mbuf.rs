@@ -111,6 +111,13 @@ impl Mbuf {
         self.data.clone()
     }
 
+    /// Hints the CPU to fetch the frame's first `lines` cache lines (see
+    /// [`Bytes::prefetch`]); nothing is dereferenced.
+    #[inline]
+    pub fn prefetch(&self, lines: usize) {
+        self.data.prefetch(lines);
+    }
+
     /// Whether this buffer is charged to a [`Mempool`] (true for frames
     /// delivered by the NIC, false for [`Mbuf::from_bytes`] wrappers).
     pub fn pooled(&self) -> bool {

@@ -11,6 +11,8 @@ use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+use crate::prefetch::{prefetch, prefetch_lines};
+
 /// Storage behind a [`Bytes`] view. Static data is referenced directly
 /// (no allocation, no refcount traffic); everything else is shared via
 /// `Arc<[u8]>`.
@@ -147,6 +149,20 @@ impl Bytes {
     /// Copies this view into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
+    }
+
+    /// Hints the CPU to fetch what the first touch of this buffer reads:
+    /// the shared allocation's reference counts — a clone's locked
+    /// read-modify-write lands there, two words in front of the data —
+    /// and the first `lines` cache lines of the view. Computes addresses
+    /// from the handle alone; nothing behind them is dereferenced.
+    #[inline]
+    pub fn prefetch(&self, lines: usize) {
+        let base = self.storage.as_slice().as_ptr();
+        if matches!(self.storage, Storage::Shared(_)) {
+            prefetch(base.wrapping_sub(2 * std::mem::size_of::<usize>()));
+        }
+        prefetch_lines(base.wrapping_add(self.start), lines);
     }
 }
 

@@ -14,6 +14,9 @@
 //! | [`mod@bench`]     | `criterion`                | `crates/bench/benches`       |
 //! | [`hash`]          | `fxhash`/`ahash`           | conn-table shard maps        |
 //!
+//! [`mod@prefetch`] replaces nothing: it is the workspace's one software
+//! prefetch primitive (the burst pipeline's frame and conn-slot hints).
+//!
 //! The replacements implement the *subset* of each upstream API this
 //! repository actually uses, with the same call-site shapes, so the
 //! migration is an import swap rather than a rewrite. Determinism is a
@@ -24,6 +27,7 @@
 pub mod bench;
 pub mod bytes;
 pub mod hash;
+pub mod prefetch;
 pub mod proptest;
 pub mod rand;
 pub mod rematch;

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # The per-packet loop lives in one place: crates/core/src/pipeline.rs
-# (`CorePipeline`). This guard fails if the two calls that make up the
-# loop's spine — the software packet filter (`.packet_filter_set(`) and
-# the connection tracker (`tracker.process(` / `.process(&mbuf`) — show
-# up in non-test code of any other file under crates/core/src, or in
-# any figure/bench binary under crates/bench/src/bin, so a second copy
-# of the loop cannot grow back unnoticed.
+# (`CorePipeline::on_burst`). This guard fails if the two calls that make
+# up the loop's spine — the software packet filter
+# (`.packet_filter_set(`) and the connection tracker (`tracker.process(`
+# / `.process(&mbuf`) — show up in non-test code of any other file under
+# crates/core/src, or in any figure/bench binary under
+# crates/bench/src/bin, so a second copy of the loop cannot grow back
+# unnoticed; if pipeline.rs itself calls either more than once (one
+# stage-major loop, not two); or if anything outside pipeline.rs defines
+# or calls the per-packet verbs the burst verb replaced (`on_packet(`,
+# `ingest_frame(`), so a per-packet driver loop cannot grow back beside
+# `on_burst`.
 #
 # One call is allowed by name: `ConnTracker::rebind` in tracker.rs
 # replays a synthetic first packet through the new filter once per live
@@ -51,6 +56,19 @@ for file in $(find crates/core/src crates/bench/src/bin -name '*.rs' | sort); do
         printf '%s\n' "$hits" >&2
         fail=1
     fi
+    hits=$(code_lines "$file" | grep -E '(^|[^[:alnum:]_])(on_packet|ingest_frame)\(' || true)
+    if [ -n "$hits" ]; then
+        echo "per-packet pipeline verb outside crates/core/src/pipeline.rs (drive on_burst):" >&2
+        printf '%s\n' "$hits" >&2
+        fail=1
+    fi
+done
+for call in '\.packet_filter_set\(' 'tracker\.process\('; do
+    n=$(code_lines crates/core/src/pipeline.rs | grep -cE "$call" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "crates/core/src/pipeline.rs calls $call $n times (want 1: inside on_burst)" >&2
+        fail=1
+    fi
 done
 
 note_calls='note_(enqueued|executed|inline|blocked|dropped_full|dropped_disconnected)\('
@@ -89,5 +107,5 @@ if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline and executor's lane protocol instead of re-writing them" >&2
     exit 1
 fi
-echo "one-loop guard OK: packet filter and tracker are called from pipeline.rs only;"
+echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
 echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites"

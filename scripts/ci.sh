@@ -11,20 +11,26 @@
 #   clippy        cargo clippy --offline --all-targets -- -D warnings
 #   pedantic      curated clippy::pedantic subset, denied (see below)
 #   safety        every unsafe site carries a // SAFETY: comment
-#   one-loop      the packet filter and the conn tracker are called from
-#                 crates/core/src/pipeline.rs only (no second copy of the
-#                 per-packet loop in core or in a figure binary), and the
-#                 delivery fabric behind it stays one: dispatch accounting
-#                 in executor.rs only, one channel_dispatcher call site,
-#                 downcasts in erased.rs / offline.rs only
+#   one-loop      the packet filter and the conn tracker are called once
+#                 each, from crates/core/src/pipeline.rs only (no second
+#                 copy of the per-packet loop in core or in a figure
+#                 binary, and no `on_packet(` / `ingest_frame(` beside the
+#                 burst verb), and the delivery fabric behind it stays
+#                 one: dispatch accounting in executor.rs only, one
+#                 channel_dispatcher call site, downcasts in erased.rs /
+#                 offline.rs only
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
 #   doc           cargo doc --offline --no-deps with warnings denied
 #   test          cargo test -q --offline (whole workspace; includes
 #                 tests/tests/alloc_per_conn.rs, which counts heap
-#                 allocations per single-SYN connection under its own
-#                 global allocator — an allocation regression fails here)
+#                 allocations per single-SYN connection and per probed
+#                 TLS connection under its own global allocator — an
+#                 allocation regression fails here — and
+#                 crates/core/tests/burst_invariance.rs, which holds every
+#                 digest, delivery and span tree identical across burst
+#                 sizes 1..=32)
 #   smoke         telemetry_smoke + governor_storm + fig_multi +
 #                 dispatch_storm + fig9 (--quick), emitting
 #                 results/BENCH_ci.json

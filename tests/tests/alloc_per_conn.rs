@@ -1,4 +1,5 @@
-//! One heap allocation per single-SYN connection, held by `cargo test`.
+//! One heap allocation per single-SYN connection, and a bounded handful
+//! per probed TLS connection, held by `cargo test`.
 //!
 //! Appendix C's dominant connection — a bare SYN that is never answered
 //! — costs the tracker an arena slot, a slab slot, an index entry and a
@@ -10,12 +11,20 @@
 //! measured half of the same shape. An extra allocation per connection
 //! anywhere on the path roughly doubles the figure and fails here, not
 //! in review.
+//!
+//! The second test holds the probing diet the same way: a connection
+//! that reaches its ClientHello under a four-protocol union probes
+//! against the tracker's shared prototypes and instantiates only the
+//! parser that wins, instead of boxing every candidate at its first SYN.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use retina_core::subscribables::ConnRecord;
+use retina_core::subscribables::{
+    ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData, TlsHandshakeData,
+};
 use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
+use retina_protocols::tls::build::{client_hello_record, ClientHelloSpec};
 use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
@@ -80,8 +89,15 @@ fn syns(first_source: u32, start_ns: u64) -> impl Iterator<Item = (Bytes, u64)> 
     })
 }
 
+/// The allocation counter is process-wide and the harness runs tests on
+/// parallel threads: each test holds this for its whole body.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn a_bare_syn_allocates_only_its_output_datum() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Warm-up connections arrive in second 0 and expire (5 s establish
     // timeout) when the measured half's first packets, at 10 s, move
     // the clock; the measured ones are flushed by the end-of-run drain.
@@ -121,4 +137,116 @@ fn a_bare_syn_allocates_only_its_output_datum() {
         "{measured} allocations for {N} single-SYN connections: {per_conn:.3} each"
     );
     assert!(per_conn >= 1.0, "each record is boxed once: {per_conn:.3}");
+}
+
+/// Connections per half of the TLS test.
+const TLS_N: u32 = 2_000;
+
+/// `TLS_N` connections that complete the handshake and send a
+/// ClientHello, then go quiet: 1 ms between a connection's packets,
+/// connections 100 µs apart from `start_ns`.
+fn client_hellos(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
+    let server: std::net::SocketAddr = "198.51.100.1:443".parse().unwrap();
+    let hello = client_hello_record(&ClientHelloSpec {
+        sni: Some("video.example.net".to_string()),
+        ciphers: vec![0x1301],
+        random: [0x42; 32],
+        version: 0x0303,
+        alpn: None,
+    });
+    let mut out = Vec::new();
+    for i in 0..TLS_N {
+        let client = std::net::SocketAddr::new(
+            std::net::Ipv4Addr::from(0x0a00_0000 + first_source + i).into(),
+            40_000,
+        );
+        let t0 = start_ns + u64::from(i) * 100_000;
+        let mut push = |n: u64, src, dst, seq, ack, flags, payload: &[u8]| {
+            let frame = build_tcp(&TcpSpec {
+                src,
+                dst,
+                seq,
+                ack,
+                flags,
+                window: 65535,
+                ttl: 64,
+                payload,
+            });
+            out.push((Bytes::from(frame), t0 + n * 1_000_000));
+        };
+        push(0, client, server, 100, 0, TcpFlags::SYN, &[]);
+        push(
+            1,
+            server,
+            client,
+            500,
+            101,
+            TcpFlags::SYN | TcpFlags::ACK,
+            &[],
+        );
+        push(2, client, server, 101, 501, TcpFlags::ACK, &[]);
+        push(
+            3,
+            client,
+            server,
+            101,
+            501,
+            TcpFlags::ACK | TcpFlags::PSH,
+            &hello,
+        );
+    }
+    out.sort_by_key(|(_, ts)| *ts);
+    out
+}
+
+#[test]
+fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Warm-up connections establish in the first second and expire (5
+    // min inactivity) when the measured half, at 400 s, moves the clock;
+    // the measured ones are flushed by the end-of-run drain. Nothing is
+    // ever delivered (no ServerHello, and the other three protocols
+    // never show), so every allocation counted is the pipeline's own.
+    let mut packets = client_hellos(0, 0);
+    let warm = packets.len();
+    packets.extend(client_hellos(TLS_N, 400 * SEC));
+
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("tls", "tls", |_: TlsHandshakeData| {})
+        .subscribe_named("http", "http", |_: HttpTransactionData| {})
+        .subscribe_named("dns", "dns", |_: DnsTransactionData| {})
+        .subscribe_named("ssh", "ssh", |_: SshHandshakeData| {})
+        .build()
+        .expect("runtime builds");
+    // Two runs over prefixes of the same trace, differing by exactly the
+    // measured half: the difference is what those connections allocated
+    // at steady state (the prefix run grew every store first).
+    let run = |packets: &[(Bytes, u64)]| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = runtime.run_stepped(packets, &StepConfig::seeded(7));
+        report.check_accounting().unwrap();
+        (ALLOCS.load(Ordering::Relaxed) - before, report)
+    };
+    let (warm_allocs, warm_report) = run(&packets[..warm]);
+    let (all_allocs, report) = run(&packets);
+    assert_eq!(warm_report.cores.conns_created, u64::from(TLS_N));
+    assert_eq!(report.cores.conns_created, u64::from(2 * TLS_N));
+    assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
+    assert!(
+        report.cores.conns_peak < u64::from(TLS_N) + u64::from(TLS_N) / 4,
+        "the halves must not overlap much: peak {}",
+        report.cores.conns_peak
+    );
+
+    #[allow(clippy::cast_precision_loss)] // counts far below 2^52
+    let per_conn = (all_allocs - warm_allocs) as f64 / f64::from(TLS_N);
+    // With a boxed candidate per protocol at the first SYN (the commit
+    // before the prototypes) this read 14.02. Gone: the candidate list,
+    // three of the four parsers, and the per-segment alive list.
+    assert!(
+        per_conn <= 14.0 - 5.0 + 0.05,
+        "{per_conn:.3} allocations per probed TLS connection"
+    );
 }
