@@ -83,7 +83,7 @@ fn main() {
             }
         }
         series.push((name, samples));
-        peaks.push((name, pipeline.tracker().stats.conns_peak, state_hist));
+        peaks.push((name, pipeline.tracker().stats().conns_peak, state_hist));
     }
 
     println!("\nFigure 8: connections in memory over time (sampled every 10 sim-seconds)");

@@ -1,4 +1,10 @@
 //! Per-connection TCP flow state and statistics.
+//!
+//! A [`TcpFlow`] holds what only the packets' TCP headers can tell:
+//! per-direction counters, handshake and teardown state, the two
+//! reassemblers. When the connection was first and last seen is the
+//! table entry's fact ([`crate::ConnEntry`]: `created_ns`,
+//! `last_seen_ns`), stored there once and not mirrored here.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
@@ -41,10 +47,6 @@ pub struct TcpFlow {
     pub established: bool,
     /// RST observed in either direction.
     pub rst: bool,
-    /// Timestamp of the first packet.
-    pub first_seen_ns: u64,
-    /// Timestamp of the most recent packet.
-    pub last_seen_ns: u64,
 }
 
 /// What a packet did to the flow, from the reassembler's perspective.
@@ -57,9 +59,9 @@ pub struct FlowUpdate {
 }
 
 impl TcpFlow {
-    /// Creates flow state for a connection first seen at `now_ns`, with
-    /// the given out-of-order buffer capacity per direction.
-    pub fn new(now_ns: u64, ooo_capacity: usize) -> Self {
+    /// Creates flow state for a new connection, with the given
+    /// out-of-order buffer capacity per direction.
+    pub fn new(ooo_capacity: usize) -> Self {
         TcpFlow {
             ctos: DirStats::default(),
             stoc: DirStats::default(),
@@ -69,8 +71,6 @@ impl TcpFlow {
             synack_seen: false,
             established: false,
             rst: false,
-            first_seen_ns: now_ns,
-            last_seen_ns: now_ns,
         }
     }
 
@@ -124,10 +124,8 @@ impl TcpFlow {
         pkt: &ParsedPacket,
         mbuf: &retina_nic::Mbuf,
         dir: Dir,
-        now_ns: u64,
         stream_active: bool,
     ) -> FlowUpdate {
-        self.last_seen_ns = now_ns;
         let payload_len = pkt.payload_len() as u32;
         let stats = match dir {
             Dir::OrigToResp => &mut self.ctos,
@@ -230,34 +228,30 @@ mod tests {
             &pkt(CLIENT, SERVER, 100, TcpFlags::SYN, b""),
             &mb(),
             Dir::OrigToResp,
-            0,
             true,
         );
         flow.update(
             &pkt(SERVER, CLIENT, 500, TcpFlags::SYN | TcpFlags::ACK, b""),
             &mb(),
             Dir::RespToOrig,
-            1,
             true,
         );
         flow.update(
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK, b""),
             &mb(),
             Dir::OrigToResp,
-            2,
             true,
         );
     }
 
     #[test]
     fn three_way_handshake() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         assert!(!flow.established);
         flow.update(
             &pkt(CLIENT, SERVER, 100, TcpFlags::SYN, b""),
             &mb(),
             Dir::OrigToResp,
-            0,
             true,
         );
         assert!(flow.syn_seen && !flow.established);
@@ -266,7 +260,6 @@ mod tests {
             &pkt(SERVER, CLIENT, 500, TcpFlags::SYN | TcpFlags::ACK, b""),
             &mb(),
             Dir::RespToOrig,
-            1,
             true,
         );
         assert!(flow.synack_seen && !flow.established);
@@ -274,23 +267,20 @@ mod tests {
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK, b""),
             &mb(),
             Dir::OrigToResp,
-            2,
             true,
         );
         assert!(flow.established);
         assert!(!flow.is_single_syn());
-        assert_eq!(flow.last_seen_ns, 2);
     }
 
     #[test]
     fn payload_accounting() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         handshake(&mut flow);
         flow.update(
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK | TcpFlags::PSH, b"hello"),
             &mb(),
             Dir::OrigToResp,
-            3,
             true,
         );
         flow.update(
@@ -303,7 +293,6 @@ mod tests {
             ),
             &mb(),
             Dir::RespToOrig,
-            4,
             true,
         );
         assert_eq!(flow.ctos.bytes, 5);
@@ -314,13 +303,12 @@ mod tests {
 
     #[test]
     fn fin_teardown() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         handshake(&mut flow);
         let u = flow.update(
             &pkt(CLIENT, SERVER, 101, TcpFlags::FIN | TcpFlags::ACK, b""),
             &mb(),
             Dir::OrigToResp,
-            3,
             true,
         );
         assert!(!u.terminated);
@@ -328,7 +316,6 @@ mod tests {
             &pkt(SERVER, CLIENT, 501, TcpFlags::FIN | TcpFlags::ACK, b""),
             &mb(),
             Dir::RespToOrig,
-            4,
             true,
         );
         assert!(u.terminated);
@@ -337,13 +324,12 @@ mod tests {
 
     #[test]
     fn rst_teardown() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         handshake(&mut flow);
         let u = flow.update(
             &pkt(SERVER, CLIENT, 501, TcpFlags::RST, b""),
             &mb(),
             Dir::RespToOrig,
-            3,
             true,
         );
         assert!(u.terminated);
@@ -351,14 +337,13 @@ mod tests {
 
     #[test]
     fn out_of_order_counted() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         handshake(&mut flow);
         // Expected seq is 101; deliver 1561 first (one segment early).
         let u = flow.update(
             &pkt(CLIENT, SERVER, 1561, TcpFlags::ACK, &[0u8; 100]),
             &mb(),
             Dir::OrigToResp,
-            3,
             true,
         );
         assert_eq!(u.reassembly, Reassembled::Buffered);
@@ -367,7 +352,6 @@ mod tests {
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK, &[0u8; 1460]),
             &mb(),
             Dir::OrigToResp,
-            4,
             true,
         );
         assert_eq!(u.reassembly, Reassembled::InOrder);
@@ -375,20 +359,18 @@ mod tests {
 
     #[test]
     fn retransmission_is_duplicate() {
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         handshake(&mut flow);
         flow.update(
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK, b"data"),
             &mb(),
             Dir::OrigToResp,
-            3,
             true,
         );
         let u = flow.update(
             &pkt(CLIENT, SERVER, 101, TcpFlags::ACK, b"data"),
             &mb(),
             Dir::OrigToResp,
-            4,
             true,
         );
         assert_eq!(u.reassembly, Reassembled::Duplicate);
@@ -405,9 +387,9 @@ mod tests {
         });
         let pkt = ParsedPacket::parse(&frame).unwrap();
         let tuple = FiveTuple::from_packet(&pkt);
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         let dir = tuple.dir_of(&pkt).unwrap();
-        let u = flow.update(&pkt, &mb(), dir, 5, true);
+        let u = flow.update(&pkt, &mb(), dir, true);
         assert_eq!(u.reassembly, Reassembled::InOrder);
         assert_eq!(flow.ctos.bytes, 15);
         assert!(!flow.established);
@@ -416,12 +398,11 @@ mod tests {
     #[test]
     fn mid_stream_establishment() {
         // Data both ways without an observed handshake.
-        let mut flow = TcpFlow::new(0, 500);
+        let mut flow = TcpFlow::new(500);
         flow.update(
             &pkt(CLIENT, SERVER, 9000, TcpFlags::ACK, b"req"),
             &mb(),
             Dir::OrigToResp,
-            0,
             true,
         );
         assert!(!flow.established);
@@ -429,7 +410,6 @@ mod tests {
             &pkt(SERVER, CLIENT, 77000, TcpFlags::ACK, b"resp"),
             &mb(),
             Dir::RespToOrig,
-            1,
             true,
         );
         assert!(flow.established);

@@ -27,14 +27,15 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
-use retina_conntrack::{Dir, FiveTuple, TcpFlow};
+use retina_conntrack::{Dir, FiveTuple};
 use retina_nic::Mbuf;
 use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
-use crate::subscription::{Level, Subscribable, Tracked};
+use crate::subscription::{ConnView, Level, Subscribable, Tracked};
 
 /// A boxed subscription datum in flight between tracker and callback.
 pub type ErasedOutput = Box<dyn Any + Send>;
@@ -138,21 +139,22 @@ pub trait TrackedSlab: Send {
     fn live(&self) -> usize;
     /// Packet seen before the subscription's filter fully matched.
     fn pre_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket);
-    /// In-order payload bytes (only for matched, stream-needing subs).
-    fn on_stream(&mut self, slot: u32, dir: Dir, data: &[u8]);
+    /// The next in-order payload segment, `mbuf.data()[payload]` (only
+    /// for engaged, stream-needing subs).
+    fn on_stream(&mut self, slot: u32, dir: Dir, mbuf: &Mbuf, payload: Range<usize>);
     /// The subscription's filter fully matched.
     fn on_match(
         &mut self,
         slot: u32,
-        service: Option<&str>,
+        conn: &ConnView<'_>,
+        service: Option<&'static str>,
         session: Option<&Session>,
-        flow: &TcpFlow,
         out: &mut Emitter<'_>,
     );
     /// Packet seen after a full match.
     fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>);
     /// The connection ended after a full match.
-    fn on_terminate(&mut self, slot: u32, flow: &TcpFlow, out: &mut Emitter<'_>);
+    fn on_terminate(&mut self, slot: u32, conn: &ConnView<'_>, out: &mut Emitter<'_>);
 }
 
 /// The slab of a concrete `Tracked` type: dense slots, recycled through
@@ -200,28 +202,28 @@ where
         self.state(slot).pre_match(mbuf, pkt);
     }
 
-    fn on_stream(&mut self, slot: u32, dir: Dir, data: &[u8]) {
-        self.state(slot).on_stream(dir, data);
+    fn on_stream(&mut self, slot: u32, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
+        self.state(slot).on_stream(dir, mbuf, payload);
     }
 
     fn on_match(
         &mut self,
         slot: u32,
-        service: Option<&str>,
+        conn: &ConnView<'_>,
+        service: Option<&'static str>,
         session: Option<&Session>,
-        flow: &TcpFlow,
         out: &mut Emitter<'_>,
     ) {
         self.state(slot)
-            .on_match(service, session, flow, &mut out.typed());
+            .on_match(conn, service, session, &mut out.typed());
     }
 
     fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
         self.state(slot).post_match(mbuf, pkt, &mut out.typed());
     }
 
-    fn on_terminate(&mut self, slot: u32, flow: &TcpFlow, out: &mut Emitter<'_>) {
-        self.state(slot).on_terminate(flow, &mut out.typed());
+    fn on_terminate(&mut self, slot: u32, conn: &ConnView<'_>, out: &mut Emitter<'_>) {
+        self.state(slot).on_terminate(conn, &mut out.typed());
     }
 }
 
@@ -320,6 +322,7 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
 mod tests {
     use super::*;
     use crate::subscribables::ConnRecord;
+    use retina_conntrack::TcpFlow;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tuple() -> FiveTuple {
@@ -327,6 +330,17 @@ mod tests {
             orig: "1.2.3.4:1000".parse().unwrap(),
             resp: "5.6.7.8:443".parse().unwrap(),
             proto: 6,
+        }
+    }
+
+    /// A view of a connection that has seen nothing yet.
+    fn view<'a>(tuple: &'a FiveTuple, flow: &'a TcpFlow) -> ConnView<'a> {
+        ConnView {
+            tuple,
+            first_seen_ns: 0,
+            last_seen_ns: 0,
+            established: false,
+            flow,
         }
     }
 
@@ -339,11 +353,12 @@ mod tests {
         assert!(!sub.has_callback());
         let mut slab = sub.new_slab();
         let slot = slab.insert(&tuple(), 0);
-        let flow = TcpFlow::new(0, 16);
+        let (tuple, flow) = (tuple(), TcpFlow::new(16));
+        let conn = view(&tuple, &flow);
         let (mut outputs, mut delivered) = (Vec::new(), 0);
         let mut out = Emitter::new(&mut outputs, &mut delivered, 3, 9);
-        slab.on_match(slot, None, None, &flow, &mut out);
-        slab.on_terminate(slot, &flow, &mut out);
+        slab.on_match(slot, &conn, None, None, &mut out);
+        slab.on_terminate(slot, &conn, &mut out);
         // Tagged and counted by the emitter.
         assert_eq!(delivered, outputs.len() as u64);
         assert!(outputs.iter().all(|(sub, tid, _)| (*sub, *tid) == (3, 9)));
@@ -361,12 +376,12 @@ mod tests {
             h.fetch_add(1, Ordering::Relaxed);
         });
         assert!(sub.has_callback());
-        let flow = TcpFlow::new(0, 16);
+        let (tuple, flow) = (tuple(), TcpFlow::new(16));
         let (mut outputs, mut delivered) = (Vec::new(), 0);
         let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
         let mut slab = sub.new_slab();
-        let slot = slab.insert(&tuple(), 0);
-        slab.on_terminate(slot, &flow, &mut out);
+        let slot = slab.insert(&tuple, 0);
+        slab.on_terminate(slot, &view(&tuple, &flow), &mut out);
         assert_eq!(outputs.len(), 1);
         sub.invoke(outputs.pop().unwrap().2);
         assert_eq!(hits.load(Ordering::Relaxed), 1);

@@ -649,6 +649,7 @@ mod tests {
     use crate::erased::{Emitter, TypedSubscription};
     use crate::step::VirtualRing;
     use crate::subscribables::ConnRecord;
+    use crate::subscription::ConnView;
     use retina_conntrack::{FiveTuple, TcpFlow};
     use retina_telemetry::{DispatchSnapshot, TraceConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -672,10 +673,16 @@ mod tests {
         };
         let mut slab = sub.new_slab();
         let slot = slab.insert(&tuple, 0);
-        let flow = TcpFlow::new(0, 16);
+        let conn = ConnView {
+            tuple: &tuple,
+            first_seen_ns: 0,
+            last_seen_ns: 0,
+            established: false,
+            flow: &TcpFlow::new(16),
+        };
         let (mut outputs, mut delivered) = (Vec::new(), 0);
         let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
-        slab.on_terminate(slot, &flow, &mut out);
+        slab.on_terminate(slot, &conn, &mut out);
         outputs.pop().expect("ConnRecord emits on terminate").2
     }
 

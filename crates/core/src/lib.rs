@@ -88,7 +88,7 @@ pub use runtime::{
 };
 pub use stats::{CoreStats, StageStats};
 pub use step::{StepConfig, WorkerStall};
-pub use subscription::{Level, Subscribable, Tracked};
+pub use subscription::{ConnView, Level, Subscribable, Tracked};
 
 // Re-exports so applications need only depend on retina-core.
 pub use retina_conntrack::FiveTuple;

@@ -313,7 +313,7 @@ impl<F: FilterFns> CorePipeline<F> {
                 let Some(s) = slot else {
                     continue;
                 };
-                let stats = &mut tracker.stats;
+                let stats = tracker.stats_mut();
                 s.seq = stats.rx_packets;
                 stats.rx_packets += 1;
                 stats.rx_bytes += s.mbuf.len() as u64;
@@ -337,10 +337,10 @@ impl<F: FilterFns> CorePipeline<F> {
                 };
                 let tf = profile.then(rdtsc);
                 s.verdict = filter.packet_filter_set(pkt);
-                tracker.stats.packet_filter.runs += 1;
+                tracker.stats_mut().packet_filter.runs += 1;
                 if let Some(t) = tf {
                     let cycles = rdtsc().wrapping_sub(t);
-                    tracker.stats.packet_filter.record_cycles(cycles);
+                    tracker.stats_mut().packet_filter.record_cycles(cycles);
                 }
             }
 
@@ -400,11 +400,11 @@ impl<F: FilterFns> CorePipeline<F> {
                 for i in (verdict.matched & packet_mask).iter() {
                     let tc = profile.then(rdtsc);
                     if transport.deliver_from_mbuf(i, mbuf, tid) {
-                        tracker.stats.callbacks.runs += 1;
-                        tracker.sub_tallies[i].delivered += 1;
+                        tracker.stats_mut().callbacks.runs += 1;
+                        tracker.sub_tallies_mut()[i].delivered += 1;
                         if let Some(t) = tc {
                             let cycles = rdtsc().wrapping_sub(t);
-                            tracker.stats.callbacks.record_cycles(cycles);
+                            tracker.stats_mut().callbacks.record_cycles(cycles);
                         }
                     }
                 }
@@ -466,6 +466,6 @@ impl<F: FilterFns> CorePipeline<F> {
     pub fn finish(self) -> (CoreStats, Vec<(String, SubTally)>) {
         let mut named = self.tracker.named_tallies();
         named.extend(self.removed);
-        (self.tracker.stats, named)
+        (*self.tracker.stats(), named)
     }
 }

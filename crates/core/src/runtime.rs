@@ -1247,7 +1247,7 @@ fn worker_loop<F: FilterFns>(
         let tracker = pipeline.tracker();
         gauges.worker_update(
             core as usize,
-            &tracker.stats,
+            tracker.stats(),
             connections,
             state_bytes,
             tracker.arena_bytes(),

@@ -1,9 +1,12 @@
 //! Built-in subscribable types, one per data abstraction level (§3.2.2).
+//!
+//! Their tracked types keep only what they alone know: the tuple, the
+//! stamps and the flow counters are read from the [`ConnView`] the hooks
+//! borrow, and stream order is the reassembler's, taken as delivered.
 
-// Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
-#![allow(clippy::cast_possible_truncation)]
+use std::ops::Range;
 
-use retina_conntrack::{Dir, FiveTuple, TcpFlow};
+use retina_conntrack::{Dir, FiveTuple};
 use retina_nic::Mbuf;
 use retina_protocols::http::HttpTransaction;
 use retina_protocols::tls::TlsHandshake;
@@ -11,11 +14,11 @@ use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
 use crate::erased::TypedEmitter;
-use crate::subscription::{Level, Subscribable, Tracked};
+use crate::subscription::{ConnView, Level, Subscribable, Tracked};
 
-/// Cap on packets buffered per connection before the filter resolves
-/// (protects memory against filters that never resolve on a pathological
-/// connection).
+/// Cap on frames ([`ZcFrame`]) or data segments ([`ConnBytes`]) held per
+/// connection before the filter resolves (protects memory against
+/// filters that never resolve on a pathological connection).
 const PRE_MATCH_BUFFER_CAP: usize = 4096;
 
 // ------------------------------------------------------------- ZcFrame
@@ -79,9 +82,9 @@ impl Tracked for ZcFrameTracker {
 
     fn on_match(
         &mut self,
-        _service: Option<&str>,
+        _conn: &ConnView<'_>,
+        _service: Option<&'static str>,
         _session: Option<&Session>,
-        _flow: &TcpFlow,
         out: &mut TypedEmitter<'_, ZcFrame>,
     ) {
         for mbuf in self.buffered.drain(..) {
@@ -98,7 +101,7 @@ impl Tracked for ZcFrameTracker {
         out.push(ZcFrame { mbuf: mbuf.clone() });
     }
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut TypedEmitter<'_, ZcFrame>) {}
+    fn on_terminate(&mut self, _conn: &ConnView<'_>, _out: &mut TypedEmitter<'_, ZcFrame>) {}
 
     fn needs_packets_post_match() -> bool {
         true
@@ -164,35 +167,30 @@ impl Subscribable for ConnRecord {
 }
 
 /// Tracker for [`ConnRecord`]: nothing is buffered — the record is built
-/// from flow counters at termination.
+/// from the connection view at termination. The one thing only this
+/// state knows is the service the subscription matched with.
 #[derive(Debug)]
 pub struct ConnRecordTracker {
-    tuple: FiveTuple,
-    service: Option<String>,
+    service: Option<&'static str>,
 }
 
 impl Tracked for ConnRecordTracker {
     type Out = ConnRecord;
 
-    fn new(tuple: &FiveTuple, _ts: u64) -> Self {
-        ConnRecordTracker {
-            tuple: *tuple,
-            service: None,
-        }
+    fn new(_tuple: &FiveTuple, _ts: u64) -> Self {
+        ConnRecordTracker { service: None }
     }
 
     fn pre_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket) {}
 
     fn on_match(
         &mut self,
-        service: Option<&str>,
+        _conn: &ConnView<'_>,
+        service: Option<&'static str>,
         _session: Option<&Session>,
-        _flow: &TcpFlow,
         _out: &mut TypedEmitter<'_, ConnRecord>,
     ) {
-        if let Some(s) = service {
-            self.service = Some(s.to_string());
-        }
+        self.service = service.or(self.service);
     }
 
     fn post_match(
@@ -203,21 +201,22 @@ impl Tracked for ConnRecordTracker {
     ) {
     }
 
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut TypedEmitter<'_, ConnRecord>) {
+    fn on_terminate(&mut self, conn: &ConnView<'_>, out: &mut TypedEmitter<'_, ConnRecord>) {
+        let flow = conn.flow;
         out.push(ConnRecord {
-            tuple: self.tuple,
-            first_seen_ns: flow.first_seen_ns,
-            last_seen_ns: flow.last_seen_ns,
+            tuple: *conn.tuple,
+            first_seen_ns: conn.first_seen_ns,
+            last_seen_ns: conn.last_seen_ns,
             pkts_up: flow.ctos.packets,
             pkts_down: flow.stoc.packets,
             bytes_up: flow.ctos.bytes,
             bytes_down: flow.stoc.bytes,
             ooo_up: flow.ctos.ooo_packets,
             ooo_down: flow.stoc.ooo_packets,
-            established: flow.established,
+            established: conn.established,
             terminated: flow.terminated(),
             single_syn: flow.is_single_syn(),
-            service: self.service.clone(),
+            service: self.service.map(str::to_string),
         });
     }
 }
@@ -424,48 +423,39 @@ pub trait FromSession: Sized {
     fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self>;
 }
 
-/// Shared tracker for session-level subscriptions: no buffering at all —
-/// the session itself is the payload, and the connection is dropped as
-/// soon as the protocol's sessions are exhausted.
+/// Shared tracker for session-level subscriptions: no state at all —
+/// the session itself is the payload, stamped with the connection's
+/// tuple and the time of the packet that completed it, and the
+/// connection is dropped as soon as the protocol's sessions are
+/// exhausted.
 #[derive(Debug)]
-pub struct SessionLevelTracker<S> {
-    tuple: FiveTuple,
-    last_ts: u64,
-    _marker: std::marker::PhantomData<fn() -> S>,
-}
+pub struct SessionLevelTracker<S>(std::marker::PhantomData<fn() -> S>);
 
 impl<S: FromSession + Send + 'static> Tracked for SessionLevelTracker<S> {
     type Out = S;
 
-    fn new(tuple: &FiveTuple, ts: u64) -> Self {
-        SessionLevelTracker {
-            tuple: *tuple,
-            last_ts: ts,
-            _marker: std::marker::PhantomData,
-        }
+    fn new(_tuple: &FiveTuple, _ts: u64) -> Self {
+        SessionLevelTracker(std::marker::PhantomData)
     }
 
-    fn pre_match(&mut self, mbuf: &Mbuf, _pkt: &ParsedPacket) {
-        self.last_ts = mbuf.timestamp_ns;
-    }
+    fn pre_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket) {}
 
     fn on_match(
         &mut self,
-        _service: Option<&str>,
+        conn: &ConnView<'_>,
+        _service: Option<&'static str>,
         session: Option<&Session>,
-        _flow: &TcpFlow,
         out: &mut TypedEmitter<'_, S>,
     ) {
-        if let Some(session) = session {
-            if let Some(data) = S::from_session(&self.tuple, session, self.last_ts) {
-                out.push(data);
-            }
+        let datum = session.and_then(|s| S::from_session(conn.tuple, s, conn.last_seen_ns));
+        if let Some(datum) = datum {
+            out.push(datum);
         }
     }
 
     fn post_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket, _out: &mut TypedEmitter<'_, S>) {}
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, _out: &mut TypedEmitter<'_, S>) {}
+    fn on_terminate(&mut self, _conn: &ConnView<'_>, _out: &mut TypedEmitter<'_, S>) {}
 }
 
 // ------------------------------------------------------------ ConnBytes
@@ -503,11 +493,12 @@ impl Subscribable for ConnBytes {
 /// Default per-direction capture cap for [`ConnBytes`].
 pub const STREAM_CAPTURE_LIMIT: usize = 1 << 20;
 
-/// Tracker for [`ConnBytes`].
+/// Tracker for [`ConnBytes`]. The stream arrives already ordered
+/// ([`Tracked::on_stream`]): before the match its segments are held by
+/// reference, in that order; from the match on they are appended.
 #[derive(Debug)]
 pub struct ConnBytesTracker {
-    tuple: FiveTuple,
-    held: Vec<Mbuf>,
+    held: Vec<(Dir, Mbuf, Range<usize>)>,
     client_stream: Vec<u8>,
     server_stream: Vec<u8>,
     matched: bool,
@@ -531,9 +522,8 @@ impl ConnBytesTracker {
 impl Tracked for ConnBytesTracker {
     type Out = ConnBytes;
 
-    fn new(tuple: &FiveTuple, _ts: u64) -> Self {
+    fn new(_tuple: &FiveTuple, _ts: u64) -> Self {
         ConnBytesTracker {
-            tuple: *tuple,
             held: Vec::new(),
             client_stream: Vec::new(),
             server_stream: Vec::new(),
@@ -542,63 +532,29 @@ impl Tracked for ConnBytesTracker {
         }
     }
 
-    fn pre_match(&mut self, mbuf: &Mbuf, _pkt: &ParsedPacket) {
-        // Hold by reference only; copy nothing until the filter matches.
-        if self.held.len() < PRE_MATCH_BUFFER_CAP {
-            self.held.push(mbuf.clone());
+    fn pre_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket) {}
+
+    fn on_stream(&mut self, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
+        if self.matched {
+            self.append(dir, &mbuf.data()[payload]);
+        } else if self.held.len() < PRE_MATCH_BUFFER_CAP {
+            // Hold by reference only; copy nothing until the filter matches.
+            self.held.push((dir, mbuf.clone(), payload));
         } else {
             self.truncated = true;
         }
     }
 
-    fn on_stream(&mut self, dir: Dir, data: &[u8]) {
-        if self.matched {
-            self.append(dir, data);
-        }
-    }
-
     fn on_match(
         &mut self,
-        _service: Option<&str>,
+        _conn: &ConnView<'_>,
+        _service: Option<&'static str>,
         _session: Option<&Session>,
-        _flow: &TcpFlow,
         _out: &mut TypedEmitter<'_, ConnBytes>,
     ) {
         self.matched = true;
-        // Reconstruct the held packets in sequence order, per direction.
-        let held = std::mem::take(&mut self.held);
-        let mut segments: Vec<(Dir, u32, Mbuf)> = Vec::with_capacity(held.len());
-        for mbuf in held {
-            let Ok(pkt) = ParsedPacket::parse(mbuf.data()) else {
-                continue;
-            };
-            let Some(dir) = self.tuple.dir_of(&pkt) else {
-                continue;
-            };
-            let Some(seq) = pkt.tcp_seq() else {
-                // UDP: arrival order is stream order.
-                let payload = pkt.payload(mbuf.data()).to_vec();
-                self.append(dir, &payload);
-                continue;
-            };
-            if pkt.payload_len() > 0 {
-                segments.push((dir, seq, mbuf));
-            }
-        }
-        segments.sort_by_key(|(dir, seq, _)| (matches!(dir, Dir::RespToOrig), *seq));
-        let mut last_end: [Option<u32>; 2] = [None, None];
-        for (dir, seq, mbuf) in segments {
-            let idx = matches!(dir, Dir::RespToOrig) as usize;
-            // Skip exact duplicates (retransmissions).
-            if let Some(end) = last_end[idx] {
-                if (seq.wrapping_sub(end) as i32) < 0 {
-                    continue;
-                }
-            }
-            let pkt = ParsedPacket::parse(mbuf.data()).expect("parsed above");
-            let payload = pkt.payload(mbuf.data()).to_vec();
-            last_end[idx] = Some(seq.wrapping_add(payload.len() as u32));
-            self.append(dir, &payload);
+        for (dir, mbuf, payload) in std::mem::take(&mut self.held) {
+            self.append(dir, &mbuf.data()[payload]);
         }
     }
 
@@ -610,9 +566,9 @@ impl Tracked for ConnBytesTracker {
     ) {
     }
 
-    fn on_terminate(&mut self, _flow: &TcpFlow, out: &mut TypedEmitter<'_, ConnBytes>) {
+    fn on_terminate(&mut self, conn: &ConnView<'_>, out: &mut TypedEmitter<'_, ConnBytes>) {
         out.push(ConnBytes {
-            tuple: self.tuple,
+            tuple: *conn.tuple,
             client_stream: std::mem::take(&mut self.client_stream),
             server_stream: std::mem::take(&mut self.server_stream),
             truncated: self.truncated,

@@ -6,17 +6,33 @@
 //! and is driven by the connection tracker through the match lifecycle:
 //!
 //! ```text
-//! new → pre_match*        (buffer what the subscription may need)
-//!     → on_match          (filter fully matched: emit ready data)
-//!     → post_match*       (emit / accumulate for the rest of the conn)
-//!     → on_terminate      (emit end-of-connection data)
+//! new → pre_match* / on_stream*   (engaged: hold what may be needed)
+//!     → on_match                  (filter fully matched: emit ready data)
+//!     → post_match* / on_stream*  (emit / accumulate for the rest of the conn)
+//!     → on_terminate              (emit end-of-connection data)
 //! ```
+//!
+//! **One owner per connection fact.** The five-tuple, the first- and
+//! last-packet stamps and the flow counters live once, in the tracker's
+//! table entry; `on_match` and `on_terminate` borrow them as a
+//! [`ConnView`]. A tracked type keeps only what it alone knows (a held
+//! frame, the service it matched with, stream bytes), so no copy can
+//! drift from the original.
+//!
+//! **One owner of stream order.** The connection's reassembler orders
+//! the stream once; [`Tracked::on_stream`] receives each in-order
+//! segment *by reference* — the frame and the payload's range in it.
+//! Engaged subscriptions (matched or still undecided) see the stream
+//! pre-match and decide what to hold; none re-derives order from
+//! sequence numbers.
 //!
 //! The emitting hooks write to a [`TypedEmitter`]: `out.push(datum)`
 //! hands one datum to the runtime, boxed once on its way to the
 //! callback and never staged in a vector of the hook's own.
 
-use retina_conntrack::{FiveTuple, TcpFlow};
+use std::ops::Range;
+
+use retina_conntrack::{Dir, FiveTuple, TcpFlow};
 use retina_nic::Mbuf;
 use retina_protocols::Session;
 use retina_wire::ParsedPacket;
@@ -59,6 +75,24 @@ pub trait Subscribable: Send + Sized + 'static {
     }
 }
 
+/// What the tracker knows about a connection, lent to
+/// [`Tracked::on_match`] and [`Tracked::on_terminate`] for the call:
+/// every field is read from the connection's table entry, its one owner.
+#[derive(Debug, Clone, Copy)]
+pub struct ConnView<'a> {
+    /// Oriented five-tuple (originator = first packet seen).
+    pub tuple: &'a FiveTuple,
+    /// Timestamp of the connection's first packet (ns).
+    pub first_seen_ns: u64,
+    /// Timestamp of its most recent packet (ns) — inside `on_match`, the
+    /// packet that completed the match or the session.
+    pub last_seen_ns: u64,
+    /// Whether the connection established.
+    pub established: bool,
+    /// Per-direction counters and TCP handshake / teardown state.
+    pub flow: &'a TcpFlow,
+}
+
 /// Per-connection state for a subscribable type (the paper's
 /// `Trackable`, Figure 11). Implementations buffer *lazily*: before a
 /// full filter match they retain only what the subscription could still
@@ -75,20 +109,24 @@ pub trait Tracked: Send {
     /// hold references (mbuf clones), do not copy or parse.
     fn pre_match(&mut self, mbuf: &Mbuf, pkt: &ParsedPacket);
 
-    /// In-order payload bytes (only delivered when [`Tracked::needs_stream`]
-    /// is true and stream processing is active for the connection).
-    fn on_stream(&mut self, dir: retina_conntrack::Dir, data: &[u8]) {
-        let _ = (dir, data);
+    /// The next in-order payload segment of direction `dir`,
+    /// `mbuf.data()[payload]`. Delivered, when [`Tracked::needs_stream`]
+    /// is true, from the moment the subscription is engaged — before the
+    /// match too, where the lazy principle applies: hold the reference
+    /// (an mbuf clone and the range), copy nothing.
+    fn on_stream(&mut self, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
+        let _ = (dir, mbuf, payload);
     }
 
     /// The filter fully matched — `service` is the probed L7 protocol and
-    /// `session` the matched session, when available. Emit any data that
-    /// is ready.
+    /// `session` the matched session, when available. Session-level
+    /// subscriptions are called once per session the connection goes on
+    /// to produce. Emit any data that is ready.
     fn on_match(
         &mut self,
-        service: Option<&str>,
+        conn: &ConnView<'_>,
+        service: Option<&'static str>,
         session: Option<&Session>,
-        flow: &TcpFlow,
         out: &mut TypedEmitter<'_, Self::Out>,
     );
 
@@ -102,7 +140,7 @@ pub trait Tracked: Send {
 
     /// The connection ended (naturally or by timeout) after a full
     /// match. Emit end-of-connection data.
-    fn on_terminate(&mut self, flow: &TcpFlow, out: &mut TypedEmitter<'_, Self::Out>);
+    fn on_terminate(&mut self, conn: &ConnView<'_>, out: &mut TypedEmitter<'_, Self::Out>);
 
     /// Whether the tracker still needs per-packet delivery after a full
     /// match. Returning `false` lets the tracker skip `post_match`
@@ -111,7 +149,7 @@ pub trait Tracked: Send {
         false
     }
 
-    /// Whether the subscription needs in-order payload bytes
+    /// Whether the subscription needs the in-order payload stream
     /// ([`Tracked::on_stream`]); keeps the reassembler active even after
     /// the app-layer parser is done.
     fn needs_stream() -> bool {

@@ -25,11 +25,22 @@
 //! off (filter rejection or early completion), their per-connection
 //! state is dropped eagerly; the connection itself leaves the table when
 //! the last subscription does.
+//!
+//! Every per-connection fact has one owner: the table entry has the
+//! tuple, the stamps and the established flag, `Conn` the flow counters
+//! and the Figure-4 state, and the hooks borrow both as a [`ConnView`].
+//! Stream order is the flow's reassembler's: `Machine::stream_data`
+//! hands each in-order segment, by reference, to every engaged stream
+//! subscription and to probe/parse. The tracker is three disjoint parts
+//! — table, closed set, and the `Machine` the Figure-4 helpers mutate —
+//! so an entry and the machine are borrowed together, also from inside
+//! the table's expiry and drain passes.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use retina_conntrack::{
@@ -39,7 +50,7 @@ use retina_conntrack::{
 use retina_filter::{FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
 use retina_protocols::{
-    ConnParser, Direction, ParseResult, ParserRegistry, ProbeResult, SessionState,
+    ConnParser, Direction, ParseResult, ParserRegistry, ProbeResult, Session, SessionState,
 };
 use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
@@ -47,7 +58,7 @@ use retina_wire::ParsedPacket;
 
 use crate::erased::{Emitter, ErasedOutput, ErasedSubscription, TrackedSlab};
 use crate::stats::CoreStats;
-use crate::subscription::Level;
+use crate::subscription::{ConnView, Level};
 use crate::util::rdtsc;
 
 /// Cap on bytes buffered per direction while probing for the protocol.
@@ -83,6 +94,49 @@ impl ProbeSet {
             prototypes,
             all_alive,
         }
+    }
+
+    /// Evaluates the candidates still alive in `ps`, in set order,
+    /// against both accumulated prefixes: the first candidate certain of
+    /// the stream, if any, and the alive mask less the candidates every
+    /// nonempty prefix ruled out. A panic while probing eliminates the
+    /// candidate (recoverable, counted in `panics`), never the worker.
+    fn probe(&self, ps: &ProbeState, panics: &mut u64) -> (Option<usize>, u64) {
+        let mut alive = ps.alive;
+        let mut candidates = ps.alive;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let parser = self.prototypes[i]
+                .as_deref()
+                .expect("alive candidates have prototypes");
+            let mut not_for_us = 0;
+            let mut nonempty = 0;
+            for (buf, d) in [
+                (&ps.buf_ts, Direction::ToServer),
+                (&ps.buf_tc, Direction::ToClient),
+            ] {
+                if buf.is_empty() {
+                    continue;
+                }
+                nonempty += 1;
+                let probed =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parser.probe(buf, d)))
+                        .unwrap_or_else(|_| {
+                            *panics += 1;
+                            ProbeResult::NotForUs
+                        });
+                match probed {
+                    ProbeResult::Certain => return (Some(i), alive),
+                    ProbeResult::NotForUs => not_for_us += 1,
+                    ProbeResult::Unsure => {}
+                }
+            }
+            if nonempty > 0 && not_for_us == nonempty {
+                alive &= !(1 << i);
+            }
+        }
+        (None, alive)
     }
 }
 
@@ -220,42 +274,29 @@ struct Conn {
     want_parse: SubscriptionSet,
     /// Whether any subscription completed early on this connection.
     done_any: bool,
-    /// Probed service name (set on protocol identification).
-    service: Option<&'static str>,
     /// Flow trace id (0 = unsampled), fixed at insert time and carried
     /// to every tracepoint and delivery this connection produces.
     trace_id: u64,
 }
 
 // Size budget, checked at build time: every 8 bytes of `Conn` are a
-// megabyte at scan's 131,072-slot arena (416 and 584 before the slot
-// diet).
+// megabyte at scan's 131,072-slot arena, and a built-in tracked type's
+// size is what a slab slot costs per engaged connection.
 const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
-const _: () = assert!(std::mem::size_of::<Conn>() <= 400);
-const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 504);
+const _: () = assert!(std::mem::size_of::<Conn>() <= 360);
+const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 464);
+const _: () = {
+    use crate::subscribables::{
+        ConnBytesTracker, ConnRecordTracker, SessionLevelTracker, TlsHandshakeData,
+    };
+    assert!(std::mem::size_of::<SessionLevelTracker<TlsHandshakeData>>() == 0);
+    assert!(std::mem::size_of::<ConnRecordTracker>() <= 16);
+    assert!(std::mem::size_of::<ConnBytesTracker>() <= 80);
+};
 
 impl Conn {
     fn active(&self) -> SubscriptionSet {
         self.matched | self.live
-    }
-
-    /// The one emit path: runs `hook` on subscription `i`'s tracked
-    /// state in `slab` (if it still holds any) with an emitter that tags
-    /// what the hook produces `(i, trace_id)` into `outputs` and counts
-    /// it in `tallies[i]`.
-    fn emit(
-        &self,
-        i: usize,
-        slab: &mut dyn TrackedSlab,
-        outputs: &mut Vec<(u32, u64, ErasedOutput)>,
-        tallies: &mut [SubTally],
-        hook: impl FnOnce(&mut dyn TrackedSlab, u32, &TcpFlow, &mut Emitter<'_>),
-    ) {
-        if let Some(slot) = self.tracked.slot(i) {
-            let delivered = &mut tallies[i].delivered;
-            let mut out = Emitter::new(outputs, delivered, i as u32, self.trace_id);
-            hook(slab, slot, &self.flow, &mut out);
-        }
     }
 
     /// Releases subscription `i`'s tracked state, if it holds any;
@@ -265,6 +306,34 @@ impl Conn {
             .take(i)
             .map(|slot| slab.release(slot))
             .is_some()
+    }
+}
+
+/// The one emit path: runs `hook` on subscription `i`'s tracked state in
+/// `slab` (if the connection still holds any), lending it the view of
+/// the connection built from its table entry and an emitter that tags
+/// what the hook produces `(i, trace_id)` into `outputs` and counts it
+/// in `tallies[i]`.
+fn emit(
+    entry: &ConnEntry<Conn>,
+    i: usize,
+    slab: &mut dyn TrackedSlab,
+    outputs: &mut Vec<(u32, u64, ErasedOutput)>,
+    tallies: &mut [SubTally],
+    hook: impl FnOnce(&mut dyn TrackedSlab, u32, &ConnView<'_>, &mut Emitter<'_>),
+) {
+    let conn = &entry.value;
+    if let Some(slot) = conn.tracked.slot(i) {
+        let view = ConnView {
+            tuple: &entry.tuple,
+            first_seen_ns: entry.created_ns,
+            last_seen_ns: entry.last_seen_ns,
+            established: entry.established,
+            flow: &conn.flow,
+        };
+        let delivered = &mut tallies[i].delivered;
+        let mut out = Emitter::new(outputs, delivered, i as u32, conn.trace_id);
+        hook(slab, slot, &view, &mut out);
     }
 }
 
@@ -359,24 +428,53 @@ fn resolve_subs<F: FilterFns>(
     (specs, session_mask, stream_mask, post_mask)
 }
 
-/// Disjoint borrows of the tracker shared by the stream-processing
-/// helpers, so per-connection state (borrowed from the table) and
-/// tracker-level state can be mutated together.
-struct Ctx<'a, F: FilterFns> {
-    filter: &'a Arc<F>,
-    stats: &'a mut CoreStats,
-    tallies: &'a mut [SubTally],
-    outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
-    slabs: &'a mut [Box<dyn TrackedSlab>],
-    registry: &'a ParserRegistry,
-    probe_sets: &'a [ProbeSet],
-    probe_bytes: &'a mut usize,
+/// Everything of the tracker but the table and the closed set: the
+/// subscription table resolved against the filter, this core's tracked
+/// state, the probe sets, the counters and the output buffer — what the
+/// Figure-4 helpers below mutate while an entry is borrowed from the
+/// table.
+struct Machine<F: FilterFns> {
+    filter: Arc<F>,
+    registry: ParserRegistry,
+    subs: Vec<SubSpec>,
+    /// This core's per-connection tracked state, one slab per
+    /// subscription (parallel to `subs`). Built when the first
+    /// connection is tracked: a pipeline whose packets never reach the
+    /// tracker (packet-level subscriptions) builds none.
+    slabs: Vec<Box<dyn TrackedSlab>>,
+    /// All subscription indices (guards against verdicts wider than the
+    /// subscription table).
+    all_mask: SubscriptionSet,
+    /// Session-level subscriptions.
     session_mask: SubscriptionSet,
+    /// Subscriptions whose tracked state wants the in-order stream.
     stream_mask: SubscriptionSet,
+    /// Subscriptions wanting per-packet delivery after a match.
     post_mask: SubscriptionSet,
+    /// Memoized probe-candidate unions: want-parse bitmap → index into
+    /// `probe_sets` (`None`: the union names no protocol at all).
+    probe_cache: HashMap<u64, Option<u32>>,
+    /// The candidate sets connections probe against, one per distinct
+    /// protocol list. Append-only: probing connections hold indices into
+    /// it across a rebind, which only forgets the bitmap memo.
+    probe_sets: Vec<ProbeSet>,
+    /// Heap bytes held by the prefix buffers of every probing
+    /// connection: grown where a buffer grows, released by
+    /// [`release_probe`].
+    probe_bytes: usize,
+    ooo_capacity: usize,
     profile: bool,
+    /// Load-shedding flag mirrored from the governor: while set, probe
+    /// and parse work is skipped (connections hold their phase) so the
+    /// core's cycles go to packet delivery instead of session parsing.
     shed_parsing: bool,
-    tracer: Option<&'a (Arc<Tracer>, usize)>,
+    /// Per-stage statistics for this core.
+    stats: CoreStats,
+    /// Per-subscription delivery/discard tallies for this core.
+    sub_tallies: Vec<SubTally>,
+    outputs: Vec<(u32, u64, ErasedOutput)>,
+    /// Tracepoint sink plus the lane (RX core) this tracker writes on.
+    tracer: Option<(Arc<Tracer>, usize)>,
 }
 
 /// The one place probe-buffer bytes leave the tracker's running count:
@@ -388,33 +486,49 @@ fn release_probe(phase: &Phase, probe_bytes: &mut usize) {
     }
 }
 
-impl<F: FilterFns> Ctx<'_, F> {
+impl<F: FilterFns> Machine<F> {
     /// Moves the connection to `next`, returning the phase it left.
     fn set_phase(&mut self, conn: &mut Conn, next: Phase) -> Phase {
-        release_probe(&conn.phase, self.probe_bytes);
+        release_probe(&conn.phase, &mut self.probe_bytes);
         std::mem::replace(&mut conn.phase, next)
     }
 
     /// Records a tracepoint for a sampled connection (no-op otherwise).
     fn trace(&self, conn: &Conn, kind: TraceKind, a: u64, b: u64) {
         if conn.trace_id != 0 {
-            if let Some((t, lane)) = self.tracer {
-                t.emit(*lane, conn.trace_id, kind, 0, a, b);
-            }
+            self.trace_lifecycle(conn.trace_id, kind, a, b);
         }
+    }
+
+    /// Records a lifecycle tracepoint: for every flow (the flight
+    /// recorder wants them), not just sampled ones.
+    fn trace_lifecycle(&self, trace_id: u64, kind: TraceKind, a: u64, b: u64) {
+        if let Some((t, lane)) = &self.tracer {
+            t.emit(*lane, trace_id, kind, 0, a, b);
+        }
+    }
+
+    /// [`emit`] into this core's own slab, output buffer and tallies.
+    fn emit(
+        &mut self,
+        entry: &ConnEntry<Conn>,
+        i: usize,
+        hook: impl FnOnce(&mut dyn TrackedSlab, u32, &ConnView<'_>, &mut Emitter<'_>),
+    ) {
+        let (outputs, tallies) = (&mut self.outputs, &mut self.sub_tallies);
+        emit(entry, i, &mut *self.slabs[i], outputs, tallies, hook);
     }
 
     /// Delivers `on_match` for subscription `i` and tags its outputs.
     fn emit_match(
         &mut self,
-        conn: &Conn,
+        entry: &ConnEntry<Conn>,
         i: usize,
-        service: Option<&str>,
-        session: Option<&retina_protocols::Session>,
+        service: Option<&'static str>,
+        session: Option<&Session>,
     ) {
-        let slab = &mut *self.slabs[i];
-        conn.emit(i, slab, self.outputs, self.tallies, |t, slot, flow, out| {
-            t.on_match(slot, service, session, flow, out);
+        self.emit(entry, i, |t, slot, conn, out| {
+            t.on_match(slot, conn, service, session, out);
         });
     }
 
@@ -422,7 +536,7 @@ impl<F: FilterFns> Ctx<'_, F> {
     /// rejection: state released, tally charged.
     fn kill_sub(&mut self, conn: &mut Conn, i: usize) {
         if conn.release(i, &mut *self.slabs[i]) {
-            self.tallies[i].discarded += 1;
+            self.sub_tallies[i].discarded += 1;
         }
         conn.live.remove(i);
         conn.matched.remove(i);
@@ -475,7 +589,8 @@ impl<F: FilterFns> Ctx<'_, F> {
     /// Applies the connection-filter verdict for a freshly identified
     /// `service`: live subscriptions either match now, stay live for the
     /// session filter, or fall off.
-    fn apply_conn_verdict(&mut self, conn: &mut Conn, service: &'static str) {
+    fn apply_conn_verdict(&mut self, entry: &mut ConnEntry<Conn>, service: &'static str) {
+        let conn = &mut entry.value;
         let v = self
             .filter
             .conn_filter_set(Some(service), &conn.frontiers, conn.live);
@@ -490,30 +605,32 @@ impl<F: FilterFns> Ctx<'_, F> {
             self.kill_sub(conn, i);
         }
         conn.live = v.live;
-        for i in v.matched.iter() {
-            conn.matched.insert(i);
-            if !self.session_mask.contains(i) {
-                // Connection-level (or packet-level) subscription fully
-                // decided: deliver and stop parsing on its behalf.
-                conn.want_parse.remove(i);
-                self.emit_match(conn, i, Some(service), None);
-            }
+        conn.matched |= v.matched;
+        // Connection-level (or packet-level) subscriptions are fully
+        // decided: deliver and stop parsing on their behalf.
+        let decided = v.matched - self.session_mask;
+        conn.want_parse -= decided;
+        for i in decided.iter() {
+            self.emit_match(entry, i, Some(service), None);
         }
     }
 
-    /// Feeds in-order payload through probe/parse and the subscriptions'
-    /// stream hooks.
+    /// Feeds the next in-order payload segment, `mbuf.data()[payload]`,
+    /// to the stream hooks of every engaged stream subscription — still
+    /// undecided ones included, which decide for themselves what to
+    /// hold — and through probe/parse.
     fn stream_data(
         &mut self,
-        tuple: &FiveTuple,
-        conn: &mut Conn,
+        entry: &mut ConnEntry<Conn>,
         dir: Dir,
-        data: &[u8],
+        mbuf: &Mbuf,
+        payload: Range<usize>,
     ) -> Disposition {
-        let stream_subs = conn.matched & self.stream_mask;
+        let conn = &mut entry.value;
+        let stream_subs = conn.active() & self.stream_mask;
         for i in stream_subs.iter() {
             if let Some(slot) = conn.tracked.slot(i) {
-                self.slabs[i].on_stream(slot, dir, data);
+                self.slabs[i].on_stream(slot, dir, mbuf, payload.clone());
             }
         }
         // Shed tier 1: the stream hooks above still run (packet
@@ -521,6 +638,7 @@ impl<F: FilterFns> Ctx<'_, F> {
         if self.shed_parsing && matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. }) {
             return Disposition::Keep;
         }
+        let data = &mbuf.data()[payload];
         let pdir = match dir {
             Dir::OrigToResp => Direction::ToServer,
             Dir::RespToOrig => Direction::ToClient,
@@ -536,110 +654,63 @@ impl<F: FilterFns> Ctx<'_, F> {
                 }
                 let held = buf.capacity();
                 buf.extend_from_slice(data);
-                *self.probe_bytes += buf.capacity() - held;
+                self.probe_bytes += buf.capacity() - held;
 
-                // Evaluate the surviving candidates, in set order,
-                // against both accumulated prefixes.
-                let sets = self.probe_sets;
-                let set = &sets[ps.set as usize];
-                let mut selected = None;
-                let mut alive = ps.alive;
-                let mut candidates = ps.alive;
-                while candidates != 0 {
-                    let i = candidates.trailing_zeros() as usize;
-                    candidates &= candidates - 1;
-                    let parser = set.prototypes[i]
-                        .as_deref()
-                        .expect("alive candidates have prototypes");
-                    let mut not_for_us = 0;
-                    let mut nonempty = 0;
-                    for (buf, d) in [
-                        (&ps.buf_ts, Direction::ToServer),
-                        (&ps.buf_tc, Direction::ToClient),
-                    ] {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        nonempty += 1;
-                        // A panic while probing eliminates the candidate
-                        // (recoverable), never the worker.
-                        let probed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            parser.probe(buf, d)
-                        }))
-                        .unwrap_or_else(|_| {
-                            self.stats.parser_panics += 1;
-                            ProbeResult::NotForUs
-                        });
-                        match probed {
-                            ProbeResult::Certain => {
-                                selected = Some(i);
-                                break;
-                            }
-                            ProbeResult::NotForUs => not_for_us += 1,
-                            ProbeResult::Unsure => {}
-                        }
-                    }
-                    if selected.is_some() {
-                        break;
-                    }
-                    if nonempty > 0 && not_for_us == nonempty {
-                        alive &= !(1 << i);
-                    }
-                }
-                if let Some(i) = selected {
-                    // Only the winner is ever instantiated.
-                    let parser = self
-                        .registry
-                        .new_parser(&set.protos[i])
-                        .expect("the prototype came from this registry");
-                    let service = parser.name();
-                    let Phase::Probing(ps) = self.set_phase(conn, Phase::Tracking) else {
-                        unreachable!("matched on Phase::Probing above");
-                    };
-                    let ProbeState { buf_ts, buf_tc, .. } = *ps;
-                    conn.service = Some(service);
-
-                    // Connection filter (Figure 4's first pseudostate)
-                    // over the still-live subscriptions.
-                    self.apply_conn_verdict(conn, service);
-                    if conn.want_parse.is_empty() {
-                        // Nothing needs sessions: track, remove early, or
-                        // tombstone depending on what is left.
-                        return self.settle(conn, DiscardCause::ConnFilter);
-                    }
-                    self.set_phase(conn, Phase::Parsing { parser, service });
-                    // Replay the buffered prefixes through the parser.
-                    for (buf, d) in [(buf_ts, Direction::ToServer), (buf_tc, Direction::ToClient)] {
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        let disp = self.parse_data(tuple, conn, &buf, d);
-                        if disp != Disposition::Keep {
-                            return disp;
-                        }
-                    }
-                    Disposition::Keep
-                } else {
+                let set = &self.probe_sets[ps.set as usize];
+                let (selected, alive) = set.probe(ps, &mut self.stats.parser_panics);
+                let Some(i) = selected else {
                     // Drop eliminated candidates; fail when none remain.
                     ps.alive = alive;
                     if alive == 0 {
                         return self.conn_layer_failed(conn);
                     }
-                    Disposition::Keep
+                    return Disposition::Keep;
+                };
+                // Only the winner is ever instantiated.
+                let parser = self
+                    .registry
+                    .new_parser(&set.protos[i])
+                    .expect("the prototype came from this registry");
+                let service = parser.name();
+                let Phase::Probing(ps) = self.set_phase(conn, Phase::Tracking) else {
+                    unreachable!("matched on Phase::Probing above");
+                };
+                let ProbeState { buf_ts, buf_tc, .. } = *ps;
+
+                // Connection filter (Figure 4's first pseudostate)
+                // over the still-live subscriptions.
+                self.apply_conn_verdict(entry, service);
+                let conn = &mut entry.value;
+                if conn.want_parse.is_empty() {
+                    // Nothing needs sessions: track, remove early, or
+                    // tombstone depending on what is left.
+                    return self.settle(conn, DiscardCause::ConnFilter);
                 }
+                self.set_phase(conn, Phase::Parsing { parser, service });
+                // Replay the buffered prefixes through the parser.
+                for (buf, d) in [(buf_ts, Direction::ToServer), (buf_tc, Direction::ToClient)] {
+                    if buf.is_empty() {
+                        continue;
+                    }
+                    let disp = self.parse_data(entry, &buf, d);
+                    if disp != Disposition::Keep {
+                        return disp;
+                    }
+                }
+                Disposition::Keep
             }
-            Phase::Parsing { .. } => self.parse_data(tuple, conn, data, pdir),
+            Phase::Parsing { .. } => self.parse_data(entry, data, pdir),
             Phase::Tracking | Phase::Dropped => Disposition::Keep,
         }
     }
 
     fn parse_data(
         &mut self,
-        _tuple: &FiveTuple,
-        conn: &mut Conn,
+        entry: &mut ConnEntry<Conn>,
         data: &[u8],
         pdir: Direction,
     ) -> Disposition {
+        let conn = &mut entry.value;
         let Phase::Parsing { parser, service } = &mut conn.phase else {
             return Disposition::Keep;
         };
@@ -670,37 +741,8 @@ impl<F: FilterFns> Ctx<'_, F> {
                 if sessions.is_empty() {
                     return Disposition::Keep;
                 }
-                for session in &sessions {
-                    let ts = self.profile.then(rdtsc);
-                    self.stats.session_filter.runs += 1;
-                    let hits = self
-                        .filter
-                        .session_filter_set(session, &conn.frontiers, conn.live);
-                    if let Some(t) = ts {
-                        self.stats
-                            .session_filter
-                            .record_cycles(rdtsc().wrapping_sub(t));
-                    }
-                    self.trace(
-                        conn,
-                        TraceKind::SessionVerdict,
-                        hits.bits(),
-                        conn.live.bits(),
-                    );
-                    // Matched session-level subscriptions receive every
-                    // session the protocol produces.
-                    let sess_matched = conn.matched & self.session_mask;
-                    for i in sess_matched.iter() {
-                        self.emit_match(conn, i, Some(service), Some(session));
-                    }
-                    // Still-live subscriptions whose session predicate
-                    // passed: first full match.
-                    for i in hits.iter() {
-                        conn.live.remove(i);
-                        conn.matched.insert(i);
-                        self.emit_match(conn, i, Some(service), Some(session));
-                    }
-                }
+                self.deliver_sessions(entry, service, &sessions);
+                let conn = &mut entry.value;
                 // Batch disposition. Subscriptions that matched stop
                 // parsing when the protocol is done producing sessions;
                 // session-level ones with nothing further to deliver are
@@ -730,50 +772,65 @@ impl<F: FilterFns> Ctx<'_, F> {
         }
     }
 
+    /// The session filter (Figure 4's second pseudostate) and delivery
+    /// for each parsed session, whether the parser just produced it or
+    /// the connection's end drained it: matched session-level
+    /// subscriptions receive every session the protocol produces, then
+    /// the still-live subscriptions whose session predicate passed get
+    /// their first full match.
+    fn deliver_sessions(
+        &mut self,
+        entry: &mut ConnEntry<Conn>,
+        service: &'static str,
+        sessions: &[Session],
+    ) {
+        for session in sessions {
+            let conn = &mut entry.value;
+            let ts = self.profile.then(rdtsc);
+            self.stats.session_filter.runs += 1;
+            let hits = self
+                .filter
+                .session_filter_set(session, &conn.frontiers, conn.live);
+            if let Some(t) = ts {
+                self.stats
+                    .session_filter
+                    .record_cycles(rdtsc().wrapping_sub(t));
+            }
+            self.trace(
+                conn,
+                TraceKind::SessionVerdict,
+                hits.bits(),
+                conn.live.bits(),
+            );
+            let sess_matched = conn.matched & self.session_mask;
+            conn.live -= hits;
+            conn.matched |= hits;
+            for i in sess_matched.iter().chain(hits.iter()) {
+                self.emit_match(entry, i, Some(service), Some(session));
+            }
+        }
+    }
+
     /// Finalizes a connection that terminated, expired, or was drained.
     ///
     /// Discarded tombstones (`Phase::Dropped`) were already attributed
     /// at discard time; counting them again here would double-book the
     /// connection and break the exclusive-outcome invariant.
-    fn finalize(&mut self, entry: ConnEntry<Conn>, reason: FinalizeReason) {
-        let mut conn = entry.value;
-        release_probe(&conn.phase, self.probe_bytes);
-        let was_discarded = matches!(conn.phase, Phase::Dropped);
+    fn finalize(&mut self, mut entry: ConnEntry<Conn>, reason: FinalizeReason) {
+        release_probe(&entry.value.phase, &mut self.probe_bytes);
+        let was_discarded = matches!(entry.value.phase, Phase::Dropped);
         // Drain partial sessions (e.g. an unanswered DNS query).
-        let drained = if let Phase::Parsing { parser, service } = &mut conn.phase {
-            Some((*service, parser.drain_sessions()))
-        } else {
-            None
-        };
-        if let Some((service, sessions)) = drained {
-            for session in &sessions {
-                self.stats.session_filter.runs += 1;
-                let hits = self
-                    .filter
-                    .session_filter_set(session, &conn.frontiers, conn.live);
-                self.trace(
-                    &conn,
-                    TraceKind::SessionVerdict,
-                    hits.bits(),
-                    conn.live.bits(),
-                );
-                // Matched session-level subscriptions first, then the
-                // still-live ones this session just matched.
-                let sess_matched = conn.matched & self.session_mask;
-                conn.live -= hits;
-                conn.matched |= hits;
-                for i in sess_matched.iter().chain(hits.iter()) {
-                    self.emit_match(&conn, i, Some(service), Some(session));
-                }
-            }
+        if let Phase::Parsing { parser, service } = &mut entry.value.phase {
+            let (service, sessions) = (*service, parser.drain_sessions());
+            self.deliver_sessions(&mut entry, service, &sessions);
         }
-        for i in conn.matched.iter() {
-            let slab = &mut *self.slabs[i];
-            conn.emit(i, slab, self.outputs, self.tallies, |t, slot, flow, out| {
-                t.on_terminate(slot, flow, out);
+        for i in entry.value.matched.iter() {
+            self.emit(&entry, i, |t, slot, conn, out| {
+                t.on_terminate(slot, conn, out);
             });
         }
         // The connection is leaving the table: its slab slots go back.
+        let conn = &mut entry.value;
         for i in conn.tracked.held.iter() {
             conn.release(i, &mut *self.slabs[i]);
         }
@@ -784,20 +841,117 @@ impl<F: FilterFns> Ctx<'_, F> {
                 FinalizeReason::Drained => self.stats.conns_drained += 1,
             }
         }
-        if let Some((t, lane)) = self.tracer {
-            let end = match reason {
-                FinalizeReason::Terminated => TraceConnEnd::Terminated,
-                FinalizeReason::Expired => TraceConnEnd::Expired,
-                FinalizeReason::Drained => TraceConnEnd::Drained,
-            };
-            t.emit(
-                *lane,
-                conn.trace_id,
-                TraceKind::ConnExpire,
-                0,
-                end as u64,
-                0,
-            );
+        let end = match reason {
+            FinalizeReason::Terminated => TraceConnEnd::Terminated,
+            FinalizeReason::Expired => TraceConnEnd::Expired,
+            FinalizeReason::Drained => TraceConnEnd::Drained,
+        };
+        self.trace_lifecycle(conn.trace_id, TraceKind::ConnExpire, end as u64, 0);
+    }
+
+    /// The probe-candidate set for a want-parse set: each
+    /// subscription's conn-layer filter protocols plus its subscribable
+    /// type's parsers, deduplicated in subscription order. `None` when
+    /// that union names no protocol. Memoized — distinct want-parse sets
+    /// are few (bounded by packet-filter outcomes), connections are many
+    /// — and sets are shared between bitmaps (and across rebinds) that
+    /// come to the same protocol list.
+    fn probe_set_for(&mut self, want: SubscriptionSet) -> Option<u32> {
+        if let Some(cached) = self.probe_cache.get(&want.bits()) {
+            return *cached;
+        }
+        let mut protos: Vec<String> = Vec::new();
+        for i in want.iter() {
+            for p in &self.subs[i].probe_protos {
+                if !protos.contains(p) && protos.len() < MAX_CANDIDATES {
+                    protos.push(p.clone());
+                }
+            }
+        }
+        let set = (!protos.is_empty()).then(|| {
+            let known = self.probe_sets.iter().position(|s| s.protos == protos);
+            known.unwrap_or_else(|| {
+                self.probe_sets.push(ProbeSet::new(protos, &self.registry));
+                self.probe_sets.len() - 1
+            }) as u32
+        });
+        self.probe_cache.insert(want.bits(), set);
+        set
+    }
+
+    /// Tracker state for the connection `mbuf` opens, with a slab slot
+    /// taken for every subscription `verdict` engages.
+    fn new_conn(&mut self, mbuf: &Mbuf, tuple: &FiveTuple, verdict: PacketVerdict) -> Conn {
+        let now = mbuf.timestamp_ns;
+        self.stats.conns_created += 1;
+        let matched = verdict.matched & self.all_mask;
+        let mut live = verdict.live & self.all_mask;
+        // Parsing is needed by undecided subscriptions and by
+        // matched session-level ones (they consume every session).
+        let mut want_parse = live | (matched & self.session_mask);
+        if self.slabs.is_empty() {
+            self.slabs = self.subs.iter().map(|s| s.erased.new_slab()).collect();
+        }
+        let mut tracked = TrackedRefs::none();
+        for i in (matched | live).iter() {
+            tracked.push(i, self.slabs[i].insert(tuple, now));
+        }
+        // With nothing to probe for: carried by the matched
+        // subscriptions, or a tombstone from birth.
+        let idle = if matched.is_empty() {
+            Phase::Dropped
+        } else {
+            Phase::Tracking
+        };
+        let phase;
+        if want_parse.is_empty() {
+            phase = idle;
+        } else if let Some(set) = self.probe_set_for(want_parse) {
+            phase = Phase::Probing(Box::new(ProbeState {
+                set,
+                alive: self.probe_sets[set as usize].all_alive,
+                buf_ts: Vec::new(),
+                buf_tc: Vec::new(),
+            }));
+        } else {
+            // Degraded path: no parser can ever resolve the
+            // still-live filters, so those subscriptions are
+            // born dead; matched ones carry the connection.
+            for i in live.iter() {
+                if let Some(slot) = tracked.take(i) {
+                    self.slabs[i].release(slot);
+                    self.sub_tallies[i].discarded += 1;
+                }
+            }
+            live = SubscriptionSet::empty();
+            want_parse = SubscriptionSet::empty();
+            phase = idle;
+        }
+        if matches!(phase, Phase::Dropped) {
+            // The filter can never match this connection for anyone:
+            // born a tombstone. Attribute it now — finalize() skips
+            // dropped connections.
+            self.stats.conns_discarded += 1;
+            self.stats.discard_conn_filter += 1;
+        }
+        // The flow trace id is fixed at insert: derived from the
+        // symmetric RSS hash on the mbuf, so both directions (and
+        // every execution mode) derive the same id.
+        let trace_id = self
+            .tracer
+            .as_ref()
+            .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
+        self.trace_lifecycle(trace_id, TraceKind::ConnInsert, 0, 0);
+        Conn {
+            flow: TcpFlow::new(self.ooo_capacity),
+            tracked,
+            phase,
+            frontiers: verdict.frontiers,
+            matched,
+            live,
+            want_parse,
+            done_any: false,
+            trace_id,
         }
     }
 }
@@ -805,47 +959,6 @@ impl<F: FilterFns> Ctx<'_, F> {
 /// The per-core connection tracker, serving N subscriptions in one pass.
 pub struct ConnTracker<F: FilterFns> {
     table: ConnTable<Conn>,
-    filter: Arc<F>,
-    registry: ParserRegistry,
-    subs: Vec<SubSpec>,
-    /// This core's per-connection tracked state, one slab per
-    /// subscription (parallel to `subs`). Built when the first
-    /// connection is tracked: a pipeline whose packets never reach the
-    /// tracker (packet-level subscriptions) builds none.
-    slabs: Vec<Box<dyn TrackedSlab>>,
-    /// All subscription indices (guards against verdicts wider than the
-    /// subscription table).
-    all_mask: SubscriptionSet,
-    /// Session-level subscriptions.
-    session_mask: SubscriptionSet,
-    /// Subscriptions whose tracked state wants in-order payload bytes.
-    stream_mask: SubscriptionSet,
-    /// Subscriptions wanting per-packet delivery after a match.
-    post_mask: SubscriptionSet,
-    /// Memoized probe-candidate unions: want-parse bitmap → index into
-    /// `probe_sets` (`None`: the union names no protocol at all).
-    probe_cache: HashMap<u64, Option<u32>>,
-    /// The candidate sets connections probe against, one per distinct
-    /// protocol list. Append-only: probing connections hold indices into
-    /// it across a rebind, which only forgets the bitmap memo.
-    probe_sets: Vec<ProbeSet>,
-    /// Heap bytes held by the prefix buffers of every probing
-    /// connection: grown where a buffer grows, released by
-    /// [`release_probe`].
-    probe_bytes: usize,
-    ooo_capacity: usize,
-    profile: bool,
-    /// Load-shedding flag mirrored from the governor: while set, probe
-    /// and parse work is skipped (connections hold their phase) so the
-    /// core's cycles go to packet delivery instead of session parsing.
-    shed_parsing: bool,
-    /// Per-stage statistics for this core.
-    pub stats: CoreStats,
-    /// Per-subscription delivery/discard tallies for this core.
-    pub sub_tallies: Vec<SubTally>,
-    outputs: Vec<(u32, u64, ErasedOutput)>,
-    /// Tracepoint sink plus the lane (RX core) this tracker writes on.
-    tracer: Option<(Arc<Tracer>, usize)>,
     /// Recently-closed connections (TIME_WAIT analogue): trailing packets
     /// of a removed connection (e.g. the final ACK after FIN/FIN, or the
     /// encrypted tail after a delivered TLS handshake) must not recreate
@@ -853,6 +966,7 @@ pub struct ConnTracker<F: FilterFns> {
     /// path, and deterministic layout keeps retain order identical
     /// across runs.
     closed: HashMap<ClosedKey, u64, FlowHashState>,
+    machine: Machine<F>,
 }
 
 /// How long a removed connection's key stays in the closed set.
@@ -925,33 +1039,35 @@ impl<F: FilterFns> ConnTracker<F> {
         );
         let (specs, session_mask, stream_mask, post_mask) = resolve_subs(&*filter, subs);
         ConnTracker {
-            slabs: Vec::new(),
             table: ConnTable::new(timeouts),
-            filter,
-            registry,
-            all_mask: SubscriptionSet::first_n(specs.len()),
-            session_mask,
-            stream_mask,
-            post_mask,
-            probe_cache: HashMap::new(),
-            probe_sets: Vec::new(),
-            probe_bytes: 0,
-            ooo_capacity,
-            profile,
-            shed_parsing: false,
-            stats: CoreStats::default(),
-            sub_tallies: vec![SubTally::default(); specs.len()],
-            outputs: Vec::new(),
-            tracer: None,
             closed: HashMap::with_hasher(FlowHashState::default()),
-            subs: specs,
+            machine: Machine {
+                slabs: Vec::new(),
+                filter,
+                registry,
+                all_mask: SubscriptionSet::first_n(specs.len()),
+                session_mask,
+                stream_mask,
+                post_mask,
+                probe_cache: HashMap::new(),
+                probe_sets: Vec::new(),
+                probe_bytes: 0,
+                ooo_capacity,
+                profile,
+                shed_parsing: false,
+                stats: CoreStats::default(),
+                sub_tallies: vec![SubTally::default(); specs.len()],
+                outputs: Vec::new(),
+                tracer: None,
+                subs: specs,
+            },
         }
     }
 
     /// Attaches a tracer; `lane` is the RX lane this tracker's core
     /// writes tracepoints on.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>, lane: usize) {
-        self.tracer = Some((tracer, lane));
+        self.machine.tracer = Some((tracer, lane));
     }
 
     /// Number of connections currently tracked (Figure 8's metric).
@@ -965,11 +1081,29 @@ impl<F: FilterFns> ConnTracker<F> {
         self.table.longest_chain()
     }
 
+    /// Per-stage statistics for this core.
+    pub fn stats(&self) -> &CoreStats {
+        &self.machine.stats
+    }
+
+    /// The same, for the per-packet loop to count the stages it runs
+    /// itself.
+    pub fn stats_mut(&mut self) -> &mut CoreStats {
+        &mut self.machine.stats
+    }
+
+    /// Per-subscription delivery/discard tallies for this core, in
+    /// registration order.
+    pub fn sub_tallies_mut(&mut self) -> &mut [SubTally] {
+        &mut self.machine.sub_tallies
+    }
+
     /// `(name, tally)` of every subscription in the current table, in
     /// registration order.
     pub(crate) fn named_tallies(&self) -> Vec<(String, SubTally)> {
-        let names = self.subs.iter().map(|s| s.erased.name().to_string());
-        names.zip(self.sub_tallies.iter().copied()).collect()
+        let m = &self.machine;
+        let names = m.subs.iter().map(|s| s.erased.name().to_string());
+        names.zip(m.sub_tallies.iter().copied()).collect()
     }
 
     /// The subscription data produced since the last drain, each datum
@@ -978,7 +1112,7 @@ impl<F: FilterFns> ConnTracker<F> {
     /// buffer keeps its capacity from flush to flush) — alongside the
     /// core's statistics, which the flush loop updates as it delivers.
     pub fn pending_outputs(&mut self) -> (&mut Vec<(u32, u64, ErasedOutput)>, &mut CoreStats) {
-        (&mut self.outputs, &mut self.stats)
+        (&mut self.machine.outputs, &mut self.machine.stats)
     }
 
     /// Sets the parsing-shed flag (governor overload response, tier 1).
@@ -986,12 +1120,12 @@ impl<F: FilterFns> ConnTracker<F> {
     /// reassembly and parser cycles — they keep counting-only sequence
     /// tracking and resume where they left off once restored.
     pub fn set_shed_parsing(&mut self, shed: bool) {
-        self.shed_parsing = shed;
+        self.machine.shed_parsing = shed;
     }
 
     /// Whether session-parsing work is currently shed.
     pub fn shed_parsing(&self) -> bool {
-        self.shed_parsing
+        self.machine.shed_parsing
     }
 
     /// Estimated bytes of connection state in memory (live table
@@ -1002,7 +1136,7 @@ impl<F: FilterFns> ConnTracker<F> {
     /// at a 100 k-connection working set.
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
-        self.table.len() * per_conn + self.probe_bytes
+        self.table.len() * per_conn + self.machine.probe_bytes
     }
 
     /// Bytes retained by the connection table's arena and shard
@@ -1010,36 +1144,6 @@ impl<F: FilterFns> ConnTracker<F> {
     /// high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
         self.table.allocated_bytes()
-    }
-
-    /// The probe-candidate set for a want-parse set: each
-    /// subscription's conn-layer filter protocols plus its subscribable
-    /// type's parsers, deduplicated in subscription order. `None` when
-    /// that union names no protocol. Memoized — distinct want-parse sets
-    /// are few (bounded by packet-filter outcomes), connections are many
-    /// — and sets are shared between bitmaps (and across rebinds) that
-    /// come to the same protocol list.
-    fn probe_set_for(&mut self, want: SubscriptionSet) -> Option<u32> {
-        if let Some(cached) = self.probe_cache.get(&want.bits()) {
-            return *cached;
-        }
-        let mut protos: Vec<String> = Vec::new();
-        for i in want.iter() {
-            for p in &self.subs[i].probe_protos {
-                if !protos.contains(p) && protos.len() < MAX_CANDIDATES {
-                    protos.push(p.clone());
-                }
-            }
-        }
-        let set = (!protos.is_empty()).then(|| {
-            let known = self.probe_sets.iter().position(|s| s.protos == protos);
-            known.unwrap_or_else(|| {
-                self.probe_sets.push(ProbeSet::new(protos, &self.registry));
-                self.probe_sets.len() - 1
-            }) as u32
-        });
-        self.probe_cache.insert(want.bits(), set);
-        set
     }
 
     /// The burst's hint pass for one packet the packet filter kept: its
@@ -1072,44 +1176,13 @@ impl<F: FilterFns> ConnTracker<F> {
         // Time the whole tracker pass here (not in the body) so early
         // exits — TIME_WAIT trailing packets, key collisions — still
         // land in the stage histogram.
-        let t0 = self.profile.then(rdtsc);
-        self.stats.conn_tracking.runs += 1;
+        let t0 = self.machine.profile.then(rdtsc);
+        self.machine.stats.conn_tracking.runs += 1;
         self.process_inner(mbuf, pkt, verdict, hint);
         if let Some(t) = t0 {
-            self.stats
-                .conn_tracking
-                .record_cycles(rdtsc().wrapping_sub(t));
+            let cycles = rdtsc().wrapping_sub(t);
+            self.machine.stats.conn_tracking.record_cycles(cycles);
         }
-    }
-
-    /// Splits the tracker into the table, the closed set and everything
-    /// the per-connection helpers mutate beside them, so an entry
-    /// borrowed from the table and tracker-level state can be worked on
-    /// together (also from inside the table's expiry and drain passes).
-    fn parts(
-        &mut self,
-    ) -> (
-        &mut ConnTable<Conn>,
-        &mut HashMap<ClosedKey, u64, FlowHashState>,
-        Ctx<'_, F>,
-    ) {
-        let ctx = Ctx {
-            filter: &self.filter,
-            stats: &mut self.stats,
-            tallies: &mut self.sub_tallies,
-            outputs: &mut self.outputs,
-            slabs: &mut self.slabs,
-            registry: &self.registry,
-            probe_sets: &self.probe_sets,
-            probe_bytes: &mut self.probe_bytes,
-            session_mask: self.session_mask,
-            stream_mask: self.stream_mask,
-            post_mask: self.post_mask,
-            profile: self.profile,
-            shed_parsing: self.shed_parsing,
-            tracer: self.tracer.as_ref(),
-        };
-        (&mut self.table, &mut self.closed, ctx)
     }
 
     /// The miss path: starts tracking the connection `pkt` opens, unless
@@ -1121,110 +1194,33 @@ impl<F: FilterFns> ConnTracker<F> {
         verdict: PacketVerdict,
         hint: &ConnHint,
     ) -> Option<ConnHandle> {
+        let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
         let now = mbuf.timestamp_ns;
         let closed_key = ClosedKey::new(hint.key, hint.ikey);
-        match self.closed.get(&closed_key) {
+        match closed.get(&closed_key) {
             Some(&closed_at) if now < closed_at.saturating_add(TIME_WAIT_NS) => {
                 return None; // trailing packet of a closed connection
             }
             Some(_) => {
-                self.closed.remove(&closed_key);
+                closed.remove(&closed_key);
             }
             None => {}
         }
-        self.stats.conns_created += 1;
         let tuple = FiveTuple::from_packet(pkt);
-        let matched = verdict.matched & self.all_mask;
-        let mut live = verdict.live & self.all_mask;
-        // Parsing is needed by undecided subscriptions and by
-        // matched session-level ones (they consume every session).
-        let mut want_parse = live | (matched & self.session_mask);
-        if self.slabs.is_empty() {
-            self.slabs = self.subs.iter().map(|s| s.erased.new_slab()).collect();
-        }
-        let mut tracked = TrackedRefs::none();
-        for i in (matched | live).iter() {
-            tracked.push(i, self.slabs[i].insert(&tuple, now));
-        }
-        let phase;
-        if want_parse.is_empty() {
-            phase = if matched.is_empty() {
-                Phase::Dropped
-            } else {
-                Phase::Tracking
-            };
-        } else if let Some(set) = self.probe_set_for(want_parse) {
-            phase = Phase::Probing(Box::new(ProbeState {
-                set,
-                alive: self.probe_sets[set as usize].all_alive,
-                buf_ts: Vec::new(),
-                buf_tc: Vec::new(),
-            }));
-        } else {
-            // Degraded path: no parser can ever resolve the
-            // still-live filters, so those subscriptions are
-            // born dead; matched ones carry the connection.
-            for i in live.iter() {
-                if let Some(slot) = tracked.take(i) {
-                    self.slabs[i].release(slot);
-                    self.sub_tallies[i].discarded += 1;
-                }
-            }
-            live = SubscriptionSet::empty();
-            want_parse = SubscriptionSet::empty();
-            phase = if matched.is_empty() {
-                Phase::Dropped
-            } else {
-                Phase::Tracking
-            };
-        }
-        if matches!(phase, Phase::Dropped) {
-            // The filter can never match this connection for anyone:
-            // born a tombstone. Attribute it now — finalize() skips
-            // dropped connections.
-            self.stats.conns_discarded += 1;
-            self.stats.discard_conn_filter += 1;
-        }
-        // The flow trace id is fixed at insert: derived from the
-        // symmetric RSS hash on the mbuf, so both directions (and
-        // every execution mode) derive the same id.
-        let trace_id = self
-            .tracer
-            .as_ref()
-            .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
-        if let Some((t, lane)) = &self.tracer {
-            // Lifecycle events are recorded for every flow (the
-            // flight recorder wants them), not just sampled ones.
-            t.emit(*lane, trace_id, TraceKind::ConnInsert, 0, 0, 0);
-        }
-        let conn = Conn {
-            flow: TcpFlow::new(now, self.ooo_capacity),
-            tracked,
-            phase,
-            frontiers: verdict.frontiers,
-            matched,
-            live,
-            want_parse,
-            done_any: false,
-            service: None,
-            trace_id,
-        };
+        let conn = m.new_conn(mbuf, &tuple, verdict);
         // Filter fully decided at the packet layer for these
-        // subscriptions: emit whatever they have ready (Figure 4a's
-        // "run callback"). Session-level ones wait for sessions.
-        for i in (matched - self.session_mask).iter() {
-            conn.emit(
-                i,
-                &mut *self.slabs[i],
-                &mut self.outputs,
-                &mut self.sub_tallies,
-                |t, slot, flow, out| t.on_match(slot, None, None, flow, out),
-            );
+        // subscriptions: once the entry exists, emit whatever they have
+        // ready (Figure 4a's "run callback"). Session-level ones wait
+        // for sessions.
+        let decided = conn.matched - m.session_mask;
+        let handle = table.insert(mbuf.rss_hash, hint.ikey, &hint.key, now, tuple, conn);
+        m.stats.conns_peak = m.stats.conns_peak.max(table.len() as u64);
+        if !decided.is_empty() {
+            let entry = table.entry_mut(handle).expect("inserted above");
+            for i in decided.iter() {
+                m.emit_match(entry, i, None, None);
+            }
         }
-        let handle = self
-            .table
-            .insert(mbuf.rss_hash, hint.ikey, &hint.key, now, tuple, conn);
-        self.stats.conns_peak = self.stats.conns_peak.max(self.table.len() as u64);
         Some(handle)
     }
 
@@ -1255,7 +1251,7 @@ impl<F: FilterFns> ConnTracker<F> {
             },
         };
 
-        let (table, closed, mut ctx) = self.parts();
+        let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
         let entry = table.entry_mut(handle).expect("handle resolved above");
         let Some(dir) = entry.tuple.dir_of(pkt) else {
             return; // key collision across address families: ignore
@@ -1267,7 +1263,7 @@ impl<F: FilterFns> ConnTracker<F> {
                 Dir::OrigToResp => 0,
                 Dir::RespToOrig => 1,
             };
-            ctx.trace(conn, TraceKind::ConnUpdate, d, 0);
+            m.trace(conn, TraceKind::ConnUpdate, d, 0);
         }
         // Decide whether reconstructed bytes are still needed *before*
         // updating the flow: Track/Dropped connections get counting-only
@@ -1276,23 +1272,22 @@ impl<F: FilterFns> ConnTracker<F> {
         // probe/parse work is skipped too — those connections degrade to
         // counting-only until fidelity is restored.
         let app_needed =
-            matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. }) && !ctx.shed_parsing;
-        let stream_needed = app_needed || !(conn.active() & ctx.stream_mask).is_empty();
-        let update = conn.flow.update(pkt, mbuf, dir, now, stream_needed);
+            matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. }) && !m.shed_parsing;
+        let stream_needed = app_needed || !(conn.active() & m.stream_mask).is_empty();
+        let update = conn.flow.update(pkt, mbuf, dir, stream_needed);
         entry.established = conn.flow.established;
 
         // Subscription packet hooks: matched subscriptions that want
         // post-match packets get them; undecided ones buffer lazily.
-        for i in conn.active().iter() {
-            if conn.matched.contains(i) {
-                if ctx.post_mask.contains(i) {
-                    let slab = &mut *ctx.slabs[i];
-                    conn.emit(i, slab, ctx.outputs, ctx.tallies, |t, slot, _flow, out| {
+        for i in entry.value.active().iter() {
+            if entry.value.matched.contains(i) {
+                if m.post_mask.contains(i) {
+                    m.emit(entry, i, |t, slot, _conn, out| {
                         t.post_match(slot, mbuf, pkt, out);
                     });
                 }
-            } else if let Some(slot) = conn.tracked.slot(i) {
-                ctx.slabs[i].pre_match(slot, mbuf, pkt);
+            } else if let Some(slot) = entry.value.tracked.slot(i) {
+                m.slabs[i].pre_match(slot, mbuf, pkt);
             }
         }
 
@@ -1301,18 +1296,15 @@ impl<F: FilterFns> ConnTracker<F> {
         if stream_needed {
             match update.reassembly {
                 Reassembled::InOrder => {
-                    let tr = ctx.profile.then(rdtsc);
-                    ctx.stats.reassembly.runs += 1;
-                    let payload = pkt.payload(mbuf.data());
+                    let tr = m.profile.then(rdtsc);
+                    m.stats.reassembly.runs += 1;
+                    let payload = payload_range(pkt, mbuf);
                     if !payload.is_empty() {
-                        disposition = ctx.stream_data(&entry.tuple, conn, dir, payload);
+                        disposition = m.stream_data(entry, dir, mbuf, payload);
                     }
                     // Flush any buffered successors the hole-fill released.
-                    loop {
-                        if disposition != Disposition::Keep {
-                            break;
-                        }
-                        let flushed = conn.flow.reassembler(dir).flush();
+                    while disposition == Disposition::Keep {
+                        let flushed = entry.value.flow.reassembler(dir).flush();
                         if flushed.is_empty() {
                             break;
                         }
@@ -1323,27 +1315,27 @@ impl<F: FilterFns> ConnTracker<F> {
                             let Ok(fpkt) = ParsedPacket::parse(fmbuf.data()) else {
                                 continue;
                             };
-                            let fpayload = fpkt.payload(fmbuf.data());
+                            let fpayload = payload_range(&fpkt, &fmbuf);
                             if fpayload.is_empty() {
                                 continue;
                             }
-                            ctx.stats.reassembly.runs += 1;
-                            disposition = ctx.stream_data(&entry.tuple, conn, dir, fpayload);
+                            m.stats.reassembly.runs += 1;
+                            disposition = m.stream_data(entry, dir, &fmbuf, fpayload);
                         }
                     }
                     if let Some(t) = tr {
-                        ctx.stats.reassembly.record_cycles(rdtsc().wrapping_sub(t));
+                        m.stats.reassembly.record_cycles(rdtsc().wrapping_sub(t));
                     }
                 }
                 Reassembled::Buffered => {
-                    ctx.stats.reassembly.runs += 1;
-                    ctx.stats.ooo_buffered += 1;
+                    m.stats.reassembly.runs += 1;
+                    m.stats.ooo_buffered += 1;
                 }
                 Reassembled::Duplicate | Reassembled::OverCapacity => {}
             }
         } else if update.reassembly == Reassembled::Buffered {
             // Counting-only mode still surfaces out-of-order arrivals.
-            ctx.stats.ooo_buffered += 1;
+            m.stats.ooo_buffered += 1;
         }
 
         if disposition == Disposition::RemoveDone {
@@ -1355,25 +1347,17 @@ impl<F: FilterFns> ConnTracker<F> {
                 // Finished and rejected subscriptions released their
                 // state as they fell off; none is left active.
                 debug_assert!(removed.value.tracked.held.is_empty());
-                release_probe(&removed.value.phase, ctx.probe_bytes);
-                if let Some((t, lane)) = ctx.tracer {
-                    t.emit(
-                        *lane,
-                        removed.value.trace_id,
-                        TraceKind::ConnExpire,
-                        0,
-                        TraceConnEnd::CompletedEarly as u64,
-                        0,
-                    );
-                }
+                release_probe(&removed.value.phase, &mut m.probe_bytes);
+                let end = TraceConnEnd::CompletedEarly as u64;
+                m.trace_lifecycle(removed.value.trace_id, TraceKind::ConnExpire, end, 0);
             }
             closed.insert(ClosedKey::new(hint.key, hint.ikey), now);
-            ctx.stats.conns_discarded += 1;
-            ctx.stats.conns_completed_early += 1;
+            m.stats.conns_discarded += 1;
+            m.stats.conns_completed_early += 1;
         } else if update.terminated {
             if let Some(entry) = table.remove_handle(handle) {
                 closed.insert(ClosedKey::new(hint.key, hint.ikey), now);
-                ctx.finalize(entry, FinalizeReason::Terminated);
+                m.finalize(entry, FinalizeReason::Terminated);
             }
         }
     }
@@ -1382,18 +1366,20 @@ impl<F: FilterFns> ConnTracker<F> {
     /// finalizing each from the table's expiry pass — no entry is moved
     /// to a side buffer first.
     pub fn advance(&mut self, now_ns: u64) {
-        let (table, closed, mut ctx) = self.parts();
-        table.advance(now_ns, |_key, entry| {
-            ctx.finalize(entry, FinalizeReason::Expired);
+        let m = &mut self.machine;
+        self.table.advance(now_ns, |_key, entry| {
+            m.finalize(entry, FinalizeReason::Expired);
         });
-        closed.retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
+        self.closed
+            .retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
     }
 
     /// Flushes every remaining connection (end of a run): delivers
     /// connection-level data for matched connections.
     pub fn drain(&mut self) {
-        let (table, _, mut ctx) = self.parts();
-        table.drain_all(|entry| ctx.finalize(entry, FinalizeReason::Drained));
+        let m = &mut self.machine;
+        self.table
+            .drain_all(|entry| m.finalize(entry, FinalizeReason::Drained));
     }
 
     /// Rebinds the tracker to a new configuration epoch at a live-swap
@@ -1427,7 +1413,8 @@ impl<F: FilterFns> ConnTracker<F> {
         subs: &[Arc<dyn ErasedSubscription>],
         remap: &[Option<usize>],
     ) -> Vec<(String, SubTally)> {
-        assert_eq!(remap.len(), self.subs.len(), "remap covers the old table");
+        let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
+        assert_eq!(remap.len(), m.subs.len(), "remap covers the old table");
         let new_len = subs.len();
         let new_all = SubscriptionSet::first_n(new_len);
         let (specs, session_mask, stream_mask, post_mask) = resolve_subs(&*filter, subs);
@@ -1437,29 +1424,27 @@ impl<F: FilterFns> ConnTracker<F> {
         // banked below. `old_of` is `remap` inverted.
         let mut new_tallies = vec![SubTally::default(); new_len];
         let mut old_of: Vec<Option<usize>> = vec![None; new_len];
-        for (i, m) in remap.iter().enumerate() {
-            if let Some(j) = *m {
-                new_tallies[j] = self.sub_tallies[i];
+        for (i, new) in remap.iter().enumerate() {
+            if let Some(j) = *new {
+                new_tallies[j] = m.sub_tallies[i];
                 old_of[j] = Some(i);
             }
         }
 
         let mut swapped = 0u64;
         {
-            let table = &mut self.table;
-            let outputs = &mut self.outputs;
-            let old_tallies = &mut self.sub_tallies;
-            let closed = &mut self.closed;
-            let probe_bytes = &mut self.probe_bytes;
+            let outputs = &mut m.outputs;
+            let old_tallies = &mut m.sub_tallies;
+            let probe_bytes = &mut m.probe_bytes;
             // Still in the old order during the pass: subscription `j`
             // of the new table finds its state in `slabs[old_of[j]]`.
-            let slabs = &mut self.slabs;
+            let slabs = &mut m.slabs;
             table.retain_mut(
                 |entry| {
-                    let conn = &mut entry.value;
-                    if matches!(conn.phase, Phase::Dropped) {
+                    if matches!(entry.value.phase, Phase::Dropped) {
                         // Tombstones keep suppressing trailing packets
                         // and hold no per-subscription state.
+                        let conn = &mut entry.value;
                         debug_assert!(conn.tracked.held.is_empty());
                         conn.matched = SubscriptionSet::empty();
                         conn.live = SubscriptionSet::empty();
@@ -1469,20 +1454,28 @@ impl<F: FilterFns> ConnTracker<F> {
                     // Removed subscriptions drain: matched ones deliver
                     // their connection-level data (old index — routed
                     // through the old sinks), live ones are discarded.
-                    for (i, m) in remap.iter().enumerate() {
-                        if m.is_some() {
+                    for (i, new) in remap.iter().enumerate() {
+                        if new.is_some() {
                             continue;
                         }
                         let slab = &mut *slabs[i];
-                        if conn.matched.contains(i) {
-                            conn.emit(i, slab, outputs, old_tallies, |t, slot, flow, out| {
-                                t.on_terminate(slot, flow, out);
-                            });
-                            conn.release(i, slab);
-                        } else if conn.live.contains(i) && conn.release(i, slab) {
+                        if entry.value.matched.contains(i) {
+                            emit(
+                                entry,
+                                i,
+                                slab,
+                                outputs,
+                                old_tallies,
+                                |t, slot, conn, out| {
+                                    t.on_terminate(slot, conn, out);
+                                },
+                            );
+                            entry.value.release(i, slab);
+                        } else if entry.value.live.contains(i) && entry.value.release(i, slab) {
                             old_tallies[i].discarded += 1;
                         }
                     }
+                    let conn = &mut entry.value;
                     // Re-index surviving per-subscription state.
                     let mut new_tracked = TrackedRefs::none();
                     let mut new_matched = SubscriptionSet::empty();
@@ -1530,22 +1523,16 @@ impl<F: FilterFns> ConnTracker<F> {
                                 new_tallies[j].discarded += 1;
                             }
                         }
-                        for j in promoted.iter() {
-                            conn.matched.insert(j);
-                            if !session_mask.contains(j) {
-                                conn.emit(
-                                    j,
-                                    &mut *slabs[old(j)],
-                                    outputs,
-                                    &mut new_tallies,
-                                    |t, slot, flow, out| {
-                                        t.on_match(slot, None, None, flow, out);
-                                    },
-                                );
-                            }
-                        }
                         conn.live = still_live;
+                        conn.matched |= promoted;
+                        for j in (promoted - session_mask).iter() {
+                            let (slab, tallies) = (&mut *slabs[old(j)], &mut new_tallies[..]);
+                            emit(entry, j, slab, outputs, tallies, |t, slot, conn, out| {
+                                t.on_match(slot, conn, None, None, out);
+                            });
+                        }
                     }
+                    let conn = &mut entry.value;
                     conn.want_parse = conn.live | (conn.matched & session_mask);
                     if conn.want_parse.is_empty()
                         && matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. })
@@ -1569,20 +1556,20 @@ impl<F: FilterFns> ConnTracker<F> {
                 },
             );
         }
-        self.stats.conns_swapped += swapped;
+        m.stats.conns_swapped += swapped;
 
         let mut banked = Vec::with_capacity(remap.len() - new_len.min(remap.len()));
-        for (i, m) in remap.iter().enumerate() {
-            if m.is_none() {
-                banked.push((self.subs[i].erased.name().to_string(), self.sub_tallies[i]));
+        for (i, new) in remap.iter().enumerate() {
+            if new.is_none() {
+                banked.push((m.subs[i].erased.name().to_string(), m.sub_tallies[i]));
             }
         }
         // Survivors' slabs move to their new index; added subscriptions
         // start empty ones; removed ones' (emptied above) are dropped.
         // (No slabs yet: nothing was ever tracked, nothing to move.)
-        if !self.slabs.is_empty() {
-            let mut old_slabs: Vec<_> = self.slabs.drain(..).map(Some).collect();
-            self.slabs = old_of
+        if !m.slabs.is_empty() {
+            let mut old_slabs: Vec<_> = m.slabs.drain(..).map(Some).collect();
+            m.slabs = old_of
                 .iter()
                 .zip(subs)
                 .map(|(i, sub)| match i {
@@ -1591,19 +1578,24 @@ impl<F: FilterFns> ConnTracker<F> {
                 })
                 .collect();
         }
-        self.subs = specs;
-        self.all_mask = new_all;
-        self.session_mask = session_mask;
-        self.stream_mask = stream_mask;
-        self.post_mask = post_mask;
-        self.filter = filter;
-        self.sub_tallies = new_tallies;
+        m.subs = specs;
+        m.all_mask = new_all;
+        m.session_mask = session_mask;
+        m.stream_mask = stream_mask;
+        m.post_mask = post_mask;
+        m.filter = filter;
+        m.sub_tallies = new_tallies;
         // Memoized probe unions are keyed by want-parse bitmaps of the
         // old subscription order: all stale now. The sets themselves
         // stay: probing connections that survived hold indices into them.
-        self.probe_cache.clear();
+        m.probe_cache.clear();
         banked
     }
+}
+
+/// Where `pkt`'s L4 payload sits in its frame.
+fn payload_range(pkt: &ParsedPacket, mbuf: &Mbuf) -> Range<usize> {
+    pkt.payload_offset..pkt.payload_end.min(mbuf.len())
 }
 
 /// Builds a synthetic first packet (SYN / empty datagram) for a tracked
@@ -1818,7 +1810,7 @@ mod tests {
             mbuf.timestamp_ns = *ts;
             let pkt = ParsedPacket::parse(mbuf.data()).unwrap();
             mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
-            let verdict = t.filter.packet_filter_set(&pkt);
+            let verdict = t.machine.filter.packet_filter_set(&pkt);
             if !verdict.is_no_match() {
                 let hint = t.hint(&mbuf, &pkt);
                 t.process(&mbuf, &pkt, verdict, &hint);
@@ -1847,7 +1839,7 @@ mod tests {
             state_bytes_walk(t),
             "probe-byte count drifted"
         );
-        let live: Vec<usize> = t.slabs.iter().map(|s| s.live()).collect();
+        let live: Vec<usize> = t.machine.slabs.iter().map(|s| s.live()).collect();
         for (i, live) in live.iter().enumerate() {
             let held = t
                 .table
@@ -1868,7 +1860,7 @@ mod tests {
             Arc::new(TypedSubscription::<HttpTransactionData>::spec_only("http")),
         ];
         let mut t = tracker(&["tcp", "tls.sni ~ 'netflix'", "http"], &subs);
-        assert!(t.slabs.is_empty(), "no connection, no slabs");
+        assert!(t.machine.slabs.is_empty(), "no connection, no slabs");
 
         // 50 bare SYNs: one slot each in `conns`, one each (undecided)
         // in the two session-level subscriptions.
@@ -1886,10 +1878,10 @@ mod tests {
         feed(&mut t, &netflix.out);
         feed(&mut t, &other.out);
         feed(&mut t, &web.out);
-        assert_eq!(t.sub_tallies[1].delivered, 1);
-        assert_eq!(t.sub_tallies[2].delivered, 1);
+        assert_eq!(t.machine.sub_tallies[1].delivered, 1);
+        assert_eq!(t.machine.sub_tallies[2].delivered, 1);
         assert_eq!(slab_balance(&t), vec![53, 50, 51]);
-        assert!(t.sub_tallies[1].discarded >= 2 && t.sub_tallies[2].discarded >= 2);
+        assert!(t.machine.sub_tallies[1].discarded >= 2 && t.machine.sub_tallies[2].discarded >= 2);
 
         // finalize, by termination: the three conversations close.
         netflix.out.clear();
@@ -1904,7 +1896,7 @@ mod tests {
         t.advance(10_000 * MS);
         assert_eq!(t.connections(), 0);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
-        assert_eq!(t.sub_tallies[0].delivered, 53);
+        assert_eq!(t.machine.sub_tallies[0].delivered, 53);
 
         // The freed slots are recycled: 40 new connections fit in the
         // slots the first 53 used.
@@ -1939,7 +1931,7 @@ mod tests {
             3 + 40,
             "rejected three times, undecided on 40 at the swap"
         );
-        assert_eq!(t.slabs.len(), 3);
+        assert_eq!(t.machine.slabs.len(), 3);
         assert_eq!(slab_balance(&t), vec![41, 41, 0]);
 
         // Survivors' state still works under the new indices: a second
@@ -1952,10 +1944,10 @@ mod tests {
         );
         web.data(false, &http::build_response(200, 32));
         feed(&mut t, &web.out);
-        assert_eq!(t.sub_tallies[0].delivered, 3);
+        assert_eq!(t.machine.sub_tallies[0].delivered, 3);
         t.drain();
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
-        assert_eq!(t.sub_tallies[1].delivered, 53 + 41);
+        assert_eq!(t.machine.sub_tallies[1].delivered, 53 + 41);
     }
 
     /// The running probe-buffer byte count behind the O(1)
@@ -1974,7 +1966,7 @@ mod tests {
         let mut t = tracker(&["tls", "http"], &subs);
         let check = |t: &ConnTracker<CompiledFilter>| {
             assert_eq!(t.state_bytes(), state_bytes_walk(t));
-            t.probe_bytes
+            t.machine.probe_bytes
         };
         assert_eq!(check(&t), 0);
 

@@ -21,7 +21,8 @@ use std::sync::{Arc, Mutex};
 use retina_core::offline::run_offline;
 use retina_core::runtime::{Runtime, TrafficSource};
 use retina_core::subscribables::{
-    ConnBytes, ConnRecord, HttpTransactionData, SessionRecord, TlsHandshakeData, ZcFrame,
+    ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SessionRecord,
+    TlsHandshakeData, ZcFrame,
 };
 use retina_core::RuntimeConfig;
 use retina_filter::compile;
@@ -48,11 +49,17 @@ struct Conversation {
 
 impl Conversation {
     fn new(client: &str, server: &str, start_ts: u64) -> Self {
+        Self::with_isn(client, server, start_ts, 1000)
+    }
+
+    /// A conversation whose client picks `isn` as its initial sequence
+    /// number.
+    fn with_isn(client: &str, server: &str, start_ts: u64, isn: u32) -> Self {
         let mut c = Conversation {
             client: client.parse().unwrap(),
             server: server.parse().unwrap(),
             packets: Vec::new(),
-            cseq: 1000,
+            cseq: isn,
             sseq: 5000,
             ts: start_ts,
         };
@@ -109,8 +116,9 @@ impl Conversation {
     fn finish(mut self) -> Vec<(Bytes, u64)> {
         let (c, s, cseq, sseq) = (self.client, self.server, self.cseq, self.sseq);
         self.push_raw(c, s, cseq, sseq, TcpFlags::FIN | TcpFlags::ACK, &[]);
-        self.push_raw(s, c, sseq, cseq + 1, TcpFlags::FIN | TcpFlags::ACK, &[]);
-        self.push_raw(c, s, cseq + 1, sseq + 1, TcpFlags::ACK, &[]);
+        let cfin = cseq.wrapping_add(1);
+        self.push_raw(s, c, sseq, cfin, TcpFlags::FIN | TcpFlags::ACK, &[]);
+        self.push_raw(c, s, cfin, sseq + 1, TcpFlags::ACK, &[]);
         self.packets
     }
 }
@@ -296,6 +304,38 @@ fn http_transactions_keepalive() {
     assert!(out
         .iter()
         .all(|t| t.http.host.as_deref() == Some("example.com")));
+    // Each transaction carries the stamp of the packet that completed
+    // it (its response), not of the connection's first match.
+    let ts: Vec<u64> = out.iter().map(|t| t.ts_ns).collect();
+    assert!(ts.windows(2).all(|w| w[0] < w[1]), "{ts:?}");
+}
+
+#[test]
+fn dns_exchanges_carry_their_own_timestamps() {
+    // Two query/response exchanges on one UDP five-tuple: one
+    // connection, two sessions, each stamped when its response arrived.
+    let filter = Arc::new(compile("dns").unwrap());
+    let (client, server) = ("10.0.0.4:5555", "8.8.8.8:53");
+    let datagram = |src: &str, dst: &str, payload: &[u8]| {
+        Bytes::from(build_udp(&UdpSpec {
+            src: src.parse().unwrap(),
+            dst: dst.parse().unwrap(),
+            ttl: 64,
+            payload,
+        }))
+    };
+    let mut packets = Vec::new();
+    for (id, ts) in [(7u16, 1_000_000u64), (8, 9_000_000)] {
+        let q = retina_protocols::dns::build_query(id, "example.com", 1);
+        let r = retina_protocols::dns::build_response(id, "example.com", 1, 1, 0);
+        packets.push((datagram(client, server, &q), ts));
+        packets.push((datagram(server, client, &r), ts + 500_000));
+    }
+    let mut out: Vec<DnsTransactionData> = Vec::new();
+    let stats = run_offline::<DnsTransactionData, _>(&filter, &cfg(), packets, |d| out.push(d));
+    assert_eq!(stats.conns_created, 1);
+    let ts: Vec<u64> = out.iter().map(|d| d.ts_ns).collect();
+    assert_eq!(ts, vec![1_500_000, 9_500_000]);
 }
 
 #[test]
@@ -435,6 +475,62 @@ fn conn_bytes_reconstruction() {
     let server = String::from_utf8_lossy(&cb.server_stream);
     assert!(server.starts_with("HTTP/1.1 200 OK"), "{server}");
     assert!(!cb.truncated);
+}
+
+/// One HTTP exchange through `ConnBytes` under a session-layer filter —
+/// so the whole request is held pre-match — with the request sent as a
+/// 20-byte segment plus the remainder (`swapped`: the remainder first),
+/// the client counting from `isn`. Returns the request, what was
+/// delivered, and how many segments the reassembler buffered.
+fn split_request_conn_bytes(isn: u32, swapped: bool) -> (Vec<u8>, ConnBytes, u64) {
+    let filter = Arc::new(compile("http.user_agent matches 'curl'").unwrap());
+    let request = http::build_request("GET", "/split", "stream.test", "curl/8.0");
+    let (head, rest) = request.split_at(20);
+    let mut conv = Conversation::with_isn("10.0.0.1:40000", "1.1.1.1:80", 0, isn);
+    let (client, server, cseq, sseq) = (conv.client, conv.server, conv.cseq, conv.sseq);
+    let mut segments = [(cseq, head), (cseq.wrapping_add(20), rest)];
+    if swapped {
+        segments.reverse();
+    }
+    for (seq, payload) in segments {
+        conv.push_raw(
+            client,
+            server,
+            seq,
+            sseq,
+            TcpFlags::ACK | TcpFlags::PSH,
+            payload,
+        );
+    }
+    conv.cseq = cseq.wrapping_add(request.len() as u32);
+    conv.server_data(&http::build_response(200, 16));
+    let mut out: Vec<ConnBytes> = Vec::new();
+    let stats = run_offline::<ConnBytes, _>(&filter, &cfg(), conv.finish(), |b| out.push(b));
+    assert_eq!(out.len(), 1);
+    (request, out.pop().unwrap(), stats.ooo_buffered)
+}
+
+#[test]
+fn conn_bytes_held_stream_survives_sequence_wrap() {
+    // The request straddles 2^32 in the second run: the stream is the
+    // reassembler's, so where the sequence space wraps changes nothing.
+    let (request, plain, _) = split_request_conn_bytes(1000, false);
+    let (_, wrapped, _) = split_request_conn_bytes(0xFFFF_FFEF, false);
+    assert_eq!(plain.client_stream, request);
+    assert_eq!(wrapped.client_stream, request);
+    assert_eq!(wrapped.server_stream, plain.server_stream);
+    assert!(!plain.truncated && !wrapped.truncated);
+}
+
+#[test]
+fn conn_bytes_held_stream_is_reordered_once() {
+    // The two request segments swapped on the wire: the reassembler
+    // buffers the early one, and the held stream is in order.
+    for isn in [1000, 0xFFFF_FFEF] {
+        let (request, swapped, ooo_buffered) = split_request_conn_bytes(isn, true);
+        assert_eq!(swapped.client_stream, request, "isn {isn:#x}");
+        assert!(ooo_buffered >= 1, "the early segment was buffered");
+    }
 }
 
 #[test]

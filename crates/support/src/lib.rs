@@ -11,7 +11,6 @@
 //! | [`rand`]          | `rand` (`SmallRng`)        | seeded traffic generation    |
 //! | [`rematch`]       | `regex` (`Regex`)          | filter `~` string matching   |
 //! | [`mod@proptest`]  | `proptest`                 | property tests everywhere    |
-//! | [`mod@bench`]     | `criterion`                | `crates/bench/benches`       |
 //! | [`hash`]          | `fxhash`/`ahash`           | conn-table shard maps        |
 //!
 //! [`mod@prefetch`] replaces nothing: it is the workspace's one software
@@ -20,11 +19,10 @@
 //! The replacements implement the *subset* of each upstream API this
 //! repository actually uses, with the same call-site shapes, so the
 //! migration is an import swap rather than a rewrite. Determinism is a
-//! design goal throughout: nothing in this crate reads ambient entropy,
-//! the clock only feeds benchmark timing, and property tests derive
-//! their seeds from test names (see [`mod@proptest`] module docs).
+//! design goal throughout: nothing in this crate reads ambient entropy
+//! or the clock, and property tests derive their seeds from test names
+//! (see [`mod@proptest`] module docs).
 
-pub mod bench;
 pub mod bytes;
 pub mod hash;
 pub mod prefetch;
@@ -151,29 +149,6 @@ macro_rules! prop_oneof {
     };
 }
 
-/// Collects benchmark functions into a runnable group
-/// (criterion-compatible surface for `harness = false` bench targets).
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut __criterion = $crate::bench::Criterion::default().configure_from_args();
-            $( $target(&mut __criterion); )+
-        }
-    };
-}
-
-/// Emits `main` running each group built by
-/// [`criterion_group!`](crate::criterion_group!).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod macro_tests {
     use crate::proptest::prelude::*;
@@ -207,15 +182,5 @@ mod macro_tests {
         // The no-config form expands to a plain fn; drive it manually to
         // prove both macro arms compile and run.
         default_config_runs();
-    }
-
-    criterion_group!(sample_benches, noop_bench);
-    fn noop_bench(c: &mut crate::bench::Criterion) {
-        c.bench_function("macro/noop", |b| b.iter(|| 1 + 1));
-    }
-
-    #[test]
-    fn criterion_group_macro_compiles_and_runs() {
-        sample_benches();
     }
 }

@@ -27,6 +27,16 @@
 #   * outputs are downcast back to their type in erased.rs
 #     (`TypedSubscription::invoke`) and offline.rs (`Direct`) only.
 #
+# Stream order has one owner as well — the connection's
+# `StreamReassembler` — and the tracked types take it as delivered
+# (`Tracked::on_stream(dir, &Mbuf, range)`): non-test
+# crates/core/src/subscribables.rs contains no `ParsedPacket::parse(`,
+# no `tcp_seq(` and no `.to_vec()`. A tracked type that re-parses held
+# frames and sorts them by sequence number is a second reassembler, and
+# the last one lost data the canonical one keeps (raw-u32 ordering
+# across a sequence wrap); a payload copied to a temporary in order to
+# be copied again into the stream is the copy §5.2 removed.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line; comment lines are ignored. Run as the `one-loop`
 # stage of scripts/ci.sh.
@@ -103,9 +113,18 @@ if [ "$dispatcher_calls" -ne 1 ]; then
     fail=1
 fi
 
+hits=$(code_lines crates/core/src/subscribables.rs |
+    grep -E 'ParsedPacket::parse\(|tcp_seq\(|\.to_vec\(\)' || true)
+if [ -n "$hits" ]; then
+    echo "a tracked type re-derives stream order or copies a payload twice (take on_stream as delivered):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline and executor's lane protocol instead of re-writing them" >&2
     exit 1
 fi
 echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
-echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites"
+echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites;"
+echo "  no tracked type in subscribables.rs re-parses, re-sorts or double-copies the stream"

@@ -18,7 +18,10 @@
 #                 burst verb), and the delivery fabric behind it stays
 #                 one: dispatch accounting in executor.rs only, one
 #                 channel_dispatcher call site, downcasts in erased.rs /
-#                 offline.rs only
+#                 offline.rs only; and stream order stays the
+#                 reassembler's: no tracked type in subscribables.rs
+#                 re-parses, re-sorts or double-copies what on_stream
+#                 hands it
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

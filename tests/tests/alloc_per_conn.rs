@@ -16,6 +16,11 @@
 //! that reaches its ClientHello under a four-protocol union probes
 //! against the tracker's shared prototypes and instantiates only the
 //! parser that wins, instead of boxing every candidate at its first SYN.
+//!
+//! The third holds the tracked-state diet: a `tls`-filtered `ConnRecord`
+//! allocates for the probe, the winning parser and the record it
+//! delivers — its tracked state borrows the service name, it does not
+//! clone it per connection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use retina_core::subscribables::{
     ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData, TlsHandshakeData,
 };
-use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
+use retina_core::{
+    CompiledFilter, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
+};
 use retina_protocols::tls::build::{client_hello_record, ClientHelloSpec};
 use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
@@ -199,27 +206,15 @@ fn client_hellos(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
     out
 }
 
-#[test]
-fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Warm-up connections establish in the first second and expire (5
-    // min inactivity) when the measured half, at 400 s, moves the clock;
-    // the measured ones are flushed by the end-of-run drain. Nothing is
-    // ever delivered (no ServerHello, and the other three protocols
-    // never show), so every allocation counted is the pipeline's own.
+/// Allocations per connection of the measured half of two
+/// [`client_hellos`] halves through `runtime`, and the full run's
+/// report. Warm-up connections establish in the first second and expire
+/// (5 min inactivity) when the measured half, at 400 s, moves the clock;
+/// the measured ones are flushed by the end-of-run drain.
+fn allocs_per_client_hello(runtime: &MultiRuntime<CompiledFilter>) -> (f64, RunReport) {
     let mut packets = client_hellos(0, 0);
     let warm = packets.len();
     packets.extend(client_hellos(TLS_N, 400 * SEC));
-
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
-        .subscribe_named("tls", "tls", |_: TlsHandshakeData| {})
-        .subscribe_named("http", "http", |_: HttpTransactionData| {})
-        .subscribe_named("dns", "dns", |_: DnsTransactionData| {})
-        .subscribe_named("ssh", "ssh", |_: SshHandshakeData| {})
-        .build()
-        .expect("runtime builds");
     // Two runs over prefixes of the same trace, differing by exactly the
     // measured half: the difference is what those connections allocated
     // at steady state (the prefix run grew every store first).
@@ -233,20 +228,65 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
     let (all_allocs, report) = run(&packets);
     assert_eq!(warm_report.cores.conns_created, u64::from(TLS_N));
     assert_eq!(report.cores.conns_created, u64::from(2 * TLS_N));
-    assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     assert!(
         report.cores.conns_peak < u64::from(TLS_N) + u64::from(TLS_N) / 4,
         "the halves must not overlap much: peak {}",
         report.cores.conns_peak
     );
-
     #[allow(clippy::cast_precision_loss)] // counts far below 2^52
     let per_conn = (all_allocs - warm_allocs) as f64 / f64::from(TLS_N);
+    (per_conn, report)
+}
+
+#[test]
+fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Nothing is ever delivered (no ServerHello, and the other three
+    // protocols never show), so every allocation counted is the
+    // pipeline's own.
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("tls", "tls", |_: TlsHandshakeData| {})
+        .subscribe_named("http", "http", |_: HttpTransactionData| {})
+        .subscribe_named("dns", "dns", |_: DnsTransactionData| {})
+        .subscribe_named("ssh", "ssh", |_: SshHandshakeData| {})
+        .build()
+        .expect("runtime builds");
+    let (per_conn, report) = allocs_per_client_hello(&runtime);
+    assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     // With a boxed candidate per protocol at the first SYN (the commit
     // before the prototypes) this read 14.02. Gone: the candidate list,
     // three of the four parsers, and the per-segment alive list.
     assert!(
         per_conn <= 14.0 - 5.0 + 0.05,
         "{per_conn:.3} allocations per probed TLS connection"
+    );
+}
+
+#[test]
+fn a_tls_conn_record_borrows_its_service_name() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    static RECORDS: AtomicU64 = AtomicU64::new(0);
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("tls-conns", "tls", |record: ConnRecord| {
+            assert_eq!(record.service.as_deref(), Some("tls"));
+            RECORDS.fetch_add(1, Ordering::Relaxed);
+        })
+        .build()
+        .expect("runtime builds");
+    let (per_conn, _) = allocs_per_client_hello(&runtime);
+    // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
+    assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
+    // What the pipeline needs: the probe state and its one prefix
+    // buffer, the winning parser, the boxed record and the record's
+    // `service` string — 5.02 with the slack of the first test. A
+    // `String` in the tracked state, cloned from the service name at the
+    // match, made it 6.02.
+    assert!(
+        per_conn <= 5.05,
+        "{per_conn:.3} allocations per tls-filtered ConnRecord"
     );
 }
