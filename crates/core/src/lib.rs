@@ -93,7 +93,7 @@ pub use subscription::{ConnView, Level, Subscribable, Tracked};
 // Re-exports so applications need only depend on retina-core.
 pub use retina_conntrack::FiveTuple;
 pub use retina_filter::{compile, CompiledFilter, FilterFns};
-pub use retina_nic::Mbuf;
+pub use retina_nic::{Mbuf, StreamBytes};
 pub use retina_protocols::Session;
 pub use retina_telemetry as telemetry;
 pub use retina_telemetry::{

@@ -2,12 +2,14 @@
 //!
 //! Their tracked types keep only what they alone know: the tuple, the
 //! stamps and the flow counters are read from the [`ConnView`] the hooks
-//! borrow, and stream order is the reassembler's, taken as delivered.
+//! borrow, and stream order is the reassembler's, taken as delivered —
+//! and kept as delivered: a byte stream is a chain of views into the
+//! frames, never a receive buffer the payload is copied into.
 
 use std::ops::Range;
 
 use retina_conntrack::{Dir, FiveTuple};
-use retina_nic::Mbuf;
+use retina_nic::{Mbuf, StreamBytes};
 use retina_protocols::http::HttpTransaction;
 use retina_protocols::tls::TlsHandshake;
 use retina_protocols::Session;
@@ -16,9 +18,11 @@ use retina_wire::ParsedPacket;
 use crate::erased::TypedEmitter;
 use crate::subscription::{ConnView, Level, Subscribable, Tracked};
 
-/// Cap on frames ([`ZcFrame`]) or data segments ([`ConnBytes`]) held per
-/// connection before the filter resolves (protects memory against
-/// filters that never resolve on a pathological connection).
+/// Cap on frames a [`ZcFrameTracker`] holds per connection before the
+/// filter resolves (protects memory against filters that never resolve
+/// on a pathological connection). For [`ZcFrame`] only: a byte stream has
+/// its own bounds, [`STREAM_CAPTURE_LIMIT`] and
+/// [`STREAM_CAPTURE_SEGMENTS`], which hold after the match too.
 const PRE_MATCH_BUFFER_CAP: usize = 4096;
 
 // ------------------------------------------------------------- ZcFrame
@@ -463,18 +467,34 @@ impl<S: FromSession + Send + 'static> Tracked for SessionLevelTracker<S> {
 /// Reconstructed byte-stream subscription (L4): the fully ordered
 /// payload bytes of each matching connection, delivered at termination.
 ///
-/// Reconstruction is lazy: before the filter matches, only mbuf
-/// references are held; bytes are copied into the stream buffers only
-/// once the connection is known to match (§5's TLS-byte-streams example).
+/// The streams are [`StreamBytes`]: chains of views into the frames that
+/// carried the payload, in the reassembler's order. Nothing was copied to
+/// build them — not before the filter matched, not after (§5.2) — so a
+/// callback reads them in place, or pays for the flat copy where it runs
+/// (a dispatch worker, when the subscription is dispatched):
+///
+/// ```
+/// # use retina_core::subscribables::ConnBytes;
+/// fn callback(conn: ConnBytes) {
+///     let in_place: usize = conn.client_stream.chunks().map(<[u8]>::len).sum();
+///     let flat: Vec<u8> = conn.client_stream.to_vec(); // the one copy, yours
+///     assert_eq!(in_place, flat.len());
+/// }
+/// ```
+///
+/// A live datum keeps the frames it views charged to their mempool: at
+/// most [`STREAM_CAPTURE_SEGMENTS`] per direction, ~719 for a full
+/// [`STREAM_CAPTURE_LIMIT`] of MSS-sized segments (see [`StreamBytes`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnBytes {
     /// Oriented five-tuple.
     pub tuple: FiveTuple,
     /// Ordered originator → responder payload.
-    pub client_stream: Vec<u8>,
+    pub client_stream: StreamBytes,
     /// Ordered responder → originator payload.
-    pub server_stream: Vec<u8>,
-    /// True when either stream hit the capture cap and was truncated.
+    pub server_stream: StreamBytes,
+    /// True when either stream hit a capture cap (bytes or segments) and
+    /// was truncated.
     pub truncated: bool,
 }
 
@@ -490,33 +510,27 @@ impl Subscribable for ConnBytes {
     }
 }
 
-/// Default per-direction capture cap for [`ConnBytes`].
+/// Per-direction capture cap for [`ConnBytes`], in payload bytes: the
+/// bound on what a connection's streams deliver, before the filter
+/// matches and after.
 pub const STREAM_CAPTURE_LIMIT: usize = 1 << 20;
 
-/// Tracker for [`ConnBytes`]. The stream arrives already ordered
-/// ([`Tracked::on_stream`]): before the match its segments are held by
-/// reference, in that order; from the match on they are appended.
+/// Per-direction guard on the frames a [`ConnBytes`] stream pins: a
+/// segment holds its whole frame and pool charge however little payload
+/// it carries, so bytes alone would let a sender of 1-byte segments pin a
+/// million frames. Full-MSS traffic reaches [`STREAM_CAPTURE_LIMIT`] at
+/// ~719 segments and never sees this; a stream that does is `truncated`.
+pub const STREAM_CAPTURE_SEGMENTS: usize = 4096;
+
+/// Tracker for [`ConnBytes`]. Holding is the stream: each in-order
+/// segment ([`Tracked::on_stream`]) is kept as a view, whether or not the
+/// filter has matched yet, so a match has nothing to replay and
+/// termination hands the two chains over as they are.
 #[derive(Debug)]
 pub struct ConnBytesTracker {
-    held: Vec<(Dir, Mbuf, Range<usize>)>,
-    client_stream: Vec<u8>,
-    server_stream: Vec<u8>,
-    matched: bool,
+    client_stream: StreamBytes,
+    server_stream: StreamBytes,
     truncated: bool,
-}
-
-impl ConnBytesTracker {
-    fn append(&mut self, dir: Dir, data: &[u8]) {
-        let buf = match dir {
-            Dir::OrigToResp => &mut self.client_stream,
-            Dir::RespToOrig => &mut self.server_stream,
-        };
-        let room = STREAM_CAPTURE_LIMIT.saturating_sub(buf.len());
-        if data.len() > room {
-            self.truncated = true;
-        }
-        buf.extend_from_slice(&data[..data.len().min(room)]);
-    }
 }
 
 impl Tracked for ConnBytesTracker {
@@ -524,10 +538,8 @@ impl Tracked for ConnBytesTracker {
 
     fn new(_tuple: &FiveTuple, _ts: u64) -> Self {
         ConnBytesTracker {
-            held: Vec::new(),
-            client_stream: Vec::new(),
-            server_stream: Vec::new(),
-            matched: false,
+            client_stream: StreamBytes::new(),
+            server_stream: StreamBytes::new(),
             truncated: false,
         }
     }
@@ -535,14 +547,19 @@ impl Tracked for ConnBytesTracker {
     fn pre_match(&mut self, _mbuf: &Mbuf, _pkt: &ParsedPacket) {}
 
     fn on_stream(&mut self, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
-        if self.matched {
-            self.append(dir, &mbuf.data()[payload]);
-        } else if self.held.len() < PRE_MATCH_BUFFER_CAP {
-            // Hold by reference only; copy nothing until the filter matches.
-            self.held.push((dir, mbuf.clone(), payload));
+        let stream = match dir {
+            Dir::OrigToResp => &mut self.client_stream,
+            Dir::RespToOrig => &mut self.server_stream,
+        };
+        let room = if stream.segments() < STREAM_CAPTURE_SEGMENTS {
+            STREAM_CAPTURE_LIMIT - stream.len()
         } else {
-            self.truncated = true;
-        }
+            0
+        };
+        self.truncated |= payload.len() > room;
+        // The segment that crosses the byte cap is cut to fit; later ones
+        // (and any past the segment guard) are not held at all.
+        stream.push(mbuf, payload.start..payload.start + payload.len().min(room));
     }
 
     fn on_match(
@@ -552,10 +569,6 @@ impl Tracked for ConnBytesTracker {
         _session: Option<&Session>,
         _out: &mut TypedEmitter<'_, ConnBytes>,
     ) {
-        self.matched = true;
-        for (dir, mbuf, payload) in std::mem::take(&mut self.held) {
-            self.append(dir, &mbuf.data()[payload]);
-        }
     }
 
     fn post_match(

@@ -8,16 +8,25 @@
 //! ```text
 //! new → pre_match* / on_stream*   (engaged: hold what may be needed)
 //!     → on_match                  (filter fully matched: emit ready data)
-//!     → post_match* / on_stream*  (emit / accumulate for the rest of the conn)
+//!     → post_match* / on_stream*  (emit / keep holding for the rest of the conn)
 //!     → on_terminate              (emit end-of-connection data)
 //! ```
+//!
+//! A stream subscription holds views, not bytes: what `on_stream` hands
+//! over is kept by reference on both sides of the match (so `on_match`
+//! has nothing to replay), under one bound — for the built-in
+//! [`crate::subscribables::ConnBytes`],
+//! [`crate::subscribables::STREAM_CAPTURE_LIMIT`] payload bytes, and
+//! [`crate::subscribables::STREAM_CAPTURE_SEGMENTS`] views because each
+//! pins a whole frame — and the flat copy — if anyone
+//! wants one — is made by the subscriber, where its callback runs.
 //!
 //! **One owner per connection fact.** The five-tuple, the first- and
 //! last-packet stamps and the flow counters live once, in the tracker's
 //! table entry; `on_match` and `on_terminate` borrow them as a
 //! [`ConnView`]. A tracked type keeps only what it alone knows (a held
-//! frame, the service it matched with, stream bytes), so no copy can
-//! drift from the original.
+//! frame, the service it matched with, views of the stream), so no copy
+//! can drift from the original.
 //!
 //! **One owner of stream order.** The connection's reassembler orders
 //! the stream once; [`Tracked::on_stream`] receives each in-order
@@ -112,8 +121,9 @@ pub trait Tracked: Send {
     /// The next in-order payload segment of direction `dir`,
     /// `mbuf.data()[payload]`. Delivered, when [`Tracked::needs_stream`]
     /// is true, from the moment the subscription is engaged — before the
-    /// match too, where the lazy principle applies: hold the reference
-    /// (an mbuf clone and the range), copy nothing.
+    /// match and after it, and the same on both sides: hold the
+    /// reference (a [`retina_nic::StreamBytes`] view, or an mbuf clone
+    /// and the range), copy nothing.
     fn on_stream(&mut self, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
         let _ = (dir, mbuf, payload);
     }

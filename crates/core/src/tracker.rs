@@ -97,11 +97,19 @@ impl ProbeSet {
     }
 
     /// Evaluates the candidates still alive in `ps`, in set order,
-    /// against both accumulated prefixes: the first candidate certain of
-    /// the stream, if any, and the alive mask less the candidates every
+    /// against both directions' prefixes — `in_place`, the segment being
+    /// delivered, standing for its direction's (see
+    /// [`ProbeState::prefixes`]): the first candidate certain of the
+    /// stream, if any, and the alive mask less the candidates every
     /// nonempty prefix ruled out. A panic while probing eliminates the
     /// candidate (recoverable, counted in `panics`), never the worker.
-    fn probe(&self, ps: &ProbeState, panics: &mut u64) -> (Option<usize>, u64) {
+    fn probe(
+        &self,
+        ps: &ProbeState,
+        in_place: Option<(Direction, &[u8])>,
+        panics: &mut u64,
+    ) -> (Option<usize>, u64) {
+        let prefixes = ps.prefixes(in_place);
         let mut alive = ps.alive;
         let mut candidates = ps.alive;
         while candidates != 0 {
@@ -112,10 +120,7 @@ impl ProbeSet {
                 .expect("alive candidates have prototypes");
             let mut not_for_us = 0;
             let mut nonempty = 0;
-            for (buf, d) in [
-                (&ps.buf_ts, Direction::ToServer),
-                (&ps.buf_tc, Direction::ToClient),
-            ] {
+            for (buf, d) in prefixes {
                 if buf.is_empty() {
                     continue;
                 }
@@ -140,8 +145,9 @@ impl ProbeSet {
     }
 }
 
-/// Probing state: accumulated stream prefixes plus which candidates of
-/// the connection's [`ProbeSet`] are still in the running.
+/// Probing state: which candidates of the connection's [`ProbeSet`] are
+/// still in the running, plus — only for a direction whose first
+/// segment left every candidate unsure — the stream prefix so far.
 struct ProbeState {
     /// Index of the candidate set in the tracker's `probe_sets`.
     set: u32,
@@ -155,6 +161,37 @@ impl ProbeState {
     /// Bytes the two prefix buffers hold on the heap.
     fn buffered(&self) -> usize {
         self.buf_ts.capacity() + self.buf_tc.capacity()
+    }
+
+    /// Both directions' stream prefixes, client's first: what is
+    /// buffered, except that `in_place` — a segment of a direction that
+    /// has buffered nothing — is that direction's prefix where it lies
+    /// in its frame.
+    fn prefixes<'a>(
+        &'a self,
+        in_place: Option<(Direction, &'a [u8])>,
+    ) -> [(&'a [u8], Direction); 2] {
+        let prefix = |buf: &'a Vec<u8>, d| match in_place {
+            Some((at, segment)) if at == d => (segment, d),
+            _ => (buf.as_slice(), d),
+        };
+        [
+            prefix(&self.buf_ts, Direction::ToServer),
+            prefix(&self.buf_tc, Direction::ToClient),
+        ]
+    }
+
+    /// Appends `data` to direction `d`'s prefix buffer — the one copy on
+    /// the probe path, made only for a record that straddles segments —
+    /// and returns how many heap bytes the buffer grew by.
+    fn spill(&mut self, d: Direction, data: &[u8]) -> usize {
+        let buf = match d {
+            Direction::ToServer => &mut self.buf_ts,
+            Direction::ToClient => &mut self.buf_tc,
+        };
+        let held = buf.capacity();
+        buf.extend_from_slice(data);
+        buf.capacity() - held
     }
 }
 
@@ -291,7 +328,7 @@ const _: () = {
     };
     assert!(std::mem::size_of::<SessionLevelTracker<TlsHandshakeData>>() == 0);
     assert!(std::mem::size_of::<ConnRecordTracker>() <= 16);
-    assert!(std::mem::size_of::<ConnBytesTracker>() <= 80);
+    assert!(std::mem::size_of::<ConnBytesTracker>() <= 72);
 };
 
 impl Conn {
@@ -645,24 +682,32 @@ impl<F: FilterFns> Machine<F> {
         };
         match &mut conn.phase {
             Phase::Probing(ps) => {
-                let buf = match pdir {
-                    Direction::ToServer => &mut ps.buf_ts,
-                    Direction::ToClient => &mut ps.buf_tc,
+                let buffered = match pdir {
+                    Direction::ToServer => ps.buf_ts.len(),
+                    Direction::ToClient => ps.buf_tc.len(),
                 };
-                if buf.len() + data.len() > PROBE_BUFFER_CAP {
+                if buffered + data.len() > PROBE_BUFFER_CAP {
                     return self.conn_layer_failed(conn);
                 }
-                let held = buf.capacity();
-                buf.extend_from_slice(data);
-                self.probe_bytes += buf.capacity() - held;
-
+                // A direction that has buffered nothing is probed in
+                // place, on the frame; one that has is probed on its
+                // buffer, this segment appended.
+                let in_place = (buffered == 0).then_some((pdir, data));
+                if in_place.is_none() {
+                    self.probe_bytes += ps.spill(pdir, data);
+                }
                 let set = &self.probe_sets[ps.set as usize];
-                let (selected, alive) = set.probe(ps, &mut self.stats.parser_panics);
+                let (selected, alive) = set.probe(ps, in_place, &mut self.stats.parser_panics);
                 let Some(i) = selected else {
                     // Drop eliminated candidates; fail when none remain.
                     ps.alive = alive;
                     if alive == 0 {
                         return self.conn_layer_failed(conn);
+                    }
+                    // Every candidate left is unsure of a record that
+                    // ends in a later segment: only now is it copied.
+                    if in_place.is_some() {
+                        self.probe_bytes += ps.spill(pdir, data);
                     }
                     return Disposition::Keep;
                 };
@@ -675,7 +720,6 @@ impl<F: FilterFns> Machine<F> {
                 let Phase::Probing(ps) = self.set_phase(conn, Phase::Tracking) else {
                     unreachable!("matched on Phase::Probing above");
                 };
-                let ProbeState { buf_ts, buf_tc, .. } = *ps;
 
                 // Connection filter (Figure 4's first pseudostate)
                 // over the still-live subscriptions.
@@ -687,12 +731,13 @@ impl<F: FilterFns> Machine<F> {
                     return self.settle(conn, DiscardCause::ConnFilter);
                 }
                 self.set_phase(conn, Phase::Parsing { parser, service });
-                // Replay the buffered prefixes through the parser.
-                for (buf, d) in [(buf_ts, Direction::ToServer), (buf_tc, Direction::ToClient)] {
-                    if buf.is_empty() {
+                // Feed the parser both prefixes, client's first: what
+                // was buffered, and this segment where it lies.
+                for (prefix, d) in ps.prefixes(in_place) {
+                    if prefix.is_empty() {
                         continue;
                     }
-                    let disp = self.parse_data(entry, &buf, d);
+                    let disp = self.parse_data(entry, prefix, d);
                     if disp != Disposition::Keep {
                         return disp;
                     }

@@ -18,14 +18,18 @@
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-use retina_core::offline::run_offline;
+use retina_core::offline::{run_offline, Direct};
 use retina_core::runtime::{Runtime, TrafficSource};
 use retina_core::subscribables::{
     ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SessionRecord,
-    TlsHandshakeData, ZcFrame,
+    TlsHandshakeData, ZcFrame, STREAM_CAPTURE_LIMIT, STREAM_CAPTURE_SEGMENTS,
 };
-use retina_core::RuntimeConfig;
+use retina_core::{
+    CompiledFilter, CorePipeline, DispatchMode, ErasedSubscription, RuntimeConfig, Transport,
+    TypedSubscription, BURST_MAX,
+};
 use retina_filter::compile;
+use retina_nic::{Mbuf, Mempool, RssHasher};
 use retina_protocols::http;
 use retina_protocols::ssh;
 use retina_protocols::tls::build::{
@@ -33,8 +37,12 @@ use retina_protocols::tls::build::{
     ServerHelloSpec,
 };
 use retina_support::bytes::Bytes;
+use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_wire::build::{build_tcp, build_udp, TcpSpec, UdpSpec};
-use retina_wire::TcpFlags;
+use retina_wire::{ParsedPacket, TcpFlags};
+
+/// Standard Ethernet MSS: where [`Conversation::send`] cuts a message.
+const MSS: usize = 1460;
 
 /// Builds the packet sequence of a full TCP conversation: handshake,
 /// alternating payload exchanges, graceful FIN teardown.
@@ -111,6 +119,17 @@ impl Conversation {
         let (c, s, seq, ack) = (self.server, self.client, self.sseq, self.cseq);
         self.push_raw(c, s, seq, ack, TcpFlags::ACK | TcpFlags::PSH, payload);
         self.sseq = self.sseq.wrapping_add(payload.len() as u32);
+    }
+
+    /// Sends `data` as full-MSS segments (the last one shorter).
+    fn send(&mut self, from_client: bool, data: &[u8]) {
+        for segment in data.chunks(MSS) {
+            if from_client {
+                self.client_data(segment);
+            } else {
+                self.server_data(segment);
+            }
+        }
     }
 
     fn finish(mut self) -> Vec<(Bytes, u64)> {
@@ -469,10 +488,10 @@ fn conn_bytes_reconstruction() {
     run_offline::<ConnBytes, _>(&filter, &cfg(), packets, |b| out.push(b));
     assert_eq!(out.len(), 1);
     let cb = &out[0];
-    let client = String::from_utf8_lossy(&cb.client_stream);
+    let client = String::from_utf8_lossy(&cb.client_stream.to_vec()).into_owned();
     assert!(client.starts_with("GET /page0 HTTP/1.1\r\n"), "{client}");
     assert!(client.contains("Host: stream.test"));
-    let server = String::from_utf8_lossy(&cb.server_stream);
+    let server = String::from_utf8_lossy(&cb.server_stream.to_vec()).into_owned();
     assert!(server.starts_with("HTTP/1.1 200 OK"), "{server}");
     assert!(!cb.truncated);
 }
@@ -530,6 +549,338 @@ fn conn_bytes_held_stream_is_reordered_once() {
         let (request, swapped, ooo_buffered) = split_request_conn_bytes(isn, true);
         assert_eq!(swapped.client_stream, request, "isn {isn:#x}");
         assert!(ooo_buffered >= 1, "the early segment was buffered");
+    }
+}
+
+/// A keep-alive HTTP conversation, not yet closed, that moves at least
+/// `bytes` each way in ~10 KB requests (a padded URI) and responses,
+/// the client announcing `user_agent`; and what each side sent.
+fn bulk_http(user_agent: &str, bytes: usize) -> (Conversation, Vec<u8>, Vec<u8>) {
+    let mut conv = Conversation::new("10.0.0.1:40000", "1.1.1.1:80", 0);
+    let (mut up, mut down) = (Vec::new(), Vec::new());
+    let uri = format!("/{}", "a".repeat(9_900));
+    while up.len() < bytes || down.len() < bytes {
+        let request = http::build_request("GET", &uri, "bulk.test", user_agent);
+        let response = http::build_response(200, 10_000);
+        conv.send(true, &request);
+        conv.send(false, &response);
+        up.extend(request);
+        down.extend(response);
+    }
+    (conv, up, down)
+}
+
+/// One core's pipeline serving `S` under `filter`, to be driven by hand.
+fn pipeline_for<S: retina_core::Subscribable>(filter: &str) -> CorePipeline<CompiledFilter> {
+    let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
+    CorePipeline::new(Arc::new(compile(filter).unwrap()), &[sub], &cfg(), None)
+}
+
+/// Hands `packets` to the pipeline as an RX queue would: every frame
+/// charged to `pool` and stamped, each burst's mbufs gone once
+/// `on_burst` returns.
+fn feed_pooled<T: Transport>(
+    pipeline: &mut CorePipeline<CompiledFilter>,
+    transport: &mut T,
+    pool: &Mempool,
+    packets: &[(Bytes, u64)],
+) {
+    let rss = RssHasher::symmetric();
+    for burst in packets.chunks(BURST_MAX) {
+        let mbufs = burst.iter().map(|(frame, ts)| {
+            let mut mbuf = Mbuf::from_bytes_in(frame.clone(), pool);
+            mbuf.timestamp_ns = *ts;
+            mbuf.rss_hash = rss.hash_packet(&ParsedPacket::parse(frame).unwrap());
+            mbuf
+        });
+        pipeline.on_burst(mbufs, [], transport);
+    }
+}
+
+/// Ethernet + IPv4 + TCP headers of every frame a `Conversation` builds.
+const HEADERS: usize = 54;
+
+#[test]
+fn conn_bytes_undecided_stream_pins_one_capture_cap() {
+    // No transaction ever matches, and HTTP keeps parsing after a miss:
+    // the subscription stays undecided — holding its stream — while 2 MiB
+    // go by each way. What it pins is bounded in bytes, by the capture cap
+    // (a 4096-segment hold let this connection pin all 4 MiB).
+    let (conv, ..) = bulk_http("Mozilla/5.0", 2 << 20);
+    let live = conv.packets.len();
+    let packets = conv.finish();
+    let pool = Mempool::new(1 << 16);
+    let mut pipeline = pipeline_for::<ConnBytes>("http.user_agent matches 'never'");
+    let mut delivered = 0;
+    let mut transport = Direct::new(|_: ConnBytes| delivered += 1);
+    feed_pooled(&mut pipeline, &mut transport, &pool, &packets[..live]);
+    let stats = pipeline.tracker().stats();
+    assert_eq!((stats.conns_created, stats.conns_discarded), (1, 0));
+    assert!(
+        stats.session_filter.runs > 200,
+        "parsed and missed throughout"
+    );
+    let pinned_payload = pool.bytes_in_use() - HEADERS * pool.in_use();
+    assert!(
+        pinned_payload >= 2 * STREAM_CAPTURE_LIMIT,
+        "both caps reached"
+    );
+    assert!(
+        pinned_payload <= 2 * (STREAM_CAPTURE_LIMIT + MSS),
+        "{pinned_payload} payload bytes pinned in {} frames",
+        pool.in_use()
+    );
+    feed_pooled(&mut pipeline, &mut transport, &pool, &packets[live..]);
+    pipeline.drain(&mut transport);
+    assert_eq!(
+        pool.in_use(),
+        0,
+        "an unmatched stream dies with its connection"
+    );
+    assert_eq!(delivered, 0);
+}
+
+#[test]
+fn conn_bytes_matched_stream_is_cut_at_the_cap_exactly() {
+    // The same conversation from a client the filter wants: matched by
+    // its first transaction, captured up to the cap — held before the
+    // match or after, one cap — and cut mid-segment to land on it.
+    let (conv, up, down) = bulk_http("curl/8.0", 2 << 20);
+    let filter = Arc::new(compile("http.user_agent matches 'curl'").unwrap());
+    let mut out: Vec<ConnBytes> = Vec::new();
+    run_offline::<ConnBytes, _>(&filter, &cfg(), conv.finish(), |b| out.push(b));
+    assert_eq!(out.len(), 1);
+    let cb = &out[0];
+    assert!(cb.truncated);
+    assert_eq!(cb.client_stream.len(), STREAM_CAPTURE_LIMIT);
+    assert_eq!(cb.server_stream.len(), STREAM_CAPTURE_LIMIT);
+    assert_eq!(cb.client_stream, up[..STREAM_CAPTURE_LIMIT]);
+    assert_eq!(cb.server_stream, down[..STREAM_CAPTURE_LIMIT]);
+}
+
+#[test]
+fn conn_bytes_small_segments_pin_a_bounded_number_of_frames() {
+    // A sender that writes one byte per segment: every byte held pins a
+    // whole frame, so the byte cap alone would let this one connection
+    // hold all 10 000 of its data frames, exhaust the pool and leave the
+    // paced ingest waiting for buffers that only a later packet's
+    // timestamp could free — a run that never returns. The segment guard
+    // stops each direction at `STREAM_CAPTURE_SEGMENTS` views.
+    const EACH_WAY: usize = 5000;
+    const RING: usize = 256;
+    let mut conv = Conversation::new("10.0.0.1:40000", "1.1.1.1:9000", 0);
+    let up: Vec<u8> = (0..EACH_WAY).map(|i| i as u8).collect();
+    let down: Vec<u8> = up.iter().map(|b| !b).collect();
+    for (u, d) in up.iter().zip(&down) {
+        conv.client_data(&[*u]);
+        conv.server_data(&[*d]);
+    }
+    let packets = conv.finish();
+    let mut config = cfg();
+    config.device.ring_capacity = RING;
+    let pool_size = 2 * STREAM_CAPTURE_SEGMENTS + 2 * RING;
+    config.device.mempool_capacity = pool_size;
+    assert!(config.paced_ingest);
+    assert!(2 * EACH_WAY > pool_size);
+    struct Src(Vec<(Bytes, u64)>);
+    impl TrafficSource for Src {
+        fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
+            out.append(&mut self.0);
+            !out.is_empty()
+        }
+    }
+    let kept = Arc::new(Mutex::new(Vec::new()));
+    let k2 = Arc::clone(&kept);
+    let mut rt = Runtime::<ConnBytes, _>::new(config, compile("tcp").unwrap(), move |cb| {
+        k2.lock().unwrap().push(cb);
+    })
+    .unwrap();
+    let report = rt.run(Src(packets));
+    assert!(report.zero_loss());
+    // Two guards' worth of views, a ring and a burst in flight: the pool
+    // never ran dry.
+    assert!(
+        report.mbuf_high_water < pool_size,
+        "high water {}",
+        report.mbuf_high_water
+    );
+    let pool = rt.nic().mempool();
+    assert_eq!(pool.in_use(), 2 * STREAM_CAPTURE_SEGMENTS);
+    {
+        let kept = kept.lock().unwrap();
+        assert_eq!(kept.len(), 1);
+        let cb = &kept[0];
+        assert!(cb.truncated);
+        assert_eq!(cb.client_stream.segments(), STREAM_CAPTURE_SEGMENTS);
+        assert_eq!(cb.client_stream, up[..STREAM_CAPTURE_SEGMENTS]);
+        assert_eq!(cb.server_stream, down[..STREAM_CAPTURE_SEGMENTS]);
+    }
+    kept.lock().unwrap().clear();
+    assert_eq!(pool.in_use(), 0);
+}
+
+#[test]
+fn conn_bytes_datum_keeps_its_frames_charged() {
+    // Three TLS conversations, five data frames each. Once they have
+    // terminated nothing is in flight — no ring, no burst, no table
+    // entry — so the pool's occupancy is exactly what the delivered
+    // data still view.
+    let packets: Vec<_> = (0..3u32)
+        .flat_map(|i| {
+            let client = format!("10.0.0.{}:4000{i}", i + 1);
+            tls_conversation(&client, "1.1.1.1:443", "a.com", u64::from(i) * 50_000_000)
+        })
+        .collect();
+    let pool = Mempool::new(1 << 10);
+    let mut pipeline = pipeline_for::<ConnBytes>("tcp");
+    let mut out: Vec<ConnBytes> = Vec::new();
+    let mut transport = Direct::new(|b| out.push(b));
+    feed_pooled(&mut pipeline, &mut transport, &pool, &packets);
+    assert_eq!(pipeline.tracker().connections(), 0);
+    assert_eq!(out.len(), 3);
+    assert_eq!(pool.in_use(), 3 * 5);
+    for cb in &out {
+        assert_eq!(cb.client_stream.chunks().count(), 2);
+        assert_eq!(cb.server_stream.chunks().count(), 3);
+    }
+    // A clone views the same frames; each datum releases its own five.
+    let copy = out[0].clone();
+    out.remove(0);
+    assert_eq!(pool.in_use(), 3 * 5);
+    drop(copy);
+    assert_eq!(pool.in_use(), 2 * 5);
+    out.clear();
+    assert_eq!(pool.in_use(), 0);
+}
+
+#[test]
+fn conn_bytes_frames_are_released_where_the_datum_drops() {
+    // Through the virtual NIC and the threaded runtime: a datum kept
+    // past the run keeps its frames charged to the NIC's pool; one
+    // dropped by its callback — on the RX core, or on a dispatch worker
+    // — has released them by the time the run returns.
+    let packets: Vec<(Bytes, u64)> = (0..20u32)
+        .flat_map(|i| {
+            let client = format!("10.4.0.{}:4{i:04}", i + 1);
+            tls_conversation(&client, "1.1.1.1:443", "a.com", u64::from(i) * 10_000_000)
+        })
+        .collect();
+    struct Src(Vec<(Bytes, u64)>);
+    impl TrafficSource for Src {
+        fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
+            out.append(&mut self.0);
+            !out.is_empty()
+        }
+    }
+    let run = |mode: DispatchMode, keep: bool| {
+        let kept = Arc::new(Mutex::new(Vec::new()));
+        let k2 = Arc::clone(&kept);
+        let filter = compile("tcp").unwrap();
+        let mut rt = Runtime::<ConnBytes, _>::new(cfg(), filter, move |cb| {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("retina-cb-"));
+            assert_eq!(on_worker, mode != DispatchMode::Inline);
+            if keep {
+                k2.lock().unwrap().push(cb);
+            }
+        })
+        .unwrap();
+        rt.set_dispatch_mode(mode);
+        let report = rt.run(Src(packets.clone()));
+        assert!(report.zero_loss());
+        assert_eq!(report.cores.callbacks.runs, 20);
+        (Arc::clone(rt.nic()), kept)
+    };
+    for mode in [DispatchMode::Inline, DispatchMode::dedicated(2)] {
+        let (nic, kept) = run(mode, true);
+        assert_eq!(nic.mempool().in_use(), 20 * 5, "{mode:?}");
+        kept.lock().unwrap().clear();
+        assert_eq!(nic.mempool().in_use(), 0, "{mode:?}");
+        let (nic, _) = run(mode, false);
+        assert_eq!(nic.mempool().in_use(), 0, "{mode:?}");
+    }
+}
+
+/// One direction of a TCP stream as a hostile network delivers it:
+/// `payload` cut into segments of 1..=1460 bytes, some adjacent pairs
+/// swapped, some segments sent twice. `(offset into payload, length)`
+/// per frame, in wire order.
+fn mangled_segments(rng: &mut SmallRng, payload: &[u8]) -> Vec<(usize, usize)> {
+    let mut segments = Vec::new();
+    let mut at = 0;
+    while at < payload.len() {
+        let len = rng.random_range(1..MSS + 1).min(payload.len() - at);
+        segments.push((at, len));
+        at += len;
+    }
+    let mut i = 0;
+    while i + 1 < segments.len() {
+        if rng.random_range(0..4u32) == 0 {
+            segments.swap(i, i + 1);
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    let mut wire = Vec::new();
+    for segment in segments {
+        wire.push(segment);
+        if rng.random_range(0..5u32) == 0 {
+            wire.push(segment); // a whole-segment retransmission
+        }
+    }
+    wire
+}
+
+/// `payload` from the client, mangled by `seed`, the client counting
+/// from `isn`; the server answers with a fixed banner. Returns what the
+/// `ConnBytes` subscription delivered.
+fn mangled_upload(seed: u64, isn: u32, payload: &[u8]) -> ConnBytes {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut conv = Conversation::with_isn("10.0.0.1:40000", "1.1.1.1:9000", 0, isn);
+    let (client, server, base, sseq) = (conv.client, conv.server, conv.cseq, conv.sseq);
+    for (at, len) in mangled_segments(&mut rng, payload) {
+        let seq = base.wrapping_add(at as u32);
+        let flags = TcpFlags::ACK | TcpFlags::PSH;
+        conv.push_raw(client, server, seq, sseq, flags, &payload[at..at + len]);
+    }
+    conv.cseq = base.wrapping_add(payload.len() as u32);
+    conv.server_data(b"stored\n");
+    let filter = Arc::new(compile("tcp").unwrap());
+    let mut out: Vec<ConnBytes> = Vec::new();
+    run_offline::<ConnBytes, _>(&filter, &cfg(), conv.finish(), |b| out.push(b));
+    assert_eq!(out.len(), 1);
+    out.pop().unwrap()
+}
+
+#[test]
+fn conn_bytes_is_the_bytes_sent_however_they_were_cut() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_B17E5);
+    for case in 0..24u64 {
+        let mut payload = vec![0u8; rng.random_range(1..40_000usize)];
+        rng.fill(&mut payload);
+        // The client's ISN on both sides of 2^32: far from the wrap,
+        // and close enough below it that this payload crosses it.
+        let before_wrap = rng.random_range(1..payload.len() as u32 + 1);
+        for isn in [rng.random::<u32>() >> 1, 0u32.wrapping_sub(before_wrap)] {
+            let one = mangled_upload(case, isn, &payload);
+            let other = mangled_upload(case ^ 0xFFFF, isn, &payload);
+            let ctx = format!("case {case}, isn {isn:#x}, {} bytes", payload.len());
+            assert_eq!(one.client_stream.to_vec(), payload, "{ctx}");
+            let chunks: Vec<&[u8]> = one.client_stream.chunks().collect();
+            assert_eq!(chunks.concat(), payload, "{ctx}");
+            assert_eq!(
+                one.client_stream.len(),
+                chunks.iter().map(|c| c.len()).sum::<usize>(),
+                "{ctx}"
+            );
+            assert!(!one.truncated, "{ctx}");
+            // Another segmentation of the same bytes: another chain of
+            // views, the same stream.
+            assert_eq!(one, other, "{ctx}");
+            assert_eq!(one.server_stream, b"stored\n"[..], "{ctx}");
+        }
     }
 }
 

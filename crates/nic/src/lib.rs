@@ -11,6 +11,9 @@
 //!
 //! - [`Mbuf`] / [`Mempool`] — reference-counted packet buffers with
 //!   pool-level accounting, mirroring DPDK mbufs and mempools.
+//! - [`StreamBytes`] — an ordered byte stream held as views into the
+//!   frames that carried it (§5.2: reorder, do not copy), each view
+//!   keeping its frame's pool charge.
 //! - [`rss`] — symmetric Toeplitz receive-side scaling, so both directions
 //!   of a connection hash to the same core (§5.1).
 //! - [`reta`] — the RSS redirection table, including the §6.1 trick of
@@ -34,6 +37,7 @@ pub mod flow;
 pub mod mbuf;
 pub mod reta;
 pub mod rss;
+pub mod stream;
 
 pub use device::{DeviceConfig, IngestOutcome, PortStats, PortStatsSnapshot, VirtualNic};
 pub use faults::{FaultHooks, NoFaults};
@@ -41,3 +45,4 @@ pub use flow::{DeviceCaps, FlowAction, FlowRule, RuleItem};
 pub use mbuf::{Mbuf, Mempool};
 pub use reta::RedirectionTable;
 pub use rss::RssHasher;
+pub use stream::StreamBytes;

@@ -6,6 +6,7 @@
 //! `Mbuf` is a refcount bump, which is how the connection tracker holds
 //! out-of-order packets "by reference" (§5.2) without copying payloads.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -35,6 +36,29 @@ pub struct Mbuf {
     // Pool accounting guard: released (with the charge) when the last
     // clone drops. See [`Mbuf::pooled`].
     charge: Option<Arc<PoolCharge>>,
+}
+
+// A frame held out of order, or before a filter resolves, is one of
+// these per frame.
+const _: () = assert!(std::mem::size_of::<Mbuf>() == 72);
+
+/// A view of part of a frame that keeps the whole frame charged to its
+/// pool: what a [`crate::StreamBytes`] holds per segment. The bytes and
+/// the charge of an [`Mbuf`] without its receive metadata.
+#[derive(Clone)]
+pub(crate) struct FrameView {
+    data: Bytes,
+    _charge: Option<Arc<PoolCharge>>,
+}
+
+// What a held stream segment costs beside the frame it pins.
+const _: () = assert!(std::mem::size_of::<FrameView>() == 48);
+
+impl FrameView {
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.data
+    }
 }
 
 /// Shared accounting guard: decrements pool occupancy when the last
@@ -109,6 +133,17 @@ impl Mbuf {
     /// A cheap owned handle to the underlying bytes.
     pub fn bytes(&self) -> Bytes {
         self.data.clone()
+    }
+
+    /// A view of `self.data()[range]` sharing this mbuf's pool charge.
+    ///
+    /// # Panics
+    /// Panics if `range` is inverted or reaches past the frame.
+    pub(crate) fn view(&self, range: Range<usize>) -> FrameView {
+        FrameView {
+            data: self.data.slice(range),
+            _charge: self.charge.clone(),
+        }
     }
 
     /// Hints the CPU to fetch the frame's first `lines` cache lines (see

@@ -112,15 +112,19 @@ impl<R: Read> PcapReader<R> {
         if incl_len > MAX_SNAPLEN {
             return Err(PcapError::Malformed("capture length over bound"));
         }
-        let mut data = vec![0u8; incl_len as usize];
-        self.input.read_exact(&mut data)?;
+        // Read straight into the frame's final allocation.
+        let mut read = Ok(());
+        let data = Bytes::build(incl_len as usize, |frame| {
+            read = self.input.read_exact(frame);
+        });
+        read?;
         let frac_ns = if self.nanos {
             u64::from(ts_frac)
         } else {
             u64::from(ts_frac) * 1_000
         };
         let ts_ns = u64::from(ts_sec) * 1_000_000_000 + frac_ns;
-        Ok(Some((Bytes::from(data), ts_ns)))
+        Ok(Some((data, ts_ns)))
     }
 
     /// Reads every remaining frame into memory.
@@ -293,6 +297,22 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(matches!(r.next_packet(), Err(PcapError::Malformed(_))));
+    }
+
+    #[test]
+    fn frame_cut_short_is_an_io_error() {
+        // The record promises 10 bytes; the file ends after 4.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_NS.to_le_bytes());
+        buf.extend_from_slice(&[2, 0, 4, 0]);
+        buf.extend_from_slice(&[0; 12]);
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&[0; 8]);
+        buf.extend_from_slice(&10u32.to_le_bytes());
+        buf.extend_from_slice(&10u32.to_le_bytes());
+        buf.extend_from_slice(b"abcd");
+        let mut r = PcapReader::new(&buf[..]).unwrap();
+        assert!(matches!(r.next_packet(), Err(PcapError::Io(_))));
     }
 
     #[test]

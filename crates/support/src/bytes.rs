@@ -71,6 +71,20 @@ impl Bytes {
         }
     }
 
+    /// Builds `len` bytes in their final allocation: one zeroed shared
+    /// buffer, handed to `fill` before anyone else can see it. A frame
+    /// built this way is allocated once and copied never —
+    /// `Bytes::from(Vec<u8>)` is a second allocation and a second copy.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a fresh Arc has one owner"));
+        Bytes {
+            storage: Storage::Shared(data),
+            start: 0,
+            end: len,
+        }
+    }
+
     /// Length of this view in bytes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -165,6 +179,10 @@ impl Bytes {
         prefetch_lines(base.wrapping_add(self.start), lines);
     }
 }
+
+// A stream segment is an mbuf and a range, and an mbuf is mostly its
+// `Bytes`: a word added here is a word per held frame.
+const _: () = assert!(std::mem::size_of::<Bytes>() == 40);
 
 impl Default for Bytes {
     fn default() -> Self {
@@ -391,6 +409,19 @@ mod tests {
         let b = Bytes::copy_from_slice(&v);
         drop(v);
         assert_eq!(b, &[1u8, 2, 3][..]);
+    }
+
+    #[test]
+    fn build_fills_the_final_allocation() {
+        let b = Bytes::build(5, |buf| {
+            assert_eq!(buf, [0; 5], "handed over zeroed");
+            buf[1..4].copy_from_slice(b"abc");
+        });
+        assert_eq!(b, &[0, b'a', b'b', b'c', 0][..]);
+        assert_eq!(b, Bytes::from(b.to_vec()));
+        // Views share the built allocation like any other.
+        assert_eq!(b.slice(1..4).as_slice().as_ptr(), b[1..].as_ptr());
+        assert!(Bytes::build(0, |buf| assert!(buf.is_empty())).is_empty());
     }
 
     #[test]

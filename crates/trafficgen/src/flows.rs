@@ -13,13 +13,32 @@ use retina_protocols::tls::build::{
 };
 use retina_protocols::{dns, http, ssh};
 use retina_support::bytes::Bytes;
-use retina_wire::build::{build_icmpv4_echo, build_tcp, build_udp, TcpSpec, UdpSpec};
+use retina_wire::build::{
+    build_icmpv4_echo_into, build_tcp_into, build_udp_into, TcpSpec, UdpSpec, ICMPV4_ECHO_FRAME_LEN,
+};
 use retina_wire::TcpFlags;
 
 use crate::rng::Sampler;
 
 /// Standard Ethernet MSS.
 pub const MSS: usize = 1460;
+
+// Every frame is built in its final allocation: the generator feeds the
+// system under test and must cost less than it does.
+
+fn tcp_frame(spec: &TcpSpec<'_>) -> Bytes {
+    Bytes::build(spec.frame_len(), |frame| build_tcp_into(spec, frame))
+}
+
+fn udp_frame(spec: &UdpSpec<'_>) -> Bytes {
+    Bytes::build(spec.frame_len(), |frame| build_udp_into(spec, frame))
+}
+
+fn icmp_echo_frame(src: std::net::Ipv4Addr, dst: std::net::Ipv4Addr, seq: u16) -> Bytes {
+    Bytes::build(ICMPV4_ECHO_FRAME_LEN, |frame| {
+        build_icmpv4_echo_into(src, dst, 0x77, seq, frame);
+    })
+}
 
 /// A TCP conversation builder with sequenced segments and timestamps.
 pub struct FlowBuilder {
@@ -90,7 +109,7 @@ impl FlowBuilder {
         } else {
             (self.server, self.client, self.ttl_s)
         };
-        let frame = build_tcp(&TcpSpec {
+        let frame = tcp_frame(&TcpSpec {
             src,
             dst,
             seq,
@@ -100,7 +119,7 @@ impl FlowBuilder {
             ttl,
             payload,
         });
-        self.packets.push((Bytes::from(frame), self.ts_ns));
+        self.packets.push((frame, self.ts_ns));
     }
 
     /// Advances the simulated clock.
@@ -380,7 +399,7 @@ pub fn scan_syn(
     ts: u64,
     sampler: &mut Sampler,
 ) -> Vec<(Bytes, u64)> {
-    let frame = build_tcp(&TcpSpec {
+    let frame = tcp_frame(&TcpSpec {
         src: client,
         dst: server,
         seq: sampler.u64() as u32,
@@ -390,7 +409,7 @@ pub fn scan_syn(
         ttl: if sampler.chance(0.5) { 52 } else { 243 },
         payload: b"",
     });
-    vec![(Bytes::from(frame), ts)]
+    vec![(frame, ts)]
 }
 
 /// A DNS query/response exchange over UDP.
@@ -407,24 +426,24 @@ pub fn dns_exchange(
     let mut out = Vec::new();
     let q = dns::build_query(id, name, qtype);
     out.push((
-        Bytes::from(build_udp(&UdpSpec {
+        udp_frame(&UdpSpec {
             src: client,
             dst: resolver,
             ttl: 64,
             payload: &q,
-        })),
+        }),
         ts,
     ));
     if answered {
         let answers = 1 + sampler.range(0, 3) as u16;
         let r = dns::build_response(id, name, qtype, answers, 0);
         out.push((
-            Bytes::from(build_udp(&UdpSpec {
+            udp_frame(&UdpSpec {
                 src: resolver,
                 dst: client,
                 ttl: 60,
                 payload: &r,
-            })),
+            }),
             ts + 2_000_000 + sampler.range(0, 30_000_000),
         ));
     }
@@ -448,23 +467,23 @@ pub fn udp_opaque_flow(
     let scid: Vec<u8> = (0..8).map(|_| sampler.u64() as u8).collect();
     // Client and server Initials.
     out.push((
-        Bytes::from(build_udp(&UdpSpec {
+        udp_frame(&UdpSpec {
             src: client,
             dst: server,
             ttl: 64,
             payload: &build_long_header(1, &dcid, &[], payload_size.max(64)),
-        })),
+        }),
         ts,
     ));
     ts += sampler.exponential(10_000_000.0) as u64;
     if packets > 1 {
         out.push((
-            Bytes::from(build_udp(&UdpSpec {
+            udp_frame(&UdpSpec {
                 src: server,
                 dst: client,
                 ttl: 60,
                 payload: &build_long_header(1, &scid, &dcid, payload_size.max(64)),
-            })),
+            }),
             ts,
         ));
         ts += sampler.exponential(10_000_000.0) as u64;
@@ -483,12 +502,12 @@ pub fn udp_opaque_flow(
             (server, client)
         };
         out.push((
-            Bytes::from(build_udp(&UdpSpec {
+            udp_frame(&UdpSpec {
                 src,
                 dst,
                 ttl: 64,
                 payload: &payload,
-            })),
+            }),
             ts,
         ));
         ts += sampler.exponential(10_000_000.0) as u64;
@@ -504,14 +523,8 @@ pub fn icmp_ping(
     ts: u64,
 ) -> Vec<(Bytes, u64)> {
     vec![
-        (
-            Bytes::from(build_icmpv4_echo(client, server, 0x77, seq)),
-            ts,
-        ),
-        (
-            Bytes::from(build_icmpv4_echo(server, client, 0x77, seq)),
-            ts + 8_000_000,
-        ),
+        (icmp_echo_frame(client, server, seq), ts),
+        (icmp_echo_frame(server, client, seq), ts + 8_000_000),
     ]
 }
 

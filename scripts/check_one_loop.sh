@@ -31,11 +31,16 @@
 # `StreamReassembler` — and the tracked types take it as delivered
 # (`Tracked::on_stream(dir, &Mbuf, range)`): non-test
 # crates/core/src/subscribables.rs contains no `ParsedPacket::parse(`,
-# no `tcp_seq(` and no `.to_vec()`. A tracked type that re-parses held
-# frames and sorts them by sequence number is a second reassembler, and
-# the last one lost data the canonical one keeps (raw-u32 ordering
-# across a sequence wrap); a payload copied to a temporary in order to
-# be copied again into the stream is the copy §5.2 removed.
+# no `tcp_seq(`, no `.to_vec()` and no `extend_from_slice(`. A tracked
+# type that re-parses held frames and sorts them by sequence number is a
+# second reassembler, and the last one lost data the canonical one keeps
+# (raw-u32 ordering across a sequence wrap); a tracked type that appends
+# payload to a buffer of its own is the receive buffer §5.2 removed — a
+# stream is held as views into its frames (`StreamBytes`), and the flat
+# copy is the subscriber's to make. For the same reason non-test
+# crates/core/src/tracker.rs has exactly one `extend_from_slice(`: the
+# probe spill, which copies a prefix only when a record straddles
+# segments (a first segment is probed where it lies in its frame).
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line; comment lines are ignored. Run as the `one-loop`
@@ -114,10 +119,15 @@ if [ "$dispatcher_calls" -ne 1 ]; then
 fi
 
 hits=$(code_lines crates/core/src/subscribables.rs |
-    grep -E 'ParsedPacket::parse\(|tcp_seq\(|\.to_vec\(\)' || true)
+    grep -E 'ParsedPacket::parse\(|tcp_seq\(|\.to_vec\(\)|extend_from_slice\(' || true)
 if [ -n "$hits" ]; then
-    echo "a tracked type re-derives stream order or copies a payload twice (take on_stream as delivered):" >&2
+    echo "a tracked type re-derives stream order or copies payload (take on_stream as delivered, hold views):" >&2
     printf '%s\n' "$hits" >&2
+    fail=1
+fi
+n=$(code_lines crates/core/src/tracker.rs | grep -c 'extend_from_slice(' || true)
+if [ "$n" -ne 1 ]; then
+    echo "crates/core/src/tracker.rs copies payload at $n sites (want 1: the probe spill)" >&2
     fail=1
 fi
 
@@ -127,4 +137,4 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
 echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites;"
-echo "  no tracked type in subscribables.rs re-parses, re-sorts or double-copies the stream"
+echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; tracker.rs copies at the probe spill only"

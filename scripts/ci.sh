@@ -19,9 +19,10 @@
 #                 one: dispatch accounting in executor.rs only, one
 #                 channel_dispatcher call site, downcasts in erased.rs /
 #                 offline.rs only; and stream order stays the
-#                 reassembler's: no tracked type in subscribables.rs
-#                 re-parses, re-sorts or double-copies what on_stream
-#                 hands it
+#                 reassembler's and payload stays in its frame: no
+#                 tracked type in subscribables.rs re-parses, re-sorts
+#                 or copies what on_stream hands it, and tracker.rs
+#                 copies payload at one site, the probe spill
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -29,8 +30,9 @@
 #   test          cargo test -q --offline (whole workspace; includes
 #                 tests/tests/alloc_per_conn.rs, which counts heap
 #                 allocations per single-SYN connection and per probed
-#                 TLS connection under its own global allocator — an
-#                 allocation regression fails here — and
+#                 TLS connection, and bytes per ConnBytes segment, under
+#                 its own global allocator — an allocation regression,
+#                 or a payload copy, fails here — and
 #                 crates/core/tests/burst_invariance.rs, which holds every
 #                 digest, delivery and span tree identical across burst
 #                 sizes 1..=32)

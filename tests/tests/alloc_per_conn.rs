@@ -20,13 +20,19 @@
 //! The third holds the tracked-state diet: a `tls`-filtered `ConnRecord`
 //! allocates for the probe, the winning parser and the record it
 //! delivers — its tracked state borrows the service name, it does not
-//! clone it per connection.
+//! clone it per connection. Neither case copies the ClientHello into a
+//! prefix buffer: it is identified where it lies in its frame.
+//!
+//! The fourth counts bytes: a `ConnBytes` stream costs one frame view
+//! per segment, the same for 100-byte and for 1460-byte payloads — a
+//! copy anywhere on the path makes the figure scale with the payload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use retina_core::subscribables::{
-    ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData, TlsHandshakeData,
+    ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData,
+    TlsHandshakeData,
 };
 use retina_core::{
     CompiledFilter, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
@@ -36,17 +42,20 @@ use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
 
-/// The system allocator, counting `alloc` and `realloc` calls.
+/// The system allocator, counting `alloc` and `realloc` calls and the
+/// bytes they ask for (of a `realloc`, the growth).
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a plain
-// atomic that touches no allocator state.
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// atomics that touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller guarantees `layout` has non-zero size.
         unsafe { System.alloc(layout) }
     }
@@ -59,6 +68,10 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
         // SAFETY: the caller guarantees `ptr` came from this allocator
         // with `layout` and that `new_size` is valid for its alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -206,6 +219,40 @@ fn client_hellos(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
     out
 }
 
+/// What the second half of `packets` (from index `warm`) asked of the
+/// allocator at steady state, `(calls, bytes)`, and the full run's
+/// report: two runs over prefixes of the same trace, differing by
+/// exactly the measured half — the prefix run grew every store first.
+fn measured_half(
+    runtime: &MultiRuntime<CompiledFilter>,
+    packets: &[(Bytes, u64)],
+    warm: usize,
+) -> ((u64, u64), RunReport) {
+    let counters = || {
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        )
+    };
+    let run = |packets: &[(Bytes, u64)]| {
+        let before = counters();
+        let report = runtime.run_stepped(packets, &StepConfig::seeded(7));
+        report.check_accounting().unwrap();
+        let after = counters();
+        ((after.0 - before.0, after.1 - before.1), report)
+    };
+    let (warm_cost, warm_report) = run(&packets[..warm]);
+    let (all_cost, report) = run(packets);
+    let (half, all) = (warm_report.cores.conns_created, report.cores.conns_created);
+    assert_eq!(all, 2 * half);
+    assert!(
+        report.cores.conns_peak < half + half / 4,
+        "the halves must not overlap much: peak {}",
+        report.cores.conns_peak
+    );
+    ((all_cost.0 - warm_cost.0, all_cost.1 - warm_cost.1), report)
+}
+
 /// Allocations per connection of the measured half of two
 /// [`client_hellos`] halves through `runtime`, and the full run's
 /// report. Warm-up connections establish in the first second and expire
@@ -215,26 +262,10 @@ fn allocs_per_client_hello(runtime: &MultiRuntime<CompiledFilter>) -> (f64, RunR
     let mut packets = client_hellos(0, 0);
     let warm = packets.len();
     packets.extend(client_hellos(TLS_N, 400 * SEC));
-    // Two runs over prefixes of the same trace, differing by exactly the
-    // measured half: the difference is what those connections allocated
-    // at steady state (the prefix run grew every store first).
-    let run = |packets: &[(Bytes, u64)]| {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let report = runtime.run_stepped(packets, &StepConfig::seeded(7));
-        report.check_accounting().unwrap();
-        (ALLOCS.load(Ordering::Relaxed) - before, report)
-    };
-    let (warm_allocs, warm_report) = run(&packets[..warm]);
-    let (all_allocs, report) = run(&packets);
-    assert_eq!(warm_report.cores.conns_created, u64::from(TLS_N));
+    let ((allocs, _), report) = measured_half(runtime, &packets, warm);
     assert_eq!(report.cores.conns_created, u64::from(2 * TLS_N));
-    assert!(
-        report.cores.conns_peak < u64::from(TLS_N) + u64::from(TLS_N) / 4,
-        "the halves must not overlap much: peak {}",
-        report.cores.conns_peak
-    );
     #[allow(clippy::cast_precision_loss)] // counts far below 2^52
-    let per_conn = (all_allocs - warm_allocs) as f64 / f64::from(TLS_N);
+    let per_conn = allocs as f64 / f64::from(TLS_N);
     (per_conn, report)
 }
 
@@ -257,9 +288,10 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
     assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     // With a boxed candidate per protocol at the first SYN (the commit
     // before the prototypes) this read 14.02. Gone: the candidate list,
-    // three of the four parsers, and the per-segment alive list.
+    // three of the four parsers, the per-segment alive list, and — the
+    // ClientHello being probed where it lies — the prefix buffer.
     assert!(
-        per_conn <= 14.0 - 5.0 + 0.05,
+        per_conn <= 14.0 - 6.0 + 0.05,
         "{per_conn:.3} allocations per probed TLS connection"
     );
 }
@@ -280,13 +312,107 @@ fn a_tls_conn_record_borrows_its_service_name() {
     let (per_conn, _) = allocs_per_client_hello(&runtime);
     // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
     assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
-    // What the pipeline needs: the probe state and its one prefix
-    // buffer, the winning parser, the boxed record and the record's
-    // `service` string — 5.02 with the slack of the first test. A
-    // `String` in the tracked state, cloned from the service name at the
-    // match, made it 6.02.
+    // What the pipeline needs: the probe state, the winning parser, the
+    // boxed record and the record's `service` string — 4.02 with the
+    // slack of the first test. A `String` in the tracked state, cloned
+    // from the service name at the match, made it one more; a prefix
+    // buffer the ClientHello was copied into before probing, another.
     assert!(
-        per_conn <= 5.05,
+        per_conn <= 4.05,
         "{per_conn:.3} allocations per tls-filtered ConnRecord"
+    );
+}
+
+/// Connections per half of the byte-stream test, and data segments each.
+const STREAM_N: u32 = 20;
+const SEGMENTS: u32 = 200;
+
+/// `STREAM_N` connections that carry `SEGMENTS` in-order data segments
+/// of `payload` bytes — a 17-byte request, the rest a download — and
+/// close: 10 µs between a connection's packets, connections 10 ms apart
+/// from `start_ns`, so each ends before the next begins.
+fn downloads(first_source: u32, start_ns: u64, payload: usize) -> Vec<(Bytes, u64)> {
+    let server: std::net::SocketAddr = "198.51.100.1:8080".parse().unwrap();
+    let body = vec![0x5a; payload];
+    let mut out = Vec::new();
+    for i in 0..STREAM_N {
+        let client = std::net::SocketAddr::new(
+            std::net::Ipv4Addr::from(0x0a00_0000 + first_source + i).into(),
+            40_000,
+        );
+        let mut ts = start_ns + u64::from(i) * 10_000_000;
+        let (mut cseq, mut sseq) = (100u32, 500u32);
+        let mut push = |up: bool, flags: u8, payload: &[u8]| {
+            let (src, dst, seq, ack) = if up {
+                (client, server, &mut cseq, sseq)
+            } else {
+                (server, client, &mut sseq, cseq)
+            };
+            let frame = build_tcp(&TcpSpec {
+                src,
+                dst,
+                seq: *seq,
+                ack,
+                flags,
+                window: 65535,
+                ttl: 64,
+                payload,
+            });
+            let syn_fin = u32::from(flags & (TcpFlags::SYN | TcpFlags::FIN) != 0);
+            *seq += u32::try_from(payload.len()).unwrap() + syn_fin;
+            ts += 10_000;
+            out.push((Bytes::from(frame), ts));
+        };
+        push(true, TcpFlags::SYN, &[]);
+        push(false, TcpFlags::SYN | TcpFlags::ACK, &[]);
+        push(true, TcpFlags::ACK, &[]);
+        push(true, TcpFlags::ACK | TcpFlags::PSH, b"GET /the/download");
+        for _ in 1..SEGMENTS {
+            push(false, TcpFlags::ACK, &body);
+        }
+        push(true, TcpFlags::FIN | TcpFlags::ACK, &[]);
+        push(false, TcpFlags::FIN | TcpFlags::ACK, &[]);
+        push(true, TcpFlags::ACK, &[]);
+    }
+    out
+}
+
+#[test]
+fn a_conn_bytes_segment_costs_a_view_whatever_its_payload() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    static STREAMED: AtomicU64 = AtomicU64::new(0);
+    // Matched at the packet layer: nothing is probed or parsed, every
+    // data segment goes to the stream hook and nowhere else.
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("bytes", "tcp", |conn: ConnBytes| {
+            assert!(!conn.truncated);
+            let len = conn.client_stream.len() + conn.server_stream.len();
+            STREAMED.fetch_add(len as u64, Ordering::Relaxed);
+        })
+        .build()
+        .expect("runtime builds");
+    let cost_of = |payload: usize| {
+        let mut packets = downloads(0, 0, payload);
+        let warm = packets.len();
+        packets.extend(downloads(STREAM_N, 10 * SEC, payload));
+        let before = STREAMED.load(Ordering::Relaxed);
+        let (cost, _) = measured_half(&runtime, &packets, warm);
+        // The prefix run delivered one half, the full run two.
+        let per_conn = 17 + (u64::from(SEGMENTS) - 1) * payload as u64;
+        let streamed = STREAMED.load(Ordering::Relaxed) - before;
+        assert_eq!(streamed, 3 * u64::from(STREAM_N) * per_conn);
+        cost
+    };
+    let (small, full) = (cost_of(100), cost_of(1460));
+    assert_eq!(small, full, "(calls, bytes) for 100- vs 1460-byte payloads");
+    // 63 today: a 48-byte view per segment in a doubling `Vec` (256
+    // slots for 199 segments), the boxed datum, and the slack of the
+    // first test.
+    let per_segment = small.1 / u64::from(STREAM_N * SEGMENTS);
+    assert!(
+        per_segment <= 96,
+        "{per_segment} bytes allocated per segment"
     );
 }
