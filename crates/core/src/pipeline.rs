@@ -443,9 +443,10 @@ impl<F: FilterFns> CorePipeline<F> {
 
     /// Adopts a new configuration at a live-swap safe point (see
     /// [`ConnTracker::rebind`]): surviving per-connection state is
-    /// rebound under the new filter, and removed subscriptions drain
-    /// through `old_transport` — their data is indexed by the *old*
-    /// table — with their tallies banked for [`CorePipeline::finish`].
+    /// rebound under the new filter, and what the swap emits — removed
+    /// subscriptions' drains, promoted survivors' matches — goes through
+    /// `old_transport`, indexed by the *old* table; removed tallies are
+    /// banked for [`CorePipeline::finish`].
     pub(crate) fn adopt<T: Transport>(
         &mut self,
         filter: Arc<F>,

@@ -1,0 +1,1077 @@
+//! The Figure-4 machine: phases, probing, and [`step`], the one pure
+//! function every transition goes through. `Machine::apply` executes it,
+//! and `Machine::exit` is the one way out of the table: the only writers
+//! of a phase. Figure 4 draws one subscription's machine; this is their
+//! composition (the tests check it against a per-subscription model).
+
+use std::ops::Range;
+
+use retina_conntrack::{ConnEntry, Dir};
+use retina_filter::{ConnVerdict, FilterFns, SubscriptionSet};
+use retina_nic::Mbuf;
+use retina_protocols::{
+    ConnParser, Direction, ParseResult, ParserRegistry, ProbeResult, Session, SessionState,
+};
+use retina_telemetry::{trace::TraceConnEnd, TraceKind};
+
+use super::{Conn, Machine};
+use crate::util::rdtsc;
+
+/// Cap on bytes buffered per direction while probing for the protocol.
+const PROBE_BUFFER_CAP: usize = 8 * 1024;
+
+/// Most probe candidates one connection can hold: its alive mask is one
+/// word. (The built-in registry has five protocols.)
+const MAX_CANDIDATES: usize = u64::BITS as usize;
+
+/// One probe-candidate set, shared by every connection that probes for
+/// the same protocols: [`ConnParser::probe`] takes `&self` and reads no
+/// per-connection state, so one never-fed prototype per protocol serves
+/// them all, and a connection instantiates only the parser that wins.
+pub(super) struct ProbeSet {
+    /// The protocol names probed for, in candidate order (at most
+    /// [`MAX_CANDIDATES`]).
+    protos: Vec<String>,
+    /// `protos[i]`'s prototype; `None` for a name the registry does not
+    /// know (never a candidate).
+    prototypes: Vec<Option<Box<dyn ConnParser>>>,
+    /// The alive mask a connection starts probing with: one bit per
+    /// prototype.
+    all_alive: u64,
+}
+
+impl ProbeSet {
+    fn new(protos: Vec<String>, registry: &ParserRegistry) -> Self {
+        let prototypes: Vec<_> = protos.iter().map(|p| registry.new_parser(p)).collect();
+        let known = prototypes.iter().enumerate();
+        let all_alive = known.fold(0, |m, (i, p)| m | (u64::from(p.is_some()) << i));
+        ProbeSet {
+            protos,
+            prototypes,
+            all_alive,
+        }
+    }
+
+    /// Evaluates the candidates still alive in `ps`, in set order,
+    /// against both directions' prefixes — `in_place`, the segment being
+    /// delivered, standing for its direction's (see
+    /// [`ProbeState::prefixes`]): the first candidate certain of the
+    /// stream, if any, and the alive mask less the candidates every
+    /// nonempty prefix ruled out. A panic while probing eliminates the
+    /// candidate (recoverable, counted in `panics`), never the worker.
+    fn probe(
+        &self,
+        ps: &ProbeState,
+        in_place: Option<(Direction, &[u8])>,
+        panics: &mut u64,
+    ) -> (Option<usize>, u64) {
+        let prefixes = ps.prefixes(in_place);
+        let mut alive = ps.alive;
+        let mut candidates = ps.alive;
+        while candidates != 0 {
+            let i = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let parser = self.prototypes[i]
+                .as_deref()
+                .expect("alive candidates have prototypes");
+            let mut not_for_us = 0;
+            let mut nonempty = 0;
+            for (buf, d) in prefixes {
+                if buf.is_empty() {
+                    continue;
+                }
+                nonempty += 1;
+                let probed =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parser.probe(buf, d)))
+                        .unwrap_or_else(|_| {
+                            *panics += 1;
+                            ProbeResult::NotForUs
+                        });
+                match probed {
+                    ProbeResult::Certain => return (Some(i), alive),
+                    ProbeResult::NotForUs => not_for_us += 1,
+                    ProbeResult::Unsure => {}
+                }
+            }
+            if nonempty > 0 && not_for_us == nonempty {
+                alive &= !(1 << i);
+            }
+        }
+        (None, alive)
+    }
+}
+
+/// Probing state: which candidates of the connection's [`ProbeSet`] are
+/// still in the running, plus — only for a direction whose first
+/// segment left every candidate unsure — the stream prefix so far.
+#[derive(Default)]
+pub(super) struct ProbeState {
+    /// Index of the candidate set in the tracker's `probe_sets`.
+    set: u32,
+    /// Bit `i` set: candidate `i` of the set has not been eliminated.
+    alive: u64,
+    buf_ts: Vec<u8>,
+    buf_tc: Vec<u8>,
+}
+
+impl ProbeState {
+    /// Bytes the two prefix buffers hold on the heap.
+    pub(super) fn buffered(&self) -> usize {
+        self.buf_ts.capacity() + self.buf_tc.capacity()
+    }
+
+    /// Both directions' stream prefixes, client's first: what is
+    /// buffered, except that `in_place` — a segment of a direction that
+    /// has buffered nothing — is that direction's prefix where it lies
+    /// in its frame.
+    fn prefixes<'a>(
+        &'a self,
+        in_place: Option<(Direction, &'a [u8])>,
+    ) -> [(&'a [u8], Direction); 2] {
+        let prefix = |buf: &'a Vec<u8>, d| match in_place {
+            Some((at, segment)) if at == d => (segment, d),
+            _ => (buf.as_slice(), d),
+        };
+        [
+            prefix(&self.buf_ts, Direction::ToServer),
+            prefix(&self.buf_tc, Direction::ToClient),
+        ]
+    }
+
+    /// Appends `data` to direction `d`'s prefix buffer — the one copy on
+    /// the probe path, made only for a record that straddles segments —
+    /// and returns how many heap bytes the buffer grew by.
+    fn spill(&mut self, d: Direction, data: &[u8]) -> usize {
+        let buf = match d {
+            Direction::ToServer => &mut self.buf_ts,
+            Direction::ToClient => &mut self.buf_tc,
+        };
+        let held = buf.capacity();
+        buf.extend_from_slice(data);
+        buf.capacity() - held
+    }
+}
+
+/// Connection processing phase (Figure 4 states), shared by all
+/// subscriptions on the connection: the probe/parse machinery runs once
+/// per connection no matter how many subscriptions consume it.
+pub(super) enum Phase {
+    /// Probing the stream prefix for the application-layer protocol.
+    /// Boxed to keep [`Conn`] inside its size budget.
+    Probing(Box<ProbeState>),
+    /// Parsing the identified protocol.
+    Parsing {
+        parser: Box<dyn ConnParser>,
+        service: &'static str,
+    },
+    /// Tracking without app-layer processing (counters + delivery hooks).
+    Tracking,
+    /// Every subscription fell off: retained as a tombstone so subsequent
+    /// packets do no work; removed by timeout.
+    Dropped,
+}
+
+/// Which Figure-4 state a [`Phase`] is in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Kind {
+    Probing,
+    Parsing,
+    Tracking,
+    Dropped,
+}
+
+impl Phase {
+    #[inline]
+    pub(super) fn kind(&self) -> Kind {
+        match self {
+            Phase::Probing(_) => Kind::Probing,
+            Phase::Parsing { .. } => Kind::Parsing,
+            Phase::Tracking => Kind::Tracking,
+            Phase::Dropped => Kind::Dropped,
+        }
+    }
+}
+
+/// A connection's subscription sets: what [`step`] moves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Subs {
+    /// Filter fully matched: data being delivered.
+    pub(super) matched: SubscriptionSet,
+    /// Filter still undecided.
+    pub(super) live: SubscriptionSet,
+    /// Still needing probe/parse progress: the undecided, plus matched
+    /// session-level ones while their protocol produces sessions.
+    pub(super) want_parse: SubscriptionSet,
+    /// Whether any subscription was fully served and retired early.
+    pub(super) done_any: bool,
+}
+
+impl Subs {
+    #[inline]
+    pub(super) fn active(&self) -> SubscriptionSet {
+        self.matched | self.live
+    }
+}
+
+/// What the machine reads of the subscription table, a bit per index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Masks {
+    /// Every index (verdicts wider than the table are cut to it).
+    pub(super) all: SubscriptionSet,
+    /// Packet-level: served by the packet filter's bypass once decided.
+    pub(super) packet: SubscriptionSet,
+    /// Session-level: consume every session the protocol produces.
+    pub(super) session: SubscriptionSet,
+    /// Want the in-order stream.
+    pub(super) stream: SubscriptionSet,
+    /// Want every packet after the match.
+    pub(super) post: SubscriptionSet,
+}
+
+/// What happened to a connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Event {
+    /// First packet; `probeable`: a protocol can be probed for `want_parse`.
+    Opened { probeable: bool },
+    /// Probing identified the protocol: the connection filter's verdict.
+    ServiceIdentified(ConnVerdict),
+    /// Probe overflow, every candidate eliminated, or a parse error.
+    ConnLayerFailed,
+    /// One parsed session, and the undecided its session filter passed.
+    Session { hits: SubscriptionSet },
+    /// A nonempty batch of sessions ended. `done`: the protocol produces
+    /// no more for the matched; `reject`: the undecided fail.
+    SessionBatch { done: bool, reject: bool },
+    /// The connection leaves the table.
+    Ended,
+    /// A swap keeping `kept`; the new packet filter's `verdict` on them.
+    Rebound {
+        kept: SubscriptionSet,
+        verdict: ConnVerdict,
+    },
+}
+
+/// What a transition asks of the tracker, in `Machine::apply`'s order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct Actions {
+    /// Start probing for the protocol.
+    pub(super) probe: bool,
+    /// Feed the identified protocol's parser the probed prefixes.
+    pub(super) parse: bool,
+    /// Run the parser's partial sessions through the session filter.
+    pub(super) session_filter: bool,
+    /// Rejected: state released, a discard charged.
+    pub(super) drop_sub: SubscriptionSet,
+    /// Removed by a swap while matched: `on_terminate`, state released.
+    pub(super) terminate: SubscriptionSet,
+    /// `on_match`: the already-matched first, then the newly matched.
+    pub(super) emit: SubscriptionSet,
+    /// Fully served: state released, nothing charged.
+    pub(super) finish: SubscriptionSet,
+    /// The last subscription was rejected: a tombstone, for this cause.
+    pub(super) tombstone: Option<DiscardCause>,
+    /// The connection leaves the table.
+    pub(super) release: bool,
+}
+
+/// A discarded connection's one cause: `conns_discarded` is their sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum DiscardCause {
+    ConnFilter,
+    SessionFilter,
+    CompletedEarly,
+}
+
+/// [`step`]'s result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Transition {
+    pub(super) next: Kind,
+    pub(super) subs: Subs,
+    pub(super) actions: Actions,
+}
+
+impl Transition {
+    /// `subs` are rejected: they leave every set.
+    #[inline]
+    fn reject(&mut self, subs: SubscriptionSet) {
+        self.subs.matched -= subs;
+        self.subs.live -= subs;
+        self.subs.want_parse -= subs;
+        self.actions.drop_sub |= subs;
+    }
+
+    /// `subs` are fully served and retire.
+    #[inline]
+    fn finish(&mut self, subs: SubscriptionSet) {
+        self.subs.matched -= subs;
+        self.subs.want_parse -= subs;
+        self.subs.done_any |= !subs.is_empty();
+        self.actions.finish |= subs;
+    }
+
+    /// Every undecided subscription falls off; parsing stops.
+    #[inline]
+    fn fail(mut self) -> Self {
+        self.reject(self.subs.live);
+        self.subs.want_parse = SubscriptionSet::empty();
+        self.settle(DiscardCause::ConnFilter)
+    }
+
+    /// Figure 4's DEL: with someone active the connection stays (tracking
+    /// once nobody wants sessions), else leaves if someone was served, else
+    /// is a tombstone charged to `cause`.
+    #[inline]
+    fn settle(mut self, cause: DiscardCause) -> Self {
+        if !self.subs.active().is_empty() {
+            if self.subs.want_parse.is_empty() && self.next != Kind::Dropped {
+                self.next = Kind::Tracking;
+            }
+        } else if self.subs.done_any {
+            self.actions.release = true;
+        } else {
+            self.actions.tombstone = Some(cause);
+            self.next = Kind::Dropped;
+        }
+        self
+    }
+}
+
+/// Where `event` takes a connection in `kind` with sets `s`.
+#[inline(always)]
+pub(super) fn step(kind: Kind, event: Event, s: Subs, m: &Masks) -> Transition {
+    let mut t = Transition {
+        next: kind,
+        subs: s,
+        actions: Actions::default(),
+    };
+    match event {
+        Event::Opened { probeable } => {
+            // Decided at the packet layer: delivered once the entry
+            // exists; session-level ones wait for sessions.
+            t.actions.emit = s.matched - m.session;
+            t.next = Kind::Tracking;
+            if s.want_parse.is_empty() {
+                t.settle(DiscardCause::ConnFilter)
+            } else if probeable {
+                t.next = Kind::Probing;
+                t.actions.probe = true;
+                t
+            } else {
+                t.fail() // no parser can ever resolve the undecided
+            }
+        }
+        Event::ServiceIdentified(v) => {
+            let (matched, live) = (v.matched & s.live, v.live & (s.live - v.matched));
+            t.reject(s.live - matched - live);
+            t.subs.live = live;
+            t.subs.matched |= matched;
+            // Non-session matches are fully decided: delivered, and
+            // parsing stops on their behalf.
+            t.actions.emit = matched - m.session;
+            t.subs.want_parse -= t.actions.emit;
+            t.next = Kind::Tracking;
+            if t.subs.want_parse.is_empty() {
+                return t.settle(DiscardCause::ConnFilter);
+            }
+            t.next = Kind::Parsing;
+            t.actions.parse = true;
+            t
+        }
+        Event::ConnLayerFailed => t.fail(),
+        Event::Session { hits } => {
+            // Matched session-level subscriptions get every session; the
+            // undecided it passed get their first full match.
+            let hits = hits & s.live;
+            t.actions.emit = (s.matched & m.session) | hits;
+            t.subs.live -= hits;
+            t.subs.matched |= hits;
+            t
+        }
+        Event::SessionBatch { done, reject } => {
+            if done {
+                // The matched stop parsing; session-level ones with
+                // nothing further to deliver are fully served.
+                let stop = s.matched & s.want_parse;
+                t.subs.want_parse -= stop;
+                t.finish(stop & ((m.session - m.post) - m.stream));
+            }
+            if reject {
+                t.reject(t.subs.live);
+            }
+            t.settle(DiscardCause::SessionFilter)
+        }
+        Event::Ended => {
+            t.actions.session_filter = kind == Kind::Parsing && !s.active().is_empty();
+            t.actions.release = true;
+            t
+        }
+        // Tombstones hold no subscription in either table.
+        Event::Rebound { .. } if kind == Kind::Dropped => {
+            t.subs = Subs {
+                done_any: s.done_any,
+                ..Subs::default()
+            };
+            t
+        }
+        Event::Rebound { kept, verdict: v } => {
+            // Removed subscriptions drain: the matched deliver their
+            // end-of-connection data, the undecided are discarded.
+            let removed = s.active() - kept;
+            t.actions.terminate = s.matched & removed;
+            t.subs.matched -= removed;
+            t.reject(s.live & removed);
+            // Undecided survivors stay undecided, are decided at the
+            // packet layer ("promoted"), or die.
+            let undecided = t.subs.live;
+            let promoted = (undecided - v.live) & v.matched;
+            t.reject(undecided - v.live - v.matched);
+            t.subs.live = undecided & v.live;
+            t.subs.matched |= promoted;
+            t.actions.emit = promoted - m.session;
+            // A packet-level one is the packet filter's bypass's now.
+            t.finish(t.actions.emit & m.packet);
+            t.subs.want_parse = t.subs.live | (t.subs.matched & m.session);
+            if t.subs.active().is_empty() {
+                t.actions.release = true;
+            } else if t.subs.want_parse.is_empty() && kind != Kind::Tracking {
+                t.next = Kind::Tracking;
+            }
+            t
+        }
+    }
+}
+
+impl<F: FilterFns> Machine<F> {
+    /// Swaps in `next`; probe-buffer bytes leave the running count here.
+    fn set_phase(&mut self, conn: &mut Conn, next: Phase) -> Phase {
+        if let Phase::Probing(ps) = &conn.phase {
+            self.probe_bytes -= ps.buffered();
+        }
+        std::mem::replace(&mut conn.phase, next)
+    }
+
+    /// Runs `event` through [`step`] on `entry` and carries it out: the
+    /// [`Actions`] in order (`on_match` told `service` and `session`), the
+    /// sets, the phase (`seed`: the Probing or Parsing phase entered).
+    /// Returns the actions, and the phase left if it moved. Inlined into
+    /// every caller: the event is constant there, and a connection's birth
+    /// then costs no more than the emission it always did.
+    #[inline(always)]
+    pub(super) fn apply(
+        &mut self,
+        entry: &mut ConnEntry<Conn>,
+        event: Event,
+        service: Option<&'static str>,
+        session: Option<&Session>,
+        seed: Option<Phase>,
+    ) -> (Actions, Option<Phase>) {
+        let (kind, before) = (entry.value.phase.kind(), entry.value.subs);
+        let t = step(kind, event, before, &self.masks);
+        #[cfg(test)]
+        tests::audit(kind, event, before, &self.masks, &t);
+        let a = t.actions;
+        for i in a.drop_sub.iter() {
+            if self.release(&mut entry.value, i) {
+                self.sub_tallies[i].discarded += 1;
+            }
+        }
+        for i in a.terminate.iter() {
+            self.terminate(entry, i);
+        }
+        let newly = a.emit - before.matched;
+        for i in (a.emit & before.matched).iter().chain(newly.iter()) {
+            self.emit(entry, i, |slab, slot, conn, out| {
+                slab.on_match(slot, conn, service, session, out);
+            });
+        }
+        let conn = &mut entry.value;
+        for i in a.finish.iter() {
+            self.release(conn, i);
+        }
+        conn.subs = t.subs;
+        if let Some(cause) = a.tombstone {
+            self.count_discard(cause);
+        }
+        if a.release || t.next == kind {
+            return (a, None);
+        }
+        let next = match t.next {
+            Kind::Tracking => Phase::Tracking,
+            Kind::Dropped => Phase::Dropped,
+            Kind::Probing | Kind::Parsing => seed.expect("the caller seeds the phase entered"),
+        };
+        (a, Some(self.set_phase(conn, next)))
+    }
+
+    /// `apply` for an unseeded, sessionless event: whether it leaves.
+    pub(super) fn leaves(&mut self, entry: &mut ConnEntry<Conn>, event: Event) -> bool {
+        self.apply(entry, event, None, None, None).0.release
+    }
+
+    /// The one way out of the table, for all five reasons: partial
+    /// sessions (e.g. an unanswered DNS query) through the session filter,
+    /// `on_terminate` for the matched, every slot back, the outcome
+    /// counted (a tombstone was, at discard) and traced.
+    pub(super) fn exit(&mut self, entry: &mut ConnEntry<Conn>, end: TraceConnEnd) {
+        let kind = entry.value.phase.kind();
+        let t = step(kind, Event::Ended, entry.value.subs, &self.masks);
+        let phase = &mut entry.value.phase;
+        if let (true, Phase::Parsing { parser, service }) = (t.actions.session_filter, phase) {
+            let (service, sessions) = (*service, parser.drain_sessions());
+            self.deliver_sessions(entry, service, &sessions);
+        }
+        for i in entry.value.subs.matched.iter() {
+            self.terminate(entry, i);
+        }
+        let conn = &mut entry.value;
+        for i in conn.tracked.held.iter() {
+            self.release(conn, i);
+        }
+        self.set_phase(conn, Phase::Dropped);
+        let s = &mut self.stats;
+        match end {
+            _ if kind == Kind::Dropped => {}
+            TraceConnEnd::Terminated => s.conns_terminated += 1,
+            TraceConnEnd::Expired => s.conns_expired += 1,
+            TraceConnEnd::Drained => s.conns_drained += 1,
+            TraceConnEnd::Swapped => s.conns_swapped += 1,
+            TraceConnEnd::CompletedEarly => self.count_discard(DiscardCause::CompletedEarly),
+        }
+        self.trace_lifecycle(conn.trace_id, TraceKind::ConnExpire, end as u64, 0);
+    }
+
+    /// The one place `conns_discarded` moves.
+    fn count_discard(&mut self, cause: DiscardCause) {
+        let s = &mut self.stats;
+        s.conns_discarded += 1;
+        *match cause {
+            DiscardCause::ConnFilter => &mut s.discard_conn_filter,
+            DiscardCause::SessionFilter => &mut s.discard_session_filter,
+            DiscardCause::CompletedEarly => &mut s.conns_completed_early,
+        } += 1;
+    }
+
+    /// The probing phase for a connection whose `want` subscriptions
+    /// need its protocol: candidates are their conn-layer filter
+    /// protocols and their types' parsers, in subscription order (`None`:
+    /// no protocol). Memoized per bitmap; equal lists share a set.
+    pub(super) fn probing(&mut self, want: SubscriptionSet) -> Option<Phase> {
+        if want.is_empty() {
+            return None;
+        }
+        let (subs, sets, registry) = (&self.subs, &mut self.probe_sets, &self.registry);
+        let set = *self.probe_cache.entry(want.bits()).or_insert_with(|| {
+            let mut protos: Vec<String> = Vec::new();
+            for i in want.iter() {
+                for p in &subs[i].probe_protos {
+                    if !protos.contains(p) && protos.len() < MAX_CANDIDATES {
+                        protos.push(p.clone());
+                    }
+                }
+            }
+            (!protos.is_empty()).then(|| {
+                let known = sets.iter().position(|s| s.protos == protos);
+                known.unwrap_or_else(|| {
+                    sets.push(ProbeSet::new(protos, registry));
+                    sets.len() - 1
+                }) as u32
+            })
+        });
+        let set = set?;
+        let alive = self.probe_sets[set as usize].all_alive;
+        let state = ProbeState {
+            set,
+            alive,
+            ..ProbeState::default()
+        };
+        Some(Phase::Probing(Box::new(state)))
+    }
+
+    /// Feeds the next in-order segment, `mbuf.data()[payload]`, to every
+    /// engaged stream subscription's hook — undecided ones decide what to
+    /// hold — and through probe/parse. Returns whether the connection
+    /// leaves the table.
+    pub(super) fn stream_data(
+        &mut self,
+        entry: &mut ConnEntry<Conn>,
+        dir: Dir,
+        mbuf: &Mbuf,
+        payload: Range<usize>,
+    ) -> bool {
+        let conn = &mut entry.value;
+        for i in (conn.subs.active() & self.masks.stream).iter() {
+            if let Some(slot) = conn.tracked.slot(i) {
+                self.slabs[i].on_stream(slot, dir, mbuf, payload.clone());
+            }
+        }
+        // Shed tier 1: the stream hooks above still run (packet
+        // delivery work), but probe/parse make no progress.
+        if self.shed_parsing && matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. }) {
+            return false;
+        }
+        let data = &mbuf.data()[payload];
+        let pdir = match dir {
+            Dir::OrigToResp => Direction::ToServer,
+            Dir::RespToOrig => Direction::ToClient,
+        };
+        let ps = match &mut conn.phase {
+            Phase::Probing(ps) => ps,
+            Phase::Parsing { .. } => return self.parse_data(entry, data, pdir),
+            Phase::Tracking | Phase::Dropped => return false,
+        };
+        let buffered = match pdir {
+            Direction::ToServer => ps.buf_ts.len(),
+            Direction::ToClient => ps.buf_tc.len(),
+        };
+        if buffered + data.len() > PROBE_BUFFER_CAP {
+            return self.leaves(entry, Event::ConnLayerFailed);
+        }
+        // A direction that has buffered nothing is probed in place, on
+        // the frame; one that has is probed on its buffer, this segment
+        // appended.
+        let in_place = (buffered == 0).then_some((pdir, data));
+        if in_place.is_none() {
+            self.probe_bytes += ps.spill(pdir, data);
+        }
+        let set = &self.probe_sets[ps.set as usize];
+        let (selected, alive) = set.probe(ps, in_place, &mut self.stats.parser_panics);
+        let Some(i) = selected else {
+            // Drop eliminated candidates; fail when none remain.
+            ps.alive = alive;
+            if alive == 0 {
+                return self.leaves(entry, Event::ConnLayerFailed);
+            }
+            // Every candidate left is unsure of a record that ends in a
+            // later segment: only now is it copied.
+            if in_place.is_some() {
+                self.probe_bytes += ps.spill(pdir, data);
+            }
+            return false;
+        };
+        // Only the winner is ever instantiated.
+        let parser = self
+            .registry
+            .new_parser(&set.protos[i])
+            .expect("the prototype came from this registry");
+        let service = parser.name();
+        // Connection filter (Figure 4's first pseudostate) over the
+        // still-live subscriptions.
+        let v = self
+            .filter
+            .conn_filter_set(Some(service), &conn.frontiers, conn.subs.live);
+        self.trace(
+            conn,
+            TraceKind::ConnVerdict,
+            v.matched.bits(),
+            v.live.bits(),
+        );
+        let seed = Some(Phase::Parsing { parser, service });
+        let event = Event::ServiceIdentified(v);
+        let (a, left) = self.apply(entry, event, Some(service), None, seed);
+        let (true, Some(Phase::Probing(ps))) = (a.parse, left) else {
+            return a.release;
+        };
+        // Feed the parser both prefixes, client's first: what was
+        // buffered, and this segment where it lies.
+        let mut prefixes = ps.prefixes(in_place).into_iter();
+        prefixes.any(|(prefix, d)| !prefix.is_empty() && self.parse_data(entry, prefix, d))
+    }
+
+    /// Hands `data` to the parser, if parsing, and its sessions to the
+    /// session filter. Returns whether the connection leaves the table.
+    fn parse_data(&mut self, entry: &mut ConnEntry<Conn>, data: &[u8], pdir: Direction) -> bool {
+        let Phase::Parsing { parser, service } = &mut entry.value.phase else {
+            return false;
+        };
+        let service = *service;
+        let tp = self.profile.then(rdtsc);
+        self.stats.app_parsing.runs += 1;
+        // A panicking parser must not take the worker core (and its RX
+        // queue) down with it: the panic is a parse error, as for
+        // malformed input.
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parser.parse(data, pdir)))
+                .unwrap_or_else(|_| {
+                    self.stats.parser_panics += 1;
+                    ParseResult::Error
+                });
+        if let Some(t) = tp {
+            self.stats
+                .app_parsing
+                .record_cycles(rdtsc().wrapping_sub(t));
+        }
+        let event = match result {
+            ParseResult::Continue => return false,
+            ParseResult::Done => {
+                let sessions = parser.drain_sessions();
+                if sessions.is_empty() {
+                    return false;
+                }
+                let done = parser.session_match_state() == SessionState::Remove;
+                let reject = parser.session_nomatch_state() == SessionState::Remove;
+                self.deliver_sessions(entry, service, &sessions);
+                Event::SessionBatch { done, reject }
+            }
+            ParseResult::Error => Event::ConnLayerFailed,
+        };
+        self.leaves(entry, event)
+    }
+
+    /// The session filter (Figure 4's second pseudostate) and delivery for
+    /// each session, just parsed or drained at the connection's end.
+    fn deliver_sessions(
+        &mut self,
+        entry: &mut ConnEntry<Conn>,
+        service: &'static str,
+        sessions: &[Session],
+    ) {
+        for session in sessions {
+            let conn = &entry.value;
+            let ts = self.profile.then(rdtsc);
+            self.stats.session_filter.runs += 1;
+            let live = conn.subs.live;
+            let hits = self
+                .filter
+                .session_filter_set(session, &conn.frontiers, live);
+            if let Some(t) = ts {
+                self.stats
+                    .session_filter
+                    .record_cycles(rdtsc().wrapping_sub(t));
+            }
+            self.trace(conn, TraceKind::SessionVerdict, hits.bits(), live.bits());
+            let event = Event::Session { hits };
+            self.apply(entry, event, Some(service), Some(session), None);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    //! [`step`] against a reference model written from the paper's
+    //! Figure 4, which draws the machine of **one** subscription: the
+    //! model runs that machine once per subscription and composes the
+    //! connection's phase from the results. The merged machine must equal
+    //! the composition — the invariant `end_to_end.rs` checks at delivery
+    //! level, here checked per transition.
+
+    use super::*;
+    use std::cell::Cell;
+
+    /// One subscription's Figure-4 state (and a verdict's, for it).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum St {
+        Gone,
+        Live,
+        Matched,
+    }
+
+    /// What one subscription's machine did to it.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Did {
+        emit: bool,
+        kill: bool,
+        finish: bool,
+        terminate: bool,
+    }
+
+    fn st(matched: SubscriptionSet, live: SubscriptionSet, i: usize) -> St {
+        if matched.contains(i) {
+            St::Matched
+        } else if live.contains(i) {
+            St::Live
+        } else {
+            St::Gone
+        }
+    }
+
+    /// Figure 4 for subscription `i` alone: its next state, whether it
+    /// still wants parsing, and what was done to it. The only
+    /// connection-wide facts it reads are the ones Figure 4 is drawn
+    /// around: whether anyone wants the protocol parsed (the probe runs
+    /// for all), and whether the connection is a tombstone.
+    fn fig4(kind: Kind, event: Event, s: &Subs, m: &Masks, i: usize) -> (St, bool, Did) {
+        let (mut now, mut want) = (st(s.matched, s.live, i), s.want_parse.contains(i));
+        let mut did = Did::default();
+        let session = m.session.contains(i);
+        let mut die = |now: &mut St, want: &mut bool| {
+            *now = St::Gone;
+            *want = false;
+            did.kill = true;
+        };
+        match event {
+            Event::Opened { probeable } => {
+                did.emit = now == St::Matched && !session;
+                // No parser can resolve the undecided: they die at birth.
+                if !s.want_parse.is_empty() && !probeable {
+                    if now == St::Live {
+                        die(&mut now, &mut want);
+                    }
+                    want = false;
+                }
+            }
+            Event::ServiceIdentified(v) if now == St::Live => match st(v.matched, v.live, i) {
+                St::Gone => die(&mut now, &mut want),
+                St::Live => {}
+                St::Matched => {
+                    now = St::Matched;
+                    // Decided for good unless it wants sessions.
+                    if !session {
+                        did.emit = true;
+                        want = false;
+                    }
+                }
+            },
+            Event::ConnLayerFailed => {
+                if now == St::Live {
+                    die(&mut now, &mut want);
+                }
+                want = false;
+            }
+            Event::Session { hits } => {
+                if now == St::Matched && session {
+                    did.emit = true;
+                } else if now == St::Live && hits.contains(i) {
+                    now = St::Matched;
+                    did.emit = true;
+                }
+            }
+            Event::SessionBatch { done, reject } => {
+                if done && now == St::Matched && want {
+                    want = false;
+                    let more = m.post.contains(i) || m.stream.contains(i);
+                    if session && !more {
+                        now = St::Gone;
+                        did.finish = true;
+                    }
+                }
+                if reject && now == St::Live {
+                    die(&mut now, &mut want);
+                }
+            }
+            Event::Rebound { .. } if kind == Kind::Dropped => (now, want) = (St::Gone, false),
+            Event::Rebound { kept, verdict } => {
+                if !kept.contains(i) {
+                    match now {
+                        St::Matched => did.terminate = true,
+                        St::Live => did.kill = true,
+                        St::Gone => {}
+                    }
+                    now = St::Gone;
+                } else if now == St::Live {
+                    match st(verdict.matched, verdict.live, i) {
+                        St::Gone => die(&mut now, &mut want),
+                        St::Live => {}
+                        St::Matched if !session && m.packet.contains(i) => {
+                            // Promoted, and the packet filter serves it.
+                            did.emit = true;
+                            did.finish = true;
+                            now = St::Gone;
+                        }
+                        St::Matched => {
+                            did.emit = !session;
+                            now = St::Matched;
+                        }
+                    }
+                }
+                want = now == St::Live || (now == St::Matched && session);
+            }
+            Event::ServiceIdentified(_) | Event::Ended => {}
+        }
+        (now, want, did)
+    }
+
+    /// The machine of a connection carrying subscriptions `0..n`: `fig4`
+    /// for each, and the connection's phase composed from theirs — probe
+    /// or parse while anyone wants sessions, track while anyone is
+    /// active; with no one, leave if someone was served, else tombstone.
+    fn model(kind: Kind, event: Event, s: Subs, m: &Masks, n: usize) -> Transition {
+        let mut t = Transition {
+            next: kind,
+            subs: Subs {
+                done_any: s.done_any,
+                ..Subs::default()
+            },
+            actions: Actions::default(),
+        };
+        for i in 0..n {
+            let (now, want, did) = fig4(kind, event, &s, m, i);
+            let sets = [
+                (&mut t.subs.matched, now == St::Matched),
+                (&mut t.subs.live, now == St::Live),
+                (&mut t.subs.want_parse, want),
+                (&mut t.actions.emit, did.emit),
+                (&mut t.actions.drop_sub, did.kill),
+                (&mut t.actions.finish, did.finish),
+                (&mut t.actions.terminate, did.terminate),
+            ];
+            for (set, member) in sets {
+                if member {
+                    set.insert(i);
+                }
+            }
+            t.subs.done_any |= did.finish;
+        }
+        let active = !t.subs.active().is_empty();
+        let wants = !t.subs.want_parse.is_empty();
+        let settle = |t: &mut Transition, at: Kind, cause| {
+            t.next = at;
+            if active {
+                if !wants && at != Kind::Dropped {
+                    t.next = Kind::Tracking;
+                }
+            } else if t.subs.done_any {
+                t.actions.release = true;
+            } else {
+                t.actions.tombstone = Some(cause);
+                t.next = Kind::Dropped;
+            }
+        };
+        match event {
+            Event::Opened { probeable } if probeable && !s.want_parse.is_empty() => {
+                t.next = Kind::Probing;
+                t.actions.probe = true;
+            }
+            Event::Opened { .. } => settle(&mut t, Kind::Tracking, DiscardCause::ConnFilter),
+            Event::ServiceIdentified(_) if wants => {
+                t.next = Kind::Parsing;
+                t.actions.parse = true;
+            }
+            Event::ServiceIdentified(_) => settle(&mut t, Kind::Tracking, DiscardCause::ConnFilter),
+            Event::ConnLayerFailed => settle(&mut t, kind, DiscardCause::ConnFilter),
+            Event::Session { .. } => {}
+            Event::SessionBatch { .. } => settle(&mut t, kind, DiscardCause::SessionFilter),
+            Event::Ended => {
+                t.actions.session_filter = kind == Kind::Parsing && !s.active().is_empty();
+                t.actions.release = true;
+            }
+            Event::Rebound { .. } if kind == Kind::Dropped => {}
+            Event::Rebound { .. } if !active => t.actions.release = true,
+            Event::Rebound { .. } => {
+                if !wants && kind != Kind::Tracking {
+                    t.next = Kind::Tracking;
+                }
+            }
+        }
+        t
+    }
+
+    thread_local! {
+        /// Rebound transitions that promoted someone, on this thread.
+        pub(in crate::tracker) static PROMOTIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Holds one transition the tracker takes to the model (every
+    /// `Machine::apply` in a test build runs this).
+    pub(in crate::tracker) fn audit(kind: Kind, event: Event, s: Subs, m: &Masks, t: &Transition) {
+        let want = model(kind, event, s, m, m.all.len());
+        assert_eq!(
+            *t, want,
+            "step diverged from the Figure-4 model on {kind:?} {event:?} {s:?} {m:?}"
+        );
+        if matches!(event, Event::Rebound { .. }) && !t.actions.emit.is_empty() {
+            PROMOTIONS.with(|p| p.set(p.get() + 1));
+        }
+    }
+
+    /// A set of the subscriptions among `0..2` that `pick` selects.
+    fn set2(pick: impl Fn(usize) -> bool) -> SubscriptionSet {
+        let mut set = SubscriptionSet::empty();
+        for i in (0..2).filter(|&i| pick(i)) {
+            set.insert(i);
+        }
+        set
+    }
+
+    /// A verdict giving subscription `i` the state `of[i]`.
+    fn verdict(of: [St; 2]) -> ConnVerdict {
+        ConnVerdict {
+            matched: set2(|i| of[i] == St::Matched),
+            live: set2(|i| of[i] == St::Live),
+        }
+    }
+
+    /// Every event kind, with every per-subscription input, for two.
+    fn events() -> Vec<Event> {
+        const STS: [St; 3] = [St::Gone, St::Live, St::Matched];
+        let mut out = vec![Event::ConnLayerFailed, Event::Ended];
+        for b in [false, true] {
+            out.push(Event::Opened { probeable: b });
+            for done in [false, true] {
+                out.push(Event::SessionBatch { done, reject: b });
+            }
+        }
+        for hits in 0..4u64 {
+            out.push(Event::Session {
+                hits: set2(|i| hits >> i & 1 == 1),
+            });
+        }
+        for (a, b) in STS.iter().flat_map(|a| STS.iter().map(move |b| (*a, *b))) {
+            out.push(Event::ServiceIdentified(verdict([a, b])));
+            for kept in 0..4u64 {
+                let kept = set2(|i| kept >> i & 1 == 1);
+                out.push(Event::Rebound {
+                    kept,
+                    verdict: verdict([a, b]),
+                });
+            }
+        }
+        out
+    }
+
+    /// (a) Every phase kind × event × per-subscription state (gone,
+    /// undecided, matched still parsing, matched done parsing) × level
+    /// (packet / connection / session) × stream × post-match packets ×
+    /// `done_any`, for two subscriptions: `step` equals the composition of
+    /// the single-subscription machines in next phase, sets, kills,
+    /// finishes, emits, drains and the discard cause.
+    #[test]
+    fn step_is_the_composition_of_single_subscription_machines() {
+        const KINDS: [Kind; 4] = [Kind::Probing, Kind::Parsing, Kind::Tracking, Kind::Dropped];
+        // (state, wants parsing) pairs a live connection can hold.
+        const STATES: [(St, bool); 4] = [
+            (St::Gone, false),
+            (St::Live, true),
+            (St::Matched, true),
+            (St::Matched, false),
+        ];
+        let events = events();
+        assert_eq!(events.len(), 57);
+        let mut cases = 0u64;
+        // One subscription's configuration: state × level × stream × post.
+        let configs = STATES.len() * 3 * 2 * 2;
+        for c in 0..configs * configs {
+            let (mut s, mut m) = (Subs::default(), Masks::default());
+            m.all = SubscriptionSet::first_n(2);
+            for (i, mut x) in [c % configs, c / configs].into_iter().enumerate() {
+                let (state, want) = STATES[x % STATES.len()];
+                x /= STATES.len();
+                let bits = [
+                    (&mut s.matched, state == St::Matched),
+                    (&mut s.live, state == St::Live),
+                    (&mut s.want_parse, want),
+                    (&mut m.packet, x % 3 == 0),
+                    (&mut m.session, x % 3 == 2),
+                    (&mut m.stream, x / 3 % 2 == 1),
+                    (&mut m.post, x / 6 == 1),
+                ];
+                for (set, member) in bits {
+                    if member {
+                        set.insert(i);
+                    }
+                }
+            }
+            for (kind, done_any) in KINDS.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+                let s = Subs { done_any, ..s };
+                for &event in &events {
+                    assert_eq!(
+                        step(kind, event, s, &m),
+                        model(kind, event, s, &m, 2),
+                        "{kind:?} {event:?} {s:?} {m:?}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2304 * 4 * 2 * 57);
+    }
+}

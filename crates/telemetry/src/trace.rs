@@ -88,7 +88,7 @@ pub enum TraceKind {
     /// (0 originator, 1 responder).
     ConnUpdate = 8,
     /// Connection left the table; `a` = reason
-    /// (1 terminated, 2 expired, 3 drained, 4 completed early).
+    /// (1 terminated, 2 expired, 3 drained, 4 completed early, 5 swapped).
     ConnExpire = 9,
     /// Result enqueued onto a dispatch ring; `sub` = subscription,
     /// `b` = ring depth after the enqueue (not canonical).
@@ -193,6 +193,9 @@ pub enum TraceConnEnd {
     /// Removed mid-stream because every subscription completed early
     /// (e.g. a delivered TLS handshake).
     CompletedEarly = 4,
+    /// Evicted at a live swap: no subscription of the new table watches
+    /// it any more.
+    Swapped = 5,
 }
 
 /// One fixed-size tracepoint record. See the module docs for the

@@ -12,7 +12,7 @@
 # `ingest_frame(`), so a per-packet driver loop cannot grow back beside
 # `on_burst`.
 #
-# One call is allowed by name: `ConnTracker::rebind` in tracker.rs
+# One call is allowed by name: `ConnTracker::rebind` in tracker/mod.rs
 # replays a synthetic first packet through the new filter once per live
 # connection per swap — not a per-packet path.
 #
@@ -38,9 +38,28 @@
 # payload to a buffer of its own is the receive buffer §5.2 removed — a
 # stream is held as views into its frames (`StreamBytes`), and the flat
 # copy is the subscriber's to make. For the same reason non-test
-# crates/core/src/tracker.rs has exactly one `extend_from_slice(`: the
-# probe spill, which copies a prefix only when a record straddles
-# segments (a first segment is probed where it lies in its frame).
+# crates/core/src/tracker/ has exactly one `extend_from_slice(`: the
+# probe spill in phase.rs, which copies a prefix only when a record
+# straddles segments (a first segment is probed where it lies in its
+# frame).
+#
+# The Figure-4 machine is written once, too: crates/core/src/tracker/
+# phase.rs's transition function decides every move, and its two
+# executors are the only code that changes a connection's phase or
+# charges its outcome. Each copy of that logic that grew elsewhere
+# (a swap, connection birth, early removal) diverged from the original
+# and had to be found by a bug. So:
+#
+#   * `set_phase(`, a `.phase =` assignment and a `&mut ….phase` borrow
+#     appear in non-test tracker/phase.rs only: no second place moves a
+#     connection between phases;
+#   * `.discarded += ` (a subscription's discard) and `conns_discarded +=`
+#     each appear at exactly one non-test site under tracker/: one
+#     reason a discard is charged, never two sites to keep in step;
+#   * `TraceKind::ConnExpire` is emitted at exactly one site there: the
+#     one exit function, so all five ways out of the table (terminated,
+#     expired, drained, completed early, swapped) leave an end
+#     tracepoint.
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line; comment lines are ignored. Run as the `one-loop`
@@ -60,7 +79,7 @@ for file in $(find crates/core/src crates/bench/src/bin -name '*.rs' | sort); do
     [ "$file" = crates/core/src/pipeline.rs ] && continue
     hits=$(code_lines "$file" |
         grep -E '\.packet_filter_set\(|tracker\.process\(|\.process\(&mbuf' || true)
-    if [ "$file" = crates/core/src/tracker.rs ]; then
+    if [ "$file" = crates/core/src/tracker/mod.rs ]; then
         replay=$(printf '%s\n' "$hits" | grep -c '\.packet_filter_set(' || true)
         if [ "$replay" -le 1 ]; then
             hits=$(printf '%s\n' "$hits" | grep -v '\.packet_filter_set(' || true)
@@ -125,11 +144,31 @@ if [ -n "$hits" ]; then
     printf '%s\n' "$hits" >&2
     fail=1
 fi
-n=$(code_lines crates/core/src/tracker.rs | grep -c 'extend_from_slice(' || true)
-if [ "$n" -ne 1 ]; then
-    echo "crates/core/src/tracker.rs copies payload at $n sites (want 1: the probe spill)" >&2
-    fail=1
-fi
+tracker_code() {
+    for f in crates/core/src/tracker/*.rs; do code_lines "$f"; done
+}
+for rule in 'extend_from_slice\(|1 payload copy (the probe spill)' \
+    '\.discarded \+= |1 subscription discard charge' \
+    'conns_discarded \+=|1 connection discard charge' \
+    'TraceKind::ConnExpire|1 end tracepoint (the exit function)'; do
+    pattern=${rule%%|*}
+    n=$(tracker_code | grep -cE "$pattern" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "crates/core/src/tracker/ has $n sites matching '$pattern' (want ${rule#*|}):" >&2
+        tracker_code | grep -E "$pattern" >&2 || true
+        fail=1
+    fi
+done
+for file in $(find crates/core/src -name '*.rs' | sort); do
+    [ "$file" = crates/core/src/tracker/phase.rs ] && continue
+    hits=$(code_lines "$file" |
+        grep -E 'set_phase\(|\.phase[[:space:]]*=[^=]|&mut [[:alnum:]_.]*\.phase\b' || true)
+    if [ -n "$hits" ]; then
+        echo "a connection's phase moved outside crates/core/src/tracker/phase.rs:" >&2
+        printf '%s\n' "$hits" >&2
+        fail=1
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline and executor's lane protocol instead of re-writing them" >&2
@@ -137,4 +176,5 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
 echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, two downcast sites;"
-echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; tracker.rs copies at the probe spill only"
+echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; the tracker copies at the probe spill only;"
+echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site"

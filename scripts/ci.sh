@@ -21,8 +21,14 @@
 #                 offline.rs only; and stream order stays the
 #                 reassembler's and payload stays in its frame: no
 #                 tracked type in subscribables.rs re-parses, re-sorts
-#                 or copies what on_stream hands it, and tracker.rs
-#                 copies payload at one site, the probe spill
+#                 or copies what on_stream hands it, and the tracker
+#                 copies payload at one site, the probe spill; and the
+#                 Figure-4 machine stays one (its copies in a swap, at
+#                 connection birth and at early removal each diverged
+#                 into a bug): phases move in tracker/phase.rs only, a
+#                 subscription's discard and a connection's discard are
+#                 each charged at one site, and one exit function emits
+#                 every connection's end tracepoint
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

@@ -19,19 +19,24 @@
 //!   `MultiRuntime::run_stepped_with_swap`), with and without injected
 //!   chaos faults.
 
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use retina_chaos::{ChaosSource, Fault, FaultPlan};
-use retina_core::subscribables::ConnRecord;
+use retina_core::subscribables::{ConnRecord, DnsTransactionData, ZcFrame};
 use retina_core::{
     DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig, SwapError,
-    SwapSpec, TrafficSource, WorkerStall,
+    SwapSpec, TraceConfig, TrafficSource, WorkerStall,
 };
 use retina_filter::CompiledFilter;
 use retina_support::bytes::Bytes;
+use retina_telemetry::TraceKind;
 use retina_trafficgen::campus::{generate, CampusConfig};
+use retina_wire::build::{build_tcp, TcpSpec};
+use retina_wire::TcpFlags;
 
 /// A shared medium campus mix (TCP + UDP, so swaps can add/remove
 /// protocol-disjoint subscriptions).
@@ -262,6 +267,146 @@ fn stepped_swap_drains_orphaned_connections() {
         udp.delivered,
         udp.cb_executed + udp.cb_dropped_full + udp.cb_dropped_disconnected
     );
+}
+
+/// Regression: every way a connection leaves the table leaves one
+/// `conn-expire` tracepoint, a swap-time eviction included — with reason
+/// 5 (`TraceConnEnd::Swapped`), once per connection counted
+/// `conns_swapped`. Evictions used to leave none, so a sampled flow's
+/// span tree ended without an end.
+#[test]
+fn stepped_swap_evictions_leave_an_end_tracepoint() {
+    let packets = workload();
+    let trace = TraceConfig {
+        sample_one_in: 1,
+        lane_capacity: 1 << 20,
+        ..TraceConfig::default()
+    };
+    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+        .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
+        .trace(trace)
+        .build()
+        .unwrap();
+    let spec = SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {});
+    let report = rt
+        .run_stepped_with_swap(
+            &packets,
+            &StepConfig::seeded(9),
+            (packets.len() / 2) as u64,
+            &spec,
+        )
+        .expect("swap accepted");
+    report.check_accounting().expect("accounting exact");
+    let session = &report.trace.as_ref().expect("trace report").session;
+    assert_eq!(session.dropped_events, 0, "trace buffers overflowed");
+
+    // Trace ids come from the 16-bit symmetric RSS hash, so distinct
+    // connections may share one: balance inserts against ends per id.
+    let mut open: HashMap<u64, i64> = HashMap::new();
+    let mut swapped = 0;
+    for event in session.lanes.iter().flat_map(|(_, events)| events) {
+        match event.kind {
+            TraceKind::ConnInsert => *open.entry(event.trace_id).or_default() += 1,
+            TraceKind::ConnExpire => {
+                *open.entry(event.trace_id).or_default() -= 1;
+                swapped += u64::from(event.a == 5);
+            }
+            _ => {}
+        }
+    }
+    assert!(!open.is_empty(), "no connection was traced");
+    let unbalanced: Vec<_> = open.iter().filter(|(_, n)| **n != 0).collect();
+    assert!(
+        unbalanced.is_empty(),
+        "conn-insert without exactly one conn-expire: {unbalanced:?}"
+    );
+    assert!(report.cores.conns_swapped > 0, "the swap orphaned nothing");
+    assert_eq!(swapped, report.cores.conns_swapped);
+}
+
+/// Regression: a swap that decides an undecided survivor at the packet
+/// layer ("promotes" it) delivers the survivor's `on_match` output at
+/// the swap point, and the old transport flushes it. That output used to
+/// carry the survivor's *new* index, which the old transport routes to
+/// whoever held it in the old table: `frames`' three buffered handshake
+/// frames went to old sink 0 (`dns`), whose downcast panicked. Every
+/// frame of the port-80 connection must reach `frames` exactly once —
+/// the handshake through the promotion, the rest off the packet filter.
+#[test]
+fn stepped_swap_routes_a_promoted_survivor_to_itself() {
+    let client: SocketAddr = "10.9.0.1:40000".parse().unwrap();
+    let server: SocketAddr = "93.184.216.34:80".parse().unwrap();
+    let frame = |from_client: bool, seq: u32, ack: u32, flags: u8, payload: &[u8]| {
+        let (src, dst) = if from_client {
+            (client, server)
+        } else {
+            (server, client)
+        };
+        Bytes::from(build_tcp(&TcpSpec {
+            src,
+            dst,
+            seq,
+            ack,
+            flags,
+            window: 65535,
+            ttl: 64,
+            payload,
+        }))
+    };
+    let (ack, psh) = (TcpFlags::ACK, TcpFlags::ACK | TcpFlags::PSH);
+    let frames = [
+        frame(true, 1000, 0, TcpFlags::SYN, &[]),
+        frame(false, 5000, 1001, TcpFlags::SYN | ack, &[]),
+        frame(true, 1001, 5001, ack, &[]),
+        // The swap lands here: the connection is still probing.
+        frame(true, 1001, 5001, psh, b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"),
+        frame(false, 5001, 1028, psh, b"HTTP/1.1 204 No Content\r\n\r\n"),
+        frame(true, 1028, 5028, TcpFlags::FIN | ack, &[]),
+        frame(false, 5028, 1029, TcpFlags::FIN | ack, &[]),
+        frame(true, 1029, 5029, ack, &[]),
+    ];
+    let packets: Vec<(Bytes, u64)> = (1u64..)
+        .zip(&frames)
+        .map(|(t, f)| (f.clone(), t * 1_000_000))
+        .collect();
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let record = |seen: &Arc<Mutex<Vec<Vec<u8>>>>| {
+        let seen = Arc::clone(seen);
+        move |f: ZcFrame| seen.lock().unwrap().push(f.data().to_vec())
+    };
+    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {})
+        .subscribe_named::<ZcFrame>("frames", "http", record(&seen))
+        .build()
+        .unwrap();
+    let spec = SwapSpec::new().subscribe_named::<ZcFrame>("frames", "tcp.port = 80", record(&seen));
+    let cfg = StepConfig {
+        rx_batch: 1,
+        ..StepConfig::seeded(7)
+    };
+    let report = rt
+        .run_stepped_with_swap(&packets, &cfg, 3, &spec)
+        .expect("swap accepted");
+    report.check_accounting().expect("accounting exact");
+    for s in &report.subs {
+        assert_eq!(
+            s.delivered,
+            s.cb_executed + s.cb_dropped_full + s.cb_dropped_disconnected,
+            "{}: delivered != executed + dropped",
+            s.name
+        );
+    }
+    let mut got = seen.lock().unwrap().clone();
+    let mut want: Vec<Vec<u8>> = frames.iter().map(|f| f[..].to_vec()).collect();
+    got.sort();
+    want.sort();
+    assert_eq!(
+        got, want,
+        "frames saw its connection's frames other than exactly once"
+    );
+    assert_eq!(sub(&report, "frames").delivered, frames.len() as u64);
 }
 
 #[test]
