@@ -107,6 +107,11 @@ impl ConnParser for ChaosParser {
     fn drain_sessions(&mut self) -> Vec<Session> {
         Vec::new()
     }
+
+    fn reset(&mut self) -> usize {
+        // Stateless: every decision is a function of the bytes alone.
+        0
+    }
 }
 
 /// Registry factory for [`ChaosParser`] (a plain `fn`, as

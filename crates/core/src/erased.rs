@@ -9,23 +9,28 @@
 //!
 //! * [`ErasedSubscription`] — the subscription *spec*: level, parsers,
 //!   lazy-reconstruction needs, a factory for a core's store of
-//!   per-connection state, and the way back to the typed user callback
-//!   ([`ErasedSubscription::invoke`] downcasts a boxed output; the
-//!   delivery fabric in [`crate::executor`] calls it inline or on a
-//!   dispatch worker).
+//!   per-connection state, and its [`Delivery`]: the typed sinks and
+//!   rings the delivery fabric in [`crate::executor`] is built from, which
+//!   carry the datum to the user callback — inline or on a dispatch
+//!   worker — as itself, never boxed.
 //! * [`TrackedSlab`] — one core's per-connection state for one
 //!   subscription: a typed slab (`Vec<Option<T>>` + free list, the
-//!   `ConnArena` pattern) the tracker addresses by slot id. A new
-//!   connection takes a slot; nothing is boxed per connection. Outputs
-//!   are boxed as [`ErasedOutput`] — the one allocation type erasure
-//!   needs — straight into the tracker's buffer through an [`Emitter`],
-//!   whose typed front ([`TypedEmitter`]) is what `Tracked` hooks see.
+//!   `ConnArena` pattern) the tracker addresses by slot id, plus the
+//!   subscription's **output lane**, a `VecDeque<(u64, O)>` of what its
+//!   hooks emitted, kept (capacity and all) across flushes. A new
+//!   connection takes a slot, an output takes a place in the lane:
+//!   nothing is boxed per connection or per datum. The hooks write
+//!   through an [`Emitter`], whose typed front ([`TypedEmitter`]) is what
+//!   `Tracked` hooks see; the tracker keeps only the emission order, one
+//!   subscription index per datum.
 //!
 //! The connection tracker tags every output with its subscription index,
-//! so data always reaches the subscription that knows its type; the
-//! downcast is an internal invariant, not a user-visible fallibility.
+//! so a lane is always read by the subscription that knows its type: the
+//! one type check, where a sink takes a datum out of its lane, is an
+//! internal invariant, not a user-visible fallibility.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,10 +40,8 @@ use retina_nic::Mbuf;
 use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
+use crate::executor::Deliver;
 use crate::subscription::{ConnView, Level, Subscribable, Tracked};
-
-/// A boxed subscription datum in flight between tracker and callback.
-pub type ErasedOutput = Box<dyn Any + Send>;
 
 /// Object-safe view of a subscription: everything the shared pipeline
 /// needs to know, without the concrete `Subscribable` type.
@@ -57,28 +60,38 @@ pub trait ErasedSubscription: Send + Sync {
     fn new_slab(&self) -> Box<dyn TrackedSlab>;
     /// Whether a user callback is attached (false = spec-only).
     fn has_callback(&self) -> bool;
-    /// Downcasts one boxed output and invokes the user callback on it
-    /// (a no-op for spec-only subscriptions): the one way from the
-    /// delivery fabric back to the typed callback, on whichever thread
-    /// the subscription's dispatch mode puts it.
-    fn invoke(&self, out: ErasedOutput);
-    /// Packet-level fast path, inline: builds the datum straight from
-    /// the frame and invokes the user callback on it, boxing nothing.
-    /// Returns whether a datum was produced — always `false` for a
-    /// spec-only subscription, which builds none.
-    fn invoke_from_mbuf(&self, mbuf: &Mbuf) -> bool;
-    /// Packet-level fast path, dispatched: the same datum boxed, so it
-    /// can cross a ring to a worker (`None` when the frame does not
-    /// yield one).
-    fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput>;
+    /// The typed half of the subscription's delivery, which the
+    /// runtime's dispatch fabrics build their sinks and rings from.
+    fn delivery(&self) -> Delivery<'_>;
 }
 
-/// Where [`TrackedSlab`] hooks put the data they produce: the tracker's
-/// reused output buffer. Every datum is tagged with its subscription
-/// index and the connection's flow trace id, and counted as delivered,
-/// in this one place.
+/// The typed half of a subscription's delivery — what carries its datum
+/// from its output lane to its callback, inline or through rings made
+/// for the datum's type — which only the subscription can provide: it
+/// alone knows the type. Opaque outside the runtime.
+pub struct Delivery<'a>(pub(crate) &'a dyn Deliver);
+
+/// Takes the head of the output lane in `slab`, which holds `S`s: the one
+/// place a datum meets its type again. Every sink of every driver reads
+/// its subscription's lane through here.
+///
+/// # Panics
+/// Panics if `slab` is another subscription's (an index mix-up in the
+/// caller) or its lane is empty (a flush walking past what was emitted).
+pub(crate) fn take_output<S: 'static>(slab: &mut dyn TrackedSlab) -> (u64, S) {
+    slab.lane()
+        .downcast_mut::<VecDeque<(u64, S)>>()
+        .expect("an output lane read as another subscription's type")
+        .pop_front()
+        .expect("one datum in the lane per emission")
+}
+
+/// Where [`TrackedSlab`] hooks put the data they produce: each datum into
+/// its subscription's lane, the subscription's index into the tracker's
+/// emission order, tagged with the connection's flow trace id and
+/// counted as delivered — in this one place.
 pub struct Emitter<'a> {
-    outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
+    order: &'a mut Vec<u32>,
     delivered: &'a mut u64,
     sub: u32,
     trace_id: u64,
@@ -86,50 +99,59 @@ pub struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     /// An emitter for subscription `sub` on the connection whose flow
-    /// trace id is `trace_id` (0 = unsampled), counting into `delivered`.
+    /// trace id is `trace_id` (0 = unsampled), recording emission order
+    /// in `order` and counting into `delivered`.
     pub(crate) fn new(
-        outputs: &'a mut Vec<(u32, u64, ErasedOutput)>,
+        order: &'a mut Vec<u32>,
         delivered: &'a mut u64,
         sub: u32,
         trace_id: u64,
     ) -> Self {
         Emitter {
-            outputs,
+            order,
             delivered,
             sub,
             trace_id,
         }
     }
 
-    /// Queues one datum for delivery.
-    pub fn emit(&mut self, out: ErasedOutput) {
-        self.outputs.push((self.sub, self.trace_id, out));
-        *self.delivered += 1;
-    }
-
-    /// The typed front a `Tracked` hook producing `O`s writes to.
-    pub fn typed<O: Send + 'static>(&mut self) -> TypedEmitter<'_, O> {
-        let inner = Emitter::new(self.outputs, self.delivered, self.sub, self.trace_id);
-        TypedEmitter(inner, PhantomData)
+    /// The typed front writing into `lane`, the subscription's lane.
+    fn typed<'b, O>(&'b mut self, lane: &'b mut VecDeque<(u64, O)>) -> TypedEmitter<'b, O> {
+        TypedEmitter {
+            lane,
+            order: &mut *self.order,
+            delivered: &mut *self.delivered,
+            sub: self.sub,
+            trace_id: self.trace_id,
+        }
     }
 }
 
 /// The typed front of an [`Emitter`], handed to
 /// [`Tracked::on_match`], [`Tracked::post_match`] and
-/// [`Tracked::on_terminate`]: `out.push(datum)` boxes the datum straight
-/// into the tracker's output buffer — no intermediate vector.
-pub struct TypedEmitter<'a, O>(Emitter<'a>, PhantomData<fn(O)>);
+/// [`Tracked::on_terminate`]: `out.push(datum)` moves the datum into the
+/// subscription's output lane as itself — no box, no intermediate vector.
+pub struct TypedEmitter<'a, O> {
+    lane: &'a mut VecDeque<(u64, O)>,
+    order: &'a mut Vec<u32>,
+    delivered: &'a mut u64,
+    sub: u32,
+    trace_id: u64,
+}
 
-impl<O: Send + 'static> TypedEmitter<'_, O> {
+impl<O> TypedEmitter<'_, O> {
     /// Queues one datum for delivery.
     pub fn push(&mut self, datum: O) {
-        self.0.emit(Box::new(datum));
+        self.lane.push_back((self.trace_id, datum));
+        self.order.push(self.sub);
+        *self.delivered += 1;
     }
 }
 
 /// One core's per-connection tracked state for one subscription, behind
 /// an object-safe face: the tracker keeps a slot id per engaged
-/// connection and drives the `Tracked` lifecycle through it.
+/// connection and drives the `Tracked` lifecycle through it. The slab
+/// also holds the subscription's output lane.
 pub trait TrackedSlab: Send {
     /// Creates state for a new connection; returns its slot id.
     fn insert(&mut self, tuple: &FiveTuple, first_ts_ns: u64) -> u32;
@@ -155,21 +177,30 @@ pub trait TrackedSlab: Send {
     fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>);
     /// The connection ended after a full match.
     fn on_terminate(&mut self, slot: u32, conn: &ConnView<'_>, out: &mut Emitter<'_>);
+    /// The output lane — a `VecDeque<(u64, O)>` of `(flow trace id,
+    /// datum)`, oldest first — with its type erased, for a sink to take
+    /// the head of (see [`Delivery`]).
+    fn lane(&mut self) -> &mut dyn Any;
+    /// Drops whatever the lane still holds and, when it has room for more
+    /// than `keep` data, its allocation: after a flush the lane is empty,
+    /// and this bounds what it goes on holding.
+    fn clear_lane(&mut self, keep: usize);
 }
 
 /// The slab of a concrete `Tracked` type: dense slots, recycled through
-/// a free list, so steady-state connection churn allocates nothing here.
-struct TypedSlab<T> {
+/// a free list, so steady-state connection churn allocates nothing here,
+/// and the lane its outputs wait in.
+struct TypedSlab<T: Tracked> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
+    lane: VecDeque<(u64, T::Out)>,
 }
 
-impl<T> TypedSlab<T> {
-    fn state(&mut self, slot: u32) -> &mut T {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("slot id of a released tracked state")
-    }
+/// The state in `slot`.
+fn state<T>(slots: &mut [Option<T>], slot: u32) -> &mut T {
+    slots[slot as usize]
+        .as_mut()
+        .expect("slot id of a released tracked state")
 }
 
 impl<T> TrackedSlab for TypedSlab<T>
@@ -199,11 +230,11 @@ where
     }
 
     fn pre_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket) {
-        self.state(slot).pre_match(mbuf, pkt);
+        state(&mut self.slots, slot).pre_match(mbuf, pkt);
     }
 
     fn on_stream(&mut self, slot: u32, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
-        self.state(slot).on_stream(dir, mbuf, payload);
+        state(&mut self.slots, slot).on_stream(dir, mbuf, payload);
     }
 
     fn on_match(
@@ -214,18 +245,35 @@ where
         session: Option<&Session>,
         out: &mut Emitter<'_>,
     ) {
-        self.state(slot)
-            .on_match(conn, service, session, &mut out.typed());
+        let out = &mut out.typed(&mut self.lane);
+        state(&mut self.slots, slot).on_match(conn, service, session, out);
     }
 
     fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
-        self.state(slot).post_match(mbuf, pkt, &mut out.typed());
+        let out = &mut out.typed(&mut self.lane);
+        state(&mut self.slots, slot).post_match(mbuf, pkt, out);
     }
 
     fn on_terminate(&mut self, slot: u32, conn: &ConnView<'_>, out: &mut Emitter<'_>) {
-        self.state(slot).on_terminate(conn, &mut out.typed());
+        let out = &mut out.typed(&mut self.lane);
+        state(&mut self.slots, slot).on_terminate(conn, out);
+    }
+
+    fn lane(&mut self) -> &mut dyn Any {
+        &mut self.lane
+    }
+
+    fn clear_lane(&mut self, keep: usize) {
+        if self.lane.capacity() > keep {
+            self.lane = VecDeque::new();
+        } else {
+            self.lane.clear();
+        }
     }
 }
+
+/// A user callback, shared by every core's sink and every worker.
+pub(crate) type Callback<S> = Arc<dyn Fn(S) + Send + Sync>;
 
 /// A subscription spec binding a subscribable type to a (possibly
 /// absent) user callback.
@@ -235,7 +283,7 @@ where
 /// the caller drains them itself (the offline mode does this).
 pub struct TypedSubscription<S: Subscribable> {
     name: String,
-    callback: Option<Arc<dyn Fn(S) + Send + Sync>>,
+    callback: Option<Callback<S>>,
     _marker: PhantomData<fn(S)>,
 }
 
@@ -256,6 +304,11 @@ impl<S: Subscribable> TypedSubscription<S> {
             callback: None,
             _marker: PhantomData,
         }
+    }
+
+    /// The user callback (`None` for a spec-only subscription).
+    pub(crate) fn callback(&self) -> Option<&Callback<S>> {
+        self.callback.as_ref()
     }
 }
 
@@ -284,6 +337,7 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
         Box::new(TypedSlab::<S::Tracked> {
             slots: Vec::new(),
             free: Vec::new(),
+            lane: VecDeque::new(),
         })
     }
 
@@ -291,30 +345,8 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
         self.callback.is_some()
     }
 
-    fn invoke(&self, out: ErasedOutput) {
-        let data = out
-            .downcast::<S>()
-            .expect("subscription output routed to a subscription of another type");
-        if let Some(callback) = &self.callback {
-            callback(*data);
-        }
-    }
-
-    fn invoke_from_mbuf(&self, mbuf: &Mbuf) -> bool {
-        let Some(callback) = &self.callback else {
-            return false;
-        };
-        match S::from_mbuf(mbuf) {
-            Some(data) => {
-                callback(data);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn output_from_mbuf(&self, mbuf: &Mbuf) -> Option<ErasedOutput> {
-        S::from_mbuf(mbuf).map(|data| Box::new(data) as ErasedOutput)
+    fn delivery(&self) -> Delivery<'_> {
+        Delivery(self)
     }
 }
 
@@ -323,7 +355,6 @@ mod tests {
     use super::*;
     use crate::subscribables::ConnRecord;
     use retina_conntrack::TcpFlow;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tuple() -> FiveTuple {
         FiveTuple {
@@ -355,36 +386,46 @@ mod tests {
         let slot = slab.insert(&tuple(), 0);
         let (tuple, flow) = (tuple(), TcpFlow::new(16));
         let conn = view(&tuple, &flow);
-        let (mut outputs, mut delivered) = (Vec::new(), 0);
-        let mut out = Emitter::new(&mut outputs, &mut delivered, 3, 9);
+        let (mut order, mut delivered) = (Vec::new(), 0);
+        let mut out = Emitter::new(&mut order, &mut delivered, 3, 9);
         slab.on_match(slot, &conn, None, None, &mut out);
         slab.on_terminate(slot, &conn, &mut out);
-        // Tagged and counted by the emitter.
-        assert_eq!(delivered, outputs.len() as u64);
-        assert!(outputs.iter().all(|(sub, tid, _)| (*sub, *tid) == (3, 9)));
-        // A spec-only `invoke` swallows outputs without panicking.
-        for (_, _, o) in outputs {
-            sub.invoke(o);
+        // Ordered and counted by the emitter; tagged with the trace id in
+        // the subscription's own lane.
+        assert_eq!(delivered, order.len() as u64);
+        assert!(order.iter().all(|&sub| sub == 3));
+        for _ in &order {
+            let (tid, record) = take_output::<ConnRecord>(&mut *slab);
+            assert_eq!((tid, record.tuple), (9, tuple));
         }
+        // Drained: a cleared lane keeps at most what it was told to.
+        slab.clear_lane(0);
+        let lane = slab.lane().downcast_mut::<VecDeque<(u64, ConnRecord)>>();
+        assert_eq!(lane.map(|l| l.capacity()), Some(0));
     }
 
     #[test]
-    fn invoke_downcasts_and_delivers() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let sub = TypedSubscription::<ConnRecord>::new("conns", move |_r: ConnRecord| {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(sub.has_callback());
-        let (tuple, flow) = (tuple(), TcpFlow::new(16));
-        let (mut outputs, mut delivered) = (Vec::new(), 0);
-        let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
+    fn lane_holds_outputs_unboxed_in_emission_order() {
+        let sub = TypedSubscription::<ConnRecord>::spec_only("conns");
         let mut slab = sub.new_slab();
-        let slot = slab.insert(&tuple, 0);
-        slab.on_terminate(slot, &view(&tuple, &flow), &mut out);
-        assert_eq!(outputs.len(), 1);
-        sub.invoke(outputs.pop().unwrap().2);
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
+        let (mut order, mut delivered) = (Vec::new(), 0);
+        let flow = TcpFlow::new(16);
+        let tuples: Vec<FiveTuple> = (0..3u16)
+            .map(|i| FiveTuple {
+                orig: format!("1.2.3.4:{}", 1000 + i).parse().unwrap(),
+                ..tuple()
+            })
+            .collect();
+        for (i, t) in tuples.iter().enumerate() {
+            let slot = slab.insert(t, 0);
+            let mut out = Emitter::new(&mut order, &mut delivered, 0, i as u64);
+            slab.on_terminate(slot, &view(t, &flow), &mut out);
+        }
+        assert_eq!((order, delivered), (vec![0, 0, 0], 3));
+        for (i, t) in tuples.iter().enumerate() {
+            let (tid, record) = take_output::<ConnRecord>(&mut *slab);
+            assert_eq!((tid, record.tuple), (i as u64, *t));
+        }
     }
 
     #[test]

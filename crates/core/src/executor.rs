@@ -10,6 +10,13 @@
 //! thread owning one expensive subscription — or a **shared** worker
 //! pool draining every shared subscription's rings round-robin.
 //!
+//! Nothing crosses the fabric boxed. A datum waits in its subscription's
+//! output lane ([`crate::erased::TrackedSlab`]) until the pipeline's
+//! flush hands it to the subscription's sink, which runs the callback on
+//! it inline or sends it through a ring made, once per configuration
+//! epoch, for its type; the subscription ([`TypedSubscription`]), the
+//! one place that knows the type, provides both.
+//!
 //! The trade-off of leaving the RX core is made explicit per
 //! subscription by a [`QueuePolicy`]:
 //!
@@ -39,8 +46,10 @@ use retina_nic::Mbuf;
 use retina_support::sync::spsc::{self, TryRecvError, TrySendError};
 use retina_telemetry::{trace::TraceDropCode, DispatchStats, TraceKind, Tracer, TriggerReason};
 
-use crate::erased::{ErasedOutput, ErasedSubscription};
+use crate::erased::{take_output, Callback, ErasedSubscription, TrackedSlab, TypedSubscription};
 use crate::pipeline::Transport;
+use crate::step::{StepQueue, VirtualRing};
+use crate::subscription::Subscribable;
 
 /// What happens when a subscription's dispatch ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -162,9 +171,10 @@ pub(crate) type CallbackDelayFn = Arc<dyn Fn(u16, u64) -> Option<Duration> + Sen
 /// deep backlog on one ring cannot monopolize a shared worker.
 const WORKER_BURST: usize = 256;
 
-/// One datum crossing a dispatch ring, tagged with its flow trace id so
-/// worker-side tracepoints reconstruct the cross-thread causal chain.
-pub(crate) type Item = (u64, ErasedOutput);
+/// One datum crossing a dispatch ring, as itself, tagged with its flow
+/// trace id so worker-side tracepoints reconstruct the cross-thread
+/// causal chain.
+pub(crate) type Item<S> = (u64, S);
 
 /// The run's tracer and the lane the calling thread writes on (`None` =
 /// tracing off): the writer's, so every protocol step takes it as an
@@ -179,45 +189,65 @@ pub(crate) fn trace_lane(owned: &Option<(Arc<Tracer>, usize)>) -> TraceLane<'_> 
 /// The producer end of a dispatch ring, as the lane protocol sees it:
 /// the real SPSC producer of a threaded run, or the stepped harness's
 /// bounded queue in virtual time.
-pub(crate) trait RingTx {
+pub(crate) trait RingTx<T> {
     /// Enqueues without blocking; failure hands the item back.
-    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>>;
+    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>>;
+
+    /// Waits out a send [`Lane::offer`] handed back (ring full under
+    /// `Block`) the way the ring allows: a real ring spins until the
+    /// worker frees a slot and returns whether it took the item (`false`:
+    /// the worker is gone); a virtual one parks the send and returns
+    /// `None`, leaving it to the stepped harness to move on.
+    fn wait(&mut self, item: T) -> Option<bool>;
 }
 
 /// The consumer end of a dispatch ring.
-pub(crate) trait RingRx {
+pub(crate) trait RingRx<T> {
     /// Dequeues without blocking; `Disconnected` only once the producer
     /// is gone *and* the ring is drained.
-    fn try_pop(&mut self) -> Result<Item, TryRecvError>;
+    fn try_pop(&mut self) -> Result<T, TryRecvError>;
 }
 
-impl RingTx for spsc::Producer<Item> {
-    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+impl<T: Send> RingTx<T> for spsc::Producer<T> {
+    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>> {
         self.try_send(item)
+    }
+
+    fn wait(&mut self, item: T) -> Option<bool> {
+        Some(self.send(item).is_ok())
     }
 }
 
-impl RingRx for spsc::Consumer<Item> {
-    fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+impl<T: Send> RingRx<T> for spsc::Consumer<T> {
+    fn try_pop(&mut self) -> Result<T, TryRecvError> {
         self.try_recv()
     }
 }
 
-/// One subscription's lane through a dispatch fabric: whose callback
-/// runs and where every hand-off is counted. Its methods are the *lane
-/// protocol* — accounting, drop codes, shed trigger and tracepoint order
-/// of inline execution, a producer's send and a worker's drain — written
-/// here and nowhere else, so the threaded runtime and the stepped
-/// harness execute the same one. Generic over how the counters are
-/// held: shared with the runtime's hub (`Arc<DispatchStats>`, threaded)
-/// or owned in place (stepped).
+/// One subscription's lane through a dispatch fabric: where every
+/// hand-off is counted, under which index it is traced. Its methods are
+/// the *lane protocol* — accounting, drop codes, shed trigger and
+/// tracepoint order of inline execution, a producer's send and a
+/// worker's drain — written here and nowhere else, so the threaded
+/// runtime and the stepped harness execute the same one, whatever the
+/// datum's type. Generic over how the counters are held: shared with the
+/// runtime's hub (`Arc<DispatchStats>`, threaded), owned in place
+/// (stepped), or borrowed from either.
+#[derive(Clone)]
 pub(crate) struct Lane<D> {
-    pub(crate) sub: Arc<dyn ErasedSubscription>,
     pub(crate) stats: D,
     pub(crate) sub_idx: u16,
 }
 
 impl<D: Borrow<DispatchStats>> Lane<D> {
+    /// The lane with its counters borrowed.
+    pub(crate) fn view(&self) -> Lane<&DispatchStats> {
+        Lane {
+            stats: self.stats.borrow(),
+            sub_idx: self.sub_idx,
+        }
+    }
+
     /// A tracepoint of a sampled flow on the caller's lane.
     fn emit(&self, trace: TraceLane<'_>, trace_id: u64, kind: TraceKind, b: u64) {
         if trace_id != 0 {
@@ -252,53 +282,42 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
         }
     }
 
-    /// Inline execution: the callback runs on the delivering core, and
-    /// the hand-off is counted so `delivered == executed + dropped`
-    /// holds uniformly across execution models.
-    pub(crate) fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, out: ErasedOutput) {
+    /// Inline execution: `callback` runs on the delivering core, and the
+    /// hand-off is counted so `delivered == executed + dropped` holds
+    /// uniformly across execution models.
+    pub(crate) fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, callback: impl FnOnce()) {
         self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
-        self.sub.invoke(out);
+        callback();
         self.stats.borrow().note_inline();
         self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
     }
 
-    /// Inline execution of the packet-level fast path: the datum is
-    /// built from the frame and run unboxed. Returns whether the frame
-    /// yielded one.
-    pub(crate) fn run_inline_from_mbuf(
-        &self,
-        trace: TraceLane<'_>,
-        mbuf: &Mbuf,
-        trace_id: u64,
-    ) -> bool {
-        let produced = self.sub.invoke_from_mbuf(mbuf);
-        if produced {
-            self.stats.borrow().note_inline();
-            // Start/end are emitted together after the fact: whether the
-            // frame yields a datum is only known once the fast path ran.
-            self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
-            self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
-        }
-        produced
+    /// Inline execution of the packet-level fast path, counted after the
+    /// fact: start/end are emitted together once the callback has run,
+    /// because whether the frame yields a datum is only known then.
+    fn ran_inline(&self, trace: TraceLane<'_>, trace_id: u64) {
+        self.stats.borrow().note_inline();
+        self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
+        self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
     }
 
     /// The producer side of one send: try-push, then enqueued, dropped
     /// with accounting (worker gone, or ring full under `Shed`), or —
     /// ring full under `Block` — blocked, which hands the item back: the
-    /// caller waits the way its ring allows (a real ring spins, a
-    /// virtual one parks the send) and settles with [`Lane::unblocked`].
-    /// A blocked send's enqueue tracepoint is recorded here, when it
-    /// blocks, so enqueue events land in send order however it waits.
-    pub(crate) fn offer<R: RingTx>(
+    /// caller waits the way its ring allows ([`RingTx::wait`]) and
+    /// settles with [`Lane::unblocked`]. A blocked send's enqueue
+    /// tracepoint is recorded here, when it blocks, so enqueue events
+    /// land in send order however it waits.
+    pub(crate) fn offer<T, R: RingTx<Item<T>>>(
         &self,
         trace: TraceLane<'_>,
         ring: &mut R,
         policy: QueuePolicy,
         trace_id: u64,
-        out: ErasedOutput,
-    ) -> Option<Item> {
+        datum: T,
+    ) -> Option<Item<T>> {
         let stats = self.stats.borrow();
-        match ring.try_push((trace_id, out)) {
+        match ring.try_push((trace_id, datum)) {
             Ok(()) => {
                 stats.note_enqueued();
                 self.emit(trace, trace_id, TraceKind::DispatchEnqueue, stats.depth());
@@ -333,24 +352,25 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     }
 
     /// The worker side: pops up to `budget` items off `ring` and runs
-    /// each (`before_callback` is where the chaos layer stalls a
-    /// worker). Returns how many ran and whether the ring is
+    /// `callback` on each (`before_callback` is where the chaos layer
+    /// stalls a worker). Returns how many ran and whether the ring is
     /// disconnected (producer gone, ring drained).
-    pub(crate) fn drain<R: RingRx>(
+    pub(crate) fn drain<T, R: RingRx<Item<T>>>(
         &self,
         trace: TraceLane<'_>,
         ring: &mut R,
         budget: usize,
         mut before_callback: impl FnMut(),
+        mut callback: impl FnMut(T),
     ) -> (usize, bool) {
         let stats = self.stats.borrow();
         for ran in 0..budget {
             match ring.try_pop() {
-                Ok((trace_id, out)) => {
+                Ok((trace_id, datum)) => {
                     self.emit(trace, trace_id, TraceKind::DispatchDequeue, stats.depth());
                     before_callback();
                     self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
-                    self.sub.invoke(out);
+                    callback(datum);
                     self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
                     stats.note_executed();
                 }
@@ -362,81 +382,349 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     }
 }
 
-/// One subscription's delivery sink on one RX core, over either ring.
-pub(crate) enum Sink<R, D> {
-    /// Runs the callback on the delivering core. Spec-only
-    /// subscriptions stay here in every mode: they have nothing to run
-    /// on a worker.
-    Inline(Lane<D>),
-    /// Crosses a ring to a worker. Boxed: most of a table is inline
-    /// lanes, which should not each carry a ring's worth of space.
-    Queued(Box<QueuedLane<R, D>>),
+/// One subscription's delivery sink on one RX core, over either kind of
+/// ring.
+pub(crate) enum Sink<D, Q: ?Sized> {
+    /// Runs the callback on the delivering core, through the subscription
+    /// itself (see [`Deliver`]): nothing is allocated for it. Spec-only
+    /// subscriptions stay here in every mode: they have nothing to run on
+    /// a worker.
+    Inline(Arc<dyn ErasedSubscription>, Lane<D>),
+    /// Crosses a ring made for the datum's type to a worker. Boxed: most
+    /// of a table is inline lanes, which should not each carry a ring's
+    /// worth of space.
+    Queued(Box<Queued<D, Q>>),
 }
 
-/// A lane whose results cross `ring` to a worker.
-pub(crate) struct QueuedLane<R, D> {
+/// A sink whose results cross a ring: the subscription, its lane, and
+/// the producer end of its ring (`Q`: a [`Queue`] with its datum's type
+/// erased).
+pub(crate) struct Queued<D, Q: ?Sized> {
+    pub(crate) sub: Arc<dyn ErasedSubscription>,
     pub(crate) lane: Lane<D>,
-    pub(crate) ring: R,
-    pub(crate) policy: QueuePolicy,
+    pub(crate) queue: Q,
 }
 
-impl<R: RingTx, D: Borrow<DispatchStats>> Sink<R, D> {
-    /// A sink for `lane` under `mode`: queued over `ring(depth)` when
-    /// the subscription has ring capacity (see [`ring_capacity`]),
-    /// inline otherwise.
-    pub(crate) fn new(lane: Lane<D>, mode: DispatchMode, ring: impl FnOnce(usize) -> R) -> Self {
-        if ring_capacity(&*lane.sub, mode, 1) > 0 {
-            Sink::Queued(Box::new(QueuedLane {
-                ring: ring(mode.depth()),
-                policy: mode.policy(),
-                lane,
-            }))
+impl<D: Borrow<DispatchStats>, Q: ?Sized + Enqueue<D>> Sink<D, Q> {
+    /// A sink for `sub` on `lane` under `mode`: queued as `queued(lane)`
+    /// builds it when the subscription has ring capacity (see
+    /// [`ring_capacity`]), inline otherwise.
+    pub(crate) fn new(
+        sub: &Arc<dyn ErasedSubscription>,
+        lane: Lane<D>,
+        mode: DispatchMode,
+        queued: impl FnOnce(Lane<D>) -> Box<Queued<D, Q>>,
+    ) -> Self {
+        if ring_capacity(&**sub, mode, 1) == 0 {
+            Sink::Inline(Arc::clone(sub), lane)
         } else {
-            Sink::Inline(lane)
+            Sink::Queued(queued(lane))
         }
     }
 
-    /// The sink's lane (subscription, counters).
+    /// The subscription the sink delivers to.
+    pub(crate) fn sub(&self) -> &dyn ErasedSubscription {
+        match self {
+            Sink::Inline(sub, _) => &**sub,
+            Sink::Queued(q) => &*q.sub,
+        }
+    }
+
+    /// The sink's lane (counters, index).
     pub(crate) fn lane(&self) -> &Lane<D> {
         match self {
-            Sink::Inline(lane) => lane,
+            Sink::Inline(_, lane) => lane,
             Sink::Queued(q) => &q.lane,
         }
     }
 
-    /// Hands one boxed datum to the lane. Returns it when the send
-    /// blocked (see [`Lane::offer`]).
+    /// Hands the subscription's next datum — the head of its output lane
+    /// in `slab` — to the lane: run inline, or sent through the ring.
+    /// Returns whether the send parked (a virtual ring's wait).
     #[inline]
-    pub(crate) fn deliver(
-        &mut self,
-        trace: TraceLane<'_>,
-        trace_id: u64,
-        out: ErasedOutput,
-    ) -> Option<Item> {
+    pub(crate) fn deliver(&mut self, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
         match self {
-            Sink::Inline(lane) => {
-                lane.run_inline(trace, trace_id, out);
-                None
+            Sink::Inline(sub, lane) => {
+                sub.delivery().0.run_inline(lane.view(), trace, slab);
+                false
             }
-            Sink::Queued(q) => q.lane.offer(trace, &mut q.ring, q.policy, trace_id, out),
+            Sink::Queued(q) => q.queue.enqueue(&q.lane, trace, slab),
         }
     }
 
-    /// Packet-level fast path: whether the frame yielded a datum, and
-    /// the datum back if its send blocked. Only a queued lane boxes.
+    /// Packet-level fast path: builds the datum straight from the frame
+    /// and hands it on. Returns whether the frame yielded one (always
+    /// `false` for a spec-only subscription, which builds none) and
+    /// whether its send parked.
     #[inline]
     pub(crate) fn deliver_from_mbuf(
         &mut self,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
-    ) -> (bool, Option<Item>) {
+    ) -> (bool, bool) {
         match self {
-            Sink::Inline(lane) => (lane.run_inline_from_mbuf(trace, mbuf, trace_id), None),
-            Sink::Queued(q) => match q.lane.sub.output_from_mbuf(mbuf) {
-                Some(out) => (true, self.deliver(trace, trace_id, out)),
-                None => (false, None),
-            },
+            Sink::Inline(sub, lane) => {
+                let delivery = sub.delivery();
+                let produced = delivery
+                    .0
+                    .run_inline_from_mbuf(lane.view(), trace, mbuf, trace_id);
+                (produced, false)
+            }
+            Sink::Queued(q) => q.queue.enqueue_from_mbuf(&q.lane, trace, mbuf, trace_id),
+        }
+    }
+}
+
+/// The producer end of one subscription's ring, with its datum's type
+/// erased: what a queued [`Sink`] holds.
+pub(crate) trait Enqueue<D>: Send {
+    /// [`Sink::deliver`] for a queued sink.
+    fn enqueue(&mut self, lane: &Lane<D>, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab)
+        -> bool;
+
+    /// [`Sink::deliver_from_mbuf`] for a queued sink.
+    fn enqueue_from_mbuf(
+        &mut self,
+        lane: &Lane<D>,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> (bool, bool);
+}
+
+/// A ring made for `S`s — its producer end, and what to do when it is
+/// full — and the callback a worker runs on what it carries.
+pub(crate) struct Queue<S, R> {
+    pub(crate) ring: R,
+    pub(crate) policy: QueuePolicy,
+    pub(crate) callback: Callback<S>,
+}
+
+impl<S, R: RingTx<Item<S>>> Queue<S, R> {
+    /// Offers one datum to the ring, waiting out a blocked send the way
+    /// the ring allows. Returns whether the send parked.
+    fn send<D: Borrow<DispatchStats>>(
+        &mut self,
+        lane: &Lane<D>,
+        trace: TraceLane<'_>,
+        trace_id: u64,
+        datum: S,
+    ) -> bool {
+        let Some(item) = lane.offer(trace, &mut self.ring, self.policy, trace_id, datum) else {
+            return false;
+        };
+        match self.ring.wait(item) {
+            Some(pushed) => {
+                lane.unblocked(trace, trace_id, pushed);
+                false
+            }
+            None => true,
+        }
+    }
+}
+
+impl<S, R, D> Enqueue<D> for Queue<S, R>
+where
+    S: Subscribable,
+    R: RingTx<Item<S>> + Send,
+    D: Borrow<DispatchStats>,
+{
+    #[inline]
+    fn enqueue(
+        &mut self,
+        lane: &Lane<D>,
+        trace: TraceLane<'_>,
+        slab: &mut dyn TrackedSlab,
+    ) -> bool {
+        let (trace_id, datum) = take_output::<S>(slab);
+        self.send(lane, trace, trace_id, datum)
+    }
+
+    #[inline]
+    fn enqueue_from_mbuf(
+        &mut self,
+        lane: &Lane<D>,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> (bool, bool) {
+        match S::from_mbuf(mbuf) {
+            Some(datum) => (true, self.send(lane, trace, trace_id, datum)),
+            None => (false, false),
+        }
+    }
+}
+
+/// The consumer half of one (core, subscription) ring, typed, as a
+/// worker thread drains it.
+pub(crate) trait WorkerRing: Send {
+    /// The subscription's index (for the chaos layer's delay hook).
+    fn sub_idx(&self) -> u16;
+
+    /// Runs up to `budget` queued results; see [`Lane::drain`].
+    fn drain(
+        &mut self,
+        trace: TraceLane<'_>,
+        budget: usize,
+        before_callback: &mut dyn FnMut(),
+    ) -> (usize, bool);
+}
+
+/// The [`WorkerRing`] of a ring made for `S`s.
+struct Worker<S> {
+    lane: Lane<Arc<DispatchStats>>,
+    callback: Callback<S>,
+    rx: spsc::Consumer<Item<S>>,
+}
+
+impl<S: Send + 'static> WorkerRing for Worker<S> {
+    fn sub_idx(&self) -> u16 {
+        self.lane.sub_idx
+    }
+
+    fn drain(
+        &mut self,
+        trace: TraceLane<'_>,
+        budget: usize,
+        before_callback: &mut dyn FnMut(),
+    ) -> (usize, bool) {
+        let callback = &*self.callback;
+        self.lane
+            .drain(trace, &mut self.rx, budget, before_callback, callback)
+    }
+}
+
+/// The typed half of one subscription's delivery: implemented by
+/// [`TypedSubscription`], the one place that knows the datum's type, and
+/// reached through [`crate::erased::Delivery`]. It runs inline lanes and
+/// makes the rings of queued ones, once per configuration epoch.
+pub(crate) trait Deliver: Send + Sync {
+    /// Inline execution of the subscription's next datum, the head of its
+    /// output lane in `slab`.
+    fn run_inline(
+        &self,
+        lane: Lane<&DispatchStats>,
+        trace: TraceLane<'_>,
+        slab: &mut dyn TrackedSlab,
+    );
+
+    /// Inline packet-level fast path: builds the datum from the frame and
+    /// runs the callback on it. Returns whether the frame yielded one
+    /// (never, for a spec-only subscription: it builds none).
+    fn run_inline_from_mbuf(
+        &self,
+        lane: Lane<&DispatchStats>,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> bool;
+
+    /// `sub`'s queued sink on `lane` under `mode`, over a real SPSC ring
+    /// made for the datum's type, and the ring's consumer end for a
+    /// worker.
+    fn threaded_ring(
+        &self,
+        sub: &Arc<dyn ErasedSubscription>,
+        lane: Lane<Arc<DispatchStats>>,
+        mode: DispatchMode,
+    ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>);
+
+    /// `sub`'s queued sink on `lane` under `mode` in the stepped harness,
+    /// over a ring in virtual time.
+    fn stepped_ring(
+        &self,
+        sub: &Arc<dyn ErasedSubscription>,
+        lane: Lane<DispatchStats>,
+        mode: DispatchMode,
+    ) -> Box<StepQueued>;
+}
+
+/// The producer end of a threaded ring.
+pub(crate) type ThreadedQueue = dyn Enqueue<Arc<DispatchStats>>;
+
+/// A threaded queued sink.
+pub(crate) type ThreadedQueued = Queued<Arc<DispatchStats>, ThreadedQueue>;
+
+/// A stepped queued sink.
+pub(crate) type StepQueued = Queued<DispatchStats, dyn StepQueue>;
+
+impl<S: Subscribable> Deliver for TypedSubscription<S> {
+    #[inline]
+    fn run_inline(
+        &self,
+        lane: Lane<&DispatchStats>,
+        trace: TraceLane<'_>,
+        slab: &mut dyn TrackedSlab,
+    ) {
+        let (trace_id, datum) = take_output::<S>(slab);
+        lane.run_inline(trace, trace_id, || {
+            if let Some(callback) = self.callback() {
+                callback(datum);
+            }
+        });
+    }
+
+    #[inline]
+    fn run_inline_from_mbuf(
+        &self,
+        lane: Lane<&DispatchStats>,
+        trace: TraceLane<'_>,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> bool {
+        let Some(callback) = self.callback() else {
+            return false;
+        };
+        let Some(datum) = S::from_mbuf(mbuf) else {
+            return false;
+        };
+        callback(datum);
+        lane.ran_inline(trace, trace_id);
+        true
+    }
+
+    fn threaded_ring(
+        &self,
+        sub: &Arc<dyn ErasedSubscription>,
+        lane: Lane<Arc<DispatchStats>>,
+        mode: DispatchMode,
+    ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>) {
+        let (ring, rx) = spsc::ring::<Item<S>>(mode.depth());
+        let queue = self.queue(ring, mode);
+        let worker = Worker {
+            lane: lane.clone(),
+            callback: Arc::clone(&queue.callback),
+            rx,
+        };
+        let sub = Arc::clone(sub);
+        (Box::new(Queued { sub, lane, queue }), Box::new(worker))
+    }
+
+    fn stepped_ring(
+        &self,
+        sub: &Arc<dyn ErasedSubscription>,
+        lane: Lane<DispatchStats>,
+        mode: DispatchMode,
+    ) -> Box<StepQueued> {
+        let queue = self.queue(VirtualRing::<Item<S>>::new(mode.depth()), mode);
+        let sub = Arc::clone(sub);
+        Box::new(Queued { sub, lane, queue })
+    }
+}
+
+impl<S: Subscribable> TypedSubscription<S> {
+    /// The queued half of a lane under `mode`, over `ring`. A
+    /// subscription whose results cross a ring has a callback, or it would
+    /// have no ring capacity (see [`ring_capacity`]).
+    fn queue<R>(&self, ring: R, mode: DispatchMode) -> Queue<S, R> {
+        let callback = self
+            .callback()
+            .expect("a queued subscription has a callback");
+        Queue {
+            ring,
+            policy: mode.policy(),
+            callback: Arc::clone(callback),
         }
     }
 }
@@ -444,45 +732,23 @@ impl<R: RingTx, D: Borrow<DispatchStats>> Sink<R, D> {
 /// The threaded [`Transport`]: one RX core's sinks, indexed by
 /// subscription, over real SPSC rings.
 pub(crate) struct CoreSinks {
-    sinks: Vec<Sink<spsc::Producer<Item>, Arc<DispatchStats>>>,
+    sinks: Vec<Sink<Arc<DispatchStats>, ThreadedQueue>>,
     /// The run's tracer and this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
 }
 
-impl CoreSinks {
-    /// A blocked send on a real ring: spins until the worker frees a
-    /// slot (or is gone), as [`QueuePolicy::Block`] promises.
-    fn wait(&self, sub: usize, blocked: Option<Item>) {
-        let Some(item) = blocked else { return };
-        let Sink::Queued(q) = &self.sinks[sub] else {
-            unreachable!("only queued lanes hand a send back");
-        };
-        let trace_id = item.0;
-        let pushed = q.ring.send(item).is_ok();
-        q.lane.unblocked(trace_lane(&self.trace), trace_id, pushed);
-    }
-}
-
 impl Transport for CoreSinks {
     #[inline]
-    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
-        let blocked = self.sinks[sub].deliver(trace_lane(&self.trace), trace_id, out);
-        self.wait(sub, blocked);
+    fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
+        // A real ring waits out a blocked send itself: nothing parks.
+        self.sinks[sub].deliver(trace_lane(&self.trace), slab);
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let (produced, blocked) =
-            self.sinks[sub].deliver_from_mbuf(trace_lane(&self.trace), mbuf, trace_id);
-        self.wait(sub, blocked);
-        produced
+        let trace = trace_lane(&self.trace);
+        self.sinks[sub].deliver_from_mbuf(trace, mbuf, trace_id).0
     }
-}
-
-/// The consumer half of one (core, subscription) ring.
-struct WorkerRing {
-    lane: Lane<Arc<DispatchStats>>,
-    rx: spsc::Consumer<Item>,
 }
 
 /// Handle over the dispatch worker threads; joins once every producer
@@ -537,22 +803,22 @@ pub(crate) fn channel_dispatcher(
             trace: tracer.map(|t| (Arc::clone(t), t.rx_lane(core))),
         })
         .collect();
-    let mut dedicated: Vec<(usize, Vec<WorkerRing>)> = Vec::new();
-    let mut shared: Vec<WorkerRing> = Vec::new();
+    let mut dedicated: Vec<(usize, Vec<Box<dyn WorkerRing>>)> = Vec::new();
+    let mut shared: Vec<Box<dyn WorkerRing>> = Vec::new();
 
     for (i, sub) in subs.iter().enumerate() {
-        let lane = || Lane {
-            sub: Arc::clone(sub),
-            stats: Arc::clone(&stats[i]),
-            sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
-        };
         let mut rings = Vec::new();
         for core in &mut per_core {
-            core.sinks.push(Sink::new(lane(), modes[i], |depth| {
-                let (tx, rx) = spsc::ring::<Item>(depth);
-                rings.push(WorkerRing { lane: lane(), rx });
-                tx
-            }));
+            let lane = Lane {
+                stats: Arc::clone(&stats[i]),
+                sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
+            };
+            let sink = Sink::new(sub, lane, modes[i], |lane| {
+                let (queued, ring) = sub.delivery().0.threaded_ring(sub, lane, modes[i]);
+                rings.push(ring);
+                queued
+            });
+            core.sinks.push(sink);
         }
         match modes[i] {
             DispatchMode::Dedicated { .. } if !rings.is_empty() => dedicated.push((i, rings)),
@@ -583,7 +849,8 @@ pub(crate) fn channel_dispatcher(
     }
     if !shared.is_empty() {
         let workers = shared_workers.max(1).min(shared.len());
-        let mut assignments: Vec<Vec<WorkerRing>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut assignments: Vec<Vec<Box<dyn WorkerRing>>> =
+            (0..workers).map(|_| Vec::new()).collect();
         for (n, ring) in shared.into_iter().enumerate() {
             assignments[n % workers].push(ring);
         }
@@ -604,7 +871,7 @@ pub(crate) fn channel_dispatcher(
 /// gone and every ring empty. Returns the executed-callback count.
 fn spawn_worker(
     name: String,
-    mut rings: Vec<WorkerRing>,
+    mut rings: Vec<Box<dyn WorkerRing>>,
     delay: &CallbackDelayFn,
     trace: Option<(Arc<Tracer>, usize)>,
 ) -> std::thread::JoinHandle<u64> {
@@ -620,16 +887,15 @@ fn spawn_worker(
             while !rings.is_empty() {
                 let mut progress = false;
                 rings.retain_mut(|ring| {
-                    let sub = ring.lane.sub_idx;
+                    let sub = ring.sub_idx();
                     let (ran, disconnected) =
-                        ring.lane
-                            .drain(trace_lane(&trace), &mut ring.rx, WORKER_BURST, || {
-                                let seq = seqs.entry(sub).or_insert(0);
-                                if let Some(d) = delay(sub, *seq) {
-                                    std::thread::sleep(d);
-                                }
-                                *seq += 1;
-                            });
+                        ring.drain(trace_lane(&trace), WORKER_BURST, &mut || {
+                            let seq = seqs.entry(sub).or_insert(0);
+                            if let Some(d) = delay(sub, *seq) {
+                                std::thread::sleep(d);
+                            }
+                            *seq += 1;
+                        });
                     executed += ran as u64;
                     progress |= ran > 0;
                     !disconnected
@@ -647,7 +913,6 @@ fn spawn_worker(
 mod tests {
     use super::*;
     use crate::erased::{Emitter, TypedSubscription};
-    use crate::step::VirtualRing;
     use crate::subscribables::ConnRecord;
     use crate::subscription::ConnView;
     use retina_conntrack::{FiveTuple, TcpFlow};
@@ -665,25 +930,38 @@ mod tests {
         }))
     }
 
-    fn one_output(sub: &Arc<dyn ErasedSubscription>) -> ErasedOutput {
+    /// `sub`'s slab with `n` records waiting in its output lane.
+    fn outputs(sub: &Arc<dyn ErasedSubscription>, n: usize) -> Box<dyn TrackedSlab> {
         let tuple = FiveTuple {
             orig: "1.2.3.4:1000".parse().unwrap(),
             resp: "5.6.7.8:443".parse().unwrap(),
             proto: 6,
         };
-        let mut slab = sub.new_slab();
-        let slot = slab.insert(&tuple, 0);
+        let flow = TcpFlow::new(16);
         let conn = ConnView {
             tuple: &tuple,
             first_seen_ns: 0,
             last_seen_ns: 0,
             established: false,
-            flow: &TcpFlow::new(16),
+            flow: &flow,
         };
-        let (mut outputs, mut delivered) = (Vec::new(), 0);
-        let mut out = Emitter::new(&mut outputs, &mut delivered, 0, 0);
-        slab.on_terminate(slot, &conn, &mut out);
-        outputs.pop().expect("ConnRecord emits on terminate").2
+        let (mut order, mut delivered) = (Vec::new(), 0);
+        let mut slab = sub.new_slab();
+        for _ in 0..n {
+            let slot = slab.insert(&tuple, 0);
+            let mut out = Emitter::new(&mut order, &mut delivered, 0, 0);
+            slab.on_terminate(slot, &conn, &mut out);
+            slab.release(slot);
+        }
+        assert_eq!(delivered, n as u64, "ConnRecord emits on terminate");
+        slab
+    }
+
+    /// One record, as it comes out of an output lane.
+    fn record() -> ConnRecord {
+        let sub: Arc<dyn ErasedSubscription> =
+            Arc::new(TypedSubscription::<ConnRecord>::spec_only("conns"));
+        take_output::<ConnRecord>(&mut *outputs(&sub, 1)).1
     }
 
     /// A fabric over `subs`, with fresh counters sized to the rings.
@@ -723,8 +1001,9 @@ mod tests {
             fabric(&subs, &[DispatchMode::dedicated(4)], 2, 1, &no_delay());
         assert_eq!(dispatcher.handles.len(), 1);
         for core_sinks in &mut sinks {
+            let mut slab = outputs(&sub, 50);
             for _ in 0..50 {
-                core_sinks.deliver(0, 0, one_output(&sub));
+                core_sinks.deliver(0, &mut *slab);
             }
         }
         sinks.clear(); // disconnect the rings
@@ -742,9 +1021,10 @@ mod tests {
         let modes = [DispatchMode::shared(4), DispatchMode::shared(4)];
         let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 2, &no_delay());
         assert_eq!(dispatcher.handles.len(), 2);
+        let (mut slab_a, mut slab_b) = (outputs(&a, 30), outputs(&b, 30));
         for _ in 0..30 {
-            sinks[0].deliver(0, 0, one_output(&a));
-            sinks[0].deliver(1, 0, one_output(&b));
+            sinks[0].deliver(0, &mut *slab_a);
+            sinks[0].deliver(1, &mut *slab_b);
         }
         sinks.clear();
         assert_eq!(dispatcher.join(), 60);
@@ -764,8 +1044,9 @@ mod tests {
             Arc::new(|_, seq| (seq == 0).then(|| Duration::from_millis(50)));
         let modes = [DispatchMode::dedicated(2).shedding()];
         let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 1, &delay);
+        let mut slab = outputs(&sub, 40);
         for _ in 0..40 {
-            sinks[0].deliver(0, 0, one_output(&sub));
+            sinks[0].deliver(0, &mut *slab);
         }
         sinks.clear();
         let executed = dispatcher.join();
@@ -783,7 +1064,7 @@ mod tests {
         let (mut sinks, dispatcher, stats) =
             fabric(&subs, &[DispatchMode::Inline], 1, 1, &no_delay());
         assert_eq!(dispatcher.handles.len(), 0);
-        sinks[0].deliver(0, 0, one_output(&sub));
+        sinks[0].deliver(0, &mut *outputs(&sub, 1));
         assert_eq!(count.load(Ordering::Relaxed), 1);
         assert_eq!(dispatcher.join(), 0);
         stats[0].snapshot().check(1).unwrap();
@@ -792,21 +1073,31 @@ mod tests {
     /// Both ends of one ring in one place, so a script can play
     /// producer and worker in turn; `sever` makes the next send find the
     /// worker gone.
-    trait TestRing: RingTx + RingRx {
+    trait TestRing: RingTx<Item<ConnRecord>> + RingRx<Item<ConnRecord>> {
         fn sever(&mut self);
     }
 
     /// A real SPSC ring; severing drops its consumer.
-    struct RealRing(spsc::Producer<Item>, Option<spsc::Consumer<Item>>);
+    struct RealRing(
+        spsc::Producer<Item<ConnRecord>>,
+        Option<spsc::Consumer<Item<ConnRecord>>>,
+    );
 
-    impl RingTx for RealRing {
-        fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+    impl RingTx<Item<ConnRecord>> for RealRing {
+        fn try_push(
+            &mut self,
+            item: Item<ConnRecord>,
+        ) -> Result<(), TrySendError<Item<ConnRecord>>> {
             self.0.try_push(item)
+        }
+
+        fn wait(&mut self, item: Item<ConnRecord>) -> Option<bool> {
+            self.0.wait(item)
         }
     }
 
-    impl RingRx for RealRing {
-        fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+    impl RingRx<Item<ConnRecord>> for RealRing {
+        fn try_pop(&mut self) -> Result<Item<ConnRecord>, TryRecvError> {
             self.1.as_mut().expect("consumer alive").try_pop()
         }
     }
@@ -820,19 +1111,26 @@ mod tests {
     /// The stepped ring, which no stepped run ever disconnects; the
     /// flag stands in for a dead worker so the script can reach the
     /// protocol's disconnect branch over it too.
-    struct SeverableVirtual(VirtualRing, bool);
+    struct SeverableVirtual(VirtualRing<Item<ConnRecord>>, bool);
 
-    impl RingTx for SeverableVirtual {
-        fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+    impl RingTx<Item<ConnRecord>> for SeverableVirtual {
+        fn try_push(
+            &mut self,
+            item: Item<ConnRecord>,
+        ) -> Result<(), TrySendError<Item<ConnRecord>>> {
             if self.1 {
                 return Err(TrySendError::Disconnected(item));
             }
             self.0.try_push(item)
         }
+
+        fn wait(&mut self, item: Item<ConnRecord>) -> Option<bool> {
+            self.0.wait(item)
+        }
     }
 
-    impl RingRx for SeverableVirtual {
-        fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+    impl RingRx<Item<ConnRecord>> for SeverableVirtual {
+        fn try_pop(&mut self) -> Result<Item<ConnRecord>, TryRecvError> {
             self.0.try_pop()
         }
     }
@@ -850,17 +1148,18 @@ mod tests {
         const TID: u64 = 7;
         const RX: usize = 1;
         const WORKER: usize = 2;
-        let count = Arc::new(AtomicU64::new(0));
-        let sub = counted_sub(&count);
+        let count = AtomicU64::new(0);
+        let callback = |_: ConnRecord| {
+            count.fetch_add(1, Ordering::Relaxed);
+        };
         let lane = Lane {
-            sub: Arc::clone(&sub),
             stats: DispatchStats::with_capacity(2),
             sub_idx: 5,
         };
         let tracer = Tracer::new_virtual(TraceConfig::default(), 1, 1);
         let rx: TraceLane<'_> = Some((&tracer, RX));
         let worker: TraceLane<'_> = Some((&tracer, WORKER));
-        let offer = |ring: &mut _, policy| lane.offer(rx, ring, policy, TID, one_output(&sub));
+        let offer = |ring: &mut _, policy| lane.offer(rx, ring, policy, TID, record());
 
         // Fill.
         assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
@@ -870,11 +1169,17 @@ mod tests {
         // Overflow under Block: handed back; the worker frees a slot,
         // the send goes through and is settled.
         let blocked = offer(&mut ring, QueuePolicy::Block).expect("full ring blocks the send");
-        assert_eq!(lane.drain(worker, &mut ring, 1, || {}), (1, false));
+        assert_eq!(
+            lane.drain(worker, &mut ring, 1, || {}, callback),
+            (1, false)
+        );
         ring.try_push(blocked).expect("a slot was freed");
         lane.unblocked(rx, TID, true);
         // Drain everything.
-        assert_eq!(lane.drain(worker, &mut ring, usize::MAX, || {}), (2, false));
+        assert_eq!(
+            lane.drain(worker, &mut ring, usize::MAX, || {}, callback),
+            (2, false)
+        );
         // Disconnect: the next send finds its worker gone.
         ring.sever();
         assert!(offer(&mut ring, QueuePolicy::Block).is_none());
@@ -891,7 +1196,7 @@ mod tests {
 
     #[test]
     fn lane_protocol_is_one_over_both_rings() {
-        let (tx, rx) = spsc::ring::<Item>(2);
+        let (tx, rx) = spsc::ring::<Item<ConnRecord>>(2);
         let real = lane_script(RealRing(tx, Some(rx)));
         let stepped = lane_script(SeverableVirtual(VirtualRing::new(2), false));
         assert_eq!(real, stepped);

@@ -74,7 +74,7 @@ pub mod util;
 
 pub use config::RuntimeConfig;
 pub use erased::{
-    Emitter, ErasedOutput, ErasedSubscription, TrackedSlab, TypedEmitter, TypedSubscription,
+    Delivery, Emitter, ErasedSubscription, TrackedSlab, TypedEmitter, TypedSubscription,
 };
 pub use executor::{DispatchMode, QueuePolicy};
 pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};

@@ -15,7 +15,7 @@ use retina_nic::Mbuf;
 use retina_support::bytes::Bytes;
 
 use crate::config::RuntimeConfig;
-use crate::erased::{ErasedOutput, ErasedSubscription, TypedSubscription};
+use crate::erased::{take_output, ErasedSubscription, TrackedSlab, TypedSubscription};
 use crate::pipeline::{CorePipeline, Transport, BURST_MAX};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
@@ -41,11 +41,8 @@ impl<S: Subscribable, C: FnMut(S)> Direct<S, C> {
 }
 
 impl<S: Subscribable, C: FnMut(S)> Transport for Direct<S, C> {
-    fn deliver(&mut self, _sub: usize, _trace_id: u64, out: ErasedOutput) {
-        let data = out
-            .downcast::<S>()
-            .expect("single-subscription pipeline produced a foreign output type");
-        (self.callback)(*data);
+    fn deliver(&mut self, _sub: usize, slab: &mut dyn TrackedSlab) {
+        (self.callback)(take_output::<S>(slab).1);
     }
 
     fn deliver_from_mbuf(&mut self, _sub: usize, mbuf: &Mbuf, _trace_id: u64) -> bool {

@@ -31,10 +31,10 @@ use retina_telemetry::{TraceKind, Tracer};
 use retina_wire::ParsedPacket;
 
 use crate::config::RuntimeConfig;
-use crate::erased::{ErasedOutput, ErasedSubscription};
+use crate::erased::{ErasedSubscription, TrackedSlab};
 use crate::stats::CoreStats;
 use crate::subscription::Level;
-use crate::tracker::{ConnHint, ConnTracker, SubTally};
+use crate::tracker::{ConnHint, ConnTracker, Outbox, SubTally};
 use crate::util::rdtsc;
 
 /// Frames [`CorePipeline::on_burst`] stages at a time, and the most
@@ -117,13 +117,14 @@ struct Staged {
 /// threaded runtime's per-core sink set (`executor::CoreSinks`), the
 /// stepped harness's virtual dispatch fabric, and the offline mode's
 /// direct callback ([`crate::offline::Direct`]). The first two are the
-/// same sinks and the same lane protocol over two kinds of ring (see
-/// [`crate::executor`]).
+/// same typed sinks and the same lane protocol over two kinds of ring
+/// (see [`crate::executor`]).
 pub trait Transport {
-    /// Hands one boxed datum of subscription `sub` to the delivery
-    /// layer. `trace_id` is the originating flow's trace id (0 =
-    /// unsampled).
-    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput);
+    /// Hands subscription `sub`'s next datum — the head of the output
+    /// lane in `slab`, the subscription's [`TrackedSlab`], with the
+    /// originating flow's trace id (0 = unsampled) — to the delivery
+    /// layer, which takes it out of the lane.
+    fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab);
     /// Packet-level fast path: builds subscription `sub`'s datum
     /// straight from the frame and hands it on. Returns whether the
     /// frame yielded one.
@@ -214,19 +215,18 @@ impl<F: FilterFns> CorePipeline<F> {
     }
 
     /// Hands everything the tracker produced since the last flush to
-    /// the transport, draining the tracker's buffer in place. Each
-    /// hand-off is one callback-stage run: counted, and timed under
-    /// `profile_stages`.
-    fn flush<T: Transport>(tracker: &mut ConnTracker<F>, profile: bool, transport: &mut T) {
-        let (outputs, stats) = tracker.pending_outputs();
-        for (sub, tid, out) in outputs.drain(..) {
+    /// the transport, in emission order, out of the subscriptions' output
+    /// lanes. Each hand-off is one callback-stage run: counted, and timed
+    /// under `profile_stages`.
+    fn flush<T: Transport>(outbox: Outbox<'_>, profile: bool, transport: &mut T) {
+        outbox.drain(|sub, slab, stats| {
             let tc = profile.then(rdtsc);
             stats.callbacks.runs += 1;
-            transport.deliver(sub as usize, tid, out);
+            transport.deliver(sub, slab);
             if let Some(t) = tc {
                 stats.callbacks.record_cycles(rdtsc().wrapping_sub(t));
             }
-        }
+        });
     }
 
     /// Runs a burst of frames through the pipeline, stage-major, and
@@ -416,7 +416,7 @@ impl<F: FilterFns> CorePipeline<F> {
                         frontiers: std::mem::take(&mut verdict.frontiers),
                     };
                     tracker.process(mbuf, pkt, verdict, hint);
-                    Self::flush(tracker, profile, transport);
+                    Self::flush(tracker.outbox(), profile, transport);
                 }
                 *slot = None;
             }
@@ -428,25 +428,28 @@ impl<F: FilterFns> CorePipeline<F> {
     }
 
     /// Maintenance: expires connections idle at the simulation clock
-    /// (§5.2) and delivers what they release. How often this runs is the
-    /// driver's call.
+    /// (§5.2) and delivers what they release, [`BURST_MAX`] connections at
+    /// a time. How often this runs is the driver's call.
     pub fn advance<T: Transport>(&mut self, transport: &mut T) {
-        self.tracker.advance(self.max_ts);
-        Self::flush(&mut self.tracker, self.profile, transport);
+        let profile = self.profile;
+        let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, transport);
+        self.tracker.advance(self.max_ts, flush);
     }
 
-    /// End of input: flushes every still-open connection.
+    /// End of input: flushes every still-open connection, [`BURST_MAX`]
+    /// at a time.
     pub fn drain<T: Transport>(&mut self, transport: &mut T) {
-        self.tracker.drain();
-        Self::flush(&mut self.tracker, self.profile, transport);
+        let profile = self.profile;
+        self.tracker
+            .drain(|outbox| Self::flush(outbox, profile, transport));
     }
 
     /// Adopts a new configuration at a live-swap safe point (see
     /// [`ConnTracker::rebind`]): surviving per-connection state is
     /// rebound under the new filter, and what the swap emits — removed
     /// subscriptions' drains, promoted survivors' matches — goes through
-    /// `old_transport`, indexed by the *old* table; removed tallies are
-    /// banked for [`CorePipeline::finish`].
+    /// `old_transport`, indexed by the *old* table, in one flush; removed
+    /// tallies are banked for [`CorePipeline::finish`].
     pub(crate) fn adopt<T: Transport>(
         &mut self,
         filter: Arc<F>,
@@ -454,8 +457,9 @@ impl<F: FilterFns> CorePipeline<F> {
         remap: &[Option<usize>],
         old_transport: &mut T,
     ) {
-        let banked = self.tracker.rebind(Arc::clone(&filter), subs, remap);
-        Self::flush(&mut self.tracker, self.profile, old_transport);
+        let profile = self.profile;
+        let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, old_transport);
+        let banked = self.tracker.rebind(Arc::clone(&filter), subs, remap, flush);
         self.removed.extend(banked);
         self.filter = filter;
         self.packet_mask = packet_mask(subs);

@@ -51,11 +51,14 @@ use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_support::sync::spsc::{TryRecvError, TrySendError};
 use retina_telemetry::{DispatchSnapshot, DispatchStats, Tracer, TriggerReason};
 
-use crate::erased::{ErasedOutput, ErasedSubscription};
-use crate::executor::{ring_capacity, DispatchMode, Item, Lane, RingRx, RingTx, Sink, TraceLane};
+use crate::erased::{ErasedSubscription, TrackedSlab};
+use crate::executor::{
+    ring_capacity, DispatchMode, Enqueue, Item, Lane, Queue, RingRx, RingTx, Sink, TraceLane,
+};
 use crate::pipeline::{CorePipeline, Transport};
 use crate::reconfig::{PreparedSwap, StepSwap, SwapError, SwapSpec};
 use crate::runtime::{sub_reports, MultiRuntime, RunReport, ADVANCE_EVERY_BURSTS};
+use crate::subscription::Subscribable;
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -132,50 +135,115 @@ fn stall_blocks(stall: Option<&WorkerStall>, sub: usize, step: u64) -> bool {
 }
 
 /// A dispatch ring in virtual time: a bounded FIFO whose two ends both
-/// live on the stepping thread. It is never disconnected — virtual
+/// live on the stepping thread, made once per lane for the lane's datum
+/// type, plus the sends parked on it. It is never disconnected — virtual
 /// workers outlive every send.
-pub(crate) struct VirtualRing {
-    queue: VecDeque<Item>,
+pub(crate) struct VirtualRing<T> {
+    queue: VecDeque<T>,
+    /// Sends a real RX core would be spinning on, oldest first.
+    parked: VecDeque<T>,
     cap: usize,
 }
 
-impl VirtualRing {
+impl<T> VirtualRing<T> {
     pub(crate) fn new(cap: usize) -> Self {
         VirtualRing {
             queue: VecDeque::with_capacity(cap),
+            parked: VecDeque::new(),
             cap,
         }
     }
 }
 
-impl RingTx for VirtualRing {
-    fn try_push(&mut self, item: Item) -> Result<(), TrySendError<Item>> {
+impl<T> RingTx<T> for VirtualRing<T> {
+    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>> {
         if self.queue.len() >= self.cap {
             return Err(TrySendError::Full(item));
         }
         self.queue.push_back(item);
         Ok(())
     }
+
+    /// A blocked send in virtual time parks; the RX actor moves it into
+    /// the ring ([`StepQueue::unpark`]) before it reads the next frame.
+    fn wait(&mut self, item: T) -> Option<bool> {
+        self.parked.push_back(item);
+        None
+    }
 }
 
-impl RingRx for VirtualRing {
-    fn try_pop(&mut self) -> Result<Item, TryRecvError> {
+impl<T> RingRx<T> for VirtualRing<T> {
+    fn try_pop(&mut self) -> Result<T, TryRecvError> {
         self.queue.pop_front().ok_or(TryRecvError::Empty)
     }
 }
 
-/// One subscription's sink in the virtual fabric: the threaded fabric's
-/// own [`Sink`], over a [`VirtualRing`] and with its counters in place.
-type StepSink = Sink<VirtualRing, DispatchStats>;
+/// A queued lane's ring in the virtual fabric — the threaded fabric's own
+/// [`Queue`], over a [`VirtualRing`] — plus what only virtual time does
+/// with it: unpark sends, and run its worker.
+pub(crate) trait StepQueue: Enqueue<DispatchStats> {
+    /// Nothing queued and nothing parked.
+    fn idle(&self) -> bool;
+    /// Moves the oldest parked send into the ring if it has room.
+    /// Returns whether it moved.
+    fn unpark(&mut self, lane: &Lane<DispatchStats>) -> bool;
+    /// One scheduling of the virtual worker: runs up to `budget` queued
+    /// results. Returns how many ran.
+    fn run_worker(
+        &mut self,
+        lane: &Lane<DispatchStats>,
+        trace: TraceLane<'_>,
+        budget: usize,
+    ) -> usize;
+}
+
+impl<S: Subscribable> StepQueue for Queue<S, VirtualRing<Item<S>>> {
+    fn idle(&self) -> bool {
+        self.ring.queue.is_empty() && self.ring.parked.is_empty()
+    }
+
+    fn unpark(&mut self, lane: &Lane<DispatchStats>) -> bool {
+        let Some(item) = self.ring.parked.pop_front() else {
+            return false;
+        };
+        let trace_id = item.0;
+        match self.ring.try_push(item) {
+            // No tracepoint lane: the enqueue was recorded when the send
+            // parked, in send order.
+            Ok(()) => {
+                lane.unblocked(None, trace_id, true);
+                true
+            }
+            Err(TrySendError::Full(item) | TrySendError::Disconnected(item)) => {
+                self.ring.parked.push_front(item);
+                false
+            }
+        }
+    }
+
+    fn run_worker(
+        &mut self,
+        lane: &Lane<DispatchStats>,
+        trace: TraceLane<'_>,
+        budget: usize,
+    ) -> usize {
+        let callback = &*self.callback;
+        lane.drain(trace, &mut self.ring, budget, || {}, callback).0
+    }
+}
+
+/// One subscription's sink in the virtual fabric.
+type StepSink = Sink<DispatchStats, dyn StepQueue>;
 
 /// The stepped [`Transport`]: the dispatch fabric in virtual time. A
-/// blocked SPSC `send` is a holding buffer the RX actor must flush — in
-/// FIFO order — before it reads the next frame.
+/// blocked SPSC `send` is a parked send the RX actor must flush — in
+/// FIFO order across subscriptions — before it reads the next frame.
 struct StepFabric {
     lanes: Vec<StepSink>,
-    /// The blocked-RX holding buffer: sends a real RX core would be
-    /// spinning on, as `(subscription, item)` in park order.
-    pending: VecDeque<(usize, Item)>,
+    /// The blocked-RX holding order: which subscription's ring holds
+    /// each parked send, in park order (the sends themselves wait in
+    /// their rings, typed).
+    pending: VecDeque<usize>,
     /// Queued subscriptions, one virtual worker each (actor `k + 1`
     /// runs `workers[k]`, on worker lane `k`).
     workers: Vec<usize>,
@@ -204,11 +272,12 @@ impl StepFabric {
             .map(|(j, (sub, mode))| {
                 let fresh = || DispatchStats::with_capacity(ring_capacity(&**sub, *mode, 1));
                 let lane = Lane {
-                    sub: Arc::clone(sub),
                     stats: carried(j).unwrap_or_else(fresh),
                     sub_idx: j as u16,
                 };
-                Sink::new(lane, *mode, VirtualRing::new)
+                Sink::new(sub, lane, *mode, |lane| {
+                    sub.delivery().0.stepped_ring(sub, lane, *mode)
+                })
             })
             .collect();
         let workers = (0..lanes.len())
@@ -226,15 +295,16 @@ impl StepFabric {
     fn idle(&self) -> bool {
         self.pending.is_empty()
             && self.lanes.iter().all(|l| match l {
-                Sink::Inline(_) => true,
-                Sink::Queued(q) => q.ring.queue.is_empty(),
+                Sink::Inline(..) => true,
+                Sink::Queued(q) => q.queue.idle(),
             })
     }
 
-    /// Parks a send its lane handed back (ring full under `Block`).
-    fn park(&mut self, sub: usize, blocked: Option<Item>) {
-        if let Some(item) = blocked {
-            self.pending.push_back((sub, item));
+    /// Records a send subscription `sub`'s ring parked (ring full under
+    /// `Block`).
+    fn park(&mut self, sub: usize, parked: bool) {
+        if parked {
+            self.pending.push_back(sub);
         }
     }
 
@@ -242,20 +312,14 @@ impl StepFabric {
     /// head's ring is full. Returns whether anything moved.
     fn flush_pending(&mut self) -> bool {
         let mut moved = false;
-        while let Some((i, item)) = self.pending.pop_front() {
+        while let Some(&i) = self.pending.front() {
             let Sink::Queued(q) = &mut self.lanes[i] else {
                 unreachable!("only queued lanes park sends");
             };
-            let trace_id = item.0;
-            match q.ring.try_push(item) {
-                // No tracepoint lane: the enqueue was recorded when the
-                // send parked, in send order.
-                Ok(()) => q.lane.unblocked(None, trace_id, true),
-                Err(TrySendError::Full(item) | TrySendError::Disconnected(item)) => {
-                    self.pending.push_front((i, item));
-                    break;
-                }
+            if !q.queue.unpark(&q.lane) {
+                break;
             }
+            self.pending.pop_front();
             moved = true;
         }
         moved
@@ -279,11 +343,11 @@ impl StepFabric {
     /// then lets parked sends take the freed slots. Returns whether it
     /// made progress.
     fn run_worker(&mut self, w: usize, batch: usize) -> bool {
+        let trace = self.tracer.as_deref().map(|t| (t, t.worker_lane(w)));
         let Sink::Queued(q) = &mut self.lanes[self.workers[w]] else {
             unreachable!("workers are queued lanes");
         };
-        let trace = self.tracer.as_deref().map(|t| (t, t.worker_lane(w)));
-        let (ran, _) = q.lane.drain(trace, &mut q.ring, batch, || {});
+        let ran = q.queue.run_worker(&q.lane, trace, batch);
         ran > 0 && {
             self.flush_pending();
             true
@@ -300,15 +364,15 @@ impl StepFabric {
         retired: &mut Vec<(String, DispatchSnapshot)>,
     ) -> Self {
         let mut carried: Vec<Option<DispatchStats>> = Vec::with_capacity(self.lanes.len());
-        for (sink, m) in self.lanes.into_iter().zip(&prepared.remap) {
-            let lane = match sink {
-                Sink::Inline(lane) => lane,
-                Sink::Queued(q) => q.lane,
-            };
+        for (mut sink, m) in self.lanes.into_iter().zip(&prepared.remap) {
             if m.is_none() {
-                retired.push((lane.sub.name().to_string(), lane.stats.snapshot()));
+                retired.push((sink.sub().name().to_string(), sink.lane().stats.snapshot()));
             }
-            carried.push(Some(lane.stats));
+            let lane = match &mut sink {
+                Sink::Inline(_, lane) => lane,
+                Sink::Queued(q) => &mut q.lane,
+            };
+            carried.push(Some(std::mem::take(&mut lane.stats)));
         }
         let survivor = |j| prepared.survivor(j).and_then(|i| carried[i].take());
         StepFabric::new(
@@ -322,16 +386,16 @@ impl StepFabric {
 
 impl Transport for StepFabric {
     #[inline]
-    fn deliver(&mut self, sub: usize, trace_id: u64, out: ErasedOutput) {
-        let blocked = self.lanes[sub].deliver(rx_trace(&self.tracer), trace_id, out);
-        self.park(sub, blocked);
+    fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
+        let parked = self.lanes[sub].deliver(rx_trace(&self.tracer), slab);
+        self.park(sub, parked);
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let (produced, blocked) =
+        let (produced, parked) =
             self.lanes[sub].deliver_from_mbuf(rx_trace(&self.tracer), mbuf, trace_id);
-        self.park(sub, blocked);
+        self.park(sub, parked);
         produced
     }
 }
@@ -532,7 +596,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let dispatch: Vec<(&str, DispatchSnapshot)> = fabric
             .lanes
             .iter()
-            .map(|l| (l.lane().sub.name(), l.lane().stats.snapshot()))
+            .map(|l| (l.sub().name(), l.lane().stats.snapshot()))
             .collect();
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.

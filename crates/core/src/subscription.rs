@@ -36,8 +36,9 @@
 //! sequence numbers.
 //!
 //! The emitting hooks write to a [`TypedEmitter`]: `out.push(datum)`
-//! hands one datum to the runtime, boxed once on its way to the
-//! callback and never staged in a vector of the hook's own.
+//! hands one datum to the runtime — into the subscription's output
+//! lane, as itself, never boxed and never staged in a vector of the
+//! hook's own.
 
 use std::ops::Range;
 

@@ -1,8 +1,9 @@
 //! Delivery: where a connection's per-subscription state lives (one
 //! typed slab per subscription, addressed by slot id), the one emit path
-//! into the output buffer, and the tallies it keeps. The machine
-//! (`phase.rs`) decides who gets `on_match` / `on_terminate` and who is
-//! dropped or served; this file is how.
+//! into the subscriptions' output lanes, the emission order the pipeline
+//! flushes them in, and the tallies it keeps. The machine (`phase.rs`)
+//! decides who gets `on_match` / `on_terminate` and who is dropped or
+//! served; this file is how.
 
 use std::sync::Arc;
 
@@ -11,7 +12,40 @@ use retina_filter::{FilterFns, SubscriptionSet};
 
 use super::{Conn, Machine};
 use crate::erased::{Emitter, ErasedSubscription, TrackedSlab};
+use crate::pipeline::BURST_MAX;
+use crate::stats::CoreStats;
 use crate::subscription::ConnView;
+
+/// What the tracker has produced and not yet handed over: the
+/// subscription of each datum, in emission order, and the slabs whose
+/// output lanes hold the data themselves. The pipeline's flush drains it.
+pub(crate) struct Outbox<'a> {
+    order: &'a mut Vec<u32>,
+    slabs: &'a mut [Box<dyn TrackedSlab>],
+    stats: &'a mut CoreStats,
+}
+
+impl Outbox<'_> {
+    /// Hands every pending datum, in emission order, to `deliver` —
+    /// which takes it out of `slab`, its subscription's — with the core's
+    /// statistics. A flush of more than [`BURST_MAX`] data leaves no lane
+    /// with room for more: what a lane retains stays bounded whatever a
+    /// single connection or expiry released.
+    pub(crate) fn drain(
+        self,
+        mut deliver: impl FnMut(usize, &mut dyn TrackedSlab, &mut CoreStats),
+    ) {
+        for &sub in self.order.iter() {
+            deliver(sub as usize, &mut *self.slabs[sub as usize], self.stats);
+        }
+        if self.order.len() > BURST_MAX {
+            for slab in self.slabs.iter_mut() {
+                slab.clear_lane(BURST_MAX);
+            }
+        }
+        self.order.clear();
+    }
+}
 
 /// Slot ids a connection keeps inline before spilling to the heap.
 const INLINE_REFS: usize = 4;
@@ -122,10 +156,20 @@ impl SubTally {
 }
 
 impl<F: FilterFns> Machine<F> {
+    /// What delivery produced since the last flush.
+    pub(super) fn outbox(&mut self) -> Outbox<'_> {
+        Outbox {
+            order: &mut self.order,
+            slabs: &mut self.slabs,
+            stats: &mut self.stats,
+        }
+    }
+
     /// The one emit path: runs `hook` on subscription `i`'s tracked state
     /// (if the connection holds any), lending it the connection's view and
-    /// an emitter that tags what it produces `(i, trace_id)` into the
-    /// output buffer and counts it in `i`'s tally.
+    /// an emitter that queues what it produces in `i`'s output lane,
+    /// tagged with the trace id, records `i` in the emission order and
+    /// counts it in `i`'s tally.
     pub(super) fn emit(
         &mut self,
         entry: &ConnEntry<Conn>,
@@ -142,7 +186,7 @@ impl<F: FilterFns> Machine<F> {
                 flow: &conn.flow,
             };
             let delivered = &mut self.sub_tallies[i].delivered;
-            let mut out = Emitter::new(&mut self.outputs, delivered, i as u32, conn.trace_id);
+            let mut out = Emitter::new(&mut self.order, delivered, i as u32, conn.trace_id);
             hook(&mut *self.slabs[i], slot, &view, &mut out);
         }
     }

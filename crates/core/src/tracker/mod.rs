@@ -20,12 +20,17 @@
 //! set, lookup and insert, the reassembly flush loop, expiry, drain, and
 //! a swap's table pass. `phase.rs` is the **machine**: phases, probing,
 //! `step` and its executors `apply` and `exit` — the only writers of a
-//! phase, and `exit` the one way out of the table. `deliver.rs` is
-//! **delivery**: the slabs of per-subscription state, the one emit path,
-//! outputs and tallies. Hooks borrow the entry's tuple and stamps and
-//! `Conn`'s flow as a [`ConnView`](crate::ConnView); the table and the
-//! machine are disjoint, so both are borrowed at once, also inside the
-//! table's expiry, drain and swap passes.
+//! phase, and `exit` the one way out of the table — and the per-core
+//! stores its phases draw from: a slab of prefix buffers for records that
+//! straddle segments, a pool of parsers per protocol, both handed back by
+//! the phase writer. `deliver.rs`
+//! is **delivery**: the slabs of per-subscription state and their output
+//! lanes, the one emit path, the emission order and tallies. Hooks borrow
+//! the entry's tuple and stamps and `Conn`'s flow as a
+//! [`ConnView`](crate::ConnView); the table and the machine are disjoint,
+//! so both are borrowed at once, also inside the table's expiry, drain
+//! and swap passes — which hand what they release to the pipeline's
+//! flush as they go.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
@@ -49,13 +54,15 @@ use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::build::{build_tcp, build_udp, TcpSpec, UdpSpec};
 use retina_wire::{ParsedPacket, TcpFlags};
 
-use crate::erased::{ErasedOutput, ErasedSubscription, TrackedSlab};
+use crate::erased::{ErasedSubscription, TrackedSlab};
+use crate::pipeline::BURST_MAX;
 use crate::stats::CoreStats;
 use crate::subscription::Level;
 use crate::util::rdtsc;
+pub(crate) use deliver::Outbox;
 pub use deliver::SubTally;
 use deliver::TrackedRefs;
-use phase::{Event, Masks, Phase, ProbeSet, Subs};
+use phase::{Event, Masks, ParserPool, Phase, Prefixes, ProbeSet, Subs};
 
 /// Per-connection tracker state.
 struct Conn {
@@ -147,7 +154,14 @@ struct Machine<F: FilterFns> {
     /// The candidate sets connections probe against, one per protocol
     /// list; append-only, as probing connections index it across swaps.
     probe_sets: Vec<ProbeSet>,
-    /// Heap bytes of every probing connection's prefix buffers.
+    /// Prefix buffers of probing connections whose first segment left
+    /// every candidate unsure, by slot.
+    prefixes: Prefixes,
+    /// Parsers between connections, one pool per protocol ever probed
+    /// for (the probe sets index it).
+    parsers: Vec<ParserPool>,
+    /// Heap bytes the probing connections' prefix buffers hold, plus
+    /// what idle parsers keep.
     probe_bytes: usize,
     ooo_capacity: usize,
     profile: bool,
@@ -158,7 +172,10 @@ struct Machine<F: FilterFns> {
     stats: CoreStats,
     /// Per-subscription delivery/discard tallies for this core.
     sub_tallies: Vec<SubTally>,
-    outputs: Vec<(u32, u64, ErasedOutput)>,
+    /// What delivery produced since the last flush, in emission order:
+    /// one subscription index per datum, the datum itself waiting in
+    /// that subscription's output lane.
+    order: Vec<u32>,
     /// Tracepoint sink plus the lane (RX core) this tracker writes on.
     tracer: Option<(Arc<Tracer>, usize)>,
 }
@@ -309,13 +326,15 @@ impl<F: FilterFns> ConnTracker<F> {
             slabs: Vec::new(),
             probe_cache: HashMap::new(),
             probe_sets: Vec::new(),
+            prefixes: Prefixes::default(),
+            parsers: Vec::new(),
             probe_bytes: 0,
             ooo_capacity,
             profile,
             shed_parsing: false,
             stats: CoreStats::default(),
             sub_tallies: vec![SubTally::default(); subs.len()],
-            outputs: Vec::new(),
+            order: Vec::new(),
             tracer: None,
         };
         machine.bind(filter, subs);
@@ -366,11 +385,11 @@ impl<F: FilterFns> ConnTracker<F> {
         names.zip(m.sub_tallies.iter().copied()).collect()
     }
 
-    /// The data produced since the last drain, tagged with subscription
-    /// index and flow trace id (0 = unsampled), for the caller to drain in
-    /// place — with the statistics its flush loop updates.
-    pub fn pending_outputs(&mut self) -> (&mut Vec<(u32, u64, ErasedOutput)>, &mut CoreStats) {
-        (&mut self.machine.outputs, &mut self.machine.stats)
+    /// The data produced since the last flush, for the pipeline's flush
+    /// to hand over in emission order — with the statistics its flush
+    /// loop updates.
+    pub(crate) fn outbox(&mut self) -> Outbox<'_> {
+        self.machine.outbox()
     }
 
     /// Sets the parsing-shed flag (governor overload response, tier 1):
@@ -380,10 +399,11 @@ impl<F: FilterFns> ConnTracker<F> {
         self.machine.shed_parsing = shed;
     }
 
-    /// Estimated bytes of live connection state (table entries plus
-    /// probe buffers), Figure 8's memory series; the retained arena is
-    /// [`ConnTracker::arena_bytes`]. O(1): probe bytes are a running
-    /// count, so a 100 k-connection worker can ask every maintenance tick.
+    /// Estimated bytes of live connection state (table entries plus probe
+    /// buffers, and the buffers idle parsers keep), Figure 8's memory
+    /// series; the retained arena is [`ConnTracker::arena_bytes`].
+    /// O(1): probe bytes are a running count, so a 100 k-connection
+    /// worker can ask every maintenance tick.
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
         self.table.len() * per_conn + self.machine.probe_bytes
@@ -580,22 +600,37 @@ impl<F: FilterFns> ConnTracker<F> {
     }
 
     /// Advances simulated time: expires idle connections (§5.2), each
-    /// leaving from the table's expiry pass, not via a side buffer.
-    pub fn advance(&mut self, now_ns: u64) {
-        let m = &mut self.machine;
+    /// leaving from the table's expiry pass, not via a side buffer, and
+    /// hands what they release to `flush` every [`BURST_MAX`] of them: a
+    /// mass expiry never queues in the output lanes whole.
+    pub(crate) fn advance(&mut self, now_ns: u64, mut flush: impl FnMut(Outbox<'_>)) {
+        let (m, mut exits) = (&mut self.machine, 0);
         self.table.advance(now_ns, |_key, mut entry| {
             m.exit(&mut entry, TraceConnEnd::Expired);
+            exits += 1;
+            if exits % BURST_MAX == 0 {
+                flush(m.outbox());
+            }
         });
+        flush(m.outbox());
         self.closed
             .retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
     }
 
     /// Flushes every remaining connection (end of a run): delivers
-    /// connection-level data for matched connections.
-    pub fn drain(&mut self) {
-        let m = &mut self.machine;
-        self.table
-            .drain_all(|mut entry| m.exit(&mut entry, TraceConnEnd::Drained));
+    /// connection-level data for matched connections, handing it to
+    /// `flush` every [`BURST_MAX`] connections, as [`ConnTracker::advance`]
+    /// does.
+    pub(crate) fn drain(&mut self, mut flush: impl FnMut(Outbox<'_>)) {
+        let (m, mut exits) = (&mut self.machine, 0);
+        self.table.drain_all(|mut entry| {
+            m.exit(&mut entry, TraceConnEnd::Drained);
+            exits += 1;
+            if exits % BURST_MAX == 0 {
+                flush(m.outbox());
+            }
+        });
+        flush(m.outbox());
     }
 
     /// Rebinds the tracker to a new configuration epoch at a live-swap
@@ -605,16 +640,18 @@ impl<F: FilterFns> ConnTracker<F> {
     /// removed subscriptions drain, and undecided survivors are
     /// re-filtered by replaying a synthetic first packet through the new
     /// filter. All it emits carries old indices — a promoted survivor's
-    /// `on_match` as much as a removed one's `on_terminate` — for the
-    /// caller to flush through the old transport. Connections nobody
-    /// watches any more leave (`conns_swapped`); the rest, and the slabs
-    /// and tallies, move to the new order. Returns the removed
+    /// `on_match` as much as a removed one's `on_terminate` — and goes to
+    /// `flush` in one piece, for the caller to hand to the old transport,
+    /// before the slabs (and their lanes) are re-indexed. Connections
+    /// nobody watches any more leave (`conns_swapped`); the rest, and the
+    /// slabs and tallies, move to the new order. Returns the removed
     /// subscriptions' `(name, tally)` pairs for the caller to bank.
     pub(crate) fn rebind(
         &mut self,
         filter: Arc<F>,
         subs: &[Arc<dyn ErasedSubscription>],
         remap: &[Option<usize>],
+        flush: impl FnOnce(Outbox<'_>),
     ) -> Vec<(String, SubTally)> {
         let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
         assert_eq!(remap.len(), m.subs.len(), "remap covers the old table");
@@ -645,6 +682,7 @@ impl<F: FilterFns> ConnTracker<F> {
                 closed.insert(ClosedKey::new(entry.tuple.key(), ikey), entry.last_seen_ns);
             },
         );
+        flush(m.outbox());
         let banked = m.reorder(remap, &old_of, subs);
         m.bind(filter, subs);
         banked
@@ -719,7 +757,7 @@ fn synth_first_packet(tuple: &FiveTuple) -> Option<Vec<u8>> {
 mod tests {
     use super::deliver::SlotIds;
     use super::*;
-    use crate::erased::TypedSubscription;
+    use crate::erased::{take_output, TypedSubscription};
     use crate::subscribables::{
         ConnRecord, DnsTransactionData, HttpTransactionData, TlsHandshakeData,
     };
@@ -732,6 +770,7 @@ mod tests {
     use retina_support::bytes::Bytes;
     use retina_wire::build::{build_tcp, TcpSpec};
     use retina_wire::TcpFlags;
+    use std::collections::VecDeque;
     use std::net::SocketAddr;
 
     use super::phase::tests::PROMOTIONS;
@@ -910,19 +949,44 @@ mod tests {
     }
 
     /// `state_bytes()` the slow way: a walk over every table entry
-    /// summing probe-buffer capacities. The running count must equal it
-    /// at every point.
+    /// summing its probe slot's buffer capacities, then over the released
+    /// slots and the idle parsers the pools keep. The running count must
+    /// equal it at every point.
     fn state_bytes_walk(t: &ConnTracker<CompiledFilter>) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
-        let probing = t.table.iter().filter_map(|e| match &e.value.phase {
-            Phase::Probing(ps) => Some(ps.buffered()),
+        let slots = &t.machine.prefixes.slots;
+        let held = |slot: u32| {
+            slots[slot as usize]
+                .iter()
+                .map(Vec::capacity)
+                .sum::<usize>()
+        };
+        let probing = prefix_slots(t).map(held);
+        let released = t.machine.prefixes.free.iter().map(|&slot| held(slot));
+        let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
+        t.table.len() * per_conn
+            + probing.sum::<usize>()
+            + released.sum::<usize>()
+            + idle.map(|(_, kept)| kept).sum::<usize>()
+    }
+
+    /// The prefix slots the table's probing connections hold.
+    fn prefix_slots(t: &ConnTracker<CompiledFilter>) -> impl Iterator<Item = u32> + '_ {
+        t.table.iter().filter_map(|e| match &e.value.phase {
+            Phase::Probing(probe) if probe.prefix != phase::NO_PREFIX => Some(probe.prefix),
             _ => None,
-        });
-        t.table.len() * per_conn + probing.sum::<usize>()
+        })
+    }
+
+    /// A flush that drops what it is handed: what tracker tests drive
+    /// instead of a transport.
+    fn discard(outbox: Outbox<'_>) {
+        outbox.drain(|_, slab, _| slab.clear_lane(usize::MAX));
     }
 
     /// Every slab holds exactly the states the table's connections
-    /// reference: nothing leaked, nothing dangling. Returns the live
+    /// reference, and every prefix slot is a probing connection's or
+    /// released: nothing leaked, nothing dangling. Returns the live
     /// count per subscription.
     fn slab_balance(t: &ConnTracker<CompiledFilter>) -> Vec<usize> {
         assert_eq!(
@@ -930,6 +994,13 @@ mod tests {
             state_bytes_walk(t),
             "probe-byte count drifted"
         );
+        let prefixes = &t.machine.prefixes;
+        let mut slots: Vec<u32> = prefix_slots(t)
+            .chain(prefixes.free.iter().copied())
+            .collect();
+        slots.sort_unstable();
+        let all: Vec<u32> = (0..prefixes.slots.len() as u32).collect();
+        assert_eq!(slots, all, "every prefix slot is held once or free");
         let live: Vec<usize> = t.machine.slabs.iter().map(|s| s.live()).collect();
         for (i, live) in live.iter().enumerate() {
             let held = t
@@ -984,7 +1055,7 @@ mod tests {
         assert_eq!(slab_balance(&t), vec![50, 50, 50]);
 
         // finalize, by expiry: the SYNs time out; every slab empties.
-        t.advance(10_000 * MS);
+        t.advance(10_000 * MS, discard);
         assert_eq!(t.connections(), 0);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
         assert_eq!(t.machine.sub_tallies[0].delivered, 53);
@@ -1014,7 +1085,8 @@ mod tests {
         let new_filter =
             CompiledFilter::build_union(&["http", "tcp", "dns"], &ProtocolRegistry::default())
                 .unwrap();
-        let banked = t.rebind(Arc::new(new_filter), &new_subs, &[Some(1), None, Some(0)]);
+        let remap = [Some(1), None, Some(0)];
+        let banked = t.rebind(Arc::new(new_filter), &new_subs, &remap, discard);
         assert_eq!(banked.len(), 1);
         assert_eq!(banked[0].0, "netflix");
         assert_eq!(
@@ -1036,17 +1108,17 @@ mod tests {
         web.data(false, &http::build_response(200, 32));
         feed(&mut t, &web.out);
         assert_eq!(t.machine.sub_tallies[0].delivered, 3);
-        t.drain();
+        t.drain(discard);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
         assert_eq!(t.machine.sub_tallies[1].delivered, 53 + 41);
     }
 
     /// The running probe-buffer byte count behind the O(1)
-    /// `state_bytes()` equals the walk over every entry, through every
-    /// way a connection leaves `Phase::Probing`: a winner is selected,
-    /// every candidate is eliminated, the prefix overflows, the
+    /// `state_bytes()` equals the walk over every entry and the pools,
+    /// through every way a connection leaves `Phase::Probing`: a winner is
+    /// selected, every candidate is eliminated, the prefix overflows, the
     /// connection terminates or expires mid-probe, a rebind demotes it,
-    /// the table is drained.
+    /// the table is drained. What the pools keep stays within the cap.
     #[test]
     fn state_bytes_is_a_running_count_equal_to_the_walk() {
         const MS: u64 = 1_000_000;
@@ -1090,7 +1162,9 @@ mod tests {
             c.out.clear();
         }
         feed(&mut t, &closing.close());
+        // The four released their prefix slots, and the bytes with them.
         let after_four = check(&t);
+        assert_eq!(t.machine.prefixes.free.len(), 4);
         assert!(after_four < parked, "{after_four} vs {parked}");
 
         // A rebind that drops `http` and keeps `tls`: the four still
@@ -1100,20 +1174,78 @@ mod tests {
         let new_subs: Subs = vec![Arc::clone(&subs[0])];
         let new_filter =
             CompiledFilter::build_union(&["tls"], &ProtocolRegistry::default()).unwrap();
-        t.rebind(Arc::new(new_filter), &new_subs, &[Some(0), None]);
+        t.rebind(Arc::new(new_filter), &new_subs, &[Some(0), None], discard);
         check(&t);
 
         // Expiry (idle past the inactivity timeout) and the final drain
-        // release whatever is left.
-        t.advance(400_000 * MS);
+        // release whatever is left: the prefix buffers are freed, the
+        // parsers go to their pool, which keeps none past the cap.
+        t.advance(400_000 * MS, discard);
         check(&t);
         let mut late = Conv::open("10.0.2.1:40100", "93.184.216.34:80", 500_000 * MS);
         late.data(true, &[0x16]);
         feed(&mut t, &late.out);
         assert!(check(&t) > 0);
-        t.drain();
-        assert_eq!(check(&t), 0);
+        t.drain(discard);
+        check(&t);
         assert_eq!(t.connections(), 0);
+        let prefixes = &t.machine.prefixes;
+        assert_eq!(prefixes.free.len(), prefixes.slots.len());
+        assert!(prefixes
+            .slots
+            .iter()
+            .flatten()
+            .all(|buf| buf.capacity() == 0));
+        let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
+        let kept: Vec<usize> = idle.map(|(_, kept)| *kept).collect();
+        assert!(kept.iter().all(|&kept| kept <= phase::PROBE_BUFFER_CAP));
+        assert_eq!(check(&t), kept.iter().sum::<usize>());
+    }
+
+    /// A drain or a mass expiry hands what it releases to the flush a
+    /// burst at a time: the callbacks see the table's exit order, exactly
+    /// what one flush of everything would hand them, and no output lane
+    /// is left with room for more than a burst.
+    #[test]
+    fn mass_exits_are_flushed_a_burst_at_a_time() {
+        const N: u32 = 20_000;
+        let lane_capacity = |t: &mut ConnTracker<CompiledFilter>| {
+            let lane = t.machine.slabs[0].lane();
+            let lane = lane.downcast_mut::<VecDeque<(u64, ConnRecord)>>().unwrap();
+            lane.capacity()
+        };
+        for drained in [true, false] {
+            let subs: Subs = vec![Arc::new(TypedSubscription::<ConnRecord>::spec_only(
+                "conns",
+            ))];
+            let mut t = tracker(&["tcp"], &subs);
+            feed(
+                &mut t,
+                &(0..N).map(|n| syn(n, u64::from(n))).collect::<Vec<_>>(),
+            );
+            assert_eq!(t.connections(), N as usize);
+            let mut one_shot: Vec<FiveTuple> = t.table.iter().map(|e| e.tuple).collect();
+            let (mut seen, mut flushes) = (Vec::new(), Vec::new());
+            let flush = |outbox: Outbox<'_>| {
+                let before = seen.len();
+                outbox.drain(|_, slab, _| seen.push(take_output::<ConnRecord>(slab).1.tuple));
+                flushes.push(seen.len() - before);
+            };
+            if drained {
+                t.drain(flush);
+                assert_eq!(seen, one_shot, "drain order");
+            } else {
+                // Past the establish timeout: every SYN expires at once,
+                // in the wheel's order.
+                t.advance(60_000_000_000, flush);
+                seen.sort_by_key(|t| (t.orig, t.resp));
+                one_shot.sort_by_key(|t| (t.orig, t.resp));
+                assert_eq!(seen, one_shot, "each record once");
+            }
+            assert_eq!(t.connections(), 0);
+            assert!(flushes.iter().all(|&n| n <= BURST_MAX), "{flushes:?}");
+            assert!(lane_capacity(&mut t) <= BURST_MAX);
+        }
     }
 
     /// Feeds `packets` as `CorePipeline::on_burst` would: subscriptions
@@ -1176,13 +1308,20 @@ mod tests {
         let new_subs: Subs = vec![Arc::clone(&subs[2]), Arc::clone(&subs[1])];
         let srcs = ["tcp.port = 80", "tcp.port = 80"];
         let filter = CompiledFilter::build_union(&srcs, &ProtocolRegistry::default()).unwrap();
-        let banked = t.rebind(Arc::new(filter), &new_subs, &[None, Some(1), Some(0)]);
+        let mut tags = Vec::new();
+        let remap = [None, Some(1), Some(0)];
+        let banked = t.rebind(Arc::new(filter), &new_subs, &remap, |outbox| {
+            outbox.drain(|sub, slab, _| {
+                tags.push(sub);
+                take_output::<ZcFrame>(slab);
+            });
+        });
         assert_eq!(PROMOTIONS.with(std::cell::Cell::get), promotions + 1);
         assert_eq!((banked[0].0.as_str(), banked[0].1.discarded), ("tls", 1));
         // `frames` released its three handshake frames under old index 1
-        // (what the old transport routes to it) and left the connection;
-        // `web` is matched and the connection stopped probing.
-        let tags: Vec<u32> = t.machine.outputs.iter().map(|(sub, _, _)| *sub).collect();
+        // (what the old transport routes to it), flushed before the slabs
+        // moved, and left the connection; `web` is matched and the
+        // connection stopped probing.
         assert_eq!(tags, vec![1, 1, 1]);
         assert_eq!(t.machine.sub_tallies[1].delivered, 3);
         assert_eq!(slab_balance(&t), vec![1, 0]);
@@ -1190,7 +1329,7 @@ mod tests {
         assert_eq!(entry.value.phase.kind(), phase::Kind::Tracking);
         assert_eq!(entry.value.subs.matched, SubscriptionSet::single(0));
         check_accounting(&t);
-        t.drain();
+        t.drain(discard);
         assert_eq!(t.machine.sub_tallies[0].delivered, 1, "web's record");
         t.stats().check_conn_accounting().unwrap();
     }
@@ -1351,7 +1490,7 @@ mod tests {
                     }
                     4 => {
                         now += (c as u64 + 1) * 60_000 * MS;
-                        t.advance(now);
+                        t.advance(now, discard);
                     }
                     _ => {
                         let (new_subs, filter) = table(&picks);
@@ -1359,7 +1498,7 @@ mod tests {
                             new_subs.iter().map(|s| s.name().to_string()).collect();
                         let remap: Vec<Option<usize>> =
                             names.iter().map(|n| new_names.iter().position(|m| m == n)).collect();
-                        t.rebind(filter, &new_subs, &remap);
+                        t.rebind(filter, &new_subs, &remap, discard);
                         names = new_names;
                     }
                 }
@@ -1368,10 +1507,10 @@ mod tests {
                     now = now.max(conv.ts);
                     conv.out.clear();
                 }
-                t.machine.outputs.clear();
+                discard(t.outbox());
                 check_accounting(&t);
             }
-            t.drain();
+            t.drain(discard);
             check_accounting(&t);
             prop_assert_eq!(t.connections(), 0);
             prop_assert!(slab_balance(&t).iter().all(|&n| n == 0));

@@ -3,8 +3,15 @@
 //! and `Machine::exit` is the one way out of the table: the only writers
 //! of a phase. Figure 4 draws one subscription's machine; this is their
 //! composition (the tests check it against a per-subscription model).
+//!
+//! A phase owns nothing it would allocate per connection: probing state
+//! is sixteen bytes in the phase ([`Probe`]), a record that straddles
+//! segments is buffered in a slot of the core's [`Prefixes`], a parser
+//! comes from its protocol's [`ParserPool`], and the phase writer hands
+//! slot and parser back.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use retina_conntrack::{ConnEntry, Dir};
 use retina_filter::{ConnVerdict, FilterFns, SubscriptionSet};
@@ -15,10 +22,12 @@ use retina_protocols::{
 use retina_telemetry::{trace::TraceConnEnd, TraceKind};
 
 use super::{Conn, Machine};
+use crate::pipeline::BURST_MAX;
 use crate::util::rdtsc;
 
-/// Cap on bytes buffered per direction while probing for the protocol.
-const PROBE_BUFFER_CAP: usize = 8 * 1024;
+/// Cap on bytes buffered per direction while probing for the protocol,
+/// and on what a pooled parser keeps between connections.
+pub(super) const PROBE_BUFFER_CAP: usize = 8 * 1024;
 
 /// Most probe candidates one connection can hold: its alive mask is one
 /// word. (The built-in registry has five protocols.)
@@ -32,17 +41,39 @@ pub(super) struct ProbeSet {
     /// The protocol names probed for, in candidate order (at most
     /// [`MAX_CANDIDATES`]).
     protos: Vec<String>,
-    /// `protos[i]`'s prototype; `None` for a name the registry does not
-    /// know (never a candidate).
-    prototypes: Vec<Option<Box<dyn ConnParser>>>,
+    /// `protos[i]`'s prototype and the index of its protocol's
+    /// [`ParserPool`]; `None` for a name the registry does not know
+    /// (never a candidate).
+    prototypes: Vec<Option<(Box<dyn ConnParser>, u32)>>,
     /// The alive mask a connection starts probing with: one bit per
     /// prototype.
     all_alive: u64,
 }
 
 impl ProbeSet {
-    fn new(protos: Vec<String>, registry: &ParserRegistry) -> Self {
-        let prototypes: Vec<_> = protos.iter().map(|p| registry.new_parser(p)).collect();
+    /// The set for `protos`, each known protocol's pool found in `pools`
+    /// or added to it.
+    fn new(protos: Vec<String>, registry: &ParserRegistry, pools: &mut Vec<ParserPool>) -> Self {
+        let mut pool_of = |proto: &String, prototype: &dyn ConnParser| {
+            let known = pools.iter().position(|p| p.proto == *proto);
+            let i = known.unwrap_or_else(|| {
+                pools.push(ParserPool {
+                    proto: proto.clone(),
+                    service: prototype.name(),
+                    idle: Vec::new(),
+                });
+                pools.len() - 1
+            });
+            u32::try_from(i).expect("one pool per registered protocol")
+        };
+        let prototypes: Vec<_> = protos
+            .iter()
+            .map(|p| {
+                let prototype = registry.new_parser(p)?;
+                let pool = pool_of(p, &*prototype);
+                Some((prototype, pool))
+            })
+            .collect();
         let known = prototypes.iter().enumerate();
         let all_alive = known.fold(0, |m, (i, p)| m | (u64::from(p.is_some()) << i));
         ProbeSet {
@@ -52,27 +83,24 @@ impl ProbeSet {
         }
     }
 
-    /// Evaluates the candidates still alive in `ps`, in set order,
-    /// against both directions' prefixes — `in_place`, the segment being
-    /// delivered, standing for its direction's (see
-    /// [`ProbeState::prefixes`]): the first candidate certain of the
-    /// stream, if any, and the alive mask less the candidates every
-    /// nonempty prefix ruled out. A panic while probing eliminates the
-    /// candidate (recoverable, counted in `panics`), never the worker.
+    /// Evaluates the candidates still `alive`, in set order, against both
+    /// directions' prefixes (see [`prefixes`]): the first candidate
+    /// certain of the stream, if any, and the alive mask less the
+    /// candidates every nonempty prefix ruled out. A panic while probing
+    /// eliminates the candidate (recoverable, counted in `panics`), never
+    /// the worker.
     fn probe(
         &self,
-        ps: &ProbeState,
-        in_place: Option<(Direction, &[u8])>,
+        alive: u64,
+        prefixes: [(&[u8], Direction); 2],
         panics: &mut u64,
     ) -> (Option<usize>, u64) {
-        let prefixes = ps.prefixes(in_place);
-        let mut alive = ps.alive;
-        let mut candidates = ps.alive;
+        let (mut candidates, mut alive) = (alive, alive);
         while candidates != 0 {
             let i = candidates.trailing_zeros() as usize;
             candidates &= candidates - 1;
-            let parser = self.prototypes[i]
-                .as_deref()
+            let (parser, _) = self.prototypes[i]
+                .as_ref()
                 .expect("alive candidates have prototypes");
             let mut not_for_us = 0;
             let mut nonempty = 0;
@@ -101,55 +129,98 @@ impl ProbeSet {
     }
 }
 
-/// Probing state: which candidates of the connection's [`ProbeSet`] are
-/// still in the running, plus — only for a direction whose first
-/// segment left every candidate unsure — the stream prefix so far.
-#[derive(Default)]
-pub(super) struct ProbeState {
+/// A probing connection's state: which candidates of its [`ProbeSet`]
+/// are still in the running, plus — only once a direction's first
+/// segment left every candidate unsure — its slot in the core's
+/// [`Prefixes`]. Sixteen bytes, held in the phase itself: nothing is
+/// allocated for a connection that probes.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Probe {
     /// Index of the candidate set in the tracker's `probe_sets`.
     set: u32,
+    /// The connection's slot in [`Prefixes`], or [`NO_PREFIX`].
+    pub(super) prefix: u32,
     /// Bit `i` set: candidate `i` of the set has not been eliminated.
     alive: u64,
-    buf_ts: Vec<u8>,
-    buf_tc: Vec<u8>,
 }
 
-impl ProbeState {
-    /// Bytes the two prefix buffers hold on the heap.
-    pub(super) fn buffered(&self) -> usize {
-        self.buf_ts.capacity() + self.buf_tc.capacity()
+/// [`Probe::prefix`] of a connection that has buffered nothing.
+pub(super) const NO_PREFIX: u32 = u32::MAX;
+
+/// Both directions' prefix buffers, client's first.
+type PrefixPair = [Vec<u8>; 2];
+
+/// The stream prefixes of probing connections whose first segment left
+/// every candidate unsure, by slot: dense slots and a free list, the
+/// tracked-state slab's pattern. A slot is reused; the bytes it buffered
+/// are freed with it — records that straddle segments are rare, and what
+/// a pool of them kept would stay pinned.
+#[derive(Default)]
+pub(super) struct Prefixes {
+    pub(super) slots: Vec<PrefixPair>,
+    pub(super) free: Vec<u32>,
+}
+
+impl Prefixes {
+    /// A slot with both buffers empty.
+    fn draw(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(PrefixPair::default());
+            u32::try_from(self.slots.len() - 1).expect("prefix slab exceeds u32 slots")
+        })
     }
 
-    /// Both directions' stream prefixes, client's first: what is
-    /// buffered, except that `in_place` — a segment of a direction that
-    /// has buffered nothing — is that direction's prefix where it lies
-    /// in its frame.
-    fn prefixes<'a>(
-        &'a self,
-        in_place: Option<(Direction, &'a [u8])>,
-    ) -> [(&'a [u8], Direction); 2] {
-        let prefix = |buf: &'a Vec<u8>, d| match in_place {
-            Some((at, segment)) if at == d => (segment, d),
-            _ => (buf.as_slice(), d),
-        };
-        [
-            prefix(&self.buf_ts, Direction::ToServer),
-            prefix(&self.buf_tc, Direction::ToClient),
-        ]
+    /// Frees `slot` and its buffers; returns the heap bytes they held.
+    fn release(&mut self, slot: u32) -> usize {
+        self.free.push(slot);
+        let bufs = std::mem::take(&mut self.slots[slot as usize]);
+        bufs.iter().map(Vec::capacity).sum()
     }
+}
 
-    /// Appends `data` to direction `d`'s prefix buffer — the one copy on
-    /// the probe path, made only for a record that straddles segments —
-    /// and returns how many heap bytes the buffer grew by.
-    fn spill(&mut self, d: Direction, data: &[u8]) -> usize {
-        let buf = match d {
-            Direction::ToServer => &mut self.buf_ts,
-            Direction::ToClient => &mut self.buf_tc,
-        };
-        let held = buf.capacity();
-        buf.extend_from_slice(data);
-        buf.capacity() - held
+/// The index of direction `d`'s buffer in a [`PrefixPair`].
+fn side(d: Direction) -> usize {
+    match d {
+        Direction::ToServer => 0,
+        Direction::ToClient => 1,
     }
+}
+
+/// Both directions' stream prefixes, client's first: what `buffered`
+/// holds, except that `in_place` — a segment of a direction that has
+/// buffered nothing — is that direction's prefix where it lies in its
+/// frame.
+fn prefixes<'a>(
+    buffered: Option<&'a PrefixPair>,
+    in_place: Option<(Direction, &'a [u8])>,
+) -> [(&'a [u8], Direction); 2] {
+    let prefix = |d| match (in_place, buffered) {
+        (Some((at, segment)), _) if at == d => (segment, d),
+        (_, Some(bufs)) => (bufs[side(d)].as_slice(), d),
+        _ => (&[][..], d),
+    };
+    [prefix(Direction::ToServer), prefix(Direction::ToClient)]
+}
+
+/// Appends `data` to a prefix buffer — the one copy on the probe path,
+/// made only for a record that straddles segments — and returns how many
+/// heap bytes the buffer grew by.
+fn spill(buf: &mut Vec<u8>, data: &[u8]) -> usize {
+    let held = buf.capacity();
+    buf.extend_from_slice(data);
+    buf.capacity() - held
+}
+
+/// Parsers of one protocol between connections: reset, each with the
+/// bytes it keeps, waiting for the next connection identified as the
+/// protocol.
+pub(super) struct ParserPool {
+    /// The protocol's registry name.
+    proto: String,
+    /// What its parsers call themselves: the service a connection is
+    /// identified as.
+    service: &'static str,
+    pub(super) idle: Vec<(Box<dyn ConnParser>, usize)>,
 }
 
 /// Connection processing phase (Figure 4 states), shared by all
@@ -157,12 +228,12 @@ impl ProbeState {
 /// per connection no matter how many subscriptions consume it.
 pub(super) enum Phase {
     /// Probing the stream prefix for the application-layer protocol.
-    /// Boxed to keep [`Conn`] inside its size budget.
-    Probing(Box<ProbeState>),
-    /// Parsing the identified protocol.
+    Probing(Probe),
+    /// Parsing the identified protocol with a parser drawn from
+    /// `pool`, which it goes back to when the connection stops parsing.
     Parsing {
         parser: Box<dyn ConnParser>,
-        service: &'static str,
+        pool: u32,
     },
     /// Tracking without app-layer processing (counters + delivery hooks).
     Tracking,
@@ -178,6 +249,15 @@ pub(super) enum Kind {
     Parsing,
     Tracking,
     Dropped,
+}
+
+/// What a transition into Probing or Parsing starts the phase with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Seed {
+    /// Probing against this candidate set.
+    Probe(u32),
+    /// A parser from this protocol's pool.
+    Parse(u32),
 }
 
 impl Phase {
@@ -442,20 +522,60 @@ pub(super) fn step(kind: Kind, event: Event, s: Subs, m: &Masks) -> Transition {
 }
 
 impl<F: FilterFns> Machine<F> {
-    /// Swaps in `next`; probe-buffer bytes leave the running count here.
-    fn set_phase(&mut self, conn: &mut Conn, next: Phase) -> Phase {
-        if let Phase::Probing(ps) = &conn.phase {
-            self.probe_bytes -= ps.buffered();
+    /// Swaps in `next`, handing back what the phase left drew: its prefix
+    /// slot (the buffered bytes leave the running count here) or its
+    /// parser, reset, to the pool.
+    fn set_phase(&mut self, conn: &mut Conn, next: Phase) {
+        match std::mem::replace(&mut conn.phase, next) {
+            Phase::Probing(probe) if probe.prefix != NO_PREFIX => {
+                self.probe_bytes -= self.prefixes.release(probe.prefix);
+            }
+            Phase::Parsing { parser, pool } => self.pool_parser(parser, pool),
+            Phase::Probing(_) | Phase::Tracking | Phase::Dropped => {}
         }
-        std::mem::replace(&mut conn.phase, next)
+    }
+
+    /// A parser of pool `pool`'s protocol: an idle one if there is one,
+    /// else a new one.
+    fn draw_parser(&mut self, pool: u32) -> Box<dyn ConnParser> {
+        let pool = &mut self.parsers[pool as usize];
+        if let Some((parser, kept)) = pool.idle.pop() {
+            self.probe_bytes -= kept;
+            return parser;
+        }
+        self.registry
+            .new_parser(&pool.proto)
+            .expect("a pool's protocol is registered")
+    }
+
+    /// Returns `parser` to pool `pool`, reset, unless the pool already
+    /// holds [`BURST_MAX`] idle parsers — enough for every connection a
+    /// burst can identify; a mass expiry's worth would sit pinned — or
+    /// the parser keeps more than [`PROBE_BUFFER_CAP`], or panics
+    /// resetting (counted as a parser panic): then it is dropped.
+    fn pool_parser(&mut self, mut parser: Box<dyn ConnParser>, pool: u32) {
+        let idle = &self.parsers[pool as usize].idle;
+        if idle.len() >= BURST_MAX {
+            return;
+        }
+        let kept = catch_unwind(AssertUnwindSafe(|| parser.reset())).unwrap_or_else(|_| {
+            self.stats.parser_panics += 1;
+            usize::MAX
+        });
+        if kept <= PROBE_BUFFER_CAP {
+            self.probe_bytes += kept;
+            self.parsers[pool as usize].idle.push((parser, kept));
+        }
     }
 
     /// Runs `event` through [`step`] on `entry` and carries it out: the
     /// [`Actions`] in order (`on_match` told `service` and `session`), the
-    /// sets, the phase (`seed`: the Probing or Parsing phase entered).
-    /// Returns the actions, and the phase left if it moved. Inlined into
-    /// every caller: the event is constant there, and a connection's birth
-    /// then costs no more than the emission it always did.
+    /// sets, the phase (`seed`: what the Probing or Parsing phase entered
+    /// starts with), unless the connection leaves the table
+    /// (`Actions::release`: the exit moves it). Returns the actions.
+    /// Inlined into every caller: the event is constant there, and a
+    /// connection's birth then costs no more than the emission it always
+    /// did.
     #[inline(always)]
     pub(super) fn apply(
         &mut self,
@@ -463,8 +583,8 @@ impl<F: FilterFns> Machine<F> {
         event: Event,
         service: Option<&'static str>,
         session: Option<&Session>,
-        seed: Option<Phase>,
-    ) -> (Actions, Option<Phase>) {
+        seed: Option<Seed>,
+    ) -> Actions {
         let (kind, before) = (entry.value.phase.kind(), entry.value.subs);
         let t = step(kind, event, before, &self.masks);
         #[cfg(test)]
@@ -493,19 +613,29 @@ impl<F: FilterFns> Machine<F> {
             self.count_discard(cause);
         }
         if a.release || t.next == kind {
-            return (a, None);
+            return a;
         }
-        let next = match t.next {
-            Kind::Tracking => Phase::Tracking,
-            Kind::Dropped => Phase::Dropped,
-            Kind::Probing | Kind::Parsing => seed.expect("the caller seeds the phase entered"),
+        let next = match (t.next, seed) {
+            (Kind::Tracking, _) => Phase::Tracking,
+            (Kind::Dropped, _) => Phase::Dropped,
+            (Kind::Probing, Some(Seed::Probe(set))) => Phase::Probing(Probe {
+                set,
+                prefix: NO_PREFIX,
+                alive: self.probe_sets[set as usize].all_alive,
+            }),
+            (Kind::Parsing, Some(Seed::Parse(pool))) => Phase::Parsing {
+                parser: self.draw_parser(pool),
+                pool,
+            },
+            _ => unreachable!("the caller seeds the phase entered"),
         };
-        (a, Some(self.set_phase(conn, next)))
+        self.set_phase(conn, next);
+        a
     }
 
     /// `apply` for an unseeded, sessionless event: whether it leaves.
     pub(super) fn leaves(&mut self, entry: &mut ConnEntry<Conn>, event: Event) -> bool {
-        self.apply(entry, event, None, None, None).0.release
+        self.apply(entry, event, None, None, None).release
     }
 
     /// The one way out of the table, for all five reasons: partial
@@ -516,8 +646,9 @@ impl<F: FilterFns> Machine<F> {
         let kind = entry.value.phase.kind();
         let t = step(kind, Event::Ended, entry.value.subs, &self.masks);
         let phase = &mut entry.value.phase;
-        if let (true, Phase::Parsing { parser, service }) = (t.actions.session_filter, phase) {
-            let (service, sessions) = (*service, parser.drain_sessions());
+        if let (true, Phase::Parsing { parser, pool }) = (t.actions.session_filter, phase) {
+            let service = self.parsers[*pool as usize].service;
+            let sessions = parser.drain_sessions();
             self.deliver_sessions(entry, service, &sessions);
         }
         for i in entry.value.subs.matched.iter() {
@@ -551,15 +682,17 @@ impl<F: FilterFns> Machine<F> {
         } += 1;
     }
 
-    /// The probing phase for a connection whose `want` subscriptions
-    /// need its protocol: candidates are their conn-layer filter
-    /// protocols and their types' parsers, in subscription order (`None`:
-    /// no protocol). Memoized per bitmap; equal lists share a set.
-    pub(super) fn probing(&mut self, want: SubscriptionSet) -> Option<Phase> {
+    /// The probing phase's seed for a connection whose `want`
+    /// subscriptions need its protocol: the candidate set of their
+    /// conn-layer filter protocols and their types' parsers, in
+    /// subscription order (`None`: no protocol). Memoized per bitmap;
+    /// equal lists share a set.
+    pub(super) fn probing(&mut self, want: SubscriptionSet) -> Option<Seed> {
         if want.is_empty() {
             return None;
         }
         let (subs, sets, registry) = (&self.subs, &mut self.probe_sets, &self.registry);
+        let pools = &mut self.parsers;
         let set = *self.probe_cache.entry(want.bits()).or_insert_with(|| {
             let mut protos: Vec<String> = Vec::new();
             for i in want.iter() {
@@ -572,19 +705,12 @@ impl<F: FilterFns> Machine<F> {
             (!protos.is_empty()).then(|| {
                 let known = sets.iter().position(|s| s.protos == protos);
                 known.unwrap_or_else(|| {
-                    sets.push(ProbeSet::new(protos, registry));
+                    sets.push(ProbeSet::new(protos, registry, pools));
                     sets.len() - 1
                 }) as u32
             })
         });
-        let set = set?;
-        let alive = self.probe_sets[set as usize].all_alive;
-        let state = ProbeState {
-            set,
-            alive,
-            ..ProbeState::default()
-        };
-        Some(Phase::Probing(Box::new(state)))
+        set.map(Seed::Probe)
     }
 
     /// Feeds the next in-order segment, `mbuf.data()[payload]`, to every
@@ -614,48 +740,59 @@ impl<F: FilterFns> Machine<F> {
             Dir::OrigToResp => Direction::ToServer,
             Dir::RespToOrig => Direction::ToClient,
         };
-        let ps = match &mut conn.phase {
-            Phase::Probing(ps) => ps,
+        let probe = match &mut conn.phase {
+            Phase::Probing(probe) => probe,
             Phase::Parsing { .. } => return self.parse_data(entry, data, pdir),
             Phase::Tracking | Phase::Dropped => return false,
         };
-        let buffered = match pdir {
-            Direction::ToServer => ps.buf_ts.len(),
-            Direction::ToClient => ps.buf_tc.len(),
-        };
-        if buffered + data.len() > PROBE_BUFFER_CAP {
+        let mut buffered =
+            (probe.prefix != NO_PREFIX).then(|| &mut self.prefixes.slots[probe.prefix as usize]);
+        let held = buffered.as_ref().map_or(0, |bufs| bufs[side(pdir)].len());
+        if held + data.len() > PROBE_BUFFER_CAP {
             return self.leaves(entry, Event::ConnLayerFailed);
         }
         // A direction that has buffered nothing is probed in place, on
         // the frame; one that has is probed on its buffer, this segment
         // appended.
-        let in_place = (buffered == 0).then_some((pdir, data));
-        if in_place.is_none() {
-            self.probe_bytes += ps.spill(pdir, data);
+        let in_place = (held == 0).then_some((pdir, data));
+        if let (None, Some(bufs)) = (in_place, buffered.as_mut()) {
+            self.probe_bytes += spill(&mut bufs[side(pdir)], data);
         }
-        let set = &self.probe_sets[ps.set as usize];
-        let (selected, alive) = set.probe(ps, in_place, &mut self.stats.parser_panics);
+        let set = &self.probe_sets[probe.set as usize];
+        let both = prefixes(buffered.as_deref(), in_place);
+        let (selected, alive) = set.probe(probe.alive, both, &mut self.stats.parser_panics);
         let Some(i) = selected else {
             // Drop eliminated candidates; fail when none remain.
-            ps.alive = alive;
+            probe.alive = alive;
             if alive == 0 {
                 return self.leaves(entry, Event::ConnLayerFailed);
             }
             // Every candidate left is unsure of a record that ends in a
-            // later segment: only now is it copied.
+            // later segment: only now is it copied, into a prefix slot
+            // the connection takes the first time.
             if in_place.is_some() {
-                self.probe_bytes += ps.spill(pdir, data);
+                if probe.prefix == NO_PREFIX {
+                    probe.prefix = self.prefixes.draw();
+                }
+                let bufs = &mut self.prefixes.slots[probe.prefix as usize];
+                self.probe_bytes += spill(&mut bufs[side(pdir)], data);
             }
             return false;
         };
-        // Only the winner is ever instantiated.
-        let parser = self
-            .registry
-            .new_parser(&set.protos[i])
-            .expect("the prototype came from this registry");
-        let service = parser.name();
+        // Only the winner is ever instantiated — or drawn from its pool,
+        // if the parse starts.
+        let (_, pool) = set.prototypes[i]
+            .as_ref()
+            .expect("the winner has a prototype");
+        let (pool, service) = (*pool, self.parsers[*pool as usize].service);
+        // What was buffered, lent out of the connection's prefix slot
+        // across the transition, which frees the slot.
+        let slot = probe.prefix;
+        let lent =
+            (slot != NO_PREFIX).then(|| std::mem::take(&mut self.prefixes.slots[slot as usize]));
         // Connection filter (Figure 4's first pseudostate) over the
         // still-live subscriptions.
+        let conn = &entry.value;
         let v = self
             .filter
             .conn_filter_set(Some(service), &conn.frontiers, conn.subs.live);
@@ -665,25 +802,35 @@ impl<F: FilterFns> Machine<F> {
             v.matched.bits(),
             v.live.bits(),
         );
-        let seed = Some(Phase::Parsing { parser, service });
+        let seed = Some(Seed::Parse(pool));
         let event = Event::ServiceIdentified(v);
-        let (a, left) = self.apply(entry, event, Some(service), None, seed);
-        let (true, Some(Phase::Probing(ps))) = (a.parse, left) else {
-            return a.release;
-        };
+        let a = self.apply(entry, event, Some(service), None, seed);
         // Feed the parser both prefixes, client's first: what was
         // buffered, and this segment where it lies.
-        let mut prefixes = ps.prefixes(in_place).into_iter();
-        prefixes.any(|(prefix, d)| !prefix.is_empty() && self.parse_data(entry, prefix, d))
+        let both = prefixes(lent.as_ref(), in_place);
+        let leaves = a.release
+            || a.parse
+                && (both.into_iter())
+                    .any(|(prefix, d)| !prefix.is_empty() && self.parse_data(entry, prefix, d));
+        if let Some(bufs) = lent {
+            if a.release {
+                // Still probing as it leaves the table: the exit frees it.
+                self.prefixes.slots[slot as usize] = bufs;
+            } else {
+                // The slot went with the phase; the bytes go now.
+                self.probe_bytes -= bufs.iter().map(Vec::capacity).sum::<usize>();
+            }
+        }
+        leaves
     }
 
     /// Hands `data` to the parser, if parsing, and its sessions to the
     /// session filter. Returns whether the connection leaves the table.
     fn parse_data(&mut self, entry: &mut ConnEntry<Conn>, data: &[u8], pdir: Direction) -> bool {
-        let Phase::Parsing { parser, service } = &mut entry.value.phase else {
+        let Phase::Parsing { parser, pool } = &mut entry.value.phase else {
             return false;
         };
-        let service = *service;
+        let service = self.parsers[*pool as usize].service;
         let tp = self.profile.then(rdtsc);
         self.stats.app_parsing.runs += 1;
         // A panicking parser must not take the worker core (and its RX

@@ -204,6 +204,12 @@ impl ConnParser for DnsParser {
         }
         std::mem::take(&mut self.sessions)
     }
+
+    fn reset(&mut self) -> usize {
+        // Message-per-segment: nothing is buffered across segments.
+        *self = DnsParser::default();
+        0
+    }
 }
 
 /// If `data` looks like a TCP DNS message (2-byte length prefix equal to

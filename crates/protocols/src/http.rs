@@ -13,7 +13,7 @@
 
 use retina_filter::FieldValue;
 
-use crate::parser::{ConnParser, Direction, ParseResult, ProbeResult, Session};
+use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
 
 /// Maximum bytes buffered per direction while waiting for a complete head
 /// section.
@@ -283,6 +283,20 @@ impl ConnParser for HttpParser {
 
     fn drain_sessions(&mut self) -> Vec<Session> {
         std::mem::take(&mut self.sessions)
+    }
+
+    fn reset(&mut self) -> usize {
+        let (mut req_buf, mut resp_buf) = (
+            std::mem::take(&mut self.req_buf),
+            std::mem::take(&mut self.resp_buf),
+        );
+        let kept = reuse_buffer(&mut req_buf) + reuse_buffer(&mut resp_buf);
+        *self = HttpParser {
+            req_buf,
+            resp_buf,
+            ..HttpParser::default()
+        };
+        kept
     }
 }
 

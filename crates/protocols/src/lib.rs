@@ -38,6 +38,6 @@ pub mod ssh;
 pub mod tls;
 
 pub use parser::{
-    ConnParser, CustomSession, Direction, ParseResult, ParserFactory, ParserRegistry, ProbeResult,
-    Session, SessionState,
+    reuse_buffer, ConnParser, CustomSession, Direction, ParseResult, ParserFactory, ParserRegistry,
+    ProbeResult, Session, SessionState, RESET_BUFFER_KEEP,
 };

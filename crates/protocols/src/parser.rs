@@ -157,6 +157,14 @@ pub trait ConnParser: Send {
     /// Removes and returns all completed sessions.
     fn drain_sessions(&mut self) -> Vec<Session>;
 
+    /// Returns the parser to the state of a fresh one, whatever it was
+    /// fed — garbage, a record cut mid-segment, a stream that ended in
+    /// [`ParseResult::Error`] — so a per-core pool can hand it to the next
+    /// connection of its protocol. Returns the heap bytes it keeps for
+    /// that connection: buffer capacity, each buffer through
+    /// [`reuse_buffer`].
+    fn reset(&mut self) -> usize;
+
     /// Connection disposition after a session *matched* the filter.
     fn session_match_state(&self) -> SessionState {
         SessionState::KeepParsing
@@ -166,6 +174,24 @@ pub trait ConnParser: Send {
     fn session_nomatch_state(&self) -> SessionState {
         SessionState::KeepParsing
     }
+}
+
+/// What a reset parser keeps of one buffer's allocation for its next
+/// connection: a buffer up to this size is emptied and kept, a larger one
+/// freed. The built-in parsers hold at most four (TLS), so a pooled one
+/// keeps at most 8 KiB.
+pub const RESET_BUFFER_KEEP: usize = 2 * 1024;
+
+/// Empties `buf` for a reset parser's next connection, keeping its
+/// allocation only if it is at most [`RESET_BUFFER_KEEP`] bytes; returns
+/// the bytes kept.
+pub fn reuse_buffer(buf: &mut Vec<u8>) -> usize {
+    if buf.capacity() > RESET_BUFFER_KEEP {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+    buf.capacity()
 }
 
 /// Constructor for a boxed [`ConnParser`]; plain `fn` so registries
@@ -267,5 +293,149 @@ mod tests {
     fn session_protocol_names() {
         let s = Session::Ssh(SshHandshake::default());
         assert_eq!(s.protocol(), "ssh");
+    }
+
+    #[test]
+    fn reuse_buffer_keeps_small_allocations_only() {
+        let mut small = Vec::with_capacity(100);
+        small.extend_from_slice(b"abc");
+        assert_eq!(reuse_buffer(&mut small), 100);
+        assert!(small.is_empty());
+        let mut large = vec![0u8; RESET_BUFFER_KEEP + 1];
+        assert_eq!(reuse_buffer(&mut large), 0);
+        assert_eq!(large.capacity(), 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::tls::build::{
+        client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
+    };
+    use crate::{dns, http, quic, ssh};
+    use retina_support::proptest::prelude::*;
+    use Direction::{ToClient, ToServer};
+
+    /// A real conversation of the registry's protocol `proto`, from the
+    /// traffic generator's builders, segment by segment.
+    fn conversation(proto: &str) -> Vec<(Direction, Vec<u8>)> {
+        match proto {
+            "tls" => vec![
+                (
+                    ToServer,
+                    client_hello_record(&ClientHelloSpec {
+                        sni: Some("video.example.net".into()),
+                        ciphers: vec![0x1301, 0xc02f],
+                        random: [0x42; 32],
+                        version: 0x0303,
+                        alpn: Some("h2".into()),
+                    }),
+                ),
+                (
+                    ToClient,
+                    server_hello_record(&ServerHelloSpec {
+                        cipher: 0x1301,
+                        random: [0x99; 32],
+                        version: 0x0303,
+                        supported_version: Some(0x0304),
+                        alpn: Some("h2".into()),
+                    }),
+                ),
+            ],
+            "http" => vec![
+                (
+                    ToServer,
+                    http::build_request("GET", "/a", "example.com", "t/1"),
+                ),
+                (ToClient, http::build_response(200, 32)),
+                (
+                    ToServer,
+                    http::build_request("HEAD", "/b", "example.com", "t/1"),
+                ),
+                (ToClient, http::build_response(304, 0)),
+            ],
+            "dns" => vec![
+                (ToServer, dns::build_query(7, "www.example.com", 1)),
+                (ToClient, dns::build_response(7, "www.example.com", 1, 2, 0)),
+            ],
+            "ssh" => vec![
+                (ToServer, ssh::build_banner("OpenSSH_9.6")),
+                (ToClient, ssh::build_banner("OpenSSH_8.9")),
+                (
+                    ToServer,
+                    ssh::build_kexinit("curve25519-sha256", "ssh-ed25519"),
+                ),
+            ],
+            _ => vec![(
+                ToServer,
+                quic::build_long_header(1, &[0xaa; 8], &[0x11; 4], 200),
+            )],
+        }
+    }
+
+    /// What `parser` makes of `conv`: each segment's probe and parse
+    /// results, and the sessions drained at the end (by their `Debug`
+    /// form, which — unlike `PartialEq` — compares custom sessions field
+    /// by field).
+    fn outcome(
+        parser: &mut dyn ConnParser,
+        conv: &[(Direction, Vec<u8>)],
+    ) -> (Vec<ProbeResult>, Vec<ParseResult>, String) {
+        let probes = conv.iter().map(|(d, seg)| parser.probe(seg, *d)).collect();
+        let parses = conv.iter().map(|(d, seg)| parser.parse(seg, *d)).collect();
+        (probes, parses, format!("{:?}", parser.drain_sessions()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pool's contract: whatever a parser was fed — random bytes,
+        /// a record cut mid-segment (of its own protocol or another), a
+        /// stream that ended in `Error` — once `reset` it probes, parses
+        /// and drains a real conversation exactly as a fresh parser does,
+        /// and keeps no more than its buffers' allowance.
+        #[test]
+        fn a_reset_parser_is_a_fresh_one(
+            proto in 0usize..5,
+            dirt in 0u8..3,
+            bytes in collection::vec(any::<u8>(), 0..600),
+            chunk in 1usize..64,
+            other in 0usize..5,
+            cut in 0usize..400,
+        ) {
+            let registry = ParserRegistry::default();
+            let names = registry.protocols();
+            let name = names[proto];
+            let mut used = registry.new_parser(name).expect("registered");
+            match dirt {
+                0 => {
+                    for (i, piece) in bytes.chunks(chunk).enumerate() {
+                        let dir = if i % 2 == 0 { ToServer } else { ToClient };
+                        let _ = used.parse(piece, dir);
+                    }
+                }
+                1 => {
+                    for (dir, seg) in conversation(names[other]) {
+                        let _ = used.parse(&seg[..cut.min(seg.len())], dir);
+                    }
+                }
+                _ => {
+                    let garbage = b"\xff\xfe not this protocol\r\n\r\n";
+                    for _ in 0..4 {
+                        if used.parse(garbage, ToServer) == ParseResult::Error {
+                            break;
+                        }
+                    }
+                }
+            }
+            let kept = used.reset();
+            prop_assert!(kept <= 4 * RESET_BUFFER_KEEP, "{name} keeps {kept} bytes");
+            let conv = conversation(name);
+            let mut fresh = registry.new_parser(name).expect("registered");
+            let expected = outcome(&mut *fresh, &conv);
+            prop_assert!(expected.2 != "[]", "{name}: the conversation yields sessions");
+            prop_assert_eq!(outcome(&mut *used, &conv), expected);
+        }
     }
 }

@@ -165,6 +165,11 @@ impl ConnParser for QuicParser {
         std::mem::take(&mut self.sessions)
     }
 
+    fn reset(&mut self) -> usize {
+        *self = QuicParser::default();
+        0
+    }
+
     fn session_match_state(&self) -> SessionState {
         // Everything after the first packets is encrypted: stop.
         SessionState::Remove

@@ -8,7 +8,7 @@
 
 use retina_filter::FieldValue;
 
-use crate::parser::{ConnParser, Direction, ParseResult, ProbeResult, Session};
+use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
 
 /// Maximum banner line length accepted (RFC 4253 allows 255).
 const MAX_BANNER: usize = 255;
@@ -275,6 +275,20 @@ impl ConnParser for SshParser {
             self.sessions.push(Session::Ssh(self.handshake.clone()));
         }
         std::mem::take(&mut self.sessions)
+    }
+
+    fn reset(&mut self) -> usize {
+        let (mut client_buf, mut server_buf) = (
+            std::mem::take(&mut self.client_buf),
+            std::mem::take(&mut self.server_buf),
+        );
+        let kept = reuse_buffer(&mut client_buf) + reuse_buffer(&mut server_buf);
+        *self = SshParser {
+            client_buf,
+            server_buf,
+            ..SshParser::default()
+        };
+        kept
     }
 
     fn session_match_state(&self) -> crate::parser::SessionState {

@@ -16,7 +16,7 @@ pub use ciphers::cipher_name;
 
 use retina_filter::FieldValue;
 
-use crate::parser::{ConnParser, Direction, ParseResult, ProbeResult, Session};
+use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
 
 /// Maximum bytes buffered per direction while waiting for complete
 /// records; adversarial streams beyond this are abandoned.
@@ -281,6 +281,25 @@ impl ConnParser for TlsParser {
 
     fn drain_sessions(&mut self) -> Vec<Session> {
         std::mem::take(&mut self.sessions)
+    }
+
+    fn reset(&mut self) -> usize {
+        let mut bufs = [
+            std::mem::take(&mut self.to_server.data),
+            std::mem::take(&mut self.to_client.data),
+            std::mem::take(&mut self.hs_to_server),
+            std::mem::take(&mut self.hs_to_client),
+        ];
+        let kept = bufs.iter_mut().map(reuse_buffer).sum();
+        let [to_server, to_client, hs_to_server, hs_to_client] = bufs;
+        *self = TlsParser {
+            to_server: DirBuffer { data: to_server },
+            to_client: DirBuffer { data: to_client },
+            hs_to_server,
+            hs_to_client,
+            ..TlsParser::default()
+        };
+        kept
     }
 
     fn session_match_state(&self) -> crate::parser::SessionState {

@@ -17,8 +17,13 @@
 #                 binary, and no `on_packet(` / `ingest_frame(` beside the
 #                 burst verb), and the delivery fabric behind it stays
 #                 one: dispatch accounting in executor.rs only, one
-#                 channel_dispatcher call site, downcasts in erased.rs /
-#                 offline.rs only; and stream order stays the
+#                 channel_dispatcher call site, one downcast (erased.rs's
+#                 take_output, where every sink reads its subscription's
+#                 output lane); and the RX core allocates only what it
+#                 hands over: no boxed output (ErasedOutput, Box<dyn Any>)
+#                 anywhere in core, no box in erased.rs's emitter, no
+#                 boxed probe state in the tracker — each allocated once
+#                 per datum or connection; and stream order stays the
 #                 reassembler's and payload stays in its frame: no
 #                 tracked type in subscribables.rs re-parses, re-sorts
 #                 or copies what on_stream hands it, and the tracker

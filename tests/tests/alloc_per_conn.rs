@@ -1,41 +1,47 @@
-//! One heap allocation per single-SYN connection, and a bounded handful
-//! per probed TLS connection, held by `cargo test`.
+//! No heap allocation per single-SYN connection, and only what the
+//! parser and the datum themselves allocate per probed TLS connection,
+//! held by `cargo test`.
 //!
 //! Appendix C's dominant connection — a bare SYN that is never answered
-//! — costs the tracker an arena slot, a slab slot, an index entry and a
-//! wheel token, all of which live in storage that is reused once it has
-//! grown; the only thing allocated *for it* is the boxed `ConnRecord` on
-//! its way to the callback. This test pins that: a binary of its own
-//! with a counting `#[global_allocator]`, one `run_stepped` over a
-//! warm-up half (which grows every store to its steady-state size) and a
-//! measured half of the same shape. An extra allocation per connection
-//! anywhere on the path roughly doubles the figure and fails here, not
-//! in review.
+//! — costs the tracker an arena slot, a slab slot, an index entry, a
+//! wheel token and a place in its subscription's output lane, all of
+//! which live in storage that is reused once it has grown; the
+//! `ConnRecord` it delivers travels in that lane, and through a ring
+//! made once for `ConnRecord`s when the subscription is dispatched, as
+//! itself. Nothing is allocated *for it*. The first two tests pin that,
+//! inline and through a shared ring: a binary of its own with a counting
+//! `#[global_allocator]`, one `run_stepped` over a warm-up half (which
+//! grows every store to its steady-state size) and a measured half of
+//! the same shape. A single allocation per connection anywhere on the
+//! path is a hundred times the bound and fails here, not in review.
 //!
-//! The second test holds the probing diet the same way: a connection
-//! that reaches its ClientHello under a four-protocol union probes
-//! against the tracker's shared prototypes and instantiates only the
-//! parser that wins, instead of boxing every candidate at its first SYN.
+//! The third holds the probing diet the same way: a connection that
+//! reaches its ClientHello under a four-protocol union probes against
+//! the tracker's shared prototypes, with its probe state held in its
+//! phase, and takes only the parser that wins — from the core's pool of
+//! idle ones when it holds one.
 //!
-//! The third holds the tracked-state diet: a `tls`-filtered `ConnRecord`
-//! allocates for the probe, the winning parser and the record it
-//! delivers — its tracked state borrows the service name, it does not
-//! clone it per connection. Neither case copies the ClientHello into a
-//! prefix buffer: it is identified where it lies in its frame.
+//! The fourth holds the tracked-state diet: a `tls`-filtered
+//! `ConnRecord` allocates only the record's `service` string — its
+//! tracked state borrows the service name, the probe state and the parser
+//! are pooled. Neither case copies the ClientHello into a prefix buffer:
+//! it is identified where it lies in its frame.
 //!
-//! The fourth counts bytes: a `ConnBytes` stream costs one frame view
+//! The fifth counts bytes: a `ConnBytes` stream costs one frame view
 //! per segment, the same for 100-byte and for 1460-byte payloads — a
 //! copy anywhere on the path makes the figure scale with the payload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use retina_core::subscribables::{
     ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData,
     TlsHandshakeData,
 };
 use retina_core::{
-    CompiledFilter, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
+    CompiledFilter, DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig,
+    StepConfig,
 };
 use retina_protocols::tls::build::{client_hello_record, ClientHelloSpec};
 use retina_support::bytes::Bytes;
@@ -113,50 +119,73 @@ fn syns(first_source: u32, start_ns: u64) -> impl Iterator<Item = (Bytes, u64)> 
 /// parallel threads: each test holds this for its whole body.
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[test]
-fn a_bare_syn_allocates_only_its_output_datum() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Warm-up connections arrive in second 0 and expire (5 s establish
-    // timeout) when the measured half's first packets, at 10 s, move
-    // the clock; the measured ones are flushed by the end-of-run drain.
+/// Allocations per connection of the measured half of two [`syns`]
+/// halves through a one-core stepped runtime delivering `ConnRecord`s
+/// under `mode`. Warm-up connections arrive in second 0 and expire (5 s
+/// establish timeout) when the measured half's first packets, at 10 s,
+/// move the clock; the measured ones are flushed by the end-of-run drain.
+#[allow(clippy::cast_precision_loss)] // counts far below 2^52
+fn allocs_per_bare_syn(mode: DispatchMode) -> f64 {
     let packets: Vec<_> = syns(0, 0).chain(syns(N, 10 * SEC)).collect();
 
     // The record of the last warm-up connection marks the start of the
-    // measured half: by then the arena, the slab, the index, the wheel
-    // and the output buffer have all held N connections.
-    static DELIVERED: AtomicU64 = AtomicU64::new(0);
-    static ALLOCS_AT_MARK: AtomicU64 = AtomicU64::new(0);
+    // measured half: by then the arena, the slab and its output lane, the
+    // index, the wheel and (dispatched) the ring have all held N
+    // connections.
+    let delivered = Arc::new(AtomicU64::new(0));
+    let allocs_at_mark = Arc::new(AtomicU64::new(0));
+    let (seen, mark) = (Arc::clone(&delivered), Arc::clone(&allocs_at_mark));
     let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
-        .subscribe_named("conns", "tcp", |record: ConnRecord| {
+        .subscribe_dispatched("conns", "tcp", mode, move |record: ConnRecord| {
             assert!(record.single_syn);
-            if DELIVERED.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(N) {
-                ALLOCS_AT_MARK.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+            if seen.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(N) {
+                mark.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         })
         .build()
         .expect("runtime builds");
     let report = runtime.run_stepped(&packets, &StepConfig::seeded(7));
-    let measured = ALLOCS.load(Ordering::Relaxed) - ALLOCS_AT_MARK.load(Ordering::Relaxed);
+    let measured = ALLOCS.load(Ordering::Relaxed) - allocs_at_mark.load(Ordering::Relaxed);
 
     report.check_accounting().unwrap();
     assert_eq!(report.cores.conns_created, u64::from(2 * N));
-    assert_eq!(DELIVERED.load(Ordering::Relaxed), u64::from(2 * N));
+    assert_eq!(delivered.load(Ordering::Relaxed), u64::from(2 * N));
     assert!(
         report.cores.conns_peak < u64::from(N) + u64::from(N) / 4,
         "the halves must not overlap much: peak {}",
         report.cores.conns_peak
     );
-    // One boxed record each; the slack covers the timer-wheel slots the
-    // measured half is the first to fill and the end-of-run report.
-    #[allow(clippy::cast_precision_loss)] // counts far below 2^52
-    let per_conn = measured as f64 / f64::from(N);
+    measured as f64 / f64::from(N)
+}
+
+#[test]
+fn a_bare_syn_allocates_nothing() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Nothing per connection: the slack (200 allocations over 20 000
+    // connections) covers the timer-wheel slots the measured half is the
+    // first to fill and the end-of-run report.
+    let per_conn = allocs_per_bare_syn(DispatchMode::Inline);
     assert!(
-        per_conn <= 1.05,
-        "{measured} allocations for {N} single-SYN connections: {per_conn:.3} each"
+        per_conn <= 0.01,
+        "{per_conn:.4} allocations per single-SYN connection"
     );
-    assert!(per_conn >= 1.0, "each record is boxed once: {per_conn:.3}");
+}
+
+#[test]
+fn a_bare_syn_crosses_a_shared_ring_allocating_nothing() {
+    let _alone = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // The same through a 64-deep ring to a shared worker: the ring is
+    // made once, for `ConnRecord`s, and the data cross it as themselves —
+    // the sends the drain parks on a full ring too.
+    let per_conn = allocs_per_bare_syn(DispatchMode::shared(64));
+    assert!(
+        per_conn <= 0.01,
+        "{per_conn:.4} allocations per single-SYN connection through a shared ring"
+    );
 }
 
 /// Connections per half of the TLS test.
@@ -287,11 +316,18 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
     let (per_conn, report) = allocs_per_client_hello(&runtime);
     assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     // With a boxed candidate per protocol at the first SYN (the commit
-    // before the prototypes) this read 14.02. Gone: the candidate list,
-    // three of the four parsers, the per-segment alive list, and — the
-    // ClientHello being probed where it lies — the prefix buffer.
+    // before the prototypes) this read 14.02, and 8.02 with only the
+    // winner boxed. Gone since: the candidate list, the per-segment alive
+    // list, the prefix buffer (the ClientHello is probed where it lies)
+    // and the boxed probe state (it lives in the phase). Left, 6.97: the
+    // parser — its box and its two reassembly buffers — because all 2000
+    // connections of a half are mid-handshake at once and the core's pool
+    // keeps only a burst's worth of idle parsers; and the TLS parser's
+    // copy of the record and of the handshake message, and the
+    // handshake's cipher list and SNI — parsers reading in place is
+    // ROADMAP item 2(c).
     assert!(
-        per_conn <= 14.0 - 6.0 + 0.05,
+        per_conn <= 6.97 + 0.05,
         "{per_conn:.3} allocations per probed TLS connection"
     );
 }
@@ -312,13 +348,14 @@ fn a_tls_conn_record_borrows_its_service_name() {
     let (per_conn, _) = allocs_per_client_hello(&runtime);
     // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
     assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
-    // What the pipeline needs: the probe state, the winning parser, the
-    // boxed record and the record's `service` string — 4.02 with the
-    // slack of the first test. A `String` in the tracked state, cloned
-    // from the service name at the match, made it one more; a prefix
-    // buffer the ClientHello was copied into before probing, another.
+    // What is left is the record's `service` string — 1.02 with the slack
+    // of the first test. A boxed probe state, the winning parser (built
+    // whether or not anyone parsed with it) and the boxed record made it
+    // 4.02; a `String` in the tracked state, cloned from the service name
+    // at the match, one more; a prefix buffer the ClientHello was copied
+    // into before probing, another.
     assert!(
-        per_conn <= 4.05,
+        per_conn <= 1.05,
         "{per_conn:.3} allocations per tls-filtered ConnRecord"
     );
 }
@@ -407,9 +444,9 @@ fn a_conn_bytes_segment_costs_a_view_whatever_its_payload() {
     };
     let (small, full) = (cost_of(100), cost_of(1460));
     assert_eq!(small, full, "(calls, bytes) for 100- vs 1460-byte payloads");
-    // 63 today: a 48-byte view per segment in a doubling `Vec` (256
-    // slots for 199 segments), the boxed datum, and the slack of the
-    // first test.
+    // 62 today: a 48-byte view per segment in a doubling `Vec` (256
+    // slots for 199 segments) and the slack of the first test; the datum
+    // travels in its output lane, not in a box.
     let per_segment = small.1 / u64::from(STREAM_N * SEGMENTS);
     assert!(
         per_segment <= 96,

@@ -18,8 +18,8 @@ use retina_core::{CompiledFilter, RuntimeConfig};
 use retina_filter::registry::{FieldDef, FieldType, FilterLayer, ProtocolDef};
 use retina_filter::{FieldValue, ProtocolRegistry, SessionData};
 use retina_protocols::{
-    ConnParser, CustomSession, Direction, ParseResult, ParserRegistry, ProbeResult, Session,
-    SessionState,
+    reuse_buffer, ConnParser, CustomSession, Direction, ParseResult, ParserRegistry, ProbeResult,
+    Session, SessionState,
 };
 use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
@@ -138,6 +138,20 @@ impl ConnParser for MemoParser {
             self.sessions.push(Session::Custom(Box::new(p)));
         }
         std::mem::take(&mut self.sessions)
+    }
+
+    fn reset(&mut self) -> usize {
+        let (mut req, mut resp) = (
+            std::mem::take(&mut self.req),
+            std::mem::take(&mut self.resp),
+        );
+        let kept = reuse_buffer(&mut req) + reuse_buffer(&mut resp);
+        *self = MemoParser {
+            req,
+            resp,
+            ..MemoParser::default()
+        };
+        kept
     }
 
     fn session_match_state(&self) -> SessionState {
@@ -393,6 +407,31 @@ fn custom_protocol_coexists_with_builtins() {
     });
     protos.sort();
     assert_eq!(protos, vec!["http".to_string(), "memo".to_string()]);
+}
+
+#[test]
+fn custom_parser_reset_is_a_fresh_one() {
+    // What a per-core pool relies on: whatever the parser was left
+    // holding — a line cut mid-segment, a stream that ended in `Error` —
+    // a reset one handles the next connection as a fresh one does.
+    let conversation = [
+        (Direction::ToServer, &b"MEMO retina: pooled\n"[..]),
+        (Direction::ToClient, &b"ACK retina\n"[..]),
+    ];
+    let outcome = |parser: &mut MemoParser| {
+        let results: Vec<_> = conversation
+            .iter()
+            .map(|&(dir, seg)| (parser.probe(seg, dir), parser.parse(seg, dir)))
+            .collect();
+        (results, format!("{:?}", parser.drain_sessions()))
+    };
+    for dirt in [&b"MEMO half a li"[..], &b"NOTE oops\n"[..]] {
+        let mut used = MemoParser::default();
+        let _ = used.parse(dirt, Direction::ToServer);
+        let _ = used.parse(b"ACK", Direction::ToClient);
+        assert!(used.reset() <= 2 * retina_protocols::RESET_BUFFER_KEEP);
+        assert_eq!(outcome(&mut used), outcome(&mut MemoParser::default()));
+    }
 }
 
 #[test]
