@@ -1,7 +1,5 @@
 //! Ablation studies for the design choices DESIGN.md calls out (beyond
-//! those with their own figures: compiled-vs-interpreted filters =
-//! fig12, timeout schemes = fig8, lazy-vs-eager reassembly = the
-//! `components` Criterion bench).
+//! those with their own figures: timeout schemes = fig8).
 //!
 //! 1. **Hardware pre-filtering on vs off** — how much software work the
 //!    NIC-level rules save for a narrow subscription (§4.1).

@@ -64,43 +64,6 @@ impl fmt::Display for FilterError {
 
 impl std::error::Error for FilterError {}
 
-/// Result of applying a sub-filter, mirroring the paper's `FilterResult`
-/// (Figure 3).
-///
-/// The `usize` carries the ID of the deepest matched predicate-trie node,
-/// which later sub-filters use to resume evaluation without re-walking the
-/// trie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterResult {
-    /// No pattern can match this input; processing can stop.
-    NoMatch,
-    /// A complete filter pattern is satisfied (node ID of the pattern end).
-    MatchTerminal(usize),
-    /// The input matched a pattern prefix; deeper layers must continue
-    /// evaluation from the given node.
-    MatchNonTerminal(usize),
-}
-
-impl FilterResult {
-    /// Returns true for either kind of match.
-    pub fn is_match(&self) -> bool {
-        !matches!(self, FilterResult::NoMatch)
-    }
-
-    /// Returns true only for a terminal (complete) match.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, FilterResult::MatchTerminal(_))
-    }
-
-    /// The matched node ID, if any.
-    pub fn node(&self) -> Option<usize> {
-        match self {
-            FilterResult::NoMatch => None,
-            FilterResult::MatchTerminal(n) | FilterResult::MatchNonTerminal(n) => Some(*n),
-        }
-    }
-}
-
 /// A set of subscription indices, represented as a 64-bit bitmap.
 ///
 /// Multi-subscription filtering (one merged predicate trie serving N
@@ -253,10 +216,8 @@ impl fmt::Display for SubscriptionSet {
 /// Frontier values are opaque to the runtime: it stores them at
 /// connection creation and hands them back to
 /// [`crate::FilterFns::conn_filter_set`] /
-/// [`crate::FilterFns::session_filter_set`] unchanged. Filter
-/// implementations may encode anything they need in the `u32` (the
-/// interpreted engine uses trie node IDs; generated union filters pack a
-/// sub-filter index into the high bits).
+/// [`crate::FilterFns::session_filter_set`] unchanged. They are trie node
+/// IDs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frontiers {
     inline: [u32; Self::INLINE],
@@ -270,13 +231,6 @@ impl Frontiers {
     /// An empty frontier set.
     pub fn new() -> Self {
         Frontiers::default()
-    }
-
-    /// A set holding a single frontier.
-    pub fn one(node: u32) -> Self {
-        let mut f = Frontiers::default();
-        f.push(node);
-        f
     }
 
     /// Adds a frontier, ignoring duplicates.
@@ -309,29 +263,12 @@ impl Frontiers {
         self.len == 0
     }
 
-    /// The first frontier recorded, if any.
-    pub fn first(&self) -> Option<u32> {
-        (self.len > 0).then(|| self.inline[0])
-    }
-
     /// Iterates the frontiers in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.inline[..self.len as usize]
             .iter()
             .chain(self.spill.iter())
             .copied()
-    }
-
-    /// Iterates the frontiers decoded per the generated-union packing
-    /// convention: `(sub_filter_index, node_id)` where the sub-filter
-    /// index lives in the high 8 bits and the node id in the low 24.
-    ///
-    /// Interpreted filters never pack a sub index, so their frontiers
-    /// decode as `(0, node)` — the convention is backward compatible,
-    /// which is what lets trace tooling render any filter's frontier
-    /// uniformly.
-    pub fn iter_decoded(&self) -> impl Iterator<Item = (u8, u32)> + '_ {
-        self.iter().map(|v| ((v >> 24) as u8, v & 0x00ff_ffff))
     }
 }
 
@@ -416,16 +353,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn filter_result_accessors() {
-        assert!(!FilterResult::NoMatch.is_match());
-        assert!(FilterResult::MatchTerminal(3).is_match());
-        assert!(FilterResult::MatchTerminal(3).is_terminal());
-        assert!(!FilterResult::MatchNonTerminal(4).is_terminal());
-        assert_eq!(FilterResult::MatchNonTerminal(4).node(), Some(4));
-        assert_eq!(FilterResult::NoMatch.node(), None);
-    }
-
-    #[test]
     fn error_display() {
         let e = FilterError::UnknownField("tcp".into(), "bogus".into());
         assert_eq!(e.to_string(), "protocol 'tcp' has no field 'bogus'");
@@ -436,25 +363,6 @@ mod tests {
     fn conn_data_for_option() {
         let c: Option<&str> = Some("tls");
         assert_eq!(ConnData::service(&c), Some("tls"));
-    }
-
-    #[test]
-    fn frontier_decoding_splits_sub_and_node() {
-        let mut f = Frontiers::new();
-        f.push(7); // interpreted-style: bare node id
-        f.push((3 << 24) | 0x00_1234); // union-style: sub 3, node 0x1234
-        f.push((255 << 24) | 0x00ff_ffff); // both fields saturated
-        assert_eq!(
-            f.iter_decoded().collect::<Vec<_>>(),
-            vec![(0, 7), (3, 0x1234), (255, 0x00ff_ffff)]
-        );
-        // Decoding never loses information: re-packing reproduces the
-        // raw values in order.
-        let repacked: Vec<u32> = f
-            .iter_decoded()
-            .map(|(sub, node)| (u32::from(sub) << 24) | node)
-            .collect();
-        assert_eq!(repacked, f.iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -491,9 +399,7 @@ mod tests {
             f.push(n); // duplicates ignored
         }
         assert_eq!(f.len(), 12);
-        assert_eq!(f.first(), Some(0));
         assert_eq!(f.iter().collect::<Vec<_>>(), (0..12).collect::<Vec<_>>());
-        assert_eq!(Frontiers::one(7).iter().collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

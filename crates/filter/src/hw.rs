@@ -454,7 +454,7 @@ mod tests {
                     tcp_pkt("[2001:db8::1]:5000", "[2607:f8b0::2]:443"),
                 ];
                 for pkt in &pkts {
-                    if filter.packet_filter(pkt).is_match() {
+                    if !filter.packet_filter_set(pkt).is_no_match() {
                         assert_eq!(
                             engine.apply(pkt),
                             FlowAction::Rss,

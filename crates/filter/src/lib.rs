@@ -17,11 +17,11 @@
 //! 1. a **hardware packet filter** — NIC flow rules, at zero CPU cost
 //!    ([`hw`]);
 //! 2. a **software packet filter** — per-packet header predicates
-//!    ([`PacketFilter`]);
+//!    ([`FilterFns::packet_filter_set`]);
 //! 3. a **connection filter** — L7 protocol identity, applied as soon as
-//!    the protocol is probed ([`ConnFilter`]);
+//!    the protocol is probed ([`FilterFns::conn_filter_set`]);
 //! 4. an **application-layer session filter** — predicates on parsed
-//!    session fields ([`SessionFilter`]).
+//!    session fields ([`FilterFns::session_filter_set`]).
 //!
 //! The pipeline is:
 //!
@@ -31,15 +31,12 @@
 //! ```
 //!
 //! Each stage lives in its own module: [`ast`], [`lexer`], [`parser`],
-//! [`dnf`], [`trie`], [`subfilters`], [`hw`]. Execution is provided two
-//! ways, matching Appendix B's ablation:
-//!
-//! - [`interp`] — the runtime engine: the trie lowered once to a flat op
-//!   [`program`] and evaluated in a single forward loop (the "interpreted"
-//!   strategy; what `RuntimeBuilder` and hot swaps run);
-//! - [`codegen`] — a Rust source generator used by the `retina-filtergen`
-//!   proc-macro to bake the filter into the binary as a static sequence of
-//!   conditionals (the paper's approach, Figure 3).
+//! [`dnf`], [`trie`], [`subfilters`], [`hw`]. Execution is provided one
+//! way: [`interp`] lowers the trie once to a flat op [`program`] and
+//! evaluates it in a single forward loop per layer. `RuntimeBuilder`, hot
+//! swaps and the `retina-filtergen` macros all build that same
+//! [`CompiledFilter`]; the macros only add a compile-time check of the
+//! filter text.
 //!
 //! Protocol and field identifiers are *not* hard-coded: they are resolved
 //! against an extensible [`registry::ProtocolRegistry`] (§3.3).
@@ -48,7 +45,6 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod codegen;
 pub mod datatypes;
 pub mod diag;
 pub mod dnf;
@@ -60,31 +56,31 @@ pub mod program;
 pub mod registry;
 pub mod subfilters;
 pub mod trie;
-pub mod union;
 
 pub use analysis::{analyze, analyze_union, Analysis};
 pub use ast::{Expr, Op, Predicate, Span, Value};
 pub use datatypes::{
-    ConnData, ConnVerdict, FieldValue, FilterError, FilterResult, Frontiers, PacketVerdict,
-    SessionData, SubscriptionSet,
+    ConnData, ConnVerdict, FieldValue, FilterError, Frontiers, PacketVerdict, SessionData,
+    SubscriptionSet,
 };
 pub use diag::{Diagnostic, Severity};
-pub use interp::{CompiledFilter, ConnFilter, FilterFns, PacketFilter, SessionFilter};
+pub use interp::{CompiledFilter, FilterFns};
 pub use parser::parse;
 pub use registry::ProtocolRegistry;
 pub use trie::{FilterLayer, PredicateTrie};
-pub use union::FilterUnion;
 
-// Re-exported so macro-generated code can reference these crates through
-// `retina_filter::` without the user adding direct dependencies.
+/// What `filter_union!` constructors return: the same [`CompiledFilter`]
+/// `CompiledFilter::build_union` builds at run time.
+pub type FilterUnion = CompiledFilter;
+
+/// The regex engine session-layer `~` predicates compile with.
 pub use retina_support::rematch as regex;
-pub use retina_wire as wire;
 
 /// Parses and fully decomposes a filter with the default protocol registry.
 ///
 /// This is the one-call entry point used by the runtime: it returns the
-/// interpreted engines plus the predicate trie (from which hardware rules
-/// and generated code can both be derived).
+/// executable program plus the predicate trie (from which hardware rules
+/// are derived).
 pub fn compile(src: &str) -> Result<CompiledFilter, FilterError> {
     let registry = ProtocolRegistry::default();
     CompiledFilter::build(src, &registry)

@@ -22,21 +22,19 @@
 //! No op holds a `String` or a `Vec`, and nothing is looked up by name
 //! per packet. Frontier values handed to the runtime stay trie node ids.
 
-// Narrowing casts in this file are intentional: op, table and depth
-// indices narrow to the compact fields of fixed-size ops by design.
+// Narrowing casts in this file are intentional: op and table indices
+// narrow to the compact fields of fixed-size ops by design.
 #![allow(clippy::cast_possible_truncation)]
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::ops::ControlFlow;
 
 use retina_support::rematch::Regex;
 use retina_wire::{IpProtocol, L4Header, ParsedPacket};
 
 use crate::ast::{Op, Predicate, Value};
 use crate::datatypes::{
-    ConnVerdict, FieldValue, FilterError, FilterResult, Frontiers, PacketVerdict, SessionData,
-    SubscriptionSet,
+    ConnVerdict, FieldValue, FilterError, Frontiers, PacketVerdict, SessionData, SubscriptionSet,
 };
 use crate::registry::FilterLayer;
 use crate::trie::PredicateTrie;
@@ -209,8 +207,6 @@ struct PacketOp {
     node: u32,
     /// Index one past this op's subtree.
     skip: u32,
-    /// Trie depth, for the scalar view's deepest-frontier rule.
-    depth: u16,
     need: u8,
     field: Field,
     /// True when the node hands off to the connection filter.
@@ -309,7 +305,6 @@ struct ConnOp {
     subs: SubscriptionSet,
     /// Subscriptions with a pattern ending strictly below it.
     below: SubscriptionSet,
-    node: u32,
     /// This node's session subtree: a range of `Program::session`.
     session: (u32, u32),
     /// Interned id of the protocol this node tests for.
@@ -360,7 +355,7 @@ struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    fn packet(&mut self, id: usize, depth: u16) {
+    fn packet(&mut self, id: usize) {
         let trie = self.trie;
         let node = trie.node(id);
         let (need, field, test) = node
@@ -381,7 +376,6 @@ impl<'a> Lowering<'a> {
                 let op = ConnOp {
                     subs: cand.subs,
                     below: cand.subtree_subs - cand.subs,
-                    node: c as u32,
                     session: self.session_range(c),
                     service: intern(&mut self.prog.services, proto) as u16,
                 };
@@ -396,14 +390,13 @@ impl<'a> Lowering<'a> {
             live,
             node: id as u32,
             skip: 0,
-            depth,
             need,
             field,
             frontier,
         });
         for &c in &node.children {
             if trie.node(c).layer == FilterLayer::Packet {
-                self.packet(c, depth + 1);
+                self.packet(c);
             }
         }
         self.prog.packet[at].skip = self.prog.packet.len() as u32;
@@ -494,31 +487,8 @@ impl Program {
                 }
             }
         }
-        lowering.packet(0, 0);
+        lowering.packet(0);
         Ok(lowering.prog)
-    }
-
-    /// Hands `visit` every packet op `pkt` passes, in DFS order, until it
-    /// breaks.
-    #[inline]
-    fn passed_packet_ops<B>(
-        &self,
-        pkt: &ParsedPacket,
-        mut visit: impl FnMut(&PacketOp) -> ControlFlow<B>,
-    ) -> Option<B> {
-        let bits = header_bits(pkt);
-        let mut i = 0;
-        while let Some(op) = self.packet.get(i) {
-            if op.eval(pkt, bits) {
-                if let ControlFlow::Break(b) = visit(op) {
-                    return Some(b);
-                }
-                i += 1;
-            } else {
-                i = op.skip as usize;
-            }
-        }
-        None
     }
 
     /// Every satisfied packet-layer branch: terminal subscription sets and
@@ -526,38 +496,24 @@ impl Program {
     #[inline]
     pub(crate) fn packet_filter_set(&self, pkt: &ParsedPacket) -> PacketVerdict {
         let mut v = PacketVerdict::default();
-        self.passed_packet_ops(pkt, |op| {
-            v.matched |= op.subs;
-            if op.frontier {
-                v.frontiers.push_distinct(op.node);
-                v.live |= op.live;
+        let bits = header_bits(pkt);
+        let mut i = 0;
+        while let Some(op) = self.packet.get(i) {
+            if op.eval(pkt, bits) {
+                v.matched |= op.subs;
+                if op.frontier {
+                    v.frontiers.push_distinct(op.node);
+                    v.live |= op.live;
+                }
+                i += 1;
+            } else {
+                i = op.skip as usize;
             }
-            ControlFlow::<()>::Continue(())
-        });
+        }
         // A terminal disjunct subsumes the same subscription's deeper
         // branches: matched wins over live.
         v.live -= v.matched;
         v
-    }
-
-    /// Figure 3's single-subscription view: the first pattern end in DFS
-    /// order, else the deepest frontier reached.
-    pub(crate) fn packet_filter(&self, pkt: &ParsedPacket) -> FilterResult {
-        let mut best: Option<(u16, u32)> = None;
-        let terminal = self.passed_packet_ops(pkt, |op| {
-            if !op.subs.is_empty() {
-                return ControlFlow::Break(op.node);
-            }
-            if op.frontier && best.is_none_or(|(depth, _)| op.depth > depth) {
-                best = Some((op.depth, op.node));
-            }
-            ControlFlow::Continue(())
-        });
-        match (terminal, best) {
-            (Some(node), _) => FilterResult::MatchTerminal(node as usize),
-            (None, Some((_, node))) => FilterResult::MatchNonTerminal(node as usize),
-            (None, None) => FilterResult::NoMatch,
-        }
     }
 
     fn service_id(&self, name: &str) -> Option<u16> {
@@ -597,46 +553,6 @@ impl Program {
         v
     }
 
-    pub(crate) fn conn_filter(&self, service: Option<&str>, frontier: usize) -> FilterResult {
-        let Some(sid) = service.and_then(|s| self.service_id(s)) else {
-            return FilterResult::NoMatch;
-        };
-        let mut non_terminal = None;
-        for op in self.candidates(frontier, sid) {
-            if !op.subs.is_empty() {
-                return FilterResult::MatchTerminal(op.node as usize);
-            }
-            non_terminal.get_or_insert(op.node);
-        }
-        non_terminal.map_or(FilterResult::NoMatch, |node| {
-            FilterResult::MatchNonTerminal(node as usize)
-        })
-    }
-
-    /// Hands `visit` every op of `cand`'s session program that `session`
-    /// passes, in DFS order, until it breaks.
-    fn passed_session_ops<B>(
-        &self,
-        cand: &ConnOp,
-        session: &dyn SessionData,
-        sid: u16,
-        mut visit: impl FnMut(&SessionOp) -> ControlFlow<B>,
-    ) -> Option<B> {
-        let (mut i, end) = (cand.session.0 as usize, cand.session.1 as usize);
-        while i < end {
-            let op = &self.session[i];
-            if self.session_test(op, session, sid) {
-                if let ControlFlow::Break(b) = visit(op) {
-                    return Some(b);
-                }
-                i += 1;
-            } else {
-                i = op.skip as usize;
-            }
-        }
-        None
-    }
-
     fn session_test(&self, op: &SessionOp, session: &dyn SessionData, sid: u16) -> bool {
         if matches!(op.test, Test::Service) {
             return op.field == sid;
@@ -669,32 +585,19 @@ impl Program {
             for cand in self.candidates(f as usize, sid) {
                 // Conn-terminal patterns default-pass (Figure 4a).
                 pass |= cand.subs;
-                self.passed_session_ops(cand, session, sid, |op| {
-                    pass |= op.subs;
-                    ControlFlow::<()>::Continue(())
-                });
+                // The candidate's session program, in DFS order.
+                let (mut i, end) = (cand.session.0 as usize, cand.session.1 as usize);
+                while i < end {
+                    let op = &self.session[i];
+                    if self.session_test(op, session, sid) {
+                        pass |= op.subs;
+                        i += 1;
+                    } else {
+                        i = op.skip as usize;
+                    }
+                }
             }
         }
         pass & live
-    }
-
-    pub(crate) fn session_filter(&self, session: &dyn SessionData, frontier: usize) -> bool {
-        let Some(sid) = self.service_id(session.protocol()) else {
-            return false;
-        };
-        // A connection-terminal pattern defaults to a match (Figure 4a);
-        // otherwise some chain of passing session ops must reach an end.
-        self.candidates(frontier, sid).any(|cand| {
-            !cand.subs.is_empty()
-                || self
-                    .passed_session_ops(cand, session, sid, |op| {
-                        if op.subs.is_empty() {
-                            ControlFlow::Continue(())
-                        } else {
-                            ControlFlow::Break(())
-                        }
-                    })
-                    .is_some()
-        })
     }
 }

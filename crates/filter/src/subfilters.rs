@@ -1,5 +1,5 @@
-//! Predicate evaluation semantics: the definition both execution
-//! strategies are held to.
+//! Predicate evaluation semantics: the definition the runtime engine is
+//! held to.
 //!
 //! The functions here define exactly what each predicate means against a
 //! parsed packet or session. [`eval_packet_pred`] / [`eval_session_pred`]
@@ -7,8 +7,7 @@
 //! by type — and are the oracle: the runtime engine resolves the same
 //! meaning into typed ops once at build ([`crate::program`]) and
 //! `tests/tests/oracle.rs` checks it against a trie walk built on these
-//! two. The code generator emits calls to the small monomorphic helpers
-//! (`v4_in`, `cmp_int`, …), so static code shares the semantics too.
+//! two.
 
 use std::net::IpAddr;
 

@@ -4,7 +4,7 @@
 //! predicate and input must match at least one root-to-leaf path to
 //! satisfy the filter (§4.1, Figure 3). Nodes are restricted to a single
 //! parent, which removes ambiguity when the trie is later split into
-//! per-layer sub-filters and compiled to code. The root represents the
+//! per-layer sub-filters and lowered to the op program. The root represents the
 //! implicit `eth` predicate, which every frame satisfies.
 //!
 //! After construction an optimization pass removes redundant branches:

@@ -1,56 +1,47 @@
 //! # retina-filtergen
 //!
-//! Compile-time filter code generation (§4 of the paper).
+//! Compile-time filter checks (§4 of the paper).
 //!
-//! Retina "uses static code generation to compile filters into performant
-//! native assembly": the filter expression is parsed, decomposed into a
-//! predicate trie, and rendered as a fixed sequence of conditionals that
-//! the Rust compiler verifies and inlines at each processing layer. These
-//! macros perform that step at *compile time*, so no filter interpretation
-//! happens at runtime (Appendix B quantifies the benefit).
-//!
-//! Three forms are provided:
+//! The paper compiles filters to static code because a trie walker was
+//! slower. This repo's runtime filter is a flat op program that runs
+//! within a few nanoseconds of generated code per call, so there is one
+//! engine, [`CompiledFilter`], and these macros check filter text at
+//! compile time before building it:
 //!
 //! ```ignore
-//! // Function-like: declares the struct and its FilterFns impl.
-//! retina_filtergen::filter!(ComFilter, r"tls.sni matches '.*\.com$'");
-//!
-//! // Attribute: annotate an existing unit struct.
-//! #[retina_filtergen::filter(r"tls.sni matches '.*\.com$'")]
-//! struct ComFilter;
-//!
-//! // Union: one multi-subscription filter from N sources, each source
-//! // compiled to static code and composed via retina_filter::FilterUnion.
+//! retina_filtergen::filter!(com_filter, r"tls.sni matches '.*\.com$'");
 //! retina_filtergen::filter_union!(tls_and_http, "tls", "http");
-//! let f = tls_and_http(); // FilterFns with num_subscriptions() == 2
+//! let f = com_filter(); // one subscription
+//! let u = tls_and_http(); // num_subscriptions() == 2, drives a MultiRuntime
 //! ```
 //!
-//! The first two expand to `impl retina_filter::FilterFns for ComFilter`,
-//! usable anywhere a filter is accepted (e.g. `Runtime::new`); the union
-//! form produces a constructor function whose result drives a
-//! `MultiRuntime` directly. Filter syntax or type errors surface as
-//! compile errors with the offending message.
+//! Both forms share one expansion. It decodes the string literals as
+//! rustc does and runs the semantic analyzer over them: E-codes abort the
+//! build with a `compile_error!` on the offending literal, carrying the
+//! caret-rendered diagnostic; W-codes are printed as build notes. It then
+//! builds the filter against `ProtocolRegistry::default()` and emits
+//! `pub fn name() -> retina_filter::FilterUnion`, whose body makes the same
+//! `CompiledFilter::build` / `build_union` call on the same decoded text.
+//! Success at expansion therefore implies success at run time.
 //!
-//! The macro is deliberately built without `syn`/`quote`: the input
-//! grammar is just an identifier and a string literal, parsed by hand from
-//! the token stream, and the generated source comes from
-//! `retina_filter::codegen` via `str::parse::<TokenStream>()`.
+//! The macro is built without `syn`/`quote`: the input grammar is an
+//! identifier and string literals, parsed by hand from the token stream.
 
-use proc_macro::{TokenStream, TokenTree};
+use proc_macro::{Delimiter, Group, Ident, Literal, Punct, Spacing, Span, TokenStream, TokenTree};
 
 use retina_filter::diag::render_filter_error;
 use retina_filter::registry::ProtocolRegistry;
-use retina_filter::trie::PredicateTrie;
+use retina_filter::CompiledFilter;
 
-/// Runs the semantic analyzer over the filter sources before codegen.
+/// Runs the semantic analyzer over the filter sources.
 ///
 /// Hard E-code diagnostics (unsatisfiable conjunctions, contradictory
-/// constraints, duplicate union subscriptions, …) abort the expansion with
-/// the full rustc-style rendering — caret snippet included — as the
-/// `compile_error!` message. Warnings (dead disjuncts, lost hardware
-/// offload, redundant predicates) are printed to stderr as build notes,
-/// exactly once per macro expansion.
-fn analyze_sources(srcs: &[&str], origin: &str) -> Result<(), String> {
+/// constraints, …) fail with the index of the first offending source and
+/// the full rustc-style rendering — caret snippet included — of every
+/// error. Warnings (dead disjuncts, lost hardware offload, redundant
+/// predicates, duplicate union subscriptions) are printed to stderr as
+/// build notes, exactly once per macro expansion.
+fn analyze_sources(srcs: &[&str], origin: &str) -> Result<(), (usize, String)> {
     let registry = ProtocolRegistry::default();
     match retina_filter::analyze_union(srcs, &registry, None) {
         Ok(analysis) => {
@@ -58,22 +49,21 @@ fn analyze_sources(srcs: &[&str], origin: &str) -> Result<(), String> {
                 let src = srcs.get(w.sub).copied().unwrap_or("");
                 eprint!("{}", w.render(src, origin));
             }
-            if analysis.has_errors() {
-                let mut msg = String::new();
-                for d in analysis.errors() {
-                    let src = srcs.get(d.sub).copied().unwrap_or("");
-                    msg.push_str(&d.render(src, origin));
-                }
-                return Err(msg);
+            let mut first = None;
+            let mut msg = String::new();
+            for d in analysis.errors() {
+                let src = srcs.get(d.sub).copied().unwrap_or("");
+                first.get_or_insert(d.sub);
+                msg.push_str(&d.render(src, origin));
             }
-            Ok(())
+            first.map_or(Ok(()), |sub| Err((sub, msg)))
         }
         Err(_) => {
             // Re-parse each source individually to attribute the lex/parse
             // error to the right subscription and render a caret snippet.
-            for src in srcs {
+            for (i, src) in srcs.iter().enumerate() {
                 if let Err(err) = retina_filter::parse(src) {
-                    return Err(render_filter_error(src, origin, &err));
+                    return Err((i, render_filter_error(src, origin, &err)));
                 }
             }
             unreachable!("analyze_union failed but every source parses");
@@ -81,158 +71,105 @@ fn analyze_sources(srcs: &[&str], origin: &str) -> Result<(), String> {
     }
 }
 
-/// Function-like form: `filter!(StructName, "filter expression")`.
+/// Single-subscription form: `filter!(name, "filter expression")`.
+///
+/// Expands to `pub fn name() -> retina_filter::FilterUnion` building the
+/// filter with `CompiledFilter::build`.
 #[proc_macro]
 pub fn filter(input: TokenStream) -> TokenStream {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let (name, filter_src) = match parse_args(&tokens) {
-        Ok(v) => v,
-        Err(msg) => return compile_error(&msg),
-    };
-    match generate(&filter_src, &name, true) {
-        Ok(code) => code,
-        Err(msg) => compile_error(&msg),
-    }
+    expand(input, false)
 }
 
-/// Attribute form: `#[filter("expression")] struct Name;`.
+/// Union form: `filter_union!(name, "tls", "http", ...)`.
 ///
-/// Re-emits the item followed by the generated `FilterFns` impl.
-#[proc_macro_attribute]
-pub fn filter_attr(attr: TokenStream, item: TokenStream) -> TokenStream {
-    let attr_tokens: Vec<TokenTree> = attr.into_iter().collect();
-    let filter_src = match attr_tokens.as_slice() {
-        [TokenTree::Literal(lit)] => match parse_string_literal(&lit.to_string()) {
-            Some(s) => s,
-            None => return compile_error("expected a string literal filter"),
-        },
-        [] => String::new(),
-        _ => return compile_error("expected exactly one string literal argument"),
-    };
-    // Find the struct name in the item.
-    let item_tokens: Vec<TokenTree> = item.clone().into_iter().collect();
-    let mut name = None;
-    let mut iter = item_tokens.iter();
-    while let Some(tok) = iter.next() {
-        if let TokenTree::Ident(id) = tok {
-            if id.to_string() == "struct" {
-                if let Some(TokenTree::Ident(n)) = iter.next() {
-                    name = Some(n.to_string());
-                }
-                break;
-            }
-        }
-    }
-    let Some(name) = name else {
-        return compile_error("#[filter] must be applied to a struct");
-    };
-    let generated = match generate(&filter_src, &name, false) {
-        Ok(code) => code,
-        Err(msg) => return compile_error(&msg),
-    };
-    let mut out = item;
-    out.extend(generated);
-    out
-}
-
-/// Union form: `filter_union!(make_filter, "tls", "http", ...)`.
-///
-/// Generates one statically-compiled filter struct per source (exactly
-/// what [`filter!`] would emit) plus a constructor function `make_filter()`
-/// returning a `retina_filter::FilterUnion` that composes them: one
-/// multi-subscription filter whose subscription `i` is source `i`, with
-/// every predicate still baked into the binary as native conditionals.
-///
-/// ```ignore
-/// retina_filtergen::filter_union!(tls_and_http, "tls", "http");
-/// let filter = tls_and_http(); // FilterFns with num_subscriptions() == 2
-/// ```
+/// Expands to `pub fn name() -> retina_filter::FilterUnion` building one
+/// multi-subscription filter with `CompiledFilter::build_union`, whose
+/// subscription `i` is source `i`.
 #[proc_macro]
 pub fn filter_union(input: TokenStream) -> TokenStream {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut iter = tokens.iter();
-    let Some(TokenTree::Ident(name)) = iter.next() else {
-        return compile_error("expected `filter_union!(fn_name, \"src0\", \"src1\", ...)`");
-    };
-    let name = name.to_string();
-    let mut sources = Vec::new();
-    loop {
-        match iter.next() {
-            None => break,
-            Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
-            _ => return compile_error("expected `,` between filter_union! arguments"),
-        }
-        match iter.next() {
-            None => break, // trailing comma
-            Some(TokenTree::Literal(lit)) => match parse_string_literal(&lit.to_string()) {
-                Some(s) => sources.push(s),
-                None => return compile_error("filter_union! sources must be string literals"),
-            },
-            _ => return compile_error("filter_union! sources must be string literals"),
-        }
-    }
-    if sources.is_empty() {
-        return compile_error("filter_union! needs at least one filter source");
-    }
-    let src_refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    if let Err(msg) = analyze_sources(&src_refs, "filter_union!") {
-        return compile_error(&msg);
-    }
-    let mut out = String::new();
-    let mut ctors = Vec::new();
-    for (i, src) in sources.iter().enumerate() {
-        let part = format!("__{name}_Part{i}");
-        let registry = ProtocolRegistry::default();
-        let trie = match PredicateTrie::from_source(src, &registry) {
-            Ok(t) => t,
-            Err(e) => return compile_error(&format!("invalid filter '{src}': {e}")),
-        };
-        out.push_str("#[allow(non_camel_case_types)]\n");
-        out.push_str(&retina_filter::codegen::generate(&trie, &part));
-        out.push('\n');
-        ctors.push(format!("Box::new({part})"));
-    }
-    out.push_str(&format!(
-        "/// Builds the `{name}` filter union ({} statically-generated parts).\n\
-         pub fn {name}() -> retina_filter::FilterUnion {{\n    \
-             retina_filter::FilterUnion::new(vec![{}])\n}}\n",
-        sources.len(),
-        ctors.join(", "),
-    ));
-    match out.parse::<TokenStream>() {
-        Ok(ts) => ts,
-        Err(e) => compile_error(&format!("internal codegen error: {e}")),
-    }
+    expand(input, true)
 }
 
-fn parse_args(tokens: &[TokenTree]) -> Result<(String, String), String> {
-    match tokens {
-        [TokenTree::Ident(name), TokenTree::Punct(comma), TokenTree::Literal(lit)]
-            if comma.as_char() == ',' =>
-        {
-            let src = parse_string_literal(&lit.to_string())
-                .ok_or_else(|| "second argument must be a string literal".to_string())?;
-            Ok((name.to_string(), src))
-        }
-        _ => Err("expected `filter!(StructName, \"filter expression\")`".to_string()),
+/// The expansion both forms share: parse, analyze, build, emit.
+fn expand(input: TokenStream, union: bool) -> TokenStream {
+    let origin = if union { "filter_union!" } else { "filter!" };
+    let tokens: Vec<TokenTree> = input.into_iter().collect();
+    let Some((name, sources)) = parse_args(&tokens, union) else {
+        let usage = if union {
+            "expected `filter_union!(fn_name, \"src0\", \"src1\", ...)` with string literal sources"
+        } else {
+            "expected `filter!(fn_name, \"filter expression\")` with a string literal source"
+        };
+        return compile_error(usage, Span::call_site());
+    };
+    let srcs: Vec<&str> = sources.iter().map(|(s, _)| s.as_str()).collect();
+    if let Err((sub, msg)) = analyze_sources(&srcs, origin) {
+        return compile_error(&msg, sources[sub].1);
     }
+    let registry = ProtocolRegistry::default();
+    let built = if union {
+        CompiledFilter::build_union(&srcs, &registry)
+    } else {
+        CompiledFilter::build(srcs[0], &registry)
+    };
+    if let Err(e) = built {
+        return compile_error(&format!("invalid filter: {e}"), Span::call_site());
+    }
+    let call = if union {
+        format!("build_union(&{srcs:?}")
+    } else {
+        format!("build({:?}", srcs[0])
+    };
+    format!(
+        "/// Builds the `{name}` filter (checked when the macro expanded).\n\
+         pub fn {name}() -> retina_filter::FilterUnion {{\n\
+             retina_filter::CompiledFilter::{call}, &retina_filter::ProtocolRegistry::default())\n\
+                 .expect(\"filter checked at compile time\")\n\
+         }}\n"
+    )
+    .parse()
+    .expect("the emitted function is valid Rust")
+}
+
+/// `name, "src"` (and, for a union, more `, "src"`s and an optional
+/// trailing comma): the function name and each decoded source with the
+/// span of its literal.
+fn parse_args(tokens: &[TokenTree], union: bool) -> Option<(String, Vec<(String, Span)>)> {
+    let (TokenTree::Ident(name), rest) = tokens.split_first()? else {
+        return None;
+    };
+    let mut sources = Vec::new();
+    let mut rest = rest.iter();
+    while let Some(tok) = rest.next() {
+        match (tok, rest.next()) {
+            (TokenTree::Punct(p), Some(TokenTree::Literal(lit))) if p.as_char() == ',' => {
+                sources.push((parse_string_literal(&lit.to_string())?, lit.span()));
+            }
+            (TokenTree::Punct(p), None) if p.as_char() == ',' && union => {}
+            _ => return None,
+        }
+    }
+    let arity_ok = if union {
+        !sources.is_empty()
+    } else {
+        sources.len() == 1
+    };
+    arity_ok.then(|| (name.to_string(), sources))
 }
 
 /// Decodes a Rust string-literal token (`"…"`, `r"…"`, `r#"…"#`) into its
-/// value.
+/// value, with rustc's escapes. `None` for anything else.
 fn parse_string_literal(text: &str) -> Option<String> {
     if let Some(rest) = text.strip_prefix('r') {
         // Raw string: r"…" or r#"…"# (any number of #).
         let hashes = rest.chars().take_while(|&c| c == '#').count();
-        let body = &rest[hashes..];
-        let body = body.strip_prefix('"')?;
+        let body = rest[hashes..].strip_prefix('"')?;
         let body = body.strip_suffix(&format!("\"{}", "#".repeat(hashes)))?;
         return Some(body.to_string());
     }
     let body = text.strip_prefix('"')?.strip_suffix('"')?;
-    // Resolve the escapes a normal string literal can contain.
     let mut out = String::with_capacity(body.len());
-    let mut chars = body.chars();
+    let mut chars = body.chars().peekable();
     while let Some(c) = chars.next() {
         if c != '\\' {
             out.push(c);
@@ -246,44 +183,60 @@ fn parse_string_literal(text: &str) -> Option<String> {
             '"' => out.push('"'),
             '\'' => out.push('\''),
             '0' => out.push('\0'),
-            '\n' => {
-                // Line continuation: `\` + newline swallows following
-                // whitespace, as in Rust string literals.
-                while matches!(chars.clone().next(), Some(' ' | '\t')) {
-                    chars.next();
+            'x' => {
+                let hex: String = [chars.next()?, chars.next()?].iter().collect();
+                let byte = u8::from_str_radix(&hex, 16).ok().filter(u8::is_ascii)?;
+                out.push(char::from(byte));
+            }
+            'u' => {
+                if chars.next()? != '{' {
+                    return None;
                 }
+                let mut hex = String::new();
+                loop {
+                    match chars.next()? {
+                        '}' => break,
+                        '_' => {}
+                        d => hex.push(d),
+                    }
+                }
+                out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
             }
-            other => {
-                // Unknown escape: keep verbatim (regexes in plain strings).
-                out.push('\\');
-                out.push(other);
+            '\n' => {
+                // Line continuation: `\` + newline swallows all following
+                // whitespace, as in Rust string literals.
+                while chars.next_if(char::is_ascii_whitespace).is_some() {}
             }
+            // rustc rejects every other escape before a macro sees it.
+            _ => return None,
         }
     }
     Some(out)
 }
 
-fn generate(filter_src: &str, name: &str, with_struct: bool) -> Result<TokenStream, String> {
-    analyze_sources(&[filter_src], "filter!")?;
-    let registry = ProtocolRegistry::default();
-    let trie = PredicateTrie::from_source(filter_src, &registry)
-        .map_err(|e| format!("invalid filter '{filter_src}': {e}"))?;
-    let code = if with_struct {
-        retina_filter::codegen::generate(&trie, name)
-    } else {
-        retina_filter::codegen::generate_impl(&trie, name)
-    };
-    code.parse::<TokenStream>()
-        .map_err(|e| format!("internal codegen error: {e}"))
-}
-
-fn compile_error(msg: &str) -> TokenStream {
-    format!("compile_error!({msg:?});").parse().unwrap()
+/// `compile_error!("msg");` reported at `span`.
+fn compile_error(msg: &str, span: Span) -> TokenStream {
+    let mut lit = Literal::string(msg);
+    lit.set_span(span);
+    let mut bang = Punct::new('!', Spacing::Alone);
+    bang.set_span(span);
+    let mut args = Group::new(Delimiter::Parenthesis, TokenTree::Literal(lit).into());
+    args.set_span(span);
+    let mut semi = Punct::new(';', Spacing::Alone);
+    semi.set_span(span);
+    [
+        TokenTree::Ident(Ident::new("compile_error", span)),
+        TokenTree::Punct(bang),
+        TokenTree::Group(args),
+        TokenTree::Punct(semi),
+    ]
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::analyze_sources;
+    use super::{analyze_sources, parse_string_literal};
 
     // `filter!("tcp and udp")` must expand to a `compile_error!` whose
     // message carries the same stable E-codes `RuntimeBuilder::build`
@@ -292,7 +245,8 @@ mod tests {
     // plus the caret snippet pointing at the offending predicate.
     #[test]
     fn unsatisfiable_filter_is_a_compile_error_with_span() {
-        let msg = analyze_sources(&["tcp and udp"], "filter!").unwrap_err();
+        let (sub, msg) = analyze_sources(&["tcp and udp"], "filter!").unwrap_err();
+        assert_eq!(sub, 0);
         assert!(msg.contains("error[E001]"), "{msg}");
         assert!(msg.contains("error[E004]"), "{msg}");
         assert!(msg.contains("--> filter!:1:"), "{msg}");
@@ -302,7 +256,7 @@ mod tests {
 
     #[test]
     fn contradictory_constraints_are_a_compile_error() {
-        let msg =
+        let (_, msg) =
             analyze_sources(&["tcp.src_port > 100 and tcp.src_port < 50"], "filter!").unwrap_err();
         assert!(msg.contains("error[E002]"), "{msg}");
     }
@@ -320,5 +274,56 @@ mod tests {
             "filter!"
         )
         .is_ok());
+    }
+
+    #[test]
+    fn union_errors_name_the_offending_source() {
+        let (sub, _) = analyze_sources(&["tls", "tcp and udp"], "filter_union!").unwrap_err();
+        assert_eq!(sub, 1);
+        let (sub, _) = analyze_sources(&["tls", "tcp.port = "], "filter_union!").unwrap_err();
+        assert_eq!(sub, 1);
+    }
+
+    #[test]
+    fn hex_and_unicode_escapes_decode_as_rustc_does() {
+        // The token text of `"tls.sni ~ 'a\x2ecom'"` and friends.
+        assert_eq!(
+            parse_string_literal(r#""tls.sni ~ 'a\x2ecom'""#).as_deref(),
+            Some("tls.sni ~ 'a.com'")
+        );
+        assert_eq!(
+            parse_string_literal(r#""caf\u{e9} \u{1_F600}""#).as_deref(),
+            Some("café 😀")
+        );
+        assert_eq!(
+            parse_string_literal(r#""\n\t\r\\\"\'\0""#).as_deref(),
+            Some("\n\t\r\\\"'\0")
+        );
+        // Outside what rustc accepts in a `str` literal: not ours to guess.
+        assert_eq!(parse_string_literal(r#""\x80""#), None);
+        assert_eq!(parse_string_literal(r#""\u{110000}""#), None);
+        assert_eq!(parse_string_literal(r#""\d""#), None);
+        assert_eq!(parse_string_literal(r#"b"tls""#), None);
+    }
+
+    #[test]
+    fn raw_strings_are_taken_verbatim() {
+        assert_eq!(
+            parse_string_literal(r#"r"tls.sni ~ '\.com$'""#).as_deref(),
+            Some(r"tls.sni ~ '\.com$'")
+        );
+        assert_eq!(
+            parse_string_literal(r###"r##"a "#quoted"# \x2e"##"###).as_deref(),
+            Some(r##"a "#quoted"# \x2e"##)
+        );
+        assert_eq!(parse_string_literal(r##"r#"unterminated""##), None);
+    }
+
+    #[test]
+    fn line_continuation_swallows_leading_whitespace() {
+        assert_eq!(
+            parse_string_literal("\"ipv4 and \\\n     \t\n  tcp\"").as_deref(),
+            Some("ipv4 and tcp")
+        );
     }
 }

@@ -23,7 +23,7 @@ use retina_examples::cli_args;
 use retina_filtergen::filter;
 use retina_trafficgen::campus::{campus_source, CampusConfig};
 
-filter!(HttpPackets, "http");
+filter!(http_packets, "http");
 
 /// Prefix-preserving anonymization of an IPv4 address: each output bit
 /// depends (via a keyed PRF) only on the preceding input bits, the
@@ -63,7 +63,7 @@ fn main() {
 
     let mut runtime = Runtime::new(
         RuntimeConfig::with_cores(args.cores as u16),
-        HttpPackets,
+        http_packets(),
         callback,
     )
     .expect("runtime");

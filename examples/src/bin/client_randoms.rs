@@ -18,7 +18,7 @@ use retina_examples::cli_args;
 use retina_filtergen::filter;
 use retina_trafficgen::campus::{campus_source, CampusConfig};
 
-filter!(AllTls, "tls");
+filter!(all_tls, "tls");
 
 fn hex8(bytes: &[u8; 32]) -> String {
     let head: String = bytes[..4].iter().map(|b| format!("{b:02x}")).collect();
@@ -40,7 +40,7 @@ fn main() {
     };
     let mut runtime = Runtime::new(
         RuntimeConfig::with_cores(args.cores as u16),
-        AllTls,
+        all_tls(),
         callback,
     )
     .expect("runtime");

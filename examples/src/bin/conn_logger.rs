@@ -17,7 +17,7 @@ use retina_examples::cli_args;
 use retina_filtergen::filter;
 use retina_trafficgen::campus::{campus_source, CampusConfig};
 
-filter!(AllTcp, "tcp");
+filter!(all_tcp, "tcp");
 
 fn main() {
     let args = cli_args();
@@ -47,7 +47,7 @@ fn main() {
 
     let mut runtime = Runtime::new(
         RuntimeConfig::with_cores(args.cores as u16),
-        AllTcp,
+        all_tcp(),
         callback,
     )
     .expect("runtime");

@@ -17,7 +17,7 @@ use retina_filtergen::filter;
 use retina_protocols::Session;
 use retina_trafficgen::campus::{campus_source, CampusConfig};
 
-filter!(AnyKnownL7, "tls or http or dns or ssh or quic");
+filter!(any_known_l7, "tls or http or dns or ssh or quic");
 
 fn main() {
     let args = cli_args();
@@ -51,7 +51,7 @@ fn main() {
 
     let mut runtime = Runtime::new(
         RuntimeConfig::with_cores(args.cores as u16),
-        AnyKnownL7,
+        any_known_l7(),
         callback,
     )
     .expect("runtime");

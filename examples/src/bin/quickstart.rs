@@ -18,8 +18,8 @@ use retina_examples::cli_args;
 use retina_filtergen::filter;
 use retina_trafficgen::campus::{campus_source, CampusConfig};
 
-// The subscription filter, compiled to native code at build time (§4).
-filter!(ComDomains, r"tls.sni matches '\.com$'");
+// The subscription filter, checked at build time (§4).
+filter!(com_domains, r"tls.sni matches '\.com$'");
 
 fn main() {
     let args = cli_args();
@@ -40,7 +40,7 @@ fn main() {
         }
     };
 
-    let mut runtime = Runtime::new(cfg, ComDomains, callback).expect("runtime");
+    let mut runtime = Runtime::new(cfg, com_domains(), callback).expect("runtime");
     let source = campus_source(&CampusConfig {
         seed: args.seed,
         target_packets: args.packets as usize,

@@ -22,7 +22,7 @@ use retina_trafficgen::video::{VideoConfig, VideoWorkload};
 // The paper's two video filters, joined: isolate Netflix and YouTube
 // video flows on port 443 by SNI.
 filter!(
-    VideoConns,
+    video_conns,
     r"tcp.port = 443 and (tls.sni ~ '(.+?\.)?nflxvideo\.net' or tls.sni ~ 'googlevideo')"
 );
 
@@ -71,7 +71,7 @@ fn main() {
 
     let mut runtime = Runtime::new(
         RuntimeConfig::with_cores(args.cores as u16),
-        VideoConns,
+        video_conns(),
         callback,
     )
     .expect("runtime");

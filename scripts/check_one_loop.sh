@@ -77,8 +77,21 @@
 #     expired, drained, completed early, swapped) leave an end
 #     tracepoint.
 #
+# Filters are evaluated by one engine, too. `CompiledFilter` (the flat
+# op program) is the only filter `crates/core` runs; a static code
+# generator beside it ran nowhere on the measured path, and each second
+# `FilterFns` implementation needed its own copy of every layer's
+# semantics. So:
+#
+#   * non-test code under crates/ and examples/ has exactly one
+#     `impl FilterFns for` (or `impl retina_filter::FilterFns for`);
+#   * no `mod codegen` and no `codegen::` path anywhere in crates/filter
+#     or crates/filtergen: the macros check filter text and build a
+#     `CompiledFilter`, they do not generate code.
+#
 # A textual audit: "non-test" is everything above a file's first
-# `#[cfg(test)]` line; comment lines are ignored. Run as the `one-loop`
+# `#[cfg(test)]` line, and nothing under a tests/ directory; comment
+# lines are ignored. Run as the `one-loop`
 # stage of scripts/ci.sh.
 set -euo pipefail
 
@@ -209,12 +222,30 @@ for file in $(find crates/core/src -name '*.rs' | sort); do
     fi
 done
 
+hits=$(for file in $(find crates examples -name '*.rs' -not -path '*/tests/*' | sort); do
+    code_lines "$file"
+done | grep -E 'impl(<[^>]*>)?[[:space:]]+(retina_filter::)?FilterFns[[:space:]]+for[[:space:]]' || true)
+n=$(printf '%s' "$hits" | grep -c . || true)
+if [ "$n" -ne 1 ]; then
+    echo "crates/ and examples/ have $n non-test FilterFns impls (want 1: CompiledFilter):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(grep -rnE --include='*.rs' '(^|[^[:alnum:]_])(mod[[:space:]]+codegen\b|codegen::)' \
+    crates/filter crates/filtergen | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$hits" ]; then
+    echo "a filter code generator in crates/filter or crates/filtergen (the macros build a CompiledFilter):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "one-loop guard FAILED: drive CorePipeline and executor's lane protocol instead of re-writing them" >&2
+    echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
 fi
 echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
 echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, one downcast site (take_output);"
 echo "  no boxed output anywhere in core, no box in the emitter, no boxed probe state in the tracker;"
 echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; the tracker copies at the probe spill only;"
-echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site"
+echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
+echo "  one FilterFns impl (CompiledFilter) and no filter code generator"

@@ -33,7 +33,11 @@
 #                 into a bug): phases move in tracker/phase.rs only, a
 #                 subscription's discard and a connection's discard are
 #                 each charged at one site, and one exit function emits
-#                 every connection's end tracepoint
+#                 every connection's end tracepoint; and filters run on
+#                 one engine: one non-test FilterFns impl (CompiledFilter)
+#                 in crates/ and examples/, and no code generator
+#                 (`mod codegen`, `codegen::`) in crates/filter or
+#                 crates/filtergen
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

@@ -246,17 +246,9 @@ fn assert_equivalent(srcs: &[&str], frames: &[Bytes]) {
             continue;
         };
 
-        // Layer 2: software packet filter. Scalar match/terminal verdicts
-        // and per-subscription bitsets must agree (frontier node *ids*
-        // legitimately differ — pruning renumbers the arena).
-        let sp = fp.packet_filter(&pkt);
-        let sn = fnv.packet_filter(&pkt);
-        assert_eq!(sp.is_match(), sn.is_match(), "{srcs:?}: packet on {pkt:?}");
-        assert_eq!(
-            sp.is_terminal(),
-            sn.is_terminal(),
-            "{srcs:?}: packet terminality on {pkt:?}"
-        );
+        // Layer 2: software packet filter. Per-subscription bitsets must
+        // agree (frontier node *ids* legitimately differ — pruning
+        // renumbers the arena).
         let pv_p = fp.packet_filter_set(&pkt);
         let pv_n = fnv.packet_filter_set(&pkt);
         assert_eq!(pv_p.matched, pv_n.matched, "{srcs:?}: matched on {pkt:?}");
@@ -364,17 +356,17 @@ fn assert_union_matches_solo(srcs: &[&str]) {
         };
         let v = union.packet_filter_set(&pkt);
         for (i, solo) in solos.iter().enumerate() {
-            let r = solo.packet_filter(&pkt);
+            let r = solo.packet_filter_set(&pkt);
             assert_eq!(
                 v.matched.contains(i),
-                r.is_terminal(),
+                r.matched.contains(0),
                 "sub {i} ({}) terminal on {pkt:?}",
                 srcs[i]
             );
             assert_eq!(
-                v.matched.contains(i) || v.live.contains(i),
-                r.is_match(),
-                "sub {i} ({}) match on {pkt:?}",
+                v.live.contains(i),
+                r.live.contains(0),
+                "sub {i} ({}) live on {pkt:?}",
                 srcs[i]
             );
         }

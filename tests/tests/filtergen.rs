@@ -1,121 +1,47 @@
-//! Differential tests: the statically generated filters (the
-//! `retina-filtergen` proc-macro, §4's code generation) must agree with
-//! the interpreted engine on every packet, connection, and session — the
-//! two execution strategies share one semantics (Appendix B's premise).
+//! The `retina-filtergen` macros check filter text at compile time and
+//! build the same `CompiledFilter` the runtime builds from text. Every
+//! layer's verdicts must equal `CompiledFilter::build` / `build_union` on
+//! the same source, the decoded source must be the text rustc decodes,
+//! and the macro-built filters must drive `Runtime`, `MultiRuntime` and
+//! offline mode.
 
 use retina_core::FilterFns;
-use retina_filter::{CompiledFilter, FilterResult, ProtocolRegistry, SessionData};
+use retina_filter::{CompiledFilter, ProtocolRegistry, SessionData};
 use retina_filtergen::filter;
+use retina_nic::DeviceCaps;
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_wire::ParsedPacket;
 
-// Statically generated filters (expanded at compile time into native
-// conditionals).
-filter!(FIpv4, "ipv4");
-filter!(FPort443, "tcp.port = 443");
+filter!(f_ipv4, "ipv4");
+filter!(f_port443, "tcp.port = 443");
 filter!(
-    FPortRange,
+    f_port_range,
     "ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix'"
 );
 filter!(
-    FFigure3,
+    f_figure3,
     "(ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix') or http"
 );
-filter!(FCipher, r"tls.cipher ~ 'AES_128_GCM'");
-filter!(FDns, "dns");
-filter!(FCidr, "ipv4.addr in 171.64.0.0/14 and udp");
-filter!(FTtl, "ipv4.ttl > 64");
-filter!(FMatchAll, "");
+filter!(f_cipher, r"tls.cipher ~ 'AES_128_GCM'");
+filter!(f_dns, "dns");
+filter!(f_cidr, "ipv4.addr in 171.64.0.0/14 and udp");
+filter!(f_ttl, "ipv4.ttl > 64");
+filter!(f_match_all, "");
 filter!(
-    FNetflixLong,
+    f_netflix_long,
     "ipv4.addr in 23.246.0.0/18 or ipv4.addr in 37.77.184.0/21 or \
      ipv6.addr in 2620:10c:7000::/44 or tls.sni ~ 'netflix.com' or \
      tls.sni ~ 'nflxvideo.net' or tls.sni ~ 'nflximg.net'"
 );
+filter!(f_com, "tls.sni matches '\\.com$'");
+// `\x2e` and `\u{2e}` are `.`, as rustc reads them.
+filter!(
+    f_escaped,
+    "tls.sni ~ 'netflix\x2ecom' or tls.sni ~ '\u{2e}org$'"
+);
 
-/// Attribute form also works.
-#[retina_filtergen::filter_attr("tls.sni matches '\\.com$'")]
-struct FComAttr;
-
-fn interp(src: &str) -> CompiledFilter {
+fn build(src: &str) -> CompiledFilter {
     CompiledFilter::build(src, &ProtocolRegistry::default()).unwrap()
-}
-
-fn differential_packets(static_f: &dyn FilterFns, interp_f: &CompiledFilter) {
-    let packets = generate(&CampusConfig::small(0xD1FF));
-    let mut matched = 0usize;
-    for (frame, _) in packets.iter().take(30_000) {
-        let Ok(pkt) = ParsedPacket::parse(frame) else {
-            continue;
-        };
-        let a = static_f.packet_filter(&pkt);
-        let b = interp_f.packet_filter(&pkt);
-        assert_eq!(a, b, "packet filter divergence on {pkt:?}");
-        if a.is_match() {
-            matched += 1;
-            // Conn filter agreement across all plausible services.
-            if let FilterResult::MatchNonTerminal(node) = a {
-                for service in [Some("tls"), Some("http"), Some("dns"), Some("ssh"), None] {
-                    assert_eq!(
-                        static_f.conn_filter(service, node),
-                        interp_f.conn_filter(service, node),
-                        "conn filter divergence at node {node} service {service:?}"
-                    );
-                }
-            }
-        }
-    }
-    // The campus mix must exercise the filter at least somewhere for the
-    // differential to be meaningful (true for all filters under test
-    // except possibly narrow CIDRs — allow zero there).
-    let _ = matched;
-}
-
-#[test]
-fn static_vs_interpreted_packet_and_conn() {
-    let cases: Vec<(&dyn FilterFns, &str)> = vec![
-        (&FIpv4, "ipv4"),
-        (&FPort443, "tcp.port = 443"),
-        (
-            &FPortRange,
-            "ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix'",
-        ),
-        (
-            &FFigure3,
-            "(ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix') or http",
-        ),
-        (&FCipher, r"tls.cipher ~ 'AES_128_GCM'"),
-        (&FDns, "dns"),
-        (&FCidr, "ipv4.addr in 171.64.0.0/14 and udp"),
-        (&FTtl, "ipv4.ttl > 64"),
-        (&FMatchAll, ""),
-        (
-            &FNetflixLong,
-            "ipv4.addr in 23.246.0.0/18 or ipv4.addr in 37.77.184.0/21 or \
-             ipv6.addr in 2620:10c:7000::/44 or tls.sni ~ 'netflix.com' or \
-             tls.sni ~ 'nflxvideo.net' or tls.sni ~ 'nflximg.net'",
-        ),
-    ];
-    for (static_f, src) in cases {
-        let interp_f = interp(src);
-        assert_eq!(static_f.source(), src);
-        assert_eq!(
-            static_f.conn_protocols(),
-            interp_f.conn_protocols(),
-            "{src}"
-        );
-        assert_eq!(
-            static_f.needs_conn_layer(),
-            interp_f.needs_conn_layer(),
-            "{src}"
-        );
-        assert_eq!(
-            static_f.needs_session_layer(),
-            interp_f.needs_session_layer(),
-            "{src}"
-        );
-        differential_packets(static_f, &interp_f);
-    }
 }
 
 struct FakeTls {
@@ -137,11 +63,115 @@ impl SessionData for FakeTls {
     }
 }
 
+const SESSIONS: [FakeTls; 4] = [
+    FakeTls {
+        sni: "www.netflix.com",
+        cipher: "TLS_AES_128_GCM_SHA256",
+    },
+    FakeTls {
+        sni: "example.org",
+        cipher: "TLS_AES_256_GCM_SHA384",
+    },
+    FakeTls {
+        sni: "netflix.co.uk",
+        cipher: "",
+    },
+    FakeTls {
+        sni: "",
+        cipher: "",
+    },
+];
+
+/// The first `n` parseable frames of a seeded campus mix.
+fn campus(seed: u64, n: usize) -> Vec<ParsedPacket> {
+    generate(&CampusConfig::small(seed))
+        .iter()
+        .take(n)
+        .filter_map(|(frame, _)| ParsedPacket::parse(frame).ok())
+        .collect()
+}
+
+/// `a` and `b` agree on metadata and, for every packet, on the packet
+/// verdict (frontiers included), the connection verdict per service and
+/// the session verdict per session. Returns how many packets some
+/// subscription survived.
+fn assert_same_filter(a: &dyn FilterFns, b: &CompiledFilter, packets: &[ParsedPacket]) -> usize {
+    let what = b.source();
+    assert_eq!(a.source(), what);
+    assert_eq!(a.num_subscriptions(), b.num_subscriptions(), "{what}");
+    assert_eq!(a.conn_protocols(), b.conn_protocols(), "{what}");
+    assert_eq!(a.needs_conn_layer(), b.needs_conn_layer(), "{what}");
+    assert_eq!(a.needs_session_layer(), b.needs_session_layer(), "{what}");
+    let mut survived = 0;
+    for pkt in packets {
+        let v = a.packet_filter_set(pkt);
+        assert_eq!(v, b.packet_filter_set(pkt), "{what}: packet on {pkt:?}");
+        if v.is_no_match() {
+            continue;
+        }
+        survived += 1;
+        for service in [Some("tls"), Some("http"), Some("dns"), Some("ssh"), None] {
+            let cv = a.conn_filter_set(service, &v.frontiers, v.live);
+            assert_eq!(
+                cv,
+                b.conn_filter_set(service, &v.frontiers, v.live),
+                "{what}: conn ({service:?})"
+            );
+            for s in &SESSIONS {
+                assert_eq!(
+                    a.session_filter_set(s, &v.frontiers, cv.live),
+                    b.session_filter_set(s, &v.frontiers, cv.live),
+                    "{what}: session (sni {:?})",
+                    s.sni
+                );
+            }
+        }
+    }
+    survived
+}
+
 #[test]
-fn static_vs_interpreted_session_filter() {
-    // Reach a frontier node with a TCP packet, then compare session
-    // verdicts for both engines across sessions.
-    let interp_f = interp("(ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix') or http");
+fn filter_macro_matches_build_packet_and_conn() {
+    let packets = campus(0xD1FF, 30_000);
+    let cases: [(CompiledFilter, &str); 11] = [
+        (f_ipv4(), "ipv4"),
+        (f_port443(), "tcp.port = 443"),
+        (
+            f_port_range(),
+            "ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix'",
+        ),
+        (
+            f_figure3(),
+            "(ipv4 and tcp.port >= 100 and tls.sni ~ 'netflix') or http",
+        ),
+        (f_cipher(), r"tls.cipher ~ 'AES_128_GCM'"),
+        (f_dns(), "dns"),
+        (f_cidr(), "ipv4.addr in 171.64.0.0/14 and udp"),
+        (f_ttl(), "ipv4.ttl > 64"),
+        (f_match_all(), ""),
+        (
+            f_netflix_long(),
+            "ipv4.addr in 23.246.0.0/18 or ipv4.addr in 37.77.184.0/21 or \
+             ipv6.addr in 2620:10c:7000::/44 or tls.sni ~ 'netflix.com' or \
+             tls.sni ~ 'nflxvideo.net' or tls.sni ~ 'nflximg.net'",
+        ),
+        (
+            f_escaped(),
+            "tls.sni ~ 'netflix\x2ecom' or tls.sni ~ '\u{2e}org$'",
+        ),
+    ];
+    for (macro_built, src) in &cases {
+        assert_same_filter(macro_built, &build(src), &packets);
+    }
+    assert_eq!(
+        f_escaped().source(),
+        "tls.sni ~ 'netflix.com' or tls.sni ~ '.org$'"
+    );
+}
+
+#[test]
+fn filter_macro_matches_build_session_filter() {
+    // A TLS frontier, then each session through the session layer.
     let frame = retina_wire::build::build_tcp(&retina_wire::build::TcpSpec {
         src: "10.0.0.1:50000".parse().unwrap(),
         dst: "1.1.1.1:443".parse().unwrap(),
@@ -153,57 +183,31 @@ fn static_vs_interpreted_session_filter() {
         payload: b"",
     });
     let pkt = ParsedPacket::parse(&frame).unwrap();
-    let node_s = FFigure3.packet_filter(&pkt).node().unwrap();
-    let node_i = interp_f.packet_filter(&pkt).node().unwrap();
-    assert_eq!(node_s, node_i, "trie node ids must align across engines");
-
-    for sni in ["www.netflix.com", "example.org", "netflix.co.uk", ""] {
-        let session = FakeTls {
-            sni,
-            cipher: "TLS_AES_128_GCM_SHA256",
-        };
-        assert_eq!(
-            FFigure3.session_filter(&session, node_s),
-            interp_f.session_filter(&session, node_i),
-            "sni {sni:?}"
-        );
+    for (f, passes) in [
+        (f_figure3(), [true, false, true, false]),
+        (f_com(), [true, false, false, false]),
+        (f_cipher(), [true, false, false, false]),
+        (f_escaped(), [true, true, false, false]),
+    ] {
+        let v = f.packet_filter_set(&pkt);
+        assert!(v.live.contains(0), "{}: {v:?}", f.source());
+        let cv = f.conn_filter_set(Some("tls"), &v.frontiers, v.live);
+        for (s, want) in SESSIONS.iter().zip(passes) {
+            assert_eq!(
+                f.session_filter_set(s, &v.frontiers, cv.live).contains(0),
+                want,
+                "{}: sni {:?}",
+                f.source(),
+                s.sni
+            );
+        }
+        assert_same_filter(&f, &build(f.source()), std::slice::from_ref(&pkt));
     }
 }
 
 #[test]
-fn attribute_macro_form() {
-    let interp_f = interp("tls.sni matches '\\.com$'");
-    assert_eq!(FComAttr.source(), "tls.sni matches '\\.com$'");
-    assert_eq!(FComAttr.conn_protocols(), vec!["tls".to_string()]);
-    let session_com = FakeTls {
-        sni: "www.example.com",
-        cipher: "",
-    };
-    let session_org = FakeTls {
-        sni: "www.example.org",
-        cipher: "",
-    };
-    // Find the frontier node via a packet.
-    let frame = retina_wire::build::build_tcp(&retina_wire::build::TcpSpec {
-        src: "10.0.0.1:50000".parse().unwrap(),
-        dst: "1.1.1.1:443".parse().unwrap(),
-        seq: 1,
-        ack: 0,
-        flags: retina_wire::TcpFlags::SYN,
-        window: 64,
-        ttl: 64,
-        payload: b"",
-    });
-    let pkt = ParsedPacket::parse(&frame).unwrap();
-    let node = FComAttr.packet_filter(&pkt).node().unwrap();
-    assert!(FComAttr.session_filter(&session_com, node));
-    assert!(!FComAttr.session_filter(&session_org, node));
-    let _ = interp_f;
-}
-
-#[test]
 fn static_filter_runs_in_runtime() {
-    // A macro-generated filter drives the full multi-core runtime.
+    // A macro-declared filter drives the full multi-core runtime.
     use retina_core::subscribables::TlsHandshakeData;
     use retina_core::{Runtime, RuntimeConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,9 +221,9 @@ fn static_filter_runs_in_runtime() {
     };
     let count = Arc::new(AtomicUsize::new(0));
     let count2 = Arc::clone(&count);
-    filter!(FNginx, "tls.sni ~ 'nginx'");
+    filter!(nginx, "tls.sni ~ 'nginx'");
     let mut rt =
-        Runtime::<TlsHandshakeData, _>::new(RuntimeConfig::with_cores(2), FNginx, move |_hs| {
+        Runtime::<TlsHandshakeData, _>::new(RuntimeConfig::with_cores(2), nginx(), move |_hs| {
             count2.fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
@@ -229,78 +233,46 @@ fn static_filter_runs_in_runtime() {
 }
 
 #[test]
-fn offline_mode_agrees_between_engines() {
-    // Same subscription, same traffic, one run per engine: identical
-    // callback counts.
+fn offline_mode_agrees_between_macro_and_build() {
+    // Same subscription, same traffic, one run per construction path:
+    // identical callback counts.
     use retina_core::offline::run_offline;
     use retina_core::subscribables::SessionRecord;
     use std::sync::Arc;
 
     let packets = generate(&CampusConfig::small(0xABCD));
-    let src = "tls.sni ~ '\\.com$' or http";
-    filter!(FComOrHttp, "tls.sni ~ '\\.com$' or http");
+    filter!(com_or_http, "tls.sni ~ '\\.com$' or http");
 
-    let mut interp_count = 0usize;
-    let interp_f = Arc::new(interp(src));
-    run_offline::<SessionRecord, _>(
-        &interp_f,
-        &retina_core::RuntimeConfig::default(),
-        packets.clone(),
-        |_| interp_count += 1,
-    );
-
-    let mut static_count = 0usize;
-    let static_f = Arc::new(FComOrHttp);
-    run_offline::<SessionRecord, _>(
-        &static_f,
-        &retina_core::RuntimeConfig::default(),
-        packets,
-        |_| static_count += 1,
-    );
-    assert_eq!(interp_count, static_count);
-    assert!(interp_count > 0);
+    let mut count = [0usize; 2];
+    for (i, filter) in [com_or_http(), build("tls.sni ~ '\\.com$' or http")]
+        .into_iter()
+        .enumerate()
+    {
+        run_offline::<SessionRecord, _>(
+            &Arc::new(filter),
+            &retina_core::RuntimeConfig::default(),
+            packets.clone(),
+            |_| count[i] += 1,
+        );
+    }
+    assert_eq!(count[0], count[1]);
+    assert!(count[0] > 0);
 }
 
-// Union form: each source compiled to static code, composed into one
-// multi-subscription filter.
 retina_filtergen::filter_union!(tls_http_dns, "tls", "http", "dns");
 
 #[test]
 fn filter_union_agrees_with_interpreted_union() {
-    let static_u = tls_http_dns();
-    let interp_u =
+    let runtime_built =
         CompiledFilter::build_union(&["tls", "http", "dns"], &ProtocolRegistry::default()).unwrap();
-    assert_eq!(static_u.num_subscriptions(), 3);
-    assert_eq!(interp_u.num_subscriptions(), 3);
-
-    let packets = generate(&CampusConfig::small(0x7E57));
-    let mut matched = 0usize;
-    for (frame, _) in packets.iter().take(30_000) {
-        let Ok(pkt) = ParsedPacket::parse(frame) else {
-            continue;
-        };
-        let a = static_u.packet_filter_set(&pkt);
-        let b = interp_u.packet_filter_set(&pkt);
-        assert_eq!(a.matched, b.matched, "matched sets diverge on {pkt:?}");
-        assert_eq!(a.live, b.live, "live sets diverge on {pkt:?}");
-        if !a.is_no_match() {
-            matched += 1;
-            // Conn-layer verdicts must agree per service for the same
-            // packet-layer frontiers.
-            for service in [Some("tls"), Some("http"), Some("dns"), None] {
-                let ca = static_u.conn_filter_set(service, &a.frontiers, a.live);
-                let cb = interp_u.conn_filter_set(service, &b.frontiers, b.live);
-                assert_eq!(ca.matched, cb.matched, "conn matched diverge ({service:?})");
-                assert_eq!(ca.live, cb.live, "conn live diverge ({service:?})");
-            }
-        }
-    }
-    assert!(matched > 0, "workload should exercise the union");
+    assert_eq!(tls_http_dns().num_subscriptions(), 3);
+    let survived = assert_same_filter(&tls_http_dns(), &runtime_built, &campus(0x7E57, 30_000));
+    assert!(survived > 0, "workload should exercise the union");
 }
 
 #[test]
 fn filter_union_drives_multi_runtime() {
-    // The macro-generated union powers a MultiRuntime with one typed
+    // The macro-built union powers a MultiRuntime with one typed
     // subscription per source.
     use retina_core::subscribables::{ConnRecord, TlsHandshakeData};
     use retina_core::{MultiRuntime, RuntimeConfig, TypedSubscription};
@@ -317,7 +289,7 @@ fn filter_union_drives_multi_runtime() {
     let conn_seen = Arc::new(AtomicUsize::new(0));
     let t2 = Arc::clone(&tls_seen);
     let c2 = Arc::clone(&conn_seen);
-    retina_filtergen::filter_union!(tls_and_all, "tls", "");
+    retina_filtergen::filter_union!(tls_and_all, "tls", "",);
     let subs: Vec<Arc<dyn retina_core::ErasedSubscription>> = vec![
         Arc::new(TypedSubscription::<TlsHandshakeData>::new(
             "tls",
@@ -345,11 +317,10 @@ fn filter_union_drives_multi_runtime() {
 //
 // A live swap compiles its new subscription set through
 // `CompiledFilter::build_union` at runtime, while ahead-of-time users
-// compile the same set with `filter_union!`. The two engines must agree
-// on *every* layer a swap touches: the packet verdict sets, the
-// connection verdicts, the session verdicts, and the hardware rule
-// union whose diff the swap pushes to the NIC. Frontier node ids are
-// deliberately NOT compared — they are an engine-internal encoding.
+// declare the same set with `filter_union!`. Both must agree on *every*
+// layer a swap touches: the packet verdict sets, the connection
+// verdicts, the session verdicts, and the hardware rule union whose diff
+// the swap pushes to the NIC.
 retina_filtergen::filter_union!(
     swap_old_union,
     "ipv4 and tcp",
@@ -360,7 +331,6 @@ retina_filtergen::filter_union!(swap_new_union, "ipv4 and tcp", "udp", "tls.sni 
 
 #[test]
 fn swap_unions_agree_on_all_four_layers() {
-    use retina_nic::DeviceCaps;
     use retina_support::rand::{RngExt, SeedableRng, SmallRng};
     use retina_wire::build::{build_tcp, build_udp, TcpSpec, UdpSpec};
 
@@ -371,22 +341,22 @@ fn swap_unions_agree_on_all_four_layers() {
     ];
     const NEW: [&str; 3] = ["ipv4 and tcp", "udp", "tls.sni ~ 'netflix'"];
     let registry = ProtocolRegistry::default();
-    let cases: [(&dyn FilterFns, CompiledFilter); 2] = [
+    let cases = [
         (
-            &swap_old_union(),
+            swap_old_union(),
             CompiledFilter::build_union(&OLD, &registry).unwrap(),
         ),
         (
-            &swap_new_union(),
+            swap_new_union(),
             CompiledFilter::build_union(&NEW, &registry).unwrap(),
         ),
     ];
 
     // Seeded frames biased to the decision boundaries: ports hugging
-    // 443, TCP vs UDP, v4 vs v6 — the exact edges a swap's rule diff
-    // pivots on — plus a campus slice for breadth.
+    // 443, TCP vs UDP — the exact edges a swap's rule diff pivots on —
+    // plus a campus slice for breadth.
     let mut rng = SmallRng::seed_from_u64(0x5F4B);
-    let mut frames: Vec<Vec<u8>> = Vec::new();
+    let mut packets: Vec<ParsedPacket> = Vec::new();
     for _ in 0..400 {
         let sport: u16 = rng.random_range(40_000u16..60_000);
         let dport: u16 = [80u16, 442, 443, 444, 8443, 53][rng.random_range(0usize..6)];
@@ -394,15 +364,15 @@ fn swap_unions_agree_on_all_four_layers() {
             .parse()
             .unwrap();
         let dst: std::net::SocketAddr = format!("192.0.2.7:{dport}").parse().unwrap();
-        if rng.random_range(0u32..3) == 0 {
-            frames.push(build_udp(&UdpSpec {
+        let frame = if rng.random_range(0u32..3) == 0 {
+            build_udp(&UdpSpec {
                 src,
                 dst,
                 ttl: 64,
                 payload: b"q",
-            }));
+            })
         } else {
-            frames.push(build_tcp(&TcpSpec {
+            build_tcp(&TcpSpec {
                 src,
                 dst,
                 seq: 1,
@@ -411,115 +381,40 @@ fn swap_unions_agree_on_all_four_layers() {
                 window: 4096,
                 ttl: 64,
                 payload: b"",
-            }));
-        }
+            })
+        };
+        packets.push(ParsedPacket::parse(&frame).unwrap());
     }
-    let campus = generate(&CampusConfig::small(0x5F4C));
-    frames.extend(campus.iter().take(4_000).map(|(f, _)| f.to_vec()));
+    packets.extend(campus(0x5F4C, 4_000));
 
-    let sessions = [
-        FakeTls {
-            sni: "api.netflix.com",
-            cipher: "TLS_AES_128_GCM_SHA256",
-        },
-        FakeTls {
-            sni: "example.org",
-            cipher: "TLS_AES_128_GCM_SHA256",
-        },
-    ];
-
-    for (static_u, interp_u) in &cases {
-        assert_eq!(static_u.num_subscriptions(), interp_u.num_subscriptions());
-        let mut decided = 0usize;
-        for frame in &frames {
-            let Ok(pkt) = ParsedPacket::parse(frame) else {
-                continue;
-            };
-            // Layer 1: packet verdict sets.
-            let a = static_u.packet_filter_set(&pkt);
-            let b = interp_u.packet_filter_set(&pkt);
-            assert_eq!(a.matched, b.matched, "packet matched diverge on {pkt:?}");
-            assert_eq!(a.live, b.live, "packet live diverge on {pkt:?}");
-            if !a.matched.is_empty() || !a.live.is_empty() {
-                decided += 1;
-            }
-            if a.live.is_empty() {
-                continue;
-            }
-            // Layer 2: connection verdicts, each engine fed its own
-            // frontiers (ids are private; the verdict sets are not).
-            for service in [Some("tls"), Some("http"), None] {
-                let ca = static_u.conn_filter_set(service, &a.frontiers, a.live);
-                let cb = interp_u.conn_filter_set(service, &b.frontiers, b.live);
-                assert_eq!(ca.matched, cb.matched, "conn matched diverge ({service:?})");
-                assert_eq!(ca.live, cb.live, "conn live diverge ({service:?})");
-                // Layer 3: session verdicts for subscriptions still live
-                // after the connection layer.
-                if !ca.live.is_empty() {
-                    for s in &sessions {
-                        assert_eq!(
-                            static_u.session_filter_set(s, &a.frontiers, ca.live),
-                            interp_u.session_filter_set(s, &b.frontiers, cb.live),
-                            "session verdict diverge (sni {:?})",
-                            s.sni
-                        );
-                    }
-                }
-            }
-        }
-        assert!(decided > 0, "boundary frames never exercised the union");
-
-        // Layer 4: hardware rule unions (multiset equality — installation
-        // order is not part of the contract).
-        for caps in [
-            DeviceCaps::connectx5(),
-            DeviceCaps::basic(),
-            DeviceCaps::full(),
-        ] {
-            let mut hw_a: Vec<String> = static_u
-                .hw_rules(caps, &registry)
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            let mut hw_b: Vec<String> = interp_u
-                .hw_rules(caps, &registry)
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            hw_a.sort();
-            hw_b.sort();
-            assert_eq!(hw_a, hw_b, "hardware rule unions diverge under {caps:?}");
-        }
+    // Layers 1-3.
+    for (macro_built, runtime_built) in &cases {
+        let survived = assert_same_filter(macro_built, runtime_built, &packets);
+        assert!(survived > 0, "boundary frames never exercised the union");
     }
 
-    // The swap's own rule diff (adds = new \ old, removes = old \ new)
-    // is therefore engine-independent too: compute it from both engines
-    // and compare.
+    // Layer 4: hardware rule unions, and so the swap's own rule diff
+    // (adds = new \ old, removes = old \ new).
+    let rules = |f: &CompiledFilter, caps| format!("{:?}", f.hw_rules(caps, &registry).unwrap());
+    for caps in [
+        DeviceCaps::connectx5(),
+        DeviceCaps::basic(),
+        DeviceCaps::full(),
+    ] {
+        for (macro_built, runtime_built) in &cases {
+            assert_eq!(
+                rules(macro_built, caps),
+                rules(runtime_built, caps),
+                "hardware rule unions diverge under {caps:?}"
+            );
+        }
+    }
     let caps = DeviceCaps::connectx5();
-    let diff = |old: &dyn FilterFns, new: &dyn FilterFns| -> (Vec<String>, Vec<String>) {
-        let old_rules = old.hw_rules(caps, &registry).unwrap();
-        let new_rules = new.hw_rules(caps, &registry).unwrap();
-        let mut adds: Vec<String> = new_rules
-            .iter()
-            .filter(|r| !old_rules.contains(r))
-            .map(|r| format!("{r:?}"))
-            .collect();
-        let mut removes: Vec<String> = old_rules
-            .iter()
-            .filter(|r| !new_rules.contains(r))
-            .map(|r| format!("{r:?}"))
-            .collect();
-        adds.sort();
-        removes.sort();
-        (adds, removes)
-    };
-    let static_diff = diff(cases[0].0, cases[1].0);
-    let interp_diff = diff(&cases[0].1, &cases[1].1);
-    assert_eq!(static_diff, interp_diff, "swap rule diffs diverge");
+    let old_rules = cases[0].0.hw_rules(caps, &registry).unwrap();
+    let new_rules = cases[1].0.hw_rules(caps, &registry).unwrap();
     assert!(
-        !static_diff.0.is_empty() || !static_diff.1.is_empty(),
+        new_rules.iter().any(|r| !old_rules.contains(r))
+            || old_rules.iter().any(|r| !new_rules.contains(r)),
         "removing the 443 filter and adding udp must change the rule union"
     );
 }

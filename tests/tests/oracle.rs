@@ -8,10 +8,11 @@
 //! with the packet's headers, or none); session-field predicates of that
 //! service remain unknown within the world. The filter is
 //!
-//! - definitely-true (`MatchTerminal`) iff the expression is true in
-//!   *every* world,
-//! - definitely-false (`NoMatch`) iff it is false in every world,
-//! - pending (`MatchNonTerminal`) otherwise.
+//! - definitely-true (matched) iff the expression is true in *every*
+//!   world,
+//! - definitely-false (neither matched nor live) iff it is false in every
+//!   world,
+//! - pending (live) otherwise.
 //!
 //! This captures the correlation three-valued logic alone misses: a
 //! connection cannot be both HTTP and TLS, so
@@ -30,8 +31,8 @@ use retina_filter::regex::Regex;
 use retina_filter::registry::{FilterLayer, ProtocolRegistry};
 use retina_filter::subfilters::{eval_packet_pred, eval_packet_unary, eval_session_pred};
 use retina_filter::{
-    CompiledFilter, ConnVerdict, FieldValue, FilterFns, FilterResult, Frontiers, PacketVerdict,
-    PredicateTrie, SessionData, SubscriptionSet,
+    CompiledFilter, ConnVerdict, FieldValue, FilterFns, Frontiers, PacketVerdict, PredicateTrie,
+    SessionData, SubscriptionSet,
 };
 use retina_support::bytes::Bytes;
 use retina_support::proptest::prelude::*;
@@ -148,11 +149,14 @@ fn eval3(registry: &ProtocolRegistry, expr: &Expr, pkt: &ParsedPacket) -> Tri {
     }
 }
 
-fn expected(result: FilterResult) -> Tri {
-    match result {
-        FilterResult::NoMatch => Tri::False,
-        FilterResult::MatchTerminal(_) => Tri::True,
-        FilterResult::MatchNonTerminal(_) => Tri::Unknown,
+/// Subscription 0's packet verdict as a truth value.
+fn verdict(v: &PacketVerdict) -> Tri {
+    if v.matched.contains(0) {
+        Tri::True
+    } else if v.live.contains(0) {
+        Tri::Unknown
+    } else {
+        Tri::False
     }
 }
 
@@ -170,7 +174,7 @@ fn check_filter_against_oracle(src: &str, packets: &[(Bytes, u64)]) {
             continue;
         };
         let oracle = eval3(&registry, &expr, &pkt);
-        let got = expected(filter.packet_filter(&pkt));
+        let got = verdict(&filter.packet_filter_set(&pkt));
         assert_eq!(
             got, oracle,
             "filter '{src}' diverges from AST oracle on packet {pkt:?}"
@@ -316,8 +320,34 @@ fn regression_session_and_mixed_disjunction() {
 // evaluates every node's predicate *text* through `eval_packet_pred` /
 // `eval_session_pred`. The two share the trie and nothing else — no
 // lowering, no interning, no typed tests. Agreement is exact: matched
-// and live sets, the frontiers and their order, both stateful layers,
-// and the single-subscription (Figure 3) view.
+// and live sets, the frontiers and their order, and both stateful
+// layers. The walk also keeps Figure 3's single-subscription view — one
+// `FilterResult` per layer, resuming from the deepest frontier — which
+// the engine no longer has; for one subscription the set view must
+// agree with it.
+
+/// Result of one layer in Figure 3's single-subscription view.
+///
+/// The `usize` carries the ID of the trie node later layers resume from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FilterResult {
+    /// No pattern can match this input; processing can stop.
+    NoMatch,
+    /// A complete filter pattern is satisfied (node ID of the pattern end).
+    MatchTerminal(usize),
+    /// The input matched a pattern prefix; deeper layers resume here.
+    MatchNonTerminal(usize),
+}
+
+impl FilterResult {
+    fn is_match(self) -> bool {
+        self != FilterResult::NoMatch
+    }
+
+    fn is_terminal(self) -> bool {
+        matches!(self, FilterResult::MatchTerminal(_))
+    }
+}
 
 struct TrieWalk<'a> {
     trie: &'a PredicateTrie,
@@ -563,7 +593,7 @@ const SERVICES: [Option<&str>; 6] = [
 ];
 
 /// Asserts `filter` and the recursive walk of its trie agree on every
-/// frame, at every layer, in both the set and the scalar view.
+/// frame, at every layer.
 fn assert_program_matches_walk(filter: &CompiledFilter, frames: &[Bytes], what: &str) {
     let walk = TrieWalk::new(filter.trie());
     let sessions = sessions();
@@ -574,13 +604,6 @@ fn assert_program_matches_walk(filter: &CompiledFilter, frames: &[Bytes], what: 
         // PacketVerdict equality covers matched, live, and the frontiers
         // in push order.
         assert_eq!(got, want, "{what}: packet_filter_set on {pkt:?}");
-        let scalar = filter.packet_filter(&pkt);
-        assert_eq!(
-            scalar,
-            walk.packet(&pkt),
-            "{what}: packet_filter on {pkt:?}"
-        );
-
         // Hand back subsets of `live` too: the runtime narrows it as
         // subscriptions are decided.
         let half = SubscriptionSet::first_n(filter.num_subscriptions().div_ceil(2));
@@ -602,24 +625,62 @@ fn assert_program_matches_walk(filter: &CompiledFilter, frames: &[Bytes], what: 
                 );
             }
         }
-        if let Some(node) = scalar.node() {
-            for service in SERVICES {
-                assert_eq!(
-                    filter.conn_filter(service, node),
-                    walk.conn(service, node),
-                    "{what}: conn_filter({service:?}, {node})"
-                );
-            }
-            for s in &sessions {
-                assert_eq!(
-                    filter.session_filter(s, node),
-                    walk.session(s, node),
-                    "{what}: session_filter({} '{}', {node})",
-                    s.protocol,
-                    s.text
-                );
-            }
+        if filter.num_subscriptions() == 1 {
+            assert_set_agrees_with_scalar(filter, &walk, &pkt, &got, &sessions, what);
         }
+    }
+}
+
+/// For one subscription, the set view against Figure 3's scalar view.
+/// The packet layer agrees exactly. Past it, the scalar view resumes from
+/// the deepest frontier only: it agrees exactly when the packet reached
+/// one frontier, and with several it may only be narrower.
+fn assert_set_agrees_with_scalar(
+    filter: &CompiledFilter,
+    walk: &TrieWalk<'_>,
+    pkt: &ParsedPacket,
+    got: &PacketVerdict,
+    sessions: &[Sess],
+    what: &str,
+) {
+    let scalar = walk.packet(pkt);
+    assert_eq!(
+        verdict(got),
+        match scalar {
+            FilterResult::NoMatch => Tri::False,
+            FilterResult::MatchTerminal(_) => Tri::True,
+            FilterResult::MatchNonTerminal(_) => Tri::Unknown,
+        },
+        "{what}: packet verdict vs Figure 3 on {pkt:?}"
+    );
+    let FilterResult::MatchNonTerminal(node) = scalar else {
+        return;
+    };
+    let exact = got.frontiers.len() == 1;
+    let agrees = |set: bool, scalar: bool| if exact { set == scalar } else { set || !scalar };
+    for service in SERVICES {
+        let set = filter.conn_filter_set(service, &got.frontiers, got.live);
+        let one = walk.conn(service, node);
+        assert!(
+            agrees(set.matched.contains(0), one.is_terminal())
+                && agrees(
+                    set.matched.contains(0) || set.live.contains(0),
+                    one.is_match()
+                ),
+            "{what}: conn({service:?}) {set:?} vs Figure 3 {one:?} after {pkt:?}"
+        );
+    }
+    for s in sessions {
+        let set = filter
+            .session_filter_set(s, &got.frontiers, got.live)
+            .contains(0);
+        let one = walk.session(s, node);
+        assert!(
+            agrees(set, one),
+            "{what}: session({} '{}') {set} vs Figure 3 {one} after {pkt:?}",
+            s.protocol,
+            s.text
+        );
     }
 }
 
@@ -949,6 +1010,10 @@ fn not_equal_to_a_net_of_the_other_family_holds() {
     for (op, holds) in [(Op::Ne, true), (Op::Eq, false), (Op::In, false)] {
         let trie = PredicateTrie::build(&[pattern(op)], &registry, "hand-built");
         let filter = CompiledFilter::from_trie(trie).unwrap();
-        assert_eq!(filter.packet_filter(&pkt).is_terminal(), holds, "{op}");
+        assert_eq!(
+            filter.packet_filter_set(&pkt).matched.contains(0),
+            holds,
+            "{op}"
+        );
     }
 }
