@@ -44,38 +44,79 @@ impl DnsMessage {
     }
 }
 
-/// Parses one wire-format DNS message. Returns `(header-derived message,
-/// is_response)`.
-fn parse_message(data: &[u8]) -> Option<(DnsMessage, bool)> {
-    if data.len() < 12 {
-        return None;
-    }
-    let id = u16::from_be_bytes([data[0], data[1]]);
-    let flags = u16::from_be_bytes([data[2], data[3]]);
-    let qdcount = u16::from_be_bytes([data[4], data[5]]);
-    let ancount = u16::from_be_bytes([data[6], data[7]]);
-    let is_response = flags & 0x8000 != 0;
-    let mut msg = DnsMessage {
-        id,
-        answers: ancount,
-        resp_code: is_response.then_some(flags & 0x000f),
-        ..Default::default()
-    };
-    if qdcount >= 1 {
-        let (name, offset) = decode_name(data, 12)?;
-        msg.query_name = name;
-        if data.len() >= offset + 4 {
-            msg.query_type = u16::from_be_bytes([data[offset], data[offset + 1]]);
-        }
-    }
-    Some((msg, is_response))
+/// A wire-format DNS message whose question name, if it has one, is
+/// well-formed: its header fields, checked without building the name.
+struct Checked<'a> {
+    data: &'a [u8],
+    /// Where the question name ends, and its decoded length.
+    name: Option<(usize, usize)>,
 }
 
-/// Decodes a possibly-compressed name starting at `offset`; returns the
-/// name and the offset just past it (in the *original* position, not the
-/// jump target).
-fn decode_name(data: &[u8], mut offset: usize) -> Option<(String, usize)> {
-    let mut name = String::new();
+impl<'a> Checked<'a> {
+    fn new(data: &'a [u8]) -> Option<Self> {
+        if data.len() < 12 {
+            return None;
+        }
+        let qdcount = u16::from_be_bytes([data[4], data[5]]);
+        let name = if qdcount >= 1 {
+            Some(walk_name(data, 12, |_| {})?)
+        } else {
+            None
+        };
+        Some(Checked { data, name })
+    }
+
+    fn is_response(&self) -> bool {
+        self.data[2] & 0x80 != 0
+    }
+
+    fn resp_code(&self) -> Option<u16> {
+        self.is_response().then_some(u16::from(self.data[3] & 0x0f))
+    }
+
+    fn answers(&self) -> u16 {
+        u16::from_be_bytes([self.data[6], self.data[7]])
+    }
+
+    /// The message, its query name decoded into a `String` of exactly its
+    /// length.
+    fn message(&self) -> DnsMessage {
+        let data = self.data;
+        let mut msg = DnsMessage {
+            id: u16::from_be_bytes([data[0], data[1]]),
+            answers: self.answers(),
+            resp_code: self.resp_code(),
+            ..Default::default()
+        };
+        if let Some((end, len)) = self.name {
+            let mut name = String::with_capacity(len);
+            walk_name(data, 12, |label| {
+                if !name.is_empty() {
+                    name.push('.');
+                }
+                name.extend(label.iter().map(|&b| (b as char).to_ascii_lowercase()));
+            });
+            msg.query_name = name;
+            if data.len() >= end + 4 {
+                msg.query_type = u16::from_be_bytes([data[end], data[end + 1]]);
+            }
+        }
+        msg
+    }
+}
+
+/// Walks the possibly-compressed name at `offset` label by label, under
+/// the decoder's bounds: at most [`MAX_JUMPS`] pointers, labels of at
+/// most 63 bytes, at most [`MAX_NAME`] bytes decoded. Returns the offset
+/// just past the name (in the *original* position, not the jump target)
+/// and the length of its decoded, dot-separated form — a byte of 0x80 or
+/// above decodes to two.
+fn walk_name<'a>(
+    data: &'a [u8],
+    mut offset: usize,
+    mut each_label: impl FnMut(&'a [u8]),
+) -> Option<(usize, usize)> {
+    let mut decoded = 0;
     let mut jumps = 0;
     let mut end_offset = None;
     loop {
@@ -87,9 +128,7 @@ fn decode_name(data: &[u8], mut offset: usize) -> Option<(String, usize)> {
         if len & 0xc0 == 0xc0 {
             // Compression pointer.
             let lo = *data.get(offset + 1)? as usize;
-            if end_offset.is_none() {
-                end_offset = Some(offset + 2);
-            }
+            end_offset.get_or_insert(offset + 2);
             offset = ((len & 0x3f) << 8) | lo;
             jumps += 1;
             if jumps > MAX_JUMPS {
@@ -101,18 +140,15 @@ fn decode_name(data: &[u8], mut offset: usize) -> Option<(String, usize)> {
             return None;
         }
         let label = data.get(offset + 1..offset + 1 + len)?;
-        if !name.is_empty() {
-            name.push('.');
-        }
-        if name.len() + len > MAX_NAME {
+        decoded += usize::from(decoded > 0);
+        if decoded + len > MAX_NAME {
             return None;
         }
-        for &b in label {
-            name.push((b as char).to_ascii_lowercase());
-        }
+        decoded += len + label.iter().filter(|&&b| b >= 0x80).count();
+        each_label(label);
         offset += 1 + len;
     }
-    Some((name, end_offset.unwrap_or(offset)))
+    Some((end_offset.unwrap_or(offset), decoded))
 }
 
 /// Encodes a dotted name into wire format.
@@ -143,23 +179,20 @@ impl DnsParser {
     }
 
     fn handle(&mut self, data: &[u8], _dir: Direction) -> ParseResult {
-        let Some((msg, is_response)) = parse_message(data) else {
+        let Some(msg) = Checked::new(data) else {
             self.failed = true;
             return ParseResult::Error;
         };
-        if is_response {
-            let mut session = self.outstanding.take().unwrap_or(DnsMessage {
-                id: msg.id,
-                query_name: msg.query_name.clone(),
-                query_type: msg.query_type,
-                ..Default::default()
-            });
-            session.resp_code = msg.resp_code;
-            session.answers = msg.answers;
+        if msg.is_response() {
+            // The outstanding query already holds the name: a response
+            // decodes it only when it answers none.
+            let mut session = self.outstanding.take().unwrap_or_else(|| msg.message());
+            session.resp_code = msg.resp_code();
+            session.answers = msg.answers();
             self.sessions.push(Session::Dns(session));
             ParseResult::Done
         } else {
-            self.outstanding = Some(msg);
+            self.outstanding = Some(msg.message());
             ParseResult::Continue
         }
     }
@@ -171,9 +204,10 @@ impl ConnParser for DnsParser {
     }
 
     fn probe(&self, data: &[u8], _dir: Direction) -> ProbeResult {
-        // Plausible header *and* a parseable question section — the full
-        // parse keeps protocols with DNS-shaped prefixes (e.g. QUIC long
-        // headers with low version bytes) from being claimed.
+        // Plausible header *and* a well-formed question name — checking
+        // the name keeps protocols with DNS-shaped prefixes (e.g. QUIC
+        // long headers with low version bytes) from being claimed. The
+        // name is walked, not built: a probe allocates nothing.
         let body = strip_tcp_prefix(data).unwrap_or(data);
         if body.len() < 12 {
             return ProbeResult::Unsure;
@@ -181,7 +215,7 @@ impl ConnParser for DnsParser {
         let flags = u16::from_be_bytes([body[2], body[3]]);
         let opcode = (flags >> 11) & 0xf;
         let qdcount = u16::from_be_bytes([body[4], body[5]]);
-        if opcode <= 2 && (1..=4).contains(&qdcount) && parse_message(body).is_some() {
+        if opcode <= 2 && (1..=4).contains(&qdcount) && Checked::new(body).is_some() {
             ProbeResult::Certain
         } else {
             ProbeResult::NotForUs
@@ -315,9 +349,34 @@ mod tests {
     #[test]
     fn compression_pointer_decoding() {
         let r = build_response(1, "a.b.example.org", 1, 1, 0);
-        let (msg, is_resp) = parse_message(&r).unwrap();
-        assert!(is_resp);
-        assert_eq!(msg.query_name, "a.b.example.org");
+        let msg = Checked::new(&r).unwrap();
+        assert!(msg.is_response());
+        let name = msg.message().query_name;
+        assert_eq!(name, "a.b.example.org");
+        assert_eq!(name.capacity(), name.len(), "sized exactly");
+    }
+
+    #[test]
+    fn high_bytes_decode_to_two_and_count_so() {
+        // A 63-byte label of 0xff decodes to 126 bytes, so two such labels
+        // make 253 with the dot. The bound is checked before a label's
+        // bytes are decoded, at their wire length: one more 1-byte label
+        // (254 + 1) passes and decodes to 256, a 2-byte one does not.
+        let name = |labels: &[usize]| {
+            let mut data = vec![0u8; 12];
+            data[5] = 1;
+            for &len in labels {
+                data.push(len as u8);
+                data.extend(std::iter::repeat_n(0xff, len));
+            }
+            data.extend_from_slice(&[0, 0, 1, 0, 1]);
+            Checked::new(&data).map(|m| m.message().query_name)
+        };
+        let two = name(&[63, 63]).unwrap();
+        assert_eq!((two.len(), two.capacity()), (253, 253));
+        let three = name(&[63, 63, 1]).unwrap();
+        assert_eq!((three.len(), three.capacity()), (256, 256));
+        assert!(name(&[63, 63, 2]).is_none());
     }
 
     #[test]
@@ -328,7 +387,7 @@ mod tests {
         data[5] = 1; // qdcount 1
         data.extend_from_slice(&[0xc0, 12]); // pointer to itself
         data.extend_from_slice(&[0, 1, 0, 1]);
-        assert!(parse_message(&data).is_none());
+        assert!(Checked::new(&data).is_none());
     }
 
     #[test]
@@ -338,7 +397,7 @@ mod tests {
         data.push(64); // label length > 63
         data.extend_from_slice(&[b'x'; 64]);
         data.push(0);
-        assert!(parse_message(&data).is_none());
+        assert!(Checked::new(&data).is_none());
     }
 
     #[test]

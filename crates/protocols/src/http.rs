@@ -1,8 +1,9 @@
 //! HTTP/1.x transaction parsing.
 //!
 //! Parses request and response head sections (start line + headers) into
-//! [`HttpTransaction`] sessions. Bodies are skipped by `Content-Length`
-//! accounting; chunked bodies are skipped until the terminating chunk.
+//! [`HttpTransaction`] sessions, each where it lies in its segment. Bodies
+//! are skipped, never buffered: by `Content-Length` accounting, and
+//! chunked bodies until the terminating chunk.
 //! Multiple transactions on one connection (keep-alive) each produce
 //! their own session, which is how the paper's packets-in-HTTP example
 //! (Figure 4a) keeps a connection in the Track state after the first
@@ -15,8 +16,8 @@ use retina_filter::FieldValue;
 
 use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
 
-/// Maximum bytes buffered per direction while waiting for a complete head
-/// section.
+/// Maximum bytes carried per direction while waiting for a head section
+/// cut at a segment boundary.
 const MAX_HEAD: usize = 16 * 1024;
 
 /// HTTP request methods recognized by the probe.
@@ -66,11 +67,19 @@ enum BodyState {
     Chunked,
 }
 
-/// Streaming HTTP/1.x parser.
+/// Ends a head section.
+const HEAD_END: &[u8] = b"\r\n\r\n";
+/// Ends a chunked body (the last chunk, with no trailers).
+const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
+
+/// Streaming HTTP/1.x parser. Heads are parsed where they lie in the
+/// segment and bodies skipped by advancing past them: a direction carries
+/// only a head cut at a segment boundary, or — inside a chunked body —
+/// the last four bytes, which may begin the last-chunk marker.
 #[derive(Debug, Default)]
 pub struct HttpParser {
-    req_buf: Vec<u8>,
-    resp_buf: Vec<u8>,
+    req_carry: Vec<u8>,
+    resp_carry: Vec<u8>,
     resp_body: BodyState,
     /// Requests whose responses have not arrived yet (pipelining).
     pending: std::collections::VecDeque<HttpTransaction>,
@@ -84,52 +93,22 @@ impl HttpParser {
         Self::default()
     }
 
-    fn parse_requests(&mut self) -> Result<(), ()> {
-        while let Some(head_end) = find_head_end(&self.req_buf) {
-            let head: Vec<u8> = self.req_buf.drain(..head_end + 4).collect();
-            let text = std::str::from_utf8(&head).map_err(|_| ())?;
-            let mut lines = text.split("\r\n");
-            let start = lines.next().ok_or(())?;
-            let mut parts = start.split(' ');
-            let method = parts.next().ok_or(())?.to_string();
-            let uri = parts.next().ok_or(())?.to_string();
-            let version = parts.next().ok_or(())?;
-            if !version.starts_with("HTTP/1.") {
-                return Err(());
-            }
-            let mut txn = HttpTransaction {
-                method,
-                uri,
-                ..Default::default()
-            };
-            for line in lines {
-                let Some((name, value)) = line.split_once(':') else {
-                    continue;
-                };
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("host") {
-                    txn.host = Some(value.to_string());
-                } else if name.eq_ignore_ascii_case("user-agent") {
-                    txn.user_agent = Some(value.to_string());
-                }
-            }
-            self.pending.push_back(txn);
-        }
-        if self.req_buf.len() > MAX_HEAD {
-            return Err(());
+    fn parse_requests(&mut self, mut data: &[u8]) -> Result<(), ()> {
+        while let Some(txn) = next_head(&mut self.req_carry, &mut data, parse_request)? {
+            self.pending.push_back(txn?);
         }
         Ok(())
     }
 
-    fn parse_responses(&mut self) -> Result<bool, ()> {
+    fn parse_responses(&mut self, mut data: &[u8]) -> Result<bool, ()> {
         let mut completed = false;
         loop {
             // First skip any body in progress.
             match &mut self.resp_body {
                 BodyState::None => {}
                 BodyState::Counted(remaining) => {
-                    let n = (*remaining).min(self.resp_buf.len() as u64);
-                    self.resp_buf.drain(..n as usize);
+                    let n = (*remaining).min(data.len() as u64);
+                    data = &data[n as usize..];
                     *remaining -= n;
                     if *remaining > 0 {
                         return Ok(completed);
@@ -139,51 +118,22 @@ impl HttpParser {
                 BodyState::Chunked => {
                     // Look for the last-chunk marker; a simplification that
                     // holds for our generated traffic and keeps state small.
-                    if let Some(pos) = find_subslice(&self.resp_buf, b"0\r\n\r\n") {
-                        self.resp_buf.drain(..pos + 5);
-                        self.resp_body = BodyState::None;
-                    } else {
-                        // Discard all but a small tail that might hold a
-                        // partial marker.
-                        let keep = self.resp_buf.len().min(4);
-                        self.resp_buf.drain(..self.resp_buf.len() - keep);
+                    let carry = &mut self.resp_carry;
+                    let Some(end) = end_across(carry, data, LAST_CHUNK) else {
+                        // Keep only a tail that might hold a partial marker.
+                        carry.extend_from_slice(&data[data.len().saturating_sub(4)..]);
+                        carry.drain(..carry.len().saturating_sub(4));
                         return Ok(completed);
-                    }
+                    };
+                    carry.clear();
+                    data = &data[end..];
+                    self.resp_body = BodyState::None;
                 }
             }
-            let Some(head_end) = find_head_end(&self.resp_buf) else {
-                if self.resp_buf.len() > MAX_HEAD {
-                    return Err(());
-                }
+            let Some(parsed) = next_head(&mut self.resp_carry, &mut data, parse_response)? else {
                 return Ok(completed);
             };
-            let head: Vec<u8> = self.resp_buf.drain(..head_end + 4).collect();
-            let text = std::str::from_utf8(&head).map_err(|_| ())?;
-            let mut lines = text.split("\r\n");
-            let start = lines.next().ok_or(())?;
-            if !start.starts_with("HTTP/1.") {
-                return Err(());
-            }
-            let status: u16 = start
-                .split(' ')
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or(())?;
-            let mut content_length = None;
-            let mut chunked = false;
-            for line in lines {
-                let Some((name, value)) = line.split_once(':') else {
-                    continue;
-                };
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse::<u64>().ok();
-                } else if name.eq_ignore_ascii_case("transfer-encoding")
-                    && value.eq_ignore_ascii_case("chunked")
-                {
-                    chunked = true;
-                }
-            }
+            let (status, content_length, chunked) = parsed?;
             let mut txn = self.pending.pop_front().unwrap_or_default();
             txn.status = status;
             txn.content_length = content_length;
@@ -207,8 +157,114 @@ impl HttpParser {
     }
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    find_subslice(buf, b"\r\n\r\n")
+/// Takes the next complete head, through its `\r\n\r\n`, off the front
+/// of `carry` + `data` and hands it to `parse`: where it lies in `data`,
+/// or — when `carry` holds its start — completed in the carry, which is
+/// then emptied. A head that `data` leaves cut is carried, failing past
+/// [`MAX_HEAD`] bytes.
+fn next_head<T>(
+    carry: &mut Vec<u8>,
+    data: &mut &[u8],
+    parse: impl FnOnce(&[u8]) -> T,
+) -> Result<Option<T>, ()> {
+    let end = if carry.is_empty() {
+        find_subslice(data, HEAD_END).map(|pos| pos + HEAD_END.len())
+    } else {
+        end_across(carry, data, HEAD_END)
+    };
+    let Some(end) = end else {
+        carry.extend_from_slice(data);
+        *data = &[];
+        return if carry.len() > MAX_HEAD {
+            Err(())
+        } else {
+            Ok(None)
+        };
+    };
+    let (head, rest) = data.split_at(end);
+    *data = rest;
+    if carry.is_empty() {
+        return Ok(Some(parse(head)));
+    }
+    carry.extend_from_slice(head);
+    let parsed = parse(carry);
+    carry.clear();
+    Ok(Some(parsed))
+}
+
+/// The offset in `data` just past the first `needle` in `carry` followed
+/// by `data`, where `carry` holds no whole `needle`.
+fn end_across(carry: &[u8], data: &[u8], needle: &[u8]) -> Option<usize> {
+    // A needle that starts in the carry starts in its last len - 1 bytes.
+    let tail = &carry[carry.len().saturating_sub(needle.len() - 1)..];
+    (0..tail.len())
+        .find_map(|i| {
+            let (head, rest) = needle.split_at(tail.len() - i);
+            (tail[i..] == *head && data.starts_with(rest)).then_some(rest.len())
+        })
+        .or_else(|| find_subslice(data, needle).map(|pos| pos + needle.len()))
+}
+
+/// Parses a request head into a transaction awaiting its response.
+fn parse_request(head: &[u8]) -> Result<HttpTransaction, ()> {
+    let text = std::str::from_utf8(head).map_err(|_| ())?;
+    let mut lines = text.split("\r\n");
+    let start = lines.next().ok_or(())?;
+    let mut parts = start.split(' ');
+    let method = parts.next().ok_or(())?.to_string();
+    let uri = parts.next().ok_or(())?.to_string();
+    let version = parts.next().ok_or(())?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(());
+    }
+    let mut txn = HttpTransaction {
+        method,
+        uri,
+        ..Default::default()
+    };
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("host") {
+            txn.host = Some(value.to_string());
+        } else if name.eq_ignore_ascii_case("user-agent") {
+            txn.user_agent = Some(value.to_string());
+        }
+    }
+    Ok(txn)
+}
+
+/// Parses a response head: `(status, Content-Length, chunked)`.
+fn parse_response(head: &[u8]) -> Result<(u16, Option<u64>, bool), ()> {
+    let text = std::str::from_utf8(head).map_err(|_| ())?;
+    let mut lines = text.split("\r\n");
+    let start = lines.next().ok_or(())?;
+    if !start.starts_with("HTTP/1.") {
+        return Err(());
+    }
+    let status: u16 = start
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or(())?;
+    let mut content_length = None;
+    let mut chunked = false;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.parse::<u64>().ok();
+        } else if name.eq_ignore_ascii_case("transfer-encoding")
+            && value.eq_ignore_ascii_case("chunked")
+        {
+            chunked = true;
+        }
+    }
+    Ok((status, content_length, chunked))
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -252,24 +308,8 @@ impl ConnParser for HttpParser {
             return ParseResult::Error;
         }
         let result = match dir {
-            Direction::ToServer => {
-                if self.req_buf.len() + data.len() > MAX_HEAD * 4 {
-                    Err(())
-                } else {
-                    self.req_buf.extend_from_slice(data);
-                    self.parse_requests().map(|_| false)
-                }
-            }
-            Direction::ToClient => {
-                if self.resp_buf.len() + data.len() > MAX_HEAD * 64 {
-                    // Bound memory: drop buffered body bytes beyond the cap.
-                    self.resp_buf.clear();
-                    Ok(false)
-                } else {
-                    self.resp_buf.extend_from_slice(data);
-                    self.parse_responses()
-                }
-            }
+            Direction::ToServer => self.parse_requests(data).map(|()| false),
+            Direction::ToClient => self.parse_responses(data),
         };
         match result {
             Err(()) => {
@@ -286,14 +326,14 @@ impl ConnParser for HttpParser {
     }
 
     fn reset(&mut self) -> usize {
-        let (mut req_buf, mut resp_buf) = (
-            std::mem::take(&mut self.req_buf),
-            std::mem::take(&mut self.resp_buf),
+        let (mut req_carry, mut resp_carry) = (
+            std::mem::take(&mut self.req_carry),
+            std::mem::take(&mut self.resp_carry),
         );
-        let kept = reuse_buffer(&mut req_buf) + reuse_buffer(&mut resp_buf);
+        let kept = reuse_buffer(&mut req_carry) + reuse_buffer(&mut resp_carry);
         *self = HttpParser {
-            req_buf,
-            resp_buf,
+            req_carry,
+            resp_carry,
             ..HttpParser::default()
         };
         kept

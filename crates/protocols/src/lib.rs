@@ -13,10 +13,12 @@
 //! Implemented protocols:
 //!
 //! - [`tls`] — TLS 1.0–1.3 handshakes: ClientHello/ServerHello (SNI,
-//!   ALPN, ciphersuites, versions, client/server randoms), with record
-//!   reassembly across TCP segment boundaries.
+//!   ALPN, ciphersuites, versions, client/server randoms), read where
+//!   they lie in each segment; only a record or handshake message that
+//!   straddles a boundary is carried.
 //! - [`http`] — HTTP/1.x request/response transactions (method, URI,
-//!   host, user agent, status, content length), with pipelining support.
+//!   host, user agent, status, content length), with pipelining support;
+//!   heads are parsed in place and bodies skipped, never buffered.
 //! - [`dns`] — DNS queries/responses, including compressed-name parsing
 //!   with loop bounds.
 //! - [`ssh`] — SSH-2 banner + cleartext KEXINIT exchange.

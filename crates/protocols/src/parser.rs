@@ -178,8 +178,8 @@ pub trait ConnParser: Send {
 
 /// What a reset parser keeps of one buffer's allocation for its next
 /// connection: a buffer up to this size is emptied and kept, a larger one
-/// freed. The built-in parsers hold at most four (TLS), so a pooled one
-/// keeps at most 8 KiB.
+/// freed. The built-in parsers hold at most two — one carry per
+/// direction — so a pooled one keeps at most 4 KiB.
 pub const RESET_BUFFER_KEEP: usize = 2 * 1024;
 
 /// Empties `buf` for a reset parser's next connection, keeping its
@@ -317,20 +317,39 @@ mod proptests {
     use retina_support::proptest::prelude::*;
     use Direction::{ToClient, ToServer};
 
+    /// `record`'s body framed as two records of its content type, cut
+    /// `at` bytes into the body: what a message cut at a record boundary
+    /// looks like.
+    fn split_record(record: &[u8], at: usize) -> Vec<u8> {
+        let (head, body) = record.split_at(5);
+        let mut out = Vec::new();
+        for part in [&body[..at], &body[at..]] {
+            out.extend_from_slice(&head[..3]);
+            out.extend_from_slice(&u16::try_from(part.len()).unwrap().to_be_bytes());
+            out.extend_from_slice(part);
+        }
+        out
+    }
+
     /// A real conversation of the registry's protocol `proto`, from the
-    /// traffic generator's builders, segment by segment.
+    /// traffic generator's builders, segment by segment: a ClientHello
+    /// cut across two records; pipelined requests, and a counted and a
+    /// chunked body in one segment.
     fn conversation(proto: &str) -> Vec<(Direction, Vec<u8>)> {
         match proto {
             "tls" => vec![
                 (
                     ToServer,
-                    client_hello_record(&ClientHelloSpec {
-                        sni: Some("video.example.net".into()),
-                        ciphers: vec![0x1301, 0xc02f],
-                        random: [0x42; 32],
-                        version: 0x0303,
-                        alpn: Some("h2".into()),
-                    }),
+                    split_record(
+                        &client_hello_record(&ClientHelloSpec {
+                            sni: Some("video.example.net".into()),
+                            ciphers: vec![0x1301, 0xc02f],
+                            random: [0x42; 32],
+                            version: 0x0303,
+                            alpn: Some("h2".into()),
+                        }),
+                        40,
+                    ),
                 ),
                 (
                     ToClient,
@@ -346,9 +365,21 @@ mod proptests {
             "http" => vec![
                 (
                     ToServer,
-                    http::build_request("GET", "/a", "example.com", "t/1"),
+                    [
+                        http::build_request("GET", "/a", "example.com", "t/1"),
+                        http::build_request("GET", "/c", "example.com", "t/1"),
+                    ]
+                    .concat(),
                 ),
-                (ToClient, http::build_response(200, 32)),
+                (
+                    ToClient,
+                    [
+                        http::build_response(200, 32),
+                        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                            .to_vec(),
+                    ]
+                    .concat(),
+                ),
                 (
                     ToServer,
                     http::build_request("HEAD", "/b", "example.com", "t/1"),
@@ -385,6 +416,53 @@ mod proptests {
         let probes = conv.iter().map(|(d, seg)| parser.probe(seg, *d)).collect();
         let parses = conv.iter().map(|(d, seg)| parser.parse(seg, *d)).collect();
         (probes, parses, format!("{:?}", parser.drain_sessions()))
+    }
+
+    /// The protocols whose parsers read a byte stream, where a record can
+    /// be cut anywhere. DNS and QUIC parse one message per datagram.
+    const STREAMS: [&str; 3] = ["tls", "http", "ssh"];
+
+    /// What a fresh `proto` parser makes of `pieces`, fed as the tracker
+    /// feeds them: its last parse result, and the sessions drained at
+    /// each `Done` and at the end.
+    fn fed(proto: &str, pieces: Vec<(Direction, &[u8])>) -> (ParseResult, String) {
+        let mut parser = ParserRegistry::default()
+            .new_parser(proto)
+            .expect("registered");
+        let (mut last, mut sessions) = (ParseResult::Continue, Vec::new());
+        for (dir, piece) in pieces {
+            last = parser.parse(piece, dir);
+            if last == ParseResult::Done {
+                sessions.extend(parser.drain_sessions());
+            }
+        }
+        sessions.extend(parser.drain_sessions());
+        (last, format!("{sessions:?}"))
+    }
+
+    /// `conv`, each segment cut into pieces of the lengths `sizes` cycles
+    /// through (`usize::MAX`: whole segments).
+    fn cut<'a>(conv: &'a [(Direction, Vec<u8>)], sizes: &[usize]) -> Vec<(Direction, &'a [u8])> {
+        let mut sizes = sizes.iter().copied().cycle();
+        let mut pieces = Vec::new();
+        for (dir, seg) in conv {
+            let mut rest = &seg[..];
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(sizes.next().unwrap().min(rest.len()));
+                pieces.push((*dir, piece));
+                rest = tail;
+            }
+        }
+        pieces
+    }
+
+    #[test]
+    fn one_byte_segments_parse_as_whole_ones() {
+        for proto in STREAMS {
+            let conv = conversation(proto);
+            let whole = fed(proto, cut(&conv, &[usize::MAX]));
+            assert_eq!(fed(proto, cut(&conv, &[1])), whole, "{proto}");
+        }
     }
 
     proptest! {
@@ -430,12 +508,29 @@ mod proptests {
                 }
             }
             let kept = used.reset();
-            prop_assert!(kept <= 4 * RESET_BUFFER_KEEP, "{name} keeps {kept} bytes");
+            prop_assert!(kept <= 2 * RESET_BUFFER_KEEP, "{name} keeps {kept} bytes");
             let conv = conversation(name);
             let mut fresh = registry.new_parser(name).expect("registered");
             let expected = outcome(&mut *fresh, &conv);
             prop_assert!(expected.2 != "[]", "{name}: the conversation yields sessions");
             prop_assert_eq!(outcome(&mut *used, &conv), expected);
+        }
+
+        /// A stream parser reads records in place and carries only what a
+        /// segment cuts: wherever the cuts fall — inside a record header,
+        /// a handshake message, a head, a body or the last-chunk marker —
+        /// it drains the same sessions and ends on the same result as when
+        /// fed whole segments.
+        #[test]
+        fn segmentation_does_not_change_what_is_parsed(
+            proto in 0usize..STREAMS.len(),
+            sizes in collection::vec(1usize..48, 1..6),
+        ) {
+            let proto = STREAMS[proto];
+            let conv = conversation(proto);
+            let whole = fed(proto, cut(&conv, &[usize::MAX]));
+            prop_assert!(whole.1 != "[]", "{proto}: the conversation yields sessions");
+            prop_assert_eq!(fed(proto, cut(&conv, &sizes)), whole);
         }
     }
 }

@@ -158,13 +158,15 @@ impl SshParser {
 
     fn try_extract(buf: &mut Vec<u8>) -> Result<Option<String>, ()> {
         if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let text = std::str::from_utf8(&line).map_err(|_| ())?;
-            let text = text.trim_end_matches(['\r', '\n']);
-            if !text.starts_with("SSH-") {
-                return Err(());
-            }
-            return Ok(Some(text.to_string()));
+            // The line is read where it lies, then dropped from the buffer.
+            let banner = match std::str::from_utf8(&buf[..=pos]) {
+                Ok(line) if line.starts_with("SSH-") => {
+                    line.trim_end_matches(['\r', '\n']).to_string()
+                }
+                _ => return Err(()),
+            };
+            buf.drain(..=pos);
+            return Ok(Some(banner));
         }
         if buf.len() > MAX_BANNER {
             return Err(());
@@ -172,9 +174,11 @@ impl SshParser {
         Ok(None)
     }
 
+    /// Moves the handshake into its session: nothing reads it after this.
     fn finish(&mut self) -> ParseResult {
         self.state = State::Done;
-        self.sessions.push(Session::Ssh(self.handshake.clone()));
+        let handshake = std::mem::take(&mut self.handshake);
+        self.sessions.push(Session::Ssh(handshake));
         ParseResult::Done
     }
 
@@ -271,8 +275,7 @@ impl ConnParser for SshParser {
             && (self.handshake.client_banner.is_some() || self.handshake.server_banner.is_some())
         {
             // Half-open exchange at connection teardown: still a session.
-            self.state = State::Done;
-            self.sessions.push(Session::Ssh(self.handshake.clone()));
+            self.finish();
         }
         std::mem::take(&mut self.sessions)
     }

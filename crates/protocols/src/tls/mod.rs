@@ -1,7 +1,9 @@
 //! TLS handshake parsing (TLS 1.0–1.3).
 //!
-//! The parser consumes in-order byte-stream segments, reassembles TLS
-//! records across segment boundaries, and extracts the handshake fields
+//! The parser consumes in-order byte-stream segments, reads TLS records
+//! and handshake messages where they lie in each segment — carrying only
+//! a message cut at a record boundary, or the handshake record cut at a
+//! segment boundary — and extracts the handshake fields
 //! Retina exposes for filtering and analysis: SNI, ALPN, offered and
 //! selected ciphersuites, protocol versions, and the client/server
 //! randoms (§7.1 measures client-random collisions at scale).
@@ -18,8 +20,9 @@ use retina_filter::FieldValue;
 
 use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
 
-/// Maximum bytes buffered per direction while waiting for complete
-/// records; adversarial streams beyond this are abandoned.
+/// Maximum handshake bytes carried per direction while waiting for a
+/// complete record or message; adversarial streams beyond this are
+/// abandoned.
 const MAX_BUFFER: usize = 64 * 1024;
 
 /// TLS record content types.
@@ -78,136 +81,110 @@ impl TlsHandshake {
     }
 }
 
-#[derive(Debug, Default)]
-struct DirBuffer {
-    data: Vec<u8>,
+/// Where a record's body lies once the record is complete.
+enum Body<'a> {
+    /// Wholly inside the segment being parsed.
+    InPlace(&'a [u8]),
+    /// A handshake body: appended to its direction's carry as it arrived.
+    /// Any other body was skipped.
+    Carried,
 }
 
-impl DirBuffer {
-    fn push(&mut self, bytes: &[u8]) -> Result<(), ()> {
-        if self.data.len() + bytes.len() > MAX_BUFFER {
-            return Err(());
-        }
-        self.data.extend_from_slice(bytes);
-        Ok(())
-    }
+/// One direction's record layer between segments. Records and handshake
+/// messages are read where they lie in the segment; only bytes a later
+/// segment completes are kept here.
+#[derive(Debug, Default)]
+struct Side {
+    /// Handshake bytes not yet handled: a message cut at a record
+    /// boundary, then the body so far of a handshake record cut at a
+    /// segment boundary.
+    carry: Vec<u8>,
+    /// A record header cut inside its five bytes.
+    header: [u8; 5],
+    header_len: usize,
+    /// The record cut at a segment boundary: its content type and the
+    /// body bytes still to come.
+    open: Option<(u8, usize)>,
+}
 
-    /// Pops one complete record, returning (content_type, body).
-    fn pop_record(&mut self) -> Option<(u8, Vec<u8>)> {
-        if self.data.len() < 5 {
-            return None;
+impl Side {
+    /// Takes the next complete record off the front of `rest`, finishing
+    /// the one this side holds open first. `Ok(None)`: `rest` is spent.
+    fn next_record<'a>(&mut self, rest: &mut &'a [u8]) -> Result<Option<(u8, Body<'a>)>, ()> {
+        if let Some((content_type, left)) = self.open {
+            let (part, tail) = rest.split_at(left.min(rest.len()));
+            *rest = tail;
+            if content_type == CONTENT_HANDSHAKE {
+                hold(&mut self.carry, part)?;
+            }
+            if part.len() < left {
+                self.open = Some((content_type, left - part.len()));
+                return Ok(None);
+            }
+            self.open = None;
+            return Ok(Some((content_type, Body::Carried)));
         }
-        let len = usize::from(u16::from_be_bytes([self.data[3], self.data[4]]));
-        if self.data.len() < 5 + len {
-            return None;
+        let header = if self.header_len == 0 && rest.len() >= 5 {
+            let (header, tail) = rest.split_at(5);
+            *rest = tail;
+            [header[0], header[1], header[2], header[3], header[4]]
+        } else {
+            let (part, tail) = rest.split_at((5 - self.header_len).min(rest.len()));
+            *rest = tail;
+            self.header[self.header_len..self.header_len + part.len()].copy_from_slice(part);
+            self.header_len += part.len();
+            if self.header_len < 5 {
+                return Ok(None);
+            }
+            self.header_len = 0;
+            self.header
+        };
+        let (content_type, len) = (
+            header[0],
+            usize::from(u16::from_be_bytes([header[3], header[4]])),
+        );
+        if rest.len() >= len {
+            let (body, tail) = rest.split_at(len);
+            *rest = tail;
+            return Ok(Some((content_type, Body::InPlace(body))));
         }
-        let content_type = self.data[0];
-        let body = self.data[5..5 + len].to_vec();
-        self.data.drain(..5 + len);
-        Some((content_type, body))
+        self.open = Some((content_type, len));
+        self.next_record(rest)
     }
 }
 
-/// Streaming TLS handshake parser.
+/// Appends `bytes` to a carry, failing past [`MAX_BUFFER`].
+fn hold(carry: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ()> {
+    if carry.len() + bytes.len() > MAX_BUFFER {
+        return Err(());
+    }
+    carry.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// What the hellos have told so far.
 #[derive(Debug, Default)]
-pub struct TlsParser {
-    to_server: DirBuffer,
-    to_client: DirBuffer,
-    /// Handshake-message reassembly buffers (messages can span records).
-    hs_to_server: Vec<u8>,
-    hs_to_client: Vec<u8>,
+struct Hellos {
     handshake: TlsHandshake,
     seen_client_hello: bool,
     seen_server_hello: bool,
-    done: bool,
     failed: bool,
-    sessions: Vec<Session>,
 }
 
-impl TlsParser {
-    /// Creates an empty parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn process(&mut self, dir: Direction) -> ParseResult {
-        loop {
-            let buf = match dir {
-                Direction::ToServer => &mut self.to_server,
-                Direction::ToClient => &mut self.to_client,
+impl Hellos {
+    /// Handles every complete handshake message at the front of `bytes`;
+    /// returns the bytes they span (a cut message after them is left).
+    fn walk(&mut self, bytes: &[u8]) -> usize {
+        let mut used = 0;
+        while let [msg_type, a, b, c, rest @ ..] = &bytes[used..] {
+            let msg_len = usize::from(*a) << 16 | usize::from(*b) << 8 | usize::from(*c);
+            let Some(body) = rest.get(..msg_len) else {
+                break;
             };
-            let Some((content_type, body)) = buf.pop_record() else {
-                return if self.failed {
-                    ParseResult::Error
-                } else if self.done {
-                    ParseResult::Done
-                } else {
-                    ParseResult::Continue
-                };
-            };
-            match content_type {
-                CONTENT_HANDSHAKE => {
-                    let hs_buf = match dir {
-                        Direction::ToServer => &mut self.hs_to_server,
-                        Direction::ToClient => &mut self.hs_to_client,
-                    };
-                    hs_buf.extend_from_slice(&body);
-                    if hs_buf.len() > MAX_BUFFER {
-                        self.failed = true;
-                        return ParseResult::Error;
-                    }
-                    // Drain complete handshake messages.
-                    loop {
-                        let hs_buf = match dir {
-                            Direction::ToServer => &mut self.hs_to_server,
-                            Direction::ToClient => &mut self.hs_to_client,
-                        };
-                        if hs_buf.len() < 4 {
-                            break;
-                        }
-                        let msg_len =
-                            usize::from(hs_buf[1]) << 16 | usize::from(hs_buf[2]) << 8 | usize::from(hs_buf[3]);
-                        if hs_buf.len() < 4 + msg_len {
-                            break;
-                        }
-                        let msg_type = hs_buf[0];
-                        let msg: Vec<u8> = hs_buf[4..4 + msg_len].to_vec();
-                        hs_buf.drain(..4 + msg_len);
-                        self.handle_message(msg_type, &msg);
-                    }
-                }
-                CONTENT_CCS | CONTENT_APPDATA => {
-                    // Encrypted phase begins: if we have both hellos the
-                    // handshake transcript is complete.
-                    if self.seen_client_hello {
-                        self.finish();
-                    }
-                }
-                CONTENT_ALERT
-                    // Alerts can legitimately occur; finish with whatever
-                    // was collected if a ClientHello was seen.
-                    if self.seen_client_hello => {
-                        self.finish();
-                    }
-                _ => {
-                    self.failed = true;
-                    return ParseResult::Error;
-                }
-            }
-            if self.seen_client_hello && self.seen_server_hello {
-                self.finish();
-            }
-            if self.done {
-                return ParseResult::Done;
-            }
+            self.handle_message(*msg_type, body);
+            used += 4 + msg_len;
         }
-    }
-
-    fn finish(&mut self) {
-        if !self.done {
-            self.done = true;
-            self.sessions.push(Session::Tls(self.handshake.clone()));
-        }
+        used
     }
 
     fn handle_message(&mut self, msg_type: u8, body: &[u8]) {
@@ -229,6 +206,80 @@ impl TlsParser {
             // Certificates, key exchange, finished, etc.: their presence
             // is noted implicitly; we do not retain their bodies.
             _ => {}
+        }
+    }
+}
+
+/// Streaming TLS handshake parser.
+#[derive(Debug, Default)]
+pub struct TlsParser {
+    /// Record layers, to-server then to-client.
+    sides: [Side; 2],
+    hellos: Hellos,
+    done: bool,
+    sessions: Vec<Session>,
+}
+
+impl TlsParser {
+    /// Creates an empty parser.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Walks the records of one segment, each where it lies, until the
+    /// handshake is done or the segment spent.
+    fn process(&mut self, dir: Direction, mut rest: &[u8]) -> ParseResult {
+        let side = &mut self.sides[dir as usize];
+        loop {
+            let (content_type, body) = match side.next_record(&mut rest) {
+                Err(()) => {
+                    self.hellos.failed = true;
+                    return ParseResult::Error;
+                }
+                Ok(None) if self.hellos.failed => return ParseResult::Error,
+                Ok(None) => return ParseResult::Continue,
+                Ok(Some(record)) => record,
+            };
+            let hellos = &mut self.hellos;
+            match content_type {
+                CONTENT_HANDSHAKE => {
+                    // Messages can span records: the one cut at a record's
+                    // end waits in the carry for the rest. With nothing
+                    // carried, the record's messages are read in place.
+                    let fresh = match body {
+                        Body::InPlace(body) if side.carry.is_empty() => &body[hellos.walk(body)..],
+                        Body::InPlace(body) => body,
+                        Body::Carried => &[],
+                    };
+                    if hold(&mut side.carry, fresh).is_err() {
+                        hellos.failed = true;
+                        return ParseResult::Error;
+                    }
+                    let used = hellos.walk(&side.carry);
+                    side.carry.drain(..used);
+                }
+                // Encrypted phase begins, or an alert: the transcript is
+                // complete with whatever was collected once a ClientHello
+                // was seen.
+                CONTENT_CCS | CONTENT_APPDATA | CONTENT_ALERT if hellos.seen_client_hello => {
+                    self.done = true;
+                }
+                CONTENT_CCS | CONTENT_APPDATA => {}
+                _ => {
+                    hellos.failed = true;
+                    return ParseResult::Error;
+                }
+            }
+            if hellos.seen_client_hello && hellos.seen_server_hello {
+                self.done = true;
+            }
+            if self.done {
+                // The handshake moves into its session: nothing reads it
+                // after this.
+                let handshake = std::mem::take(&mut hellos.handshake);
+                self.sessions.push(Session::Tls(handshake));
+                return ParseResult::Done;
+            }
         }
     }
 }
@@ -262,21 +313,13 @@ impl ConnParser for TlsParser {
     }
 
     fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
-        if self.failed {
+        if self.hellos.failed {
             return ParseResult::Error;
         }
         if self.done {
             return ParseResult::Done;
         }
-        let buf = match dir {
-            Direction::ToServer => &mut self.to_server,
-            Direction::ToClient => &mut self.to_client,
-        };
-        if buf.push(data).is_err() {
-            self.failed = true;
-            return ParseResult::Error;
-        }
-        self.process(dir)
+        self.process(dir, data)
     }
 
     fn drain_sessions(&mut self) -> Vec<Session> {
@@ -284,19 +327,15 @@ impl ConnParser for TlsParser {
     }
 
     fn reset(&mut self) -> usize {
-        let mut bufs = [
-            std::mem::take(&mut self.to_server.data),
-            std::mem::take(&mut self.to_client.data),
-            std::mem::take(&mut self.hs_to_server),
-            std::mem::take(&mut self.hs_to_client),
-        ];
-        let kept = bufs.iter_mut().map(reuse_buffer).sum();
-        let [to_server, to_client, hs_to_server, hs_to_client] = bufs;
+        let kept = (self.sides.iter_mut())
+            .map(|side| reuse_buffer(&mut side.carry))
+            .sum();
+        let sides = std::mem::take(&mut self.sides).map(|side| Side {
+            carry: side.carry,
+            ..Side::default()
+        });
         *self = TlsParser {
-            to_server: DirBuffer { data: to_server },
-            to_client: DirBuffer { data: to_client },
-            hs_to_server,
-            hs_to_client,
+            sides,
             ..TlsParser::default()
         };
         kept
@@ -316,6 +355,11 @@ impl ConnParser for TlsParser {
 /// Reads a length-prefixed slice; returns (slice, rest).
 fn take(data: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
     (data.len() >= n).then(|| data.split_at(n))
+}
+
+/// An owned copy of `bytes` if they are UTF-8.
+fn utf8(bytes: &[u8]) -> Option<String> {
+    std::str::from_utf8(bytes).ok().map(str::to_owned)
 }
 
 fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
@@ -358,7 +402,7 @@ fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 5 && data[2] == 0 => {
                     let name_len = usize::from(u16::from_be_bytes([data[3], data[4]]));
                     if let Some((name, _)) = take(&data[5..], name_len) {
-                        out.sni = String::from_utf8(name.to_vec()).ok();
+                        out.sni = utf8(name);
                     }
                 }
             16
@@ -367,7 +411,7 @@ fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 3 => {
                     let plen = usize::from(data[2]);
                     if let Some((proto, _)) = take(&data[3..], plen) {
-                        out.alpn = String::from_utf8(proto.to_vec()).ok();
+                        out.alpn = utf8(proto);
                     }
                 }
             _ => {}
@@ -412,7 +456,7 @@ fn parse_server_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 3 => {
                     let plen = usize::from(data[2]);
                     if let Some((proto, _)) = take(&data[3..], plen) {
-                        out.alpn = String::from_utf8(proto.to_vec()).ok();
+                        out.alpn = utf8(proto);
                     }
                 }
             _ => {}

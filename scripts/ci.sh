@@ -37,16 +37,22 @@
 #                 one engine: one non-test FilterFns impl (CompiledFilter)
 #                 in crates/ and examples/, and no code generator
 #                 (`mod codegen`, `codegen::`) in crates/filter or
-#                 crates/filtergen
+#                 crates/filtergen; and parsers read in place: no
+#                 `.to_vec()`, `drain(…).collect()` or
+#                 `handshake.clone()` in non-test crates/protocols/src/
+#                 {tls/mod.rs,http.rs,ssh.rs,dns.rs} — a record, head or
+#                 line is read where it lies, only what a segment cuts is
+#                 carried, and a finished handshake moves into its session
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
 #   doc           cargo doc --offline --no-deps with warnings denied
 #   test          cargo test -q --offline (whole workspace; includes
 #                 tests/tests/alloc_per_conn.rs, which counts heap
-#                 allocations per single-SYN connection and per probed
-#                 TLS connection, and bytes per ConnBytes segment, under
-#                 its own global allocator — an allocation regression,
+#                 allocations per single-SYN connection, per probed and
+#                 per delivered TLS handshake and per DNS probe, and
+#                 bytes per ConnBytes segment, under its own per-thread
+#                 counting global allocator — an allocation regression,
 #                 or a payload copy, fails here — and
 #                 crates/core/tests/burst_invariance.rs, which holds every
 #                 digest, delivery and span tree identical across burst

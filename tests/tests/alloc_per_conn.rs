@@ -19,19 +19,26 @@
 //! reaches its ClientHello under a four-protocol union probes against
 //! the tracker's shared prototypes, with its probe state held in its
 //! phase, and takes only the parser that wins — from the core's pool of
-//! idle ones when it holds one.
+//! idle ones when it holds one — which reads the record where it lies.
 //!
-//! The fourth holds the tracked-state diet: a `tls`-filtered
+//! The fourth holds the parsing diet: a handshake that completes costs
+//! what its `TlsHandshakeData` carries, and the session it is cloned
+//! from — no record, message or handshake is copied on the way. The
+//! fifth holds a DNS datagram's probe, against every prototype, at no
+//! allocation at all: the question name is walked, not built.
+//!
+//! The sixth holds the tracked-state diet: a `tls`-filtered
 //! `ConnRecord` allocates only the record's `service` string — its
 //! tracked state borrows the service name, the probe state and the parser
-//! are pooled. Neither case copies the ClientHello into a prefix buffer:
-//! it is identified where it lies in its frame.
+//! are pooled. Neither TLS case copies the ClientHello into a prefix
+//! buffer: it is identified where it lies in its frame.
 //!
-//! The fifth counts bytes: a `ConnBytes` stream costs one frame view
+//! The seventh counts bytes: a `ConnBytes` stream costs one frame view
 //! per segment, the same for 100-byte and for 1460-byte payloads — a
 //! copy anywhere on the path makes the figure scale with the payload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,25 +50,49 @@ use retina_core::{
     CompiledFilter, DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig,
     StepConfig,
 };
-use retina_protocols::tls::build::{client_hello_record, ClientHelloSpec};
+use retina_protocols::dns;
+use retina_protocols::tls::build::{
+    client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
+};
+use retina_protocols::{Direction, ParserRegistry, ProbeResult};
 use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
 
 /// The system allocator, counting `alloc` and `realloc` calls and the
-/// bytes they ask for (of a `realloc`, the growth).
+/// bytes they ask for (of a `realloc`, the growth) — per thread.
+///
+/// A stepped run does all its work, callbacks included, on the thread
+/// that calls it, and each test measures on its own thread: counting per
+/// thread keeps the test harness's allocations on other threads (it
+/// spawns and names them while a test measures) out of every figure.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's `(calls, bytes)`. Const-initialised and without a
+    /// destructor, so reading it never allocates.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // A thread being torn down has no counter left; it is not measured.
+    let _ = COUNTS.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes as u64));
+    });
+}
+
+/// This thread's `(calls, bytes)` so far.
+fn counters() -> (u64, u64) {
+    COUNTS.with(Cell::get)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters are plain
-// atomics that touch no allocator state.
+// which upholds the `GlobalAlloc` contract; the counters are a
+// thread-local `Cell` that touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller guarantees `layout` has non-zero size.
         unsafe { System.alloc(layout) }
     }
@@ -73,11 +104,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
+        count(new_size.saturating_sub(layout.size()));
         // SAFETY: the caller guarantees `ptr` came from this allocator
         // with `layout` and that `new_size` is valid for its alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -115,10 +142,6 @@ fn syns(first_source: u32, start_ns: u64) -> impl Iterator<Item = (Bytes, u64)> 
     })
 }
 
-/// The allocation counter is process-wide and the harness runs tests on
-/// parallel threads: each test holds this for its whole body.
-static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Allocations per connection of the measured half of two [`syns`]
 /// halves through a one-core stepped runtime delivering `ConnRecord`s
 /// under `mode`. Warm-up connections arrive in second 0 and expire (5 s
@@ -139,13 +162,13 @@ fn allocs_per_bare_syn(mode: DispatchMode) -> f64 {
         .subscribe_dispatched("conns", "tcp", mode, move |record: ConnRecord| {
             assert!(record.single_syn);
             if seen.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(N) {
-                mark.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+                mark.store(counters().0, Ordering::Relaxed);
             }
         })
         .build()
         .expect("runtime builds");
     let report = runtime.run_stepped(&packets, &StepConfig::seeded(7));
-    let measured = ALLOCS.load(Ordering::Relaxed) - allocs_at_mark.load(Ordering::Relaxed);
+    let measured = counters().0 - allocs_at_mark.load(Ordering::Relaxed);
 
     report.check_accounting().unwrap();
     assert_eq!(report.cores.conns_created, u64::from(2 * N));
@@ -160,9 +183,6 @@ fn allocs_per_bare_syn(mode: DispatchMode) -> f64 {
 
 #[test]
 fn a_bare_syn_allocates_nothing() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Nothing per connection: the slack (200 allocations over 20 000
     // connections) covers the timer-wheel slots the measured half is the
     // first to fill and the end-of-run report.
@@ -175,9 +195,6 @@ fn a_bare_syn_allocates_nothing() {
 
 #[test]
 fn a_bare_syn_crosses_a_shared_ring_allocating_nothing() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // The same through a 64-deep ring to a shared worker: the ring is
     // made once, for `ConnRecord`s, and the data cross it as themselves —
     // the sends the drain parks on a full ring too.
@@ -192,15 +209,23 @@ fn a_bare_syn_crosses_a_shared_ring_allocating_nothing() {
 const TLS_N: u32 = 2_000;
 
 /// `TLS_N` connections that complete the handshake and send a
-/// ClientHello, then go quiet: 1 ms between a connection's packets,
-/// connections 100 µs apart from `start_ns`.
-fn client_hellos(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
+/// ClientHello — `answered`, the server's ServerHello too — then go
+/// quiet: 1 ms between a connection's packets, connections 100 µs apart
+/// from `start_ns`.
+fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes, u64)> {
     let server: std::net::SocketAddr = "198.51.100.1:443".parse().unwrap();
     let hello = client_hello_record(&ClientHelloSpec {
         sni: Some("video.example.net".to_string()),
         ciphers: vec![0x1301],
         random: [0x42; 32],
         version: 0x0303,
+        alpn: None,
+    });
+    let answer = server_hello_record(&ServerHelloSpec {
+        cipher: 0x1301,
+        random: [0x99; 32],
+        version: 0x0303,
+        supported_version: Some(0x0304),
         alpn: None,
     });
     let mut out = Vec::new();
@@ -243,6 +268,18 @@ fn client_hellos(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
             TcpFlags::ACK | TcpFlags::PSH,
             &hello,
         );
+        if answered {
+            let seq = 101 + u32::try_from(hello.len()).unwrap();
+            push(
+                4,
+                server,
+                client,
+                501,
+                seq,
+                TcpFlags::ACK | TcpFlags::PSH,
+                &answer,
+            );
+        }
     }
     out.sort_by_key(|(_, ts)| *ts);
     out
@@ -257,12 +294,6 @@ fn measured_half(
     packets: &[(Bytes, u64)],
     warm: usize,
 ) -> ((u64, u64), RunReport) {
-    let counters = || {
-        (
-            ALLOCS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
-        )
-    };
     let run = |packets: &[(Bytes, u64)]| {
         let before = counters();
         let report = runtime.run_stepped(packets, &StepConfig::seeded(7));
@@ -287,10 +318,13 @@ fn measured_half(
 /// report. Warm-up connections establish in the first second and expire
 /// (5 min inactivity) when the measured half, at 400 s, moves the clock;
 /// the measured ones are flushed by the end-of-run drain.
-fn allocs_per_client_hello(runtime: &MultiRuntime<CompiledFilter>) -> (f64, RunReport) {
-    let mut packets = client_hellos(0, 0);
+fn allocs_per_client_hello(
+    runtime: &MultiRuntime<CompiledFilter>,
+    answered: bool,
+) -> (f64, RunReport) {
+    let mut packets = client_hellos(0, 0, answered);
     let warm = packets.len();
-    packets.extend(client_hellos(TLS_N, 400 * SEC));
+    packets.extend(client_hellos(TLS_N, 400 * SEC, answered));
     let ((allocs, _), report) = measured_half(runtime, &packets, warm);
     assert_eq!(report.cores.conns_created, u64::from(2 * TLS_N));
     #[allow(clippy::cast_precision_loss)] // counts far below 2^52
@@ -300,9 +334,6 @@ fn allocs_per_client_hello(runtime: &MultiRuntime<CompiledFilter>) -> (f64, RunR
 
 #[test]
 fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Nothing is ever delivered (no ServerHello, and the other three
     // protocols never show), so every allocation counted is the
     // pipeline's own.
@@ -313,30 +344,97 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
         .subscribe_named("ssh", "ssh", |_: SshHandshakeData| {})
         .build()
         .expect("runtime builds");
-    let (per_conn, report) = allocs_per_client_hello(&runtime);
+    let (per_conn, report) = allocs_per_client_hello(&runtime, false);
     assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     // With a boxed candidate per protocol at the first SYN (the commit
     // before the prototypes) this read 14.02, and 8.02 with only the
     // winner boxed. Gone since: the candidate list, the per-segment alive
-    // list, the prefix buffer (the ClientHello is probed where it lies)
-    // and the boxed probe state (it lives in the phase). Left, 6.97: the
-    // parser — its box and its two reassembly buffers — because all 2000
-    // connections of a half are mid-handshake at once and the core's pool
-    // keeps only a burst's worth of idle parsers; and the TLS parser's
-    // copy of the record and of the handshake message, and the
-    // handshake's cipher list and SNI — parsers reading in place is
-    // ROADMAP item 2(c).
+    // list, the prefix buffer (the ClientHello is probed where it lies),
+    // the boxed probe state (it lives in the phase), and — the parser
+    // reading the record and its handshake message where they lie — its
+    // two reassembly buffers and its copies of the record and of the
+    // message (6.97 before). Left, field by field:
+    //   1. the parser's box: all 2000 connections of a half are
+    //      mid-handshake at once, and the core's pool keeps only a burst's
+    //      worth of idle parsers;
+    //   2. the handshake's offered cipher list;
+    //   3. the handshake's SNI.
     assert!(
-        per_conn <= 6.97 + 0.05,
+        per_conn <= 3.00 + 0.05,
         "{per_conn:.3} allocations per probed TLS connection"
     );
 }
 
 #[test]
+fn a_delivered_tls_handshake_allocates_only_what_it_carries() {
+    static HANDSHAKES: AtomicU64 = AtomicU64::new(0);
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("tls", "tls", |hs: TlsHandshakeData| {
+            assert_eq!(hs.tls.sni(), "video.example.net");
+            HANDSHAKES.fetch_add(1, Ordering::Relaxed);
+        })
+        .build()
+        .expect("runtime builds");
+    let (per_conn, report) = allocs_per_client_hello(&runtime, true);
+    // The prefix run delivered TLS_N handshakes, the full run 2 * TLS_N.
+    assert_eq!(HANDSHAKES.load(Ordering::Relaxed), u64::from(3 * TLS_N));
+    assert_eq!(report.cores.app_parsing.runs, u64::from(4 * TLS_N));
+    // One connection, one `TlsHandshakeData`. Its parser returns to the
+    // pool at the ServerHello, so the next connection takes it; no record
+    // or handshake message is copied, and the handshake moves into its
+    // session. Left, field by field:
+    //   1. the parser's offered cipher list;
+    //   2. the parser's SNI;
+    //   3. the `Vec<Session>` the completed parse is drained into;
+    //   4. the datum's clone of the cipher list (`FromSession` borrows
+    //      the session, which several subscriptions may match);
+    //   5. the datum's clone of the SNI.
+    assert!(
+        per_conn <= 5.00 + 0.05,
+        "{per_conn:.3} allocations per delivered TlsHandshakeData"
+    );
+}
+
+#[test]
+fn a_dns_probe_allocates_nothing() {
+    // The tracker probes a datagram against every candidate's prototype;
+    // DNS's walks the question name without building it.
+    let registry = ParserRegistry::default();
+    let prototypes: Vec<_> = (registry.protocols().into_iter())
+        .map(|name| (name, registry.new_parser(name).expect("registered")))
+        .collect();
+    let query = dns::build_query(7, "www.example.com", 1);
+    let response = dns::build_response(7, "www.example.com", 1, 2, 0);
+    let framed = [
+        &u16::try_from(query.len()).unwrap().to_be_bytes()[..],
+        &query,
+    ]
+    .concat();
+    let datagrams = [
+        (Direction::ToServer, &query[..]),
+        (Direction::ToClient, &response[..]),
+        (Direction::ToServer, &framed[..]),
+    ];
+    let mut verdicts = [ProbeResult::NotForUs; 3];
+    let before = counters();
+    for (verdict, (dir, datagram)) in verdicts.iter_mut().zip(datagrams) {
+        for (name, parser) in &prototypes {
+            let v = parser.probe(datagram, dir);
+            if *name == "dns" {
+                *verdict = v;
+            }
+        }
+    }
+    let after = counters();
+    assert_eq!(verdicts, [ProbeResult::Certain; 3]);
+    assert_eq!(
+        after, before,
+        "(calls, bytes) allocated probing DNS datagrams"
+    );
+}
+
+#[test]
 fn a_tls_conn_record_borrows_its_service_name() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     static RECORDS: AtomicU64 = AtomicU64::new(0);
     let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("tls-conns", "tls", |record: ConnRecord| {
@@ -345,7 +443,7 @@ fn a_tls_conn_record_borrows_its_service_name() {
         })
         .build()
         .expect("runtime builds");
-    let (per_conn, _) = allocs_per_client_hello(&runtime);
+    let (per_conn, _) = allocs_per_client_hello(&runtime, false);
     // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
     assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
     // What is left is the record's `service` string — 1.02 with the slack
@@ -416,9 +514,6 @@ fn downloads(first_source: u32, start_ns: u64, payload: usize) -> Vec<(Bytes, u6
 
 #[test]
 fn a_conn_bytes_segment_costs_a_view_whatever_its_payload() {
-    let _alone = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     static STREAMED: AtomicU64 = AtomicU64::new(0);
     // Matched at the packet layer: nothing is probed or parsed, every
     // data segment goes to the stream hook and nowhere else.
