@@ -168,7 +168,7 @@ fn main() {
         report.max_sink_fraction,
     );
     for event in &report.events {
-        if !matches!(event.action, retina_core::telemetry::GovernorAction::Hold) {
+        if !matches!(event.action, retina_core::GovernorAction::Hold) {
             println!("    {}", event.to_log_line());
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! The paper's §6.1 rate control — remapping RETA buckets to a sink
 //! core — is chosen *offline* by the zero-loss search in the bench
-//! harness. This module closes the loop at run time: a [`Governor`]
-//! thread samples the telemetry the runtime already exports (mempool
-//! occupancy, per-queue ring depth, drop rates) on the monitor cadence
-//! and reacts:
+//! harness. This module closes the loop at run time: a [`Governor`] is a
+//! stage of a [`crate::Monitor`]'s tick. Each interval the monitor
+//! builds [`PressureSignals`] from the readings it already takes
+//! (mempool occupancy, per-queue ring depth, drop deltas, dispatch
+//! queue occupancy) and the governor reacts:
 //!
 //! ```text
 //!            pressure                    pressure
@@ -24,21 +25,174 @@
 //! sink change is bounded by one `step` per interval, so the sink
 //! fraction cannot oscillate). Session-parsing work is shed before any
 //! packet-delivery work, and full fidelity is restored in the reverse
-//! order once pressure clears. Every decision lands in an
-//! [`EventLog`], and [`GovernorReport::check_accounting`] replays the
-//! stream to prove the shed/restore ledger balances exactly.
+//! order once pressure clears. Every decision is a [`GovernorEvent`] in
+//! the brain's decision stream, and [`GovernorReport::check_accounting`]
+//! replays the stream to prove the shed/restore ledger balances exactly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use retina_nic::VirtualNic;
-use retina_telemetry::{
-    check_governor_accounting, DispatchHub, EventLog, GovernorAction, GovernorEvent,
-    PressureSignals, TriggerReason,
-};
+use retina_telemetry::TriggerReason;
 
-use crate::runtime::{RuntimeGauges, TraceHandle};
+use crate::monitor::Monitor;
+use crate::runtime::{fire_trigger, TraceHandle};
+
+/// One governor decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GovernorAction {
+    /// Stopped feeding application-layer parsers (first shedding tier:
+    /// session parsing is sacrificed before packet delivery).
+    ShedParsing,
+    /// Resumed application-layer parsing (last restore tier).
+    RestoreParsing,
+    /// Raised the RETA sink fraction by one step (second shedding
+    /// tier: divert whole flows before losing packets uncontrolled).
+    SinkRaise,
+    /// Lowered the RETA sink fraction by one step toward the floor.
+    SinkLower,
+    /// Observed pressure (or calm) but made no change this interval
+    /// (already at a bound, or waiting out the cooldown).
+    Hold,
+}
+
+impl GovernorAction {
+    /// Stable label for exporters.
+    pub fn label(&self) -> &'static str {
+        match self {
+            GovernorAction::ShedParsing => "shed_parsing",
+            GovernorAction::RestoreParsing => "restore_parsing",
+            GovernorAction::SinkRaise => "sink_raise",
+            GovernorAction::SinkLower => "sink_lower",
+            GovernorAction::Hold => "hold",
+        }
+    }
+}
+
+/// The pressure signals a decision was based on, captured at decision
+/// time so the event stream is self-contained.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PressureSignals {
+    /// Mempool occupancy as a fraction of capacity.
+    pub mempool_occupancy: f64,
+    /// Deepest RX ring's occupancy as a fraction of its capacity.
+    pub ring_occupancy: f64,
+    /// Frames lost (ring overflow + mempool exhaustion) since the
+    /// previous interval.
+    pub lost_delta: u64,
+    /// Worst callback-dispatch queue occupancy across subscriptions as
+    /// a fraction of ring capacity (0 when every subscription is
+    /// inline).
+    pub dispatch_occupancy: f64,
+}
+
+/// One entry in the governor's decision stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GovernorEvent {
+    /// 0-based sampling interval the decision was made in.
+    pub interval: u64,
+    /// What the governor did.
+    pub action: GovernorAction,
+    /// Sink fraction before the decision.
+    pub sink_before: f64,
+    /// Sink fraction after the decision.
+    pub sink_after: f64,
+    /// Whether parsing is shed after the decision.
+    pub parsing_shed: bool,
+    /// The signals the decision keyed off.
+    pub signals: PressureSignals,
+}
+
+impl GovernorEvent {
+    /// Renders the event as a single log line.
+    pub fn to_log_line(&self) -> String {
+        format!(
+            "governor[{:>4}] {:<15} sink {:.3} -> {:.3}  parsing_shed={}  \
+             (mempool {:.0}%, ring {:.0}%, dispatch {:.0}%, lost {})",
+            self.interval,
+            self.action.label(),
+            self.sink_before,
+            self.sink_after,
+            self.parsing_shed,
+            self.signals.mempool_occupancy * 100.0,
+            self.signals.ring_occupancy * 100.0,
+            self.signals.dispatch_occupancy * 100.0,
+            self.signals.lost_delta,
+        )
+    }
+}
+
+/// Verifies the internal consistency of a governor decision stream:
+///
+/// 1. the sink-fraction trace is continuous (each event's `sink_before`
+///    equals the previous event's `sink_after`),
+/// 2. every per-interval change is bounded by `max_step` (the
+///    no-oscillation guarantee),
+/// 3. parsing shed/restore events strictly alternate, starting with a
+///    shed,
+/// 4. the final sink fraction equals
+///    `start + (raises - lowers) * observed steps` — i.e. shed and
+///    restore work is accounted exactly, nothing drifts.
+///
+/// Returns the first violated invariant on failure.
+pub fn check_governor_accounting(events: &[GovernorEvent], max_step: f64) -> Result<(), String> {
+    let mut prev_after: Option<f64> = None;
+    let mut parsing_shed = false;
+    for (i, e) in events.iter().enumerate() {
+        if let Some(prev) = prev_after {
+            if (e.sink_before - prev).abs() > 1e-9 {
+                return Err(format!(
+                    "event {i}: sink_before {} != previous sink_after {prev}",
+                    e.sink_before
+                ));
+            }
+        }
+        let delta = (e.sink_after - e.sink_before).abs();
+        if delta > max_step + 1e-9 {
+            return Err(format!(
+                "event {i}: sink change {delta:.4} exceeds max step {max_step:.4}"
+            ));
+        }
+        match e.action {
+            GovernorAction::SinkRaise => {
+                if e.sink_after < e.sink_before - 1e-9 {
+                    return Err(format!("event {i}: raise lowered the sink fraction"));
+                }
+            }
+            GovernorAction::SinkLower => {
+                if e.sink_after > e.sink_before + 1e-9 {
+                    return Err(format!("event {i}: lower raised the sink fraction"));
+                }
+            }
+            GovernorAction::ShedParsing => {
+                if parsing_shed {
+                    return Err(format!("event {i}: shed while already shed"));
+                }
+                parsing_shed = true;
+            }
+            GovernorAction::RestoreParsing => {
+                if !parsing_shed {
+                    return Err(format!("event {i}: restore without a prior shed"));
+                }
+                parsing_shed = false;
+            }
+            GovernorAction::Hold => {
+                if delta > 1e-9 {
+                    return Err(format!("event {i}: hold changed the sink fraction"));
+                }
+            }
+        }
+        if e.parsing_shed != parsing_shed {
+            return Err(format!(
+                "event {i}: parsing_shed flag {} disagrees with replayed state {}",
+                e.parsing_shed, parsing_shed
+            ));
+        }
+        prev_after = Some(e.sink_after);
+    }
+    Ok(())
+}
 
 /// Shared shedding flags: written by the governor, read by the worker
 /// cores each burst. Lives outside the governor so a runtime can be
@@ -193,8 +347,8 @@ impl GovernorReport {
     }
 }
 
-/// The governor's decision core, separated from the sampling thread so
-/// it can be driven synchronously (deterministic tests) or on a live
+/// The governor's decision core, separated from the monitor tick so it
+/// can be driven synchronously (deterministic tests) or on a live
 /// cadence. One call = one interval.
 #[derive(Debug)]
 pub struct GovernorBrain {
@@ -207,7 +361,7 @@ pub struct GovernorBrain {
     pressure_intervals: u64,
     recovered_at: Option<u64>,
     ever_shed: bool,
-    log: EventLog,
+    events: Vec<GovernorEvent>,
 }
 
 impl GovernorBrain {
@@ -224,13 +378,8 @@ impl GovernorBrain {
             pressure_intervals: 0,
             recovered_at: None,
             ever_shed: false,
-            log: EventLog::new(),
+            events: Vec::new(),
         }
-    }
-
-    /// The event log (cloneable handle; shares storage).
-    pub fn log(&self) -> EventLog {
-        self.log.clone()
     }
 
     /// Current sink fraction.
@@ -335,14 +484,14 @@ impl GovernorBrain {
             signals,
         };
         self.interval += 1;
-        self.log.record(event.clone());
+        self.events.push(event.clone());
         event
     }
 
     /// Finishes the session, producing the report.
     pub fn into_report(self) -> GovernorReport {
         GovernorReport {
-            events: self.log.snapshot(),
+            events: self.events,
             intervals: self.interval,
             max_sink_fraction: self.max_sink,
             final_sink_fraction: self.sink,
@@ -355,132 +504,66 @@ impl GovernorBrain {
     }
 }
 
-/// A live governor: a sampling thread driving a [`GovernorBrain`]
-/// against a running [`crate::Runtime`]'s NIC and gauges.
+/// The governor as a stage of the monitor tick: the decision core plus
+/// the runtime state its decisions act on.
+pub(crate) struct GovernorStage {
+    pub(crate) brain: GovernorBrain,
+    shed: Arc<ShedState>,
+    trace: TraceHandle,
+}
+
+impl GovernorStage {
+    /// Takes over `nic`'s RETA and `shed` at full fidelity: the sink
+    /// fraction is reset to the configured floor and parsing resumes.
+    pub(crate) fn new(
+        config: GovernorConfig,
+        nic: &VirtualNic,
+        shed: Arc<ShedState>,
+        trace: TraceHandle,
+    ) -> Self {
+        nic.set_sink_fraction(config.floor);
+        shed.set_parsing_shed(false);
+        GovernorStage {
+            brain: GovernorBrain::new(config),
+            shed,
+            trace,
+        }
+    }
+
+    /// Decides on one interval's signals and applies the decision to
+    /// `nic`'s RETA and the runtime's [`ShedState`]. A parsing shed
+    /// freezes the flight recorder with a
+    /// [`TriggerReason::GovernorShed`] trigger, so the events leading up
+    /// to the overload survive into the run's [`crate::RunReport`].
+    pub(crate) fn step(&mut self, signals: PressureSignals, nic: &VirtualNic) {
+        let event = self.brain.decide(signals);
+        match event.action {
+            GovernorAction::ShedParsing | GovernorAction::RestoreParsing => {
+                self.shed.set_parsing_shed(event.parsing_shed);
+                if event.action == GovernorAction::ShedParsing {
+                    fire_trigger(&self.trace, TriggerReason::GovernorShed, event.interval);
+                }
+            }
+            GovernorAction::SinkRaise | GovernorAction::SinkLower => {
+                nic.set_sink_fraction(event.sink_after);
+            }
+            GovernorAction::Hold => {}
+        }
+    }
+}
+
+/// A live governor: a sink-less [`Monitor`] whose tick drives a
+/// [`GovernorBrain`] against a running [`crate::Runtime`]'s NIC and
+/// shedding flags. Started by
+/// [`MultiRuntime::start_governor`](crate::MultiRuntime::start_governor).
 pub struct Governor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<GovernorBrain>>,
-    log: EventLog,
+    pub(crate) monitor: Monitor,
 }
 
 impl Governor {
-    /// Starts governing: every `config.interval` the governor samples
-    /// pressure from the NIC and gauges, decides, and applies the
-    /// decision to the NIC's RETA and the runtime's [`ShedState`].
-    ///
-    /// The caller's current sink fraction is overwritten with the
-    /// configured floor (the governor owns the RETA from here on).
-    /// `dispatch` adds the callback-dispatch queue occupancy as a
-    /// pressure input (pass `None` when every subscription is inline).
-    pub fn start(
-        nic: Arc<VirtualNic>,
-        gauges: Arc<RuntimeGauges>,
-        shed: Arc<ShedState>,
-        dispatch: Option<Arc<DispatchHub>>,
-        config: GovernorConfig,
-    ) -> Self {
-        Self::start_traced(
-            nic,
-            gauges,
-            shed,
-            dispatch,
-            config,
-            Arc::new(std::sync::RwLock::new(None)),
-        )
-    }
-
-    /// [`Governor::start`], plus a shared trace handle: whenever a shed
-    /// decision fires while a run has a tracer installed, the governor
-    /// freezes the flight recorder with a
-    /// [`TriggerReason::GovernorShed`] trigger so the events leading up
-    /// to the overload survive into the run's [`crate::RunReport`].
-    pub fn start_traced(
-        nic: Arc<VirtualNic>,
-        gauges: Arc<RuntimeGauges>,
-        shed: Arc<ShedState>,
-        dispatch: Option<Arc<DispatchHub>>,
-        config: GovernorConfig,
-        trace: TraceHandle,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let interval = config.interval;
-        nic.set_sink_fraction(config.floor);
-        let mut brain = GovernorBrain::new(config);
-        let log = brain.log();
-        shed.set_parsing_shed(false);
-        let handle = std::thread::spawn(move || {
-            let mut prev_lost = nic.stats().lost();
-            while !stop2.load(Ordering::Acquire) {
-                std::thread::sleep(interval);
-                let stats = nic.stats();
-                let lost = stats.lost();
-                let mempool = nic.mempool();
-                let signals = PressureSignals {
-                    mempool_occupancy: if mempool.capacity() == 0 {
-                        0.0
-                    } else {
-                        mempool.in_use() as f64 / mempool.capacity() as f64
-                    },
-                    ring_occupancy: nic.max_ring_occupancy(),
-                    lost_delta: lost - prev_lost,
-                    dispatch_occupancy: dispatch.as_ref().map_or(0.0, |hub| hub.max_occupancy()),
-                };
-                prev_lost = lost;
-                // Mirror the mempool peak into the registry while here,
-                // like the monitor does.
-                gauges.note_mbuf_high_water(mempool.high_water());
-                let event = brain.decide(signals);
-                match event.action {
-                    GovernorAction::ShedParsing | GovernorAction::RestoreParsing => {
-                        shed.set_parsing_shed(event.parsing_shed);
-                        if event.action == GovernorAction::ShedParsing {
-                            if let Ok(guard) = trace.read() {
-                                if let Some(t) = guard.as_ref() {
-                                    t.trigger(TriggerReason::GovernorShed, event.interval);
-                                }
-                            }
-                        }
-                    }
-                    GovernorAction::SinkRaise | GovernorAction::SinkLower => {
-                        nic.set_sink_fraction(event.sink_after);
-                    }
-                    GovernorAction::Hold => {}
-                }
-            }
-            brain
-        });
-        Governor {
-            stop,
-            handle: Some(handle),
-            log,
-        }
-    }
-
-    /// The live decision stream (shared handle; readable mid-run).
-    pub fn log(&self) -> EventLog {
-        self.log.clone()
-    }
-
     /// Stops the governor and returns its report.
-    pub fn stop(mut self) -> GovernorReport {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.take() {
-            Some(h) => h.join().map_or_else(
-                |_| GovernorBrain::new(GovernorConfig::default()).into_report(),
-                GovernorBrain::into_report,
-            ),
-            None => GovernorBrain::new(GovernorConfig::default()).into_report(),
-        }
-    }
-}
-
-impl Drop for Governor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) -> GovernorReport {
+        self.monitor.stop_governor()
     }
 }
 
@@ -661,6 +744,66 @@ mod tests {
         // Fully drained queue: calm accumulates and parsing restores.
         brain.decide(calm());
         assert_eq!(brain.decide(calm()).action, GovernorAction::RestoreParsing);
+    }
+
+    fn ev(
+        interval: u64,
+        action: GovernorAction,
+        before: f64,
+        after: f64,
+        shed: bool,
+    ) -> GovernorEvent {
+        GovernorEvent {
+            interval,
+            action,
+            sink_before: before,
+            sink_after: after,
+            parsing_shed: shed,
+            signals: PressureSignals::default(),
+        }
+    }
+
+    #[test]
+    fn balanced_stream_passes() {
+        let events = vec![
+            ev(0, GovernorAction::ShedParsing, 0.1, 0.1, true),
+            ev(1, GovernorAction::SinkRaise, 0.1, 0.3, true),
+            ev(2, GovernorAction::Hold, 0.3, 0.3, true),
+            ev(3, GovernorAction::SinkLower, 0.3, 0.1, true),
+            ev(4, GovernorAction::RestoreParsing, 0.1, 0.1, false),
+        ];
+        check_governor_accounting(&events, 0.2).unwrap();
+    }
+
+    #[test]
+    fn discontinuous_trace_fails() {
+        let events = vec![
+            ev(0, GovernorAction::SinkRaise, 0.1, 0.3, false),
+            ev(1, GovernorAction::SinkRaise, 0.5, 0.7, false),
+        ];
+        assert!(check_governor_accounting(&events, 0.2).is_err());
+    }
+
+    #[test]
+    fn oversized_step_fails() {
+        let events = vec![ev(0, GovernorAction::SinkRaise, 0.0, 0.9, false)];
+        assert!(check_governor_accounting(&events, 0.2).is_err());
+    }
+
+    #[test]
+    fn double_shed_fails() {
+        let events = vec![
+            ev(0, GovernorAction::ShedParsing, 0.1, 0.1, true),
+            ev(1, GovernorAction::ShedParsing, 0.1, 0.1, true),
+        ];
+        assert!(check_governor_accounting(&events, 0.2).is_err());
+    }
+
+    #[test]
+    fn event_log_line() {
+        let line = ev(7, GovernorAction::SinkRaise, 0.1, 0.35, true).to_log_line();
+        assert!(line.contains("sink_raise"), "{line}");
+        assert!(line.contains("0.100 -> 0.350"), "{line}");
     }
 
     #[test]

@@ -77,7 +77,10 @@ pub use erased::{
     Delivery, Emitter, ErasedSubscription, TrackedSlab, TypedEmitter, TypedSubscription,
 };
 pub use executor::{DispatchMode, QueuePolicy};
-pub use governor::{Governor, GovernorBrain, GovernorConfig, GovernorReport, ShedState};
+pub use governor::{
+    check_governor_accounting, Governor, GovernorAction, GovernorBrain, GovernorConfig,
+    GovernorEvent, GovernorReport, PressureSignals, ShedState,
+};
 pub use monitor::{Monitor, MonitorSample};
 pub use offline::run_offline;
 pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};

@@ -6,7 +6,10 @@
 //! that feedback loop: [`Monitor`] samples the NIC counters and runtime
 //! gauges on an interval and hands each [`MonitorSample`] to a closure
 //! sink or to any set of [`MetricSink`] exporters (log lines, CSV,
-//! JSON, Prometheus text).
+//! JSON, Prometheus text). The same tick acts on the readings: with a
+//! governor attached it turns them into [`PressureSignals`] and applies
+//! the governor's decision (a [`crate::Governor`] is a sink-less monitor
+//! carrying one).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,7 +18,8 @@ use std::time::{Duration, Instant};
 use retina_nic::{PortStatsSnapshot, VirtualNic};
 use retina_telemetry::{DispatchHub, MetricSink, Sample, TelemetrySnapshot, TriggerReason};
 
-use crate::runtime::{RuntimeGauges, TraceHandle};
+use crate::governor::{GovernorReport, GovernorStage, PressureSignals};
+use crate::runtime::{fire_trigger, RuntimeGauges, TraceHandle};
 
 /// One monitoring sample.
 #[derive(Debug, Clone, Copy)]
@@ -90,11 +94,11 @@ impl MonitorSample {
 /// Boxed per-sample callback handed to the monitor thread.
 type SampleClosure = Box<dyn FnMut(&MonitorSample) + Send>;
 
-/// The sampling state proper: counters-to-deltas bookkeeping plus the
-/// per-sample fan-out to the closure and the exporter sinks. Shared
-/// (behind a mutex) between the interval thread and
-/// [`Monitor::sample_now`], so tests can force a sample synchronously
-/// instead of racing a wall-clock interval.
+/// The sampling state proper: counters-to-deltas bookkeeping, the
+/// governor stage, and the per-sample fan-out to the closure and the
+/// exporter sinks. Shared (behind a mutex) between the interval thread
+/// and [`Monitor::sample_now`], so tests can force a sample
+/// synchronously instead of racing a wall-clock interval.
 struct Sampler {
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
@@ -106,15 +110,36 @@ struct Sampler {
     samples: Vec<MonitorSample>,
     dispatch: Option<Arc<DispatchHub>>,
     trace: Option<TraceHandle>,
+    governor: Option<GovernorStage>,
 }
 
 impl Sampler {
+    fn new(
+        nic: Arc<VirtualNic>,
+        gauges: Arc<RuntimeGauges>,
+        closure: Option<SampleClosure>,
+        sinks: Vec<Box<dyn MetricSink>>,
+    ) -> Self {
+        let start = Instant::now();
+        Sampler {
+            prev: nic.stats(),
+            nic,
+            gauges,
+            start,
+            prev_t: start,
+            closure,
+            sinks,
+            samples: Vec::new(),
+            dispatch: None,
+            trace: None,
+            governor: None,
+        }
+    }
+
     fn tick(&mut self) -> MonitorSample {
         let now = Instant::now();
         let stats = self.nic.stats();
         let dt = now.duration_since(self.prev_t);
-        self.gauges
-            .note_mbuf_high_water(self.nic.mempool().high_water());
         let sample = MonitorSample {
             elapsed: now.duration_since(self.start),
             interval: dt,
@@ -137,13 +162,26 @@ impl Sampler {
         // Drop-rate burst trigger: a single interval losing more frames
         // than the tracer's threshold freezes the flight recorder.
         if let Some(handle) = &self.trace {
-            if let Ok(guard) = handle.read() {
-                if let Some(t) = guard.as_ref() {
-                    if sample.lost > t.config().drop_burst_threshold {
-                        t.trigger(TriggerReason::DropBurst, sample.lost);
-                    }
-                }
-            }
+            fire_trigger(handle, TriggerReason::DropBurst, sample.lost);
+        }
+        if let Some(governor) = self.governor.as_mut() {
+            let capacity = self.nic.mempool().capacity();
+            governor.step(
+                PressureSignals {
+                    mempool_occupancy: if capacity == 0 {
+                        0.0
+                    } else {
+                        sample.mbufs_in_use as f64 / capacity as f64
+                    },
+                    ring_occupancy: self.nic.max_ring_occupancy(),
+                    lost_delta: sample.lost,
+                    dispatch_occupancy: self
+                        .dispatch
+                        .as_ref()
+                        .map_or(0.0, |hub| hub.max_occupancy()),
+                },
+                &self.nic,
+            );
         }
         if let Some(f) = self.closure.as_mut() {
             f(&sample);
@@ -154,7 +192,11 @@ impl Sampler {
                 sink.on_sample(&s);
             }
         }
-        self.samples.push(sample);
+        // A governor's monitor keeps no samples: its record is the
+        // decision stream, which carries each interval's signals.
+        if self.governor.is_none() {
+            self.samples.push(sample);
+        }
         self.prev = stats;
         self.prev_t = now;
         sample
@@ -189,12 +231,10 @@ impl Monitor {
         interval: Duration,
         mut sink: impl FnMut(&MonitorSample) + Send + 'static,
     ) -> Self {
-        Self::start_inner(
-            nic,
-            gauges,
+        let closure: SampleClosure = Box::new(move |s| sink(s));
+        Self::spawn(
+            Sampler::new(nic, gauges, Some(closure), Vec::new()),
             interval,
-            Some(Box::new(move |s| sink(s))),
-            Vec::new(),
         )
     }
 
@@ -208,33 +248,32 @@ impl Monitor {
         interval: Duration,
         sinks: Vec<Box<dyn MetricSink>>,
     ) -> Self {
-        Self::start_inner(nic, gauges, interval, None, sinks)
+        Self::spawn(Sampler::new(nic, gauges, None, sinks), interval)
     }
 
-    fn start_inner(
+    /// A sink-less monitor whose tick drives `governor`, reading the
+    /// dispatch occupancy from `hub`.
+    pub(crate) fn governed(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
+        hub: Arc<DispatchHub>,
+        governor: GovernorStage,
         interval: Duration,
-        closure: Option<SampleClosure>,
-        sinks: Vec<Box<dyn MetricSink>>,
     ) -> Self {
+        let mut sampler = Sampler::new(nic, gauges, None, Vec::new());
+        sampler.dispatch = Some(hub);
+        sampler.governor = Some(governor);
+        Self::spawn(sampler, interval)
+    }
+
+    /// The interval loop: sleep, then tick, until stopped; then hand the
+    /// final snapshot (if any) to the sinks and close them.
+    fn spawn(sampler: Sampler, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let final_snapshot: Arc<Mutex<Option<TelemetrySnapshot>>> = Arc::new(Mutex::new(None));
         let final2 = Arc::clone(&final_snapshot);
-        let start = Instant::now();
-        let sampler = Arc::new(Mutex::new(Sampler {
-            prev: nic.stats(),
-            nic,
-            gauges,
-            start,
-            prev_t: start,
-            closure,
-            sinks,
-            samples: Vec::new(),
-            dispatch: None,
-            trace: None,
-        }));
+        let sampler = Arc::new(Mutex::new(sampler));
         let sampler2 = Arc::clone(&sampler);
         let handle = std::thread::spawn(move || {
             while !stop2.load(Ordering::Acquire) {
@@ -277,13 +316,34 @@ impl Monitor {
         self.sampler.lock().unwrap().tick()
     }
 
-    /// Stops the monitor and returns every collected sample.
-    pub fn stop(mut self) -> Vec<MonitorSample> {
+    /// Stops the sampling thread (after its current tick, if any).
+    fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+
+    /// Stops the monitor and returns every collected sample.
+    pub fn stop(mut self) -> Vec<MonitorSample> {
+        self.halt();
         std::mem::take(&mut self.sampler.lock().unwrap().samples)
+    }
+
+    /// Stops a [`Monitor::governed`] monitor and returns its governor's
+    /// report.
+    pub(crate) fn stop_governor(mut self) -> GovernorReport {
+        self.halt();
+        let governor = self
+            .sampler
+            .lock()
+            .expect("a monitor tick panicked")
+            .governor
+            .take();
+        governor
+            .expect("a governed monitor carries its governor")
+            .brain
+            .into_report()
     }
 
     /// Stops the monitor, delivering `snapshot` to every sink's
@@ -298,10 +358,7 @@ impl Monitor {
 
 impl Drop for Monitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.halt();
     }
 }
 
@@ -354,5 +411,90 @@ mod tests {
         assert_eq!(s.hw_dropped_per_sec(), 200.0);
         assert_eq!(s.config_epoch, 3);
         assert_eq!(s.swap_pickup_lag_us, 42);
+    }
+
+    #[test]
+    fn governed_tick_reads_pressure_and_applies_decisions() {
+        use crate::governor::{GovernorAction, GovernorConfig, ShedState};
+        use retina_nic::DeviceConfig;
+        use retina_support::bytes::Bytes;
+        use retina_wire::build::{build_tcp, TcpSpec};
+        use retina_wire::TcpFlags;
+
+        let nic = Arc::new(VirtualNic::new(&DeviceConfig {
+            mempool_capacity: 8,
+            ring_capacity: 64,
+            ..DeviceConfig::default()
+        }));
+        let shed = Arc::new(ShedState::new());
+        let config = GovernorConfig {
+            cooldown: 2,
+            ..GovernorConfig::default()
+        };
+        let stage = GovernorStage::new(
+            config,
+            &nic,
+            Arc::clone(&shed),
+            Arc::new(std::sync::RwLock::new(None)),
+        );
+        let mut sampler = Sampler::new(
+            Arc::clone(&nic),
+            Arc::new(RuntimeGauges::new(1)),
+            None,
+            Vec::new(),
+        );
+        sampler.governor = Some(stage);
+
+        // Ten frames into an eight-buffer pool: the ring holds eight
+        // (occupancy 1.0 >= mempool_high) and two are lost.
+        for port in 0..10u16 {
+            let frame = build_tcp(&TcpSpec {
+                src: std::net::SocketAddr::from(([10, 0, 0, 1], 1000 + port)),
+                dst: "10.0.0.2:443".parse().unwrap(),
+                seq: 1,
+                ack: 0,
+                flags: TcpFlags::SYN,
+                window: 64,
+                ttl: 64,
+                payload: b"",
+            });
+            nic.ingest(Bytes::from(frame), u64::from(port));
+        }
+        let pressured = PressureSignals {
+            mempool_occupancy: nic.mempool().in_use() as f64 / nic.mempool().capacity() as f64,
+            ring_occupancy: nic.max_ring_occupancy(),
+            lost_delta: nic.stats().lost(),
+            dispatch_occupancy: 0.0,
+        };
+        assert_eq!(pressured.mempool_occupancy, 1.0);
+        assert_eq!(pressured.lost_delta, 2);
+        sampler.tick();
+        assert!(shed.parsing_shed(), "pressure sheds parsing");
+
+        // Drain the ring: the pool empties and the next ticks are calm.
+        let mut drained = Vec::new();
+        nic.rx_burst(0, &mut drained, 64);
+        drop(drained);
+        sampler.tick();
+        assert!(shed.parsing_shed(), "one calm tick is inside the cooldown");
+        sampler.tick();
+        assert!(
+            !shed.parsing_shed(),
+            "calm for the cooldown restores parsing"
+        );
+
+        let report = sampler.governor.take().unwrap().brain.into_report();
+        let actions: Vec<_> = report.events.iter().map(|e| e.action).collect();
+        assert_eq!(
+            actions,
+            [
+                GovernorAction::ShedParsing,
+                GovernorAction::Hold,
+                GovernorAction::RestoreParsing
+            ]
+        );
+        assert_eq!(report.events[0].signals, pressured);
+        assert_eq!(report.events[1].signals, PressureSignals::default());
+        report.check_accounting().unwrap();
     }
 }

@@ -32,7 +32,9 @@
 //!    new generation into its ack slot (or exited). Because the swap
 //!    lock serializes publishes *and* each publish waits out its grace
 //!    period, a worker can never skip a generation — the single-step
-//!    `remap` is always valid.
+//!    `remap` is always valid. Each worker stamps its pickup time into
+//!    the slot just before acking; the publisher turns the stamps into
+//!    the swap's per-core pickup lag.
 //! 5. **Retire** — removed subscriptions' dispatch counters are banked
 //!    in the retired ledger (final reports fold them back in by name),
 //!    the old dispatch fabric is drained and joined, and the old epoch
@@ -63,7 +65,7 @@ use crate::erased::{ErasedSubscription, TypedSubscription};
 use crate::executor::{
     channel_dispatcher, ring_capacity, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
 };
-use crate::runtime::{compile_union, RuntimeGauges, TraceHandle};
+use crate::runtime::{compile_union, fire_trigger, RuntimeGauges, TraceHandle};
 use crate::subscription::Subscribable;
 
 /// Ack-slot sentinel: the worker has exited (end of run). A grace
@@ -159,7 +161,7 @@ impl fmt::Display for SwapError {
 
 impl std::error::Error for SwapError {}
 
-/// The ledger entry for one completed swap: what changed, when each
+/// The record of one completed swap: what changed, when each
 /// lifecycle step happened (durations since the runtime's epoch-state
 /// creation), and how long each core took to adopt the new generation.
 #[derive(Debug, Clone)]
@@ -347,6 +349,15 @@ pub(crate) fn stage_epoch<F: FilterFns + 'static>(
     })
 }
 
+/// One RX core's grace-period slot.
+pub(crate) struct Ack {
+    /// The highest generation the worker has adopted, or [`EXITED`].
+    pub(crate) generation: AtomicU64,
+    /// When the worker last picked up a swapped-in epoch (nanoseconds
+    /// since [`EpochState::base`]; written just before `generation`).
+    pub(crate) picked_up_ns: AtomicU64,
+}
+
 /// Shared swap state between a [`MultiRuntime`](crate::MultiRuntime),
 /// its workers, and any [`SwapController`].
 pub(crate) struct EpochState<F: FilterFns + 'static> {
@@ -357,11 +368,8 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
     /// The runtime's one dispatch hub: its membership is the current
     /// epoch's stats, replaced at every publish.
     pub(crate) hub: Arc<DispatchHub>,
-    /// Per-core acknowledgment: the highest generation each worker has
-    /// adopted, or [`EXITED`].
-    pub(crate) acks: Vec<AtomicU64>,
-    /// Ledger of completed swaps, oldest first.
-    pub(crate) events: Mutex<Vec<SwapEvent>>,
+    /// Per-core acknowledgment slots.
+    pub(crate) acks: Vec<Ack>,
     /// Dispatch counters of removed subscriptions, banked at
     /// retirement and folded into the final report by name.
     pub(crate) retired: Mutex<Vec<(String, Arc<DispatchStats>)>>,
@@ -377,8 +385,12 @@ impl<F: FilterFns + 'static> EpochState<F> {
             generation: AtomicU64::new(0),
             current: RwLock::new(None),
             hub,
-            acks: (0..cores.max(1)).map(|_| AtomicU64::new(EXITED)).collect(),
-            events: Mutex::new(Vec::new()),
+            acks: (0..cores.max(1))
+                .map(|_| Ack {
+                    generation: AtomicU64::new(EXITED),
+                    picked_up_ns: AtomicU64::new(0),
+                })
+                .collect(),
             retired: Mutex::new(Vec::new()),
             base: Instant::now(),
             swap_lock: Mutex::new(()),
@@ -392,29 +404,6 @@ impl<F: FilterFns + 'static> EpochState<F> {
     pub(crate) fn publish(&self, epoch: Arc<ConfigEpoch<F>>) {
         self.hub.replace(epoch.stats.clone());
         *self.current.write().unwrap() = Some(epoch);
-    }
-
-    /// Records one core's adoption of `generation` into the matching
-    /// ledger event, returning the lag in microseconds (also mirrored
-    /// into `gauges` by the caller).
-    pub(crate) fn note_pickup(&self, core: usize, generation: u64) -> Option<u64> {
-        let now = self.base.elapsed();
-        let mut events = self.events.lock().unwrap();
-        let ev = events
-            .iter_mut()
-            .rev()
-            .find(|e| e.generation == generation)?;
-        let lag = now.saturating_sub(ev.published_at);
-        let us = u64::try_from(lag.as_micros()).unwrap_or(u64::MAX);
-        if let Some(slot) = ev.pickup_lag_us.get_mut(core) {
-            *slot = us;
-        }
-        Some(us)
-    }
-
-    /// Snapshot of the swap ledger.
-    pub(crate) fn events_snapshot(&self) -> Vec<SwapEvent> {
-        self.events.lock().unwrap().clone()
     }
 }
 
@@ -436,19 +425,10 @@ impl SwapController {
         self.epochs.generation.load(Ordering::Acquire)
     }
 
-    /// The swap ledger so far (completed swaps, oldest first).
-    pub fn events(&self) -> Vec<SwapEvent> {
-        self.epochs.events_snapshot()
-    }
-
     /// Fires the flight recorder on a rejected swap, so the moments
     /// around the failure are preserved for diagnosis.
     fn fire_failed(&self, detail: u64) {
-        if let Ok(guard) = self.trace.read() {
-            if let Some(t) = guard.as_ref() {
-                t.trigger(TriggerReason::SwapFailed, detail);
-            }
-        }
+        fire_trigger(&self.trace, TriggerReason::SwapFailed, detail);
     }
 
     /// Swaps the running configuration for `spec`: prepare, stage the
@@ -473,7 +453,7 @@ impl SwapController {
             .epochs
             .acks
             .iter()
-            .all(|a| a.load(Ordering::Acquire) == EXITED)
+            .all(|a| a.generation.load(Ordering::Acquire) == EXITED)
         {
             // Every worker already exited: the run is shutting down.
             return Err(SwapError::NotRunning);
@@ -518,7 +498,6 @@ impl SwapController {
         }
         let staged_at = self.epochs.base.elapsed();
 
-        let cores = self.epochs.acks.len();
         let generation = old.generation + 1;
         let added = (0..prepared.subs.len())
             .filter(|&j| prepared.survivor(j).is_none())
@@ -542,37 +521,10 @@ impl SwapController {
             &self.config,
             tracer.as_ref(),
         );
-        // Push the event skeleton before publishing so workers can
-        // record their pickup lag against it.
-        self.epochs.events.lock().unwrap().push(SwapEvent {
-            generation,
-            requested_at,
-            staged_at,
-            published_at: staged_at,
-            retired_at: staged_at,
-            pickup_lag_us: vec![0; cores],
-            added,
-            removed,
-            rules_added,
-            rules_removed,
-            warnings,
-        });
-
         // Publish.
         let weak_old = Arc::downgrade(&old);
         self.epochs.publish(Arc::clone(&epoch));
         let published_at = self.epochs.base.elapsed();
-        if let Some(ev) = self
-            .epochs
-            .events
-            .lock()
-            .unwrap()
-            .iter_mut()
-            .rev()
-            .find(|e| e.generation == generation)
-        {
-            ev.published_at = published_at;
-        }
         self.epochs.generation.store(generation, Ordering::Release);
         self.gauges.note_config_epoch(generation);
 
@@ -580,7 +532,7 @@ impl SwapController {
         // exits) before the old epoch can be retired.
         for ack in &self.epochs.acks {
             loop {
-                let v = ack.load(Ordering::Acquire);
+                let v = ack.generation.load(Ordering::Acquire);
                 if v == EXITED || v >= generation {
                     break;
                 }
@@ -607,14 +559,36 @@ impl SwapController {
         }
         let retired_at = self.epochs.base.elapsed();
 
-        let mut events = self.epochs.events.lock().unwrap();
-        let ev = events
-            .iter_mut()
-            .rev()
-            .find(|e| e.generation == generation)
-            .expect("event pushed above");
-        ev.retired_at = retired_at;
-        Ok(ev.clone())
+        // Per-core pickup lag from the stamps: each was stored before
+        // the ack (or exit) the grace loop acquired above. A core that
+        // exited without adopting this generation last stamped before
+        // the publish, so it reads 0.
+        let pickup_lag_us = self
+            .epochs
+            .acks
+            .iter()
+            .enumerate()
+            .map(|(core, ack)| {
+                let picked_up = Duration::from_nanos(ack.picked_up_ns.load(Ordering::Relaxed));
+                let lag = picked_up.saturating_sub(published_at);
+                let us = u64::try_from(lag.as_micros()).unwrap_or(u64::MAX);
+                self.gauges.note_swap_pickup_lag(core, us);
+                us
+            })
+            .collect();
+        Ok(SwapEvent {
+            generation,
+            requested_at,
+            staged_at,
+            published_at,
+            retired_at,
+            pickup_lag_us,
+            added,
+            removed,
+            rules_added,
+            rules_removed,
+            warnings,
+        })
     }
 }
 

@@ -51,7 +51,8 @@ use retina_telemetry::{
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
 use crate::executor::DispatchMode;
-use crate::governor::{Governor, GovernorConfig, ShedState};
+use crate::governor::{Governor, GovernorConfig, GovernorStage, ShedState};
+use crate::monitor::Monitor;
 use crate::pipeline::CorePipeline;
 use crate::reconfig::{stage_epoch, ConfigEpoch, EpochState, PreparedSwap, SwapController, EXITED};
 use crate::stats::CoreStats;
@@ -66,6 +67,19 @@ use crate::tracker::SubTally;
 /// [`crate::Monitor`], a fault layer) can fire anomaly triggers against
 /// whichever run is currently in flight without holding a stale tracer.
 pub type TraceHandle = Arc<std::sync::RwLock<Option<Arc<Tracer>>>>;
+
+/// Fires a flight-recorder trigger into the tracer `handle` holds — a
+/// no-op between runs and when tracing is off. A
+/// [`TriggerReason::DropBurst`] fires only when its detail (frames lost
+/// in one interval) exceeds the tracer's `drop_burst_threshold`.
+pub(crate) fn fire_trigger(handle: &TraceHandle, reason: TriggerReason, detail: u64) {
+    let Ok(guard) = handle.read() else { return };
+    if let Some(t) = guard.as_ref() {
+        if reason != TriggerReason::DropBurst || detail > t.config().drop_burst_threshold {
+            t.trigger(reason, detail);
+        }
+    }
+}
 
 /// A source of timestamped frames for the virtual NIC (the "wire").
 ///
@@ -90,7 +104,6 @@ pub struct RuntimeGauges {
     state_bytes: GaugeId,
     conn_arena_bytes: GaugeId,
     sim_clock_ns: GaugeId,
-    mbuf_high_water: GaugeId,
     config_epoch: GaugeId,
     swap_pickup_lag_us: GaugeId,
     parse_failures: CounterId,
@@ -105,7 +118,6 @@ impl RuntimeGauges {
         let state_bytes = registry.gauge("state_bytes", GaugeMerge::Sum);
         let conn_arena_bytes = registry.gauge("conn_arena_bytes", GaugeMerge::Sum);
         let sim_clock_ns = registry.gauge("sim_clock_ns", GaugeMerge::Max);
-        let mbuf_high_water = registry.gauge("mbuf_high_water", GaugeMerge::Max);
         let config_epoch = registry.gauge("config_epoch", GaugeMerge::Max);
         let swap_pickup_lag_us = registry.gauge("swap_pickup_lag_us", GaugeMerge::Max);
         let parse_failures = registry.counter("parse_failures");
@@ -116,7 +128,6 @@ impl RuntimeGauges {
             state_bytes,
             conn_arena_bytes,
             sim_clock_ns,
-            mbuf_high_water,
             config_epoch,
             swap_pickup_lag_us,
             parse_failures,
@@ -153,11 +164,6 @@ impl RuntimeGauges {
         self.registry.gauge_value(self.sim_clock_ns)
     }
 
-    /// Peak mempool occupancy mirrored from the NIC.
-    pub fn mbuf_high_water(&self) -> usize {
-        self.registry.gauge_value(self.mbuf_high_water) as usize
-    }
-
     /// L2–L4 parse failures flushed by the workers so far.
     pub fn parse_failures(&self) -> u64 {
         self.registry.counter_total(self.parse_failures)
@@ -192,15 +198,6 @@ impl RuntimeGauges {
         self.registry
             .shard(core)
             .max(self.swap_pickup_lag_us, lag_us);
-    }
-
-    /// Mirrors the mempool's high-water mark into the registry (called
-    /// by whichever thread observes the NIC; `Max` merge makes this
-    /// safe from any core).
-    pub fn note_mbuf_high_water(&self, peak: usize) {
-        self.registry
-            .shard(0)
-            .max(self.mbuf_high_water, peak as u64);
     }
 
     /// Flushes one worker's live state into its shard. Called from the
@@ -867,12 +864,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         })
     }
 
-    /// The swap ledger: one [`crate::SwapEvent`] per completed live
-    /// reconfiguration, oldest first.
-    pub fn swap_events(&self) -> Vec<crate::SwapEvent> {
-        self.epochs.events_snapshot()
-    }
-
     /// Enables (or reconfigures) per-flow tracing for subsequent runs.
     /// Every [`MultiRuntime::run`] / [`MultiRuntime::run_stepped`] then
     /// builds a fresh [`Tracer`] and attaches its [`TraceReport`] to the
@@ -936,15 +927,29 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// Starts an overload governor against this runtime. Call before
     /// (or during) [`MultiRuntime::run`]; stop it after the run to
     /// collect the decision stream.
+    ///
+    /// The governor owns the RETA from here on: the NIC's sink fraction
+    /// is reset to the configured floor. It is a stage of a sink-less
+    /// [`Monitor`] sampling every `config.interval`, with the dispatch
+    /// hub's occupancy as a pressure input and shed decisions firing
+    /// [`TriggerReason::GovernorShed`] into the live run's tracer.
     pub fn start_governor(&self, config: GovernorConfig) -> Governor {
-        Governor::start_traced(
-            Arc::clone(&self.nic),
-            Arc::clone(&self.gauges),
-            Arc::clone(&self.shed),
-            Some(self.dispatch_hub()),
+        let interval = config.interval;
+        let stage = GovernorStage::new(
             config,
+            &self.nic,
+            Arc::clone(&self.shed),
             Arc::clone(&self.trace_handle),
-        )
+        );
+        Governor {
+            monitor: Monitor::governed(
+                Arc::clone(&self.nic),
+                Arc::clone(&self.gauges),
+                self.dispatch_hub(),
+                stage,
+                interval,
+            ),
+        }
     }
 
     /// Runs the pipeline over a traffic source to completion, returning
@@ -1024,7 +1029,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             // Ack slots start at gen0 (not EXITED) so a swap issued
             // before a worker's first poll still waits for it.
             for ack in &self.epochs.acks {
-                ack.store(gen0, Ordering::Release);
+                ack.generation.store(gen0, Ordering::Release);
             }
         }
         self.gauges.note_config_epoch(gen0);
@@ -1093,15 +1098,13 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .map(|(name, stats)| (name, stats.snapshot()))
             .collect();
         let subs = sub_reports(&final_table, tallies, &retired);
-        let mbuf_high_water = self.nic.mempool().high_water();
-        self.gauges.note_mbuf_high_water(mbuf_high_water);
         let mut report = RunReport {
             elapsed: start.elapsed(),
             nic: self.nic.stats(),
             cores,
             subs,
             sim_duration_ns,
-            mbuf_high_water,
+            mbuf_high_water: self.nic.mempool().high_water(),
             conn_arena_bytes: self.gauges.conn_arena_bytes(),
             filter_warnings: self.filter_warnings.clone(),
             trace: None,
@@ -1240,7 +1243,8 @@ fn worker_loop<F: FilterFns>(
         config,
         trace.cloned(),
     );
-    epochs.acks[core as usize].store(epoch.generation, Ordering::Release);
+    let ack = &epochs.acks[core as usize];
+    ack.generation.store(epoch.generation, Ordering::Release);
     let mut burst = Vec::with_capacity(config.burst);
     let mut since_advance = 0usize;
     let update_gauges = |pipeline: &CorePipeline<F>, connections, state_bytes| {
@@ -1280,10 +1284,12 @@ fn worker_loop<F: FilterFns>(
                 &mut sinks,
             );
             sinks = claim_sinks(&epoch);
-            if let Some(us) = epochs.note_pickup(core as usize, epoch.generation) {
-                gauges.note_swap_pickup_lag(core as usize, us);
-            }
-            epochs.acks[core as usize].store(epoch.generation, Ordering::Release);
+            // The pickup stamp is published by the ack's Release store
+            // (paired with the grace loop's Acquire load in
+            // `SwapController::swap`, which then reads the stamp).
+            let now_ns = u64::try_from(epochs.base.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            ack.picked_up_ns.store(now_ns, Ordering::Relaxed);
+            ack.generation.store(epoch.generation, Ordering::Release);
         }
         // Injected worker-core slowdown (fault layer): stall before
         // polling, as a scheduling hiccup would.
@@ -1329,6 +1335,6 @@ fn worker_loop<F: FilterFns>(
     update_gauges(&pipeline, 0, 0);
     // Exited: any in-flight (or future) grace period treats this core
     // as having acknowledged every generation.
-    epochs.acks[core as usize].store(EXITED, Ordering::Release);
+    ack.generation.store(EXITED, Ordering::Release);
     pipeline.finish()
 }

@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Live dispatch counters for one subscription (shared between its
-/// producer sinks, its worker, and the governor's sampling thread).
+/// producer sinks, its worker, and the monitor tick the governor runs
+/// in).
 #[derive(Debug, Default)]
 pub struct DispatchStats {
     /// Total ring capacity across all per-core rings (0 = inline, no

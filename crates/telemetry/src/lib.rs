@@ -23,16 +23,17 @@
 //!   dispatch counters (queue depth, drops by reason, blocked sends)
 //!   whose worst-case occupancy feeds the governor as the
 //!   queue-pressure shed input.
-//! * [`GovernorEvent`] / [`EventLog`] — the overload governor's
-//!   decision stream, with [`check_governor_accounting`] proving that
-//!   every shed is matched by a restore and no decision exceeded the
-//!   configured step bound.
+//! * [`Tracer`] and its [`TraceEvent`] lanes — per-flow causal tracing
+//!   and the anomaly flight recorder ([`TriggerReason`] freezes it).
+//!
+//! The overload governor's decision stream and the live-swap record are
+//! not here: each is the value its producer returns
+//! (`retina_core::GovernorReport`, `retina_core::SwapEvent`).
 
 #![warn(missing_docs)]
 
 pub mod dispatch;
 pub mod drops;
-pub mod events;
 pub mod export;
 pub mod histogram;
 pub mod json;
@@ -42,9 +43,6 @@ pub mod trace;
 
 pub use dispatch::{DispatchHub, DispatchSnapshot, DispatchStats};
 pub use drops::{DropBreakdown, DropReason, DropSubject};
-pub use events::{
-    check_governor_accounting, EventLog, GovernorAction, GovernorEvent, PressureSignals,
-};
 pub use export::{CsvSink, JsonSink, LogSink, MetricSink, PrometheusSink, Sample, SharedBuf};
 pub use histogram::{LogHistogram, NUM_BUCKETS};
 pub use registry::{CounterId, GaugeId, GaugeMerge, MetricsSnapshot, Registry, Shard};

@@ -75,8 +75,8 @@ pub enum TraceKind {
     /// bitmap, `b` = live subscription bitmap.
     PacketVerdict = 3,
     /// One packet-filter frontier node left live for later layers;
-    /// `a` = raw node id (union filters pack `sub << 24 | node`),
-    /// `b` = layer (0 = packet).
+    /// `a` = trie node id in the merged filter, `b` = layer
+    /// (0 = packet).
     FilterNode = 4,
     /// Connection-filter verdict; `a` = matched bitmap, `b` = live.
     ConnVerdict = 5,

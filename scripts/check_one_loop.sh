@@ -99,6 +99,22 @@
 # `drain(…).collect()` (a head or line copied out of a buffer) and no
 # `handshake.clone()` (a finished handshake moves into its session).
 #
+# Monitoring is one feedback loop, and a run's records are the values
+# their producers return. `Sampler::tick` in crates/core/src/monitor.rs
+# is the one place that sleeps an interval and reads NIC and gauge state;
+# the overload governor is a stage of that tick (its decision stream is
+# the brain's own Vec, moved into `GovernorReport`), and a live swap's
+# record is built once by `SwapController::swap` from the workers'
+# pickup stamps. The governor once ran a second thread repeating the
+# monitor's sleep-and-sample, and the shared ledgers beside them had no
+# reader. So:
+#
+#   * non-test crates/core/src/governor.rs has no `thread::spawn` and
+#     no `thread::sleep`;
+#   * there is no crates/telemetry/src/events.rs and no `EventLog`
+#     anywhere under crates/;
+#   * non-test crates/core/src has no `Mutex<Vec<SwapEvent>>`.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -260,6 +276,31 @@ for file in crates/protocols/src/tls/mod.rs crates/protocols/src/http.rs \
     fi
 done
 
+hits=$(code_lines crates/core/src/governor.rs | grep -E 'thread::(spawn|sleep)\b' || true)
+if [ -n "$hits" ]; then
+    echo "the governor samples on its own (it is a stage of the monitor tick):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+if [ -e crates/telemetry/src/events.rs ]; then
+    echo "crates/telemetry/src/events.rs is back (the decision stream is the governor brain's own)" >&2
+    fail=1
+fi
+hits=$(grep -rnw --include='*.rs' 'EventLog' crates || true)
+if [ -n "$hits" ]; then
+    echo "an EventLog under crates/ (the governor's events move into its report):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(for file in $(find crates/core/src -name '*.rs' | sort); do
+    code_lines "$file"
+done | grep -E 'Mutex<Vec<([[:alnum:]_]+::)*SwapEvent>>' || true)
+if [ -n "$hits" ]; then
+    echo "a swap ledger in crates/core/src (swap() returns the one SwapEvent it builds):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -270,4 +311,5 @@ echo "  no boxed output anywhere in core, no box in the emitter, no boxed probe 
 echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; the tracker copies at the probe spill only;"
 echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
-echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake"
+echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
+echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists"

@@ -22,11 +22,13 @@ use retina_chaos::{
     arm_parser_panics, chaos_parser_factory, disarm_parser_panics, ChaosSource, Fault, FaultPlan,
 };
 use retina_core::subscribables::ConnRecord;
-use retina_core::{compile, GovernorBrain, GovernorConfig, RunReport, Runtime, RuntimeConfig};
+use retina_core::{
+    check_governor_accounting, compile, GovernorBrain, GovernorConfig, PressureSignals, RunReport,
+    Runtime, RuntimeConfig,
+};
 use retina_protocols::ParserRegistry;
 use retina_support::bytes::Bytes;
 use retina_support::proptest::prelude::*;
-use retina_telemetry::{check_governor_accounting, PressureSignals};
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_trafficgen::PreloadedSource;
 
