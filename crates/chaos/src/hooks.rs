@@ -7,12 +7,10 @@
 //! itself drives, never the wall clock, so the same plan perturbs the
 //! same events on every run.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use retina_core::TraceHandle;
 use retina_nic::FaultHooks;
-use retina_telemetry::TriggerReason;
 
 use crate::plan::{Fault, FaultPlan};
 
@@ -27,10 +25,6 @@ pub struct ChaosHooks {
     core_polls: Vec<AtomicU64>,
     /// Per-core epoch-pickup counters (swap stalls are pickup-indexed).
     core_pickups: Vec<AtomicU64>,
-    /// Optional runtime trace handle: the first fault activation of the
-    /// run freezes the installed tracer's flight recorder.
-    trace: Option<TraceHandle>,
-    fired: AtomicBool,
 }
 
 impl ChaosHooks {
@@ -43,20 +37,7 @@ impl ChaosHooks {
             queue_polls: (0..n).map(|_| AtomicU64::new(0)).collect(),
             core_polls: (0..n).map(|_| AtomicU64::new(0)).collect(),
             core_pickups: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            trace: None,
-            fired: AtomicBool::new(false),
         }
-    }
-
-    /// Attaches a runtime's trace handle
-    /// ([`retina_core::MultiRuntime::trace_handle`]): the first fault
-    /// this layer activates fires a [`TriggerReason::ChaosFault`]
-    /// trigger into whichever tracer is installed, freezing the flight
-    /// recorder around the moment the fault hit.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
-        self
     }
 
     /// The plan the hooks were built from.
@@ -70,36 +51,16 @@ impl ChaosHooks {
             .get(queue as usize)
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
-
-    /// First-activation trigger: freezes the flight recorder exactly
-    /// once per run, with the fault's key event as the detail.
-    fn fire(&self, detail: u64) {
-        let Some(handle) = &self.trace else {
-            return;
-        };
-        if self.fired.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        if let Ok(guard) = handle.read() {
-            if let Some(t) = guard.as_ref() {
-                t.trigger(TriggerReason::ChaosFault, detail);
-            }
-        }
-    }
 }
 
 impl FaultHooks for ChaosHooks {
     fn mempool_squeezed(&self, seq: u64) -> bool {
-        let hit = self.plan.faults.iter().any(|f| match f {
+        self.plan.faults.iter().any(|f| match f {
             Fault::MempoolSqueeze { start_seq, frames } => {
                 seq >= *start_seq && seq - *start_seq < *frames
             }
             _ => false,
-        });
-        if hit {
-            self.fire(seq);
-        }
-        hit
+        })
     }
 
     fn ring_stalled(&self, queue: u16) -> bool {
@@ -107,24 +68,20 @@ impl FaultHooks for ChaosHooks {
             return false;
         };
         let poll = counter.fetch_add(1, Ordering::Relaxed);
-        let hit = self.plan.faults.iter().any(|f| match f {
+        self.plan.faults.iter().any(|f| match f {
             Fault::RingStall {
                 queue: q,
                 start_poll,
                 polls,
             } => *q == queue && poll >= *start_poll && poll - *start_poll < *polls,
             _ => false,
-        });
-        if hit {
-            self.fire(poll);
-        }
-        hit
+        })
     }
 
     fn worker_delay(&self, core: u16) -> Option<Duration> {
         let counter = self.core_polls.get(core as usize)?;
         let poll = counter.fetch_add(1, Ordering::Relaxed);
-        let hit = self.plan.faults.iter().find_map(|f| match f {
+        self.plan.faults.iter().find_map(|f| match f {
             Fault::WorkerSlowdown {
                 core: c,
                 start_poll,
@@ -132,35 +89,27 @@ impl FaultHooks for ChaosHooks {
                 delay,
             } if *c == core && poll >= *start_poll && poll - *start_poll < *polls => Some(*delay),
             _ => None,
-        });
-        if hit.is_some() {
-            self.fire(poll);
-        }
-        hit
+        })
     }
 
     fn swap_pickup_delay(&self, core: u16) -> Option<Duration> {
         let counter = self.core_pickups.get(core as usize)?;
         let pickup = counter.fetch_add(1, Ordering::Relaxed);
-        let hit = self.plan.faults.iter().find_map(|f| match f {
+        self.plan.faults.iter().find_map(|f| match f {
             Fault::SwapStall {
                 core: c,
                 pickups,
                 delay,
             } if *c == core && pickup < *pickups => Some(*delay),
             _ => None,
-        });
-        if hit.is_some() {
-            self.fire(pickup);
-        }
-        hit
+        })
     }
 
     fn callback_delay(&self, sub: u16, seq: u64) -> Option<Duration> {
         // Stateless: the dispatch worker supplies the per-subscription
         // item sequence, so the window check needs no counter here and
         // the decision is replayable from the plan alone.
-        let hit = self.plan.faults.iter().find_map(|f| match f {
+        self.plan.faults.iter().find_map(|f| match f {
             Fault::CallbackStall {
                 sub: s,
                 start_item,
@@ -168,11 +117,7 @@ impl FaultHooks for ChaosHooks {
                 delay,
             } if *s == sub && seq >= *start_item && seq - *start_item < *items => Some(*delay),
             _ => None,
-        });
-        if hit.is_some() {
-            self.fire(seq);
-        }
-        hit
+        })
     }
 }
 

@@ -74,14 +74,6 @@ impl TcpFlow {
         }
     }
 
-    /// Both directions' stats, selected by direction.
-    pub fn dir_stats(&self, dir: Dir) -> &DirStats {
-        match dir {
-            Dir::OrigToResp => &self.ctos,
-            Dir::RespToOrig => &self.stoc,
-        }
-    }
-
     /// The reassembler for a direction.
     pub fn reassembler(&mut self, dir: Dir) -> &mut StreamReassembler {
         match dir {

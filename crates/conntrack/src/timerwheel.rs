@@ -99,13 +99,6 @@ impl TimerWheel {
         self.len == 0
     }
 
-    /// The exact-scheduling horizon in nanoseconds: deadlines further
-    /// out are clamped to the top level and re-placed on cascade (so
-    /// they still fire exactly, at bounded extra cost).
-    pub fn horizon_ns(&self) -> u64 {
-        self.tick_ns * (self.span_ticks(LEVELS) - 1)
-    }
-
     /// Ticks covered by levels `0..level`.
     fn span_ticks(&self, level: usize) -> u64 {
         1 << (self.shift as usize * level)

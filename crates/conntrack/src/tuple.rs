@@ -1,6 +1,6 @@
 //! Connection identity: five-tuples and canonical table keys.
 
-use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::net::{IpAddr, SocketAddr};
 
 use retina_wire::ParsedPacket;
 
@@ -226,11 +226,6 @@ fn cmp_addr(a: &SocketAddr, b: &SocketAddr) -> std::cmp::Ordering {
         (SocketAddr::V4(_), SocketAddr::V6(_)) => std::cmp::Ordering::Less,
         (SocketAddr::V6(_), SocketAddr::V4(_)) => std::cmp::Ordering::Greater,
     }
-}
-
-/// A placeholder address for empty slots (used by tests).
-pub fn unspecified() -> SocketAddr {
-    SocketAddr::new(IpAddr::V4(Ipv4Addr::UNSPECIFIED), 0)
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //!   measurable loss upstream) rather than as silently missing results.
 //! * [`QueuePolicy::Shed`] — isolating. A full ring drops the result
 //!   *with accounting* (`dropped_full` in the per-subscription
-//!   [`DispatchStats`]), so one saturated subscription can never stall
-//!   the RX pipeline or its sibling subscriptions.
+//!   [`retina_telemetry::DispatchStats`]), so one saturated subscription
+//!   can never stall the RX pipeline or its sibling subscriptions.
 //!
 //! Every handoff outcome is counted in [`retina_telemetry::dispatch`];
 //! the worst ring occupancy feeds the overload governor as its
@@ -37,14 +37,13 @@
 //! order is promised, same as inline (workers race on shared state
 //! either way).
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use retina_nic::Mbuf;
 use retina_support::sync::spsc::{self, TryRecvError, TrySendError};
-use retina_telemetry::{trace::TraceDropCode, DispatchStats, TraceKind, Tracer, TriggerReason};
+use retina_telemetry::{trace::TraceDropCode, DispatchRow, TraceKind, Tracer, TriggerReason};
 
 use crate::erased::{take_output, Callback, ErasedSubscription, TrackedSlab, TypedSubscription};
 use crate::pipeline::Transport;
@@ -230,24 +229,15 @@ impl<T: Send> RingRx<T> for spsc::Consumer<T> {
 /// tracepoint order of inline execution, a producer's send and a
 /// worker's drain — written here and nowhere else, so the threaded
 /// runtime and the stepped harness execute the same one, whatever the
-/// datum's type. Generic over how the counters are held: shared with the
-/// runtime's hub (`Arc<DispatchStats>`, threaded), owned in place
-/// (stepped), or borrowed from either.
+/// datum's type. The counters are the subscription's row of the run's
+/// table, which both drivers share with whoever reads them.
 #[derive(Clone)]
-pub(crate) struct Lane<D> {
-    pub(crate) stats: D,
+pub(crate) struct Lane {
+    pub(crate) stats: DispatchRow,
     pub(crate) sub_idx: u16,
 }
 
-impl<D: Borrow<DispatchStats>> Lane<D> {
-    /// The lane with its counters borrowed.
-    pub(crate) fn view(&self) -> Lane<&DispatchStats> {
-        Lane {
-            stats: self.stats.borrow(),
-            sub_idx: self.sub_idx,
-        }
-    }
-
+impl Lane {
     /// A tracepoint of a sampled flow on the caller's lane.
     fn emit(&self, trace: TraceLane<'_>, trace_id: u64, kind: TraceKind, b: u64) {
         if trace_id != 0 {
@@ -261,11 +251,10 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     /// every flow (the flight recorder wants drops of unsampled flows
     /// too), and a shed fires the anomaly trigger.
     fn drop_result(&self, trace: TraceLane<'_>, trace_id: u64, code: TraceDropCode) {
-        let stats = self.stats.borrow();
         if code == TraceDropCode::DispatchShed {
-            stats.note_dropped_full();
+            self.stats.note_dropped_full();
         } else {
-            stats.note_dropped_disconnected();
+            self.stats.note_dropped_disconnected();
         }
         if let Some((t, lane)) = trace {
             t.emit(
@@ -288,7 +277,7 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     pub(crate) fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, callback: impl FnOnce()) {
         self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
         callback();
-        self.stats.borrow().note_inline();
+        self.stats.note_inline();
         self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
     }
 
@@ -296,7 +285,7 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     /// fact: start/end are emitted together once the callback has run,
     /// because whether the frame yields a datum is only known then.
     fn ran_inline(&self, trace: TraceLane<'_>, trace_id: u64) {
-        self.stats.borrow().note_inline();
+        self.stats.note_inline();
         self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
         self.emit(trace, trace_id, TraceKind::CallbackEnd, 0);
     }
@@ -316,7 +305,7 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
         trace_id: u64,
         datum: T,
     ) -> Option<Item<T>> {
-        let stats = self.stats.borrow();
+        let stats = &self.stats;
         match ring.try_push((trace_id, datum)) {
             Ok(()) => {
                 stats.note_enqueued();
@@ -345,7 +334,7 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
     /// (`pushed`), or its worker is gone and the result is lost.
     pub(crate) fn unblocked(&self, trace: TraceLane<'_>, trace_id: u64, pushed: bool) {
         if pushed {
-            self.stats.borrow().note_enqueued();
+            self.stats.note_enqueued();
         } else {
             self.drop_result(trace, trace_id, TraceDropCode::WorkerDisconnected);
         }
@@ -363,7 +352,7 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
         mut before_callback: impl FnMut(),
         mut callback: impl FnMut(T),
     ) -> (usize, bool) {
-        let stats = self.stats.borrow();
+        let stats = &self.stats;
         for ran in 0..budget {
             match ring.try_pop() {
                 Ok((trace_id, datum)) => {
@@ -384,57 +373,39 @@ impl<D: Borrow<DispatchStats>> Lane<D> {
 
 /// One subscription's delivery sink on one RX core, over either kind of
 /// ring.
-pub(crate) enum Sink<D, Q: ?Sized> {
+pub(crate) enum Sink<Q: ?Sized> {
     /// Runs the callback on the delivering core, through the subscription
     /// itself (see [`Deliver`]): nothing is allocated for it. Spec-only
     /// subscriptions stay here in every mode: they have nothing to run on
     /// a worker.
-    Inline(Arc<dyn ErasedSubscription>, Lane<D>),
+    Inline(Arc<dyn ErasedSubscription>, Lane),
     /// Crosses a ring made for the datum's type to a worker. Boxed: most
     /// of a table is inline lanes, which should not each carry a ring's
     /// worth of space.
-    Queued(Box<Queued<D, Q>>),
+    Queued(Box<Queued<Q>>),
 }
 
-/// A sink whose results cross a ring: the subscription, its lane, and
-/// the producer end of its ring (`Q`: a [`Queue`] with its datum's type
-/// erased).
-pub(crate) struct Queued<D, Q: ?Sized> {
-    pub(crate) sub: Arc<dyn ErasedSubscription>,
-    pub(crate) lane: Lane<D>,
+/// A sink whose results cross a ring: its lane, and the producer end of
+/// its ring (`Q`: a [`Queue`] with its datum's type erased).
+pub(crate) struct Queued<Q: ?Sized> {
+    pub(crate) lane: Lane,
     pub(crate) queue: Q,
 }
 
-impl<D: Borrow<DispatchStats>, Q: ?Sized + Enqueue<D>> Sink<D, Q> {
+impl<Q: ?Sized + Enqueue> Sink<Q> {
     /// A sink for `sub` on `lane` under `mode`: queued as `queued(lane)`
     /// builds it when the subscription has ring capacity (see
     /// [`ring_capacity`]), inline otherwise.
     pub(crate) fn new(
         sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane<D>,
+        lane: Lane,
         mode: DispatchMode,
-        queued: impl FnOnce(Lane<D>) -> Box<Queued<D, Q>>,
+        queued: impl FnOnce(Lane) -> Box<Queued<Q>>,
     ) -> Self {
         if ring_capacity(&**sub, mode, 1) == 0 {
             Sink::Inline(Arc::clone(sub), lane)
         } else {
             Sink::Queued(queued(lane))
-        }
-    }
-
-    /// The subscription the sink delivers to.
-    pub(crate) fn sub(&self) -> &dyn ErasedSubscription {
-        match self {
-            Sink::Inline(sub, _) => &**sub,
-            Sink::Queued(q) => &*q.sub,
-        }
-    }
-
-    /// The sink's lane (counters, index).
-    pub(crate) fn lane(&self) -> &Lane<D> {
-        match self {
-            Sink::Inline(_, lane) => lane,
-            Sink::Queued(q) => &q.lane,
         }
     }
 
@@ -445,7 +416,7 @@ impl<D: Borrow<DispatchStats>, Q: ?Sized + Enqueue<D>> Sink<D, Q> {
     pub(crate) fn deliver(&mut self, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
         match self {
             Sink::Inline(sub, lane) => {
-                sub.delivery().0.run_inline(lane.view(), trace, slab);
+                sub.delivery().0.run_inline(lane, trace, slab);
                 false
             }
             Sink::Queued(q) => q.queue.enqueue(&q.lane, trace, slab),
@@ -466,9 +437,7 @@ impl<D: Borrow<DispatchStats>, Q: ?Sized + Enqueue<D>> Sink<D, Q> {
         match self {
             Sink::Inline(sub, lane) => {
                 let delivery = sub.delivery();
-                let produced = delivery
-                    .0
-                    .run_inline_from_mbuf(lane.view(), trace, mbuf, trace_id);
+                let produced = delivery.0.run_inline_from_mbuf(lane, trace, mbuf, trace_id);
                 (produced, false)
             }
             Sink::Queued(q) => q.queue.enqueue_from_mbuf(&q.lane, trace, mbuf, trace_id),
@@ -478,15 +447,14 @@ impl<D: Borrow<DispatchStats>, Q: ?Sized + Enqueue<D>> Sink<D, Q> {
 
 /// The producer end of one subscription's ring, with its datum's type
 /// erased: what a queued [`Sink`] holds.
-pub(crate) trait Enqueue<D>: Send {
+pub(crate) trait Enqueue: Send {
     /// [`Sink::deliver`] for a queued sink.
-    fn enqueue(&mut self, lane: &Lane<D>, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab)
-        -> bool;
+    fn enqueue(&mut self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool;
 
     /// [`Sink::deliver_from_mbuf`] for a queued sink.
     fn enqueue_from_mbuf(
         &mut self,
-        lane: &Lane<D>,
+        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
@@ -504,13 +472,7 @@ pub(crate) struct Queue<S, R> {
 impl<S, R: RingTx<Item<S>>> Queue<S, R> {
     /// Offers one datum to the ring, waiting out a blocked send the way
     /// the ring allows. Returns whether the send parked.
-    fn send<D: Borrow<DispatchStats>>(
-        &mut self,
-        lane: &Lane<D>,
-        trace: TraceLane<'_>,
-        trace_id: u64,
-        datum: S,
-    ) -> bool {
+    fn send(&mut self, lane: &Lane, trace: TraceLane<'_>, trace_id: u64, datum: S) -> bool {
         let Some(item) = lane.offer(trace, &mut self.ring, self.policy, trace_id, datum) else {
             return false;
         };
@@ -524,19 +486,9 @@ impl<S, R: RingTx<Item<S>>> Queue<S, R> {
     }
 }
 
-impl<S, R, D> Enqueue<D> for Queue<S, R>
-where
-    S: Subscribable,
-    R: RingTx<Item<S>> + Send,
-    D: Borrow<DispatchStats>,
-{
+impl<S: Subscribable, R: RingTx<Item<S>> + Send> Enqueue for Queue<S, R> {
     #[inline]
-    fn enqueue(
-        &mut self,
-        lane: &Lane<D>,
-        trace: TraceLane<'_>,
-        slab: &mut dyn TrackedSlab,
-    ) -> bool {
+    fn enqueue(&mut self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
         let (trace_id, datum) = take_output::<S>(slab);
         self.send(lane, trace, trace_id, datum)
     }
@@ -544,7 +496,7 @@ where
     #[inline]
     fn enqueue_from_mbuf(
         &mut self,
-        lane: &Lane<D>,
+        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
@@ -573,7 +525,7 @@ pub(crate) trait WorkerRing: Send {
 
 /// The [`WorkerRing`] of a ring made for `S`s.
 struct Worker<S> {
-    lane: Lane<Arc<DispatchStats>>,
+    lane: Lane,
     callback: Callback<S>,
     rx: spsc::Consumer<Item<S>>,
 }
@@ -602,61 +554,41 @@ impl<S: Send + 'static> WorkerRing for Worker<S> {
 pub(crate) trait Deliver: Send + Sync {
     /// Inline execution of the subscription's next datum, the head of its
     /// output lane in `slab`.
-    fn run_inline(
-        &self,
-        lane: Lane<&DispatchStats>,
-        trace: TraceLane<'_>,
-        slab: &mut dyn TrackedSlab,
-    );
+    fn run_inline(&self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab);
 
     /// Inline packet-level fast path: builds the datum from the frame and
     /// runs the callback on it. Returns whether the frame yielded one
     /// (never, for a spec-only subscription: it builds none).
     fn run_inline_from_mbuf(
         &self,
-        lane: Lane<&DispatchStats>,
+        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
     ) -> bool;
 
-    /// `sub`'s queued sink on `lane` under `mode`, over a real SPSC ring
-    /// made for the datum's type, and the ring's consumer end for a
-    /// worker.
+    /// The queued sink on `lane` under `mode`, over a real SPSC ring made
+    /// for the datum's type, and the ring's consumer end for a worker.
     fn threaded_ring(
         &self,
-        sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane<Arc<DispatchStats>>,
+        lane: Lane,
         mode: DispatchMode,
     ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>);
 
-    /// `sub`'s queued sink on `lane` under `mode` in the stepped harness,
+    /// The queued sink on `lane` under `mode` in the stepped harness,
     /// over a ring in virtual time.
-    fn stepped_ring(
-        &self,
-        sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane<DispatchStats>,
-        mode: DispatchMode,
-    ) -> Box<StepQueued>;
+    fn stepped_ring(&self, lane: Lane, mode: DispatchMode) -> Box<StepQueued>;
 }
 
-/// The producer end of a threaded ring.
-pub(crate) type ThreadedQueue = dyn Enqueue<Arc<DispatchStats>>;
-
 /// A threaded queued sink.
-pub(crate) type ThreadedQueued = Queued<Arc<DispatchStats>, ThreadedQueue>;
+pub(crate) type ThreadedQueued = Queued<dyn Enqueue>;
 
 /// A stepped queued sink.
-pub(crate) type StepQueued = Queued<DispatchStats, dyn StepQueue>;
+pub(crate) type StepQueued = Queued<dyn StepQueue>;
 
 impl<S: Subscribable> Deliver for TypedSubscription<S> {
     #[inline]
-    fn run_inline(
-        &self,
-        lane: Lane<&DispatchStats>,
-        trace: TraceLane<'_>,
-        slab: &mut dyn TrackedSlab,
-    ) {
+    fn run_inline(&self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) {
         let (trace_id, datum) = take_output::<S>(slab);
         lane.run_inline(trace, trace_id, || {
             if let Some(callback) = self.callback() {
@@ -668,7 +600,7 @@ impl<S: Subscribable> Deliver for TypedSubscription<S> {
     #[inline]
     fn run_inline_from_mbuf(
         &self,
-        lane: Lane<&DispatchStats>,
+        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
@@ -686,8 +618,7 @@ impl<S: Subscribable> Deliver for TypedSubscription<S> {
 
     fn threaded_ring(
         &self,
-        sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane<Arc<DispatchStats>>,
+        lane: Lane,
         mode: DispatchMode,
     ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>) {
         let (ring, rx) = spsc::ring::<Item<S>>(mode.depth());
@@ -697,19 +628,12 @@ impl<S: Subscribable> Deliver for TypedSubscription<S> {
             callback: Arc::clone(&queue.callback),
             rx,
         };
-        let sub = Arc::clone(sub);
-        (Box::new(Queued { sub, lane, queue }), Box::new(worker))
+        (Box::new(Queued { lane, queue }), Box::new(worker))
     }
 
-    fn stepped_ring(
-        &self,
-        sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane<DispatchStats>,
-        mode: DispatchMode,
-    ) -> Box<StepQueued> {
+    fn stepped_ring(&self, lane: Lane, mode: DispatchMode) -> Box<StepQueued> {
         let queue = self.queue(VirtualRing::<Item<S>>::new(mode.depth()), mode);
-        let sub = Arc::clone(sub);
-        Box::new(Queued { sub, lane, queue })
+        Box::new(Queued { lane, queue })
     }
 }
 
@@ -732,7 +656,7 @@ impl<S: Subscribable> TypedSubscription<S> {
 /// The threaded [`Transport`]: one RX core's sinks, indexed by
 /// subscription, over real SPSC rings.
 pub(crate) struct CoreSinks {
-    sinks: Vec<Sink<Arc<DispatchStats>, ThreadedQueue>>,
+    sinks: Vec<Sink<dyn Enqueue>>,
     /// The run's tracer and this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
 }
@@ -770,7 +694,7 @@ impl Dispatcher {
 
 /// Builds the full dispatch fabric for one configuration epoch: one
 /// [`CoreSinks`] per RX core plus the [`Dispatcher`] owning the worker
-/// threads. `stats[i]` are subscription `i`'s counters.
+/// threads. `stats[i]` are subscription `i`'s counters, its row's.
 ///
 /// Inline subscriptions run on the RX core; dispatched subscriptions
 /// get one SPSC ring per RX core, with dedicated subscriptions draining
@@ -785,7 +709,7 @@ impl Dispatcher {
 pub(crate) fn channel_dispatcher(
     subs: &[Arc<dyn ErasedSubscription>],
     modes: &[DispatchMode],
-    stats: &[Arc<DispatchStats>],
+    stats: &[DispatchRow],
     cores: usize,
     shared_workers: usize,
     delay: &CallbackDelayFn,
@@ -810,11 +734,11 @@ pub(crate) fn channel_dispatcher(
         let mut rings = Vec::new();
         for core in &mut per_core {
             let lane = Lane {
-                stats: Arc::clone(&stats[i]),
+                stats: stats[i].clone(),
                 sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
             };
             let sink = Sink::new(sub, lane, modes[i], |lane| {
-                let (queued, ring) = sub.delivery().0.threaded_ring(sub, lane, modes[i]);
+                let (queued, ring) = sub.delivery().0.threaded_ring(lane, modes[i]);
                 rings.push(ring);
                 queued
             });
@@ -971,12 +895,11 @@ mod tests {
         cores: usize,
         shared_workers: usize,
         delay: &CallbackDelayFn,
-    ) -> (Vec<CoreSinks>, Dispatcher, Vec<Arc<DispatchStats>>) {
-        let stats: Vec<Arc<DispatchStats>> = subs
-            .iter()
-            .zip(modes)
-            .map(|(s, m)| Arc::new(DispatchStats::with_capacity(ring_capacity(&**s, *m, cores))))
-            .collect();
+    ) -> (Vec<CoreSinks>, Dispatcher, Vec<DispatchRow>) {
+        let stats: Vec<DispatchRow> = DispatchRow::block(subs.len()).collect();
+        for ((row, sub), mode) in stats.iter().zip(subs).zip(modes) {
+            row.set_capacity(ring_capacity(&**sub, *mode, cores));
+        }
         let (sinks, dispatcher) =
             channel_dispatcher(subs, modes, &stats, cores, shared_workers, delay, None);
         (sinks, dispatcher, stats)
@@ -1153,9 +1076,10 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         };
         let lane = Lane {
-            stats: DispatchStats::with_capacity(2),
+            stats: DispatchRow::block(1).next().unwrap(),
             sub_idx: 5,
         };
+        lane.stats.set_capacity(2);
         let tracer = Tracer::new_virtual(TraceConfig::default(), 1, 1);
         let rx: TraceLane<'_> = Some((&tracer, RX));
         let worker: TraceLane<'_> = Some((&tracer, WORKER));

@@ -64,6 +64,7 @@ pub mod monitor;
 pub mod offline;
 pub mod pipeline;
 pub mod reconfig;
+pub mod report;
 pub mod runtime;
 pub mod stats;
 pub mod step;
@@ -85,9 +86,9 @@ pub use monitor::{Monitor, MonitorSample};
 pub use offline::run_offline;
 pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
+pub use report::{RunReport, SubReport};
 pub use runtime::{
-    MultiRuntime, RunReport, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, SubReport,
-    TraceHandle, TrafficSource,
+    MultiRuntime, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, TraceHandle, TrafficSource,
 };
 pub use stats::{CoreStats, StageStats};
 pub use step::{StepConfig, WorkerStall};

@@ -144,8 +144,9 @@ fn packet_mask(subs: &[Arc<dyn ErasedSubscription>]) -> SubscriptionSet {
 }
 
 /// One core's pipeline state: the merged filter, the connection
-/// tracker (with its statistics and per-subscription tallies), stage
-/// profiling and the RX-lane tracepoints.
+/// tracker (with its statistics and the core's tallies, one per row of
+/// the run's subscription table), stage profiling and the RX-lane
+/// tracepoints.
 pub struct CorePipeline<F: FilterFns> {
     filter: Arc<F>,
     packet_mask: SubscriptionSet,
@@ -154,8 +155,6 @@ pub struct CorePipeline<F: FilterFns> {
     /// Tracepoint sink plus this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
     max_ts: u64,
-    /// Tallies of subscriptions removed by the swaps this core adopted.
-    removed: Vec<(String, SubTally)>,
     /// The burst scratch: what S0–S3 of [`CorePipeline::on_burst`] stage
     /// for S4, empty between bursts. Inline in the pipeline — which all
     /// four drivers keep in a stack frame — and never on the heap: the
@@ -167,8 +166,9 @@ pub struct CorePipeline<F: FilterFns> {
 }
 
 impl<F: FilterFns> CorePipeline<F> {
-    /// A pipeline serving `subs` (the table `filter` was built for).
-    /// `trace` is the run's tracer and this core's RX lane.
+    /// A pipeline serving `subs` (the table `filter` was built for), a
+    /// run's first table: subscription `i` counts into row `i`. `trace`
+    /// is the run's tracer and this core's RX lane.
     pub fn new(
         filter: Arc<F>,
         subs: &[Arc<dyn ErasedSubscription>],
@@ -193,7 +193,6 @@ impl<F: FilterFns> CorePipeline<F> {
             profile: config.profile_stages,
             trace,
             max_ts: 0,
-            removed: Vec::new(),
             scratch: [const { None }; BURST_MAX],
         }
     }
@@ -206,6 +205,13 @@ impl<F: FilterFns> CorePipeline<F> {
     /// Largest packet timestamp seen so far (the simulation clock, ns).
     pub fn max_ts(&self) -> u64 {
         self.max_ts
+    }
+
+    /// Points the table's subscriptions at their rows of the run's table
+    /// (`rows[i]`: subscription `i`'s), for a pipeline that starts on a
+    /// table a swap installed.
+    pub(crate) fn set_rows(&mut self, rows: &[usize]) {
+        self.tracker.set_rows(rows);
     }
 
     /// Mirrors the governor's parsing-shed flag (picked up once per
@@ -401,7 +407,7 @@ impl<F: FilterFns> CorePipeline<F> {
                     let tc = profile.then(rdtsc);
                     if transport.deliver_from_mbuf(i, mbuf, tid) {
                         tracker.stats_mut().callbacks.runs += 1;
-                        tracker.sub_tallies_mut()[i].delivered += 1;
+                        tracker.tally_mut(i).delivered += 1;
                         if let Some(t) = tc {
                             let cycles = rdtsc().wrapping_sub(t);
                             tracker.stats_mut().callbacks.record_cycles(cycles);
@@ -448,29 +454,27 @@ impl<F: FilterFns> CorePipeline<F> {
     /// [`ConnTracker::rebind`]): surviving per-connection state is
     /// rebound under the new filter, and what the swap emits — removed
     /// subscriptions' drains, promoted survivors' matches — goes through
-    /// `old_transport`, indexed by the *old* table, in one flush; removed
-    /// tallies are banked for [`CorePipeline::finish`].
+    /// `old_transport`, indexed by the *old* table, in one flush. `rows`
+    /// maps the new table onto the run's rows.
     pub(crate) fn adopt<T: Transport>(
         &mut self,
         filter: Arc<F>,
         subs: &[Arc<dyn ErasedSubscription>],
         remap: &[Option<usize>],
+        rows: &[usize],
         old_transport: &mut T,
     ) {
         let profile = self.profile;
         let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, old_transport);
-        let banked = self.tracker.rebind(Arc::clone(&filter), subs, remap, flush);
-        self.removed.extend(banked);
+        self.tracker
+            .rebind(Arc::clone(&filter), subs, remap, rows, flush);
         self.filter = filter;
         self.packet_mask = packet_mask(subs);
     }
 
-    /// The core's statistics plus `(name, tally)` for every
-    /// subscription it served: the current table in registration order,
-    /// then the ones removed by swaps.
-    pub fn finish(self) -> (CoreStats, Vec<(String, SubTally)>) {
-        let mut named = self.tracker.named_tallies();
-        named.extend(self.removed);
-        (*self.tracker.stats(), named)
+    /// The core's statistics and its tallies, indexed by row of the run's
+    /// subscription table (a run's first table: by registration order).
+    pub fn finish(self) -> (CoreStats, Vec<SubTally>) {
+        self.tracker.finish()
     }
 }

@@ -22,9 +22,9 @@
 //!    against the installed set; only the adds and removes are applied,
 //!    atomically, so the NIC table never transiently narrows (an empty
 //!    table means "deliver everything via RSS").
-//! 3. **Publish** — the epoch (filter, subscriptions, fresh sink sets,
-//!    a new dispatch fabric that shares surviving subscriptions'
-//!    counters), staged by the same `stage_epoch` that builds a run's
+//! 3. **Publish** — the epoch (filter, subscriptions, their rows of the
+//!    run's table, fresh sink sets, a new dispatch fabric counting into
+//!    those rows), staged by the same `stage_epoch` that builds a run's
 //!    first epoch, is installed, the runtime's one
 //!    [`DispatchHub`] takes the new
 //!    table's membership, and the generation counter is bumped.
@@ -35,10 +35,11 @@
 //!    `remap` is always valid. Each worker stamps its pickup time into
 //!    the slot just before acking; the publisher turns the stamps into
 //!    the swap's per-core pickup lag.
-//! 5. **Retire** — removed subscriptions' dispatch counters are banked
-//!    in the retired ledger (final reports fold them back in by name),
-//!    the old dispatch fabric is drained and joined, and the old epoch
-//!    is dropped; a `Weak` upgrade failure proves it is gone.
+//! 5. **Retire** — the old dispatch fabric is drained and joined, and the
+//!    old epoch is dropped; a `Weak` upgrade failure proves it is gone.
+//!    A removed subscription's row stays in the run's table, where its
+//!    counts already are: the final report lists it after the live
+//!    table, and a later swap that re-adds the name counts on into it.
 //!
 //! ## Swap-time accounting
 //!
@@ -58,13 +59,12 @@ use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::VirtualNic;
-use retina_telemetry::{DispatchHub, DispatchStats, Tracer, TriggerReason};
+use retina_telemetry::{DispatchHub, DispatchRow, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::{
-    channel_dispatcher, ring_capacity, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
-};
+use crate::executor::{channel_dispatcher, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher};
+use crate::report::Rows;
 use crate::runtime::{compile_union, fire_trigger, RuntimeGauges, TraceHandle};
 use crate::subscription::Subscribable;
 
@@ -78,9 +78,9 @@ pub(crate) const EXITED: u64 = u64::MAX;
 /// [`RuntimeBuilder`](crate::RuntimeBuilder).
 ///
 /// Subscriptions sharing a name with one in the running configuration
-/// *survive* the swap (their per-connection state and dispatch counters
-/// carry over); names only in the old set are removed and drained;
-/// names only in the new set are added.
+/// *survive* the swap (their per-connection state and counters stay
+/// theirs); names only in the old set are removed and drained; names
+/// only in the new set are added.
 #[derive(Default)]
 pub struct SwapSpec {
     pub(crate) sources: Vec<String>,
@@ -204,11 +204,20 @@ pub(crate) struct PreparedSwap<F> {
 
 impl<F> PreparedSwap<F> {
     /// The old index new subscription `j` survives from (`None` =
-    /// added by this swap). Survivors keep their dispatch counters, so
-    /// per-name accounting spans the whole run.
+    /// added by this swap).
     pub(crate) fn survivor(&self, j: usize) -> Option<usize> {
         self.remap.iter().position(|m| *m == Some(j))
     }
+}
+
+/// The first name `subs` registers twice. Names are identities — a
+/// swap's survivors and a run's counter rows are matched by name — so a
+/// table with a duplicate is rejected.
+pub(crate) fn duplicate_name(subs: &[Arc<dyn ErasedSubscription>]) -> Option<&str> {
+    let mut seen = std::collections::BTreeSet::new();
+    subs.iter()
+        .map(|s| s.name())
+        .find(|&name| !seen.insert(name))
 }
 
 /// Validates and compiles a [`SwapSpec`] against the running
@@ -231,14 +240,10 @@ pub(crate) fn prepare(
             spec.subs.len(),
         )));
     }
-    let mut seen = std::collections::BTreeSet::new();
-    for sub in &spec.subs {
-        if !seen.insert(sub.name()) {
-            return Err(SwapError::Spec(format!(
-                "duplicate subscription name {:?} (names are the swap's survivor identity)",
-                sub.name(),
-            )));
-        }
+    if let Some(name) = duplicate_name(&spec.subs) {
+        return Err(SwapError::Spec(format!(
+            "duplicate subscription name {name:?} (names are the swap's survivor identity)",
+        )));
     }
     let srcs: Vec<&str> = spec.sources.iter().map(String::as_str).collect();
     let (filter, warnings) = compile_union(&srcs, config).map_err(SwapError::Filter)?;
@@ -273,15 +278,15 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// a run's first epoch). Valid because grace-period serialization
     /// guarantees no worker ever skips a generation.
     pub(crate) remap: Vec<Option<usize>>,
+    /// Subscription index -> row of the run's table.
+    pub(crate) rows: Vec<usize>,
     /// Per-core sink sets: slot `core` holds `Some` until that worker
     /// claims (takes) it, exactly once. Sets left unclaimed when the
     /// epoch retires are dropped by the retirer so the dispatch rings
     /// disconnect.
     pub(crate) sinks: Mutex<Vec<Option<CoreSinks>>>,
-    /// Dispatch counters, one per subscription; survivors share their
-    /// `DispatchStats` with the previous epoch so per-name accounting
-    /// spans the whole run.
-    pub(crate) stats: Vec<Arc<DispatchStats>>,
+    /// Dispatch counters, one per subscription: its row's.
+    pub(crate) stats: Vec<DispatchRow>,
     /// The epoch's dispatch worker threads, joined at retirement.
     pub(crate) dispatcher: Mutex<Option<Dispatcher>>,
 }
@@ -303,28 +308,21 @@ impl<F: FilterFns + 'static> ConfigEpoch<F> {
 
 /// Stages one configuration generation — the one place an epoch's
 /// delivery fabric is built, for a run's first epoch and for every live
-/// swap alike. Subscriptions surviving from `old` (matched through
-/// `table.remap`) keep its `DispatchStats`; the rest get fresh counters
-/// sized to their rings. The fabric's workers stall where the NIC's
-/// fault layer says so and trace into `tracer`, the run's own.
+/// swap alike. The table is installed in the run's row table, and the
+/// fabric counts into its rows. Its workers stall where the NIC's fault
+/// layer says so and trace into `tracer`, the run's own.
 pub(crate) fn stage_epoch<F: FilterFns + 'static>(
     generation: u64,
     table: PreparedSwap<F>,
-    old: Option<&ConfigEpoch<F>>,
+    rows: &mut Rows,
     nic: &Arc<VirtualNic>,
     config: &RuntimeConfig,
     tracer: Option<&Arc<Tracer>>,
 ) -> Arc<ConfigEpoch<F>> {
     let cores = config.cores.max(1) as usize;
-    let stats: Vec<Arc<DispatchStats>> = (0..table.subs.len())
-        .map(|j| match (old, table.survivor(j)) {
-            (Some(old), Some(i)) => Arc::clone(&old.stats[i]),
-            _ => {
-                let cap = ring_capacity(&*table.subs[j], table.modes[j], cores);
-                Arc::new(DispatchStats::with_capacity(cap))
-            }
-        })
-        .collect();
+    rows.install(&table.subs, &table.modes, cores);
+    let map: Vec<usize> = rows.live().collect();
+    let stats: Vec<DispatchRow> = map.iter().map(|&r| rows.dispatch(r).clone()).collect();
     let delay: CallbackDelayFn = {
         let nic = Arc::clone(nic);
         Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq))
@@ -343,6 +341,7 @@ pub(crate) fn stage_epoch<F: FilterFns + 'static>(
         filter: table.filter,
         subs: table.subs,
         remap: table.remap,
+        rows: map,
         sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
         stats,
         dispatcher: Mutex::new(Some(dispatcher)),
@@ -370,13 +369,11 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
     pub(crate) hub: Arc<DispatchHub>,
     /// Per-core acknowledgment slots.
     pub(crate) acks: Vec<Ack>,
-    /// Dispatch counters of removed subscriptions, banked at
-    /// retirement and folded into the final report by name.
-    pub(crate) retired: Mutex<Vec<(String, Arc<DispatchStats>)>>,
     /// Time base for all `SwapEvent` timestamps.
     pub(crate) base: Instant,
-    /// Serializes swaps (and run start/end epoch installation).
-    pub(crate) swap_lock: Mutex<()>,
+    /// The in-flight run's row table. Its lock serializes swaps (and
+    /// run start/end epoch installation).
+    pub(crate) rows: Mutex<Rows>,
 }
 
 impl<F: FilterFns + 'static> EpochState<F> {
@@ -391,9 +388,8 @@ impl<F: FilterFns + 'static> EpochState<F> {
                     picked_up_ns: AtomicU64::new(0),
                 })
                 .collect(),
-            retired: Mutex::new(Vec::new()),
             base: Instant::now(),
-            swap_lock: Mutex::new(()),
+            rows: Mutex::new(Rows::default()),
         }
     }
 
@@ -444,7 +440,7 @@ impl SwapController {
     /// Panics if the epoch state's internal locks are poisoned (a
     /// worker panicked mid-swap).
     pub fn swap(&self, spec: &SwapSpec) -> Result<SwapEvent, SwapError> {
-        let _serial = self.epochs.swap_lock.lock().unwrap();
+        let mut rows = self.epochs.rows.lock().unwrap();
         let requested_at = self.epochs.base.elapsed();
         let Some(old) = self.epochs.current.read().unwrap().clone() else {
             return Err(SwapError::NotRunning);
@@ -516,14 +512,14 @@ impl SwapController {
         let epoch = stage_epoch(
             generation,
             prepared,
-            Some(&old),
+            &mut rows,
             &self.nic,
             &self.config,
             tracer.as_ref(),
         );
         // Publish.
         let weak_old = Arc::downgrade(&old);
-        self.epochs.publish(Arc::clone(&epoch));
+        self.epochs.publish(epoch);
         let published_at = self.epochs.base.elapsed();
         self.epochs.generation.store(generation, Ordering::Release);
         self.gauges.note_config_epoch(generation);
@@ -540,17 +536,8 @@ impl SwapController {
             }
         }
 
-        // Retire: shut the old dispatch fabric down, bank removed
-        // subscriptions' counters.
+        // Retire: shut the old dispatch fabric down.
         old.retire_fabric();
-        {
-            let mut retired = self.epochs.retired.lock().unwrap();
-            for (i, m) in epoch.remap.iter().enumerate() {
-                if m.is_none() {
-                    retired.push((old.subs[i].name().to_string(), Arc::clone(&old.stats[i])));
-                }
-            }
-        }
         drop(old);
         // Every strong reference is accounted for (workers swapped
         // theirs during grace); upgrade failure proves retirement.

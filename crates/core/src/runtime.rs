@@ -38,14 +38,13 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
-use retina_nic::{PortStatsSnapshot, VirtualNic};
+use retina_nic::VirtualNic;
 use retina_support::bytes::Bytes;
 use retina_telemetry::{
-    CounterId, DispatchHub, DispatchSnapshot, DropBreakdown, DropReason, GaugeId, GaugeMerge,
-    Registry, StageSummary, TelemetrySnapshot, TraceConfig, TraceReport, Tracer, TriggerReason,
+    CounterId, DispatchHub, GaugeId, GaugeMerge, Registry, TraceConfig, Tracer, TriggerReason,
 };
 
 use crate::config::RuntimeConfig;
@@ -54,7 +53,10 @@ use crate::executor::DispatchMode;
 use crate::governor::{Governor, GovernorConfig, GovernorStage, ShedState};
 use crate::monitor::Monitor;
 use crate::pipeline::CorePipeline;
-use crate::reconfig::{stage_epoch, ConfigEpoch, EpochState, PreparedSwap, SwapController, EXITED};
+use crate::reconfig::{
+    duplicate_name, stage_epoch, ConfigEpoch, EpochState, PreparedSwap, SwapController, EXITED,
+};
+use crate::report::{Rows, RunReport};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 use crate::tracker::SubTally;
@@ -107,7 +109,6 @@ pub struct RuntimeGauges {
     config_epoch: GaugeId,
     swap_pickup_lag_us: GaugeId,
     parse_failures: CounterId,
-    rx_packets: CounterId,
 }
 
 impl RuntimeGauges {
@@ -121,7 +122,6 @@ impl RuntimeGauges {
         let config_epoch = registry.gauge("config_epoch", GaugeMerge::Max);
         let swap_pickup_lag_us = registry.gauge("swap_pickup_lag_us", GaugeMerge::Max);
         let parse_failures = registry.counter("parse_failures");
-        let rx_packets = registry.counter("rx_packets");
         RuntimeGauges {
             registry,
             connections,
@@ -131,13 +131,7 @@ impl RuntimeGauges {
             config_epoch,
             swap_pickup_lag_us,
             parse_failures,
-            rx_packets,
         }
-    }
-
-    /// The underlying registry (snapshots, extra metrics).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Connections currently tracked across all cores.
@@ -167,11 +161,6 @@ impl RuntimeGauges {
     /// L2–L4 parse failures flushed by the workers so far.
     pub fn parse_failures(&self) -> u64 {
         self.registry.counter_total(self.parse_failures)
-    }
-
-    /// Packets received by the workers so far.
-    pub fn rx_packets(&self) -> u64 {
-        self.registry.counter_total(self.rx_packets)
     }
 
     /// The configuration generation currently published to the workers
@@ -218,7 +207,6 @@ impl RuntimeGauges {
         shard.max(self.conn_arena_bytes, arena_bytes as u64);
         shard.max(self.sim_clock_ns, sim_clock_ns);
         shard.set_counter(self.parse_failures, stats.parse_failures);
-        shard.set_counter(self.rx_packets, stats.rx_packets);
     }
 }
 
@@ -244,396 +232,6 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
-
-/// Per-subscription outcome of a completed run.
-#[derive(Debug, Clone)]
-pub struct SubReport {
-    /// Subscription name (as registered with the builder).
-    pub name: String,
-    /// Data items handed to the subscription's delivery layer (inline
-    /// invocation or dispatch-ring enqueue).
-    pub delivered: u64,
-    /// Connections on which the subscription was engaged and then
-    /// rejected by a later filter layer.
-    pub discarded: u64,
-    /// Callbacks that actually ran (inline or on a dispatch worker).
-    pub cb_executed: u64,
-    /// Results shed on a full dispatch ring ([`crate::QueuePolicy::Shed`]).
-    pub cb_dropped_full: u64,
-    /// Results lost to a disconnected dispatch worker.
-    pub cb_dropped_disconnected: u64,
-    /// Dispatch-ring depth high-water mark over the run.
-    pub queue_depth_peak: u64,
-    /// Total dispatch-ring capacity (0 = inline execution).
-    pub queue_capacity: u64,
-}
-
-/// Assembles a run's per-subscription rows: the final table (`(name,
-/// dispatch counters)` in registration order), then the subscriptions a
-/// swap removed and never re-added, sorted by name. `tallies` are every
-/// core's `(name, tally)` pairs, merged here by name; `retired` are the
-/// dispatch counters banked when a swap removed a subscription, folded
-/// back in by name (a name removed and re-added reports one whole-run
-/// row).
-pub(crate) fn sub_reports(
-    final_table: &[(&str, DispatchSnapshot)],
-    mut tallies: Vec<(String, SubTally)>,
-    retired: &[(String, DispatchSnapshot)],
-) -> Vec<SubReport> {
-    tallies.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    tallies.dedup_by(|dup, kept| {
-        dup.0 == kept.0 && {
-            kept.1.merge(&dup.1);
-            true
-        }
-    });
-    let row = |name: String, t: SubTally, d: DispatchSnapshot, removed: bool| {
-        let mut report = SubReport {
-            name,
-            delivered: t.delivered,
-            discarded: t.discarded,
-            cb_executed: d.executed,
-            cb_dropped_full: d.dropped_full,
-            cb_dropped_disconnected: d.dropped_disconnected,
-            queue_depth_peak: d.depth_peak,
-            queue_capacity: d.capacity,
-        };
-        for (_, rs) in retired.iter().filter(|(rname, _)| *rname == report.name) {
-            report.cb_executed += rs.executed;
-            report.cb_dropped_full += rs.dropped_full;
-            report.cb_dropped_disconnected += rs.dropped_disconnected;
-            report.queue_depth_peak = report.queue_depth_peak.max(rs.depth_peak);
-            if removed {
-                report.queue_capacity = report.queue_capacity.max(rs.capacity);
-            }
-        }
-        report
-    };
-    let mut rows: Vec<SubReport> = Vec::with_capacity(final_table.len());
-    for &(sub, d) in final_table {
-        let (name, t) = match tallies.binary_search_by(|(n, _)| n.as_str().cmp(sub)) {
-            Ok(i) => tallies.remove(i),
-            Err(_) => (sub.to_string(), SubTally::default()),
-        };
-        rows.push(row(name, t, d, false));
-    }
-    rows.extend(
-        tallies
-            .into_iter()
-            .map(|(name, t)| row(name, t, DispatchSnapshot::default(), true)),
-    );
-    rows
-}
-
-/// Result of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Wall-clock processing time.
-    pub elapsed: Duration,
-    /// NIC counters (offered/delivered/dropped/lost).
-    pub nic: PortStatsSnapshot,
-    /// Merged per-core pipeline statistics.
-    pub cores: CoreStats,
-    /// Per-subscription delivery/discard outcomes, in registration order.
-    pub subs: Vec<SubReport>,
-    /// Simulated time span covered by the traffic (ns).
-    pub sim_duration_ns: u64,
-    /// Peak mempool occupancy over the run (buffers).
-    pub mbuf_high_water: usize,
-    /// Connection-arena high-water bytes summed across cores: the peak
-    /// backing-store footprint of the per-core connection tables (arena
-    /// slots plus shard index). The memory half of the churn-bench gate.
-    /// Excluded from [`RunReport::deterministic_digest`] — allocation
-    /// capacity depends on growth timing, not on what was delivered.
-    pub conn_arena_bytes: usize,
-    /// Filter-analyzer warnings recorded at build time (W-code summaries
-    /// from [`retina_filter::analyze_union`]): dead disjuncts, lost
-    /// hardware offload, redundant predicates. Empty when the filters are
-    /// clean or the runtime was built without [`RuntimeBuilder`].
-    pub filter_warnings: Vec<String>,
-    /// Per-flow trace artifact: the sampled span-tree session plus any
-    /// frozen flight-recorder dump. `None` unless tracing was enabled
-    /// via [`RuntimeBuilder::trace`] /
-    /// [`MultiRuntime::set_trace_config`]. Excluded from
-    /// [`RunReport::deterministic_digest`] (it has its own
-    /// mode-independent form,
-    /// [`retina_telemetry::FlowTrace::canonical_bytes`]).
-    pub trace: Option<TraceReport>,
-}
-
-impl RunReport {
-    /// Delivered throughput in Gbps over wall-clock time.
-    pub fn gbps(&self) -> f64 {
-        (self.nic.rx_bytes as f64 * 8.0) / self.elapsed.as_secs_f64() / 1e9
-    }
-
-    /// Offered load in Gbps over wall-clock time (counting hardware drops
-    /// and sink-sampled traffic as offered).
-    pub fn offered_gbps(&self) -> f64 {
-        // Approximate offered bytes by scaling delivered bytes by the
-        // offered/delivered packet ratio.
-        if self.nic.rx_delivered == 0 {
-            return 0.0;
-        }
-        let scale = self.nic.rx_offered as f64 / self.nic.rx_delivered as f64;
-        self.gbps() * scale
-    }
-
-    /// True when no packets were lost to ring overflow or mempool
-    /// exhaustion — the paper's zero-loss criterion.
-    pub fn zero_loss(&self) -> bool {
-        self.nic.lost() == 0
-    }
-
-    /// Total data items delivered across all subscriptions.
-    pub fn delivered(&self) -> u64 {
-        self.subs.iter().map(|s| s.delivered).sum()
-    }
-
-    /// The run's complete drop taxonomy: the NIC's packet-subject
-    /// reasons plus the pipeline's parse failures and connection-subject
-    /// reasons, each attributed exactly once.
-    pub fn drop_breakdown(&self) -> DropBreakdown {
-        let mut drops = self.nic.drop_breakdown();
-        drops.add(DropReason::ParseFailure, self.cores.parse_failures);
-        drops.add(
-            DropReason::ConnFilterDiscard,
-            self.cores.discard_conn_filter,
-        );
-        drops.add(
-            DropReason::SessionFilterDiscard,
-            self.cores.discard_session_filter,
-        );
-        drops.add(DropReason::TimeoutExpiry, self.cores.conns_expired);
-        drops
-    }
-
-    /// Pipeline stages in processing order, as `(name, summary)` pairs.
-    pub fn stages(&self) -> Vec<(String, StageSummary)> {
-        let stage = |s: &crate::stats::StageStats| StageSummary {
-            runs: s.runs,
-            cycles: s.cycles,
-            hist: s.hist,
-        };
-        vec![
-            (
-                "packet_filter".to_string(),
-                stage(&self.cores.packet_filter),
-            ),
-            (
-                "conn_tracking".to_string(),
-                stage(&self.cores.conn_tracking),
-            ),
-            ("reassembly".to_string(), stage(&self.cores.reassembly)),
-            ("app_parsing".to_string(), stage(&self.cores.app_parsing)),
-            (
-                "session_filter".to_string(),
-                stage(&self.cores.session_filter),
-            ),
-            ("callbacks".to_string(), stage(&self.cores.callbacks)),
-        ]
-    }
-
-    /// The full telemetry view of the run: named counters, gauges,
-    /// per-stage cycle distributions, and the drop-reason breakdown —
-    /// ready for any [`retina_telemetry::MetricSink`] exporter.
-    pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut counters = vec![
-            (
-                "core.conns_completed_early".to_string(),
-                self.cores.conns_completed_early,
-            ),
-            ("core.conns_created".to_string(), self.cores.conns_created),
-            (
-                "core.conns_discarded".to_string(),
-                self.cores.conns_discarded,
-            ),
-            ("core.conns_drained".to_string(), self.cores.conns_drained),
-            ("core.conns_expired".to_string(), self.cores.conns_expired),
-            (
-                "core.conns_terminated".to_string(),
-                self.cores.conns_terminated,
-            ),
-            (
-                "core.discard_conn_filter".to_string(),
-                self.cores.discard_conn_filter,
-            ),
-            (
-                "core.discard_session_filter".to_string(),
-                self.cores.discard_session_filter,
-            ),
-            ("core.ooo_buffered".to_string(), self.cores.ooo_buffered),
-            ("core.parse_failures".to_string(), self.cores.parse_failures),
-            ("core.parser_panics".to_string(), self.cores.parser_panics),
-            ("core.rx_bytes".to_string(), self.cores.rx_bytes),
-            ("core.rx_packets".to_string(), self.cores.rx_packets),
-            ("nic.hw_dropped".to_string(), self.nic.hw_dropped),
-            ("nic.rx_bytes".to_string(), self.nic.rx_bytes),
-            ("nic.rx_delivered".to_string(), self.nic.rx_delivered),
-            ("nic.rx_missed".to_string(), self.nic.rx_missed),
-            ("nic.rx_nombuf".to_string(), self.nic.rx_nombuf),
-            ("nic.rx_offered".to_string(), self.nic.rx_offered),
-            ("nic.sunk".to_string(), self.nic.sunk),
-        ];
-        for sub in &self.subs {
-            counters.push((format!("sub.{}.delivered", sub.name), sub.delivered));
-            counters.push((format!("sub.{}.discarded", sub.name), sub.discarded));
-            counters.push((format!("sub.{}.cb_executed", sub.name), sub.cb_executed));
-            counters.push((
-                format!("sub.{}.cb_dropped_full", sub.name),
-                sub.cb_dropped_full,
-            ));
-            counters.push((
-                format!("sub.{}.cb_dropped_disconnected", sub.name),
-                sub.cb_dropped_disconnected,
-            ));
-            counters.push((
-                format!("sub.{}.queue_depth_peak", sub.name),
-                sub.queue_depth_peak,
-            ));
-        }
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let gauges = vec![
-            ("conn_arena_bytes".to_string(), self.conn_arena_bytes as u64),
-            ("conns_peak".to_string(), self.cores.conns_peak),
-            ("mbuf_high_water".to_string(), self.mbuf_high_water as u64),
-            ("sim_duration_ns".to_string(), self.sim_duration_ns),
-        ];
-        TelemetrySnapshot {
-            counters,
-            gauges,
-            stages: self.stages(),
-            drops: self.drop_breakdown(),
-        }
-    }
-
-    /// A schedule-independent fingerprint of the run, for replay tests:
-    /// two runs of the same seeded workload (paced ingest, static sink
-    /// fraction) must produce identical digests bit for bit.
-    ///
-    /// Includes every NIC counter, every deterministic core counter, and
-    /// every per-subscription tally. Excludes wall-clock time and cycle
-    /// measurements (machine- and schedule-dependent), and merges
-    /// `conns_expired + conns_drained` into one `conns_retired` line —
-    /// whether an idle connection is expired by the last maintenance
-    /// tick or drained at shutdown depends on poll scheduling, but their
-    /// sum does not.
-    pub fn deterministic_digest(&self) -> String {
-        let lines = [
-            ("nic.rx_offered", self.nic.rx_offered),
-            ("nic.rx_delivered", self.nic.rx_delivered),
-            ("nic.rx_bytes", self.nic.rx_bytes),
-            ("nic.hw_dropped", self.nic.hw_dropped),
-            ("nic.sunk", self.nic.sunk),
-            ("nic.rx_missed", self.nic.rx_missed),
-            ("nic.rx_nombuf", self.nic.rx_nombuf),
-            ("core.rx_packets", self.cores.rx_packets),
-            ("core.rx_bytes", self.cores.rx_bytes),
-            ("core.parse_failures", self.cores.parse_failures),
-            ("core.parser_panics", self.cores.parser_panics),
-            ("core.packet_filter.runs", self.cores.packet_filter.runs),
-            ("core.conn_tracking.runs", self.cores.conn_tracking.runs),
-            ("core.reassembly.runs", self.cores.reassembly.runs),
-            ("core.app_parsing.runs", self.cores.app_parsing.runs),
-            ("core.session_filter.runs", self.cores.session_filter.runs),
-            ("core.callbacks.runs", self.cores.callbacks.runs),
-            ("core.conns_created", self.cores.conns_created),
-            ("core.conns_discarded", self.cores.conns_discarded),
-            ("core.discard_conn_filter", self.cores.discard_conn_filter),
-            (
-                "core.discard_session_filter",
-                self.cores.discard_session_filter,
-            ),
-            (
-                "core.conns_completed_early",
-                self.cores.conns_completed_early,
-            ),
-            ("core.conns_terminated", self.cores.conns_terminated),
-            (
-                "core.conns_retired",
-                self.cores.conns_expired + self.cores.conns_drained,
-            ),
-            ("core.conns_swapped", self.cores.conns_swapped),
-            ("core.ooo_buffered", self.cores.ooo_buffered),
-        ];
-        let mut out = String::new();
-        for (name, value) in lines {
-            out.push_str(name);
-            out.push('=');
-            out.push_str(&value.to_string());
-            out.push('\n');
-        }
-        for (i, sub) in self.subs.iter().enumerate() {
-            out.push_str(&format!(
-                "sub.{i}.delivered={}\nsub.{i}.discarded={}\n",
-                sub.delivered, sub.discarded
-            ));
-        }
-        out
-    }
-
-    /// Per-subscription digest, keyed by name instead of index: the
-    /// delivery counts for subscription `name`, or `None` if the run
-    /// had no such subscription. Runs with different subscription
-    /// orders (e.g. a swap run vs. a no-swap control) compare
-    /// untouched subscriptions with this.
-    pub fn sub_digest(&self, name: &str) -> Option<String> {
-        let sub = self.subs.iter().find(|s| s.name == name)?;
-        Some(format!(
-            "delivered={}\ndiscarded={}\n",
-            sub.delivered, sub.discarded
-        ))
-    }
-
-    /// Verifies the run's accounting invariants: every ingress frame and
-    /// every created connection is attributed to exactly one outcome.
-    /// Returns the first violated invariant on failure.
-    pub fn check_accounting(&self) -> Result<(), String> {
-        if !self.nic.fully_attributed() {
-            return Err(format!(
-                "nic: rx_offered ({}) != delivered ({}) + sunk ({}) + hw_dropped ({}) + \
-                 missed ({}) + nombuf ({})",
-                self.nic.rx_offered,
-                self.nic.rx_delivered,
-                self.nic.sunk,
-                self.nic.hw_dropped,
-                self.nic.rx_missed,
-                self.nic.rx_nombuf,
-            ));
-        }
-        if self.cores.rx_packets != self.nic.rx_delivered {
-            return Err(format!(
-                "cores.rx_packets ({}) != nic.rx_delivered ({})",
-                self.cores.rx_packets, self.nic.rx_delivered,
-            ));
-        }
-        if self.cores.rx_packets != self.cores.parse_failures + self.cores.packet_filter.runs {
-            return Err(format!(
-                "cores.rx_packets ({}) != parse_failures ({}) + packet_filter.runs ({})",
-                self.cores.rx_packets, self.cores.parse_failures, self.cores.packet_filter.runs,
-            ));
-        }
-        // Dispatch accounting: every handoff to the delivery layer is
-        // attributed to exactly one outcome — executed, shed on a full
-        // ring, or lost to a dead worker. Holds for inline subs too
-        // (delivered == executed, drops zero).
-        for sub in &self.subs {
-            let attributed = sub.cb_executed + sub.cb_dropped_full + sub.cb_dropped_disconnected;
-            if sub.delivered != attributed {
-                return Err(format!(
-                    "sub {}: delivered ({}) != cb_executed ({}) + cb_dropped_full ({}) + \
-                     cb_dropped_disconnected ({})",
-                    sub.name,
-                    sub.delivered,
-                    sub.cb_executed,
-                    sub.cb_dropped_full,
-                    sub.cb_dropped_disconnected,
-                ));
-            }
-        }
-        self.cores.check_conn_accounting()
-    }
-}
 
 /// Compiles a subscription table's filter sources into one union
 /// filter, analyzer first: any E-code diagnostic rejects the table with
@@ -830,6 +428,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                 subs.len(),
             )));
         }
+        if let Some(name) = duplicate_name(&subs) {
+            return Err(RuntimeError::Subscriptions(format!(
+                "duplicate subscription name {name:?} (a name is its counters' row)"
+            )));
+        }
         let mut device = config.device.clone();
         device.num_queues = config.cores;
         let nic = Arc::new(VirtualNic::new(&device));
@@ -889,11 +492,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.modes[i] = mode;
     }
 
-    /// Current per-subscription dispatch modes, in registration order.
-    pub fn dispatch_modes(&self) -> &[DispatchMode] {
-        &self.modes
-    }
-
     /// Live per-subscription dispatch stats (queue depth, drops) of the
     /// table that is running — membership follows every live swap; the
     /// governor samples this as its queue-pressure input.
@@ -931,8 +529,10 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// The governor owns the RETA from here on: the NIC's sink fraction
     /// is reset to the configured floor. It is a stage of a sink-less
     /// [`Monitor`] sampling every `config.interval`, with the dispatch
-    /// hub's occupancy as a pressure input and shed decisions firing
-    /// [`TriggerReason::GovernorShed`] into the live run's tracer.
+    /// hub's occupancy as a pressure input. Shed decisions fire
+    /// [`TriggerReason::GovernorShed`], and an interval losing more
+    /// frames than the tracer's `drop_burst_threshold` fires
+    /// [`TriggerReason::DropBurst`], into the live run's tracer.
     pub fn start_governor(&self, config: GovernorConfig) -> Governor {
         let interval = config.interval;
         let stage = GovernorStage::new(
@@ -941,15 +541,15 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             Arc::clone(&self.shed),
             Arc::clone(&self.trace_handle),
         );
-        Governor {
-            monitor: Monitor::governed(
-                Arc::clone(&self.nic),
-                Arc::clone(&self.gauges),
-                self.dispatch_hub(),
-                stage,
-                interval,
-            ),
-        }
+        let monitor = Monitor::governed(
+            Arc::clone(&self.nic),
+            Arc::clone(&self.gauges),
+            self.dispatch_hub(),
+            stage,
+            interval,
+        );
+        monitor.watch_trace(self.trace_handle());
+        Governor { monitor }
     }
 
     /// Runs the pipeline over a traffic source to completion, returning
@@ -1009,9 +609,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // inline on the RX core, to a shared worker pool, or to a
         // dedicated worker, each fed over per-(core, subscription) SPSC
         // rings — and publish it, so workers and any SwapController
-        // share one view. The generation counter persists across runs
-        // (and swaps), so a second run continues where the last one
-        // left off.
+        // share one view. Its subscriptions open the run's row table.
+        // The generation counter persists across runs (and swaps), so a
+        // second run continues where the last one left off.
         let cores = self.config.cores.max(1) as usize;
         let gen0 = self.epochs.generation.load(Ordering::Acquire);
         let table = PreparedSwap {
@@ -1021,10 +621,17 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             remap: Vec::new(),
             warnings: Vec::new(),
         };
-        let epoch0: Arc<ConfigEpoch<F>> =
-            stage_epoch(gen0, table, None, &self.nic, &self.config, tracer.as_ref());
         {
-            let _serial = self.epochs.swap_lock.lock().unwrap();
+            let mut rows = self.epochs.rows.lock().unwrap();
+            *rows = Rows::default();
+            let epoch0: Arc<ConfigEpoch<F>> = stage_epoch(
+                gen0,
+                table,
+                &mut rows,
+                &self.nic,
+                &self.config,
+                tracer.as_ref(),
+            );
             self.epochs.publish(epoch0);
             // Ack slots start at gen0 (not EXITED) so a swap issued
             // before a worker's first poll still waits for it.
@@ -1062,58 +669,45 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         }
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
+        // Cores merge their row counts by index addition.
         let mut cores = CoreStats::default();
-        let mut tallies: Vec<(String, SubTally)> = Vec::new();
+        let mut counts: Vec<SubTally> = Vec::new();
         for w in workers {
-            let (stats, named) = w.join().expect("worker thread panicked");
+            let (stats, core_counts) = w.join().expect("worker thread panicked");
             cores.merge(&stats);
-            tallies.extend(named);
+            if counts.len() < core_counts.len() {
+                counts.resize(core_counts.len(), SubTally::default());
+            }
+            for (sum, t) in counts.iter_mut().zip(&core_counts) {
+                sum.merge(t);
+            }
         }
         // Take the final epoch (whatever generation was current when
-        // the run drained) under the swap lock, so a racing swap either
-        // completed before shutdown or sees NotRunning.
-        let final_epoch = {
-            let _serial = self.epochs.swap_lock.lock().unwrap();
-            self.epochs.current.write().unwrap().take()
-        }
-        .expect("epoch 0 was published at run start");
+        // the run drained) and the row table under the swap lock, so a
+        // racing swap either completed before shutdown or sees
+        // NotRunning.
+        let (final_epoch, rows) = {
+            let mut rows = self.epochs.rows.lock().unwrap();
+            let epoch = self.epochs.current.write().unwrap().take();
+            (epoch, std::mem::take(&mut *rows))
+        };
+        let final_epoch = final_epoch.expect("epoch 0 was published at run start");
         // Workers dropped their claimed sinks on exit, disconnecting
         // those rings; retiring the epoch drops the rest and joins.
         final_epoch.retire_fabric();
-        let final_table: Vec<(&str, DispatchSnapshot)> = final_epoch
-            .subs
-            .iter()
-            .zip(&final_epoch.stats)
-            .map(|(sub, stats)| (sub.name(), stats.snapshot()))
-            .collect();
-        // Dispatch counters of subscriptions removed by swaps, folded
-        // back in by name (a name removed and re-added reports one
-        // whole-run row).
-        let retired: Vec<(String, DispatchSnapshot)> = self
-            .epochs
-            .retired
-            .lock()
-            .unwrap()
-            .drain(..)
-            .map(|(name, stats)| (name, stats.snapshot()))
-            .collect();
-        let subs = sub_reports(&final_table, tallies, &retired);
         let mut report = RunReport {
             elapsed: start.elapsed(),
             nic: self.nic.stats(),
             cores,
-            subs,
+            subs: rows.reports(&counts),
             sim_duration_ns,
             mbuf_high_water: self.nic.mempool().high_water(),
             conn_arena_bytes: self.gauges.conn_arena_bytes(),
             filter_warnings: self.filter_warnings.clone(),
             trace: None,
         };
-        if let Some(t) = &tracer {
-            if report.check_accounting().is_err() {
-                t.trigger(TriggerReason::AccountingFailure, 0);
-            }
-            report.trace = Some(t.report());
+        report.attach_trace(tracer.as_deref());
+        if tracer.is_some() {
             self.nic.clear_tracer();
             *self.trace_handle.write().unwrap() = None;
         }
@@ -1220,7 +814,7 @@ fn worker_loop<F: FilterFns>(
     shed: &ShedState,
     config: &RuntimeConfig,
     trace: Option<&(Arc<Tracer>, usize)>,
-) -> (CoreStats, Vec<(String, SubTally)>) {
+) -> (CoreStats, Vec<SubTally>) {
     // Claim the current epoch and this core's sink set. run() publishes
     // epoch 0 before spawning workers, but a swap may already have
     // advanced the generation — claiming whatever is current (and
@@ -1243,6 +837,7 @@ fn worker_loop<F: FilterFns>(
         config,
         trace.cloned(),
     );
+    pipeline.set_rows(&epoch.rows);
     let ack = &epochs.acks[core as usize];
     ack.generation.store(epoch.generation, Ordering::Release);
     let mut burst = Vec::with_capacity(config.burst);
@@ -1281,6 +876,7 @@ fn worker_loop<F: FilterFns>(
                 Arc::clone(&epoch.filter),
                 &epoch.subs,
                 &epoch.remap,
+                &epoch.rows,
                 &mut sinks,
             );
             sinks = claim_sinks(&epoch);

@@ -49,15 +49,16 @@ use retina_nic::{Mbuf, PortStatsSnapshot};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_support::sync::spsc::{TryRecvError, TrySendError};
-use retina_telemetry::{DispatchSnapshot, DispatchStats, Tracer, TriggerReason};
+use retina_telemetry::{Tracer, TriggerReason};
 
 use crate::erased::{ErasedSubscription, TrackedSlab};
 use crate::executor::{
     ring_capacity, DispatchMode, Enqueue, Item, Lane, Queue, RingRx, RingTx, Sink, TraceLane,
 };
 use crate::pipeline::{CorePipeline, Transport};
-use crate::reconfig::{PreparedSwap, StepSwap, SwapError, SwapSpec};
-use crate::runtime::{sub_reports, MultiRuntime, RunReport, ADVANCE_EVERY_BURSTS};
+use crate::reconfig::{StepSwap, SwapError, SwapSpec};
+use crate::report::{Rows, RunReport};
+use crate::runtime::{MultiRuntime, ADVANCE_EVERY_BURSTS};
 use crate::subscription::Subscribable;
 
 /// Freezes one subscription's virtual worker for a window of steps:
@@ -181,20 +182,15 @@ impl<T> RingRx<T> for VirtualRing<T> {
 /// A queued lane's ring in the virtual fabric — the threaded fabric's own
 /// [`Queue`], over a [`VirtualRing`] — plus what only virtual time does
 /// with it: unpark sends, and run its worker.
-pub(crate) trait StepQueue: Enqueue<DispatchStats> {
+pub(crate) trait StepQueue: Enqueue {
     /// Nothing queued and nothing parked.
     fn idle(&self) -> bool;
     /// Moves the oldest parked send into the ring if it has room.
     /// Returns whether it moved.
-    fn unpark(&mut self, lane: &Lane<DispatchStats>) -> bool;
+    fn unpark(&mut self, lane: &Lane) -> bool;
     /// One scheduling of the virtual worker: runs up to `budget` queued
     /// results. Returns how many ran.
-    fn run_worker(
-        &mut self,
-        lane: &Lane<DispatchStats>,
-        trace: TraceLane<'_>,
-        budget: usize,
-    ) -> usize;
+    fn run_worker(&mut self, lane: &Lane, trace: TraceLane<'_>, budget: usize) -> usize;
 }
 
 impl<S: Subscribable> StepQueue for Queue<S, VirtualRing<Item<S>>> {
@@ -202,7 +198,7 @@ impl<S: Subscribable> StepQueue for Queue<S, VirtualRing<Item<S>>> {
         self.ring.queue.is_empty() && self.ring.parked.is_empty()
     }
 
-    fn unpark(&mut self, lane: &Lane<DispatchStats>) -> bool {
+    fn unpark(&mut self, lane: &Lane) -> bool {
         let Some(item) = self.ring.parked.pop_front() else {
             return false;
         };
@@ -221,19 +217,14 @@ impl<S: Subscribable> StepQueue for Queue<S, VirtualRing<Item<S>>> {
         }
     }
 
-    fn run_worker(
-        &mut self,
-        lane: &Lane<DispatchStats>,
-        trace: TraceLane<'_>,
-        budget: usize,
-    ) -> usize {
+    fn run_worker(&mut self, lane: &Lane, trace: TraceLane<'_>, budget: usize) -> usize {
         let callback = &*self.callback;
         lane.drain(trace, &mut self.ring, budget, || {}, callback).0
     }
 }
 
 /// One subscription's sink in the virtual fabric.
-type StepSink = Sink<DispatchStats, dyn StepQueue>;
+type StepSink = Sink<dyn StepQueue>;
 
 /// The stepped [`Transport`]: the dispatch fabric in virtual time. A
 /// blocked SPSC `send` is a parked send the RX actor must flush — in
@@ -256,27 +247,26 @@ fn rx_trace(tracer: &Option<Arc<Tracer>>) -> TraceLane<'_> {
 }
 
 impl StepFabric {
-    /// Builds the fabric for one subscription table. `carried(j)` is
-    /// subscription `j`'s dispatch counters when it survives a swap;
-    /// the rest get fresh ones sized to their ring.
+    /// Builds the fabric for the subscription table installed last in
+    /// `rows`, counting into its rows.
     fn new(
         subs: &[Arc<dyn ErasedSubscription>],
         modes: &[DispatchMode],
+        rows: &Rows,
         tracer: Option<&Arc<Tracer>>,
-        mut carried: impl FnMut(usize) -> Option<DispatchStats>,
     ) -> Self {
         let lanes: Vec<StepSink> = subs
             .iter()
             .zip(modes)
+            .zip(rows.live())
             .enumerate()
-            .map(|(j, (sub, mode))| {
-                let fresh = || DispatchStats::with_capacity(ring_capacity(&**sub, *mode, 1));
+            .map(|(j, ((sub, mode), row))| {
                 let lane = Lane {
-                    stats: carried(j).unwrap_or_else(fresh),
+                    stats: rows.dispatch(row).clone(),
                     sub_idx: j as u16,
                 };
                 Sink::new(sub, lane, *mode, |lane| {
-                    sub.delivery().0.stepped_ring(sub, lane, *mode)
+                    sub.delivery().0.stepped_ring(lane, *mode)
                 })
             })
             .collect();
@@ -353,35 +343,6 @@ impl StepFabric {
             true
         }
     }
-
-    /// The fabric for the table a swap installs, built once the old one
-    /// is quiesced. Removed subscriptions' counters are banked in
-    /// `retired` by name; survivors carry theirs across (exactly as the
-    /// threaded epochs share them), so per-name counters span the run.
-    fn rebuilt<F>(
-        self,
-        prepared: &PreparedSwap<F>,
-        retired: &mut Vec<(String, DispatchSnapshot)>,
-    ) -> Self {
-        let mut carried: Vec<Option<DispatchStats>> = Vec::with_capacity(self.lanes.len());
-        for (mut sink, m) in self.lanes.into_iter().zip(&prepared.remap) {
-            if m.is_none() {
-                retired.push((sink.sub().name().to_string(), sink.lane().stats.snapshot()));
-            }
-            let lane = match &mut sink {
-                Sink::Inline(_, lane) => lane,
-                Sink::Queued(q) => &mut q.lane,
-            };
-            carried.push(Some(std::mem::take(&mut lane.stats)));
-        }
-        let survivor = |j| prepared.survivor(j).and_then(|i| carried[i].take());
-        StepFabric::new(
-            &prepared.subs,
-            &prepared.modes,
-            self.tracer.as_ref(),
-            survivor,
-        )
-    }
 }
 
 impl Transport for StepFabric {
@@ -449,7 +410,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             .clone()
             .map(|tc| Arc::new(Tracer::new_virtual(tc, 1, max_workers)));
 
-        let mut fabric = StepFabric::new(&self.subs, &self.modes, tracer.as_ref(), |_| None);
+        let mut rows = Rows::default();
+        rows.install(&self.subs, &self.modes, 1);
+        let mut fabric = StepFabric::new(&self.subs, &self.modes, &rows, tracer.as_ref());
         let mut pipeline = CorePipeline::new(
             Arc::clone(&self.filter),
             &self.subs,
@@ -458,10 +421,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         );
         let shed = self.shed_state();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        // Dispatch counters of subscriptions removed by a mid-run swap,
-        // banked at the swap point and folded back into the final
-        // report by name.
-        let mut retired: Vec<(String, DispatchSnapshot)> = Vec::new();
         let mut chaos_fired = false;
 
         let mut next_pkt = 0usize;
@@ -507,16 +466,25 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                         // it before the table changes. Drains of removed
                         // subscriptions then route through the OLD
                         // fabric — their sinks, their queues, their
-                        // counters — and quiesce again.
+                        // rows — and quiesce again; the new fabric
+                        // counts into the new table's rows.
                         fabric.quiesce();
+                        rows.install(&prepared.subs, &prepared.modes, 1);
+                        let map: Vec<usize> = rows.live().collect();
                         pipeline.adopt(
                             Arc::clone(&prepared.filter),
                             &prepared.subs,
                             &prepared.remap,
+                            &map,
                             &mut fabric,
                         );
                         fabric.quiesce();
-                        fabric = fabric.rebuilt(&prepared, &mut retired);
+                        fabric = StepFabric::new(
+                            &prepared.subs,
+                            &prepared.modes,
+                            &rows,
+                            tracer.as_ref(),
+                        );
                         p = true;
                     }
                     if !fabric.pending.is_empty() {
@@ -583,7 +551,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
         let arena_bytes = pipeline.tracker().arena_bytes();
         let max_ts = pipeline.max_ts();
-        let (cores, tallies) = pipeline.finish();
+        let (cores, counts) = pipeline.finish();
         self.gauges()
             .worker_update(0, &cores, 0, 0, arena_bytes, max_ts);
         let total_bytes: u64 = packets.iter().map(|(f, _)| f.len() as u64).sum();
@@ -593,29 +561,19 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             rx_bytes: total_bytes,
             ..PortStatsSnapshot::default()
         };
-        let dispatch: Vec<(&str, DispatchSnapshot)> = fabric
-            .lanes
-            .iter()
-            .map(|l| (l.sub().name(), l.lane().stats.snapshot()))
-            .collect();
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.
             elapsed: Duration::ZERO,
             nic,
             cores,
-            subs: sub_reports(&dispatch, tallies, &retired),
+            subs: rows.reports(&counts),
             sim_duration_ns: max_ts,
             mbuf_high_water: 0,
             conn_arena_bytes: arena_bytes,
             filter_warnings: self.filter_warnings().to_vec(),
             trace: None,
         };
-        if let Some(t) = &tracer {
-            if report.check_accounting().is_err() {
-                t.trigger(TriggerReason::AccountingFailure, 0);
-            }
-            report.trace = Some(t.report());
-        }
+        report.attach_trace(tracer.as_deref());
         report
     }
 }

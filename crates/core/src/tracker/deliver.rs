@@ -1,7 +1,7 @@
 //! Delivery: where a connection's per-subscription state lives (one
 //! typed slab per subscription, addressed by slot id), the one emit path
 //! into the subscriptions' output lanes, the emission order the pipeline
-//! flushes them in, and the tallies it keeps. The machine (`phase.rs`)
+//! flushes them in, and the tallies it keeps by row. The machine (`phase.rs`)
 //! decides who gets `on_match` / `on_terminate` and who is dropped or
 //! served; this file is how.
 
@@ -135,7 +135,7 @@ impl TrackedRefs {
     }
 }
 
-/// Per-subscription delivery/discard tallies for one core.
+/// One subscription row's delivery/discard tallies on one core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubTally {
     /// Subscription data items delivered.
@@ -169,7 +169,7 @@ impl<F: FilterFns> Machine<F> {
     /// (if the connection holds any), lending it the connection's view and
     /// an emitter that queues what it produces in `i`'s output lane,
     /// tagged with the trace id, records `i` in the emission order and
-    /// counts it in `i`'s tally.
+    /// counts it in `i`'s row's tally.
     pub(super) fn emit(
         &mut self,
         entry: &ConnEntry<Conn>,
@@ -185,7 +185,7 @@ impl<F: FilterFns> Machine<F> {
                 established: entry.established,
                 flow: &conn.flow,
             };
-            let delivered = &mut self.sub_tallies[i].delivered;
+            let delivered = &mut self.tallies[self.subs[i].row].delivered;
             let mut out = Emitter::new(&mut self.order, delivered, i as u32, conn.trace_id);
             hook(&mut *self.slabs[i], slot, &view, &mut out);
         }
@@ -218,23 +218,14 @@ impl<F: FilterFns> Machine<F> {
         tracked
     }
 
-    /// A swap's delivery side, after the table pass: survivors' slabs and
-    /// tallies move to their new index (`old_of`: `remap` inverted), added
-    /// ones start empty, and the removed ones' `(name, tally)` pairs are
-    /// returned to be banked.
+    /// A swap's delivery side, after the table pass: survivors' slabs
+    /// move to their new index (`old_of`: `remap` inverted), and added
+    /// ones start empty.
     pub(super) fn reorder(
         &mut self,
-        remap: &[Option<usize>],
         old_of: &[Option<usize>],
         subs: &[Arc<dyn ErasedSubscription>],
-    ) -> Vec<(String, SubTally)> {
-        let removed = remap.iter().zip(&self.subs).zip(&self.sub_tallies);
-        let banked = removed
-            .filter(|((new, _), _)| new.is_none())
-            .map(|((_, spec), tally)| (spec.erased.name().to_string(), *tally))
-            .collect();
-        let tallies = old_of.iter().map(|i| i.map(|i| self.sub_tallies[i]));
-        self.sub_tallies = tallies.map(Option::unwrap_or_default).collect();
+    ) {
         // No slabs yet: nothing was ever tracked, nothing to move.
         if !self.slabs.is_empty() {
             let mut old: Vec<_> = self.slabs.drain(..).map(Some).collect();
@@ -244,6 +235,5 @@ impl<F: FilterFns> Machine<F> {
             });
             self.slabs = moved.collect();
         }
-        banked
     }
 }

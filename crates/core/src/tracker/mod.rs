@@ -102,6 +102,8 @@ struct SubSpec {
     /// Protocols that can resolve this subscription's filter at the
     /// connection layer, plus the parsers its subscribable type needs.
     probe_protos: Vec<String>,
+    /// The subscription's row of the run's table: where it is tallied.
+    row: usize,
 }
 
 /// Resolves a subscription table against the merged `filter`: the
@@ -132,6 +134,7 @@ fn resolve<F: FilterFns>(
         specs.push(SubSpec {
             erased,
             probe_protos,
+            row: i,
         });
     }
     (specs, m)
@@ -170,8 +173,8 @@ struct Machine<F: FilterFns> {
     shed_parsing: bool,
     /// Per-stage statistics for this core.
     stats: CoreStats,
-    /// Per-subscription delivery/discard tallies for this core.
-    sub_tallies: Vec<SubTally>,
+    /// This core's delivery/discard tallies, by row of the run's table.
+    tallies: Vec<SubTally>,
     /// What delivery produced since the last flush, in emission order:
     /// one subscription index per datum, the datum itself waiting in
     /// that subscription's output lane.
@@ -188,6 +191,17 @@ impl<F: FilterFns> Machine<F> {
         (self.subs, self.masks) = resolve(&*filter, subs);
         self.filter = filter;
         self.probe_cache.clear();
+    }
+
+    /// Points subscription `i` at row `rows[i]` (`bind` points it at row
+    /// `i`); the tallies grow to cover every row.
+    fn set_rows(&mut self, rows: &[usize]) {
+        for (spec, &row) in self.subs.iter_mut().zip(rows) {
+            spec.row = row;
+            if self.tallies.len() <= row {
+                self.tallies.resize(row + 1, SubTally::default());
+            }
+        }
     }
 
     /// Records a tracepoint for a sampled connection (no-op otherwise).
@@ -333,7 +347,7 @@ impl<F: FilterFns> ConnTracker<F> {
             profile,
             shed_parsing: false,
             stats: CoreStats::default(),
-            sub_tallies: vec![SubTally::default(); subs.len()],
+            tallies: vec![SubTally::default(); subs.len()],
             order: Vec::new(),
             tracer: None,
         };
@@ -372,17 +386,22 @@ impl<F: FilterFns> ConnTracker<F> {
         &mut self.machine.stats
     }
 
-    /// Per-subscription delivery/discard tallies for this core, in
-    /// registration order.
-    pub fn sub_tallies_mut(&mut self) -> &mut [SubTally] {
-        &mut self.machine.sub_tallies
+    /// Subscription `i`'s delivery/discard tally on this core (its
+    /// row's).
+    pub fn tally_mut(&mut self, i: usize) -> &mut SubTally {
+        let m = &mut self.machine;
+        &mut m.tallies[m.subs[i].row]
     }
 
-    /// `(name, tally)` of the current table, in registration order.
-    pub(crate) fn named_tallies(&self) -> Vec<(String, SubTally)> {
-        let m = &self.machine;
-        let names = m.subs.iter().map(|s| s.erased.name().to_string());
-        names.zip(m.sub_tallies.iter().copied()).collect()
+    /// Points the table's subscriptions at their rows of the run's table
+    /// (`rows[i]`: subscription `i`'s).
+    pub(crate) fn set_rows(&mut self, rows: &[usize]) {
+        self.machine.set_rows(rows);
+    }
+
+    /// The core's statistics and its tallies, by row.
+    pub(crate) fn finish(self) -> (CoreStats, Vec<SubTally>) {
+        (self.machine.stats, self.machine.tallies)
     }
 
     /// The data produced since the last flush, for the pipeline's flush
@@ -644,15 +663,16 @@ impl<F: FilterFns> ConnTracker<F> {
     /// `flush` in one piece, for the caller to hand to the old transport,
     /// before the slabs (and their lanes) are re-indexed. Connections
     /// nobody watches any more leave (`conns_swapped`); the rest, and the
-    /// slabs and tallies, move to the new order. Returns the removed
-    /// subscriptions' `(name, tally)` pairs for the caller to bank.
+    /// slabs, move to the new order. Tallies stay where they are, by row:
+    /// `rows` points the new table at its rows.
     pub(crate) fn rebind(
         &mut self,
         filter: Arc<F>,
         subs: &[Arc<dyn ErasedSubscription>],
         remap: &[Option<usize>],
+        rows: &[usize],
         flush: impl FnOnce(Outbox<'_>),
-    ) -> Vec<(String, SubTally)> {
+    ) {
         let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
         assert_eq!(remap.len(), m.subs.len(), "remap covers the old table");
         let kept = pull(SubscriptionSet::first_n(subs.len()), remap);
@@ -683,9 +703,9 @@ impl<F: FilterFns> ConnTracker<F> {
             },
         );
         flush(m.outbox());
-        let banked = m.reorder(remap, &old_of, subs);
+        m.reorder(&old_of, subs);
         m.bind(filter, subs);
-        banked
+        m.set_rows(rows);
     }
 }
 
@@ -1040,10 +1060,10 @@ mod tests {
         feed(&mut t, &netflix.out);
         feed(&mut t, &other.out);
         feed(&mut t, &web.out);
-        assert_eq!(t.machine.sub_tallies[1].delivered, 1);
-        assert_eq!(t.machine.sub_tallies[2].delivered, 1);
+        assert_eq!(t.machine.tallies[1].delivered, 1);
+        assert_eq!(t.machine.tallies[2].delivered, 1);
         assert_eq!(slab_balance(&t), vec![53, 50, 51]);
-        assert!(t.machine.sub_tallies[1].discarded >= 2 && t.machine.sub_tallies[2].discarded >= 2);
+        assert!(t.machine.tallies[1].discarded >= 2 && t.machine.tallies[2].discarded >= 2);
 
         // finalize, by termination: the three conversations close.
         netflix.out.clear();
@@ -1058,7 +1078,7 @@ mod tests {
         t.advance(10_000 * MS, discard);
         assert_eq!(t.connections(), 0);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
-        assert_eq!(t.machine.sub_tallies[0].delivered, 53);
+        assert_eq!(t.machine.tallies[0].delivered, 53);
 
         // The freed slots are recycled: 40 new connections fit in the
         // slots the first 53 used.
@@ -1076,7 +1096,8 @@ mod tests {
 
         // A swap that removes `netflix`, keeps the other two in the
         // opposite order and adds `dns`: survivors' slabs move with
-        // them, the removed one's state is released, nothing leaks.
+        // them, the removed one's state is released, nothing leaks, and
+        // every tally stays in its row: `dns` opens row 3.
         let new_subs: Subs = vec![
             Arc::clone(&subs[2]),
             Arc::clone(&subs[0]),
@@ -1086,13 +1107,12 @@ mod tests {
             CompiledFilter::build_union(&["http", "tcp", "dns"], &ProtocolRegistry::default())
                 .unwrap();
         let remap = [Some(1), None, Some(0)];
-        let banked = t.rebind(Arc::new(new_filter), &new_subs, &remap, discard);
-        assert_eq!(banked.len(), 1);
-        assert_eq!(banked[0].0, "netflix");
+        t.rebind(Arc::new(new_filter), &new_subs, &remap, &[2, 0, 3], discard);
+        assert_eq!(t.machine.tallies.len(), 4);
         assert_eq!(
-            banked[0].1.discarded,
+            t.machine.tallies[1].discarded,
             3 + 40,
-            "rejected three times, undecided on 40 at the swap"
+            "netflix: rejected three times, undecided on 40 at the swap"
         );
         assert_eq!(t.machine.slabs.len(), 3);
         assert_eq!(slab_balance(&t), vec![41, 41, 0]);
@@ -1107,10 +1127,10 @@ mod tests {
         );
         web.data(false, &http::build_response(200, 32));
         feed(&mut t, &web.out);
-        assert_eq!(t.machine.sub_tallies[0].delivered, 3);
+        assert_eq!(t.machine.tallies[2].delivered, 3);
         t.drain(discard);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
-        assert_eq!(t.machine.sub_tallies[1].delivered, 53 + 41);
+        assert_eq!(t.machine.tallies[0].delivered, 53 + 41);
     }
 
     /// The running probe-buffer byte count behind the O(1)
@@ -1174,7 +1194,13 @@ mod tests {
         let new_subs: Subs = vec![Arc::clone(&subs[0])];
         let new_filter =
             CompiledFilter::build_union(&["tls"], &ProtocolRegistry::default()).unwrap();
-        t.rebind(Arc::new(new_filter), &new_subs, &[Some(0), None], discard);
+        t.rebind(
+            Arc::new(new_filter),
+            &new_subs,
+            &[Some(0), None],
+            &[0],
+            discard,
+        );
         check(&t);
 
         // Expiry (idle past the inactivity timeout) and the final drain
@@ -1310,27 +1336,27 @@ mod tests {
         let filter = CompiledFilter::build_union(&srcs, &ProtocolRegistry::default()).unwrap();
         let mut tags = Vec::new();
         let remap = [None, Some(1), Some(0)];
-        let banked = t.rebind(Arc::new(filter), &new_subs, &remap, |outbox| {
+        t.rebind(Arc::new(filter), &new_subs, &remap, &[2, 1], |outbox| {
             outbox.drain(|sub, slab, _| {
                 tags.push(sub);
                 take_output::<ZcFrame>(slab);
             });
         });
         assert_eq!(PROMOTIONS.with(std::cell::Cell::get), promotions + 1);
-        assert_eq!((banked[0].0.as_str(), banked[0].1.discarded), ("tls", 1));
+        assert_eq!(t.machine.tallies[0].discarded, 1, "tls's row");
         // `frames` released its three handshake frames under old index 1
         // (what the old transport routes to it), flushed before the slabs
         // moved, and left the connection; `web` is matched and the
         // connection stopped probing.
         assert_eq!(tags, vec![1, 1, 1]);
-        assert_eq!(t.machine.sub_tallies[1].delivered, 3);
+        assert_eq!(t.machine.tallies[1].delivered, 3);
         assert_eq!(slab_balance(&t), vec![1, 0]);
         let entry = t.table.iter().next().unwrap();
         assert_eq!(entry.value.phase.kind(), phase::Kind::Tracking);
         assert_eq!(entry.value.subs.matched, SubscriptionSet::single(0));
         check_accounting(&t);
         t.drain(discard);
-        assert_eq!(t.machine.sub_tallies[0].delivered, 1, "web's record");
+        assert_eq!(t.machine.tallies[2].delivered, 1, "web's record");
         t.stats().check_conn_accounting().unwrap();
     }
 
@@ -1459,6 +1485,8 @@ mod tests {
                 filter, &subs, TimeoutConfig::retina_default(), 500, false, ParserRegistry::default(),
             );
             let mut names: Vec<String> = subs.iter().map(|s| s.name().to_string()).collect();
+            // The run's rows, by name: a name keeps its row across swaps.
+            let mut rows = names.clone();
             let mut now = 0;
             // Per conversation: the open one and its script position.
             let mut convs: Vec<Option<(Conv, usize)>> = (0..6).map(|_| None).collect();
@@ -1498,7 +1526,14 @@ mod tests {
                             new_subs.iter().map(|s| s.name().to_string()).collect();
                         let remap: Vec<Option<usize>> =
                             names.iter().map(|n| new_names.iter().position(|m| m == n)).collect();
-                        t.rebind(filter, &new_subs, &remap, discard);
+                        let mut map = Vec::new();
+                        for n in &new_names {
+                            if !rows.contains(n) {
+                                rows.push(n.clone());
+                            }
+                            map.push(rows.iter().position(|r| r == n).unwrap());
+                        }
+                        t.rebind(filter, &new_subs, &remap, &map, discard);
                         names = new_names;
                     }
                 }

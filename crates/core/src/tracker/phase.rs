@@ -592,7 +592,7 @@ impl<F: FilterFns> Machine<F> {
         let a = t.actions;
         for i in a.drop_sub.iter() {
             if self.release(&mut entry.value, i) {
-                self.sub_tallies[i].discarded += 1;
+                self.tallies[self.subs[i].row].discarded += 1;
             }
         }
         for i in a.terminate.iter() {

@@ -235,22 +235,6 @@ impl VirtualNic {
         self.engine.write().install(rule)
     }
 
-    /// Validates a rule against the device without installing it.
-    pub fn validate_rule(&self, rule: &FlowRule) -> Result<(), crate::flow::FlowError> {
-        self.engine.read().validate(rule)
-    }
-
-    /// Removes all hardware flow rules.
-    pub fn clear_rules(&self) {
-        self.engine.write().clear();
-    }
-
-    /// Removes one installed rule equal to `rule` (the decrement half
-    /// of a reconfiguration diff), returning whether it was found.
-    pub fn remove_rule(&self, rule: &FlowRule) -> bool {
-        self.engine.write().remove(rule)
-    }
-
     /// Snapshot of the installed rule table, in match order. A live
     /// reconfiguration diffs this against the new union to compute the
     /// minimal add/remove set.
@@ -273,11 +257,6 @@ impl VirtualNic {
         self.engine.write().apply_diff(adds, removes)
     }
 
-    /// Number of installed rules.
-    pub fn num_rules(&self) -> usize {
-        self.engine.read().rules().len()
-    }
-
     /// Remaps a fraction of RETA entries to the sink (§6.1 rate control).
     pub fn set_sink_fraction(&self, fraction: f64) {
         self.reta.write().set_sink_fraction(fraction);
@@ -286,13 +265,6 @@ impl VirtualNic {
     /// Fraction of RETA entries currently mapped to the sink queue.
     pub fn sink_fraction(&self) -> f64 {
         self.reta.read().sink_fraction()
-    }
-
-    /// Rewrites the redirection table in place under the write lock —
-    /// the runtime API a governor or custom balancer uses to retarget
-    /// hash buckets while workers keep polling.
-    pub fn rewrite_reta<R>(&self, f: impl FnOnce(&mut RedirectionTable) -> R) -> R {
-        f(&mut self.reta.write())
     }
 
     /// Descriptors currently waiting in `queue`'s RX ring.

@@ -64,11 +64,6 @@ impl RedirectionTable {
         self.entries[hash as usize % self.entries.len()]
     }
 
-    /// Overwrites a single entry (e.g. for custom load-balancing).
-    pub fn set_entry(&mut self, index: usize, queue: u16) {
-        self.entries[index] = queue;
-    }
-
     /// Remaps approximately `fraction` of the entries to the sink queue,
     /// choosing entries deterministically by spacing so the sampled set is
     /// stable across calls. `fraction` is clamped to `[0, 1]`.

@@ -9,6 +9,7 @@
 //! the same sum. The instantaneous queue occupancy doubles as the
 //! governor's queue-pressure shed input.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
@@ -39,12 +40,10 @@ pub struct DispatchStats {
 }
 
 impl DispatchStats {
-    /// New zeroed stats with the given total ring capacity (0 = inline).
-    #[must_use]
-    pub fn with_capacity(capacity: u64) -> Self {
-        let stats = Self::default();
-        stats.capacity.store(capacity, Ordering::Relaxed);
-        stats
+    /// Sets the total ring capacity: the subscription's rings were
+    /// (re)built.
+    pub fn set_capacity(&self, capacity: u64) {
+        self.capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Records a successful enqueue onto a ring.
@@ -178,19 +177,47 @@ impl DispatchSnapshot {
     }
 }
 
+/// One subscription's [`DispatchStats`], held in a block shared with the
+/// other subscriptions installed at the same time: a whole table of
+/// counters is one allocation, and a handle is a reference-count bump.
+#[derive(Debug, Clone)]
+pub struct DispatchRow {
+    block: Arc<[DispatchStats]>,
+    at: usize,
+}
+
+impl DispatchRow {
+    /// `n` fresh counters (capacity 0) in one block, a handle to each.
+    pub fn block(n: usize) -> impl Iterator<Item = DispatchRow> {
+        let block: Arc<[DispatchStats]> = (0..n).map(|_| DispatchStats::default()).collect();
+        (0..n).map(move |at| DispatchRow {
+            block: Arc::clone(&block),
+            at,
+        })
+    }
+}
+
+impl Deref for DispatchRow {
+    type Target = DispatchStats;
+
+    fn deref(&self) -> &DispatchStats {
+        &self.block[self.at]
+    }
+}
+
 /// The live subscription table's dispatch stats, indexed by
 /// subscription order — the runtime owns one for its whole life and
 /// shares it with the governor and the monitor.
 ///
 /// Membership follows the configuration: every published epoch (a run's
 /// first, and each live swap's) [`DispatchHub::replace`]s it, so a
-/// long-lived observer always samples the table that is running.
-/// Surviving subscriptions keep the *same* `Arc<DispatchStats>` across a
-/// swap (so `delivered == executed + dropped` stays a single whole-run
-/// identity per subscription name); added ones arrive with fresh blocks.
+/// long-lived observer always samples the table that is running. A
+/// subscription's counters are its row of the run's table, one per name
+/// for the whole run (so `delivered == executed + dropped` stays a single
+/// whole-run identity per subscription name, across swaps).
 #[derive(Debug, Default)]
 pub struct DispatchHub {
-    subs: RwLock<Vec<Arc<DispatchStats>>>,
+    subs: RwLock<Vec<DispatchRow>>,
 }
 
 impl DispatchHub {
@@ -198,16 +225,19 @@ impl DispatchHub {
     /// subscription i's total ring capacity (0 = inline).
     #[must_use]
     pub fn new(capacities: &[u64]) -> Self {
-        let subs = capacities
-            .iter()
-            .map(|&c| Arc::new(DispatchStats::with_capacity(c)))
+        let subs = DispatchRow::block(capacities.len())
+            .zip(capacities)
+            .map(|(row, &c)| {
+                row.set_capacity(c);
+                row
+            })
             .collect();
         Self {
             subs: RwLock::new(subs),
         }
     }
 
-    fn subs(&self) -> RwLockReadGuard<'_, Vec<Arc<DispatchStats>>> {
+    fn subs(&self) -> RwLockReadGuard<'_, Vec<DispatchRow>> {
         // A poisoned lock still guards a valid table: `replace` swaps
         // the whole vector in one assignment.
         self.subs
@@ -217,7 +247,7 @@ impl DispatchHub {
 
     /// Replaces the membership with a newly published configuration's
     /// stats blocks, in its subscription order.
-    pub fn replace(&self, subs: Vec<Arc<DispatchStats>>) {
+    pub fn replace(&self, subs: Vec<DispatchRow>) {
         *self
             .subs
             .write()
@@ -238,8 +268,8 @@ impl DispatchHub {
 
     /// Shared handle to subscription `i`'s stats.
     #[must_use]
-    pub fn get(&self, i: usize) -> Arc<DispatchStats> {
-        Arc::clone(&self.subs()[i])
+    pub fn get(&self, i: usize) -> DispatchRow {
+        self.subs()[i].clone()
     }
 
     /// The worst queue occupancy across all subscriptions — the
@@ -272,7 +302,8 @@ mod tests {
 
     #[test]
     fn accounting_identity_holds() {
-        let stats = DispatchStats::with_capacity(8);
+        let stats = DispatchStats::default();
+        stats.set_capacity(8);
         for _ in 0..5 {
             stats.note_enqueued();
         }
@@ -293,7 +324,7 @@ mod tests {
 
     #[test]
     fn inline_sub_reads_zero_occupancy() {
-        let stats = DispatchStats::with_capacity(0);
+        let stats = DispatchStats::default();
         stats.note_inline();
         assert_eq!(stats.occupancy(), 0.0);
         stats.snapshot().check(1).unwrap();
@@ -317,11 +348,11 @@ mod tests {
         let hub = DispatchHub::new(&[0, 4]);
         let survivor = hub.get(1);
         survivor.note_enqueued();
-        hub.replace(vec![
-            Arc::new(DispatchStats::with_capacity(8)),
-            Arc::clone(&survivor),
-            Arc::new(DispatchStats::with_capacity(2)),
-        ]);
+        let mut added = DispatchRow::block(2);
+        let (a, b) = (added.next().unwrap(), added.next().unwrap());
+        a.set_capacity(8);
+        b.set_capacity(2);
+        hub.replace(vec![a, survivor, b]);
         assert_eq!(hub.len(), 3);
         assert_eq!(hub.total_depth(), 1, "the survivor kept its counters");
         assert_eq!(hub.snapshots()[0].capacity, 8);

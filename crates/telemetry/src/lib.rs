@@ -19,7 +19,7 @@
 //!   [`JsonSink`], and [`PrometheusSink`] exporters, driven by the
 //!   runtime monitor with periodic [`Sample`]s and a final
 //!   [`TelemetrySnapshot`].
-//! * [`DispatchStats`] / [`DispatchHub`] — per-subscription callback
+//! * [`DispatchStats`] / [`DispatchRow`] / [`DispatchHub`] — per-subscription callback
 //!   dispatch counters (queue depth, drops by reason, blocked sends)
 //!   whose worst-case occupancy feeds the governor as the
 //!   queue-pressure shed input.
@@ -41,7 +41,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use dispatch::{DispatchHub, DispatchSnapshot, DispatchStats};
+pub use dispatch::{DispatchHub, DispatchRow, DispatchSnapshot, DispatchStats};
 pub use drops::{DropBreakdown, DropReason, DropSubject};
 pub use export::{CsvSink, JsonSink, LogSink, MetricSink, PrometheusSink, Sample, SharedBuf};
 pub use histogram::{LogHistogram, NUM_BUCKETS};

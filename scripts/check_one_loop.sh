@@ -115,6 +115,22 @@
 #     anywhere under crates/;
 #   * non-test crates/core/src has no `Mutex<Vec<SwapEvent>>`.
 #
+# A subscription's counts live in one row for the whole run. A run keeps
+# one row per subscription name it installed; every core tallies
+# `delivered` and `discarded` by row, and both drivers count dispatch
+# into the row's `DispatchStats`, so a swap only re-points slots at rows
+# and cores merge by index addition. The counts once lived in three
+# places — per-core `(name, tally)` pairs, per-epoch dispatch counters,
+# and two retired ledgers a swap banked removed rows into — and the
+# report merged them back by name with a sort, a dedup and a binary
+# search; the lane protocol was generic over whether its counters were
+# shared, owned or borrowed. So, in non-test crates/core/src:
+#
+#   * no `Vec<(String, SubTally)>` anywhere, and no `retired` ledger in
+#     reconfig.rs or step.rs;
+#   * no `dedup` in report.rs: rows are read off the table, not merged;
+#   * no type parameter on executor.rs's `Lane`.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -301,6 +317,35 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+for file in $(find crates/core/src -name '*.rs' | sort); do
+    hits=$(code_lines "$file" | grep -E 'Vec<\(String, *([[:alnum:]_]+::)*SubTally\)>' || true)
+    if [ -n "$hits" ]; then
+        echo "a (name, tally) ledger (tally by row of the run's table):" >&2
+        printf '%s\n' "$hits" >&2
+        fail=1
+    fi
+done
+hits=$(for file in crates/core/src/reconfig.rs crates/core/src/step.rs; do
+    code_lines "$file"
+done | grep -E '(^|[^[:alnum:]_])retired([^[:alnum:]_]|$)' || true)
+if [ -n "$hits" ]; then
+    echo "a retired ledger (a swap re-points slots at rows, it banks nothing):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(code_lines crates/core/src/report.rs | grep -E 'dedup' || true)
+if [ -n "$hits" ]; then
+    echo "report assembly merges rows by name (read them off the row table):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(code_lines crates/core/src/executor.rs | grep -E '(^|[^[:alnum:]_])Lane<' || true)
+if [ -n "$hits" ]; then
+    echo "a type parameter on Lane (its counters are its row's DispatchRow):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -312,4 +357,5 @@ echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the st
 echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
 echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
-echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists"
+echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists;"
+echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>"

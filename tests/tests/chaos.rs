@@ -360,6 +360,67 @@ fn callback_stall_sheds_without_collateral_damage() {
     );
 }
 
+/// A governed run watches its own loss: the governor's monitor tick
+/// fires the flight recorder's `drop-burst` trigger when one interval
+/// loses more frames than the tracer's `drop_burst_threshold`. Here a
+/// slowed worker behind a 128-slot ring and an unpaced wire loses
+/// frames for hundreds of 1 ms intervals, against a threshold of 0.
+#[test]
+fn governed_run_that_loses_frames_fires_a_drop_burst() {
+    use retina_core::{RuntimeBuilder, TraceConfig, TriggerReason};
+    use std::time::Duration;
+
+    let mut config = RuntimeConfig::with_cores(1);
+    config.paced_ingest = false;
+    config.device.ring_capacity = 128;
+    let mut runtime = RuntimeBuilder::new(config)
+        .subscribe("ipv4 and tcp", |_: ConnRecord| {})
+        .trace(TraceConfig {
+            drop_burst_threshold: 0,
+            ..TraceConfig::default()
+        })
+        .build()
+        .expect("runtime");
+    let plan = FaultPlan::new(31).with(Fault::WorkerSlowdown {
+        core: 0,
+        start_poll: 0,
+        polls: 200,
+        delay: Duration::from_millis(1),
+    });
+    retina_chaos::install(runtime.nic(), &plan);
+    // Only the drop-burst trigger may fire: every shed input is parked
+    // out of reach.
+    let governor = runtime.start_governor(GovernorConfig {
+        interval: Duration::from_millis(1),
+        mempool_high: 2.0,
+        ring_high: 2.0,
+        dispatch_high: 2.0,
+        loss_tolerance: u64::MAX,
+        ..GovernorConfig::default()
+    });
+    let report = runtime.run(PreloadedSource::new(workload().to_vec()));
+    runtime.nic().clear_fault_hooks();
+    assert_eq!(governor.stop().shed_steps(), 0);
+    report.check_accounting().unwrap();
+    assert!(
+        report.nic.lost() > 0,
+        "the slowed worker's ring never overflowed"
+    );
+    let flight = report
+        .trace
+        .expect("traced run")
+        .flight
+        .expect("a trigger froze the flight recorder");
+    assert!(
+        flight
+            .triggers
+            .iter()
+            .any(|t| t.reason == TriggerReason::DropBurst && t.detail > 0),
+        "no drop-burst trigger: {:?}",
+        flight.triggers
+    );
+}
+
 /// Injected parser panics are contained: the worker survives, panics
 /// are counted, and accounting still balances.
 #[test]

@@ -269,6 +269,92 @@ fn stepped_swap_drains_orphaned_connections() {
     );
 }
 
+/// Regression: the exported counters carry the whole connection
+/// identity, `conns_swapped` included, so an exporter alone can check
+/// `created == discarded + terminated + expired + drained + swapped`.
+/// `conns_swapped` used to be missing from `RunReport::telemetry()`.
+#[test]
+fn exported_counters_balance_the_connection_identity_across_a_swap() {
+    let packets = workload();
+    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+        .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
+        .build()
+        .unwrap();
+    let spec = SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {});
+    let report = rt
+        .run_stepped_with_swap(
+            &packets,
+            &StepConfig::seeded(9),
+            (packets.len() / 2) as u64,
+            &spec,
+        )
+        .expect("swap accepted");
+    let counters: HashMap<String, u64> = report.telemetry().counters.into_iter().collect();
+    let get = |name: &str| {
+        *counters
+            .get(&format!("core.{name}"))
+            .unwrap_or_else(|| panic!("core.{name} not exported"))
+    };
+    assert!(get("conns_swapped") > 0, "the swap orphaned nothing");
+    assert_eq!(
+        get("conns_created"),
+        get("conns_discarded")
+            + get("conns_terminated")
+            + get("conns_expired")
+            + get("conns_drained")
+            + get("conns_swapped")
+    );
+}
+
+/// A name removed by one swap and re-added by a later one is one row for
+/// the whole run: its counts from both tables add up, its queue capacity
+/// is the re-added ring's, and the rows read as the final table in
+/// order, then the retired names sorted.
+#[test]
+fn a_removed_and_readded_name_is_one_whole_run_row() {
+    let hits = Arc::new(AtomicU64::new(0));
+    let mut rt = build_runtime(&hits);
+    let controller = rt.swap_controller();
+    let packets = workload();
+    let third = packets.len() / 3;
+    let nic = Arc::clone(rt.nic());
+    let (source, gate) = GatedSource::new(packets, third);
+    let handle = std::thread::spawn(move || rt.run(source));
+    while nic.stats().rx_offered < third as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Drop `tls443`, adding two names the final table drops again.
+    let drop_tls = SwapSpec::new()
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+        .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
+        .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {});
+    controller.swap(&drop_tls).expect("first swap");
+    // Re-add it, now on a dedicated worker.
+    let readd = SwapSpec::new()
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+        .subscribe_dispatched::<ConnRecord>(
+            "tls443",
+            "ipv4 and tcp.port = 443",
+            DispatchMode::dedicated(8),
+            |_| {},
+        );
+    controller.swap(&readd).expect("second swap");
+    gate.send(()).expect("run thread alive");
+    let report = handle.join().expect("run thread panicked");
+    report.check_accounting().expect("accounting exact");
+
+    let names: Vec<&str> = report.subs.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["conns", "tls443", "dns", "udp-conns"]);
+    let tls = sub(&report, "tls443");
+    assert!(tls.delivered > 0, "tls443 never delivered");
+    assert_eq!(
+        tls.delivered,
+        tls.cb_executed + tls.cb_dropped_full + tls.cb_dropped_disconnected
+    );
+    assert_eq!(tls.queue_capacity, 2 * 8, "one 8-deep ring per RX core");
+}
+
 /// Regression: every way a connection leaves the table leaves one
 /// `conn-expire` tracepoint, a swap-time eviction included — with reason
 /// 5 (`TraceConnEnd::Swapped`), once per connection counted
@@ -658,5 +744,15 @@ fn swap_rejections_leave_the_run_untouched() {
     assert!(matches!(
         rt2.run_stepped_with_swap(&packets, &StepConfig::seeded(1), 0, &SwapSpec::new()),
         Err(SwapError::Spec(_))
+    ));
+    // A run's first table is held to the same rule: `subscribe` names
+    // its first subscription `sub0`.
+    let dup = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe::<ConnRecord>("tcp", |_| {})
+        .subscribe_named::<ConnRecord>("sub0", "udp", |_| {})
+        .build();
+    assert!(matches!(
+        dup,
+        Err(retina_core::RuntimeError::Subscriptions(_))
     ));
 }
