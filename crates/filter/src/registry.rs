@@ -357,8 +357,9 @@ impl ProtocolRegistry {
     }
 
     /// Type-checks a predicate: known protocol, known field, operator and
-    /// value compatible with the field type. Also pre-compiles regexes to
-    /// surface errors at filter-compile time.
+    /// value compatible with the field type. Also checks each regex's
+    /// syntax and size (`rematch::POSITION_CAP`) to surface errors at
+    /// filter-compile time.
     pub fn check(&self, pred: &Predicate) -> Result<(), FilterError> {
         let proto = self
             .get(pred.protocol())
@@ -381,7 +382,9 @@ impl ProtocolRegistry {
             (FieldType::Int, Op::In, Value::IntRange(..)) => true,
             (FieldType::Str, Op::Eq | Op::Ne, Value::Str(_)) => true,
             (FieldType::Str, Op::Matches, Value::Str(pat)) => {
-                retina_support::rematch::Regex::new(pat)
+                // Parse and size only: `Program::lower` builds each
+                // pattern's automaton once per filter build.
+                retina_support::rematch::Regex::check(pat)
                     .map_err(|e| FilterError::BadRegex(e.to_string()))?;
                 true
             }
@@ -505,6 +508,26 @@ mod tests {
                 unreachable!()
             };
             assert!(r.check(&p).is_err(), "{src} should be rejected");
+        }
+    }
+
+    #[test]
+    fn typecheck_rejects_regexes_past_the_position_cap() {
+        let r = ProtocolRegistry::default();
+        for src in [
+            "tls.sni ~ 'a{100000}'",
+            "http.uri ~ 'a{4294967295}'",
+            "tls.sni ~ '(){4294967295}'",
+            "http.uri ~ '((?:){65535}){65535}'",
+        ] {
+            let crate::ast::Expr::Predicate(p) = crate::parser::parse(src).unwrap() else {
+                unreachable!()
+            };
+            let Err(FilterError::BadRegex(msg)) = r.check(&p) else {
+                panic!("{src} should be rejected as a bad regex");
+            };
+            let cap = retina_support::rematch::POSITION_CAP;
+            assert!(msg.contains(&format!("cap of {cap}")), "{src}: {msg}");
         }
     }
 

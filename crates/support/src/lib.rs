@@ -9,7 +9,7 @@
 //! | [`bytes`]         | `bytes` (`Bytes`)          | zero-copy mbuf payloads      |
 //! | [`sync`]          | `parking_lot`, `crossbeam` | NIC rings, executor channels |
 //! | [`rand`]          | `rand` (`SmallRng`)        | seeded traffic generation    |
-//! | [`rematch`]       | `regex` (`Regex`)          | filter `~` string matching   |
+//! | [`rematch`]       | `regex` (`Regex`)          | filter `~`: linear automaton |
 //! | [`mod@proptest`]  | `proptest`                 | property tests everywhere    |
 //! | [`hash`]          | `fxhash`/`ahash`           | conn-table shard maps        |
 //!

@@ -381,9 +381,8 @@ impl<T: Clone + Debug + 'static> Strategy for Subsequence<T> {
 impl Strategy for &'static str {
     type Value = String;
     fn generate(&self, ds: &mut DataSource) -> String {
-        let re = crate::rematch::Regex::new(self)
-            .unwrap_or_else(|e| panic!("invalid string-strategy pattern {self:?}: {e}"));
-        re.sample(&mut |bound| ds.draw_below(bound))
+        crate::rematch::sample(self, &mut |bound| ds.draw_below(bound))
+            .unwrap_or_else(|e| panic!("invalid string-strategy pattern {self:?}: {e}"))
     }
 }
 

@@ -131,6 +131,15 @@
 #   * no `dedup` in report.rs: rows are read off the table, not merged;
 #   * no type parameter on executor.rs's `Lane`.
 #
+# A session filter's `~` runs as an automaton. `rematch::Regex` compiles
+# each pattern once into a Glushkov automaton run over a bit vector of
+# live positions, and a match reads the field once, where it lies. The backtracker it replaced copied the field into a
+# `Vec<char>` on every evaluation (one RX-core allocation each) and
+# recursed through `dyn FnMut(usize)` continuations, quadratic in a
+# 64 KiB SNI and deep enough to overflow an RX thread's stack; it is the
+# test oracle now. So non-test crates/support/src/rematch.rs has no
+# `Vec<char>`, no `.chars().collect` and no `dyn FnMut(usize)`.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -346,6 +355,14 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(code_lines crates/support/src/rematch.rs |
+    grep -E 'Vec<char>|\.chars\(\)[[:space:]]*\.collect|dyn FnMut\(usize\)' || true)
+if [ -n "$hits" ]; then
+    echo "a regex match copies its text or backtracks (run the automaton; the backtracker is the test oracle):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -358,4 +375,5 @@ echo "  phases move in tracker/phase.rs only, and each discard charge and the en
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
 echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
 echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists;"
-echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>"
+echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
+echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests"

@@ -42,7 +42,12 @@
 #                 `handshake.clone()` in non-test crates/protocols/src/
 #                 {tls/mod.rs,http.rs,ssh.rs,dns.rs} — a record, head or
 #                 line is read where it lies, only what a segment cuts is
-#                 carried, and a finished handshake moves into its session
+#                 carried, and a finished handshake moves into its session;
+#                 and a session-filter `~` runs as an automaton: no
+#                 `Vec<char>`, `.chars().collect` or `dyn FnMut(usize)` in
+#                 non-test crates/support/src/rematch.rs — a copy of the
+#                 field per evaluation and the backtracker's continuations
+#                 are the test oracle's only
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -50,7 +55,8 @@
 #   test          cargo test -q --offline (whole workspace; includes
 #                 tests/tests/alloc_per_conn.rs, which counts heap
 #                 allocations per single-SYN connection, per probed and
-#                 per delivered TLS handshake and per DNS probe, and
+#                 per delivered TLS handshake, per DNS probe and per
+#                 session-filter regex evaluation, and
 #                 bytes per ConnBytes segment, under its own per-thread
 #                 counting global allocator — an allocation regression,
 #                 or a payload copy, fails here — and

@@ -33,7 +33,12 @@
 //! are pooled. Neither TLS case copies the ClientHello into a prefix
 //! buffer: it is identified where it lies in its frame.
 //!
-//! The seventh counts bytes: a `ConnBytes` stream costs one frame view
+//! The seventh holds the session filter's `~` at no allocation: a
+//! ClientHello whose SNI fails `(.+?\.)?nflxvideo\.net` costs exactly
+//! what one failing `= 'nflxvideo.net'` costs — the pattern runs as an
+//! automaton over the field where it lies, not over a copy of it.
+//!
+//! The eighth counts bytes: a `ConnBytes` stream costs one frame view
 //! per segment, the same for 100-byte and for 1460-byte payloads — a
 //! copy anywhere on the path makes the figure scale with the payload.
 
@@ -455,6 +460,33 @@ fn a_tls_conn_record_borrows_its_service_name() {
     assert!(
         per_conn <= 1.05,
         "{per_conn:.3} allocations per tls-filtered ConnRecord"
+    );
+}
+
+#[test]
+fn a_session_filter_regex_allocates_nothing() {
+    let run = |filter: &str| {
+        let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+            .subscribe_named("nflx", filter, |_: TlsHandshakeData| {
+                panic!("video.example.net is not a Netflix SNI");
+            })
+            .build()
+            .expect("runtime builds");
+        let mut packets = client_hellos(0, 0, true);
+        let warm = packets.len();
+        packets.extend(client_hellos(TLS_N, 400 * SEC, true));
+        let ((allocs, _), report) = measured_half(&runtime, &packets, warm);
+        // Every handshake reached the session filter, and failed it.
+        assert_eq!(report.cores.session_filter.runs, u64::from(2 * TLS_N));
+        allocs
+    };
+    let regex = run(r"tls.sni ~ '(.+?\.)?nflxvideo\.net'");
+    let equality = run("tls.sni = 'nflxvideo.net'");
+    // A copy of the field per evaluation — a `Vec<char>` collected from
+    // it, grown twice on the way — made this 3 * TLS_N more.
+    assert_eq!(
+        regex, equality,
+        "allocations of {TLS_N} failing `~` vs `=` session filters"
     );
 }
 

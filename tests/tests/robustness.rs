@@ -165,3 +165,144 @@ fn adversarial_corpus() {
         let _ = ParsedPacket::parse(input);
     }
 }
+
+/// One TCP conversation, `request` up and `response` down in 1400-byte
+/// segments, 10 µs between packets from `t0`.
+fn conversation(
+    client: &str,
+    server: &str,
+    request: &[u8],
+    response: &[u8],
+    t0: u64,
+) -> Vec<(retina_support::bytes::Bytes, u64)> {
+    use retina_wire::build::{build_tcp, TcpSpec};
+    use retina_wire::TcpFlags;
+
+    let (client, server) = (client.parse().unwrap(), server.parse().unwrap());
+    let (mut cseq, mut sseq) = (1000u32, 9000u32);
+    let mut out = Vec::new();
+    let mut push = |up: bool, flags: u8, payload: &[u8]| {
+        let (src, dst, seq, ack) = if up {
+            (client, server, &mut cseq, sseq)
+        } else {
+            (server, client, &mut sseq, cseq)
+        };
+        let frame = build_tcp(&TcpSpec {
+            src,
+            dst,
+            seq: *seq,
+            ack,
+            flags,
+            window: 65535,
+            ttl: 64,
+            payload,
+        });
+        let syn_fin = u32::from(flags & (TcpFlags::SYN | TcpFlags::FIN) != 0);
+        *seq += u32::try_from(payload.len()).unwrap() + syn_fin;
+        out.push((frame.into(), t0 + 10_000 * out.len() as u64));
+    };
+    push(true, TcpFlags::SYN, &[]);
+    push(false, TcpFlags::SYN | TcpFlags::ACK, &[]);
+    push(true, TcpFlags::ACK, &[]);
+    for segment in request.chunks(1400) {
+        push(true, TcpFlags::ACK | TcpFlags::PSH, segment);
+    }
+    for segment in response.chunks(1400) {
+        push(false, TcpFlags::ACK | TcpFlags::PSH, segment);
+    }
+    push(true, TcpFlags::FIN | TcpFlags::ACK, &[]);
+    push(false, TcpFlags::FIN | TcpFlags::ACK, &[]);
+    push(true, TcpFlags::ACK, &[]);
+    out
+}
+
+/// A field as long as a parser accepts — a 60 KiB SNI (the TLS parser
+/// carries up to 64 KiB) and a 16 KiB URI (an HTTP head's limit) —
+/// through the campus_union4 subscriptions plus a `~` on the URI, on a
+/// thread with a 2 MiB stack. A matcher whose time or stack grows faster
+/// than the field stalls or aborts the RX core here; the automaton reads
+/// each field once, so the run completes and delivers what the patterns'
+/// plain-substring equivalents say it must.
+#[test]
+fn long_fields_through_the_union_regexes() {
+    std::thread::Builder::new()
+        .name("rx-2mib".into())
+        .stack_size(2 << 20)
+        .spawn(long_fields_run)
+        .expect("spawn")
+        .join()
+        .expect("the run completes on a 2 MiB stack");
+}
+
+fn long_fields_run() {
+    use retina_core::subscribables::{
+        ConnRecord, HttpTransactionData, SessionRecord, TlsHandshakeData,
+    };
+    use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
+    use retina_protocols::tls::build::{
+        client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
+    };
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let sni = format!("{}.nflxvideo.net", "a".repeat(60 * 1024 - 14));
+    let uri = format!("/{}", "a".repeat(16 * 1024 - 64));
+    let hello = client_hello_record(&ClientHelloSpec {
+        sni: Some(sni.clone()),
+        ciphers: vec![0x1301],
+        random: [7; 32],
+        version: 0x0303,
+        alpn: None,
+    });
+    let answer = server_hello_record(&ServerHelloSpec {
+        cipher: 0x1301,
+        random: [9; 32],
+        version: 0x0303,
+        supported_version: Some(0x0304),
+        alpn: None,
+    });
+    let request = format!("GET {uri} HTTP/1.1\r\nHost: h\r\n\r\n");
+    let response = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n";
+    let mut packets = conversation("10.0.0.1:40000", "198.51.100.1:443", &hello, &answer, 0);
+    packets.extend(conversation(
+        "10.0.0.2:40000",
+        "198.51.100.2:80",
+        request.as_bytes(),
+        response,
+        1_000_000_000,
+    ));
+
+    let sni_len = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&sni_len);
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named(
+            "nflx_tls",
+            r"tls.sni ~ '(.+?\.)?nflxvideo\.net'",
+            move |hs: TlsHandshakeData| {
+                seen.store(hs.tls.sni().len() as u64, Ordering::Relaxed);
+            },
+        )
+        .subscribe_named("http", "http", |_: HttpTransactionData| {})
+        .subscribe_named("dns", "dns", |_: SessionRecord| {})
+        .subscribe_named("https_conns", "tcp.port = 443", |_: ConnRecord| {})
+        .subscribe_named("admin", "http.uri ~ '.*admin'", |_: HttpTransactionData| {})
+        .build()
+        .expect("runtime builds");
+    let report = runtime.run_stepped(&packets, &StepConfig::seeded(7));
+    report.check_accounting().unwrap();
+
+    // `(.+?\.)?nflxvideo\.net` searches for `nflxvideo.net`, `.*admin`
+    // for `admin`.
+    let expected = [
+        ("nflx_tls", u64::from(sni.contains("nflxvideo.net"))),
+        ("http", 1),
+        ("dns", 0),
+        ("https_conns", 1),
+        ("admin", u64::from(uri.contains("admin"))),
+    ];
+    for (name, delivered) in expected {
+        let sub = report.subs.iter().find(|s| s.name == name).expect(name);
+        assert_eq!(sub.delivered, delivered, "{name}");
+    }
+    assert_eq!(sni_len.load(Ordering::Relaxed), sni.len() as u64);
+}
