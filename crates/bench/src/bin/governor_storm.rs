@@ -21,10 +21,6 @@
 //!   within a bounded number of monitor intervals after the last shed;
 //! * the decision stream passes `GovernorReport::check_accounting`
 //!   and the run passes `RunReport::check_accounting`.
-//!
-//! With `--json-out PATH` the results merge into the CI bench file
-//! (see `retina_bench::ci`); `scripts/bench_gate.sh` compares them
-//! against the committed baseline.
 
 // Narrowing casts in this file are intentional: test and bench harnesses narrow seeded draws and counter math to compact fields.
 #![allow(clippy::cast_possible_truncation)]
@@ -32,7 +28,7 @@
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use retina_bench::{bench_args, ci};
+use retina_bench::bench_args;
 use retina_chaos::{Fault, FaultPlan};
 use retina_core::subscribables::ConnRecord;
 use retina_core::{compile, GovernorConfig, Runtime, RuntimeConfig, TrafficSource};
@@ -133,7 +129,7 @@ fn main() {
         mempool_high: 0.8,
         ring_high: 0.3,
         // This storm is about ring pressure; the dispatch-occupancy
-        // input has its own smoke (dispatch_storm).
+        // input has its own test (chaos.rs).
         dispatch_high: 2.0,
         loss_tolerance: 0,
         hysteresis: 0.5,
@@ -223,25 +219,4 @@ fn main() {
         recovery_intervals,
         bound_intervals
     );
-
-    if let Some(path) = &args.json_out {
-        let metrics: Vec<(&str, f64)> = vec![
-            ("packets", offered as f64),
-            ("storm_overloads_baseline", 1.0),
-            ("sink_rose", 1.0),
-            ("governed_loss_below_ungoverned", 1.0),
-            ("recovered", 1.0),
-            ("accounting_ok", 1.0),
-            ("_ungoverned_lost", ungoverned_lost as f64),
-            ("_governed_lost", governed_lost as f64),
-            ("_max_sink", report.max_sink_fraction),
-            ("_recovery_intervals", recovery_intervals as f64),
-            ("_governed_gbps", governed.gbps()),
-        ];
-        if let Err(e) = ci::merge_section(path, "governor_storm", &metrics) {
-            fail(&format!("writing {path}: {e}"));
-        }
-        println!("  metrics merged into {path}");
-        ci::print_gate_keys("governor_storm", &metrics);
-    }
 }

@@ -10,7 +10,8 @@
 //! everything schedule-dependent (timestamps, lane ids, ring
 //! occupancy, RSS queue choice) while keeping everything
 //! deterministic (filter verdict bitsets, frontier node ids, conn
-//! lifecycle reasons, ingest sequence numbers, subscription ids).
+//! lifecycle reasons, ingest sequence numbers, subscription ids). A
+//! tracer attached but disabled must record nothing at all.
 //! The workload pins the remaining sources of divergence: one RX
 //! core, `hw_filtering = false` (no rules → both modes see the same
 //! RSS verdict), paced ingest (no load-dependent drops), lossless
@@ -24,6 +25,7 @@ use std::net::SocketAddr;
 
 use retina_core::runtime::TrafficSource;
 use retina_core::subscribables::ConnRecord;
+use retina_core::telemetry::json;
 use retina_core::{
     DispatchMode, MultiRuntime, RuntimeBuilder, RuntimeConfig, StepConfig, TraceConfig,
     TriggerReason, WorkerStall,
@@ -330,5 +332,45 @@ fn span_tree_covers_every_stage() {
             assert_eq!(waits.len(), execs.len());
         }
         assert!(!flow.render_text().is_empty());
+        assert!(
+            json::parse(&flow.to_json()).is_ok(),
+            "span-tree JSON parses"
+        );
     }
+}
+
+/// A tracer attached with `enabled: false` to a threaded run records
+/// nothing — no lane event, no dropped event, no flight dump — even at
+/// 1-in-1 sampling, and the run stays lossless with exact accounting.
+#[test]
+fn disabled_tracer_records_nothing_on_a_threaded_run() {
+    let mix = [
+        DispatchMode::dedicated(8),
+        DispatchMode::shared(8),
+        DispatchMode::Inline,
+        DispatchMode::Inline,
+    ];
+    let trace = TraceConfig {
+        enabled: false,
+        ..trace_config(0)
+    };
+    let mut rt = build_runtime(&mix, trace);
+    let report = rt.run(Seq(workload(4)));
+    report.check_accounting().expect("accounting exact");
+    assert!(report.zero_loss());
+    assert!(report.subs[0].delivered > 0, "the run delivered");
+    let trace = report.trace.expect("an attached tracer reports a session");
+    assert!(
+        trace
+            .session
+            .lanes
+            .iter()
+            .all(|(_, events)| events.is_empty()),
+        "a disabled tracer recorded events"
+    );
+    assert_eq!(trace.session.dropped_events, 0);
+    assert!(
+        trace.flight.is_none(),
+        "a disabled tracer froze a flight dump"
+    );
 }

@@ -140,6 +140,16 @@
 # test oracle now. So non-test crates/support/src/rematch.rs has no
 # `Vec<char>`, no `.chars().collect` and no `dyn FnMut(usize)`.
 #
+# Performance numbers have one source: benchmark/ (CPU clock, per
+# layer, against BENCHMARK.json). A second harness once wrote its own
+# results file from the figure and storm binaries and banded it against
+# a committed baseline; every key it gated was a constant pass flag, a
+# deterministic count or wall-clock noise. So nothing under crates/,
+# .github/ or scripts/ names its pieces again: the JSON results flag,
+# the section merger, the gate-key printer or a BENCH results file (the
+# patterns below are spelled with brackets so this script does not
+# match itself).
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -363,6 +373,14 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(grep -rnE 'json[-]out|merge[_]section|print[_]gate[_]keys|BENCH[_]' \
+    crates scripts .github || true)
+if [ -n "$hits" ]; then
+    echo "a second bench harness (performance numbers come from benchmark/):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -376,4 +394,5 @@ echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
 echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
 echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists;"
 echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
-echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests"
+echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"
+echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file"

@@ -47,7 +47,10 @@
 #                 `Vec<char>`, `.chars().collect` or `dyn FnMut(usize)` in
 #                 non-test crates/support/src/rematch.rs — a copy of the
 #                 field per evaluation and the backtracker's continuations
-#                 are the test oracle's only
+#                 are the test oracle's only; and benchmark/ is the one
+#                 source of performance numbers: no second harness's
+#                 results flag, section merger, gate-key printer or BENCH
+#                 results file under crates/, scripts/ or .github/
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -63,31 +66,17 @@
 #                 crates/core/tests/burst_invariance.rs, which holds every
 #                 digest, delivery and span tree identical across burst
 #                 sizes 1..=32)
-#   smoke         telemetry_smoke + governor_storm + fig_multi +
-#                 dispatch_storm + fig9 (--quick), emitting
-#                 results/BENCH_ci.json
-#   trace-overhead  trace_smoke (--quick): proves tracing disabled
-#                 costs <1% and 1-in-1024 sampling <5% on the
-#                 telemetry-smoke workload, merging trace_off_overhead
-#                 and trace_sampled_overhead into results/BENCH_ci.json
-#   churn         churn_storm (--quick): scan-heavy conn-table churn
-#                 with exact accounting, merging conns_peak, the arena
-#                 memory high-water and longest_chain_le_2 (index chains
-#                 under the real symmetric RSS hash) into
-#                 results/BENCH_ci.json
-#   reconfig      reconfig_storm (--quick): live hot-swap storm — stepped
-#                 survivor-digest equivalence, conns_swapped orphan
-#                 drain, and a threaded back-and-forth swap sequence
-#                 with zero loss, merging its pass/fail keys into
-#                 results/BENCH_ci.json
-#   bench-gate    scripts/bench_gate.sh vs results/BENCH_baseline.json
+#   smoke         governor_storm + fig_multi + fig9 + churn_storm
+#                 (--quick): the checks only a release-mode run can make
+#                 (a threaded overload storm, a scan-churn table at
+#                 scale), each an exit code; they print no gated number
 #   benchmark     benchmark/run.sh --self-test: the repo benchmark's own
 #                 unit tests (every contract metric emitted once per
 #                 workload at reduced traffic, BENCHMARK.json == spec.rs)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy pedantic safety one-loop lint-filters build doc test smoke trace-overhead churn reconfig bench-gate benchmark)
+ALL_STAGES=(fmt clippy pedantic safety one-loop lint-filters build doc test smoke benchmark)
 if [ "$#" -gt 0 ]; then STAGES=("$@"); else STAGES=("${ALL_STAGES[@]}"); fi
 
 FAILED=()
@@ -153,48 +142,11 @@ stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps; }
 stage_test() { cargo test -q --offline; }
 
 stage_smoke() {
-    rm -f results/BENCH_ci.json
-    cargo run --release --offline -q -p retina-bench --bin telemetry_smoke -- \
-        --quick --json-out results/BENCH_ci.json &&
-        cargo run --release --offline -q -p retina-bench --bin governor_storm -- \
-            --quick --json-out results/BENCH_ci.json &&
-        cargo run --release --offline -q -p retina-bench --bin fig_multi -- \
-            --quick --json-out results/BENCH_ci.json &&
-        cargo run --release --offline -q -p retina-bench --bin dispatch_storm -- \
-            --quick --json-out results/BENCH_ci.json &&
-        cargo run --release --offline -q -p retina-bench --bin fig9 -- \
-            --quick --json-out results/BENCH_ci.json
+    local bin
+    for bin in governor_storm fig_multi fig9 churn_storm; do
+        cargo run --release --offline -q -p retina-bench --bin "$bin" -- --quick || return 1
+    done
 }
-
-# Trace-overhead gate: the bin itself enforces the hard budgets
-# (disabled <1%, 1-in-1024 sampling <5%) and exits non-zero past them;
-# the merged trace_off_overhead / trace_sampled_overhead metrics are
-# additionally tracked by the bench gate.
-stage_trace_overhead() {
-    cargo run --release --offline -q -p retina-bench --bin trace_smoke -- \
-        --quick --json-out results/BENCH_ci.json
-}
-
-# Churn gate: conn-table stress under the scan-storm mix. The bin
-# enforces exact accounting and stepped-run determinism itself; the
-# merged conns_peak / arena_high_water_bytes keys (the gate's first
-# memory key) are additionally tracked by the bench gate.
-stage_churn() {
-    cargo run --release --offline -q -p retina-bench --bin churn_storm -- \
-        --quick --json-out results/BENCH_ci.json
-}
-
-# Reconfiguration gate: live hot-swap of the subscription set on a
-# running pipeline. The bin enforces the swap contract itself (stepped
-# survivor-digest equivalence, orphan drain through conns_swapped,
-# zero-loss threaded storm with per-core epoch pickups); the merged
-# pass/fail keys are additionally tracked by the bench gate.
-stage_reconfig() {
-    cargo run --release --offline -q -p retina-bench --bin reconfig_storm -- \
-        --quick --json-out results/BENCH_ci.json
-}
-
-stage_bench_gate() { scripts/bench_gate.sh; }
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a package of its
 # own outside the workspace, so `cargo test` above never builds it: this
@@ -214,10 +166,6 @@ for stage in "${STAGES[@]}"; do
     doc) run_stage doc stage_doc ;;
     test) run_stage test stage_test ;;
     smoke) run_stage smoke stage_smoke ;;
-    trace-overhead) run_stage trace-overhead stage_trace_overhead ;;
-    churn) run_stage churn stage_churn ;;
-    reconfig) run_stage reconfig stage_reconfig ;;
-    bench-gate) run_stage bench-gate stage_bench_gate ;;
     benchmark) run_stage benchmark stage_benchmark ;;
     *)
         echo "unknown CI stage: ${stage} (known: ${ALL_STAGES[*]})" >&2

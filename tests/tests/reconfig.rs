@@ -53,12 +53,22 @@ fn workload() -> Vec<(Bytes, u64)> {
 /// every test keeps across the swap) plus a port-443 log (the one swaps
 /// remove).
 fn build_runtime(counter: &Arc<AtomicU64>) -> MultiRuntime<CompiledFilter> {
+    build_runtime_with(counter, DispatchMode::Inline)
+}
+
+/// [`build_runtime`] with `tls443` run in `mode`. A dispatched `tls443`
+/// gives the stepped executor a worker to interleave, so its schedule
+/// seed decides what is still queued when a swap removes it.
+fn build_runtime_with(
+    counter: &Arc<AtomicU64>,
+    mode: DispatchMode,
+) -> MultiRuntime<CompiledFilter> {
     let c = Arc::clone(counter);
     RuntimeBuilder::new(RuntimeConfig::with_cores(2))
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", move |_| {
             c.fetch_add(1, Ordering::Relaxed);
         })
-        .subscribe_named::<ConnRecord>("tls443", "ipv4 and tcp.port = 443", |_| {})
+        .subscribe_dispatched::<ConnRecord>("tls443", "ipv4 and tcp.port = 443", mode, |_| {})
         .build()
         .expect("runtime builds")
 }
@@ -195,44 +205,52 @@ fn threaded_swap_run_on(
 fn stepped_swap_exact_accounting_and_untouched_digest() {
     let packets = workload();
     let at = (packets.len() / 2) as u64;
-    let cfg = StepConfig::seeded(0x1CE);
+    // With every subscription inline the schedule has one actor and the
+    // seed changes nothing; a dispatched `tls443` makes it bite.
+    let modes = [DispatchMode::Inline, DispatchMode::dedicated(2)];
+    for (seed, mode) in [0x1CE, 2, 3]
+        .into_iter()
+        .flat_map(|s| modes.map(|m| (s, m)))
+    {
+        let cfg = StepConfig::seeded(seed);
 
-    let hits = Arc::new(AtomicU64::new(0));
-    let report = build_runtime(&hits)
-        .run_stepped_with_swap(&packets, &cfg, at, &swap_spec(&hits))
-        .expect("swap accepted");
-    report
-        .check_accounting()
-        .expect("accounting exact across swap");
+        let hits = Arc::new(AtomicU64::new(0));
+        let report = build_runtime_with(&hits, mode)
+            .run_stepped_with_swap(&packets, &cfg, at, &swap_spec(&hits))
+            .expect("swap accepted");
+        report
+            .check_accounting()
+            .expect("accounting exact across swap");
 
-    // Control: the same runtime, same schedule, no swap.
-    let control_hits = Arc::new(AtomicU64::new(0));
-    let control = build_runtime(&control_hits).run_stepped(&packets, &cfg);
-    control.check_accounting().expect("control accounting");
+        // Control: the same runtime, same schedule, no swap.
+        let control_hits = Arc::new(AtomicU64::new(0));
+        let control = build_runtime_with(&control_hits, mode).run_stepped(&packets, &cfg);
+        control.check_accounting().expect("control accounting");
 
-    // The untouched subscription is byte-identical to the no-swap run —
-    // same deliveries, same discards, same callback count.
-    assert_eq!(
-        report.sub_digest("conns").expect("conns row"),
-        control.sub_digest("conns").expect("control conns row"),
-        "surviving subscription diverged from the no-swap run"
-    );
-    assert_eq!(
-        hits.load(Ordering::Relaxed),
-        control_hits.load(Ordering::Relaxed)
-    );
+        // The untouched subscription is byte-identical to the no-swap run —
+        // same deliveries, same discards, same callback count.
+        assert_eq!(
+            report.sub_digest("conns").expect("conns row"),
+            control.sub_digest("conns").expect("control conns row"),
+            "surviving subscription diverged from the no-swap run at seed {seed}, {mode:?}"
+        );
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            control_hits.load(Ordering::Relaxed)
+        );
 
-    // The added subscription saw the second half's UDP traffic; the
-    // removed one saw (only) the first half's 443 traffic.
-    assert!(sub(&report, "udp-conns").delivered > 0, "added sub silent");
-    assert!(
-        sub(&report, "tls443").delivered > 0,
-        "removed sub never delivered"
-    );
-    assert!(
-        control.sub_digest("udp-conns").is_none(),
-        "control has no udp row"
-    );
+        // The added subscription saw the second half's UDP traffic; the
+        // removed one saw (only) the first half's 443 traffic.
+        assert!(sub(&report, "udp-conns").delivered > 0, "added sub silent");
+        assert!(
+            sub(&report, "tls443").delivered > 0,
+            "removed sub never delivered"
+        );
+        assert!(
+            control.sub_digest("udp-conns").is_none(),
+            "control has no udp row"
+        );
+    }
 }
 
 #[test]
@@ -310,7 +328,8 @@ fn exported_counters_balance_the_connection_identity_across_a_swap() {
 /// A name removed by one swap and re-added by a later one is one row for
 /// the whole run: its counts from both tables add up, its queue capacity
 /// is the re-added ring's, and the rows read as the final table in
-/// order, then the retired names sorted.
+/// order, then the retired names sorted. The two swaps publish
+/// generations 1 and 2, each picked up by every core, with no loss.
 #[test]
 fn a_removed_and_readded_name_is_one_whole_run_row() {
     let hits = Arc::new(AtomicU64::new(0));
@@ -329,7 +348,7 @@ fn a_removed_and_readded_name_is_one_whole_run_row() {
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
         .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
         .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {});
-    controller.swap(&drop_tls).expect("first swap");
+    let first = controller.swap(&drop_tls).expect("first swap");
     // Re-add it, now on a dedicated worker.
     let readd = SwapSpec::new()
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
@@ -339,10 +358,24 @@ fn a_removed_and_readded_name_is_one_whole_run_row() {
             DispatchMode::dedicated(8),
             |_| {},
         );
-    controller.swap(&readd).expect("second swap");
+    let second = controller.swap(&readd).expect("second swap");
     gate.send(()).expect("run thread alive");
     let report = handle.join().expect("run thread panicked");
     report.check_accounting().expect("accounting exact");
+    assert!(report.zero_loss(), "two swaps must not drop a frame");
+
+    // Each swap publishes the next generation, every core picks it up,
+    // and its grace period ends after it was published.
+    for (k, event) in [first, second].iter().enumerate() {
+        assert_eq!(event.generation, k as u64 + 1, "swap {k}");
+        assert_eq!(
+            event.pickup_lag_us.len(),
+            2,
+            "one pickup per core, swap {k}"
+        );
+        assert!(event.retired_at >= event.published_at, "swap {k}");
+    }
+    assert!(sub(&report, "conns").delivered > 0, "survivor silent");
 
     let names: Vec<&str> = report.subs.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, ["conns", "tls443", "dns", "udp-conns"]);

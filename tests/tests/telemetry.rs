@@ -57,6 +57,11 @@ fn accounting_invariant_holds_end_to_end() {
     assert_eq!(drops.get(DropReason::TimeoutExpiry), c.conns_expired);
     assert_eq!(drops.get(DropReason::HwRule), report.nic.hw_dropped);
     assert_eq!(drops.get(DropReason::ParseFailure), c.parse_failures);
+    // Its connection total is exactly the ledger's connection drops.
+    assert_eq!(
+        drops.conn_total(),
+        c.discard_conn_filter + c.discard_session_filter + c.conns_expired
+    );
     // A `tls` filter over the campus mix must actually exercise the
     // taxonomy, not just leave zeros everywhere.
     assert!(drops.get(DropReason::HwRule) > 0, "{drops:?}");
@@ -96,6 +101,10 @@ fn stage_histograms_expose_ordered_percentiles() {
             assert!(stage.avg_cycles() > 0.0, "{name}");
         }
     }
+    assert_eq!(
+        snap.stage("packet_filter").unwrap().runs,
+        report.cores.packet_filter.runs
+    );
     // The cascade shrinks from the per-packet stages toward the
     // callback (Figure 7's reproduced property): every callback firing
     // was gated behind at least one tracked packet of its connection.
@@ -197,7 +206,8 @@ fn all_four_exporters_round_trip_final_snapshot() {
     }
     assert_eq!(rows, samples.len());
 
-    // Prometheus: every drop reason appears with its exact count.
+    // Prometheus: every drop reason appears with its exact count, and
+    // every stage with its run count and its p99 cycle quantile.
     let prom = prom_buf.contents();
     for (reason, n) in snap.drops.iter() {
         let line = format!("retina_drop_total{{reason=\"{}\"}} {n}", reason.label());
@@ -206,7 +216,13 @@ fn all_four_exporters_round_trip_final_snapshot() {
     for (name, stage) in &snap.stages {
         let line = format!("retina_stage_runs_total{{stage=\"{name}\"}} {}", stage.runs);
         assert!(prom.contains(&line), "missing {line:?}");
+        let line = format!(
+            "retina_stage_cycles{{stage=\"{name}\",quantile=\"0.99\"}} {}",
+            stage.p99()
+        );
+        assert!(prom.contains(&line), "missing {line:?}");
     }
+    assert!(snap.stage("packet_filter").unwrap().p99() > 0);
 
     // Log sink: final summary table with the drop taxonomy.
     let log = log_buf.contents();
