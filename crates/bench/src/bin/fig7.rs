@@ -44,8 +44,8 @@ fn main() {
 
     let ingress = report.nic.rx_offered as f64;
     let stats = &report.cores;
-    let hw = retina_core::StageStats::default();
-    let stages: Vec<(&str, u64, &retina_core::StageStats)> = vec![
+    let hw = retina_core::StageSummary::default();
+    let stages: Vec<(&str, u64, &retina_core::StageSummary)> = vec![
         ("Hardware Filter", report.nic.rx_offered, &hw),
         (
             "SW Packet Filter",

@@ -82,7 +82,7 @@ pub use governor::{
     check_governor_accounting, Governor, GovernorAction, GovernorBrain, GovernorConfig,
     GovernorEvent, GovernorReport, PressureSignals, ShedState,
 };
-pub use monitor::{Monitor, MonitorSample};
+pub use monitor::Monitor;
 pub use offline::run_offline;
 pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
@@ -90,7 +90,7 @@ pub use report::{RunReport, SubReport};
 pub use runtime::{
     MultiRuntime, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, TraceHandle, TrafficSource,
 };
-pub use stats::{CoreStats, StageStats};
+pub use stats::CoreStats;
 pub use step::{StepConfig, WorkerStall};
 pub use subscription::{ConnView, Level, Subscribable, Tracked};
 
@@ -102,7 +102,7 @@ pub use retina_protocols::Session;
 pub use retina_telemetry as telemetry;
 pub use retina_telemetry::{
     CsvSink, DispatchHub, DispatchSnapshot, DispatchStats, DropBreakdown, DropReason, JsonSink,
-    LogHistogram, LogSink, MetricSink, PrometheusSink, SharedBuf, StageSummary, TelemetrySnapshot,
-    TraceConfig, TraceReport, Tracer, TriggerReason,
+    LogHistogram, LogSink, MetricSink, PrometheusSink, Sample, SharedBuf, StageSummary,
+    TelemetrySnapshot, TraceConfig, TraceReport, Tracer, TriggerReason,
 };
 pub use retina_wire::ParsedPacket;

@@ -4,111 +4,35 @@
 //! throughput, and memory usage that can be used as feedback to adjust
 //! the filter or improve callback efficiency." This module implements
 //! that feedback loop: [`Monitor`] samples the NIC counters and runtime
-//! gauges on an interval and hands each [`MonitorSample`] to a closure
-//! sink or to any set of [`MetricSink`] exporters (log lines, CSV,
-//! JSON, Prometheus text). The same tick acts on the readings: with a
-//! governor attached it turns them into [`PressureSignals`] and applies
-//! the governor's decision (a [`crate::Governor`] is a sink-less monitor
-//! carrying one).
+//! gauges on an interval and hands each [`Sample`] to any set of
+//! [`MetricSink`] exporters (log lines, CSV, JSON, Prometheus text). The
+//! same tick acts on the readings: with a governor attached it turns
+//! them into [`PressureSignals`] and applies the governor's decision (a
+//! [`crate::Governor`] is a sink-less monitor carrying one).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use retina_nic::{PortStatsSnapshot, VirtualNic};
-use retina_telemetry::{DispatchHub, MetricSink, Sample, TelemetrySnapshot, TriggerReason};
+use retina_telemetry::{MetricSink, Sample, TelemetrySnapshot, TriggerReason};
 
 use crate::governor::{GovernorReport, GovernorStage, PressureSignals};
 use crate::runtime::{fire_trigger, RuntimeGauges, TraceHandle};
 
-/// One monitoring sample.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorSample {
-    /// Wall-clock time since monitoring started.
-    pub elapsed: Duration,
-    /// Wall-clock time since the previous sample.
-    pub interval: Duration,
-    /// Delivered throughput since the previous sample (Gbps).
-    pub gbps: f64,
-    /// Packets lost (ring overflow + mempool exhaustion) since the
-    /// previous sample.
-    pub lost: u64,
-    /// Packets dropped by hardware rules since the previous sample.
-    pub hw_dropped: u64,
-    /// Cumulative L2–L4 parse failures flushed by the workers.
-    pub parse_failures: u64,
-    /// Connections currently tracked across all cores.
-    pub connections: usize,
-    /// Estimated connection-state bytes across all cores.
-    pub state_bytes: usize,
-    /// Packet buffers currently held in the mempool.
-    pub mbufs_in_use: usize,
-    /// Peak mempool occupancy observed so far.
-    pub mbuf_high_water: usize,
-    /// Simulation clock high-water mark (ns).
-    pub sim_clock_ns: u64,
-    /// Items currently queued across every callback-dispatch ring
-    /// (0 unless the monitor watches a hub via
-    /// [`Monitor::watch_dispatch`]).
-    pub dispatch_depth: u64,
-    /// Connection-arena high-water bytes summed across cores (peak
-    /// backing-store footprint of the connection tables).
-    pub conn_arena_bytes: usize,
-    /// Generation of the configuration epoch the runtime is executing
-    /// (0 for the boot configuration; bumped by every live swap).
-    pub config_epoch: u64,
-    /// Worst per-core pickup lag of the most recent live swap
-    /// (microseconds; 0 when no swap has happened).
-    pub swap_pickup_lag_us: u64,
-}
-
-impl MonitorSample {
-    /// Converts to the exporter-facing [`Sample`] shape.
-    pub fn to_sample(&self) -> Sample {
-        Sample {
-            elapsed_secs: self.elapsed.as_secs_f64(),
-            interval_secs: self.interval.as_secs_f64(),
-            gbps: self.gbps,
-            lost: self.lost,
-            hw_dropped: self.hw_dropped,
-            parse_failures: self.parse_failures,
-            connections: self.connections as u64,
-            state_bytes: self.state_bytes as u64,
-            mbufs_in_use: self.mbufs_in_use as u64,
-            mbuf_high_water: self.mbuf_high_water as u64,
-            sim_clock_ns: self.sim_clock_ns,
-            dispatch_depth: self.dispatch_depth,
-            conn_arena_bytes: self.conn_arena_bytes as u64,
-            config_epoch: self.config_epoch,
-            swap_pickup_lag_us: self.swap_pickup_lag_us,
-        }
-    }
-
-    /// Renders the sample as a single human-readable log line,
-    /// including interval-normalized drop rates and parse failures.
-    pub fn to_log_line(&self) -> String {
-        self.to_sample().to_log_line()
-    }
-}
-
-/// Boxed per-sample callback handed to the monitor thread.
-type SampleClosure = Box<dyn FnMut(&MonitorSample) + Send>;
-
 /// The sampling state proper: counters-to-deltas bookkeeping, the
-/// governor stage, and the per-sample fan-out to the closure and the
-/// exporter sinks. Shared (behind a mutex) between the interval thread
-/// and [`Monitor::sample_now`], so tests can force a sample
-/// synchronously instead of racing a wall-clock interval.
+/// governor stage, and the per-sample fan-out to the exporter sinks.
+/// Shared (behind a mutex) between the interval thread and
+/// [`Monitor::sample_now`], so tests can force a sample synchronously
+/// instead of racing a wall-clock interval.
 struct Sampler {
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
     start: Instant,
     prev: PortStatsSnapshot,
     prev_t: Instant,
-    closure: Option<SampleClosure>,
     sinks: Vec<Box<dyn MetricSink>>,
-    samples: Vec<MonitorSample>,
-    dispatch: Option<Arc<DispatchHub>>,
+    samples: Vec<Sample>,
     trace: Option<TraceHandle>,
     governor: Option<GovernorStage>,
 }
@@ -117,7 +41,6 @@ impl Sampler {
     fn new(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
-        closure: Option<SampleClosure>,
         sinks: Vec<Box<dyn MetricSink>>,
     ) -> Self {
         let start = Instant::now();
@@ -127,35 +50,33 @@ impl Sampler {
             gauges,
             start,
             prev_t: start,
-            closure,
             sinks,
             samples: Vec::new(),
-            dispatch: None,
             trace: None,
             governor: None,
         }
     }
 
-    fn tick(&mut self) -> MonitorSample {
+    fn tick(&mut self) -> Sample {
         let now = Instant::now();
         let stats = self.nic.stats();
         let dt = now.duration_since(self.prev_t);
-        let sample = MonitorSample {
-            elapsed: now.duration_since(self.start),
-            interval: dt,
+        let sample = Sample {
+            elapsed_secs: now.duration_since(self.start).as_secs_f64(),
+            interval_secs: dt.as_secs_f64(),
             gbps: ((stats.rx_bytes - self.prev.rx_bytes) as f64 * 8.0)
                 / dt.as_secs_f64().max(1e-9)
                 / 1e9,
             lost: stats.lost() - self.prev.lost(),
             hw_dropped: stats.hw_dropped - self.prev.hw_dropped,
             parse_failures: self.gauges.parse_failures(),
-            connections: self.gauges.connections(),
-            state_bytes: self.gauges.state_bytes(),
-            mbufs_in_use: self.nic.mempool().in_use(),
-            mbuf_high_water: self.nic.mempool().high_water(),
+            connections: self.gauges.connections() as u64,
+            state_bytes: self.gauges.state_bytes() as u64,
+            mbufs_in_use: self.nic.mempool().in_use() as u64,
+            mbuf_high_water: self.nic.mempool().high_water() as u64,
             sim_clock_ns: self.gauges.sim_clock_ns(),
-            dispatch_depth: self.dispatch.as_ref().map_or(0, |hub| hub.total_depth()),
-            conn_arena_bytes: self.gauges.conn_arena_bytes(),
+            dispatch_depth: self.gauges.dispatch_depth(),
+            conn_arena_bytes: self.gauges.conn_arena_bytes() as u64,
             config_epoch: self.gauges.config_epoch(),
             swap_pickup_lag_us: self.gauges.swap_pickup_lag_us(),
         };
@@ -175,22 +96,13 @@ impl Sampler {
                     },
                     ring_occupancy: self.nic.max_ring_occupancy(),
                     lost_delta: sample.lost,
-                    dispatch_occupancy: self
-                        .dispatch
-                        .as_ref()
-                        .map_or(0.0, |hub| hub.max_occupancy()),
+                    dispatch_occupancy: self.gauges.hub.max_occupancy(),
                 },
                 &self.nic,
             );
         }
-        if let Some(f) = self.closure.as_mut() {
-            f(&sample);
-        }
-        if !self.sinks.is_empty() {
-            let s = sample.to_sample();
-            for sink in &mut self.sinks {
-                sink.on_sample(&s);
-            }
+        for sink in &mut self.sinks {
+            sink.on_sample(&sample);
         }
         // A governor's monitor keeps no samples: its record is the
         // decision stream, which carries each interval's signals.
@@ -223,21 +135,6 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Starts sampling every `interval`, feeding each sample to `sink`.
-    /// All samples are also collected and returned by [`Monitor::stop`].
-    pub fn start(
-        nic: Arc<VirtualNic>,
-        gauges: Arc<RuntimeGauges>,
-        interval: Duration,
-        mut sink: impl FnMut(&MonitorSample) + Send + 'static,
-    ) -> Self {
-        let closure: SampleClosure = Box::new(move |s| sink(s));
-        Self::spawn(
-            Sampler::new(nic, gauges, Some(closure), Vec::new()),
-            interval,
-        )
-    }
-
     /// Starts sampling every `interval`, driving a set of exporters:
     /// each sample goes to every sink's `on_sample`; at stop time the
     /// final snapshot (if provided via [`Monitor::stop_with_snapshot`])
@@ -248,20 +145,17 @@ impl Monitor {
         interval: Duration,
         sinks: Vec<Box<dyn MetricSink>>,
     ) -> Self {
-        Self::spawn(Sampler::new(nic, gauges, None, sinks), interval)
+        Self::spawn(Sampler::new(nic, gauges, sinks), interval)
     }
 
-    /// A sink-less monitor whose tick drives `governor`, reading the
-    /// dispatch occupancy from `hub`.
+    /// A sink-less monitor whose tick drives `governor`.
     pub(crate) fn governed(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
-        hub: Arc<DispatchHub>,
         governor: GovernorStage,
         interval: Duration,
     ) -> Self {
-        let mut sampler = Sampler::new(nic, gauges, None, Vec::new());
-        sampler.dispatch = Some(hub);
+        let mut sampler = Sampler::new(nic, gauges, Vec::new());
         sampler.governor = Some(governor);
         Self::spawn(sampler, interval)
     }
@@ -291,14 +185,6 @@ impl Monitor {
         }
     }
 
-    /// Adds the runtime's dispatch hub as a sampling input: every
-    /// subsequent sample reports the total callback-queue depth
-    /// ([`MonitorSample::dispatch_depth`], exported as the
-    /// `dispatch_depth` time series).
-    pub fn watch_dispatch(&self, hub: Arc<DispatchHub>) {
-        self.sampler.lock().unwrap().dispatch = Some(hub);
-    }
-
     /// Adds a runtime's trace handle as an anomaly source: whenever an
     /// interval loses more frames than the installed tracer's
     /// `drop_burst_threshold`, the monitor freezes the flight recorder
@@ -307,12 +193,12 @@ impl Monitor {
         self.sampler.lock().unwrap().trace = Some(handle);
     }
 
-    /// Takes one sample immediately on the calling thread, feeding the
-    /// closure and every sink exactly as an interval tick would. This
+    /// Takes one sample immediately on the calling thread, feeding every
+    /// sink exactly as an interval tick would. This
     /// is the deterministic alternative to waiting out a wall-clock
     /// interval: a test runs the workload, calls `sample_now`, and
     /// asserts on the returned sample without any timing dependence.
-    pub fn sample_now(&self) -> MonitorSample {
+    pub fn sample_now(&self) -> Sample {
         self.sampler.lock().unwrap().tick()
     }
 
@@ -325,7 +211,7 @@ impl Monitor {
     }
 
     /// Stops the monitor and returns every collected sample.
-    pub fn stop(mut self) -> Vec<MonitorSample> {
+    pub fn stop(mut self) -> Vec<Sample> {
         self.halt();
         std::mem::take(&mut self.sampler.lock().unwrap().samples)
     }
@@ -350,7 +236,7 @@ impl Monitor {
     /// `on_snapshot` before they are closed. Returns the collected
     /// samples. (Use with [`Monitor::start_with_sinks`], passing
     /// `report.telemetry()` from the finished run.)
-    pub fn stop_with_snapshot(self, snapshot: TelemetrySnapshot) -> Vec<MonitorSample> {
+    pub fn stop_with_snapshot(self, snapshot: TelemetrySnapshot) -> Vec<Sample> {
         *self.final_snapshot.lock().unwrap() = Some(snapshot);
         self.stop()
     }
@@ -365,11 +251,13 @@ impl Drop for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retina_telemetry::DispatchHub;
 
-    fn sample() -> MonitorSample {
-        MonitorSample {
-            elapsed: Duration::from_secs(5),
-            interval: Duration::from_millis(500),
+    #[test]
+    fn sample_log_line_formats() {
+        let sample = Sample {
+            elapsed_secs: 5.0,
+            interval_secs: 0.5,
             gbps: 42.5,
             lost: 6,
             hw_dropped: 100,
@@ -378,17 +266,9 @@ mod tests {
             state_bytes: 64 * 1024,
             mbufs_in_use: 77,
             mbuf_high_water: 123,
-            sim_clock_ns: 1,
-            dispatch_depth: 0,
-            conn_arena_bytes: 8192,
-            config_epoch: 3,
-            swap_pickup_lag_us: 42,
-        }
-    }
-
-    #[test]
-    fn sample_log_line_formats() {
-        let line = sample().to_log_line();
+            ..Sample::default()
+        };
+        let line = sample.to_log_line();
         assert!(line.contains("42.50 Gbps"), "{line}");
         assert!(line.contains("conns     1234 (64 KB)"), "{line}");
         // Parse failures and interval-normalized drop rates are
@@ -399,18 +279,45 @@ mod tests {
         assert!(line.contains("peak 123"), "{line}");
     }
 
+    fn idle_nic() -> Arc<VirtualNic> {
+        Arc::new(VirtualNic::new(&retina_nic::DeviceConfig::default()))
+    }
+
     #[test]
     fn sample_conversion_preserves_fields() {
-        let s = sample().to_sample();
-        assert_eq!(s.elapsed_secs, 5.0);
-        assert_eq!(s.interval_secs, 0.5);
-        assert_eq!(s.lost, 6);
+        // A tick copies every gauge into its sample, field for field.
+        let gauges = Arc::new(RuntimeGauges::new(1, Arc::new(DispatchHub::default())));
+        let stats = crate::CoreStats {
+            parse_failures: 3,
+            ..crate::CoreStats::default()
+        };
+        gauges.worker_update(0, &stats, 1234, 64 * 1024, 8192, 17);
+        gauges.note_config_epoch(3);
+        gauges.note_swap_pickup_lag(42);
+        let s = Sampler::new(idle_nic(), gauges, Vec::new()).tick();
         assert_eq!(s.parse_failures, 3);
-        assert_eq!(s.mbuf_high_water, 123);
-        assert_eq!(s.lost_per_sec(), 12.0);
-        assert_eq!(s.hw_dropped_per_sec(), 200.0);
+        assert_eq!(s.connections, 1234);
+        assert_eq!(s.state_bytes, 64 * 1024);
+        assert_eq!(s.conn_arena_bytes, 8192);
+        assert_eq!(s.sim_clock_ns, 17);
         assert_eq!(s.config_epoch, 3);
         assert_eq!(s.swap_pickup_lag_us, 42);
+        assert_eq!((s.lost, s.hw_dropped, s.dispatch_depth), (0, 0, 0));
+    }
+
+    #[test]
+    fn every_monitor_reads_dispatch_depth() {
+        // A plain sink monitor, with no governor: the depth comes from
+        // the runtime's hub that its gauges hold.
+        let hub = Arc::new(DispatchHub::new(&[64]));
+        let gauges = Arc::new(RuntimeGauges::new(1, Arc::clone(&hub)));
+        let row = hub.get(0);
+        for _ in 0..3 {
+            row.note_enqueued();
+        }
+        let monitor =
+            Monitor::start_with_sinks(idle_nic(), gauges, Duration::from_millis(5), Vec::new());
+        assert_eq!(monitor.sample_now().dispatch_depth, 3);
     }
 
     #[test]
@@ -437,12 +344,8 @@ mod tests {
             Arc::clone(&shed),
             Arc::new(std::sync::RwLock::new(None)),
         );
-        let mut sampler = Sampler::new(
-            Arc::clone(&nic),
-            Arc::new(RuntimeGauges::new(1)),
-            None,
-            Vec::new(),
-        );
+        let gauges = RuntimeGauges::new(1, Arc::new(DispatchHub::default()));
+        let mut sampler = Sampler::new(Arc::clone(&nic), Arc::new(gauges), Vec::new());
         sampler.governor = Some(stage);
 
         // Ten frames into an eight-buffer pool: the ring holds eight

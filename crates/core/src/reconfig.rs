@@ -550,19 +550,18 @@ impl SwapController {
         // the ack (or exit) the grace loop acquired above. A core that
         // exited without adopting this generation last stamped before
         // the publish, so it reads 0.
-        let pickup_lag_us = self
+        let pickup_lag_us: Vec<u64> = self
             .epochs
             .acks
             .iter()
-            .enumerate()
-            .map(|(core, ack)| {
+            .map(|ack| {
                 let picked_up = Duration::from_nanos(ack.picked_up_ns.load(Ordering::Relaxed));
                 let lag = picked_up.saturating_sub(published_at);
-                let us = u64::try_from(lag.as_micros()).unwrap_or(u64::MAX);
-                self.gauges.note_swap_pickup_lag(core, us);
-                us
+                u64::try_from(lag.as_micros()).unwrap_or(u64::MAX)
             })
             .collect();
+        self.gauges
+            .note_swap_pickup_lag(pickup_lag_us.iter().copied().max().unwrap_or(0));
         Ok(SwapEvent {
             generation,
             requested_at,

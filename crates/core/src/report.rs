@@ -171,11 +171,12 @@ pub struct RunReport {
     pub sim_duration_ns: u64,
     /// Peak mempool occupancy over the run (buffers).
     pub mbuf_high_water: usize,
-    /// Connection-arena high-water bytes summed across cores: the peak
+    /// Connection-arena bytes summed across this run's cores: the peak
     /// backing-store footprint of the per-core connection tables (arena
-    /// slots plus shard index). The memory half of the churn-bench gate.
-    /// Excluded from [`RunReport::deterministic_digest`] — allocation
-    /// capacity depends on growth timing, not on what was delivered.
+    /// slots plus shard index; capacity only grows, so the end of the
+    /// run is its peak). Excluded from
+    /// [`RunReport::deterministic_digest`] — allocation capacity depends
+    /// on growth timing, not on what was delivered.
     pub conn_arena_bytes: usize,
     /// Filter-analyzer warnings recorded at build time (W-code summaries
     /// from [`retina_filter::analyze_union`]): dead disjuncts, lost
@@ -241,28 +242,18 @@ impl RunReport {
 
     /// Pipeline stages in processing order, as `(name, summary)` pairs.
     pub fn stages(&self) -> Vec<(String, StageSummary)> {
-        let stage = |s: &crate::stats::StageStats| StageSummary {
-            runs: s.runs,
-            cycles: s.cycles,
-            hist: s.hist,
-        };
-        vec![
-            (
-                "packet_filter".to_string(),
-                stage(&self.cores.packet_filter),
-            ),
-            (
-                "conn_tracking".to_string(),
-                stage(&self.cores.conn_tracking),
-            ),
-            ("reassembly".to_string(), stage(&self.cores.reassembly)),
-            ("app_parsing".to_string(), stage(&self.cores.app_parsing)),
-            (
-                "session_filter".to_string(),
-                stage(&self.cores.session_filter),
-            ),
-            ("callbacks".to_string(), stage(&self.cores.callbacks)),
+        let c = &self.cores;
+        [
+            ("packet_filter", c.packet_filter),
+            ("conn_tracking", c.conn_tracking),
+            ("reassembly", c.reassembly),
+            ("app_parsing", c.app_parsing),
+            ("session_filter", c.session_filter),
+            ("callbacks", c.callbacks),
         ]
+        .into_iter()
+        .map(|(name, stage)| (name.to_string(), stage))
+        .collect()
     }
 
     /// The full telemetry view of the run: named counters, gauges,

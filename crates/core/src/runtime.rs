@@ -36,16 +36,14 @@
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::VirtualNic;
 use retina_support::bytes::Bytes;
-use retina_telemetry::{
-    CounterId, DispatchHub, GaugeId, GaugeMerge, Registry, TraceConfig, Tracer, TriggerReason,
-};
+use retina_telemetry::{DispatchHub, TraceConfig, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
@@ -93,55 +91,62 @@ pub trait TrafficSource: Send {
     fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool;
 }
 
+/// One core's live gauges, on a cache line of its own so that cores
+/// flushing side by side never false-share.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CoreGauges {
+    connections: AtomicU64,
+    state_bytes: AtomicU64,
+    conn_arena_bytes: AtomicU64,
+    sim_clock_ns: AtomicU64,
+    parse_failures: AtomicU64,
+}
+
 /// Live gauges the runtime updates while running (read them from a
 /// monitoring thread, e.g. for the Figure 8 memory series).
 ///
-/// Backed by a per-core [`Registry`]: workers flush into their own
-/// cache-line-padded shard and readers merge on demand, so monitoring
-/// never introduces cross-core contention.
+/// Each worker flushes into its own cache-line block with relaxed
+/// stores, so monitoring adds no cross-core contention; readers merge
+/// the blocks on demand. [`MultiRuntime::run`] zeroes the blocks when it
+/// starts, so they describe the run in flight (or the last one). The
+/// swap controller writes the two run-level cells, and the dispatch
+/// depth is read live from the runtime's [`DispatchHub`].
 #[derive(Debug)]
 pub struct RuntimeGauges {
-    registry: Registry,
-    connections: GaugeId,
-    state_bytes: GaugeId,
-    conn_arena_bytes: GaugeId,
-    sim_clock_ns: GaugeId,
-    config_epoch: GaugeId,
-    swap_pickup_lag_us: GaugeId,
-    parse_failures: CounterId,
+    cores: Box<[CoreGauges]>,
+    config_epoch: AtomicU64,
+    swap_pickup_lag_us: AtomicU64,
+    pub(crate) hub: Arc<DispatchHub>,
 }
 
 impl RuntimeGauges {
-    /// Creates gauges sharded over `cores` workers.
-    pub fn new(cores: usize) -> Self {
-        let mut registry = Registry::new(cores);
-        let connections = registry.gauge("connections", GaugeMerge::Sum);
-        let state_bytes = registry.gauge("state_bytes", GaugeMerge::Sum);
-        let conn_arena_bytes = registry.gauge("conn_arena_bytes", GaugeMerge::Sum);
-        let sim_clock_ns = registry.gauge("sim_clock_ns", GaugeMerge::Max);
-        let config_epoch = registry.gauge("config_epoch", GaugeMerge::Max);
-        let swap_pickup_lag_us = registry.gauge("swap_pickup_lag_us", GaugeMerge::Max);
-        let parse_failures = registry.counter("parse_failures");
+    /// Creates gauges for `cores` workers (at least 1) over the runtime's
+    /// dispatch hub.
+    pub(crate) fn new(cores: usize, hub: Arc<DispatchHub>) -> Self {
         RuntimeGauges {
-            registry,
-            connections,
-            state_bytes,
-            conn_arena_bytes,
-            sim_clock_ns,
-            config_epoch,
-            swap_pickup_lag_us,
-            parse_failures,
+            cores: (0..cores.max(1)).map(|_| CoreGauges::default()).collect(),
+            config_epoch: AtomicU64::new(0),
+            swap_pickup_lag_us: AtomicU64::new(0),
+            hub,
         }
+    }
+
+    /// One gauge's value on every core.
+    fn per_core(&self, cell: fn(&CoreGauges) -> &AtomicU64) -> impl Iterator<Item = u64> + '_ {
+        self.cores
+            .iter()
+            .map(move |c| cell(c).load(Ordering::Relaxed))
     }
 
     /// Connections currently tracked across all cores.
     pub fn connections(&self) -> usize {
-        self.registry.gauge_value(self.connections) as usize
+        self.per_core(|c| &c.connections).sum::<u64>() as usize
     }
 
     /// Estimated connection-state bytes across all cores.
     pub fn state_bytes(&self) -> usize {
-        self.registry.gauge_value(self.state_bytes) as usize
+        self.per_core(|c| &c.state_bytes).sum::<u64>() as usize
     }
 
     /// Connection-arena high-water bytes summed across all cores: the
@@ -150,49 +155,67 @@ impl RuntimeGauges {
     /// high-water mark, not a live value — arena capacity is monotonic,
     /// so it never decreases over a run.
     pub fn conn_arena_bytes(&self) -> usize {
-        self.registry.gauge_value(self.conn_arena_bytes) as usize
+        self.per_core(|c| &c.conn_arena_bytes).sum::<u64>() as usize
     }
 
     /// Maximum packet timestamp processed so far (simulation clock, ns).
     pub fn sim_clock_ns(&self) -> u64 {
-        self.registry.gauge_value(self.sim_clock_ns)
+        self.per_core(|c| &c.sim_clock_ns).max().unwrap_or(0)
     }
 
     /// L2–L4 parse failures flushed by the workers so far.
     pub fn parse_failures(&self) -> u64 {
-        self.registry.counter_total(self.parse_failures)
+        self.per_core(|c| &c.parse_failures).sum()
     }
 
     /// The configuration generation currently published to the workers
     /// (0 before the first run; bumped by each live swap).
     pub fn config_epoch(&self) -> u64 {
-        self.registry.gauge_value(self.config_epoch)
+        self.config_epoch.load(Ordering::Relaxed)
     }
 
-    /// Worst per-core epoch-pickup lag observed so far, in
-    /// microseconds: the time from a swap's publish to the slowest
-    /// core's acknowledgment at its between-bursts safe point.
+    /// Worst per-core epoch-pickup lag of the most recent live swap, in
+    /// microseconds: the time from its publish to the slowest core's
+    /// acknowledgment at its between-bursts safe point (0 before any).
     pub fn swap_pickup_lag_us(&self) -> u64 {
-        self.registry.gauge_value(self.swap_pickup_lag_us)
+        self.swap_pickup_lag_us.load(Ordering::Relaxed)
     }
 
-    /// Records a newly published configuration generation (`Max` merge
-    /// makes this safe from any thread, including the swap publisher).
-    pub fn note_config_epoch(&self, generation: u64) {
-        self.registry.shard(0).max(self.config_epoch, generation);
+    /// Items currently queued across every callback-dispatch ring of
+    /// the running table.
+    pub fn dispatch_depth(&self) -> u64 {
+        self.hub.total_depth()
     }
 
-    /// Records one core's epoch-pickup lag for the swap just observed.
-    pub fn note_swap_pickup_lag(&self, core: usize, lag_us: u64) {
-        self.registry
-            .shard(core)
-            .max(self.swap_pickup_lag_us, lag_us);
+    /// Records a newly published configuration generation.
+    pub(crate) fn note_config_epoch(&self, generation: u64) {
+        self.config_epoch.store(generation, Ordering::Relaxed);
     }
 
-    /// Flushes one worker's live state into its shard. Called from the
+    /// Records the worst per-core pickup lag of the swap just completed.
+    pub(crate) fn note_swap_pickup_lag(&self, lag_us: u64) {
+        self.swap_pickup_lag_us.store(lag_us, Ordering::Relaxed);
+    }
+
+    /// Zeroes every core's block: a run starts from nothing.
+    fn reset_cores(&self) {
+        for c in &*self.cores {
+            for cell in [
+                &c.connections,
+                &c.state_bytes,
+                &c.conn_arena_bytes,
+                &c.sim_clock_ns,
+                &c.parse_failures,
+            ] {
+                cell.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Flushes one worker's live state into its block. Called from the
     /// worker's periodic maintenance block, so per-packet paths stay
     /// atomics-free.
-    pub fn worker_update(
+    pub(crate) fn worker_update(
         &self,
         core: usize,
         stats: &CoreStats,
@@ -201,12 +224,14 @@ impl RuntimeGauges {
         arena_bytes: usize,
         sim_clock_ns: u64,
     ) {
-        let shard = self.registry.shard(core);
-        shard.set(self.connections, connections as u64);
-        shard.set(self.state_bytes, state_bytes as u64);
-        shard.max(self.conn_arena_bytes, arena_bytes as u64);
-        shard.max(self.sim_clock_ns, sim_clock_ns);
-        shard.set_counter(self.parse_failures, stats.parse_failures);
+        let c = &self.cores[core];
+        c.connections.store(connections as u64, Ordering::Relaxed);
+        c.state_bytes.store(state_bytes as u64, Ordering::Relaxed);
+        c.conn_arena_bytes
+            .fetch_max(arena_bytes as u64, Ordering::Relaxed);
+        c.sim_clock_ns.fetch_max(sim_clock_ns, Ordering::Relaxed);
+        c.parse_failures
+            .store(stats.parse_failures, Ordering::Relaxed);
     }
 }
 
@@ -448,9 +473,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                     .map_err(|e| RuntimeError::HwFilter(e.to_string()))?;
             }
         }
-        let gauges = Arc::new(RuntimeGauges::new(config.cores as usize));
         let modes = vec![DispatchMode::Inline; subs.len()];
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
+        let gauges = Arc::new(RuntimeGauges::new(config.cores as usize, Arc::clone(&hub)));
         let epochs = Arc::new(EpochState::new(config.cores.max(1) as usize, hub));
         Ok(MultiRuntime {
             config,
@@ -469,8 +494,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
     /// Enables (or reconfigures) per-flow tracing for subsequent runs.
     /// Every [`MultiRuntime::run`] / [`MultiRuntime::run_stepped`] then
-    /// builds a fresh [`Tracer`] and attaches its [`TraceReport`] to the
-    /// returned [`RunReport`].
+    /// builds a fresh [`Tracer`] and attaches its
+    /// [`TraceReport`](retina_telemetry::TraceReport) to the returned
+    /// [`RunReport`].
     pub fn set_trace_config(&mut self, config: TraceConfig) {
         self.trace_config = Some(config);
     }
@@ -544,7 +570,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let monitor = Monitor::governed(
             Arc::clone(&self.nic),
             Arc::clone(&self.gauges),
-            self.dispatch_hub(),
             stage,
             interval,
         );
@@ -557,6 +582,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     pub fn run(&mut self, source: impl TrafficSource + 'static) -> RunReport {
         let ingest_done = Arc::new(AtomicBool::new(false));
         let start = Instant::now();
+        self.gauges.reset_cores();
 
         // Fresh tracer per run (lanes are sized for this run's core and
         // worker counts). Installed in the shared handle so long-lived
@@ -672,9 +698,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // Cores merge their row counts by index addition.
         let mut cores = CoreStats::default();
         let mut counts: Vec<SubTally> = Vec::new();
+        let mut conn_arena_bytes = 0;
         for w in workers {
-            let (stats, core_counts) = w.join().expect("worker thread panicked");
+            let (stats, core_counts, arena_bytes) = w.join().expect("worker thread panicked");
             cores.merge(&stats);
+            conn_arena_bytes += arena_bytes;
             if counts.len() < core_counts.len() {
                 counts.resize(core_counts.len(), SubTally::default());
             }
@@ -702,7 +730,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             subs: rows.reports(&counts),
             sim_duration_ns,
             mbuf_high_water: self.nic.mempool().high_water(),
-            conn_arena_bytes: self.gauges.conn_arena_bytes(),
+            conn_arena_bytes,
             filter_warnings: self.filter_warnings.clone(),
             trace: None,
         };
@@ -814,7 +842,7 @@ fn worker_loop<F: FilterFns>(
     shed: &ShedState,
     config: &RuntimeConfig,
     trace: Option<&(Arc<Tracer>, usize)>,
-) -> (CoreStats, Vec<SubTally>) {
+) -> (CoreStats, Vec<SubTally>, usize) {
     // Claim the current epoch and this core's sink set. run() publishes
     // epoch 0 before spawning workers, but a swap may already have
     // advanced the generation — claiming whatever is current (and
@@ -932,5 +960,40 @@ fn worker_loop<F: FilterFns>(
     // Exited: any in-flight (or future) grace period treats this core
     // as having acknowledged every generation.
     ack.generation.store(EXITED, Ordering::Release);
-    pipeline.finish()
+    let arena_bytes = pipeline.tracker().arena_bytes();
+    let (stats, counts) = pipeline.finish();
+    (stats, counts, arena_bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_updates_merge_across_cores() {
+        let gauges = RuntimeGauges::new(2, Arc::new(DispatchHub::default()));
+        let stats = |parse_failures| CoreStats {
+            parse_failures,
+            ..CoreStats::default()
+        };
+        gauges.worker_update(0, &stats(3), 10, 1000, 4096, 700);
+        gauges.worker_update(1, &stats(4), 5, 500, 2048, 900);
+        // Connections, state bytes, arena bytes and parse failures sum
+        // across cores; the clock is the latest either core has seen.
+        assert_eq!(gauges.connections(), 15);
+        assert_eq!(gauges.state_bytes(), 1500);
+        assert_eq!(gauges.conn_arena_bytes(), 6144);
+        assert_eq!(gauges.parse_failures(), 7);
+        assert_eq!(gauges.sim_clock_ns(), 900);
+        // A later flush overwrites the live values, never the high-water
+        // marks.
+        gauges.worker_update(1, &stats(6), 0, 0, 1024, 800);
+        assert_eq!(gauges.connections(), 10);
+        assert_eq!(gauges.conn_arena_bytes(), 6144);
+        assert_eq!(gauges.parse_failures(), 9);
+        assert_eq!(gauges.sim_clock_ns(), 900);
+        gauges.reset_cores();
+        assert_eq!(gauges.conn_arena_bytes(), 0);
+        assert_eq!(gauges.sim_clock_ns(), 0);
+    }
 }

@@ -7,60 +7,7 @@
 //! carries a log2 cycle histogram so reports can expose tail latency
 //! (p50/p95/p99), not just the mean.
 
-use retina_telemetry::LogHistogram;
-
-/// Counters for one pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Times the stage ran (its unit: packets, sessions, or callbacks).
-    pub runs: u64,
-    /// Total CPU cycles spent in the stage (only when profiling is on).
-    pub cycles: u64,
-    /// Cycle distribution (only when profiling is on).
-    pub hist: LogHistogram,
-}
-
-impl StageStats {
-    /// Records one profiled run of `cycles` cycles: bumps the total and
-    /// the distribution together. (`runs` is counted separately because
-    /// stages run even when profiling is off.)
-    #[inline]
-    pub fn record_cycles(&mut self, cycles: u64) {
-        self.cycles += cycles;
-        self.hist.record(cycles);
-    }
-
-    /// Average cycles per run, when profiling was enabled.
-    pub fn avg_cycles(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.runs as f64
-        }
-    }
-
-    /// Median cycles per run (histogram bucket upper bound).
-    pub fn p50(&self) -> u64 {
-        self.hist.p50()
-    }
-
-    /// 95th-percentile cycles per run.
-    pub fn p95(&self) -> u64 {
-        self.hist.p95()
-    }
-
-    /// 99th-percentile cycles per run.
-    pub fn p99(&self) -> u64 {
-        self.hist.p99()
-    }
-
-    /// Merges another stage's counters into this one.
-    pub fn merge(&mut self, other: &StageStats) {
-        self.runs += other.runs;
-        self.cycles += other.cycles;
-        self.hist.merge(&other.hist);
-    }
-}
+use retina_telemetry::StageSummary;
 
 /// Statistics for one worker core (or the aggregate across cores).
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,18 +24,18 @@ pub struct CoreStats {
     /// falls back to the filter's no-session path).
     pub parser_panics: u64,
     /// Software packet filter executions.
-    pub packet_filter: StageStats,
+    pub packet_filter: StageSummary,
     /// Packets handed to the connection tracker (lookup or insert).
-    pub conn_tracking: StageStats,
+    pub conn_tracking: StageSummary,
     /// Packets that went through stream reassembly (payload-carrying
     /// packets of connections still being probed/parsed).
-    pub reassembly: StageStats,
+    pub reassembly: StageSummary,
     /// Segments fed to application-layer parsers.
-    pub app_parsing: StageStats,
+    pub app_parsing: StageSummary,
     /// Session filter executions.
-    pub session_filter: StageStats,
+    pub session_filter: StageSummary,
     /// User callback executions.
-    pub callbacks: StageStats,
+    pub callbacks: StageSummary,
     /// Connections created.
     pub conns_created: u64,
     /// Connections dropped early by the connection/session filters
@@ -197,18 +144,18 @@ mod tests {
 
     #[test]
     fn avg_cycles() {
-        let s = StageStats {
+        let s = StageSummary {
             runs: 4,
             cycles: 100,
-            ..StageStats::default()
+            ..StageSummary::default()
         };
         assert_eq!(s.avg_cycles(), 25.0);
-        assert_eq!(StageStats::default().avg_cycles(), 0.0);
+        assert_eq!(StageSummary::default().avg_cycles(), 0.0);
     }
 
     #[test]
     fn record_cycles_feeds_total_and_histogram() {
-        let mut s = StageStats::default();
+        let mut s = StageSummary::default();
         for c in [100u64, 100, 100, 5000] {
             s.runs += 1;
             s.record_cycles(c);

@@ -552,8 +552,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let arena_bytes = pipeline.tracker().arena_bytes();
         let max_ts = pipeline.max_ts();
         let (cores, counts) = pipeline.finish();
-        self.gauges()
-            .worker_update(0, &cores, 0, 0, arena_bytes, max_ts);
         let total_bytes: u64 = packets.iter().map(|(f, _)| f.len() as u64).sum();
         let nic = PortStatsSnapshot {
             rx_offered: packets.len() as u64,

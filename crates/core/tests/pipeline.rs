@@ -1072,15 +1072,18 @@ fn monitor_samples_a_run() {
     let filter = retina_core::compile("tls").unwrap();
     let mut rt =
         Runtime::<TlsHandshakeData, _>::new(RuntimeConfig::with_cores(2), filter, |_| {}).unwrap();
+    struct Counting(Arc<AtomicUsize>);
+    impl retina_core::MetricSink for Counting {
+        fn on_sample(&mut self, _sample: &retina_core::Sample) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
     let seen = Arc::new(AtomicUsize::new(0));
-    let s2 = Arc::clone(&seen);
-    let monitor = retina_core::Monitor::start(
+    let monitor = retina_core::Monitor::start_with_sinks(
         Arc::clone(rt.nic()),
         rt.gauges(),
         std::time::Duration::from_millis(5),
-        move |_sample| {
-            s2.fetch_add(1, Ordering::Relaxed);
-        },
+        vec![Box::new(Counting(Arc::clone(&seen)))],
     );
     struct Src(Vec<(Bytes, u64)>);
     impl TrafficSource for Src {

@@ -5,13 +5,10 @@
 //! pressure. This crate is that reporting substrate, kept dependency-
 //! free so every other crate can use it:
 //!
-//! * [`Registry`] — a lock-free per-core metric registry. Counters and
-//!   gauges are registered up front and updated through per-core
-//!   [`Shard`] views (one cache-line-padded atomic per core per metric);
-//!   readers merge shards on demand.
-//! * [`LogHistogram`] — log2-bucketed cycle histograms with cheap
-//!   p50/p95/p99 extraction, replacing sum-only stage statistics when
-//!   profiling is on.
+//! * [`StageSummary`] — one pipeline stage's runs, cycles and
+//!   [`LogHistogram`] (log2 buckets, cheap p50/p95/p99): the counter a
+//!   core records into, merged across cores by addition, and the shape
+//!   a report and every exporter read.
 //! * [`DropReason`] / [`DropBreakdown`] — the structured drop taxonomy:
 //!   every way a packet or connection leaves the pipeline, attributed
 //!   exclusively so breakdowns sum back to totals.
@@ -26,8 +23,10 @@
 //! * [`Tracer`] and its [`TraceEvent`] lanes — per-flow causal tracing
 //!   and the anomaly flight recorder ([`TriggerReason`] freezes it).
 //!
-//! The overload governor's decision stream and the live-swap record are
-//! not here: each is the value its producer returns
+//! The live gauges a monitor samples are not here either:
+//! `retina_core::RuntimeGauges` holds them as one fixed block of atomics
+//! per core. The overload governor's decision stream and the live-swap
+//! record are each the value its producer returns
 //! (`retina_core::GovernorReport`, `retina_core::SwapEvent`).
 
 #![warn(missing_docs)]
@@ -37,7 +36,6 @@ pub mod drops;
 pub mod export;
 pub mod histogram;
 pub mod json;
-pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
@@ -45,7 +43,6 @@ pub use dispatch::{DispatchHub, DispatchRow, DispatchSnapshot, DispatchStats};
 pub use drops::{DropBreakdown, DropReason, DropSubject};
 pub use export::{CsvSink, JsonSink, LogSink, MetricSink, PrometheusSink, Sample, SharedBuf};
 pub use histogram::{LogHistogram, NUM_BUCKETS};
-pub use registry::{CounterId, GaugeId, GaugeMerge, MetricsSnapshot, Registry, Shard};
 pub use snapshot::{StageSummary, TelemetrySnapshot};
 pub use trace::{
     FlightDump, FlowTrace, LaneKind, TraceConfig, TraceEvent, TraceKind, TraceReport, TraceSession,

@@ -4,7 +4,8 @@ use crate::drops::DropBreakdown;
 use crate::histogram::LogHistogram;
 use crate::json;
 
-/// Distribution summary for one pipeline stage.
+/// Counters for one pipeline stage: what a core records into while it
+/// runs, and, merged across cores, what a report summarizes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageSummary {
     /// Times the stage ran.
@@ -16,6 +17,22 @@ pub struct StageSummary {
 }
 
 impl StageSummary {
+    /// Records one profiled run of `cycles` cycles: bumps the total and
+    /// the distribution together. (`runs` is counted separately because
+    /// stages run even when profiling is off.)
+    #[inline]
+    pub fn record_cycles(&mut self, cycles: u64) {
+        self.cycles += cycles;
+        self.hist.record(cycles);
+    }
+
+    /// Merges another core's counters for the same stage into this one.
+    pub fn merge(&mut self, other: &StageSummary) {
+        self.runs += other.runs;
+        self.cycles += other.cycles;
+        self.hist.merge(&other.hist);
+    }
+
     /// Mean cycles per run.
     pub fn avg_cycles(&self) -> f64 {
         if self.runs == 0 {

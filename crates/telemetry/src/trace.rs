@@ -270,9 +270,8 @@ impl LaneKind {
 pub struct TraceConfig {
     /// Whether the tracer starts recording at all. `false` builds and
     /// attaches the full lane layout but leaves every tracepoint at
-    /// its one-relaxed-load fast path — the configuration the
-    /// `trace-overhead` CI stage holds to <1% cost. Flip at runtime
-    /// with [`Tracer::set_enabled`].
+    /// its one-relaxed-load fast path. Flip at runtime with
+    /// [`Tracer::set_enabled`].
     pub enabled: bool,
     /// Sample one flow in N for full causal tracing (0 disables flow
     /// sampling; the flight recorder still runs).

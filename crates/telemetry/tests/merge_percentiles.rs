@@ -1,7 +1,7 @@
 //! Property test: merging per-shard histograms preserves percentile
 //! bounds.
 //!
-//! The registry's shard-then-merge discipline only works for
+//! The per-core-then-merge discipline of stage counters only works for
 //! distribution metrics if merging is lossless at the bucket level: the
 //! merged histogram must be exactly the histogram of the concatenated
 //! samples, and any quantile of the merged histogram must lie within

@@ -150,6 +150,18 @@
 # patterns below are spelled with brackets so this script does not
 # match itself).
 #
+# Each monitoring fact has one shape. A run's live gauges are one fixed
+# block of atomics per core in `RuntimeGauges` (crates/core/src/
+# runtime.rs), a monitor sample is `retina_telemetry::Sample`, and a
+# pipeline stage's counters are `retina_telemetry::StageSummary` from
+# the core's tally to the exporters. Each once had a second shape that
+# was copied into it field by field: a named-metric registry with one
+# user and seven fixed metrics, a core-side sample type converted into
+# the exporters' one, and a core-side stage type converted into the
+# report's. So non-test code under crates/ names no `Registry`,
+# `GaugeMerge`, `MonitorSample` or `StageStats` (as whole words, so the
+# filter and parser registries pass) and calls no `to_sample(`.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -381,6 +393,15 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(for file in $(find crates -name '*.rs' -not -path '*/tests/*' | sort); do
+    code_lines "$file"
+done | grep -E '(^|[^[:alnum:]_])(Registry|GaugeMerge|MonitorSample|StageStats)([^[:alnum:]_]|$)|to_sample\(' || true)
+if [ -n "$hits" ]; then
+    echo "a second shape of a monitoring fact (gauges are RuntimeGauges' blocks, samples are Sample, stages are StageSummary):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -395,4 +416,5 @@ echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clon
 echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists;"
 echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
 echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"
-echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file"
+echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file;"
+echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample("

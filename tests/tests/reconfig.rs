@@ -729,6 +729,69 @@ fn swap_stall_is_visible_in_pickup_lag() {
 }
 
 #[test]
+fn swap_pickup_lag_gauge_reads_the_most_recent_swap() {
+    // Two swaps on one parked run; only the first is stalled. The gauge
+    // is the worst lag of the latest swap, not a maximum over the run.
+    let plan = FaultPlan {
+        seed: 7,
+        faults: vec![Fault::SwapStall {
+            core: 1,
+            pickups: 1,
+            delay: Duration::from_millis(50),
+        }],
+    };
+    let hits = Arc::new(AtomicU64::new(0));
+    let mut rt = build_runtime(&hits);
+    let gauges = rt.gauges();
+    let controller = rt.swap_controller();
+    let nic = Arc::clone(rt.nic());
+    retina_chaos::install(rt.nic(), &plan);
+    let packets = workload();
+    let mid = packets.len() / 2;
+    let (source, gate) = GatedSource::new(packets, mid);
+    let handle = std::thread::spawn(move || {
+        let report = rt.run(ChaosSource::new(source, &plan));
+        rt.nic().clear_fault_hooks();
+        report
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while nic.stats().rx_offered < mid as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "first half never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let specs = [
+        swap_spec(&hits),
+        SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {}),
+    ];
+    let mut worst = Vec::new();
+    for spec in &specs {
+        let event = controller.swap(spec).expect("swap succeeds mid-run");
+        let max = event.pickup_lag_us.iter().copied().max().unwrap();
+        assert_eq!(
+            gauges.swap_pickup_lag_us(),
+            max,
+            "after swap {}",
+            event.generation
+        );
+        worst.push(max);
+    }
+    gate.send(()).expect("run thread alive");
+    let report = handle.join().expect("run thread panicked");
+    report.check_accounting().expect("accounting exact");
+    assert!(
+        worst[0] >= 10_000,
+        "the stalled swap shows its delay: {worst:?}"
+    );
+    assert!(
+        worst[1] < worst[0],
+        "the second swap was not stalled: {worst:?}"
+    );
+}
+
+#[test]
 fn swap_rejections_leave_the_run_untouched() {
     let packets = workload();
     let mid = packets.len() / 2;

@@ -233,6 +233,29 @@ fn all_four_exporters_round_trip_final_snapshot() {
 }
 
 #[test]
+fn each_run_reports_its_own_conn_arena() {
+    // The live gauges start from zero at every run: a small run after a
+    // large one on the same runtime reports its own arena, and the gauge
+    // a monitor reads agrees with each report.
+    let filter = compile("tcp or udp").unwrap();
+    let mut rt =
+        Runtime::<ConnRecord, _>::new(RuntimeConfig::with_cores(1), filter, |_| {}).unwrap();
+    let large = rt.run(PreloadedSource::new(generate(&CampusConfig {
+        seed: 7,
+        ..CampusConfig::default()
+    })));
+    assert_eq!(rt.gauges().conn_arena_bytes(), large.conn_arena_bytes);
+    let small = rt.run(PreloadedSource::new(generate(&CampusConfig::small(7))));
+    assert_eq!(rt.gauges().conn_arena_bytes(), small.conn_arena_bytes);
+    assert!(
+        small.conn_arena_bytes * 4 < large.conn_arena_bytes,
+        "small run {} B against large run {} B",
+        small.conn_arena_bytes,
+        large.conn_arena_bytes
+    );
+}
+
+#[test]
 fn mbuf_high_water_is_surfaced_and_sane() {
     let report = profiled_run(0x3B5F);
     // The pool drained at run end, but the peak survives in the report.
