@@ -17,6 +17,14 @@
 //! epoch, for its type; the subscription ([`TypedSubscription`]), the
 //! one place that knows the type, provides both.
 //!
+//! The fabric is one for both drivers: `build_sinks` makes an epoch's
+//! sinks and rings, and the threaded runtime hands the rings' consumer
+//! ends to worker threads (`channel_dispatcher`) while the stepped
+//! harness ([`crate::step`]) drains them itself, on its one thread. A
+//! send that a full ring blocks parks in its `Queue`; how the sender
+//! waits is its transport's choice — a threaded RX core spins until the
+//! send unparks, the stepped harness records the park order and moves on.
+//!
 //! The trade-off of leaving the RX core is made explicit per
 //! subscription by a [`QueuePolicy`]:
 //!
@@ -37,7 +45,7 @@
 //! order is promised, same as inline (workers race on shared state
 //! either way).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,7 +55,6 @@ use retina_telemetry::{trace::TraceDropCode, DispatchRow, TraceKind, Tracer, Tri
 
 use crate::erased::{take_output, Callback, ErasedSubscription, TrackedSlab, TypedSubscription};
 use crate::pipeline::Transport;
-use crate::step::{StepQueue, VirtualRing};
 use crate::subscription::Subscribable;
 
 /// What happens when a subscription's dispatch ring is full.
@@ -173,7 +180,7 @@ const WORKER_BURST: usize = 256;
 /// One datum crossing a dispatch ring, as itself, tagged with its flow
 /// trace id so worker-side tracepoints reconstruct the cross-thread
 /// causal chain.
-pub(crate) type Item<S> = (u64, S);
+type Item<S> = (u64, S);
 
 /// The run's tracer and the lane the calling thread writes on (`None` =
 /// tracing off): the writer's, so every protocol step takes it as an
@@ -181,46 +188,8 @@ pub(crate) type Item<S> = (u64, S);
 pub(crate) type TraceLane<'a> = Option<(&'a Tracer, usize)>;
 
 /// Borrows an owned `(tracer, lane)` pair as a [`TraceLane`].
-pub(crate) fn trace_lane(owned: &Option<(Arc<Tracer>, usize)>) -> TraceLane<'_> {
+fn trace_lane(owned: &Option<(Arc<Tracer>, usize)>) -> TraceLane<'_> {
     owned.as_ref().map(|(t, lane)| (&**t, *lane))
-}
-
-/// The producer end of a dispatch ring, as the lane protocol sees it:
-/// the real SPSC producer of a threaded run, or the stepped harness's
-/// bounded queue in virtual time.
-pub(crate) trait RingTx<T> {
-    /// Enqueues without blocking; failure hands the item back.
-    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>>;
-
-    /// Waits out a send [`Lane::offer`] handed back (ring full under
-    /// `Block`) the way the ring allows: a real ring spins until the
-    /// worker frees a slot and returns whether it took the item (`false`:
-    /// the worker is gone); a virtual one parks the send and returns
-    /// `None`, leaving it to the stepped harness to move on.
-    fn wait(&mut self, item: T) -> Option<bool>;
-}
-
-/// The consumer end of a dispatch ring.
-pub(crate) trait RingRx<T> {
-    /// Dequeues without blocking; `Disconnected` only once the producer
-    /// is gone *and* the ring is drained.
-    fn try_pop(&mut self) -> Result<T, TryRecvError>;
-}
-
-impl<T: Send> RingTx<T> for spsc::Producer<T> {
-    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>> {
-        self.try_send(item)
-    }
-
-    fn wait(&mut self, item: T) -> Option<bool> {
-        Some(self.send(item).is_ok())
-    }
-}
-
-impl<T: Send> RingRx<T> for spsc::Consumer<T> {
-    fn try_pop(&mut self) -> Result<T, TryRecvError> {
-        self.try_recv()
-    }
 }
 
 /// One subscription's lane through a dispatch fabric: where every
@@ -233,8 +202,8 @@ impl<T: Send> RingRx<T> for spsc::Consumer<T> {
 /// table, which both drivers share with whoever reads them.
 #[derive(Clone)]
 pub(crate) struct Lane {
-    pub(crate) stats: DispatchRow,
-    pub(crate) sub_idx: u16,
+    stats: DispatchRow,
+    sub_idx: u16,
 }
 
 impl Lane {
@@ -274,7 +243,7 @@ impl Lane {
     /// Inline execution: `callback` runs on the delivering core, and the
     /// hand-off is counted so `delivered == executed + dropped` holds
     /// uniformly across execution models.
-    pub(crate) fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, callback: impl FnOnce()) {
+    fn run_inline(&self, trace: TraceLane<'_>, trace_id: u64, callback: impl FnOnce()) {
         self.emit(trace, trace_id, TraceKind::CallbackStart, 0);
         callback();
         self.stats.note_inline();
@@ -293,20 +262,20 @@ impl Lane {
     /// The producer side of one send: try-push, then enqueued, dropped
     /// with accounting (worker gone, or ring full under `Shed`), or —
     /// ring full under `Block` — blocked, which hands the item back: the
-    /// caller waits the way its ring allows ([`RingTx::wait`]) and
-    /// settles with [`Lane::unblocked`]. A blocked send's enqueue
-    /// tracepoint is recorded here, when it blocks, so enqueue events
-    /// land in send order however it waits.
-    pub(crate) fn offer<T, R: RingTx<Item<T>>>(
+    /// caller parks it ([`Queue`]) until the ring takes it, and settles
+    /// with [`Lane::unblocked`]. A blocked send's enqueue tracepoint is
+    /// recorded here, when it blocks, so enqueue events land in send
+    /// order however its transport waits.
+    fn offer<T: Send>(
         &self,
         trace: TraceLane<'_>,
-        ring: &mut R,
+        ring: &spsc::Producer<Item<T>>,
         policy: QueuePolicy,
         trace_id: u64,
         datum: T,
     ) -> Option<Item<T>> {
         let stats = &self.stats;
-        match ring.try_push((trace_id, datum)) {
+        match ring.try_send((trace_id, datum)) {
             Ok(()) => {
                 stats.note_enqueued();
                 self.emit(trace, trace_id, TraceKind::DispatchEnqueue, stats.depth());
@@ -332,7 +301,7 @@ impl Lane {
 
     /// Settles a send [`Lane::offer`] handed back: the ring took it
     /// (`pushed`), or its worker is gone and the result is lost.
-    pub(crate) fn unblocked(&self, trace: TraceLane<'_>, trace_id: u64, pushed: bool) {
+    fn unblocked(&self, trace: TraceLane<'_>, trace_id: u64, pushed: bool) {
         if pushed {
             self.stats.note_enqueued();
         } else {
@@ -344,17 +313,17 @@ impl Lane {
     /// `callback` on each (`before_callback` is where the chaos layer
     /// stalls a worker). Returns how many ran and whether the ring is
     /// disconnected (producer gone, ring drained).
-    pub(crate) fn drain<T, R: RingRx<Item<T>>>(
+    fn drain<T: Send>(
         &self,
         trace: TraceLane<'_>,
-        ring: &mut R,
+        ring: &spsc::Consumer<Item<T>>,
         budget: usize,
         mut before_callback: impl FnMut(),
         mut callback: impl FnMut(T),
     ) -> (usize, bool) {
         let stats = &self.stats;
         for ran in 0..budget {
-            match ring.try_pop() {
+            match ring.try_recv() {
                 Ok((trace_id, datum)) => {
                     self.emit(trace, trace_id, TraceKind::DispatchDequeue, stats.depth());
                     before_callback();
@@ -371,9 +340,8 @@ impl Lane {
     }
 }
 
-/// One subscription's delivery sink on one RX core, over either kind of
-/// ring.
-pub(crate) enum Sink<Q: ?Sized> {
+/// One subscription's delivery sink on one RX core.
+enum Sink {
     /// Runs the callback on the delivering core, through the subscription
     /// itself (see [`Deliver`]): nothing is allocated for it. Spec-only
     /// subscriptions stay here in every mode: they have nothing to run on
@@ -382,137 +350,106 @@ pub(crate) enum Sink<Q: ?Sized> {
     /// Crosses a ring made for the datum's type to a worker. Boxed: most
     /// of a table is inline lanes, which should not each carry a ring's
     /// worth of space.
-    Queued(Box<Queued<Q>>),
-}
-
-/// A sink whose results cross a ring: its lane, and the producer end of
-/// its ring (`Q`: a [`Queue`] with its datum's type erased).
-pub(crate) struct Queued<Q: ?Sized> {
-    pub(crate) lane: Lane,
-    pub(crate) queue: Q,
-}
-
-impl<Q: ?Sized + Enqueue> Sink<Q> {
-    /// A sink for `sub` on `lane` under `mode`: queued as `queued(lane)`
-    /// builds it when the subscription has ring capacity (see
-    /// [`ring_capacity`]), inline otherwise.
-    pub(crate) fn new(
-        sub: &Arc<dyn ErasedSubscription>,
-        lane: Lane,
-        mode: DispatchMode,
-        queued: impl FnOnce(Lane) -> Box<Queued<Q>>,
-    ) -> Self {
-        if ring_capacity(&**sub, mode, 1) == 0 {
-            Sink::Inline(Arc::clone(sub), lane)
-        } else {
-            Sink::Queued(queued(lane))
-        }
-    }
-
-    /// Hands the subscription's next datum — the head of its output lane
-    /// in `slab` — to the lane: run inline, or sent through the ring.
-    /// Returns whether the send parked (a virtual ring's wait).
-    #[inline]
-    pub(crate) fn deliver(&mut self, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
-        match self {
-            Sink::Inline(sub, lane) => {
-                sub.delivery().0.run_inline(lane, trace, slab);
-                false
-            }
-            Sink::Queued(q) => q.queue.enqueue(&q.lane, trace, slab),
-        }
-    }
-
-    /// Packet-level fast path: builds the datum straight from the frame
-    /// and hands it on. Returns whether the frame yielded one (always
-    /// `false` for a spec-only subscription, which builds none) and
-    /// whether its send parked.
-    #[inline]
-    pub(crate) fn deliver_from_mbuf(
-        &mut self,
-        trace: TraceLane<'_>,
-        mbuf: &Mbuf,
-        trace_id: u64,
-    ) -> (bool, bool) {
-        match self {
-            Sink::Inline(sub, lane) => {
-                let delivery = sub.delivery();
-                let produced = delivery.0.run_inline_from_mbuf(lane, trace, mbuf, trace_id);
-                (produced, false)
-            }
-            Sink::Queued(q) => q.queue.enqueue_from_mbuf(&q.lane, trace, mbuf, trace_id),
-        }
-    }
+    Queued(Box<dyn Enqueue>),
 }
 
 /// The producer end of one subscription's ring, with its datum's type
 /// erased: what a queued [`Sink`] holds.
 pub(crate) trait Enqueue: Send {
-    /// [`Sink::deliver`] for a queued sink.
-    fn enqueue(&mut self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool;
+    /// Sends the subscription's next datum — the head of its output lane
+    /// in `slab` — through the ring. Returns whether the send parked.
+    fn enqueue(&mut self, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool;
 
-    /// [`Sink::deliver_from_mbuf`] for a queued sink.
+    /// Packet-level fast path: builds the datum straight from the frame
+    /// and sends it. Returns whether the frame yielded one and whether
+    /// its send parked.
     fn enqueue_from_mbuf(
         &mut self,
-        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
     ) -> (bool, bool);
+
+    /// Moves the oldest parked send into the ring if it has room, or
+    /// drops it with accounting if the worker is gone. Returns whether it
+    /// left the park.
+    fn unpark(&mut self, trace: TraceLane<'_>) -> bool;
 }
 
-/// A ring made for `S`s — its producer end, and what to do when it is
-/// full — and the callback a worker runs on what it carries.
-pub(crate) struct Queue<S, R> {
-    pub(crate) ring: R,
-    pub(crate) policy: QueuePolicy,
-    pub(crate) callback: Callback<S>,
+/// The producer end of a ring made for `S`s, what to do when it is full,
+/// and the sends parked on it.
+struct Queue<S> {
+    lane: Lane,
+    ring: spsc::Producer<Item<S>>,
+    policy: QueuePolicy,
+    /// Sends the full ring blocked under `Block`, oldest first. How the
+    /// sender waits for them to unpark is its transport's choice: a
+    /// threaded RX core spins, the stepped harness moves on.
+    parked: VecDeque<Item<S>>,
 }
 
-impl<S, R: RingTx<Item<S>>> Queue<S, R> {
-    /// Offers one datum to the ring, waiting out a blocked send the way
-    /// the ring allows. Returns whether the send parked.
-    fn send(&mut self, lane: &Lane, trace: TraceLane<'_>, trace_id: u64, datum: S) -> bool {
-        let Some(item) = lane.offer(trace, &mut self.ring, self.policy, trace_id, datum) else {
+impl<S: Send> Queue<S> {
+    /// Offers one datum to the ring; a blocked send parks. Returns
+    /// whether it parked.
+    fn send(&mut self, trace: TraceLane<'_>, trace_id: u64, datum: S) -> bool {
+        let Some(item) = self
+            .lane
+            .offer(trace, &self.ring, self.policy, trace_id, datum)
+        else {
             return false;
         };
-        match self.ring.wait(item) {
-            Some(pushed) => {
-                lane.unblocked(trace, trace_id, pushed);
-                false
-            }
-            None => true,
-        }
+        self.parked.push_back(item);
+        true
     }
 }
 
-impl<S: Subscribable, R: RingTx<Item<S>> + Send> Enqueue for Queue<S, R> {
+impl<S: Subscribable> Enqueue for Queue<S> {
     #[inline]
-    fn enqueue(&mut self, lane: &Lane, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
+    fn enqueue(&mut self, trace: TraceLane<'_>, slab: &mut dyn TrackedSlab) -> bool {
         let (trace_id, datum) = take_output::<S>(slab);
-        self.send(lane, trace, trace_id, datum)
+        self.send(trace, trace_id, datum)
     }
 
     #[inline]
     fn enqueue_from_mbuf(
         &mut self,
-        lane: &Lane,
         trace: TraceLane<'_>,
         mbuf: &Mbuf,
         trace_id: u64,
     ) -> (bool, bool) {
         match S::from_mbuf(mbuf) {
-            Some(datum) => (true, self.send(lane, trace, trace_id, datum)),
+            Some(datum) => (true, self.send(trace, trace_id, datum)),
             None => (false, false),
         }
+    }
+
+    fn unpark(&mut self, trace: TraceLane<'_>) -> bool {
+        let Some(item) = self.parked.pop_front() else {
+            return false;
+        };
+        let trace_id = item.0;
+        let pushed = match self.ring.try_send(item) {
+            Err(TrySendError::Full(item)) => {
+                self.parked.push_front(item);
+                return false;
+            }
+            sent => sent.is_ok(),
+        };
+        // The enqueue tracepoint was recorded when the send parked.
+        self.lane.unblocked(trace, trace_id, pushed);
+        true
     }
 }
 
 /// The consumer half of one (core, subscription) ring, typed, as a
-/// worker thread drains it.
+/// worker drains it.
 pub(crate) trait WorkerRing: Send {
-    /// The subscription's index (for the chaos layer's delay hook).
+    /// The subscription's index (for the chaos layer's delay hook and
+    /// the stepped harness's stall window).
     fn sub_idx(&self) -> u16;
+
+    /// Nothing queued right now.
+    fn is_empty(&self) -> bool;
 
     /// Runs up to `budget` queued results; see [`Lane::drain`].
     fn drain(
@@ -535,6 +472,10 @@ impl<S: Send + 'static> WorkerRing for Worker<S> {
         self.lane.sub_idx
     }
 
+    fn is_empty(&self) -> bool {
+        self.rx.is_empty()
+    }
+
     fn drain(
         &mut self,
         trace: TraceLane<'_>,
@@ -543,7 +484,7 @@ impl<S: Send + 'static> WorkerRing for Worker<S> {
     ) -> (usize, bool) {
         let callback = &*self.callback;
         self.lane
-            .drain(trace, &mut self.rx, budget, before_callback, callback)
+            .drain(trace, &self.rx, budget, before_callback, callback)
     }
 }
 
@@ -567,24 +508,11 @@ pub(crate) trait Deliver: Send + Sync {
         trace_id: u64,
     ) -> bool;
 
-    /// The queued sink on `lane` under `mode`, over a real SPSC ring made
-    /// for the datum's type, and the ring's consumer end for a worker.
-    fn threaded_ring(
-        &self,
-        lane: Lane,
-        mode: DispatchMode,
-    ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>);
-
-    /// The queued sink on `lane` under `mode` in the stepped harness,
-    /// over a ring in virtual time.
-    fn stepped_ring(&self, lane: Lane, mode: DispatchMode) -> Box<StepQueued>;
+    /// An SPSC ring made for the datum's type on `lane` under `mode`: its
+    /// producer end, as a queued sink holds it, and its consumer end, as
+    /// a worker drains it.
+    fn ring(&self, lane: Lane, mode: DispatchMode) -> (Box<dyn Enqueue>, Box<dyn WorkerRing>);
 }
-
-/// A threaded queued sink.
-pub(crate) type ThreadedQueued = Queued<dyn Enqueue>;
-
-/// A stepped queued sink.
-pub(crate) type StepQueued = Queued<dyn StepQueue>;
 
 impl<S: Subscribable> Deliver for TypedSubscription<S> {
     #[inline]
@@ -616,62 +544,125 @@ impl<S: Subscribable> Deliver for TypedSubscription<S> {
         true
     }
 
-    fn threaded_ring(
-        &self,
-        lane: Lane,
-        mode: DispatchMode,
-    ) -> (Box<ThreadedQueued>, Box<dyn WorkerRing>) {
-        let (ring, rx) = spsc::ring::<Item<S>>(mode.depth());
-        let queue = self.queue(ring, mode);
-        let worker = Worker {
-            lane: lane.clone(),
-            callback: Arc::clone(&queue.callback),
-            rx,
-        };
-        (Box::new(Queued { lane, queue }), Box::new(worker))
-    }
-
-    fn stepped_ring(&self, lane: Lane, mode: DispatchMode) -> Box<StepQueued> {
-        let queue = self.queue(VirtualRing::<Item<S>>::new(mode.depth()), mode);
-        Box::new(Queued { lane, queue })
-    }
-}
-
-impl<S: Subscribable> TypedSubscription<S> {
-    /// The queued half of a lane under `mode`, over `ring`. A
-    /// subscription whose results cross a ring has a callback, or it would
-    /// have no ring capacity (see [`ring_capacity`]).
-    fn queue<R>(&self, ring: R, mode: DispatchMode) -> Queue<S, R> {
+    fn ring(&self, lane: Lane, mode: DispatchMode) -> (Box<dyn Enqueue>, Box<dyn WorkerRing>) {
+        // A subscription whose results cross a ring has a callback, or it
+        // would have no ring capacity (see [`ring_capacity`]).
         let callback = self
             .callback()
             .expect("a queued subscription has a callback");
-        Queue {
-            ring,
-            policy: mode.policy(),
+        let (tx, rx) = spsc::ring::<Item<S>>(mode.depth());
+        let worker = Worker {
+            lane: lane.clone(),
             callback: Arc::clone(callback),
-        }
+            rx,
+        };
+        let queue = Queue {
+            lane,
+            ring: tx,
+            policy: mode.policy(),
+            parked: VecDeque::new(),
+        };
+        (Box::new(queue), Box::new(worker))
     }
 }
 
-/// The threaded [`Transport`]: one RX core's sinks, indexed by
-/// subscription, over real SPSC rings.
+/// One RX core's sinks, indexed by subscription: the threaded
+/// [`Transport`], and the sink set the stepped harness drives.
 pub(crate) struct CoreSinks {
-    sinks: Vec<Sink<dyn Enqueue>>,
+    sinks: Vec<Sink>,
     /// The run's tracer and this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
+}
+
+impl CoreSinks {
+    /// RX core `core`'s sink set, empty, with room for `subs` sinks.
+    pub(crate) fn new(subs: usize, core: usize, tracer: Option<&Arc<Tracer>>) -> Self {
+        CoreSinks {
+            sinks: Vec::with_capacity(subs),
+            trace: tracer.map(|t| (Arc::clone(t), t.rx_lane(core))),
+        }
+    }
+
+    /// Hands subscription `sub`'s next datum — the head of its output
+    /// lane in `slab` — to its sink: run inline, or sent through its
+    /// ring. Returns whether the send parked.
+    #[inline]
+    pub(crate) fn offer(&mut self, sub: usize, slab: &mut dyn TrackedSlab) -> bool {
+        let trace = trace_lane(&self.trace);
+        match &mut self.sinks[sub] {
+            Sink::Inline(s, lane) => {
+                s.delivery().0.run_inline(lane, trace, slab);
+                false
+            }
+            Sink::Queued(q) => q.enqueue(trace, slab),
+        }
+    }
+
+    /// Packet-level fast path of [`CoreSinks::offer`]: builds the datum
+    /// straight from the frame. Returns whether the frame yielded one
+    /// (always `false` for a spec-only subscription, which builds none)
+    /// and whether its send parked.
+    #[inline]
+    pub(crate) fn offer_from_mbuf(
+        &mut self,
+        sub: usize,
+        mbuf: &Mbuf,
+        trace_id: u64,
+    ) -> (bool, bool) {
+        let trace = trace_lane(&self.trace);
+        match &mut self.sinks[sub] {
+            Sink::Inline(s, lane) => {
+                let produced = s
+                    .delivery()
+                    .0
+                    .run_inline_from_mbuf(lane, trace, mbuf, trace_id);
+                (produced, false)
+            }
+            Sink::Queued(q) => q.enqueue_from_mbuf(trace, mbuf, trace_id),
+        }
+    }
+
+    /// Moves subscription `sub`'s oldest parked send out of the park; see
+    /// [`Enqueue::unpark`].
+    pub(crate) fn unpark(&mut self, sub: usize) -> bool {
+        let trace = trace_lane(&self.trace);
+        match &mut self.sinks[sub] {
+            Sink::Queued(q) => q.unpark(trace),
+            Sink::Inline(..) => false,
+        }
+    }
+
+    /// A threaded RX core waits out its parked send: it spins, then
+    /// yields, until the worker frees a slot or is gone.
+    #[cold]
+    fn wait(&mut self, sub: usize) {
+        let mut spins = 0u32;
+        while !self.unpark(sub) {
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
 }
 
 impl Transport for CoreSinks {
     #[inline]
     fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
-        // A real ring waits out a blocked send itself: nothing parks.
-        self.sinks[sub].deliver(trace_lane(&self.trace), slab);
+        if self.offer(sub, slab) {
+            self.wait(sub);
+        }
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let trace = trace_lane(&self.trace);
-        self.sinks[sub].deliver_from_mbuf(trace, mbuf, trace_id).0
+        let (produced, parked) = self.offer_from_mbuf(sub, mbuf, trace_id);
+        if parked {
+            self.wait(sub);
+        }
+        produced
     }
 }
 
@@ -692,16 +683,62 @@ impl Dispatcher {
     }
 }
 
-/// Builds the full dispatch fabric for one configuration epoch: one
-/// [`CoreSinks`] per RX core plus the [`Dispatcher`] owning the worker
-/// threads. `stats[i]` are subscription `i`'s counters, its row's.
+/// Builds one configuration epoch's sinks into `cores`, one empty
+/// [`CoreSinks`] per RX core — the fabric both drivers run. `stats`
+/// yields subscription `i`'s counters, its row's, in order.
 ///
-/// Inline subscriptions run on the RX core; dispatched subscriptions
-/// get one SPSC ring per RX core, with dedicated subscriptions draining
-/// on their own thread and shared subscriptions' rings spread
-/// round-robin over `shared_workers` threads. Dropping the returned
-/// sinks disconnects the rings, which is how workers learn the epoch is
-/// over.
+/// Inline subscriptions run on the RX core; every dispatched one gets one
+/// SPSC ring per RX core. Returns each dispatched subscription's index
+/// and the consumer ends of its rings, one per core, in subscription
+/// order: the threaded driver hands them to worker threads, the stepped
+/// harness drains them itself.
+///
+/// # Panics
+/// Panics if `modes` does not line up with `subs`.
+pub(crate) fn build_sinks<'a>(
+    subs: &[Arc<dyn ErasedSubscription>],
+    modes: &[DispatchMode],
+    stats: impl IntoIterator<Item = &'a DispatchRow>,
+    cores: &mut [CoreSinks],
+) -> Vec<(usize, Vec<Box<dyn WorkerRing>>)> {
+    assert_eq!(
+        subs.len(),
+        modes.len(),
+        "one dispatch mode per subscription"
+    );
+    let mut queued = Vec::new();
+    for (i, (sub, row)) in subs.iter().zip(stats).enumerate() {
+        let ringed = ring_capacity(&**sub, modes[i], 1) > 0;
+        let mut rings = Vec::new();
+        for core in cores.iter_mut() {
+            let lane = Lane {
+                stats: row.clone(),
+                sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
+            };
+            core.sinks.push(if ringed {
+                let (queue, ring) = sub.delivery().0.ring(lane, modes[i]);
+                rings.push(ring);
+                Sink::Queued(queue)
+            } else {
+                Sink::Inline(Arc::clone(sub), lane)
+            });
+        }
+        if ringed {
+            queued.push((i, rings));
+        }
+    }
+    queued
+}
+
+/// Builds the full dispatch fabric for one configuration epoch of a
+/// threaded run: one [`CoreSinks`] per RX core (see [`build_sinks`]) plus
+/// the [`Dispatcher`] owning the worker threads. `stats[i]` are
+/// subscription `i`'s counters, its row's.
+///
+/// Dedicated subscriptions drain on their own thread; shared
+/// subscriptions' rings are spread round-robin over `shared_workers`
+/// threads. Dropping the returned sinks disconnects the rings, which is
+/// how workers learn the epoch is over.
 ///
 /// # Panics
 /// Panics if `modes` or `stats` do not line up with `subs`, or a worker
@@ -715,40 +752,11 @@ pub(crate) fn channel_dispatcher(
     delay: &CallbackDelayFn,
     tracer: Option<&Arc<Tracer>>,
 ) -> (Vec<CoreSinks>, Dispatcher) {
-    assert_eq!(
-        subs.len(),
-        modes.len(),
-        "one dispatch mode per subscription"
-    );
     assert_eq!(subs.len(), stats.len(), "one stats block per subscription");
     let mut per_core: Vec<CoreSinks> = (0..cores.max(1))
-        .map(|core| CoreSinks {
-            sinks: Vec::with_capacity(subs.len()),
-            trace: tracer.map(|t| (Arc::clone(t), t.rx_lane(core))),
-        })
+        .map(|core| CoreSinks::new(subs.len(), core, tracer))
         .collect();
-    let mut dedicated: Vec<(usize, Vec<Box<dyn WorkerRing>>)> = Vec::new();
-    let mut shared: Vec<Box<dyn WorkerRing>> = Vec::new();
-
-    for (i, sub) in subs.iter().enumerate() {
-        let mut rings = Vec::new();
-        for core in &mut per_core {
-            let lane = Lane {
-                stats: stats[i].clone(),
-                sub_idx: u16::try_from(i).unwrap_or(u16::MAX),
-            };
-            let sink = Sink::new(sub, lane, modes[i], |lane| {
-                let (queued, ring) = sub.delivery().0.threaded_ring(lane, modes[i]);
-                rings.push(ring);
-                queued
-            });
-            core.sinks.push(sink);
-        }
-        match modes[i] {
-            DispatchMode::Dedicated { .. } if !rings.is_empty() => dedicated.push((i, rings)),
-            _ => shared.extend(rings),
-        }
-    }
+    let queued = build_sinks(subs, modes, stats, &mut per_core);
 
     // Worker lanes are assigned in spawn order: dedicated workers in
     // subscription order, then the shared pool. A fabric staged by a
@@ -762,14 +770,19 @@ pub(crate) fn channel_dispatcher(
         })
     };
     let mut handles = Vec::new();
-    for (i, rings) in dedicated {
-        let name = format!("retina-cb-{}", subs[i].name());
-        handles.push(spawn_worker(
-            name,
-            rings,
-            delay,
-            worker_trace(handles.len()),
-        ));
+    let mut shared: Vec<Box<dyn WorkerRing>> = Vec::new();
+    for (i, rings) in queued {
+        if let DispatchMode::Dedicated { .. } = modes[i] {
+            let name = format!("retina-cb-{}", subs[i].name());
+            handles.push(spawn_worker(
+                name,
+                rings,
+                delay,
+                worker_trace(handles.len()),
+            ));
+        } else {
+            shared.extend(rings);
+        }
     }
     if !shared.is_empty() {
         let workers = shared_workers.max(1).min(shared.len());
@@ -840,7 +853,7 @@ mod tests {
     use crate::subscribables::ConnRecord;
     use crate::subscription::ConnView;
     use retina_conntrack::{FiveTuple, TcpFlow};
-    use retina_telemetry::{DispatchSnapshot, TraceConfig};
+    use retina_telemetry::TraceConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn no_delay() -> CallbackDelayFn {
@@ -993,81 +1006,12 @@ mod tests {
         stats[0].snapshot().check(1).unwrap();
     }
 
-    /// Both ends of one ring in one place, so a script can play
-    /// producer and worker in turn; `sever` makes the next send find the
-    /// worker gone.
-    trait TestRing: RingTx<Item<ConnRecord>> + RingRx<Item<ConnRecord>> {
-        fn sever(&mut self);
-    }
-
-    /// A real SPSC ring; severing drops its consumer.
-    struct RealRing(
-        spsc::Producer<Item<ConnRecord>>,
-        Option<spsc::Consumer<Item<ConnRecord>>>,
-    );
-
-    impl RingTx<Item<ConnRecord>> for RealRing {
-        fn try_push(
-            &mut self,
-            item: Item<ConnRecord>,
-        ) -> Result<(), TrySendError<Item<ConnRecord>>> {
-            self.0.try_push(item)
-        }
-
-        fn wait(&mut self, item: Item<ConnRecord>) -> Option<bool> {
-            self.0.wait(item)
-        }
-    }
-
-    impl RingRx<Item<ConnRecord>> for RealRing {
-        fn try_pop(&mut self) -> Result<Item<ConnRecord>, TryRecvError> {
-            self.1.as_mut().expect("consumer alive").try_pop()
-        }
-    }
-
-    impl TestRing for RealRing {
-        fn sever(&mut self) {
-            self.1 = None;
-        }
-    }
-
-    /// The stepped ring, which no stepped run ever disconnects; the
-    /// flag stands in for a dead worker so the script can reach the
-    /// protocol's disconnect branch over it too.
-    struct SeverableVirtual(VirtualRing<Item<ConnRecord>>, bool);
-
-    impl RingTx<Item<ConnRecord>> for SeverableVirtual {
-        fn try_push(
-            &mut self,
-            item: Item<ConnRecord>,
-        ) -> Result<(), TrySendError<Item<ConnRecord>>> {
-            if self.1 {
-                return Err(TrySendError::Disconnected(item));
-            }
-            self.0.try_push(item)
-        }
-
-        fn wait(&mut self, item: Item<ConnRecord>) -> Option<bool> {
-            self.0.wait(item)
-        }
-    }
-
-    impl RingRx<Item<ConnRecord>> for SeverableVirtual {
-        fn try_pop(&mut self) -> Result<Item<ConnRecord>, TryRecvError> {
-            self.0.try_pop()
-        }
-    }
-
-    impl TestRing for SeverableVirtual {
-        fn sever(&mut self) {
-            self.1 = true;
-        }
-    }
-
-    /// Drives the lane protocol through one scripted life of a 2-deep
-    /// ring — fill, overflow under `Shed`, overflow under `Block` then
-    /// drain, disconnect — and returns what it counted and traced.
-    fn lane_script(mut ring: impl TestRing) -> (DispatchSnapshot, Vec<(TraceKind, u16, u64)>, u64) {
+    /// The lane protocol through one scripted life of a 2-deep ring —
+    /// fill, overflow under `Shed`, overflow under `Block` then drain,
+    /// disconnect — playing producer and worker in turn: what it counts
+    /// and traces.
+    #[test]
+    fn lane_protocol_is_one_over_both_rings() {
         const TID: u64 = 7;
         const RX: usize = 1;
         const WORKER: usize = 2;
@@ -1083,50 +1027,31 @@ mod tests {
         let tracer = Tracer::new_virtual(TraceConfig::default(), 1, 1);
         let rx: TraceLane<'_> = Some((&tracer, RX));
         let worker: TraceLane<'_> = Some((&tracer, WORKER));
-        let offer = |ring: &mut _, policy| lane.offer(rx, ring, policy, TID, record());
+        let (tx, ring) = spsc::ring::<Item<ConnRecord>>(2);
+        let offer = |policy| lane.offer(rx, &tx, policy, TID, record());
 
         // Fill.
-        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
-        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
+        assert!(offer(QueuePolicy::Shed).is_none());
+        assert!(offer(QueuePolicy::Shed).is_none());
         // Overflow under Shed: dropped with accounting, nothing handed back.
-        assert!(offer(&mut ring, QueuePolicy::Shed).is_none());
+        assert!(offer(QueuePolicy::Shed).is_none());
         // Overflow under Block: handed back; the worker frees a slot,
         // the send goes through and is settled.
-        let blocked = offer(&mut ring, QueuePolicy::Block).expect("full ring blocks the send");
-        assert_eq!(
-            lane.drain(worker, &mut ring, 1, || {}, callback),
-            (1, false)
-        );
-        ring.try_push(blocked).expect("a slot was freed");
+        let blocked = offer(QueuePolicy::Block).expect("full ring blocks the send");
+        assert_eq!(lane.drain(worker, &ring, 1, || {}, callback), (1, false));
+        tx.try_send(blocked).expect("a slot was freed");
         lane.unblocked(rx, TID, true);
         // Drain everything.
         assert_eq!(
-            lane.drain(worker, &mut ring, usize::MAX, || {}, callback),
+            lane.drain(worker, &ring, usize::MAX, || {}, callback),
             (2, false)
         );
         // Disconnect: the next send finds its worker gone.
-        ring.sever();
-        assert!(offer(&mut ring, QueuePolicy::Block).is_none());
+        drop(ring);
+        assert!(offer(QueuePolicy::Block).is_none());
 
-        let events = tracer
-            .session()
-            .lanes
-            .into_iter()
-            .flat_map(|(_, events)| events)
-            .map(|e| (e.kind, e.sub, e.a))
-            .collect();
-        (lane.stats.snapshot(), events, count.load(Ordering::Relaxed))
-    }
-
-    #[test]
-    fn lane_protocol_is_one_over_both_rings() {
-        let (tx, rx) = spsc::ring::<Item<ConnRecord>>(2);
-        let real = lane_script(RealRing(tx, Some(rx)));
-        let stepped = lane_script(SeverableVirtual(VirtualRing::new(2), false));
-        assert_eq!(real, stepped);
-
-        let (snap, events, executed) = real;
-        assert_eq!((snap.executed, executed), (3, 3));
+        let snap = lane.stats.snapshot();
+        assert_eq!((snap.executed, count.load(Ordering::Relaxed)), (3, 3));
         assert_eq!((snap.dropped_full, snap.dropped_disconnected), (1, 1));
         assert_eq!((snap.blocked_sends, snap.depth_peak), (1, 2));
         snap.check(5).unwrap();
@@ -1145,6 +1070,13 @@ mod tests {
             .iter()
             .chain(item.iter().cycle().take(9))
             .map(|&(kind, a)| (kind, 5, a))
+            .collect();
+        let events: Vec<(TraceKind, u16, u64)> = tracer
+            .session()
+            .lanes
+            .into_iter()
+            .flat_map(|(_, events)| events)
+            .map(|e| (e.kind, e.sub, e.a))
             .collect();
         assert_eq!(events, expected);
     }

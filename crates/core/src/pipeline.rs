@@ -115,10 +115,10 @@ struct Staged {
 /// Where subscription data goes once the pipeline has produced it. One
 /// implementation per driver, always statically dispatched: the
 /// threaded runtime's per-core sink set (`executor::CoreSinks`), the
-/// stepped harness's virtual dispatch fabric, and the offline mode's
-/// direct callback ([`crate::offline::Direct`]). The first two are the
-/// same typed sinks and the same lane protocol over two kinds of ring
-/// (see [`crate::executor`]).
+/// stepped harness's fabric, and the offline mode's direct callback
+/// ([`crate::offline::Direct`]). The first two are one sink set over the
+/// same SPSC rings, and differ only in how a blocked send waits (see
+/// [`crate::executor`]).
 pub trait Transport {
     /// Hands subscription `sub`'s next datum — the head of the output
     /// lane in `slab`, the subscription's [`TrackedSlab`], with the

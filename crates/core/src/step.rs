@@ -5,13 +5,15 @@
 //! passes under one kernel scheduler may never exercise the full-ring
 //! or worker-starved paths at all. [`MultiRuntime::run_stepped`] removes
 //! the scheduler from the picture: it drives the *same*
-//! [`CorePipeline`] a threaded RX core runs, and the *same* lane
-//! protocol ([`crate::executor`]'s sinks and worker drain: accounting,
-//! drop codes, tracepoint order), on one thread, interleaving an RX
-//! actor and one virtual worker per dispatched subscription under a
-//! seeded schedule. What it models rather than runs is only what a
-//! kernel scheduler would decide: the rings are bounded queues in
-//! virtual time, a blocked send is parked, and who runs next is drawn
+//! [`CorePipeline`] a threaded RX core runs, over the *same* delivery
+//! fabric — [`crate::executor`]'s sinks and SPSC rings, built by the
+//! builder a threaded epoch uses, for one core — on one thread,
+//! interleaving an RX actor and one virtual worker per dispatched
+//! subscription under a seeded schedule. A virtual worker is the
+//! harness running that subscription's ring drain itself. What it
+//! models rather than runs is only what a kernel scheduler would
+//! decide: with both ends of every ring on one thread, a send the full
+//! ring blocks parks instead of spinning, and who runs next is drawn
 //! from [`StepConfig::seed`] — so every interleaving is a pure function
 //! of the seed and a failing schedule replays bit for bit.
 //!
@@ -30,9 +32,9 @@
 //!   queues keep draining while the stalled queue backs up).
 //!
 //! Virtual time means real time never appears: a "stall" is a window of
-//! step numbers, queues are plain bounded buffers, and a blocked RX
-//! core is modeled by a holding buffer that must flush (in FIFO order,
-//! exactly like a blocked SPSC `send`) before the next frame is read.
+//! step numbers, and a blocked RX core is modeled by its parked sends,
+//! which must move into their rings (in park order, as a threaded RX
+//! core's one blocked send would) before the next frame is read.
 //! The live [`crate::telemetry::DispatchHub`] is not touched; the run
 //! keeps its own stats so stepped tests never race a governor.
 
@@ -48,18 +50,14 @@ use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::{Mbuf, PortStatsSnapshot};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
-use retina_support::sync::spsc::{TryRecvError, TrySendError};
 use retina_telemetry::{Tracer, TriggerReason};
 
 use crate::erased::{ErasedSubscription, TrackedSlab};
-use crate::executor::{
-    ring_capacity, DispatchMode, Enqueue, Item, Lane, Queue, RingRx, RingTx, Sink, TraceLane,
-};
+use crate::executor::{build_sinks, ring_capacity, CoreSinks, DispatchMode, WorkerRing};
 use crate::pipeline::{CorePipeline, Transport};
 use crate::reconfig::{StepSwap, SwapError, SwapSpec};
 use crate::report::{Rows, RunReport};
 use crate::runtime::{MultiRuntime, ADVANCE_EVERY_BURSTS};
-use crate::subscription::Subscribable;
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -79,10 +77,9 @@ pub struct WorkerStall {
 }
 
 impl WorkerStall {
-    fn blocks(&self, sub: usize, step: u64) -> bool {
-        self.sub == sub
-            && step >= self.from_step
-            && step < self.from_step.saturating_add(self.steps)
+    /// Whether `step` falls inside the stall window.
+    fn active(&self, step: u64) -> bool {
+        step >= self.from_step && step < self.from_step.saturating_add(self.steps)
     }
 }
 
@@ -131,119 +128,21 @@ impl StepConfig {
     }
 }
 
-fn stall_blocks(stall: Option<&WorkerStall>, sub: usize, step: u64) -> bool {
-    stall.is_some_and(|s| s.blocks(sub, step))
-}
-
-/// A dispatch ring in virtual time: a bounded FIFO whose two ends both
-/// live on the stepping thread, made once per lane for the lane's datum
-/// type, plus the sends parked on it. It is never disconnected — virtual
-/// workers outlive every send.
-pub(crate) struct VirtualRing<T> {
-    queue: VecDeque<T>,
-    /// Sends a real RX core would be spinning on, oldest first.
-    parked: VecDeque<T>,
-    cap: usize,
-}
-
-impl<T> VirtualRing<T> {
-    pub(crate) fn new(cap: usize) -> Self {
-        VirtualRing {
-            queue: VecDeque::with_capacity(cap),
-            parked: VecDeque::new(),
-            cap,
-        }
-    }
-}
-
-impl<T> RingTx<T> for VirtualRing<T> {
-    fn try_push(&mut self, item: T) -> Result<(), TrySendError<T>> {
-        if self.queue.len() >= self.cap {
-            return Err(TrySendError::Full(item));
-        }
-        self.queue.push_back(item);
-        Ok(())
-    }
-
-    /// A blocked send in virtual time parks; the RX actor moves it into
-    /// the ring ([`StepQueue::unpark`]) before it reads the next frame.
-    fn wait(&mut self, item: T) -> Option<bool> {
-        self.parked.push_back(item);
-        None
-    }
-}
-
-impl<T> RingRx<T> for VirtualRing<T> {
-    fn try_pop(&mut self) -> Result<T, TryRecvError> {
-        self.queue.pop_front().ok_or(TryRecvError::Empty)
-    }
-}
-
-/// A queued lane's ring in the virtual fabric — the threaded fabric's own
-/// [`Queue`], over a [`VirtualRing`] — plus what only virtual time does
-/// with it: unpark sends, and run its worker.
-pub(crate) trait StepQueue: Enqueue {
-    /// Nothing queued and nothing parked.
-    fn idle(&self) -> bool;
-    /// Moves the oldest parked send into the ring if it has room.
-    /// Returns whether it moved.
-    fn unpark(&mut self, lane: &Lane) -> bool;
-    /// One scheduling of the virtual worker: runs up to `budget` queued
-    /// results. Returns how many ran.
-    fn run_worker(&mut self, lane: &Lane, trace: TraceLane<'_>, budget: usize) -> usize;
-}
-
-impl<S: Subscribable> StepQueue for Queue<S, VirtualRing<Item<S>>> {
-    fn idle(&self) -> bool {
-        self.ring.queue.is_empty() && self.ring.parked.is_empty()
-    }
-
-    fn unpark(&mut self, lane: &Lane) -> bool {
-        let Some(item) = self.ring.parked.pop_front() else {
-            return false;
-        };
-        let trace_id = item.0;
-        match self.ring.try_push(item) {
-            // No tracepoint lane: the enqueue was recorded when the send
-            // parked, in send order.
-            Ok(()) => {
-                lane.unblocked(None, trace_id, true);
-                true
-            }
-            Err(TrySendError::Full(item) | TrySendError::Disconnected(item)) => {
-                self.ring.parked.push_front(item);
-                false
-            }
-        }
-    }
-
-    fn run_worker(&mut self, lane: &Lane, trace: TraceLane<'_>, budget: usize) -> usize {
-        let callback = &*self.callback;
-        lane.drain(trace, &mut self.ring, budget, || {}, callback).0
-    }
-}
-
-/// One subscription's sink in the virtual fabric.
-type StepSink = Sink<dyn StepQueue>;
-
-/// The stepped [`Transport`]: the dispatch fabric in virtual time. A
-/// blocked SPSC `send` is a parked send the RX actor must flush — in
-/// FIFO order across subscriptions — before it reads the next frame.
+/// The stepped [`Transport`]: the threaded fabric's own sinks and SPSC
+/// rings for one RX core, with both ends of every ring on the stepping
+/// thread. A send a full ring blocks parks in its queue, and the RX
+/// actor must move the parked sends into their rings — in park order,
+/// across subscriptions — before it reads the next frame.
 struct StepFabric {
-    lanes: Vec<StepSink>,
-    /// The blocked-RX holding order: which subscription's ring holds
+    sinks: CoreSinks,
+    /// The blocked-RX holding order: which subscription's queue holds
     /// each parked send, in park order (the sends themselves wait in
-    /// their rings, typed).
+    /// their queues, typed).
     pending: VecDeque<usize>,
-    /// Queued subscriptions, one virtual worker each (actor `k + 1`
-    /// runs `workers[k]`, on worker lane `k`).
-    workers: Vec<usize>,
+    /// The rings of queued subscriptions, one virtual worker each (actor
+    /// `k + 1` drains `workers[k]`, on worker lane `k`).
+    workers: Vec<Box<dyn WorkerRing>>,
     tracer: Option<Arc<Tracer>>,
-}
-
-/// The RX actor's tracepoint lane (a stepped run has one RX core).
-fn rx_trace(tracer: &Option<Arc<Tracer>>) -> TraceLane<'_> {
-    tracer.as_deref().map(|t| (t, t.rx_lane(0)))
 }
 
 impl StepFabric {
@@ -255,42 +154,23 @@ impl StepFabric {
         rows: &Rows,
         tracer: Option<&Arc<Tracer>>,
     ) -> Self {
-        let lanes: Vec<StepSink> = subs
-            .iter()
-            .zip(modes)
-            .zip(rows.live())
-            .enumerate()
-            .map(|(j, ((sub, mode), row))| {
-                let lane = Lane {
-                    stats: rows.dispatch(row).clone(),
-                    sub_idx: j as u16,
-                };
-                Sink::new(sub, lane, *mode, |lane| {
-                    sub.delivery().0.stepped_ring(lane, *mode)
-                })
-            })
-            .collect();
-        let workers = (0..lanes.len())
-            .filter(|&j| matches!(lanes[j], Sink::Queued(_)))
-            .collect();
+        let mut sinks = CoreSinks::new(subs.len(), 0, tracer);
+        let stats = rows.live().map(|row| rows.dispatch(row));
+        let queued = build_sinks(subs, modes, stats, std::slice::from_mut(&mut sinks));
         StepFabric {
-            lanes,
+            sinks,
             pending: VecDeque::new(),
-            workers,
+            workers: queued.into_iter().flat_map(|(_, rings)| rings).collect(),
             tracer: tracer.cloned(),
         }
     }
 
     /// Nothing parked and nothing queued.
     fn idle(&self) -> bool {
-        self.pending.is_empty()
-            && self.lanes.iter().all(|l| match l {
-                Sink::Inline(..) => true,
-                Sink::Queued(q) => q.queue.idle(),
-            })
+        self.pending.is_empty() && self.workers.iter().all(|w| w.is_empty())
     }
 
-    /// Records a send subscription `sub`'s ring parked (ring full under
+    /// Records a send subscription `sub`'s queue parked (ring full under
     /// `Block`).
     fn park(&mut self, sub: usize, parked: bool) {
         if parked {
@@ -302,11 +182,8 @@ impl StepFabric {
     /// head's ring is full. Returns whether anything moved.
     fn flush_pending(&mut self) -> bool {
         let mut moved = false;
-        while let Some(&i) = self.pending.front() {
-            let Sink::Queued(q) = &mut self.lanes[i] else {
-                unreachable!("only queued lanes park sends");
-            };
-            if !q.queue.unpark(&q.lane) {
+        while let Some(&sub) = self.pending.front() {
+            if !self.sinks.unpark(sub) {
                 break;
             }
             self.pending.pop_front();
@@ -334,10 +211,7 @@ impl StepFabric {
     /// made progress.
     fn run_worker(&mut self, w: usize, batch: usize) -> bool {
         let trace = self.tracer.as_deref().map(|t| (t, t.worker_lane(w)));
-        let Sink::Queued(q) = &mut self.lanes[self.workers[w]] else {
-            unreachable!("workers are queued lanes");
-        };
-        let ran = q.queue.run_worker(&q.lane, trace, batch);
+        let (ran, _) = self.workers[w].drain(trace, batch, &mut || {});
         ran > 0 && {
             self.flush_pending();
             true
@@ -348,14 +222,13 @@ impl StepFabric {
 impl Transport for StepFabric {
     #[inline]
     fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
-        let parked = self.lanes[sub].deliver(rx_trace(&self.tracer), slab);
+        let parked = self.sinks.offer(sub, slab);
         self.park(sub, parked);
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let (produced, parked) =
-            self.lanes[sub].deliver_from_mbuf(rx_trace(&self.tracer), mbuf, trace_id);
+        let (produced, parked) = self.sinks.offer_from_mbuf(sub, mbuf, trace_id);
         self.park(sub, parked);
         produced
     }
@@ -368,10 +241,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// [`crate::TrafficSource`] batch yields.
     ///
     /// The run honours each subscription's [`crate::DispatchMode`] and
-    /// [`crate::QueuePolicy`] semantically — bounded queues, parked sends,
-    /// counted sheds — without spawning a single thread, and fabricates
-    /// a loss-free NIC snapshot (no device sits in front of a stepped
-    /// run), so [`RunReport::check_accounting`] applies unchanged.
+    /// [`crate::QueuePolicy`] over the threaded run's own bounded rings —
+    /// parked sends, counted sheds — without spawning a single thread,
+    /// and fabricates a loss-free NIC snapshot (no device sits in front
+    /// of a stepped run), so [`RunReport::check_accounting`] applies
+    /// unchanged.
     ///
     /// # Panics
     /// Panics if the schedule deadlocks, which is impossible unless the
@@ -516,14 +390,16 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                         p = true;
                     }
                     p
-                } else if stall_blocks(cfg.stall.as_ref(), fabric.workers[actor - 1], step) {
+                } else if let Some(stall) = cfg.stall.filter(|s| {
+                    s.sub == usize::from(fabric.workers[actor - 1].sub_idx()) && s.active(step)
+                }) {
                     // First activation of the fault window freezes the
                     // flight recorder, exactly as the chaos layer's
                     // fault hook does in a threaded run.
                     if !chaos_fired {
                         chaos_fired = true;
                         if let Some(t) = &tracer {
-                            t.trigger(TriggerReason::ChaosFault, fabric.workers[actor - 1] as u64);
+                            t.trigger(TriggerReason::ChaosFault, stall.sub as u64);
                         }
                     }
                     false
@@ -540,9 +416,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                 // once; the window is measured in steps and the counter
                 // just advanced, so it expires without progress.
                 assert!(
-                    cfg.stall.as_ref().is_some_and(
-                        |s| step >= s.from_step && step < s.from_step.saturating_add(s.steps)
-                    ),
+                    cfg.stall.is_some_and(|s| s.active(step)),
                     "stepped dispatch deadlocked at step {step}: no actor can run \
                      and no stall window is active"
                 );
@@ -756,6 +630,84 @@ mod tests {
             report.subs[0].delivered,
             report.subs[0].cb_executed + report.subs[0].cb_dropped_full
         );
+    }
+
+    /// Two `Block` dedicated subscriptions on 1-deep rings, one worker
+    /// stalled: sends to both park behind the stalled one and leave the
+    /// park in the order they were made. Each subscription's callbacks
+    /// still run in emission order, the RX lane records every enqueue in
+    /// send order, and the digest is the inline run's.
+    #[test]
+    fn parked_sends_keep_order_across_subscriptions() {
+        let pkts = frames(120);
+        let run = |mode: DispatchMode, cfg: &StepConfig| {
+            let seen: [Arc<std::sync::Mutex<Vec<u16>>>; 2] = Default::default();
+            let mut builder = RuntimeBuilder::new(RuntimeConfig::default());
+            for (name, seen) in ["a", "b"].into_iter().zip(&seen) {
+                let seen = Arc::clone(seen);
+                builder = builder.subscribe_dispatched(name, "tcp", mode, move |r: ConnRecord| {
+                    seen.lock().unwrap().push(r.tuple.orig.port());
+                });
+            }
+            let mut rt = builder.build().unwrap();
+            rt.set_trace_config(retina_telemetry::TraceConfig {
+                sample_one_in: 1,
+                ..retina_telemetry::TraceConfig::default()
+            });
+            let report = rt.run_stepped(&pkts, cfg);
+            report.check_accounting().unwrap();
+            let seen = seen.map(|s| std::mem::take(&mut *s.lock().unwrap()));
+            (report, seen)
+        };
+        // The RX lane's events of `kind`, in record order.
+        let rx_lane = |report: &RunReport, kind| -> Vec<retina_telemetry::TraceEvent> {
+            let session = &report.trace.as_ref().expect("traced").session;
+            assert_eq!(session.dropped_events, 0);
+            let (_, events) = session
+                .lanes
+                .iter()
+                .find(|(lane, _)| *lane == retina_telemetry::LaneKind::Rx(0))
+                .expect("one RX lane");
+            events.iter().filter(|e| e.kind == kind).copied().collect()
+        };
+        let flow_sub = |events: &[retina_telemetry::TraceEvent]| -> Vec<(u64, u16)> {
+            events.iter().map(|e| (e.trace_id, e.sub)).collect()
+        };
+
+        let cfg = StepConfig {
+            seed: 5,
+            rx_batch: 16,
+            worker_batch: 1,
+            stall: Some(WorkerStall {
+                sub: 0,
+                from_step: 3,
+                steps: 300,
+            }),
+        };
+        let (inline, inline_seen) = run(DispatchMode::Inline, &cfg);
+        let (queued, queued_seen) = run(DispatchMode::dedicated(1), &cfg);
+        let enqueues = rx_lane(&queued, retina_telemetry::TraceKind::DispatchEnqueue);
+        for sub in 0..2 {
+            // Two sends to one 1-deep ring in one RX step: the second
+            // parked (no worker runs inside an RX step).
+            let steps: Vec<u64> = enqueues
+                .iter()
+                .filter(|e| e.sub == sub)
+                .map(|e| e.tsc)
+                .collect();
+            assert!(
+                steps.windows(2).any(|w| w[0] == w[1]),
+                "subscription {sub} never parked a send"
+            );
+        }
+        assert_eq!(queued_seen, inline_seen, "callbacks out of emission order");
+        let sends = flow_sub(&rx_lane(
+            &inline,
+            retina_telemetry::TraceKind::CallbackStart,
+        ));
+        assert_eq!(sends.len(), 2 * 120);
+        assert_eq!(flow_sub(&enqueues), sends, "enqueues out of send order");
+        assert_eq!(queued.deterministic_digest(), inline.deterministic_digest());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | module            | replaces                   | used by                      |
 //! |-------------------|----------------------------|------------------------------|
 //! | [`bytes`]         | `bytes` (`Bytes`)          | zero-copy mbuf payloads      |
-//! | [`sync`]          | `parking_lot`, `crossbeam` | NIC rings, executor channels |
+//! | [`sync`]          | `parking_lot`, `crossbeam` | NIC rings, dispatch rings    |
 //! | [`rand`]          | `rand` (`SmallRng`)        | seeded traffic generation    |
 //! | [`rematch`]       | `regex` (`Regex`)          | filter `~`: linear automaton |
 //! | [`mod@proptest`]  | `proptest`                 | property tests everywhere    |

@@ -1,8 +1,8 @@
 //! Synchronization primitives: a poison-ignoring `RwLock`, a bounded
 //! lock-free MPMC [`ArrayQueue`] (Vyukov's bounded queue, the shape of
-//! `crossbeam::queue::ArrayQueue` and of a DPDK descriptor ring), a
+//! `crossbeam::queue::ArrayQueue` and of a DPDK descriptor ring), and a
 //! true single-producer single-consumer [`spsc`] ring for the multicore
-//! callback dispatcher, and a bounded MPMC [`channel`].
+//! callback dispatcher.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -62,31 +62,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
             Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-/// A mutex that ignores poisoning, mirroring [`RwLock`].
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex.
-    pub const fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, ignoring poison.
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        match self.inner.lock() {
-            Ok(g) => g,
             Err(p) => p.into_inner(),
         }
     }
@@ -253,35 +228,11 @@ impl<T> std::fmt::Debug for ArrayQueue<T> {
     }
 }
 
-/// Bounded channels, mirroring `crossbeam::channel` over
-/// [`std::sync::mpsc`].
-pub mod channel {
-    /// The sending half of a bounded channel (cloneable).
-    pub type Sender<T> = std::sync::mpsc::SyncSender<T>;
-    /// The receiving half of a bounded channel.
-    pub type Receiver<T> = std::sync::mpsc::Receiver<T>;
-    /// Error returned by `Sender::send` when the receiver is gone: the
-    /// unsent value is handed back in `.0`.
-    pub type SendError<T> = std::sync::mpsc::SendError<T>;
-
-    /// Creates a bounded channel of the given capacity. `send` blocks
-    /// when the channel is full (backpressure) and returns
-    /// [`SendError`] — carrying the rejected value — once the receiver
-    /// has been dropped. Callers own that error: a delivery layer must
-    /// count or surface it, never `let _ =` it away (each such value is
-    /// an analysis result that silently vanished). `recv` returns
-    /// `Err` once every sender is dropped.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        std::sync::mpsc::sync_channel(capacity.max(1))
-    }
-}
-
 pub mod spsc {
     //! A true bounded single-producer single-consumer ring.
     //!
-    //! Unlike [`super::channel`] (an MPMC `sync_channel` wrapper, with a
-    //! mutex under the hood) and [`super::ArrayQueue`] (Vyukov MPMC, one
-    //! CAS per operation), this ring exploits the single-producer
+    //! Unlike [`super::ArrayQueue`] (Vyukov MPMC, one CAS per
+    //! operation), this ring exploits the single-producer
     //! single-consumer contract for a wait-free fast path with **no
     //! atomic RMW at all**: each side owns its index outright and keeps
     //! a *cached* copy of the other side's, refreshed only when the ring
@@ -308,11 +259,6 @@ pub mod spsc {
         /// Consumer dropped; the value is handed back.
         Disconnected(T),
     }
-
-    /// Error from [`Producer::send`]: the consumer is gone and the
-    /// value is handed back.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
 
     /// Error from [`Consumer::try_recv`].
     #[derive(Debug, PartialEq, Eq)]
@@ -444,28 +390,6 @@ pub mod spsc {
             self.tail.set(tail + 1);
             self.shared.tail.store(tail + 1, Ordering::Release);
             Ok(())
-        }
-
-        /// Enqueues, spinning (with yields) while the ring is full.
-        /// Returns the value in [`SendError`] if the consumer is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut value = value;
-            let mut spins = 0u32;
-            loop {
-                match self.try_send(value) {
-                    Ok(()) => return Ok(()),
-                    Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
-                    Err(TrySendError::Full(v)) => {
-                        value = v;
-                        spins += 1;
-                        if spins < 64 {
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
         }
 
         /// In-flight elements (approximate from the producer side).
@@ -709,29 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_bounded_backpressure() {
-        let (tx, rx) = channel::bounded::<u32>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert!(tx.try_send(3).is_err(), "channel should be full");
-        assert_eq!(rx.recv().unwrap(), 1);
-        drop(tx);
-        assert_eq!(rx.recv().unwrap(), 2);
-        assert!(rx.recv().is_err(), "all senders dropped");
-    }
-
-    /// Regression for the doc/behavior mismatch: `send` on a channel
-    /// whose receiver is gone must surface an error carrying the value,
-    /// so no delivery layer can lose data without noticing.
-    #[test]
-    fn channel_send_after_receiver_drop_errors_with_value() {
-        let (tx, rx) = channel::bounded::<u32>(4);
-        drop(rx);
-        let err = tx.send(42).expect_err("receiver gone must error");
-        assert_eq!(err.0, 42, "the rejected value is handed back");
-    }
-
-    #[test]
     fn spsc_fifo_and_capacity() {
         let (tx, rx) = spsc::ring::<u32>(2);
         assert_eq!(tx.capacity(), 2);
@@ -757,7 +658,6 @@ mod tests {
         let (tx, rx) = spsc::ring::<u32>(4);
         drop(rx);
         assert_eq!(tx.try_send(9), Err(spsc::TrySendError::Disconnected(9)));
-        assert_eq!(tx.send(9), Err(spsc::SendError(9)));
 
         // Producer gone: consumer drains the backlog, then Disconnected.
         let (tx, rx) = spsc::ring::<u32>(4);
@@ -791,7 +691,17 @@ mod tests {
         let (tx, rx) = spsc::ring::<u64>(4);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                tx.send(i).expect("consumer alive until drained");
+                let mut value = i;
+                loop {
+                    match tx.try_send(value) {
+                        Ok(()) => break,
+                        Err(spsc::TrySendError::Full(back)) => {
+                            value = back;
+                            std::thread::yield_now();
+                        }
+                        Err(e) => panic!("consumer alive until drained: {e:?}"),
+                    }
+                }
             }
         });
         for expect in 0..N {

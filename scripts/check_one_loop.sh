@@ -22,8 +22,9 @@
 #   * the lane protocol's accounting — every `DispatchStats::note_*`
 #     call — is in crates/core/src/executor.rs only (the stepped
 #     harness calls executor's code, it does not re-type it);
-#   * the fabric is built by one staging function: `channel_dispatcher(`
-#     has exactly one non-test call site;
+#   * a threaded epoch's fabric is staged by one function:
+#     `channel_dispatcher(` has exactly one non-test call site (it and
+#     the stepped harness both build their sinks with `build_sinks`);
 #   * a datum meets its type again at one site: every sink of every
 #     driver takes it from its subscription's output lane through
 #     erased.rs's `take_output`, the one non-test `.downcast::<` /
@@ -161,6 +162,16 @@
 # report's. So non-test code under crates/ names no `Registry`,
 # `GaugeMerge`, `MonitorSample` or `StageStats` (as whole words, so the
 # filter and parser registries pass) and calls no `to_sample(`.
+#
+# The dispatch ring is written once. Both drivers run their sinks over
+# the `spsc` ring: executor.rs's `build_sinks` makes one core's sinks
+# and rings for a threaded epoch and for the stepped harness alike, and
+# the harness drains the rings itself, on its one thread. The harness
+# once kept a ring of its own — a `VecDeque` plus its parked sends —
+# with two ring traits, a third trait for the harness and two type
+# aliases to join the two. So non-test crates/core/src names no
+# `VirtualRing`, `RingTx`, `RingRx` or `StepQueue` (as whole words) and
+# makes rings at exactly one `spsc::ring` call site (`Deliver::ring`).
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
@@ -402,6 +413,22 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+core_code() {
+    for f in $(find crates/core/src -name '*.rs' | sort); do code_lines "$f"; done
+}
+hits=$(core_code | grep -E '(^|[^[:alnum:]_])(VirtualRing|RingTx|RingRx|StepQueue)([^[:alnum:]_]|$)' || true)
+if [ -n "$hits" ]; then
+    echo "a second dispatch ring (both drivers run executor.rs's spsc rings):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+n=$(core_code | grep -cE 'spsc::ring([^[:alnum:]_]|$)' || true)
+if [ "$n" -ne 1 ]; then
+    echo "crates/core/src calls spsc::ring at $n non-test sites (want 1: Deliver::ring):" >&2
+    core_code | grep -E 'spsc::ring([^[:alnum:]_]|$)' >&2 || true
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -417,4 +444,5 @@ echo "  the governor is a stage of the monitor tick, and no EventLog or swap led
 echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
 echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"
 echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file;"
-echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample("
+echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample(;"
+echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site"

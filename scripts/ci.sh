@@ -50,7 +50,10 @@
 #                 are the test oracle's only; and benchmark/ is the one
 #                 source of performance numbers: no second harness's
 #                 results flag, section merger, gate-key printer or BENCH
-#                 results file under crates/, scripts/ or .github/
+#                 results file under crates/, scripts/ or .github/; and
+#                 the dispatch ring is written once: no `VirtualRing`,
+#                 `RingTx`, `RingRx` or `StepQueue` in non-test
+#                 crates/core/src, and one `spsc::ring` call site there
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
