@@ -7,8 +7,9 @@ use retina_protocols::ParserRegistry;
 /// Configuration for a [`crate::Runtime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of worker cores (RX queues). One thread is spawned per
-    /// core; symmetric RSS distributes connections among them.
+    /// Number of RX cores (RX queues); symmetric RSS distributes
+    /// connections among them. A threaded run spawns one thread per
+    /// core, a stepped run schedules one RX actor per core.
     pub cores: u16,
     /// Virtual NIC configuration.
     pub device: DeviceConfig,

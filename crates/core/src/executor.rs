@@ -18,12 +18,11 @@
 //! one place that knows the type, provides both.
 //!
 //! The fabric is one for both drivers: `build_sinks` makes an epoch's
-//! sinks and rings, and the threaded runtime hands the rings' consumer
-//! ends to worker threads (`channel_dispatcher`) while the stepped
-//! harness ([`crate::step`]) drains them itself, on its one thread. A
-//! send that a full ring blocks parks in its `Queue`; how the sender
-//! waits is its transport's choice — a threaded RX core spins until the
-//! send unparks, the stepped harness records the park order and moves on.
+//! sinks and rings, whose consumer ends the threaded runtime hands to
+//! worker threads (`channel_dispatcher`) and the stepped harness
+//! ([`crate::step`]) drains itself. A send that a full ring blocks parks
+//! in its `Queue`; a threaded RX core spins until it unparks, the stepped
+//! harness's sink set records the park order and moves on.
 //!
 //! The trade-off of leaving the RX core is made explicit per
 //! subscription by a [`QueuePolicy`]:
@@ -383,7 +382,7 @@ struct Queue<S> {
     ring: spsc::Producer<Item<S>>,
     policy: QueuePolicy,
     /// Sends the full ring blocked under `Block`, oldest first. How the
-    /// sender waits for them to unpark is its transport's choice: a
+    /// sender waits for them to unpark is its sink set's choice: a
     /// threaded RX core spins, the stepped harness moves on.
     parked: VecDeque<Item<S>>,
 }
@@ -566,65 +565,33 @@ impl<S: Subscribable> Deliver for TypedSubscription<S> {
     }
 }
 
-/// One RX core's sinks, indexed by subscription: the threaded
-/// [`Transport`], and the sink set the stepped harness drives.
+/// One RX core's sinks, indexed by subscription: the [`Transport`] of
+/// both drivers.
 pub(crate) struct CoreSinks {
     sinks: Vec<Sink>,
     /// The run's tracer and this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
+    /// Whether a blocked send stays parked for the driver to move on (the
+    /// stepped harness) rather than being waited out (a threaded core);
+    /// `parked` lists the subscriptions holding parked sends, in order.
+    parks: bool,
+    parked: VecDeque<usize>,
 }
 
 impl CoreSinks {
     /// RX core `core`'s sink set, empty, with room for `subs` sinks.
-    pub(crate) fn new(subs: usize, core: usize, tracer: Option<&Arc<Tracer>>) -> Self {
+    pub(crate) fn new(subs: usize, core: usize, tracer: Option<&Arc<Tracer>>, parks: bool) -> Self {
         CoreSinks {
             sinks: Vec::with_capacity(subs),
             trace: tracer.map(|t| (Arc::clone(t), t.rx_lane(core))),
-        }
-    }
-
-    /// Hands subscription `sub`'s next datum — the head of its output
-    /// lane in `slab` — to its sink: run inline, or sent through its
-    /// ring. Returns whether the send parked.
-    #[inline]
-    pub(crate) fn offer(&mut self, sub: usize, slab: &mut dyn TrackedSlab) -> bool {
-        let trace = trace_lane(&self.trace);
-        match &mut self.sinks[sub] {
-            Sink::Inline(s, lane) => {
-                s.delivery().0.run_inline(lane, trace, slab);
-                false
-            }
-            Sink::Queued(q) => q.enqueue(trace, slab),
-        }
-    }
-
-    /// Packet-level fast path of [`CoreSinks::offer`]: builds the datum
-    /// straight from the frame. Returns whether the frame yielded one
-    /// (always `false` for a spec-only subscription, which builds none)
-    /// and whether its send parked.
-    #[inline]
-    pub(crate) fn offer_from_mbuf(
-        &mut self,
-        sub: usize,
-        mbuf: &Mbuf,
-        trace_id: u64,
-    ) -> (bool, bool) {
-        let trace = trace_lane(&self.trace);
-        match &mut self.sinks[sub] {
-            Sink::Inline(s, lane) => {
-                let produced = s
-                    .delivery()
-                    .0
-                    .run_inline_from_mbuf(lane, trace, mbuf, trace_id);
-                (produced, false)
-            }
-            Sink::Queued(q) => q.enqueue_from_mbuf(trace, mbuf, trace_id),
+            parks,
+            parked: VecDeque::new(),
         }
     }
 
     /// Moves subscription `sub`'s oldest parked send out of the park; see
     /// [`Enqueue::unpark`].
-    pub(crate) fn unpark(&mut self, sub: usize) -> bool {
+    fn unpark(&mut self, sub: usize) -> bool {
         let trace = trace_lane(&self.trace);
         match &mut self.sinks[sub] {
             Sink::Queued(q) => q.unpark(trace),
@@ -632,10 +599,15 @@ impl CoreSinks {
         }
     }
 
-    /// A threaded RX core waits out its parked send: it spins, then
-    /// yields, until the worker frees a slot or is gone.
+    /// A send to `sub` parked: a parking sink set records it; otherwise
+    /// the RX core spins, then yields, until the worker frees a slot or
+    /// is gone.
     #[cold]
-    fn wait(&mut self, sub: usize) {
+    fn blocked(&mut self, sub: usize) {
+        if self.parks {
+            self.parked.push_back(sub);
+            return;
+        }
         let mut spins = 0u32;
         while !self.unpark(sub) {
             spins += 1;
@@ -646,21 +618,58 @@ impl CoreSinks {
             }
         }
     }
+
+    /// Whether a send is still parked.
+    pub(crate) fn is_parked(&self) -> bool {
+        !self.parked.is_empty()
+    }
+
+    /// Moves parked sends into their rings, in park order, until the
+    /// head's ring is full. Returns whether anything moved.
+    pub(crate) fn flush_parked(&mut self) -> bool {
+        let mut moved = false;
+        while let Some(&sub) = self.parked.front() {
+            if !self.unpark(sub) {
+                break;
+            }
+            self.parked.pop_front();
+            moved = true;
+        }
+        moved
+    }
 }
 
+/// A datum runs inline, or is sent through its subscription's ring; a
+/// send the full ring blocks is [`CoreSinks::blocked`].
 impl Transport for CoreSinks {
     #[inline]
     fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
-        if self.offer(sub, slab) {
-            self.wait(sub);
+        let trace = trace_lane(&self.trace);
+        let parked = match &mut self.sinks[sub] {
+            Sink::Inline(s, lane) => {
+                s.delivery().0.run_inline(lane, trace, slab);
+                false
+            }
+            Sink::Queued(q) => q.enqueue(trace, slab),
+        };
+        if parked {
+            self.blocked(sub);
         }
     }
 
     #[inline]
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let (produced, parked) = self.offer_from_mbuf(sub, mbuf, trace_id);
+        let trace = trace_lane(&self.trace);
+        let (produced, parked) = match &mut self.sinks[sub] {
+            Sink::Inline(s, lane) => {
+                let inline = s.delivery().0;
+                let produced = inline.run_inline_from_mbuf(lane, trace, mbuf, trace_id);
+                (produced, false)
+            }
+            Sink::Queued(q) => q.enqueue_from_mbuf(trace, mbuf, trace_id),
+        };
         if parked {
-            self.wait(sub);
+            self.blocked(sub);
         }
         produced
     }
@@ -730,34 +739,26 @@ pub(crate) fn build_sinks<'a>(
     queued
 }
 
-/// Builds the full dispatch fabric for one configuration epoch of a
-/// threaded run: one [`CoreSinks`] per RX core (see [`build_sinks`]) plus
-/// the [`Dispatcher`] owning the worker threads. `stats[i]` are
-/// subscription `i`'s counters, its row's.
+/// Spawns the dispatch worker threads of one configuration epoch of a
+/// threaded run over `queued`, the rings [`build_sinks`] made, and
+/// returns the [`Dispatcher`] owning them.
 ///
 /// Dedicated subscriptions drain on their own thread; shared
 /// subscriptions' rings are spread round-robin over `shared_workers`
-/// threads. Dropping the returned sinks disconnects the rings, which is
+/// threads. Dropping the epoch's sinks disconnects the rings, which is
 /// how workers learn the epoch is over.
 ///
 /// # Panics
-/// Panics if `modes` or `stats` do not line up with `subs`, or a worker
-/// thread cannot be spawned.
+/// Panics if `modes` does not line up with `subs`, or a worker thread
+/// cannot be spawned.
 pub(crate) fn channel_dispatcher(
     subs: &[Arc<dyn ErasedSubscription>],
     modes: &[DispatchMode],
-    stats: &[DispatchRow],
-    cores: usize,
+    queued: Vec<(usize, Vec<Box<dyn WorkerRing>>)>,
     shared_workers: usize,
     delay: &CallbackDelayFn,
     tracer: Option<&Arc<Tracer>>,
-) -> (Vec<CoreSinks>, Dispatcher) {
-    assert_eq!(subs.len(), stats.len(), "one stats block per subscription");
-    let mut per_core: Vec<CoreSinks> = (0..cores.max(1))
-        .map(|core| CoreSinks::new(subs.len(), core, tracer))
-        .collect();
-    let queued = build_sinks(subs, modes, stats, &mut per_core);
-
+) -> Dispatcher {
     // Worker lanes are assigned in spawn order: dedicated workers in
     // subscription order, then the shared pool. A fabric staged by a
     // mid-run swap may need more workers than the run's tracer was
@@ -801,7 +802,7 @@ pub(crate) fn channel_dispatcher(
             ));
         }
     }
-    (per_core, Dispatcher { handles })
+    Dispatcher { handles }
 }
 
 /// Spawns one worker thread draining `rings` until every producer is
@@ -913,8 +914,11 @@ mod tests {
         for ((row, sub), mode) in stats.iter().zip(subs).zip(modes) {
             row.set_capacity(ring_capacity(&**sub, *mode, cores));
         }
-        let (sinks, dispatcher) =
-            channel_dispatcher(subs, modes, &stats, cores, shared_workers, delay, None);
+        let mut sinks: Vec<CoreSinks> = (0..cores)
+            .map(|core| CoreSinks::new(subs.len(), core, None, false))
+            .collect();
+        let queued = build_sinks(subs, modes, &stats, &mut sinks);
+        let dispatcher = channel_dispatcher(subs, modes, queued, shared_workers, delay, None);
         (sinks, dispatcher, stats)
     }
 

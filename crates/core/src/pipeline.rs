@@ -112,13 +112,10 @@ struct Staged {
     hint: Option<ConnHint>,
 }
 
-/// Where subscription data goes once the pipeline has produced it. One
-/// implementation per driver, always statically dispatched: the
-/// threaded runtime's per-core sink set (`executor::CoreSinks`), the
-/// stepped harness's fabric, and the offline mode's direct callback
-/// ([`crate::offline::Direct`]). The first two are one sink set over the
-/// same SPSC rings, and differ only in how a blocked send waits (see
-/// [`crate::executor`]).
+/// Where subscription data goes once the pipeline has produced it, always
+/// statically dispatched: an RX core's sink set (`executor::CoreSinks`,
+/// the threaded runtime's and the stepped harness's), or the offline
+/// mode's direct callback ([`crate::offline::Direct`]).
 pub trait Transport {
     /// Hands subscription `sub`'s next datum — the head of the output
     /// lane in `slab`, the subscription's [`TrackedSlab`], with the
@@ -208,8 +205,7 @@ impl<F: FilterFns> CorePipeline<F> {
     }
 
     /// Points the table's subscriptions at their rows of the run's table
-    /// (`rows[i]`: subscription `i`'s), for a pipeline that starts on a
-    /// table a swap installed.
+    /// (`rows[i]`: subscription `i`'s).
     pub(crate) fn set_rows(&mut self, rows: &[usize]) {
         self.tracker.set_rows(rows);
     }

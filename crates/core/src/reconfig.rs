@@ -1,13 +1,13 @@
 //! Live reconfiguration: epoch-based RCU hot-swap of subscriptions on a
-//! running [`MultiRuntime`](crate::MultiRuntime).
+//! running [`MultiRuntime`].
 //!
 //! A running pipeline's configuration — the merged filter trie, the
 //! subscription table, the per-core sink sets, the dispatch fabric, the
 //! NIC rule union — is bundled into one immutable `ConfigEpoch` and
-//! published through a generation counter. RX workers check the counter
+//! published through a generation counter. RX cores check the counter
 //! once per burst (a single `Acquire` load; the hot path takes no lock)
 //! and adopt the new epoch at their between-bursts safe point. The
-//! publisher waits for every worker to acknowledge the new generation
+//! publisher waits for every core to acknowledge the new generation
 //! (the RCU grace period) before retiring the old epoch, so no frame is
 //! ever seen by a half-updated configuration and no packet is lost to a
 //! swap.
@@ -21,22 +21,23 @@
 //! 2. **Stage** — the hardware rule union is recomputed and *diffed*
 //!    against the installed set; only the adds and removes are applied,
 //!    atomically, so the NIC table never transiently narrows (an empty
-//!    table means "deliver everything via RSS").
-//! 3. **Publish** — the epoch (filter, subscriptions, their rows of the
-//!    run's table, fresh sink sets, a new dispatch fabric counting into
-//!    those rows), staged by the same `stage_epoch` that builds a run's
-//!    first epoch, is installed, the runtime's one
-//!    [`DispatchHub`] takes the new
-//!    table's membership, and the generation counter is bumped.
-//! 4. **Grace** — the publisher spins until every worker has stored the
-//!    new generation into its ack slot (or exited). Because the swap
+//!    table means "deliver everything via RSS"). Then the epoch (filter,
+//!    subscriptions, their rows of the run's table, fresh sink sets, a
+//!    new dispatch fabric counting into those rows) is built — by the
+//!    same `EpochState::stage` that stages a run's first epoch.
+//! 3. **Publish** — the epoch is installed, the runtime's one
+//!    [`DispatchHub`] takes the new table's membership, and the
+//!    generation counter is bumped.
+//! 4. **Grace** — over once every core has stored the new generation
+//!    into its ack slot (or exited): a predicate the threaded publisher
+//!    spins on and the stepped harness polls each step. Because the swap
 //!    lock serializes publishes *and* each publish waits out its grace
-//!    period, a worker can never skip a generation — the single-step
-//!    `remap` is always valid. Each worker stamps its pickup time into
-//!    the slot just before acking; the publisher turns the stamps into
-//!    the swap's per-core pickup lag.
+//!    period, a core can never skip a generation — the single-step
+//!    `remap` is always valid. Each core stamps its pickup time into
+//!    the slot just before acking; the stamps become the swap's per-core
+//!    pickup lag.
 //! 5. **Retire** — the old dispatch fabric is drained and joined, and the
-//!    old epoch is dropped; a `Weak` upgrade failure proves it is gone.
+//!    old epoch is dropped: no core holds it any more.
 //!    A removed subscription's row stays in the run's table, where its
 //!    counts already are: the final report lists it after the live
 //!    table, and a later swap that re-adds the name counts on into it.
@@ -58,14 +59,17 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
-use retina_nic::VirtualNic;
-use retina_telemetry::{DispatchHub, DispatchRow, Tracer, TriggerReason};
+use retina_nic::{FlowRule, VirtualNic};
+use retina_telemetry::{DispatchHub, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::{channel_dispatcher, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher};
+use crate::executor::{
+    build_sinks, channel_dispatcher, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
+};
 use crate::report::Rows;
-use crate::runtime::{compile_union, fire_trigger, RuntimeGauges, TraceHandle};
+use crate::runtime::{compile_union, fire_trigger, MultiRuntime, RuntimeGauges, TraceHandle};
+use crate::step::VirtualWorker;
 use crate::subscription::Subscribable;
 
 /// Ack-slot sentinel: the worker has exited (end of run). A grace
@@ -191,33 +195,34 @@ pub struct SwapEvent {
     pub warnings: Vec<String>,
 }
 
-/// A validated, compiled swap ready to publish.
+/// A validated, compiled swap ready to publish (or a run's first table).
 pub(crate) struct PreparedSwap<F> {
     pub(crate) filter: Arc<F>,
-    pub(crate) subs: Vec<Arc<dyn ErasedSubscription>>,
-    pub(crate) modes: Vec<DispatchMode>,
+    pub(crate) subs: Arc<[Arc<dyn ErasedSubscription>]>,
+    pub(crate) modes: Arc<[DispatchMode]>,
     /// Old subscription index -> new index, matched by name (`None` =
     /// removed).
     pub(crate) remap: Vec<Option<usize>>,
     pub(crate) warnings: Vec<String>,
 }
 
-impl<F> PreparedSwap<F> {
-    /// The old index new subscription `j` survives from (`None` =
-    /// added by this swap).
-    pub(crate) fn survivor(&self, j: usize) -> Option<usize> {
-        self.remap.iter().position(|m| *m == Some(j))
-    }
-}
-
-/// The first name `subs` registers twice. Names are identities — a
-/// swap's survivors and a run's counter rows are matched by name — so a
-/// table with a duplicate is rejected.
-pub(crate) fn duplicate_name(subs: &[Arc<dyn ErasedSubscription>]) -> Option<&str> {
+/// Checks a subscription table (and, given how many its filter decides,
+/// against the filter): one to [`SubscriptionSet::MAX`] subscriptions,
+/// each name once — a swap's survivors and a run's rows match by name.
+pub(crate) fn check_table(
+    subs: &[Arc<dyn ErasedSubscription>],
+    decided: Option<usize>,
+) -> Result<(), String> {
     let mut seen = std::collections::BTreeSet::new();
-    subs.iter()
-        .map(|s| s.name())
-        .find(|&name| !seen.insert(name))
+    let (n, max) = (subs.len(), SubscriptionSet::MAX);
+    let duplicate = subs.iter().map(|s| s.name()).find(|&s| !seen.insert(s));
+    match (duplicate, decided.filter(|&d| d != n)) {
+        _ if n == 0 => Err("no subscriptions registered".to_string()),
+        _ if n > max => Err(format!("at most {max} subscriptions per runtime (got {n})")),
+        (Some(name), _) => Err(format!("duplicate subscription name {name:?}")),
+        (_, Some(d)) => Err(format!("{n} subscriptions, but the filter decides {d}")),
+        (None, None) => Ok(()),
+    }
 }
 
 /// Validates and compiles a [`SwapSpec`] against the running
@@ -228,32 +233,10 @@ pub(crate) fn prepare(
     old_subs: &[Arc<dyn ErasedSubscription>],
     config: &RuntimeConfig,
 ) -> Result<PreparedSwap<CompiledFilter>, SwapError> {
-    if spec.subs.is_empty() {
-        return Err(SwapError::Spec(
-            "swap must register at least one subscription".to_string(),
-        ));
-    }
-    if spec.subs.len() > SubscriptionSet::MAX {
-        return Err(SwapError::Spec(format!(
-            "at most {} subscriptions per runtime (got {})",
-            SubscriptionSet::MAX,
-            spec.subs.len(),
-        )));
-    }
-    if let Some(name) = duplicate_name(&spec.subs) {
-        return Err(SwapError::Spec(format!(
-            "duplicate subscription name {name:?} (names are the swap's survivor identity)",
-        )));
-    }
+    check_table(&spec.subs, None).map_err(SwapError::Spec)?;
     let srcs: Vec<&str> = spec.sources.iter().map(String::as_str).collect();
     let (filter, warnings) = compile_union(&srcs, config).map_err(SwapError::Filter)?;
-    if filter.num_subscriptions() != spec.subs.len() {
-        return Err(SwapError::Spec(format!(
-            "{} subscriptions registered but the filter decides {}",
-            spec.subs.len(),
-            filter.num_subscriptions(),
-        )));
-    }
+    check_table(&spec.subs, Some(filter.num_subscriptions())).map_err(SwapError::Spec)?;
     let remap = old_subs
         .iter()
         .map(|old| spec.subs.iter().position(|new| new.name() == old.name()))
@@ -261,7 +244,7 @@ pub(crate) fn prepare(
     let modes = spec.modes.iter().map(|m| m.unwrap_or_default()).collect();
     Ok(PreparedSwap {
         filter: Arc::new(filter),
-        subs: spec.subs.clone(),
+        subs: spec.subs.as_slice().into(),
         modes,
         remap,
         warnings,
@@ -273,7 +256,7 @@ pub(crate) fn prepare(
 pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     pub(crate) generation: u64,
     pub(crate) filter: Arc<F>,
-    pub(crate) subs: Vec<Arc<dyn ErasedSubscription>>,
+    pub(crate) subs: Arc<[Arc<dyn ErasedSubscription>]>,
     /// Previous epoch's subscription index -> this epoch's (empty for
     /// a run's first epoch). Valid because grace-period serialization
     /// guarantees no worker ever skips a generation.
@@ -285,9 +268,8 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// epoch retires are dropped by the retirer so the dispatch rings
     /// disconnect.
     pub(crate) sinks: Mutex<Vec<Option<CoreSinks>>>,
-    /// Dispatch counters, one per subscription: its row's.
-    pub(crate) stats: Vec<DispatchRow>,
-    /// The epoch's dispatch worker threads, joined at retirement.
+    /// The epoch's dispatch worker threads, joined at retirement (none
+    /// in a stepped run, which drains the rings itself).
     pub(crate) dispatcher: Mutex<Option<Dispatcher>>,
 }
 
@@ -296,7 +278,7 @@ impl<F: FilterFns + 'static> ConfigEpoch<F> {
     /// from it any more: drops the unclaimed sink sets (they keep SPSC
     /// producers alive), then joins the worker threads, which exit when
     /// their rings disconnect and drain.
-    pub(crate) fn retire_fabric(&self) {
+    fn retire_fabric(&self) {
         for sinks in self.sinks.lock().unwrap().iter_mut() {
             sinks.take();
         }
@@ -306,67 +288,62 @@ impl<F: FilterFns + 'static> ConfigEpoch<F> {
     }
 }
 
-/// Stages one configuration generation — the one place an epoch's
-/// delivery fabric is built, for a run's first epoch and for every live
-/// swap alike. The table is installed in the run's row table, and the
-/// fabric counts into its rows. Its workers stall where the NIC's fault
-/// layer says so and trace into `tracer`, the run's own.
-pub(crate) fn stage_epoch<F: FilterFns + 'static>(
-    generation: u64,
-    table: PreparedSwap<F>,
-    rows: &mut Rows,
-    nic: &Arc<VirtualNic>,
+/// Installs `filter`'s hardware rule union on `nic` as one transactional
+/// diff against the installed rules, so the table never transiently
+/// narrows. Returns the rules added and removed.
+pub(crate) fn stage_rules<F: FilterFns>(
+    nic: &VirtualNic,
+    filter: &F,
     config: &RuntimeConfig,
-    tracer: Option<&Arc<Tracer>>,
-) -> Arc<ConfigEpoch<F>> {
-    let cores = config.cores.max(1) as usize;
-    rows.install(&table.subs, &table.modes, cores);
-    let map: Vec<usize> = rows.live().collect();
-    let stats: Vec<DispatchRow> = map.iter().map(|&r| rows.dispatch(r).clone()).collect();
-    let delay: CallbackDelayFn = {
-        let nic = Arc::clone(nic);
-        Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq))
+) -> Result<(usize, usize), String> {
+    if !config.hw_filtering {
+        return Ok((0, 0));
+    }
+    let new_rules = filter
+        .hw_rules(config.device.caps, &config.filter_registry)
+        .map_err(|e| e.to_string())?;
+    let old_rules = nic.rules_snapshot();
+    let minus = |a: &[FlowRule], b: &[FlowRule]| -> Vec<FlowRule> {
+        a.iter().filter(|r| !b.contains(r)).cloned().collect()
     };
-    let (per_core_sinks, dispatcher) = channel_dispatcher(
-        &table.subs,
-        &table.modes,
-        &stats,
-        cores,
-        config.shared_workers,
-        &delay,
-        tracer,
-    );
-    Arc::new(ConfigEpoch {
-        generation,
-        filter: table.filter,
-        subs: table.subs,
-        remap: table.remap,
-        rows: map,
-        sinks: Mutex::new(per_core_sinks.into_iter().map(Some).collect()),
-        stats,
-        dispatcher: Mutex::new(Some(dispatcher)),
-    })
+    let (adds, removes) = (minus(&new_rules, &old_rules), minus(&old_rules, &new_rules));
+    let counts = (adds.len(), removes.len());
+    nic.apply_rule_diff(adds, &removes)
+        .map_err(|e| e.to_string())?;
+    Ok(counts)
 }
 
 /// One RX core's grace-period slot.
 pub(crate) struct Ack {
-    /// The highest generation the worker has adopted, or [`EXITED`].
+    /// The highest generation the core has adopted, or [`EXITED`].
     pub(crate) generation: AtomicU64,
-    /// When the worker last picked up a swapped-in epoch (nanoseconds
-    /// since [`EpochState::base`]; written just before `generation`).
+    /// When the core last claimed an epoch's sink set (nanoseconds since
+    /// [`EpochState::base`]; written just before `generation`).
     pub(crate) picked_up_ns: AtomicU64,
 }
 
-/// Shared swap state between a [`MultiRuntime`](crate::MultiRuntime),
-/// its workers, and any [`SwapController`].
+/// A staged epoch, its rule diff (added, removed) and its unspawned rings.
+type Staged<F> = (Arc<ConfigEpoch<F>>, (usize, usize), Vec<VirtualWorker>);
+
+/// A published swap waiting out its grace period: the epoch it retires
+/// and its record so far.
+pub(crate) struct Grace<F: FilterFns + 'static> {
+    old: Arc<ConfigEpoch<F>>,
+    pub(crate) event: SwapEvent,
+}
+
+/// Shared swap state between a run, its RX cores and any
+/// [`SwapController`]. A threaded run uses its runtime's; a stepped run
+/// keeps one of its own, which no controller reaches.
 pub(crate) struct EpochState<F: FilterFns + 'static> {
-    /// The published generation. Workers poll this once per burst.
+    /// The published generation. Cores poll this once per burst.
     pub(crate) generation: AtomicU64,
     /// The current epoch (`None` between runs).
     pub(crate) current: RwLock<Option<Arc<ConfigEpoch<F>>>>,
-    /// The runtime's one dispatch hub: its membership is the current
-    /// epoch's stats, replaced at every publish.
-    pub(crate) hub: Arc<DispatchHub>,
+    /// A threaded run's device (rules, worker threads that stall where its
+    /// fault layer says) and its runtime's one dispatch hub. A stepped run
+    /// has neither: it drains its epochs' rings itself.
+    device: Option<(Arc<VirtualNic>, Arc<DispatchHub>)>,
     /// Per-core acknowledgment slots.
     pub(crate) acks: Vec<Ack>,
     /// Time base for all `SwapEvent` timestamps.
@@ -377,11 +354,11 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
 }
 
 impl<F: FilterFns + 'static> EpochState<F> {
-    pub(crate) fn new(cores: usize, hub: Arc<DispatchHub>) -> Self {
+    pub(crate) fn new(cores: usize, device: Option<(Arc<VirtualNic>, Arc<DispatchHub>)>) -> Self {
         EpochState {
             generation: AtomicU64::new(0),
             current: RwLock::new(None),
-            hub,
+            device,
             acks: (0..cores.max(1))
                 .map(|_| Ack {
                     generation: AtomicU64::new(EXITED),
@@ -393,13 +370,180 @@ impl<F: FilterFns + 'static> EpochState<F> {
         }
     }
 
-    /// Makes `epoch` the current configuration: workers see it at their
-    /// next generation check, and the hub's membership follows the new
-    /// table. (Bumping the generation counter is the caller's: a run's
-    /// first epoch keeps the counter, a swap advances it.)
-    pub(crate) fn publish(&self, epoch: Arc<ConfigEpoch<F>>) {
-        self.hub.replace(epoch.stats.clone());
+    /// Stages `table` as generation `generation`: the one place an epoch is
+    /// built, for a run's first and every swap's. The rule diff comes
+    /// first, so a rejected rule set changes nothing. Returns the epoch,
+    /// the rule diff and the unspawned rings.
+    fn stage(
+        &self,
+        generation: u64,
+        table: PreparedSwap<F>,
+        rows: &mut Rows,
+        config: &RuntimeConfig,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> Result<Staged<F>, String> {
+        let rules = match &self.device {
+            Some((nic, _)) => stage_rules(nic, &*table.filter, config)?,
+            None => (0, 0),
+        };
+        let cores = config.cores.max(1) as usize;
+        rows.install(&table.subs, &table.modes, cores);
+        let map: Vec<usize> = rows.live().collect();
+        let parks = self.device.is_none();
+        let mut sinks: Vec<CoreSinks> = (0..cores)
+            .map(|core| CoreSinks::new(table.subs.len(), core, tracer, parks))
+            .collect();
+        let stats = map.iter().map(|&r| rows.dispatch(r));
+        let queued = build_sinks(&table.subs, &table.modes, stats, &mut sinks);
+        let (dispatcher, rings) = if let Some((nic, _)) = &self.device {
+            let nic = Arc::clone(nic);
+            let delay: CallbackDelayFn =
+                Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq));
+            let (subs, modes, workers) = (&table.subs, &table.modes, config.shared_workers);
+            let d = channel_dispatcher(subs, modes, queued, workers, &delay, tracer);
+            (Some(d), Vec::new())
+        } else {
+            let rings = queued.into_iter().flat_map(|q| q.1.into_iter().enumerate());
+            let rings = rings.enumerate().map(|(lane, (core, ring))| VirtualWorker {
+                generation,
+                core,
+                lane,
+                ring,
+            });
+            (None, rings.collect())
+        };
+        let epoch = Arc::new(ConfigEpoch {
+            generation,
+            filter: table.filter,
+            subs: table.subs,
+            remap: table.remap,
+            rows: map,
+            sinks: Mutex::new(sinks.into_iter().map(Some).collect()),
+            dispatcher: Mutex::new(dispatcher),
+        });
+        Ok((epoch, rules, rings))
+    }
+
+    /// Makes `epoch` current (and the hub's membership its table's). The
+    /// generation counter is the caller's: a run's first epoch keeps it.
+    fn publish(&self, epoch: Arc<ConfigEpoch<F>>, rows: &Rows) {
+        if let Some((_, hub)) = &self.device {
+            let stats = epoch.rows.iter().map(|&r| rows.dispatch(r).clone());
+            hub.replace(stats.collect());
+        }
         *self.current.write().unwrap() = Some(epoch);
+    }
+
+    /// Opens a run of `rt`: a fresh row table, and its own table staged and
+    /// published at the generation the counter holds, every ack slot at it
+    /// (not [`EXITED`]: a swap before a core's first pickup waits for it).
+    pub(crate) fn open(
+        &self,
+        rt: &MultiRuntime<F>,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> Vec<VirtualWorker> {
+        let table = PreparedSwap {
+            filter: Arc::clone(&rt.filter),
+            subs: Arc::clone(&rt.subs),
+            modes: Arc::clone(&rt.modes),
+            remap: Vec::new(),
+            warnings: Vec::new(),
+        };
+        let mut rows = self.rows.lock().unwrap();
+        *rows = Rows::default();
+        let generation = self.generation.load(Ordering::Acquire);
+        let (epoch, _, rings) = self
+            .stage(generation, table, &mut rows, &rt.config, tracer)
+            .expect("the device accepted the runtime's own rules when it was built");
+        self.publish(epoch, &rows);
+        for ack in &self.acks {
+            ack.generation.store(generation, Ordering::Release);
+        }
+        rings
+    }
+
+    /// Closes a run once its cores have exited: takes the final epoch and
+    /// the rows under the swap lock (a racing swap completed, or sees
+    /// `NotRunning`), then retires the epoch's fabric.
+    pub(crate) fn close(&self) -> Rows {
+        let (epoch, rows) = {
+            let mut rows = self.rows.lock().unwrap();
+            let epoch = self.current.write().unwrap().take();
+            (epoch, std::mem::take(&mut *rows))
+        };
+        epoch.expect("an open run has an epoch").retire_fabric();
+        rows
+    }
+
+    /// Steps 2–3 of a swap, under the swap lock (`rows`): stages `table`
+    /// as the generation after the current one and publishes it.
+    /// Nothing changes on an error.
+    pub(crate) fn publish_swap(
+        &self,
+        rows: &mut Rows,
+        mut table: PreparedSwap<F>,
+        requested_at: Duration,
+        config: &RuntimeConfig,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> Result<(Grace<F>, Vec<VirtualWorker>), SwapError> {
+        let old = self.current.read().unwrap().clone();
+        let old = old.ok_or(SwapError::NotRunning)?;
+        let generation = old.generation + 1;
+        let added = (0..table.subs.len()).filter(|j| !table.remap.contains(&Some(*j)));
+        let added = added.map(|j| table.subs[j].name().to_string()).collect();
+        let removed = (table.remap.iter().zip(old.subs.iter())).filter(|(m, _)| m.is_none());
+        let removed = removed.map(|(_, s)| s.name().to_string()).collect();
+        let warnings = std::mem::take(&mut table.warnings);
+        let (epoch, rules, rings) = self
+            .stage(generation, table, rows, config, tracer)
+            .map_err(SwapError::HwFilter)?;
+        let staged_at = self.base.elapsed();
+        self.publish(epoch, rows);
+        let published_at = self.base.elapsed();
+        self.generation.store(generation, Ordering::Release);
+        let event = SwapEvent {
+            generation,
+            requested_at,
+            staged_at,
+            published_at,
+            retired_at: published_at,
+            pickup_lag_us: Vec::new(),
+            added,
+            removed,
+            rules_added: rules.0,
+            rules_removed: rules.1,
+            warnings,
+        };
+        Ok((Grace { old, event }, rings))
+    }
+
+    /// Step 4's predicate: every core has adopted the swap's generation
+    /// (or exited).
+    pub(crate) fn grace_over(&self, grace: &Grace<F>) -> bool {
+        self.acks.iter().all(|ack| {
+            let v = ack.generation.load(Ordering::Acquire);
+            v == EXITED || v >= grace.event.generation
+        })
+    }
+
+    /// Step 5, after the grace period: retires the old epoch (no core
+    /// holds it) and completes the record with each core's pickup lag.
+    pub(crate) fn retire(&self, grace: Grace<F>) -> SwapEvent {
+        let Grace { old, mut event } = grace;
+        let old = Arc::into_inner(old).expect("no core holds an epoch past its grace period");
+        old.retire_fabric();
+        event.retired_at = self.base.elapsed();
+        // The stamps were stored before the acks the grace predicate
+        // acquired. A core that exited without adopting this generation
+        // last stamped before the publish, so it reads 0.
+        event.pickup_lag_us = (self.acks.iter())
+            .map(|ack| {
+                let picked_up = Duration::from_nanos(ack.picked_up_ns.load(Ordering::Relaxed));
+                let lag = picked_up.saturating_sub(event.published_at);
+                u64::try_from(lag.as_micros()).unwrap_or(u64::MAX)
+            })
+            .collect();
+        event
     }
 }
 
@@ -409,7 +553,6 @@ impl<F: FilterFns + 'static> EpochState<F> {
 /// any thread while `run()` owns the runtime.
 pub struct SwapController {
     pub(crate) epochs: Arc<EpochState<CompiledFilter>>,
-    pub(crate) nic: Arc<VirtualNic>,
     pub(crate) gauges: Arc<RuntimeGauges>,
     pub(crate) config: RuntimeConfig,
     pub(crate) trace: TraceHandle,
@@ -421,15 +564,10 @@ impl SwapController {
         self.epochs.generation.load(Ordering::Acquire)
     }
 
-    /// Fires the flight recorder on a rejected swap, so the moments
-    /// around the failure are preserved for diagnosis.
-    fn fire_failed(&self, detail: u64) {
-        fire_trigger(&self.trace, TriggerReason::SwapFailed, detail);
-    }
-
     /// Swaps the running configuration for `spec`: prepare, stage the
-    /// NIC rule diff, publish the new epoch, wait out the grace period,
-    /// retire the old epoch. Returns the completed [`SwapEvent`].
+    /// NIC rule diff and the new epoch, publish it, wait out the grace
+    /// period, retire the old epoch. Returns the completed
+    /// [`SwapEvent`].
     ///
     /// Blocks until every RX core has adopted the new generation; on
     /// any error the running configuration is unchanged (the NIC diff
@@ -445,143 +583,29 @@ impl SwapController {
         let Some(old) = self.epochs.current.read().unwrap().clone() else {
             return Err(SwapError::NotRunning);
         };
-        if self
-            .epochs
-            .acks
-            .iter()
-            .all(|a| a.generation.load(Ordering::Acquire) == EXITED)
-        {
-            // Every worker already exited: the run is shutting down.
+        let exited = |a: &Ack| a.generation.load(Ordering::Acquire) == EXITED;
+        if self.epochs.acks.iter().all(exited) {
+            // Every core already exited: the run is shutting down.
             return Err(SwapError::NotRunning);
         }
-
-        let mut prepared = match prepare(spec, &old.subs, &self.config) {
-            Ok(p) => p,
-            Err(e) => {
-                self.fire_failed(old.generation);
-                return Err(e);
-            }
-        };
-
-        // Stage: recompute the hardware rule union and apply the diff.
-        let mut rules_added = 0;
-        let mut rules_removed = 0;
-        if self.config.hw_filtering {
-            let new_rules = prepared
-                .filter
-                .hw_rules(self.config.device.caps, &self.config.filter_registry)
-                .map_err(|e| {
-                    self.fire_failed(old.generation);
-                    SwapError::HwFilter(e.to_string())
-                })?;
-            let old_rules = self.nic.rules_snapshot();
-            let adds: Vec<_> = new_rules
-                .iter()
-                .filter(|r| !old_rules.contains(r))
-                .cloned()
-                .collect();
-            let removes: Vec<_> = old_rules
-                .iter()
-                .filter(|r| !new_rules.contains(r))
-                .cloned()
-                .collect();
-            rules_added = adds.len();
-            rules_removed = removes.len();
-            self.nic.apply_rule_diff(adds, &removes).map_err(|e| {
-                self.fire_failed(old.generation);
-                SwapError::HwFilter(e.to_string())
-            })?;
-        }
-        let staged_at = self.epochs.base.elapsed();
-
-        let generation = old.generation + 1;
-        let added = (0..prepared.subs.len())
-            .filter(|&j| prepared.survivor(j).is_none())
-            .map(|j| prepared.subs[j].name().to_string())
-            .collect();
-        let removed: Vec<String> = prepared
-            .remap
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_none())
-            .map(|(i, _)| old.subs[i].name().to_string())
-            .collect();
-        let warnings = std::mem::take(&mut prepared.warnings);
         // The new fabric traces into the run's own tracer, like epoch 0.
         let tracer = self.trace.read().ok().and_then(|guard| guard.clone());
-        let epoch = stage_epoch(
-            generation,
-            prepared,
-            &mut rows,
-            &self.nic,
-            &self.config,
-            tracer.as_ref(),
-        );
-        // Publish.
-        let weak_old = Arc::downgrade(&old);
-        self.epochs.publish(epoch);
-        let published_at = self.epochs.base.elapsed();
-        self.epochs.generation.store(generation, Ordering::Release);
-        self.gauges.note_config_epoch(generation);
-
-        // Grace period: every worker adopts the new generation (or
-        // exits) before the old epoch can be retired.
-        for ack in &self.epochs.acks {
-            loop {
-                let v = ack.generation.load(Ordering::Acquire);
-                if v == EXITED || v >= generation {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-
-        // Retire: shut the old dispatch fabric down.
-        old.retire_fabric();
+        let published = prepare(spec, &old.subs, &self.config).and_then(|table| {
+            let tracer = tracer.as_ref();
+            (self.epochs).publish_swap(&mut rows, table, requested_at, &self.config, tracer)
+        });
+        let (grace, _) = published.inspect_err(|_| {
+            // The flight recorder keeps the moments around a rejection.
+            fire_trigger(&self.trace, TriggerReason::SwapFailed, old.generation);
+        })?;
         drop(old);
-        // Every strong reference is accounted for (workers swapped
-        // theirs during grace); upgrade failure proves retirement.
-        while weak_old.upgrade().is_some() {
+        self.gauges.note_config_epoch(grace.event.generation);
+        while !self.epochs.grace_over(&grace) {
             std::thread::yield_now();
         }
-        let retired_at = self.epochs.base.elapsed();
-
-        // Per-core pickup lag from the stamps: each was stored before
-        // the ack (or exit) the grace loop acquired above. A core that
-        // exited without adopting this generation last stamped before
-        // the publish, so it reads 0.
-        let pickup_lag_us: Vec<u64> = self
-            .epochs
-            .acks
-            .iter()
-            .map(|ack| {
-                let picked_up = Duration::from_nanos(ack.picked_up_ns.load(Ordering::Relaxed));
-                let lag = picked_up.saturating_sub(published_at);
-                u64::try_from(lag.as_micros()).unwrap_or(u64::MAX)
-            })
-            .collect();
-        self.gauges
-            .note_swap_pickup_lag(pickup_lag_us.iter().copied().max().unwrap_or(0));
-        Ok(SwapEvent {
-            generation,
-            requested_at,
-            staged_at,
-            published_at,
-            retired_at,
-            pickup_lag_us,
-            added,
-            removed,
-            rules_added,
-            rules_removed,
-            warnings,
-        })
+        let event = self.epochs.retire(grace);
+        let lag = event.pickup_lag_us.iter().copied().max().unwrap_or(0);
+        self.gauges.note_swap_pickup_lag(lag);
+        Ok(event)
     }
-}
-
-/// A swap scheduled inside a deterministic stepped run (see
-/// [`MultiRuntime::run_stepped_with_swap`](crate::MultiRuntime::run_stepped_with_swap)):
-/// the prepared configuration plus the packet index to apply it at.
-pub(crate) struct StepSwap<F> {
-    pub(crate) at_packet: u64,
-    pub(crate) prepared: PreparedSwap<F>,
 }

@@ -5,8 +5,8 @@
 //! 0's rows are created in registration order; a live swap appends rows
 //! only for names new to the run, and a name removed and later re-added
 //! keeps its row. A row knows its slot in the running table, and each
-//! threaded configuration epoch carries that slot → row map for its cores
-//! to adopt. Every core counts `delivered` and `discarded` into a plain
+//! configuration epoch carries that slot → row map for its cores to
+//! adopt. Every core counts `delivered` and `discarded` into a plain
 //! vector indexed by row, and both drivers take each row's dispatch
 //! counters from the table: a swap changes only the slot → row map,
 //! nothing moves and nothing is banked, and cores merge by index

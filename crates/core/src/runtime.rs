@@ -40,21 +40,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
+use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::VirtualNic;
 use retina_support::bytes::Bytes;
 use retina_telemetry::{DispatchHub, TraceConfig, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::DispatchMode;
+use crate::executor::{CoreSinks, DispatchMode};
 use crate::governor::{Governor, GovernorConfig, GovernorStage, ShedState};
 use crate::monitor::Monitor;
-use crate::pipeline::CorePipeline;
-use crate::reconfig::{
-    duplicate_name, stage_epoch, ConfigEpoch, EpochState, PreparedSwap, SwapController, EXITED,
-};
-use crate::report::{Rows, RunReport};
+use crate::pipeline::{CorePipeline, Ingress};
+use crate::reconfig::{check_table, stage_rules, ConfigEpoch, EpochState, SwapController, EXITED};
+use crate::report::RunReport;
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 use crate::tracker::SubTally;
@@ -388,11 +386,7 @@ impl RuntimeBuilder {
     /// report. W-code warnings are recorded on the runtime and surfaced in
     /// every [`RunReport::filter_warnings`].
     pub fn build(self) -> Result<MultiRuntime<CompiledFilter>, RuntimeError> {
-        if self.subs.is_empty() {
-            return Err(RuntimeError::Subscriptions(
-                "no subscriptions registered".to_string(),
-            ));
-        }
+        check_table(&self.subs, None).map_err(RuntimeError::Subscriptions)?;
         let srcs: Vec<&str> = self.sources.iter().map(String::as_str).collect();
         let (filter, warnings) =
             compile_union(&srcs, &self.config).map_err(RuntimeError::Filter)?;
@@ -415,8 +409,8 @@ impl RuntimeBuilder {
 pub struct MultiRuntime<F: FilterFns + 'static> {
     pub(crate) config: RuntimeConfig,
     pub(crate) filter: Arc<F>,
-    pub(crate) subs: Vec<Arc<dyn ErasedSubscription>>,
-    pub(crate) modes: Vec<DispatchMode>,
+    pub(crate) subs: Arc<[Arc<dyn ErasedSubscription>]>,
+    pub(crate) modes: Arc<[DispatchMode]>,
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
     shed: Arc<ShedState>,
@@ -439,48 +433,24 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         filter: F,
         subs: Vec<Arc<dyn ErasedSubscription>>,
     ) -> Result<Self, RuntimeError> {
-        if subs.len() != filter.num_subscriptions() {
-            return Err(RuntimeError::Subscriptions(format!(
-                "{} subscriptions registered but the filter decides {}",
-                subs.len(),
-                filter.num_subscriptions(),
-            )));
-        }
-        if subs.len() > SubscriptionSet::MAX {
-            return Err(RuntimeError::Subscriptions(format!(
-                "at most {} subscriptions per runtime (got {})",
-                SubscriptionSet::MAX,
-                subs.len(),
-            )));
-        }
-        if let Some(name) = duplicate_name(&subs) {
-            return Err(RuntimeError::Subscriptions(format!(
-                "duplicate subscription name {name:?} (a name is its counters' row)"
-            )));
-        }
+        check_table(&subs, Some(filter.num_subscriptions()))
+            .map_err(RuntimeError::Subscriptions)?;
         let mut device = config.device.clone();
         device.num_queues = config.cores;
         let nic = Arc::new(VirtualNic::new(&device));
-        if config.hw_filtering {
-            // Synthesize device-compatible rules (§4.1) straight from the
-            // filter — for a merged filter, the deduplicated union of
-            // every subscription's rules.
-            let rules = filter
-                .hw_rules(device.caps, &config.filter_registry)
-                .map_err(|e| RuntimeError::HwFilter(e.to_string()))?;
-            for rule in rules {
-                nic.install_rule(rule)
-                    .map_err(|e| RuntimeError::HwFilter(e.to_string()))?;
-            }
-        }
-        let modes = vec![DispatchMode::Inline; subs.len()];
+        // Synthesize device-compatible rules (§4.1) straight from the
+        // filter — for a merged filter, the deduplicated union of every
+        // subscription's rules.
+        stage_rules(&nic, &filter, &config).map_err(RuntimeError::HwFilter)?;
+        let modes = vec![DispatchMode::Inline; subs.len()].into();
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
         let gauges = Arc::new(RuntimeGauges::new(config.cores as usize, Arc::clone(&hub)));
-        let epochs = Arc::new(EpochState::new(config.cores.max(1) as usize, hub));
+        let cores = config.cores.max(1) as usize;
+        let epochs = Arc::new(EpochState::new(cores, Some((Arc::clone(&nic), hub))));
         Ok(MultiRuntime {
             config,
             filter: Arc::new(filter),
-            subs,
+            subs: subs.into(),
             modes,
             nic,
             gauges,
@@ -515,14 +485,14 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn set_dispatch_mode(&mut self, i: usize, mode: DispatchMode) {
-        self.modes[i] = mode;
+        Arc::make_mut(&mut self.modes)[i] = mode;
     }
 
     /// Live per-subscription dispatch stats (queue depth, drops) of the
     /// table that is running — membership follows every live swap; the
     /// governor samples this as its queue-pressure input.
     pub fn dispatch_hub(&self) -> Arc<DispatchHub> {
-        Arc::clone(&self.epochs.hub)
+        Arc::clone(&self.gauges.hub)
     }
 
     /// Filter-analyzer warnings recorded at build time (also copied into
@@ -630,107 +600,48 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             })
         };
 
-        // Epoch 0: stage this run's initial configuration — callback
-        // execution model (§5.3) included: per-subscription dispatch
-        // inline on the RX core, to a shared worker pool, or to a
+        // Epoch 0: stage this run's initial configuration — its hardware
+        // rules, and its callback execution model (§5.3): per-subscription
+        // dispatch inline on the RX core, to a shared worker pool, or to a
         // dedicated worker, each fed over per-(core, subscription) SPSC
-        // rings — and publish it, so workers and any SwapController
-        // share one view. Its subscriptions open the run's row table.
-        // The generation counter persists across runs (and swaps), so a
-        // second run continues where the last one left off.
-        let cores = self.config.cores.max(1) as usize;
-        let gen0 = self.epochs.generation.load(Ordering::Acquire);
-        let table = PreparedSwap {
-            filter: Arc::clone(&self.filter),
-            subs: self.subs.clone(),
-            modes: self.modes.clone(),
-            remap: Vec::new(),
-            warnings: Vec::new(),
-        };
-        {
-            let mut rows = self.epochs.rows.lock().unwrap();
-            *rows = Rows::default();
-            let epoch0: Arc<ConfigEpoch<F>> = stage_epoch(
-                gen0,
-                table,
-                &mut rows,
-                &self.nic,
-                &self.config,
-                tracer.as_ref(),
-            );
-            self.epochs.publish(epoch0);
-            // Ack slots start at gen0 (not EXITED) so a swap issued
-            // before a worker's first poll still waits for it.
-            for ack in &self.epochs.acks {
-                ack.generation.store(gen0, Ordering::Release);
-            }
-        }
-        self.gauges.note_config_epoch(gen0);
+        // rings — and publish it, so cores and any SwapController share
+        // one view. Its subscriptions open the run's row table.
+        self.epochs.open(self, tracer.as_ref());
+        let generation = self.epochs.generation.load(Ordering::Acquire);
+        self.gauges.note_config_epoch(generation);
 
-        // Worker threads: one per core, each claiming its own sink set
-        // from the epoch (SPSC producers must never be shared between
-        // cores).
-        let mut workers = Vec::new();
-        for core in 0..cores {
-            let core_trace = tracer.as_ref().map(|t| (Arc::clone(t), t.rx_lane(core)));
-            let core = core as u16;
-            let nic = Arc::clone(&self.nic);
-            let epochs = Arc::clone(&self.epochs);
-            let done = Arc::clone(&ingest_done);
-            let gauges = Arc::clone(&self.gauges);
-            let shed = Arc::clone(&self.shed);
-            let config = self.config.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop::<F>(
-                    core,
-                    &nic,
-                    &epochs,
-                    &done,
-                    &gauges,
-                    &shed,
-                    &config,
-                    core_trace.as_ref(),
-                )
-            }));
-        }
+        // RX cores: one thread each, each claiming its own sink set from
+        // the epoch (SPSC producers must never be shared between cores).
+        let workers: Vec<_> = (0..self.config.cores.max(1))
+            .map(|core| {
+                let (nic, epochs) = (Arc::clone(&self.nic), Arc::clone(&self.epochs));
+                let (gauges, shed) = (Arc::clone(&self.gauges), Arc::clone(&self.shed));
+                let (done, config) = (Arc::clone(&ingest_done), self.config.clone());
+                let tracer = tracer.clone();
+                std::thread::spawn(move || {
+                    let rx = RxCore::new(core, &epochs, &config, tracer.as_ref(), Some(&gauges));
+                    rx.run_threaded(&nic, &done, &shed, config.burst)
+                })
+            })
+            .collect();
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
-        // Cores merge their row counts by index addition.
-        let mut cores = CoreStats::default();
-        let mut counts: Vec<SubTally> = Vec::new();
-        let mut conn_arena_bytes = 0;
+        let mut totals = CoreTotals::default();
         for w in workers {
-            let (stats, core_counts, arena_bytes) = w.join().expect("worker thread panicked");
-            cores.merge(&stats);
-            conn_arena_bytes += arena_bytes;
-            if counts.len() < core_counts.len() {
-                counts.resize(core_counts.len(), SubTally::default());
-            }
-            for (sum, t) in counts.iter_mut().zip(&core_counts) {
-                sum.merge(t);
-            }
+            totals.merge(w.join().expect("worker thread panicked"));
         }
-        // Take the final epoch (whatever generation was current when
-        // the run drained) and the row table under the swap lock, so a
-        // racing swap either completed before shutdown or sees
-        // NotRunning.
-        let (final_epoch, rows) = {
-            let mut rows = self.epochs.rows.lock().unwrap();
-            let epoch = self.epochs.current.write().unwrap().take();
-            (epoch, std::mem::take(&mut *rows))
-        };
-        let final_epoch = final_epoch.expect("epoch 0 was published at run start");
-        // Workers dropped their claimed sinks on exit, disconnecting
-        // those rings; retiring the epoch drops the rest and joins.
-        final_epoch.retire_fabric();
+        // Cores dropped their claimed sinks on exit, disconnecting those
+        // rings; closing the run retires the final epoch, which drops the
+        // rest and joins its workers.
+        let rows = self.epochs.close();
         let mut report = RunReport {
             elapsed: start.elapsed(),
             nic: self.nic.stats(),
-            cores,
-            subs: rows.reports(&counts),
+            cores: totals.stats,
+            subs: rows.reports(&totals.counts),
             sim_duration_ns,
             mbuf_high_water: self.nic.mempool().high_water(),
-            conn_arena_bytes,
+            conn_arena_bytes: totals.arena_bytes,
             filter_warnings: self.filter_warnings.clone(),
             trace: None,
         };
@@ -755,7 +666,6 @@ impl MultiRuntime<CompiledFilter> {
     pub fn swap_controller(&self) -> SwapController {
         SwapController {
             epochs: Arc::clone(&self.epochs),
-            nic: Arc::clone(&self.nic),
             gauges: Arc::clone(&self.gauges),
             config: self.config.clone(),
             trace: Arc::clone(&self.trace_handle),
@@ -824,145 +734,280 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
     }
 }
 
-/// RX bursts between connection-timeout sweeps (and gauge flushes): the
-/// one sweep cadence, for the threaded worker's bursts and the stepped
-/// RX actor's steps alike.
-pub(crate) const ADVANCE_EVERY_BURSTS: usize = 64;
+/// RX bursts between connection-timeout sweeps (and gauge flushes).
+const ADVANCE_EVERY_BURSTS: usize = 64;
 
-/// One RX core: the threaded driver of [`CorePipeline`]. Mbufs come
-/// from NIC bursts, data leaves through the core's sink set, and the
-/// configuration epoch is picked up between bursts.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<F: FilterFns>(
+/// What an RX core's read found: a burst and its look-ahead (the frames
+/// handed over next), nothing yet, or the end of the core's input.
+pub(crate) enum Read<B> {
+    Burst(B),
+    Empty,
+    End,
+}
+
+/// What one [`RxCore::turn`] did: ran a burst, an adoption or the final
+/// drain; waited (read nothing, or a parked send holds the core); or
+/// found the core exited, acknowledging [`EXITED`] the first time.
+pub(crate) enum Turn {
+    Ran,
+    Wait,
+    Exited,
+}
+
+/// What a run's RX cores add up to.
+#[derive(Default)]
+pub(crate) struct CoreTotals {
+    pub(crate) stats: CoreStats,
+    /// Tallies by row of the run's table.
+    pub(crate) counts: Vec<SubTally>,
+    pub(crate) arena_bytes: usize,
+}
+
+impl CoreTotals {
+    /// Adds one core's results, tallies by index into the longer vector.
+    pub(crate) fn merge(&mut self, core: CoreTotals) {
+        self.stats.merge(&core.stats);
+        self.arena_bytes += core.arena_bytes;
+        let (mut long, mut short) = (std::mem::take(&mut self.counts), core.counts);
+        if long.len() < short.len() {
+            std::mem::swap(&mut long, &mut short);
+        }
+        for (sum, t) in long.iter_mut().zip(&short) {
+            sum.merge(t);
+        }
+        self.counts = long;
+    }
+}
+
+/// One RX core: a [`CorePipeline`], its sink set and its side of the
+/// epoch protocol. [`RxCore::turn`] is the per-burst body of both drivers
+/// (a threaded core's thread, the stepped harness's RX actor).
+pub(crate) struct RxCore<'a, F: FilterFns + 'static> {
     core: u16,
-    nic: &VirtualNic,
-    epochs: &EpochState<F>,
-    ingest_done: &AtomicBool,
-    gauges: &RuntimeGauges,
-    shed: &ShedState,
-    config: &RuntimeConfig,
-    trace: Option<&(Arc<Tracer>, usize)>,
-) -> (CoreStats, Vec<SubTally>, usize) {
-    // Claim the current epoch and this core's sink set. run() publishes
-    // epoch 0 before spawning workers, but a swap may already have
-    // advanced the generation — claiming whatever is current (and
-    // acking it) keeps the grace-period protocol consistent either way.
-    let mut epoch = epochs
-        .current
-        .read()
-        .unwrap()
-        .clone()
-        .expect("run() publishes epoch 0 before spawning workers");
-    let claim_sinks = |epoch: &ConfigEpoch<F>| {
-        epoch.sinks.lock().unwrap()[core as usize]
-            .take()
-            .expect("each worker claims its sink set exactly once")
-    };
-    let mut sinks = claim_sinks(&epoch);
-    let mut pipeline = CorePipeline::new(
-        Arc::clone(&epoch.filter),
-        &epoch.subs,
-        config,
-        trace.cloned(),
-    );
-    pipeline.set_rows(&epoch.rows);
-    let ack = &epochs.acks[core as usize];
-    ack.generation.store(epoch.generation, Ordering::Release);
-    let mut burst = Vec::with_capacity(config.burst);
-    let mut since_advance = 0usize;
-    let update_gauges = |pipeline: &CorePipeline<F>, connections, state_bytes| {
-        let tracker = pipeline.tracker();
-        gauges.worker_update(
-            core as usize,
-            tracker.stats(),
-            connections,
-            state_bytes,
-            tracker.arena_bytes(),
-            pipeline.max_ts(),
-        );
-    };
+    epochs: &'a EpochState<F>,
+    /// The live gauges of a threaded run (a stepped run has none).
+    gauges: Option<&'a RuntimeGauges>,
+    pipeline: CorePipeline<F>,
+    pub(crate) sinks: CoreSinks,
+    /// The generation the core has acknowledged.
+    generation: u64,
+    /// An epoch whose sink set the core has yet to claim: after an
+    /// adoption, until the sends it made have left the old one.
+    unclaimed: Option<Arc<ConfigEpoch<F>>>,
+    since_advance: usize,
+    drained: bool,
+}
 
-    loop {
-        // Epoch pickup: one Acquire load per burst. On a generation
-        // change, adopt the new configuration at this safe point —
-        // removed subscriptions drain through the OLD sinks, surviving
-        // per-connection state is rebound, the new sink set is claimed,
-        // then the acknowledgment lets the publisher's grace period
-        // end. Swaps are serialized and each waits out its grace
-        // period, so the generation is never more than one ahead.
-        if epochs.generation.load(Ordering::Acquire) != epoch.generation {
-            if let Some(delay) = nic.fault_swap_pickup_delay(core) {
-                std::thread::sleep(delay);
+impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
+    /// RX core `core` of the run `epochs` holds open, on whatever epoch
+    /// is current (a swap may already have passed the run's first).
+    pub(crate) fn new(
+        core: u16,
+        epochs: &'a EpochState<F>,
+        config: &RuntimeConfig,
+        tracer: Option<&Arc<Tracer>>,
+        gauges: Option<&'a RuntimeGauges>,
+    ) -> Self {
+        let epoch = epochs.current.read().unwrap().clone();
+        let epoch = epoch.expect("a run publishes its first epoch before its cores start");
+        let trace = tracer.map(|t| (Arc::clone(t), t.rx_lane(usize::from(core))));
+        let mut pipeline = CorePipeline::new(Arc::clone(&epoch.filter), &epoch.subs, config, trace);
+        pipeline.set_rows(&epoch.rows);
+        let mut rx = RxCore {
+            core,
+            epochs,
+            gauges,
+            pipeline,
+            sinks: CoreSinks::new(0, 0, None, false),
+            generation: epoch.generation,
+            unclaimed: Some(epoch),
+            since_advance: 0,
+            drained: false,
+        };
+        rx.claim();
+        rx
+    }
+
+    /// Claims this core's sink set of the unclaimed epoch and acks its
+    /// generation, stamped first (the ack's Release store publishes the
+    /// stamp). The epoch is dropped first, so a retirer holds the last
+    /// reference to an old one.
+    fn claim(&mut self) {
+        let Some(epoch) = self.unclaimed.take() else {
+            return;
+        };
+        let core = usize::from(self.core);
+        let sinks = epoch.sinks.lock().unwrap()[core].take();
+        self.sinks = sinks.expect("each core claims its sink set exactly once");
+        self.generation = epoch.generation;
+        drop(epoch);
+        let ack = &self.epochs.acks[core];
+        let now_ns = u64::try_from(self.epochs.base.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        ack.picked_up_ns.store(now_ns, Ordering::Relaxed);
+        ack.generation.store(self.generation, Ordering::Release);
+    }
+
+    /// Whether a new generation awaits this (undrained) core's next turn.
+    fn pickup_due(&self) -> bool {
+        let published = self.epochs.generation.load(Ordering::Acquire);
+        !self.drained && self.unclaimed.is_none() && published != self.generation
+    }
+
+    /// Drained, with nothing parked: all that is left is to exit.
+    pub(crate) fn finished(&self) -> bool {
+        self.drained && !self.sinks.is_parked()
+    }
+
+    /// One turn at a burst boundary, none while a send is parked. A new
+    /// generation is adopted at this safe point (removed subscriptions
+    /// drain through the OLD sinks), and once adoption's sends are
+    /// through, its sink set is claimed and acked. Then `read`'s burst,
+    /// with the shed flag picked up first and a timeout sweep every
+    /// [`ADVANCE_EVERY_BURSTS`] bursts, or at the end of input the final
+    /// drain; the exit comes at the next turn with nothing parked.
+    pub(crate) fn turn<'f, B, A, I>(
+        &mut self,
+        shed: &ShedState,
+        read: impl FnOnce() -> Read<(B, A)>,
+    ) -> Turn
+    where
+        B: IntoIterator<Item = I>,
+        A: IntoIterator<Item = &'f Bytes>,
+        I: Ingress,
+    {
+        if self.sinks.is_parked() {
+            return Turn::Wait;
+        }
+        if self.drained {
+            self.exit();
+            return Turn::Exited;
+        }
+        if self.pickup_due() {
+            let epoch = self.epochs.current.read().unwrap().clone();
+            let epoch = epoch.expect("a published generation has an epoch");
+            let (filter, subs) = (Arc::clone(&epoch.filter), &epoch.subs);
+            let (remap, rows) = (&epoch.remap, &epoch.rows);
+            self.pipeline
+                .adopt(filter, subs, remap, rows, &mut self.sinks);
+            self.unclaimed = Some(epoch);
+            if self.sinks.is_parked() {
+                return Turn::Ran;
             }
-            epoch = epochs
-                .current
-                .read()
-                .unwrap()
-                .clone()
-                .expect("a published generation always has an epoch");
-            pipeline.adopt(
-                Arc::clone(&epoch.filter),
-                &epoch.subs,
-                &epoch.remap,
-                &epoch.rows,
-                &mut sinks,
-            );
-            sinks = claim_sinks(&epoch);
-            // The pickup stamp is published by the ack's Release store
-            // (paired with the grace loop's Acquire load in
-            // `SwapController::swap`, which then reads the stamp).
-            let now_ns = u64::try_from(epochs.base.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ack.picked_up_ns.store(now_ns, Ordering::Relaxed);
-            ack.generation.store(epoch.generation, Ordering::Release);
         }
-        // Injected worker-core slowdown (fault layer): stall before
-        // polling, as a scheduling hiccup would.
-        if let Some(delay) = nic.fault_worker_delay(core) {
-            std::thread::sleep(delay);
-        }
-        burst.clear();
-        if nic.rx_burst(core, &mut burst, config.burst) == 0 {
-            // Final drain. A single extra poll is not enough: an
-            // injected RX-ring stall makes rx_burst return 0 while
-            // descriptors still sit in the ring, and a fault layer may
-            // hold frames in flight for later redelivery. Exit only
-            // once ingest is done, the ring is truly empty and no
-            // injected fault still holds frames; until then keep
-            // polling, yielding so that on busy (or single-CPU) hosts
-            // the ingest thread and sibling workers make progress.
-            if ingest_done.load(Ordering::Acquire)
-                && nic.ring_depth(core) == 0
-                && nic.faults_in_flight() == 0
-            {
-                break;
+        self.claim();
+        match read() {
+            Read::Burst((burst, ahead)) => {
+                self.pipeline.set_shed_parsing(shed.parsing_shed());
+                self.pipeline.on_burst(burst, ahead, &mut self.sinks);
+                self.since_advance += 1;
+                if self.since_advance >= ADVANCE_EVERY_BURSTS {
+                    self.since_advance = 0;
+                    self.pipeline.advance(&mut self.sinks);
+                    self.update_gauges(true);
+                }
+                Turn::Ran
             }
-            std::thread::yield_now();
-            continue;
-        }
-        // Pick up governor decisions once per burst: a relaxed load,
-        // so shedding costs nothing on the per-packet path.
-        pipeline.set_shed_parsing(shed.parsing_shed());
-        // The whole RX burst: nothing beyond it can be named as
-        // look-ahead, and the burst is staged (and prefetched) at once.
-        pipeline.on_burst(burst.drain(..), [], &mut sinks);
-        since_advance += 1;
-        if since_advance >= ADVANCE_EVERY_BURSTS {
-            since_advance = 0;
-            pipeline.advance(&mut sinks);
-            let tracker = pipeline.tracker();
-            update_gauges(&pipeline, tracker.connections(), tracker.state_bytes());
+            Read::Empty => Turn::Wait,
+            Read::End => {
+                self.pipeline.drain(&mut self.sinks);
+                self.drained = true;
+                Turn::Ran
+            }
         }
     }
 
-    // Drain still-open connections at end of input.
-    pipeline.drain(&mut sinks);
-    update_gauges(&pipeline, 0, 0);
-    // Exited: any in-flight (or future) grace period treats this core
-    // as having acknowledged every generation.
-    ack.generation.store(EXITED, Ordering::Release);
-    let arena_bytes = pipeline.tracker().arena_bytes();
-    let (stats, counts) = pipeline.finish();
-    (stats, counts, arena_bytes)
+    /// Exits a [`RxCore::finished`] core, once: its ack and generation
+    /// turn [`EXITED`], which every grace period counts as adopted.
+    pub(crate) fn exit(&mut self) {
+        if self.generation != EXITED {
+            self.generation = EXITED;
+            self.update_gauges(false);
+            let ack = &self.epochs.acks[usize::from(self.core)];
+            ack.generation.store(EXITED, Ordering::Release);
+        }
+    }
+
+    /// Flushes the core's state into its gauges, if it has any; an
+    /// exited core's holds no live connection.
+    fn update_gauges(&self, live: bool) {
+        let (Some(gauges), t) = (self.gauges, self.pipeline.tracker()) else {
+            return;
+        };
+        let conns = if live { t.connections() } else { 0 };
+        let bytes = if live { t.state_bytes() } else { 0 };
+        let (c, arena, clock) = (
+            usize::from(self.core),
+            t.arena_bytes(),
+            self.pipeline.max_ts(),
+        );
+        gauges.worker_update(c, t.stats(), conns, bytes, arena, clock);
+    }
+
+    /// The exited core's results.
+    pub(crate) fn finish(self) -> CoreTotals {
+        let arena_bytes = self.pipeline.tracker().arena_bytes();
+        let (stats, counts) = self.pipeline.finish();
+        CoreTotals {
+            stats,
+            counts,
+            arena_bytes,
+        }
+    }
+
+    /// The threaded driver: this core on its own thread. It adds only
+    /// waiting — the fault layer's injected stalls, polling the NIC, and
+    /// yielding while the ring is empty (a send a full ring blocks is
+    /// waited out inside [`CoreSinks`]).
+    fn run_threaded(
+        mut self,
+        nic: &VirtualNic,
+        ingest_done: &AtomicBool,
+        shed: &ShedState,
+        burst_size: usize,
+    ) -> CoreTotals {
+        let core = self.core;
+        let mut burst = Vec::with_capacity(burst_size);
+        loop {
+            // Injected epoch-pickup stall: the core is slow to its safe point.
+            if self.pickup_due() {
+                if let Some(delay) = nic.fault_swap_pickup_delay(core) {
+                    std::thread::sleep(delay);
+                }
+            }
+            let burst = &mut burst;
+            let turn = self.turn(shed, move || {
+                // Injected worker-core slowdown: a stall before polling,
+                // as a scheduling hiccup would.
+                if let Some(delay) = nic.fault_worker_delay(core) {
+                    std::thread::sleep(delay);
+                }
+                burst.clear();
+                if nic.rx_burst(core, burst, burst_size) > 0 {
+                    // The whole RX burst: nothing beyond it can be named
+                    // as look-ahead.
+                    return Read::Burst((burst.drain(..), []));
+                }
+                // The end only once ingest is done, the ring is truly
+                // empty and no injected fault holds frames: an injected
+                // RX-ring stall makes rx_burst return 0 with descriptors
+                // still in the ring, and a fault layer may hold frames
+                // for redelivery.
+                let done = ingest_done.load(Ordering::Acquire);
+                if done && nic.ring_depth(core) == 0 && nic.faults_in_flight() == 0 {
+                    Read::End
+                } else {
+                    Read::Empty
+                }
+            });
+            match turn {
+                Turn::Exited => return self.finish(),
+                // Yield, so that on busy (or single-CPU) hosts the ingest
+                // thread and sibling cores make progress.
+                Turn::Wait => std::thread::yield_now(),
+                Turn::Ran => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]

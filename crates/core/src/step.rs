@@ -1,21 +1,21 @@
-//! Deterministic dispatch test harness: a virtual-time step executor.
+//! Deterministic test harness: a virtual-time step executor.
 //!
-//! [`MultiRuntime::run`] proves nothing about dispatch correctness by
-//! itself — thread scheduling hides interleavings, and a test that
-//! passes under one kernel scheduler may never exercise the full-ring
-//! or worker-starved paths at all. [`MultiRuntime::run_stepped`] removes
-//! the scheduler from the picture: it drives the *same*
-//! [`CorePipeline`] a threaded RX core runs, over the *same* delivery
-//! fabric — [`crate::executor`]'s sinks and SPSC rings, built by the
-//! builder a threaded epoch uses, for one core — on one thread,
-//! interleaving an RX actor and one virtual worker per dispatched
-//! subscription under a seeded schedule. A virtual worker is the
-//! harness running that subscription's ring drain itself. What it
-//! models rather than runs is only what a kernel scheduler would
-//! decide: with both ends of every ring on one thread, a send the full
-//! ring blocks parks instead of spinning, and who runs next is drawn
-//! from [`StepConfig::seed`] — so every interleaving is a pure function
-//! of the seed and a failing schedule replays bit for bit.
+//! [`MultiRuntime::run`] proves nothing about dispatch or swap
+//! correctness by itself — thread scheduling hides interleavings, and a
+//! test that passes under one kernel scheduler may never exercise the
+//! full-ring or worker-starved paths at all. [`MultiRuntime::run_stepped`]
+//! removes the scheduler from the picture: on one thread, it drives
+//! `config.cores` RX cores, each reading its own RSS queue of the frames,
+//! through the *same* per-burst body a threaded core runs (`RxCore::turn`)
+//! over the *same* delivery fabric ([`crate::executor`]'s sinks and SPSC
+//! rings) and epoch protocol (`EpochState`: open, publish, the grace
+//! predicate, retire). A virtual worker is the harness running one (core,
+//! subscription) ring's drain itself; an old epoch's workers stay actors
+//! until it retires, as its threads would until joined. What the harness
+//! models rather than runs is only what a kernel scheduler would decide:
+//! a send a full ring blocks parks instead of spinning, and who runs next
+//! is drawn from [`StepConfig::seed`] — so every interleaving is a pure
+//! function of the seed and a failing schedule replays bit for bit.
 //!
 //! What the harness lets tests prove (and the e2e suite does prove):
 //!
@@ -34,30 +34,30 @@
 //! Virtual time means real time never appears: a "stall" is a window of
 //! step numbers, and a blocked RX core is modeled by its parked sends,
 //! which must move into their rings (in park order, as a threaded RX
-//! core's one blocked send would) before the next frame is read.
-//! The live [`crate::telemetry::DispatchHub`] is not touched; the run
-//! keeps its own stats so stepped tests never race a governor.
+//! core's one blocked send would) before the core reads, adopts or exits.
+//! The run keeps its own epoch state and stats, so no
+//! [`crate::SwapController`] reaches it and stepped tests never race a
+//! governor.
 
 // Narrowing casts in this file are intentional: packet counts and
 // subscription indices narrow to compact counter fields by design.
 #![allow(clippy::cast_possible_truncation)]
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use retina_filter::{CompiledFilter, FilterFns};
-use retina_nic::{Mbuf, PortStatsSnapshot};
+use retina_nic::{PortStatsSnapshot, RedirectionTable, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
 use retina_telemetry::{Tracer, TriggerReason};
+use retina_wire::ParsedPacket;
 
-use crate::erased::{ErasedSubscription, TrackedSlab};
-use crate::executor::{build_sinks, ring_capacity, CoreSinks, DispatchMode, WorkerRing};
-use crate::pipeline::{CorePipeline, Transport};
-use crate::reconfig::{StepSwap, SwapError, SwapSpec};
-use crate::report::{Rows, RunReport};
-use crate::runtime::{MultiRuntime, ADVANCE_EVERY_BURSTS};
+use crate::config::RuntimeConfig;
+use crate::executor::{ring_capacity, WorkerRing};
+use crate::reconfig::{prepare, EpochState, Grace, PreparedSwap, SwapError, SwapSpec};
+use crate::report::RunReport;
+use crate::runtime::{CoreTotals, MultiRuntime, Read, RxCore, Turn};
 
 /// Freezes one subscription's virtual worker for a window of steps:
 /// while `step ∈ [from_step, from_step + steps)` the worker pops
@@ -128,117 +128,58 @@ impl StepConfig {
     }
 }
 
-/// The stepped [`Transport`]: the threaded fabric's own sinks and SPSC
-/// rings for one RX core, with both ends of every ring on the stepping
-/// thread. A send a full ring blocks parks in its queue, and the RX
-/// actor must move the parked sends into their rings — in park order,
-/// across subscriptions — before it reads the next frame.
-struct StepFabric {
-    sinks: CoreSinks,
-    /// The blocked-RX holding order: which subscription's queue holds
-    /// each parked send, in park order (the sends themselves wait in
-    /// their queues, typed).
-    pending: VecDeque<usize>,
-    /// The rings of queued subscriptions, one virtual worker each (actor
-    /// `k + 1` drains `workers[k]`, on worker lane `k`).
-    workers: Vec<Box<dyn WorkerRing>>,
-    tracer: Option<Arc<Tracer>>,
+/// One RX actor: an RX core, its RSS queue as indices of the frames
+/// (`None`: all of them, one core's), and how many of them it has read.
+struct RxActor<'a, F: FilterFns + 'static> {
+    rx: RxCore<'a, F>,
+    queue: Option<Vec<usize>>,
+    next: usize,
 }
 
-impl StepFabric {
-    /// Builds the fabric for the subscription table installed last in
-    /// `rows`, counting into its rows.
-    fn new(
-        subs: &[Arc<dyn ErasedSubscription>],
-        modes: &[DispatchMode],
-        rows: &Rows,
-        tracer: Option<&Arc<Tracer>>,
-    ) -> Self {
-        let mut sinks = CoreSinks::new(subs.len(), 0, tracer);
-        let stats = rows.live().map(|row| rows.dispatch(row));
-        let queued = build_sinks(subs, modes, stats, std::slice::from_mut(&mut sinks));
-        StepFabric {
-            sinks,
-            pending: VecDeque::new(),
-            workers: queued.into_iter().flat_map(|(_, rings)| rings).collect(),
-            tracer: tracer.cloned(),
-        }
-    }
-
-    /// Nothing parked and nothing queued.
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.workers.iter().all(|w| w.is_empty())
-    }
-
-    /// Records a send subscription `sub`'s queue parked (ring full under
-    /// `Block`).
-    fn park(&mut self, sub: usize, parked: bool) {
-        if parked {
-            self.pending.push_back(sub);
-        }
-    }
-
-    /// Moves parked sends into their rings, in park order, until the
-    /// head's ring is full. Returns whether anything moved.
-    fn flush_pending(&mut self) -> bool {
-        let mut moved = false;
-        while let Some(&sub) = self.pending.front() {
-            if !self.sinks.unpark(sub) {
-                break;
-            }
-            self.pending.pop_front();
-            moved = true;
-        }
-        moved
-    }
-
-    /// Swap-time quiescence: runs every virtual worker to empty and
-    /// flushes every parked send — the virtual-time form of the threaded
-    /// grace period (every core acknowledges the new generation before
-    /// the old epoch retires). Terminates because each pass first frees
-    /// ring slots, which lets `flush_pending` move parked sends.
-    fn quiesce(&mut self) {
-        while !self.idle() {
-            self.flush_pending();
-            for w in 0..self.workers.len() {
-                self.run_worker(w, usize::MAX);
-            }
-        }
-    }
-
-    /// One scheduling of virtual worker `w`: drains up to `batch` items,
-    /// then lets parked sends take the freed slots. Returns whether it
-    /// made progress.
-    fn run_worker(&mut self, w: usize, batch: usize) -> bool {
-        let trace = self.tracer.as_deref().map(|t| (t, t.worker_lane(w)));
-        let (ran, _) = self.workers[w].drain(trace, batch, &mut || {});
-        ran > 0 && {
-            self.flush_pending();
-            true
-        }
+/// RX actor `core`: core 0 lives in the harness's stack frame (as a
+/// threaded core's pipeline on its thread's stack, its burst scratch is
+/// never on the heap), its siblings in a vector.
+fn pick<'b, T>(first: &'b mut T, rest: &'b mut [T], core: usize) -> &'b mut T {
+    match core.checked_sub(1) {
+        None => first,
+        Some(i) => &mut rest[i],
     }
 }
 
-impl Transport for StepFabric {
-    #[inline]
-    fn deliver(&mut self, sub: usize, slab: &mut dyn TrackedSlab) {
-        let parked = self.sinks.offer(sub, slab);
-        self.park(sub, parked);
-    }
+/// One virtual worker: the consumer end of one ring of epoch `generation`
+/// that no thread drains, which RX core `core` produces into. `lane` is
+/// its index among its epoch's rings: its worker lane, wrapped.
+pub(crate) struct VirtualWorker {
+    pub(crate) generation: u64,
+    pub(crate) core: usize,
+    pub(crate) lane: usize,
+    pub(crate) ring: Box<dyn WorkerRing>,
+}
 
-    #[inline]
-    fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool {
-        let (produced, parked) = self.sinks.offer_from_mbuf(sub, mbuf, trace_id);
-        self.park(sub, parked);
-        produced
+/// Each RX core's queue of `packets`, as frame indices: the virtual NIC's
+/// symmetric RSS hash and redirection table, with no hardware rule and no
+/// sink in front (an unparsed frame hashes to 0, as on the NIC). Empty at
+/// one core, whose queue is the whole slice, unhashed.
+fn rss_queues(packets: &[(Bytes, u64)], config: &RuntimeConfig) -> Vec<Vec<usize>> {
+    let cores = config.cores.max(1);
+    if cores == 1 {
+        return Vec::new();
     }
+    let rss = RssHasher::symmetric();
+    let reta = RedirectionTable::new(config.device.reta_size, cores);
+    let mut queues = vec![Vec::new(); usize::from(cores)];
+    for (i, (frame, _)) in packets.iter().enumerate() {
+        let hash = ParsedPacket::parse(frame).map_or(0, |pkt| rss.hash_packet(&pkt));
+        queues[usize::from(reta.lookup(hash))].push(i);
+    }
+    queues
 }
 
 impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// Runs the pipeline over `packets` on the current thread under a
-    /// seeded virtual-time schedule (see the module docs). Frames are
-    /// `(bytes, timestamp-ns)` pairs, exactly what a
-    /// [`crate::TrafficSource`] batch yields.
+    /// seeded virtual-time schedule (see the module docs), on
+    /// `config.cores` RX cores. Frames are `(bytes, timestamp-ns)` pairs,
+    /// exactly what a [`crate::TrafficSource`] batch yields.
     ///
     /// The run honours each subscription's [`crate::DispatchMode`] and
     /// [`crate::QueuePolicy`] over the threaded run's own bounded rings —
@@ -254,63 +195,81 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.run_stepped_inner(packets, cfg, None)
     }
 
-    pub(crate) fn run_stepped_inner(
+    /// The harness, publishing `swap`'s table once the RX cursor (frames
+    /// read across cores) reaches its packet index.
+    fn run_stepped_inner(
         &self,
         packets: &[(Bytes, u64)],
         cfg: &StepConfig,
-        mut swap: Option<StepSwap<F>>,
+        mut swap: Option<(u64, PreparedSwap<F>)>,
     ) -> RunReport {
+        let (cores, config) = (self.config.cores.max(1), &self.config);
         // Virtual-clock tracer: lane layout as in the threaded run
-        // (ingest, one RX core, one lane per virtual worker), timestamps
-        // are the step counter, so a (frames, config) pair fully
-        // determines every recorded event. Lane count covers the larger
-        // of the pre- and post-swap worker sets so a swap that adds
-        // dispatched subscriptions never runs out of lanes.
-        let queued = |subs: &[Arc<dyn ErasedSubscription>], modes: &[DispatchMode]| {
-            let caps = subs
-                .iter()
-                .zip(modes)
-                .map(|(s, m)| ring_capacity(&**s, *m, 1));
-            caps.filter(|&cap| cap > 0).count()
+        // (ingest, one lane per RX core, one per ring of the first epoch,
+        // onto which a swap's rings wrap as a threaded swap's workers do);
+        // timestamps are the step counter, so a (frames, config) pair
+        // fully determines every recorded event.
+        let tracer = self.trace_config.clone().map(|tc| {
+            let subs = self.subs.iter().zip(self.modes.iter());
+            let queued = subs
+                .filter(|(s, m)| ring_capacity(&***s, **m, 1) > 0)
+                .count();
+            let rings = (queued * usize::from(cores)).max(1);
+            Arc::new(Tracer::new_virtual(tc, usize::from(cores), rings))
+        });
+        let lanes = tracer
+            .as_ref()
+            .map_or(1, |t| t.lane_count() - t.worker_lane(0));
+        let epochs = EpochState::new(usize::from(cores), None);
+        let mut workers = epochs.open(self, tracer.as_ref());
+        let mut queues = rss_queues(packets, config).into_iter();
+        let actor = |core, queue| RxActor {
+            rx: RxCore::new(core, &epochs, config, tracer.as_ref(), None),
+            queue,
+            next: 0,
         };
-        let max_workers = queued(&self.subs, &self.modes)
-            .max(
-                swap.as_ref()
-                    .map_or(0, |sw| queued(&sw.prepared.subs, &sw.prepared.modes)),
-            )
-            .max(1);
-        let tracer = self
-            .trace_config
-            .clone()
-            .map(|tc| Arc::new(Tracer::new_virtual(tc, 1, max_workers)));
+        let mut first = actor(0, queues.next());
+        let mut rest: Vec<_> = (1..cores).map(|core| actor(core, queues.next())).collect();
 
-        let mut rows = Rows::default();
-        rows.install(&self.subs, &self.modes, 1);
-        let mut fabric = StepFabric::new(&self.subs, &self.modes, &rows, tracer.as_ref());
-        let mut pipeline = CorePipeline::new(
-            Arc::clone(&self.filter),
-            &self.subs,
-            &self.config,
-            tracer.as_ref().map(|t| (Arc::clone(t), t.rx_lane(0))),
-        );
         let shed = self.shed_state();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut chaos_fired = false;
-
-        let mut next_pkt = 0usize;
-        let mut drained = false;
-        let mut step = 0u64;
-        let mut since_advance = 0usize;
-
-        while !(next_pkt >= packets.len() && drained && fabric.idle()) {
+        let (mut chaos_fired, mut step, mut cursor) = (false, 0u64, 0u64);
+        let mut grace: Option<Grace<F>> = None;
+        let mut warnings = Vec::new();
+        let done = |first: &RxActor<'_, F>, rest: &[RxActor<'_, F>], workers: &[VirtualWorker]| {
+            let mut rx = std::iter::once(first).chain(rest);
+            rx.all(|a| a.rx.finished()) && workers.iter().all(|w| w.ring.is_empty())
+        };
+        while !done(&first, &rest, &workers) {
             step += 1;
             if let Some(t) = &tracer {
                 t.set_virtual_time(step);
             }
-            // Snapshot the actor count: a swap inside the RX actor may
-            // rebuild the worker set, but it always reports progress,
-            // breaking this sweep before the stale bound could be used.
-            let actors = 1 + fabric.workers.len();
+            // The swap's publisher: it publishes once the cursor reaches
+            // the swap's index (clamped, so a swap "after the last packet"
+            // lands before the last core's final drain), then polls the
+            // grace predicate; the retire also waits for the old epoch's
+            // rings to run dry, as a threaded retire joins its workers.
+            let len = packets.len() as u64;
+            if let Some((_, table)) = swap.take_if(|(at, _)| cursor >= (*at).min(len)) {
+                let mut rows = epochs.rows.lock().unwrap();
+                let requested_at = epochs.base.elapsed();
+                let (published, rings) = epochs
+                    .publish_swap(&mut rows, table, requested_at, config, tracer.as_ref())
+                    .expect("a stepped run is open and stages no hardware rules");
+                workers.extend(rings);
+                grace = Some(published);
+            }
+            if let Some(g) = grace.take_if(|g| {
+                let dry =
+                    |w: &VirtualWorker| w.generation >= g.event.generation || w.ring.is_empty();
+                epochs.grace_over(g) && workers.iter().all(dry)
+            }) {
+                workers.retain(|w| w.generation >= g.event.generation);
+                warnings.extend(epochs.retire(g).warnings);
+            }
+
+            let actors = usize::from(cores) + workers.len();
             let choice = rng.random_range(0..actors);
             let mut progressed = false;
             // Try the scheduled actor first; fall back through the rest
@@ -318,93 +277,58 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             // schedule stays a pure function of the seed either way).
             for k in 0..actors {
                 let actor = (choice + k) % actors;
-                let p = if actor == 0 {
-                    // RX actor: flush parked sends, then read frames only
-                    // if nothing is parked (a blocked send stalls the
-                    // whole RX core, exactly like the threaded runtime).
-                    let mut p = fabric.flush_pending();
-                    // A scheduled swap fires once the RX cursor reaches
-                    // its packet index (clamped so a swap "after the
-                    // last packet" still lands before the final drain),
-                    // but never while a parked send is outstanding: a
-                    // blocked RX core cannot pick up a new epoch
-                    // mid-send in the threaded runtime either.
-                    if fabric.pending.is_empty()
-                        && swap.as_ref().is_some_and(|sw| {
-                            next_pkt as u64 >= sw.at_packet.min(packets.len() as u64)
-                        })
-                    {
-                        let prepared = swap.take().expect("checked above").prepared;
-                        // Quiesce the old configuration: every queued
-                        // result executes under the epoch that produced
-                        // it before the table changes. Drains of removed
-                        // subscriptions then route through the OLD
-                        // fabric — their sinks, their queues, their
-                        // rows — and quiesce again; the new fabric
-                        // counts into the new table's rows.
-                        fabric.quiesce();
-                        rows.install(&prepared.subs, &prepared.modes, 1);
-                        let map: Vec<usize> = rows.live().collect();
-                        pipeline.adopt(
-                            Arc::clone(&prepared.filter),
-                            &prepared.subs,
-                            &prepared.remap,
-                            &map,
-                            &mut fabric,
-                        );
-                        fabric.quiesce();
-                        fabric = StepFabric::new(
-                            &prepared.subs,
-                            &prepared.modes,
-                            &rows,
-                            tracer.as_ref(),
-                        );
-                        p = true;
-                    }
-                    if !fabric.pending.is_empty() {
-                        // Blocked in a send: reads nothing.
-                    } else if next_pkt < packets.len() {
-                        pipeline.set_shed_parsing(shed.parsing_shed());
-                        // One RX step is one burst; the step after it
-                        // is the look-ahead. (No NIC in front: the
-                        // pipeline records the ingest lane's Rx and
-                        // HwVerdict itself, labelled by arrival index.)
-                        let batch = cfg.rx_batch.max(1);
-                        let end = (next_pkt + batch).min(packets.len());
-                        let ahead = &packets[end..(end + batch).min(packets.len())];
-                        pipeline.on_burst(
-                            &packets[next_pkt..end],
-                            ahead.iter().map(|(frame, _)| frame),
-                            &mut fabric,
-                        );
-                        next_pkt = end;
-                        since_advance += 1;
-                        if since_advance >= ADVANCE_EVERY_BURSTS {
-                            since_advance = 0;
-                            pipeline.advance(&mut fabric);
+                let p = if let Some(w) = actor.checked_sub(usize::from(cores)) {
+                    let w = &mut workers[w];
+                    let sub = usize::from(w.ring.sub_idx());
+                    if let Some(stall) = cfg.stall.filter(|s| s.sub == sub && s.active(step)) {
+                        // First activation of the fault window freezes the
+                        // flight recorder, exactly as the chaos layer's
+                        // fault hook does in a threaded run.
+                        if !chaos_fired {
+                            chaos_fired = true;
+                            if let Some(t) = &tracer {
+                                t.trigger(TriggerReason::ChaosFault, stall.sub as u64);
+                            }
                         }
-                        p = true;
-                    } else if !drained {
-                        pipeline.drain(&mut fabric);
-                        drained = true;
-                        p = true;
-                    }
-                    p
-                } else if let Some(stall) = cfg.stall.filter(|s| {
-                    s.sub == usize::from(fabric.workers[actor - 1].sub_idx()) && s.active(step)
-                }) {
-                    // First activation of the fault window freezes the
-                    // flight recorder, exactly as the chaos layer's
-                    // fault hook does in a threaded run.
-                    if !chaos_fired {
-                        chaos_fired = true;
-                        if let Some(t) = &tracer {
-                            t.trigger(TriggerReason::ChaosFault, stall.sub as u64);
+                        false
+                    } else {
+                        let trace = tracer
+                            .as_deref()
+                            .map(|t| (t, t.worker_lane(w.lane % lanes)));
+                        let (ran, _) = w.ring.drain(trace, cfg.worker_batch.max(1), &mut || {});
+                        if ran > 0 {
+                            // The freed slots let the core's parked sends move.
+                            pick(&mut first, &mut rest, w.core).rx.sinks.flush_parked();
                         }
+                        ran > 0
                     }
-                    false
                 } else {
-                    fabric.run_worker(actor - 1, cfg.worker_batch.max(1))
+                    let a = pick(&mut first, &mut rest, actor);
+                    // Parked sends move first: a blocked send stalls the
+                    // whole RX core, exactly like the threaded runtime.
+                    let moved = a.rx.sinks.flush_parked();
+                    let queue = a.queue.as_deref();
+                    let len = queue.map_or(packets.len(), <[usize]>::len);
+                    let frame = move |k: usize| queue.map_or(&packets[k], |q| &packets[q[k]]);
+                    let (next, cursor) = (&mut a.next, &mut cursor);
+                    // One RX turn is one burst; the burst after it is the
+                    // look-ahead. (No NIC in front: the pipeline records
+                    // the ingest lane's Rx and HwVerdict itself, labelled
+                    // by arrival index.)
+                    let read = move || {
+                        if *next >= len {
+                            return Read::End;
+                        }
+                        let (start, batch) = (*next, cfg.rx_batch.max(1));
+                        let end = (start + batch).min(len);
+                        (*next, *cursor) = (end, *cursor + (end - start) as u64);
+                        let ahead = (end..(end + batch).min(len)).map(move |k| &frame(k).0);
+                        Read::Burst(((start..end).map(frame), ahead))
+                    };
+                    match a.rx.turn(&shed, read) {
+                        Turn::Ran => true,
+                        Turn::Wait | Turn::Exited => moved,
+                    }
                 };
                 if p {
                     progressed = true;
@@ -422,54 +346,61 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                 );
             }
         }
-
-        let arena_bytes = pipeline.tracker().arena_bytes();
-        let max_ts = pipeline.max_ts();
-        let (cores, counts) = pipeline.finish();
-        let total_bytes: u64 = packets.iter().map(|(f, _)| f.len() as u64).sum();
+        for a in std::iter::once(&mut first).chain(&mut rest) {
+            a.rx.exit();
+        }
+        warnings.extend(grace.map(|g| epochs.retire(g).warnings).unwrap_or_default());
+        let rows = epochs.close();
+        let mut totals = CoreTotals::default();
+        for a in std::iter::once(first).chain(rest) {
+            totals.merge(a.rx.finish());
+        }
+        let (rx_bytes, max_ts) =
+            (packets.iter()).fold((0, 0), |(b, m), (f, ts)| (b + f.len() as u64, m.max(*ts)));
         let nic = PortStatsSnapshot {
             rx_offered: packets.len() as u64,
             rx_delivered: packets.len() as u64,
-            rx_bytes: total_bytes,
+            rx_bytes,
             ..PortStatsSnapshot::default()
         };
         let mut report = RunReport {
             // Virtual time: wall-clock metrics are meaningless here.
             elapsed: Duration::ZERO,
             nic,
-            cores,
-            subs: rows.reports(&counts),
+            cores: totals.stats,
+            subs: rows.reports(&totals.counts),
             sim_duration_ns: max_ts,
             mbuf_high_water: 0,
-            conn_arena_bytes: arena_bytes,
+            conn_arena_bytes: totals.arena_bytes,
             filter_warnings: self.filter_warnings().to_vec(),
             trace: None,
         };
+        report.filter_warnings.extend(warnings);
         report.attach_trace(tracer.as_deref());
         report
     }
 }
 
 impl MultiRuntime<CompiledFilter> {
-    /// Runs a stepped schedule with one live reconfiguration applied
-    /// mid-run: when the RX cursor reaches `at_packet` (clamped to the
-    /// frame count, so a large index swaps just before the final
-    /// drain), the old configuration is quiesced, connection state is
-    /// rebound under `spec`'s freshly compiled filter, and the run
-    /// continues under the new subscription table — the deterministic
-    /// form of [`crate::SwapController::swap`] on a threaded run.
+    /// Runs a stepped schedule with one live reconfiguration, through the
+    /// protocol [`crate::SwapController::swap`] runs on a threaded run:
+    /// once the RX cursor (frames read across cores) reaches `at_packet`
+    /// — clamped to the frame count, so a large index swaps before the
+    /// last core's final drain — `spec`'s table is staged and published,
+    /// each core adopts it at its next burst boundary, and the old epoch
+    /// retires once every core has acknowledged and its rings are dry.
     ///
-    /// Validation is identical to the threaded path: `spec` compiles
-    /// through the filter analyzer (E-codes reject the swap before
-    /// anything changes; W-codes surface in the report's
+    /// Validation is identical to the threaded path and happens before
+    /// any packet runs: `spec` compiles through the filter analyzer
+    /// (E-codes reject the swap; W-codes surface in the report's
     /// [`RunReport::filter_warnings`]), and survivors are matched to the
     /// running table by name.
     ///
     /// # Errors
     /// Returns the same [`SwapError`]s as [`crate::SwapController::swap`]:
     /// rejected filter sources, spec violations (empty table, duplicate
-    /// names). `NotRunning` and `HwFilter` cannot occur (a stepped run
-    /// has no epoch machinery and no device in front of it).
+    /// names). `NotRunning` and `HwFilter` cannot occur (the run is open
+    /// until every core has exited, and no device sits in front of it).
     ///
     /// # Panics
     /// Panics if the schedule deadlocks, exactly as
@@ -481,15 +412,8 @@ impl MultiRuntime<CompiledFilter> {
         at_packet: u64,
         spec: &SwapSpec,
     ) -> Result<RunReport, SwapError> {
-        let mut prepared = crate::reconfig::prepare(spec, &self.subs, &self.config)?;
-        let warnings = std::mem::take(&mut prepared.warnings);
-        let sw = StepSwap {
-            at_packet,
-            prepared,
-        };
-        let mut report = self.run_stepped_inner(packets, cfg, Some(sw));
-        report.filter_warnings.extend(warnings);
-        Ok(report)
+        let table = prepare(spec, &self.subs, &self.config)?;
+        Ok(self.run_stepped_inner(packets, cfg, Some((at_packet, table))))
     }
 }
 

@@ -451,51 +451,6 @@ pub mod spsc {
             Ok(value)
         }
 
-        /// Dequeues, spinning (with yields) while the ring is empty.
-        /// Returns `Err(())` once the producer is gone and the ring is
-        /// drained.
-        pub fn recv(&self) -> Result<T, TryRecvError> {
-            let mut spins = 0u32;
-            loop {
-                match self.try_recv() {
-                    Ok(v) => return Ok(v),
-                    Err(TryRecvError::Disconnected) => return Err(TryRecvError::Disconnected),
-                    Err(TryRecvError::Empty) => {
-                        spins += 1;
-                        if spins < 64 {
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }
-
-        /// True when the producer has been dropped **and** every queued
-        /// element has been consumed — the worker-exit condition.
-        pub fn is_finished(&self) -> bool {
-            matches!(self.try_peek_state(), TryRecvError::Disconnected)
-        }
-
-        /// Classifies the ring without consuming: `Empty` (producer
-        /// alive, nothing queued) or `Disconnected` (producer gone,
-        /// drained). Panics never; returns `Empty` when a value is
-        /// available (callers use `try_recv` for data).
-        fn try_peek_state(&self) -> TryRecvError {
-            let head = self.head.get();
-            let tail = self.shared.tail.load(Ordering::Acquire);
-            if tail != head {
-                return TryRecvError::Empty;
-            }
-            if !self.shared.producer_alive.load(Ordering::Acquire)
-                && self.shared.tail.load(Ordering::Acquire) == head
-            {
-                return TryRecvError::Disconnected;
-            }
-            TryRecvError::Empty
-        }
-
         /// In-flight elements (approximate from the consumer side).
         pub fn len(&self) -> usize {
             self.shared.tail.load(Ordering::Acquire) - self.head.get()
@@ -664,11 +619,10 @@ mod tests {
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
         drop(tx);
-        assert!(!rx.is_finished(), "backlog still pending");
-        assert_eq!(rx.try_recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.try_recv(), Ok(1), "backlog still pending");
+        assert_eq!(rx.try_recv(), Ok(2));
         assert_eq!(rx.try_recv(), Err(spsc::TryRecvError::Disconnected));
-        assert!(rx.is_finished());
+        assert_eq!(rx.try_recv(), Err(spsc::TryRecvError::Disconnected));
     }
 
     #[test]
@@ -705,9 +659,15 @@ mod tests {
             }
         });
         for expect in 0..N {
-            assert_eq!(rx.recv(), Ok(expect), "out of order at {expect}");
+            let got = loop {
+                match rx.try_recv() {
+                    Err(spsc::TryRecvError::Empty) => std::thread::yield_now(),
+                    got => break got,
+                }
+            };
+            assert_eq!(got, Ok(expect), "out of order at {expect}");
         }
         producer.join().unwrap();
-        assert_eq!(rx.recv(), Err(spsc::TryRecvError::Disconnected));
+        assert_eq!(rx.try_recv(), Err(spsc::TryRecvError::Disconnected));
     }
 }

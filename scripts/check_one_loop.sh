@@ -173,6 +173,19 @@
 # `VirtualRing`, `RingTx`, `RingRx` or `StepQueue` (as whole words) and
 # makes rings at exactly one `spsc::ring` call site (`Deliver::ring`).
 #
+# The swap protocol is written once, and so is the RX core. A swap is
+# `EpochState`'s publish, grace predicate and retire (crates/core/src/
+# reconfig.rs), and one turn of an RX core — epoch pickup, adoption,
+# claim and acknowledgment, one burst, the timeout sweep, the final
+# drain and exit — is `RxCore::turn` (runtime.rs), which the threaded
+# core and the stepped harness both run. The harness once kept a copy of
+# its own: a `StepSwap` adopted at a packet index by quiescing the
+# harness's fabric and re-installing the row table, which never ran the
+# publish, the ack slots, the grace period or the retire a threaded swap
+# depends on. So non-test crates/core/src names no `StepSwap` (as a
+# whole word), and has exactly one `.adopt(` call site and one
+# `rows.install(` call site (the one in `stage_epoch`).
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -429,6 +442,23 @@ if [ "$n" -ne 1 ]; then
     fail=1
 fi
 
+hits=$(core_code | grep -E '(^|[^[:alnum:]_])StepSwap([^[:alnum:]_]|$)' || true)
+if [ -n "$hits" ]; then
+    echo "a second swap protocol (a stepped swap runs EpochState's publish, grace and retire):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+for rule in '\.adopt\(|1 adoption (RxCore::turn)' \
+    'rows\.install\(|1 table install (stage_epoch)'; do
+    pattern=${rule%%|*}
+    n=$(core_code | grep -cE "$pattern" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "crates/core/src has $n non-test sites matching '$pattern' (want ${rule#*|}):" >&2
+        core_code | grep -E "$pattern" >&2 || true
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -445,4 +475,5 @@ echo "  subscription counts live in one row per name: no (name, tally) ledger, n
 echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"
 echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file;"
 echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample(;"
-echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site"
+echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site;"
+echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site"

@@ -53,7 +53,10 @@
 #                 results file under crates/, scripts/ or .github/; and
 #                 the dispatch ring is written once: no `VirtualRing`,
 #                 `RingTx`, `RingRx` or `StepQueue` in non-test
-#                 crates/core/src, and one `spsc::ring` call site there
+#                 crates/core/src, and one `spsc::ring` call site there;
+#                 and the swap protocol and the RX core are written once:
+#                 no `StepSwap`, one `.adopt(` and one `rows.install(`
+#                 call site in non-test crates/core/src
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

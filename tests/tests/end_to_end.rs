@@ -14,12 +14,16 @@
 //! assert order-insensitive results (sorted outputs, counts, zero-loss).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use retina_core::offline::run_offline;
 use retina_core::subscribables::{ConnRecord, SessionRecord, TlsHandshakeData};
-use retina_core::{Runtime, RuntimeConfig};
+use retina_core::{
+    DispatchMode, RunReport, Runtime, RuntimeBuilder, RuntimeConfig, StepConfig, TraceConfig,
+};
 use retina_filter::compile;
+use retina_support::bytes::Bytes;
+use retina_support::proptest::prelude::*;
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_trafficgen::{HttpsWorkload, PreloadedSource};
 
@@ -96,6 +100,94 @@ fn multicore_equals_singlecore_results() {
     let multi = collect(8);
     assert!(!single.is_empty());
     assert_eq!(single, multi);
+}
+
+/// The campus frames the stepped multi-core tests share.
+fn stepped_packets() -> &'static [(Bytes, u64)] {
+    static PACKETS: OnceLock<Vec<(Bytes, u64)>> = OnceLock::new();
+    PACKETS.get_or_init(|| {
+        generate(&CampusConfig {
+            target_packets: 8_000,
+            ..CampusConfig::small(0x5EED)
+        })
+    })
+}
+
+/// One stepped run on `cores` RX cores under schedule `seed`: `.com`
+/// handshakes on a dedicated worker beside an inline TCP connection log.
+/// Returns the SNIs in callback order and the (accounting-checked)
+/// report.
+fn stepped_snis(cores: u16, seed: u64, trace: bool) -> (Vec<String>, RunReport) {
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let o2 = Arc::clone(&out);
+    let mut builder = RuntimeBuilder::new(RuntimeConfig::with_cores(cores))
+        .subscribe_dispatched::<TlsHandshakeData>(
+            "com",
+            r"tls.sni ~ '\.com$'",
+            DispatchMode::dedicated(4),
+            move |hs| o2.lock().unwrap().push(hs.tls.sni().to_string()),
+        )
+        .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {});
+    if trace {
+        builder = builder.trace(TraceConfig {
+            sample_one_in: 1,
+            ..TraceConfig::default()
+        });
+    }
+    let report = builder
+        .build()
+        .unwrap()
+        .run_stepped(stepped_packets(), &StepConfig::seeded(seed));
+    report.check_accounting().expect("accounting exact");
+    let snis = std::mem::take(&mut *out.lock().unwrap());
+    (snis, report)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `multicore_equals_singlecore_results` under seeded schedules:
+    /// symmetric RSS over 1–4 stepped RX cores changes no analysis
+    /// result, accounting is exact, and every (seed, cores) pair replays
+    /// bit for bit.
+    #[test]
+    fn stepped_cores_equal_one_core(seed in any::<u64>(), cores in 1u16..=4) {
+        static ONE_CORE: OnceLock<Vec<String>> = OnceLock::new();
+        let one = ONE_CORE.get_or_init(|| {
+            let mut snis = stepped_snis(1, 0, false).0;
+            snis.sort();
+            snis
+        });
+        let (snis, report) = stepped_snis(cores, seed, false);
+        let (replay, again) = stepped_snis(cores, seed, false);
+        prop_assert_eq!(&snis, &replay);
+        prop_assert_eq!(report.deterministic_digest(), again.deterministic_digest());
+        prop_assert_eq!(format!("{:?}", report.cores), format!("{:?}", again.cores));
+        prop_assert_eq!(format!("{:?}", report.subs), format!("{:?}", again.subs));
+        let mut sorted = snis;
+        sorted.sort();
+        prop_assert!(!one.is_empty());
+        prop_assert_eq!(&sorted, one);
+    }
+}
+
+/// A stepped run on two cores reads two RSS queues, one RX lane each in
+/// its trace, and creates exactly the connections the one-core run does.
+#[test]
+fn a_two_core_stepped_run_has_two_rx_lanes() {
+    let rx_lanes = |report: &RunReport| {
+        let session = &report.trace.as_ref().expect("traced").session;
+        let rx = session.lanes.iter().filter(|(lane, events)| {
+            matches!(lane, retina_telemetry::LaneKind::Rx(_)) && !events.is_empty()
+        });
+        rx.count()
+    };
+    let (_, one) = stepped_snis(1, 5, true);
+    let (_, two) = stepped_snis(2, 5, true);
+    assert_eq!(rx_lanes(&one), 1);
+    assert_eq!(rx_lanes(&two), 2);
+    assert!(one.cores.conns_created > 0);
+    assert_eq!(two.cores.conns_created, one.cores.conns_created);
 }
 
 #[test]

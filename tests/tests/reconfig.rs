@@ -22,19 +22,20 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use retina_chaos::{ChaosSource, Fault, FaultPlan};
 use retina_core::subscribables::{ConnRecord, DnsTransactionData, ZcFrame};
 use retina_core::{
-    DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig, SwapError,
-    SwapSpec, TraceConfig, TrafficSource, WorkerStall,
+    DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
+    SwapController, SwapError, SwapSpec, TraceConfig, TrafficSource, WorkerStall,
 };
 use retina_filter::CompiledFilter;
 use retina_support::bytes::Bytes;
 use retina_telemetry::TraceKind;
 use retina_trafficgen::campus::{generate, CampusConfig};
+use retina_trafficgen::PreloadedSource;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
 
@@ -53,18 +54,20 @@ fn workload() -> Vec<(Bytes, u64)> {
 /// every test keeps across the swap) plus a port-443 log (the one swaps
 /// remove).
 fn build_runtime(counter: &Arc<AtomicU64>) -> MultiRuntime<CompiledFilter> {
-    build_runtime_with(counter, DispatchMode::Inline)
+    build_runtime_with(2, counter, DispatchMode::Inline)
 }
 
-/// [`build_runtime`] with `tls443` run in `mode`. A dispatched `tls443`
-/// gives the stepped executor a worker to interleave, so its schedule
-/// seed decides what is still queued when a swap removes it.
+/// [`build_runtime`] on `cores` RX cores with `tls443` run in `mode`. A
+/// dispatched `tls443` gives the stepped executor a worker to
+/// interleave, so its schedule seed decides what is still queued when a
+/// swap removes it.
 fn build_runtime_with(
+    cores: u16,
     counter: &Arc<AtomicU64>,
     mode: DispatchMode,
 ) -> MultiRuntime<CompiledFilter> {
     let c = Arc::clone(counter);
-    RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+    RuntimeBuilder::new(RuntimeConfig::with_cores(cores))
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", move |_| {
             c.fetch_add(1, Ordering::Relaxed);
         })
@@ -102,23 +105,46 @@ fn sub<'a>(report: &'a RunReport, name: &str) -> &'a retina_core::SubReport {
 struct GatedSource {
     first: Vec<(Bytes, u64)>,
     second: Vec<(Bytes, u64)>,
-    gate: Option<mpsc::Receiver<()>>,
+    gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
     cursor: usize,
 }
 
+/// The test's side of a [`GatedSource`].
+struct Gate {
+    parked: mpsc::Receiver<()>,
+    release: mpsc::Sender<()>,
+}
+
+impl Gate {
+    /// Waits until the source has parked on the gate. The ingest thread
+    /// asks for the next batch only once it has ingested every earlier
+    /// one, so the whole first half has reached the port by then.
+    fn wait_parked(&self) {
+        self.parked
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the first half never reached the port");
+    }
+
+    /// Lets the second half through.
+    fn open(&self) {
+        self.release.send(()).expect("run thread alive");
+    }
+}
+
 impl GatedSource {
-    /// Splits `packets` at `at`; returns the source and the gate sender.
-    fn new(mut packets: Vec<(Bytes, u64)>, at: usize) -> (Self, mpsc::Sender<()>) {
+    /// Splits `packets` at `at`; returns the source and its gate.
+    fn new(mut packets: Vec<(Bytes, u64)>, at: usize) -> (Self, Gate) {
         let second = packets.split_off(at.min(packets.len()));
-        let (tx, rx) = mpsc::channel();
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
         (
             GatedSource {
                 first: packets,
                 second,
-                gate: Some(rx),
+                gate: Some((parked_tx, release_rx)),
                 cursor: 0,
             },
-            tx,
+            Gate { parked, release },
         )
     }
 }
@@ -132,9 +158,10 @@ impl TrafficSource for GatedSource {
             self.cursor = end;
             return true;
         }
-        if let Some(gate) = self.gate.take() {
+        if let Some((parked, release)) = self.gate.take() {
             // First half done: park the wire until the test releases it.
-            let _ = gate.recv();
+            let _ = parked.send(());
+            let _ = release.recv();
             self.cursor = self.first.len();
         }
         let off = self.cursor - self.first.len();
@@ -157,17 +184,22 @@ fn threaded_swap_run(
     plan: Option<&FaultPlan>,
     counter: &Arc<AtomicU64>,
 ) -> (RunReport, retina_core::SwapEvent) {
-    threaded_swap_run_on(build_runtime(counter), packets, spec, plan)
+    let (_, report, event) = threaded_swap_run_on(build_runtime(counter), packets, spec, plan);
+    (report, event)
 }
 
 /// [`threaded_swap_run`] on a runtime the caller built (and may hold
-/// handles into).
+/// handles into), handed back after the run.
 fn threaded_swap_run_on(
     mut rt: MultiRuntime<CompiledFilter>,
     packets: Vec<(Bytes, u64)>,
     spec: &SwapSpec,
     plan: Option<&FaultPlan>,
-) -> (RunReport, retina_core::SwapEvent) {
+) -> (
+    MultiRuntime<CompiledFilter>,
+    RunReport,
+    retina_core::SwapEvent,
+) {
     let mid = packets.len() / 2;
     let controller = rt.swap_controller();
     let nic = Arc::clone(rt.nic());
@@ -182,40 +214,33 @@ fn threaded_swap_run_on(
             None => rt.run(source),
         };
         rt.nic().clear_fault_hooks();
-        report
+        (rt, report)
     });
-    // Wait for the first half to be fully ingested (the source parks on
-    // the gate once it has handed the midpoint batch over).
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while nic.stats().rx_offered < mid as u64 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "first half never reached the port: rx_offered = {}",
-            nic.stats().rx_offered
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gate.wait_parked();
+    assert!(nic.stats().rx_offered >= mid as u64, "first half ingested");
     let event = controller.swap(spec).expect("swap succeeds mid-run");
-    gate.send(()).expect("run thread alive");
-    let report = handle.join().expect("run thread panicked");
-    (report, event)
+    gate.open();
+    let (rt, report) = handle.join().expect("run thread panicked");
+    (rt, report, event)
 }
 
 #[test]
 fn stepped_swap_exact_accounting_and_untouched_digest() {
     let packets = workload();
     let at = (packets.len() / 2) as u64;
-    // With every subscription inline the schedule has one actor and the
-    // seed changes nothing; a dispatched `tls443` makes it bite.
+    // With every subscription inline on one core the schedule has one
+    // actor and the seed changes nothing; a dispatched `tls443`, or more
+    // RX cores, make it bite.
     let modes = [DispatchMode::Inline, DispatchMode::dedicated(2)];
-    for (seed, mode) in [0x1CE, 2, 3]
+    for (seed, mode, cores) in [0x1CE, 2, 3]
         .into_iter()
         .flat_map(|s| modes.map(|m| (s, m)))
+        .flat_map(|(s, m)| [1, 2, 4].map(|c| (s, m, c)))
     {
         let cfg = StepConfig::seeded(seed);
 
         let hits = Arc::new(AtomicU64::new(0));
-        let report = build_runtime_with(&hits, mode)
+        let report = build_runtime_with(cores, &hits, mode)
             .run_stepped_with_swap(&packets, &cfg, at, &swap_spec(&hits))
             .expect("swap accepted");
         report
@@ -224,7 +249,7 @@ fn stepped_swap_exact_accounting_and_untouched_digest() {
 
         // Control: the same runtime, same schedule, no swap.
         let control_hits = Arc::new(AtomicU64::new(0));
-        let control = build_runtime_with(&control_hits, mode).run_stepped(&packets, &cfg);
+        let control = build_runtime_with(cores, &control_hits, mode).run_stepped(&packets, &cfg);
         control.check_accounting().expect("control accounting");
 
         // The untouched subscription is byte-identical to the no-swap run —
@@ -232,7 +257,8 @@ fn stepped_swap_exact_accounting_and_untouched_digest() {
         assert_eq!(
             report.sub_digest("conns").expect("conns row"),
             control.sub_digest("conns").expect("control conns row"),
-            "surviving subscription diverged from the no-swap run at seed {seed}, {mode:?}"
+            "surviving subscription diverged from the no-swap run at seed {seed}, {mode:?}, \
+             {cores} cores"
         );
         assert_eq!(
             hits.load(Ordering::Relaxed),
@@ -340,9 +366,11 @@ fn a_removed_and_readded_name_is_one_whole_run_row() {
     let nic = Arc::clone(rt.nic());
     let (source, gate) = GatedSource::new(packets, third);
     let handle = std::thread::spawn(move || rt.run(source));
-    while nic.stats().rx_offered < third as u64 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gate.wait_parked();
+    assert!(
+        nic.stats().rx_offered >= third as u64,
+        "first third ingested"
+    );
     // Drop `tls443`, adding two names the final table drops again.
     let drop_tls = SwapSpec::new()
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
@@ -359,7 +387,7 @@ fn a_removed_and_readded_name_is_one_whole_run_row() {
             |_| {},
         );
     let second = controller.swap(&readd).expect("second swap");
-    gate.send(()).expect("run thread alive");
+    gate.open();
     let report = handle.join().expect("run thread panicked");
     report.check_accounting().expect("accounting exact");
     assert!(report.zero_loss(), "two swaps must not drop a frame");
@@ -614,7 +642,7 @@ fn threaded_swap_zero_loss_and_untouched_digest() {
     // Untouched subscription: byte-identical to a no-swap threaded run.
     let control_hits = Arc::new(AtomicU64::new(0));
     let mut control_rt = build_runtime(&control_hits);
-    let control = control_rt.run(retina_trafficgen::PreloadedSource::new(packets));
+    let control = control_rt.run(PreloadedSource::new(packets));
     control.check_accounting().expect("control accounting");
     assert_eq!(
         report.sub_digest("conns").unwrap(),
@@ -649,7 +677,7 @@ fn dispatch_hub_follows_a_threaded_swap() {
             DispatchMode::dedicated(64),
             |_| {},
         );
-    let (report, event) = threaded_swap_run_on(rt, workload(), &spec, None);
+    let (_, report, event) = threaded_swap_run_on(rt, workload(), &spec, None);
     report
         .check_accounting()
         .expect("accounting exact across swap");
@@ -754,14 +782,8 @@ fn swap_pickup_lag_gauge_reads_the_most_recent_swap() {
         rt.nic().clear_fault_hooks();
         report
     });
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while nic.stats().rx_offered < mid as u64 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "first half never arrived"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gate.wait_parked();
+    assert!(nic.stats().rx_offered >= mid as u64, "first half ingested");
     let specs = [
         swap_spec(&hits),
         SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {}),
@@ -778,7 +800,7 @@ fn swap_pickup_lag_gauge_reads_the_most_recent_swap() {
         );
         worst.push(max);
     }
-    gate.send(()).expect("run thread alive");
+    gate.open();
     let report = handle.join().expect("run thread panicked");
     report.check_accounting().expect("accounting exact");
     assert!(
@@ -808,9 +830,8 @@ fn swap_rejections_leave_the_run_untouched() {
     let nic = Arc::clone(rt.nic());
     let (source, gate) = GatedSource::new(packets.clone(), mid);
     let handle = std::thread::spawn(move || rt.run(source));
-    while nic.stats().rx_offered < mid as u64 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gate.wait_parked();
+    assert!(nic.stats().rx_offered >= mid as u64, "first half ingested");
 
     // A filter that fails analysis (E-code) rejects before staging.
     let bad_filter = SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and and", |_| {});
@@ -830,7 +851,7 @@ fn swap_rejections_leave_the_run_untouched() {
     ));
     assert_eq!(controller.generation(), 0, "failed swaps publish nothing");
 
-    gate.send(()).unwrap();
+    gate.open();
     let report = handle.join().unwrap();
     report.check_accounting().expect("accounting exact");
     assert!(report.zero_loss());
@@ -851,4 +872,97 @@ fn swap_rejections_leave_the_run_untouched() {
         dup,
         Err(retina_core::RuntimeError::Subscriptions(_))
     ));
+}
+
+/// Regression: a run serves its own table's hardware rules, whatever an
+/// earlier run swapped to. `run()` used to publish its first epoch from
+/// the runtime's table without re-staging its rules, so after a threaded
+/// swap to `conns` alone the NIC kept dropping the UDP that `udp-conns`
+/// subscribes to. A stepped swap, with no device in front, never touches
+/// the NIC.
+#[test]
+fn a_run_after_a_swap_serves_its_own_table() {
+    let packets = workload();
+    let build = || {
+        RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+            .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
+            .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
+            .build()
+            .unwrap()
+    };
+    let conns_only =
+        || SwapSpec::new().subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {});
+    let mut fresh_rt = build();
+    let rules = fresh_rt.nic().rules_snapshot();
+    let fresh = fresh_rt.run(PreloadedSource::new(packets.clone()));
+    assert!(sub(&fresh, "udp-conns").delivered > 0, "udp-conns silent");
+
+    for threaded in [true, false] {
+        let rt = build();
+        let (mut rt, swapped) = if threaded {
+            let (rt, report, event) =
+                threaded_swap_run_on(rt, packets.clone(), &conns_only(), None);
+            assert!(event.rules_removed > 0, "the swap removed no rule");
+            (rt, report)
+        } else {
+            let mid = (packets.len() / 2) as u64;
+            let report = rt
+                .run_stepped_with_swap(&packets, &StepConfig::seeded(1), mid, &conns_only())
+                .expect("swap accepted");
+            (rt, report)
+        };
+        swapped.check_accounting().expect("accounting exact");
+        // Port counters add up over a runtime's runs: compare this run's.
+        let before = rt.nic().stats();
+        let again = rt.run(PreloadedSource::new(packets.clone()));
+        let how = if threaded { "threaded" } else { "stepped" };
+        assert_eq!(rt.nic().rules_snapshot(), rules, "{how} swap: rules");
+        assert_eq!(
+            again.nic.hw_dropped - before.hw_dropped,
+            fresh.nic.hw_dropped,
+            "{how} swap: hardware drops"
+        );
+        assert_eq!(
+            again.nic.rx_delivered - before.rx_delivered,
+            again.cores.rx_packets,
+            "{how} swap: the cores saw every delivered frame"
+        );
+        for name in ["conns", "udp-conns"] {
+            assert_eq!(
+                again.sub_digest(name),
+                fresh.sub_digest(name),
+                "{how} swap: {name}"
+            );
+        }
+    }
+}
+
+/// No thread reaches a stepped run's epochs: the run keeps its own, so a
+/// controller of its runtime — even one called from inside the run, by a
+/// callback — finds nothing running, and the run is untouched.
+#[test]
+fn a_controller_cannot_reach_a_stepped_run() {
+    let packets = workload();
+    let controller: Arc<OnceLock<SwapController>> = Arc::default();
+    let outcomes: Arc<Mutex<Vec<bool>>> = Arc::default();
+    let rt = {
+        let (controller, outcomes) = (Arc::clone(&controller), Arc::clone(&outcomes));
+        RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+            .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", move |_| {
+                let spec = SwapSpec::new().subscribe_named::<ConnRecord>("udp", "udp", |_| {});
+                let swap = controller.get().expect("set before the run").swap(&spec);
+                let refused = matches!(swap, Err(SwapError::NotRunning));
+                outcomes.lock().unwrap().push(refused);
+            })
+            .build()
+            .unwrap()
+    };
+    assert!(controller.set(rt.swap_controller()).is_ok());
+    let report = rt.run_stepped(&packets, &StepConfig::seeded(4));
+    report.check_accounting().expect("accounting exact");
+    let outcomes = outcomes.lock().unwrap();
+    assert_eq!(outcomes.len() as u64, sub(&report, "conns").delivered);
+    assert!(!outcomes.is_empty() && outcomes.iter().all(|&refused| refused));
+    assert_eq!(controller.get().unwrap().generation(), 0);
+    assert_eq!(report.subs.len(), 1, "the run kept its table");
 }
