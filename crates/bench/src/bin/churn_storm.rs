@@ -80,9 +80,9 @@ fn two_waves(wave: Vec<(Bytes, u64)>) -> Vec<(Bytes, u64)> {
 }
 
 /// Bytes one arena slot costs: the slot of a tracker connection at its
-/// build-time budget (`size_of::<Conn>() <= 360`, `tracker/mod.rs`),
-/// plus its free-list entry.
-const SLOT_BYTES: usize = ConnArena::<[u64; 45]>::SLOT_BYTES + std::mem::size_of::<u32>();
+/// build-time budget (`size_of::<Conn>() <= 296`, `tracker/mod.rs`). The
+/// free list lives in the vacant slots and costs nothing beside them.
+const SLOT_BYTES: usize = ConnArena::<[u64; 37]>::SLOT_BYTES;
 
 /// Bytes one index entry costs: a `(index key, handle)` pair plus its
 /// control byte, as `ConnTable::allocated_bytes` counts it.

@@ -5,9 +5,25 @@
 //! table churns through millions of short-lived entries. Boxing each
 //! `ConnEntry` individually would fragment the heap and pay an
 //! allocator round-trip per scan probe. The arena instead stores
-//! entries in one dense `Vec` of slots, hands out compact `u32`
-//! handles, and recycles freed slots through a free list — after the
-//! first storm peak, steady-state churn allocates nothing.
+//! entries in slots, hands out compact `u32` handles, and recycles freed
+//! slots through a free list — after the first storm peak, steady-state
+//! churn allocates nothing.
+//!
+//! Slots live in chunks of [`CHUNK`] (8,192): a handle's index is its
+//! chunk (`index >> 13`) and its place in the chunk (`index & 8191`).
+//! Chunk 0 grows by doubling like a `Vec`, so a table that never holds
+//! 8,192 connections costs what a `Vec` would; every later chunk is
+//! allocated once, at full size, and never moves. Past the first chunk
+//! the slot storage is therefore at most one chunk more than the peak
+//! needs — not up to twice the peak — and a growing table never copies
+//! the slots it already holds.
+//!
+//! The free list costs nothing beside the slots: a vacant slot's `hash`
+//! word holds the index of the next vacant one, and the arena keeps only
+//! the head. It is a stack (last freed, first reused), so which handle an
+//! insert gets is a pure function of the insert/remove sequence. A slot
+//! is created only when none is vacant, so the slot count *is* the
+//! live high-water mark.
 //!
 //! Handles are generation-checked: each slot carries a generation
 //! counter bumped on free, and a [`ConnHandle`] packs `(slot index,
@@ -24,7 +40,7 @@
 //! stored beside the entry is what expiry needs to unlink it from the
 //! index without re-deriving anything from the tuple: the 32-bit RSS
 //! hash (which picks the index shard) and the owner's 64-bit index key.
-//! Every 8 bytes here are a megabyte at a 131,072-slot arena:
+//! Every 8 bytes here are 0.85 MB at scan's 106,496-slot arena:
 //! [`ConnArena::SLOT_OVERHEAD`] is asserted in the tests.
 //!
 //! Capacity only grows, so `allocated_bytes()` is simultaneously the
@@ -33,12 +49,13 @@
 //!
 //! [`ConnArena::prefetch`] is the hint verb: it asks the CPU to start
 //! fetching the slot a handle *points at*, so a burst's slot misses
-//! overlap. Its contract is **no dereference** — the address is computed
-//! from the handle's index and the slot storage's base, nothing behind
-//! it is read, the generation is not checked (that would be a read of
-//! the very line being fetched). A stale handle therefore warms a slot
-//! someone else now owns, an out-of-range one warms nothing, and neither
-//! can be told apart from a useful hint by anything but time.
+//! overlap. Its contract is **no slot dereference** — the address is
+//! computed from the handle's index and its chunk's base (read from the
+//! chunk table, which is not a slot), nothing behind it is read, the
+//! generation is not checked (that would be a read of the very line
+//! being fetched). A stale handle therefore warms a slot someone else
+//! now owns, an out-of-range one warms nothing, and neither can be told
+//! apart from a useful hint by anything but time.
 
 use retina_support::prefetch::{prefetch_lines, LINE};
 
@@ -102,10 +119,24 @@ pub struct ConnEntry<V> {
     pub value: V,
 }
 
+/// Slots per chunk of arena storage (see the module docs).
+pub const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_BITS: u32 = 13;
+
+/// The end of the in-slot free list.
+const NIL: u32 = u32::MAX;
+
+/// A slot index's chunk and its place in that chunk.
+#[inline]
+fn locate(index: u32) -> (usize, usize) {
+    ((index >> CHUNK_BITS) as usize, index as usize & (CHUNK - 1))
+}
+
 /// One arena slot: a generation counter, the occupant's RSS hash and
 /// index key (opaque here: whatever the owner looks the entry up by),
 /// and the occupant (vacancy costs no extra byte: it lives in the
-/// entry's `bool`).
+/// entry's `bool`). A vacant slot's `hash` is the next vacant slot's
+/// index, or `NIL`.
 #[derive(Debug)]
 struct Slot<V> {
     gen: u32,
@@ -114,11 +145,14 @@ struct Slot<V> {
     entry: Option<ConnEntry<V>>,
 }
 
-/// Dense slab of connection entries with generation-checked handles.
+/// Chunked slab of connection entries with generation-checked handles.
 #[derive(Debug)]
 pub struct ConnArena<V> {
-    slots: Vec<Slot<V>>,
-    free: Vec<u32>,
+    /// Slot storage: `chunks[c]` holds the slots `c * CHUNK ..`. Only the
+    /// last chunk is ever short of `CHUNK` slots.
+    chunks: Vec<Vec<Slot<V>>>,
+    /// The most recently freed slot, or `NIL`.
+    free_head: u32,
     live: usize,
     live_high_water: usize,
 }
@@ -141,8 +175,8 @@ impl<V> ConnArena<V> {
     #[must_use]
     pub fn new() -> Self {
         ConnArena {
-            slots: Vec::new(),
-            free: Vec::new(),
+            chunks: Vec::new(),
+            free_head: NIL,
             live: 0,
             live_high_water: 0,
         }
@@ -161,26 +195,48 @@ impl<V> ConnArena<V> {
     }
 
     /// Peak number of simultaneously-live entries over the arena's
-    /// lifetime.
+    /// lifetime — also the number of slots, since a slot is only made
+    /// when none is vacant.
     #[must_use]
     pub fn live_high_water(&self) -> usize {
         self.live_high_water
     }
 
-    /// Bytes held by slot storage. Capacity never shrinks, so this is
-    /// also the memory high-water mark.
+    /// Bytes held by slot storage and the chunk table. Capacity never
+    /// shrinks, so this is also the memory high-water mark.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        self.slots.capacity() * Self::SLOT_BYTES + self.free.capacity() * std::mem::size_of::<u32>()
+        let slots: usize = self.chunks.iter().map(Vec::capacity).sum();
+        slots * Self::SLOT_BYTES + self.chunks.capacity() * std::mem::size_of::<Vec<Slot<V>>>()
     }
 
-    /// Inserts an entry, reusing a freed slot when one exists.
+    /// Inserts an entry, reusing the most recently freed slot when one
+    /// exists.
     pub fn insert(&mut self, hash: u32, index_key: u64, entry: ConnEntry<V>) -> ConnHandle {
-        self.live += 1;
-        self.live_high_water = self.live_high_water.max(self.live);
-        if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
+        let handle = if self.free_head == NIL {
+            let index = u32::try_from(self.live_high_water)
+                .ok()
+                .filter(|&index| index != NIL)
+                .expect("arena exceeds u32 slots");
+            let (chunk, _) = locate(index);
+            if chunk == self.chunks.len() {
+                // Chunk 0 grows by doubling; a later one is made whole.
+                let capacity = if chunk == 0 { 0 } else { CHUNK };
+                self.chunks.push(Vec::with_capacity(capacity));
+            }
+            self.chunks[chunk].push(Slot {
+                gen: 0,
+                hash,
+                index_key,
+                entry: Some(entry),
+            });
+            ConnHandle { index, gen: 0 }
+        } else {
+            let index = self.free_head;
+            let (chunk, offset) = locate(index);
+            let slot = &mut self.chunks[chunk][offset];
             debug_assert!(slot.entry.is_none(), "free-listed slot occupied");
+            self.free_head = slot.hash;
             slot.hash = hash;
             slot.index_key = index_key;
             slot.entry = Some(entry);
@@ -188,22 +244,17 @@ impl<V> ConnArena<V> {
                 index,
                 gen: slot.gen,
             }
-        } else {
-            let index = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
-            self.slots.push(Slot {
-                gen: 0,
-                hash,
-                index_key,
-                entry: Some(entry),
-            });
-            ConnHandle { index, gen: 0 }
-        }
+        };
+        self.live += 1;
+        self.live_high_water = self.live_high_water.max(self.live);
+        handle
     }
 
     /// The entry at `handle`, if the handle is current.
     #[must_use]
     pub fn get(&self, handle: ConnHandle) -> Option<&ConnEntry<V>> {
-        let slot = self.slots.get(handle.index as usize)?;
+        let (chunk, offset) = locate(handle.index);
+        let slot = self.chunks.get(chunk)?.get(offset)?;
         if slot.gen != handle.gen {
             return None;
         }
@@ -222,20 +273,23 @@ impl<V> ConnArena<V> {
     };
 
     /// Hints the CPU to fetch the slot `handle` points at (see the
-    /// module docs): no dereference, no generation check. A handle whose
-    /// index is past the slot storage is ignored.
+    /// module docs): no slot dereference, no generation check. A handle
+    /// whose index is past the slot storage is ignored.
     #[inline]
     pub fn prefetch(&self, handle: ConnHandle) {
-        let index = handle.index as usize;
-        if index < self.slots.len() {
-            let slot = self.slots.as_ptr().wrapping_add(index);
-            prefetch_lines(slot.cast::<u8>(), Self::PREFETCH_LINES);
+        let (chunk, offset) = locate(handle.index);
+        if let Some(chunk) = self.chunks.get(chunk) {
+            if offset < chunk.len() {
+                let slot = chunk.as_ptr().wrapping_add(offset);
+                prefetch_lines(slot.cast::<u8>(), Self::PREFETCH_LINES);
+            }
         }
     }
 
     /// Mutable access to the entry at `handle`, if current.
     pub fn get_mut(&mut self, handle: ConnHandle) -> Option<&mut ConnEntry<V>> {
-        let slot = self.slots.get_mut(handle.index as usize)?;
+        let (chunk, offset) = locate(handle.index);
+        let slot = self.chunks.get_mut(chunk)?.get_mut(offset)?;
         if slot.gen != handle.gen {
             return None;
         }
@@ -246,21 +300,26 @@ impl<V> ConnArena<V> {
     /// any outstanding handle (e.g. a wheel token) becomes stale.
     /// Returns `(rss_hash, index_key, entry)`.
     pub fn remove(&mut self, handle: ConnHandle) -> Option<(u32, u64, ConnEntry<V>)> {
-        let slot = self.slots.get_mut(handle.index as usize)?;
+        let (chunk, offset) = locate(handle.index);
+        let slot = self.chunks.get_mut(chunk)?.get_mut(offset)?;
         if slot.gen != handle.gen {
             return None;
         }
         let entry = slot.entry.take()?;
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(handle.index);
+        let hash = std::mem::replace(&mut slot.hash, self.free_head);
+        self.free_head = handle.index;
         self.live -= 1;
-        Some((slot.hash, slot.index_key, entry))
+        Some((hash, slot.index_key, entry))
     }
 
     /// Iterates live entries in slot order — deterministic, unlike a
     /// randomly-seeded hash map.
     pub fn iter(&self) -> impl Iterator<Item = &ConnEntry<V>> {
-        self.slots.iter().filter_map(|slot| slot.entry.as_ref())
+        self.chunks
+            .iter()
+            .flatten()
+            .filter_map(|slot| slot.entry.as_ref())
     }
 
     /// Mutably visits every live entry in slot order; entries for which
@@ -274,7 +333,7 @@ impl<V> ConnArena<V> {
         mut f: impl FnMut(&mut ConnEntry<V>) -> bool,
         mut on_remove: impl FnMut(u32, u64, ConnEntry<V>),
     ) {
-        for (index, slot) in self.slots.iter_mut().enumerate() {
+        for (slot, index) in self.chunks.iter_mut().flatten().zip(0u32..) {
             let keep = match slot.entry.as_mut() {
                 Some(entry) => f(entry),
                 None => continue,
@@ -282,10 +341,10 @@ impl<V> ConnArena<V> {
             if !keep {
                 let entry = slot.entry.take().expect("checked occupied above");
                 slot.gen = slot.gen.wrapping_add(1);
-                self.free
-                    .push(u32::try_from(index).expect("arena exceeds u32 slots"));
+                let hash = std::mem::replace(&mut slot.hash, self.free_head);
+                self.free_head = index;
                 self.live -= 1;
-                on_remove(slot.hash, slot.index_key, entry);
+                on_remove(hash, slot.index_key, entry);
             }
         }
     }
@@ -428,8 +487,165 @@ mod tests {
         assert_eq!((arena.len(), arena.live_high_water()), (1, 1));
     }
 
+    #[test]
+    fn later_chunks_never_move_and_bound_the_footprint() {
+        let mut arena = ConnArena::new();
+        let mut handles = Vec::new();
+        for _ in 0..CHUNK + 10 {
+            handles.push(arena.insert(0, 0, entry(0)));
+        }
+        // The first entry of chunk 1, and its address.
+        let h = handles[CHUNK];
+        assert_eq!(h.index() as usize, CHUNK);
+        let before: *const ConnEntry<u32> = arena.get(h).unwrap();
+        for _ in 0..3 * CHUNK {
+            handles.push(arena.insert(0, 0, entry(0)));
+        }
+        let after: *const ConnEntry<u32> = arena.get(h).unwrap();
+        assert_eq!(before, after, "a chunk-1 entry moved as the arena grew");
+        let hw = arena.live_high_water();
+        assert_eq!(hw, 4 * CHUNK + 10);
+        let chunk_table = arena.chunks.capacity() * std::mem::size_of::<Vec<Slot<u32>>>();
+        assert!(
+            arena.allocated_bytes() <= (hw + CHUNK) * ConnArena::<u32>::SLOT_BYTES + chunk_table,
+            "{} B for a high water of {hw}",
+            arena.allocated_bytes()
+        );
+        // Freeing and refilling allocates nothing.
+        let bytes = arena.allocated_bytes();
+        for h in handles.drain(..) {
+            arena.remove(h).unwrap();
+        }
+        for _ in 0..hw {
+            arena.insert(0, 0, entry(0));
+        }
+        assert_eq!(arena.allocated_bytes(), bytes);
+        assert_eq!(arena.live_high_water(), hw);
+    }
+
+    #[test]
+    fn an_arena_that_never_inserts_allocates_nothing() {
+        let arena: ConnArena<u32> = ConnArena::new();
+        assert_eq!(arena.allocated_bytes(), 0);
+    }
+
+    /// The arena as a single relocating `Vec` of slots with a side free
+    /// list: the handles, slot order and high water the chunked arena
+    /// must reproduce.
+    #[derive(Default)]
+    struct Model {
+        slots: Vec<(u32, Option<u32>)>,
+        free: Vec<u32>,
+        live: usize,
+        live_high_water: usize,
+    }
+
+    impl Model {
+        fn insert(&mut self, value: u32) -> ConnHandle {
+            self.live += 1;
+            self.live_high_water = self.live_high_water.max(self.live);
+            if let Some(index) = self.free.pop() {
+                let slot = &mut self.slots[index as usize];
+                slot.1 = Some(value);
+                ConnHandle { index, gen: slot.0 }
+            } else {
+                self.slots.push((0, Some(value)));
+                ConnHandle {
+                    index: u32::try_from(self.slots.len() - 1).unwrap(),
+                    gen: 0,
+                }
+            }
+        }
+
+        fn remove(&mut self, h: ConnHandle) -> Option<u32> {
+            let slot = self.slots.get_mut(h.index as usize)?;
+            if slot.0 != h.gen {
+                return None;
+            }
+            let value = slot.1.take()?;
+            slot.0 = slot.0.wrapping_add(1);
+            self.free.push(h.index);
+            self.live -= 1;
+            Some(value)
+        }
+
+        fn retain(&mut self, keep: impl Fn(u32) -> bool) -> Vec<u32> {
+            let mut removed = Vec::new();
+            for (index, slot) in self.slots.iter_mut().enumerate() {
+                if slot.1.is_some_and(|v| !keep(v)) {
+                    removed.push(slot.1.take().unwrap());
+                    slot.0 = slot.0.wrapping_add(1);
+                    self.free.push(u32::try_from(index).unwrap());
+                    self.live -= 1;
+                }
+            }
+            removed
+        }
+
+        fn values(&self) -> Vec<u32> {
+            self.slots.iter().filter_map(|slot| slot.1).collect()
+        }
+    }
+
+    retina_support::proptest! {
+        #![proptest_config(retina_support::proptest::ProptestConfig::with_cases(24))]
+
+        /// Random bursts of inserts, removals (stale handles included)
+        /// and `retain_mut` passes over up to ~5 chunks: the chunked
+        /// arena issues the model's handles, visits the model's entries
+        /// in the model's order and reaches the model's high water.
+        #[test]
+        fn chunked_arena_matches_the_single_vec_model(
+            ops in retina_support::proptest::collection::vec(
+                (0u8..3, 0..2u32 << CHUNK_BITS, 1u32..64),
+                1..24,
+            )
+        ) {
+            let mut arena = ConnArena::new();
+            let mut model = Model::default();
+            let mut handles: Vec<ConnHandle> = Vec::new();
+            let mut next_value = 0u32;
+            for (op, count, step) in ops {
+                match op {
+                    0 => {
+                        for _ in 0..count {
+                            let e = ConnEntry { value: next_value, ..entry(0) };
+                            let h = arena.insert(next_value, u64::from(next_value), e);
+                            retina_support::prop_assert_eq!(h, model.insert(next_value));
+                            handles.push(h);
+                            next_value += 1;
+                        }
+                    }
+                    1 => {
+                        // Removes every `step`-th handle issued; ones already
+                        // removed are stale on both sides. A removed entry
+                        // brings back the hash and index key it went in with.
+                        let skip = (count % step) as usize;
+                        for h in handles.iter().skip(skip).step_by(step as usize) {
+                            let got = arena.remove(*h).map(|(hash, ikey, e)| {
+                                retina_support::prop_assert_eq!((hash, ikey), (e.value, u64::from(e.value)));
+                                e.value
+                            });
+                            retina_support::prop_assert_eq!(got, model.remove(*h));
+                        }
+                    }
+                    _ => {
+                        let keep = |v: u32| v % step != count % step;
+                        let mut removed = Vec::new();
+                        arena.retain_mut(|e| keep(e.value), |_, _, e| removed.push(e.value));
+                        retina_support::prop_assert_eq!(removed, model.retain(keep));
+                    }
+                }
+                retina_support::prop_assert_eq!(arena.len(), model.live);
+                retina_support::prop_assert_eq!(arena.live_high_water(), model.live_high_water);
+                let values: Vec<u32> = arena.iter().map(|e| e.value).collect();
+                retina_support::prop_assert_eq!(values, model.values());
+            }
+        }
+    }
+
     // Identity (68 B tuple), two stamps, the established flag,
-    // generation, hash and index key: 101 B of content. Growth here is a megabyte
-    // per 8 bytes at a 131,072-slot arena.
+    // generation, hash and index key: 101 B of content. Growth here is
+    // 0.85 MB per 8 bytes at scan's 106,496-slot arena.
     const _: () = assert!(ConnArena::<[u64; 50]>::SLOT_OVERHEAD <= 104);
 }

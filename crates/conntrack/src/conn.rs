@@ -5,6 +5,13 @@
 //! reassemblers. When the connection was first and last seen is the
 //! table entry's fact ([`crate::ConnEntry`]: `created_ns`,
 //! `last_seen_ns`), stored there once and not mirrored here.
+//!
+//! Every connection builds one, a bare SYN included, so its size is part
+//! of every arena slot: 136 bytes, asserted at build time. The six
+//! handshake and teardown flags sit together after the 8-byte fields, so
+//! no flag pads a [`DirStats`]; and an out-of-order arrival is counted
+//! once — held, in [`DirStats::ooo_packets`]; dropped at capacity, in
+//! the reassembler's `dropped`.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
@@ -23,8 +30,6 @@ pub struct DirStats {
     pub bytes: u64,
     /// Out-of-order arrivals.
     pub ooo_packets: u64,
-    /// FIN seen in this direction.
-    pub fin: bool,
 }
 
 /// TCP (or UDP) flow state for one tracked connection.
@@ -47,7 +52,15 @@ pub struct TcpFlow {
     pub established: bool,
     /// RST observed in either direction.
     pub rst: bool,
+    /// FIN observed from the originator.
+    ctos_fin: bool,
+    /// FIN observed from the responder.
+    stoc_fin: bool,
 }
+
+// A bare SYN builds one too: every 8 bytes here are 0.85 MB at scan's
+// 106,496-slot arena.
+const _: () = assert!(std::mem::size_of::<TcpFlow>() <= 136);
 
 /// What a packet did to the flow, from the reassembler's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +84,8 @@ impl TcpFlow {
             synack_seen: false,
             established: false,
             rst: false,
+            ctos_fin: false,
+            stoc_fin: false,
         }
     }
 
@@ -100,7 +115,7 @@ impl TcpFlow {
 
     /// True when TCP teardown completed (RST, or FINs both ways).
     pub fn terminated(&self) -> bool {
-        self.rst || (self.ctos.fin && self.stoc.fin)
+        self.rst || (self.ctos_fin && self.stoc_fin)
     }
 
     /// Accounts one packet into the flow; updates handshake state,
@@ -128,7 +143,7 @@ impl TcpFlow {
 
         let L4Header::Tcp { flags, seq, .. } = pkt.l4 else {
             // UDP/other: no sequencing; every datagram is "in order".
-            if stats.packets > 0 && self.ctos.packets > 0 && self.stoc.packets > 0 {
+            if self.ctos.packets > 0 && self.stoc.packets > 0 {
                 self.established = true;
             }
             return FlowUpdate {
@@ -177,8 +192,8 @@ impl TcpFlow {
         }
         if flags.fin() && reassembly != Reassembled::Duplicate {
             match dir {
-                Dir::OrigToResp => self.ctos.fin = true,
-                Dir::RespToOrig => self.stoc.fin = true,
+                Dir::OrigToResp => self.ctos_fin = true,
+                Dir::RespToOrig => self.stoc_fin = true,
             }
         }
         FlowUpdate {
@@ -385,6 +400,27 @@ mod tests {
         assert_eq!(u.reassembly, Reassembled::InOrder);
         assert_eq!(flow.ctos.bytes, 15);
         assert!(!flow.established);
+    }
+
+    #[test]
+    fn udp_flow_establishes_on_reply() {
+        use retina_wire::build::{build_udp, UdpSpec};
+        let datagram = |src: &str, dst: &str| {
+            ParsedPacket::parse(&build_udp(&UdpSpec {
+                src: src.parse().unwrap(),
+                dst: dst.parse().unwrap(),
+                ttl: 64,
+                payload: b"dns",
+            }))
+            .unwrap()
+        };
+        let mut flow = TcpFlow::new(500);
+        let query = datagram(CLIENT, SERVER);
+        flow.update(&query, &mb(), Dir::OrigToResp, true);
+        flow.update(&query, &mb(), Dir::OrigToResp, true);
+        assert!(!flow.established, "datagrams one way establish nothing");
+        flow.update(&datagram(SERVER, CLIENT), &mb(), Dir::RespToOrig, true);
+        assert!(flow.established, "a reply establishes the flow");
     }
 
     #[test]

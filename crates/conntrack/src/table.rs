@@ -45,11 +45,13 @@
 //!   verifies a hinted handle against the full key (generation, then
 //!   identity) before trusting it, and probes the index itself when the
 //!   hint fails.
-//! - **Arena entry storage.** Entries live in a dense, slot-reusing
+//! - **Arena entry storage.** Entries live in a slot-reusing
 //!   [`ConnArena`] addressed by compact generation-checked `u32`
-//!   handles; steady-state churn allocates nothing and the arena
-//!   footprint is the memory high-water mark the telemetry gauge
-//!   reports.
+//!   handles: fixed chunks of slots that never move, with the free list
+//!   threaded through the vacant slots. Steady-state churn allocates
+//!   nothing, past its first chunk the arena holds at most one chunk
+//!   more than its peak, and the footprint is the memory high-water mark
+//!   the telemetry gauge reports.
 //! - **Hierarchical timer wheel.** Expiration follows §5.2's two-level
 //!   scheme: a short *establishment* timeout expires unanswered SYNs
 //!   quickly (65% of connections!), and a longer *inactivity* timeout
@@ -120,6 +122,9 @@ pub struct ConnTable<V> {
     /// `shards[i]` maps index key → the connection that holds it, for
     /// RSS hashes mixing to `i`.
     shards: Vec<HashMap<u64, ConnHandle, FlowHashState>>,
+    /// Each shard's peak `capacity()`: what its allocation holds. The
+    /// live `capacity()` is not — it drops as removals leave tombstones.
+    shard_capacity: [usize; SHARDS],
     /// The correctness fallback for a full 64-bit collision: index key →
     /// the connections that found it already held by another one. Empty
     /// unless someone forges keys; every path checks that first.
@@ -161,6 +166,7 @@ impl<V> ConnTable<V> {
             shards: (0..SHARDS)
                 .map(|i| HashMap::with_hasher(FlowHashState::with_seed(splitmix64(i as u64))))
                 .collect(),
+            shard_capacity: [0; SHARDS],
             collided: HashMap::default(),
             arena: ConnArena::new(),
             wheel: TimerWheel::new(100_000_000, 256),
@@ -190,16 +196,12 @@ impl<V> ConnTable<V> {
     }
 
     /// Bytes held by the arena and the shard indexes (approximate for
-    /// the hash maps: capacity × entry footprint). Capacity never
-    /// shrinks — removal and [`ConnTable::drain_all`] keep it — so this
-    /// is also the memory high-water mark.
+    /// the hash maps: each shard's peak capacity × entry footprint).
+    /// Capacity never shrinks — removal and [`ConnTable::drain_all`]
+    /// keep it — so this is also the memory high-water mark.
     pub fn allocated_bytes(&self) -> usize {
         let entry_footprint = std::mem::size_of::<(u64, ConnHandle)>() + 1;
-        let index: usize = self
-            .shards
-            .iter()
-            .map(|s| s.capacity() * entry_footprint)
-            .sum();
+        let index: usize = self.shard_capacity.iter().sum::<usize>() * entry_footprint;
         self.arena.allocated_bytes() + index
     }
 
@@ -300,12 +302,15 @@ impl<V> ConnTable<V> {
                 value,
             },
         );
-        match self.shards[shard_of(hash)].entry(ikey) {
+        let shard = shard_of(hash);
+        match self.shards[shard].entry(ikey) {
             Entry::Vacant(v) => {
                 v.insert(handle);
             }
             Entry::Occupied(_) => self.collided.entry(ikey).or_default().push(handle),
         }
+        let capacity = &mut self.shard_capacity[shard];
+        *capacity = (*capacity).max(self.shards[shard].capacity());
         if let Some(deadline) = initial_deadline(&self.config, now_ns) {
             self.wheel.schedule(handle.to_token(), deadline);
         }

@@ -81,12 +81,12 @@ struct Conn {
     trace_id: u64,
 }
 
-// Size budget, checked at build time: every 8 bytes of `Conn` are a
-// megabyte at scan's 131,072-slot arena, and a built-in tracked type's
+// Size budget, checked at build time: every 8 bytes of `Conn` are
+// 0.85 MB at scan's 106,496-slot arena, and a built-in tracked type's
 // size is what a slab slot costs per engaged connection.
 const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
-const _: () = assert!(std::mem::size_of::<Conn>() <= 360);
-const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 464);
+const _: () = assert!(std::mem::size_of::<Conn>() <= 296);
+const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 400);
 const _: () = {
     use crate::subscribables::{
         ConnBytesTracker, ConnRecordTracker, SessionLevelTracker, TlsHandshakeData,

@@ -186,6 +186,15 @@
 # whole word), and has exactly one `.adopt(` call site and one
 # `rows.install(` call site (the one in `stage_epoch`).
 #
+# Connection state costs what its live connections use. The arena
+# (crates/conntrack/src/arena.rs) keeps its slots in fixed chunks that
+# never move, and its free list in the vacant slots' `hash` words. It
+# once kept one `Vec` of slots, doubled past the peak (a quarter of
+# scan's 131 072 slots held nothing, and the doubling copied 29 MB
+# mid-run), beside a `Vec<u32>` free list of its own. So non-test
+# arena.rs has no `free: Vec<u32>` field and no single relocating
+# `slots: Vec<Slot<` store.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -459,6 +468,14 @@ for rule in '\.adopt\(|1 adoption (RxCore::turn)' \
     fi
 done
 
+hits=$(code_lines crates/conntrack/src/arena.rs |
+    grep -E 'free:[[:space:]]*Vec<u32>|slots:[[:space:]]*Vec<Slot<' || true)
+if [ -n "$hits" ]; then
+    echo "a relocating slot Vec or a side free list in the arena (chunks never move; the free list lives in vacant slots):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -476,4 +493,5 @@ echo "  a session-filter regex runs as an automaton: rematch.rs copies no text i
 echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file;"
 echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample(;"
 echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site;"
-echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site"
+echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site;"
+echo "  the connection arena is chunked, with its free list in its vacant slots"

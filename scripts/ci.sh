@@ -56,7 +56,11 @@
 #                 crates/core/src, and one `spsc::ring` call site there;
 #                 and the swap protocol and the RX core are written once:
 #                 no `StepSwap`, one `.adopt(` and one `rows.install(`
-#                 call site in non-test crates/core/src
+#                 call site in non-test crates/core/src; and connection
+#                 state costs what its live connections use: no side
+#                 `free: Vec<u32>` and no single relocating
+#                 `slots: Vec<Slot<` in non-test
+#                 crates/conntrack/src/arena.rs
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
@@ -68,7 +72,9 @@
 #                 session-filter regex evaluation, and
 #                 bytes per ConnBytes segment, under its own per-thread
 #                 counting global allocator — an allocation regression,
-#                 or a payload copy, fails here — and
+#                 or a payload copy, fails here — and the footprint of
+#                 20 000 bare SYNs (at most the peak plus one 8 192-slot
+#                 arena chunk of 400-byte slots, plus the index), and
 #                 crates/core/tests/burst_invariance.rs, which holds every
 #                 digest, delivery and span tree identical across burst
 #                 sizes 1..=32)

@@ -41,6 +41,11 @@
 //! The eighth counts bytes: a `ConnBytes` stream costs one frame view
 //! per segment, the same for 100-byte and for 1460-byte payloads — a
 //! copy anywhere on the path makes the figure scale with the payload.
+//!
+//! The ninth holds what the table of bare SYNs keeps, not what it
+//! allocates per connection: a 400-byte arena slot per peak connection,
+//! plus at most one 8,192-slot chunk of slack and the index — not a
+//! doubled `Vec` of slots beside a free list.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -195,6 +200,29 @@ fn a_bare_syn_allocates_nothing() {
     assert!(
         per_conn <= 0.01,
         "{per_conn:.4} allocations per single-SYN connection"
+    );
+}
+
+#[test]
+fn a_bare_syn_table_holds_its_peak_and_one_chunk() {
+    let packets: Vec<_> = syns(0, 0).collect();
+    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("conns", "tcp", |record: ConnRecord| {
+            assert!(record.single_syn);
+        })
+        .build()
+        .expect("runtime builds");
+    let report = runtime.run_stepped(&packets, &StepConfig::seeded(7));
+    report.check_accounting().unwrap();
+    let peak = usize::try_from(report.cores.conns_peak).unwrap();
+    assert_eq!(peak, N as usize);
+    // Slots for the peak and one 8,192-slot chunk of slack, at 400
+    // bytes; index entries of 17 bytes at hashbrown's 7/8 load.
+    let bound = (peak + 8_192) * 400 + peak * 17 * 8 / 7;
+    assert!(
+        report.conn_arena_bytes <= bound,
+        "{} B of connection state at a peak of {peak} (bound {bound} B)",
+        report.conn_arena_bytes
     );
 }
 
