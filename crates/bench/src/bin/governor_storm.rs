@@ -8,7 +8,8 @@
 //!
 //! 1. **ungoverned** — static sink fraction 0; the overload lands as
 //!    ring-overflow packet loss;
-//! 2. **governed** — the [`retina_core::Governor`] watches ring
+//! 2. **governed** — the run's governor
+//!    ([`retina_core::Runtime::set_governor`]) watches ring
 //!    occupancy and loss, sheds session parsing, then raises the RETA
 //!    sink fraction stepwise; when the storm passes it restores full
 //!    fidelity in reverse order.
@@ -26,7 +27,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use std::process::exit;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use retina_bench::bench_args;
 use retina_chaos::{Fault, FaultPlan};
@@ -140,18 +141,9 @@ fn main() {
     let mut runtime = Runtime::<ConnRecord, _>::new(config(cores), compile("tls").unwrap(), |_| {})
         .expect("runtime");
     retina_chaos::install(runtime.nic(), &plan);
-    let governor = runtime.start_governor(gov_cfg.clone());
+    runtime.set_governor(gov_cfg.clone());
     let governed = runtime.run(DribbleSource(packets));
-    // The run is over (rings empty): give the governor time to walk
-    // back to full fidelity, then collect its report.
-    let shed = runtime.shed_state();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while (runtime.nic().sink_fraction() > gov_cfg.floor + 1e-9 || shed.parsing_shed())
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let report = governor.stop();
+    let report = governed.governor.as_ref().expect("a governed run");
     runtime.nic().clear_fault_hooks();
 
     let governed_lost = governed.nic.lost();

@@ -30,9 +30,6 @@ pub struct RuntimeConfig {
     /// Collect per-stage cycle accounting (Figure 7). Adds a few rdtsc
     /// reads per packet, so it is off by default.
     pub profile_stages: bool,
-    /// Worker threads in the shared callback pool (subscriptions with
-    /// [`crate::DispatchMode::Shared`]; default 1).
-    pub shared_workers: usize,
     /// Application-layer parser modules available to the probe stage
     /// (§3.3 extensibility: register custom protocols here).
     pub parsers: ParserRegistry,
@@ -56,7 +53,6 @@ impl Default for RuntimeConfig {
             hw_filtering: true,
             paced_ingest: true,
             profile_stages: false,
-            shared_workers: 1,
             parsers: ParserRegistry::default(),
             filter_registry: retina_filter::ProtocolRegistry::default(),
         }

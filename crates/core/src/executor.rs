@@ -7,8 +7,9 @@
 //! implements that future work: per-subscription dispatch over bounded
 //! SPSC rings (one ring per (RX core, subscription) pair, so no ring
 //! ever has two producers) to either a **dedicated** worker — one
-//! thread owning one expensive subscription — or a **shared** worker
-//! pool draining every shared subscription's rings round-robin.
+//! thread owning one expensive subscription — or the **shared** worker,
+//! one pool thread draining every shared subscription's rings
+//! round-robin.
 //!
 //! Nothing crosses the fabric boxed. A datum waits in its subscription's
 //! output lane ([`crate::erased::TrackedSlab`]) until the pipeline's
@@ -744,9 +745,9 @@ pub(crate) fn build_sinks<'a>(
 /// returns the [`Dispatcher`] owning them.
 ///
 /// Dedicated subscriptions drain on their own thread; shared
-/// subscriptions' rings are spread round-robin over `shared_workers`
-/// threads. Dropping the epoch's sinks disconnects the rings, which is
-/// how workers learn the epoch is over.
+/// subscriptions' rings all drain on one pool thread. Dropping the
+/// epoch's sinks disconnects the rings, which is how workers learn the
+/// epoch is over.
 ///
 /// # Panics
 /// Panics if `modes` does not line up with `subs`, or a worker thread
@@ -755,7 +756,6 @@ pub(crate) fn channel_dispatcher(
     subs: &[Arc<dyn ErasedSubscription>],
     modes: &[DispatchMode],
     queued: Vec<(usize, Vec<Box<dyn WorkerRing>>)>,
-    shared_workers: usize,
     delay: &CallbackDelayFn,
     tracer: Option<&Arc<Tracer>>,
 ) -> Dispatcher {
@@ -786,21 +786,8 @@ pub(crate) fn channel_dispatcher(
         }
     }
     if !shared.is_empty() {
-        let workers = shared_workers.max(1).min(shared.len());
-        let mut assignments: Vec<Vec<Box<dyn WorkerRing>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (n, ring) in shared.into_iter().enumerate() {
-            assignments[n % workers].push(ring);
-        }
-        for (w, rings) in assignments.into_iter().enumerate() {
-            let name = format!("retina-cb-pool-{w}");
-            handles.push(spawn_worker(
-                name,
-                rings,
-                delay,
-                worker_trace(handles.len()),
-            ));
-        }
+        let (name, trace) = ("retina-cb-pool".to_string(), worker_trace(handles.len()));
+        handles.push(spawn_worker(name, shared, delay, trace));
     }
     Dispatcher { handles }
 }
@@ -907,7 +894,6 @@ mod tests {
         subs: &[Arc<dyn ErasedSubscription>],
         modes: &[DispatchMode],
         cores: usize,
-        shared_workers: usize,
         delay: &CallbackDelayFn,
     ) -> (Vec<CoreSinks>, Dispatcher, Vec<DispatchRow>) {
         let stats: Vec<DispatchRow> = DispatchRow::block(subs.len()).collect();
@@ -918,7 +904,7 @@ mod tests {
             .map(|core| CoreSinks::new(subs.len(), core, None, false))
             .collect();
         let queued = build_sinks(subs, modes, &stats, &mut sinks);
-        let dispatcher = channel_dispatcher(subs, modes, queued, shared_workers, delay, None);
+        let dispatcher = channel_dispatcher(subs, modes, queued, delay, None);
         (sinks, dispatcher, stats)
     }
 
@@ -938,7 +924,7 @@ mod tests {
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
         let (mut sinks, dispatcher, stats) =
-            fabric(&subs, &[DispatchMode::dedicated(4)], 2, 1, &no_delay());
+            fabric(&subs, &[DispatchMode::dedicated(4)], 2, &no_delay());
         assert_eq!(dispatcher.handles.len(), 1);
         for core_sinks in &mut sinks {
             let mut slab = outputs(&sub, 50);
@@ -959,8 +945,8 @@ mod tests {
         let b = counted_sub(&count);
         let subs = vec![Arc::clone(&a), Arc::clone(&b)];
         let modes = [DispatchMode::shared(4), DispatchMode::shared(4)];
-        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 2, &no_delay());
-        assert_eq!(dispatcher.handles.len(), 2);
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, &no_delay());
+        assert_eq!(dispatcher.handles.len(), 1);
         let (mut slab_a, mut slab_b) = (outputs(&a, 30), outputs(&b, 30));
         for _ in 0..30 {
             sinks[0].deliver(0, &mut *slab_a);
@@ -983,7 +969,7 @@ mod tests {
         let delay: CallbackDelayFn =
             Arc::new(|_, seq| (seq == 0).then(|| Duration::from_millis(50)));
         let modes = [DispatchMode::dedicated(2).shedding()];
-        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, 1, &delay);
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, &delay);
         let mut slab = outputs(&sub, 40);
         for _ in 0..40 {
             sinks[0].deliver(0, &mut *slab);
@@ -1001,8 +987,7 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
-        let (mut sinks, dispatcher, stats) =
-            fabric(&subs, &[DispatchMode::Inline], 1, 1, &no_delay());
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &[DispatchMode::Inline], 1, &no_delay());
         assert_eq!(dispatcher.handles.len(), 0);
         sinks[0].deliver(0, &mut *outputs(&sub, 1));
         assert_eq!(count.load(Ordering::Relaxed), 1);

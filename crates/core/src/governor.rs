@@ -2,11 +2,12 @@
 //!
 //! The paper's §6.1 rate control — remapping RETA buckets to a sink
 //! core — is chosen *offline* by the zero-loss search in the bench
-//! harness. This module closes the loop at run time: a [`Governor`] is a
-//! stage of a [`crate::Monitor`]'s tick. Each interval the monitor
-//! builds [`PressureSignals`] from the readings it already takes
-//! (mempool occupancy, per-queue ring depth, drop deltas, dispatch
-//! queue occupancy) and the governor reacts:
+//! harness. This module closes the loop at run time: the governor that
+//! [`crate::MultiRuntime::set_governor`] configures is a stage of a
+//! monitor tick on the run's own thread. Each interval the tick builds
+//! [`PressureSignals`] from the readings it already takes (mempool
+//! occupancy, per-queue ring depth, drop deltas, dispatch queue
+//! occupancy) and the governor reacts:
 //!
 //! ```text
 //!            pressure                    pressure
@@ -34,10 +35,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use retina_nic::VirtualNic;
-use retina_telemetry::TriggerReason;
+use retina_telemetry::{Tracer, TriggerReason};
 
-use crate::monitor::Monitor;
-use crate::runtime::{fire_trigger, TraceHandle};
+use crate::runtime::fire_trigger;
 
 /// One governor decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,7 +265,8 @@ impl Default for GovernorConfig {
     }
 }
 
-/// Result of a finished governor session.
+/// Result of a finished governor session: a governed run's
+/// [`crate::RunReport::governor`].
 #[derive(Debug, Clone)]
 pub struct GovernorReport {
     /// The full decision stream, in order.
@@ -509,39 +510,50 @@ impl GovernorBrain {
 pub(crate) struct GovernorStage {
     pub(crate) brain: GovernorBrain,
     shed: Arc<ShedState>,
-    trace: TraceHandle,
 }
 
 impl GovernorStage {
     /// Takes over `nic`'s RETA and `shed` at full fidelity: the sink
     /// fraction is reset to the configured floor and parsing resumes.
-    pub(crate) fn new(
-        config: GovernorConfig,
-        nic: &VirtualNic,
-        shed: Arc<ShedState>,
-        trace: TraceHandle,
-    ) -> Self {
+    pub(crate) fn new(config: GovernorConfig, nic: &VirtualNic, shed: Arc<ShedState>) -> Self {
         nic.set_sink_fraction(config.floor);
         shed.set_parsing_shed(false);
         GovernorStage {
             brain: GovernorBrain::new(config),
             shed,
-            trace,
         }
+    }
+
+    /// Intervals a calm walk back to full fidelity takes from here at
+    /// most: `cooldown` calm intervals before each sink lower and before
+    /// the parsing restore.
+    pub(crate) fn walk_back(&self) -> u32 {
+        let (b, c) = (&self.brain, &self.brain.config);
+        let (mut sink, mut steps) = (b.sink, u32::from(b.parsing_shed));
+        while sink > c.floor + 1e-9 {
+            sink = (sink - c.step).max(c.floor);
+            steps += 1;
+        }
+        steps * c.cooldown.max(1)
     }
 
     /// Decides on one interval's signals and applies the decision to
     /// `nic`'s RETA and the runtime's [`ShedState`]. A parsing shed
-    /// freezes the flight recorder with a
+    /// freezes `tracer`'s flight recorder with a
     /// [`TriggerReason::GovernorShed`] trigger, so the events leading up
     /// to the overload survive into the run's [`crate::RunReport`].
-    pub(crate) fn step(&mut self, signals: PressureSignals, nic: &VirtualNic) {
+    pub(crate) fn step(
+        &mut self,
+        signals: PressureSignals,
+        nic: &VirtualNic,
+        tracer: Option<&Tracer>,
+    ) {
         let event = self.brain.decide(signals);
         match event.action {
             GovernorAction::ShedParsing | GovernorAction::RestoreParsing => {
                 self.shed.set_parsing_shed(event.parsing_shed);
                 if event.action == GovernorAction::ShedParsing {
-                    fire_trigger(&self.trace, TriggerReason::GovernorShed, event.interval);
+                    fire_trigger(tracer, TriggerReason::GovernorShed, event.interval);
                 }
             }
             GovernorAction::SinkRaise | GovernorAction::SinkLower => {
@@ -549,21 +561,6 @@ impl GovernorStage {
             }
             GovernorAction::Hold => {}
         }
-    }
-}
-
-/// A live governor: a sink-less [`Monitor`] whose tick drives a
-/// [`GovernorBrain`] against a running [`crate::Runtime`]'s NIC and
-/// shedding flags. Started by
-/// [`MultiRuntime::start_governor`](crate::MultiRuntime::start_governor).
-pub struct Governor {
-    pub(crate) monitor: Monitor,
-}
-
-impl Governor {
-    /// Stops the governor and returns its report.
-    pub fn stop(self) -> GovernorReport {
-        self.monitor.stop_governor()
     }
 }
 

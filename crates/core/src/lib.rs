@@ -79,16 +79,15 @@ pub use erased::{
 };
 pub use executor::{DispatchMode, QueuePolicy};
 pub use governor::{
-    check_governor_accounting, Governor, GovernorAction, GovernorBrain, GovernorConfig,
-    GovernorEvent, GovernorReport, PressureSignals, ShedState,
+    check_governor_accounting, GovernorAction, GovernorBrain, GovernorConfig, GovernorEvent,
+    GovernorReport, PressureSignals, ShedState,
 };
-pub use monitor::Monitor;
 pub use offline::run_offline;
 pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
 pub use report::{RunReport, SubReport};
 pub use runtime::{
-    MultiRuntime, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, TraceHandle, TrafficSource,
+    MultiRuntime, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, TrafficSource,
 };
 pub use stats::CoreStats;
 pub use step::{StepConfig, WorkerStall};

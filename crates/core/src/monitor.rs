@@ -3,61 +3,76 @@
 //! "Retina does provide logs and real-time monitoring of packet loss,
 //! throughput, and memory usage that can be used as feedback to adjust
 //! the filter or improve callback efficiency." This module implements
-//! that feedback loop: [`Monitor`] samples the NIC counters and runtime
-//! gauges on an interval and hands each [`Sample`] to any set of
-//! [`MetricSink`] exporters (log lines, CSV, JSON, Prometheus text). The
-//! same tick acts on the readings: with a governor attached it turns
-//! them into [`PressureSignals`] and applies the governor's decision (a
-//! [`crate::Governor`] is a sink-less monitor carrying one).
+//! that feedback loop as part of a threaded run. A sampler reads the
+//! NIC counters and runtime gauges and hands each [`Sample`] to any set
+//! of [`MetricSink`] exporters (log lines, CSV, JSON, Prometheus text).
+//! The same tick acts on the readings: with a governor attached it turns
+//! them into [`PressureSignals`] and applies the governor's decision.
+//! [`crate::MultiRuntime::run`] builds the samplers that
+//! [`crate::MultiRuntime::set_monitor`] and
+//! [`crate::MultiRuntime::set_governor`] configure and ticks them on its
+//! own thread; the run's [`RunReport`] carries what they recorded.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use retina_nic::{PortStatsSnapshot, VirtualNic};
-use retina_telemetry::{MetricSink, Sample, TelemetrySnapshot, TriggerReason};
+use retina_telemetry::{MetricSink, Sample, Tracer, TriggerReason};
 
-use crate::governor::{GovernorReport, GovernorStage, PressureSignals};
-use crate::runtime::{fire_trigger, RuntimeGauges, TraceHandle};
+use crate::governor::{GovernorStage, PressureSignals};
+use crate::report::RunReport;
+use crate::runtime::{fire_trigger, RuntimeGauges};
 
-/// The sampling state proper: counters-to-deltas bookkeeping, the
+/// One observer of a threaded run: counters-to-deltas bookkeeping, the
 /// governor stage, and the per-sample fan-out to the exporter sinks.
-/// Shared (behind a mutex) between the interval thread and
-/// [`Monitor::sample_now`], so tests can force a sample synchronously
-/// instead of racing a wall-clock interval.
-struct Sampler {
+pub(crate) struct Sampler {
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
+    interval: Duration,
     start: Instant,
     prev: PortStatsSnapshot,
     prev_t: Instant,
     sinks: Vec<Box<dyn MetricSink>>,
     samples: Vec<Sample>,
-    trace: Option<TraceHandle>,
+    tracer: Option<Arc<Tracer>>,
     governor: Option<GovernorStage>,
 }
 
 impl Sampler {
-    fn new(
+    /// A sampler ticking every `interval`, first due one interval from
+    /// now. An interval losing more frames than `tracer`'s
+    /// `drop_burst_threshold` freezes its flight recorder.
+    pub(crate) fn new(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
+        interval: Duration,
         sinks: Vec<Box<dyn MetricSink>>,
+        governor: Option<GovernorStage>,
+        tracer: Option<Arc<Tracer>>,
     ) -> Self {
         let start = Instant::now();
         Sampler {
             prev: nic.stats(),
             nic,
             gauges,
+            interval,
             start,
             prev_t: start,
             sinks,
             samples: Vec::new(),
-            trace: None,
-            governor: None,
+            tracer,
+            governor,
         }
     }
 
-    fn tick(&mut self) -> Sample {
+    /// When the next tick is due.
+    fn due(&self) -> Instant {
+        self.prev_t + self.interval
+    }
+
+    /// Takes one sample, acts on it and hands it to every sink.
+    pub(crate) fn tick(&mut self) -> Sample {
         let now = Instant::now();
         let stats = self.nic.stats();
         let dt = now.duration_since(self.prev_t);
@@ -82,29 +97,26 @@ impl Sampler {
         };
         // Drop-rate burst trigger: a single interval losing more frames
         // than the tracer's threshold freezes the flight recorder.
-        if let Some(handle) = &self.trace {
-            fire_trigger(handle, TriggerReason::DropBurst, sample.lost);
-        }
+        let tracer = self.tracer.as_deref();
+        fire_trigger(tracer, TriggerReason::DropBurst, sample.lost);
         if let Some(governor) = self.governor.as_mut() {
             let capacity = self.nic.mempool().capacity();
-            governor.step(
-                PressureSignals {
-                    mempool_occupancy: if capacity == 0 {
-                        0.0
-                    } else {
-                        sample.mbufs_in_use as f64 / capacity as f64
-                    },
-                    ring_occupancy: self.nic.max_ring_occupancy(),
-                    lost_delta: sample.lost,
-                    dispatch_occupancy: self.gauges.hub.max_occupancy(),
+            let signals = PressureSignals {
+                mempool_occupancy: if capacity == 0 {
+                    0.0
+                } else {
+                    sample.mbufs_in_use as f64 / capacity as f64
                 },
-                &self.nic,
-            );
+                ring_occupancy: self.nic.max_ring_occupancy(),
+                lost_delta: sample.lost,
+                dispatch_occupancy: self.gauges.hub.max_occupancy(),
+            };
+            governor.step(signals, &self.nic, tracer);
         }
         for sink in &mut self.sinks {
             sink.on_sample(&sample);
         }
-        // A governor's monitor keeps no samples: its record is the
+        // A governor's sampler keeps no samples: its record is the
         // decision stream, which carries each interval's signals.
         if self.governor.is_none() {
             self.samples.push(sample);
@@ -114,137 +126,54 @@ impl Sampler {
         sample
     }
 
-    fn finish(&mut self, snapshot: Option<&TelemetrySnapshot>) {
-        if let Some(snapshot) = snapshot {
+    /// Hands the finished run's snapshot to every sink and closes them,
+    /// then files what the sampler recorded in `report`.
+    pub(crate) fn close(mut self, report: &mut RunReport) {
+        if !self.sinks.is_empty() {
+            let snapshot = report.telemetry();
             for sink in &mut self.sinks {
-                sink.on_snapshot(snapshot);
+                sink.on_snapshot(&snapshot);
+                sink.close();
             }
         }
-        for sink in &mut self.sinks {
-            sink.close();
+        match self.governor {
+            Some(stage) => report.governor = Some(stage.brain.into_report()),
+            None => report.samples = self.samples,
         }
     }
 }
 
-/// A periodic sampler over a running [`crate::Runtime`]'s NIC and gauges.
-pub struct Monitor {
-    stop: Arc<AtomicBool>,
-    final_snapshot: Arc<Mutex<Option<TelemetrySnapshot>>>,
-    sampler: Arc<Mutex<Sampler>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Monitor {
-    /// Starts sampling every `interval`, driving a set of exporters:
-    /// each sample goes to every sink's `on_sample`; at stop time the
-    /// final snapshot (if provided via [`Monitor::stop_with_snapshot`])
-    /// goes to `on_snapshot`, and every sink is closed.
-    pub fn start_with_sinks(
-        nic: Arc<VirtualNic>,
-        gauges: Arc<RuntimeGauges>,
-        interval: Duration,
-        sinks: Vec<Box<dyn MetricSink>>,
-    ) -> Self {
-        Self::spawn(Sampler::new(nic, gauges, sinks), interval)
+/// The observer loop of a threaded run, on the run's own thread: each
+/// sampler ticks when it is due, and the loop waits in between until
+/// `alive` disconnects (every ingest and core thread has dropped its
+/// sender on exit). Then every sampler takes one closing tick, and a
+/// governor that still stands shed keeps ticking, for at most as many
+/// intervals as a calm walk back takes: a governed run hands the NIC's
+/// RETA and the shed flag back at full fidelity, since no governor owns
+/// them after it.
+pub(crate) fn observe(samplers: &mut [Sampler], alive: &Receiver<()>) {
+    let wait = |samplers: &[Sampler]| {
+        let due = samplers.iter().map(Sampler::due).min();
+        due.map_or(Duration::MAX, |due| {
+            due.saturating_duration_since(Instant::now())
+        })
+    };
+    while alive.recv_timeout(wait(samplers)) == Err(RecvTimeoutError::Timeout) {
+        let now = Instant::now();
+        for sampler in samplers.iter_mut().filter(|s| s.due() <= now) {
+            sampler.tick();
+        }
     }
-
-    /// A sink-less monitor whose tick drives `governor`.
-    pub(crate) fn governed(
-        nic: Arc<VirtualNic>,
-        gauges: Arc<RuntimeGauges>,
-        governor: GovernorStage,
-        interval: Duration,
-    ) -> Self {
-        let mut sampler = Sampler::new(nic, gauges, Vec::new());
-        sampler.governor = Some(governor);
-        Self::spawn(sampler, interval)
-    }
-
-    /// The interval loop: sleep, then tick, until stopped; then hand the
-    /// final snapshot (if any) to the sinks and close them.
-    fn spawn(sampler: Sampler, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let final_snapshot: Arc<Mutex<Option<TelemetrySnapshot>>> = Arc::new(Mutex::new(None));
-        let final2 = Arc::clone(&final_snapshot);
-        let sampler = Arc::new(Mutex::new(sampler));
-        let sampler2 = Arc::clone(&sampler);
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Acquire) {
-                std::thread::sleep(interval);
-                sampler2.lock().unwrap().tick();
+    for sampler in samplers {
+        sampler.tick();
+        let walk_back = |s: &Sampler| s.governor.as_ref().map_or(0, GovernorStage::walk_back);
+        for _ in 0..walk_back(sampler) {
+            if walk_back(sampler) == 0 {
+                break;
             }
-            let snapshot = final2.lock().unwrap().take();
-            sampler2.lock().unwrap().finish(snapshot.as_ref());
-        });
-        Monitor {
-            stop,
-            final_snapshot,
-            sampler,
-            handle: Some(handle),
+            std::thread::sleep(sampler.due().saturating_duration_since(Instant::now()));
+            sampler.tick();
         }
-    }
-
-    /// Adds a runtime's trace handle as an anomaly source: whenever an
-    /// interval loses more frames than the installed tracer's
-    /// `drop_burst_threshold`, the monitor freezes the flight recorder
-    /// with a [`TriggerReason::DropBurst`] trigger.
-    pub fn watch_trace(&self, handle: TraceHandle) {
-        self.sampler.lock().unwrap().trace = Some(handle);
-    }
-
-    /// Takes one sample immediately on the calling thread, feeding every
-    /// sink exactly as an interval tick would. This
-    /// is the deterministic alternative to waiting out a wall-clock
-    /// interval: a test runs the workload, calls `sample_now`, and
-    /// asserts on the returned sample without any timing dependence.
-    pub fn sample_now(&self) -> Sample {
-        self.sampler.lock().unwrap().tick()
-    }
-
-    /// Stops the sampling thread (after its current tick, if any).
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Stops the monitor and returns every collected sample.
-    pub fn stop(mut self) -> Vec<Sample> {
-        self.halt();
-        std::mem::take(&mut self.sampler.lock().unwrap().samples)
-    }
-
-    /// Stops a [`Monitor::governed`] monitor and returns its governor's
-    /// report.
-    pub(crate) fn stop_governor(mut self) -> GovernorReport {
-        self.halt();
-        let governor = self
-            .sampler
-            .lock()
-            .expect("a monitor tick panicked")
-            .governor
-            .take();
-        governor
-            .expect("a governed monitor carries its governor")
-            .brain
-            .into_report()
-    }
-
-    /// Stops the monitor, delivering `snapshot` to every sink's
-    /// `on_snapshot` before they are closed. Returns the collected
-    /// samples. (Use with [`Monitor::start_with_sinks`], passing
-    /// `report.telemetry()` from the finished run.)
-    pub fn stop_with_snapshot(self, snapshot: TelemetrySnapshot) -> Vec<Sample> {
-        *self.final_snapshot.lock().unwrap() = Some(snapshot);
-        self.stop()
-    }
-}
-
-impl Drop for Monitor {
-    fn drop(&mut self) {
-        self.halt();
     }
 }
 
@@ -283,6 +212,16 @@ mod tests {
         Arc::new(VirtualNic::new(&retina_nic::DeviceConfig::default()))
     }
 
+    /// A sink-less, untraced sampler over `nic` and `gauges`.
+    fn sampler(
+        nic: Arc<VirtualNic>,
+        gauges: Arc<RuntimeGauges>,
+        governor: Option<GovernorStage>,
+    ) -> Sampler {
+        let interval = Duration::from_millis(5);
+        Sampler::new(nic, gauges, interval, Vec::new(), governor, None)
+    }
+
     #[test]
     fn sample_conversion_preserves_fields() {
         // A tick copies every gauge into its sample, field for field.
@@ -294,7 +233,7 @@ mod tests {
         gauges.worker_update(0, &stats, 1234, 64 * 1024, 8192, 17);
         gauges.note_config_epoch(3);
         gauges.note_swap_pickup_lag(42);
-        let s = Sampler::new(idle_nic(), gauges, Vec::new()).tick();
+        let s = sampler(idle_nic(), gauges, None).tick();
         assert_eq!(s.parse_failures, 3);
         assert_eq!(s.connections, 1234);
         assert_eq!(s.state_bytes, 64 * 1024);
@@ -315,9 +254,7 @@ mod tests {
         for _ in 0..3 {
             row.note_enqueued();
         }
-        let monitor =
-            Monitor::start_with_sinks(idle_nic(), gauges, Duration::from_millis(5), Vec::new());
-        assert_eq!(monitor.sample_now().dispatch_depth, 3);
+        assert_eq!(sampler(idle_nic(), gauges, None).tick().dispatch_depth, 3);
     }
 
     #[test]
@@ -338,15 +275,9 @@ mod tests {
             cooldown: 2,
             ..GovernorConfig::default()
         };
-        let stage = GovernorStage::new(
-            config,
-            &nic,
-            Arc::clone(&shed),
-            Arc::new(std::sync::RwLock::new(None)),
-        );
+        let stage = GovernorStage::new(config, &nic, Arc::clone(&shed));
         let gauges = RuntimeGauges::new(1, Arc::new(DispatchHub::default()));
-        let mut sampler = Sampler::new(Arc::clone(&nic), Arc::new(gauges), Vec::new());
-        sampler.governor = Some(stage);
+        let mut sampler = sampler(Arc::clone(&nic), Arc::new(gauges), Some(stage));
 
         // Ten frames into an eight-buffer pool: the ring holds eight
         // (occupancy 1.0 >= mempool_high) and two are lost.
@@ -399,5 +330,44 @@ mod tests {
         assert_eq!(report.events[0].signals, pressured);
         assert_eq!(report.events[1].signals, PressureSignals::default());
         report.check_accounting().unwrap();
+    }
+
+    #[test]
+    fn closing_ticks_walk_a_shed_governor_back() {
+        use crate::governor::{GovernorAction, GovernorConfig, ShedState};
+
+        let nic = idle_nic();
+        let shed = Arc::new(ShedState::new());
+        let config = GovernorConfig {
+            interval: Duration::from_millis(1),
+            step: 0.5,
+            cooldown: 2,
+            ..GovernorConfig::default()
+        };
+        let mut stage = GovernorStage::new(config, &nic, Arc::clone(&shed));
+        let pressure = PressureSignals {
+            lost_delta: 1,
+            ..PressureSignals::default()
+        };
+        stage.step(pressure, &nic, None);
+        stage.step(pressure, &nic, None);
+        assert!(shed.parsing_shed());
+        assert_eq!(nic.sink_fraction(), 0.5);
+        // One sink lower and the parsing restore, two calm intervals each.
+        assert_eq!(stage.walk_back(), 4);
+        let gauges = Arc::new(RuntimeGauges::new(1, Arc::new(DispatchHub::default())));
+        let mut samplers = [sampler(Arc::clone(&nic), gauges, Some(stage))];
+        // Every sender is gone: the run's cores have exited.
+        let (_, alive) = std::sync::mpsc::channel();
+        observe(&mut samplers, &alive);
+        assert!(!shed.parsing_shed());
+        assert_eq!(nic.sink_fraction(), 0.0);
+        let [sampler] = samplers;
+        let report = sampler.governor.unwrap().brain.into_report();
+        let actions: Vec<_> = report.events.iter().map(|e| e.action).collect();
+        let walk = [GovernorAction::Hold, GovernorAction::SinkLower];
+        let restore = [GovernorAction::Hold, GovernorAction::RestoreParsing];
+        assert_eq!(actions[2..], [walk, restore].concat());
+        assert!(report.recovered());
     }
 }

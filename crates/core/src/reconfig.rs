@@ -68,7 +68,7 @@ use crate::executor::{
     build_sinks, channel_dispatcher, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
 };
 use crate::report::Rows;
-use crate::runtime::{compile_union, fire_trigger, MultiRuntime, RuntimeGauges, TraceHandle};
+use crate::runtime::{compile_union, fire_trigger, MultiRuntime, RuntimeGauges};
 use crate::step::VirtualWorker;
 use crate::subscription::Subscribable;
 
@@ -271,6 +271,8 @@ pub(crate) struct ConfigEpoch<F: FilterFns + 'static> {
     /// The epoch's dispatch worker threads, joined at retirement (none
     /// in a stepped run, which drains the rings itself).
     pub(crate) dispatcher: Mutex<Option<Dispatcher>>,
+    /// The run's tracer, which every epoch of the run traces into.
+    pub(crate) tracer: Option<Arc<Tracer>>,
 }
 
 impl<F: FilterFns + 'static> ConfigEpoch<F> {
@@ -359,7 +361,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
             generation: AtomicU64::new(0),
             current: RwLock::new(None),
             device,
-            acks: (0..cores.max(1))
+            acks: (0..cores)
                 .map(|_| Ack {
                     generation: AtomicU64::new(EXITED),
                     picked_up_ns: AtomicU64::new(0),
@@ -386,7 +388,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
             Some((nic, _)) => stage_rules(nic, &*table.filter, config)?,
             None => (0, 0),
         };
-        let cores = config.cores.max(1) as usize;
+        let cores = usize::from(config.cores);
         rows.install(&table.subs, &table.modes, cores);
         let map: Vec<usize> = rows.live().collect();
         let parks = self.device.is_none();
@@ -399,8 +401,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
             let nic = Arc::clone(nic);
             let delay: CallbackDelayFn =
                 Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq));
-            let (subs, modes, workers) = (&table.subs, &table.modes, config.shared_workers);
-            let d = channel_dispatcher(subs, modes, queued, workers, &delay, tracer);
+            let d = channel_dispatcher(&table.subs, &table.modes, queued, &delay, tracer);
             (Some(d), Vec::new())
         } else {
             let rings = queued.into_iter().flat_map(|q| q.1.into_iter().enumerate());
@@ -420,6 +421,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
             rows: map,
             sinks: Mutex::new(sinks.into_iter().map(Some).collect()),
             dispatcher: Mutex::new(dispatcher),
+            tracer: tracer.cloned(),
         });
         Ok((epoch, rules, rings))
     }
@@ -476,15 +478,14 @@ impl<F: FilterFns + 'static> EpochState<F> {
     }
 
     /// Steps 2–3 of a swap, under the swap lock (`rows`): stages `table`
-    /// as the generation after the current one and publishes it.
-    /// Nothing changes on an error.
+    /// as the generation after the current one, tracing into the run's
+    /// tracer, and publishes it. Nothing changes on an error.
     pub(crate) fn publish_swap(
         &self,
         rows: &mut Rows,
         mut table: PreparedSwap<F>,
         requested_at: Duration,
         config: &RuntimeConfig,
-        tracer: Option<&Arc<Tracer>>,
     ) -> Result<(Grace<F>, Vec<VirtualWorker>), SwapError> {
         let old = self.current.read().unwrap().clone();
         let old = old.ok_or(SwapError::NotRunning)?;
@@ -495,7 +496,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
         let removed = removed.map(|(_, s)| s.name().to_string()).collect();
         let warnings = std::mem::take(&mut table.warnings);
         let (epoch, rules, rings) = self
-            .stage(generation, table, rows, config, tracer)
+            .stage(generation, table, rows, config, old.tracer.as_ref())
             .map_err(SwapError::HwFilter)?;
         let staged_at = self.base.elapsed();
         self.publish(epoch, rows);
@@ -555,7 +556,6 @@ pub struct SwapController {
     pub(crate) epochs: Arc<EpochState<CompiledFilter>>,
     pub(crate) gauges: Arc<RuntimeGauges>,
     pub(crate) config: RuntimeConfig,
-    pub(crate) trace: TraceHandle,
 }
 
 impl SwapController {
@@ -588,15 +588,13 @@ impl SwapController {
             // Every core already exited: the run is shutting down.
             return Err(SwapError::NotRunning);
         }
-        // The new fabric traces into the run's own tracer, like epoch 0.
-        let tracer = self.trace.read().ok().and_then(|guard| guard.clone());
         let published = prepare(spec, &old.subs, &self.config).and_then(|table| {
-            let tracer = tracer.as_ref();
-            (self.epochs).publish_swap(&mut rows, table, requested_at, &self.config, tracer)
+            (self.epochs).publish_swap(&mut rows, table, requested_at, &self.config)
         });
         let (grace, _) = published.inspect_err(|_| {
             // The flight recorder keeps the moments around a rejection.
-            fire_trigger(&self.trace, TriggerReason::SwapFailed, old.generation);
+            let tracer = old.tracer.as_deref();
+            fire_trigger(tracer, TriggerReason::SwapFailed, old.generation);
         })?;
         drop(old);
         self.gauges.note_config_epoch(grace.event.generation);

@@ -18,12 +18,13 @@ use std::time::Duration;
 
 use retina_nic::PortStatsSnapshot;
 use retina_telemetry::{
-    DispatchRow, DropBreakdown, DropReason, StageSummary, TelemetrySnapshot, TraceReport, Tracer,
-    TriggerReason,
+    DispatchRow, DropBreakdown, DropReason, Sample, StageSummary, TelemetrySnapshot, TraceReport,
+    Tracer, TriggerReason,
 };
 
 use crate::erased::ErasedSubscription;
 use crate::executor::{ring_capacity, DispatchMode};
+use crate::governor::GovernorReport;
 use crate::stats::CoreStats;
 use crate::tracker::SubTally;
 
@@ -191,6 +192,16 @@ pub struct RunReport {
     /// mode-independent form,
     /// [`retina_telemetry::FlowTrace::canonical_bytes`]).
     pub trace: Option<TraceReport>,
+    /// The monitor's samples, in order, the closing one last: one per
+    /// interval of a threaded run monitored through
+    /// [`crate::MultiRuntime::set_monitor`], plus one after its cores
+    /// exited. Empty otherwise (a stepped run has no monitor). Excluded
+    /// from [`RunReport::deterministic_digest`]: wall-clock intervals.
+    pub samples: Vec<Sample>,
+    /// The governor's decision stream of a threaded run governed through
+    /// [`crate::MultiRuntime::set_governor`]; `None` otherwise. Excluded
+    /// from [`RunReport::deterministic_digest`]: wall-clock intervals.
+    pub governor: Option<GovernorReport>,
 }
 
 impl RunReport {

@@ -38,18 +38,18 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::VirtualNic;
 use retina_support::bytes::Bytes;
-use retina_telemetry::{DispatchHub, TraceConfig, Tracer, TriggerReason};
+use retina_telemetry::{DispatchHub, MetricSink, TraceConfig, Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
 use crate::executor::{CoreSinks, DispatchMode};
-use crate::governor::{Governor, GovernorConfig, GovernorStage, ShedState};
-use crate::monitor::Monitor;
+use crate::governor::{GovernorConfig, GovernorStage, ShedState};
+use crate::monitor::{observe, Sampler};
 use crate::pipeline::{CorePipeline, Ingress};
 use crate::reconfig::{check_table, stage_rules, ConfigEpoch, EpochState, SwapController, EXITED};
 use crate::report::RunReport;
@@ -57,22 +57,12 @@ use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 use crate::tracker::SubTally;
 
-/// Shared slot holding the in-flight run's tracer.
-///
-/// Empty between runs; [`MultiRuntime::run`] installs a fresh
-/// per-run [`Tracer`] at start and clears it at the end, so long-lived
-/// observers started before the run (a [`Governor`], a
-/// [`crate::Monitor`], a fault layer) can fire anomaly triggers against
-/// whichever run is currently in flight without holding a stale tracer.
-pub type TraceHandle = Arc<std::sync::RwLock<Option<Arc<Tracer>>>>;
-
-/// Fires a flight-recorder trigger into the tracer `handle` holds — a
-/// no-op between runs and when tracing is off. A
-/// [`TriggerReason::DropBurst`] fires only when its detail (frames lost
-/// in one interval) exceeds the tracer's `drop_burst_threshold`.
-pub(crate) fn fire_trigger(handle: &TraceHandle, reason: TriggerReason, detail: u64) {
-    let Ok(guard) = handle.read() else { return };
-    if let Some(t) = guard.as_ref() {
+/// Fires a flight-recorder trigger into a run's tracer — a no-op when
+/// tracing is off. A [`TriggerReason::DropBurst`] fires only when its
+/// detail (frames lost in one interval) exceeds the tracer's
+/// `drop_burst_threshold`.
+pub(crate) fn fire_trigger(tracer: Option<&Tracer>, reason: TriggerReason, detail: u64) {
+    if let Some(t) = tracer {
         if reason != TriggerReason::DropBurst || detail > t.config().drop_burst_threshold {
             t.trigger(reason, detail);
         }
@@ -101,8 +91,8 @@ struct CoreGauges {
     parse_failures: AtomicU64,
 }
 
-/// Live gauges the runtime updates while running (read them from a
-/// monitoring thread, e.g. for the Figure 8 memory series).
+/// Live gauges the runtime updates while running (a run's monitor reads
+/// them, e.g. for the Figure 8 memory series).
 ///
 /// Each worker flushes into its own cache-line block with relaxed
 /// stores, so monitoring adds no cross-core contention; readers merge
@@ -119,11 +109,10 @@ pub struct RuntimeGauges {
 }
 
 impl RuntimeGauges {
-    /// Creates gauges for `cores` workers (at least 1) over the runtime's
-    /// dispatch hub.
+    /// Creates gauges for `cores` workers over the runtime's dispatch hub.
     pub(crate) fn new(cores: usize, hub: Arc<DispatchHub>) -> Self {
         RuntimeGauges {
-            cores: (0..cores.max(1)).map(|_| CoreGauges::default()).collect(),
+            cores: (0..cores).map(|_| CoreGauges::default()).collect(),
             config_epoch: AtomicU64::new(0),
             swap_pickup_lag_us: AtomicU64::new(0),
             hub,
@@ -242,6 +231,8 @@ pub enum RuntimeError {
     Filter(String),
     /// The subscription table does not line up with the merged filter.
     Subscriptions(String),
+    /// The configuration asks for no RX core.
+    NoCores,
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -250,6 +241,7 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::HwFilter(msg) => write!(f, "hardware filter installation: {msg}"),
             RuntimeError::Filter(msg) => write!(f, "filter compilation: {msg}"),
             RuntimeError::Subscriptions(msg) => write!(f, "subscription table: {msg}"),
+            RuntimeError::NoCores => write!(f, "a runtime needs at least one RX core (cores = 0)"),
         }
     }
 }
@@ -417,7 +409,10 @@ pub struct MultiRuntime<F: FilterFns + 'static> {
     epochs: Arc<EpochState<F>>,
     filter_warnings: Vec<String>,
     pub(crate) trace_config: Option<TraceConfig>,
-    trace_handle: TraceHandle,
+    /// The next threaded run's monitor: its interval and exporters.
+    monitor: Option<(Duration, Vec<Box<dyn MetricSink>>)>,
+    /// The next threaded run's governor.
+    governor: Option<GovernorConfig>,
 }
 
 impl<F: FilterFns + 'static> MultiRuntime<F> {
@@ -435,6 +430,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     ) -> Result<Self, RuntimeError> {
         check_table(&subs, Some(filter.num_subscriptions()))
             .map_err(RuntimeError::Subscriptions)?;
+        if config.cores == 0 {
+            return Err(RuntimeError::NoCores);
+        }
         let mut device = config.device.clone();
         device.num_queues = config.cores;
         let nic = Arc::new(VirtualNic::new(&device));
@@ -444,8 +442,8 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         stage_rules(&nic, &filter, &config).map_err(RuntimeError::HwFilter)?;
         let modes = vec![DispatchMode::Inline; subs.len()].into();
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
-        let gauges = Arc::new(RuntimeGauges::new(config.cores as usize, Arc::clone(&hub)));
-        let cores = config.cores.max(1) as usize;
+        let cores = usize::from(config.cores);
+        let gauges = Arc::new(RuntimeGauges::new(cores, Arc::clone(&hub)));
         let epochs = Arc::new(EpochState::new(cores, Some((Arc::clone(&nic), hub))));
         Ok(MultiRuntime {
             config,
@@ -458,7 +456,8 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             epochs,
             filter_warnings: Vec::new(),
             trace_config: None,
-            trace_handle: Arc::new(std::sync::RwLock::new(None)),
+            monitor: None,
+            governor: None,
         })
     }
 
@@ -471,12 +470,16 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.trace_config = Some(config);
     }
 
-    /// Shared slot holding the live run's tracer (empty between runs).
-    /// Long-lived observers — the governor, the monitor — keep this
-    /// handle and fire flight-recorder triggers through whichever tracer
-    /// is installed when an anomaly hits.
-    pub fn trace_handle(&self) -> TraceHandle {
-        Arc::clone(&self.trace_handle)
+    /// Monitors the next [`MultiRuntime::run`]: every `interval` while
+    /// it is in flight, and once more after its cores have exited, a
+    /// [`Sample`](retina_telemetry::Sample) goes to every sink's
+    /// `on_sample`; then the run's final snapshot
+    /// ([`RunReport::telemetry`]) goes to `on_snapshot`, every sink is
+    /// closed, and the samples land in [`RunReport::samples`]. A run
+    /// that loses more frames in one interval than its tracer's
+    /// `drop_burst_threshold` fires [`TriggerReason::DropBurst`].
+    pub fn set_monitor(&mut self, interval: Duration, sinks: Vec<Box<dyn MetricSink>>) {
+        self.monitor = Some((interval, sinks));
     }
 
     /// Sets subscription `i`'s callback execution model (effective at
@@ -518,59 +521,53 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         Arc::clone(&self.shed)
     }
 
-    /// Starts an overload governor against this runtime. Call before
-    /// (or during) [`MultiRuntime::run`]; stop it after the run to
-    /// collect the decision stream.
+    /// Governs the next [`MultiRuntime::run`] against overload; its
+    /// decision stream lands in [`RunReport::governor`].
     ///
-    /// The governor owns the RETA from here on: the NIC's sink fraction
-    /// is reset to the configured floor. It is a stage of a sink-less
-    /// [`Monitor`] sampling every `config.interval`, with the dispatch
+    /// The governor owns the RETA from the run's start: the NIC's sink
+    /// fraction is reset to the configured floor. It is a stage of a
+    /// sink-less monitor tick every `config.interval`, with the dispatch
     /// hub's occupancy as a pressure input. Shed decisions fire
     /// [`TriggerReason::GovernorShed`], and an interval losing more
     /// frames than the tracer's `drop_burst_threshold` fires
-    /// [`TriggerReason::DropBurst`], into the live run's tracer.
-    pub fn start_governor(&self, config: GovernorConfig) -> Governor {
-        let interval = config.interval;
-        let stage = GovernorStage::new(
-            config,
-            &self.nic,
-            Arc::clone(&self.shed),
-            Arc::clone(&self.trace_handle),
-        );
-        let monitor = Monitor::governed(
-            Arc::clone(&self.nic),
-            Arc::clone(&self.gauges),
-            stage,
-            interval,
-        );
-        monitor.watch_trace(self.trace_handle());
-        Governor { monitor }
+    /// [`TriggerReason::DropBurst`], into the run's tracer.
+    pub fn set_governor(&mut self, config: GovernorConfig) {
+        self.governor = Some(config);
     }
 
     /// Runs the pipeline over a traffic source to completion, returning
-    /// aggregate statistics.
+    /// aggregate statistics. The run's own thread observes it meanwhile:
+    /// it ticks the monitor and the governor, if set, when each is due.
     pub fn run(&mut self, source: impl TrafficSource + 'static) -> RunReport {
         let ingest_done = Arc::new(AtomicBool::new(false));
         let start = Instant::now();
         self.gauges.reset_cores();
 
         // Fresh tracer per run (lanes are sized for this run's core and
-        // worker counts). Installed in the shared handle so long-lived
-        // observers (governor, monitor) can fire triggers into it.
+        // worker counts: one per dedicated worker, one for the pool).
         let tracer = self.trace_config.clone().map(|tc| {
             let clock: Arc<dyn Fn() -> u64 + Send + Sync> =
                 Arc::new(move || start.elapsed().as_nanos() as u64);
-            Arc::new(Tracer::new(
-                tc,
-                self.config.cores.max(1) as usize,
-                self.subs.len() + self.config.shared_workers.max(1),
-                clock,
-            ))
+            let cores = usize::from(self.config.cores);
+            Arc::new(Tracer::new(tc, cores, self.subs.len() + 1, clock))
         });
         if let Some(t) = &tracer {
-            *self.trace_handle.write().unwrap() = Some(Arc::clone(t));
             self.nic.set_tracer(Arc::clone(t));
         }
+        let (monitor, governor) = (self.monitor.take(), self.governor.take());
+        let sampler = |interval, sinks, stage| {
+            let (nic, gauges) = (Arc::clone(&self.nic), Arc::clone(&self.gauges));
+            Sampler::new(nic, gauges, interval, sinks, stage, tracer.clone())
+        };
+        let governor = governor.map(|config| {
+            let interval = config.interval;
+            let stage = GovernorStage::new(config, &self.nic, Arc::clone(&self.shed));
+            sampler(interval, Vec::new(), Some(stage))
+        });
+        let monitor = monitor.map(|(interval, sinks)| sampler(interval, sinks, None));
+        let mut samplers: Vec<Sampler> = monitor.into_iter().chain(governor).collect();
+        // Every ingest and core thread holds a sender until it exits.
+        let (alive, all_exited) = std::sync::mpsc::channel::<()>();
 
         // Ingest thread: the wire feeding the NIC.
         let ingest = {
@@ -578,7 +575,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             let done = Arc::clone(&ingest_done);
             let paced = self.config.paced_ingest;
             let mut source = source;
+            let alive = alive.clone();
             std::thread::spawn(move || {
+                let _alive = alive;
                 let mut batch: Vec<(Bytes, u64)> = Vec::with_capacity(512);
                 let mut max_ts = 0u64;
                 loop {
@@ -612,18 +611,21 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
         // RX cores: one thread each, each claiming its own sink set from
         // the epoch (SPSC producers must never be shared between cores).
-        let workers: Vec<_> = (0..self.config.cores.max(1))
+        let workers: Vec<_> = (0..self.config.cores)
             .map(|core| {
                 let (nic, epochs) = (Arc::clone(&self.nic), Arc::clone(&self.epochs));
                 let (gauges, shed) = (Arc::clone(&self.gauges), Arc::clone(&self.shed));
                 let (done, config) = (Arc::clone(&ingest_done), self.config.clone());
-                let tracer = tracer.clone();
+                let (tracer, alive) = (tracer.clone(), alive.clone());
                 std::thread::spawn(move || {
+                    let _alive = alive;
                     let rx = RxCore::new(core, &epochs, &config, tracer.as_ref(), Some(&gauges));
                     rx.run_threaded(&nic, &done, &shed, config.burst)
                 })
             })
             .collect();
+        drop(alive);
+        observe(&mut samplers, &all_exited);
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
         let mut totals = CoreTotals::default();
@@ -644,11 +646,15 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             conn_arena_bytes: totals.arena_bytes,
             filter_warnings: self.filter_warnings.clone(),
             trace: None,
+            samples: Vec::new(),
+            governor: None,
         };
         report.attach_trace(tracer.as_deref());
         if tracer.is_some() {
             self.nic.clear_tracer();
-            *self.trace_handle.write().unwrap() = None;
+        }
+        for sampler in samplers {
+            sampler.close(&mut report);
         }
         report
     }
@@ -668,7 +674,6 @@ impl MultiRuntime<CompiledFilter> {
             epochs: Arc::clone(&self.epochs),
             gauges: Arc::clone(&self.gauges),
             config: self.config.clone(),
-            trace: Arc::clone(&self.trace_handle),
         }
     }
 }
@@ -711,9 +716,14 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
         self.inner.shed_state()
     }
 
-    /// Starts an overload governor against this runtime.
-    pub fn start_governor(&self, config: GovernorConfig) -> Governor {
-        self.inner.start_governor(config)
+    /// Monitors the next run (see [`MultiRuntime::set_monitor`]).
+    pub fn set_monitor(&mut self, interval: Duration, sinks: Vec<Box<dyn MetricSink>>) {
+        self.inner.set_monitor(interval, sinks);
+    }
+
+    /// Governs the next run (see [`MultiRuntime::set_governor`]).
+    pub fn set_governor(&mut self, config: GovernorConfig) {
+        self.inner.set_governor(config);
     }
 
     /// Sets the subscription's callback execution model (effective at

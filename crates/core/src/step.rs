@@ -161,7 +161,7 @@ pub(crate) struct VirtualWorker {
 /// sink in front (an unparsed frame hashes to 0, as on the NIC). Empty at
 /// one core, whose queue is the whole slice, unhashed.
 fn rss_queues(packets: &[(Bytes, u64)], config: &RuntimeConfig) -> Vec<Vec<usize>> {
-    let cores = config.cores.max(1);
+    let cores = config.cores;
     if cores == 1 {
         return Vec::new();
     }
@@ -203,7 +203,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         cfg: &StepConfig,
         mut swap: Option<(u64, PreparedSwap<F>)>,
     ) -> RunReport {
-        let (cores, config) = (self.config.cores.max(1), &self.config);
+        let (cores, config) = (self.config.cores, &self.config);
         // Virtual-clock tracer: lane layout as in the threaded run
         // (ingest, one lane per RX core, one per ring of the first epoch,
         // onto which a swap's rings wrap as a threaded swap's workers do);
@@ -255,7 +255,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
                 let mut rows = epochs.rows.lock().unwrap();
                 let requested_at = epochs.base.elapsed();
                 let (published, rings) = epochs
-                    .publish_swap(&mut rows, table, requested_at, config, tracer.as_ref())
+                    .publish_swap(&mut rows, table, requested_at, config)
                     .expect("a stepped run is open and stages no hardware rules");
                 workers.extend(rings);
                 grace = Some(published);
@@ -374,6 +374,8 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             conn_arena_bytes: totals.arena_bytes,
             filter_warnings: self.filter_warnings().to_vec(),
             trace: None,
+            samples: Vec::new(),
+            governor: None,
         };
         report.filter_warnings.extend(warnings);
         report.attach_trace(tracer.as_deref());

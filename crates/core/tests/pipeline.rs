@@ -142,6 +142,16 @@ impl Conversation {
     }
 }
 
+/// A traffic source handing over all of its frames in one batch.
+struct Src(Vec<(Bytes, u64)>);
+
+impl TrafficSource for Src {
+    fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
+        out.append(&mut self.0);
+        !out.is_empty()
+    }
+}
+
 fn tls_conversation(client: &str, server: &str, sni: &str, start_ts: u64) -> Vec<(Bytes, u64)> {
     let mut conv = Conversation::new(client, server, start_ts);
     conv.client_data(&client_hello_record(&ClientHelloSpec {
@@ -682,13 +692,6 @@ fn conn_bytes_small_segments_pin_a_bounded_number_of_frames() {
     config.device.mempool_capacity = pool_size;
     assert!(config.paced_ingest);
     assert!(2 * EACH_WAY > pool_size);
-    struct Src(Vec<(Bytes, u64)>);
-    impl TrafficSource for Src {
-        fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
-            out.append(&mut self.0);
-            !out.is_empty()
-        }
-    }
     let kept = Arc::new(Mutex::new(Vec::new()));
     let k2 = Arc::clone(&kept);
     let mut rt = Runtime::<ConnBytes, _>::new(config, compile("tcp").unwrap(), move |cb| {
@@ -765,13 +768,6 @@ fn conn_bytes_frames_are_released_where_the_datum_drops() {
             tls_conversation(&client, "1.1.1.1:443", "a.com", u64::from(i) * 10_000_000)
         })
         .collect();
-    struct Src(Vec<(Bytes, u64)>);
-    impl TrafficSource for Src {
-        fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
-            out.append(&mut self.0);
-            !out.is_empty()
-        }
-    }
     let run = |mode: DispatchMode, keep: bool| {
         let kept = Arc::new(Mutex::new(Vec::new()));
         let k2 = Arc::clone(&kept);
@@ -1034,16 +1030,6 @@ fn queued_callback_mode_equals_inline() {
         })
         .unwrap();
         rt.set_dispatch_mode(mode);
-        struct Src(Vec<(Bytes, u64)>);
-        impl TrafficSource for Src {
-            fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
-                if self.0.is_empty() {
-                    return false;
-                }
-                out.append(&mut self.0);
-                true
-            }
-        }
         let report = rt.run(Src(packets.clone()));
         assert!(report.zero_loss());
         let mut got = hits.lock().unwrap().clone();
@@ -1079,30 +1065,15 @@ fn monitor_samples_a_run() {
         }
     }
     let seen = Arc::new(AtomicUsize::new(0));
-    let monitor = retina_core::Monitor::start_with_sinks(
-        Arc::clone(rt.nic()),
-        rt.gauges(),
+    rt.set_monitor(
         std::time::Duration::from_millis(5),
         vec![Box::new(Counting(Arc::clone(&seen)))],
     );
-    struct Src(Vec<(Bytes, u64)>);
-    impl TrafficSource for Src {
-        fn next_batch(&mut self, out: &mut Vec<(Bytes, u64)>) -> bool {
-            if self.0.is_empty() {
-                return false;
-            }
-            // Dribble batches so the run lasts several sample intervals.
-            let n = self.0.len().min(512);
-            out.extend(self.0.drain(..n));
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            true
-        }
-    }
     let report = rt.run(Src(packets));
-    let samples = monitor.stop();
+    let samples = &report.samples;
     assert!(
         seen.load(Ordering::Relaxed) >= 1,
-        "monitor sampled during the run"
+        "the closing tick samples every monitored run"
     );
     assert_eq!(samples.len(), seen.load(Ordering::Relaxed));
     assert!(samples.iter().any(|s| s.gbps > 0.0 || s.connections > 0));
@@ -1111,6 +1082,38 @@ fn monitor_samples_a_run() {
     for s in samples.iter().take(2) {
         assert!(!s.to_log_line().is_empty());
     }
+}
+
+#[test]
+fn monitor_interval_outlasting_the_run_samples_once() {
+    // The one sample is the closing tick, taken after every core has
+    // exited: it reads the final gauges.
+    let packets = tls_conversation("10.9.0.1:40001", "93.184.216.34:443", "once.com", 1_000);
+    let filter = retina_core::compile("tls").unwrap();
+    let mut rt =
+        Runtime::<TlsHandshakeData, _>::new(RuntimeConfig::with_cores(2), filter, |_| {}).unwrap();
+    rt.set_monitor(std::time::Duration::from_secs(3600), Vec::new());
+    let report = rt.run(Src(packets));
+    assert_eq!(report.samples.len(), 1);
+    let sample = report.samples[0];
+    assert_eq!(sample.parse_failures, report.cores.parse_failures);
+    assert!(sample.sim_clock_ns <= report.sim_duration_ns);
+    assert!(report.governor.is_none());
+    // A monitor applies to one run only.
+    let packets = tls_conversation("10.9.0.2:40002", "93.184.216.34:443", "once.com", 1_000);
+    assert!(rt.run(Src(packets)).samples.is_empty());
+}
+
+#[test]
+fn zero_cores_is_a_build_error() {
+    let config = RuntimeConfig {
+        cores: 0,
+        ..RuntimeConfig::default()
+    };
+    let built = retina_core::RuntimeBuilder::new(config)
+        .subscribe("tcp", |_: ConnRecord| {})
+        .build();
+    assert!(matches!(built, Err(retina_core::RuntimeError::NoCores)));
 }
 
 #[test]

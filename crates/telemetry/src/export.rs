@@ -158,7 +158,7 @@ pub trait MetricSink: Send {
     fn close(&mut self) {}
 }
 
-// The trait must stay object-safe: Monitor drives Vec<Box<dyn MetricSink>>.
+// The trait must stay object-safe: a run's monitor drives Vec<Box<dyn MetricSink>>.
 const _: fn(&dyn MetricSink) = |_| {};
 
 /// A cloneable in-memory writer for capturing sink output (tests, or
@@ -189,7 +189,7 @@ impl Write for SharedBuf {
     }
 }
 
-/// Human log lines — the current `Monitor` behavior, as a sink.
+/// Human log lines, as a sink.
 pub struct LogSink {
     out: Box<dyn Write + Send>,
 }

@@ -102,16 +102,23 @@
 #
 # Monitoring is one feedback loop, and a run's records are the values
 # their producers return. `Sampler::tick` in crates/core/src/monitor.rs
-# is the one place that sleeps an interval and reads NIC and gauge state;
-# the overload governor is a stage of that tick (its decision stream is
-# the brain's own Vec, moved into `GovernorReport`), and a live swap's
-# record is built once by `SwapController::swap` from the workers'
-# pickup stamps. The governor once ran a second thread repeating the
-# monitor's sleep-and-sample, and the shared ledgers beside them had no
-# reader. So:
+# is the one place that reads NIC and gauge state for a sample, and a
+# threaded run calls it on its own thread (`observe`: each sampler when
+# it is due, once more after the cores exit); the overload governor is a
+# stage of that tick (its decision stream is the brain's own Vec, moved
+# into `GovernorReport`), and a live swap's record is built once by
+# `SwapController::swap` from the workers' pickup stamps. The governor
+# once ran a second thread repeating the monitor's sleep-and-sample; the
+# monitor then ran a thread of its own beside `run()`, and found the
+# run's tracer through a lock-guarded slot (`TraceHandle`) that `run()`
+# filled and cleared; the shared ledgers beside them had no reader.
+# Now the run hands each sampler and each epoch its tracer. So:
 #
 #   * non-test crates/core/src/governor.rs has no `thread::spawn` and
-#     no `thread::sleep`;
+#     no `thread::sleep`, and non-test crates/core/src/monitor.rs no
+#     `thread::spawn`;
+#   * non-test crates/core/src names no `TraceHandle` (as a whole word)
+#     and keeps no `RwLock` holding an optional tracer;
 #   * there is no crates/telemetry/src/events.rs and no `EventLog`
 #     anywhere under crates/;
 #   * non-test crates/core/src has no `Mutex<Vec<SwapEvent>>`.
@@ -362,6 +369,20 @@ if [ -n "$hits" ]; then
     printf '%s\n' "$hits" >&2
     fail=1
 fi
+hits=$(code_lines crates/core/src/monitor.rs | grep -E 'thread::spawn\b' || true)
+if [ -n "$hits" ]; then
+    echo "the monitor samples on a thread of its own (a run ticks it on the run's thread):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(for file in $(find crates/core/src -name '*.rs' | sort); do
+    code_lines "$file"
+done | grep -E '(^|[^[:alnum:]_])TraceHandle([^[:alnum:]_]|$)|RwLock<[[:space:]]*Option<[[:space:]]*([[:alnum:]_]+::)*Arc<[[:space:]]*([[:alnum:]_]+::)*Tracer[[:space:]]*>' || true)
+if [ -n "$hits" ]; then
+    echo "a lock-guarded tracer slot (a run hands its tracer to its samplers and epochs):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
 if [ -e crates/telemetry/src/events.rs ]; then
     echo "crates/telemetry/src/events.rs is back (the decision stream is the governor brain's own)" >&2
     fail=1
@@ -487,7 +508,7 @@ echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the st
 echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
 echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
-echo "  the governor is a stage of the monitor tick, and no EventLog or swap ledger exists;"
+echo "  the governor is a stage of the monitor tick, which the run ticks on its own thread; no tracer slot, EventLog or swap ledger exists;"
 echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
 echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"
 echo "  benchmark/ is the one source of performance numbers: no second results flag, merger, key printer or BENCH file;"

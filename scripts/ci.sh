@@ -60,7 +60,12 @@
 #                 state costs what its live connections use: no side
 #                 `free: Vec<u32>` and no single relocating
 #                 `slots: Vec<Slot<` in non-test
-#                 crates/conntrack/src/arena.rs
+#                 crates/conntrack/src/arena.rs; and a run owns its
+#                 monitor, governor and tracer: no `thread::spawn` in
+#                 non-test crates/core/src/monitor.rs (the run ticks its
+#                 samplers on its own thread), and no `TraceHandle` and
+#                 no `RwLock` holding an optional tracer in non-test
+#                 crates/core/src (the run hands its tracer on)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

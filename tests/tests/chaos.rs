@@ -336,7 +336,7 @@ fn callback_stall_sheds_without_collateral_damage() {
     // ledger must stay bounded (strict shed/restore alternation).
     let mut governed_rt = build();
     retina_chaos::install(governed_rt.nic(), &plan);
-    let governor = governed_rt.start_governor(GovernorConfig {
+    governed_rt.set_governor(GovernorConfig {
         interval: Duration::from_millis(2),
         // Only the dispatch-occupancy input may trigger: park the other
         // thresholds out of reach.
@@ -351,7 +351,7 @@ fn callback_stall_sheds_without_collateral_damage() {
         &plan,
     ));
     governed_rt.nic().clear_fault_hooks();
-    let gov = governor.stop();
+    let gov = governed.governor.as_ref().expect("a governed run");
     governed.check_accounting().unwrap();
     gov.check_accounting().unwrap();
     assert!(
@@ -390,7 +390,7 @@ fn governed_run_that_loses_frames_fires_a_drop_burst() {
     retina_chaos::install(runtime.nic(), &plan);
     // Only the drop-burst trigger may fire: every shed input is parked
     // out of reach.
-    let governor = runtime.start_governor(GovernorConfig {
+    runtime.set_governor(GovernorConfig {
         interval: Duration::from_millis(1),
         mempool_high: 2.0,
         ring_high: 2.0,
@@ -400,7 +400,7 @@ fn governed_run_that_loses_frames_fires_a_drop_burst() {
     });
     let report = runtime.run(PreloadedSource::new(workload().to_vec()));
     runtime.nic().clear_fault_hooks();
-    assert_eq!(governor.stop().shed_steps(), 0);
+    assert_eq!(report.governor.as_ref().unwrap().shed_steps(), 0);
     report.check_accounting().unwrap();
     assert!(
         report.nic.lost() > 0,

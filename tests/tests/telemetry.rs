@@ -4,13 +4,12 @@
 //! coherent stage-latency percentiles, and identical state through all
 //! four exporters.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use retina_core::subscribables::ConnRecord;
 use retina_core::telemetry::json;
 use retina_core::{
-    compile, CsvSink, DropReason, JsonSink, LogSink, Monitor, PrometheusSink, RunReport, Runtime,
+    compile, CsvSink, DropReason, JsonSink, LogSink, PrometheusSink, RunReport, Runtime,
     RuntimeConfig, SharedBuf,
 };
 use retina_telemetry::Sample;
@@ -124,10 +123,12 @@ fn all_four_exporters_round_trip_final_snapshot() {
     let csv_buf = SharedBuf::new();
     let json_buf = SharedBuf::new();
     let prom_buf = SharedBuf::new();
-    let monitor = Monitor::start_with_sinks(
-        Arc::clone(rt.nic()),
-        rt.gauges(),
-        Duration::from_millis(2),
+    // An interval that outlasts the run: the one sample is the closing
+    // tick, taken after every core has exited, so the assertions below
+    // have exactly one row per exporter with no dependence on wall-clock
+    // interval timing.
+    rt.set_monitor(
+        Duration::from_secs(3600),
         vec![
             Box::new(LogSink::new(log_buf.clone())),
             Box::new(CsvSink::new(csv_buf.clone())),
@@ -136,17 +137,14 @@ fn all_four_exporters_round_trip_final_snapshot() {
         ],
     );
     let report = rt.run(PreloadedSource::new(packets));
-    // Force one synchronous sample after the run: the assertions below
-    // are then guaranteed at least one row per exporter without any
-    // dependence on wall-clock interval timing.
-    let final_sample = monitor.sample_now();
+    let samples = &report.samples;
+    assert_eq!(samples.len(), 1, "one closing sample");
+    let final_sample = samples[0];
     assert_eq!(final_sample.parse_failures, report.cores.parse_failures);
     // Workers clock only the frames they saw; the last frame may have
     // been hw-dropped, so the gauge can trail the ingest clock.
     assert!(final_sample.sim_clock_ns <= report.sim_duration_ns);
     assert!(final_sample.sim_clock_ns > 0);
-    let samples = monitor.stop_with_snapshot(report.telemetry());
-    assert!(!samples.is_empty(), "sample_now must be collected");
     let snap = report.telemetry();
 
     // JSON: parses with the in-tree parser and round-trips counters,
@@ -193,8 +191,8 @@ fn all_four_exporters_round_trip_final_snapshot() {
         );
     }
 
-    // CSV: stable header, rows of matching arity. At least one sample
-    // is guaranteed by the forced `sample_now` above.
+    // CSV: stable header, rows of matching arity: the one closing
+    // sample.
     let csv = csv_buf.contents();
     let mut lines = csv.lines();
     assert_eq!(lines.next(), Some(Sample::CSV_HEADER));
