@@ -5,7 +5,9 @@
 //! Drives the per-core pipeline directly over a long simulated capture
 //! (scan-heavy arrivals, per Table 2's 65% single-SYN rate) and samples
 //! the number of resident connections and estimated state bytes each
-//! simulated 10 seconds.
+//! simulated 10 seconds. Expiry is the pipeline's own: it sweeps idle
+//! connections after every `SWEEP_EVERY`th frame, as on every driver, so
+//! a sample sees the table as a core running the capture would.
 
 use std::sync::Arc;
 
@@ -13,9 +15,7 @@ use retina_bench::{bench_args, rule};
 use retina_conntrack::TimeoutConfig;
 use retina_core::offline::Direct;
 use retina_core::subscribables::ConnRecord;
-use retina_core::{
-    compile, CorePipeline, ErasedSubscription, RuntimeConfig, TypedSubscription, BURST_MAX,
-};
+use retina_core::{compile, CorePipeline, ErasedSubscription, RuntimeConfig, TypedSubscription};
 use retina_telemetry::LogHistogram;
 use retina_trafficgen::campus::{generate, CampusConfig};
 
@@ -66,15 +66,13 @@ fn main() {
         let mut state_hist = LogHistogram::new();
         let mut rest = &packets[..];
         while !rest.is_empty() {
-            // A burst ends at the first frame that is due a sample.
-            let burst = &rest[..rest.len().min(BURST_MAX)];
-            let due = burst.iter().position(|(_, ts)| *ts >= next_sample);
-            let (burst, tail) = rest.split_at(due.map_or(burst.len(), |at| at + 1));
+            // Everything up to the first frame that is due a sample.
+            let due = rest.iter().position(|(_, ts)| *ts >= next_sample);
+            let (burst, tail) = rest.split_at(due.map_or(rest.len(), |at| at + 1));
             rest = tail;
             pipeline.on_burst(burst, [], &mut discard);
             if due.is_some() {
                 let ts = burst[burst.len() - 1].1;
-                pipeline.advance(&mut discard);
                 let conns = pipeline.tracker().connections();
                 let state = pipeline.tracker().state_bytes();
                 state_hist.record(state as u64);

@@ -83,7 +83,7 @@ pub use governor::{
     GovernorReport, PressureSignals, ShedState,
 };
 pub use offline::run_offline;
-pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX};
+pub use pipeline::{CorePipeline, Ingress, Transport, BURST_MAX, SWEEP_EVERY};
 pub use reconfig::{SwapController, SwapError, SwapEvent, SwapSpec};
 pub use report::{RunReport, SubReport};
 pub use runtime::{

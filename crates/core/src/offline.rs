@@ -4,8 +4,10 @@
 //! ingests a pcap instead of packets from the network interface". This
 //! module is that mode: a driver of [`CorePipeline`] — the pipeline a
 //! worker core runs — fed synchronously from an in-memory packet
-//! iterator, with no NIC, RSS queues, or threads. It is also the easiest
-//! way to unit-test end-to-end behavior.
+//! iterator, with no NIC, RSS queues, or threads. The whole iterator is
+//! one [`CorePipeline::on_burst`], which stages it and sweeps idle
+//! connections on the same frame count as every other driver. It is
+//! also the easiest way to unit-test end-to-end behavior.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -16,12 +18,9 @@ use retina_support::bytes::Bytes;
 
 use crate::config::RuntimeConfig;
 use crate::erased::{take_output, ErasedSubscription, TrackedSlab, TypedSubscription};
-use crate::pipeline::{CorePipeline, Transport, BURST_MAX};
+use crate::pipeline::{CorePipeline, Transport};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
-
-/// Parsed packets between connection-timeout sweeps.
-const ADVANCE_EVERY: usize = 1024;
 
 /// The offline transport: subscription data goes straight to one typed
 /// closure on the calling thread.
@@ -68,41 +67,12 @@ where
     S: Subscribable,
     F: FilterFns + 'static,
 {
-    let mut transport = Direct::new(callback);
-    let mut pipeline = ingest(filter, config, packets, &mut transport);
-    pipeline.drain(&mut transport);
-    pipeline.finish().0
-}
-
-/// Everything [`run_offline`] does short of the final drain: the
-/// pipeline it returns still holds the connections open at end of input.
-fn ingest<S, F, C>(
-    filter: &Arc<F>,
-    config: &RuntimeConfig,
-    packets: impl IntoIterator<Item = (Bytes, u64)>,
-    transport: &mut Direct<S, C>,
-) -> CorePipeline<F>
-where
-    S: Subscribable,
-    F: FilterFns + 'static,
-    C: FnMut(S),
-{
     let sub: Arc<dyn ErasedSubscription> = Arc::new(TypedSubscription::<S>::spec_only("sub0"));
     let mut pipeline = CorePipeline::new(Arc::clone(filter), &[sub], config, None);
-    let mut packets = packets.into_iter().peekable();
-    let mut since_advance = 0usize;
-    while packets.peek().is_some() {
-        // A burst never holds more frames than the sweep has packets
-        // left, so the sweep still fires right after the packet that
-        // completes it, wherever parse failures fall.
-        let room = BURST_MAX.min(ADVANCE_EVERY - since_advance);
-        since_advance += pipeline.on_burst(packets.by_ref().take(room), [], transport);
-        if since_advance == ADVANCE_EVERY {
-            since_advance = 0;
-            pipeline.advance(transport);
-        }
-    }
-    pipeline
+    let mut transport = Direct::new(callback);
+    pipeline.on_burst(packets, [], &mut transport);
+    pipeline.drain(&mut transport);
+    pipeline.finish().0
 }
 
 #[cfg(test)]
@@ -151,8 +121,10 @@ mod tests {
                 timeouts,
                 ..RuntimeConfig::default()
             };
-            let mut transport = Direct::new(|_: ConnRecord| {});
-            let pipeline = ingest(&filter, &config, syns(), &mut transport);
+            let sub: Arc<dyn ErasedSubscription> =
+                Arc::new(TypedSubscription::<ConnRecord>::spec_only("sub0"));
+            let mut pipeline = CorePipeline::new(filter, &[sub], &config, None);
+            pipeline.on_burst(syns(), [], &mut Direct::new(|_: ConnRecord| {}));
             assert_eq!(pipeline.tracker().connections(), FLOWS);
             // The symmetric key folds a tuple to 16 bits of hash entropy,
             // so a few of 4000 flows do collide; thousands must not.

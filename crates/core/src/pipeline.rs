@@ -7,11 +7,12 @@
 //! ([`crate::MultiRuntime::run_stepped`]), [`crate::run_offline`] and
 //! the figure binaries are *drivers*: they decide where a burst's frames
 //! come from (a NIC burst of stamped mbufs, or raw frames when no NIC
-//! sits in front — see [`Ingress`]), how often [`CorePipeline::advance`]
-//! runs, and which [`Transport`] carries subscription data away.
-//! Everything a proof observes — digests, span trees, the accounting
-//! identity — is produced here, so a proof against one driver covers the
-//! loop all of them ship.
+//! sits in front — see [`Ingress`]) and which [`Transport`] carries
+//! subscription data away. When idle connections expire is not theirs to
+//! decide: the pipeline sweeps right after every [`SWEEP_EVERY`]th frame
+//! it receives. Everything a proof observes — digests, span trees, the
+//! accounting identity, expiry — is produced here, so a proof against
+//! one driver covers the loop all of them ship.
 //!
 //! The loop is **stage-major**: a burst is taken through frame prefetch,
 //! parse, packet filter and a connection-table hint one *stage* at a
@@ -23,7 +24,7 @@
 
 use std::sync::Arc;
 
-use retina_filter::{FilterFns, PacketVerdict, SubscriptionSet};
+use retina_filter::{FilterFns, PacketVerdict};
 use retina_nic::{Mbuf, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_telemetry::trace::TraceHwAction;
@@ -33,7 +34,6 @@ use retina_wire::ParsedPacket;
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TrackedSlab};
 use crate::stats::CoreStats;
-use crate::subscription::Level;
 use crate::tracker::{ConnHint, ConnTracker, Outbox, SubTally};
 use crate::util::rdtsc;
 
@@ -42,6 +42,12 @@ use crate::util::rdtsc;
 /// scratch is an array of this many slots inside [`CorePipeline`] itself
 /// (about 11 KB).
 pub const BURST_MAX: usize = 32;
+
+/// Frames between connection-timeout sweeps (§5.2): the pipeline sweeps
+/// right after every `SWEEP_EVERY`th frame it receives, parsed or not.
+/// A count of frames, not of bursts or seconds, so expiry is a function
+/// of the core's frame sequence alone, however a driver cuts it.
+pub const SWEEP_EVERY: u64 = 1024;
 
 /// Cache lines prefetched from the head of a frame: Ethernet + IPv4 +
 /// TCP headers are 54 bytes, which straddle two lines at most heap
@@ -128,27 +134,13 @@ pub trait Transport {
     fn deliver_from_mbuf(&mut self, sub: usize, mbuf: &Mbuf, trace_id: u64) -> bool;
 }
 
-/// The packet-level subscriptions of a table: the ones served straight
-/// off the packet filter, with no connection state.
-fn packet_mask(subs: &[Arc<dyn ErasedSubscription>]) -> SubscriptionSet {
-    let mut mask = SubscriptionSet::empty();
-    for (i, sub) in subs.iter().enumerate() {
-        if sub.level() == Level::Packet {
-            mask.insert(i);
-        }
-    }
-    mask
-}
-
 /// One core's pipeline state: the merged filter, the connection
-/// tracker (with its statistics and the core's tallies, one per row of
-/// the run's subscription table), stage profiling and the RX-lane
-/// tracepoints.
+/// tracker (with its statistics, the core's tallies, one per row of the
+/// run's subscription table, the table's packet-level mask and the
+/// stage-profiling switch) and the RX-lane tracepoints.
 pub struct CorePipeline<F: FilterFns> {
     filter: Arc<F>,
-    packet_mask: SubscriptionSet,
     tracker: ConnTracker<F>,
-    profile: bool,
     /// Tracepoint sink plus this core's RX lane.
     trace: Option<(Arc<Tracer>, usize)>,
     max_ts: u64,
@@ -185,9 +177,7 @@ impl<F: FilterFns> CorePipeline<F> {
         }
         CorePipeline {
             filter,
-            packet_mask: packet_mask(subs),
             tracker,
-            profile: config.profile_stages,
             trace,
             max_ts: 0,
             scratch: [const { None }; BURST_MAX],
@@ -231,12 +221,14 @@ impl<F: FilterFns> CorePipeline<F> {
         });
     }
 
-    /// Runs a burst of frames through the pipeline, stage-major, and
-    /// returns how many of them parsed (the offline driver's sweep
-    /// cadence counts those). Any number of frames may be handed over;
-    /// they are staged [`BURST_MAX`] at a time. `ahead` names frames the
-    /// driver will hand over *next* (at most [`BURST_MAX`] are looked
-    /// at): their first touch is prefetched a burst early.
+    /// Runs a burst of frames through the pipeline, stage-major. Any
+    /// number of frames may be handed over; they are staged
+    /// [`BURST_MAX`] at a time, and a chunk never runs past a sweep
+    /// boundary: right after every [`SWEEP_EVERY`]th frame received —
+    /// parsed or not — connections idle at the simulation clock expire
+    /// (§5.2). `ahead` names frames the driver will hand over *next* (at
+    /// most [`BURST_MAX`] are looked at): their first touch is
+    /// prefetched a burst early.
     ///
     /// * **S0** — prefetch: the reference-count line and the header
     ///   lines of every look-ahead frame and of every frame staged.
@@ -257,38 +249,37 @@ impl<F: FilterFns> CorePipeline<F> {
     ///   with whatever it produced delivered before the next packet.
     ///
     /// S1–S3 are pure per packet (their counters commute), S4 is the
-    /// per-packet sequence unchanged, and drivers keep calling
-    /// [`CorePipeline::advance`] between bursts: so however a packet
-    /// sequence is cut into bursts, deliveries, digests and span trees
-    /// are byte-identical.
+    /// per-packet sequence unchanged, and the sweep falls after the same
+    /// frame wherever the burst boundaries lie: so however a packet
+    /// sequence is cut into bursts, deliveries, expiries, digests and
+    /// span trees are byte-identical.
     pub fn on_burst<'a, T: Transport, I: Ingress>(
         &mut self,
         burst: impl IntoIterator<Item = I>,
         ahead: impl IntoIterator<Item = &'a Bytes>,
         transport: &mut T,
-    ) -> usize {
+    ) {
         for frame in ahead.into_iter().take(BURST_MAX) {
             frame.prefetch(FRAME_LINES);
         }
         let CorePipeline {
             filter,
-            packet_mask,
             tracker,
-            profile,
             trace,
             max_ts,
             scratch,
-            ..
         } = self;
-        let (packet_mask, profile) = (*packet_mask, *profile);
+        let (packet_mask, profile) = (tracker.packet_mask(), tracker.profile());
         let mut burst = burst.into_iter();
-        let mut parsed = 0;
         loop {
             // S0: wrap the next frames (with no NIC in front that is the
             // refcount bump, prefetched a burst ago) and ask for their
-            // header lines before anything reads them.
+            // header lines before anything reads them. A chunk ends at
+            // the next sweep boundary.
+            let left = SWEEP_EVERY - tracker.stats().rx_packets % SWEEP_EVERY;
+            let room = usize::try_from(left).map_or(BURST_MAX, |left| left.min(BURST_MAX));
             let mut n = 0;
-            for (slot, frame) in scratch.iter_mut().zip(burst.by_ref()) {
+            for (slot, frame) in scratch[..room].iter_mut().zip(burst.by_ref()) {
                 let mbuf = frame.into_mbuf();
                 mbuf.prefetch(FRAME_LINES);
                 *slot = Some(Staged {
@@ -329,7 +320,6 @@ impl<F: FilterFns> CorePipeline<F> {
                     s.mbuf.rss_hash = rss.hash_packet(&pkt);
                 }
                 s.pkt = Some(pkt);
-                parsed += 1;
             }
 
             // S2: the packet filter, over the whole scratch.
@@ -422,26 +412,22 @@ impl<F: FilterFns> CorePipeline<F> {
                 }
                 *slot = None;
             }
-            if n < BURST_MAX {
+            if n < room {
                 break;
             }
+            // The sweep: connections idle at the simulation clock expire,
+            // and what they release is delivered.
+            if tracker.stats().rx_packets % SWEEP_EVERY == 0 {
+                let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, transport);
+                tracker.advance(*max_ts, flush);
+            }
         }
-        parsed
-    }
-
-    /// Maintenance: expires connections idle at the simulation clock
-    /// (§5.2) and delivers what they release, [`BURST_MAX`] connections at
-    /// a time. How often this runs is the driver's call.
-    pub fn advance<T: Transport>(&mut self, transport: &mut T) {
-        let profile = self.profile;
-        let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, transport);
-        self.tracker.advance(self.max_ts, flush);
     }
 
     /// End of input: flushes every still-open connection, [`BURST_MAX`]
     /// at a time.
     pub fn drain<T: Transport>(&mut self, transport: &mut T) {
-        let profile = self.profile;
+        let profile = self.tracker.profile();
         self.tracker
             .drain(|outbox| Self::flush(outbox, profile, transport));
     }
@@ -460,12 +446,11 @@ impl<F: FilterFns> CorePipeline<F> {
         rows: &[usize],
         old_transport: &mut T,
     ) {
-        let profile = self.profile;
+        let profile = self.tracker.profile();
         let flush = |outbox: Outbox<'_>| Self::flush(outbox, profile, old_transport);
         self.tracker
             .rebind(Arc::clone(&filter), subs, remap, rows, flush);
         self.filter = filter;
-        self.packet_mask = packet_mask(subs);
     }
 
     /// The core's statistics and its tallies, indexed by row of the run's

@@ -348,10 +348,12 @@ impl RunReport {
     /// Includes every NIC counter, every deterministic core counter, and
     /// every per-subscription tally. Excludes wall-clock time and cycle
     /// measurements (machine- and schedule-dependent), and merges
-    /// `conns_expired + conns_drained` into one `conns_retired` line —
-    /// whether an idle connection is expired by the last maintenance
-    /// tick or drained at shutdown depends on poll scheduling, but their
-    /// sum does not.
+    /// `conns_expired + conns_drained` into one `conns_retired` line.
+    /// Each core sweeps right after every [`crate::SWEEP_EVERY`]th frame
+    /// it receives, so whether an idle connection is expired by a sweep
+    /// or drained at shutdown is a function of the core's frame
+    /// sequence — which differs across core counts and under hardware
+    /// drops — but their sum is not.
     pub fn deterministic_digest(&self) -> String {
         let lines = [
             ("nic.rx_offered", self.nic.rx_offered),

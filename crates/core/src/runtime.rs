@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns};
-use retina_nic::VirtualNic;
+use retina_nic::{PortStatsSnapshot, VirtualNic};
 use retina_support::bytes::Bytes;
 use retina_telemetry::{DispatchHub, MetricSink, TraceConfig, Tracer, TriggerReason};
 
@@ -52,7 +52,7 @@ use crate::governor::{GovernorConfig, GovernorStage, ShedState};
 use crate::monitor::{observe, Sampler};
 use crate::pipeline::{CorePipeline, Ingress};
 use crate::reconfig::{check_table, stage_rules, ConfigEpoch, EpochState, SwapController, EXITED};
-use crate::report::RunReport;
+use crate::report::{Rows, RunReport};
 use crate::stats::CoreStats;
 use crate::subscription::Subscribable;
 use crate::tracker::SubTally;
@@ -569,6 +569,19 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // Every ingest and core thread holds a sender until it exits.
         let (alive, all_exited) = std::sync::mpsc::channel::<()>();
 
+        // Epoch 0: stage this run's initial configuration — its hardware
+        // rules, and its callback execution model (§5.3): per-subscription
+        // dispatch inline on the RX core, to a shared worker pool, or to a
+        // dedicated worker, each fed over per-(core, subscription) SPSC
+        // rings — and publish it, so cores and any SwapController share
+        // one view. Its subscriptions open the run's row table. Staged
+        // before the first frame is ingested: the NIC may still hold an
+        // earlier run's rules (a swap's), which must drop nothing of this
+        // run.
+        self.epochs.open(self, tracer.as_ref());
+        let generation = self.epochs.generation.load(Ordering::Acquire);
+        self.gauges.note_config_epoch(generation);
+
         // Ingest thread: the wire feeding the NIC.
         let ingest = {
             let nic = Arc::clone(&self.nic);
@@ -599,16 +612,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             })
         };
 
-        // Epoch 0: stage this run's initial configuration — its hardware
-        // rules, and its callback execution model (§5.3): per-subscription
-        // dispatch inline on the RX core, to a shared worker pool, or to a
-        // dedicated worker, each fed over per-(core, subscription) SPSC
-        // rings — and publish it, so cores and any SwapController share
-        // one view. Its subscriptions open the run's row table.
-        self.epochs.open(self, tracer.as_ref());
-        let generation = self.epochs.generation.load(Ordering::Acquire);
-        self.gauges.note_config_epoch(generation);
-
         // RX cores: one thread each, each claiming its own sink set from
         // the epoch (SPSC producers must never be shared between cores).
         let workers: Vec<_> = (0..self.config.cores)
@@ -636,20 +639,10 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // rings; closing the run retires the final epoch, which drops the
         // rest and joins its workers.
         let rows = self.epochs.close();
-        let mut report = RunReport {
-            elapsed: start.elapsed(),
-            nic: self.nic.stats(),
-            cores: totals.stats,
-            subs: rows.reports(&totals.counts),
-            sim_duration_ns,
-            mbuf_high_water: self.nic.mempool().high_water(),
-            conn_arena_bytes: totals.arena_bytes,
-            filter_warnings: self.filter_warnings.clone(),
-            trace: None,
-            samples: Vec::new(),
-            governor: None,
-        };
-        report.attach_trace(tracer.as_deref());
+        let (elapsed, nic) = (start.elapsed(), self.nic.stats());
+        let (warnings, tracer) = (self.filter_warnings.clone(), tracer.as_deref());
+        let mut report = totals.report(&rows, nic, elapsed, sim_duration_ns, warnings, tracer);
+        report.mbuf_high_water = self.nic.mempool().high_water();
         if tracer.is_some() {
             self.nic.clear_tracer();
         }
@@ -744,9 +737,6 @@ impl<S: Subscribable, F: FilterFns + 'static> Runtime<S, F> {
     }
 }
 
-/// RX bursts between connection-timeout sweeps (and gauge flushes).
-const ADVANCE_EVERY_BURSTS: usize = 64;
-
 /// What an RX core's read found: a burst and its look-ahead (the frames
 /// handed over next), nothing yet, or the end of the core's input.
 pub(crate) enum Read<B> {
@@ -787,6 +777,36 @@ impl CoreTotals {
         }
         self.counts = long;
     }
+
+    /// The run's report: these totals, the run's closed row table, its
+    /// NIC counters, wall-clock and simulated spans and filter warnings,
+    /// with the tracer's report attached. Only a threaded run has a
+    /// mempool, samples or a governor to add.
+    pub(crate) fn report(
+        self,
+        rows: &Rows,
+        nic: PortStatsSnapshot,
+        elapsed: Duration,
+        sim_duration_ns: u64,
+        filter_warnings: Vec<String>,
+        tracer: Option<&Tracer>,
+    ) -> RunReport {
+        let mut report = RunReport {
+            elapsed,
+            nic,
+            cores: self.stats,
+            subs: rows.reports(&self.counts),
+            sim_duration_ns,
+            mbuf_high_water: 0,
+            conn_arena_bytes: self.arena_bytes,
+            filter_warnings,
+            trace: None,
+            samples: Vec::new(),
+            governor: None,
+        };
+        report.attach_trace(tracer);
+        report
+    }
 }
 
 /// One RX core: a [`CorePipeline`], its sink set and its side of the
@@ -804,7 +824,6 @@ pub(crate) struct RxCore<'a, F: FilterFns + 'static> {
     /// An epoch whose sink set the core has yet to claim: after an
     /// adoption, until the sends it made have left the old one.
     unclaimed: Option<Arc<ConfigEpoch<F>>>,
-    since_advance: usize,
     drained: bool,
 }
 
@@ -831,7 +850,6 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
             sinks: CoreSinks::new(0, 0, None, false),
             generation: epoch.generation,
             unclaimed: Some(epoch),
-            since_advance: 0,
             drained: false,
         };
         rx.claim();
@@ -872,9 +890,10 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
     /// generation is adopted at this safe point (removed subscriptions
     /// drain through the OLD sinks), and once adoption's sends are
     /// through, its sink set is claimed and acked. Then `read`'s burst,
-    /// with the shed flag picked up first and a timeout sweep every
-    /// [`ADVANCE_EVERY_BURSTS`] bursts, or at the end of input the final
-    /// drain; the exit comes at the next turn with nothing parked.
+    /// with the shed flag picked up first and the gauges, if the run has
+    /// any, flushed after it (the pipeline sweeps on its own frame count),
+    /// or at the end of input the final drain; the exit comes at the next
+    /// turn with nothing parked.
     pub(crate) fn turn<'f, B, A, I>(
         &mut self,
         shed: &ShedState,
@@ -909,12 +928,7 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
             Read::Burst((burst, ahead)) => {
                 self.pipeline.set_shed_parsing(shed.parsing_shed());
                 self.pipeline.on_burst(burst, ahead, &mut self.sinks);
-                self.since_advance += 1;
-                if self.since_advance >= ADVANCE_EVERY_BURSTS {
-                    self.since_advance = 0;
-                    self.pipeline.advance(&mut self.sinks);
-                    self.update_gauges(true);
-                }
+                self.update_gauges(true);
                 Turn::Ran
             }
             Read::Empty => Turn::Wait,

@@ -30,6 +30,10 @@
 //! * **Isolation** — a [`WorkerStall`] freezing one subscription's
 //!   worker for a step window must not stall its siblings (their
 //!   queues keep draining while the stalled queue backs up).
+//! * **Cut invariance** — [`StepConfig::rx_batch`] changes neither
+//!   what is delivered nor which connections expire: the pipeline
+//!   sweeps right after every [`crate::SWEEP_EVERY`]th frame a core
+//!   receives, as under every other driver.
 //!
 //! Virtual time means real time never appears: a "stall" is a window of
 //! step numbers, and a blocked RX core is modeled by its parked sends,
@@ -85,7 +89,9 @@ impl WorkerStall {
 
 /// Parameters of one stepped run. Everything that could perturb the
 /// interleaving is explicit here, so `(frames, config)` fully
-/// determines the run.
+/// determines the run. None of it changes what a core delivers or which
+/// connections expire: each core's pipeline sweeps on its own frame
+/// count, however many frames a step hands it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepConfig {
     /// Seed of the actor schedule (which actor — RX or a worker — runs
@@ -235,7 +241,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let (mut chaos_fired, mut step, mut cursor) = (false, 0u64, 0u64);
         let mut grace: Option<Grace<F>> = None;
-        let mut warnings = Vec::new();
+        let mut warnings = self.filter_warnings().to_vec();
         let done = |first: &RxActor<'_, F>, rest: &[RxActor<'_, F>], workers: &[VirtualWorker]| {
             let mut rx = std::iter::once(first).chain(rest);
             rx.all(|a| a.rx.finished()) && workers.iter().all(|w| w.ring.is_empty())
@@ -363,23 +369,9 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             rx_bytes,
             ..PortStatsSnapshot::default()
         };
-        let mut report = RunReport {
-            // Virtual time: wall-clock metrics are meaningless here.
-            elapsed: Duration::ZERO,
-            nic,
-            cores: totals.stats,
-            subs: rows.reports(&totals.counts),
-            sim_duration_ns: max_ts,
-            mbuf_high_water: 0,
-            conn_arena_bytes: totals.arena_bytes,
-            filter_warnings: self.filter_warnings().to_vec(),
-            trace: None,
-            samples: Vec::new(),
-            governor: None,
-        };
-        report.filter_warnings.extend(warnings);
-        report.attach_trace(tracer.as_deref());
-        report
+        // Virtual time: wall-clock metrics are meaningless here.
+        let elapsed = Duration::ZERO;
+        totals.report(&rows, nic, elapsed, max_ts, warnings, tracer.as_deref())
     }
 }
 

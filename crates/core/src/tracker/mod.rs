@@ -204,6 +204,27 @@ impl<F: FilterFns> Machine<F> {
         }
     }
 
+    /// Exits, as `end`, each connection `walk` takes out of the table,
+    /// handing what they release to `flush` every [`BURST_MAX`] of them
+    /// and once at the end: a mass exit never queues in the output lanes
+    /// whole.
+    fn exit_all(
+        &mut self,
+        end: TraceConnEnd,
+        mut flush: impl FnMut(Outbox<'_>),
+        walk: impl FnOnce(&mut dyn FnMut(ConnEntry<Conn>)),
+    ) {
+        let mut exits = 0;
+        walk(&mut |mut entry| {
+            self.exit(&mut entry, end);
+            exits += 1;
+            if exits % BURST_MAX == 0 {
+                flush(self.outbox());
+            }
+        });
+        flush(self.outbox());
+    }
+
     /// Records a tracepoint for a sampled connection (no-op otherwise).
     fn trace(&self, conn: &Conn, kind: TraceKind, a: u64, b: u64) {
         if conn.trace_id != 0 {
@@ -373,6 +394,17 @@ impl<F: FilterFns> ConnTracker<F> {
     /// Worst-case probe length ([`ConnTable::longest_chain`]).
     pub fn longest_chain(&self) -> usize {
         self.table.longest_chain()
+    }
+
+    /// The running table's packet-level subscriptions: the ones served
+    /// straight off the packet filter, with no connection state.
+    pub(crate) fn packet_mask(&self) -> SubscriptionSet {
+        self.machine.masks.packet
+    }
+
+    /// Whether stage cycles are timed (`profile_stages`).
+    pub(crate) fn profile(&self) -> bool {
+        self.machine.profile
     }
 
     /// Per-stage statistics for this core.
@@ -620,36 +652,23 @@ impl<F: FilterFns> ConnTracker<F> {
 
     /// Advances simulated time: expires idle connections (§5.2), each
     /// leaving from the table's expiry pass, not via a side buffer, and
-    /// hands what they release to `flush` every [`BURST_MAX`] of them: a
-    /// mass expiry never queues in the output lanes whole.
-    pub(crate) fn advance(&mut self, now_ns: u64, mut flush: impl FnMut(Outbox<'_>)) {
-        let (m, mut exits) = (&mut self.machine, 0);
-        self.table.advance(now_ns, |_key, mut entry| {
-            m.exit(&mut entry, TraceConnEnd::Expired);
-            exits += 1;
-            if exits % BURST_MAX == 0 {
-                flush(m.outbox());
-            }
+    /// hands what they release to `flush` (`Machine::exit_all`).
+    pub(crate) fn advance(&mut self, now_ns: u64, flush: impl FnMut(Outbox<'_>)) {
+        let table = &mut self.table;
+        self.machine.exit_all(TraceConnEnd::Expired, flush, |exit| {
+            table.advance(now_ns, |_key, entry| exit(entry));
         });
-        flush(m.outbox());
         self.closed
             .retain(|_, &mut t| now_ns < t.saturating_add(TIME_WAIT_NS));
     }
 
     /// Flushes every remaining connection (end of a run): delivers
     /// connection-level data for matched connections, handing it to
-    /// `flush` every [`BURST_MAX`] connections, as [`ConnTracker::advance`]
-    /// does.
-    pub(crate) fn drain(&mut self, mut flush: impl FnMut(Outbox<'_>)) {
-        let (m, mut exits) = (&mut self.machine, 0);
-        self.table.drain_all(|mut entry| {
-            m.exit(&mut entry, TraceConnEnd::Drained);
-            exits += 1;
-            if exits % BURST_MAX == 0 {
-                flush(m.outbox());
-            }
-        });
-        flush(m.outbox());
+    /// `flush` as [`ConnTracker::advance`] does.
+    pub(crate) fn drain(&mut self, flush: impl FnMut(Outbox<'_>)) {
+        let table = &mut self.table;
+        self.machine
+            .exit_all(TraceConnEnd::Drained, flush, |exit| table.drain_all(exit));
     }
 
     /// Rebinds the tracker to a new configuration epoch at a live-swap

@@ -211,10 +211,11 @@ fn conversation(n: usize) -> Vec<Bytes> {
 
 /// `conns` conversations interleaved under `seed` — each keeps its own
 /// packet order, so neighbours in the result are often the same
-/// connection's consecutive packets and often not — 20 µs apart (the
-/// whole trace stays inside the 5 s establish timeout: no expiry, so
-/// the drivers' sweep cadence cannot show), with an unparseable frame
-/// dropped in now and then.
+/// connection's consecutive packets and often not — 20 µs apart, with an
+/// unparseable frame dropped in now and then. The whole trace stays
+/// inside the 5 s establish timeout, so nothing here expires; expiry
+/// under every cut has a test of its own
+/// (`every_cut_expires_the_same_connections`).
 fn workload(seed: u64, conns: usize) -> Vec<(Bytes, u64)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pending: Vec<std::vec::IntoIter<Bytes>> =
@@ -358,7 +359,7 @@ proptest! {
         prop_assert_eq!(ones, cut);
     }
 
-    /// `run_offline` (bursts of up to 32 with the sweep's room rule)
+    /// `run_offline` (the whole iterator handed over as one burst)
     /// agrees with the stepped harness taking the frames one at a time.
     #[test]
     fn offline_agrees_with_bursts_of_one(seed in any::<u64>(), conns in 6usize..40) {
@@ -411,9 +412,10 @@ fn piped<S: Subscribable + std::fmt::Debug>(
                 break;
             }
             let (burst, tail) = rest.split_at((*cut).min(rest.len()));
-            let parsed = pipeline.on_burst(burst, [], &mut transport);
-            assert!(parsed <= burst.len());
+            pipeline.on_burst(burst, [], &mut transport);
             rest = tail;
+            let received = pipeline.tracker().stats().rx_packets;
+            assert_eq!(received, (packets.len() - rest.len()) as u64);
         }
         pipeline.drain(&mut transport);
         pipeline.finish().0
@@ -558,8 +560,8 @@ fn timed_syns(n: usize, garbage: &[usize]) -> Vec<(Bytes, u64)> {
         .collect()
 }
 
-/// SYNs among the first `frames` frames of [`timed_syns`] whose 5 s
-/// establish timeout has run out by the time frame `at` is the clock.
+/// SYNs of [`timed_syns`] whose 5 s establish timeout has run out by the
+/// time frame `at` is the clock.
 fn expired_by(at: usize, garbage: &[usize]) -> u64 {
     let now = at as u64 * 10 * MS;
     (0..=at)
@@ -567,51 +569,124 @@ fn expired_by(at: usize, garbage: &[usize]) -> u64 {
         .count() as u64
 }
 
-/// `run_offline` sweeps after every 1024th *parsed* packet — a count
-/// that parse failures do not advance — and not a packet later, however
-/// the frames fall into bursts. One sweep fires in this trace; how many
-/// connections it expires says exactly where.
+/// The pipeline sweeps idle connections right after every
+/// `SWEEP_EVERY`th frame it receives, parsed or not, so which
+/// connections expire is a function of the frame sequence alone: the
+/// stepped harness at any `rx_batch`, `run_offline` and the pipeline
+/// under arbitrary cuts expire the same connections and deliver the same
+/// records in the same order. Three sweeps fire in this trace. The
+/// 1024th frame and the one before it are unparseable, and so is the
+/// first frame after the second sweep.
 #[test]
-fn offline_sweeps_right_after_the_1024th_parsed_packet() {
-    // A parse failure just before the boundary: the 1024th parsed packet
-    // is frame 1024, not 1023.
-    let garbage = [5, 1020];
-    let packets = timed_syns(1400, &garbage);
+fn every_cut_expires_the_same_connections() {
+    let garbage = [1022, 1023, 2048, 3000];
+    let packets = timed_syns(3200, &garbage);
+    let created = 3200 - garbage.len() as u64;
+    // The last sweep runs with frame 3071 as the clock.
+    let last_sweep = 3 * retina_core::SWEEP_EVERY as usize - 1;
+    let expired = expired_by(last_sweep, &garbage);
+    assert_eq!(expired, 2569, "pinned");
+
     let filter = Arc::new(CompiledFilter::build("tcp", &Default::default()).unwrap());
-    let mut delivered = 0u64;
+    let mut offline = Seen::default();
     let stats = run_offline(
         &filter,
         &RuntimeConfig::default(),
-        packets,
-        |_: ConnRecord| delivered += 1,
+        packets.iter().cloned(),
+        |r: ConnRecord| offline.fold(&r),
+    );
+    assert_eq!(stats.parse_failures, garbage.len() as u64);
+    assert_eq!(stats.conns_created, created);
+    assert_eq!(stats.conns_expired, expired);
+    assert_eq!(stats.conns_drained, created - expired);
+    assert_eq!(offline.count, created);
+
+    for rx_batch in [1, 3, 4, 33] {
+        let seen = Shared::default();
+        let runtime = RuntimeBuilder::new(RuntimeConfig::default())
+            .subscribe_named("sub0", "tcp", counting::<ConnRecord>(&seen))
+            .build()
+            .unwrap();
+        let cfg = StepConfig {
+            rx_batch,
+            ..StepConfig::seeded(1)
+        };
+        let report = runtime.run_stepped(&packets, &cfg);
+        report.check_accounting().unwrap();
+        assert_eq!(
+            counters(&report.cores),
+            counters(&stats),
+            "rx_batch {rx_batch}"
+        );
+        assert_eq!(*seen.lock().unwrap(), offline, "rx_batch {rx_batch}");
+    }
+
+    for cuts in [&[1][..], &[32], &[7, 1, 100, 1023, 3], &[1025, 2], &[4000]] {
+        let cut = piped::<ConnRecord>("tcp", &packets, cuts);
+        assert_eq!(cut, (counters(&stats), offline), "cuts {cuts:?}");
+    }
+}
+
+/// `run_offline` sweeps right after the 1024th parsed packet, and not a
+/// packet later, however the frames fall into bursts. Every frame up to
+/// that boundary parses in this trace, so the 1024th parsed packet is
+/// also the 1024th frame, which is what the sweep counts; the parse
+/// failures come after it and move nothing. One sweep fires; how many
+/// connections it expires says exactly where.
+#[test]
+fn offline_sweeps_right_after_the_1024th_parsed_packet() {
+    let garbage = [1100, 1300];
+    let packets = timed_syns(1400, &garbage);
+    let boundary = retina_core::SWEEP_EVERY as usize - 1; // frame 1023 is the clock
+    let expired = expired_by(boundary, &garbage);
+    assert_eq!(expired, 524, "pinned");
+    assert_ne!(expired, expired_by(boundary + 1, &garbage));
+
+    let filter = Arc::new(CompiledFilter::build("tcp", &Default::default()).unwrap());
+    let mut offline = Seen::default();
+    let stats = run_offline(
+        &filter,
+        &RuntimeConfig::default(),
+        packets.iter().cloned(),
+        |r: ConnRecord| offline.fold(&r),
     );
     assert_eq!(stats.parse_failures, 2);
     assert_eq!(stats.conns_created, 1398);
-    let boundary = 1024 + 1; // both failures fall before it
-    assert_eq!(stats.conns_expired, expired_by(boundary, &garbage));
-    assert_eq!(stats.conns_expired, 525, "pinned at the parent commit");
-    assert_eq!(stats.conns_drained, 1398 - 525);
-    assert_eq!(delivered, 1398);
+    assert_eq!(stats.conns_expired, expired);
+    assert_eq!(stats.conns_drained, 1398 - expired);
+    assert_eq!(offline.count, 1398);
+
+    for cuts in [&[boundary][..], &[boundary + 1], &[boundary, 2]] {
+        let cut = piped::<ConnRecord>("tcp", &packets, cuts);
+        assert_eq!(cut, (counters(&stats), offline), "cuts {cuts:?}");
+    }
 }
 
-/// The stepped harness sweeps every 64 RX steps, whatever `rx_batch`
-/// packs into a step and whether its frames parse: with `rx_batch` 4 the
-/// last sweep of this trace runs with frame 767 as the clock.
+/// The stepped harness sweeps every 64 RX steps when `rx_batch` packs
+/// 64 steps into exactly 1024 frames, whether those frames parse: with
+/// `rx_batch` 16 the last sweep of this trace runs with frame 2047 as
+/// the clock.
 #[test]
 fn stepped_sweeps_every_64_steps_of_rx_batch_frames() {
+    let rx_batch = retina_core::SWEEP_EVERY as usize / 64;
+    assert_eq!(rx_batch, 16);
     let garbage = [255, 256, 600];
-    let packets = timed_syns(1000, &garbage);
+    let packets = timed_syns(2100, &garbage);
     let runtime = RuntimeBuilder::new(RuntimeConfig::default())
         .subscribe_named("conns", "tcp", |_: ConnRecord| {})
         .build()
         .unwrap();
-    let report = runtime.run_stepped(&packets, &StepConfig::seeded(1));
+    let cfg = StepConfig {
+        rx_batch,
+        ..StepConfig::seeded(1)
+    };
+    let report = runtime.run_stepped(&packets, &cfg);
     report.check_accounting().unwrap();
     assert_eq!(report.cores.parse_failures, 3);
-    assert_eq!(report.cores.conns_expired, expired_by(767, &garbage));
     assert_eq!(
-        report.cores.conns_expired, 266,
-        "pinned at the parent commit"
+        report.cores.conns_expired,
+        expired_by(2 * 64 * rx_batch - 1, &garbage)
     );
-    assert_eq!(report.cores.conns_drained, 997 - 266);
+    assert_eq!(report.cores.conns_expired, 1545, "pinned");
+    assert_eq!(report.cores.conns_drained, 2097 - 1545);
 }

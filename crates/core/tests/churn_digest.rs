@@ -15,9 +15,12 @@
 //! thread scheduling.
 //!
 //! The workload pins the usual divergence sources: one RX core,
-//! `hw_filtering = false`, paced ingest, inline callbacks, and the
-//! digest's `conns_retired = expired + drained` merge absorbing
-//! timeout-vs-drain races.
+//! `hw_filtering = false`, paced ingest and inline callbacks, so both
+//! drivers hand the one core the same frame sequence, and its timeout
+//! sweep (after every `SWEEP_EVERY`th frame) falls on the same frames in
+//! both. The digest's `conns_retired = expired + drained` merge is for
+//! runs whose per-core frame sequences differ: other core counts,
+//! hardware drops.
 
 // Test-harness narrowing: fixed 96-byte payload lengths into TCP
 // sequence-number arithmetic.

@@ -202,6 +202,17 @@
 # arena.rs has no `free: Vec<u32>` field and no single relocating
 # `slots: Vec<Slot<` store.
 #
+# Expiry has one rule. `CorePipeline::on_burst` sweeps idle connections
+# right after every `SWEEP_EVERY`th frame it receives, parsed or not, and
+# no driver decides when. The drivers once each kept a cadence of their
+# own — the RX core every 64 bursts (`ADVANCE_EVERY_BURSTS`, counted in
+# `since_advance`), offline every 1 024 parsed packets (`ADVANCE_EVERY`),
+# fig8 every 10 simulated seconds — so which connections expired
+# depended on the driver, on `rx_batch` and on how frames were cut into
+# bursts. So non-test code under crates/*/src names no `ADVANCE_EVERY`
+# and no `since_advance`, and crates/core/src/pipeline.rs has no public
+# `fn advance` for a driver to call.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -497,6 +508,22 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(for file in $(find crates/*/src -name '*.rs' | sort); do
+    code_lines "$file"
+done | grep -E 'ADVANCE_EVERY|since_advance' || true)
+if [ -n "$hits" ]; then
+    echo "a driver's sweep cadence (the pipeline sweeps after every SWEEP_EVERYth frame):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(code_lines crates/core/src/pipeline.rs |
+    grep -E '(^|[^[:alnum:]_])pub(\([^)]*\))?[[:space:]]+fn[[:space:]]+advance\b' || true)
+if [ -n "$hits" ]; then
+    echo "a public sweep verb on CorePipeline (on_burst sweeps on its own frame count):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -515,4 +542,5 @@ echo "  benchmark/ is the one source of performance numbers: no second results f
 echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample(;"
 echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site;"
 echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site;"
-echo "  the connection arena is chunked, with its free list in its vacant slots"
+echo "  the connection arena is chunked, with its free list in its vacant slots;"
+echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance"

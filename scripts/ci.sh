@@ -65,7 +65,12 @@
 #                 non-test crates/core/src/monitor.rs (the run ticks its
 #                 samplers on its own thread), and no `TraceHandle` and
 #                 no `RwLock` holding an optional tracer in non-test
-#                 crates/core/src (the run hands its tracer on)
+#                 crates/core/src (the run hands its tracer on); and
+#                 expiry has one rule: no `ADVANCE_EVERY` or
+#                 `since_advance` in non-test crates/*/src and no public
+#                 `fn advance` in crates/core/src/pipeline.rs (the
+#                 pipeline sweeps after every SWEEP_EVERYth frame it
+#                 receives, whatever the driver)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary
