@@ -47,9 +47,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
-use retina_nic::Mbuf;
+use retina_nic::{Mbuf, VirtualNic};
 use retina_support::sync::spsc::{self, TryRecvError, TrySendError};
 use retina_telemetry::{trace::TraceDropCode, DispatchRow, TraceKind, Tracer, TriggerReason};
 
@@ -168,10 +167,6 @@ pub(crate) fn ring_capacity(sub: &dyn ErasedSubscription, mode: DispatchMode, co
         0
     }
 }
-
-/// Per-item callback delay injector `(subscription, item seq) ->
-/// optional sleep`, the chaos hook for stalling one worker mid-run.
-pub(crate) type CallbackDelayFn = Arc<dyn Fn(u16, u64) -> Option<Duration> + Send + Sync>;
 
 /// Items a worker pops from one ring before moving to the next, so a
 /// deep backlog on one ring cannot monopolize a shared worker.
@@ -444,8 +439,8 @@ impl<S: Subscribable> Enqueue for Queue<S> {
 /// The consumer half of one (core, subscription) ring, typed, as a
 /// worker drains it.
 pub(crate) trait WorkerRing: Send {
-    /// The subscription's index (for the chaos layer's delay hook and
-    /// the stepped harness's stall window).
+    /// The subscription's index (for the fault layer's delay hook, which
+    /// both drivers consult per item).
     fn sub_idx(&self) -> u16;
 
     /// Nothing queued right now.
@@ -742,7 +737,8 @@ pub(crate) fn build_sinks<'a>(
 
 /// Spawns the dispatch worker threads of one configuration epoch of a
 /// threaded run over `queued`, the rings [`build_sinks`] made, and
-/// returns the [`Dispatcher`] owning them.
+/// returns the [`Dispatcher`] owning them. A worker sleeps before each
+/// callback `nic`'s fault layer delays.
 ///
 /// Dedicated subscriptions drain on their own thread; shared
 /// subscriptions' rings all drain on one pool thread. Dropping the
@@ -756,7 +752,7 @@ pub(crate) fn channel_dispatcher(
     subs: &[Arc<dyn ErasedSubscription>],
     modes: &[DispatchMode],
     queued: Vec<(usize, Vec<Box<dyn WorkerRing>>)>,
-    delay: &CallbackDelayFn,
+    nic: &Arc<VirtualNic>,
     tracer: Option<&Arc<Tracer>>,
 ) -> Dispatcher {
     // Worker lanes are assigned in spawn order: dedicated workers in
@@ -775,19 +771,14 @@ pub(crate) fn channel_dispatcher(
     for (i, rings) in queued {
         if let DispatchMode::Dedicated { .. } = modes[i] {
             let name = format!("retina-cb-{}", subs[i].name());
-            handles.push(spawn_worker(
-                name,
-                rings,
-                delay,
-                worker_trace(handles.len()),
-            ));
+            handles.push(spawn_worker(name, rings, nic, worker_trace(handles.len())));
         } else {
             shared.extend(rings);
         }
     }
     if !shared.is_empty() {
         let (name, trace) = ("retina-cb-pool".to_string(), worker_trace(handles.len()));
-        handles.push(spawn_worker(name, shared, delay, trace));
+        handles.push(spawn_worker(name, shared, nic, trace));
     }
     Dispatcher { handles }
 }
@@ -797,10 +788,10 @@ pub(crate) fn channel_dispatcher(
 fn spawn_worker(
     name: String,
     mut rings: Vec<Box<dyn WorkerRing>>,
-    delay: &CallbackDelayFn,
+    nic: &Arc<VirtualNic>,
     trace: Option<(Arc<Tracer>, usize)>,
 ) -> std::thread::JoinHandle<u64> {
-    let delay = Arc::clone(delay);
+    let nic = Arc::clone(nic);
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
@@ -816,7 +807,7 @@ fn spawn_worker(
                     let (ran, disconnected) =
                         ring.drain(trace_lane(&trace), WORKER_BURST, &mut || {
                             let seq = seqs.entry(sub).or_insert(0);
-                            if let Some(d) = delay(sub, *seq) {
+                            if let Some(d) = nic.fault_callback_delay(sub, *seq) {
                                 std::thread::sleep(d);
                             }
                             *seq += 1;
@@ -843,9 +834,11 @@ mod tests {
     use retina_conntrack::{FiveTuple, TcpFlow};
     use retina_telemetry::TraceConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
-    fn no_delay() -> CallbackDelayFn {
-        Arc::new(|_, _| None)
+    /// A NIC with no fault layer: no callback is delayed.
+    fn no_delay() -> Arc<VirtualNic> {
+        Arc::new(VirtualNic::new(&retina_nic::DeviceConfig::default()))
     }
 
     fn counted_sub(count: &Arc<AtomicU64>) -> Arc<dyn ErasedSubscription> {
@@ -894,7 +887,7 @@ mod tests {
         subs: &[Arc<dyn ErasedSubscription>],
         modes: &[DispatchMode],
         cores: usize,
-        delay: &CallbackDelayFn,
+        nic: &Arc<VirtualNic>,
     ) -> (Vec<CoreSinks>, Dispatcher, Vec<DispatchRow>) {
         let stats: Vec<DispatchRow> = DispatchRow::block(subs.len()).collect();
         for ((row, sub), mode) in stats.iter().zip(subs).zip(modes) {
@@ -904,7 +897,7 @@ mod tests {
             .map(|core| CoreSinks::new(subs.len(), core, None, false))
             .collect();
         let queued = build_sinks(subs, modes, &stats, &mut sinks);
-        let dispatcher = channel_dispatcher(subs, modes, queued, delay, None);
+        let dispatcher = channel_dispatcher(subs, modes, queued, nic, None);
         (sinks, dispatcher, stats)
     }
 
@@ -966,10 +959,16 @@ mod tests {
         let sub = counted_sub(&count);
         let subs = vec![Arc::clone(&sub)];
         // Stall the worker long enough for the 2-deep ring to fill.
-        let delay: CallbackDelayFn =
-            Arc::new(|_, seq| (seq == 0).then(|| Duration::from_millis(50)));
+        struct FirstItemStall;
+        impl retina_nic::FaultHooks for FirstItemStall {
+            fn callback_delay(&self, _: u16, seq: u64) -> Option<Duration> {
+                (seq == 0).then(|| Duration::from_millis(50))
+            }
+        }
+        let nic = no_delay();
+        nic.set_fault_hooks(Arc::new(FirstItemStall));
         let modes = [DispatchMode::dedicated(2).shedding()];
-        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, &delay);
+        let (mut sinks, dispatcher, stats) = fabric(&subs, &modes, 1, &nic);
         let mut slab = outputs(&sub, 40);
         for _ in 0..40 {
             sinks[0].deliver(0, &mut *slab);

@@ -90,7 +90,7 @@ pub use runtime::{
     MultiRuntime, Runtime, RuntimeBuilder, RuntimeError, RuntimeGauges, TrafficSource,
 };
 pub use stats::CoreStats;
-pub use step::{StepConfig, WorkerStall};
+pub use step::{StepConfig, STEP_NS};
 pub use subscription::{ConnView, Level, Subscribable, Tracked};
 
 // Re-exports so applications need only depend on retina-core.

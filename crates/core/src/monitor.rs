@@ -3,19 +3,20 @@
 //! "Retina does provide logs and real-time monitoring of packet loss,
 //! throughput, and memory usage that can be used as feedback to adjust
 //! the filter or improve callback efficiency." This module implements
-//! that feedback loop as part of a threaded run. A sampler reads the
-//! NIC counters and runtime gauges and hands each [`Sample`] to any set
-//! of [`MetricSink`] exporters (log lines, CSV, JSON, Prometheus text).
+//! that feedback loop as part of a run. A sampler reads the NIC counters
+//! and runtime gauges and hands each [`Sample`] to any set of
+//! [`MetricSink`] exporters (log lines, CSV, JSON, Prometheus text).
 //! The same tick acts on the readings: with a governor attached it turns
 //! them into [`PressureSignals`] and applies the governor's decision.
-//! [`crate::MultiRuntime::run`] builds the samplers that
-//! [`crate::MultiRuntime::set_monitor`] and
-//! [`crate::MultiRuntime::set_governor`] configure and ticks them on its
-//! own thread; the run's [`RunReport`] carries what they recorded.
+//! Both drivers build the samplers [`crate::MultiRuntime::set_monitor`] and
+//! [`crate::MultiRuntime::set_governor`] configure and tick them on a clock
+//! they supply (ns since the run began: a threaded run's wall clock, on its
+//! own thread, or a stepped run's virtual one); the run's [`RunReport`]
+//! carries what they recorded.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use retina_nic::{PortStatsSnapshot, VirtualNic};
 use retina_telemetry::{MetricSink, Sample, Tracer, TriggerReason};
@@ -24,15 +25,14 @@ use crate::governor::{GovernorStage, PressureSignals};
 use crate::report::RunReport;
 use crate::runtime::{fire_trigger, RuntimeGauges};
 
-/// One observer of a threaded run: counters-to-deltas bookkeeping, the
-/// governor stage, and the per-sample fan-out to the exporter sinks.
+/// One observer of a run, on its driver's clock: counters-to-deltas
+/// bookkeeping, the governor stage, and the fan-out to the exporters.
 pub(crate) struct Sampler {
     nic: Arc<VirtualNic>,
     gauges: Arc<RuntimeGauges>,
-    interval: Duration,
-    start: Instant,
+    interval: u64,
     prev: PortStatsSnapshot,
-    prev_t: Instant,
+    prev_t: u64,
     sinks: Vec<Box<dyn MetricSink>>,
     samples: Vec<Sample>,
     tracer: Option<Arc<Tracer>>,
@@ -40,9 +40,9 @@ pub(crate) struct Sampler {
 }
 
 impl Sampler {
-    /// A sampler ticking every `interval`, first due one interval from
-    /// now. An interval losing more frames than `tracer`'s
-    /// `drop_burst_threshold` freezes its flight recorder.
+    /// A sampler ticking every `interval` (at least 1 ns), first due one
+    /// interval after the run began. An interval losing more frames than
+    /// `tracer`'s `drop_burst_threshold` freezes its flight recorder.
     pub(crate) fn new(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
@@ -51,14 +51,12 @@ impl Sampler {
         governor: Option<GovernorStage>,
         tracer: Option<Arc<Tracer>>,
     ) -> Self {
-        let start = Instant::now();
         Sampler {
             prev: nic.stats(),
             nic,
             gauges,
-            interval,
-            start,
-            prev_t: start,
+            interval: u64::try_from(interval.as_nanos()).map_or(u64::MAX, |ns| ns.max(1)),
+            prev_t: 0,
             sinks,
             samples: Vec::new(),
             tracer,
@@ -67,21 +65,18 @@ impl Sampler {
     }
 
     /// When the next tick is due.
-    fn due(&self) -> Instant {
-        self.prev_t + self.interval
+    pub(crate) fn due(&self) -> u64 {
+        self.prev_t.saturating_add(self.interval)
     }
 
-    /// Takes one sample, acts on it and hands it to every sink.
-    pub(crate) fn tick(&mut self) -> Sample {
-        let now = Instant::now();
+    /// Takes one sample at `now`, acts on it and hands it to every sink.
+    pub(crate) fn tick(&mut self, now: u64) -> Sample {
         let stats = self.nic.stats();
-        let dt = now.duration_since(self.prev_t);
+        let dt = now.saturating_sub(self.prev_t) as f64 / 1e9;
         let sample = Sample {
-            elapsed_secs: now.duration_since(self.start).as_secs_f64(),
-            interval_secs: dt.as_secs_f64(),
-            gbps: ((stats.rx_bytes - self.prev.rx_bytes) as f64 * 8.0)
-                / dt.as_secs_f64().max(1e-9)
-                / 1e9,
+            elapsed_secs: now as f64 / 1e9,
+            interval_secs: dt,
+            gbps: ((stats.rx_bytes - self.prev.rx_bytes) as f64 * 8.0) / dt.max(1e-9) / 1e9,
             lost: stats.lost() - self.prev.lost(),
             hw_dropped: stats.hw_dropped - self.prev.hw_dropped,
             parse_failures: self.gauges.parse_failures(),
@@ -143,36 +138,39 @@ impl Sampler {
     }
 }
 
-/// The observer loop of a threaded run, on the run's own thread: each
-/// sampler ticks when it is due, and the loop waits in between until
+/// The observer loop of a threaded run, on its own thread, with `clock`
+/// the ns since the run began: each sampler ticks when it is due until
 /// `alive` disconnects (every ingest and core thread has dropped its
-/// sender on exit). Then every sampler takes one closing tick, and a
-/// governor that still stands shed keeps ticking, for at most as many
-/// intervals as a calm walk back takes: a governed run hands the NIC's
-/// RETA and the shed flag back at full fidelity, since no governor owns
-/// them after it.
-pub(crate) fn observe(samplers: &mut [Sampler], alive: &Receiver<()>) {
-    let wait = |samplers: &[Sampler]| {
-        let due = samplers.iter().map(Sampler::due).min();
-        due.map_or(Duration::MAX, |due| {
-            due.saturating_duration_since(Instant::now())
-        })
-    };
+/// sender on exit); then come the [`closing_ticks`], slept for.
+pub(crate) fn observe(samplers: &mut [Sampler], alive: &Receiver<()>, clock: impl Fn() -> u64) {
+    let until = |due: u64| Duration::from_nanos(due.saturating_sub(clock()));
+    let wait = |s: &[Sampler]| until(s.iter().map(Sampler::due).min().unwrap_or(u64::MAX));
     while alive.recv_timeout(wait(samplers)) == Err(RecvTimeoutError::Timeout) {
-        let now = Instant::now();
+        let now = clock();
         for sampler in samplers.iter_mut().filter(|s| s.due() <= now) {
-            sampler.tick();
+            sampler.tick(now);
         }
     }
+    closing_ticks(samplers, |due| {
+        std::thread::sleep(until(due));
+        clock()
+    });
+}
+
+/// A run's closing ticks, once its cores have exited: every sampler takes
+/// one, and a governor that still stands shed keeps ticking, for at most
+/// as many intervals as a calm walk back takes, so no governor leaves the
+/// NIC's RETA or the shed flag degraded. `clock(due)` is the time once
+/// `due` has come (a threaded run sleeps until then).
+pub(crate) fn closing_ticks(samplers: &mut [Sampler], mut clock: impl FnMut(u64) -> u64) {
     for sampler in samplers {
-        sampler.tick();
+        sampler.tick(clock(0));
         let walk_back = |s: &Sampler| s.governor.as_ref().map_or(0, GovernorStage::walk_back);
         for _ in 0..walk_back(sampler) {
             if walk_back(sampler) == 0 {
                 break;
             }
-            std::thread::sleep(sampler.due().saturating_duration_since(Instant::now()));
-            sampler.tick();
+            sampler.tick(clock(sampler.due()));
         }
     }
 }
@@ -212,13 +210,16 @@ mod tests {
         Arc::new(VirtualNic::new(&retina_nic::DeviceConfig::default()))
     }
 
+    /// The test samplers' interval: their times are supplied, never slept for.
+    const INTERVAL_NS: u64 = 5_000_000;
+
     /// A sink-less, untraced sampler over `nic` and `gauges`.
     fn sampler(
         nic: Arc<VirtualNic>,
         gauges: Arc<RuntimeGauges>,
         governor: Option<GovernorStage>,
     ) -> Sampler {
-        let interval = Duration::from_millis(5);
+        let interval = Duration::from_nanos(INTERVAL_NS);
         Sampler::new(nic, gauges, interval, Vec::new(), governor, None)
     }
 
@@ -233,7 +234,7 @@ mod tests {
         gauges.worker_update(0, &stats, 1234, 64 * 1024, 8192, 17);
         gauges.note_config_epoch(3);
         gauges.note_swap_pickup_lag(42);
-        let s = sampler(idle_nic(), gauges, None).tick();
+        let s = sampler(idle_nic(), gauges, None).tick(INTERVAL_NS);
         assert_eq!(s.parse_failures, 3);
         assert_eq!(s.connections, 1234);
         assert_eq!(s.state_bytes, 64 * 1024);
@@ -254,7 +255,8 @@ mod tests {
         for _ in 0..3 {
             row.note_enqueued();
         }
-        assert_eq!(sampler(idle_nic(), gauges, None).tick().dispatch_depth, 3);
+        let s = sampler(idle_nic(), gauges, None).tick(INTERVAL_NS);
+        assert_eq!(s.dispatch_depth, 3);
     }
 
     #[test]
@@ -302,16 +304,16 @@ mod tests {
         };
         assert_eq!(pressured.mempool_occupancy, 1.0);
         assert_eq!(pressured.lost_delta, 2);
-        sampler.tick();
+        sampler.tick(INTERVAL_NS);
         assert!(shed.parsing_shed(), "pressure sheds parsing");
 
         // Drain the ring: the pool empties and the next ticks are calm.
         let mut drained = Vec::new();
         nic.rx_burst(0, &mut drained, 64);
         drop(drained);
-        sampler.tick();
+        sampler.tick(2 * INTERVAL_NS);
         assert!(shed.parsing_shed(), "one calm tick is inside the cooldown");
-        sampler.tick();
+        sampler.tick(3 * INTERVAL_NS);
         assert!(
             !shed.parsing_shed(),
             "calm for the cooldown restores parsing"
@@ -357,9 +359,9 @@ mod tests {
         assert_eq!(stage.walk_back(), 4);
         let gauges = Arc::new(RuntimeGauges::new(1, Arc::new(DispatchHub::default())));
         let mut samplers = [sampler(Arc::clone(&nic), gauges, Some(stage))];
-        // Every sender is gone: the run's cores have exited.
-        let (_, alive) = std::sync::mpsc::channel();
-        observe(&mut samplers, &alive);
+        // The run's cores have exited. The supplied clock reaches each
+        // walk-back tick's due time without a wait.
+        closing_ticks(&mut samplers, |due| due);
         assert!(!shed.parsing_shed());
         assert_eq!(nic.sink_fraction(), 0.0);
         let [sampler] = samplers;

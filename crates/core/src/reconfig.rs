@@ -26,7 +26,7 @@
 //!    new dispatch fabric counting into those rows) is built — by the
 //!    same `EpochState::stage` that stages a run's first epoch.
 //! 3. **Publish** — the epoch is installed, the runtime's one
-//!    [`DispatchHub`] takes the new table's membership, and the
+//!    [`retina_telemetry::DispatchHub`] takes the new table's membership, and the
 //!    generation counter is bumped.
 //! 4. **Grace** — over once every core has stored the new generation
 //!    into its ack slot (or exited): a predicate the threaded publisher
@@ -60,16 +60,14 @@ use std::time::{Duration, Instant};
 
 use retina_filter::{CompiledFilter, FilterFns, SubscriptionSet};
 use retina_nic::{FlowRule, VirtualNic};
-use retina_telemetry::{DispatchHub, Tracer, TriggerReason};
+use retina_telemetry::{Tracer, TriggerReason};
 
 use crate::config::RuntimeConfig;
 use crate::erased::{ErasedSubscription, TypedSubscription};
-use crate::executor::{
-    build_sinks, channel_dispatcher, CallbackDelayFn, CoreSinks, DispatchMode, Dispatcher,
-};
+use crate::executor::{build_sinks, channel_dispatcher, CoreSinks, DispatchMode, Dispatcher};
 use crate::report::Rows;
 use crate::runtime::{compile_union, fire_trigger, MultiRuntime, RuntimeGauges};
-use crate::step::VirtualWorker;
+use crate::step::{Hold, VirtualWorker};
 use crate::subscription::Subscribable;
 
 /// Ack-slot sentinel: the worker has exited (end of run). A grace
@@ -342,10 +340,12 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
     pub(crate) generation: AtomicU64,
     /// The current epoch (`None` between runs).
     pub(crate) current: RwLock<Option<Arc<ConfigEpoch<F>>>>,
-    /// A threaded run's device (rules, worker threads that stall where its
-    /// fault layer says) and its runtime's one dispatch hub. A stepped run
-    /// has neither: it drains its epochs' rings itself.
-    device: Option<(Arc<VirtualNic>, Arc<DispatchHub>)>,
+    /// A threaded run's device (rules, worker threads that sleep its fault
+    /// layer's delays); a stepped run drains its epochs' rings itself.
+    nic: Option<Arc<VirtualNic>>,
+    /// The runtime's gauges: a run opened here zeroes them and its cores
+    /// flush into them, and every published table joins their hub.
+    pub(crate) gauges: Arc<RuntimeGauges>,
     /// Per-core acknowledgment slots.
     pub(crate) acks: Vec<Ack>,
     /// Time base for all `SwapEvent` timestamps.
@@ -356,11 +356,16 @@ pub(crate) struct EpochState<F: FilterFns + 'static> {
 }
 
 impl<F: FilterFns + 'static> EpochState<F> {
-    pub(crate) fn new(cores: usize, device: Option<(Arc<VirtualNic>, Arc<DispatchHub>)>) -> Self {
+    pub(crate) fn new(
+        cores: usize,
+        nic: Option<Arc<VirtualNic>>,
+        gauges: Arc<RuntimeGauges>,
+    ) -> Self {
         EpochState {
             generation: AtomicU64::new(0),
             current: RwLock::new(None),
-            device,
+            nic,
+            gauges,
             acks: (0..cores)
                 .map(|_| Ack {
                     generation: AtomicU64::new(EXITED),
@@ -384,24 +389,21 @@ impl<F: FilterFns + 'static> EpochState<F> {
         config: &RuntimeConfig,
         tracer: Option<&Arc<Tracer>>,
     ) -> Result<Staged<F>, String> {
-        let rules = match &self.device {
-            Some((nic, _)) => stage_rules(nic, &*table.filter, config)?,
+        let rules = match &self.nic {
+            Some(nic) => stage_rules(nic, &*table.filter, config)?,
             None => (0, 0),
         };
         let cores = usize::from(config.cores);
         rows.install(&table.subs, &table.modes, cores);
         let map: Vec<usize> = rows.live().collect();
-        let parks = self.device.is_none();
+        let parks = self.nic.is_none();
         let mut sinks: Vec<CoreSinks> = (0..cores)
             .map(|core| CoreSinks::new(table.subs.len(), core, tracer, parks))
             .collect();
         let stats = map.iter().map(|&r| rows.dispatch(r));
         let queued = build_sinks(&table.subs, &table.modes, stats, &mut sinks);
-        let (dispatcher, rings) = if let Some((nic, _)) = &self.device {
-            let nic = Arc::clone(nic);
-            let delay: CallbackDelayFn =
-                Arc::new(move |sub, seq| nic.fault_callback_delay(sub, seq));
-            let d = channel_dispatcher(&table.subs, &table.modes, queued, &delay, tracer);
+        let (dispatcher, rings) = if let Some(nic) = &self.nic {
+            let d = channel_dispatcher(&table.subs, &table.modes, queued, nic, tracer);
             (Some(d), Vec::new())
         } else {
             let rings = queued.into_iter().flat_map(|q| q.1.into_iter().enumerate());
@@ -410,6 +412,8 @@ impl<F: FilterFns + 'static> EpochState<F> {
                 core,
                 lane,
                 ring,
+                ran: 0,
+                hold: Hold::default(),
             });
             (None, rings.collect())
         };
@@ -429,16 +433,14 @@ impl<F: FilterFns + 'static> EpochState<F> {
     /// Makes `epoch` current (and the hub's membership its table's). The
     /// generation counter is the caller's: a run's first epoch keeps it.
     fn publish(&self, epoch: Arc<ConfigEpoch<F>>, rows: &Rows) {
-        if let Some((_, hub)) = &self.device {
-            let stats = epoch.rows.iter().map(|&r| rows.dispatch(r).clone());
-            hub.replace(stats.collect());
-        }
+        (self.gauges.hub).replace(epoch.rows.iter().map(|&r| rows.dispatch(r).clone()));
         *self.current.write().unwrap() = Some(epoch);
     }
 
-    /// Opens a run of `rt`: a fresh row table, and its own table staged and
-    /// published at the generation the counter holds, every ack slot at it
-    /// (not [`EXITED`]: a swap before a core's first pickup waits for it).
+    /// Opens a run of `rt`: zeroed gauges, `tracer` on its NIC, a fresh row
+    /// table, and its own table staged and published at the generation the
+    /// counter holds, every ack slot at it (not [`EXITED`]: a swap before a
+    /// core's first pickup waits for it).
     pub(crate) fn open(
         &self,
         rt: &MultiRuntime<F>,
@@ -454,6 +456,11 @@ impl<F: FilterFns + 'static> EpochState<F> {
         let mut rows = self.rows.lock().unwrap();
         *rows = Rows::default();
         let generation = self.generation.load(Ordering::Acquire);
+        self.gauges.reset_cores();
+        self.gauges.note_config_epoch(generation);
+        if let Some(t) = tracer {
+            rt.nic().set_tracer(Arc::clone(t));
+        }
         let (epoch, _, rings) = self
             .stage(generation, table, &mut rows, &rt.config, tracer)
             .expect("the device accepted the runtime's own rules when it was built");
@@ -466,14 +473,15 @@ impl<F: FilterFns + 'static> EpochState<F> {
 
     /// Closes a run once its cores have exited: takes the final epoch and
     /// the rows under the swap lock (a racing swap completed, or sees
-    /// `NotRunning`), then retires the epoch's fabric.
-    pub(crate) fn close(&self) -> Rows {
+    /// `NotRunning`), then retires the epoch's fabric and clears `nic`'s tracer.
+    pub(crate) fn close(&self, nic: &VirtualNic) -> Rows {
         let (epoch, rows) = {
             let mut rows = self.rows.lock().unwrap();
             let epoch = self.current.write().unwrap().take();
             (epoch, std::mem::take(&mut *rows))
         };
         epoch.expect("an open run has an epoch").retire_fabric();
+        nic.clear_tracer();
         rows
     }
 
@@ -502,6 +510,7 @@ impl<F: FilterFns + 'static> EpochState<F> {
         self.publish(epoch, rows);
         let published_at = self.base.elapsed();
         self.generation.store(generation, Ordering::Release);
+        self.gauges.note_config_epoch(generation);
         let event = SwapEvent {
             generation,
             requested_at,
@@ -554,7 +563,6 @@ impl<F: FilterFns + 'static> EpochState<F> {
 /// any thread while `run()` owns the runtime.
 pub struct SwapController {
     pub(crate) epochs: Arc<EpochState<CompiledFilter>>,
-    pub(crate) gauges: Arc<RuntimeGauges>,
     pub(crate) config: RuntimeConfig,
 }
 
@@ -597,13 +605,12 @@ impl SwapController {
             fire_trigger(tracer, TriggerReason::SwapFailed, old.generation);
         })?;
         drop(old);
-        self.gauges.note_config_epoch(grace.event.generation);
         while !self.epochs.grace_over(&grace) {
             std::thread::yield_now();
         }
         let event = self.epochs.retire(grace);
         let lag = event.pickup_lag_us.iter().copied().max().unwrap_or(0);
-        self.gauges.note_swap_pickup_lag(lag);
+        self.epochs.gauges.note_swap_pickup_lag(lag);
         Ok(event)
     }
 }

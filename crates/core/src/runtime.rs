@@ -96,10 +96,10 @@ struct CoreGauges {
 ///
 /// Each worker flushes into its own cache-line block with relaxed
 /// stores, so monitoring adds no cross-core contention; readers merge
-/// the blocks on demand. [`MultiRuntime::run`] zeroes the blocks when it
-/// starts, so they describe the run in flight (or the last one). The
-/// swap controller writes the two run-level cells, and the dispatch
-/// depth is read live from the runtime's [`DispatchHub`].
+/// the blocks on demand. Every run zeroes the blocks when it starts, so
+/// they describe the run in flight (or the last one). Each publish sets
+/// the configuration epoch, a threaded swap its pickup lag, and the
+/// dispatch depth is read live from the runtime's [`DispatchHub`].
 #[derive(Debug)]
 pub struct RuntimeGauges {
     cores: Box<[CoreGauges]>,
@@ -185,7 +185,7 @@ impl RuntimeGauges {
     }
 
     /// Zeroes every core's block: a run starts from nothing.
-    fn reset_cores(&self) {
+    pub(crate) fn reset_cores(&self) {
         for c in &*self.cores {
             for cell in [
                 &c.connections,
@@ -404,7 +404,6 @@ pub struct MultiRuntime<F: FilterFns + 'static> {
     pub(crate) subs: Arc<[Arc<dyn ErasedSubscription>]>,
     pub(crate) modes: Arc<[DispatchMode]>,
     nic: Arc<VirtualNic>,
-    gauges: Arc<RuntimeGauges>,
     shed: Arc<ShedState>,
     epochs: Arc<EpochState<F>>,
     filter_warnings: Vec<String>,
@@ -443,15 +442,14 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let modes = vec![DispatchMode::Inline; subs.len()].into();
         let hub = Arc::new(DispatchHub::new(&vec![0u64; subs.len()]));
         let cores = usize::from(config.cores);
-        let gauges = Arc::new(RuntimeGauges::new(cores, Arc::clone(&hub)));
-        let epochs = Arc::new(EpochState::new(cores, Some((Arc::clone(&nic), hub))));
+        let gauges = Arc::new(RuntimeGauges::new(cores, hub));
+        let epochs = Arc::new(EpochState::new(cores, Some(Arc::clone(&nic)), gauges));
         Ok(MultiRuntime {
             config,
             filter: Arc::new(filter),
             subs: subs.into(),
             modes,
             nic,
-            gauges,
             shed: Arc::new(ShedState::new()),
             epochs,
             filter_warnings: Vec::new(),
@@ -470,7 +468,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.trace_config = Some(config);
     }
 
-    /// Monitors the next [`MultiRuntime::run`]: every `interval` while
+    /// Monitors the next run, threaded or stepped: every `interval` while
     /// it is in flight, and once more after its cores have exited, a
     /// [`Sample`](retina_telemetry::Sample) goes to every sink's
     /// `on_sample`; then the run's final snapshot
@@ -495,7 +493,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// table that is running — membership follows every live swap; the
     /// governor samples this as its queue-pressure input.
     pub fn dispatch_hub(&self) -> Arc<DispatchHub> {
-        Arc::clone(&self.gauges.hub)
+        Arc::clone(&self.epochs.gauges.hub)
     }
 
     /// Filter-analyzer warnings recorded at build time (also copied into
@@ -511,7 +509,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
     /// Live gauges for external monitoring.
     pub fn gauges(&self) -> Arc<RuntimeGauges> {
-        Arc::clone(&self.gauges)
+        Arc::clone(&self.epochs.gauges)
     }
 
     /// The runtime's shedding flags (shared with workers; a governor —
@@ -521,7 +519,7 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         Arc::clone(&self.shed)
     }
 
-    /// Governs the next [`MultiRuntime::run`] against overload; its
+    /// Governs the next run, threaded or stepped, against overload; its
     /// decision stream lands in [`RunReport::governor`].
     ///
     /// The governor owns the RETA from the run's start: the NIC's sink
@@ -535,29 +533,13 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         self.governor = Some(config);
     }
 
-    /// Runs the pipeline over a traffic source to completion, returning
-    /// aggregate statistics. The run's own thread observes it meanwhile:
-    /// it ticks the monitor and the governor, if set, when each is due.
-    pub fn run(&mut self, source: impl TrafficSource + 'static) -> RunReport {
-        let ingest_done = Arc::new(AtomicBool::new(false));
-        let start = Instant::now();
-        self.gauges.reset_cores();
-
-        // Fresh tracer per run (lanes are sized for this run's core and
-        // worker counts: one per dedicated worker, one for the pool).
-        let tracer = self.trace_config.clone().map(|tc| {
-            let clock: Arc<dyn Fn() -> u64 + Send + Sync> =
-                Arc::new(move || start.elapsed().as_nanos() as u64);
-            let cores = usize::from(self.config.cores);
-            Arc::new(Tracer::new(tc, cores, self.subs.len() + 1, clock))
-        });
-        if let Some(t) = &tracer {
-            self.nic.set_tracer(Arc::clone(t));
-        }
+    /// The next run's samplers, threaded or stepped, as configured by
+    /// [`MultiRuntime::set_monitor`] and [`MultiRuntime::set_governor`].
+    pub(crate) fn samplers(&mut self, tracer: Option<&Arc<Tracer>>) -> Vec<Sampler> {
         let (monitor, governor) = (self.monitor.take(), self.governor.take());
         let sampler = |interval, sinks, stage| {
-            let (nic, gauges) = (Arc::clone(&self.nic), Arc::clone(&self.gauges));
-            Sampler::new(nic, gauges, interval, sinks, stage, tracer.clone())
+            let (nic, gauges) = (Arc::clone(&self.nic), self.gauges());
+            Sampler::new(nic, gauges, interval, sinks, stage, tracer.cloned())
         };
         let governor = governor.map(|config| {
             let interval = config.interval;
@@ -565,7 +547,24 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             sampler(interval, Vec::new(), Some(stage))
         });
         let monitor = monitor.map(|(interval, sinks)| sampler(interval, sinks, None));
-        let mut samplers: Vec<Sampler> = monitor.into_iter().chain(governor).collect();
+        monitor.into_iter().chain(governor).collect()
+    }
+
+    /// Runs the pipeline over a traffic source to completion, returning
+    /// aggregate statistics. The run's own thread observes it meanwhile:
+    /// it ticks the monitor and the governor, if set, when each is due.
+    pub fn run(&mut self, source: impl TrafficSource + 'static) -> RunReport {
+        let ingest_done = Arc::new(AtomicBool::new(false));
+        let start = Instant::now();
+        let clock = move || start.elapsed().as_nanos() as u64;
+
+        // Fresh tracer per run (lanes are sized for this run's core and
+        // worker counts: one per dedicated worker, one for the pool).
+        let tracer = self.trace_config.clone().map(|tc| {
+            let cores = usize::from(self.config.cores);
+            Arc::new(Tracer::new(tc, cores, self.subs.len() + 1, Arc::new(clock)))
+        });
+        let mut samplers = self.samplers(tracer.as_ref());
         // Every ingest and core thread holds a sender until it exits.
         let (alive, all_exited) = std::sync::mpsc::channel::<()>();
 
@@ -579,8 +578,6 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // earlier run's rules (a swap's), which must drop nothing of this
         // run.
         self.epochs.open(self, tracer.as_ref());
-        let generation = self.epochs.generation.load(Ordering::Acquire);
-        self.gauges.note_config_epoch(generation);
 
         // Ingest thread: the wire feeding the NIC.
         let ingest = {
@@ -617,18 +614,18 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         let workers: Vec<_> = (0..self.config.cores)
             .map(|core| {
                 let (nic, epochs) = (Arc::clone(&self.nic), Arc::clone(&self.epochs));
-                let (gauges, shed) = (Arc::clone(&self.gauges), Arc::clone(&self.shed));
+                let shed = Arc::clone(&self.shed);
                 let (done, config) = (Arc::clone(&ingest_done), self.config.clone());
                 let (tracer, alive) = (tracer.clone(), alive.clone());
                 std::thread::spawn(move || {
                     let _alive = alive;
-                    let rx = RxCore::new(core, &epochs, &config, tracer.as_ref(), Some(&gauges));
+                    let rx = RxCore::new(core, &epochs, &config, tracer.as_ref());
                     rx.run_threaded(&nic, &done, &shed, config.burst)
                 })
             })
             .collect();
         drop(alive);
-        observe(&mut samplers, &all_exited);
+        observe(&mut samplers, &all_exited, clock);
 
         let sim_duration_ns = ingest.join().expect("ingest thread panicked");
         let mut totals = CoreTotals::default();
@@ -638,14 +635,11 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
         // Cores dropped their claimed sinks on exit, disconnecting those
         // rings; closing the run retires the final epoch, which drops the
         // rest and joins its workers.
-        let rows = self.epochs.close();
+        let rows = self.epochs.close(&self.nic);
         let (elapsed, nic) = (start.elapsed(), self.nic.stats());
         let (warnings, tracer) = (self.filter_warnings.clone(), tracer.as_deref());
         let mut report = totals.report(&rows, nic, elapsed, sim_duration_ns, warnings, tracer);
         report.mbuf_high_water = self.nic.mempool().high_water();
-        if tracer.is_some() {
-            self.nic.clear_tracer();
-        }
         for sampler in samplers {
             sampler.close(&mut report);
         }
@@ -665,7 +659,6 @@ impl MultiRuntime<CompiledFilter> {
     pub fn swap_controller(&self) -> SwapController {
         SwapController {
             epochs: Arc::clone(&self.epochs),
-            gauges: Arc::clone(&self.gauges),
             config: self.config.clone(),
         }
     }
@@ -780,8 +773,8 @@ impl CoreTotals {
 
     /// The run's report: these totals, the run's closed row table, its
     /// NIC counters, wall-clock and simulated spans and filter warnings,
-    /// with the tracer's report attached. Only a threaded run has a
-    /// mempool, samples or a governor to add.
+    /// with the tracer's report attached. The run's samplers add their
+    /// samples or governor; only a threaded run has a mempool to add.
     pub(crate) fn report(
         self,
         rows: &Rows,
@@ -815,8 +808,6 @@ impl CoreTotals {
 pub(crate) struct RxCore<'a, F: FilterFns + 'static> {
     core: u16,
     epochs: &'a EpochState<F>,
-    /// The live gauges of a threaded run (a stepped run has none).
-    gauges: Option<&'a RuntimeGauges>,
     pipeline: CorePipeline<F>,
     pub(crate) sinks: CoreSinks,
     /// The generation the core has acknowledged.
@@ -835,7 +826,6 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
         epochs: &'a EpochState<F>,
         config: &RuntimeConfig,
         tracer: Option<&Arc<Tracer>>,
-        gauges: Option<&'a RuntimeGauges>,
     ) -> Self {
         let epoch = epochs.current.read().unwrap().clone();
         let epoch = epoch.expect("a run publishes its first epoch before its cores start");
@@ -845,7 +835,6 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
         let mut rx = RxCore {
             core,
             epochs,
-            gauges,
             pipeline,
             sinks: CoreSinks::new(0, 0, None, false),
             generation: epoch.generation,
@@ -876,7 +865,7 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
     }
 
     /// Whether a new generation awaits this (undrained) core's next turn.
-    fn pickup_due(&self) -> bool {
+    pub(crate) fn pickup_due(&self) -> bool {
         let published = self.epochs.generation.load(Ordering::Acquire);
         !self.drained && self.unclaimed.is_none() && published != self.generation
     }
@@ -890,10 +879,10 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
     /// generation is adopted at this safe point (removed subscriptions
     /// drain through the OLD sinks), and once adoption's sends are
     /// through, its sink set is claimed and acked. Then `read`'s burst,
-    /// with the shed flag picked up first and the gauges, if the run has
-    /// any, flushed after it (the pipeline sweeps on its own frame count),
-    /// or at the end of input the final drain; the exit comes at the next
-    /// turn with nothing parked.
+    /// with the shed flag picked up first and the gauges flushed after it
+    /// (the pipeline sweeps on its own frame count), or at the end of
+    /// input the final drain; the exit comes at the next turn with
+    /// nothing parked.
     pub(crate) fn turn<'f, B, A, I>(
         &mut self,
         shed: &ShedState,
@@ -951,20 +940,14 @@ impl<'a, F: FilterFns + 'static> RxCore<'a, F> {
         }
     }
 
-    /// Flushes the core's state into its gauges, if it has any; an
-    /// exited core's holds no live connection.
+    /// Flushes the core's state into its gauges; an exited core's holds
+    /// no live connection.
     fn update_gauges(&self, live: bool) {
-        let (Some(gauges), t) = (self.gauges, self.pipeline.tracker()) else {
-            return;
-        };
+        let t = self.pipeline.tracker();
         let conns = if live { t.connections() } else { 0 };
         let bytes = if live { t.state_bytes() } else { 0 };
-        let (c, arena, clock) = (
-            usize::from(self.core),
-            t.arena_bytes(),
-            self.pipeline.max_ts(),
-        );
-        gauges.worker_update(c, t.stats(), conns, bytes, arena, clock);
+        let (c, clock) = (usize::from(self.core), self.pipeline.max_ts());
+        (self.epochs.gauges).worker_update(c, t.stats(), conns, bytes, t.arena_bytes(), clock);
     }
 
     /// The exited core's results.

@@ -27,21 +27,22 @@
 //!   [`crate::QueuePolicy::Block`], parked results are delivered late
 //!   but never lost; with [`crate::QueuePolicy::Shed`] every drop is
 //!   counted, and [`crate::RunReport::check_accounting`] still balances.
-//! * **Isolation** — a [`WorkerStall`] freezing one subscription's
-//!   worker for a step window must not stall its siblings (their
-//!   queues keep draining while the stalled queue backs up).
+//! * **Isolation** — a callback stall holding one subscription's
+//!   workers must not stall its siblings (their queues keep draining
+//!   while the stalled queue backs up).
 //! * **Cut invariance** — [`StepConfig::rx_batch`] changes neither
 //!   what is delivered nor which connections expire: the pipeline
 //!   sweeps right after every [`crate::SWEEP_EVERY`]th frame a core
 //!   receives, as under every other driver.
 //!
-//! Virtual time means real time never appears: a "stall" is a window of
-//! step numbers, and a blocked RX core is modeled by its parked sends,
-//! which must move into their rings (in park order, as a threaded RX
-//! core's one blocked send would) before the core reads, adopts or exits.
-//! The run keeps its own epoch state and stats, so no
-//! [`crate::SwapController`] reaches it and stepped tests never race a
-//! governor.
+//! Virtual time means real time never appears: step `n` is `n ×`
+//! [`STEP_NS`] ns into the run, a delay `d` the runtime NIC's fault hooks
+//! inject (a `FaultPlan`, read as a threaded run reads it) is ⌈d /
+//! `STEP_NS`⌉ steps its actor cannot be scheduled, and a blocked RX core
+//! is modeled by its parked sends, which must move into their rings (in
+//! park order, as a threaded RX core's one blocked send would) before the
+//! core reads, adopts or exits. No [`crate::SwapController`] reaches the
+//! run's own epoch state; its monitor and governor tick between steps.
 
 // Narrowing casts in this file are intentional: packet counts and
 // subscription indices narrow to compact counter fields by design.
@@ -54,42 +55,23 @@ use retina_filter::{CompiledFilter, FilterFns};
 use retina_nic::{PortStatsSnapshot, RedirectionTable, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_support::rand::{RngExt, SeedableRng, SmallRng};
-use retina_telemetry::{Tracer, TriggerReason};
+use retina_telemetry::Tracer;
 use retina_wire::ParsedPacket;
 
 use crate::config::RuntimeConfig;
 use crate::executor::{ring_capacity, WorkerRing};
+use crate::monitor::closing_ticks;
 use crate::reconfig::{prepare, EpochState, Grace, PreparedSwap, SwapError, SwapSpec};
 use crate::report::RunReport;
 use crate::runtime::{CoreTotals, MultiRuntime, Read, RxCore, Turn};
 
-/// Freezes one subscription's virtual worker for a window of steps:
-/// while `step ∈ [from_step, from_step + steps)` the worker pops
-/// nothing, its queue backs up, and (under [`crate::QueuePolicy::Block`]) the
-/// RX actor parks results destined for it. The global step counter
-/// advances every iteration — including iterations where *nothing*
-/// could run — so every stall window expires deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStall {
-    /// Index of the stalled subscription (registration order). A stall
-    /// on an inline subscription has no effect (there is no worker).
-    pub sub: usize,
-    /// First step of the stall window (the step counter starts at 1).
-    pub from_step: u64,
-    /// Window length in steps.
-    pub steps: u64,
-}
-
-impl WorkerStall {
-    /// Whether `step` falls inside the stall window.
-    fn active(&self, step: u64) -> bool {
-        step >= self.from_step && step < self.from_step.saturating_add(self.steps)
-    }
-}
+/// Virtual nanoseconds per step, for a stepped run's clock, delays and monitor.
+pub const STEP_NS: u64 = 1_000;
 
 /// Parameters of one stepped run. Everything that could perturb the
-/// interleaving is explicit here, so `(frames, config)` fully
-/// determines the run. None of it changes what a core delivers or which
+/// interleaving is explicit here or in the fault hooks installed on
+/// the runtime's NIC, so frames, config and the installed plan fully
+/// determine the run. None of it changes what a core delivers or which
 /// connections expire: each core's pipeline sweeps on its own frame
 /// count, however many frames a step hands it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +83,6 @@ pub struct StepConfig {
     pub rx_batch: usize,
     /// Items a virtual worker pops per step it is scheduled.
     pub worker_batch: usize,
-    /// Optional worker freeze for isolation/backpressure tests.
-    pub stall: Option<WorkerStall>,
 }
 
 impl Default for StepConfig {
@@ -111,7 +91,6 @@ impl Default for StepConfig {
             seed: 0,
             rx_batch: 4,
             worker_batch: 4,
-            stall: None,
         }
     }
 }
@@ -125,21 +104,45 @@ impl StepConfig {
             ..StepConfig::default()
         }
     }
+}
 
-    /// Adds a worker-freeze window to this schedule.
-    #[must_use]
-    pub fn with_stall(mut self, stall: WorkerStall) -> Self {
-        self.stall = Some(stall);
-        self
+/// An actor's injected delay: no turn before step `until`. `held` is
+/// the item it was held before (0 for an RX core's epoch pickup), which
+/// then runs without asking the fault hook again.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Hold {
+    until: u64,
+    held: Option<u64>,
+}
+
+impl Hold {
+    /// A hold from `step` for ⌈d / [`STEP_NS`]⌉ steps of the delay `d`
+    /// the fault layer injects, if any.
+    fn after(step: u64, delay: Option<Duration>) -> Self {
+        let steps = delay.map_or(0, |d| d.as_nanos().div_ceil(u128::from(STEP_NS)));
+        let until = step.saturating_add(u64::try_from(steps).unwrap_or(u64::MAX));
+        Hold { until, held: None }
+    }
+
+    /// Whether `item` may run at `step`: its delay is served, or `delay`
+    /// (the fault hook's answer) injects none; else the actor holds.
+    fn pass(&mut self, item: u64, step: u64, delay: impl FnOnce() -> Option<Duration>) -> bool {
+        if self.held.take_if(|held| *held == item).is_some() {
+            return true;
+        }
+        *self = Hold::after(step, delay());
+        self.held = (self.until > step).then_some(item);
+        self.held.is_none()
     }
 }
 
 /// One RX actor: an RX core, its RSS queue as indices of the frames
-/// (`None`: all of them, one core's), and how many of them it has read.
+/// (`None`: all of them, one core's), how many it has read, its hold.
 struct RxActor<'a, F: FilterFns + 'static> {
     rx: RxCore<'a, F>,
     queue: Option<Vec<usize>>,
     next: usize,
+    hold: Hold,
 }
 
 /// RX actor `core`: core 0 lives in the harness's stack frame (as a
@@ -154,12 +157,15 @@ fn pick<'b, T>(first: &'b mut T, rest: &'b mut [T], core: usize) -> &'b mut T {
 
 /// One virtual worker: the consumer end of one ring of epoch `generation`
 /// that no thread drains, which RX core `core` produces into. `lane` is
-/// its index among its epoch's rings: its worker lane, wrapped.
+/// its index among its epoch's rings: its worker lane, wrapped. It has
+/// run `ran` of its subscription's items, and holds with its siblings.
 pub(crate) struct VirtualWorker {
     pub(crate) generation: u64,
     pub(crate) core: usize,
     pub(crate) lane: usize,
     pub(crate) ring: Box<dyn WorkerRing>,
+    pub(crate) ran: u64,
+    pub(crate) hold: Hold,
 }
 
 /// Each RX core's queue of `packets`, as frame indices: the virtual NIC's
@@ -192,29 +198,30 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
     /// parked sends, counted sheds — without spawning a single thread,
     /// and fabricates a loss-free NIC snapshot (no device sits in front
     /// of a stepped run), so [`RunReport::check_accounting`] applies
-    /// unchanged.
+    /// unchanged. Like [`MultiRuntime::run`], it takes the monitor and
+    /// governor set for it (their samples read the NIC's counters as 0).
     ///
     /// # Panics
     /// Panics if the schedule deadlocks, which is impossible unless the
     /// dispatch invariants are broken (that is the point of the assert).
-    pub fn run_stepped(&self, packets: &[(Bytes, u64)], cfg: &StepConfig) -> RunReport {
+    pub fn run_stepped(&mut self, packets: &[(Bytes, u64)], cfg: &StepConfig) -> RunReport {
         self.run_stepped_inner(packets, cfg, None)
     }
 
     /// The harness, publishing `swap`'s table once the RX cursor (frames
     /// read across cores) reaches its packet index.
     fn run_stepped_inner(
-        &self,
+        &mut self,
         packets: &[(Bytes, u64)],
         cfg: &StepConfig,
         mut swap: Option<(u64, PreparedSwap<F>)>,
     ) -> RunReport {
-        let (cores, config) = (self.config.cores, &self.config);
         // Virtual-clock tracer: lane layout as in the threaded run
         // (ingest, one lane per RX core, one per ring of the first epoch,
         // onto which a swap's rings wrap as a threaded swap's workers do);
-        // timestamps are the step counter, so a (frames, config) pair
-        // fully determines every recorded event.
+        // timestamps are the step counter, so frames, config and fault
+        // plan fully determine every recorded event.
+        let cores = self.config.cores;
         let tracer = self.trace_config.clone().map(|tc| {
             let subs = self.subs.iter().zip(self.modes.iter());
             let queued = subs
@@ -223,23 +230,26 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             let rings = (queued * usize::from(cores)).max(1);
             Arc::new(Tracer::new_virtual(tc, usize::from(cores), rings))
         });
-        let lanes = tracer
-            .as_ref()
-            .map_or(1, |t| t.lane_count() - t.worker_lane(0));
-        let epochs = EpochState::new(usize::from(cores), None);
+        let mut samplers = self.samplers(tracer.as_ref());
+        let (config, nic, trace) = (&self.config, self.nic(), tracer.as_deref());
+        let epochs = EpochState::new(usize::from(cores), None, self.gauges());
         let mut workers = epochs.open(self, tracer.as_ref());
         let mut queues = rss_queues(packets, config).into_iter();
+        let lanes = trace.map_or(1, |t| t.lane_count() - t.worker_lane(0));
+        // An injected slowdown holds a core before each poll, its first too.
+        let slowdown = |core| nic.fault_worker_delay(core);
         let actor = |core, queue| RxActor {
-            rx: RxCore::new(core, &epochs, config, tracer.as_ref(), None),
+            rx: RxCore::new(core, &epochs, config, tracer.as_ref()),
             queue,
             next: 0,
+            hold: Hold::after(0, slowdown(core)),
         };
         let mut first = actor(0, queues.next());
         let mut rest: Vec<_> = (1..cores).map(|core| actor(core, queues.next())).collect();
 
         let shed = self.shed_state();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let (mut chaos_fired, mut step, mut cursor) = (false, 0u64, 0u64);
+        let (mut step, mut cursor) = (0u64, 0u64);
         let mut grace: Option<Grace<F>> = None;
         let mut warnings = self.filter_warnings().to_vec();
         let done = |first: &RxActor<'_, F>, rest: &[RxActor<'_, F>], workers: &[VirtualWorker]| {
@@ -250,6 +260,12 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             step += 1;
             if let Some(t) = &tracer {
                 t.set_virtual_time(step);
+            }
+            // Samplers tick at their due times, drawing nothing from the schedule.
+            for sampler in &mut samplers {
+                while sampler.due() <= step * STEP_NS {
+                    sampler.tick(sampler.due());
+                }
             }
             // The swap's publisher: it publishes once the cursor reaches
             // the swap's index (clamped, so a swap "after the last packet"
@@ -277,86 +293,86 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
 
             let actors = usize::from(cores) + workers.len();
             let choice = rng.random_range(0..actors);
-            let mut progressed = false;
             // Try the scheduled actor first; fall back through the rest
-            // so a blocked actor never masks available progress (the
-            // schedule stays a pure function of the seed either way).
-            for k in 0..actors {
+            // so a blocked or held actor never masks available progress
+            // (the schedule stays a pure function of the seed either way).
+            let progressed = (0..actors).any(|k| {
                 let actor = (choice + k) % actors;
-                let p = if let Some(w) = actor.checked_sub(usize::from(cores)) {
-                    let w = &mut workers[w];
-                    let sub = usize::from(w.ring.sub_idx());
-                    if let Some(stall) = cfg.stall.filter(|s| s.sub == sub && s.active(step)) {
-                        // First activation of the fault window freezes the
-                        // flight recorder, exactly as the chaos layer's
-                        // fault hook does in a threaded run.
-                        if !chaos_fired {
-                            chaos_fired = true;
-                            if let Some(t) = &tracer {
-                                t.trigger(TriggerReason::ChaosFault, stall.sub as u64);
-                            }
+                if let Some(i) = actor.checked_sub(usize::from(cores)) {
+                    // One thread runs an epoch's items of a subscription: their
+                    // sequence spans its workers, and a delay holds them all.
+                    let key = |w: &VirtualWorker| (w.generation, w.ring.sub_idx());
+                    let (group, sub) = (key(&workers[i]), workers[i].ring.sub_idx());
+                    let mine = |w: &&VirtualWorker| key(w) == group;
+                    let seq: u64 = workers.iter().filter(mine).map(|w| w.ran).sum();
+                    let w = &mut workers[i];
+                    let lane = trace.map(|t| (t, t.worker_lane(w.lane % lanes)));
+                    let (batch, mut ran) = (cfg.worker_batch.max(1) as u64, 0);
+                    while w.hold.until <= step && ran < batch && !w.ring.is_empty() {
+                        let n = seq + ran;
+                        if w.hold.pass(n, step, || nic.fault_callback_delay(sub, n)) {
+                            ran += w.ring.drain(lane, 1, &mut || {}).0 as u64;
                         }
-                        false
-                    } else {
-                        let trace = tracer
-                            .as_deref()
-                            .map(|t| (t, t.worker_lane(w.lane % lanes)));
-                        let (ran, _) = w.ring.drain(trace, cfg.worker_batch.max(1), &mut || {});
-                        if ran > 0 {
-                            // The freed slots let the core's parked sends move.
-                            pick(&mut first, &mut rest, w.core).rx.sinks.flush_parked();
-                        }
-                        ran > 0
                     }
-                } else {
-                    let a = pick(&mut first, &mut rest, actor);
-                    // Parked sends move first: a blocked send stalls the
-                    // whole RX core, exactly like the threaded runtime.
-                    let moved = a.rx.sinks.flush_parked();
-                    let queue = a.queue.as_deref();
-                    let len = queue.map_or(packets.len(), <[usize]>::len);
-                    let frame = move |k: usize| queue.map_or(&packets[k], |q| &packets[q[k]]);
-                    let (next, cursor) = (&mut a.next, &mut cursor);
-                    // One RX turn is one burst; the burst after it is the
-                    // look-ahead. (No NIC in front: the pipeline records
-                    // the ingest lane's Rx and HwVerdict itself, labelled
-                    // by arrival index.)
-                    let read = move || {
-                        if *next >= len {
-                            return Read::End;
-                        }
-                        let (start, batch) = (*next, cfg.rx_batch.max(1));
-                        let end = (start + batch).min(len);
-                        (*next, *cursor) = (end, *cursor + (end - start) as u64);
-                        let ahead = (end..(end + batch).min(len)).map(move |k| &frame(k).0);
-                        Read::Burst(((start..end).map(frame), ahead))
-                    };
-                    match a.rx.turn(&shed, read) {
-                        Turn::Ran => true,
-                        Turn::Wait | Turn::Exited => moved,
+                    let (core, hold) = (w.core, w.hold);
+                    w.ran += ran;
+                    for w in workers.iter_mut().filter(|w| key(w) == group) {
+                        w.hold = hold;
                     }
-                };
-                if p {
-                    progressed = true;
-                    break;
+                    if ran > 0 {
+                        // The freed slots let the core's parked sends move.
+                        pick(&mut first, &mut rest, core).rx.sinks.flush_parked();
+                    }
+                    return ran > 0;
                 }
-            }
+                let (a, core) = (pick(&mut first, &mut rest, actor), actor as u16);
+                // Parked sends move first: a blocked send stalls the
+                // whole RX core, exactly like the threaded runtime.
+                let moved = a.hold.until <= step && a.rx.sinks.flush_parked();
+                // An injected pickup stall holds the core at its safe point.
+                let pickup = !a.rx.sinks.is_parked() && a.rx.pickup_due();
+                let delay = || nic.fault_swap_pickup_delay(core);
+                if a.hold.until > step || pickup && !a.hold.pass(0, step, delay) {
+                    return moved;
+                }
+                let queue = a.queue.as_deref();
+                let len = queue.map_or(packets.len(), <[usize]>::len);
+                let frame = move |k: usize| queue.map_or(&packets[k], |q| &packets[q[k]]);
+                let (next, cursor, hold) = (&mut a.next, &mut cursor, &mut a.hold);
+                // One RX turn is one burst; the burst after it is the
+                // look-ahead. (No NIC in front: the pipeline records
+                // the ingest lane's Rx and HwVerdict itself, labelled
+                // by arrival index.)
+                let read = move || {
+                    if *next >= len {
+                        return Read::End;
+                    }
+                    let (start, batch) = (*next, cfg.rx_batch.max(1));
+                    let end = (start + batch).min(len);
+                    (*next, *cursor) = (end, *cursor + (end - start) as u64);
+                    let ahead = (end..(end + batch).min(len)).map(move |k| &frame(k).0);
+                    *hold = Hold::after(step, slowdown(core));
+                    Read::Burst(((start..end).map(frame), ahead))
+                };
+                match a.rx.turn(&shed, read) {
+                    Turn::Ran => true,
+                    Turn::Wait | Turn::Exited => moved,
+                }
+            });
             if !progressed {
-                // Only an active stall window may block every actor at
-                // once; the window is measured in steps and the counter
-                // just advanced, so it expires without progress.
-                assert!(
-                    cfg.stall.is_some_and(|s| s.active(step)),
-                    "stepped dispatch deadlocked at step {step}: no actor can run \
-                     and no stall window is active"
-                );
+                // Only injected delays hold every actor at once: the clock
+                // jumps to the first release, so a long one costs no step.
+                let rx = std::iter::once(&first).chain(&rest).map(|a| a.hold.until);
+                let holds = rx.chain(workers.iter().map(|w| w.hold.until));
+                let release = holds.filter(|&until| until > step).min();
+                step = release.expect("stepped dispatch deadlocked: no actor runs or is held") - 1;
             }
         }
         for a in std::iter::once(&mut first).chain(&mut rest) {
             a.rx.exit();
         }
         warnings.extend(grace.map(|g| epochs.retire(g).warnings).unwrap_or_default());
-        let rows = epochs.close();
+        let rows = epochs.close(nic);
         let mut totals = CoreTotals::default();
         for a in std::iter::once(first).chain(rest) {
             totals.merge(a.rx.finish());
@@ -369,9 +385,14 @@ impl<F: FilterFns + 'static> MultiRuntime<F> {
             rx_bytes,
             ..PortStatsSnapshot::default()
         };
+        // The closing ticks come due on the virtual clock without a wait.
+        closing_ticks(&mut samplers, |due| due.max(step * STEP_NS));
         // Virtual time: wall-clock metrics are meaningless here.
-        let elapsed = Duration::ZERO;
-        totals.report(&rows, nic, elapsed, max_ts, warnings, tracer.as_deref())
+        let mut report = totals.report(&rows, nic, Duration::ZERO, max_ts, warnings, trace);
+        for sampler in samplers {
+            sampler.close(&mut report);
+        }
+        report
     }
 }
 
@@ -400,7 +421,7 @@ impl MultiRuntime<CompiledFilter> {
     /// Panics if the schedule deadlocks, exactly as
     /// [`MultiRuntime::run_stepped`] does.
     pub fn run_stepped_with_swap(
-        &self,
+        &mut self,
         packets: &[(Bytes, u64)],
         cfg: &StepConfig,
         at_packet: u64,
@@ -421,6 +442,28 @@ mod tests {
     use retina_wire::build::{build_tcp, TcpSpec};
     use retina_wire::TcpFlags;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Holds subscription `sub`'s workers for `steps` steps before its
+    /// first item: this crate's tests' own `FaultHooks`, the
+    /// `Fault::CallbackStall { sub, start_item: 0, items: 1, .. }` of
+    /// `retina-chaos` (which depends on this crate).
+    struct FirstItemStall {
+        sub: u16,
+        steps: u64,
+    }
+
+    impl retina_nic::FaultHooks for FirstItemStall {
+        fn callback_delay(&self, sub: u16, seq: u64) -> Option<Duration> {
+            let delay = Duration::from_nanos(self.steps * STEP_NS);
+            (sub == self.sub && seq == 0).then_some(delay)
+        }
+    }
+
+    /// Installs a [`FirstItemStall`] on `rt`'s NIC.
+    fn stall<F: FilterFns>(rt: &MultiRuntime<F>, sub: u16, steps: u64) {
+        rt.nic()
+            .set_fault_hooks(Arc::new(FirstItemStall { sub, steps }));
+    }
 
     /// `conns` hand-built TCP conversations (handshake, one payload
     /// each way, FIN teardown) interleaved on the wire — enough churn
@@ -496,7 +539,7 @@ mod tests {
         inline.check_accounting().unwrap();
         for seed in [1u64, 2, 3] {
             let hits = Arc::new(AtomicU64::new(0));
-            let rt = build(DispatchMode::dedicated(4), &hits);
+            let mut rt = build(DispatchMode::dedicated(4), &hits);
             let report = rt.run_stepped(&pkts, &StepConfig::seeded(seed));
             report.check_accounting().unwrap();
             assert_eq!(
@@ -515,13 +558,9 @@ mod tests {
     fn block_policy_parks_but_never_loses_under_stall() {
         let pkts = frames(150);
         let hits = Arc::new(AtomicU64::new(0));
-        let rt = build(DispatchMode::dedicated(2), &hits);
-        let cfg = StepConfig::seeded(11).with_stall(WorkerStall {
-            sub: 0,
-            from_step: 5,
-            steps: 400,
-        });
-        let report = rt.run_stepped(&pkts, &cfg);
+        let mut rt = build(DispatchMode::dedicated(2), &hits);
+        stall(&rt, 0, 400);
+        let report = rt.run_stepped(&pkts, &StepConfig::seeded(11));
         report.check_accounting().unwrap();
         assert_eq!(report.subs[0].cb_dropped_full, 0, "Block never sheds");
         assert_eq!(report.subs[0].cb_executed, report.subs[0].delivered);
@@ -532,13 +571,9 @@ mod tests {
     fn shed_policy_counts_drops_under_stall() {
         let pkts = frames(150);
         let hits = Arc::new(AtomicU64::new(0));
-        let rt = build(DispatchMode::dedicated(2).shedding(), &hits);
-        let cfg = StepConfig::seeded(11).with_stall(WorkerStall {
-            sub: 0,
-            from_step: 1,
-            steps: 100_000,
-        });
-        let report = rt.run_stepped(&pkts, &cfg);
+        let mut rt = build(DispatchMode::dedicated(2).shedding(), &hits);
+        stall(&rt, 0, 100_000);
+        let report = rt.run_stepped(&pkts, &StepConfig::seeded(11));
         report.check_accounting().unwrap();
         assert!(
             report.subs[0].cb_dropped_full > 0,
@@ -572,6 +607,7 @@ mod tests {
                 sample_one_in: 1,
                 ..retina_telemetry::TraceConfig::default()
             });
+            stall(&rt, 0, 300);
             let report = rt.run_stepped(&pkts, cfg);
             report.check_accounting().unwrap();
             let seen = seen.map(|s| std::mem::take(&mut *s.lock().unwrap()));
@@ -596,11 +632,6 @@ mod tests {
             seed: 5,
             rx_batch: 16,
             worker_batch: 1,
-            stall: Some(WorkerStall {
-                sub: 0,
-                from_step: 3,
-                steps: 300,
-            }),
         };
         let (inline, inline_seen) = run(DispatchMode::Inline, &cfg);
         let (queued, queued_seen) = run(DispatchMode::dedicated(1), &cfg);

@@ -301,7 +301,7 @@ fn stepped(
     rx_batch: usize,
     trace: Option<TraceConfig>,
 ) -> (RunReport, Vec<Seen>) {
-    let (runtime, seen) = union(trace);
+    let (mut runtime, seen) = union(trace);
     let cfg = StepConfig {
         rx_batch,
         ..StepConfig::seeded(3)
@@ -374,7 +374,7 @@ proptest! {
         );
 
         let seen = Shared::default();
-        let runtime = RuntimeBuilder::new(RuntimeConfig::default())
+        let mut runtime = RuntimeBuilder::new(RuntimeConfig::default())
             .subscribe_named("sub0", "tls", counting::<TlsHandshakeData>(&seen))
             .build()
             .unwrap();
@@ -603,7 +603,7 @@ fn every_cut_expires_the_same_connections() {
 
     for rx_batch in [1, 3, 4, 33] {
         let seen = Shared::default();
-        let runtime = RuntimeBuilder::new(RuntimeConfig::default())
+        let mut runtime = RuntimeBuilder::new(RuntimeConfig::default())
             .subscribe_named("sub0", "tcp", counting::<ConnRecord>(&seen))
             .build()
             .unwrap();
@@ -672,7 +672,7 @@ fn stepped_sweeps_every_64_steps_of_rx_batch_frames() {
     assert_eq!(rx_batch, 16);
     let garbage = [255, 256, 600];
     let packets = timed_syns(2100, &garbage);
-    let runtime = RuntimeBuilder::new(RuntimeConfig::default())
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::default())
         .subscribe_named("conns", "tcp", |_: ConnRecord| {})
         .build()
         .unwrap();

@@ -28,7 +28,7 @@ use retina_core::subscribables::ConnRecord;
 use retina_core::telemetry::json;
 use retina_core::{
     DispatchMode, MultiRuntime, RuntimeBuilder, RuntimeConfig, StepConfig, TraceConfig,
-    TriggerReason, WorkerStall,
+    TriggerReason, STEP_NS,
 };
 use retina_filter::CompiledFilter;
 use retina_support::bytes::Bytes;
@@ -215,12 +215,11 @@ proptest! {
         let threaded = threaded_rt.run(Seq(packets.clone()));
         threaded.check_accounting().expect("threaded accounting");
 
-        let stepped_rt = build_runtime(&mix, trace_config(trace_seed));
+        let mut stepped_rt = build_runtime(&mix, trace_config(trace_seed));
         let cfg = StepConfig {
             seed: sched_seed,
             rx_batch,
             worker_batch,
-            ..StepConfig::default()
         };
         let stepped = stepped_rt.run_stepped(&packets, &cfg);
         stepped.check_accounting().expect("stepped accounting");
@@ -246,7 +245,19 @@ proptest! {
     }
 }
 
-/// A chaos-style worker stall under the stepped executor freezes the
+/// Holds subscription 0's worker for 64 steps before its first item:
+/// `retina-chaos`'s `Fault::CallbackStall { sub: 0, start_item: 0,
+/// items: 1, delay: 64 × STEP_NS }`, as this crate's own `FaultHooks`
+/// (retina-chaos depends on retina-core).
+struct FirstItemStall;
+
+impl retina_nic::FaultHooks for FirstItemStall {
+    fn callback_delay(&self, sub: u16, seq: u64) -> Option<std::time::Duration> {
+        (sub == 0 && seq == 0).then(|| std::time::Duration::from_nanos(64 * STEP_NS))
+    }
+}
+
+/// A chaos callback stall under the stepped executor freezes the
 /// flight recorder, and the dump replays bit-for-bit across two runs
 /// of the same seed: same triggers, same rings, same bytes.
 #[test]
@@ -258,13 +269,11 @@ fn chaos_stall_flight_dump_replays_bit_for_bit() {
         DispatchMode::shared(2),
         DispatchMode::shared(2),
     ];
-    let cfg = StepConfig::seeded(11).with_stall(WorkerStall {
-        sub: 0,
-        from_step: 2,
-        steps: 64,
-    });
+    let cfg = StepConfig::seeded(11);
     let run = || {
-        let rt = build_runtime(&mix, trace_config(3));
+        let mut rt = build_runtime(&mix, trace_config(3));
+        rt.nic()
+            .set_fault_hooks(std::sync::Arc::new(FirstItemStall));
         rt.run_stepped(&packets, &cfg)
     };
     let r1 = run();
@@ -302,7 +311,7 @@ fn span_tree_covers_every_stage() {
         DispatchMode::shared(8),
         DispatchMode::shared(8),
     ];
-    let stepped_rt = build_runtime(&mix, trace_config(0));
+    let mut stepped_rt = build_runtime(&mix, trace_config(0));
     let report = stepped_rt.run_stepped(&packets, &StepConfig::seeded(5));
     let session = report.trace.expect("trace report").session;
     let flows = session.assemble();

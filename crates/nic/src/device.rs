@@ -18,7 +18,7 @@ use retina_support::sync::ArrayQueue;
 use retina_support::sync::RwLock;
 use retina_telemetry::{
     trace::{TraceDropCode, TraceHwAction},
-    DropBreakdown, DropReason, TraceKind, Tracer,
+    DropBreakdown, DropReason, TraceKind, Tracer, TriggerReason,
 };
 use retina_wire::ParsedPacket;
 
@@ -190,24 +190,40 @@ impl VirtualNic {
         *self.tracer.write() = None;
     }
 
+    /// The delay `hook` reads off the installed fault layer, if any. An
+    /// injected delay fires the attached tracer's
+    /// [`TriggerReason::ChaosFault`], `detail` naming the faulted core or
+    /// subscription, whichever driver then waits it out.
+    fn injected(
+        &self,
+        detail: u16,
+        hook: impl FnOnce(&dyn FaultHooks) -> Option<std::time::Duration>,
+    ) -> Option<std::time::Duration> {
+        let delay = hook(self.faults.read().as_deref()?)?;
+        if let Some(t) = self.tracer.read().as_ref() {
+            t.trigger(TriggerReason::ChaosFault, u64::from(detail));
+        }
+        Some(delay)
+    }
+
     /// Extra worker-core latency the installed fault layer wants to
     /// inject for `core` right now (`None` when unfaulted).
     pub fn fault_worker_delay(&self, core: u16) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.worker_delay(core)
+        self.injected(core, |hooks| hooks.worker_delay(core))
     }
 
     /// Extra latency the installed fault layer wants to inject before
     /// subscription `sub`'s `seq`-th dispatched callback (`None` when
     /// unfaulted).
     pub fn fault_callback_delay(&self, sub: u16, seq: u64) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.callback_delay(sub, seq)
+        self.injected(sub, |hooks| hooks.callback_delay(sub, seq))
     }
 
     /// Extra latency the installed fault layer wants to inject before
     /// worker core `core` picks up a newly published configuration
     /// epoch (`None` when unfaulted).
     pub fn fault_swap_pickup_delay(&self, core: u16) -> Option<std::time::Duration> {
-        self.faults.read().as_ref()?.swap_pickup_delay(core)
+        self.injected(core, |hooks| hooks.swap_pickup_delay(core))
     }
 
     /// Frames currently held in flight by the fault layer (0 when

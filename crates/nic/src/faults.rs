@@ -19,6 +19,12 @@ use std::time::Duration;
 /// Determinism contract: decisions must be pure functions of the
 /// injector's seed and the arguments (frame sequence number, queue,
 /// poll count) — never of wall-clock time — so a run is replayable.
+/// Both drivers read the same hooks. A threaded run sleeps a timing
+/// fault's delay; the deterministic stepped run
+/// (`retina_core::MultiRuntime::run_stepped`) holds the faulted actor
+/// for ⌈delay / `STEP_NS`⌉ virtual steps instead, so no wall-clock time
+/// enters a replay at all. Every delay the device hands out through its
+/// `fault_*_delay` accessors fires its tracer's `chaos-fault` trigger.
 pub trait FaultHooks: Send + Sync {
     /// Consulted once per offered frame with its 0-based ingress
     /// sequence number. Returning `true` simulates mempool exhaustion:
@@ -42,8 +48,8 @@ pub trait FaultHooks: Send + Sync {
 
     /// Extra latency to inject into a worker core's poll loop
     /// (modeling a slowed core: thermal throttling, a noisy neighbor,
-    /// an interrupt storm). Returning `Some(d)` makes the worker sleep
-    /// for `d` before its next burst.
+    /// an interrupt storm). Returning `Some(d)` makes the worker wait
+    /// `d` before its next poll.
     fn worker_delay(&self, core: u16) -> Option<Duration> {
         let _ = core;
         None

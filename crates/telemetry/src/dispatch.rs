@@ -238,20 +238,24 @@ impl DispatchHub {
     }
 
     fn subs(&self) -> RwLockReadGuard<'_, Vec<DispatchRow>> {
-        // A poisoned lock still guards a valid table: `replace` swaps
-        // the whole vector in one assignment.
+        // A poisoned lock still guards a valid table: `replace` only
+        // clears the vector and refills it.
         self.subs
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Replaces the membership with a newly published configuration's
-    /// stats blocks, in its subscription order.
-    pub fn replace(&self, subs: Vec<DispatchRow>) {
-        *self
+    /// stats blocks, in its subscription order. The table is refilled in
+    /// place: publishing as many subscriptions as it held allocates
+    /// nothing.
+    pub fn replace(&self, subs: impl IntoIterator<Item = DispatchRow>) {
+        let mut table = self
             .subs
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = subs;
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        table.clear();
+        table.extend(subs);
     }
 
     /// Number of subscriptions tracked.

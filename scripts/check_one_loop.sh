@@ -213,6 +213,19 @@
 # and no `since_advance`, and crates/core/src/pipeline.rs has no public
 # `fn advance` for a driver to call.
 #
+# Faults and monitoring speak one language in both drivers. A stepped
+# run reads the timing faults of the fault hooks installed on its
+# runtime's NIC (a `retina-chaos` `FaultPlan`) and holds the faulted
+# actor for as many virtual steps as a threaded run sleeps, and it ticks
+# the monitor and governor set for it on its virtual clock. The stepped
+# harness once had a fault vocabulary of its own (`WorkerStall` windows
+# of step numbers, set through `StepConfig::with_stall`, with a
+# `chaos_fired` flag of its own for the flight recorder) and ignored the
+# monitor, whose sampler read the wall clock itself. So non-test code
+# under crates/*/src names no `WorkerStall`, `with_stall` or
+# `chaos_fired`, and non-test crates/core/src/monitor.rs no `Instant`:
+# a driver supplies the sampler's clock.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -524,6 +537,21 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(for file in $(find crates/*/src -name '*.rs' | sort); do
+    code_lines "$file"
+done | grep -E '(^|[^[:alnum:]_])(WorkerStall|with_stall|chaos_fired)([^[:alnum:]_]|$)' || true)
+if [ -n "$hits" ]; then
+    echo "a stepped fault vocabulary of its own (a stepped run reads the NIC's FaultHooks in virtual time):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(code_lines crates/core/src/monitor.rs | grep -E '(^|[^[:alnum:]_])Instant([^[:alnum:]_]|$)' || true)
+if [ -n "$hits" ]; then
+    echo "the sampler reads the wall clock itself (each driver supplies its clock):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -543,4 +571,5 @@ echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, Moni
 echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site;"
 echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site;"
 echo "  the connection arena is chunked, with its free list in its vacant slots;"
-echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance"
+echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance;"
+echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs"

@@ -70,7 +70,13 @@
 #                 `since_advance` in non-test crates/*/src and no public
 #                 `fn advance` in crates/core/src/pipeline.rs (the
 #                 pipeline sweeps after every SWEEP_EVERYth frame it
-#                 receives, whatever the driver)
+#                 receives, whatever the driver); and both drivers share
+#                 one fault plan and one monitor: no `WorkerStall`,
+#                 `with_stall` or `chaos_fired` in non-test
+#                 crates/*/src (a stepped run reads the NIC's FaultHooks
+#                 in virtual time), and no `Instant` in non-test
+#                 crates/core/src/monitor.rs (each driver supplies the
+#                 sampler's clock)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

@@ -168,7 +168,7 @@ fn allocs_per_bare_syn(mode: DispatchMode) -> f64 {
     let delivered = Arc::new(AtomicU64::new(0));
     let allocs_at_mark = Arc::new(AtomicU64::new(0));
     let (seen, mark) = (Arc::clone(&delivered), Arc::clone(&allocs_at_mark));
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_dispatched("conns", "tcp", mode, move |record: ConnRecord| {
             assert!(record.single_syn);
             if seen.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(N) {
@@ -206,7 +206,7 @@ fn a_bare_syn_allocates_nothing() {
 #[test]
 fn a_bare_syn_table_holds_its_peak_and_one_chunk() {
     let packets: Vec<_> = syns(0, 0).collect();
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("conns", "tcp", |record: ConnRecord| {
             assert!(record.single_syn);
         })
@@ -323,11 +323,11 @@ fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes
 /// report: two runs over prefixes of the same trace, differing by
 /// exactly the measured half — the prefix run grew every store first.
 fn measured_half(
-    runtime: &MultiRuntime<CompiledFilter>,
+    runtime: &mut MultiRuntime<CompiledFilter>,
     packets: &[(Bytes, u64)],
     warm: usize,
 ) -> ((u64, u64), RunReport) {
-    let run = |packets: &[(Bytes, u64)]| {
+    let mut run = |packets: &[(Bytes, u64)]| {
         let before = counters();
         let report = runtime.run_stepped(packets, &StepConfig::seeded(7));
         report.check_accounting().unwrap();
@@ -352,7 +352,7 @@ fn measured_half(
 /// (5 min inactivity) when the measured half, at 400 s, moves the clock;
 /// the measured ones are flushed by the end-of-run drain.
 fn allocs_per_client_hello(
-    runtime: &MultiRuntime<CompiledFilter>,
+    runtime: &mut MultiRuntime<CompiledFilter>,
     answered: bool,
 ) -> (f64, RunReport) {
     let mut packets = client_hellos(0, 0, answered);
@@ -370,14 +370,14 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
     // Nothing is ever delivered (no ServerHello, and the other three
     // protocols never show), so every allocation counted is the
     // pipeline's own.
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("tls", "tls", |_: TlsHandshakeData| {})
         .subscribe_named("http", "http", |_: HttpTransactionData| {})
         .subscribe_named("dns", "dns", |_: DnsTransactionData| {})
         .subscribe_named("ssh", "ssh", |_: SshHandshakeData| {})
         .build()
         .expect("runtime builds");
-    let (per_conn, report) = allocs_per_client_hello(&runtime, false);
+    let (per_conn, report) = allocs_per_client_hello(&mut runtime, false);
     assert_eq!(report.cores.app_parsing.runs, u64::from(2 * TLS_N));
     // With a boxed candidate per protocol at the first SYN (the commit
     // before the prototypes) this read 14.02, and 8.02 with only the
@@ -401,14 +401,14 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
 #[test]
 fn a_delivered_tls_handshake_allocates_only_what_it_carries() {
     static HANDSHAKES: AtomicU64 = AtomicU64::new(0);
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("tls", "tls", |hs: TlsHandshakeData| {
             assert_eq!(hs.tls.sni(), "video.example.net");
             HANDSHAKES.fetch_add(1, Ordering::Relaxed);
         })
         .build()
         .expect("runtime builds");
-    let (per_conn, report) = allocs_per_client_hello(&runtime, true);
+    let (per_conn, report) = allocs_per_client_hello(&mut runtime, true);
     // The prefix run delivered TLS_N handshakes, the full run 2 * TLS_N.
     assert_eq!(HANDSHAKES.load(Ordering::Relaxed), u64::from(3 * TLS_N));
     assert_eq!(report.cores.app_parsing.runs, u64::from(4 * TLS_N));
@@ -469,14 +469,14 @@ fn a_dns_probe_allocates_nothing() {
 #[test]
 fn a_tls_conn_record_borrows_its_service_name() {
     static RECORDS: AtomicU64 = AtomicU64::new(0);
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("tls-conns", "tls", |record: ConnRecord| {
             assert_eq!(record.service.as_deref(), Some("tls"));
             RECORDS.fetch_add(1, Ordering::Relaxed);
         })
         .build()
         .expect("runtime builds");
-    let (per_conn, _) = allocs_per_client_hello(&runtime, false);
+    let (per_conn, _) = allocs_per_client_hello(&mut runtime, false);
     // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
     assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
     // What is left is the record's `service` string — 1.02 with the slack
@@ -494,7 +494,7 @@ fn a_tls_conn_record_borrows_its_service_name() {
 #[test]
 fn a_session_filter_regex_allocates_nothing() {
     let run = |filter: &str| {
-        let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
             .subscribe_named("nflx", filter, |_: TlsHandshakeData| {
                 panic!("video.example.net is not a Netflix SNI");
             })
@@ -503,7 +503,7 @@ fn a_session_filter_regex_allocates_nothing() {
         let mut packets = client_hellos(0, 0, true);
         let warm = packets.len();
         packets.extend(client_hellos(TLS_N, 400 * SEC, true));
-        let ((allocs, _), report) = measured_half(&runtime, &packets, warm);
+        let ((allocs, _), report) = measured_half(&mut runtime, &packets, warm);
         // Every handshake reached the session filter, and failed it.
         assert_eq!(report.cores.session_filter.runs, u64::from(2 * TLS_N));
         allocs
@@ -577,7 +577,7 @@ fn a_conn_bytes_segment_costs_a_view_whatever_its_payload() {
     static STREAMED: AtomicU64 = AtomicU64::new(0);
     // Matched at the packet layer: nothing is probed or parsed, every
     // data segment goes to the stream hook and nowhere else.
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("bytes", "tcp", |conn: ConnBytes| {
             assert!(!conn.truncated);
             let len = conn.client_stream.len() + conn.server_stream.len();
@@ -585,12 +585,12 @@ fn a_conn_bytes_segment_costs_a_view_whatever_its_payload() {
         })
         .build()
         .expect("runtime builds");
-    let cost_of = |payload: usize| {
+    let mut cost_of = |payload: usize| {
         let mut packets = downloads(0, 0, payload);
         let warm = packets.len();
         packets.extend(downloads(STREAM_N, 10 * SEC, payload));
         let before = STREAMED.load(Ordering::Relaxed);
-        let (cost, _) = measured_half(&runtime, &packets, warm);
+        let (cost, _) = measured_half(&mut runtime, &packets, warm);
         // The prefix run delivered one half, the full run two.
         let per_conn = 17 + (u64::from(SEGMENTS) - 1) * payload as u64;
         let streamed = STREAMED.load(Ordering::Relaxed) - before;

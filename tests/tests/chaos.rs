@@ -15,6 +15,10 @@
 //! * Regression: an RX-ring stall active when ingest finishes must not
 //!   strand frames in the ring (the final-drain fix in the worker
 //!   loop).
+//! * The same plan drives both drivers: a stepped run reads the timing
+//!   faults off the runtime's NIC in virtual time, so a governed
+//!   callback stall replays bit for bit from its seed, and either
+//!   driver records every injected delay as a `chaos-fault` trigger.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -358,6 +362,159 @@ fn callback_stall_sheds_without_collateral_damage() {
         gov.shed_steps() > 0,
         "queue pressure from the stalled worker must reach the governor"
     );
+}
+
+/// The stepped twin of [`callback_stall_sheds_without_collateral_damage`]:
+/// the same plan, read off the runtime's NIC in virtual time (each 5 ms
+/// item delay holds the heavy subscription's workers for 5 000 steps),
+/// and a governor and monitor ticking on the virtual clock. Shedding is
+/// contained, the governor sheds on dispatch occupancy alone, and the
+/// governed run replays bit for bit from its seed: samples, governor
+/// events, flight dump and digests.
+#[test]
+fn stepped_callback_stall_sheds_without_collateral_damage() {
+    use retina_core::{
+        DispatchMode, GovernorAction, GovernorConfig, MultiRuntime, RuntimeBuilder, StepConfig,
+        TraceConfig, TriggerReason,
+    };
+    use std::time::Duration;
+
+    let build = |plan: &FaultPlan| -> MultiRuntime<retina_core::CompiledFilter> {
+        let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+            .subscribe_dispatched(
+                "heavy",
+                "ipv4 and tcp",
+                DispatchMode::dedicated(4).shedding(),
+                |_: ConnRecord| {},
+            )
+            .subscribe_named("light", "ipv4 and tcp", |_: ConnRecord| {})
+            .trace(TraceConfig::default())
+            .build()
+            .expect("runtime");
+        retina_chaos::install(rt.nic(), plan);
+        rt
+    };
+    let cfg = StepConfig::seeded(21);
+    let clean = build(&FaultPlan::new(21)).run_stepped(workload(), &cfg);
+    clean.check_accounting().unwrap();
+    let plan = FaultPlan::new(21).with(Fault::CallbackStall {
+        sub: 0,
+        start_item: 0,
+        items: 150,
+        delay: Duration::from_millis(5),
+    });
+
+    // Phase 1 — no governor: the stall is contained to the stalled
+    // subscription's own drop counters.
+    let stalled = build(&plan).run_stepped(workload(), &cfg);
+    stalled.check_accounting().unwrap();
+    let heavy = &stalled.subs[0];
+    assert!(
+        heavy.cb_dropped_full > 0,
+        "a 5 ms/item stall against 4-deep shedding rings must drop"
+    );
+    assert_eq!(
+        heavy.delivered,
+        heavy.cb_executed + heavy.cb_dropped_full + heavy.cb_dropped_disconnected,
+        "every heavy handoff attributed exactly once"
+    );
+    let light = &stalled.subs[1];
+    assert_eq!(
+        light.delivered, clean.subs[1].delivered,
+        "an inline sibling must be untouched by another sub's stall"
+    );
+    assert_eq!(light.cb_dropped_full, 0);
+    assert_eq!(light.delivered, light.cb_executed);
+    let chaos = stalled.trace.as_ref().and_then(|t| t.flight.as_ref());
+    let chaos = chaos.expect("the first injected delay froze the flight recorder");
+    assert!(chaos
+        .triggers
+        .iter()
+        .any(|t| t.reason == TriggerReason::ChaosFault && t.detail == 0));
+
+    // Phase 2 — governed and monitored on the virtual clock.
+    let governed = || {
+        let mut rt = build(&plan);
+        rt.set_monitor(Duration::from_millis(2), Vec::new());
+        rt.set_governor(GovernorConfig {
+            interval: Duration::from_millis(2),
+            // Only the dispatch-occupancy input may trigger: park the other
+            // thresholds out of reach.
+            mempool_high: 2.0,
+            ring_high: 2.0,
+            loss_tolerance: u64::MAX,
+            dispatch_high: 0.5,
+            ..GovernorConfig::default()
+        });
+        rt.run_stepped(workload(), &cfg)
+    };
+    let (a, b) = (governed(), governed());
+    let gov = a.governor.as_ref().expect("a governed run");
+    a.check_accounting().unwrap();
+    gov.check_accounting().unwrap();
+    assert!(
+        gov.shed_steps() > 0,
+        "queue pressure from the stalled worker must reach the governor"
+    );
+    for e in (gov.events.iter()).filter(|e| e.action == GovernorAction::ShedParsing) {
+        let s = e.signals;
+        assert_eq!(
+            (s.mempool_occupancy, s.ring_occupancy, s.lost_delta),
+            (0.0, 0.0, 0)
+        );
+        assert!(s.dispatch_occupancy >= 0.5, "{s:?}");
+    }
+    assert!(!a.samples.is_empty(), "the monitor ticked in virtual time");
+    assert_eq!(a.samples, b.samples);
+    assert_eq!(gov.events, b.governor.as_ref().unwrap().events);
+    assert_eq!(a.deterministic_digest(), b.deterministic_digest());
+    let flight = |r: &RunReport| {
+        r.trace
+            .as_ref()
+            .unwrap()
+            .flight
+            .as_ref()
+            .unwrap()
+            .to_bytes()
+    };
+    assert_eq!(flight(&a), flight(&b));
+}
+
+/// A threaded run fires the flight recorder's `chaos-fault` trigger on
+/// every delay its fault layer injects: here before each of a dedicated
+/// worker's first three callbacks, each naming the subscription.
+#[test]
+fn threaded_callback_stall_fires_a_chaos_fault_trigger() {
+    use retina_core::{DispatchMode, RuntimeBuilder, TraceConfig, TriggerReason};
+    use std::time::Duration;
+
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_dispatched(
+            "stalled",
+            "ipv4 and tcp",
+            DispatchMode::dedicated(4),
+            |_: ConnRecord| {},
+        )
+        .trace(TraceConfig::default())
+        .build()
+        .expect("runtime");
+    let plan = FaultPlan::new(41).with(Fault::CallbackStall {
+        sub: 0,
+        start_item: 0,
+        items: 3,
+        delay: Duration::from_millis(1),
+    });
+    retina_chaos::install(runtime.nic(), &plan);
+    let report = runtime.run(PreloadedSource::new(workload().to_vec()));
+    runtime.nic().clear_fault_hooks();
+    report.check_accounting().unwrap();
+    let flight = report.trace.expect("traced run").flight;
+    let flight = flight.expect("an injected delay froze the flight recorder");
+    let chaos: Vec<_> = (flight.triggers.iter())
+        .filter(|t| t.reason == TriggerReason::ChaosFault)
+        .map(|t| t.detail)
+        .collect();
+    assert_eq!(chaos, [0, 0, 0], "triggers: {:?}", flight.triggers);
 }
 
 /// A governed run watches its own loss: the governor's monitor tick

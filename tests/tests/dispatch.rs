@@ -14,14 +14,18 @@
 //!    `delivered = executed + dropped_full + dropped_disconnected`
 //!    stays exact, the digest (which excludes schedule-dependent drops)
 //!    matches inline, and the lossless sibling is untouched.
+//! 3. **Timing faults move when, never what** — any plan of callback
+//!    stalls, worker slowdowns and swap stalls, read off the runtime's
+//!    NIC as a threaded run reads it, delivers exactly the fault-free
+//!    run's results when every queue blocks.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use retina_chaos::{Fault, FaultPlan};
 use retina_core::subscribables::ConnRecord;
-use retina_core::{
-    DispatchMode, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig, WorkerStall,
-};
+use retina_core::{DispatchMode, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig, STEP_NS};
 use retina_support::bytes::Bytes;
 use retina_support::proptest::prelude::*;
 use retina_trafficgen::flows::{tls_flow, TlsFlowSpec};
@@ -69,6 +73,16 @@ fn run_mix(
     mix: &[(usize, DispatchMode)],
     cfg: &StepConfig,
 ) -> (Vec<Vec<String>>, RunReport) {
+    run_planned(packets, mix, cfg, &FaultPlan::new(0))
+}
+
+/// [`run_mix`] with `plan`'s faults installed on the runtime's NIC.
+fn run_planned(
+    packets: &[(Bytes, u64)],
+    mix: &[(usize, DispatchMode)],
+    cfg: &StepConfig,
+    plan: &FaultPlan,
+) -> (Vec<Vec<String>>, RunReport) {
     let outs: Vec<Arc<Mutex<Vec<String>>>> = mix.iter().map(|_| Arc::default()).collect();
     let mut b = RuntimeBuilder::new(RuntimeConfig::default());
     for (i, (filter, mode)) in mix.iter().enumerate() {
@@ -82,7 +96,8 @@ fn run_mix(
             },
         );
     }
-    let rt = b.build().expect("mix builds");
+    let mut rt = b.build().expect("mix builds");
+    retina_chaos::install(rt.nic(), plan);
     let report = rt.run_stepped(packets, cfg);
     report.check_accounting().expect("accounting exact");
     let sets = outs
@@ -113,6 +128,35 @@ fn conn_counts() -> impl Strategy<Value = usize> {
         Just(9),
         4usize..16,
     ]
+}
+
+/// One timing fault: a callback stall on one of the mix's first four
+/// subscriptions, a slowdown of the one RX core, or a stall of its
+/// epoch pickup (which a run with no swap never reaches), each of up to
+/// 5 000 steps.
+fn timing_fault() -> impl Strategy<Value = Fault> {
+    (0u8..3, 0u16..4, 0u64..32, 1u64..8, 1u64..5_000).prop_map(|(kind, sub, start, n, steps)| {
+        let delay = Duration::from_nanos(steps * STEP_NS);
+        match kind {
+            0 => Fault::CallbackStall {
+                sub,
+                start_item: start,
+                items: n,
+                delay,
+            },
+            1 => Fault::WorkerSlowdown {
+                core: 0,
+                start_poll: start,
+                polls: n,
+                delay,
+            },
+            _ => Fault::SwapStall {
+                core: 0,
+                pickups: n,
+                delay,
+            },
+        }
+    })
 }
 
 fn mode_from(kind: u8, depth: usize) -> DispatchMode {
@@ -170,7 +214,7 @@ proptest! {
         conns in conn_counts(),
         depth in 1usize..4,
         shed in any::<bool>(),
-        from_step in 0u64..64,
+        from_item in 0u64..64,
         stall_steps in 1u64..2_000,
     ) {
         let packets = workload(wl_seed, conns);
@@ -182,12 +226,14 @@ proptest! {
         let mix = [(1usize, heavy), (0usize, DispatchMode::shared(8))];
         let inline_mix = [(1usize, DispatchMode::Inline), (0usize, DispatchMode::Inline)];
         let (base_sets, base_report) = run_mix(&packets, &inline_mix, &StepConfig::seeded(0));
-        let cfg = StepConfig::seeded(sched_seed).with_stall(WorkerStall {
+        let plan = FaultPlan::new(sched_seed).with(Fault::CallbackStall {
             sub: 0,
-            from_step,
-            steps: stall_steps,
+            start_item: from_item,
+            items: 1,
+            delay: Duration::from_nanos(stall_steps * STEP_NS),
         });
-        let (sets, report) = run_mix(&packets, &mix, &cfg);
+        let cfg = StepConfig::seeded(sched_seed);
+        let (sets, report) = run_planned(&packets, &mix, &cfg, &plan);
 
         // The digest counts delivery outcomes, not schedule-dependent
         // drops, so it matches inline even when the ring sheds.
@@ -210,6 +256,38 @@ proptest! {
         prop_assert_eq!(light.cb_dropped_full, 0);
         prop_assert_eq!(light.cb_executed, light.delivered);
         prop_assert_eq!(&sets[1], &base_sets[1], "sibling records diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Timing faults move *when* a result is delivered, never *what*:
+    /// under `QueuePolicy::Block`, any plan of callback stalls, worker
+    /// slowdowns and swap stalls, with any schedule seed, gives the
+    /// fault-free run's digest and per-subscription delivery sets.
+    #[test]
+    fn timing_faults_move_when_never_what(
+        wl_seed in any::<u64>(),
+        sched_seed in any::<u64>(),
+        conns in conn_counts(),
+        mix in collection::vec((0usize..4, 0u8..3, depths()), 1..5),
+        faults in collection::vec(timing_fault(), 1..4),
+    ) {
+        let packets = workload(wl_seed, conns);
+        let mix: Vec<_> = mix
+            .iter()
+            .map(|&(f, kind, depth)| (f, mode_from(kind, depth)))
+            .collect();
+        let cfg = StepConfig::seeded(sched_seed);
+        let (base_sets, base) = run_mix(&packets, &mix, &cfg);
+        let plan = FaultPlan { seed: sched_seed, faults };
+        let (sets, report) = run_planned(&packets, &mix, &cfg, &plan);
+        prop_assert_eq!(report.deterministic_digest(), base.deterministic_digest());
+        prop_assert_eq!(&sets, &base_sets, "a timing fault changed what was delivered");
+        for sub in &report.subs {
+            prop_assert_eq!(sub.cb_executed, sub.delivered, "{}", sub.name);
+        }
     }
 }
 

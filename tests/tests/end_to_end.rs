@@ -390,7 +390,7 @@ fn dispatched_union_is_byte_identical_to_inline_across_schedules() {
             Arc::clone(&outs[2]),
             Arc::clone(&outs[3]),
         );
-        let rt = RuntimeBuilder::new(RuntimeConfig::default())
+        let mut rt = RuntimeBuilder::new(RuntimeConfig::default())
             .subscribe_dispatched::<TlsHandshakeData>("tls", "tls", mode, move |hs| {
                 o0.lock().unwrap().push(format!("{hs:?}"));
             })

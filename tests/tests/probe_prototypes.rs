@@ -328,7 +328,7 @@ fn observe(packets: &[(Bytes, u64)]) -> Observed {
     struct Seen(Vec<String>, Vec<String>, Option<String>);
     let seen: std::sync::Arc<Mutex<Seen>> = std::sync::Arc::default();
     let (sessions, records) = (seen.clone(), seen.clone());
-    let runtime = RuntimeBuilder::new(RuntimeConfig::default())
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::default())
         .subscribe_named("sessions", ALL, move |r: SessionRecord| {
             let mut seen = sessions.lock().unwrap();
             seen.0.push(format!("{:?}", r.session));

@@ -29,7 +29,7 @@ use retina_chaos::{ChaosSource, Fault, FaultPlan};
 use retina_core::subscribables::{ConnRecord, DnsTransactionData, ZcFrame};
 use retina_core::{
     DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
-    SwapController, SwapError, SwapSpec, TraceConfig, TrafficSource, WorkerStall,
+    SwapController, SwapError, SwapSpec, TraceConfig, TrafficSource, STEP_NS,
 };
 use retina_filter::CompiledFilter;
 use retina_support::bytes::Bytes;
@@ -286,7 +286,7 @@ fn stepped_swap_drains_orphaned_connections() {
     // be counted `conns_swapped` — a distinct outcome in the identity
     // created == discarded + terminated + expired + drained + swapped.
     let packets = workload();
-    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
         .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
         .build()
@@ -320,7 +320,7 @@ fn stepped_swap_drains_orphaned_connections() {
 #[test]
 fn exported_counters_balance_the_connection_identity_across_a_swap() {
     let packets = workload();
-    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
         .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
         .build()
@@ -429,7 +429,7 @@ fn stepped_swap_evictions_leave_an_end_tracepoint() {
         lane_capacity: 1 << 20,
         ..TraceConfig::default()
     };
-    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
         .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", |_| {})
         .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
         .trace(trace)
@@ -523,7 +523,7 @@ fn stepped_swap_routes_a_promoted_survivor_to_itself() {
         let seen = Arc::clone(seen);
         move |f: ZcFrame| seen.lock().unwrap().push(f.data().to_vec())
     };
-    let rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {})
         .subscribe_named::<ZcFrame>("frames", "http", record(&seen))
         .build()
@@ -558,18 +558,20 @@ fn stepped_swap_routes_a_promoted_survivor_to_itself() {
 
 #[test]
 fn stepped_swap_under_worker_stall_stays_exact() {
-    // Chaos variant of the stepped proof: a frozen virtual worker
-    // overlapping the swap point must not break quiescence or
-    // accounting, and the untouched subscription still matches the
-    // no-swap run under the *same* stall schedule.
+    // Chaos variant of the stepped proof: a virtual worker held by a
+    // callback stall overlapping the swap point must not break
+    // quiescence or accounting, and the untouched subscription still
+    // matches the no-swap run under the *same* fault plan.
     let packets = workload();
-    let cfg = StepConfig::seeded(0xC4A05).with_stall(WorkerStall {
+    let cfg = StepConfig::seeded(0xC4A05);
+    let plan = FaultPlan::new(0xC4A05).with(Fault::CallbackStall {
         sub: 0,
-        from_step: 50,
-        steps: 600,
+        start_item: 10,
+        items: 1,
+        delay: Duration::from_nanos(600 * STEP_NS),
     });
     let hits = Arc::new(AtomicU64::new(0));
-    let rt = {
+    let mut rt = {
         let c = Arc::clone(&hits);
         RuntimeBuilder::new(RuntimeConfig::with_cores(2))
             .subscribe_dispatched::<ConnRecord>(
@@ -584,6 +586,7 @@ fn stepped_swap_under_worker_stall_stays_exact() {
             .build()
             .unwrap()
     };
+    retina_chaos::install(rt.nic(), &plan);
     let report = rt
         .run_stepped_with_swap(
             &packets,
@@ -597,7 +600,7 @@ fn stepped_swap_under_worker_stall_stays_exact() {
         .expect("accounting exact under stall");
 
     let control_hits = Arc::new(AtomicU64::new(0));
-    let control = {
+    let mut control = {
         let c = Arc::clone(&control_hits);
         RuntimeBuilder::new(RuntimeConfig::with_cores(2))
             .subscribe_dispatched::<ConnRecord>(
@@ -611,14 +614,93 @@ fn stepped_swap_under_worker_stall_stays_exact() {
             .subscribe_named::<ConnRecord>("tls443", "ipv4 and tcp.port = 443", |_| {})
             .build()
             .unwrap()
-    }
-    .run_stepped(&packets, &cfg);
+    };
+    retina_chaos::install(control.nic(), &plan);
+    let control = control.run_stepped(&packets, &cfg);
     control.check_accounting().expect("control accounting");
     assert_eq!(
         report.sub_digest("conns").unwrap(),
         control.sub_digest("conns").unwrap(),
         "stalled survivor diverged from the no-swap run"
     );
+}
+
+/// A stepped swap during a `SwapStall` on core 1 of 2: core 1 is held
+/// for 3 000 steps where its pickup of the new table comes due, while
+/// core 0 runs on under it. The grace period waits for the stalled
+/// core: after the hold, core 1 drains the removed (dispatched)
+/// `tls443` through the old epoch's ring, which is still alive, and
+/// nothing is lost. The accounting is exact, and the run replays bit
+/// for bit from its seed.
+#[test]
+fn stepped_swap_waits_out_a_swap_stall() {
+    use retina_core::TriggerReason;
+    use retina_telemetry::{LaneKind, TraceEvent};
+
+    const HELD: u64 = 3_000;
+    let packets = workload();
+    let plan = FaultPlan::new(0x5A11).with(Fault::SwapStall {
+        core: 1,
+        pickups: 1,
+        delay: Duration::from_nanos(HELD * STEP_NS),
+    });
+    let run = || {
+        let hits = Arc::new(AtomicU64::new(0));
+        let mut rt = build_runtime_with(2, &hits, DispatchMode::dedicated(2));
+        rt.set_trace_config(TraceConfig {
+            sample_one_in: 1,
+            ..TraceConfig::default()
+        });
+        retina_chaos::install(rt.nic(), &plan);
+        let at = (packets.len() / 3) as u64;
+        rt.run_stepped_with_swap(&packets, &StepConfig::seeded(0x5A11), at, &swap_spec(&hits))
+            .expect("swap accepted")
+    };
+    let (a, b) = (run(), run());
+    a.check_accounting().expect("accounting exact");
+    let tls = sub(&a, "tls443");
+    assert!(tls.delivered > 0);
+    assert_eq!((tls.cb_dropped_full, tls.cb_dropped_disconnected), (0, 0));
+    assert_eq!(tls.cb_executed, tls.delivered);
+
+    // One injected delay: core 1's pickup, held from the step it came due.
+    let trace = a.trace.as_ref().expect("traced");
+    let flight = trace
+        .flight
+        .as_ref()
+        .expect("the stall froze the flight recorder");
+    let stalls: Vec<_> = (flight.triggers.iter())
+        .filter(|t| t.reason == TriggerReason::ChaosFault)
+        .collect();
+    assert_eq!(stalls.len(), 1, "{:?}", flight.triggers);
+    assert_eq!(stalls[0].detail, 1, "the stalled core");
+    let held = stalls[0].tsc..stalls[0].tsc + HELD;
+    let lane = |core| -> &Vec<TraceEvent> {
+        let mut lanes = trace.session.lanes.iter();
+        &lanes
+            .find(|(l, _)| *l == LaneKind::Rx(core))
+            .expect("RX lane")
+            .1
+    };
+    assert!(
+        lane(1).iter().all(|e| !held.contains(&e.tsc)),
+        "the held core recorded nothing"
+    );
+    assert!(
+        lane(0).iter().any(|e| held.contains(&e.tsc)),
+        "core 0 ran on"
+    );
+    assert!(
+        lane(1)
+            .iter()
+            .any(|e| { e.tsc >= held.end && e.kind == TraceKind::DispatchEnqueue && e.sub == 1 }),
+        "after the hold core 1 sends tls443's drained results to the old ring"
+    );
+
+    assert_eq!(a.deterministic_digest(), b.deterministic_digest());
+    assert_eq!(format!("{:?}", a.subs), format!("{:?}", b.subs));
+    let b_flight = b.trace.as_ref().and_then(|t| t.flight.as_ref()).unwrap();
+    assert_eq!(flight.to_bytes(), b_flight.to_bytes());
 }
 
 #[test]
@@ -857,7 +939,7 @@ fn swap_rejections_leave_the_run_untouched() {
     assert!(report.zero_loss());
 
     // Stepped rejection surfaces identically, before any packet runs.
-    let rt2 = build_runtime(&Arc::new(AtomicU64::new(0)));
+    let mut rt2 = build_runtime(&Arc::new(AtomicU64::new(0)));
     assert!(matches!(
         rt2.run_stepped_with_swap(&packets, &StepConfig::seeded(1), 0, &SwapSpec::new()),
         Err(SwapError::Spec(_))
@@ -898,7 +980,7 @@ fn a_run_after_a_swap_serves_its_own_table() {
     assert!(sub(&fresh, "udp-conns").delivered > 0, "udp-conns silent");
 
     for threaded in [true, false] {
-        let rt = build();
+        let mut rt = build();
         let (mut rt, swapped) = if threaded {
             let (rt, report, event) =
                 threaded_swap_run_on(rt, packets.clone(), &conns_only(), None);
@@ -945,7 +1027,7 @@ fn a_controller_cannot_reach_a_stepped_run() {
     let packets = workload();
     let controller: Arc<OnceLock<SwapController>> = Arc::default();
     let outcomes: Arc<Mutex<Vec<bool>>> = Arc::default();
-    let rt = {
+    let mut rt = {
         let (controller, outcomes) = (Arc::clone(&controller), Arc::clone(&outcomes));
         RuntimeBuilder::new(RuntimeConfig::with_cores(2))
             .subscribe_named::<ConnRecord>("conns", "ipv4 and tcp", move |_| {

@@ -274,7 +274,7 @@ fn long_fields_run() {
 
     let sni_len = Arc::new(AtomicU64::new(0));
     let seen = Arc::clone(&sni_len);
-    let runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named(
             "nflx_tls",
             r"tls.sni ~ '(.+?\.)?nflxvideo\.net'",

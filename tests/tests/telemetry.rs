@@ -264,3 +264,57 @@ fn mbuf_high_water_is_surfaced_and_sane() {
         Some(report.mbuf_high_water as u64)
     );
 }
+
+/// A monitor set before a stepped run is that run's: it ticks every
+/// interval of virtual time, each sample reads the runtime's gauges as
+/// the stepped cores flush them (and the NIC's counters, which no
+/// stepped frame passes, as 0), the samples replay from the schedule
+/// seed, the monitor draws nothing from the schedule (every traced event
+/// lands where it does in an unmonitored run), and it does not carry
+/// over to the next threaded run.
+#[test]
+fn a_stepped_run_takes_the_monitor_set_for_it() {
+    use retina_core::{DispatchMode, RuntimeBuilder, StepConfig, TraceConfig, STEP_NS};
+
+    let packets = generate(&CampusConfig::small(0x57E9));
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(2))
+        .subscribe("tcp or udp", |_: ConnRecord| {})
+        .dispatch(DispatchMode::dedicated(2))
+        .trace(TraceConfig {
+            sample_one_in: 1,
+            ..TraceConfig::default()
+        })
+        .build()
+        .unwrap();
+    let interval = Duration::from_nanos(500 * STEP_NS);
+    let mut stepped = |monitored: bool| {
+        if monitored {
+            rt.set_monitor(interval, Vec::new());
+        }
+        rt.run_stepped(&packets, &StepConfig::seeded(3))
+    };
+    let (a, b, unmonitored) = (stepped(true), stepped(true), stepped(false));
+    assert!(a.samples.len() > 2, "{} samples", a.samples.len());
+    assert_eq!(a.samples, b.samples, "samples replay from the seed");
+    assert!(unmonitored.samples.is_empty());
+    assert_eq!(a.trace, unmonitored.trace, "the monitor moved the schedule");
+    // Every tick but the closing one is due on the interval grid.
+    let (closing, ticks) = a.samples.split_last().unwrap();
+    for (i, s) in (1u64..).zip(ticks) {
+        let due_ns = i * 500 * STEP_NS;
+        assert_eq!(s.elapsed_secs, due_ns as f64 / 1e9);
+    }
+    assert!(closing.elapsed_secs >= ticks.last().unwrap().elapsed_secs);
+    assert!(ticks
+        .iter()
+        .any(|s| s.connections > 0 && s.sim_clock_ns > 0));
+    assert!(ticks.iter().any(|s| s.dispatch_depth > 0));
+    assert!(a.samples.iter().all(|s| s.gbps == 0.0 && s.lost == 0));
+    assert_eq!(closing.connections, 0, "every core has exited");
+
+    let threaded = rt.run(PreloadedSource::new(packets.clone()));
+    assert!(
+        threaded.samples.is_empty(),
+        "the monitor was the stepped run's"
+    );
+}
