@@ -90,7 +90,7 @@ const SUBSCRIPTIONS: [(&str, Runner); 3] = [
 ];
 
 fn run_packets(source: &PreloadedSource, cores: u16, cycles: u64) -> (f64, f64) {
-    let (report, sink) = max_zero_loss_run::<ZcFrame, CompiledFilter>(
+    let (report, sink) = max_zero_loss_run::<ZcFrame>(
         || {
             let mut f = compile("").unwrap();
             disable_hw(&mut f);
@@ -104,7 +104,7 @@ fn run_packets(source: &PreloadedSource, cores: u16, cycles: u64) -> (f64, f64) 
 }
 
 fn run_conns(source: &PreloadedSource, cores: u16, cycles: u64) -> (f64, f64) {
-    let (report, sink) = max_zero_loss_run::<ConnRecord, CompiledFilter>(
+    let (report, sink) = max_zero_loss_run::<ConnRecord>(
         || compile("tcp").unwrap(),
         cores,
         source,
@@ -114,7 +114,7 @@ fn run_conns(source: &PreloadedSource, cores: u16, cycles: u64) -> (f64, f64) {
 }
 
 fn run_tls(source: &PreloadedSource, cores: u16, cycles: u64) -> (f64, f64) {
-    let (report, sink) = max_zero_loss_run::<TlsHandshakeData, CompiledFilter>(
+    let (report, sink) = max_zero_loss_run::<TlsHandshakeData>(
         || compile("tls").unwrap(),
         cores,
         source,

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use retina_core::{FilterFns, RunReport, Runtime, RuntimeConfig, Subscribable};
+use retina_core::{CompiledFilter, RunReport, Runtime, RuntimeConfig, Subscribable};
 use retina_support::bytes::Bytes;
 use retina_trafficgen::PreloadedSource;
 
@@ -71,24 +71,21 @@ pub fn bench_args() -> BenchArgs {
     })
 }
 
-/// Runs a subscription over a preloaded source once (unpaced ingest, so
-/// losses are observable) and returns the report.
-pub fn run_once<S, F>(
-    filter_factory: impl Fn() -> F,
+/// Runs a subscription on the filter `filter` builds over a preloaded
+/// source once (unpaced ingest, so losses are observable) and returns the
+/// report.
+pub fn run_once<S: Subscribable>(
+    filter: fn() -> CompiledFilter,
     cores: u16,
     source: &PreloadedSource,
     sink_fraction: f64,
     callback: impl Fn(S) + Send + Sync + Clone + 'static,
-) -> RunReport
-where
-    S: Subscribable,
-    F: FilterFns + 'static,
-{
+) -> RunReport {
     let mut config = RuntimeConfig::with_cores(cores);
     config.paced_ingest = false;
     config.device.ring_capacity = 8192;
-    let mut runtime =
-        Runtime::<S, F>::new(config, filter_factory(), callback).expect("runtime construction");
+    let mut runtime = Runtime::<S, CompiledFilter>::new(config, filter(), callback)
+        .expect("runtime construction");
     runtime.nic().set_sink_fraction(sink_fraction);
     let mut src = source.clone();
     src.rewind();
@@ -103,19 +100,15 @@ where
 /// heavily-sampled runs are cheap even for expensive callbacks, so the
 /// expensive lossy configurations are probed last and abandoned at the
 /// first loss.
-pub fn max_zero_loss_run<S, F>(
-    filter_factory: impl Fn() -> F + Copy,
+pub fn max_zero_loss_run<S: Subscribable>(
+    filter: fn() -> CompiledFilter,
     cores: u16,
     source: &PreloadedSource,
     callback: impl Fn(S) + Send + Sync + Clone + 'static,
-) -> (RunReport, f64)
-where
-    S: Subscribable,
-    F: FilterFns + 'static,
-{
+) -> (RunReport, f64) {
     let mut best: Option<(RunReport, f64)> = None;
     for &sink in &[0.98, 0.96, 0.92, 0.85, 0.75, 0.6, 0.4, 0.2, 0.0] {
-        let report = run_once::<S, F>(filter_factory, cores, source, sink, callback.clone());
+        let report = run_once::<S>(filter, cores, source, sink, callback.clone());
         if report.zero_loss() {
             best = Some((report, sink));
         } else {
@@ -126,7 +119,7 @@ where
         Some(found) => found,
         None => {
             // Even 98% sampling lost packets: report a 99% run as-is.
-            let report = run_once::<S, F>(filter_factory, cores, source, 0.99, callback);
+            let report = run_once::<S>(filter, cores, source, 0.99, callback);
             (report, 0.99)
         }
     }

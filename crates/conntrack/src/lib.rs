@@ -37,4 +37,4 @@ pub use conn::TcpFlow;
 pub use reassembly::{Reassembled, StreamReassembler};
 pub use table::{index_key, ConnTable, TimeoutConfig};
 pub use timerwheel::TimerWheel;
-pub use tuple::{ConnKey, Dir, FiveTuple};
+pub use tuple::{ConnKey, Dir, FirstPacket, FiveTuple};

@@ -1,8 +1,9 @@
-//! Connection identity: five-tuples and canonical table keys.
+//! Connection identity: five-tuples, canonical table keys, and what a
+//! connection's first packet showed the packet filter.
 
 use std::net::{IpAddr, SocketAddr};
 
-use retina_wire::ParsedPacket;
+use retina_wire::{EtherType, IpProtocol, L4Header, ParsedPacket, TcpFlags};
 
 /// Packet direction relative to the connection originator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,74 @@ impl FiveTuple {
             Some(Dir::RespToOrig)
         } else {
             None
+        }
+    }
+}
+
+/// What a connection's first packet showed the packet filter beyond its
+/// [`FiveTuple`]: the TTL or hop limit, the IP length, and one L4 word —
+/// the TCP window, or the ICMP type and code. Kept from insert, so a live
+/// swap can put that packet to a new filter with no frame to parse.
+#[derive(Debug, Clone, Copy)]
+pub struct FirstPacket {
+    ttl: u8,
+    ip_len: u16,
+    l4_word: u16,
+}
+
+impl FirstPacket {
+    /// The facts of `pkt`, the packet that opens a connection.
+    pub fn of(pkt: &ParsedPacket) -> FirstPacket {
+        let l4_word = match pkt.l4 {
+            L4Header::Tcp { window, .. } => window,
+            L4Header::Icmp { msg_type, code } => u16::from_be_bytes([msg_type, code]),
+            L4Header::Udp | L4Header::Other => 0,
+        };
+        FirstPacket {
+            ttl: pkt.ttl,
+            ip_len: u16::try_from(pkt.payload_end - pkt.l3_offset).unwrap_or(u16::MAX),
+            l4_word,
+        }
+    }
+
+    /// The first packet of `tuple`'s connection as the packet filter reads
+    /// it: every field a packet-layer predicate tests is that packet's.
+    /// No frame stands behind it: offsets count from the IP header, the
+    /// payload is empty, and the TCP flags, sequence and acknowledgment
+    /// numbers (which no filter reads) are zero.
+    pub fn packet(self, tuple: &FiveTuple) -> ParsedPacket {
+        let protocol = IpProtocol::from(tuple.proto);
+        let [msg_type, code] = self.l4_word.to_be_bytes();
+        let l4 = match protocol {
+            IpProtocol::Tcp => L4Header::Tcp {
+                flags: TcpFlags(0),
+                seq: 0,
+                ack: 0,
+                window: self.l4_word,
+            },
+            IpProtocol::Udp => L4Header::Udp,
+            IpProtocol::Icmp | IpProtocol::Icmpv6 => L4Header::Icmp { msg_type, code },
+            _ => L4Header::Other,
+        };
+        let ip_len = usize::from(self.ip_len);
+        ParsedPacket {
+            ethertype: if tuple.orig.is_ipv4() {
+                EtherType::Ipv4
+            } else {
+                EtherType::Ipv6
+            },
+            l3_offset: 0,
+            l4_offset: ip_len,
+            payload_offset: ip_len,
+            payload_end: ip_len,
+            src_ip: tuple.orig.ip(),
+            dst_ip: tuple.resp.ip(),
+            protocol,
+            src_port: tuple.orig.port(),
+            dst_port: tuple.resp.port(),
+            ttl: self.ttl,
+            l4,
+            frame_len: ip_len,
         }
     }
 }

@@ -296,7 +296,8 @@ impl<F: FilterFns> CorePipeline<F> {
             }
             let staged = &mut scratch[..n];
 
-            // S1: count, parse, stamp; a parse failure leaves the
+            // S1: count, parse, stamp (the payload range, and the RSS
+            // hash where no NIC did); a parse failure leaves the
             // scratch here. The symmetric key the virtual NIC installs
             // is built here, not held in a field: it borrows static
             // tables, and only as a local does the hash compile down to
@@ -319,6 +320,7 @@ impl<F: FilterFns> CorePipeline<F> {
                 if !I::STAMPED {
                     s.mbuf.rss_hash = rss.hash_packet(&pkt);
                 }
+                s.mbuf.stamp_payload(pkt.payload_offset..pkt.payload_end);
                 s.pkt = Some(pkt);
             }
 

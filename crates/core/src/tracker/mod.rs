@@ -39,20 +39,18 @@ mod deliver;
 mod phase;
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use retina_conntrack::{
-    index_key, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FiveTuple, Reassembled, TcpFlow,
-    TimeoutConfig,
+    index_key, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FirstPacket, FiveTuple, Reassembled,
+    TcpFlow, TimeoutConfig,
 };
 use retina_filter::{ConnVerdict, FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
 use retina_protocols::ParserRegistry;
 use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
-use retina_wire::build::{build_tcp, build_udp, TcpSpec, UdpSpec};
-use retina_wire::{ParsedPacket, TcpFlags};
+use retina_wire::ParsedPacket;
 
 use crate::erased::{ErasedSubscription, TrackedSlab};
 use crate::pipeline::BURST_MAX;
@@ -76,6 +74,11 @@ struct Conn {
     frontiers: Frontiers,
     /// Who is matched, undecided, parsing: what the machine moves.
     subs: Subs,
+    /// Whether any subscription was fully served and retired early.
+    done_any: bool,
+    /// What the first packet showed the packet filter beyond the tuple:
+    /// a swap's re-verdict reads it.
+    first: FirstPacket,
     /// Flow trace id (0 = unsampled), fixed at insert time and carried
     /// to every tracepoint and delivery this connection produces.
     trace_id: u64,
@@ -240,9 +243,16 @@ impl<F: FilterFns> Machine<F> {
         }
     }
 
-    /// Tracker state for the connection `mbuf` opens: born tracking, with
-    /// a slab slot for every subscription `verdict` engages.
-    fn new_conn(&mut self, mbuf: &Mbuf, tuple: &FiveTuple, verdict: PacketVerdict) -> Conn {
+    /// Tracker state for the connection `mbuf` (parsed: `pkt`) opens:
+    /// born tracking, with a slab slot for every subscription `verdict`
+    /// engages.
+    fn new_conn(
+        &mut self,
+        mbuf: &Mbuf,
+        pkt: &ParsedPacket,
+        tuple: &FiveTuple,
+        verdict: PacketVerdict,
+    ) -> Conn {
         self.stats.conns_created += 1;
         let matched = verdict.matched & self.masks.all;
         let live = verdict.live & self.masks.all;
@@ -257,18 +267,18 @@ impl<F: FilterFns> Machine<F> {
             .as_ref()
             .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
         self.trace_lifecycle(trace_id, TraceKind::ConnInsert, 0, 0);
-        let subs = Subs {
-            matched,
-            live,
-            want_parse,
-            done_any: false,
-        };
         Conn {
             flow: TcpFlow::new(self.ooo_capacity),
             tracked,
             phase: Phase::Tracking,
             frontiers: verdict.frontiers,
-            subs,
+            subs: Subs {
+                matched,
+                live,
+                want_parse,
+            },
+            done_any: false,
+            first: FirstPacket::of(pkt),
             trace_id,
         }
     }
@@ -523,7 +533,7 @@ impl<F: FilterFns> ConnTracker<F> {
             closed.remove(&closed_key);
         }
         let tuple = FiveTuple::from_packet(pkt);
-        let conn = m.new_conn(mbuf, &tuple, verdict);
+        let conn = m.new_conn(mbuf, pkt, &tuple, verdict);
         let probing = m.probing(conn.subs.want_parse);
         let handle = table.insert(mbuf.rss_hash, hint.ikey, &hint.key, now, tuple, conn);
         m.stats.conns_peak = m.stats.conns_peak.max(table.len() as u64);
@@ -595,9 +605,8 @@ impl<F: FilterFns> ConnTracker<F> {
                 Reassembled::InOrder => {
                     let tr = m.profile.then(rdtsc);
                     m.stats.reassembly.runs += 1;
-                    let payload = payload_range(pkt, mbuf);
-                    if !payload.is_empty() {
-                        leave = m.stream_data(entry, dir, mbuf, payload);
+                    if !mbuf.payload().is_empty() {
+                        leave = m.stream_data(entry, dir, mbuf);
                     }
                     // Flush any buffered successors the hole-fill released.
                     while !leave {
@@ -605,19 +614,16 @@ impl<F: FilterFns> ConnTracker<F> {
                         if flushed.is_empty() {
                             break;
                         }
+                        // Each held frame carries the payload range S1 stamped.
                         for fmbuf in flushed {
                             if leave {
                                 break;
                             }
-                            let Ok(fpkt) = ParsedPacket::parse(fmbuf.data()) else {
-                                continue;
-                            };
-                            let fpayload = payload_range(&fpkt, &fmbuf);
-                            if fpayload.is_empty() {
+                            if fmbuf.payload().is_empty() {
                                 continue;
                             }
                             m.stats.reassembly.runs += 1;
-                            leave = m.stream_data(entry, dir, &fmbuf, fpayload);
+                            leave = m.stream_data(entry, dir, &fmbuf);
                         }
                     }
                     if let Some(t) = tr {
@@ -676,8 +682,8 @@ impl<F: FilterFns> ConnTracker<F> {
     /// index in `subs` (`None` = removed). One table pass, in the **old**
     /// index space, hands every connection the machine's `Rebound` event:
     /// removed subscriptions drain, and undecided survivors are
-    /// re-filtered by replaying a synthetic first packet through the new
-    /// filter. All it emits carries old indices — a promoted survivor's
+    /// re-filtered by the new filter's verdict on the connection's first
+    /// packet. All it emits carries old indices — a promoted survivor's
     /// `on_match` as much as a removed one's `on_terminate` — and goes to
     /// `flush` in one piece, for the caller to hand to the old transport,
     /// before the slabs (and their lanes) are re-indexed. Connections
@@ -728,11 +734,6 @@ impl<F: FilterFns> ConnTracker<F> {
     }
 }
 
-/// Where `pkt`'s L4 payload sits in its frame.
-fn payload_range(pkt: &ParsedPacket, mbuf: &Mbuf) -> Range<usize> {
-    pkt.payload_offset..pkt.payload_end.min(mbuf.len())
-}
-
 /// `set` re-indexed: `k` is in the result when `from[k]` is in `set`.
 fn pull(set: SubscriptionSet, from: &[Option<usize>]) -> SubscriptionSet {
     let mut pulled = SubscriptionSet::empty();
@@ -745,9 +746,9 @@ fn pull(set: SubscriptionSet, from: &[Option<usize>]) -> SubscriptionSet {
 }
 
 /// The new `filter`'s packet-layer verdict on a connection's undecided
-/// survivors (`kept`), in the old index space (`remap`), their frontiers
-/// re-derived from a synthetic first packet; without one (non-TCP/UDP)
-/// it is empty, and they are conservatively dropped.
+/// survivors (`kept`), in the old index space (`remap`): the verdict on
+/// the connection's first packet, rebuilt from its tuple and the facts it
+/// kept ([`FirstPacket`]), which also re-derives its frontiers.
 fn replay<F: FilterFns>(
     filter: &F,
     entry: &mut ConnEntry<Conn>,
@@ -757,39 +758,10 @@ fn replay<F: FilterFns>(
     if (entry.value.subs.live & kept).is_empty() {
         return ConnVerdict::default();
     }
-    let frame = synth_first_packet(&entry.tuple);
-    let Some(pkt) = frame.as_deref().and_then(|f| ParsedPacket::parse(f).ok()) else {
-        return ConnVerdict::default();
-    };
-    let verdict = filter.packet_filter_set(&pkt);
+    let verdict = filter.packet_filter_set(&entry.value.first.packet(&entry.tuple));
     entry.value.frontiers = verdict.frontiers;
     let (matched, live) = (pull(verdict.matched, remap), pull(verdict.live, remap));
     ConnVerdict { matched, live }
-}
-
-/// A synthetic first packet (SYN / empty datagram) of a five-tuple: the
-/// packet filter reads addresses, ports and protocol, nothing else.
-fn synth_first_packet(tuple: &FiveTuple) -> Option<Vec<u8>> {
-    let (src, dst, ttl) = (tuple.orig, tuple.resp, 64);
-    match tuple.proto {
-        6 => Some(build_tcp(&TcpSpec {
-            src,
-            dst,
-            seq: 1,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: 65535,
-            ttl,
-            payload: &[],
-        })),
-        17 => Some(build_udp(&UdpSpec {
-            src,
-            dst,
-            ttl,
-            payload: &[],
-        })),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -979,6 +951,7 @@ mod tests {
             mbuf.timestamp_ns = *ts;
             let pkt = ParsedPacket::parse(mbuf.data()).unwrap();
             mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
+            mbuf.stamp_payload(pkt.payload_offset..pkt.payload_end);
             let verdict = t.machine.filter.packet_filter_set(&pkt);
             if !verdict.is_no_match() {
                 let hint = t.hint(&mbuf, &pkt);
@@ -1302,6 +1275,7 @@ mod tests {
             mbuf.timestamp_ns = *ts;
             let pkt = ParsedPacket::parse(mbuf.data()).unwrap();
             mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
+            mbuf.stamp_payload(pkt.payload_offset..pkt.payload_end);
             let mut verdict = t.machine.filter.packet_filter_set(&pkt);
             verdict.matched -= t.machine.masks.packet;
             if !(verdict.matched | verdict.live).is_empty() {

@@ -10,7 +10,6 @@
 //! comes from its protocol's [`ParserPool`], and the phase writer hands
 //! slot and parser back.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use retina_conntrack::{ConnEntry, Dir};
@@ -282,8 +281,6 @@ pub(super) struct Subs {
     /// Still needing probe/parse progress: the undecided, plus matched
     /// session-level ones while their protocol produces sessions.
     pub(super) want_parse: SubscriptionSet,
-    /// Whether any subscription was fully served and retired early.
-    pub(super) done_any: bool,
 }
 
 impl Subs {
@@ -367,6 +364,9 @@ pub(super) enum DiscardCause {
 pub(super) struct Transition {
     pub(super) next: Kind,
     pub(super) subs: Subs,
+    /// Whether any subscription was fully served and retired early, by
+    /// this transition or before it.
+    pub(super) done_any: bool,
     pub(super) actions: Actions,
 }
 
@@ -385,7 +385,7 @@ impl Transition {
     fn finish(&mut self, subs: SubscriptionSet) {
         self.subs.matched -= subs;
         self.subs.want_parse -= subs;
-        self.subs.done_any |= !subs.is_empty();
+        self.done_any |= !subs.is_empty();
         self.actions.finish |= subs;
     }
 
@@ -406,7 +406,7 @@ impl Transition {
             if self.subs.want_parse.is_empty() && self.next != Kind::Dropped {
                 self.next = Kind::Tracking;
             }
-        } else if self.subs.done_any {
+        } else if self.done_any {
             self.actions.release = true;
         } else {
             self.actions.tombstone = Some(cause);
@@ -416,12 +416,14 @@ impl Transition {
     }
 }
 
-/// Where `event` takes a connection in `kind` with sets `s`.
+/// Where `event` takes a connection in `kind` with sets `s`, `done_any`
+/// if someone was served on it already.
 #[inline(always)]
-pub(super) fn step(kind: Kind, event: Event, s: Subs, m: &Masks) -> Transition {
+pub(super) fn step(kind: Kind, event: Event, s: Subs, done_any: bool, m: &Masks) -> Transition {
     let mut t = Transition {
         next: kind,
         subs: s,
+        done_any,
         actions: Actions::default(),
     };
     match event {
@@ -487,10 +489,7 @@ pub(super) fn step(kind: Kind, event: Event, s: Subs, m: &Masks) -> Transition {
         }
         // Tombstones hold no subscription in either table.
         Event::Rebound { .. } if kind == Kind::Dropped => {
-            t.subs = Subs {
-                done_any: s.done_any,
-                ..Subs::default()
-            };
+            t.subs = Subs::default();
             t
         }
         Event::Rebound { kept, verdict: v } => {
@@ -585,10 +584,11 @@ impl<F: FilterFns> Machine<F> {
         session: Option<&Session>,
         seed: Option<Seed>,
     ) -> Actions {
-        let (kind, before) = (entry.value.phase.kind(), entry.value.subs);
-        let t = step(kind, event, before, &self.masks);
+        let conn = &entry.value;
+        let (kind, before, done_any) = (conn.phase.kind(), conn.subs, conn.done_any);
+        let t = step(kind, event, before, done_any, &self.masks);
         #[cfg(test)]
-        tests::audit(kind, event, before, &self.masks, &t);
+        tests::audit(kind, event, before, done_any, &self.masks, &t);
         let a = t.actions;
         for i in a.drop_sub.iter() {
             if self.release(&mut entry.value, i) {
@@ -608,7 +608,7 @@ impl<F: FilterFns> Machine<F> {
         for i in a.finish.iter() {
             self.release(conn, i);
         }
-        conn.subs = t.subs;
+        (conn.subs, conn.done_any) = (t.subs, t.done_any);
         if let Some(cause) = a.tombstone {
             self.count_discard(cause);
         }
@@ -644,7 +644,8 @@ impl<F: FilterFns> Machine<F> {
     /// counted (a tombstone was, at discard) and traced.
     pub(super) fn exit(&mut self, entry: &mut ConnEntry<Conn>, end: TraceConnEnd) {
         let kind = entry.value.phase.kind();
-        let t = step(kind, Event::Ended, entry.value.subs, &self.masks);
+        let conn = &entry.value;
+        let t = step(kind, Event::Ended, conn.subs, conn.done_any, &self.masks);
         let phase = &mut entry.value.phase;
         if let (true, Phase::Parsing { parser, pool }) = (t.actions.session_filter, phase) {
             let service = self.parsers[*pool as usize].service;
@@ -713,17 +714,17 @@ impl<F: FilterFns> Machine<F> {
         set.map(Seed::Probe)
     }
 
-    /// Feeds the next in-order segment, `mbuf.data()[payload]`, to every
-    /// engaged stream subscription's hook — undecided ones decide what to
-    /// hold — and through probe/parse. Returns whether the connection
-    /// leaves the table.
+    /// Feeds the next in-order segment, the payload `mbuf` was stamped
+    /// with, to every engaged stream subscription's hook — undecided ones
+    /// decide what to hold — and through probe/parse. Returns whether the
+    /// connection leaves the table.
     pub(super) fn stream_data(
         &mut self,
         entry: &mut ConnEntry<Conn>,
         dir: Dir,
         mbuf: &Mbuf,
-        payload: Range<usize>,
     ) -> bool {
+        let payload = mbuf.payload();
         let conn = &mut entry.value;
         for i in (conn.subs.active() & self.masks.stream).iter() {
             if let Some(slot) = conn.tracked.slot(i) {
@@ -1031,13 +1032,11 @@ pub(super) mod tests {
     /// for each, and the connection's phase composed from theirs — probe
     /// or parse while anyone wants sessions, track while anyone is
     /// active; with no one, leave if someone was served, else tombstone.
-    fn model(kind: Kind, event: Event, s: Subs, m: &Masks, n: usize) -> Transition {
+    fn model(kind: Kind, event: Event, s: Subs, done_any: bool, m: &Masks, n: usize) -> Transition {
         let mut t = Transition {
             next: kind,
-            subs: Subs {
-                done_any: s.done_any,
-                ..Subs::default()
-            },
+            subs: Subs::default(),
+            done_any,
             actions: Actions::default(),
         };
         for i in 0..n {
@@ -1056,7 +1055,7 @@ pub(super) mod tests {
                     set.insert(i);
                 }
             }
-            t.subs.done_any |= did.finish;
+            t.done_any |= did.finish;
         }
         let active = !t.subs.active().is_empty();
         let wants = !t.subs.want_parse.is_empty();
@@ -1066,7 +1065,7 @@ pub(super) mod tests {
                 if !wants && at != Kind::Dropped {
                     t.next = Kind::Tracking;
                 }
-            } else if t.subs.done_any {
+            } else if t.done_any {
                 t.actions.release = true;
             } else {
                 t.actions.tombstone = Some(cause);
@@ -1109,11 +1108,18 @@ pub(super) mod tests {
 
     /// Holds one transition the tracker takes to the model (every
     /// `Machine::apply` in a test build runs this).
-    pub(in crate::tracker) fn audit(kind: Kind, event: Event, s: Subs, m: &Masks, t: &Transition) {
-        let want = model(kind, event, s, m, m.all.len());
+    pub(in crate::tracker) fn audit(
+        kind: Kind,
+        event: Event,
+        s: Subs,
+        done_any: bool,
+        m: &Masks,
+        t: &Transition,
+    ) {
+        let want = model(kind, event, s, done_any, m, m.all.len());
         assert_eq!(
             *t, want,
-            "step diverged from the Figure-4 model on {kind:?} {event:?} {s:?} {m:?}"
+            "step diverged from the Figure-4 model on {kind:?} {event:?} {s:?} {done_any} {m:?}"
         );
         if matches!(event, Event::Rebound { .. }) && !t.actions.emit.is_empty() {
             PROMOTIONS.with(|p| p.set(p.get() + 1));
@@ -1208,12 +1214,11 @@ pub(super) mod tests {
                 }
             }
             for (kind, done_any) in KINDS.into_iter().flat_map(|k| [(k, false), (k, true)]) {
-                let s = Subs { done_any, ..s };
                 for &event in &events {
                     assert_eq!(
-                        step(kind, event, s, &m),
-                        model(kind, event, s, &m, 2),
-                        "{kind:?} {event:?} {s:?} {m:?}"
+                        step(kind, event, s, done_any, &m),
+                        model(kind, event, s, done_any, &m, 2),
+                        "{kind:?} {event:?} {s:?} {done_any} {m:?}"
                     );
                     cases += 1;
                 }

@@ -880,6 +880,37 @@ fn conn_bytes_is_the_bytes_sent_however_they_were_cut() {
     }
 }
 
+/// Out-of-order segments whose frames carry Ethernet trailer bytes past
+/// their IP length. The reassembler holds three of them and flushes them
+/// when the first arrives; each is read over the payload range its one
+/// parse stamped, which the IP length bounds, so no trailer byte reaches
+/// the stream.
+#[test]
+fn flushed_segments_deliver_the_stream_without_trailer_padding() {
+    let payload: Vec<u8> = (1..=40).collect();
+    let mut conv = Conversation::new("10.0.0.1:40000", "1.1.1.1:9000", 0);
+    let (client, server, base, sseq) = (conv.client, conv.server, conv.cseq, conv.sseq);
+    for at in [30, 10, 20, 0] {
+        let flags = TcpFlags::ACK | TcpFlags::PSH;
+        let seq = base + at as u32;
+        conv.push_raw(client, server, seq, sseq, flags, &payload[at..at + 10]);
+    }
+    conv.cseq = base + payload.len() as u32;
+    conv.server_data(b"ok");
+    let padded = conv.finish().into_iter().map(|(frame, ts)| {
+        let mut frame = frame.to_vec();
+        frame.extend_from_slice(&[0xEE; 12]);
+        (Bytes::from(frame), ts)
+    });
+    let filter = Arc::new(compile("tcp").unwrap());
+    let mut out: Vec<ConnBytes> = Vec::new();
+    let stats = run_offline::<ConnBytes, _>(&filter, &cfg(), padded, |b| out.push(b));
+    assert_eq!(stats.ooo_buffered, 3, "three segments were held");
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].client_stream.to_vec(), payload);
+    assert_eq!(out[0].server_stream, b"ok"[..]);
+}
+
 #[test]
 fn udp_dns_expires_and_delivers_conn_record() {
     // DNS conn has no FIN; it must be delivered via timeout expiry.

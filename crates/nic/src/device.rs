@@ -448,7 +448,6 @@ impl VirtualNic {
         let mut mbuf = Mbuf::from_bytes_in(frame, &self.mempool);
         mbuf.timestamp_ns = timestamp_ns;
         mbuf.rss_hash = hash;
-        mbuf.queue = queue;
         loop {
             match self.queues[queue as usize].push(mbuf) {
                 Ok(()) => {
@@ -558,7 +557,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(nic.rx_burst(q, &mut out, 32), 1);
         assert_eq!(out[0].timestamp_ns, 42);
-        assert_eq!(out[0].queue, q);
         let stats = nic.stats();
         assert_eq!(stats.rx_delivered, 1);
         assert_eq!(stats.lost(), 0);

@@ -2,7 +2,8 @@
 //!
 //! [`Mbuf`] is the unit of packet data flowing through the framework, the
 //! analogue of a DPDK `rte_mbuf`. It wraps a cheaply-cloneable [`Bytes`]
-//! buffer plus receive metadata (timestamp, RSS hash, queue). Cloning an
+//! buffer plus receive metadata (timestamp, RSS hash) and the payload
+//! range the pipeline's one parse found (its stamp). Cloning an
 //! `Mbuf` is a refcount bump, which is how the connection tracker holds
 //! out-of-order packets "by reference" (§5.2) without copying payloads.
 
@@ -14,8 +15,11 @@ use retina_support::bytes::Bytes;
 
 /// A received packet buffer with metadata.
 ///
-/// The buffer holds a complete Ethernet frame. Receive metadata is filled
-/// in by the [`crate::VirtualNic`] on ingest.
+/// The buffer holds a complete Ethernet frame. The [`crate::VirtualNic`]
+/// fills in the receive metadata on ingest; the parse that reads the
+/// frame (the pipeline's S1) stamps where its L4 payload lies, so code
+/// that holds the frame later (the reassembler's out-of-order buffer)
+/// reads the payload without parsing the frame again.
 ///
 /// Cloning an `Mbuf` is a refcount bump: all clones share one pool charge
 /// (like DPDK's `rte_mbuf_refcnt_update`), released when the last clone
@@ -27,20 +31,18 @@ pub struct Mbuf {
     pub timestamp_ns: u64,
     /// RSS hash computed by the NIC.
     pub rss_hash: u32,
-    /// RX queue this packet was delivered to.
-    pub queue: u16,
-    /// Packet-filter mark: the ID of the deepest predicate-trie node this
-    /// packet matched, used to resume filter evaluation at later layers
-    /// without re-walking the trie (§4.1). `0` means "not yet filtered".
-    pub mark: u32,
+    // The L4 payload's offset into the frame and its length, as stamped
+    // by [`Mbuf::stamp_payload`]; both zero until then.
+    payload_offset: u16,
+    payload_len: u16,
     // Pool accounting guard: released (with the charge) when the last
     // clone drops. See [`Mbuf::pooled`].
     charge: Option<Arc<PoolCharge>>,
 }
 
 // A frame held out of order, or before a filter resolves, is one of
-// these per frame.
-const _: () = assert!(std::mem::size_of::<Mbuf>() == 72);
+// these per frame: a cache line.
+const _: () = assert!(std::mem::size_of::<Mbuf>() == 64);
 
 /// A view of part of a frame that keeps the whole frame charged to its
 /// pool: what a [`crate::StreamBytes`] holds per segment. The bytes and
@@ -85,8 +87,8 @@ impl Mbuf {
             data,
             timestamp_ns: 0,
             rss_hash: 0,
-            queue: 0,
-            mark: 0,
+            payload_offset: 0,
+            payload_len: 0,
             charge: None,
         }
     }
@@ -109,8 +111,8 @@ impl Mbuf {
             data,
             timestamp_ns: 0,
             rss_hash: 0,
-            queue: 0,
-            mark: 0,
+            payload_offset: 0,
+            payload_len: 0,
             charge: Some(Arc::new(charge)),
         }
     }
@@ -128,6 +130,22 @@ impl Mbuf {
     /// Returns true if the frame is empty (never the case for real traffic).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Stamps where the frame's L4 payload lies, as the parse that read
+    /// the frame found it. A payload a `u16` cannot place is stamped
+    /// empty; a frame `ParsedPacket` accepts has none (its payload is
+    /// bounded by the IP length field, its offset by the header chain).
+    pub fn stamp_payload(&mut self, payload: Range<usize>) {
+        let (offset, len) = (u16::try_from(payload.start), u16::try_from(payload.len()));
+        (self.payload_offset, self.payload_len) = offset.ok().zip(len.ok()).unwrap_or((0, 0));
+    }
+
+    /// Where the frame's L4 payload lies, as [`Mbuf::stamp_payload`]
+    /// recorded it (empty before any stamp).
+    pub fn payload(&self) -> Range<usize> {
+        let start = usize::from(self.payload_offset);
+        start..start + usize::from(self.payload_len)
     }
 
     /// A cheap owned handle to the underlying bytes.

@@ -12,9 +12,10 @@
 # `ingest_frame(`), so a per-packet driver loop cannot grow back beside
 # `on_burst`.
 #
-# One call is allowed by name: `ConnTracker::rebind` in tracker/mod.rs
-# replays a synthetic first packet through the new filter once per live
-# connection per swap — not a per-packet path.
+# One call is allowed by name: a live swap's `replay` in tracker/mod.rs
+# puts each undecided survivor's first packet — rebuilt from its tuple
+# and the facts it kept at insert — to the new packet filter, once per
+# live connection per swap: not a per-packet path.
 #
 # The delivery fabric behind the pipeline's `Transport` lives in one
 # place too, and the same scan guards it:
@@ -225,6 +226,19 @@
 # under crates/*/src names no `WorkerStall`, `with_stall` or
 # `chaos_fired`, and non-test crates/core/src/monitor.rs no `Instant`:
 # a driver supplies the sampler's clock.
+#
+# Core parses each frame once and builds none. S1 of `on_burst` parses
+# a frame and stamps its payload range on the `Mbuf`; every later packet
+# fact comes from that parse. The tracker once parsed every frame the
+# reassembler flushed again, to find its payload, and a swap built a
+# synthetic SYN or datagram (TTL 64, window 65 535) to parse and filter,
+# which gave survivors a verdict on a packet they never sent and dropped
+# every survivor that was neither TCP nor UDP. So non-test
+# crates/core/src calls `ParsedPacket::parse(` at exactly two sites:
+# `on_burst` in pipeline.rs, and `rss_queues` in step.rs, named here as
+# the exception until the stepped run gets an ingest actor in front of
+# the NIC (ROADMAP item 14(a)); and it names no `retina_wire::build` and
+# no `synth_first_packet`.
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
@@ -552,6 +566,35 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Each non-test `ParsedPacket::parse(` in crates/core/src as
+# `file:function`, the function being the last `fn` declared above it.
+sites=$(core_code | awk '{
+        text = $0
+        sub(/^[^:]*:[0-9]*:/, "", text)
+        if (match(text, /(^|[^[:alnum:]_])fn [[:alnum:]_]+/)) {
+            name = substr(text, RSTART, RLENGTH)
+            sub(/.*fn /, "", name)
+        }
+        if (text ~ /ParsedPacket::parse\(/) {
+            file = $0
+            sub(/:.*/, "", file)
+            print file ":" name
+        }
+    }')
+want='crates/core/src/pipeline.rs:on_burst
+crates/core/src/step.rs:rss_queues'
+if [ "$sites" != "$want" ]; then
+    echo "crates/core/src parses frames outside S1 (want one ParsedPacket::parse( in pipeline.rs's on_burst, and step.rs's rss_queues until item 14(a)); found:" >&2
+    printf '%s\n' "$sites" >&2
+    fail=1
+fi
+hits=$(core_code | grep -E 'retina_wire::build|synth_first_packet' || true)
+if [ -n "$hits" ]; then
+    echo "core builds a frame (a swap re-verdicts a survivor on its first packet's kept facts):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -572,4 +615,5 @@ echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or Ste
 echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site;"
 echo "  the connection arena is chunked, with its free list in its vacant slots;"
 echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance;"
-echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs"
+echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs;"
+echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder"

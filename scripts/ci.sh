@@ -76,7 +76,14 @@
 #                 crates/*/src (a stepped run reads the NIC's FaultHooks
 #                 in virtual time), and no `Instant` in non-test
 #                 crates/core/src/monitor.rs (each driver supplies the
-#                 sampler's clock)
+#                 sampler's clock); and core parses each frame once and
+#                 builds none: non-test crates/core/src calls
+#                 `ParsedPacket::parse(` in pipeline.rs's `on_burst` (S1,
+#                 which stamps the payload range on the Mbuf) and in
+#                 step.rs's `rss_queues` (until ROADMAP item 14(a)) only,
+#                 and names no `retina_wire::build` and no
+#                 `synth_first_packet` (a swap re-verdicts a survivor on
+#                 the facts its first packet left)
 #   lint-filters  retina-flint --json over scripts/filters.flt (the
 #                 filters used by benches/examples); fails on E-codes
 #   build         release build of every lib and binary

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 
+use retina_conntrack::{FirstPacket, FiveTuple};
 use retina_filter::ast::{Expr, Op, Predicate, Value};
 use retina_filter::dnf::FlatPattern;
 use retina_filter::regex::Regex;
@@ -856,6 +857,112 @@ proptest! {
         let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
         let filter = CompiledFilter::build_union(&refs, &registry).expect("each source builds");
         assert_program_matches_walk(&filter, &boundary_frames(&mut rng, 24), &srcs.join(" | "));
+    }
+}
+
+// ------------------------------------------- a swap's first-packet view
+
+/// `random_source` with one atom in five on ICMP's code, the one packet
+/// field its atoms leave out.
+fn first_packet_source(rng: &mut SmallRng) -> String {
+    (0..rng.random_range(1..4usize))
+        .map(|_| {
+            let conj: Vec<String> = (0..rng.random_range(1..4usize))
+                .map(|_| match rng.random_range(0..5u32) {
+                    0 => format!("icmp.code = {}", near_edge(rng) % 4),
+                    _ => random_atom(rng),
+                })
+                .collect();
+            format!("({})", conj.join(" and "))
+        })
+        .collect::<Vec<_>>()
+        .join(" or ")
+}
+
+/// A frame of any protocol the packet layer knows — TCP, UDP, ICMP (over
+/// either IP version, as protocol 1 or 58) or another — whose TTL,
+/// window, ICMP type and code, ports, addresses and payload length sit
+/// on and around the atoms' constants. One in four carries Ethernet
+/// trailer padding past its IP length, one in eight is cut short of it.
+fn first_frame(rng: &mut SmallRng) -> Bytes {
+    let v6 = rng.random_range(0..3u32) == 0;
+    let (src, dst) = (random_ip(rng, v6), random_ip(rng, v6));
+    let ttl = near_edge(rng) as u8;
+    let payload = vec![0xA5; rng.random_range(0..64usize)];
+    let (src, dst) = ((src, near_edge(rng)).into(), (dst, near_edge(rng)).into());
+    let kind = rng.random_range(0..4u32);
+    let mut frame = if kind == 0 {
+        build_tcp(&TcpSpec {
+            src,
+            dst,
+            seq: 1,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: near_edge(rng),
+            ttl,
+            payload: &payload,
+        })
+    } else {
+        build_udp(&UdpSpec {
+            src,
+            dst,
+            ttl,
+            payload: &payload,
+        })
+    };
+    // ICMP and other protocols: a datagram with its protocol rewritten
+    // (its first eight bytes are then the ICMP header's).
+    let proto_at = if v6 { 14 + 6 } else { 14 + 9 };
+    let l4 = if v6 { 14 + 40 } else { 14 + 20 };
+    match kind {
+        2 => {
+            frame[proto_at] = [1, 58][rng.random_range(0..2usize)];
+            frame[l4] = (near_edge(rng) % 10) as u8;
+            frame[l4 + 1] = (near_edge(rng) % 4) as u8;
+        }
+        3 => frame[proto_at] = [47, 50, 132, 253][rng.random_range(0..4usize)],
+        _ => {}
+    }
+    match rng.random_range(0..8u32) {
+        0 | 1 => frame.extend(std::iter::repeat_n(0, rng.random_range(1..32usize))),
+        2 => frame.truncate(frame.len() - rng.random_range(1..8usize).min(payload.len())),
+        _ => {}
+    }
+    Bytes::from(frame)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A swap re-verdicts a surviving connection on its first packet
+    /// rebuilt from its five-tuple and the facts it kept
+    /// ([`FirstPacket`]). That verdict — matched, live and frontiers —
+    /// is the packet filter's on the real frame, for every packet-layer
+    /// field a filter can test.
+    #[test]
+    fn a_rebuilt_first_packet_gets_the_real_frames_verdict(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let registry = ProtocolRegistry::default();
+        let srcs: Vec<String> = (0..rng.random_range(1..6usize))
+            .map(|_| first_packet_source(&mut rng))
+            .filter(|src| CompiledFilter::build(src, &registry).is_ok())
+            .collect();
+        let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+        if let Ok(filter) = CompiledFilter::build_union(&refs, &registry) {
+            for _ in 0..32 {
+                let frame = first_frame(&mut rng);
+                let Ok(pkt) = ParsedPacket::parse(&frame) else {
+                    continue;
+                };
+                let tuple = FiveTuple::from_packet(&pkt);
+                let rebuilt = FirstPacket::of(&pkt).packet(&tuple);
+                assert_eq!(
+                    filter.packet_filter_set(&rebuilt),
+                    filter.packet_filter_set(&pkt),
+                    "{srcs:?} on {pkt:?}"
+                );
+            }
+        }
     }
 }
 

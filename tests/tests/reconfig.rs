@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use retina_chaos::{ChaosSource, Fault, FaultPlan};
 use retina_core::subscribables::{ConnRecord, DnsTransactionData, ZcFrame};
@@ -31,12 +31,14 @@ use retina_core::{
     DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig, StepConfig,
     SwapController, SwapError, SwapSpec, TraceConfig, TrafficSource, STEP_NS,
 };
+use retina_filter::registry::{FilterLayer, ProtocolDef};
 use retina_filter::CompiledFilter;
+use retina_protocols::{ConnParser, Direction, ParseResult, ProbeResult, Session, SessionState};
 use retina_support::bytes::Bytes;
 use retina_telemetry::TraceKind;
 use retina_trafficgen::campus::{generate, CampusConfig};
 use retina_trafficgen::PreloadedSource;
-use retina_wire::build::{build_tcp, TcpSpec};
+use retina_wire::build::{build_icmpv4_echo, build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
 
 /// A shared medium campus mix (TCP + UDP, so swaps can add/remove
@@ -482,6 +484,77 @@ fn stepped_swap_evictions_leave_an_end_tracepoint() {
 /// the handshake through the promotion, the rest off the packet filter.
 #[test]
 fn stepped_swap_routes_a_promoted_survivor_to_itself() {
+    let rt = frames_runtime("http", RuntimeConfig::with_cores(1));
+    let spec = frames_spec("tcp.port = 80", &rt.1);
+    assert_survivor_gets_every_frame(rt, &http_exchange(64, 65535), &spec, Driver::Stepped);
+}
+
+/// A swap decides a survivor by the new filter's verdict on the
+/// connection's real first packet. It once read a synthetic SYN with
+/// TTL 64 and window 65 535 instead: a TTL-128 connection swapped to a
+/// filter on `ipv4.ttl > 100` lost its three buffered handshake frames
+/// (5 of 8 delivered), and `tcp.window < 1000` could never promote one.
+#[test]
+fn a_swap_re_verdicts_a_survivor_on_its_real_ttl() {
+    for driver in [Driver::Stepped, Driver::Threaded] {
+        let rt = frames_runtime("http", RuntimeConfig::with_cores(1));
+        let spec = frames_spec("ipv4.ttl > 100 and tcp.port = 80", &rt.1);
+        assert_survivor_gets_every_frame(rt, &http_exchange(128, 65535), &spec, driver);
+    }
+}
+
+#[test]
+fn a_swap_re_verdicts_a_survivor_on_its_real_window() {
+    for driver in [Driver::Stepped, Driver::Threaded] {
+        let rt = frames_runtime("http", RuntimeConfig::with_cores(1));
+        let spec = frames_spec("tcp.window < 1000 and tcp.port = 80", &rt.1);
+        assert_survivor_gets_every_frame(rt, &http_exchange(64, 512), &spec, driver);
+    }
+}
+
+/// A survivor that is neither TCP nor UDP gets a verdict too: an ICMP
+/// echo connection, undecided under a connection-layer protocol that
+/// never identifies, is promoted by `icmp.type = 8`. It used to be
+/// dropped at every swap, its buffered frames with it.
+#[test]
+fn a_swap_re_verdicts_an_icmp_survivor() {
+    for driver in [Driver::Stepped, Driver::Threaded] {
+        let rt = frames_runtime("ping", ping_config());
+        let spec = frames_spec("icmp.type = 8", &rt.1);
+        assert_survivor_gets_every_frame(rt, &echo_requests(), &spec, driver);
+    }
+}
+
+/// The frames a `ZcFrame` subscription saw, in delivery order.
+type Seen = Arc<Mutex<Vec<Vec<u8>>>>;
+
+fn record(seen: &Seen) -> impl Fn(ZcFrame) + Send + Sync + 'static {
+    let seen = Arc::clone(seen);
+    move |f: ZcFrame| seen.lock().unwrap().push(f.data().to_vec())
+}
+
+/// A runtime serving `dns` and, behind it, a `ZcFrame` subscription
+/// `frames` on `filter`, which a swap to [`frames_spec`] moves to index
+/// 0; and what `frames` saw.
+fn frames_runtime(filter: &str, config: RuntimeConfig) -> (MultiRuntime<CompiledFilter>, Seen) {
+    let seen = Seen::default();
+    let rt = RuntimeBuilder::new(config)
+        .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {})
+        .subscribe_named::<ZcFrame>("frames", filter, record(&seen))
+        .build()
+        .unwrap();
+    (rt, seen)
+}
+
+/// The swap target: `frames` alone, on `filter`, recording into `seen`.
+fn frames_spec(filter: &str, seen: &Seen) -> SwapSpec {
+    SwapSpec::new().subscribe_named::<ZcFrame>("frames", filter, record(seen))
+}
+
+/// A client's exchange with a web server, every frame with IP TTL `ttl`
+/// and TCP window `window`. Its connection is still probing after the
+/// handshake's three frames.
+fn http_exchange(ttl: u8, window: u16) -> Vec<(Bytes, u64)> {
     let client: SocketAddr = "10.9.0.1:40000".parse().unwrap();
     let server: SocketAddr = "93.184.216.34:80".parse().unwrap();
     let frame = |from_client: bool, seq: u32, ack: u32, flags: u8, payload: &[u8]| {
@@ -496,8 +569,8 @@ fn stepped_swap_routes_a_promoted_survivor_to_itself() {
             seq,
             ack,
             flags,
-            window: 65535,
-            ttl: 64,
+            window,
+            ttl,
             payload,
         }))
     };
@@ -506,36 +579,117 @@ fn stepped_swap_routes_a_promoted_survivor_to_itself() {
         frame(true, 1000, 0, TcpFlags::SYN, &[]),
         frame(false, 5000, 1001, TcpFlags::SYN | ack, &[]),
         frame(true, 1001, 5001, ack, &[]),
-        // The swap lands here: the connection is still probing.
         frame(true, 1001, 5001, psh, b"GET / HTTP/1.1\r\nHost: a\r\n\r\n"),
         frame(false, 5001, 1028, psh, b"HTTP/1.1 204 No Content\r\n\r\n"),
         frame(true, 1028, 5028, TcpFlags::FIN | ack, &[]),
         frame(false, 5028, 1029, TcpFlags::FIN | ack, &[]),
         frame(true, 1029, 5029, ack, &[]),
     ];
-    let packets: Vec<(Bytes, u64)> = (1u64..)
-        .zip(&frames)
-        .map(|(t, f)| (f.clone(), t * 1_000_000))
-        .collect();
+    (1u64..)
+        .zip(frames)
+        .map(|(t, f)| (f, t * 1_000_000))
+        .collect()
+}
 
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let record = |seen: &Arc<Mutex<Vec<Vec<u8>>>>| {
-        let seen = Arc::clone(seen);
-        move |f: ZcFrame| seen.lock().unwrap().push(f.data().to_vec())
+/// Eight ICMP echo requests of one ping: one connection.
+fn echo_requests() -> Vec<(Bytes, u64)> {
+    let (src, dst) = (
+        "10.9.0.1".parse().unwrap(),
+        "93.184.216.34".parse().unwrap(),
+    );
+    (1u16..=8)
+        .map(|seq| {
+            let frame = Bytes::from(build_icmpv4_echo(src, dst, 7, seq));
+            (frame, u64::from(seq) * 1_000_000)
+        })
+        .collect()
+}
+
+/// A runtime configuration on one core that knows a connection-layer
+/// protocol `ping` over ICMP whose prober is never sure: a `ping`
+/// subscription's ICMP connections stay undecided.
+fn ping_config() -> RuntimeConfig {
+    struct Undecided;
+    impl ConnParser for Undecided {
+        fn name(&self) -> &'static str {
+            "ping"
+        }
+        fn probe(&self, _: &[u8], _: Direction) -> ProbeResult {
+            ProbeResult::Unsure
+        }
+        fn parse(&mut self, _: &[u8], _: Direction) -> ParseResult {
+            ParseResult::Continue
+        }
+        fn drain_sessions(&mut self) -> Vec<Session> {
+            Vec::new()
+        }
+        fn reset(&mut self) -> usize {
+            0
+        }
+        fn session_match_state(&self) -> SessionState {
+            SessionState::KeepParsing
+        }
+    }
+    let mut config = RuntimeConfig::with_cores(1);
+    config.filter_registry.register(ProtocolDef {
+        name: "ping",
+        layer: FilterLayer::Connection,
+        parents: vec!["icmp"],
+        fields: Vec::new(),
+    });
+    config.parsers.register("ping", || Box::new(Undecided));
+    config
+}
+
+/// Which driver runs a swap test.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    Stepped,
+    Threaded,
+}
+
+/// Runs `rt` over `packets` on `driver`, swapping to `spec` once the RX
+/// core has worked through the first three — while `frames` is still
+/// undecided on their connection — and asserts that `frames` got each
+/// frame exactly once: the first three through the promotion, the rest
+/// off the packet filter.
+fn assert_survivor_gets_every_frame(
+    (mut rt, seen): (MultiRuntime<CompiledFilter>, Seen),
+    packets: &[(Bytes, u64)],
+    spec: &SwapSpec,
+    driver: Driver,
+) {
+    const AT: usize = 3;
+    let report = match driver {
+        Driver::Stepped => {
+            let cfg = StepConfig {
+                rx_batch: 1,
+                ..StepConfig::seeded(7)
+            };
+            rt.run_stepped_with_swap(packets, &cfg, AT as u64, spec)
+                .expect("swap accepted")
+        }
+        Driver::Threaded => {
+            let (controller, gauges) = (rt.swap_controller(), rt.gauges());
+            let (source, gate) = GatedSource::new(packets.to_vec(), AT);
+            let handle = std::thread::spawn(move || rt.run(source));
+            gate.wait_parked();
+            // Received is not enough: the swap must find the connection
+            // the first frames opened, so wait until the core has worked
+            // through them.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while gauges.sim_clock_ns() < packets[AT - 1].1 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the first frames never got through"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            controller.swap(spec).expect("swap succeeds mid-run");
+            gate.open();
+            handle.join().expect("run thread panicked")
+        }
     };
-    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
-        .subscribe_named::<DnsTransactionData>("dns", "dns", |_| {})
-        .subscribe_named::<ZcFrame>("frames", "http", record(&seen))
-        .build()
-        .unwrap();
-    let spec = SwapSpec::new().subscribe_named::<ZcFrame>("frames", "tcp.port = 80", record(&seen));
-    let cfg = StepConfig {
-        rx_batch: 1,
-        ..StepConfig::seeded(7)
-    };
-    let report = rt
-        .run_stepped_with_swap(&packets, &cfg, 3, &spec)
-        .expect("swap accepted");
     report.check_accounting().expect("accounting exact");
     for s in &report.subs {
         assert_eq!(
@@ -546,14 +700,14 @@ fn stepped_swap_routes_a_promoted_survivor_to_itself() {
         );
     }
     let mut got = seen.lock().unwrap().clone();
-    let mut want: Vec<Vec<u8>> = frames.iter().map(|f| f[..].to_vec()).collect();
+    let mut want: Vec<Vec<u8>> = packets.iter().map(|(f, _)| f[..].to_vec()).collect();
     got.sort();
     want.sort();
     assert_eq!(
         got, want,
-        "frames saw its connection's frames other than exactly once"
+        "{driver:?}: frames saw its connection's frames other than exactly once"
     );
-    assert_eq!(sub(&report, "frames").delivered, frames.len() as u64);
+    assert_eq!(sub(&report, "frames").delivered, packets.len() as u64);
 }
 
 #[test]
