@@ -104,9 +104,10 @@ impl EagerConn {
             if buf.data.len() > *cursor {
                 let fresh = &buf.data[*cursor..];
                 *cursor = buf.data.len();
-                match self.parser.parse(fresh, dir) {
+                let mut sessions = Vec::new();
+                match self.parser.parse(fresh, dir, &mut sessions) {
                     ParseResult::Done => {
-                        for s in self.parser.drain_sessions() {
+                        for s in sessions {
                             if let Session::Tls(hs) = s {
                                 self.handshake = Some(hs);
                             }

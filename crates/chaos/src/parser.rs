@@ -94,7 +94,7 @@ impl ConnParser for ChaosParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], _dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], _dir: Direction, _sessions: &mut Vec<Session>) -> ParseResult {
         let Some(modulus) = armed_modulus() else {
             return ParseResult::Error;
         };
@@ -104,9 +104,7 @@ impl ConnParser for ChaosParser {
         ParseResult::Error
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
-        Vec::new()
-    }
+    fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
         // Stateless: every decision is a function of the bytes alone.
@@ -131,16 +129,17 @@ mod tests {
     fn arming_switch_controls_panics() {
         let _switch = lock_arm_switch_for_test();
         disarm_parser_panics();
-        let mut p = ChaosParser;
+        let (mut p, mut sessions) = (ChaosParser, Vec::new());
         assert_eq!(
             p.probe(b"anything", Direction::ToServer),
             ProbeResult::NotForUs
         );
         assert_eq!(
-            p.parse(b"anything", Direction::ToServer),
+            p.parse(b"anything", Direction::ToServer, &mut sessions),
             ParseResult::Error
         );
-        assert!(p.drain_sessions().is_empty());
+        p.drain_sessions(&mut sessions);
+        assert!(sessions.is_empty());
 
         arm_parser_panics(4);
         // Find one payload per residue class.

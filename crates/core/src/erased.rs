@@ -37,11 +37,10 @@ use std::sync::Arc;
 
 use retina_conntrack::{Dir, FiveTuple};
 use retina_nic::Mbuf;
-use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
 use crate::executor::Deliver;
-use crate::subscription::{ConnView, Level, Subscribable, Tracked};
+use crate::subscription::{ConnView, Level, MatchedSession, Subscribable, Tracked};
 
 /// Object-safe view of a subscription: everything the shared pipeline
 /// needs to know, without the concrete `Subscribable` type.
@@ -170,7 +169,7 @@ pub trait TrackedSlab: Send {
         slot: u32,
         conn: &ConnView<'_>,
         service: Option<&'static str>,
-        session: Option<&Session>,
+        session: Option<MatchedSession<'_>>,
         out: &mut Emitter<'_>,
     );
     /// Packet seen after a full match.
@@ -242,7 +241,7 @@ where
         slot: u32,
         conn: &ConnView<'_>,
         service: Option<&'static str>,
-        session: Option<&Session>,
+        session: Option<MatchedSession<'_>>,
         out: &mut Emitter<'_>,
     ) {
         let out = &mut out.typed(&mut self.lane);

@@ -91,7 +91,7 @@ pub use runtime::{
 };
 pub use stats::CoreStats;
 pub use step::{StepConfig, STEP_NS};
-pub use subscription::{ConnView, Level, Subscribable, Tracked};
+pub use subscription::{ConnView, Level, MatchedSession, Subscribable, Tracked};
 
 // Re-exports so applications need only depend on retina-core.
 pub use retina_conntrack::FiveTuple;

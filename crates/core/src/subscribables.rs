@@ -16,7 +16,7 @@ use retina_protocols::Session;
 use retina_wire::ParsedPacket;
 
 use crate::erased::TypedEmitter;
-use crate::subscription::{ConnView, Level, Subscribable, Tracked};
+use crate::subscription::{ConnView, Level, MatchedSession, Subscribable, Tracked};
 
 /// Cap on frames a [`ZcFrameTracker`] holds per connection before the
 /// filter resolves (protects memory against filters that never resolve
@@ -88,7 +88,7 @@ impl Tracked for ZcFrameTracker {
         &mut self,
         _conn: &ConnView<'_>,
         _service: Option<&'static str>,
-        _session: Option<&Session>,
+        _session: Option<MatchedSession<'_>>,
         out: &mut TypedEmitter<'_, ZcFrame>,
     ) {
         for mbuf in self.buffered.drain(..) {
@@ -143,7 +143,7 @@ pub struct ConnRecord {
     /// Single unanswered SYN (scan-like).
     pub single_syn: bool,
     /// Probed L7 protocol, when the pipeline identified one.
-    pub service: Option<String>,
+    pub service: Option<&'static str>,
 }
 
 impl ConnRecord {
@@ -191,7 +191,7 @@ impl Tracked for ConnRecordTracker {
         &mut self,
         _conn: &ConnView<'_>,
         service: Option<&'static str>,
-        _session: Option<&Session>,
+        _session: Option<MatchedSession<'_>>,
         _out: &mut TypedEmitter<'_, ConnRecord>,
     ) {
         self.service = service.or(self.service);
@@ -220,7 +220,7 @@ impl Tracked for ConnRecordTracker {
             established: conn.established,
             terminated: flow.terminated(),
             single_syn: flow.is_single_syn(),
-            service: self.service.map(str::to_string),
+            service: self.service,
         });
     }
 }
@@ -254,11 +254,11 @@ impl Subscribable for TlsHandshakeData {
 }
 
 impl FromSession for TlsHandshakeData {
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self> {
-        match session {
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self> {
+        match session.into_owned_if(|s| matches!(s, Session::Tls(_)))? {
             Session::Tls(tls) => Some(TlsHandshakeData {
                 tuple: *tuple,
-                tls: tls.clone(),
+                tls,
                 ts_ns,
             }),
             _ => None,
@@ -293,11 +293,11 @@ impl Subscribable for HttpTransactionData {
 }
 
 impl FromSession for HttpTransactionData {
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self> {
-        match session {
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self> {
+        match session.into_owned_if(|s| matches!(s, Session::Http(_)))? {
             Session::Http(http) => Some(HttpTransactionData {
                 tuple: *tuple,
-                http: http.clone(),
+                http,
                 ts_ns,
             }),
             _ => None,
@@ -332,11 +332,11 @@ impl Subscribable for DnsTransactionData {
 }
 
 impl FromSession for DnsTransactionData {
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self> {
-        match session {
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self> {
+        match session.into_owned_if(|s| matches!(s, Session::Dns(_)))? {
             Session::Dns(dns) => Some(DnsTransactionData {
                 tuple: *tuple,
-                dns: dns.clone(),
+                dns,
                 ts_ns,
             }),
             _ => None,
@@ -371,11 +371,11 @@ impl Subscribable for SshHandshakeData {
 }
 
 impl FromSession for SshHandshakeData {
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self> {
-        match session {
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self> {
+        match session.into_owned_if(|s| matches!(s, Session::Ssh(_)))? {
             Session::Ssh(ssh) => Some(SshHandshakeData {
                 tuple: *tuple,
-                ssh: ssh.clone(),
+                ssh,
                 ts_ns,
             }),
             _ => None,
@@ -411,10 +411,10 @@ impl Subscribable for SessionRecord {
 }
 
 impl FromSession for SessionRecord {
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self> {
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self> {
         Some(SessionRecord {
             tuple: *tuple,
-            session: session.clone(),
+            session: session.into_owned(),
             ts_ns,
         })
     }
@@ -422,9 +422,11 @@ impl FromSession for SessionRecord {
 
 /// Conversion from a parsed session into a session-level subscribable.
 pub trait FromSession: Sized {
-    /// Builds the subscription datum from a matched session, or `None`
-    /// when the session is a different protocol.
-    fn from_session(tuple: &FiveTuple, session: &Session, ts_ns: u64) -> Option<Self>;
+    /// Builds the subscription datum from a matched session — taking it
+    /// by value, which moves it for the last subscriber and clones it for
+    /// the others — or `None`, taking nothing, when the session is a
+    /// different protocol.
+    fn from_session(tuple: &FiveTuple, session: MatchedSession<'_>, ts_ns: u64) -> Option<Self>;
 }
 
 /// Shared tracker for session-level subscriptions: no state at all —
@@ -448,7 +450,7 @@ impl<S: FromSession + Send + 'static> Tracked for SessionLevelTracker<S> {
         &mut self,
         conn: &ConnView<'_>,
         _service: Option<&'static str>,
-        session: Option<&Session>,
+        session: Option<MatchedSession<'_>>,
         out: &mut TypedEmitter<'_, S>,
     ) {
         let datum = session.and_then(|s| S::from_session(conn.tuple, s, conn.last_seen_ns));
@@ -566,7 +568,7 @@ impl Tracked for ConnBytesTracker {
         &mut self,
         _conn: &ConnView<'_>,
         _service: Option<&'static str>,
-        _session: Option<&Session>,
+        _session: Option<MatchedSession<'_>>,
         _out: &mut TypedEmitter<'_, ConnBytes>,
     ) {
     }

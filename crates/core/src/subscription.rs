@@ -103,6 +103,52 @@ pub struct ConnView<'a> {
     pub flow: &'a TcpFlow,
 }
 
+/// The session a connection's filter matched on, lent to
+/// [`Tracked::on_match`]: [`get`](Self::get) borrows it, and
+/// [`into_owned`](Self::into_owned) takes it — moved out of the core's
+/// buffer for the last subscription this match emits to, cloned for any
+/// earlier one. A session no subscriber takes is dropped after the match.
+#[derive(Debug)]
+pub struct MatchedSession<'a> {
+    session: &'a mut Option<Session>,
+    last: bool,
+}
+
+impl<'a> MatchedSession<'a> {
+    /// `session`, if there is one, for the subscription that is `last` to
+    /// be emitted to or not.
+    pub(crate) fn of(session: &'a mut Option<Session>, last: bool) -> Option<Self> {
+        session
+            .is_some()
+            .then_some(MatchedSession { session, last })
+    }
+
+    /// The session.
+    pub fn get(&self) -> &Session {
+        self.session
+            .as_ref()
+            .expect("a session is taken only by the last subscriber")
+    }
+
+    /// The session by value: moved if this is the last subscription
+    /// served, cloned if not.
+    pub fn into_owned(self) -> Session {
+        if self.last {
+            self.session
+                .take()
+                .expect("a session is taken only by the last subscriber")
+        } else {
+            self.get().clone()
+        }
+    }
+
+    /// [`into_owned`](Self::into_owned) if `wanted` accepts the session;
+    /// `None`, and no clone, if not.
+    pub fn into_owned_if(self, wanted: impl FnOnce(&Session) -> bool) -> Option<Session> {
+        wanted(self.get()).then(|| self.into_owned())
+    }
+}
+
 /// Per-connection state for a subscribable type (the paper's
 /// `Trackable`, Figure 11). Implementations buffer *lazily*: before a
 /// full filter match they retain only what the subscription could still
@@ -130,14 +176,15 @@ pub trait Tracked: Send {
     }
 
     /// The filter fully matched — `service` is the probed L7 protocol and
-    /// `session` the matched session, when available. Session-level
+    /// `session` the matched session, when available: borrow it, or take
+    /// it by value (moved for the last subscription served). Session-level
     /// subscriptions are called once per session the connection goes on
     /// to produce. Emit any data that is ready.
     fn on_match(
         &mut self,
         conn: &ConnView<'_>,
         service: Option<&'static str>,
-        session: Option<&Session>,
+        session: Option<MatchedSession<'_>>,
         out: &mut TypedEmitter<'_, Self::Out>,
     );
 

@@ -47,7 +47,7 @@ use retina_conntrack::{
 };
 use retina_filter::{ConnVerdict, FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
-use retina_protocols::ParserRegistry;
+use retina_protocols::{ParserRegistry, Session};
 use retina_support::hash::FlowHashState;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind, Tracer};
 use retina_wire::ParsedPacket;
@@ -169,6 +169,10 @@ struct Machine<F: FilterFns> {
     /// Heap bytes the probing connections' prefix buffers hold, plus
     /// what idle parsers keep.
     probe_bytes: usize,
+    /// The sessions a parse or a connection's end completed, on their way
+    /// to the session filter: this core's one buffer, lent to each parser
+    /// for the call and empty between calls.
+    sessions: Vec<Session>,
     ooo_capacity: usize,
     profile: bool,
     /// Mirrored from the governor: while set, probe and parse work is
@@ -374,6 +378,7 @@ impl<F: FilterFns> ConnTracker<F> {
             prefixes: Prefixes::default(),
             parsers: Vec::new(),
             probe_bytes: 0,
+            sessions: Vec::new(),
             ooo_capacity,
             profile,
             shed_parsing: false,
@@ -539,7 +544,7 @@ impl<F: FilterFns> ConnTracker<F> {
         m.stats.conns_peak = m.stats.conns_peak.max(table.len() as u64);
         let entry = table.entry_mut(handle).expect("inserted above");
         let probeable = probing.is_some();
-        m.apply(entry, Event::Opened { probeable }, None, None, probing);
+        m.apply(entry, Event::Opened { probeable }, None, &mut None, probing);
         Some(handle)
     }
 

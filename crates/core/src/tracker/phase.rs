@@ -22,6 +22,7 @@ use retina_telemetry::{trace::TraceConnEnd, TraceKind};
 
 use super::{Conn, Machine};
 use crate::pipeline::BURST_MAX;
+use crate::subscription::MatchedSession;
 use crate::util::rdtsc;
 
 /// Cap on bytes buffered per direction while probing for the protocol,
@@ -68,7 +69,7 @@ impl ProbeSet {
         let prototypes: Vec<_> = protos
             .iter()
             .map(|p| {
-                let prototype = registry.new_parser(p)?;
+                let prototype = registry.instantiate(p)?;
                 let pool = pool_of(p, &*prototype);
                 Some((prototype, pool))
             })
@@ -543,7 +544,7 @@ impl<F: FilterFns> Machine<F> {
             return parser;
         }
         self.registry
-            .new_parser(&pool.proto)
+            .instantiate(&pool.proto)
             .expect("a pool's protocol is registered")
     }
 
@@ -568,7 +569,8 @@ impl<F: FilterFns> Machine<F> {
     }
 
     /// Runs `event` through [`step`] on `entry` and carries it out: the
-    /// [`Actions`] in order (`on_match` told `service` and `session`), the
+    /// [`Actions`] in order (`on_match` told `service` and lent `session`,
+    /// which the last subscription emitted to may take), the
     /// sets, the phase (`seed`: what the Probing or Parsing phase entered
     /// starts with), unless the connection leaves the table
     /// (`Actions::release`: the exit moves it). Returns the actions.
@@ -581,7 +583,7 @@ impl<F: FilterFns> Machine<F> {
         entry: &mut ConnEntry<Conn>,
         event: Event,
         service: Option<&'static str>,
-        session: Option<&Session>,
+        session: &mut Option<Session>,
         seed: Option<Seed>,
     ) -> Actions {
         let conn = &entry.value;
@@ -599,7 +601,12 @@ impl<F: FilterFns> Machine<F> {
             self.terminate(entry, i);
         }
         let newly = a.emit - before.matched;
-        for i in (a.emit & before.matched).iter().chain(newly.iter()) {
+        let mut emits = (a.emit & before.matched)
+            .iter()
+            .chain(newly.iter())
+            .peekable();
+        while let Some(i) = emits.next() {
+            let session = MatchedSession::of(session, emits.peek().is_none());
             self.emit(entry, i, |slab, slot, conn, out| {
                 slab.on_match(slot, conn, service, session, out);
             });
@@ -635,7 +642,7 @@ impl<F: FilterFns> Machine<F> {
 
     /// `apply` for an unseeded, sessionless event: whether it leaves.
     pub(super) fn leaves(&mut self, entry: &mut ConnEntry<Conn>, event: Event) -> bool {
-        self.apply(entry, event, None, None, None).release
+        self.apply(entry, event, None, &mut None, None).release
     }
 
     /// The one way out of the table, for all five reasons: partial
@@ -649,8 +656,10 @@ impl<F: FilterFns> Machine<F> {
         let phase = &mut entry.value.phase;
         if let (true, Phase::Parsing { parser, pool }) = (t.actions.session_filter, phase) {
             let service = self.parsers[*pool as usize].service;
-            let sessions = parser.drain_sessions();
-            self.deliver_sessions(entry, service, &sessions);
+            let mut sessions = std::mem::take(&mut self.sessions);
+            parser.drain_sessions(&mut sessions);
+            self.deliver_sessions(entry, service, &mut sessions);
+            self.sessions = sessions;
         }
         for i in entry.value.subs.matched.iter() {
             self.terminate(entry, i);
@@ -805,7 +814,7 @@ impl<F: FilterFns> Machine<F> {
         );
         let seed = Some(Seed::Parse(pool));
         let event = Event::ServiceIdentified(v);
-        let a = self.apply(entry, event, Some(service), None, seed);
+        let a = self.apply(entry, event, Some(service), &mut None, seed);
         // Feed the parser both prefixes, client's first: what was
         // buffered, and this segment where it lies.
         let both = prefixes(lent.as_ref(), in_place);
@@ -825,8 +834,9 @@ impl<F: FilterFns> Machine<F> {
         leaves
     }
 
-    /// Hands `data` to the parser, if parsing, and its sessions to the
-    /// session filter. Returns whether the connection leaves the table.
+    /// Hands `data` to the parser, if parsing, and the sessions it
+    /// completes — in the core's buffer — to the session filter. Returns
+    /// whether the connection leaves the table.
     fn parse_data(&mut self, entry: &mut ConnEntry<Conn>, data: &[u8], pdir: Direction) -> bool {
         let Phase::Parsing { parser, pool } = &mut entry.value.phase else {
             return false;
@@ -834,53 +844,57 @@ impl<F: FilterFns> Machine<F> {
         let service = self.parsers[*pool as usize].service;
         let tp = self.profile.then(rdtsc);
         self.stats.app_parsing.runs += 1;
+        let mut sessions = std::mem::take(&mut self.sessions);
         // A panicking parser must not take the worker core (and its RX
         // queue) down with it: the panic is a parse error, as for
         // malformed input.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| parser.parse(data, pdir)))
-                .unwrap_or_else(|_| {
-                    self.stats.parser_panics += 1;
-                    ParseResult::Error
-                });
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parser.parse(data, pdir, &mut sessions)
+        }))
+        .unwrap_or_else(|_| {
+            self.stats.parser_panics += 1;
+            ParseResult::Error
+        });
         if let Some(t) = tp {
             self.stats
                 .app_parsing
                 .record_cycles(rdtsc().wrapping_sub(t));
         }
         let event = match result {
-            ParseResult::Continue => return false,
-            ParseResult::Done => {
-                let sessions = parser.drain_sessions();
-                if sessions.is_empty() {
-                    return false;
-                }
+            // A failing call's sessions are dropped with the parse: a parser
+            // that completed one in the call returns `Done`, and fails next.
+            ParseResult::Error => Some(Event::ConnLayerFailed),
+            _ if sessions.is_empty() => None,
+            ParseResult::Continue | ParseResult::Done => {
                 let done = parser.session_match_state() == SessionState::Remove;
                 let reject = parser.session_nomatch_state() == SessionState::Remove;
-                self.deliver_sessions(entry, service, &sessions);
-                Event::SessionBatch { done, reject }
+                self.deliver_sessions(entry, service, &mut sessions);
+                Some(Event::SessionBatch { done, reject })
             }
-            ParseResult::Error => Event::ConnLayerFailed,
         };
-        self.leaves(entry, event)
+        sessions.clear();
+        self.sessions = sessions;
+        event.is_some_and(|event| self.leaves(entry, event))
     }
 
     /// The session filter (Figure 4's second pseudostate) and delivery for
-    /// each session, just parsed or drained at the connection's end.
+    /// each of `sessions`, just parsed or drained at the connection's end:
+    /// each leaves the buffer into its match, where the last subscriber
+    /// served may take it.
     fn deliver_sessions(
         &mut self,
         entry: &mut ConnEntry<Conn>,
         service: &'static str,
-        sessions: &[Session],
+        sessions: &mut Vec<Session>,
     ) {
-        for session in sessions {
+        for session in sessions.drain(..) {
             let conn = &entry.value;
             let ts = self.profile.then(rdtsc);
             self.stats.session_filter.runs += 1;
             let live = conn.subs.live;
             let hits = self
                 .filter
-                .session_filter_set(session, &conn.frontiers, live);
+                .session_filter_set(&session, &conn.frontiers, live);
             if let Some(t) = ts {
                 self.stats
                     .session_filter
@@ -888,7 +902,7 @@ impl<F: FilterFns> Machine<F> {
             }
             self.trace(conn, TraceKind::SessionVerdict, hits.bits(), live.bits());
             let event = Event::Session { hits };
-            self.apply(entry, event, Some(service), Some(session), None);
+            self.apply(entry, event, Some(service), &mut Some(session), None);
         }
     }
 }

@@ -168,7 +168,6 @@ fn encode_name(name: &str, out: &mut Vec<u8>) {
 pub struct DnsParser {
     /// The outstanding query, if a response has not yet been seen.
     outstanding: Option<DnsMessage>,
-    sessions: Vec<Session>,
     failed: bool,
 }
 
@@ -178,7 +177,7 @@ impl DnsParser {
         Self::default()
     }
 
-    fn handle(&mut self, data: &[u8], _dir: Direction) -> ParseResult {
+    fn handle(&mut self, data: &[u8], sessions: &mut Vec<Session>) -> ParseResult {
         let Some(msg) = Checked::new(data) else {
             self.failed = true;
             return ParseResult::Error;
@@ -189,7 +188,7 @@ impl DnsParser {
             let mut session = self.outstanding.take().unwrap_or_else(|| msg.message());
             session.resp_code = msg.resp_code();
             session.answers = msg.answers();
-            self.sessions.push(Session::Dns(session));
+            sessions.push(Session::Dns(session));
             ParseResult::Done
         } else {
             self.outstanding = Some(msg.message());
@@ -222,21 +221,20 @@ impl ConnParser for DnsParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], _dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.failed {
             return ParseResult::Error;
         }
         let body = strip_tcp_prefix(data).unwrap_or(data);
-        self.handle(body, dir)
+        self.handle(body, sessions)
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
+    fn drain_sessions(&mut self, sessions: &mut Vec<Session>) {
         // A query that never received a response is still a session (it
         // carries the name and type) — emit it on drain at termination.
         if let Some(q) = self.outstanding.take() {
-            self.sessions.push(Session::Dns(q));
+            sessions.push(Session::Dns(q));
         }
-        std::mem::take(&mut self.sessions)
     }
 
     fn reset(&mut self) -> usize {
@@ -298,16 +296,24 @@ pub fn build_response(id: u16, name: &str, qtype: u16, answers: u16, rcode: u16)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::drained;
 
     #[test]
     fn query_response_roundtrip() {
         let mut p = DnsParser::new();
+        let mut out = Vec::new();
         let q = build_query(0x1234, "www.Example.COM", 1);
         assert_eq!(p.probe(&q, Direction::ToServer), ProbeResult::Certain);
-        assert_eq!(p.parse(&q, Direction::ToServer), ParseResult::Continue);
+        assert_eq!(
+            p.parse(&q, Direction::ToServer, &mut out),
+            ParseResult::Continue
+        );
         let r = build_response(0x1234, "www.example.com", 1, 2, 0);
-        assert_eq!(p.parse(&r, Direction::ToClient), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&r, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 1);
         let Session::Dns(m) = &sessions[0] else {
             panic!()
@@ -322,8 +328,13 @@ mod tests {
     #[test]
     fn unanswered_query_emitted_on_drain() {
         let mut p = DnsParser::new();
-        p.parse(&build_query(7, "lost.example", 28), Direction::ToServer);
-        let sessions = p.drain_sessions();
+        let mut out = Vec::new();
+        p.parse(
+            &build_query(7, "lost.example", 28),
+            Direction::ToServer,
+            &mut out,
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 1);
         let Session::Dns(m) = &sessions[0] else {
             panic!()
@@ -335,12 +346,18 @@ mod tests {
     #[test]
     fn nxdomain_rcode() {
         let mut p = DnsParser::new();
-        p.parse(&build_query(9, "nope.test", 1), Direction::ToServer);
+        let mut out = Vec::new();
+        p.parse(
+            &build_query(9, "nope.test", 1),
+            Direction::ToServer,
+            &mut out,
+        );
         p.parse(
             &build_response(9, "nope.test", 1, 0, 3),
             Direction::ToClient,
+            &mut out,
         );
-        let Session::Dns(m) = &p.drain_sessions()[0] else {
+        let Session::Dns(m) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(m.resp_code, Some(3));
@@ -403,7 +420,11 @@ mod tests {
     #[test]
     fn truncated_header_rejected() {
         let mut p = DnsParser::new();
-        assert_eq!(p.parse(&[0u8; 5], Direction::ToServer), ParseResult::Error);
+        let mut out = Vec::new();
+        assert_eq!(
+            p.parse(&[0u8; 5], Direction::ToServer, &mut out),
+            ParseResult::Error
+        );
     }
 
     #[test]
@@ -413,9 +434,13 @@ mod tests {
         framed.extend_from_slice(&(q.len() as u16).to_be_bytes());
         framed.extend_from_slice(&q);
         let mut p = DnsParser::new();
+        let mut out = Vec::new();
         assert_eq!(p.probe(&framed, Direction::ToServer), ProbeResult::Certain);
-        assert_eq!(p.parse(&framed, Direction::ToServer), ParseResult::Continue);
-        let Session::Dns(m) = &p.drain_sessions()[0] else {
+        assert_eq!(
+            p.parse(&framed, Direction::ToServer, &mut out),
+            ParseResult::Continue
+        );
+        let Session::Dns(m) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(m.query_name, "tcp.example");

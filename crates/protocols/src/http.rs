@@ -83,7 +83,6 @@ pub struct HttpParser {
     resp_body: BodyState,
     /// Requests whose responses have not arrived yet (pipelining).
     pending: std::collections::VecDeque<HttpTransaction>,
-    sessions: Vec<Session>,
     failed: bool,
 }
 
@@ -100,8 +99,9 @@ impl HttpParser {
         Ok(())
     }
 
-    fn parse_responses(&mut self, mut data: &[u8]) -> Result<bool, ()> {
-        let mut completed = false;
+    /// Reads the responses in `data`, each completing the oldest pending
+    /// request's transaction, which goes to `sessions`.
+    fn parse_responses(&mut self, mut data: &[u8], sessions: &mut Vec<Session>) -> Result<(), ()> {
         loop {
             // First skip any body in progress.
             match &mut self.resp_body {
@@ -111,7 +111,7 @@ impl HttpParser {
                     data = &data[n as usize..];
                     *remaining -= n;
                     if *remaining > 0 {
-                        return Ok(completed);
+                        return Ok(());
                     }
                     self.resp_body = BodyState::None;
                 }
@@ -123,7 +123,7 @@ impl HttpParser {
                         // Keep only a tail that might hold a partial marker.
                         carry.extend_from_slice(&data[data.len().saturating_sub(4)..]);
                         carry.drain(..carry.len().saturating_sub(4));
-                        return Ok(completed);
+                        return Ok(());
                     };
                     carry.clear();
                     data = &data[end..];
@@ -131,7 +131,7 @@ impl HttpParser {
                 }
             }
             let Some(parsed) = next_head(&mut self.resp_carry, &mut data, parse_response)? else {
-                return Ok(completed);
+                return Ok(());
             };
             let (status, content_length, chunked) = parsed?;
             let mut txn = self.pending.pop_front().unwrap_or_default();
@@ -141,8 +141,7 @@ impl HttpParser {
             // when Content-Length is present (RFC 9110 §6.4.1).
             let bodyless =
                 txn.method == "HEAD" || status / 100 == 1 || status == 204 || status == 304;
-            self.sessions.push(Session::Http(txn));
-            completed = true;
+            sessions.push(Session::Http(txn));
             self.resp_body = if bodyless {
                 BodyState::None
             } else if chunked {
@@ -303,27 +302,26 @@ impl ConnParser for HttpParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.failed {
             return ParseResult::Error;
         }
+        let before = sessions.len();
         let result = match dir {
-            Direction::ToServer => self.parse_requests(data).map(|()| false),
-            Direction::ToClient => self.parse_responses(data),
+            Direction::ToServer => self.parse_requests(data),
+            Direction::ToClient => self.parse_responses(data, sessions),
         };
-        match result {
-            Err(()) => {
-                self.failed = true;
-                ParseResult::Error
-            }
-            Ok(true) => ParseResult::Done,
-            Ok(false) => ParseResult::Continue,
+        // A malformed head after a completed transaction fails the next
+        // call: this one hands the transaction over.
+        self.failed = result.is_err();
+        match (sessions.len() > before, result) {
+            (true, _) => ParseResult::Done,
+            (false, Ok(())) => ParseResult::Continue,
+            (false, Err(())) => ParseResult::Error,
         }
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
-        std::mem::take(&mut self.sessions)
-    }
+    fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
         let (mut req_carry, mut resp_carry) = (
@@ -377,6 +375,7 @@ fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::drained;
 
     #[test]
     fn probe_directions() {
@@ -404,11 +403,18 @@ mod tests {
     #[test]
     fn single_transaction() {
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         let req = build_request("GET", "/index.html", "example.com", "curl/8.0");
-        assert_eq!(p.parse(&req, Direction::ToServer), ParseResult::Continue);
+        assert_eq!(
+            p.parse(&req, Direction::ToServer, &mut out),
+            ParseResult::Continue
+        );
         let resp = build_response(200, 5);
-        assert_eq!(p.parse(&resp, Direction::ToClient), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&resp, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 1);
         let Session::Http(t) = &sessions[0] else {
             panic!()
@@ -424,13 +430,17 @@ mod tests {
     #[test]
     fn keepalive_transactions() {
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         let mut reqs = build_request("GET", "/a", "h", "ua");
         reqs.extend_from_slice(&build_request("POST", "/b", "h", "ua"));
-        p.parse(&reqs, Direction::ToServer);
+        p.parse(&reqs, Direction::ToServer, &mut out);
         let mut resps = build_response(200, 10);
         resps.extend_from_slice(&build_response(404, 0));
-        assert_eq!(p.parse(&resps, Direction::ToClient), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&resps, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 2);
         let Session::Http(a) = &sessions[0] else {
             panic!()
@@ -445,19 +455,20 @@ mod tests {
     #[test]
     fn segmented_delivery() {
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         let req = build_request("GET", "/chunky", "example.com", "x");
         for chunk in req.chunks(3) {
-            p.parse(chunk, Direction::ToServer);
+            p.parse(chunk, Direction::ToServer, &mut out);
         }
         let resp = build_response(200, 100);
         let mut done = false;
         for chunk in resp.chunks(7) {
-            if p.parse(chunk, Direction::ToClient) == ParseResult::Done {
+            if p.parse(chunk, Direction::ToClient, &mut out) == ParseResult::Done {
                 done = true;
             }
         }
         assert!(done);
-        let Session::Http(t) = &p.drain_sessions()[0] else {
+        let Session::Http(t) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(t.uri, "/chunky");
@@ -466,13 +477,25 @@ mod tests {
     #[test]
     fn chunked_body_skipped() {
         let mut p = HttpParser::new();
-        p.parse(&build_request("GET", "/a", "h", "u"), Direction::ToServer);
-        p.parse(&build_request("GET", "/b", "h", "u"), Direction::ToServer);
+        let mut out = Vec::new();
+        p.parse(
+            &build_request("GET", "/a", "h", "u"),
+            Direction::ToServer,
+            &mut out,
+        );
+        p.parse(
+            &build_request("GET", "/b", "h", "u"),
+            Direction::ToServer,
+            &mut out,
+        );
         let resp1 = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        p.parse(resp1, Direction::ToClient);
+        p.parse(resp1, Direction::ToClient, &mut out);
         let resp2 = build_response(204, 0);
-        assert_eq!(p.parse(&resp2, Direction::ToClient), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&resp2, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 2);
         let Session::Http(b) = &sessions[1] else {
             panic!()
@@ -484,13 +507,19 @@ mod tests {
     #[test]
     fn malformed_is_error() {
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p.parse(b"GARBAGE WITHOUT STRUCTURE\r\n\r\n", Direction::ToServer),
+            p.parse(
+                b"GARBAGE WITHOUT STRUCTURE\r\n\r\n",
+                Direction::ToServer,
+                &mut out
+            ),
             ParseResult::Error
         );
         let mut p2 = HttpParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p2.parse(b"NOTHTTP 200\r\n\r\n", Direction::ToClient),
+            p2.parse(b"NOTHTTP 200\r\n\r\n", Direction::ToClient, &mut out),
             ParseResult::Error
         );
     }
@@ -498,11 +527,12 @@ mod tests {
     #[test]
     fn header_flood_bounded() {
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         // Headers that never terminate must eventually error, not grow.
         let chunk = vec![b'a'; 1024];
         let mut errored = false;
         for _ in 0..100 {
-            if p.parse(&chunk, Direction::ToServer) == ParseResult::Error {
+            if p.parse(&chunk, Direction::ToServer, &mut out) == ParseResult::Error {
                 errored = true;
                 break;
             }
@@ -514,11 +544,12 @@ mod tests {
     fn response_without_request_still_parses() {
         // Mid-stream capture: response arrives with no tracked request.
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p.parse(&build_response(301, 0), Direction::ToClient),
+            p.parse(&build_response(301, 0), Direction::ToClient, &mut out),
             ParseResult::Done
         );
-        let Session::Http(t) = &p.drain_sessions()[0] else {
+        let Session::Http(t) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(t.status, 301);
@@ -530,19 +561,28 @@ mod tests {
         // A HEAD response advertises Content-Length but sends no body;
         // the next transaction's response must parse immediately.
         let mut p = HttpParser::new();
+        let mut out = Vec::new();
         p.parse(
             &build_request("HEAD", "/big", "h", "u"),
             Direction::ToServer,
+            &mut out,
         );
         p.parse(
             &build_request("GET", "/next", "h", "u"),
             Direction::ToServer,
+            &mut out,
         );
         let head_resp = b"HTTP/1.1 200 OK\r\nContent-Length: 999999\r\n\r\n";
-        assert_eq!(p.parse(head_resp, Direction::ToClient), ParseResult::Done);
+        assert_eq!(
+            p.parse(head_resp, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
         let next_resp = build_response(200, 3);
-        assert_eq!(p.parse(&next_resp, Direction::ToClient), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&next_resp, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 2);
         let Session::Http(a) = &sessions[0] else {
             panic!()
@@ -560,12 +600,21 @@ mod tests {
     #[test]
     fn not_modified_response_has_no_body() {
         let mut p = HttpParser::new();
-        p.parse(&build_request("GET", "/c1", "h", "u"), Direction::ToServer);
-        p.parse(&build_request("GET", "/c2", "h", "u"), Direction::ToServer);
+        let mut out = Vec::new();
+        p.parse(
+            &build_request("GET", "/c1", "h", "u"),
+            Direction::ToServer,
+            &mut out,
+        );
+        p.parse(
+            &build_request("GET", "/c2", "h", "u"),
+            Direction::ToServer,
+            &mut out,
+        );
         let r304 = b"HTTP/1.1 304 Not Modified\r\nContent-Length: 1234\r\n\r\n";
-        p.parse(r304, Direction::ToClient);
-        p.parse(&build_response(200, 0), Direction::ToClient);
-        assert_eq!(p.drain_sessions().len(), 2);
+        p.parse(r304, Direction::ToClient, &mut out);
+        p.parse(&build_response(200, 0), Direction::ToClient, &mut out);
+        assert_eq!(drained(&mut p, &mut out).len(), 2);
     }
 
     #[test]

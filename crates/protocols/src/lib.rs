@@ -41,5 +41,5 @@ pub mod tls;
 
 pub use parser::{
     reuse_buffer, ConnParser, CustomSession, Direction, ParseResult, ParserFactory, ParserRegistry,
-    ProbeResult, Session, SessionState, RESET_BUFFER_KEEP,
+    ProbeResult, Session, SessionState, StandaloneParser, RESET_BUFFER_KEEP,
 };

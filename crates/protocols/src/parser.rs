@@ -34,10 +34,13 @@ pub enum ProbeResult {
 pub enum ParseResult {
     /// Keep feeding data.
     Continue,
-    /// A session completed; collect it with [`ConnParser::drain_sessions`].
-    /// Further data may start another session (e.g. HTTP pipelining).
+    /// One or more sessions completed and were appended to the caller's
+    /// buffer. Further data may start another session (e.g. HTTP
+    /// pipelining).
     Done,
-    /// The stream is not parseable as this protocol after all.
+    /// The stream is not parseable as this protocol after all. A parser
+    /// that completed a session in the same call returns `Done` instead,
+    /// and `Error` on its next call.
     Error,
 }
 
@@ -151,11 +154,14 @@ pub trait ConnParser: Send {
     /// Probes a stream prefix (first data of either direction).
     fn probe(&self, data: &[u8], dir: Direction) -> ProbeResult;
 
-    /// Feeds one in-order segment.
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult;
+    /// Feeds one in-order segment, appending each session it completes
+    /// to `sessions`: the caller's buffer, one per core, which the parser
+    /// never keeps. A parser holds no session storage of its own.
+    fn parse(&mut self, data: &[u8], dir: Direction, sessions: &mut Vec<Session>) -> ParseResult;
 
-    /// Removes and returns all completed sessions.
-    fn drain_sessions(&mut self) -> Vec<Session>;
+    /// The connection ended: appends to `sessions` what that completes
+    /// (DNS's unanswered query, SSH's half-open exchange).
+    fn drain_sessions(&mut self, sessions: &mut Vec<Session>);
 
     /// Returns the parser to the state of a fresh one, whatever it was
     /// fed — garbage, a record cut mid-segment, a stream that ended in
@@ -192,6 +198,40 @@ pub fn reuse_buffer(buf: &mut Vec<u8>) -> usize {
         buf.clear();
     }
     buf.capacity()
+}
+
+/// A parser driven on its own — by a test, or the benchmark crate's
+/// protocol pass — with the session buffer a pipeline's core would lend
+/// it: `parse` appends there, `drain_sessions` takes it. One buffer per
+/// driver, as in a pipeline; the parser itself holds none.
+pub struct StandaloneParser {
+    parser: Box<dyn ConnParser>,
+    sessions: Vec<Session>,
+}
+
+impl StandaloneParser {
+    /// Protocol name ([`ConnParser::name`]).
+    pub fn name(&self) -> &'static str {
+        self.parser.name()
+    }
+
+    /// Probes a stream prefix ([`ConnParser::probe`]).
+    pub fn probe(&self, data: &[u8], dir: Direction) -> ProbeResult {
+        self.parser.probe(data, dir)
+    }
+
+    /// Feeds one in-order segment ([`ConnParser::parse`]); the sessions it
+    /// completes wait in the buffer.
+    pub fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+        self.parser.parse(data, dir, &mut self.sessions)
+    }
+
+    /// Takes the buffered sessions, and what ending the connection
+    /// completes ([`ConnParser::drain_sessions`]).
+    pub fn drain_sessions(&mut self) -> Vec<Session> {
+        self.parser.drain_sessions(&mut self.sessions);
+        std::mem::take(&mut self.sessions)
+    }
 }
 
 /// Constructor for a boxed [`ConnParser`]; plain `fn` so registries
@@ -246,17 +286,27 @@ impl ParserRegistry {
         }
     }
 
-    /// Instantiates a parser by protocol name.
-    pub fn new_parser(&self, name: &str) -> Option<Box<dyn ConnParser>> {
+    /// Instantiates a parser by protocol name, for a pipeline that lends
+    /// it the core's session buffer.
+    pub fn instantiate(&self, name: &str) -> Option<Box<dyn ConnParser>> {
         self.factories
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, f)| f())
     }
 
-    /// Instantiates parsers for a set of protocol names, skipping unknown
+    /// Instantiates a parser by protocol name, with a session buffer of
+    /// its own, to drive outside a pipeline.
+    pub fn new_parser(&self, name: &str) -> Option<StandaloneParser> {
+        self.instantiate(name).map(|parser| StandaloneParser {
+            parser,
+            sessions: Vec::new(),
+        })
+    }
+
+    /// Standalone parsers for a set of protocol names, skipping unknown
     /// names.
-    pub fn new_parsers(&self, names: &[String]) -> Vec<Box<dyn ConnParser>> {
+    pub fn new_parsers(&self, names: &[String]) -> Vec<StandaloneParser> {
         names.iter().filter_map(|n| self.new_parser(n)).collect()
     }
 
@@ -264,6 +314,14 @@ impl ParserRegistry {
     pub fn protocols(&self) -> Vec<&'static str> {
         self.factories.iter().map(|(n, _)| *n).collect()
     }
+}
+
+/// A test's drain: everything in `sessions`, taken after `parser`'s
+/// connection end appends to it.
+#[cfg(test)]
+pub(crate) fn drained(parser: &mut dyn ConnParser, sessions: &mut Vec<Session>) -> Vec<Session> {
+    parser.drain_sessions(sessions);
+    std::mem::take(sessions)
 }
 
 #[cfg(test)]
@@ -313,7 +371,7 @@ mod proptests {
     use crate::tls::build::{
         client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
     };
-    use crate::{dns, http, quic, ssh};
+    use crate::{dns, http, quic, ssh, ssh::SshHandshake};
     use retina_support::proptest::prelude::*;
     use Direction::{ToClient, ToServer};
 
@@ -413,9 +471,16 @@ mod proptests {
         parser: &mut dyn ConnParser,
         conv: &[(Direction, Vec<u8>)],
     ) -> (Vec<ProbeResult>, Vec<ParseResult>, String) {
+        let mut sessions = Vec::new();
         let probes = conv.iter().map(|(d, seg)| parser.probe(seg, *d)).collect();
-        let parses = conv.iter().map(|(d, seg)| parser.parse(seg, *d)).collect();
-        (probes, parses, format!("{:?}", parser.drain_sessions()))
+        let parses = (conv.iter())
+            .map(|(d, seg)| parser.parse(seg, *d, &mut sessions))
+            .collect();
+        (
+            probes,
+            parses,
+            format!("{:?}", drained(parser, &mut sessions)),
+        )
     }
 
     /// The protocols whose parsers read a byte stream, where a record can
@@ -423,21 +488,17 @@ mod proptests {
     const STREAMS: [&str; 3] = ["tls", "http", "ssh"];
 
     /// What a fresh `proto` parser makes of `pieces`, fed as the tracker
-    /// feeds them: its last parse result, and the sessions drained at
-    /// each `Done` and at the end.
+    /// feeds them: its last parse result, and the sessions appended on
+    /// the way and at the end.
     fn fed(proto: &str, pieces: Vec<(Direction, &[u8])>) -> (ParseResult, String) {
         let mut parser = ParserRegistry::default()
             .new_parser(proto)
             .expect("registered");
-        let (mut last, mut sessions) = (ParseResult::Continue, Vec::new());
+        let mut last = ParseResult::Continue;
         for (dir, piece) in pieces {
             last = parser.parse(piece, dir);
-            if last == ParseResult::Done {
-                sessions.extend(parser.drain_sessions());
-            }
         }
-        sessions.extend(parser.drain_sessions());
-        (last, format!("{sessions:?}"))
+        (last, format!("{:?}", parser.drain_sessions()))
     }
 
     /// `conv`, each segment cut into pieces of the lengths `sizes` cycles
@@ -454,6 +515,77 @@ mod proptests {
             }
         }
         pieces
+    }
+
+    /// Every built-in parser appends what it completes to the caller's
+    /// buffer, after what the buffer already held, and keeps nothing of
+    /// it: once reset, even mid-session, it has no session to drain.
+    #[test]
+    fn sessions_land_in_the_callers_buffer() {
+        let registry = ParserRegistry::default();
+        for proto in registry.protocols() {
+            let conv = conversation(proto);
+            let mut parser = registry.instantiate(proto).expect("registered");
+            let earlier = Session::Ssh(SshHandshake::default());
+            let mut sessions = vec![earlier.clone()];
+            for (dir, seg) in &conv {
+                let _ = parser.parse(seg, *dir, &mut sessions);
+            }
+            assert!(
+                sessions.len() > 1,
+                "{proto}: the conversation completes a session"
+            );
+            assert_eq!(sessions[0], earlier, "{proto}: appended, not replaced");
+            assert_eq!(
+                format!("{:?}", &sessions[1..]),
+                format!(
+                    "{:?}",
+                    registry
+                        .new_parser(proto)
+                        .map(|mut p| {
+                            for (dir, seg) in &conv {
+                                let _ = p.parse(seg, *dir);
+                            }
+                            p.drain_sessions()
+                        })
+                        .expect("registered")
+                ),
+                "{proto}: everything it completed went to the buffer"
+            );
+            // Cut mid-session: the first segment only, then reset.
+            let (dir, seg) = &conv[0];
+            let _ = parser.reset();
+            let _ = parser.parse(&seg[..seg.len() / 2], *dir, &mut sessions);
+            let _ = parser.reset();
+            let mut left = Vec::new();
+            parser.drain_sessions(&mut left);
+            assert!(left.is_empty(), "{proto}: a reset parser drains nothing");
+        }
+    }
+
+    /// HTTP: a response that completes a transaction, then a malformed
+    /// head in the same segment. The transaction is handed over (`Done`),
+    /// and the parser fails on its next call.
+    #[test]
+    fn a_malformed_head_after_a_transaction_fails_the_next_call() {
+        let mut parser = http::HttpParser::new();
+        let mut sessions = Vec::new();
+        let request = http::build_request("GET", "/a", "example.com", "t/1");
+        assert_eq!(
+            parser.parse(&request, ToServer, &mut sessions),
+            ParseResult::Continue
+        );
+        let response = [&http::build_response(200, 0)[..], b"NOT-HTTP\r\n\r\n"].concat();
+        assert_eq!(
+            parser.parse(&response, ToClient, &mut sessions),
+            ParseResult::Done
+        );
+        assert_eq!(sessions.len(), 1);
+        assert_eq!(
+            parser.parse(&request, ToServer, &mut sessions),
+            ParseResult::Error
+        );
+        assert_eq!(sessions.len(), 1);
     }
 
     #[test]
@@ -485,23 +617,26 @@ mod proptests {
             let registry = ParserRegistry::default();
             let names = registry.protocols();
             let name = names[proto];
-            let mut used = registry.new_parser(name).expect("registered");
+            let mut used = registry.instantiate(name).expect("registered");
+            let mut dropped = Vec::new();
             match dirt {
                 0 => {
                     for (i, piece) in bytes.chunks(chunk).enumerate() {
                         let dir = if i % 2 == 0 { ToServer } else { ToClient };
-                        let _ = used.parse(piece, dir);
+                        let _ = used.parse(piece, dir, &mut dropped);
                     }
                 }
                 1 => {
                     for (dir, seg) in conversation(names[other]) {
-                        let _ = used.parse(&seg[..cut.min(seg.len())], dir);
+                        let seg = &seg[..cut.min(seg.len())];
+                        let _ = used.parse(seg, dir, &mut dropped);
                     }
                 }
                 _ => {
                     let garbage = b"\xff\xfe not this protocol\r\n\r\n";
                     for _ in 0..4 {
-                        if used.parse(garbage, ToServer) == ParseResult::Error {
+                        let r = used.parse(garbage, ToServer, &mut dropped);
+                        if r == ParseResult::Error {
                             break;
                         }
                     }
@@ -510,7 +645,7 @@ mod proptests {
             let kept = used.reset();
             prop_assert!(kept <= 2 * RESET_BUFFER_KEEP, "{name} keeps {kept} bytes");
             let conv = conversation(name);
-            let mut fresh = registry.new_parser(name).expect("registered");
+            let mut fresh = registry.instantiate(name).expect("registered");
             let expected = outcome(&mut *fresh, &conv);
             prop_assert!(expected.2 != "[]", "{name}: the conversation yields sessions");
             prop_assert_eq!(outcome(&mut *used, &conv), expected);

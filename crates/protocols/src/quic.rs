@@ -112,7 +112,6 @@ pub fn build_long_header(version: u32, dcid: &[u8], scid: &[u8], payload_len: us
 /// session; everything after is encrypted and ignored.
 #[derive(Debug, Default)]
 pub struct QuicParser {
-    sessions: Vec<Session>,
     done: bool,
 }
 
@@ -147,23 +146,21 @@ impl ConnParser for QuicParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], _dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], _dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.done {
             return ParseResult::Done;
         }
         match parse_long_header(data) {
             Some(hs) => {
                 self.done = true;
-                self.sessions.push(Session::Custom(Box::new(hs)));
+                sessions.push(Session::Custom(Box::new(hs)));
                 ParseResult::Done
             }
             None => ParseResult::Continue, // short-header / coalesced data
         }
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
-        std::mem::take(&mut self.sessions)
-    }
+    fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
         *self = QuicParser::default();
@@ -183,15 +180,20 @@ impl ConnParser for QuicParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::drained;
     use retina_filter::SessionData;
 
     #[test]
     fn long_header_roundtrip() {
         let pkt = build_long_header(1, &[0xAA, 0xBB, 0xCC], &[0x11], 120);
         let mut p = QuicParser::new();
+        let mut out = Vec::new();
         assert_eq!(p.probe(&pkt, Direction::ToServer), ProbeResult::Certain);
-        assert_eq!(p.parse(&pkt, Direction::ToServer), ParseResult::Done);
-        let sessions = p.drain_sessions();
+        assert_eq!(
+            p.parse(&pkt, Direction::ToServer, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].protocol(), "quic");
         assert!(matches!(
@@ -245,11 +247,15 @@ mod tests {
         // Mid-connection pickup: first datagram is a short header; the
         // parser keeps waiting, then catches a retransmitted Initial.
         let mut p = QuicParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p.parse(&[0x40, 1, 2, 3], Direction::ToClient),
+            p.parse(&[0x40, 1, 2, 3], Direction::ToClient, &mut out),
             ParseResult::Continue
         );
         let init = build_long_header(1, &[5; 4], &[6; 4], 50);
-        assert_eq!(p.parse(&init, Direction::ToServer), ParseResult::Done);
+        assert_eq!(
+            p.parse(&init, Direction::ToServer, &mut out),
+            ParseResult::Done
+        );
     }
 }

@@ -133,7 +133,6 @@ pub struct SshParser {
     server_buf: Vec<u8>,
     handshake: SshHandshake,
     state: State,
-    sessions: Vec<Session>,
     failed: bool,
 }
 
@@ -144,7 +143,6 @@ impl Default for SshParser {
             server_buf: Vec::new(),
             handshake: SshHandshake::default(),
             state: State::Banners,
-            sessions: Vec::new(),
             failed: false,
         }
     }
@@ -174,32 +172,33 @@ impl SshParser {
         Ok(None)
     }
 
-    /// Moves the handshake into its session: nothing reads it after this.
-    fn finish(&mut self) -> ParseResult {
+    /// Moves the handshake into its session, appended to `sessions`:
+    /// nothing reads it after this.
+    fn finish(&mut self, sessions: &mut Vec<Session>) -> ParseResult {
         self.state = State::Done;
         let handshake = std::mem::take(&mut self.handshake);
-        self.sessions.push(Session::Ssh(handshake));
+        sessions.push(Session::Ssh(handshake));
         ParseResult::Done
     }
 
-    fn try_kex(&mut self) -> ParseResult {
+    fn try_kex(&mut self, sessions: &mut Vec<Session>) -> ParseResult {
         // The client's KEXINIT arrives in the client buffer right after
         // the banner; parse it when complete. Anything unparseable (e.g.
         // mid-stream pickup) ends the handshake with banners only.
         if self.client_buf.len() > MAX_KEX {
-            return self.finish();
+            return self.finish(sessions);
         }
         if self.client_buf.len() >= 6 {
             let packet_len = u32::from_be_bytes(self.client_buf[0..4].try_into().unwrap()) as usize;
             if !(2..=MAX_KEX).contains(&packet_len) {
-                return self.finish();
+                return self.finish(sessions);
             }
             if self.client_buf.len() >= 4 + packet_len {
                 if let Some((kex, host_keys)) = parse_kexinit(&self.client_buf) {
                     self.handshake.kex_algorithms = Some(kex);
                     self.handshake.host_key_algorithms = Some(host_keys);
                 }
-                return self.finish();
+                return self.finish(sessions);
             }
         }
         ParseResult::Continue
@@ -225,7 +224,7 @@ impl ConnParser for SshParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.failed {
             return ParseResult::Error;
         }
@@ -265,19 +264,18 @@ impl ConnParser for SshParser {
             }
         }
         if self.state == State::AwaitKex {
-            return self.try_kex();
+            return self.try_kex(sessions);
         }
         ParseResult::Continue
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
+    fn drain_sessions(&mut self, sessions: &mut Vec<Session>) {
         if self.state != State::Done
             && (self.handshake.client_banner.is_some() || self.handshake.server_banner.is_some())
         {
             // Half-open exchange at connection teardown: still a session.
-            self.finish();
+            self.finish(sessions);
         }
-        std::mem::take(&mut self.sessions)
     }
 
     fn reset(&mut self) -> usize {
@@ -311,24 +309,33 @@ pub fn build_banner(software: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::drained;
 
     #[test]
     fn banner_and_kexinit_exchange() {
         let mut p = SshParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p.parse(&build_banner("OpenSSH_9.0"), Direction::ToServer),
+            p.parse(&build_banner("OpenSSH_9.0"), Direction::ToServer, &mut out),
             ParseResult::Continue
         );
         assert_eq!(
-            p.parse(&build_banner("OpenSSH_8.9p1 Ubuntu-3"), Direction::ToClient),
+            p.parse(
+                &build_banner("OpenSSH_8.9p1 Ubuntu-3"),
+                Direction::ToClient,
+                &mut out
+            ),
             ParseResult::Continue
         );
         let kexinit = build_kexinit(
             "curve25519-sha256,diffie-hellman-group14-sha256",
             "ssh-ed25519,rsa-sha2-512",
         );
-        assert_eq!(p.parse(&kexinit, Direction::ToServer), ParseResult::Done);
-        let Session::Ssh(h) = &p.drain_sessions()[0] else {
+        assert_eq!(
+            p.parse(&kexinit, Direction::ToServer, &mut out),
+            ParseResult::Done
+        );
+        let Session::Ssh(h) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(h.client_banner.as_deref(), Some("SSH-2.0-OpenSSH_9.0"));
@@ -349,17 +356,18 @@ mod tests {
     #[test]
     fn kexinit_split_across_segments() {
         let mut p = SshParser::new();
-        p.parse(&build_banner("client"), Direction::ToServer);
-        p.parse(&build_banner("server"), Direction::ToClient);
+        let mut out = Vec::new();
+        p.parse(&build_banner("client"), Direction::ToServer, &mut out);
+        p.parse(&build_banner("server"), Direction::ToClient, &mut out);
         let kexinit = build_kexinit("kex-a,kex-b", "host-a");
         for chunk in kexinit.chunks(9) {
-            let r = p.parse(chunk, Direction::ToServer);
+            let r = p.parse(chunk, Direction::ToServer, &mut out);
             if r == ParseResult::Done {
                 break;
             }
             assert_eq!(r, ParseResult::Continue);
         }
-        let Session::Ssh(h) = &p.drain_sessions()[0] else {
+        let Session::Ssh(h) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(h.kex_algorithms.as_deref(), Some("kex-a,kex-b"));
@@ -369,14 +377,18 @@ mod tests {
     fn banner_and_kexinit_in_one_segment() {
         // Real clients often coalesce banner + KEXINIT in one write.
         let mut p = SshParser::new();
+        let mut out = Vec::new();
         let mut blob = build_banner("coalesced");
         blob.extend_from_slice(&build_kexinit("kexone", "hostone"));
-        assert_eq!(p.parse(&blob, Direction::ToServer), ParseResult::Continue);
         assert_eq!(
-            p.parse(&build_banner("srv"), Direction::ToClient),
+            p.parse(&blob, Direction::ToServer, &mut out),
+            ParseResult::Continue
+        );
+        assert_eq!(
+            p.parse(&build_banner("srv"), Direction::ToClient, &mut out),
             ParseResult::Done
         );
-        let Session::Ssh(h) = &p.drain_sessions()[0] else {
+        let Session::Ssh(h) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert_eq!(h.kex_algorithms.as_deref(), Some("kexone"));
@@ -385,14 +397,19 @@ mod tests {
     #[test]
     fn garbage_after_banners_still_yields_session() {
         let mut p = SshParser::new();
-        p.parse(&build_banner("c"), Direction::ToServer);
-        p.parse(&build_banner("s"), Direction::ToClient);
+        let mut out = Vec::new();
+        p.parse(&build_banner("c"), Direction::ToServer, &mut out);
+        p.parse(&build_banner("s"), Direction::ToClient, &mut out);
         // Bogus binary packet (absurd length) → banners-only session.
         assert_eq!(
-            p.parse(&[0xff, 0xff, 0xff, 0xff, 0, 0], Direction::ToServer),
+            p.parse(
+                &[0xff, 0xff, 0xff, 0xff, 0, 0],
+                Direction::ToServer,
+                &mut out
+            ),
             ParseResult::Done
         );
-        let Session::Ssh(h) = &p.drain_sessions()[0] else {
+        let Session::Ssh(h) = &drained(&mut p, &mut out)[0] else {
             panic!()
         };
         assert!(h.kex_algorithms.is_none());
@@ -413,13 +430,14 @@ mod tests {
     #[test]
     fn split_banner() {
         let mut p = SshParser::new();
+        let mut out = Vec::new();
         let banner = build_banner("OpenSSH_9.0");
-        p.parse(&banner[..5], Direction::ToServer);
-        p.parse(&banner[5..], Direction::ToServer);
-        p.parse(&build_banner("srv"), Direction::ToClient);
+        p.parse(&banner[..5], Direction::ToServer, &mut out);
+        p.parse(&banner[5..], Direction::ToServer, &mut out);
+        p.parse(&build_banner("srv"), Direction::ToClient, &mut out);
         let sessions = {
-            p.parse(&build_kexinit("k", "h"), Direction::ToServer);
-            p.drain_sessions()
+            p.parse(&build_kexinit("k", "h"), Direction::ToServer, &mut out);
+            drained(&mut p, &mut out)
         };
         let Session::Ssh(h) = &sessions[0] else {
             panic!()
@@ -430,8 +448,9 @@ mod tests {
     #[test]
     fn half_open_drained() {
         let mut p = SshParser::new();
-        p.parse(&build_banner("lonely"), Direction::ToServer);
-        let sessions = p.drain_sessions();
+        let mut out = Vec::new();
+        p.parse(&build_banner("lonely"), Direction::ToServer, &mut out);
+        let sessions = drained(&mut p, &mut out);
         assert_eq!(sessions.len(), 1);
         let Session::Ssh(h) = &sessions[0] else {
             panic!()
@@ -442,8 +461,9 @@ mod tests {
     #[test]
     fn non_ssh_line_is_error() {
         let mut p = SshParser::new();
+        let mut out = Vec::new();
         assert_eq!(
-            p.parse(b"HELLO WORLD\r\n", Direction::ToServer),
+            p.parse(b"HELLO WORLD\r\n", Direction::ToServer, &mut out),
             ParseResult::Error
         );
     }
@@ -451,10 +471,11 @@ mod tests {
     #[test]
     fn endless_banner_bounded() {
         let mut p = SshParser::new();
+        let mut out = Vec::new();
         let chunk = [b'a'; 100];
         let mut errored = false;
         for _ in 0..20 {
-            if p.parse(&chunk, Direction::ToServer) == ParseResult::Error {
+            if p.parse(&chunk, Direction::ToServer, &mut out) == ParseResult::Error {
                 errored = true;
                 break;
             }

@@ -217,7 +217,6 @@ pub struct TlsParser {
     sides: [Side; 2],
     hellos: Hellos,
     done: bool,
-    sessions: Vec<Session>,
 }
 
 impl TlsParser {
@@ -227,8 +226,13 @@ impl TlsParser {
     }
 
     /// Walks the records of one segment, each where it lies, until the
-    /// handshake is done or the segment spent.
-    fn process(&mut self, dir: Direction, mut rest: &[u8]) -> ParseResult {
+    /// handshake is done — it goes to `sessions` — or the segment spent.
+    fn process(
+        &mut self,
+        dir: Direction,
+        mut rest: &[u8],
+        sessions: &mut Vec<Session>,
+    ) -> ParseResult {
         let side = &mut self.sides[dir as usize];
         loop {
             let (content_type, body) = match side.next_record(&mut rest) {
@@ -277,7 +281,7 @@ impl TlsParser {
                 // The handshake moves into its session: nothing reads it
                 // after this.
                 let handshake = std::mem::take(&mut hellos.handshake);
-                self.sessions.push(Session::Tls(handshake));
+                sessions.push(Session::Tls(handshake));
                 return ParseResult::Done;
             }
         }
@@ -312,19 +316,17 @@ impl ConnParser for TlsParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.hellos.failed {
             return ParseResult::Error;
         }
         if self.done {
             return ParseResult::Done;
         }
-        self.process(dir, data)
+        self.process(dir, data, sessions)
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
-        std::mem::take(&mut self.sessions)
-    }
+    fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
         let kept = (self.sides.iter_mut())
@@ -471,6 +473,7 @@ mod tests {
         client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
     };
     use super::*;
+    use crate::parser::drained;
 
     fn spec() -> ClientHelloSpec {
         ClientHelloSpec {
@@ -508,9 +511,10 @@ mod tests {
     #[test]
     fn full_handshake_roundtrip() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         let ch = client_hello_record(&spec());
         assert_eq!(
-            parser.parse(&ch, Direction::ToServer),
+            parser.parse(&ch, Direction::ToServer, &mut out),
             ParseResult::Continue
         );
         let sh = server_hello_record(&ServerHelloSpec {
@@ -520,8 +524,11 @@ mod tests {
             supported_version: Some(0x0304),
             alpn: None,
         });
-        assert_eq!(parser.parse(&sh, Direction::ToClient), ParseResult::Done);
-        let sessions = parser.drain_sessions();
+        assert_eq!(
+            parser.parse(&sh, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let sessions = drained(&mut parser, &mut out);
         assert_eq!(sessions.len(), 1);
         let Session::Tls(hs) = &sessions[0] else {
             panic!()
@@ -539,10 +546,11 @@ mod tests {
     #[test]
     fn handshake_split_across_segments() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         let ch = client_hello_record(&spec());
         // Feed the ClientHello in 7-byte chunks.
         for chunk in ch.chunks(7) {
-            let r = parser.parse(chunk, Direction::ToServer);
+            let r = parser.parse(chunk, Direction::ToServer, &mut out);
             assert!(matches!(r, ParseResult::Continue), "{r:?}");
         }
         let sh = server_hello_record(&ServerHelloSpec {
@@ -554,14 +562,14 @@ mod tests {
         });
         // Split the ServerHello in two.
         assert_eq!(
-            parser.parse(&sh[..10], Direction::ToClient),
+            parser.parse(&sh[..10], Direction::ToClient, &mut out),
             ParseResult::Continue
         );
         assert_eq!(
-            parser.parse(&sh[10..], Direction::ToClient),
+            parser.parse(&sh[10..], Direction::ToClient, &mut out),
             ParseResult::Done
         );
-        let Session::Tls(hs) = &parser.drain_sessions()[0] else {
+        let Session::Tls(hs) = &drained(&mut parser, &mut out)[0] else {
             panic!()
         };
         assert_eq!(hs.cipher(), "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256");
@@ -571,10 +579,11 @@ mod tests {
     #[test]
     fn sni_absent() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         let mut s = spec();
         s.sni = None;
         s.alpn = None;
-        parser.parse(&client_hello_record(&s), Direction::ToServer);
+        parser.parse(&client_hello_record(&s), Direction::ToServer, &mut out);
         let sh = server_hello_record(&ServerHelloSpec {
             cipher: 0x1301,
             random: [0u8; 32],
@@ -582,8 +591,11 @@ mod tests {
             supported_version: None,
             alpn: None,
         });
-        assert_eq!(parser.parse(&sh, Direction::ToClient), ParseResult::Done);
-        let Session::Tls(hs) = &parser.drain_sessions()[0] else {
+        assert_eq!(
+            parser.parse(&sh, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let Session::Tls(hs) = &drained(&mut parser, &mut out)[0] else {
             panic!()
         };
         assert_eq!(hs.sni, None);
@@ -598,11 +610,12 @@ mod tests {
     #[test]
     fn garbage_is_error() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         // Valid record header, bogus inner handshake.
         let mut record = vec![22, 3, 1, 0, 5];
         record.extend_from_slice(&[1, 0, 0, 1, 0]); // CH with 1-byte body
         assert_eq!(
-            parser.parse(&record, Direction::ToServer),
+            parser.parse(&record, Direction::ToServer, &mut out),
             ParseResult::Error
         );
     }
@@ -610,9 +623,10 @@ mod tests {
     #[test]
     fn non_tls_record_type_is_error() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         let record = [99u8, 3, 3, 0, 1, 0];
         assert_eq!(
-            parser.parse(&record, Direction::ToServer),
+            parser.parse(&record, Direction::ToServer, &mut out),
             ParseResult::Error
         );
     }
@@ -620,13 +634,14 @@ mod tests {
     #[test]
     fn oversized_buffer_rejected() {
         let mut parser = TlsParser::new();
+        let mut out = Vec::new();
         // A record claiming 16K body, fed 5 bytes at a time without ever
         // completing, must hit the buffer cap rather than grow forever.
         let header = [22u8, 3, 3, 0x40, 0x00];
-        let mut r = parser.parse(&header, Direction::ToServer);
+        let mut r = parser.parse(&header, Direction::ToServer, &mut out);
         let chunk = [0u8; 1024];
         for _ in 0..80 {
-            r = parser.parse(&chunk, Direction::ToServer);
+            r = parser.parse(&chunk, Direction::ToServer, &mut out);
             if r == ParseResult::Error {
                 return;
             }
@@ -638,10 +653,14 @@ mod tests {
     fn ccs_finishes_handshake_without_server_hello_13() {
         // Middlebox-compat mode: client sends CCS right after CH.
         let mut parser = TlsParser::new();
-        parser.parse(&client_hello_record(&spec()), Direction::ToServer);
+        let mut out = Vec::new();
+        parser.parse(&client_hello_record(&spec()), Direction::ToServer, &mut out);
         let ccs = [20u8, 3, 3, 0, 1, 1];
-        assert_eq!(parser.parse(&ccs, Direction::ToServer), ParseResult::Done);
-        let Session::Tls(hs) = &parser.drain_sessions()[0] else {
+        assert_eq!(
+            parser.parse(&ccs, Direction::ToServer, &mut out),
+            ParseResult::Done
+        );
+        let Session::Tls(hs) = &drained(&mut parser, &mut out)[0] else {
             panic!()
         };
         assert_eq!(hs.sni(), "www.example.com");

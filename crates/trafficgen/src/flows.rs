@@ -595,7 +595,7 @@ mod tests {
             &mut s,
         );
         let mut parser = retina_protocols::tls::TlsParser::new();
-        let mut done = false;
+        let (mut done, mut sessions) = (false, Vec::new());
         for (frame, _) in &packets {
             let pkt = ParsedPacket::parse(frame).unwrap();
             if pkt.payload_len() == 0 {
@@ -606,13 +606,13 @@ mod tests {
             } else {
                 Direction::ToClient
             };
-            if parser.parse(pkt.payload(frame), dir) == retina_protocols::ParseResult::Done {
+            let result = parser.parse(pkt.payload(frame), dir, &mut sessions);
+            if result == retina_protocols::ParseResult::Done {
                 done = true;
                 break;
             }
         }
         assert!(done);
-        let sessions = parser.drain_sessions();
         let retina_protocols::Session::Tls(hs) = &sessions[0] else {
             panic!()
         };
@@ -671,7 +671,7 @@ mod tests {
             &mut s,
         );
         all_parse(&packets);
-        let mut parser = retina_protocols::http::HttpParser::new();
+        let (mut parser, mut sessions) = (retina_protocols::http::HttpParser::new(), Vec::new());
         for (frame, _) in &packets {
             let pkt = ParsedPacket::parse(frame).unwrap();
             if pkt.payload_len() == 0 {
@@ -682,9 +682,10 @@ mod tests {
             } else {
                 Direction::ToClient
             };
-            parser.parse(pkt.payload(frame), dir);
+            parser.parse(pkt.payload(frame), dir, &mut sessions);
         }
-        assert_eq!(parser.drain_sessions().len(), 3);
+        parser.drain_sessions(&mut sessions);
+        assert_eq!(sessions.len(), 3);
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn main() {
             rec.established,
             rec.terminated,
             rec.single_syn,
-            rec.service.as_deref().map_or("null".into(), |s| format!("\"{s}\"")),
+            rec.service.map_or("null".into(), |s| format!("\"{s}\"")),
         );
         let _ = sink.lock().unwrap().write_all(line.as_bytes());
     };

@@ -45,8 +45,8 @@ fn main() {
     let sink = Arc::clone(&sessions);
 
     let callback = move |rec: ConnRecord| {
-        let service = match &rec.service {
-            Some(s) if s == "tls" => {
+        let service = match rec.service {
+            Some("tls") => {
                 // Service identity by server prefix (the tuple's responder
                 // address family distinguishes the generated CDNs).
                 match rec.tuple.resp.ip() {

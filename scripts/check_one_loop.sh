@@ -43,7 +43,17 @@
 #   * no `Box::new(` in erased.rs's emitter (from `pub struct Emitter`
 #     to `pub trait TrackedSlab`): `push` writes into the lane;
 #   * no `Box<Probe` / `Box::new(Probe` under tracker/: probe state is
-#     held in the phase, its prefix buffers in the core's slab.
+#     held in the phase, its prefix buffers in the core's slab;
+#   * no `Vec<Session>` field in non-test crates/protocols/src, but the
+#     buffer of a `StandaloneParser` (a parser driven outside a
+#     pipeline): a parser appends what it completes to its caller's
+#     buffer, one per core. A `Vec` drained per completed parse cost
+#     every delivered session an allocation, and one kept per parser
+#     added 44 % to the union workload's heap;
+#   * no `.clone()` inside a `FromSession` impl in subscribables.rs: a
+#     datum takes its session through `MatchedSession::into_owned`,
+#     which moves it for the last subscriber and clones it only for an
+#     earlier one.
 #
 # Stream order has one owner as well — the connection's
 # `StreamReassembler` — and the tracked types take it as delivered
@@ -350,6 +360,27 @@ if [ -n "$hits" ]; then
     printf '%s\n' "$hits" >&2
     fail=1
 fi
+hits=$(for file in $(find crates/protocols/src -name '*.rs' | sort); do
+    code_lines "$file"
+done | awk '{ text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
+    match(text, /struct [[:alnum:]_]+/) { name = substr(text, RSTART + 7, RLENGTH - 7) }
+    text ~ /^[[:space:]]*(pub[^[:space:]]*[[:space:]]+)?[[:alnum:]_]+:[^(&]*Vec<Session>/ &&
+        name != "StandaloneParser"' || true)
+if [ -n "$hits" ]; then
+    echo "session storage in a parser (append to the caller's buffer, one per core):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+hits=$(code_lines crates/core/src/subscribables.rs |
+    awk '{ text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
+        text ~ /^impl[[:space:]]+FromSession[[:space:]]+for/ { on = 1 }
+        on && text ~ /\.clone\(\)/
+        on && text ~ /^}/ { on = 0 }' || true)
+if [ -n "$hits" ]; then
+    echo "a FromSession impl clones its session (take it by value: MatchedSession::into_owned):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
 for rule in 'extend_from_slice\(|1 payload copy (the probe spill)' \
     '\.discarded \+= |1 subscription discard charge' \
     'conns_discarded \+=|1 connection discard charge' \
@@ -602,6 +633,7 @@ fi
 echo "one-loop guard OK: packet filter and tracker are called once each, from pipeline.rs (on_burst);"
 echo "  dispatch accounting is in executor.rs only, the fabric has one staging site, one downcast site (take_output);"
 echo "  no boxed output anywhere in core, no box in the emitter, no boxed probe state in the tracker;"
+echo "  no parser holds session storage, and no FromSession impl clones its session;"
 echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; the tracker copies at the probe spill only;"
 echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"

@@ -22,27 +22,31 @@
 //! idle ones when it holds one — which reads the record where it lies.
 //!
 //! The fourth holds the parsing diet: a handshake that completes costs
-//! what its `TlsHandshakeData` carries, and the session it is cloned
-//! from — no record, message or handshake is copied on the way. The
-//! fifth holds a DNS datagram's probe, against every prototype, at no
+//! what its `TlsHandshakeData` carries and nothing more — no record,
+//! message or handshake is copied on the way, and the session moves from
+//! the parser into the core's one buffer and from there into the datum.
+//! Two subscribers to the same handshakes pay for one clone, the first
+//! one's; the last one served takes the session by value. A delivered
+//! `HttpTransactionData` costs its fields and the parser its connection
+//! keeps. A DNS datagram's probe, against every prototype, costs no
 //! allocation at all: the question name is walked, not built.
 //!
-//! The sixth holds the tracked-state diet: a `tls`-filtered
-//! `ConnRecord` allocates only the record's `service` string — its
-//! tracked state borrows the service name, the probe state and the parser
-//! are pooled. Neither TLS case copies the ClientHello into a prefix
-//! buffer: it is identified where it lies in its frame.
+//! The tracked-state diet: a `tls`-filtered `ConnRecord` allocates
+//! nothing — the record names its service by the parser's
+//! `&'static str`, the probe state and the parser are pooled. Neither TLS
+//! case copies the ClientHello into a prefix buffer: it is identified
+//! where it lies in its frame.
 //!
-//! The seventh holds the session filter's `~` at no allocation: a
+//! The session filter's `~` is held at no allocation: a
 //! ClientHello whose SNI fails `(.+?\.)?nflxvideo\.net` costs exactly
 //! what one failing `= 'nflxvideo.net'` costs — the pattern runs as an
 //! automaton over the field where it lies, not over a copy of it.
 //!
-//! The eighth counts bytes: a `ConnBytes` stream costs one frame view
+//! One test counts bytes: a `ConnBytes` stream costs one frame view
 //! per segment, the same for 100-byte and for 1460-byte payloads — a
 //! copy anywhere on the path makes the figure scale with the payload.
 //!
-//! The ninth holds what the table of bare SYNs keeps, not what it
+//! The last holds what the table of bare SYNs keeps, not what it
 //! allocates per connection: a 400-byte arena slot per peak connection,
 //! plus at most one 8,192-slot chunk of slack and the index — not a
 //! doubled `Vec` of slots beside a free list.
@@ -50,21 +54,22 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use retina_core::subscribables::{
-    ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SshHandshakeData,
-    TlsHandshakeData,
+    ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SessionRecord,
+    SshHandshakeData, TlsHandshakeData,
 };
 use retina_core::{
     CompiledFilter, DispatchMode, MultiRuntime, RunReport, RuntimeBuilder, RuntimeConfig,
     StepConfig,
 };
-use retina_protocols::dns;
 use retina_protocols::tls::build::{
     client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
 };
-use retina_protocols::{Direction, ParserRegistry, ProbeResult};
+use retina_protocols::tls::TlsHandshake;
+use retina_protocols::{dns, http};
+use retina_protocols::{Direction, ParserRegistry, ProbeResult, Session};
 use retina_support::bytes::Bytes;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
@@ -246,7 +251,6 @@ const TLS_N: u32 = 2_000;
 /// quiet: 1 ms between a connection's packets, connections 100 µs apart
 /// from `start_ns`.
 fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes, u64)> {
-    let server: std::net::SocketAddr = "198.51.100.1:443".parse().unwrap();
     let hello = client_hello_record(&ClientHelloSpec {
         sni: Some("video.example.net".to_string()),
         ciphers: vec![0x1301],
@@ -261,6 +265,30 @@ fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes
         supported_version: Some(0x0304),
         alpn: None,
     });
+    let answer = answered.then_some(&answer[..]);
+    exchanges(first_source, start_ns, 443, &hello, answer)
+}
+
+/// `TLS_N` connections that complete the handshake, send one GET and
+/// receive its bodiless 200, then go quiet, timed as [`client_hellos`].
+fn http_exchanges(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
+    let request = http::build_request("GET", "/video/1", "video.example.net", "agent/1.0");
+    let response = http::build_response(200, 0);
+    exchanges(first_source, start_ns, 80, &request, Some(&response))
+}
+
+/// `TLS_N` connections to port `port` that complete the handshake, send
+/// `up` and — if given — receive `down`, each in one segment: 1 ms
+/// between a connection's packets, connections 100 µs apart from
+/// `start_ns`.
+fn exchanges(
+    first_source: u32,
+    start_ns: u64,
+    port: u16,
+    up: &[u8],
+    down: Option<&[u8]>,
+) -> Vec<(Bytes, u64)> {
+    let server = std::net::SocketAddr::new(std::net::Ipv4Addr::new(198, 51, 100, 1).into(), port);
     let mut out = Vec::new();
     for i in 0..TLS_N {
         let client = std::net::SocketAddr::new(
@@ -299,10 +327,10 @@ fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes
             101,
             501,
             TcpFlags::ACK | TcpFlags::PSH,
-            &hello,
+            up,
         );
-        if answered {
-            let seq = 101 + u32::try_from(hello.len()).unwrap();
+        if let Some(down) = down {
+            let seq = 101 + u32::try_from(up.len()).unwrap();
             push(
                 4,
                 server,
@@ -310,7 +338,7 @@ fn client_hellos(first_source: u32, start_ns: u64, answered: bool) -> Vec<(Bytes
                 501,
                 seq,
                 TcpFlags::ACK | TcpFlags::PSH,
-                &answer,
+                down,
             );
         }
     }
@@ -348,16 +376,28 @@ fn measured_half(
 
 /// Allocations per connection of the measured half of two
 /// [`client_hellos`] halves through `runtime`, and the full run's
-/// report. Warm-up connections establish in the first second and expire
-/// (5 min inactivity) when the measured half, at 400 s, moves the clock;
-/// the measured ones are flushed by the end-of-run drain.
+/// report.
 fn allocs_per_client_hello(
     runtime: &mut MultiRuntime<CompiledFilter>,
     answered: bool,
 ) -> (f64, RunReport) {
-    let mut packets = client_hellos(0, 0, answered);
+    allocs_per_conn(runtime, |first, start| {
+        client_hellos(first, start, answered)
+    })
+}
+
+/// Allocations per connection of the measured half of two `half`s of
+/// `TLS_N` connections through `runtime`, and the full run's report.
+/// Warm-up connections establish in the first second and expire (5 min
+/// inactivity) when the measured half, at 400 s, moves the clock; the
+/// measured ones are flushed by the end-of-run drain.
+fn allocs_per_conn(
+    runtime: &mut MultiRuntime<CompiledFilter>,
+    half: impl Fn(u32, u64) -> Vec<(Bytes, u64)>,
+) -> (f64, RunReport) {
+    let mut packets = half(0, 0);
     let warm = packets.len();
-    packets.extend(client_hellos(TLS_N, 400 * SEC, answered));
+    packets.extend(half(TLS_N, 400 * SEC));
     let ((allocs, _), report) = measured_half(runtime, &packets, warm);
     assert_eq!(report.cores.conns_created, u64::from(2 * TLS_N));
     #[allow(clippy::cast_precision_loss)] // counts far below 2^52
@@ -414,17 +454,81 @@ fn a_delivered_tls_handshake_allocates_only_what_it_carries() {
     assert_eq!(report.cores.app_parsing.runs, u64::from(4 * TLS_N));
     // One connection, one `TlsHandshakeData`. Its parser returns to the
     // pool at the ServerHello, so the next connection takes it; no record
-    // or handshake message is copied, and the handshake moves into its
-    // session. Left, field by field:
-    //   1. the parser's offered cipher list;
-    //   2. the parser's SNI;
-    //   3. the `Vec<Session>` the completed parse is drained into;
-    //   4. the datum's clone of the cipher list (`FromSession` borrows
-    //      the session, which several subscriptions may match);
-    //   5. the datum's clone of the SNI.
+    // or handshake message is copied, the handshake moves into its
+    // session, the session is appended to the core's one buffer, and the
+    // only subscriber moves it into its datum. Left, field by field:
+    //   1. the parser's offered cipher list, now the datum's;
+    //   2. the parser's SNI, now the datum's.
+    // A `Vec<Session>` drained per completed parse, and the datum's clone
+    // of both fields (`FromSession` borrowed the session), made it 5.00.
     assert!(
-        per_conn <= 5.00 + 0.05,
+        per_conn <= 2.00 + 0.05,
         "{per_conn:.3} allocations per delivered TlsHandshakeData"
+    );
+}
+
+#[test]
+fn two_subscribers_to_a_handshake_pay_for_one_clone() {
+    static TLS: Mutex<Vec<TlsHandshake>> = Mutex::new(Vec::new());
+    static RECORDS: Mutex<Vec<Session>> = Mutex::new(Vec::new());
+    // Room for both runs' deliveries, reserved outside the measurement.
+    TLS.lock().unwrap().reserve(3 * TLS_N as usize);
+    RECORDS.lock().unwrap().reserve(3 * TLS_N as usize);
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("tls", "tls", |hs: TlsHandshakeData| {
+            TLS.lock().unwrap().push(hs.tls);
+        })
+        .subscribe_named("sessions", "tls", |r: SessionRecord| {
+            RECORDS.lock().unwrap().push(r.session);
+        })
+        .build()
+        .expect("runtime builds");
+    let (per_conn, _) = allocs_per_client_hello(&mut runtime, true);
+    let (tls, records) = (TLS.lock().unwrap(), RECORDS.lock().unwrap());
+    assert_eq!(tls.len(), 3 * TLS_N as usize);
+    let tls: Vec<Session> = tls.iter().cloned().map(Session::Tls).collect();
+    assert!(
+        tls == *records,
+        "both subscribers receive the same handshakes"
+    );
+    // The parse's two (the cipher list and the SNI), which the last
+    // subscriber served — `sessions` — takes by moving the session, and
+    // the two of the clone the first one — `tls` — takes.
+    assert!(
+        per_conn <= 4.00 + 0.05,
+        "{per_conn:.3} allocations per handshake delivered to two subscribers"
+    );
+}
+
+#[test]
+fn a_delivered_http_transaction_allocates_only_what_it_carries() {
+    static TRANSACTIONS: AtomicU64 = AtomicU64::new(0);
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named("http", "http", |t: HttpTransactionData| {
+            assert_eq!((t.http.uri.as_str(), t.http.status), ("/video/1", 200));
+            TRANSACTIONS.fetch_add(1, Ordering::Relaxed);
+        })
+        .build()
+        .expect("runtime builds");
+    let (per_conn, report) = allocs_per_conn(&mut runtime, http_exchanges);
+    // The prefix run delivered TLS_N transactions, the full run 2 * TLS_N.
+    assert_eq!(TRANSACTIONS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
+    assert_eq!(report.cores.app_parsing.runs, u64::from(4 * TLS_N));
+    // One connection, one `HttpTransactionData`, moved out of the core's
+    // buffer into the datum. Left, field by field:
+    //   1. the parser's box: HTTP keeps parsing after a transaction, so
+    //      all 2000 connections of a half hold a parser at once, and the
+    //      core's pool keeps only a burst's worth of idle ones;
+    //   2. the parser's queue of requests awaiting responses, grown at the
+    //      first request;
+    //   3. the transaction's method,
+    //   4. URI,
+    //   5. Host and
+    //   6. User-Agent, each parsed from the request head once and moved
+    //      into the datum.
+    assert!(
+        per_conn <= 6.00 + 0.05,
+        "{per_conn:.3} allocations per delivered HttpTransactionData"
     );
 }
 
@@ -471,7 +575,7 @@ fn a_tls_conn_record_borrows_its_service_name() {
     static RECORDS: AtomicU64 = AtomicU64::new(0);
     let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
         .subscribe_named("tls-conns", "tls", |record: ConnRecord| {
-            assert_eq!(record.service.as_deref(), Some("tls"));
+            assert_eq!(record.service, Some("tls"));
             RECORDS.fetch_add(1, Ordering::Relaxed);
         })
         .build()
@@ -479,14 +583,15 @@ fn a_tls_conn_record_borrows_its_service_name() {
     let (per_conn, _) = allocs_per_client_hello(&mut runtime, false);
     // The prefix run delivered TLS_N records, the full run 2 * TLS_N.
     assert_eq!(RECORDS.load(Ordering::Relaxed), u64::from(3 * TLS_N));
-    // What is left is the record's `service` string — 1.02 with the slack
-    // of the first test. A boxed probe state, the winning parser (built
-    // whether or not anyone parsed with it) and the boxed record made it
-    // 4.02; a `String` in the tracked state, cloned from the service name
-    // at the match, one more; a prefix buffer the ClientHello was copied
-    // into before probing, another.
+    // Nothing is left: the record names its service by the parser's
+    // `&'static str`. A `String` copied from it at delivery made this
+    // 1.02; a boxed probe state, the winning parser (built whether or not
+    // anyone parsed with it) and the boxed record, 4.02; a `String` in the
+    // tracked state, cloned from the service name at the match, one more;
+    // a prefix buffer the ClientHello was copied into before probing,
+    // another.
     assert!(
-        per_conn <= 1.05,
+        per_conn <= 0.05,
         "{per_conn:.3} allocations per tls-filtered ConnRecord"
     );
 }

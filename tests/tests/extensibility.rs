@@ -60,7 +60,6 @@ struct MemoParser {
     req: Vec<u8>,
     resp: Vec<u8>,
     pending: Option<MemoSession>,
-    sessions: Vec<Session>,
     failed: bool,
 }
 
@@ -86,7 +85,7 @@ impl ConnParser for MemoParser {
         }
     }
 
-    fn parse(&mut self, data: &[u8], dir: Direction) -> ParseResult {
+    fn parse(&mut self, data: &[u8], dir: Direction, sessions: &mut Vec<Session>) -> ParseResult {
         if self.failed {
             return ParseResult::Error;
         }
@@ -126,18 +125,17 @@ impl ConnParser for MemoParser {
                     pending.acked = true;
                 }
                 let done = self.pending.take().unwrap();
-                self.sessions.push(Session::Custom(Box::new(done)));
+                sessions.push(Session::Custom(Box::new(done)));
                 return ParseResult::Done;
             }
         }
         ParseResult::Continue
     }
 
-    fn drain_sessions(&mut self) -> Vec<Session> {
+    fn drain_sessions(&mut self, sessions: &mut Vec<Session>) {
         if let Some(p) = self.pending.take() {
-            self.sessions.push(Session::Custom(Box::new(p)));
+            sessions.push(Session::Custom(Box::new(p)));
         }
-        std::mem::take(&mut self.sessions)
     }
 
     fn reset(&mut self) -> usize {
@@ -419,16 +417,22 @@ fn custom_parser_reset_is_a_fresh_one() {
         (Direction::ToClient, &b"ACK retina\n"[..]),
     ];
     let outcome = |parser: &mut MemoParser| {
-        let results: Vec<_> = conversation
-            .iter()
-            .map(|&(dir, seg)| (parser.probe(seg, dir), parser.parse(seg, dir)))
+        let mut sessions = Vec::new();
+        let results: Vec<_> = (conversation.iter())
+            .map(|&(dir, seg)| {
+                (
+                    parser.probe(seg, dir),
+                    parser.parse(seg, dir, &mut sessions),
+                )
+            })
             .collect();
-        (results, format!("{:?}", parser.drain_sessions()))
+        parser.drain_sessions(&mut sessions);
+        (results, format!("{sessions:?}"))
     };
     for dirt in [&b"MEMO half a li"[..], &b"NOTE oops\n"[..]] {
-        let mut used = MemoParser::default();
-        let _ = used.parse(dirt, Direction::ToServer);
-        let _ = used.parse(b"ACK", Direction::ToClient);
+        let (mut used, mut dropped) = (MemoParser::default(), Vec::new());
+        let _ = used.parse(dirt, Direction::ToServer, &mut dropped);
+        let _ = used.parse(b"ACK", Direction::ToClient, &mut dropped);
         assert!(used.reset() <= 2 * retina_protocols::RESET_BUFFER_KEEP);
         assert_eq!(outcome(&mut used), outcome(&mut MemoParser::default()));
     }

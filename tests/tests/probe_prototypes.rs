@@ -305,7 +305,7 @@ struct Observed {
     /// Every session delivered, in order, and the service the
     /// connection's record names: what must not depend on where TCP cut
     /// the stream.
-    delivered: (Vec<String>, Option<String>),
+    delivered: (Vec<String>, Option<&'static str>),
     /// FNV-1a over everything else an observer sees: the full records
     /// (stamps and counters included), the digest, the stage counters a
     /// replayed or spilled prefix would move, and the flow's span tree.
@@ -325,7 +325,7 @@ fn observe(packets: &[(Bytes, u64)]) -> Observed {
     const ALL: &str = "tls or http or dns or ssh or quic";
     /// Sessions, whole records, and the service the record names.
     #[derive(Default)]
-    struct Seen(Vec<String>, Vec<String>, Option<String>);
+    struct Seen(Vec<String>, Vec<String>, Option<&'static str>);
     let seen: std::sync::Arc<Mutex<Seen>> = std::sync::Arc::default();
     let (sessions, records) = (seen.clone(), seen.clone());
     let mut runtime = RuntimeBuilder::new(RuntimeConfig::default())
@@ -481,7 +481,7 @@ fn a_record_cut_anywhere_in_its_first_64_bytes_is_probed_as_before() {
     for ((proto, port, records), (name, checksum)) in openings().into_iter().zip(expected) {
         assert_eq!(proto, name);
         let whole = observe(&conversation(port, &records));
-        assert_eq!(whole.delivered.1.as_deref(), Some(proto));
+        assert_eq!(whole.delivered.1, Some(proto));
         assert!(!whole.delivered.0.is_empty(), "{proto}: no session");
         let mut sweep = Vec::new();
         for at in 1..records[0].1.len().min(64) {
@@ -519,7 +519,7 @@ fn a_server_that_speaks_first_is_probed_in_place_too() {
         ),
     ];
     let whole = observe(&conversation(22, &records));
-    assert_eq!(whole.delivered.1.as_deref(), Some("ssh"));
+    assert_eq!(whole.delivered.1, Some("ssh"));
     assert_eq!(whole.delivered.0.len(), 1);
     let mut sweep = Vec::new();
     for at in 1..records[0].1.len() {
@@ -565,7 +565,7 @@ fn a_first_datagram_is_probed_in_place() {
             dns::build_response(9, "in-place.example.net", 28, 1, 0),
         ],
     ));
-    assert_eq!(dns.delivered.1.as_deref(), Some("dns"));
+    assert_eq!(dns.delivered.1, Some("dns"));
     assert_eq!(dns.delivered.0.len(), 1);
     let quic = observe(&datagrams(
         443,
@@ -574,7 +574,7 @@ fn a_first_datagram_is_probed_in_place() {
             quic::build_long_header(1, &[2; 8], &[1; 8], 1200),
         ],
     ));
-    assert_eq!(quic.delivered.1.as_deref(), Some("quic"));
+    assert_eq!(quic.delivered.1, Some("quic"));
     assert_eq!(quic.delivered.0.len(), 1);
     let checksum = sweep_checksum(&[dns, quic]);
     assert_eq!(checksum, 0x549e_4a6d_b68b_48c0, "{checksum:#x}");

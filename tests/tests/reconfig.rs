@@ -617,12 +617,10 @@ fn ping_config() -> RuntimeConfig {
         fn probe(&self, _: &[u8], _: Direction) -> ProbeResult {
             ProbeResult::Unsure
         }
-        fn parse(&mut self, _: &[u8], _: Direction) -> ParseResult {
+        fn parse(&mut self, _: &[u8], _: Direction, _: &mut Vec<Session>) -> ParseResult {
             ParseResult::Continue
         }
-        fn drain_sessions(&mut self) -> Vec<Session> {
-            Vec::new()
-        }
+        fn drain_sessions(&mut self, _: &mut Vec<Session>) {}
         fn reset(&mut self) -> usize {
             0
         }

@@ -7,11 +7,11 @@
 //! including structure-aware mutations of valid frames, which reach much
 //! deeper into the parsers than pure noise.
 
-use retina_protocols::{ConnParser, Direction};
+use retina_protocols::{Direction, StandaloneParser};
 use retina_support::proptest::prelude::*;
 use retina_wire::ParsedPacket;
 
-fn parsers() -> Vec<Box<dyn ConnParser>> {
+fn parsers() -> Vec<StandaloneParser> {
     let registry = retina_protocols::ParserRegistry::default();
     registry.new_parsers(&[
         "tls".to_string(),
