@@ -37,8 +37,9 @@
 use std::process::exit;
 
 use retina_bench::bench_args;
-use retina_conntrack::{ConnArena, ConnHandle, ConnKey, ConnTable, FiveTuple, TimeoutConfig};
+use retina_conntrack::{ConnHandle, ConnKey, ConnTable, FiveTuple, TimeoutConfig};
 use retina_core::subscribables::ConnRecord;
+use retina_core::tracker::CONN_SLOT_BYTES;
 use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
 use retina_nic::rss::RssHasher;
 use retina_support::bytes::Bytes;
@@ -79,10 +80,11 @@ fn two_waves(wave: Vec<(Bytes, u64)>) -> Vec<(Bytes, u64)> {
     packets
 }
 
-/// Bytes one arena slot costs: the slot of a tracker connection at its
-/// build-time budget (`size_of::<Conn>() <= 296`, `tracker/mod.rs`). The
-/// free list lives in the vacant slots and costs nothing beside them.
-const SLOT_BYTES: usize = ConnArena::<[u64; 37]>::SLOT_BYTES;
+/// Bytes one arena slot costs: the tracker's own slot. The free list
+/// lives in the vacant slots and costs nothing beside them; a bare SYN's
+/// flow is the embryo in its slot, so the scan's few promoted flows are
+/// all the flow store holds.
+const SLOT_BYTES: usize = CONN_SLOT_BYTES;
 
 /// Bytes one index entry costs: a `(index key, handle)` pair plus its
 /// control byte, as `ConnTable::allocated_bytes` counts it.

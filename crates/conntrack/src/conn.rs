@@ -6,12 +6,16 @@
 //! table entry's fact ([`crate::ConnEntry`]: `created_ns`,
 //! `last_seen_ns`), stored there once and not mirrored here.
 //!
-//! Every connection builds one, a bare SYN included, so its size is part
-//! of every arena slot: 136 bytes, asserted at build time. The six
-//! handshake and teardown flags sit together after the 8-byte fields, so
-//! no flag pads a [`DirStats`]; and an out-of-order arrival is counted
-//! once — held, in [`DirStats::ooo_packets`]; dropped at capacity, in
-//! the reassembler's `dropped`.
+//! A connection's first packet builds none: it is an [`Embryo`], eight
+//! bytes of what [`TcpFlow::update`] would have recorded of one packet
+//! from the originator. Most connections never send a second (~65% are a
+//! single unanswered SYN, Appendix C); the ones that do hatch a flow from
+//! the embryo ([`Embryo::hatch`]) and update it from then on. A flow is
+//! 136 bytes, asserted at build time. The six handshake and teardown
+//! flags sit together after the 8-byte fields, so no flag pads a
+//! [`DirStats`]; and an out-of-order arrival is counted once — held, in
+//! [`DirStats::ooo_packets`]; dropped at capacity, in the reassembler's
+//! `dropped`.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
 #![allow(clippy::cast_possible_truncation)]
@@ -22,7 +26,7 @@ use crate::reassembly::{Reassembled, StreamReassembler};
 use crate::tuple::Dir;
 
 /// Per-direction flow bookkeeping.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// Packets observed.
     pub packets: u64,
@@ -58,8 +62,7 @@ pub struct TcpFlow {
     stoc_fin: bool,
 }
 
-// A bare SYN builds one too: every 8 bytes here are 0.85 MB at scan's
-// 106,496-slot arena.
+// Built at a connection's second packet, one per promoted connection.
 const _: () = assert!(std::mem::size_of::<TcpFlow>() <= 136);
 
 /// What a packet did to the flow, from the reassembler's perspective.
@@ -69,6 +72,99 @@ pub struct FlowUpdate {
     pub reassembly: Reassembled,
     /// The connection reached a terminal TCP state with this packet.
     pub terminated: bool,
+    /// The connection is established ([`TcpFlow::established`]) after
+    /// this packet.
+    pub established: bool,
+}
+
+/// What [`TcpFlow::update`] records of a connection's first packet, held
+/// in eight bytes until a second packet needs a flow: whether the packet
+/// was seen, its payload length, its SYN, RST and FIN bits and the
+/// expected sequence number it set, if any. Only a packet from the
+/// originator with at most `u16::MAX` payload bytes fits; [`Embryo::record`]
+/// refuses any other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Embryo {
+    /// The originator's next expected sequence number, when `SEQ` is set.
+    next_seq: u32,
+    /// Payload bytes of the recorded packet.
+    len: u16,
+    /// A packet was recorded.
+    seen: bool,
+    /// `SYN`, `RST`, `FIN` and `SEQ` bits.
+    bits: u8,
+}
+
+// Eight bytes, with a niche in `seen`: a word that holds an embryo or a
+// flow's index is eight bytes too.
+const _: () = assert!(std::mem::size_of::<Embryo>() == 8);
+
+impl Embryo {
+    const SYN: u8 = 1;
+    const RST: u8 = 2;
+    const FIN: u8 = 4;
+    const SEQ: u8 = 8;
+
+    /// Records `pkt` as [`TcpFlow::update`] would on a new flow, and
+    /// returns the same [`FlowUpdate`] — or `None`, recording nothing,
+    /// when the packet needs a flow: a second packet, one from the
+    /// responder, or one with more payload than the embryo holds. A
+    /// first packet's reassembly outcome does not depend on
+    /// `stream_active` (a new reassembler adopts any sequence number), so
+    /// the embryo takes no such flag.
+    pub fn record(&mut self, pkt: &ParsedPacket, dir: Dir) -> Option<FlowUpdate> {
+        if self.seen || dir != Dir::OrigToResp {
+            return None;
+        }
+        let len = u16::try_from(pkt.payload_len()).ok()?;
+        let mut next = Embryo {
+            len,
+            seen: true,
+            ..Embryo::default()
+        };
+        let mut terminated = false;
+        if let L4Header::Tcp { flags, seq, .. } = pkt.l4 {
+            let flags = TcpFlags(flags.0);
+            if flags.rst() {
+                next.bits |= Self::RST;
+                terminated = true;
+            }
+            if flags.syn() && !flags.ack() {
+                next.bits |= Self::SYN | Self::SEQ;
+                next.next_seq = seq.wrapping_add(1);
+            }
+            let consumed = u32::from(len) + u32::from(flags.fin());
+            if consumed > 0 && !flags.syn() {
+                next.bits |= Self::SEQ;
+                next.next_seq = seq.wrapping_add(consumed);
+            }
+            if flags.fin() {
+                next.bits |= Self::FIN;
+            }
+        }
+        *self = next;
+        Some(FlowUpdate {
+            reassembly: Reassembled::InOrder,
+            terminated,
+            established: false,
+        })
+    }
+
+    /// The flow this embryo grows into: [`TcpFlow::new`] with what the
+    /// recorded packet set, equal field for field to the flow that
+    /// packet's [`TcpFlow::update`] would have left.
+    pub fn hatch(self, ooo_capacity: usize) -> TcpFlow {
+        let mut flow = TcpFlow::new(ooo_capacity);
+        flow.ctos.packets = u64::from(self.seen);
+        flow.ctos.bytes = u64::from(self.len);
+        flow.syn_seen = self.bits & Self::SYN != 0;
+        flow.rst = self.bits & Self::RST != 0;
+        flow.ctos_fin = self.bits & Self::FIN != 0;
+        if self.bits & Self::SEQ != 0 {
+            flow.reasm_ctos.init_seq(self.next_seq);
+        }
+        flow
+    }
 }
 
 impl TcpFlow {
@@ -149,6 +245,7 @@ impl TcpFlow {
             return FlowUpdate {
                 reassembly: Reassembled::InOrder,
                 terminated: false,
+                established: self.established,
             };
         };
 
@@ -199,6 +296,7 @@ impl TcpFlow {
         FlowUpdate {
             reassembly,
             terminated: self.terminated(),
+            established: self.established,
         }
     }
 }
@@ -441,5 +539,121 @@ mod tests {
             true,
         );
         assert!(flow.established);
+    }
+
+    /// A TCP segment with flag set `kind` (0 none, 1 SYN, 2 SYN-ACK,
+    /// 3 RST, 4 FIN, 6 ACK, 7 FIN-ACK) or, for kind 5, a UDP datagram,
+    /// from the client or the server.
+    fn any_packet(from_client: bool, kind: u8, seq: u32, len: usize) -> ParsedPacket {
+        let (src, dst) = if from_client {
+            (CLIENT, SERVER)
+        } else {
+            (SERVER, CLIENT)
+        };
+        let payload = vec![0x5a; len];
+        let flags = match kind {
+            0 => 0,
+            1 => TcpFlags::SYN,
+            2 => TcpFlags::SYN | TcpFlags::ACK,
+            3 => TcpFlags::RST,
+            4 => TcpFlags::FIN,
+            6 => TcpFlags::ACK | TcpFlags::PSH,
+            7 => TcpFlags::FIN | TcpFlags::ACK,
+            _ => {
+                use retina_wire::build::{build_udp, UdpSpec};
+                let frame = build_udp(&UdpSpec {
+                    src: src.parse().unwrap(),
+                    dst: dst.parse().unwrap(),
+                    ttl: 64,
+                    payload: &payload,
+                });
+                return ParsedPacket::parse(&frame).unwrap();
+            }
+        };
+        pkt(src, dst, seq, flags, &payload)
+    }
+
+    /// Everything a flow knows, for comparing two field by field.
+    #[allow(clippy::type_complexity)]
+    fn facts(
+        f: &TcpFlow,
+    ) -> (
+        (&DirStats, &DirStats),
+        [bool; 6],
+        [(Option<u32>, usize, u32); 2],
+    ) {
+        let reasm = |r: &StreamReassembler| (r.next_seq(), r.buffered(), r.dropped);
+        (
+            (&f.ctos, &f.stoc),
+            [
+                f.syn_seen,
+                f.synack_seen,
+                f.established,
+                f.rst,
+                f.ctos_fin,
+                f.stoc_fin,
+            ],
+            [reasm(&f.reasm_ctos), reasm(&f.reasm_stoc)],
+        )
+    }
+
+    #[test]
+    fn an_embryo_holds_one_packet_from_the_originator() {
+        let syn = pkt(CLIENT, SERVER, 100, TcpFlags::SYN, b"");
+        let mut embryo = Embryo::default();
+        assert!(embryo.record(&syn, Dir::RespToOrig).is_none());
+        assert_eq!(
+            embryo,
+            Embryo::default(),
+            "a responder's packet needs a flow"
+        );
+        assert!(embryo.record(&syn, Dir::OrigToResp).is_some());
+        let held = embryo;
+        assert!(embryo.record(&syn, Dir::OrigToResp).is_none());
+        assert_eq!(embryo, held, "a refused packet records nothing");
+        assert!(embryo.hatch(500).is_single_syn());
+    }
+
+    retina_support::proptest! {
+        #![proptest_config(retina_support::proptest::ProptestConfig::with_cases(512))]
+
+        /// A first packet recorded in an embryo and hatched is the flow
+        /// `TcpFlow::new` + `update` builds from it, field for field, with
+        /// the same `FlowUpdate`; from then on both flows answer every
+        /// later packet alike.
+        #[test]
+        fn an_embryo_hatches_the_flow_its_first_packet_built(
+            first in (0u8..6, 0u8..2, 0u32..4096, 0usize..1461, 0u8..2),
+            later in retina_support::proptest::collection::vec(
+                (0u8..2, 0u8..8, 0u32..4000, 0usize..1461, 0u8..2),
+                0..16,
+            ),
+        ) {
+            let (kind, near_wrap, offset, len, stream) = first;
+            let seq = if near_wrap == 1 { u32::MAX - offset } else { offset * 977 };
+            let first = any_packet(true, kind, seq, len);
+            let mut built = TcpFlow::new(8);
+            let expected = built.update(&first, &mb(), Dir::OrigToResp, stream == 1);
+            let mut embryo = Embryo::default();
+            let recorded = embryo.record(&first, Dir::OrigToResp);
+            retina_support::prop_assert_eq!(recorded, Some(expected));
+            let mut hatched = embryo.hatch(8);
+            retina_support::prop_assert_eq!(facts(&hatched), facts(&built));
+
+            // Each direction's later segments land around where its
+            // stream is: in order, ahead of it or behind it.
+            let mut base = [seq.wrapping_add(1), 0x7000_0000];
+            for (from_server, kind, delta, len, stream) in later {
+                let d = usize::from(from_server);
+                let seq = base[d].wrapping_add(delta).wrapping_sub(2000);
+                let packet = any_packet(from_server == 0, kind, seq, len);
+                let dir = if from_server == 1 { Dir::RespToOrig } else { Dir::OrigToResp };
+                let a = built.update(&packet, &mb(), dir, stream == 1);
+                let b = hatched.update(&packet, &mb(), dir, stream == 1);
+                retina_support::prop_assert_eq!(a, b);
+                retina_support::prop_assert_eq!(facts(&hatched), facts(&built));
+                base[d] = seq.wrapping_add(len as u32);
+            }
+        }
     }
 }

@@ -21,7 +21,9 @@
 //!   while out-of-order packets are held *by reference* in a bounded ring
 //!   (500 packets by default) and flushed when the hole fills.
 //! - [`TcpFlow`] — per-direction TCP bookkeeping (handshake state,
-//!   byte/packet/out-of-order counters, FIN/RST teardown detection).
+//!   byte/packet/out-of-order counters, FIN/RST teardown detection), and
+//!   the eight-byte [`Embryo`] a connection's first packet is recorded in
+//!   until a second packet hatches its flow.
 
 #![warn(missing_docs)]
 
@@ -33,7 +35,7 @@ pub mod timerwheel;
 pub mod tuple;
 
 pub use arena::{ConnArena, ConnEntry, ConnHandle};
-pub use conn::TcpFlow;
+pub use conn::{Embryo, FlowUpdate, TcpFlow};
 pub use reassembly::{Reassembled, StreamReassembler};
 pub use table::{index_key, ConnTable, TimeoutConfig};
 pub use timerwheel::TimerWheel;

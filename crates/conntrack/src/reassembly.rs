@@ -8,10 +8,11 @@
 //! through; out-of-order packets are held by reference ([`Mbuf`] clones)
 //! in a bounded buffer and flushed the moment the hole fills.
 //!
-//! Every tracked connection holds two of these from its first packet, so
-//! a reassembler is 40 bytes (asserted at build time): the expected
-//! sequence, the buffer, a `u32` capacity and a saturating `u32` drop
-//! count. It keeps no count of out-of-order arrivals of its own — each
+//! Every flow holds two of these, one per direction, built when a
+//! connection's second packet promotes the eight-byte embryo of its first
+//! into a flow. A reassembler is 40 bytes (asserted at build time): the
+//! expected sequence, the buffer, a `u32` capacity and a saturating `u32`
+//! drop count. It keeps no count of out-of-order arrivals of its own — each
 //! one is a [`Reassembled::Buffered`] result, which the flow counts.
 
 // Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
@@ -54,8 +55,8 @@ pub struct StreamReassembler {
     pub dropped: u32,
 }
 
-// Two per connection, built at its first packet: every 8 bytes here are
-// 1.7 MB at scan's 106,496-slot arena.
+// Two per flow, built when a connection's second packet promotes it: every
+// 8 bytes here are 16 bytes per promoted connection.
 const _: () = assert!(std::mem::size_of::<StreamReassembler>() <= 40);
 
 impl Default for StreamReassembler {

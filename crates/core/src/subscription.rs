@@ -23,8 +23,9 @@
 //!
 //! **One owner per connection fact.** The five-tuple, the first- and
 //! last-packet stamps and the flow counters live once, in the tracker's
-//! table entry; `on_match` and `on_terminate` borrow them as a
-//! [`ConnView`]. A tracked type keeps only what it alone knows (a held
+//! table entry (a flow past its first packet in the core's flow store,
+//! which the entry indexes); `on_match` and `on_terminate` borrow them as
+//! a [`ConnView`]. A tracked type keeps only what it alone knows (a held
 //! frame, the service it matched with, views of the stream), so no copy
 //! can drift from the original.
 //!
@@ -87,7 +88,9 @@ pub trait Subscribable: Send + Sized + 'static {
 
 /// What the tracker knows about a connection, lent to
 /// [`Tracked::on_match`] and [`Tracked::on_terminate`] for the call:
-/// every field is read from the connection's table entry, its one owner.
+/// every field is read from the connection's table entry, its one owner
+/// (the flow of a connection still at its first packet is hatched from
+/// the entry for the call).
 #[derive(Debug, Clone, Copy)]
 pub struct ConnView<'a> {
     /// Oriented five-tuple (originator = first packet seen).

@@ -183,7 +183,7 @@ impl<F: FilterFns> Machine<F> {
                 first_seen_ns: entry.created_ns,
                 last_seen_ns: entry.last_seen_ns,
                 established: entry.established,
-                flow: &conn.flow,
+                flow: self.flows.view(conn.flow),
             };
             let delivered = &mut self.tallies[self.subs[i].row].delivered;
             let mut out = Emitter::new(&mut self.order, delivered, i as u32, conn.trace_id);

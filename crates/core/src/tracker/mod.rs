@@ -16,7 +16,7 @@
 //! drops its state at once, and the connection leaves with the last.
 //! That is where the paper's lazy-reconstruction wins come from.
 //!
-//! Three files. This one is the **table driver**: the table, the closed
+//! Four files. This one is the **table driver**: the table, the closed
 //! set, lookup and insert, the reassembly flush loop, expiry, drain, and
 //! a swap's table pass. `phase.rs` is the **machine**: phases, probing,
 //! `step` and its executors `apply` and `exit` — the only writers of a
@@ -25,9 +25,12 @@
 //! straddle segments, a pool of parsers per protocol, both handed back by
 //! the phase writer. `deliver.rs`
 //! is **delivery**: the slabs of per-subscription state and their output
-//! lanes, the one emit path, the emission order and tallies. Hooks borrow
-//! the entry's tuple and stamps and `Conn`'s flow as a
-//! [`ConnView`](crate::ConnView); the table and the machine are disjoint,
+//! lanes, the one emit path, the emission order and tallies. `flows.rs`
+//! is the **flow store**: a connection's flow is an eight-byte word, the
+//! embryo of its first packet until a second packet promotes it into a
+//! slot of the core's store. Hooks borrow the entry's tuple and stamps and
+//! the connection's flow as a [`ConnView`](crate::ConnView); the table
+//! and the machine are disjoint,
 //! so both are borrowed at once, also inside the table's expiry, drain
 //! and swap passes — which hand what they release to the pipeline's
 //! flush as they go.
@@ -36,14 +39,15 @@
 #![allow(clippy::cast_possible_truncation)]
 
 mod deliver;
+mod flows;
 mod phase;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use retina_conntrack::{
-    index_key, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FirstPacket, FiveTuple, Reassembled,
-    TcpFlow, TimeoutConfig,
+    index_key, ConnArena, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FirstPacket, FiveTuple,
+    Reassembled, TcpFlow, TimeoutConfig,
 };
 use retina_filter::{ConnVerdict, FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
@@ -60,11 +64,14 @@ use crate::util::rdtsc;
 pub(crate) use deliver::Outbox;
 pub use deliver::SubTally;
 use deliver::TrackedRefs;
+use flows::{FlowStore, FlowWord};
 use phase::{Event, Masks, ParserPool, Phase, Prefixes, ProbeSet, Subs};
 
 /// Per-connection tracker state.
 struct Conn {
-    flow: TcpFlow,
+    /// The first packet's embryo, or the slot of the flow a second
+    /// packet promoted it into.
+    flow: FlowWord,
     /// Per-subscription reconstruction state, by reference into the
     /// slabs, released as soon as its subscription falls off.
     tracked: TrackedRefs,
@@ -84,12 +91,17 @@ struct Conn {
     trace_id: u64,
 }
 
+/// Bytes one connection-table arena slot occupies: a tracked
+/// connection's state, bare SYN or not, with its identity and stamps.
+/// Its flow, once promoted, lives beside it in the core's flow store.
+pub const CONN_SLOT_BYTES: usize = ConnArena::<Conn>::SLOT_BYTES;
+
 // Size budget, checked at build time: every 8 bytes of `Conn` are
 // 0.85 MB at scan's 106,496-slot arena, and a built-in tracked type's
 // size is what a slab slot costs per engaged connection.
 const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
-const _: () = assert!(std::mem::size_of::<Conn>() <= 296);
-const _: () = assert!(retina_conntrack::ConnArena::<Conn>::SLOT_BYTES <= 400);
+const _: () = assert!(std::mem::size_of::<Conn>() <= 168);
+const _: () = assert!(CONN_SLOT_BYTES <= 272);
 const _: () = {
     use crate::subscribables::{
         ConnBytesTracker, ConnRecordTracker, SessionLevelTracker, TlsHandshakeData,
@@ -173,7 +185,8 @@ struct Machine<F: FilterFns> {
     /// to the session filter: this core's one buffer, lent to each parser
     /// for the call and empty between calls.
     sessions: Vec<Session>,
-    ooo_capacity: usize,
+    /// The flows of connections past their first packet.
+    flows: FlowStore,
     profile: bool,
     /// Mirrored from the governor: while set, probe and parse work is
     /// skipped (connections hold their phase) in favour of delivery.
@@ -272,7 +285,7 @@ impl<F: FilterFns> Machine<F> {
             .map_or(0, |(t, _)| t.sample_flow(mbuf.rss_hash));
         self.trace_lifecycle(trace_id, TraceKind::ConnInsert, 0, 0);
         Conn {
-            flow: TcpFlow::new(self.ooo_capacity),
+            flow: FlowWord::default(),
             tracked,
             phase: Phase::Tracking,
             frontiers: verdict.frontiers,
@@ -379,7 +392,7 @@ impl<F: FilterFns> ConnTracker<F> {
             parsers: Vec::new(),
             probe_bytes: 0,
             sessions: Vec::new(),
-            ooo_capacity,
+            flows: FlowStore::new(ooo_capacity),
             profile,
             shed_parsing: false,
             stats: CoreStats::default(),
@@ -465,21 +478,23 @@ impl<F: FilterFns> ConnTracker<F> {
         self.machine.shed_parsing = shed;
     }
 
-    /// Estimated bytes of live connection state (table entries plus probe
-    /// buffers, and the buffers idle parsers keep), Figure 8's memory
-    /// series; the retained arena is [`ConnTracker::arena_bytes`].
-    /// O(1): probe bytes are a running count, so a 100 k-connection
-    /// worker can ask every maintenance tick.
+    /// Estimated bytes of live connection state (table entries, the
+    /// flows of promoted connections, probe buffers, and the buffers idle
+    /// parsers keep), Figure 8's memory series; the retained arena is
+    /// [`ConnTracker::arena_bytes`]. O(1): flows and probe bytes are
+    /// running counts, so a 100 k-connection worker can ask every
+    /// maintenance tick.
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
-        self.table.len() * per_conn + self.machine.probe_bytes
+        let flows = self.machine.flows.live() * std::mem::size_of::<TcpFlow>();
+        self.table.len() * per_conn + flows + self.machine.probe_bytes
     }
 
     /// Bytes retained by the connection table's arena and shard
-    /// indexes. Capacity never shrinks, so this is the memory
-    /// high-water mark the `conn_arena_bytes` gauge reports.
+    /// indexes, and by the flow store. Capacity never shrinks, so this is
+    /// the memory high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
-        self.table.allocated_bytes()
+        self.table.allocated_bytes() + self.machine.flows.allocated_bytes()
     }
 
     /// The burst's hint pass for one packet the filter kept: its key and
@@ -586,8 +601,10 @@ impl<F: FilterFns> ConnTracker<F> {
         let app_needed =
             matches!(conn.phase, Phase::Probing(_) | Phase::Parsing { .. }) && !m.shed_parsing;
         let stream_needed = app_needed || !(conn.subs.active() & m.masks.stream).is_empty();
-        let update = conn.flow.update(pkt, mbuf, dir, stream_needed);
-        entry.established = conn.flow.established;
+        let update = m
+            .flows
+            .update(&mut conn.flow, pkt, mbuf, dir, stream_needed);
+        entry.established = update.established;
 
         // Subscription packet hooks: matched subscriptions that want
         // post-match packets get them; undecided ones buffer lazily.
@@ -615,7 +632,7 @@ impl<F: FilterFns> ConnTracker<F> {
                     }
                     // Flush any buffered successors the hole-fill released.
                     while !leave {
-                        let flushed = entry.value.flow.reassembler(dir).flush();
+                        let flushed = m.flows.flush(entry.value.flow, dir);
                         if flushed.is_empty() {
                             break;
                         }
@@ -966,11 +983,15 @@ mod tests {
     }
 
     /// `state_bytes()` the slow way: a walk over every table entry
-    /// summing its probe slot's buffer capacities, then over the released
-    /// slots and the idle parsers the pools keep. The running count must
-    /// equal it at every point.
+    /// summing its promoted flow and its probe slot's buffer capacities,
+    /// then over the released slots and the idle parsers the pools keep.
+    /// The running counts must equal it at every point.
     fn state_bytes_walk(t: &ConnTracker<CompiledFilter>) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
+        let promoted = t
+            .table
+            .iter()
+            .filter(|e| matches!(e.value.flow, FlowWord::Stored(_)));
         let slots = &t.machine.prefixes.slots;
         let held = |slot: u32| {
             slots[slot as usize]
@@ -982,6 +1003,7 @@ mod tests {
         let released = t.machine.prefixes.free.iter().map(|&slot| held(slot));
         let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
         t.table.len() * per_conn
+            + promoted.count() * std::mem::size_of::<TcpFlow>()
             + probing.sum::<usize>()
             + released.sum::<usize>()
             + idle.map(|(_, kept)| kept).sum::<usize>()
@@ -1128,6 +1150,46 @@ mod tests {
         t.drain(discard);
         assert_eq!(slab_balance(&t), vec![0, 0, 0]);
         assert_eq!(t.machine.tallies[0].delivered, 53 + 41);
+    }
+
+    /// A bare SYN's flow is the eight-byte embryo in its slot: a thousand
+    /// of them leave the flow store empty and unallocated. The one that is
+    /// answered draws exactly one slot at its second packet, which its
+    /// exit hands back; the gauges count the store.
+    #[test]
+    fn bare_syns_build_no_flow_and_an_answered_one_builds_one() {
+        const MS: u64 = 1_000_000;
+        let subs: Subs = vec![Arc::new(TypedSubscription::<ConnRecord>::spec_only(
+            "conns",
+        ))];
+        let mut t = tracker(&["tcp"], &subs);
+        let syns: Vec<_> = (0..1_000).map(|n| syn(n, u64::from(n) * MS)).collect();
+        feed(&mut t, &syns);
+        assert_eq!(t.connections(), 1_000);
+        assert_eq!(
+            (t.machine.flows.live(), t.machine.flows.allocated_bytes()),
+            (0, 0)
+        );
+        assert_eq!(t.arena_bytes(), t.table.allocated_bytes());
+        assert_eq!(t.state_bytes(), state_bytes_walk(&t));
+
+        let mut web = http_conv("10.0.0.3:40003", 2_000 * MS);
+        web.out.truncate(2);
+        feed(&mut t, &web.out);
+        assert_eq!(t.machine.flows.live(), 1, "the SYN-ACK promoted one flow");
+        let store = t.machine.flows.allocated_bytes();
+        assert!(store >= std::mem::size_of::<TcpFlow>());
+        assert_eq!(t.arena_bytes(), t.table.allocated_bytes() + store);
+        assert_eq!(t.state_bytes(), state_bytes_walk(&t));
+
+        web.out.clear();
+        feed(&mut t, &web.close());
+        assert_eq!(t.connections(), 1_000);
+        assert_eq!(t.machine.flows.live(), 0, "the exit handed the slot back");
+        assert_eq!(t.machine.flows.allocated_bytes(), store);
+        t.drain(discard);
+        assert_eq!(t.machine.tallies[0].delivered, 1_001);
+        assert_eq!(t.machine.flows.live(), 0);
     }
 
     /// The running probe-buffer byte count behind the O(1)

@@ -668,6 +668,7 @@ impl<F: FilterFns> Machine<F> {
         for i in conn.tracked.held.iter() {
             self.release(conn, i);
         }
+        self.flows.release(&mut conn.flow);
         self.set_phase(conn, Phase::Dropped);
         let s = &mut self.stats;
         match end {

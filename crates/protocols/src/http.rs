@@ -12,9 +12,13 @@
 // Narrowing casts in this file are intentional: wire formats pack values into fixed-width header fields.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::collections::VecDeque;
+
 use retina_filter::FieldValue;
 
-use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
+use crate::parser::{
+    reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session, RESET_BUFFER_KEEP,
+};
 
 /// Maximum bytes carried per direction while waiting for a head section
 /// cut at a segment boundary.
@@ -82,7 +86,7 @@ pub struct HttpParser {
     resp_carry: Vec<u8>,
     resp_body: BodyState,
     /// Requests whose responses have not arrived yet (pipelining).
-    pending: std::collections::VecDeque<HttpTransaction>,
+    pending: VecDeque<HttpTransaction>,
     failed: bool,
 }
 
@@ -324,18 +328,36 @@ impl ConnParser for HttpParser {
     fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
-        let (mut req_carry, mut resp_carry) = (
+        let (mut req_carry, mut resp_carry, mut pending) = (
             std::mem::take(&mut self.req_carry),
             std::mem::take(&mut self.resp_carry),
+            std::mem::take(&mut self.pending),
         );
-        let kept = reuse_buffer(&mut req_carry) + reuse_buffer(&mut resp_carry);
+        let kept = reuse_buffer(&mut req_carry)
+            + reuse_buffer(&mut resp_carry)
+            + reuse_queue(&mut pending);
         *self = HttpParser {
             req_carry,
             resp_carry,
+            pending,
             ..HttpParser::default()
         };
         kept
     }
+}
+
+/// Empties the queue of pending requests for a reset parser's next
+/// connection, keeping its allocation by the rule [`reuse_buffer`] keeps a
+/// carry's; returns the bytes kept.
+fn reuse_queue(pending: &mut VecDeque<HttpTransaction>) -> usize {
+    let bytes =
+        |q: &VecDeque<HttpTransaction>| q.capacity() * std::mem::size_of::<HttpTransaction>();
+    if bytes(pending) > RESET_BUFFER_KEEP {
+        *pending = VecDeque::new();
+    } else {
+        pending.clear();
+    }
+    bytes(pending)
 }
 
 /// Builds an HTTP/1.1 request head (used by the traffic generator).
@@ -635,5 +657,28 @@ mod tests {
         ));
         assert!(t.field("user_agent").is_none());
         assert!(t.field("bogus").is_none());
+    }
+
+    #[test]
+    fn reset_keeps_the_request_queue() {
+        let mut p = HttpParser::new();
+        let mut out = Vec::new();
+        let get = build_request("GET", "/", "h", "u");
+        p.parse(&get, Direction::ToServer, &mut out);
+        let capacity = p.pending.capacity();
+        assert!(capacity > 0);
+        let kept = p.reset();
+        assert!(p.pending.is_empty());
+        assert_eq!(p.pending.capacity(), capacity);
+        let queue = capacity * std::mem::size_of::<HttpTransaction>();
+        let carries = p.req_carry.capacity() + p.resp_carry.capacity();
+        assert_eq!(kept, queue + carries);
+
+        // A queue grown past the allowance is freed instead.
+        for _ in 0..64 {
+            p.parse(&get, Direction::ToServer, &mut out);
+        }
+        p.reset();
+        assert_eq!(p.pending.capacity(), 0);
     }
 }

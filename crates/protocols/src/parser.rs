@@ -184,8 +184,9 @@ pub trait ConnParser: Send {
 
 /// What a reset parser keeps of one buffer's allocation for its next
 /// connection: a buffer up to this size is emptied and kept, a larger one
-/// freed. The built-in parsers hold at most two — one carry per
-/// direction — so a pooled one keeps at most 4 KiB.
+/// freed. The built-in parsers hold at most two carries — one per
+/// direction — and HTTP its queue of pending requests besides, each kept
+/// by this rule, so a pooled one keeps at most 6 KiB.
 pub const RESET_BUFFER_KEEP: usize = 2 * 1024;
 
 /// Empties `buf` for a reset parser's next connection, keeping its

@@ -250,6 +250,14 @@
 # the NIC (ROADMAP item 14(a)); and it names no `retina_wire::build` and
 # no `synth_first_packet`.
 #
+# A bare SYN builds no flow: a connection's flow is an eight-byte
+# embryo until its second packet promotes it into the core's flow store
+# (crates/core/src/tracker/flows.rs). Non-test crates/core/src builds a
+# `TcpFlow` only there — each `TcpFlow::new(` or `.hatch(` site, as
+# `file:function`, must be flows.rs's `promote` (the store's promotion)
+# or `view` (the scratch flow an embryo's hook reads) — so no path can
+# hand a bare SYN a flow back by accident.
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -626,6 +634,29 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Each non-test `TcpFlow::new(` / `.hatch(` in crates/core/src as
+# `file:function`, the function being the last `fn` declared above it.
+sites=$(core_code | awk '{
+        text = $0
+        sub(/^[^:]*:[0-9]*:/, "", text)
+        if (match(text, /(^|[^[:alnum:]_])fn [[:alnum:]_]+/)) {
+            name = substr(text, RSTART, RLENGTH)
+            sub(/.*fn /, "", name)
+        }
+        if (text ~ /TcpFlow::new\(|\.hatch\(/) {
+            file = $0
+            sub(/:.*/, "", file)
+            print file ":" name
+        }
+    }')
+want='crates/core/src/tracker/flows.rs:promote
+crates/core/src/tracker/flows.rs:view'
+if [ "$sites" != "$want" ]; then
+    echo "crates/core/src builds a TcpFlow outside the flow store (want one TcpFlow::new( / .hatch( in flows.rs's promote and one in its view); found:" >&2
+    printf '%s\n' "$sites" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -649,3 +680,4 @@ echo "  the connection arena is chunked, with its free list in its vacant slots;
 echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance;"
 echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs;"
 echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder"
+echo "  a bare SYN builds no flow: a TcpFlow is built in flows.rs's promote and view only"
