@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use retina_filter::{FilterFns, PacketVerdict};
+use retina_filter::{ConnVerdict, FilterFns, PacketVerdict};
 use retina_nic::{Mbuf, RssHasher};
 use retina_support::bytes::Bytes;
 use retina_telemetry::trace::TraceHwAction;
@@ -404,10 +404,9 @@ impl<F: FilterFns> CorePipeline<F> {
                 }
 
                 if let Some(hint) = hint {
-                    let verdict = PacketVerdict {
+                    let verdict = ConnVerdict {
                         matched: verdict.matched - packet_mask,
                         live: verdict.live,
-                        frontiers: std::mem::take(&mut verdict.frontiers),
                     };
                     tracker.process(mbuf, pkt, verdict, hint);
                     Self::flush(tracker.outbox(), profile, transport);

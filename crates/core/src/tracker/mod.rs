@@ -16,6 +16,10 @@
 //! drops its state at once, and the connection leaves with the last.
 //! That is where the paper's lazy-reconstruction wins come from.
 //!
+//! A connection stores no packet-filter verdict beyond its sets: the
+//! connection and session filters, and a swap, recompute it from the
+//! connection's rebuilt first packet (`first_verdict`).
+//!
 //! Four files. This one is the **table driver**: the table, the closed
 //! set, lookup and insert, the reassembly flush loop, expiry, drain, and
 //! a swap's table pass. `phase.rs` is the **machine**: phases, probing,
@@ -49,7 +53,7 @@ use retina_conntrack::{
     index_key, ConnArena, ConnEntry, ConnHandle, ConnKey, ConnTable, Dir, FirstPacket, FiveTuple,
     Reassembled, TcpFlow, TimeoutConfig,
 };
-use retina_filter::{ConnVerdict, FilterFns, Frontiers, PacketVerdict, SubscriptionSet};
+use retina_filter::{ConnVerdict, FilterFns, PacketVerdict, SubscriptionSet};
 use retina_nic::Mbuf;
 use retina_protocols::{ParserRegistry, Session};
 use retina_support::hash::FlowHashState;
@@ -76,15 +80,13 @@ struct Conn {
     /// slabs, released as soon as its subscription falls off.
     tracked: TrackedRefs,
     phase: Phase,
-    /// Packet-filter frontiers (opaque resume points for the conn and
-    /// session sub-filters).
-    frontiers: Frontiers,
     /// Who is matched, undecided, parsing: what the machine moves.
     subs: Subs,
     /// Whether any subscription was fully served and retired early.
     done_any: bool,
     /// What the first packet showed the packet filter beyond the tuple:
-    /// a swap's re-verdict reads it.
+    /// every later verdict on that packet is rebuilt from it
+    /// ([`first_verdict`]).
     first: FirstPacket,
     /// Flow trace id (0 = unsampled), fixed at insert time and carried
     /// to every tracepoint and delivery this connection produces.
@@ -100,8 +102,8 @@ pub const CONN_SLOT_BYTES: usize = ConnArena::<Conn>::SLOT_BYTES;
 // 0.85 MB at scan's 106,496-slot arena, and a built-in tracked type's
 // size is what a slab slot costs per engaged connection.
 const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
-const _: () = assert!(std::mem::size_of::<Conn>() <= 168);
-const _: () = assert!(CONN_SLOT_BYTES <= 272);
+const _: () = assert!(std::mem::size_of::<Conn>() <= 104);
+const _: () = assert!(CONN_SLOT_BYTES <= 208);
 const _: () = {
     use crate::subscribables::{
         ConnBytesTracker, ConnRecordTracker, SessionLevelTracker, TlsHandshakeData,
@@ -268,7 +270,7 @@ impl<F: FilterFns> Machine<F> {
         mbuf: &Mbuf,
         pkt: &ParsedPacket,
         tuple: &FiveTuple,
-        verdict: PacketVerdict,
+        verdict: ConnVerdict,
     ) -> Conn {
         self.stats.conns_created += 1;
         let matched = verdict.matched & self.masks.all;
@@ -288,7 +290,6 @@ impl<F: FilterFns> Machine<F> {
             flow: FlowWord::default(),
             tracked,
             phase: Phase::Tracking,
-            frontiers: verdict.frontiers,
             subs: Subs {
                 matched,
                 live,
@@ -513,14 +514,16 @@ impl<F: FilterFns> ConnTracker<F> {
     }
 
     /// Processes one packet that the software packet filter matched for
-    /// at least one subscription. `hint` is what [`ConnTracker::hint`]
-    /// staged for this packet; packets of the same burst may have been
-    /// processed since, so its handle is verified, never trusted.
+    /// at least one subscription: `verdict` is its (matched, live), of
+    /// which only a connection's first packet's is read. `hint` is what
+    /// [`ConnTracker::hint`] staged for this packet; packets of the same
+    /// burst may have been processed since, so its handle is verified,
+    /// never trusted.
     pub fn process(
         &mut self,
         mbuf: &Mbuf,
         pkt: &ParsedPacket,
-        verdict: PacketVerdict,
+        verdict: ConnVerdict,
         hint: &ConnHint,
     ) {
         // Timed here, not in the body, so early exits (TIME_WAIT trailing
@@ -540,7 +543,7 @@ impl<F: FilterFns> ConnTracker<F> {
         &mut self,
         mbuf: &Mbuf,
         pkt: &ParsedPacket,
-        verdict: PacketVerdict,
+        verdict: ConnVerdict,
         hint: &ConnHint,
     ) -> Option<ConnHandle> {
         let (table, closed, m) = (&mut self.table, &mut self.closed, &mut self.machine);
@@ -567,7 +570,7 @@ impl<F: FilterFns> ConnTracker<F> {
         &mut self,
         mbuf: &Mbuf,
         pkt: &ParsedPacket,
-        verdict: PacketVerdict,
+        verdict: ConnVerdict,
         hint: &ConnHint,
     ) {
         let now = mbuf.timestamp_ns;
@@ -767,21 +770,27 @@ fn pull(set: SubscriptionSet, from: &[Option<usize>]) -> SubscriptionSet {
     pulled
 }
 
+/// `filter`'s verdict on the connection's first packet, rebuilt from its
+/// tuple and the facts it kept ([`FirstPacket`]): the one place the
+/// tracker asks the packet filter. Its frontiers are where the connection
+/// and session filters resume; a connection keeps none of its own.
+fn first_verdict<F: FilterFns>(filter: &F, entry: &ConnEntry<Conn>) -> PacketVerdict {
+    filter.packet_filter_set(&entry.value.first.packet(&entry.tuple))
+}
+
 /// The new `filter`'s packet-layer verdict on a connection's undecided
-/// survivors (`kept`), in the old index space (`remap`): the verdict on
-/// the connection's first packet, rebuilt from its tuple and the facts it
-/// kept ([`FirstPacket`]), which also re-derives its frontiers.
+/// survivors (`kept`), in the old index space (`remap`): its
+/// [`first_verdict`].
 fn replay<F: FilterFns>(
     filter: &F,
-    entry: &mut ConnEntry<Conn>,
+    entry: &ConnEntry<Conn>,
     kept: SubscriptionSet,
     remap: &[Option<usize>],
 ) -> ConnVerdict {
     if (entry.value.subs.live & kept).is_empty() {
         return ConnVerdict::default();
     }
-    let verdict = filter.packet_filter_set(&entry.value.first.packet(&entry.tuple));
-    entry.value.frontiers = verdict.frontiers;
+    let verdict = first_verdict(filter, entry);
     let (matched, live) = (pull(verdict.matched, remap), pull(verdict.live, remap));
     ConnVerdict { matched, live }
 }
@@ -977,7 +986,8 @@ mod tests {
             let verdict = t.machine.filter.packet_filter_set(&pkt);
             if !verdict.is_no_match() {
                 let hint = t.hint(&mbuf, &pkt);
-                t.process(&mbuf, &pkt, verdict, &hint);
+                let (matched, live) = (verdict.matched, verdict.live);
+                t.process(&mbuf, &pkt, ConnVerdict { matched, live }, &hint);
             }
         }
     }
@@ -1343,11 +1353,12 @@ mod tests {
             let pkt = ParsedPacket::parse(mbuf.data()).unwrap();
             mbuf.rss_hash = RssHasher::symmetric().hash_packet(&pkt);
             mbuf.stamp_payload(pkt.payload_offset..pkt.payload_end);
-            let mut verdict = t.machine.filter.packet_filter_set(&pkt);
-            verdict.matched -= t.machine.masks.packet;
-            if !(verdict.matched | verdict.live).is_empty() {
+            let verdict = t.machine.filter.packet_filter_set(&pkt);
+            let matched = verdict.matched - t.machine.masks.packet;
+            let live = verdict.live;
+            if !(matched | live).is_empty() {
                 let hint = t.hint(&mbuf, &pkt);
-                t.process(&mbuf, &pkt, verdict, &hint);
+                t.process(&mbuf, &pkt, ConnVerdict { matched, live }, &hint);
             }
         }
     }

@@ -13,14 +13,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use retina_conntrack::{ConnEntry, Dir};
-use retina_filter::{ConnVerdict, FilterFns, SubscriptionSet};
+use retina_filter::{ConnVerdict, FilterFns, Frontiers, SubscriptionSet};
 use retina_nic::Mbuf;
 use retina_protocols::{
     ConnParser, Direction, ParseResult, ParserRegistry, ProbeResult, Session, SessionState,
 };
 use retina_telemetry::{trace::TraceConnEnd, TraceKind};
 
-use super::{Conn, Machine};
+use super::{first_verdict, Conn, Machine};
 use crate::pipeline::BURST_MAX;
 use crate::subscription::MatchedSession;
 use crate::util::rdtsc;
@@ -802,11 +802,13 @@ impl<F: FilterFns> Machine<F> {
         let lent =
             (slot != NO_PREFIX).then(|| std::mem::take(&mut self.prefixes.slots[slot as usize]));
         // Connection filter (Figure 4's first pseudostate) over the
-        // still-live subscriptions.
+        // still-live subscriptions, resuming at the first packet's
+        // frontiers.
+        let frontiers = first_verdict(&*self.filter, entry).frontiers;
         let conn = &entry.value;
         let v = self
             .filter
-            .conn_filter_set(Some(service), &conn.frontiers, conn.subs.live);
+            .conn_filter_set(Some(service), &frontiers, conn.subs.live);
         self.trace(
             conn,
             TraceKind::ConnVerdict,
@@ -881,21 +883,26 @@ impl<F: FilterFns> Machine<F> {
     /// The session filter (Figure 4's second pseudostate) and delivery for
     /// each of `sessions`, just parsed or drained at the connection's end:
     /// each leaves the buffer into its match, where the last subscriber
-    /// served may take it.
+    /// served may take it. The filter resumes at the first packet's
+    /// frontiers, rebuilt once for the batch; with no subscription left
+    /// undecided none of them is read, and none is rebuilt.
     fn deliver_sessions(
         &mut self,
         entry: &mut ConnEntry<Conn>,
         service: &'static str,
         sessions: &mut Vec<Session>,
     ) {
+        let frontiers = if sessions.is_empty() || entry.value.subs.live.is_empty() {
+            Frontiers::default()
+        } else {
+            first_verdict(&*self.filter, entry).frontiers
+        };
         for session in sessions.drain(..) {
             let conn = &entry.value;
             let ts = self.profile.then(rdtsc);
             self.stats.session_filter.runs += 1;
             let live = conn.subs.live;
-            let hits = self
-                .filter
-                .session_filter_set(&session, &conn.frontiers, live);
+            let hits = self.filter.session_filter_set(&session, &frontiers, live);
             if let Some(t) = ts {
                 self.stats
                     .session_filter

@@ -213,11 +213,13 @@ impl fmt::Display for SubscriptionSet {
 /// one-subscription design becomes a small set. Stored inline (no heap
 /// allocation) for the common case of a handful of frontiers.
 ///
-/// Frontier values are opaque to the runtime: it stores them at
-/// connection creation and hands them back to
-/// [`crate::FilterFns::conn_filter_set`] /
+/// Frontier values are opaque to the runtime: it stores none of them.
+/// Whenever a connection reaches the connection or session layer, it
+/// recomputes them — the packet filter's verdict on the connection's
+/// first packet, rebuilt from its five-tuple and the few facts it kept —
+/// and hands them to [`crate::FilterFns::conn_filter_set`] /
 /// [`crate::FilterFns::session_filter_set`] unchanged. They are trie node
-/// IDs.
+/// IDs, so they are only meaningful to the filter that produced them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frontiers {
     inline: [u32; Self::INLINE],

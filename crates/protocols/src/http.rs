@@ -681,4 +681,49 @@ mod tests {
         p.reset();
         assert_eq!(p.pending.capacity(), 0);
     }
+
+    /// The ceiling `RESET_BUFFER_KEEP`'s doc states: a reset parser keeps
+    /// both carries and its queue of pending requests, each at the largest
+    /// capacity `reset` keeps, so it holds more than two buffers' worth —
+    /// and at most three.
+    #[test]
+    fn a_reset_parser_keeps_at_most_three_buffers() {
+        let mut p = HttpParser::new();
+        let mut out = Vec::new();
+        // The queue: the largest power-of-two capacity within the
+        // allowance (doubled, it would be freed).
+        let per = std::mem::size_of::<HttpTransaction>();
+        let queued = (RESET_BUFFER_KEEP / per + 1).next_power_of_two() / 2;
+        let get = build_request("GET", "/", "h", "u");
+        for _ in 0..queued {
+            p.parse(&get, Direction::ToServer, &mut out);
+        }
+        assert_eq!(p.pending.capacity(), queued);
+        // Each carry: a head cut at a segment boundary, exactly as long
+        // as the allowance.
+        let cut = |start: &str| {
+            let mut head = start.as_bytes().to_vec();
+            head.resize(RESET_BUFFER_KEEP, b'a');
+            head
+        };
+        let request = cut("GET /");
+        let response = cut("HTTP/1.1 200 OK\r\nX: ");
+        assert_eq!(
+            p.parse(&request, Direction::ToServer, &mut out),
+            ParseResult::Continue
+        );
+        assert_eq!(
+            p.parse(&response, Direction::ToClient, &mut out),
+            ParseResult::Continue
+        );
+        let carries = [p.req_carry.capacity(), p.resp_carry.capacity()];
+        assert_eq!(carries, [RESET_BUFFER_KEEP; 2]);
+
+        let kept = p.reset();
+        assert_eq!(kept, 2 * RESET_BUFFER_KEEP + queued * per);
+        assert!(kept > 2 * RESET_BUFFER_KEEP, "{kept}");
+        assert!(kept <= 3 * RESET_BUFFER_KEEP, "{kept}");
+        let held = [p.req_carry.capacity(), p.resp_carry.capacity()];
+        assert_eq!((held, p.pending.capacity()), (carries, queued));
+    }
 }

@@ -12,10 +12,13 @@
 # `ingest_frame(`), so a per-packet driver loop cannot grow back beside
 # `on_burst`.
 #
-# One call is allowed by name: a live swap's `replay` in tracker/mod.rs
-# puts each undecided survivor's first packet — rebuilt from its tuple
-# and the facts it kept at insert — to the new packet filter, once per
-# live connection per swap: not a per-packet path.
+# One call is allowed by name: `first_verdict` in tracker/mod.rs puts a
+# connection's first packet — rebuilt from its tuple and the facts it
+# kept at insert — to the packet filter. Its three callers are not
+# per-packet paths: a live swap's `replay` (once per undecided survivor
+# per swap), the connection filter (once per identified connection) and
+# the session filter (once per batch of sessions), which resume at that
+# verdict's frontiers.
 #
 # The delivery fabric behind the pipeline's `Transport` lives in one
 # place too, and the same scan guards it:
@@ -257,6 +260,13 @@
 # `file:function`, must be flows.rs's `promote` (the store's promotion)
 # or `view` (the scratch flow an embryo's hook reads) — so no path can
 # hand a bare SYN a flow back by accident.
+#
+# A connection keeps no frontiers. The connection and session filters
+# read them off the packet filter's verdict on the connection's rebuilt
+# first packet (`first_verdict`), as a swap does; a stored copy cost
+# every connection 64 bytes, 38 % of its state. So non-test
+# `struct Conn` in crates/core/src/tracker/mod.rs has no `Frontiers`
+# field.
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
@@ -657,6 +667,17 @@ if [ "$sites" != "$want" ]; then
     fail=1
 fi
 
+hits=$(code_lines crates/core/src/tracker/mod.rs |
+    awk '{ text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
+        text ~ /^(pub[^[:space:]]*[[:space:]]+)?struct Conn[[:space:]]*\{/ { on = 1; next }
+        on && text ~ /^}/ { on = 0 }
+        on && text ~ /Frontiers/' || true)
+if [ -n "$hits" ]; then
+    echo "a connection stores its frontiers (read them off its first_verdict):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -679,5 +700,6 @@ echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows
 echo "  the connection arena is chunked, with its free list in its vacant slots;"
 echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance;"
 echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs;"
-echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder"
-echo "  a bare SYN builds no flow: a TcpFlow is built in flows.rs's promote and view only"
+echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder;"
+echo "  a bare SYN builds no flow: a TcpFlow is built in flows.rs's promote and view only;"
+echo "  a connection keeps no frontiers: struct Conn has no Frontiers field, the filters read its first_verdict"

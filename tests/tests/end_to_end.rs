@@ -625,3 +625,148 @@ fn merged_runtime_equals_independent_runtimes() {
         );
     }
 }
+
+/// One TLS connection to port 443 whose SYN has IP TTL 128 and whose
+/// every later frame, the ClientHello included, has TTL 64.
+fn tls_conn_with_ttl_drop() -> Vec<(Bytes, u64)> {
+    use retina_protocols::tls::build::{
+        ccs_record, client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
+    };
+    use retina_wire::build::{build_tcp, TcpSpec};
+    use retina_wire::TcpFlags;
+
+    let client: std::net::SocketAddr = "10.9.0.1:40000".parse().unwrap();
+    let server: std::net::SocketAddr = "198.38.96.1:443".parse().unwrap();
+    let hello = client_hello_record(&ClientHelloSpec {
+        sni: Some("a.example.com".to_string()),
+        ciphers: vec![0x1301],
+        random: [0x42; 32],
+        version: 0x0303,
+        alpn: None,
+    });
+    let reply = server_hello_record(&ServerHelloSpec {
+        cipher: 0x1301,
+        random: [0x99; 32],
+        version: 0x0303,
+        supported_version: Some(0x0304),
+        alpn: None,
+    });
+    let ccs = ccs_record();
+    let len = |record: &[u8]| u32::try_from(record.len()).unwrap();
+    let (cseq, sseq) = (1001, 5001);
+    let (cnext, snext) = (cseq + len(&hello), sseq + len(&reply));
+    let (ack, psh) = (TcpFlags::ACK, TcpFlags::ACK | TcpFlags::PSH);
+    let frames = [
+        (true, 1000, 0, TcpFlags::SYN, &[][..], 128),
+        (false, 5000, cseq, TcpFlags::SYN | ack, &[][..], 64),
+        (true, cseq, sseq, ack, &[][..], 64),
+        (true, cseq, sseq, psh, &hello[..], 64),
+        (false, sseq, cnext, psh, &reply[..], 64),
+        (false, snext, cnext, psh, &ccs[..], 64),
+    ];
+    (1u64..)
+        .zip(frames)
+        .map(|(t, (from_client, seq, ack, flags, payload, ttl))| {
+            let (src, dst) = if from_client {
+                (client, server)
+            } else {
+                (server, client)
+            };
+            let frame = build_tcp(&TcpSpec {
+                src,
+                dst,
+                seq,
+                ack,
+                flags,
+                window: 65535,
+                ttl,
+                payload,
+            });
+            (Bytes::from(frame), t * 1_000_000)
+        })
+        .collect()
+}
+
+/// The two `TlsHandshakeData` subscriptions of the frontier tests: their
+/// union passes every frame of [`tls_conn_with_ttl_drop`] at the packet
+/// layer, but only the first passes its first packet.
+const TTL_HIGH: &str = "ipv4.ttl > 100 and tls.sni ~ 'a'";
+const TTL_LOW: &str = "ipv4.ttl <= 100 and tls.sni ~ 'a'";
+
+/// The SNIs a `TlsHandshakeData` subscription received.
+type Snis = Arc<Mutex<Vec<String>>>;
+
+fn snis_into(snis: &Snis) -> impl Fn(TlsHandshakeData) + Send + Sync + 'static {
+    let snis = Arc::clone(snis);
+    move |hs| snis.lock().unwrap().push(hs.tls.sni().to_string())
+}
+
+/// `high` got the handshake once and `low` never, in the callbacks and
+/// in the report's rows.
+fn only_high_got_it(report: &RunReport, high: &Snis, low: &Snis, what: &str) {
+    report.check_accounting().expect("accounting exact");
+    assert_eq!(*high.lock().unwrap(), ["a.example.com"], "{what}: high");
+    assert!(low.lock().unwrap().is_empty(), "{what}: low");
+    let delivered = |name: &str| {
+        let row = report.subs.iter().find(|s| s.name == name);
+        row.map_or(0, |s| s.delivered)
+    };
+    assert_eq!((delivered("high"), delivered("low")), (1, 0), "{what}");
+}
+
+/// The connection and session filters resume where the packet filter
+/// stopped on the connection's first packet, not on the packet at hand.
+/// The SYN (TTL 128) passes only `high`'s TTL branch; the ClientHello
+/// and the ServerHello (TTL 64) pass only `low`'s. Read off the current
+/// packet, the frontiers would hand `high` no conn-layer candidate and
+/// `low` the handshake.
+#[test]
+fn frontiers_come_from_the_first_packet_not_the_current_one() {
+    let packets = tls_conn_with_ttl_drop();
+    for stepped in [false, true] {
+        let (high, low) = (Snis::default(), Snis::default());
+        let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+            .subscribe_named::<TlsHandshakeData>("high", TTL_HIGH, snis_into(&high))
+            .subscribe_named::<TlsHandshakeData>("low", TTL_LOW, snis_into(&low))
+            .build()
+            .unwrap();
+        let report = if stepped {
+            rt.run_stepped(&packets, &StepConfig::seeded(7))
+        } else {
+            rt.run(PreloadedSource::new(packets.clone()))
+        };
+        let what = if stepped { "stepped" } else { "threaded" };
+        only_high_got_it(&report, &high, &low, what);
+    }
+}
+
+/// The same across a stepped swap after the TCP handshake, while `high`
+/// is undecided on the connection: the new table keeps both, in the
+/// other order behind a UDP log, so the new filter's trie numbers its
+/// nodes differently, and the survivor's connection and session filters
+/// resume at the *new* filter's frontiers on its first packet.
+#[test]
+fn a_swap_survivor_resumes_at_the_new_filters_first_packet_frontiers() {
+    use retina_core::SwapSpec;
+
+    let packets = tls_conn_with_ttl_drop();
+    let (high, low) = (Snis::default(), Snis::default());
+    let mut rt = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named::<TlsHandshakeData>("high", TTL_HIGH, snis_into(&high))
+        .subscribe_named::<TlsHandshakeData>("low", TTL_LOW, snis_into(&low))
+        .build()
+        .unwrap();
+    let spec = SwapSpec::new()
+        .subscribe_named::<ConnRecord>("udp-conns", "udp", |_| {})
+        .subscribe_named::<TlsHandshakeData>("low", TTL_LOW, snis_into(&low))
+        .subscribe_named::<TlsHandshakeData>("high", TTL_HIGH, snis_into(&high));
+    let cfg = StepConfig {
+        rx_batch: 1,
+        ..StepConfig::seeded(7)
+    };
+    let report = rt
+        .run_stepped_with_swap(&packets, &cfg, 3, &spec)
+        .expect("swap accepted");
+    assert_eq!(report.cores.conns_swapped, 0, "the connection survives");
+    only_high_got_it(&report, &high, &low, "swapped");
+}
