@@ -1,6 +1,6 @@
 //! Churn storm: million-flow connection-table stress under a scan-heavy
-//! campus mix, exercising the sharded / arena-backed / hierarchically
-//! timed conn table end to end.
+//! campus mix, exercising the sharded / arena-backed / wheel-timed conn
+//! table end to end.
 //!
 //! The workload compresses the campus mix into a few simulated seconds
 //! and pushes the single-SYN (scan) fraction to ~97%, so nearly every

@@ -5,17 +5,18 @@
 //! - [`FiveTuple`] / [`ConnKey`] — direction-aware connection identity
 //!   with a canonical (direction-independent) table key.
 //! - [`ConnTable`] — a per-core connection table built for million-flow
-//!   scan churn: a sharded index keyed by the NIC's symmetric RSS hash
-//!   (no SipHash re-hash per lookup) over a slot-reusing [`ConnArena`]
-//!   of entries addressed by compact generation-checked [`ConnHandle`]s.
+//!   scan churn: a sharded index keyed by the connection's fingerprint
+//!   and the NIC's symmetric RSS hash (no SipHash re-hash per lookup) over a slot-reusing [`ConnArena`]
+//!   of entries addressed by compact slot-index [`ConnHandle`]s.
 //!   Each core owns one table and tracks only the connections symmetric
 //!   RSS delivers to it, so there is no cross-core synchronization.
-//! - [`TimerWheel`] — hierarchical (multi-level cascading) expiration
-//!   without per-packet timer updates. Retina's defaults (5 s
-//!   establishment timeout, 5 min inactivity timeout) reflect the
-//!   observation that ~65% of connections on a real network are a single
-//!   unanswered SYN; mass scan expiry drains whole wheel buckets.
-//!   Figure 8 shows the memory effect of these choices.
+//! - [`TimerWheel`] — one level of 256 buckets of 100 ms, linked through
+//!   two words in each timed slot: expiration without per-packet timer
+//!   updates and without storage of its own beyond 2 KB of sentinels.
+//!   Retina's defaults (5 s establishment timeout, 5 min inactivity
+//!   timeout) reflect the observation that ~65% of connections on a real
+//!   network are a single unanswered SYN; mass scan expiry drains whole
+//!   wheel buckets. Figure 8 shows the memory effect of these choices.
 //! - [`StreamReassembler`] — the lightweight "pass-through" reassembly of
 //!   §5.2: in-sequence packets (94% of flows) flow straight through,
 //!   while out-of-order packets are held *by reference* in a bounded ring

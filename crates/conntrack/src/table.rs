@@ -5,20 +5,21 @@
 //! Within a core the table is built for million-flow scan churn:
 //!
 //! - **Sharded index keyed on 64 bits of `(rss_hash, fingerprint)`.**
-//!   The NIC's symmetric Toeplitz hash (`mbuf.rss_hash`) picks one of
-//!   [`SHARDS`] sub-maps, bounding the size of any single rehash pause as
-//!   the table grows to millions of entries — but it cannot be the map
-//!   key. The symmetric key is `0x6d5a` repeated, so an input bit's
+//!   The index is split into [`SHARDS`] sub-maps, bounding the size of
+//!   any single rehash pause as the table grows to millions of entries.
+//!   The NIC's symmetric Toeplitz hash (`mbuf.rss_hash`) cannot be the
+//!   map key: the symmetric key is `0x6d5a` repeated, so an input bit's
 //!   contribution depends only on its position mod 16 and the "32-bit"
 //!   hash takes at most 65,536 values on any traffic (pinned by a test in
 //!   `retina_nic::rss`). Keyed on it alone, 100,000 live scan connections
 //!   sat in 51,154 buckets with chains up to 9 long, 78 % of them in a
 //!   chain, and the mean chain grew linearly with the table. The map key
 //!   is therefore [`ConnKey::fingerprint`] — two multiplies over the
-//!   canonical endpoints — with the RSS hash folded into its high half.
-//!   Map hashing uses the seeded in-tree
-//!   [`retina_support::hash::FlowHasher`]: deterministic layout, one
-//!   multiply-mix per probe.
+//!   canonical endpoints — with the RSS hash folded into its high half,
+//!   and the same 64-bit [`index_key`] picks the shard, so an entry's
+//!   shard is found again from the index key its slot keeps. Map hashing
+//!   uses the seeded in-tree [`retina_support::hash::FlowHasher`]:
+//!   deterministic layout, one multiply-mix per probe.
 //! - **Full-key verification, chains as the fallback.** An index entry
 //!   is one arena handle (16 bytes with its key); every hit is verified
 //!   against the identity in the arena slot, so two connections whose
@@ -39,25 +40,29 @@
 //!   shard index *unverified* and asks the CPU to fetch the arena slot
 //!   behind whatever it finds ([`ConnArena::prefetch`]), so the slot
 //!   misses of a burst of packets overlap instead of queueing. Its
-//!   contract is **no dereference of a slot**: the handle it returns may
-//!   be stale by the time it is used, or belong to a connection whose
-//!   index key merely collides — which is why [`ConnTable::lookup`]
-//!   verifies a hinted handle against the full key (generation, then
-//!   identity) before trusting it, and probes the index itself when the
-//!   hint fails.
+//!   contract is **no dereference of a slot**: the slot behind the handle
+//!   it returns may be vacant or hold another connection by the time it
+//!   is used, or belong to a connection whose index key merely collides —
+//!   which is why [`ConnTable::lookup`] verifies a hinted handle against
+//!   the full key of the slot's occupant before trusting it, and probes
+//!   the index itself when the hint fails.
 //! - **Arena entry storage.** Entries live in a slot-reusing
-//!   [`ConnArena`] addressed by compact generation-checked `u32`
-//!   handles: fixed chunks of slots that never move, with the free list
-//!   threaded through the vacant slots. Steady-state churn allocates
-//!   nothing, past its first chunk the arena holds at most one chunk
-//!   more than its peak, and the footprint is the memory high-water mark
-//!   the telemetry gauge reports.
-//! - **Hierarchical timer wheel.** Expiration follows §5.2's two-level
-//!   scheme: a short *establishment* timeout expires unanswered SYNs
-//!   quickly (65% of connections!), and a longer *inactivity* timeout
-//!   reclaims established-but-idle connections. Mass scan expiry drains
-//!   whole wheel buckets; per-packet work is one `last_seen` stamp.
-//!   Figure 8 reproduces the memory effect of these choices.
+//!   [`ConnArena`] addressed by `u32` slot indices: fixed chunks of slots
+//!   that never move, with the free list threaded through the vacant
+//!   slots. Steady-state churn allocates nothing, past its first chunk
+//!   the arena holds at most one chunk more than its peak, and the
+//!   footprint is the memory high-water mark the telemetry gauge reports.
+//! - **A timer wheel linked through the slots.** Expiration follows
+//!   §5.2's two timeouts: a short *establishment* timeout expires
+//!   unanswered SYNs quickly (65% of connections!), and a longer
+//!   *inactivity* timeout reclaims established-but-idle connections. The
+//!   wheel ([`crate::timerwheel`]) is 256 buckets of 100 ms whose lists
+//!   run through two link words in each slot; a removal unlinks the slot,
+//!   and an expiry pass recomputes each due connection's deadline from
+//!   its stamps, so the wheel holds no deadline and no reference that
+//!   outlives its connection. Mass scan expiry drains whole buckets;
+//!   per-packet work is one `last_seen` stamp. Figure 8 reproduces the
+//!   memory effect of these choices.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -116,11 +121,11 @@ impl TimeoutConfig {
 }
 
 /// Per-core connection table: sharded index over an entry arena, with
-/// lazy hierarchical-timer-wheel expiration.
+/// timer-wheel expiration.
 #[derive(Debug)]
 pub struct ConnTable<V> {
     /// `shards[i]` maps index key → the connection that holds it, for
-    /// RSS hashes mixing to `i`.
+    /// index keys mixing to `i`.
     shards: Vec<HashMap<u64, ConnHandle, FlowHashState>>,
     /// Each shard's peak `capacity()`: what its allocation holds. The
     /// live `capacity()` is not — it drops as removals leave tombstones.
@@ -130,18 +135,16 @@ pub struct ConnTable<V> {
     /// unless someone forges keys; every path checks that first.
     collided: HashMap<u64, Vec<ConnHandle>, FlowHashState>,
     arena: ConnArena<V>,
-    wheel: TimerWheel,
     config: TimeoutConfig,
-    scratch: Vec<(u64, u64)>,
 }
 
-/// The shard an RSS hash lives in. Mixed through splitmix64 first: the
-/// symmetric Toeplitz output is structured, so raw high or low bits
-/// would skew the shards.
+/// The shard an index key lives in. Mixed through splitmix64 first: the
+/// fingerprint and the symmetric Toeplitz output are structured, so raw
+/// high or low bits would skew the shards.
 #[inline]
 #[allow(clippy::cast_possible_truncation)] // only the low log2(SHARDS) bits survive the mask
-fn shard_of(hash: u32) -> usize {
-    (splitmix64(u64::from(hash)) as usize) & (SHARDS - 1)
+fn shard_of(ikey: u64) -> usize {
+    (splitmix64(ikey) as usize) & (SHARDS - 1)
 }
 
 /// The shard-map key of a connection: its fingerprint, with the RSS
@@ -157,10 +160,10 @@ pub fn index_key(hash: u32, key: &ConnKey) -> u64 {
 impl<V> ConnTable<V> {
     /// Creates a table with the given timeout configuration.
     ///
-    /// The wheel tick is 100 ms with 256 slots per level — the base
-    /// level alone spans 25.6 s, so the default 5 s establish timeout
-    /// (the scan-churn fast path) schedules and fires without ever
-    /// cascading; the 5-minute inactivity timeout parks one level up.
+    /// The wheel's 256 buckets of 100 ms span 25.6 s, so the default 5 s
+    /// establish timeout (the scan-churn fast path) is placed and fires
+    /// at its own tick; a connection idle towards the 5-minute
+    /// inactivity timeout stops once a rotation on the way.
     pub fn new(config: TimeoutConfig) -> Self {
         ConnTable {
             shards: (0..SHARDS)
@@ -169,9 +172,7 @@ impl<V> ConnTable<V> {
             shard_capacity: [0; SHARDS],
             collided: HashMap::default(),
             arena: ConnArena::new(),
-            wheel: TimerWheel::new(100_000_000, 256),
             config,
-            scratch: Vec::new(),
         }
     }
 
@@ -195,14 +196,16 @@ impl<V> ConnTable<V> {
         self.arena.live_high_water()
     }
 
-    /// Bytes held by the arena and the shard indexes (approximate for
-    /// the hash maps: each shard's peak capacity × entry footprint).
-    /// Capacity never shrinks — removal and [`ConnTable::drain_all`]
-    /// keep it — so this is also the memory high-water mark.
+    /// Bytes held by the arena, the shard indexes (approximate for the
+    /// hash maps: each shard's peak capacity × entry footprint) and the
+    /// wheel's sentinels — all of the timer state but the link words in
+    /// the slots. Capacity never shrinks — removal and
+    /// [`ConnTable::drain_all`] keep it — so this is also the memory
+    /// high-water mark.
     pub fn allocated_bytes(&self) -> usize {
         let entry_footprint = std::mem::size_of::<(u64, ConnHandle)>() + 1;
         let index: usize = self.shard_capacity.iter().sum::<usize>() * entry_footprint;
-        self.arena.allocated_bytes() + index
+        self.arena.allocated_bytes() + index + TimerWheel::BYTES
     }
 
     /// The most connections sharing one index key: they are told apart
@@ -221,7 +224,7 @@ impl<V> ConnTable<V> {
         self.shards.iter().map(HashMap::len).sum()
     }
 
-    /// Whether `handle` is the live entry of the connection `key` names.
+    /// Whether `handle`'s slot holds the connection `key` names.
     #[inline]
     fn holds(&self, handle: ConnHandle, key: &ConnKey) -> bool {
         self.arena
@@ -234,30 +237,23 @@ impl<V> ConnTable<V> {
     /// behind it, and returns the handle for [`ConnTable::lookup`] to
     /// verify later. Dereferences no slot.
     #[inline]
-    pub fn prefetch(&self, hash: u32, ikey: u64) -> Option<ConnHandle> {
-        let first = *self.shards[shard_of(hash)].get(&ikey)?;
+    pub fn prefetch(&self, ikey: u64) -> Option<ConnHandle> {
+        let first = *self.shards[shard_of(ikey)].get(&ikey)?;
         self.arena.prefetch(first);
         Some(first)
     }
 
-    /// Resolves `key` — with the RSS hash of its packets and their
-    /// [`index_key`] — to the handle of its entry. A `hint` from
-    /// [`ConnTable::prefetch`] that still verifies (current generation,
-    /// this key's identity in the slot) is the answer without an index
+    /// Resolves `key` — with its [`index_key`] — to the handle of its
+    /// entry. A `hint` from [`ConnTable::prefetch`] that still verifies
+    /// (this key's identity in the slot) is the answer without an index
     /// probe; otherwise this is the one keyed probe a packet needs.
     /// Every hit is verified against the identity in the arena slot.
     #[inline]
-    pub fn lookup(
-        &self,
-        hash: u32,
-        ikey: u64,
-        key: &ConnKey,
-        hint: Option<ConnHandle>,
-    ) -> Option<ConnHandle> {
+    pub fn lookup(&self, ikey: u64, key: &ConnKey, hint: Option<ConnHandle>) -> Option<ConnHandle> {
         if let Some(hinted) = hint.filter(|h| self.holds(*h, key)) {
             return Some(hinted);
         }
-        let first = *self.shards[shard_of(hash)].get(&ikey)?;
+        let first = *self.shards[shard_of(ikey)].get(&ikey)?;
         if self.holds(first, key) {
             return Some(first);
         }
@@ -274,11 +270,9 @@ impl<V> ConnTable<V> {
 
     /// Inserts a connection [`ConnTable::lookup`] just missed and
     /// schedules it on the wheel. `key` must be `tuple`'s key, `ikey`
-    /// its [`index_key`] under `hash`, and the key must not be in the
-    /// table.
+    /// its [`index_key`], and the key must not be in the table.
     pub fn insert(
         &mut self,
-        hash: u32,
         ikey: u64,
         key: &ConnKey,
         now_ns: u64,
@@ -286,23 +280,20 @@ impl<V> ConnTable<V> {
         value: V,
     ) -> ConnHandle {
         debug_assert!(key.is_key_of(&tuple), "key of another tuple");
-        debug_assert_eq!(ikey, index_key(hash, key), "index key of another key");
         debug_assert!(
-            self.lookup(hash, ikey, key, None).is_none(),
+            self.lookup(ikey, key, None).is_none(),
             "key already tracked"
         );
-        let handle = self.arena.insert(
-            hash,
-            ikey,
-            ConnEntry {
-                tuple,
-                created_ns: now_ns,
-                last_seen_ns: now_ns,
-                established: false,
-                value,
-            },
-        );
-        let shard = shard_of(hash);
+        let entry = ConnEntry {
+            tuple,
+            created_ns: now_ns,
+            last_seen_ns: now_ns,
+            established: false,
+            value,
+        };
+        let deadline = actual_deadline(&self.config, &entry);
+        let handle = self.arena.insert(ikey, entry);
+        let shard = shard_of(ikey);
         match self.shards[shard].entry(ikey) {
             Entry::Vacant(v) => {
                 v.insert(handle);
@@ -311,52 +302,24 @@ impl<V> ConnTable<V> {
         }
         let capacity = &mut self.shard_capacity[shard];
         *capacity = (*capacity).max(self.shards[shard].capacity());
-        if let Some(deadline) = initial_deadline(&self.config, now_ns) {
-            self.wheel.schedule(handle.to_token(), deadline);
+        if let Some(deadline) = deadline {
+            self.arena.schedule(handle, deadline);
         }
         handle
     }
 
     /// Removes the entry behind `handle` (e.g. on natural termination or
-    /// an early filter discard). Any wheel entry becomes a harmless
-    /// tombstone: the arena generation bump makes the token stale.
+    /// an early filter discard), unlinking it from the index and from its
+    /// wheel bucket.
     pub fn remove_handle(&mut self, handle: ConnHandle) -> Option<ConnEntry<V>> {
-        let (hash, ikey, entry) = self.arena.remove(handle)?;
-        self.unlink(hash, ikey);
+        let (ikey, entry) = self.arena.remove(handle)?;
+        unindex(&mut self.shards, &mut self.collided, ikey, handle);
         Some(entry)
-    }
-
-    /// Brings the index entry of `ikey` back in line with the arena
-    /// after a removal: a holder whose slot no longer resolves is
-    /// dropped, and a collided connection (if any) takes its place.
-    fn unlink(&mut self, hash: u32, ikey: u64) {
-        let shard = &mut self.shards[shard_of(hash)];
-        if self.collided.is_empty() {
-            // No key is shared: the removed connection was its holder.
-            shard.remove(&ikey);
-            return;
-        }
-        let Entry::Occupied(mut first) = shard.entry(ikey) else {
-            return; // an earlier unlink of this key already dropped every dead holder
-        };
-        let arena = &self.arena;
-        let mut later = self.collided.remove(&ikey).unwrap_or_default();
-        later.retain(|h| arena.get(*h).is_some());
-        if arena.get(*first.get()).is_none() {
-            if later.is_empty() {
-                first.remove();
-            } else {
-                *first.get_mut() = later.remove(0);
-            }
-        }
-        if !later.is_empty() {
-            self.collided.insert(ikey, later);
-        }
     }
 
     /// Looks up a connection by RSS hash + canonical key.
     pub fn get_mut(&mut self, hash: u32, key: &ConnKey) -> Option<&mut ConnEntry<V>> {
-        let handle = self.lookup(hash, index_key(hash, key), key, None)?;
+        let handle = self.lookup(index_key(hash, key), key, None)?;
         self.arena.get_mut(handle)
     }
 
@@ -371,48 +334,42 @@ impl<V> ConnTable<V> {
         init: impl FnOnce() -> (FiveTuple, V),
     ) -> &mut ConnEntry<V> {
         let ikey = index_key(hash, &key);
-        let handle = self.lookup(hash, ikey, &key, None).unwrap_or_else(|| {
+        let handle = self.lookup(ikey, &key, None).unwrap_or_else(|| {
             let (tuple, value) = init();
-            self.insert(hash, ikey, &key, now_ns, tuple, value)
+            self.insert(ikey, &key, now_ns, tuple, value)
         });
         self.arena.get_mut(handle).expect("indexed handle is live")
     }
 
     /// Removes a connection by RSS hash + canonical key.
     pub fn remove(&mut self, hash: u32, key: &ConnKey) -> Option<ConnEntry<V>> {
-        let handle = self.lookup(hash, index_key(hash, key), key, None)?;
+        let handle = self.lookup(index_key(hash, key), key, None)?;
         self.remove_handle(handle)
     }
 
     /// Advances time, expiring connections whose applicable timeout has
     /// elapsed. `on_expire` receives each expired entry.
     ///
-    /// Fired wheel tokens are *candidates*: stale generations (removed
-    /// connections) are skipped, and entries whose actual deadline
-    /// moved later — activity re-arms by stamping `last_seen`, never by
-    /// touching the wheel — are rescheduled.
+    /// The connections in the wheel buckets the clock passes are
+    /// *candidates*: each one's deadline is recomputed from its stamps,
+    /// and one whose deadline moved later — activity re-arms by stamping
+    /// `last_seen`, never by touching the wheel — or lies past the
+    /// wheel's rotation is scheduled again.
     pub fn advance(&mut self, now_ns: u64, mut on_expire: impl FnMut(ConnKey, ConnEntry<V>)) {
-        let mut candidates = std::mem::take(&mut self.scratch);
-        self.wheel.advance(now_ns, &mut candidates);
-        for (token, _) in candidates.drain(..) {
-            let handle = ConnHandle::from_token(token);
-            let Some(entry) = self.arena.get(handle) else {
-                continue; // generation mismatch: tombstone
-            };
+        while let Some(handle) = self.arena.pop_due(now_ns) {
+            let entry = self.arena.get(handle).expect("a timed slot is occupied");
             match actual_deadline(&self.config, entry) {
                 Some(deadline) if deadline <= now_ns => {
-                    let (hash, ikey, entry) = self.arena.remove(handle).expect("checked above");
-                    self.unlink(hash, ikey);
+                    let entry = self.remove_handle(handle).expect("checked above");
                     on_expire(entry.tuple.key(), entry);
                 }
-                Some(deadline) => self.wheel.schedule(token, deadline),
+                Some(deadline) => self.arena.schedule(handle, deadline),
                 None => {
                     // No applicable timeout (config disables it): do not
                     // reschedule; the connection lives until termination.
                 }
             }
         }
-        self.scratch = candidates;
     }
 
     /// Iterates over all tracked entries (diagnostics) in deterministic
@@ -423,48 +380,62 @@ impl<V> ConnTable<V> {
 
     /// Mutably visits every tracked connection in deterministic
     /// arena-slot order; entries for which `f` returns `false` are
-    /// removed from the table (index unlinked, wheel token tombstoned
-    /// via the generation bump) and handed to `on_remove` with their
-    /// index key. This is the swap-time rebind primitive: one pass
-    /// rewrites surviving connections in place and evicts the ones the
-    /// new configuration no longer watches.
+    /// removed from the table (unlinked from the index and the wheel)
+    /// and handed to `on_remove` with their index key. This is the
+    /// swap-time rebind primitive: one pass rewrites surviving
+    /// connections in place and evicts the ones the new configuration no
+    /// longer watches.
     pub fn retain_mut(
         &mut self,
         f: impl FnMut(&mut ConnEntry<V>) -> bool,
         mut on_remove: impl FnMut(u64, ConnEntry<V>),
     ) {
-        let mut unlinks: Vec<(u32, u64)> = Vec::new();
-        self.arena.retain_mut(f, |hash, ikey, entry| {
-            unlinks.push((hash, ikey));
+        let (shards, collided) = (&mut self.shards, &mut self.collided);
+        self.arena.retain_mut(f, |handle, ikey, entry| {
+            unindex(shards, collided, ikey, handle);
             on_remove(ikey, entry);
         });
-        // Unlink after the arena pass: the index needs `&mut self` while
-        // the arena borrow is held above.
-        for (hash, ikey) in unlinks {
-            self.unlink(hash, ikey);
-        }
     }
 
     /// Drains every tracked connection (used at shutdown to flush
     /// partial sessions) into `on_drain`, in deterministic arena-slot
     /// order and in place: nothing is copied out first.
-    pub fn drain_all(&mut self, mut on_drain: impl FnMut(ConnEntry<V>)) {
+    pub fn drain_all(&mut self, on_drain: impl FnMut(ConnEntry<V>)) {
         for shard in &mut self.shards {
             shard.clear();
         }
         self.collided.clear();
-        // Wheel tokens all go stale via the arena generation bump; they
-        // drain as tombstones on later advances.
-        self.arena
-            .retain_mut(|_| false, |_, _, entry| on_drain(entry));
+        self.arena.drain(on_drain);
     }
 }
 
-fn initial_deadline(config: &TimeoutConfig, now_ns: u64) -> Option<u64> {
-    match (config.establish_ns, config.inactivity_ns) {
-        (Some(e), _) => Some(now_ns + e),
-        (None, Some(i)) => Some(now_ns + i),
-        (None, None) => None,
+/// Drops the index entry of the removed connection `handle` held under
+/// `ikey`: a collided connection, if any, takes its place.
+fn unindex(
+    shards: &mut [HashMap<u64, ConnHandle, FlowHashState>],
+    collided: &mut HashMap<u64, Vec<ConnHandle>, FlowHashState>,
+    ikey: u64,
+    handle: ConnHandle,
+) {
+    let shard = &mut shards[shard_of(ikey)];
+    let later = if collided.is_empty() {
+        None
+    } else {
+        collided.get_mut(&ikey)
+    };
+    let Some(later) = later else {
+        // No other connection shares the key: this one was its holder.
+        shard.remove(&ikey);
+        return;
+    };
+    let first = shard.get_mut(&ikey).expect("a shared key has a holder");
+    if *first == handle {
+        *first = later.remove(0);
+    } else {
+        later.retain(|h| *h != handle);
+    }
+    if later.is_empty() {
+        collided.remove(&ikey);
     }
 }
 
@@ -604,8 +575,9 @@ mod tests {
     #[test]
     fn slot_reuse_does_not_resurrect_wheel_token() {
         // Remove a conn, then insert a different one that reuses its
-        // arena slot. The stale wheel token must not expire the new
-        // occupant early (generation check).
+        // arena slot. The removal unlinked the slot from its bucket: no
+        // timer of the first connection can expire the new occupant
+        // early.
         let mut table = ConnTable::new(TimeoutConfig::retina_default());
         let key1 = insert(&mut table, 1, 0);
         table.remove(rss(1), &key1).unwrap();
@@ -616,9 +588,9 @@ mod tests {
             key
         };
         let mut expired = Vec::new();
-        // The stale token for key1 fires around 5s and must be skipped.
+        // key1 would have expired at 5s.
         table.advance(6 * SEC, |k, _| expired.push(k));
-        assert!(expired.is_empty(), "stale token expired new conn");
+        assert!(expired.is_empty(), "the old timer expired the new conn");
         assert_eq!(table.len(), 1);
         table.advance(10 * SEC, |k, _| expired.push(k));
         assert_eq!(expired, vec![key2]);
@@ -749,6 +721,11 @@ mod tests {
         assert!(table.get_mut(rss(1), &key).is_none());
         insert(&mut table, 1, 0);
         assert_eq!(table.len(), 1);
+        // So is the wheel: the drained connections' timers are gone, and
+        // the one in a reused slot fires once, at its own deadline.
+        let mut expired = Vec::new();
+        table.advance(10 * SEC, |k, _| expired.push(k));
+        assert_eq!(expired, vec![key]);
     }
 
     #[test]
@@ -767,6 +744,29 @@ mod tests {
             table.allocated_bytes() >= full,
             "capacity (the high-water mark) survives mass expiry"
         );
+    }
+
+    #[test]
+    fn timer_state_is_the_sentinels_and_the_slots_link_words() {
+        // Every byte the table holds is the arena's, the index's or one of
+        // the wheel's sentinels: scheduling a connection costs no byte
+        // beside its slot, so a table whose connections are all timed
+        // holds exactly what one whose connections are never timed does.
+        let mut timed: ConnTable<u32> = ConnTable::new(TimeoutConfig::retina_default());
+        let mut untimed: ConnTable<u32> = ConnTable::new(TimeoutConfig::none());
+        assert_eq!(timed.allocated_bytes(), TimerWheel::BYTES);
+        for n in 0..3000u16 {
+            insert(&mut timed, n, u64::from(n) * 10_000_000);
+            insert(&mut untimed, n, u64::from(n) * 10_000_000);
+        }
+        let index = timed.shard_capacity.iter().sum::<usize>()
+            * (std::mem::size_of::<(u64, ConnHandle)>() + 1);
+        assert_eq!(
+            timed.allocated_bytes(),
+            timed.arena.allocated_bytes() + index + TimerWheel::BYTES
+        );
+        assert_eq!(timed.allocated_bytes(), untimed.allocated_bytes());
+        assert_eq!(TimerWheel::BYTES, 2048);
     }
 
     /// `n` scan-shaped connections — one source, sequential destinations
@@ -821,29 +821,29 @@ mod tests {
         let (key, tuple) = key_tuple(1);
         let ikey = index_key(rss(1), &key);
         // Empty table: nothing to hint at.
-        assert_eq!(table.prefetch(rss(1), ikey), None);
-        assert_eq!(table.lookup(rss(1), ikey, &key, None), None);
+        assert_eq!(table.prefetch(ikey), None);
+        assert_eq!(table.lookup(ikey, &key, None), None);
 
-        let a = table.insert(rss(1), ikey, &key, 0, tuple, 1);
-        assert_eq!(table.prefetch(rss(1), ikey), Some(a));
-        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), Some(a));
+        let a = table.insert(ikey, &key, 0, tuple, 1);
+        assert_eq!(table.prefetch(ikey), Some(a));
+        assert_eq!(table.lookup(ikey, &key, Some(a)), Some(a));
 
         // The connection closes and another one reuses its slot before
-        // the hint is spent: the stale generation fails verification, and
-        // so does the hint's slot for a key that never owned it.
+        // the hint is spent: the vacant slot fails verification, and so
+        // does the reused slot for a key that never owned it.
         table.remove_handle(a).unwrap();
-        assert_eq!(table.prefetch(rss(1), ikey), None, "unlinked");
-        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), None);
+        assert_eq!(table.prefetch(ikey), None, "unlinked");
+        assert_eq!(table.lookup(ikey, &key, Some(a)), None);
         let (key2, tuple2) = key_tuple(2);
         let ikey2 = index_key(rss(2), &key2);
-        let b = table.insert(rss(2), ikey2, &key2, 0, tuple2, 2);
+        let b = table.insert(ikey2, &key2, 0, tuple2, 2);
         assert_eq!(b.index(), a.index(), "slot reused");
-        assert_eq!(table.lookup(rss(1), ikey, &key, Some(a)), None);
-        assert_eq!(table.lookup(rss(1), ikey, &key, Some(b)), None);
-        assert_eq!(table.lookup(rss(2), ikey2, &key2, Some(a)), Some(b));
+        assert_eq!(table.lookup(ikey, &key, Some(a)), None);
+        assert_eq!(table.lookup(ikey, &key, Some(b)), None);
+        assert_eq!(table.lookup(ikey2, &key2, Some(a)), Some(b));
         // A handle pointing nowhere is ignored, not followed.
-        let nowhere = ConnHandle::from_token(u64::MAX);
-        assert_eq!(table.lookup(rss(2), ikey2, &key2, Some(nowhere)), Some(b));
+        let nowhere = ConnHandle(u32::MAX);
+        assert_eq!(table.lookup(ikey2, &key2, Some(nowhere)), Some(b));
         assert_eq!(table.len(), 1);
     }
 
@@ -866,10 +866,10 @@ mod tests {
 
         let mut table: ConnTable<u32> = ConnTable::new(TimeoutConfig::retina_default());
         let ikey = index_key(HASH, &key);
-        let lookup = |table: &ConnTable<u32>, key: &ConnKey| table.lookup(HASH, ikey, key, None);
-        let a = table.insert(HASH, ikey, &key, 0, tuple, 1);
+        let lookup = |table: &ConnTable<u32>, key: &ConnKey| table.lookup(ikey, key, None);
+        let a = table.insert(ikey, &key, 0, tuple, 1);
         assert!(lookup(&table, &twin).is_none(), "verified, not aliased");
-        let b = table.insert(HASH, ikey, &twin, 0, twin_tuple, 2);
+        let b = table.insert(ikey, &twin, 0, twin_tuple, 2);
         assert_eq!(
             (table.len(), table.bucket_count(), table.longest_chain()),
             (2, 1, 2)
@@ -878,9 +878,9 @@ mod tests {
         assert_eq!(lookup(&table, &twin), Some(b));
         // The hint is the key's holder — right for one twin, a verified
         // miss (then the chain) for the other.
-        assert_eq!(table.prefetch(HASH, ikey), Some(a));
-        assert_eq!(table.lookup(HASH, ikey, &key, Some(a)), Some(a));
-        assert_eq!(table.lookup(HASH, ikey, &twin, Some(a)), Some(b));
+        assert_eq!(table.prefetch(ikey), Some(a));
+        assert_eq!(table.lookup(ikey, &key, Some(a)), Some(a));
+        assert_eq!(table.lookup(ikey, &twin, Some(a)), Some(b));
         assert_eq!(table.get_mut(HASH, &twin).unwrap().value, 2);
         assert_eq!(
             table
@@ -896,7 +896,7 @@ mod tests {
         assert_eq!(table.longest_chain(), 1);
 
         // Re-insert, keep the twin alive, and let only the first expire.
-        let a = table.insert(HASH, ikey, &key, SEC, tuple, 3);
+        let a = table.insert(ikey, &key, SEC, tuple, 3);
         table.entry_mut(b).unwrap().established = true;
         table.entry_mut(b).unwrap().last_seen_ns = 6 * SEC;
         let mut expired = Vec::new();
@@ -906,7 +906,7 @@ mod tests {
         assert_eq!(lookup(&table, &twin), Some(b));
 
         // A rebind-style pass that evicts one chain member keeps the other.
-        table.insert(HASH, ikey, &key, 8 * SEC, tuple, 4);
+        table.insert(ikey, &key, 8 * SEC, tuple, 4);
         let mut evicted = Vec::new();
         table.retain_mut(|e| e.value != 2, |k, e| evicted.push((k, e.value)));
         assert_eq!(evicted, vec![(ikey, 2)]);
@@ -922,32 +922,49 @@ mod proptests {
     use retina_support::proptest::prelude::*;
     use std::net::SocketAddr;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// The three timeout schemes of Figure 8.
+    fn config() -> impl Strategy<Value = TimeoutConfig> {
+        prop_oneof![
+            Just(TimeoutConfig::retina_default()),
+            Just(TimeoutConfig::inactivity_only()),
+            Just(TimeoutConfig::none()),
+        ]
+    }
 
-        /// Random interleavings of inserts, touches, removals, and time
-        /// advances never lose a connection (expired + removed + resident
-        /// always equals inserted) and never expire a recently-active
-        /// established connection. Hashes are squeezed into 4 bits:
-        /// constant RSS collisions across the 64 possible conns, which
-        /// the fingerprint half of the index key must keep apart.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of inserts, touches, removals, time
+        /// advances and long jumps, under each timeout scheme, never lose a
+        /// connection (expired + resident always equals inserted) and
+        /// expire each one neither early nor late: every connection
+        /// `advance(now)` hands over has an actual deadline at or before
+        /// `now`, and none it leaves behind does. Time moves in whole
+        /// 100 ms ticks, the wheel's resolution, and some advances go to
+        /// exactly the earliest resident deadline. Jumps of up to 200 s
+        /// span several rotations of the wheel; a removal followed by an
+        /// insert of another connection reuses the freed slot, whose old
+        /// timer must not fire for its new occupant. Hashes are squeezed into 4
+        /// bits: constant RSS collisions across the 64 possible conns,
+        /// which the fingerprint half of the index key must keep apart.
         #[test]
         fn conservation_and_no_premature_expiry(
-            ops in collection::vec((0u8..4, 0u16..64, 0u64..200), 1..400)
+            config in config(),
+            ops in collection::vec((0u8..7, 0u16..64, 0u64..200), 1..400)
         ) {
             const SEC: u64 = 1_000_000_000;
-            let mut table: ConnTable<u8> = ConnTable::new(TimeoutConfig::retina_default());
+            let mut table: ConnTable<u8> = ConnTable::new(config);
             let mut now = 0u64;
             let mut inserted = std::collections::HashSet::new();
-            let mut removed = 0usize;
-            let mut expired = 0usize;
-            for (op, conn, dt) in ops {
-                now += dt * SEC / 10; // advance up to 20s per step
-                let orig: SocketAddr = format!("10.0.0.1:{}", 1000 + conn).parse().unwrap();
+            let conn = |n: u16| {
+                let orig: SocketAddr = format!("10.0.0.1:{}", 1000 + n).parse().unwrap();
                 let resp: SocketAddr = "1.1.1.1:443".parse().unwrap();
                 let tuple = FiveTuple { orig, resp, proto: 6 };
-                let key = tuple.key();
-                let hash = u32::from(conn % 16); // deliberate collisions
+                (u32::from(n % 16), tuple.key(), tuple) // deliberate collisions
+            };
+            for (op, n, dt) in ops {
+                now += dt * SEC / 10; // advance up to 20s per step
+                let (hash, key, tuple) = conn(n);
                 match op {
                     0 => {
                         // Insert (or refresh existing).
@@ -961,35 +978,46 @@ mod proptests {
                             e.last_seen_ns = now;
                         }
                     }
-                    2 => {
+                    2 | 3 => {
                         if table.remove(hash, &key).is_some() {
-                            removed += 1;
                             inserted.remove(&key);
-                        }
-                    }
-                    _ => {
-                        let mut this_round = Vec::new();
-                        table.advance(now, |k, e| this_round.push((k, e)));
-                        for (k, e) in this_round {
-                            expired += 1;
-                            inserted.remove(&k);
-                            // No premature expiry: established conns must
-                            // have been idle past the inactivity timeout.
-                            if e.established {
-                                prop_assert!(
-                                    now >= e.last_seen_ns + 300 * SEC,
-                                    "premature expiry at {now}: last_seen {}",
-                                    e.last_seen_ns
-                                );
-                            } else {
-                                prop_assert!(now >= e.created_ns + 5 * SEC);
+                            if op == 3 {
+                                // Another connection takes the freed slot.
+                                let (hash, key, tuple) = conn((n + 1) % 64);
+                                table.get_or_insert_with(hash, key, now, || (tuple, 0));
+                                inserted.insert(key);
                             }
                         }
                     }
+                    _ => {
+                        if op == 5 {
+                            now += dt * SEC; // a jump of up to 200 s
+                        } else if op == 6 {
+                            // To the next deadline, exactly.
+                            let next = table.iter().filter_map(|e| actual_deadline(&config, e)).min();
+                            now = now.max(next.unwrap_or(now));
+                        }
+                        let mut this_round = Vec::new();
+                        table.advance(now, |k, e| this_round.push((k, e)));
+                        for (k, e) in this_round {
+                            prop_assert!(inserted.remove(&k), "expired twice or never inserted");
+                            let deadline = actual_deadline(&config, &e);
+                            prop_assert!(
+                                deadline.is_some_and(|d| d <= now),
+                                "premature expiry at {now}: deadline {deadline:?}"
+                            );
+                        }
+                        for e in table.iter() {
+                            let deadline = actual_deadline(&config, e);
+                            prop_assert!(
+                                deadline.is_none_or(|d| d > now),
+                                "late expiry at {now}: deadline {deadline:?} still resident"
+                            );
+                        }
+                    }
                 }
+                prop_assert_eq!(table.len(), inserted.len());
             }
-            prop_assert_eq!(table.len(), inserted.len());
-            let _ = (removed, expired);
         }
     }
 }

@@ -1,460 +1,363 @@
-//! Hierarchical timer wheel for connection expiration (Varghese &
-//! Lauck scheme 6, §5.2).
+//! Timer wheel for connection expiration (Varghese & Lauck scheme 6,
+//! §5.2), linked through the slots it times.
 //!
 //! Design goals, following the paper and Girondi et al.: per-packet
 //! work stays O(1) — activity updates only touch the connection's
 //! `last_seen` stamp, never the wheel — and mass expiry is amortized
 //! bucket drains. The scan-heavy campus mix makes the second property
 //! load-bearing: millions of unanswered SYNs share the 5 s establish
-//! timeout, so they cluster into a handful of adjacent level-0 slots
-//! and drain as whole-bucket appends, never per-entry walks.
+//! timeout, so they cluster into a handful of adjacent buckets and drain
+//! in order, each one unlinked off its bucket's head.
 //!
-//! The wheel has [`LEVELS`] levels of `slots_per_level` slots each;
-//! level *k* slots span `slots_per_level^k` base ticks. Far deadlines
-//! park in coarse upper levels and *cascade* down as their window
-//! approaches — the cascade for level *k* runs only once every
-//! `slots_per_level^k` ticks, so total re-placement work per entry is
-//! bounded by the number of levels, not by time span. Deadlines beyond
-//! even the top level's horizon are clamped to the furthest slot and
-//! re-placed on cascade, giving unbounded range.
+//! The wheel is one level of [`BUCKETS`] buckets of [`TICK_NS`]: a
+//! rotation spans 25.6 s. Each bucket is a circular doubly linked list
+//! whose links are two `u32` words in each timed connection's arena slot
+//! (`ConnArena::schedule`); the wheel itself holds one sentinel
+//! pair of words per bucket — [`TimerWheel::BYTES`] in all, whatever the
+//! number of connections — and its clock. A link word names a slot by its
+//! index or a bucket by its sentinel's, numbered above every slot index,
+//! so unlinking a connection never needs to know its bucket, and freeing
+//! a slot unlinks it: nothing that outlives a connection refers to it.
 //!
-//! Entries are opaque `u64` tokens — the conn table packs
-//! generation-checked arena handles
-//! ([`crate::arena::ConnHandle::to_token`]) so a fired token for a
-//! removed connection is detected as stale instead of aliasing the
-//! slot's next occupant. The wheel itself never dedups or cancels:
-//! removal is the owner's tombstone check, and re-arming is the
-//! owner's revalidate-and-reschedule on fire (lazy revalidation).
-//!
-//! Firing is *exact*: `advance` only yields entries whose scheduled
-//! deadline tick has been reached, never early — a drained entry whose
-//! deadline is still in the future is re-placed instead of fired. The
-//! owner may still see entries whose *actual* deadline moved later
-//! (activity re-arms by stamping `last_seen`, not by touching the
-//! wheel); those it reschedules.
+//! The wheel stores no deadline. A connection is placed in the bucket of
+//! its deadline's tick, at least the next tick and at most the last one
+//! of the rotation ahead; `ConnArena::pop_due` unlinks the
+//! connections of every bucket the clock passes, and the owner
+//! recomputes each one's deadline from its stamps: it expires the ones
+//! whose deadline has passed and places the others again. A deadline past
+//! the rotation (the 5-minute inactivity timeout) therefore makes a stop
+//! at each rotation's end, and activity re-arms a connection without
+//! touching the wheel — its next stop finds the later deadline. A clock
+//! that moves more than a rotation at once passes every bucket once, in
+//! bucket order from the one after the target tick's, instead of walking
+//! every tick in between.
 
-// Narrowing casts in this file are intentional: tick, index, and counter arithmetic narrows to compact fields by design.
+// Narrowing casts in this file are intentional: a tick's bucket is its low eight bits.
 #![allow(clippy::cast_possible_truncation)]
 
-/// Number of wheel levels. Four levels of 256 slots at a 100 ms base
-/// tick give an exact horizon of 25.6 s, 1.8 h, 19 d, 13 y per level.
-pub const LEVELS: usize = 4;
+/// Buckets in the wheel: one per tick of a rotation.
+pub const BUCKETS: usize = 256;
 
-/// A hierarchical timer wheel keyed by opaque `u64` tokens.
+/// The wheel's resolution: 100 ms, so a rotation spans 25.6 s and the
+/// default 5 s establish timeout is placed on its own tick.
+pub const TICK_NS: u64 = 100_000_000;
+
+/// The link word naming bucket 0's sentinel; bucket `b`'s is
+/// `SENTINEL + b`. Slot indices stay below it.
+pub(crate) const SENTINEL: u32 = u32::MAX - BUCKETS as u32;
+
+/// Two link words: a timed slot's neighbours in its bucket, or a
+/// sentinel's last and first entry. An entry in no bucket links to
+/// itself both ways, so unlinking it changes nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Link {
+    pub(crate) prev: u32,
+    pub(crate) next: u32,
+}
+
+impl Link {
+    /// The links of the lone entry at `at`.
+    pub(crate) fn lone(at: u32) -> Self {
+        Link { prev: at, next: at }
+    }
+}
+
+/// The wheel's own state: one sentinel per bucket and the clock.
 #[derive(Debug)]
 pub struct TimerWheel {
-    tick_ns: u64,
-    /// Slots per level; a power of two so slot math is mask/shift.
-    slots_per_level: u64,
-    /// `log2(slots_per_level)`.
-    shift: u32,
-    /// `levels[k][slot]` holds `(token, deadline_ns)` pairs.
-    levels: Vec<Vec<Vec<(u64, u64)>>>,
-    /// The tick index up to which the wheel has been advanced.
-    current_tick: u64,
-    len: usize,
-    /// The slot being drained by [`TimerWheel::advance`]; kept between
-    /// calls so advancing allocates nothing.
-    scratch: Vec<(u64, u64)>,
+    buckets: [Link; BUCKETS],
+    /// The tick up to which the wheel has been advanced: its bucket is
+    /// empty, and every timed slot is placed in one of the next
+    /// `BUCKETS - 1` ticks.
+    tick: u64,
 }
 
 impl TimerWheel {
-    /// Creates a wheel of [`LEVELS`] levels with `slots_per_level`
-    /// slots of `tick_ns` nanoseconds at the base level.
-    ///
-    /// # Panics
-    /// Panics on a zero tick, a slot count that is not a power of two
-    /// greater than 1, or a geometry whose total tick span overflows
-    /// `u64` (configuration error).
-    pub fn new(tick_ns: u64, slots_per_level: usize) -> Self {
-        assert!(
-            tick_ns > 0 && slots_per_level > 1 && slots_per_level.is_power_of_two(),
-            "invalid timer wheel config"
-        );
-        let shift = slots_per_level.trailing_zeros();
-        assert!(
-            shift as usize * LEVELS < 64,
-            "invalid timer wheel config: span overflows"
-        );
+    /// Bytes of timer state beside the slots' link words: the sentinels.
+    pub const BYTES: usize = std::mem::size_of::<[Link; BUCKETS]>();
+
+    /// An empty wheel at tick 0.
+    pub(crate) fn new() -> Self {
         TimerWheel {
-            tick_ns,
-            slots_per_level: slots_per_level as u64,
-            shift,
-            levels: (0..LEVELS)
-                .map(|_| (0..slots_per_level).map(|_| Vec::new()).collect())
-                .collect(),
-            current_tick: 0,
-            len: 0,
-            scratch: Vec::new(),
+            buckets: std::array::from_fn(|b| Link::lone(SENTINEL + b as u32)),
+            tick: 0,
         }
     }
 
-    /// Number of scheduled (possibly stale) entries.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Empties every bucket and keeps the clock, for an owner that has
+    /// freed every timed slot.
+    pub(crate) fn clear(&mut self) {
+        self.buckets = Self::new().buckets;
     }
 
-    /// Returns true when no entries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The sentinel whose link word is `at`.
+    pub(crate) fn sentinel(&mut self, at: u32) -> &mut Link {
+        &mut self.buckets[(at - SENTINEL) as usize]
     }
 
-    /// Ticks covered by levels `0..level`.
-    fn span_ticks(&self, level: usize) -> u64 {
-        1 << (self.shift as usize * level)
+    /// The sentinel of the bucket a deadline is placed in: its tick's,
+    /// clamped to the rotation ahead of the clock.
+    pub(crate) fn bucket_of(&self, deadline_ns: u64) -> u32 {
+        let tick = (deadline_ns / TICK_NS).clamp(self.tick + 1, self.tick + BUCKETS as u64 - 1);
+        SENTINEL + (tick % BUCKETS as u64) as u32
     }
 
-    /// Schedules `token` to fire at `deadline_ns`. Deadlines in the
-    /// past fire on the next [`TimerWheel::advance`].
-    pub fn schedule(&mut self, token: u64, deadline_ns: u64) {
-        // Never place into the current tick's level-0 slot from outside
-        // `advance`: it has already been drained, so the entry would
-        // only fire after a full level-0 rotation.
-        self.place(token, deadline_ns, self.current_tick + 1);
-        self.len += 1;
+    /// The sentinel of the clock's bucket.
+    pub(crate) fn current(&self) -> u32 {
+        SENTINEL + (self.tick % BUCKETS as u64) as u32
     }
 
-    /// Places `token` so it fires at `deadline_ns`, clamping the target
-    /// tick to at least `floor_tick` and at most the wheel horizon.
-    /// Does not touch `len` (cascade re-places without re-counting).
-    fn place(&mut self, token: u64, deadline_ns: u64, floor_tick: u64) {
-        let mask = self.slots_per_level - 1;
-        let tick = (deadline_ns / self.tick_ns)
-            .max(floor_tick)
-            .min(self.current_tick + self.span_ticks(LEVELS) - 1);
-        let delta = tick - self.current_tick;
-        let mut level = 0;
-        while level + 1 < LEVELS && delta >= self.span_ticks(level + 1) {
-            level += 1;
+    /// Moves the clock one tick towards `now_ns`'s — from more than a
+    /// rotation behind, to the first tick of the last rotation before it,
+    /// whose buckets hold every timed slot. False once it is there.
+    pub(crate) fn step(&mut self, now_ns: u64) -> bool {
+        let target = now_ns / TICK_NS;
+        if self.tick >= target {
+            return false;
         }
-        let slot = ((tick >> (self.shift as usize * level)) & mask) as usize;
-        self.levels[level][slot].push((token, deadline_ns));
-    }
-
-    /// Advances the wheel to `now_ns`, collecting every entry whose
-    /// deadline tick has been reached into `expired` as
-    /// `(token, deadline_ns)`. Entries never fire early; they are
-    /// candidates the owner must revalidate against the connection's
-    /// *actual* deadline (which activity may have moved later).
-    pub fn advance(&mut self, now_ns: u64, expired: &mut Vec<(u64, u64)>) {
-        let target_tick = now_ns / self.tick_ns;
-        let mask = self.slots_per_level - 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        while self.current_tick < target_tick {
-            if self.len == 0 {
-                // Nothing scheduled anywhere: fast-forward. Bounds the
-                // walk over giant idle jumps in virtual time.
-                self.current_tick = target_tick;
-                break;
-            }
-            self.current_tick += 1;
-            // When level k-1 wraps, cascade the level-k slot whose
-            // window just opened down into finer levels.
-            for level in 1..LEVELS {
-                let span = self.span_ticks(level);
-                if !self.current_tick.is_multiple_of(span) {
-                    break;
-                }
-                let slot = ((self.current_tick >> (self.shift as usize * level)) & mask) as usize;
-                scratch.append(&mut self.levels[level][slot]);
-                for (token, deadline_ns) in scratch.drain(..) {
-                    self.place(token, deadline_ns, self.current_tick);
-                }
-            }
-            // Drain the base-level slot for this tick. Entries are due
-            // when their deadline tick has been reached; anything
-            // placed here early (a clamped far deadline after repeated
-            // cascades cannot be, but guard exactly) is re-placed.
-            scratch.append(&mut self.levels[0][(self.current_tick & mask) as usize]);
-            for (token, deadline_ns) in scratch.drain(..) {
-                if deadline_ns / self.tick_ns <= self.current_tick {
-                    self.len -= 1;
-                    expired.push((token, deadline_ns));
-                } else {
-                    self.place(token, deadline_ns, self.current_tick + 1);
-                }
-            }
-        }
-        self.scratch = scratch;
+        self.tick = (self.tick + 1).max(target.saturating_sub(BUCKETS as u64 - 1));
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{ConnArena, ConnEntry, ConnHandle};
+    use crate::tuple::FiveTuple;
+
+    /// One connection timed at `deadline` (its value) in `arena`.
+    pub(super) fn timed(arena: &mut ConnArena<u64>, deadline: u64) -> ConnHandle {
+        let tuple = FiveTuple {
+            orig: "10.0.0.1:1".parse().unwrap(),
+            resp: "1.1.1.1:443".parse().unwrap(),
+            proto: 6,
+        };
+        let entry = ConnEntry {
+            tuple,
+            created_ns: 0,
+            last_seen_ns: 0,
+            established: false,
+            value: deadline,
+        };
+        let handle = arena.insert(0, entry);
+        arena.schedule(handle, deadline);
+        handle
+    }
+
+    /// Plays the owner's part in an advance to `now`: frees and returns
+    /// (in pop order) the deadlines of the slots due by then, and places
+    /// every slot that pops early again at its deadline.
+    pub(super) fn advance(arena: &mut ConnArena<u64>, now: u64) -> Vec<u64> {
+        let mut fired = Vec::new();
+        while let Some(handle) = arena.pop_due(now) {
+            let deadline = arena.get(handle).unwrap().value;
+            if deadline <= now {
+                fired.push(arena.remove(handle).unwrap().1.value);
+            } else {
+                arena.schedule(handle, deadline);
+            }
+        }
+        fired
+    }
+
+    const T: u64 = TICK_NS;
 
     #[test]
     fn fires_at_deadline() {
-        let mut wheel = TimerWheel::new(1_000, 64); // 1µs ticks
-        wheel.schedule(1, 5_000);
-        let mut out = Vec::new();
-        wheel.advance(4_000, &mut out);
-        assert!(out.is_empty());
-        wheel.advance(6_000, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], (1, 5_000));
-        assert!(wheel.is_empty());
+        let mut arena = ConnArena::new();
+        timed(&mut arena, 5 * T);
+        assert!(advance(&mut arena, 4 * T).is_empty());
+        assert_eq!(advance(&mut arena, 6 * T), vec![5 * T]);
+        assert!(arena.is_empty());
     }
 
     #[test]
     fn multiple_tokens_same_slot() {
-        let mut wheel = TimerWheel::new(1_000, 8);
-        wheel.schedule(1, 3_000);
-        wheel.schedule(2, 3_500);
-        assert_eq!(wheel.len(), 2);
-        let mut out = Vec::new();
-        wheel.advance(4_000, &mut out);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn upper_level_entry_fires_exactly_not_early() {
-        // 1µs ticks, 8 slots/level: level 0 spans 8µs. A 100µs deadline
-        // parks at level 1 and must NOT fire when the base level wraps.
-        let mut wheel = TimerWheel::new(1_000, 8);
-        wheel.schedule(7, 100_000);
-        let mut out = Vec::new();
-        wheel.advance(99_000, &mut out);
-        assert!(out.is_empty(), "fired {out:?} before the 100µs deadline");
-        wheel.advance(100_000, &mut out);
-        assert_eq!(out, vec![(7, 100_000)]);
+        // Two connections in one tick's bucket both fire.
+        let mut arena = ConnArena::new();
+        timed(&mut arena, 3 * T);
+        timed(&mut arena, 3 * T + T / 2);
+        assert_eq!(advance(&mut arena, 4 * T), vec![3 * T, 3 * T + T / 2]);
     }
 
     #[test]
     fn beyond_horizon_clamped_not_lost() {
-        // 8 slots/level, 4 levels: horizon 4095µs. Schedule far beyond
-        // it; the entry must survive repeated clamping cascades and
-        // still fire exactly at its deadline.
-        let mut wheel = TimerWheel::new(1_000, 8);
-        wheel.schedule(1, 50_000_000); // 50ms, ~12x the horizon
-        let mut out = Vec::new();
-        wheel.advance(49_999_000, &mut out);
-        assert!(out.is_empty(), "clamped entry fired early: {out:?}");
-        wheel.advance(50_000_000, &mut out);
-        assert_eq!(out, vec![(1, 50_000_000)], "original deadline preserved");
+        // 50 s is past the 25.6 s rotation: the slot stops at the
+        // rotation's end, is placed again, and fires exactly at its
+        // deadline.
+        let mut arena = ConnArena::new();
+        timed(&mut arena, 500 * T);
+        for now in [254 * T, 255 * T, 256 * T, 499 * T] {
+            assert!(advance(&mut arena, now).is_empty(), "fired early at {now}");
+        }
+        assert_eq!(advance(&mut arena, 500 * T), vec![500 * T]);
     }
 
     #[test]
     fn past_deadline_fires_next_advance() {
-        let mut wheel = TimerWheel::new(1_000, 8);
-        let mut out = Vec::new();
-        wheel.advance(10_000, &mut out);
-        wheel.schedule(1, 1_000); // already past
-        wheel.advance(12_000, &mut out);
-        assert_eq!(out.len(), 1);
+        let mut arena = ConnArena::new();
+        assert!(advance(&mut arena, 10 * T).is_empty());
+        timed(&mut arena, T); // already past
+        assert_eq!(advance(&mut arena, 11 * T), vec![T]);
     }
 
     #[test]
     fn large_time_jump_with_empty_wheel_is_cheap() {
-        let mut wheel = TimerWheel::new(1_000, 8);
-        wheel.schedule(1, 2_000);
-        let mut out = Vec::new();
-        wheel.advance(2_000, &mut out);
-        assert_eq!(out.len(), 1);
-        // Empty wheel: a jump of a billion ticks must fast-forward, not
-        // walk (this would time out otherwise).
-        wheel.advance(1_000_000_000_000, &mut out);
-        wheel.schedule(2, 1_000_000_002_000);
-        wheel.advance(1_000_000_003_000, &mut out);
-        assert_eq!(out.len(), 2);
+        // A jump of ten billion ticks passes each bucket once, not each
+        // tick (this would time out otherwise), empty wheel or not.
+        let mut arena = ConnArena::new();
+        timed(&mut arena, 2 * T);
+        assert_eq!(advance(&mut arena, 2 * T), vec![2 * T]);
+        advance(&mut arena, 1_000_000_000 * T);
+        let far = 1_000_000_002 * T;
+        timed(&mut arena, far);
+        timed(&mut arena, 2 * far);
+        assert_eq!(advance(&mut arena, far + T), vec![far]);
+        assert_eq!(advance(&mut arena, 3 * far), vec![2 * far]);
     }
 
     #[test]
     fn interleaved_schedule_and_advance() {
-        let mut wheel = TimerWheel::new(1_000, 16);
+        let mut arena = ConnArena::new();
         let mut fired = Vec::new();
         for i in 0..100u64 {
-            wheel.schedule(i, (i + 2) * 1_000);
-            let mut out = Vec::new();
-            wheel.advance(i * 1_000, &mut out);
-            fired.extend(out);
+            timed(&mut arena, (i + 2) * T);
+            fired.extend(advance(&mut arena, i * T));
         }
-        let mut out = Vec::new();
-        wheel.advance(200_000, &mut out);
-        fired.extend(out);
-        assert_eq!(fired.len(), 100);
+        fired.extend(advance(&mut arena, 200 * T));
+        assert_eq!(fired, (2..102).map(|i| i * T).collect::<Vec<_>>());
     }
 
     #[test]
     fn mass_expiry_drains_in_deadline_order() {
-        // The scan-storm shape: thousands of tokens sharing a handful
-        // of deadlines. One big advance must yield them grouped in
-        // non-decreasing deadline order (whole-bucket drains).
-        let mut wheel = TimerWheel::new(1_000, 16);
+        // The scan-storm shape: thousands of connections sharing a
+        // handful of deadlines. An advance within one rotation yields
+        // them grouped in non-decreasing deadline order, each bucket in
+        // the order it was filled.
+        let mut arena = ConnArena::new();
         for i in 0..3000u64 {
-            wheel.schedule(i, (1 + i % 3) * 100_000);
+            timed(&mut arena, (1 + i % 3) * 50 * T);
         }
-        let mut out = Vec::new();
-        wheel.advance(1_000_000, &mut out);
-        assert_eq!(out.len(), 3000);
-        let deadlines: Vec<u64> = out.iter().map(|&(_, d)| d).collect();
-        let mut sorted = deadlines.clone();
-        sorted.sort_unstable();
-        assert_eq!(deadlines, sorted, "mass expiry must drain in tick order");
+        let fired = advance(&mut arena, 255 * T);
+        assert_eq!(fired.len(), 3000);
+        assert!(fired.is_sorted(), "mass expiry must drain in tick order");
     }
 
     #[test]
-    fn rearmed_token_fires_once_per_schedule() {
-        // The wheel does not dedup: re-arming the same token leaves the
-        // old entry as a candidate. The owner's revalidation (deadline
-        // comparison / tombstone check) is what makes this safe.
-        let mut wheel = TimerWheel::new(1_000, 8);
-        wheel.schedule(1, 3_000);
-        wheel.schedule(1, 6_000);
-        assert_eq!(wheel.len(), 2);
-        let mut out = Vec::new();
-        wheel.advance(4_000, &mut out);
-        assert_eq!(out, vec![(1, 3_000)]);
-        wheel.advance(7_000, &mut out);
-        assert_eq!(out, vec![(1, 3_000), (1, 6_000)]);
-        assert!(wheel.is_empty());
+    fn a_rescheduled_slot_moves_and_fires_once() {
+        // Scheduling a timed slot again moves it: the wheel holds no
+        // second timer for it, and the slot fires at its new deadline.
+        let mut arena = ConnArena::new();
+        let handle = timed(&mut arena, 3 * T);
+        arena.get_mut(handle).unwrap().value = 6 * T;
+        arena.schedule(handle, 6 * T);
+        assert!(advance(&mut arena, 5 * T).is_empty());
+        assert_eq!(advance(&mut arena, 7 * T), vec![6 * T]);
+        assert_eq!(arena.pop_due(1_000 * T), None);
     }
 
     #[test]
-    #[should_panic(expected = "invalid timer wheel")]
-    fn zero_tick_panics() {
-        let _ = TimerWheel::new(0, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid timer wheel")]
-    fn non_power_of_two_slots_panic() {
-        let _ = TimerWheel::new(1_000, 12);
+    fn a_freed_slot_leaves_its_bucket_and_its_neighbours() {
+        // Removing the middle one of three slots in a bucket unlinks it;
+        // its neighbours still fire, and the slot's next occupant fires
+        // at its own deadline only.
+        let mut arena = ConnArena::new();
+        let handles: Vec<_> = (0..3).map(|i| timed(&mut arena, 4 * T + i)).collect();
+        arena.remove(handles[1]).unwrap();
+        let reused = timed(&mut arena, 9 * T);
+        assert_eq!(reused, handles[1], "the freed slot is reused");
+        assert_eq!(advance(&mut arena, 5 * T), vec![4 * T, 4 * T + 2]);
+        assert_eq!(advance(&mut arena, 10 * T), vec![9 * T]);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{advance, timed};
     use super::*;
+    use crate::arena::ConnArena;
     use retina_support::proptest::prelude::*;
 
-    /// Naive oracle: a flat list scanned per advance.
-    #[derive(Default)]
-    struct Oracle {
-        entries: Vec<(u64, u64)>,
-    }
-
-    impl Oracle {
-        fn schedule(&mut self, token: u64, deadline_ns: u64) {
-            self.entries.push((token, deadline_ns));
-        }
-
-        /// Entries due by `now_ns` at `tick_ns` granularity (an entry
-        /// fires when its deadline tick has been reached).
-        fn advance(&mut self, now_ns: u64, tick_ns: u64) -> Vec<(u64, u64)> {
-            let target_tick = now_ns / tick_ns;
-            let mut fired = Vec::new();
-            self.entries.retain(|&(token, deadline)| {
-                if deadline / tick_ns <= target_tick {
-                    fired.push((token, deadline));
-                    false
-                } else {
-                    true
-                }
-            });
-            fired
-        }
-    }
-
-    fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-        v.sort_unstable();
-        v
-    }
+    const T: u64 = TICK_NS;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Mass expiry matches the naive oracle at every advance: the
-        /// exact set of due entries fires — nothing early, nothing
-        /// lost, nothing twice. Deltas up to 5000 ticks against 4
-        /// slots/level (horizon 255 ticks) force level-0 wraparound,
-        /// multi-level cascades, AND beyond-horizon clamping.
+        /// Mass expiry matches a naive oracle (a flat list scanned per
+        /// advance) at every advance: the exact set of due connections
+        /// fires — nothing early, nothing lost, nothing twice. Deadlines
+        /// up to 5000 ticks out and advances of up to 400 ticks force
+        /// bucket reuse across rotations, stops at a rotation's end, and
+        /// jumps past whole rotations.
         #[test]
         fn mass_expiry_matches_naive_oracle(
             ops in collection::vec((0u8..2, 1u64..5000, 0u64..400), 1..250)
         ) {
-            const TICK: u64 = 1_000;
-            let mut wheel = TimerWheel::new(TICK, 4);
-            let mut oracle = Oracle::default();
+            let mut arena = ConnArena::new();
+            let mut oracle: Vec<u64> = Vec::new();
             let mut now = 0u64;
-            let mut token = 0u64;
+            let due = |oracle: &mut Vec<u64>, now: u64| {
+                let mut fired: Vec<u64> = oracle.iter().copied().filter(|&d| d <= now).collect();
+                oracle.retain(|&d| d > now);
+                fired.sort_unstable();
+                fired
+            };
             for (op, delta_ticks, dt_ticks) in ops {
                 if op == 0 {
-                    let deadline = now + delta_ticks * TICK;
-                    wheel.schedule(token, deadline);
-                    oracle.schedule(token, deadline);
-                    token += 1;
+                    timed(&mut arena, now + delta_ticks * T);
+                    oracle.push(now + delta_ticks * T);
                 } else {
-                    now += dt_ticks * TICK;
-                    let mut fired = Vec::new();
-                    wheel.advance(now, &mut fired);
-                    let expect = oracle.advance(now, TICK);
-                    prop_assert_eq!(sorted(fired), sorted(expect), "divergence at now={}", now);
-                    prop_assert_eq!(wheel.len(), oracle.entries.len());
+                    now += dt_ticks * T;
+                    let mut fired = advance(&mut arena, now);
+                    fired.sort_unstable();
+                    prop_assert_eq!(fired, due(&mut oracle, now), "divergence at now={}", now);
+                    prop_assert_eq!(arena.len(), oracle.len());
                 }
             }
             // Flush: everything outstanding fires exactly once.
-            now += 6000 * TICK;
-            let mut fired = Vec::new();
-            wheel.advance(now, &mut fired);
-            let expect = oracle.advance(now, TICK);
-            prop_assert_eq!(sorted(fired), sorted(expect));
-            prop_assert!(wheel.is_empty());
+            now += 6000 * T;
+            let mut fired = advance(&mut arena, now);
+            fired.sort_unstable();
+            prop_assert_eq!(fired, due(&mut oracle, now));
+            prop_assert!(arena.is_empty());
         }
 
-        /// Wheel-period wraparound: deadlines placed several full wheel
-        /// periods out (forcing the same physical slots to be reused
-        /// across rotations) fire exactly at their deadline tick.
+        /// Wraparound: a deadline several whole rotations out lands in a
+        /// bucket the clock passes many times first; it fires exactly at
+        /// its tick, never a rotation early.
         #[test]
         fn wraparound_across_periods_is_exact(
             rotations in 1u64..6,
-            offset_ticks in 0u64..64,
-            start_ticks in 0u64..64,
+            offset_ticks in 0u64..256,
+            start_ticks in 0u64..256,
         ) {
-            const TICK: u64 = 1_000;
-            const SLOTS: u64 = 8; // level-0 period = 8 ticks
-            let mut wheel = TimerWheel::new(TICK, SLOTS as usize);
-            let mut out = Vec::new();
-            wheel.advance(start_ticks * TICK, &mut out);
-            prop_assert!(out.is_empty());
-            // Same slot modulo the level-0 period, `rotations` periods out.
-            let deadline = (start_ticks + rotations * SLOTS + offset_ticks) * TICK;
-            wheel.schedule(42, deadline);
+            let mut arena = ConnArena::new();
+            prop_assert!(advance(&mut arena, start_ticks * T).is_empty());
+            let deadline = (start_ticks + rotations * BUCKETS as u64 + offset_ticks) * T;
+            timed(&mut arena, deadline);
             // One tick before the deadline tick: silent.
-            if deadline / TICK > start_ticks + 1 {
-                wheel.advance(deadline - TICK, &mut out);
-                prop_assert!(out.is_empty(), "fired early at {}: {:?}", deadline - TICK, out);
-            }
-            wheel.advance(deadline, &mut out);
-            prop_assert_eq!(out, vec![(42, deadline)]);
+            prop_assert!(advance(&mut arena, deadline - T).is_empty(), "fired early");
+            prop_assert_eq!(advance(&mut arena, deadline), vec![deadline]);
         }
 
-        /// Re-arm (touch): a token rescheduled to a later deadline
-        /// yields the stale candidate at the old deadline and the live
-        /// one at the new — never a lost or early new deadline. This is
-        /// the wheel half of lazy revalidation; the table half
-        /// (deadline comparison) is tested in `table::proptests`.
+        /// Re-arm: a connection scheduled again, to a later deadline,
+        /// before its first one passes fires once, at the new deadline —
+        /// never at the old one, never lost, never early.
         #[test]
         fn rearm_preserves_new_deadline(
-            first_ticks in 1u64..300,
-            extra_ticks in 1u64..300,
+            first_ticks in 1u64..600,
+            extra_ticks in 1u64..600,
         ) {
-            const TICK: u64 = 1_000;
-            let mut wheel = TimerWheel::new(TICK, 8);
-            let first = first_ticks * TICK;
-            let second = first + extra_ticks * TICK;
-            wheel.schedule(9, first);
-            wheel.schedule(9, second); // re-arm before the first fires
-            let mut out = Vec::new();
-            wheel.advance(first, &mut out);
-            prop_assert_eq!(out.clone(), vec![(9, first)], "old candidate fires at old deadline");
-            out.clear();
-            wheel.advance(second - TICK, &mut out);
-            // Only the (already fired) old deadline could be due here.
-            prop_assert!(out.is_empty(), "re-armed entry fired early: {:?}", out);
-            wheel.advance(second, &mut out);
-            prop_assert_eq!(out, vec![(9, second)]);
-            prop_assert!(wheel.is_empty());
+            let mut arena = ConnArena::new();
+            let first = first_ticks * T;
+            let second = first + extra_ticks * T;
+            let handle = timed(&mut arena, first);
+            arena.get_mut(handle).unwrap().value = second;
+            arena.schedule(handle, second);
+            prop_assert!(advance(&mut arena, second - T).is_empty(), "fired before the new deadline");
+            prop_assert_eq!(advance(&mut arena, second), vec![second]);
+            prop_assert!(arena.is_empty());
         }
     }
 }

@@ -509,7 +509,7 @@ impl<F: FilterFns> ConnTracker<F> {
         ConnHint {
             key,
             ikey,
-            handle: self.table.prefetch(mbuf.rss_hash, ikey),
+            handle: self.table.prefetch(ikey),
         }
     }
 
@@ -558,7 +558,7 @@ impl<F: FilterFns> ConnTracker<F> {
         let tuple = FiveTuple::from_packet(pkt);
         let conn = m.new_conn(mbuf, pkt, &tuple, verdict);
         let probing = m.probing(conn.subs.want_parse);
-        let handle = table.insert(mbuf.rss_hash, hint.ikey, &hint.key, now, tuple, conn);
+        let handle = table.insert(hint.ikey, &hint.key, now, tuple, conn);
         m.stats.conns_peak = m.stats.conns_peak.max(table.len() as u64);
         let entry = table.entry_mut(handle).expect("inserted above");
         let probeable = probing.is_some();
@@ -576,12 +576,10 @@ impl<F: FilterFns> ConnTracker<F> {
         let now = mbuf.timestamp_ns;
         // The one verified resolution this packet gets: the hinted
         // handle if it still holds this key's connection, else (opened or
-        // closed earlier in the burst) the symmetric RSS hash picks the
-        // shard, the staged index key the bucket, and the full key is
-        // verified. From here on the entry is addressed by handle.
-        let found = self
-            .table
-            .lookup(mbuf.rss_hash, hint.ikey, &hint.key, hint.handle);
+        // closed earlier in the burst) the staged index key picks the
+        // shard and the bucket, and the full key is verified. From here
+        // on the entry is addressed by handle.
+        let found = self.table.lookup(hint.ikey, &hint.key, hint.handle);
         let Some(handle) = found.or_else(|| self.insert_conn(mbuf, pkt, verdict, hint)) else {
             return;
         };

@@ -209,7 +209,7 @@
 #
 # Connection state costs what its live connections use. The arena
 # (crates/conntrack/src/arena.rs) keeps its slots in fixed chunks that
-# never move, and its free list in the vacant slots' `hash` words. It
+# never move, and its free list in the vacant slots' `next` link words. It
 # once kept one `Vec` of slots, doubled past the peak (a quarter of
 # scan's 131 072 slots held nothing, and the doubling copied 29 MB
 # mid-run), beside a `Vec<u32>` free list of its own. So non-test
@@ -267,6 +267,18 @@
 # every connection 64 bytes, 38 % of its state. So non-test
 # `struct Conn` in crates/core/src/tracker/mod.rs has no `Frontiers`
 # field.
+#
+# Timers live in the slots they time. The wheel (crates/conntrack/src/
+# timerwheel.rs) is one level of 256 buckets, each a circular list
+# linked through two words in the timed connections' arena slots, with
+# one sentinel pair per bucket; freeing a slot unlinks it, so no
+# reference outlives its connection. It once kept four levels of
+# `Vec<(token, deadline)>` buckets beside the arena — grown by doubling,
+# never shrunk, not counted in the arena bytes — whose tokens outlived
+# their connections, so every slot carried a generation to tell a stale
+# token from its slot's next occupant. So non-test crates/conntrack/src
+# has no `Vec` in timerwheel.rs, no `to_token` or `from_token`, and no
+# generation field in arena.rs's `struct Slot`.
 #
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
@@ -678,6 +690,21 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$( (code_lines crates/conntrack/src/timerwheel.rs | grep -E '(^|[^[:alnum:]_])Vec\b'
+    for file in $(find crates/conntrack/src -name '*.rs' | sort); do
+        code_lines "$file" | grep -E 'to_token|from_token'
+    done
+    code_lines crates/conntrack/src/arena.rs |
+        awk '{ text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
+            text ~ /^(pub[^[:space:]]*[[:space:]]+)?struct Slot[[:space:]<]/ { on = 1; next }
+            on && text ~ /^}/ { on = 0 }
+            on && text ~ /(^|[^[:alnum:]_])gen(eration)?[[:space:]]*:/') || true)
+if [ -n "$hits" ]; then
+    echo "timer state outside the slots it times (no Vec in the wheel, no wheel tokens, no slot generation):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -702,4 +729,5 @@ echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no 
 echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs;"
 echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder;"
 echo "  a bare SYN builds no flow: a TcpFlow is built in flows.rs's promote and view only;"
-echo "  a connection keeps no frontiers: struct Conn has no Frontiers field, the filters read its first_verdict"
+echo "  a connection keeps no frontiers: struct Conn has no Frontiers field, the filters read its first_verdict;"
+echo "  timers live in the slots they time: no Vec in the wheel, no wheel tokens, no generation in an arena slot"
