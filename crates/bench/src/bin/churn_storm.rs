@@ -1,5 +1,5 @@
 //! Churn storm: million-flow connection-table stress under a scan-heavy
-//! campus mix, exercising the sharded / arena-backed / wheel-timed conn
+//! campus mix, exercising the indexed / arena-backed / wheel-timed conn
 //! table end to end.
 //!
 //! The workload compresses the campus mix into a few simulated seconds
@@ -18,8 +18,10 @@
 //!    second schedule seed reproduces the digest, the peak and the
 //!    arena bytes.
 //! 2. **Bounded state**: the connection arena and its index hold at most
-//!    `2 × peak × (bytes per slot + bytes per index entry)` — capacity
-//!    doubles, so a table that reuses freed slots never needs more.
+//!    `2 × peak × (bytes per slot + bytes per index word)` — the arena
+//!    holds at most one chunk of slots past its peak and the index at most
+//!    four words per peak connection, so a table that reuses freed slots
+//!    never needs more.
 //! 3. **Threaded run**: the same accounting through the real multi-core
 //!    runtime.
 //! 4. **Index chains**: over a table keyed with the hashes the system
@@ -37,7 +39,7 @@
 use std::process::exit;
 
 use retina_bench::bench_args;
-use retina_conntrack::{ConnHandle, ConnKey, ConnTable, FiveTuple, TimeoutConfig};
+use retina_conntrack::{ConnKey, ConnTable, FiveTuple, TimeoutConfig, INDEX_WORD_BYTES};
 use retina_core::subscribables::ConnRecord;
 use retina_core::tracker::CONN_SLOT_BYTES;
 use retina_core::{RuntimeBuilder, RuntimeConfig, StepConfig};
@@ -85,10 +87,6 @@ fn two_waves(wave: Vec<(Bytes, u64)>) -> Vec<(Bytes, u64)> {
 /// flow is the embryo in its slot, so the scan's few promoted flows are
 /// all the flow store holds.
 const SLOT_BYTES: usize = CONN_SLOT_BYTES;
-
-/// Bytes one index entry costs: a `(index key, handle)` pair plus its
-/// control byte, as `ConnTable::allocated_bytes` counts it.
-const INDEX_ENTRY_BYTES: usize = std::mem::size_of::<(u64, ConnHandle)>() + 1;
 
 fn build_runtime(cores: u16) -> retina_core::MultiRuntime<retina_filter::CompiledFilter> {
     let mut config = RuntimeConfig::with_cores(cores);
@@ -176,12 +174,12 @@ fn main() {
     }
 
     // 2. Bounded state: the arena reuses what expiry freed.
-    let bound = 2 * peak as usize * (SLOT_BYTES + INDEX_ENTRY_BYTES);
+    let bound = 2 * peak as usize * (SLOT_BYTES + INDEX_WORD_BYTES);
     println!(
         "  state: {:.0} B per peak connection (bound {} = 2 x ({SLOT_BYTES} B slot + \
-         {INDEX_ENTRY_BYTES} B index entry))",
+         {INDEX_WORD_BYTES} B index word))",
         arena_bytes as f64 / peak.max(1) as f64,
-        2 * (SLOT_BYTES + INDEX_ENTRY_BYTES),
+        2 * (SLOT_BYTES + INDEX_WORD_BYTES),
     );
     if arena_bytes > bound {
         fail(&format!(

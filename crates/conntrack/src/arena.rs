@@ -39,7 +39,7 @@
 //! key of a removed entry derives it (`entry.tuple.key()`). What *is*
 //! stored beside the entry is what expiry needs to unlink it from the
 //! index without re-deriving anything from the tuple: the owner's 64-bit
-//! index key (which also picks the index shard), and the two link words.
+//! index key, and the two link words.
 //! Every 8 bytes here are 0.85 MB at scan's 106,496-slot arena:
 //! [`ConnArena::SLOT_OVERHEAD`] is asserted in the tests.
 //!
@@ -280,7 +280,7 @@ impl<V> ConnArena<V> {
 
     /// Frees the occupied slot at `index`, out of any bucket: pushes it on
     /// the free list and hands back what it held.
-    fn vacate(&mut self, index: u32) -> (u64, ConnEntry<V>) {
+    pub(crate) fn vacate(&mut self, index: u32) -> (u64, ConnEntry<V>) {
         let free_head = std::mem::replace(&mut self.free_head, index);
         self.live -= 1;
         let slot = self.slot_mut(index);
@@ -296,6 +296,12 @@ impl<V> ConnArena<V> {
             .iter()
             .flatten()
             .filter_map(|slot| slot.entry.as_ref())
+    }
+
+    /// The index keys of the live entries, in slot order.
+    pub(crate) fn index_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let live = self.chunks.iter().flatten().filter(|s| s.entry.is_some());
+        live.map(|slot| slot.index_key)
     }
 
     /// Mutably visits every live entry in slot order; entries for which

@@ -5,9 +5,9 @@
 //! - [`FiveTuple`] / [`ConnKey`] — direction-aware connection identity
 //!   with a canonical (direction-independent) table key.
 //! - [`ConnTable`] — a per-core connection table built for million-flow
-//!   scan churn: a sharded index keyed by the connection's fingerprint
-//!   and the NIC's symmetric RSS hash (no SipHash re-hash per lookup) over a slot-reusing [`ConnArena`]
-//!   of entries addressed by compact slot-index [`ConnHandle`]s.
+//!   scan churn: one open-addressed index keyed by the connection's fingerprint
+//!   and the NIC's symmetric RSS hash, over a slot-reusing [`ConnArena`] of
+//!   entries addressed by compact slot-index [`ConnHandle`]s.
 //!   Each core owns one table and tracks only the connections symmetric
 //!   RSS delivers to it, so there is no cross-core synchronization.
 //! - [`TimerWheel`] — one level of 256 buckets of 100 ms, linked through
@@ -38,6 +38,6 @@ pub mod tuple;
 pub use arena::{ConnArena, ConnEntry, ConnHandle};
 pub use conn::{Embryo, FlowUpdate, TcpFlow};
 pub use reassembly::{Reassembled, StreamReassembler};
-pub use table::{index_key, ConnTable, TimeoutConfig};
+pub use table::{index_key, ConnTable, TimeoutConfig, INDEX_WORD_BYTES};
 pub use timerwheel::TimerWheel;
 pub use tuple::{ConnKey, Dir, FirstPacket, FiveTuple};

@@ -4,48 +4,38 @@
 //! only ever sees its own connections, so no synchronization is needed.
 //! Within a core the table is built for million-flow scan churn:
 //!
-//! - **Sharded index keyed on 64 bits of `(rss_hash, fingerprint)`.**
-//!   The index is split into [`SHARDS`] sub-maps, bounding the size of
-//!   any single rehash pause as the table grows to millions of entries.
-//!   The NIC's symmetric Toeplitz hash (`mbuf.rss_hash`) cannot be the
-//!   map key: the symmetric key is `0x6d5a` repeated, so an input bit's
-//!   contribution depends only on its position mod 16 and the "32-bit"
-//!   hash takes at most 65,536 values on any traffic (pinned by a test in
-//!   `retina_nic::rss`). Keyed on it alone, 100,000 live scan connections
-//!   sat in 51,154 buckets with chains up to 9 long, 78 % of them in a
-//!   chain, and the mean chain grew linearly with the table. The map key
-//!   is therefore [`ConnKey::fingerprint`] — two multiplies over the
-//!   canonical endpoints — with the RSS hash folded into its high half,
-//!   and the same 64-bit [`index_key`] picks the shard, so an entry's
-//!   shard is found again from the index key its slot keeps. Map hashing
-//!   uses the seeded in-tree [`retina_support::hash::FlowHasher`]:
-//!   deterministic layout, one multiply-mix per probe.
-//! - **Full-key verification, chains as the fallback.** An index entry
-//!   is one arena handle (16 bytes with its key); every hit is verified
-//!   against the identity in the arena slot, so two connections whose
-//!   64-bit index keys collide (forgeable, since nothing here is secret;
-//!   otherwise ~never) degrade to a short scan of a side chain, never to
-//!   misattribution. At 100,000 live scan connections under the real
-//!   hash no chain is longer than 2 ([`ConnTable::longest_chain`], gated
-//!   by `churn_storm`).
+//! - **One index keyed on 64 bits of `(rss_hash, fingerprint)`.** The
+//!   NIC's symmetric Toeplitz hash (`mbuf.rss_hash`) cannot be the key:
+//!   the symmetric key is `0x6d5a` repeated, so the "32-bit" hash takes
+//!   at most 65,536 values on any traffic (pinned by a test in
+//!   `retina_nic::rss`); keyed on it alone, 100,000 live scan connections
+//!   sat in 51,154 buckets with chains up to 9 long. The key is
+//!   [`ConnKey::fingerprint`] — two multiplies over the canonical
+//!   endpoints — with the RSS hash folded into its high half
+//!   ([`index_key`]). The index is one power-of-two array of 8-byte
+//!   words ([`INDEX_WORD_BYTES`]): `h`, the low half of the key's
+//!   splitmix64 mix, and a slot handle. It is probed linearly from
+//!   `h & mask`, kept at most half full by doubling, rehashed from the
+//!   words alone, and emptied by backward shift, so it has no tombstones.
+//! - **Full-key verification.** A word whose `h` matches is verified
+//!   against the identity in its arena slot, so connections whose index
+//!   keys collide (forgeable, since nothing here is secret; otherwise
+//!   ~never) are probe neighbours, never misattributed. At 100,000 live
+//!   scan connections under the real hash no index key is held by more
+//!   than 2 ([`ConnTable::longest_chain`], gated by `churn_storm`).
 //! - **One probe per packet, one fingerprint per packet.**
-//!   [`ConnTable::lookup`] resolves a [`ConnHandle`] once;
-//!   [`ConnTable::entry_mut`] and [`ConnTable::remove_handle`] then
-//!   address the entry without touching the index again. The handle
-//!   verbs (`prefetch`, `lookup`, `insert`) take the 64-bit index key
-//!   the caller computed — once — with [`index_key`]; the key-based
-//!   verbs (`get_mut`, `get_or_insert_with`, `remove`) compute it and
-//!   are those steps in one call.
-//! - **A hint verb for bursts.** [`ConnTable::prefetch`] probes the
-//!   shard index *unverified* and asks the CPU to fetch the arena slot
-//!   behind whatever it finds ([`ConnArena::prefetch`]), so the slot
-//!   misses of a burst of packets overlap instead of queueing. Its
-//!   contract is **no dereference of a slot**: the slot behind the handle
-//!   it returns may be vacant or hold another connection by the time it
-//!   is used, or belong to a connection whose index key merely collides —
-//!   which is why [`ConnTable::lookup`] verifies a hinted handle against
-//!   the full key of the slot's occupant before trusting it, and probes
-//!   the index itself when the hint fails.
+//!   [`ConnTable::lookup`] resolves a [`ConnHandle`] once; `entry_mut`
+//!   and `remove_handle` then address the entry without the index. The
+//!   handle verbs (`prefetch`, `lookup`, `insert`) take the [`index_key`]
+//!   the caller computed once; the key-based verbs (`get_mut`,
+//!   `get_or_insert_with`, `remove`) compute it: those steps in one call.
+//! - **A hint verb for bursts.** [`ConnTable::prefetch`] asks the CPU to
+//!   fetch the arena slot behind the first word whose `h` matches
+//!   ([`ConnArena::prefetch`]), so a burst's slot misses overlap. It
+//!   dereferences no slot: by the time the hint is used its slot may be
+//!   vacant, reused, or a key twin's, so [`ConnTable::lookup`] verifies it
+//!   against the full key of the slot's occupant and probes the index
+//!   itself when it fails.
 //! - **Arena entry storage.** Entries live in a slot-reusing
 //!   [`ConnArena`] addressed by `u32` slot indices: fixed chunks of slots
 //!   that never move, with the free list threaded through the vacant
@@ -55,19 +45,13 @@
 //! - **A timer wheel linked through the slots.** Expiration follows
 //!   §5.2's two timeouts: a short *establishment* timeout expires
 //!   unanswered SYNs quickly (65% of connections!), and a longer
-//!   *inactivity* timeout reclaims established-but-idle connections. The
-//!   wheel ([`crate::timerwheel`]) is 256 buckets of 100 ms whose lists
-//!   run through two link words in each slot; a removal unlinks the slot,
-//!   and an expiry pass recomputes each due connection's deadline from
-//!   its stamps, so the wheel holds no deadline and no reference that
-//!   outlives its connection. Mass scan expiry drains whole buckets;
-//!   per-packet work is one `last_seen` stamp. Figure 8 reproduces the
+//!   *inactivity* timeout reclaims established-but-idle connections
+//!   ([`crate::timerwheel`]: 256 buckets of 100 ms linked through two
+//!   words in each slot). Per-packet work is one `last_seen` stamp, and
+//!   mass scan expiry drains whole buckets; Figure 8 reproduces the
 //!   memory effect of these choices.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use retina_support::hash::{splitmix64, FlowHashState};
+use retina_support::hash::splitmix64;
 
 use crate::arena::{ConnArena, ConnHandle};
 use crate::timerwheel::TimerWheel;
@@ -75,8 +59,96 @@ use crate::tuple::{ConnKey, FiveTuple};
 
 pub use crate::arena::ConnEntry;
 
-/// Number of index shards per table (power of two).
-pub const SHARDS: usize = 16;
+/// Bytes one index word costs: its `h` and its slot handle.
+pub const INDEX_WORD_BYTES: usize = std::mem::size_of::<Word>();
+
+/// An index word: `h` of the index key the connection holds, and its
+/// slot. An empty word's slot is `EMPTY`, which no slot index reaches.
+#[derive(Debug, Clone, Copy)]
+struct Word {
+    h: u32,
+    slot: u32,
+}
+
+const EMPTY: u32 = u32::MAX;
+const VACANT: Word = Word { h: 0, slot: EMPTY };
+
+/// The open-addressed index (see the module docs).
+#[derive(Debug, Default)]
+struct Index {
+    /// A power of two of words, at most half of them occupied, or none.
+    words: Vec<Word>,
+}
+
+/// The `h` an index key's word carries: the low half of its mix.
+#[allow(clippy::cast_possible_truncation)]
+fn h_of(ikey: u64) -> u32 {
+    splitmix64(ikey) as u32
+}
+
+impl Index {
+    /// The first handle, probing from `ikey`'s home, whose word's `h`
+    /// matches and which `accept` takes.
+    #[inline]
+    fn find(&self, ikey: u64, mut accept: impl FnMut(ConnHandle) -> bool) -> Option<ConnHandle> {
+        let mask = self.words.len().checked_sub(1)?;
+        let h = h_of(ikey);
+        let mut at = h as usize & mask;
+        while self.words[at].slot != EMPTY {
+            let word = self.words[at];
+            if word.h == h && accept(ConnHandle(word.slot)) {
+                return Some(ConnHandle(word.slot));
+            }
+            at = (at + 1) & mask;
+        }
+        None
+    }
+
+    /// Indexes `handle` under `ikey`, doubling first if it would make
+    /// more than half of the words occupied (`live` with it).
+    fn insert(&mut self, ikey: u64, handle: ConnHandle, live: usize) {
+        if 2 * live > self.words.len() {
+            let capacity = (2 * self.words.len()).max(16);
+            let old = std::mem::replace(&mut self.words, vec![VACANT; capacity]);
+            for word in old.into_iter().filter(|w| w.slot != EMPTY) {
+                self.place(word.h, word.slot);
+            }
+        }
+        self.place(h_of(ikey), handle.0);
+    }
+
+    /// Puts `(h, slot)` in the first empty word from `h`'s home.
+    fn place(&mut self, h: u32, slot: u32) {
+        let mask = self.words.len() - 1;
+        let mut at = h as usize & mask;
+        while self.words[at].slot != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.words[at] = Word { h, slot };
+    }
+
+    /// Empties the word `handle` holds under `ikey`, shifting back each
+    /// later word of its cluster that may sit nearer its home.
+    fn remove(&mut self, ikey: u64, handle: ConnHandle) {
+        let mask = self.words.len() - 1;
+        let mut hole = h_of(ikey) as usize & mask;
+        while self.words[hole].slot != handle.0 {
+            hole = (hole + 1) & mask;
+        }
+        let mut at = (hole + 1) & mask;
+        while self.words[at].slot != EMPTY {
+            // Its home is at or before the hole when it probed at least
+            // as far as the hole lies behind it.
+            let word = self.words[at];
+            if at.wrapping_sub(word.h as usize) & mask >= at.wrapping_sub(hole) & mask {
+                self.words[hole] = word;
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+        self.words[hole].slot = EMPTY;
+    }
+}
 
 /// Timeout configuration (nanoseconds). `None` disables a timeout — the
 /// configurations compared in Figure 8.
@@ -120,34 +192,16 @@ impl TimeoutConfig {
     }
 }
 
-/// Per-core connection table: sharded index over an entry arena, with
-/// timer-wheel expiration.
+/// Per-core connection table: one open-addressed index over an entry
+/// arena, with timer-wheel expiration.
 #[derive(Debug)]
 pub struct ConnTable<V> {
-    /// `shards[i]` maps index key → the connection that holds it, for
-    /// index keys mixing to `i`.
-    shards: Vec<HashMap<u64, ConnHandle, FlowHashState>>,
-    /// Each shard's peak `capacity()`: what its allocation holds. The
-    /// live `capacity()` is not — it drops as removals leave tombstones.
-    shard_capacity: [usize; SHARDS],
-    /// The correctness fallback for a full 64-bit collision: index key →
-    /// the connections that found it already held by another one. Empty
-    /// unless someone forges keys; every path checks that first.
-    collided: HashMap<u64, Vec<ConnHandle>, FlowHashState>,
+    index: Index,
     arena: ConnArena<V>,
     config: TimeoutConfig,
 }
 
-/// The shard an index key lives in. Mixed through splitmix64 first: the
-/// fingerprint and the symmetric Toeplitz output are structured, so raw
-/// high or low bits would skew the shards.
-#[inline]
-#[allow(clippy::cast_possible_truncation)] // only the low log2(SHARDS) bits survive the mask
-fn shard_of(ikey: u64) -> usize {
-    (splitmix64(ikey) as usize) & (SHARDS - 1)
-}
-
-/// The shard-map key of a connection: its fingerprint, with the RSS
+/// The index key of a connection: its fingerprint, with the RSS
 /// hash folded into the high half. The one place a packet's
 /// [`ConnKey::fingerprint`] is computed: the handle verbs of
 /// [`ConnTable`] take the result.
@@ -158,19 +212,11 @@ pub fn index_key(hash: u32, key: &ConnKey) -> u64 {
 }
 
 impl<V> ConnTable<V> {
-    /// Creates a table with the given timeout configuration.
-    ///
-    /// The wheel's 256 buckets of 100 ms span 25.6 s, so the default 5 s
-    /// establish timeout (the scan-churn fast path) is placed and fires
-    /// at its own tick; a connection idle towards the 5-minute
-    /// inactivity timeout stops once a rotation on the way.
+    /// Creates a table with the given timeout configuration. It
+    /// allocates nothing until its first insert.
     pub fn new(config: TimeoutConfig) -> Self {
         ConnTable {
-            shards: (0..SHARDS)
-                .map(|i| HashMap::with_hasher(FlowHashState::with_seed(splitmix64(i as u64))))
-                .collect(),
-            shard_capacity: [0; SHARDS],
-            collided: HashMap::default(),
+            index: Index::default(),
             arena: ConnArena::new(),
             config,
         }
@@ -196,32 +242,24 @@ impl<V> ConnTable<V> {
         self.arena.live_high_water()
     }
 
-    /// Bytes held by the arena, the shard indexes (approximate for the
-    /// hash maps: each shard's peak capacity × entry footprint) and the
-    /// wheel's sentinels — all of the timer state but the link words in
-    /// the slots. Capacity never shrinks — removal and
+    /// Bytes held by the arena, the index's words and the wheel's
+    /// sentinels — all of the timer state but the link words in the
+    /// slots. Capacity never shrinks — removal and
     /// [`ConnTable::drain_all`] keep it — so this is also the memory
     /// high-water mark.
     pub fn allocated_bytes(&self) -> usize {
-        let entry_footprint = std::mem::size_of::<(u64, ConnHandle)>() + 1;
-        let index: usize = self.shard_capacity.iter().sum::<usize>() * entry_footprint;
+        let index = self.index.words.capacity() * INDEX_WORD_BYTES;
         self.arena.allocated_bytes() + index + TimerWheel::BYTES
     }
 
-    /// The most connections sharing one index key: they are told apart
-    /// by a linear scan, so this is the table's worst-case probe length.
-    /// It is 1 or, rarely, 2 at any size when callers pass the NIC's
-    /// hash and real keys.
+    /// The most connections sharing one index key: each verifies a full
+    /// key on the way to the others. It is 1 or, rarely, 2 at any size
+    /// when callers pass the NIC's hash and real keys. Off the hot path:
+    /// read from the index keys the slots keep.
     pub fn longest_chain(&self) -> usize {
-        let collided = self.collided.values().map(Vec::len).max().unwrap_or(0);
-        usize::from(!self.is_empty()) + collided
-    }
-
-    /// Number of distinct index keys in use (== [`ConnTable::len`] when
-    /// no two connections share one).
-    #[cfg(test)]
-    fn bucket_count(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        let mut keys: Vec<u64> = self.arena.index_keys().collect();
+        keys.sort_unstable();
+        keys.chunk_by(u64::eq).map(<[u64]>::len).max().unwrap_or(0)
     }
 
     /// Whether `handle`'s slot holds the connection `key` names.
@@ -232,13 +270,13 @@ impl<V> ConnTable<V> {
             .is_some_and(|entry| key.is_key_of(&entry.tuple))
     }
 
-    /// The hint verb (see the module docs): probes the index for `ikey`
-    /// without verifying what it finds, asks the CPU to fetch the slot
-    /// behind it, and returns the handle for [`ConnTable::lookup`] to
-    /// verify later. Dereferences no slot.
+    /// The hint verb (see the module docs): asks the CPU to fetch the slot
+    /// behind the first word whose `h` matches `ikey`'s, unverified, and
+    /// returns its handle for [`ConnTable::lookup`] to verify later.
+    /// Dereferences no slot.
     #[inline]
     pub fn prefetch(&self, ikey: u64) -> Option<ConnHandle> {
-        let first = *self.shards[shard_of(ikey)].get(&ikey)?;
+        let first = self.index.find(ikey, |_| true)?;
         self.arena.prefetch(first);
         Some(first)
     }
@@ -253,12 +291,7 @@ impl<V> ConnTable<V> {
         if let Some(hinted) = hint.filter(|h| self.holds(*h, key)) {
             return Some(hinted);
         }
-        let first = *self.shards[shard_of(ikey)].get(&ikey)?;
-        if self.holds(first, key) {
-            return Some(first);
-        }
-        let later = self.collided.get(&ikey)?;
-        later.iter().copied().find(|h| self.holds(*h, key))
+        self.index.find(ikey, |h| self.holds(h, key))
     }
 
     /// The entry behind a handle [`ConnTable::lookup`] or
@@ -293,15 +326,7 @@ impl<V> ConnTable<V> {
         };
         let deadline = actual_deadline(&self.config, &entry);
         let handle = self.arena.insert(ikey, entry);
-        let shard = shard_of(ikey);
-        match self.shards[shard].entry(ikey) {
-            Entry::Vacant(v) => {
-                v.insert(handle);
-            }
-            Entry::Occupied(_) => self.collided.entry(ikey).or_default().push(handle),
-        }
-        let capacity = &mut self.shard_capacity[shard];
-        *capacity = (*capacity).max(self.shards[shard].capacity());
+        self.index.insert(ikey, handle, self.arena.len());
         if let Some(deadline) = deadline {
             self.arena.schedule(handle, deadline);
         }
@@ -313,7 +338,7 @@ impl<V> ConnTable<V> {
     /// wheel bucket.
     pub fn remove_handle(&mut self, handle: ConnHandle) -> Option<ConnEntry<V>> {
         let (ikey, entry) = self.arena.remove(handle)?;
-        unindex(&mut self.shards, &mut self.collided, ikey, handle);
+        self.index.remove(ikey, handle);
         Some(entry)
     }
 
@@ -360,7 +385,9 @@ impl<V> ConnTable<V> {
             let entry = self.arena.get(handle).expect("a timed slot is occupied");
             match actual_deadline(&self.config, entry) {
                 Some(deadline) if deadline <= now_ns => {
-                    let entry = self.remove_handle(handle).expect("checked above");
+                    // `pop_due` took it out of its bucket: free it at once.
+                    let (ikey, entry) = self.arena.vacate(handle.0);
+                    self.index.remove(ikey, handle);
                     on_expire(entry.tuple.key(), entry);
                 }
                 Some(deadline) => self.arena.schedule(handle, deadline),
@@ -390,9 +417,9 @@ impl<V> ConnTable<V> {
         f: impl FnMut(&mut ConnEntry<V>) -> bool,
         mut on_remove: impl FnMut(u64, ConnEntry<V>),
     ) {
-        let (shards, collided) = (&mut self.shards, &mut self.collided);
+        let index = &mut self.index;
         self.arena.retain_mut(f, |handle, ikey, entry| {
-            unindex(shards, collided, ikey, handle);
+            index.remove(ikey, handle);
             on_remove(ikey, entry);
         });
     }
@@ -401,41 +428,8 @@ impl<V> ConnTable<V> {
     /// partial sessions) into `on_drain`, in deterministic arena-slot
     /// order and in place: nothing is copied out first.
     pub fn drain_all(&mut self, on_drain: impl FnMut(ConnEntry<V>)) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        self.collided.clear();
+        self.index.words.fill(VACANT);
         self.arena.drain(on_drain);
-    }
-}
-
-/// Drops the index entry of the removed connection `handle` held under
-/// `ikey`: a collided connection, if any, takes its place.
-fn unindex(
-    shards: &mut [HashMap<u64, ConnHandle, FlowHashState>],
-    collided: &mut HashMap<u64, Vec<ConnHandle>, FlowHashState>,
-    ikey: u64,
-    handle: ConnHandle,
-) {
-    let shard = &mut shards[shard_of(ikey)];
-    let later = if collided.is_empty() {
-        None
-    } else {
-        collided.get_mut(&ikey)
-    };
-    let Some(later) = later else {
-        // No other connection shares the key: this one was its holder.
-        shard.remove(&ikey);
-        return;
-    };
-    let first = shard.get_mut(&ikey).expect("a shared key has a holder");
-    if *first == handle {
-        *first = later.remove(0);
-    } else {
-        later.retain(|h| *h != handle);
-    }
-    if later.is_empty() {
-        collided.remove(&ikey);
     }
 }
 
@@ -457,6 +451,17 @@ mod tests {
     use std::net::SocketAddr;
 
     const SEC: u64 = 1_000_000_000;
+
+    impl<V> ConnTable<V> {
+        /// Number of distinct index keys in use (== [`ConnTable::len`]
+        /// when no two connections share one).
+        fn bucket_count(&self) -> usize {
+            let mut keys: Vec<u64> = self.arena.index_keys().collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        }
+    }
 
     fn key_tuple(n: u16) -> (ConnKey, FiveTuple) {
         let orig: SocketAddr = format!("10.0.0.1:{n}").parse().unwrap();
@@ -691,8 +696,8 @@ mod tests {
 
     #[test]
     fn zero_hash_degrades_gracefully() {
-        // Unstamped mbufs leave rss_hash == 0: everything lands in one
-        // shard, still one bucket per connection.
+        // Unstamped mbufs leave rss_hash == 0: the fingerprint alone
+        // keys the index, still one key per connection.
         let mut table = ConnTable::new(TimeoutConfig::retina_default());
         let mut keys = Vec::new();
         for n in 1..=50u16 {
@@ -759,14 +764,14 @@ mod tests {
             insert(&mut timed, n, u64::from(n) * 10_000_000);
             insert(&mut untimed, n, u64::from(n) * 10_000_000);
         }
-        let index = timed.shard_capacity.iter().sum::<usize>()
-            * (std::mem::size_of::<(u64, ConnHandle)>() + 1);
+        let index = timed.index.words.capacity() * INDEX_WORD_BYTES;
         assert_eq!(
             timed.allocated_bytes(),
             timed.arena.allocated_bytes() + index + TimerWheel::BYTES
         );
         assert_eq!(timed.allocated_bytes(), untimed.allocated_bytes());
         assert_eq!(TimerWheel::BYTES, 2048);
+        assert_eq!(INDEX_WORD_BYTES, 8);
     }
 
     /// `n` scan-shaped connections — one source, sequential destinations
@@ -850,8 +855,9 @@ mod tests {
     #[test]
     fn forged_index_collision_falls_back_to_the_chain() {
         // Two different keys with the same fingerprint, offered under the
-        // same RSS hash: equal index keys. Lookup, insert, remove and
-        // expiry must each find the right one by its full key.
+        // same RSS hash: equal index keys, so one chain of two probe
+        // neighbours. Lookup, insert, remove and expiry must each find the
+        // right one by its full key.
         const HASH: u32 = 0x6d5a_6d5a;
         let (key, tuple) = key_tuple(1);
         let twin = key.forged_twin();
@@ -876,8 +882,8 @@ mod tests {
         );
         assert_eq!(lookup(&table, &key), Some(a));
         assert_eq!(lookup(&table, &twin), Some(b));
-        // The hint is the key's holder — right for one twin, a verified
-        // miss (then the chain) for the other.
+        // The hint is the first word of the key — right for one twin, a
+        // verified miss (then the rest of the chain) for the other.
         assert_eq!(table.prefetch(ikey), Some(a));
         assert_eq!(table.lookup(ikey, &key, Some(a)), Some(a));
         assert_eq!(table.lookup(ikey, &twin, Some(a)), Some(b));
@@ -889,7 +895,8 @@ mod tests {
             1
         );
 
-        // Remove the first; the twin stays reachable and is alone again.
+        // Remove the first; the twin shifts back, stays reachable and is
+        // alone again.
         assert_eq!(table.remove(HASH, &key).unwrap().value, 1);
         assert!(lookup(&table, &key).is_none());
         assert_eq!(lookup(&table, &twin), Some(b));
@@ -931,45 +938,96 @@ mod proptests {
         ]
     }
 
+    /// Connections the property draws from: 64 of one source, each
+    /// followed by its forged twin (an equal index key under the same RSS
+    /// hash).
+    const CONNS: u16 = 128;
+
+    /// The [`CONNS`] connections with their RSS hashes. Plain, the hashes
+    /// are squeezed into 4 bits: constant RSS collisions, which the
+    /// fingerprint half of the index key must keep apart. `squeezed`, each
+    /// hash is the first whose index key's `h` has bits 2–7 set, so in a
+    /// table of up to 256 words every home is one of the last four words
+    /// and every probe cluster wraps past the end.
+    fn conns(squeezed: bool) -> Vec<(u32, ConnKey, FiveTuple)> {
+        let resp: SocketAddr = "1.1.1.1:443".parse().unwrap();
+        (0..CONNS / 2)
+            .flat_map(|n| {
+                let orig: SocketAddr = format!("10.0.0.1:{}", 1000 + n).parse().unwrap();
+                let tuple = FiveTuple {
+                    orig,
+                    resp,
+                    proto: 6,
+                };
+                let key = tuple.key();
+                let twin = key.forged_twin();
+                let (orig, resp) = twin.endpoints();
+                let twin_tuple = FiveTuple {
+                    orig,
+                    resp,
+                    proto: twin.proto(),
+                };
+                let hash = if squeezed {
+                    (0..)
+                        .find(|&hash| h_of(index_key(hash, &key)) & 0xfc == 0xfc)
+                        .unwrap()
+                } else {
+                    u32::from(n % 16) // deliberate collisions
+                };
+                [(hash, key, tuple), (hash, twin, twin_tuple)]
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random interleavings of inserts, touches, removals, time
-        /// advances and long jumps, under each timeout scheme, never lose a
-        /// connection (expired + resident always equals inserted) and
-        /// expire each one neither early nor late: every connection
-        /// `advance(now)` hands over has an actual deadline at or before
-        /// `now`, and none it leaves behind does. Time moves in whole
-        /// 100 ms ticks, the wheel's resolution, and some advances go to
-        /// exactly the earliest resident deadline. Jumps of up to 200 s
-        /// span several rotations of the wheel; a removal followed by an
-        /// insert of another connection reuses the freed slot, whose old
-        /// timer must not fire for its new occupant. Hashes are squeezed into 4
-        /// bits: constant RSS collisions across the 64 possible conns,
-        /// which the fingerprint half of the index key must keep apart.
+        /// Random interleavings of inserts, bursts of inserts, touches,
+        /// removals, time advances and long jumps, under each timeout
+        /// scheme, never lose a connection (expired + resident always
+        /// equals inserted) and expire each one neither early nor late:
+        /// every connection `advance(now)` hands over has an actual
+        /// deadline at or before `now`, and none it leaves behind does.
+        /// Time moves in whole 100 ms ticks, the wheel's resolution, and
+        /// some advances go to exactly the earliest resident deadline.
+        /// Jumps of up to 200 s span several rotations of the wheel; a
+        /// removal followed by an insert of another connection reuses the
+        /// freed slot, whose old timer must not fire for its new occupant.
+        ///
+        /// The index is held to the same model: after every operation each
+        /// live connection — forged twins included — resolves to the
+        /// handle it was inserted under, and every other one misses. The
+        /// bursts take the index through several doublings (16 → 256
+        /// words), and in `squeezed` mode every probe cluster wraps past the
+        /// end of the words ([`conns`]).
         #[test]
         fn conservation_and_no_premature_expiry(
             config in config(),
-            ops in collection::vec((0u8..7, 0u16..64, 0u64..200), 1..400)
+            squeezed in any::<bool>(),
+            ops in collection::vec((0u8..8, 0..CONNS, 0u64..200), 1..400)
         ) {
             const SEC: u64 = 1_000_000_000;
+            let conns = conns(squeezed);
             let mut table: ConnTable<u8> = ConnTable::new(config);
             let mut now = 0u64;
-            let mut inserted = std::collections::HashSet::new();
-            let conn = |n: u16| {
-                let orig: SocketAddr = format!("10.0.0.1:{}", 1000 + n).parse().unwrap();
-                let resp: SocketAddr = "1.1.1.1:443".parse().unwrap();
-                let tuple = FiveTuple { orig, resp, proto: 6 };
-                (u32::from(n % 16), tuple.key(), tuple) // deliberate collisions
+            let mut live = std::collections::HashMap::new();
+            let insert = |table: &mut ConnTable<u8>, n: u16, now: u64| {
+                let (hash, key, tuple) = conns[usize::from(n % CONNS)];
+                table.get_or_insert_with(hash, key, now, || (tuple, 0));
+                let handle = table.lookup(index_key(hash, &key), &key, None);
+                (key, handle.expect("inserted"))
             };
             for (op, n, dt) in ops {
                 now += dt * SEC / 10; // advance up to 20s per step
-                let (hash, key, tuple) = conn(n);
+                let (hash, key, _) = conns[usize::from(n)];
                 match op {
-                    0 => {
-                        // Insert (or refresh existing).
-                        table.get_or_insert_with(hash, key, now, || (tuple, 0));
-                        inserted.insert(key);
+                    0 | 7 => {
+                        // Insert (or refresh existing); 7 inserts a burst.
+                        let burst = if op == 7 { 32 } else { 1 };
+                        for m in n..n + burst {
+                            let (key, handle) = insert(&mut table, m, now);
+                            prop_assert_eq!(*live.entry(key).or_insert(handle), handle);
+                        }
                     }
                     1 => {
                         // Activity on an established connection.
@@ -980,12 +1038,11 @@ mod proptests {
                     }
                     2 | 3 => {
                         if table.remove(hash, &key).is_some() {
-                            inserted.remove(&key);
+                            live.remove(&key);
                             if op == 3 {
                                 // Another connection takes the freed slot.
-                                let (hash, key, tuple) = conn((n + 1) % 64);
-                                table.get_or_insert_with(hash, key, now, || (tuple, 0));
-                                inserted.insert(key);
+                                let (key, handle) = insert(&mut table, n + 1, now);
+                                prop_assert_eq!(*live.entry(key).or_insert(handle), handle);
                             }
                         }
                     }
@@ -1000,7 +1057,7 @@ mod proptests {
                         let mut this_round = Vec::new();
                         table.advance(now, |k, e| this_round.push((k, e)));
                         for (k, e) in this_round {
-                            prop_assert!(inserted.remove(&k), "expired twice or never inserted");
+                            prop_assert!(live.remove(&k).is_some(), "expired twice or never inserted");
                             let deadline = actual_deadline(&config, &e);
                             prop_assert!(
                                 deadline.is_some_and(|d| d <= now),
@@ -1016,7 +1073,11 @@ mod proptests {
                         }
                     }
                 }
-                prop_assert_eq!(table.len(), inserted.len());
+                prop_assert_eq!(table.len(), live.len());
+                for (hash, key, _) in &conns {
+                    let found = table.lookup(index_key(*hash, key), key, None);
+                    prop_assert_eq!(found, live.get(key).copied(), "{:?}", key);
+                }
             }
         }
     }

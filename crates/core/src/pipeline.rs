@@ -61,7 +61,7 @@ pub trait Ingress {
     /// ingest tracepoints recorded. When not, the pipeline does what the
     /// virtual NIC would have — the hash from the one parse, and the
     /// `Rx` / `HwVerdict` tracepoints of a sampled flow. The connection
-    /// table shards and buckets by the hash and flow sampling derives
+    /// table keys on the hash (with a fingerprint) and flow sampling derives
     /// trace ids from it, so an unstamped mbuf is not an option.
     const STAMPED: bool;
 

@@ -174,7 +174,7 @@ pub struct RunReport {
     pub mbuf_high_water: usize,
     /// Connection-arena bytes summed across this run's cores: the peak
     /// backing-store footprint of the per-core connection tables (arena
-    /// slots plus shard index; capacity only grows, so the end of the
+    /// slots plus index; capacity only grows, so the end of the
     /// run is its peak). Excluded from
     /// [`RunReport::deterministic_digest`] — allocation capacity depends
     /// on growth timing, not on what was delivered.

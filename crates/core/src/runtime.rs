@@ -138,7 +138,7 @@ impl RuntimeGauges {
 
     /// Connection-arena high-water bytes summed across all cores: the
     /// peak backing-store footprint of the conn tables (arena slots plus
-    /// shard index). Unlike [`RuntimeGauges::state_bytes`] this is a
+    /// index). Unlike [`RuntimeGauges::state_bytes`] this is a
     /// high-water mark, not a live value — arena capacity is monotonic,
     /// so it never decreases over a run.
     pub fn conn_arena_bytes(&self) -> usize {

@@ -491,8 +491,8 @@ impl<F: FilterFns> ConnTracker<F> {
         self.table.len() * per_conn + flows + self.machine.probe_bytes
     }
 
-    /// Bytes retained by the connection table's arena and shard
-    /// indexes, and by the flow store. Capacity never shrinks, so this is
+    /// Bytes retained by the connection table's arena and index, and by
+    /// the flow store. Capacity never shrinks, so this is
     /// the memory high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
         self.table.allocated_bytes() + self.machine.flows.allocated_bytes()
@@ -576,9 +576,9 @@ impl<F: FilterFns> ConnTracker<F> {
         let now = mbuf.timestamp_ns;
         // The one verified resolution this packet gets: the hinted
         // handle if it still holds this key's connection, else (opened or
-        // closed earlier in the burst) the staged index key picks the
-        // shard and the bucket, and the full key is verified. From here
-        // on the entry is addressed by handle.
+        // closed earlier in the burst) the index is probed from the staged
+        // index key's home, and the full key is verified. From here on
+        // the entry is addressed by handle.
         let found = self.table.lookup(hint.ikey, &hint.key, hint.handle);
         let Some(handle) = found.or_else(|| self.insert_conn(mbuf, pkt, verdict, hint)) else {
             return;

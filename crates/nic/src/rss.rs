@@ -365,7 +365,7 @@ mod tests {
         // any input is `(x << 16 | x) ^ (y << 16 | y)`-shaped, 65,536
         // values at most. This is why nothing downstream may use
         // `rss_hash` as an identity (the conn index keys on a
-        // fingerprint of the tuple; the hash only picks queue and shard).
+        // fingerprint of the tuple; the hash only picks the queue).
         use retina_support::rand::{RngExt, SeedableRng, SmallRng};
         let hasher = RssHasher::symmetric();
         let mut rng = SmallRng::seed_from_u64(0x16b175);

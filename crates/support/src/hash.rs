@@ -2,21 +2,21 @@
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3 behind a
 //! per-process random seed. That is the right default for maps keyed by
-//! attacker-controlled data, but it is wrong for Retina's conn-table
-//! shards twice over:
+//! attacker-controlled data, but it is wrong for Retina's per-packet
+//! connection maps twice over:
 //!
 //! 1. **Cost** — re-running SipHash over the 5-tuple's two `SocketAddr`s
-//!    on every lookup is the most expensive way to key the index. The
-//!    shard maps key on one 64-bit word instead — the connection key's
-//!    hand-rolled fingerprint with the NIC's RSS hash folded in — so the
-//!    map hasher only needs to *spread* an integer, not provide keyed
+//!    on every lookup is the most expensive way to key a connection. The
+//!    conn index keys on one 64-bit word instead — the connection key's
+//!    hand-rolled fingerprint with the NIC's RSS hash folded in — so a
+//!    hasher only needs to *spread* an integer, not provide keyed
 //!    collision resistance (flood resistance comes from full-key
 //!    verification in the arena, and the Toeplitz key is public
 //!    anyway). The RSS hash alone is **not** such an integer: under the
 //!    symmetric key (`0x6d5a` repeated) a bit's contribution depends
 //!    only on its position mod 16, so the "32-bit" hash takes at most
-//!    65,536 values on any traffic. It picks the queue and the shard;
-//!    the fingerprint picks the bucket.
+//!    65,536 values on any traffic. It picks the queue; the fingerprint
+//!    tells connections apart.
 //! 2. **Determinism** — a random seed makes iteration/drain order differ
 //!    run to run, which would leak into drain-time accounting order.
 //!    Everything here is seeded explicitly, so identical inputs produce
@@ -27,7 +27,7 @@
 //! of cycles per `write_u64`, far cheaper than SipHash, with avalanche
 //! good enough to spread structured integers across buckets. [`splitmix64`]
 //! is the standalone finalizer used wherever a one-shot integer mix is
-//! needed (trace sampling, shard seeds).
+//! needed (trace sampling, the conn index's word hash).
 
 /// The default seed for [`FlowHashState`]. Fixed (not random) so map
 /// layout — and therefore iteration order — is identical across runs.

@@ -11,7 +11,7 @@
 //! | [`rand`]          | `rand` (`SmallRng`)        | seeded traffic generation    |
 //! | [`rematch`]       | `regex` (`Regex`)          | filter `~`: linear automaton |
 //! | [`mod@proptest`]  | `proptest`                 | property tests everywhere    |
-//! | [`hash`]          | `fxhash`/`ahash`           | conn-table shard maps        |
+//! | [`hash`]          | `fxhash`/`ahash`           | tracker's closed-conn map    |
 //!
 //! [`mod@prefetch`] replaces nothing: it is the workspace's one software
 //! prefetch primitive (the burst pipeline's frame and conn-slot hints).

@@ -280,6 +280,17 @@
 # has no `Vec` in timerwheel.rs, no `to_token` or `from_token`, and no
 # generation field in arena.rs's `struct Slot`.
 #
+# The connection index is one open-addressed table of 8-byte words
+# (crates/conntrack/src/table.rs): probed linearly, at most half full,
+# emptied by backward shift, its bytes counted exactly. It was once 16
+# `HashMap` shards, a side map (`collided`) of connections whose 64-bit
+# index keys were forged twins, and each shard's peak capacity kept
+# beside it (`shard_capacity`), because a hash map's live capacity drops
+# as removals leave tombstones and the index's bytes could only be
+# estimated. A twin is a probe neighbour now. So non-test
+# crates/conntrack/src uses no `HashMap` and names no `collided`,
+# `shard_capacity` or `SHARDS` (as whole words).
+#
 # A textual audit: "non-test" is everything above a file's first
 # `#[cfg(test)]` line, and nothing under a tests/ directory; comment
 # lines are ignored. Run as the `one-loop`
@@ -705,6 +716,15 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+hits=$(for file in $(find crates/conntrack/src -name '*.rs' | sort); do
+        code_lines "$file" | grep -E '(^|[^[:alnum:]_])(HashMap|collided|shard_capacity|SHARDS)([^[:alnum:]_]|$)'
+    done || true)
+if [ -n "$hits" ]; then
+    echo "a second connection index beside the open-addressed table (no HashMap, collided, shard_capacity or SHARDS):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "one-loop guard FAILED: drive CorePipeline, executor's lane protocol and CompiledFilter instead of re-writing them" >&2
     exit 1
@@ -730,4 +750,5 @@ echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chao
 echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder;"
 echo "  a bare SYN builds no flow: a TcpFlow is built in flows.rs's promote and view only;"
 echo "  a connection keeps no frontiers: struct Conn has no Frontiers field, the filters read its first_verdict;"
-echo "  timers live in the slots they time: no Vec in the wheel, no wheel tokens, no generation in an arena slot"
+echo "  timers live in the slots they time: no Vec in the wheel, no wheel tokens, no generation in an arena slot;"
+echo "  one conn index: no HashMap, collided, shard_capacity or SHARDS in crates/conntrack/src"

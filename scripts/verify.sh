@@ -56,7 +56,7 @@ cargo run --release --offline -q -p retina-bench --bin governor_storm -- --quick
 cargo run --release --offline -q -p retina-filter --bin retina-flint -- \
     --json scripts/filters.flt
 
-# Churn storm, full size: the sharded / arena-backed conn table must
+# Churn storm, full size: the indexed / arena-backed conn table must
 # sustain >= 1M concurrent flows under the scan-heavy mix with exact
 # accounting (created == discarded + terminated + expired + drained), a
 # schedule-independent stepped digest, and an arena that reuses freed

@@ -53,13 +53,16 @@
 //! allocates per connection: one arena slot per peak connection
 //! ([`CONN_SLOT_BYTES`], its flow an eight-byte embryo in it), plus at
 //! most one 8,192-slot chunk of slack and the index — not a doubled `Vec`
-//! of slots beside a free list, and no flow store.
+//! of slots beside a free list, and no flow store. A table that never
+//! sees a connection (a core whose filters all stop at the packet layer)
+//! costs nothing: `ConnTable::new` allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use retina_conntrack::{ConnTable, TimeoutConfig, TimerWheel};
 use retina_core::subscribables::{
     ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SessionRecord,
     SshHandshakeData, TlsHandshakeData,
@@ -226,15 +229,25 @@ fn a_bare_syn_table_holds_its_peak_and_one_chunk() {
     let peak = usize::try_from(report.cores.conns_peak).unwrap();
     assert_eq!(peak, N as usize);
     // Slots for the peak and one 8,192-slot chunk of slack, at the
-    // tracker's slot size; index entries of 17 bytes at hashbrown's 7/8
-    // load. A bare SYN's flow is the embryo in its slot: the flow store
-    // holds nothing.
+    // tracker's slot size, and 17 × 8/7 bytes of index per peak connection
+    // (what a hash map's 17-byte entries at 7/8 load took). The index's
+    // 8-byte words, at most four per peak connection, fit in that and the
+    // chunk of slack. A bare SYN's flow is the embryo in its slot: the
+    // flow store holds nothing.
     let bound = (peak + 8_192) * CONN_SLOT_BYTES + peak * 17 * 8 / 7;
     assert!(
         report.conn_arena_bytes <= bound,
         "{} B of connection state at a peak of {peak} (bound {bound} B)",
         report.conn_arena_bytes
     );
+}
+
+#[test]
+fn a_conn_table_allocates_nothing_until_its_first_insert() {
+    let before = counters();
+    let table: ConnTable<u64> = ConnTable::new(TimeoutConfig::retina_default());
+    assert_eq!(counters(), before, "ConnTable::new allocated");
+    assert_eq!(table.allocated_bytes(), TimerWheel::BYTES);
 }
 
 #[test]
