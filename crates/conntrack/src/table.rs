@@ -31,17 +31,15 @@
 //!   `get_or_insert_with`, `remove`) compute it: those steps in one call.
 //! - **A hint verb for bursts.** [`ConnTable::prefetch`] asks the CPU to
 //!   fetch the arena slot behind the first word whose `h` matches
-//!   ([`ConnArena::prefetch`]), so a burst's slot misses overlap. It
-//!   dereferences no slot: by the time the hint is used its slot may be
-//!   vacant, reused, or a key twin's, so [`ConnTable::lookup`] verifies it
-//!   against the full key of the slot's occupant and probes the index
-//!   itself when it fails.
-//! - **Arena entry storage.** Entries live in a slot-reusing
-//!   [`ConnArena`] addressed by `u32` slot indices: fixed chunks of slots
-//!   that never move, with the free list threaded through the vacant
-//!   slots. Steady-state churn allocates nothing, past its first chunk
-//!   the arena holds at most one chunk more than its peak, and the
-//!   footprint is the memory high-water mark the telemetry gauge reports.
+//!   ([`retina_support::slab::Slab::prefetch`]), so a burst's slot misses
+//!   overlap. It dereferences no slot: by the time the hint is used its
+//!   slot may be vacant, reused, or a key twin's, so [`ConnTable::lookup`]
+//!   verifies it against the full key of the slot's occupant and probes
+//!   the index itself when it fails.
+//! - **Arena entry storage.** Entries live in a [`ConnArena`], a slab of
+//!   slots addressed by `u32` indices ([`retina_support::slab`]): churn
+//!   allocates nothing once it has grown, and its footprint is the memory
+//!   high-water mark the telemetry gauge reports.
 //! - **A timer wheel linked through the slots.** Expiration follows
 //!   §5.2's two timeouts: a short *establishment* timeout expires
 //!   unanswered SYNs quickly (65% of connections!), and a longer
@@ -224,12 +222,12 @@ impl<V> ConnTable<V> {
 
     /// Number of tracked connections.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.arena.slab.len()
     }
 
     /// Returns true when no connections are tracked.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.arena.slab.is_empty()
     }
 
     /// The active timeout configuration.
@@ -239,7 +237,7 @@ impl<V> ConnTable<V> {
 
     /// Peak number of simultaneously-tracked connections.
     pub fn live_high_water(&self) -> usize {
-        self.arena.live_high_water()
+        self.arena.slab.slots()
     }
 
     /// Bytes held by the arena, the index's words and the wheel's
@@ -249,7 +247,7 @@ impl<V> ConnTable<V> {
     /// high-water mark.
     pub fn allocated_bytes(&self) -> usize {
         let index = self.index.words.capacity() * INDEX_WORD_BYTES;
-        self.arena.allocated_bytes() + index + TimerWheel::BYTES
+        self.arena.slab.allocated_bytes() + index + TimerWheel::BYTES
     }
 
     /// The most connections sharing one index key: each verifies a full
@@ -277,7 +275,7 @@ impl<V> ConnTable<V> {
     #[inline]
     pub fn prefetch(&self, ikey: u64) -> Option<ConnHandle> {
         let first = self.index.find(ikey, |_| true)?;
-        self.arena.prefetch(first);
+        self.arena.slab.prefetch(first.0);
         Some(first)
     }
 
@@ -326,7 +324,7 @@ impl<V> ConnTable<V> {
         };
         let deadline = actual_deadline(&self.config, &entry);
         let handle = self.arena.insert(ikey, entry);
-        self.index.insert(ikey, handle, self.arena.len());
+        self.index.insert(ikey, handle, self.arena.slab.len());
         if let Some(deadline) = deadline {
             self.arena.schedule(handle, deadline);
         }
@@ -767,7 +765,7 @@ mod tests {
         let index = timed.index.words.capacity() * INDEX_WORD_BYTES;
         assert_eq!(
             timed.allocated_bytes(),
-            timed.arena.allocated_bytes() + index + TimerWheel::BYTES
+            timed.arena.slab.allocated_bytes() + index + TimerWheel::BYTES
         );
         assert_eq!(timed.allocated_bytes(), untimed.allocated_bytes());
         assert_eq!(TimerWheel::BYTES, 2048);

@@ -169,7 +169,7 @@ mod tests {
         timed(&mut arena, 5 * T);
         assert!(advance(&mut arena, 4 * T).is_empty());
         assert_eq!(advance(&mut arena, 6 * T), vec![5 * T]);
-        assert!(arena.is_empty());
+        assert!(arena.slab.is_empty());
     }
 
     #[test]
@@ -312,7 +312,7 @@ mod proptests {
                     let mut fired = advance(&mut arena, now);
                     fired.sort_unstable();
                     prop_assert_eq!(fired, due(&mut oracle, now), "divergence at now={}", now);
-                    prop_assert_eq!(arena.len(), oracle.len());
+                    prop_assert_eq!(arena.slab.len(), oracle.len());
                 }
             }
             // Flush: everything outstanding fires exactly once.
@@ -320,7 +320,7 @@ mod proptests {
             let mut fired = advance(&mut arena, now);
             fired.sort_unstable();
             prop_assert_eq!(fired, due(&mut oracle, now));
-            prop_assert!(arena.is_empty());
+            prop_assert!(arena.slab.is_empty());
         }
 
         /// Wraparound: a deadline several whole rotations out lands in a
@@ -357,7 +357,7 @@ mod proptests {
             arena.schedule(handle, second);
             prop_assert!(advance(&mut arena, second - T).is_empty(), "fired before the new deadline");
             prop_assert_eq!(advance(&mut arena, second), vec![second]);
-            prop_assert!(arena.is_empty());
+            prop_assert!(arena.slab.is_empty());
         }
     }
 }

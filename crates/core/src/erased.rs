@@ -14,8 +14,8 @@
 //!   carry the datum to the user callback — inline or on a dispatch
 //!   worker — as itself, never boxed.
 //! * [`TrackedSlab`] — one core's per-connection state for one
-//!   subscription: a typed slab (`Vec<Option<T>>` + free list, the
-//!   `ConnArena` pattern) the tracker addresses by slot id, plus the
+//!   subscription: a [`Slab`] of its `Tracked` type (the connection
+//!   arena's storage) the tracker addresses by slot id, plus the
 //!   subscription's **output lane**, a `VecDeque<(u64, O)>` of what its
 //!   hooks emitted, kept (capacity and all) across flushes. A new
 //!   connection takes a slot, an output takes a place in the lane:
@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use retina_conntrack::{Dir, FiveTuple};
 use retina_nic::Mbuf;
+use retina_support::slab::Slab;
 use retina_wire::ParsedPacket;
 
 use crate::executor::Deliver;
@@ -186,20 +187,12 @@ pub trait TrackedSlab: Send {
     fn clear_lane(&mut self, keep: usize);
 }
 
-/// The slab of a concrete `Tracked` type: dense slots, recycled through
-/// a free list, so steady-state connection churn allocates nothing here,
-/// and the lane its outputs wait in.
+/// The states of a concrete `Tracked` type, in a [`Slab`] (so
+/// steady-state connection churn allocates nothing here), and the lane
+/// its outputs wait in.
 struct TypedSlab<T: Tracked> {
-    slots: Vec<Option<T>>,
-    free: Vec<u32>,
+    states: Slab<T>,
     lane: VecDeque<(u64, T::Out)>,
-}
-
-/// The state in `slot`.
-fn state<T>(slots: &mut [Option<T>], slot: u32) -> &mut T {
-    slots[slot as usize]
-        .as_mut()
-        .expect("slot id of a released tracked state")
 }
 
 impl<T> TrackedSlab for TypedSlab<T>
@@ -208,32 +201,24 @@ where
     T::Out: Send + 'static,
 {
     fn insert(&mut self, tuple: &FiveTuple, first_ts_ns: u64) -> u32 {
-        let state = Some(T::new(tuple, first_ts_ns));
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = state;
-            slot
-        } else {
-            self.slots.push(state);
-            u32::try_from(self.slots.len() - 1).expect("slab exceeds u32 slots")
-        }
+        self.states.insert(T::new(tuple, first_ts_ns))
     }
 
     fn release(&mut self, slot: u32) {
-        let state = self.slots[slot as usize].take();
+        let state = self.states.remove(slot);
         debug_assert!(state.is_some(), "double release of slot {slot}");
-        self.free.push(slot);
     }
 
     fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.states.len()
     }
 
     fn pre_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket) {
-        state(&mut self.slots, slot).pre_match(mbuf, pkt);
+        self.states[slot].pre_match(mbuf, pkt);
     }
 
     fn on_stream(&mut self, slot: u32, dir: Dir, mbuf: &Mbuf, payload: Range<usize>) {
-        state(&mut self.slots, slot).on_stream(dir, mbuf, payload);
+        self.states[slot].on_stream(dir, mbuf, payload);
     }
 
     fn on_match(
@@ -245,17 +230,17 @@ where
         out: &mut Emitter<'_>,
     ) {
         let out = &mut out.typed(&mut self.lane);
-        state(&mut self.slots, slot).on_match(conn, service, session, out);
+        self.states[slot].on_match(conn, service, session, out);
     }
 
     fn post_match(&mut self, slot: u32, mbuf: &Mbuf, pkt: &ParsedPacket, out: &mut Emitter<'_>) {
         let out = &mut out.typed(&mut self.lane);
-        state(&mut self.slots, slot).post_match(mbuf, pkt, out);
+        self.states[slot].post_match(mbuf, pkt, out);
     }
 
     fn on_terminate(&mut self, slot: u32, conn: &ConnView<'_>, out: &mut Emitter<'_>) {
         let out = &mut out.typed(&mut self.lane);
-        state(&mut self.slots, slot).on_terminate(conn, out);
+        self.states[slot].on_terminate(conn, out);
     }
 
     fn lane(&mut self) -> &mut dyn Any {
@@ -334,8 +319,7 @@ impl<S: Subscribable> ErasedSubscription for TypedSubscription<S> {
 
     fn new_slab(&self) -> Box<dyn TrackedSlab> {
         Box::new(TypedSlab::<S::Tracked> {
-            slots: Vec::new(),
-            free: Vec::new(),
+            states: Slab::new(),
             lane: VecDeque::new(),
         })
     }

@@ -7,20 +7,17 @@
 //! packet (Appendix C), so most never draw a slot: a bare SYN costs its
 //! arena slot eight bytes of flow, not a flow with two reassemblers.
 //!
-//! The store is a dense `Vec` of slots with its free list in the vacant
-//! slots, as the connection arena keeps its own: no side list, nothing
-//! allocated per connection, and nothing at all until the first
-//! promotion. A connection hands its slot back at its exit.
+//! The store is a [`Slab`] of flows, as the connection arena is a slab of
+//! entries: nothing allocated per connection, and nothing at all until
+//! the first promotion. A connection hands its slot back at its exit.
 //!
 //! A hook that reads an embryo's flow (`on_match` at a connection's open,
 //! `on_terminate` at a bare SYN's expiry) reads the store's scratch flow,
 //! hatched from the embryo for the call: a view never promotes.
 
-// Narrowing casts in this file are intentional: a slot index is a `u32`.
-#![allow(clippy::cast_possible_truncation)]
-
 use retina_conntrack::{Dir, Embryo, FlowUpdate, TcpFlow};
 use retina_nic::Mbuf;
+use retina_support::slab::Slab;
 use retina_wire::ParsedPacket;
 
 /// A connection's flow: an embryo, or the store slot of its flow.
@@ -40,25 +37,14 @@ impl Default for FlowWord {
     }
 }
 
-/// One store slot: a flow, or the next vacant slot's index (`NIL`: none).
-enum Slot {
-    Live(TcpFlow),
-    Vacant(u32),
-}
-
-// Vacancy costs no byte: the slot's tag lives in the niche of a flow flag,
-// the free-list link in the vacant flow's bytes.
-const _: () = assert!(std::mem::size_of::<Slot>() == std::mem::size_of::<TcpFlow>());
-
-/// The end of the in-slot free list.
-const NIL: u32 = u32::MAX;
+// Vacancy costs no byte: the slab entry's tag lives in the niche of a
+// flow flag.
+const _: () = assert!(Slab::<TcpFlow>::ENTRY_BYTES == std::mem::size_of::<Option<TcpFlow>>());
 
 /// This core's promoted flows.
 pub(super) struct FlowStore {
-    slots: Vec<Slot>,
-    /// The most recently vacated slot, or `NIL`.
-    free: u32,
-    live: usize,
+    /// The flows, by the index a stored flow word holds.
+    pub(super) slab: Slab<TcpFlow>,
     ooo_capacity: usize,
     /// The flow an embryo's view reads, hatched for the call.
     scratch: Option<TcpFlow>,
@@ -67,35 +53,9 @@ pub(super) struct FlowStore {
 impl FlowStore {
     pub(super) fn new(ooo_capacity: usize) -> Self {
         FlowStore {
-            slots: Vec::new(),
-            free: NIL,
-            live: 0,
+            slab: Slab::new(),
             ooo_capacity,
             scratch: None,
-        }
-    }
-
-    /// Flows in the store.
-    pub(super) fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Bytes the store's slots occupy, vacant ones included.
-    pub(super) fn allocated_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>()
-    }
-
-    fn flow(&self, i: u32) -> &TcpFlow {
-        match &self.slots[i as usize] {
-            Slot::Live(flow) => flow,
-            Slot::Vacant(_) => unreachable!("a stored flow word names a live slot"),
-        }
-    }
-
-    fn flow_mut(&mut self, i: u32) -> &mut TcpFlow {
-        match &mut self.slots[i as usize] {
-            Slot::Live(flow) => flow,
-            Slot::Vacant(_) => unreachable!("a stored flow word names a live slot"),
         }
     }
 
@@ -121,23 +81,12 @@ impl FlowStore {
                 i
             }
         };
-        self.flow_mut(i).update(pkt, mbuf, dir, stream_active)
+        self.slab[i].update(pkt, mbuf, dir, stream_active)
     }
 
     /// A slot holding `embryo`'s flow: the last vacated one, else a new one.
     fn promote(&mut self, embryo: Embryo) -> u32 {
-        let flow = Slot::Live(embryo.hatch(self.ooo_capacity));
-        self.live += 1;
-        if self.free == NIL {
-            self.slots.push(flow);
-            return (self.slots.len() - 1) as u32;
-        }
-        let i = self.free;
-        match std::mem::replace(&mut self.slots[i as usize], flow) {
-            Slot::Vacant(next) => self.free = next,
-            Slot::Live(_) => unreachable!("the free list links vacant slots"),
-        }
-        i
+        self.slab.insert(embryo.hatch(self.ooo_capacity))
     }
 
     /// The segments a filled hole released in direction `dir`
@@ -146,7 +95,7 @@ impl FlowStore {
     pub(super) fn flush(&mut self, word: FlowWord, dir: Dir) -> Vec<Mbuf> {
         match word {
             FlowWord::Embryo(_) => Vec::new(),
-            FlowWord::Stored(i) => self.flow_mut(i).reassembler(dir).flush(),
+            FlowWord::Stored(i) => self.slab[i].reassembler(dir).flush(),
         }
     }
 
@@ -154,7 +103,7 @@ impl FlowStore {
     /// flow, hatched from the embryo.
     pub(super) fn view(&mut self, word: FlowWord) -> &TcpFlow {
         match word {
-            FlowWord::Stored(i) => self.flow(i),
+            FlowWord::Stored(i) => &self.slab[i],
             FlowWord::Embryo(embryo) => self.scratch.insert(embryo.hatch(self.ooo_capacity)),
         }
     }
@@ -163,9 +112,7 @@ impl FlowStore {
     /// embryo after.
     pub(super) fn release(&mut self, word: &mut FlowWord) {
         if let FlowWord::Stored(i) = std::mem::take(word) {
-            self.slots[i as usize] = Slot::Vacant(self.free);
-            self.free = i;
-            self.live -= 1;
+            self.slab.remove(i);
         }
     }
 }
@@ -208,7 +155,7 @@ mod tests {
             store.update(word, &syn, &m, Dir::OrigToResp, true);
             assert!(store.view(*word).is_single_syn());
         }
-        assert_eq!((store.live(), store.allocated_bytes()), (0, 0));
+        assert_eq!((store.slab.len(), store.slab.allocated_bytes()), (0, 0));
 
         // Two are answered and promoted; the first of them exits, and the
         // third's promotion takes its slot: nothing grows.
@@ -225,15 +172,15 @@ mod tests {
         ));
         let flow = store.view(words[1]);
         assert!(flow.syn_seen && flow.synack_seen && flow.total_packets() == 2);
-        let bytes = store.allocated_bytes();
+        let bytes = store.slab.allocated_bytes();
         store.release(&mut words[0]);
         assert!(matches!(words[0], FlowWord::Embryo(_)));
-        assert_eq!(store.live(), 1);
+        assert_eq!(store.slab.len(), 1);
         store.update(&mut words[2], &synack, &m2, Dir::RespToOrig, true);
         assert!(
             matches!(words[2], FlowWord::Stored(0)),
             "the vacated slot is reused"
         );
-        assert_eq!((store.live(), store.allocated_bytes()), (2, bytes));
+        assert_eq!((store.slab.len(), store.slab.allocated_bytes()), (2, bytes));
     }
 }

@@ -100,7 +100,8 @@ pub const CONN_SLOT_BYTES: usize = ConnArena::<Conn>::SLOT_BYTES;
 
 // Size budget, checked at build time: every 8 bytes of `Conn` are
 // 0.85 MB at scan's 106,496-slot arena, and a built-in tracked type's
-// size is what a slab slot costs per engaged connection.
+// size is what a slab slot costs per engaged connection (its vacancy
+// costs no byte more than an `Option`'s).
 const _: () = assert!(std::mem::size_of::<TrackedRefs>() <= 32);
 const _: () = assert!(std::mem::size_of::<Conn>() <= 104);
 const _: () = assert!(CONN_SLOT_BYTES <= 208);
@@ -108,9 +109,13 @@ const _: () = {
     use crate::subscribables::{
         ConnBytesTracker, ConnRecordTracker, SessionLevelTracker, TlsHandshakeData,
     };
-    assert!(std::mem::size_of::<SessionLevelTracker<TlsHandshakeData>>() == 0);
-    assert!(std::mem::size_of::<ConnRecordTracker>() <= 16);
-    assert!(std::mem::size_of::<ConnBytesTracker>() <= 72);
+    use retina_support::slab::Slab;
+    use std::mem::size_of;
+    assert!(size_of::<SessionLevelTracker<TlsHandshakeData>>() == 0);
+    assert!(size_of::<ConnRecordTracker>() <= 16);
+    assert!(size_of::<ConnBytesTracker>() <= 72);
+    assert!(Slab::<ConnRecordTracker>::ENTRY_BYTES == size_of::<Option<ConnRecordTracker>>());
+    assert!(Slab::<ConnBytesTracker>::ENTRY_BYTES == size_of::<Option<ConnBytesTracker>>());
 };
 
 /// Per-subscription spec resolved against the merged filter.
@@ -389,7 +394,7 @@ impl<F: FilterFns> ConnTracker<F> {
             slabs: Vec::new(),
             probe_cache: HashMap::new(),
             probe_sets: Vec::new(),
-            prefixes: Prefixes::default(),
+            prefixes: Prefixes::new(),
             parsers: Vec::new(),
             probe_bytes: 0,
             sessions: Vec::new(),
@@ -487,7 +492,7 @@ impl<F: FilterFns> ConnTracker<F> {
     /// maintenance tick.
     pub fn state_bytes(&self) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
-        let flows = self.machine.flows.live() * std::mem::size_of::<TcpFlow>();
+        let flows = self.machine.flows.slab.len() * std::mem::size_of::<TcpFlow>();
         self.table.len() * per_conn + flows + self.machine.probe_bytes
     }
 
@@ -495,7 +500,7 @@ impl<F: FilterFns> ConnTracker<F> {
     /// the flow store. Capacity never shrinks, so this is
     /// the memory high-water mark the `conn_arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
-        self.table.allocated_bytes() + self.machine.flows.allocated_bytes()
+        self.table.allocated_bytes() + self.machine.flows.slab.allocated_bytes()
     }
 
     /// The burst's hint pass for one packet the filter kept: its key and
@@ -992,28 +997,21 @@ mod tests {
 
     /// `state_bytes()` the slow way: a walk over every table entry
     /// summing its promoted flow and its probe slot's buffer capacities,
-    /// then over the released slots and the idle parsers the pools keep.
-    /// The running counts must equal it at every point.
+    /// then over the idle parsers the pools keep (a vacant prefix slot
+    /// holds no buffer). The running counts must equal it at every point.
     fn state_bytes_walk(t: &ConnTracker<CompiledFilter>) -> usize {
         let per_conn = std::mem::size_of::<ConnEntry<Conn>>() + 64;
         let promoted = t
             .table
             .iter()
             .filter(|e| matches!(e.value.flow, FlowWord::Stored(_)));
-        let slots = &t.machine.prefixes.slots;
-        let held = |slot: u32| {
-            slots[slot as usize]
-                .iter()
-                .map(Vec::capacity)
-                .sum::<usize>()
-        };
+        let prefixes = &t.machine.prefixes;
+        let held = |slot: u32| prefixes[slot].iter().map(Vec::capacity).sum::<usize>();
         let probing = prefix_slots(t).map(held);
-        let released = t.machine.prefixes.free.iter().map(|&slot| held(slot));
         let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
         t.table.len() * per_conn
             + promoted.count() * std::mem::size_of::<TcpFlow>()
             + probing.sum::<usize>()
-            + released.sum::<usize>()
             + idle.map(|(_, kept)| kept).sum::<usize>()
     }
 
@@ -1032,22 +1030,19 @@ mod tests {
     }
 
     /// Every slab holds exactly the states the table's connections
-    /// reference, and every prefix slot is a probing connection's or
-    /// released: nothing leaked, nothing dangling. Returns the live
-    /// count per subscription.
+    /// reference, and every live prefix slot is held by exactly one
+    /// probing connection: nothing leaked, nothing dangling. Returns the
+    /// live count per subscription.
     fn slab_balance(t: &ConnTracker<CompiledFilter>) -> Vec<usize> {
         assert_eq!(
             t.state_bytes(),
             state_bytes_walk(t),
             "probe-byte count drifted"
         );
-        let prefixes = &t.machine.prefixes;
-        let mut slots: Vec<u32> = prefix_slots(t)
-            .chain(prefixes.free.iter().copied())
-            .collect();
-        slots.sort_unstable();
-        let all: Vec<u32> = (0..prefixes.slots.len() as u32).collect();
-        assert_eq!(slots, all, "every prefix slot is held once or free");
+        let mut held: Vec<u32> = prefix_slots(t).collect();
+        held.sort_unstable();
+        let live: Vec<u32> = t.machine.prefixes.iter().map(|(slot, _)| slot).collect();
+        assert_eq!(held, live, "every live prefix slot is held once");
         let live: Vec<usize> = t.machine.slabs.iter().map(|s| s.live()).collect();
         for (i, live) in live.iter().enumerate() {
             let held = t
@@ -1175,7 +1170,10 @@ mod tests {
         feed(&mut t, &syns);
         assert_eq!(t.connections(), 1_000);
         assert_eq!(
-            (t.machine.flows.live(), t.machine.flows.allocated_bytes()),
+            (
+                t.machine.flows.slab.len(),
+                t.machine.flows.slab.allocated_bytes()
+            ),
             (0, 0)
         );
         assert_eq!(t.arena_bytes(), t.table.allocated_bytes());
@@ -1184,8 +1182,12 @@ mod tests {
         let mut web = http_conv("10.0.0.3:40003", 2_000 * MS);
         web.out.truncate(2);
         feed(&mut t, &web.out);
-        assert_eq!(t.machine.flows.live(), 1, "the SYN-ACK promoted one flow");
-        let store = t.machine.flows.allocated_bytes();
+        assert_eq!(
+            t.machine.flows.slab.len(),
+            1,
+            "the SYN-ACK promoted one flow"
+        );
+        let store = t.machine.flows.slab.allocated_bytes();
         assert!(store >= std::mem::size_of::<TcpFlow>());
         assert_eq!(t.arena_bytes(), t.table.allocated_bytes() + store);
         assert_eq!(t.state_bytes(), state_bytes_walk(&t));
@@ -1193,11 +1195,15 @@ mod tests {
         web.out.clear();
         feed(&mut t, &web.close());
         assert_eq!(t.connections(), 1_000);
-        assert_eq!(t.machine.flows.live(), 0, "the exit handed the slot back");
-        assert_eq!(t.machine.flows.allocated_bytes(), store);
+        assert_eq!(
+            t.machine.flows.slab.len(),
+            0,
+            "the exit handed the slot back"
+        );
+        assert_eq!(t.machine.flows.slab.allocated_bytes(), store);
         t.drain(discard);
         assert_eq!(t.machine.tallies[0].delivered, 1_001);
-        assert_eq!(t.machine.flows.live(), 0);
+        assert_eq!(t.machine.flows.slab.len(), 0);
     }
 
     /// The running probe-buffer byte count behind the O(1)
@@ -1235,6 +1241,8 @@ mod tests {
         }
         let parked = check(&t);
         assert!(parked >= 8, "eight prefix buffers are held: {parked}");
+        let live = t.machine.prefixes.len();
+        assert_eq!(live, 8, "each parks its prefix in a slot of its own");
 
         // 0: HTTP wins. 1: garbage eliminates every candidate. 2: the
         // prefix overflows the probe cap. 3: closes mid-probe.
@@ -1251,7 +1259,8 @@ mod tests {
         feed(&mut t, &closing.close());
         // The four released their prefix slots, and the bytes with them.
         let after_four = check(&t);
-        assert_eq!(t.machine.prefixes.free.len(), 4);
+        assert_eq!(t.machine.prefixes.len(), live - 4);
+        assert_eq!(t.machine.prefixes.slots() - t.machine.prefixes.len(), 4);
         assert!(after_four < parked, "{after_four} vs {parked}");
 
         // A rebind that drops `http` and keeps `tls`: the four still
@@ -1282,13 +1291,10 @@ mod tests {
         t.drain(discard);
         check(&t);
         assert_eq!(t.connections(), 0);
-        let prefixes = &t.machine.prefixes;
-        assert_eq!(prefixes.free.len(), prefixes.slots.len());
-        assert!(prefixes
-            .slots
-            .iter()
-            .flatten()
-            .all(|buf| buf.capacity() == 0));
+        assert!(
+            t.machine.prefixes.is_empty(),
+            "a prefix slot outlived the drain"
+        );
         let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
         let kept: Vec<usize> = idle.map(|(_, kept)| *kept).collect();
         assert!(kept.iter().all(|&kept| kept <= phase::PROBE_BUFFER_CAP));

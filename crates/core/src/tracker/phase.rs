@@ -18,6 +18,7 @@ use retina_nic::Mbuf;
 use retina_protocols::{
     ConnParser, Direction, ParseResult, ParserRegistry, ProbeResult, Session, SessionState,
 };
+use retina_support::slab::Slab;
 use retina_telemetry::{trace::TraceConnEnd, TraceKind};
 
 use super::{first_verdict, Conn, Machine};
@@ -150,33 +151,19 @@ pub(super) const NO_PREFIX: u32 = u32::MAX;
 /// Both directions' prefix buffers, client's first.
 type PrefixPair = [Vec<u8>; 2];
 
+// Vacancy costs no byte: the slab entry's tag lives in a niche of the
+// buffers.
+const _: () = assert!(Slab::<PrefixPair>::ENTRY_BYTES == std::mem::size_of::<Option<PrefixPair>>());
+
 /// The stream prefixes of probing connections whose first segment left
-/// every candidate unsure, by slot: dense slots and a free list, the
-/// tracked-state slab's pattern. A slot is reused; the bytes it buffered
-/// are freed with it — records that straddle segments are rare, and what
-/// a pool of them kept would stay pinned.
-#[derive(Default)]
-pub(super) struct Prefixes {
-    pub(super) slots: Vec<PrefixPair>,
-    pub(super) free: Vec<u32>,
-}
+/// every candidate unsure, by slot: a [`Slab`], like the tracked states.
+/// A slot is reused; the bytes it buffered are freed with it — records
+/// that straddle segments are rare, and what a pool of them kept would
+/// stay pinned.
+pub(super) type Prefixes = Slab<PrefixPair>;
 
-impl Prefixes {
-    /// A slot with both buffers empty.
-    fn draw(&mut self) -> u32 {
-        self.free.pop().unwrap_or_else(|| {
-            self.slots.push(PrefixPair::default());
-            u32::try_from(self.slots.len() - 1).expect("prefix slab exceeds u32 slots")
-        })
-    }
-
-    /// Frees `slot` and its buffers; returns the heap bytes they held.
-    fn release(&mut self, slot: u32) -> usize {
-        self.free.push(slot);
-        let bufs = std::mem::take(&mut self.slots[slot as usize]);
-        bufs.iter().map(Vec::capacity).sum()
-    }
-}
+/// What a probe's prefix slot is while the probe holds it.
+const LIVE_PREFIX: &str = "a probe's prefix slot is live";
 
 /// The index of direction `d`'s buffer in a [`PrefixPair`].
 fn side(d: Direction) -> usize {
@@ -528,7 +515,8 @@ impl<F: FilterFns> Machine<F> {
     fn set_phase(&mut self, conn: &mut Conn, next: Phase) {
         match std::mem::replace(&mut conn.phase, next) {
             Phase::Probing(probe) if probe.prefix != NO_PREFIX => {
-                self.probe_bytes -= self.prefixes.release(probe.prefix);
+                let bufs = self.prefixes.remove(probe.prefix).expect(LIVE_PREFIX);
+                self.probe_bytes -= bufs.iter().map(Vec::capacity).sum::<usize>();
             }
             Phase::Parsing { parser, pool } => self.pool_parser(parser, pool),
             Phase::Probing(_) | Phase::Tracking | Phase::Dropped => {}
@@ -756,8 +744,7 @@ impl<F: FilterFns> Machine<F> {
             Phase::Parsing { .. } => return self.parse_data(entry, data, pdir),
             Phase::Tracking | Phase::Dropped => return false,
         };
-        let mut buffered =
-            (probe.prefix != NO_PREFIX).then(|| &mut self.prefixes.slots[probe.prefix as usize]);
+        let mut buffered = (probe.prefix != NO_PREFIX).then(|| &mut self.prefixes[probe.prefix]);
         let held = buffered.as_ref().map_or(0, |bufs| bufs[side(pdir)].len());
         if held + data.len() > PROBE_BUFFER_CAP {
             return self.leaves(entry, Event::ConnLayerFailed);
@@ -783,9 +770,9 @@ impl<F: FilterFns> Machine<F> {
             // the connection takes the first time.
             if in_place.is_some() {
                 if probe.prefix == NO_PREFIX {
-                    probe.prefix = self.prefixes.draw();
+                    probe.prefix = self.prefixes.insert(PrefixPair::default());
                 }
-                let bufs = &mut self.prefixes.slots[probe.prefix as usize];
+                let bufs = &mut self.prefixes[probe.prefix];
                 self.probe_bytes += spill(&mut bufs[side(pdir)], data);
             }
             return false;
@@ -796,11 +783,10 @@ impl<F: FilterFns> Machine<F> {
             .as_ref()
             .expect("the winner has a prototype");
         let (pool, service) = (*pool, self.parsers[*pool as usize].service);
-        // What was buffered, lent out of the connection's prefix slot
-        // across the transition, which frees the slot.
-        let slot = probe.prefix;
-        let lent =
-            (slot != NO_PREFIX).then(|| std::mem::take(&mut self.prefixes.slots[slot as usize]));
+        // What was buffered, taken out of the connection's prefix slot,
+        // which goes now, whatever the transition.
+        let slot = std::mem::replace(&mut probe.prefix, NO_PREFIX);
+        let taken = (slot != NO_PREFIX).then(|| self.prefixes.remove(slot).expect(LIVE_PREFIX));
         // Connection filter (Figure 4's first pseudostate) over the
         // still-live subscriptions, resuming at the first packet's
         // frontiers.
@@ -820,19 +806,13 @@ impl<F: FilterFns> Machine<F> {
         let a = self.apply(entry, event, Some(service), &mut None, seed);
         // Feed the parser both prefixes, client's first: what was
         // buffered, and this segment where it lies.
-        let both = prefixes(lent.as_ref(), in_place);
+        let both = prefixes(taken.as_ref(), in_place);
         let leaves = a.release
             || a.parse
                 && (both.into_iter())
                     .any(|(prefix, d)| !prefix.is_empty() && self.parse_data(entry, prefix, d));
-        if let Some(bufs) = lent {
-            if a.release {
-                // Still probing as it leaves the table: the exit frees it.
-                self.prefixes.slots[slot as usize] = bufs;
-            } else {
-                // The slot went with the phase; the bytes go now.
-                self.probe_bytes -= bufs.iter().map(Vec::capacity).sum::<usize>();
-            }
+        if let Some(bufs) = taken {
+            self.probe_bytes -= bufs.iter().map(Vec::capacity).sum::<usize>();
         }
         leaves
     }

@@ -12,6 +12,7 @@
 //! | [`rematch`]       | `regex` (`Regex`)          | filter `~`: linear automaton |
 //! | [`mod@proptest`]  | `proptest`                 | property tests everywhere    |
 //! | [`hash`]          | `fxhash`/`ahash`           | tracker's closed-conn map    |
+//! | [`slab`]          | `slab` (`Slab`)            | per-core connection state    |
 //!
 //! [`mod@prefetch`] replaces nothing: it is the workspace's one software
 //! prefetch primitive (the burst pipeline's frame and conn-slot hints).
@@ -29,6 +30,7 @@ pub mod prefetch;
 pub mod proptest;
 pub mod rand;
 pub mod rematch;
+pub mod slab;
 pub mod sync;
 
 /// Defines property tests (`proptest`-compatible surface).

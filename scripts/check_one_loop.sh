@@ -207,13 +207,19 @@
 # whole word), and has exactly one `.adopt(` call site and one
 # `rows.install(` call site (the one in `stage_epoch`).
 #
-# Connection state costs what its live connections use. The arena
-# (crates/conntrack/src/arena.rs) keeps its slots in fixed chunks that
-# never move, and its free list in the vacant slots' `next` link words. It
-# once kept one `Vec` of slots, doubled past the peak (a quarter of
-# scan's 131 072 slots held nothing, and the doubling copied 29 MB
-# mid-run), beside a `Vec<u32>` free list of its own. So non-test
-# arena.rs has no `free: Vec<u32>` field and no single relocating
+# Connection state costs what its live connections use, and one slab
+# keeps all of it: crates/support/src/slab.rs, fixed chunks that never
+# move, with its free list in the vacant entries. The connection arena,
+# the flow store, the tracked-state slabs and the probe-prefix slab are
+# each a `Slab`. The arena once kept one `Vec` of slots, doubled past
+# the peak (a quarter of scan's 131 072 slots held nothing, and the
+# doubling copied 29 MB mid-run), beside a `Vec<u32>` free list of its
+# own; the tracked-state and prefix slabs kept that shape after the
+# arena lost it (3.67 MB of scan's 28 MB heap peak in the `ConnRecord`
+# slab alone), and the flow store kept a second hand-written in-slot
+# list. So non-test crates/core/src and crates/conntrack/src have no
+# `free: Vec<u32>` side list, no hand-written in-slot free list (a
+# `Vacant(` entry or a `NIL` end mark) and no single relocating
 # `slots: Vec<Slot<` store.
 #
 # Expiry has one rule. `CorePipeline::on_burst` sweeps idle connections
@@ -599,10 +605,11 @@ for rule in '\.adopt\(|1 adoption (RxCore::turn)' \
     fi
 done
 
-hits=$(code_lines crates/conntrack/src/arena.rs |
-    grep -E 'free:[[:space:]]*Vec<u32>|slots:[[:space:]]*Vec<Slot<' || true)
+hits=$(for file in $(find crates/core/src crates/conntrack/src -name '*.rs' | sort); do
+        code_lines "$file"
+    done | grep -E 'free:[[:space:]]*Vec<u32>|slots:[[:space:]]*Vec<Slot<|Vacant\(|(^|[^[:alnum:]_])NIL([^[:alnum:]_]|$)' || true)
 if [ -n "$hits" ]; then
-    echo "a relocating slot Vec or a side free list in the arena (chunks never move; the free list lives in vacant slots):" >&2
+    echo "a slab of its own beside retina_support::slab (a side free list, an in-slot free list or a relocating slot Vec):" >&2
     printf '%s\n' "$hits" >&2
     fail=1
 fi
@@ -744,7 +751,7 @@ echo "  benchmark/ is the one source of performance numbers: no second results f
 echo "  each monitoring fact has one shape: no metric Registry, GaugeMerge, MonitorSample, StageStats or to_sample(;"
 echo "  the dispatch ring is written once: no VirtualRing, RingTx, RingRx or StepQueue, one spsc::ring call site;"
 echo "  one swap protocol and one RX core: no StepSwap, one .adopt( and one rows.install( call site;"
-echo "  the connection arena is chunked, with its free list in its vacant slots;"
+echo "  one slab (support/src/slab.rs): no side free list, in-slot free list or slot Vec in core or conntrack;"
 echo "  one sweep rule: no driver cadence (ADVANCE_EVERY, since_advance) and no public CorePipeline::advance;"
 echo "  one fault plan and one monitor clock: no WorkerStall, with_stall or chaos_fired, and no Instant in monitor.rs;"
 echo "  core parses each frame once and builds none: ParsedPacket::parse( in on_burst (and rss_queues), no wire builder;"

@@ -50,10 +50,11 @@
 //! copy anywhere on the path makes the figure scale with the payload.
 //!
 //! The last holds what the table of bare SYNs keeps, not what it
-//! allocates per connection: one arena slot per peak connection
-//! ([`CONN_SLOT_BYTES`], its flow an eight-byte embryo in it), plus at
-//! most one 8,192-slot chunk of slack and the index — not a doubled `Vec`
-//! of slots beside a free list, and no flow store. A table that never
+//! allocates per connection: the slab chunks of arena slots that cover
+//! the peak ([`CONN_SLOT_BYTES`] each, a slot's flow an eight-byte embryo
+//! in it), an index at most half full, the wheel's sentinels and the
+//! chunk table — not a doubled `Vec` of slots beside a free list, and no
+//! flow store. A table that never
 //! sees a connection (a core whose filters all stop at the packet layer)
 //! costs nothing: `ConnTable::new` allocates nothing.
 
@@ -62,7 +63,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use retina_conntrack::{ConnTable, TimeoutConfig, TimerWheel};
+use retina_conntrack::{ConnTable, TimeoutConfig, TimerWheel, INDEX_WORD_BYTES};
 use retina_core::subscribables::{
     ConnBytes, ConnRecord, DnsTransactionData, HttpTransactionData, SessionRecord,
     SshHandshakeData, TlsHandshakeData,
@@ -79,6 +80,7 @@ use retina_protocols::tls::TlsHandshake;
 use retina_protocols::{dns, http};
 use retina_protocols::{Direction, ParserRegistry, ProbeResult, Session};
 use retina_support::bytes::Bytes;
+use retina_support::slab::CHUNK;
 use retina_wire::build::{build_tcp, TcpSpec};
 use retina_wire::TcpFlags;
 
@@ -228,13 +230,18 @@ fn a_bare_syn_table_holds_its_peak_and_one_chunk() {
     report.check_accounting().unwrap();
     let peak = usize::try_from(report.cores.conns_peak).unwrap();
     assert_eq!(peak, N as usize);
-    // Slots for the peak and one 8,192-slot chunk of slack, at the
-    // tracker's slot size, and 17 × 8/7 bytes of index per peak connection
-    // (what a hash map's 17-byte entries at 7/8 load took). The index's
-    // 8-byte words, at most four per peak connection, fit in that and the
-    // chunk of slack. A bare SYN's flow is the embryo in its slot: the
-    // flow store holds nothing.
-    let bound = (peak + 8_192) * CONN_SLOT_BYTES + peak * 17 * 8 / 7;
+    // What the table holds for its peak: the slots of the whole chunks
+    // that cover it, at the tracker's slot size; an index of 8-byte words
+    // at most half full (the power of two at or above twice the peak); the
+    // wheel's sentinels; and the chunk table, a `Vec` of one three-word
+    // header per chunk grown by doubling from four. A bare SYN's flow is
+    // the embryo in its slot: the flow store holds nothing.
+    let chunks = peak.div_ceil(CHUNK);
+    let chunk_table = chunks.next_power_of_two().max(4) * std::mem::size_of::<Vec<u8>>();
+    let bound = chunks * CHUNK * CONN_SLOT_BYTES
+        + (2 * peak).next_power_of_two() * INDEX_WORD_BYTES
+        + TimerWheel::BYTES
+        + chunk_table;
     assert!(
         report.conn_arena_bytes <= bound,
         "{} B of connection state at a peak of {peak} (bound {bound} B)",
