@@ -1206,6 +1206,36 @@ mod tests {
         assert_eq!(t.machine.flows.slab.len(), 0);
     }
 
+    /// A handshake the session filter rejects goes back to the parser
+    /// that built it, which returns to its pool keeping the handshake's
+    /// buffers, counted in `state_bytes()`; a delivered one takes its
+    /// buffers with it.
+    #[test]
+    fn a_rejected_session_goes_back_to_its_parser() {
+        const MS: u64 = 1_000_000;
+        let subs: Subs = vec![Arc::new(TypedSubscription::<TlsHandshakeData>::spec_only(
+            "netflix",
+        ))];
+        let mut t = tracker(&["tls.sni ~ 'netflix'"], &subs);
+        let kept = |t: &ConnTracker<CompiledFilter>| {
+            let idle = t.machine.parsers.iter().flat_map(|p| &p.idle);
+            idle.map(|(_, kept)| *kept).collect::<Vec<_>>()
+        };
+        feed(
+            &mut t,
+            &tls("10.0.0.1:40001", "a.nflxvideo.netflix.com", 0).out,
+        );
+        assert_eq!(t.machine.tallies[0].delivered, 1);
+        let delivered = kept(&t);
+        assert_eq!(delivered.len(), 1, "the parser went back to its pool");
+        // The next connection draws that parser; its handshake fails the
+        // filter, and the SNI and the one-cipher list stay with the parser.
+        feed(&mut t, &tls("10.0.0.2:40002", "www.example.com", MS).out);
+        assert_eq!(t.machine.tallies[0].discarded, 1);
+        assert_eq!(kept(&t), vec![delivered[0] + "www.example.com".len() + 2]);
+        assert_eq!(t.state_bytes(), state_bytes_walk(&t));
+    }
+
     /// The running probe-buffer byte count behind the O(1)
     /// `state_bytes()` equals the walk over every entry and the pools,
     /// through every way a connection leaves `Phase::Probing`: a winner is

@@ -863,9 +863,11 @@ impl<F: FilterFns> Machine<F> {
     /// The session filter (Figure 4's second pseudostate) and delivery for
     /// each of `sessions`, just parsed or drained at the connection's end:
     /// each leaves the buffer into its match, where the last subscriber
-    /// served may take it. The filter resumes at the first packet's
-    /// frontiers, rebuilt once for the batch; with no subscription left
-    /// undecided none of them is read, and none is rebuilt.
+    /// served may take it, and one nobody takes is handed back to its
+    /// parser ([`ConnParser::recycle`]). The filter resumes at the first
+    /// packet's frontiers, rebuilt once for the batch; with no
+    /// subscription left undecided none of them is read, and none is
+    /// rebuilt.
     fn deliver_sessions(
         &mut self,
         entry: &mut ConnEntry<Conn>,
@@ -890,7 +892,18 @@ impl<F: FilterFns> Machine<F> {
             }
             self.trace(conn, TraceKind::SessionVerdict, hits.bits(), live.bits());
             let event = Event::Session { hits };
-            self.apply(entry, event, Some(service), &mut Some(session), None);
+            let mut session = Some(session);
+            self.apply(entry, event, Some(service), &mut session, None);
+            // A session no subscriber took goes back to the parser that
+            // built it — a session event leaves the phase as it is — for
+            // its next sessions to write into. Its buffers are counted in
+            // `probe_bytes` when the parser is reset into its pool.
+            if let (Some(session), Phase::Parsing { parser, .. }) =
+                (session, &mut entry.value.phase)
+            {
+                let recycled = catch_unwind(AssertUnwindSafe(|| parser.recycle(session)));
+                self.stats.parser_panics += u64::from(recycled.is_err());
+            }
         }
     }
 }

@@ -283,22 +283,24 @@ impl ConnParser for HttpParser {
         if data.is_empty() {
             return ProbeResult::Unsure;
         }
-        let prefix = std::str::from_utf8(&data[..data.len().min(16)]).unwrap_or("");
+        // Bytes, not text: a window that is not UTF-8 (binary payload, or
+        // a character cut at its end) is compared as it is.
+        let prefix = &data[..data.len().min(16)];
         match dir {
             Direction::ToServer => {
-                if METHODS.iter().any(|m| prefix.starts_with(m)) {
+                if METHODS.iter().any(|m| prefix.starts_with(m.as_bytes())) {
                     return ProbeResult::Certain;
                 }
-                if METHODS.iter().any(|m| m.starts_with(prefix)) {
+                if METHODS.iter().any(|m| m.as_bytes().starts_with(prefix)) {
                     return ProbeResult::Unsure;
                 }
                 ProbeResult::NotForUs
             }
             Direction::ToClient => {
-                if prefix.starts_with("HTTP/1.") {
+                if prefix.starts_with(b"HTTP/1.") {
                     return ProbeResult::Certain;
                 }
-                if "HTTP/1.".starts_with(prefix) {
+                if b"HTTP/1.".starts_with(prefix) {
                     return ProbeResult::Unsure;
                 }
                 ProbeResult::NotForUs
@@ -420,6 +422,21 @@ mod tests {
             p.probe(b"SSH-2.0", Direction::ToClient),
             ProbeResult::NotForUs
         );
+        // Binary payload is not HTTP, in either direction.
+        for dir in [Direction::ToServer, Direction::ToClient] {
+            assert_eq!(p.probe(&[0xf5; 1460], dir), ProbeResult::NotForUs);
+            assert_eq!(p.probe(b"\xf5", dir), ProbeResult::NotForUs);
+        }
+        // A two-byte character cut by the end of the 16-byte window
+        // leaves the method, or the status line, in front of it.
+        for (text, dir) in [
+            ("GET /cafe\u{e9}\u{e9}\u{e9}\u{e9}", Direction::ToServer),
+            ("HTTP/1.1 200 \u{e9}\u{e9}", Direction::ToClient),
+        ] {
+            let cut = text.as_bytes();
+            assert!(std::str::from_utf8(&cut[..16]).is_err(), "{text}");
+            assert_eq!(p.probe(cut, dir), ProbeResult::Certain, "{text}");
+        }
     }
 
     #[test]

@@ -171,6 +171,17 @@ pub trait ConnParser: Send {
     /// [`reuse_buffer`].
     fn reset(&mut self) -> usize;
 
+    /// Takes back `session`, one of its own that no subscriber took (the
+    /// session filter rejected it), so that the buffers it holds carry
+    /// the parser's next sessions; they stay across [`reset`] under the
+    /// same rule as its other buffers. Returns the heap bytes it keeps of
+    /// `session`. The default keeps nothing: the session is dropped.
+    ///
+    /// [`reset`]: ConnParser::reset
+    fn recycle(&mut self, _session: Session) -> usize {
+        0
+    }
+
     /// Connection disposition after a session *matched* the filter.
     fn session_match_state(&self) -> SessionState {
         SessionState::KeepParsing
@@ -186,7 +197,11 @@ pub trait ConnParser: Send {
 /// connection: a buffer up to this size is emptied and kept, a larger one
 /// freed. The built-in parsers hold at most two carries — one per
 /// direction — and HTTP its queue of pending requests besides, each kept
-/// by this rule, so a pooled one keeps at most 6 KiB.
+/// by this rule, so a pooled one keeps at most 6 KiB. A pooled TLS parser
+/// keeps, besides its carries, the SNI, ALPN and cipher-list buffers of a
+/// handshake it was handed back ([`ConnParser::recycle`]), for the next
+/// hellos to write into; it drops them first, so that with its carries it
+/// keeps at most `2 * RESET_BUFFER_KEEP`.
 pub const RESET_BUFFER_KEEP: usize = 2 * 1024;
 
 /// Empties `buf` for a reset parser's next connection, keeping its
@@ -603,9 +618,11 @@ mod proptests {
 
         /// The pool's contract: whatever a parser was fed — random bytes,
         /// a record cut mid-segment (of its own protocol or another), a
-        /// stream that ended in `Error` — once `reset` it probes, parses
-        /// and drains a real conversation exactly as a fresh parser does,
-        /// and keeps no more than its buffers' allowance.
+        /// stream that ended in `Error` — and whether or not a session of
+        /// its protocol that nobody took was handed back to it, once
+        /// `reset` it probes, parses and drains a real conversation
+        /// exactly as a fresh parser does, and keeps no more than its
+        /// buffers' allowance.
         #[test]
         fn a_reset_parser_is_a_fresh_one(
             proto in 0usize..5,
@@ -614,6 +631,7 @@ mod proptests {
             chunk in 1usize..64,
             other in 0usize..5,
             cut in 0usize..400,
+            recycled in any::<bool>(),
         ) {
             let registry = ParserRegistry::default();
             let names = registry.protocols();
@@ -643,9 +661,17 @@ mod proptests {
                     }
                 }
             }
+            let conv = conversation(name);
+            if recycled {
+                let mut other = registry.new_parser(name).expect("registered");
+                for (dir, seg) in &conv {
+                    let _ = other.parse(seg, *dir);
+                }
+                let session = other.drain_sessions().into_iter().next();
+                let _ = used.recycle(session.expect("the conversation yields sessions"));
+            }
             let kept = used.reset();
             prop_assert!(kept <= 2 * RESET_BUFFER_KEEP, "{name} keeps {kept} bytes");
-            let conv = conversation(name);
             let mut fresh = registry.instantiate(name).expect("registered");
             let expected = outcome(&mut *fresh, &conv);
             prop_assert!(expected.2 != "[]", "{name}: the conversation yields sessions");

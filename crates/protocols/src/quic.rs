@@ -60,12 +60,39 @@ impl crate::parser::CustomSession for QuicHandshake {
     }
 }
 
+/// `bytes` in lowercase hex, written into one string of exactly their
+/// size.
 fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0x0f)]));
+    }
+    out
 }
 
-/// Parses a long header from one UDP datagram payload.
-fn parse_long_header(data: &[u8]) -> Option<QuicHandshake> {
+/// A valid long header, read where it lies in its datagram.
+struct LongHeader<'a> {
+    version: u32,
+    dcid: &'a [u8],
+    scid: &'a [u8],
+}
+
+impl LongHeader<'_> {
+    /// The session it opens: the connection IDs hex-encoded.
+    fn handshake(&self) -> QuicHandshake {
+        QuicHandshake {
+            version: self.version,
+            dcid: hex(self.dcid),
+            scid: hex(self.scid),
+        }
+    }
+}
+
+/// Validates a long header at the front of one UDP datagram payload,
+/// building nothing.
+fn long_header(data: &[u8]) -> Option<LongHeader<'_>> {
     // Long form: bit 7 set; fixed bit (6) set except version negotiation.
     if data.len() < 7 || data[0] & 0x80 == 0 {
         return None;
@@ -87,10 +114,10 @@ fn parse_long_header(data: &[u8]) -> Option<QuicHandshake> {
         return None;
     }
     let scid = &data[7 + dcid_len..7 + dcid_len + scid_len];
-    Some(QuicHandshake {
+    Some(LongHeader {
         version,
-        dcid: hex(dcid),
-        scid: hex(scid),
+        dcid,
+        scid,
     })
 }
 
@@ -139,7 +166,7 @@ impl ConnParser for QuicParser {
         if data.len() < 7 {
             return ProbeResult::Unsure;
         }
-        if parse_long_header(data).is_some() {
+        if long_header(data).is_some() {
             ProbeResult::Certain
         } else {
             ProbeResult::NotForUs
@@ -150,10 +177,10 @@ impl ConnParser for QuicParser {
         if self.done {
             return ParseResult::Done;
         }
-        match parse_long_header(data) {
-            Some(hs) => {
+        match long_header(data) {
+            Some(header) => {
                 self.done = true;
-                sessions.push(Session::Custom(Box::new(hs)));
+                sessions.push(Session::Custom(Box::new(header.handshake())));
                 ParseResult::Done
             }
             None => ParseResult::Continue, // short-header / coalesced data
@@ -211,6 +238,16 @@ mod tests {
     }
 
     #[test]
+    fn hex_is_two_lowercase_digits_per_byte() {
+        let every: Vec<u8> = (0..=255).collect();
+        let formatted: String = every.iter().map(|b| format!("{b:02x}")).collect();
+        let encoded = hex(&every);
+        assert_eq!(encoded, formatted);
+        assert_eq!(encoded.capacity(), 512, "sized once, exactly");
+        assert_eq!(hex(&[]).capacity(), 0);
+    }
+
+    #[test]
     fn probe_rejects_non_quic() {
         let p = QuicParser::new();
         assert_eq!(
@@ -230,16 +267,16 @@ mod tests {
     fn version_negotiation_parses() {
         let mut pkt = build_long_header(0, &[9; 8], &[7; 8], 0);
         pkt[0] = 0x80; // VN packets may clear the fixed bit
-        assert!(parse_long_header(&pkt).is_some());
+        assert!(long_header(&pkt).is_some());
     }
 
     #[test]
     fn malformed_headers_rejected() {
-        assert!(parse_long_header(&[]).is_none());
-        assert!(parse_long_header(&[0xC0, 0, 0, 0, 1]).is_none()); // truncated
+        assert!(long_header(&[]).is_none());
+        assert!(long_header(&[0xC0, 0, 0, 0, 1]).is_none()); // truncated
         let mut long_cid = build_long_header(1, &[1; 20], &[2], 0);
         long_cid[5] = 21; // dcid_len over RFC bound
-        assert!(parse_long_header(&long_cid).is_none());
+        assert!(long_header(&long_cid).is_none());
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub use ciphers::cipher_name;
 
 use retina_filter::FieldValue;
 
-use crate::parser::{reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session};
+use crate::parser::{
+    reuse_buffer, ConnParser, Direction, ParseResult, ProbeResult, Session, RESET_BUFFER_KEEP,
+};
 
 /// Maximum handshake bytes carried per direction while waiting for a
 /// complete record or message; adversarial streams beyond this are
@@ -162,9 +164,36 @@ fn hold(carry: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ()> {
     Ok(())
 }
 
+/// `handshake`'s SNI, ALPN and cipher-list buffers, emptied, in a
+/// handshake that holds nothing else: what the next hellos write into.
+fn emptied(handshake: TlsHandshake) -> TlsHandshake {
+    let empty = |mut text: String| {
+        text.clear();
+        text
+    };
+    let mut offered_ciphers = handshake.offered_ciphers;
+    offered_ciphers.clear();
+    TlsHandshake {
+        sni: handshake.sni.map(empty),
+        alpn: handshake.alpn.map(empty),
+        offered_ciphers,
+        ..TlsHandshake::default()
+    }
+}
+
+/// The heap bytes of `handshake`'s SNI, ALPN and cipher-list buffers.
+fn buffer_bytes(handshake: &TlsHandshake) -> usize {
+    let text = |field: &Option<String>| field.as_ref().map_or(0, String::capacity);
+    text(&handshake.sni)
+        + text(&handshake.alpn)
+        + handshake.offered_ciphers.capacity() * std::mem::size_of::<u16>()
+}
+
 /// What the hellos have told so far.
 #[derive(Debug, Default)]
 struct Hellos {
+    /// The handshake being built. Until either hello is read into it, it
+    /// holds nothing but what a recycled handshake left ([`emptied`]).
     handshake: TlsHandshake,
     seen_client_hello: bool,
     seen_server_hello: bool,
@@ -188,9 +217,18 @@ impl Hellos {
     }
 
     fn handle_message(&mut self, msg_type: u8, body: &[u8]) {
+        // The first hello takes out the strings a recycled handshake left:
+        // a ClientHello writes its own into them where they fit.
+        let first = !(self.seen_client_hello || self.seen_server_hello);
+        let spares = match msg_type {
+            HS_CLIENT_HELLO | HS_SERVER_HELLO if first => {
+                [self.handshake.sni.take(), self.handshake.alpn.take()]
+            }
+            _ => [None, None],
+        };
         match msg_type {
             HS_CLIENT_HELLO => {
-                if parse_client_hello(body, &mut self.handshake).is_ok() {
+                if parse_client_hello(body, &mut self.handshake, spares).is_ok() {
                     self.seen_client_hello = true;
                 } else {
                     self.failed = true;
@@ -329,18 +367,45 @@ impl ConnParser for TlsParser {
     fn drain_sessions(&mut self, _sessions: &mut Vec<Session>) {}
 
     fn reset(&mut self) -> usize {
-        let kept = (self.sides.iter_mut())
+        let carried: usize = (self.sides.iter_mut())
             .map(|side| reuse_buffer(&mut side.carry))
             .sum();
+        // Once the handshake is delivered, what the parser holds of one
+        // is what was recycled into it: kept, unless with the carries it
+        // passes two buffers' allowance. A handshake cut short is dropped.
+        let mut spares = TlsHandshake::default();
+        if self.done {
+            spares = emptied(std::mem::take(&mut self.hellos.handshake));
+        }
+        if carried + buffer_bytes(&spares) > 2 * RESET_BUFFER_KEEP {
+            spares = TlsHandshake::default();
+        }
+        let spared = buffer_bytes(&spares);
         let sides = std::mem::take(&mut self.sides).map(|side| Side {
             carry: side.carry,
             ..Side::default()
         });
         *self = TlsParser {
             sides,
+            hellos: Hellos {
+                handshake: spares,
+                ..Hellos::default()
+            },
             ..TlsParser::default()
         };
-        kept
+        carried + spared
+    }
+
+    fn recycle(&mut self, session: Session) -> usize {
+        // Until its handshake is delivered, the parser is still building
+        // it: nothing it holds is spare.
+        match session {
+            Session::Tls(handshake) if self.done => {
+                self.hellos.handshake = emptied(handshake);
+                buffer_bytes(&self.hellos.handshake)
+            }
+            _ => 0,
+        }
     }
 
     fn session_match_state(&self) -> crate::parser::SessionState {
@@ -359,12 +424,27 @@ fn take(data: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
     (data.len() >= n).then(|| data.split_at(n))
 }
 
-/// An owned copy of `bytes` if they are UTF-8.
-fn utf8(bytes: &[u8]) -> Option<String> {
-    std::str::from_utf8(bytes).ok().map(str::to_owned)
+/// An owned copy of `bytes` if they are UTF-8: written into the `spare`
+/// string if they fit it, else into a new one of exactly their size.
+fn utf8(bytes: &[u8], spare: Option<String>) -> Option<String> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    match spare {
+        Some(mut owned) if owned.capacity() >= text.len() => {
+            owned.clear();
+            owned.push_str(text);
+            Some(owned)
+        }
+        _ => Some(text.to_owned()),
+    }
 }
 
-fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
+/// Reads a ClientHello into `out`, its SNI and ALPN into the `[sni,
+/// alpn]` spares where they fit.
+fn parse_client_hello(
+    body: &[u8],
+    out: &mut TlsHandshake,
+    [mut sni, mut alpn]: [Option<String>; 2],
+) -> Result<(), ()> {
     let (ver, rest) = take(body, 2).ok_or(())?;
     out.client_version = u16::from_be_bytes([ver[0], ver[1]]);
     out.version = out.client_version; // refined by ServerHello
@@ -377,10 +457,15 @@ fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
     let (cs_len, rest) = take(rest, 2).ok_or(())?;
     let cs_len = usize::from(u16::from_be_bytes([cs_len[0], cs_len[1]]));
     let (suites, rest) = take(rest, cs_len).ok_or(())?;
-    out.offered_ciphers = suites
+    let offered = suites
         .chunks_exact(2)
-        .map(|c| u16::from_be_bytes([c[0], c[1]]))
-        .collect();
+        .map(|c| u16::from_be_bytes([c[0], c[1]]));
+    if offered.len() > out.offered_ciphers.capacity() {
+        out.offered_ciphers = offered.collect();
+    } else {
+        out.offered_ciphers.clear();
+        out.offered_ciphers.extend(offered);
+    }
     // Compression methods.
     let (comp_len, rest) = take(rest, 1).ok_or(())?;
     let (_comp, rest) = take(rest, usize::from(comp_len[0])).ok_or(())?;
@@ -404,7 +489,7 @@ fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 5 && data[2] == 0 => {
                     let name_len = usize::from(u16::from_be_bytes([data[3], data[4]]));
                     if let Some((name, _)) = take(&data[5..], name_len) {
-                        out.sni = utf8(name);
+                        out.sni = utf8(name, sni.take());
                     }
                 }
             16
@@ -413,7 +498,7 @@ fn parse_client_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 3 => {
                     let plen = usize::from(data[2]);
                     if let Some((proto, _)) = take(&data[3..], plen) {
-                        out.alpn = utf8(proto);
+                        out.alpn = utf8(proto, alpn.take());
                     }
                 }
             _ => {}
@@ -458,7 +543,7 @@ fn parse_server_hello(body: &[u8], out: &mut TlsHandshake) -> Result<(), ()> {
                 if data.len() >= 3 => {
                     let plen = usize::from(data[2]);
                     if let Some((proto, _)) = take(&data[3..], plen) {
-                        out.alpn = utf8(proto);
+                        out.alpn = utf8(proto, None);
                     }
                 }
             _ => {}
@@ -574,6 +659,95 @@ mod tests {
         };
         assert_eq!(hs.cipher(), "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256");
         assert_eq!(hs.version, 0x0303);
+    }
+
+    /// Both hellos of `spec()`, answered, through `parser`: the session.
+    fn handshake_through(parser: &mut TlsParser) -> TlsHandshake {
+        let mut out = Vec::new();
+        parser.parse(&client_hello_record(&spec()), Direction::ToServer, &mut out);
+        let sh = server_hello_record(&ServerHelloSpec {
+            cipher: 0x1301,
+            random: [9u8; 32],
+            version: 0x0303,
+            supported_version: None,
+            alpn: None,
+        });
+        assert_eq!(
+            parser.parse(&sh, Direction::ToClient, &mut out),
+            ParseResult::Done
+        );
+        let Some(Session::Tls(hs)) = drained(parser, &mut out).pop() else {
+            panic!()
+        };
+        hs
+    }
+
+    #[test]
+    fn a_recycled_handshake_carries_the_next_one() {
+        let mut parser = TlsParser::new();
+        let first = handshake_through(&mut parser);
+        let buffers = |hs: &TlsHandshake| {
+            (
+                hs.sni.as_deref().map(str::as_ptr),
+                hs.alpn.as_deref().map(str::as_ptr),
+                hs.offered_ciphers.as_ptr(),
+            )
+        };
+        let (held, expected) = (buffers(&first), first.clone());
+        let bytes = "www.example.com".len() + "h2".len() + 3 * 2;
+        assert_eq!(parser.recycle(Session::Tls(first)), bytes);
+        assert_eq!(parser.reset(), bytes, "the spares are kept and counted");
+        let second = handshake_through(&mut parser);
+        assert_eq!(second, expected);
+        assert_eq!(buffers(&second), held, "written into the recycled buffers");
+        // A hello without SNI or ALPN leaves them absent, spares or not.
+        parser.recycle(Session::Tls(second));
+        parser.reset();
+        let mut out = Vec::new();
+        let mut bare = spec();
+        (bare.sni, bare.alpn) = (None, None);
+        parser.parse(&client_hello_record(&bare), Direction::ToServer, &mut out);
+        parser.parse(&[20u8, 3, 3, 0, 1, 1], Direction::ToServer, &mut out);
+        let Some(Session::Tls(hs)) = drained(&mut parser, &mut out).pop() else {
+            panic!()
+        };
+        assert_eq!((hs.sni, hs.alpn), (None, None));
+        assert_eq!(hs.offered_ciphers.as_ptr(), held.2);
+        // The same when the ServerHello comes first.
+        parser.recycle(Session::Tls(expected));
+        parser.reset();
+        let sh = server_hello_record(&ServerHelloSpec {
+            cipher: 0x1301,
+            random: [9u8; 32],
+            version: 0x0303,
+            supported_version: None,
+            alpn: None,
+        });
+        parser.parse(&sh, Direction::ToClient, &mut out);
+        parser.parse(&client_hello_record(&bare), Direction::ToServer, &mut out);
+        let Some(Session::Tls(hs)) = drained(&mut parser, &mut out).pop() else {
+            panic!()
+        };
+        assert_eq!((hs.sni, hs.alpn), (None, None));
+        // Another protocol's session is not taken.
+        let other = Session::Ssh(crate::ssh::SshHandshake::default());
+        assert_eq!(parser.recycle(other), 0);
+    }
+
+    #[test]
+    fn spares_that_overflow_the_allowance_are_dropped_at_reset() {
+        let mut parser = TlsParser::new();
+        handshake_through(&mut parser);
+        let large = TlsHandshake {
+            sni: Some("s".repeat(RESET_BUFFER_KEEP + 1)),
+            offered_ciphers: vec![0x1301; RESET_BUFFER_KEEP / 2],
+            ..TlsHandshake::default()
+        };
+        assert!(parser.recycle(Session::Tls(large)) > 2 * RESET_BUFFER_KEEP);
+        assert_eq!(parser.reset(), 0);
+        // A fresh parser's handshake allocates as it always did.
+        let hs = handshake_through(&mut parser);
+        assert_eq!(hs.sni.map(|s| s.capacity()), Some("www.example.com".len()));
     }
 
     #[test]

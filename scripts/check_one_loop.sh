@@ -104,15 +104,19 @@
 #     or crates/filtergen: the macros check filter text and build a
 #     `CompiledFilter`, they do not generate code.
 #
-# Parsers read in place, one layer up from the probe. The TLS, HTTP, SSH
-# and DNS parsers (crates/protocols/src/{tls/mod.rs,http.rs,ssh.rs,
-# dns.rs}) read records, heads, banner lines and names where they lie in
-# the slice they are handed and carry only what a segment boundary cuts;
-# a copy per record or per head was what the parser layer cost before
-# (on the four-protocol campus workload, 69 of 192 allocations per
-# thousand packets). So their non-test code has no `.to_vec()`, no
-# `drain(…).collect()` (a head or line copied out of a buffer) and no
-# `handshake.clone()` (a finished handshake moves into its session).
+# Parsers read in place, one layer up from the probe. The TLS, HTTP, SSH,
+# DNS and QUIC parsers (crates/protocols/src/{tls/mod.rs,http.rs,ssh.rs,
+# dns.rs,quic.rs}) read records, heads, banner lines, names and long
+# headers where they lie in the slice they are handed and carry only what
+# a segment boundary cuts; a copy per record or per head was what the
+# parser layer cost before (on the four-protocol campus workload, 69 of
+# 192 allocations per thousand packets). So their non-test code has no
+# `.to_vec()`, no `drain(…).collect()` (a head or line copied out of a
+# buffer) and no `handshake.clone()` (a finished handshake moves into its
+# session). Non-test quic.rs has no `format!(` either: its probe, run on
+# every datagram of a connection a session-level subscription keeps
+# undecided, once hex-encoded both connection IDs a `format!` per byte —
+# 42 % of the allocations of the four-protocol campus workload.
 #
 # Monitoring is one feedback loop, and a run's records are the values
 # their producers return. `Sampler::tick` in crates/core/src/monitor.rs
@@ -469,7 +473,7 @@ if [ -n "$hits" ]; then
 fi
 
 for file in crates/protocols/src/tls/mod.rs crates/protocols/src/http.rs \
-    crates/protocols/src/ssh.rs crates/protocols/src/dns.rs; do
+    crates/protocols/src/ssh.rs crates/protocols/src/dns.rs crates/protocols/src/quic.rs; do
     hits=$(code_lines "$file" |
         grep -E '\.to_vec\(\)|drain\(.*\)[[:space:]]*\.collect\b|handshake\.clone\(\)' || true)
     if [ -n "$hits" ]; then
@@ -478,6 +482,12 @@ for file in crates/protocols/src/tls/mod.rs crates/protocols/src/http.rs \
         fail=1
     fi
 done
+hits=$(code_lines crates/protocols/src/quic.rs | grep -E '(^|[^[:alnum:]_])format!\(' || true)
+if [ -n "$hits" ]; then
+    echo "quic.rs formats a string (the probe validates in place; hex writes one pre-sized String):" >&2
+    printf '%s\n' "$hits" >&2
+    fail=1
+fi
 
 hits=$(code_lines crates/core/src/governor.rs | grep -E 'thread::(spawn|sleep)\b' || true)
 if [ -n "$hits" ]; then
@@ -743,7 +753,7 @@ echo "  no parser holds session storage, and no FromSession impl clones its sess
 echo "  no tracked type in subscribables.rs re-parses, re-sorts or copies the stream; the tracker copies at the probe spill only;"
 echo "  phases move in tracker/phase.rs only, and each discard charge and the end tracepoint have one site;"
 echo "  one FilterFns impl (CompiledFilter) and no filter code generator;"
-echo "  the TLS, HTTP, SSH and DNS parsers copy no record, head or line and clone no handshake;"
+echo "  the TLS, HTTP, SSH, DNS and QUIC parsers copy no record, head or line and clone no handshake; quic.rs formats nothing;"
 echo "  the governor is a stage of the monitor tick, which the run ticks on its own thread; no tracer slot, EventLog or swap ledger exists;"
 echo "  subscription counts live in one row per name: no (name, tally) ledger, no retired ledger, no dedup, no Lane<D>;"
 echo "  a session-filter regex runs as an automaton: rematch.rs copies no text into a Vec<char> and backtracks only in tests;"

@@ -32,7 +32,14 @@
 //! the core's pool costs the fields alone — the pooled parser kept its
 //! queue of pending requests. A DNS datagram's probe, against every
 //! prototype, costs no allocation at all: the question name is walked,
-//! not built.
+//! not built. No built-in probe allocates, whole opening record, cut one
+//! or binary segment: QUIC's validates the long header in place and
+//! hex-encodes no connection ID.
+//!
+//! A session nobody takes costs nothing either: a TLS handshake whose SNI
+//! the session filter rejects goes back to the parser that built it
+//! (`ConnParser::recycle`), whose next connection's hellos write into its
+//! buffers.
 //!
 //! The tracked-state diet: a `tls`-filtered `ConnRecord` allocates
 //! nothing — the record names its service by the parser's
@@ -77,7 +84,7 @@ use retina_protocols::tls::build::{
     client_hello_record, server_hello_record, ClientHelloSpec, ServerHelloSpec,
 };
 use retina_protocols::tls::TlsHandshake;
-use retina_protocols::{dns, http};
+use retina_protocols::{dns, http, quic, ssh};
 use retina_protocols::{Direction, ParserRegistry, ProbeResult, Session};
 use retina_support::bytes::Bytes;
 use retina_support::slab::CHUNK;
@@ -458,6 +465,11 @@ fn a_probed_tls_connection_instantiates_only_the_winning_parser() {
     //      worth of idle parsers;
     //   2. the handshake's offered cipher list;
     //   3. the handshake's SNI.
+    // No handshake completes, so none reaches the session filter and none
+    // is handed back to its parser: a parser reset mid-handshake drops
+    // what it built. The handshakes that complete and fail the filter
+    // allocate nothing on a warm core
+    // (`a_rejected_tls_handshake_on_a_warm_core_allocates_nothing`).
     assert!(
         per_conn <= 3.00 + 0.05,
         "{per_conn:.3} allocations per probed TLS connection"
@@ -565,11 +577,47 @@ fn a_delivered_http_transaction_allocates_only_what_it_carries() {
 fn http_one_at_a_time(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
     let request = http::build_request("GET", "/video/1", "video.example.net", "agent/1.0");
     let response = http::build_response(200, 0);
+    one_at_a_time(first_source, start_ns, 80, &request, &response)
+}
+
+/// `TLS_N` TLS connections one at a time, timed as
+/// [`http_one_at_a_time`]: each completes the TCP handshake, sends a
+/// ClientHello for `video.example.net`, receives the ServerHello that
+/// completes the TLS handshake, and closes.
+fn tls_one_at_a_time(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
+    let hello = client_hello_record(&ClientHelloSpec {
+        sni: Some("video.example.net".to_string()),
+        ciphers: vec![0x1301, 0xc02f],
+        random: [0x42; 32],
+        version: 0x0303,
+        alpn: Some("h2".to_string()),
+    });
+    let answer = server_hello_record(&ServerHelloSpec {
+        cipher: 0x1301,
+        random: [0x99; 32],
+        version: 0x0303,
+        supported_version: Some(0x0304),
+        alpn: None,
+    });
+    one_at_a_time(first_source, start_ns, 443, &hello, &answer)
+}
+
+/// `TLS_N` connections to port `port`, one at a time, 10 ms apart from
+/// `start_ns`: each completes the handshake, sends `request`, receives
+/// `response`, each in one segment, and closes (FIN both ways) before the
+/// next opens.
+fn one_at_a_time(
+    first_source: u32,
+    start_ns: u64,
+    port: u16,
+    request: &[u8],
+    response: &[u8],
+) -> Vec<(Bytes, u64)> {
     let (up, down) = (
         101 + u32::try_from(request.len()).unwrap(),
         501 + u32::try_from(response.len()).unwrap(),
     );
-    let server = std::net::SocketAddr::new(std::net::Ipv4Addr::new(198, 51, 100, 1).into(), 80);
+    let server = std::net::SocketAddr::new(std::net::Ipv4Addr::new(198, 51, 100, 1).into(), port);
     let mut out = Vec::new();
     for i in 0..TLS_N {
         let client = std::net::SocketAddr::new(
@@ -581,8 +629,8 @@ fn http_one_at_a_time(first_source: u32, start_ns: u64) -> Vec<(Bytes, u64)> {
             (true, 100, 0, TcpFlags::SYN, &[]),
             (false, 500, 101, TcpFlags::SYN | TcpFlags::ACK, &[]),
             (true, 101, 501, TcpFlags::ACK, &[]),
-            (true, 101, 501, TcpFlags::ACK | TcpFlags::PSH, &request),
-            (false, 501, up, TcpFlags::ACK | TcpFlags::PSH, &response),
+            (true, 101, 501, TcpFlags::ACK | TcpFlags::PSH, request),
+            (false, 501, up, TcpFlags::ACK | TcpFlags::PSH, response),
             (true, up, down, TcpFlags::FIN | TcpFlags::ACK, &[]),
             (false, down, up + 1, TcpFlags::FIN | TcpFlags::ACK, &[]),
             (true, up + 1, down + 1, TcpFlags::ACK, &[]),
@@ -628,6 +676,82 @@ fn a_second_http_connection_on_a_warm_core_allocates_only_its_transaction() {
         per_conn <= 4.00 + 0.001,
         "{per_conn:.3} allocations per HTTP connection on a warm core"
     );
+}
+
+#[test]
+fn a_rejected_tls_handshake_on_a_warm_core_allocates_nothing() {
+    let mut runtime = RuntimeBuilder::new(RuntimeConfig::with_cores(1))
+        .subscribe_named(
+            "nflx",
+            r"tls.sni ~ '(.+?\.)?nflxvideo\.net'",
+            |_: TlsHandshakeData| panic!("video.example.net is not a Netflix SNI"),
+        )
+        .build()
+        .expect("runtime builds");
+    let (per_conn, report) = allocs_per_conn(&mut runtime, tls_one_at_a_time);
+    // Every handshake completed, reached the session filter and failed it.
+    assert_eq!(report.cores.session_filter.runs, u64::from(2 * TLS_N));
+    assert_eq!(report.cores.discard_session_filter, u64::from(2 * TLS_N));
+    // Each connection draws the parser the one before it handed back, and
+    // the handshake the filter rejected went back to that parser: its
+    // SNI, ALPN and cipher list carry the next connection's hellos. A
+    // parser that drops a rejected handshake allocates those three again
+    // per connection.
+    assert!(
+        per_conn <= 0.001,
+        "{per_conn:.3} allocations per rejected TLS handshake on a warm core"
+    );
+}
+
+#[test]
+fn every_built_in_probe_allocates_nothing() {
+    // What each built-in protocol opens a connection with, QUIC's
+    // Initial included.
+    let openings = [
+        client_hello_record(&ClientHelloSpec {
+            sni: Some("video.example.net".to_string()),
+            ciphers: vec![0x1301, 0xc02f],
+            random: [0x42; 32],
+            version: 0x0303,
+            alpn: Some("h2".to_string()),
+        }),
+        http::build_request("GET", "/video/1", "video.example.net", "agent/1.0"),
+        http::build_response(200, 0),
+        dns::build_query(7, "www.example.com", 1),
+        ssh::build_banner("OpenSSH_9.6"),
+        quic::build_long_header(1, &[0xaa; 8], &[0x11; 4], 1_200),
+    ];
+    // Each opening whole and cut at each of its first 16 bytes, and a
+    // binary segment.
+    let mut inputs: Vec<&[u8]> = Vec::new();
+    for opening in &openings {
+        inputs.extend((0..=16).map(|n| &opening[..n]));
+        inputs.push(opening);
+    }
+    let binary = [0xf5; 1460];
+    inputs.push(&binary);
+    let registry = ParserRegistry::default();
+    let prototypes: Vec<_> = (registry.protocols().into_iter())
+        .map(|name| registry.instantiate(name).expect("registered"))
+        .collect();
+    let both = [Direction::ToServer, Direction::ToClient];
+    let before = counters();
+    for prototype in &prototypes {
+        for input in &inputs {
+            for dir in both {
+                std::hint::black_box(prototype.probe(input, dir));
+            }
+        }
+    }
+    let after = counters();
+    assert_eq!(after, before, "(calls, bytes) allocated probing");
+    for (i, opening) in openings.iter().enumerate() {
+        let certain = (prototypes.iter()).any(|p| {
+            both.iter()
+                .any(|&dir| p.probe(opening, dir) == ProbeResult::Certain)
+        });
+        assert!(certain, "opening {i} is recognized");
+    }
 }
 
 #[test]
